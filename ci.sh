@@ -18,6 +18,13 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The benchmark is a package and workspace of its own, so none of the
+# --workspace steps above compile it: build and self-check it explicitly,
+# or an API change in xdr/oncrpc breaks it silently.
+echo "==> benchmark package: harness unit tests + quick self-check (~11 s)"
+cargo test --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -q
+cargo run --release --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --quick
+
 echo "==> chaos: deterministic fault matrix (failing seeds are named in the panic)"
 cargo test --test chaos -q
 cargo test --test proptest_stack -q -- lossy_fault any_fault
@@ -58,7 +65,7 @@ cargo test --test wire2 -q
 echo "==> wire2: sparse codec round-trip properties (arbitrary payloads, corrupt blobs)"
 cargo test -p cricket-oncrpc --test proptest_sparse -q
 
-echo "==> wire2: strict no-alloc client (zero heap allocations, construction included)"
+echo "==> wire2: fixed buffer policy, strictly (CricketV1Client over FixedBuf: zero heap allocations, construction included)"
 cargo test -p cricket-proto --test no_alloc_strict -q
 
 echo "==> bench smoke: fig7 (striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"

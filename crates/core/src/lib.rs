@@ -22,7 +22,7 @@
 //!   and slower `rand()` the paper measures).
 //!
 //! [`sim`] wires a client to an in-process server over the simulated
-//! network path; `Context::connect_tcp` talks to a real `cricket-server`
+//! network path; `Context::connect` talks to a real `cricket-server`
 //! process instead — the same application code runs on either, mirroring
 //! the paper's "without any code modification, we can run the same Rust
 //! application … directly on Linux".

@@ -81,13 +81,6 @@ impl Context {
         Ok(Self::from_client(CricketClient::connect(endpoint)?))
     }
 
-    /// Connect to one `cricket-server` over TCP (native-Linux client
-    /// flavor, wall-clock time). Shorthand for [`Self::connect`] with
-    /// [`crate::Endpoint::Addr`].
-    pub fn connect_tcp(addr: &str) -> ClientResult<Self> {
-        Self::connect(&crate::Endpoint::addr(addr)?)
-    }
-
     /// Run `f` with the raw client (escape hatch for APIs without safe
     /// wrappers).
     pub fn with_raw<R>(&self, f: impl FnOnce(&mut CricketClient) -> R) -> R {

@@ -10,13 +10,7 @@ fn main() {
     println!("cargo:rerun-if-changed=proto/cricket.x");
     let source = std::fs::read_to_string("proto/cricket.x").expect("read proto/cricket.x");
     let spec = rpcl::parse(&source).unwrap_or_else(|e| panic!("cricket.x: {e}"));
-    // `no_alloc` also emits the fixed-buffer CricketV1NoAllocClient used by
-    // unikernel guests with a static request buffer.
-    let opts = rpcl::Options {
-        no_alloc: true,
-        ..rpcl::Options::default()
-    };
-    let code = rpcl::generate(&spec, &opts);
+    let code = rpcl::generate(&spec, &rpcl::Options::default());
     let out: PathBuf = std::env::var_os("OUT_DIR").expect("OUT_DIR").into();
     std::fs::write(out.join("cricket_proto.rs"), code).expect("write generated code");
 }

@@ -1,11 +1,13 @@
-//! Strict regression for the `no_alloc` codegen mode: the generated
-//! [`CricketV1NoAllocClient`] must perform **zero heap allocations,
-//! period** — not just in the steady-state call loop (the weaker
-//! guarantee `oncrpc/tests/zero_alloc.rs` checks for the pooled client),
-//! but including client construction and the first call. Everything
-//! lives in fixed-size buffers: the generated stub encodes into the
-//! client's `[u8; BUF]` request array and decodes replies borrowed from
-//! its `[u8; BUF]` reply array.
+//! Strict regression for the fixed buffer policy, and the reason it
+//! exists: the generated [`CricketV1Client`] over `FixedBuf<[u8; BUF]>`
+//! must perform **zero heap allocations, period** — not just in the
+//! steady-state call loop (the weaker guarantee
+//! `oncrpc/tests/zero_alloc.rs` checks for the pooled policy), but
+//! including client construction and the first call. Everything lives
+//! in fixed-size buffers: the generated stub encodes into the client's
+//! `[u8; BUF]` request array and decodes replies borrowed from its
+//! `[u8; BUF]` reply array. The stubs are the very ones every other
+//! client runs; only the buffer type differs.
 //!
 //! The transport is a loopback built only from arrays: it captures one
 //! request record, patches the request xid into a canned
@@ -14,10 +16,15 @@
 //! Installs [`oncrpc::telemetry::CountingAllocator`] process-wide, so
 //! this file must stay a dedicated integration-test binary.
 
-use cricket_proto::CricketV1NoAllocClient;
+use cricket_proto::CricketV1Client;
 use oncrpc::telemetry::{allocation_count, CountingAllocator};
 use oncrpc::Transport;
 use std::io::{self, Read, Write};
+use xdr::FixedBuf;
+
+/// Request (minus deferred bulk arguments) and reply bound of the client.
+const BUF: usize = 8192;
+type FixedClient = CricketV1Client<Loopback, FixedBuf<[u8; BUF]>>;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -100,28 +107,34 @@ impl Transport for Loopback {
 
 /// One full client lifetime — construction plus a call mix covering every
 /// generated encode shape (void args, scalar args, opaque payload args,
-/// the new stripe and sparse procs) — under the allocation counter.
-fn int_proc_round(payload: &[u8], sparse_blob: &[u8]) -> u64 {
+/// the new stripe and sparse procs, and a bulk payload larger than `BUF`)
+/// — under the allocation counter.
+fn int_proc_round(payload: &[u8], big: &[u8], sparse_blob: &[u8]) -> u64 {
     let before = allocation_count();
-    let mut client: CricketV1NoAllocClient<Loopback, 8192> =
-        CricketV1NoAllocClient::new(Loopback::new(&0i32.to_be_bytes()));
-    client.set_client_token(0x0C0FFEE);
+    let mut client = FixedClient::bind(Loopback::new(&0i32.to_be_bytes()));
+    client.rpc.set_client_token(0x0C0FFEE);
     for i in 0..200u64 {
-        assert_eq!(client.cuda_set_device((i % 4) as i32).unwrap(), 0);
-        assert_eq!(client.cuda_memcpy_htod(0x1000 + i, payload).unwrap(), 0);
+        assert_eq!(client.cuda_set_device(&((i % 4) as i32)).unwrap(), 0);
+        assert_eq!(client.cuda_memcpy_htod(&(0x1000 + i), payload).unwrap(), 0);
+        // Bulk arguments ride `put_opaque_deferred`, so one larger than the
+        // request buffer still goes out — as an iovec segment — instead of
+        // failing with `RecordTooLarge`.
+        assert_eq!(client.cuda_memcpy_htod(&0x8000, big).unwrap(), 0);
         assert_eq!(
             client
-                .cuda_memcpy_htod_stripe(0x1000, i * 4096, i as u32, payload)
+                .cuda_memcpy_htod_stripe(&0x1000, &(i * 4096), &(i as u32), payload)
                 .unwrap(),
             0
         );
         assert_eq!(
-            client.cuda_memcpy_htod_sparse(0x2000, sparse_blob).unwrap(),
+            client
+                .cuda_memcpy_htod_sparse(&0x2000, sparse_blob)
+                .unwrap(),
             0
         );
-        assert_eq!(client.cuda_memset(0x1000, 0, 64).unwrap(), 0);
+        assert_eq!(client.cuda_memset(&0x1000, &0, &64).unwrap(), 0);
         assert_eq!(client.cuda_device_synchronize().unwrap(), 0);
-        assert_eq!(client.cuda_free(0x1000 + i).unwrap(), 0);
+        assert_eq!(client.cuda_free(&(0x1000 + i)).unwrap(), 0);
     }
     allocation_count() - before
 }
@@ -131,6 +144,7 @@ fn no_alloc_client_never_touches_the_heap() {
     // Prepared outside the measured window: the *application* may
     // allocate its payloads; the generated client must not.
     let payload = [0x5au8; 4096];
+    let big = [0xa5u8; 2 * BUF];
     let mut sparse_blob = Vec::new();
     let sparse_raw = [0u8; 8192];
     oncrpc::sparse::encode_into(&sparse_raw, 4096, &mut sparse_blob);
@@ -141,15 +155,15 @@ fn no_alloc_client_never_touches_the_heap() {
     // Run whole client lifetimes and require one to be exactly zero.
     let mut best = u64::MAX;
     for _ in 0..5 {
-        best = best.min(int_proc_round(&payload, &sparse_blob));
+        best = best.min(int_proc_round(&payload, &big, &sparse_blob));
         if best == 0 {
             break;
         }
     }
     assert_eq!(
         best, 0,
-        "no_alloc client performed {best} heap allocations across a full \
-         construct-and-1400-calls lifetime"
+        "fixed-buffer client performed {best} heap allocations across a \
+         full construct-and-1600-calls lifetime"
     );
 }
 
@@ -168,10 +182,9 @@ fn bulk_returns_borrow_from_the_fixed_reply_buffer() {
     let mut best = u64::MAX;
     for _ in 0..5 {
         let before = allocation_count();
-        let mut client: CricketV1NoAllocClient<Loopback, 8192> =
-            CricketV1NoAllocClient::new(Loopback::new(&body));
+        let mut client = FixedClient::bind(Loopback::new(&body));
         for _ in 0..200 {
-            let (err, data) = client.cuda_memcpy_dtoh(0x1000, 256).unwrap();
+            let (err, data) = client.cuda_memcpy_dtoh_ref(&0x1000, &256).unwrap();
             assert_eq!(err, 0);
             assert_eq!(data.len(), 256);
             assert_eq!(data[0], 0);

@@ -314,25 +314,9 @@ impl ServeHandle {
         }
         self.inner.shutdown();
     }
-
-    /// Split into the raw parts the deprecated pre-fleet entry points
-    /// returned. Drops directory state (deregistering if registered).
-    pub fn into_parts(self) -> (oncrpc::ServerHandle, Arc<ReplayCache>) {
-        let reg = self
-            .registration
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(reg) = reg {
-            reg.finish(true);
-        }
-        let Self { inner, replay, .. } = self;
-        (inner, replay)
-    }
 }
 
-/// The mode dispatch shared by [`ServerBuilder::serve`] and the deprecated
-/// `serve_tcp_sessions*` shims. All modes share the same session semantics —
+/// The mode dispatch behind [`ServerBuilder::serve`]. All modes share the same session semantics —
 /// one `SessionId` per accepted connection, one shared replay cache,
 /// [`CricketServer::release_session`] exactly once when the connection ends —
 /// and differ only in how connections map onto threads.

@@ -206,24 +206,3 @@ pub(crate) fn session_rpc(
     );
     rpc
 }
-
-/// Serve `server` over TCP with hardened per-connection sessions through
-/// the *pipelined* reply path. Superseded by [`ServerBuilder`].
-#[deprecated(note = "use ServerBuilder::new(addr).server(server).serve()")]
-pub fn serve_tcp_sessions<A: std::net::ToSocketAddrs>(
-    server: Arc<CricketServer>,
-    addr: A,
-) -> oncrpc::RpcResult<(oncrpc::server::ServerHandle, Arc<oncrpc::ReplayCache>)> {
-    builder::serve_sessions(server, addr, ServeMode::Pipelined, None)
-}
-
-/// [`serve_tcp_sessions`] with an explicit [`ServeMode`]. Superseded by
-/// [`ServerBuilder`].
-#[deprecated(note = "use ServerBuilder::new(addr).server(server).mode(mode).serve()")]
-pub fn serve_tcp_sessions_mode<A: std::net::ToSocketAddrs>(
-    server: Arc<CricketServer>,
-    addr: A,
-    mode: ServeMode,
-) -> oncrpc::RpcResult<(oncrpc::server::ServerHandle, Arc<oncrpc::ReplayCache>)> {
-    builder::serve_sessions(server, addr, mode, None)
-}

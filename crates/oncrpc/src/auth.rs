@@ -3,7 +3,7 @@
 //! Cricket itself uses `AUTH_NONE`; `AUTH_SYS` (historically `AUTH_UNIX`) is
 //! implemented for completeness and exercised by tests.
 
-use xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError, XdrResult, XdrVec};
+use xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError, XdrResult, XdrSink, XdrVec};
 
 /// Well-known auth flavor numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +89,7 @@ impl OpaqueAuth {
 }
 
 impl Xdr for OpaqueAuth {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_u32(self.flavor);
         enc.put_opaque(&self.body);
     }
@@ -116,7 +116,7 @@ pub struct AuthSysParams {
 }
 
 impl Xdr for AuthSysParams {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_u32(self.stamp);
         enc.put_string(&self.machinename);
         enc.put_u32(self.uid);

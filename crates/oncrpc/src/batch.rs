@@ -101,7 +101,7 @@ impl BatchBuilder {
     /// Return a flushed body buffer for reuse by the next batch.
     pub fn recycle(&mut self, mut body: Vec<u8>) {
         body.clear();
-        self.enc = XdrEncoder::from_vec(body);
+        self.enc = XdrEncoder::from_sink(body);
         self.enc.put_u32(0);
     }
 }

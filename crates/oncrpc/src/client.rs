@@ -1,23 +1,38 @@
 //! Synchronous RPC client.
 //!
-//! [`RpcClient`] issues calls over any [`Transport`], matching replies by
-//! transaction id. Generated stubs (from `rpcl`) wrap it with typed methods;
-//! see `cricket-proto` for the Cricket CUDA interface.
+//! [`RpcClient`] is the one call engine: it issues calls over any
+//! [`Transport`], matching replies by transaction id. Generated stubs (from
+//! `rpcl`) wrap it with typed methods; see `cricket-proto` for the Cricket
+//! CUDA interface.
 //!
-//! The data path is zero-copy in steady state: requests are encoded into a
-//! reused scratch buffer (bulk arguments can bypass even that via
-//! [`RpcClient::call_raw_sg`] and scatter-gather records), and replies are
-//! reassembled into a pooled buffer borrowed out through [`Reply`] — no
-//! per-call allocation and no reply-tail copy.
+//! It is generic over the transport type and over its *buffer policy* — the
+//! [`RecordBuf`] that backs the request encoder and the reply record:
+//!
+//! * `Vec<u8>` (the default): pooled buffers that grow to the largest record
+//!   seen, up to [`MAX_RECORD`]. Zero-copy and allocation-free in steady
+//!   state: requests are encoded into a reused scratch buffer (bulk arguments
+//!   bypass even that as scatter-gather segments), and replies are
+//!   reassembled into a pooled buffer borrowed out through [`Reply`].
+//! * `FixedBuf<[u8; N]>` ([`NoAllocRpcClient`]): two in-struct arrays, no
+//!   heap allocation ever, construction included — what a unikernel guest
+//!   with a static heap budget wants. `N` bounds the encoded request *minus*
+//!   deferred bulk arguments, and the reassembled reply; beyond it a call
+//!   fails with [`RpcError::RecordTooLarge`] before any byte is written, or
+//!   at the offending reply fragment header.
+//!
+//! Everything else — call header, record marking, stale-reply drain, reply
+//! header parse, retry and reconnect — is the same code for both.
 
-use crate::auth::OpaqueAuth;
+use crate::auth::{AuthFlavor, OpaqueAuth, MAX_AUTH_BODY};
 use crate::error::{RpcError, RpcResult};
-use crate::msg::{AcceptStat, CallBody, MessageBody, ReplyBody, RpcMessage};
-use crate::record::{read_record_into, write_record_sg, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
-use crate::telemetry;
+use crate::msg::{AcceptStat, MsgType, RejectStat};
+use crate::record::{
+    read_record_into, write_record_sg, RecordBuf, DEFAULT_MAX_FRAGMENT, MAX_RECORD,
+};
 use crate::transport::Transport;
+use crate::{telemetry, RPC_VERSION};
 use std::time::Duration;
-use xdr::{Xdr, XdrDecoder, XdrEncoder, XdrSgEncoder};
+use xdr::{FixedBuf, Xdr, XdrDecoder, XdrEncoder, XdrError, XdrSgEncoder};
 
 /// Running tallies of client activity.
 ///
@@ -75,7 +90,10 @@ impl Default for RetryPolicy {
 }
 
 /// Builder for a transport replacing one that died mid-call.
-pub type Reconnector = Box<dyn FnMut() -> RpcResult<Box<dyn Transport>> + Send>;
+pub type Reconnector<T = Box<dyn Transport>> = Box<dyn FnMut() -> RpcResult<T> + Send>;
+
+/// Largest encoded credential: flavor, length, body.
+const MAX_CRED: usize = 8 + MAX_AUTH_BODY;
 
 /// Stale reply records drained per receive before giving up; with same-xid
 /// retransmission a longer backlog means a desynchronized peer.
@@ -105,40 +123,67 @@ impl AsRef<[u8]> for Reply<'_> {
     }
 }
 
-impl Reply<'_> {
-    /// Copy the payload out, detaching it from the pooled buffer.
+impl<'a> Reply<'a> {
+    /// Copy the payload out, detaching it from the reply buffer.
     pub fn to_vec(&self) -> Vec<u8> {
         self.payload.to_vec()
     }
+
+    /// The payload for as long as the client stays borrowed, so results
+    /// decoded by reference can outlive this handle.
+    pub fn into_slice(self) -> &'a [u8] {
+        self.payload
+    }
 }
 
-/// A synchronous ONC RPC client bound to one program+version on one transport.
-pub struct RpcClient {
-    transport: Box<dyn Transport>,
+/// A synchronous ONC RPC client bound to one program+version on one
+/// transport `T`, with buffer policy `B` (see the module docs).
+pub struct RpcClient<T = Box<dyn Transport>, B = Vec<u8>> {
+    transport: T,
     prog: u32,
     vers: u32,
     next_xid: u32,
     max_fragment: usize,
-    cred: OpaqueAuth,
+    /// The credential as it travels, encoded once when set: the call header
+    /// copies these bytes instead of re-encoding (or cloning) an
+    /// [`OpaqueAuth`] per call.
+    cred: XdrEncoder<FixedBuf<[u8; MAX_CRED]>>,
     stats: ClientStats,
     policy: RetryPolicy,
     /// Per-call reply deadline, installed on the transport (and re-installed
     /// after every reconnect).
     call_timeout: Option<Duration>,
     /// Replacement-transport factory used when the connection dies mid-call.
-    reconnect: Option<Reconnector>,
+    reconnect: Option<Reconnector<T>>,
     /// Deterministic jitter state for backoff (simple LCG).
     jitter: u64,
-    /// Scratch encoder reused across calls to avoid per-call allocation.
-    scratch: XdrEncoder,
-    /// Pooled reply record buffer, reused across calls and borrowed out via
+    /// Request encoder reused across calls.
+    scratch: XdrEncoder<B>,
+    /// Reply record buffer, reused across calls and borrowed out via
     /// [`Reply`].
-    reply_buf: Vec<u8>,
+    reply_buf: B,
 }
 
+/// The fixed-buffer policy by name: an [`RpcClient`] that never allocates.
+pub type NoAllocRpcClient<T, const N: usize> = RpcClient<T, FixedBuf<[u8; N]>>;
+
 impl RpcClient {
-    /// Create a client for `prog`/`vers` over `transport`.
+    /// Create a pooled-buffer client for `prog`/`vers` over a boxed
+    /// transport — the defaults every `RpcClient` without type arguments
+    /// means. Other transport types and buffer policies use
+    /// [`RpcClient::bind`].
     pub fn new(transport: Box<dyn Transport>, prog: u32, vers: u32) -> Self {
+        Self::bind(transport, prog, vers)
+    }
+}
+
+impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
+    /// Create a client for `prog`/`vers` over `transport`; the transport
+    /// type and the buffer policy come from the type the caller asks for.
+    /// Allocates only what `B::fresh` does.
+    pub fn bind(transport: T, prog: u32, vers: u32) -> Self {
+        let mut cred = XdrEncoder::from_sink(FixedBuf::new([0u8; MAX_CRED]));
+        OpaqueAuth::none().encode(&mut cred);
         Self {
             transport,
             prog,
@@ -147,14 +192,14 @@ impl RpcClient {
             // uniqueness on a reliable transport.
             next_xid: 1,
             max_fragment: DEFAULT_MAX_FRAGMENT,
-            cred: OpaqueAuth::none(),
+            cred,
             stats: ClientStats::default(),
             policy: RetryPolicy::default(),
             call_timeout: None,
             reconnect: None,
             jitter: 0x1234_5678_9abc_def0,
-            scratch: XdrEncoder::with_capacity(256),
-            reply_buf: Vec::with_capacity(256),
+            scratch: XdrEncoder::from_sink(B::fresh()),
+            reply_buf: B::fresh(),
         }
     }
 
@@ -174,10 +219,7 @@ impl RpcClient {
     /// Install a factory producing a replacement transport when the
     /// connection dies (reset, EOF). Without one, connection loss is fatal
     /// to the call.
-    pub fn set_reconnect(
-        &mut self,
-        f: impl FnMut() -> RpcResult<Box<dyn Transport>> + Send + 'static,
-    ) {
+    pub fn set_reconnect(&mut self, f: impl FnMut() -> RpcResult<T> + Send + 'static) {
         self.reconnect = Some(Box::new(f));
     }
 
@@ -188,8 +230,23 @@ impl RpcClient {
     }
 
     /// Use a non-default credential for subsequent calls.
+    ///
+    /// # Panics
+    /// If the body exceeds [`MAX_AUTH_BODY`], which no server accepts.
     pub fn set_credential(&mut self, cred: OpaqueAuth) {
-        self.cred = cred;
+        self.cred.clear();
+        cred.encode(&mut self.cred);
+        assert!(self.cred.finish().is_ok(), "credential body too large");
+    }
+
+    /// Send `token` as an `AUTH_SHORT` credential with every call (it keys
+    /// the server's replay cache). Same bytes as
+    /// `set_credential(OpaqueAuth::client_token(token))`, without building
+    /// the heap-backed [`OpaqueAuth`].
+    pub fn set_client_token(&mut self, token: u64) {
+        self.cred.clear();
+        self.cred.put_u32(AuthFlavor::Short as u32);
+        self.cred.put_opaque(&token.to_be_bytes());
     }
 
     /// Rebase the xid sequence. Stripe pools give each lane a disjoint xid
@@ -225,7 +282,7 @@ impl RpcClient {
     pub fn call_raw(
         &mut self,
         proc: u32,
-        encode_args: impl FnOnce(&mut XdrEncoder),
+        encode_args: impl FnOnce(&mut XdrEncoder<B>),
     ) -> RpcResult<Reply<'_>> {
         self.call_raw_sg_tagged(proc, false, |enc| encode_args(enc))
     }
@@ -236,7 +293,7 @@ impl RpcClient {
         &mut self,
         proc: u32,
         idempotent: bool,
-        encode_args: impl FnOnce(&mut XdrEncoder),
+        encode_args: impl FnOnce(&mut XdrEncoder<B>),
     ) -> RpcResult<Reply<'_>> {
         self.call_raw_sg_tagged(proc, idempotent, |enc| encode_args(enc))
     }
@@ -248,7 +305,7 @@ impl RpcClient {
     pub fn call_raw_sg<'d>(
         &mut self,
         proc: u32,
-        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_>),
+        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_, B>),
     ) -> RpcResult<Reply<'_>> {
         self.call_raw_sg_tagged(proc, false, encode_args)
     }
@@ -265,19 +322,36 @@ impl RpcClient {
         &mut self,
         proc: u32,
         idempotent: bool,
-        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_>),
+        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_, B>),
     ) -> RpcResult<Reply<'_>> {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
 
-        let mut call = CallBody::new(self.prog, self.vers, proc);
-        call.cred = self.cred.clone();
-        let msg = RpcMessage::call(xid, call);
-
+        // Call header (RFC 5531 §9): xid, CALL, rpcvers, prog, vers, proc,
+        // credential, AUTH_NONE verifier.
         self.scratch.clear();
-        msg.encode(&mut self.scratch);
+        for word in [
+            xid,
+            MsgType::Call as u32,
+            RPC_VERSION,
+            self.prog,
+            self.vers,
+            proc,
+        ] {
+            self.scratch.put_u32(word);
+        }
+        self.scratch.extend_raw(self.cred.as_slice());
+        OpaqueAuth::none().encode(&mut self.scratch);
         let mut sg = XdrSgEncoder::new(&mut self.scratch);
         encode_args(&mut sg);
+        // A fixed buffer bounds only the owned stream: deferred bulk slices
+        // never enter it.
+        if let Err(XdrError::Truncated { needed, remaining }) = sg.finish() {
+            return Err(RpcError::RecordTooLarge {
+                size: needed,
+                max: remaining,
+            });
+        }
         let total = sg.total_len();
         // Only the owned stream was memcpy'd into scratch; deferred slices
         // travel as borrowed iovec entries.
@@ -341,7 +415,7 @@ impl RpcClient {
         };
         self.stats.calls += 1;
         Ok(Reply {
-            payload: &self.reply_buf[payload_start..],
+            payload: &self.reply_buf.as_slice()[payload_start..],
         })
     }
 
@@ -349,8 +423,8 @@ impl RpcClient {
     /// abandoned attempts. On success returns the offset where the result
     /// payload begins in `reply_buf`.
     fn receive_reply(
-        transport: &mut Box<dyn Transport>,
-        reply_buf: &mut Vec<u8>,
+        transport: &mut T,
+        reply_buf: &mut B,
         stats: &mut ClientStats,
         xid: u32,
     ) -> RpcResult<usize> {
@@ -360,33 +434,14 @@ impl RpcClient {
                 .ok_or(RpcError::ConnectionClosed)?;
             stats.bytes_received += received as u64;
 
-            let mut dec = XdrDecoder::new(reply_buf);
-            let reply = RpcMessage::decode(&mut dec)?;
-            if reply.xid != xid {
-                // A late or duplicated reply to an earlier call: with
-                // same-xid retransmission the answer we want is still ahead.
-                last_got = reply.xid;
-                stats.stale_replies += 1;
-                continue;
+            let mut dec = XdrDecoder::new(reply_buf.as_slice());
+            last_got = dec.get_u32()?;
+            if last_got == xid {
+                return reply_status(&mut dec).map(|()| dec.position());
             }
-            let body = match reply.body {
-                MessageBody::Reply(b) => b,
-                MessageBody::Call(_) => return Err(RpcError::UnexpectedMessageType),
-            };
-            return match body {
-                ReplyBody::Accepted {
-                    stat: AcceptStat::Success,
-                    ..
-                } => Ok(dec.position()),
-                ReplyBody::Accepted {
-                    stat: AcceptStat::Busy,
-                    ..
-                } => Err(RpcError::Busy {
-                    retry_after_ns: body.busy_retry_after_ns().unwrap_or(0),
-                }),
-                ReplyBody::Accepted { stat, .. } => Err(RpcError::Accepted(stat)),
-                ReplyBody::Denied(stat) => Err(RpcError::Rejected(stat)),
-            };
+            // A late or duplicated reply to an earlier call: with same-xid
+            // retransmission the answer we want is still ahead.
+            stats.stale_replies += 1;
         }
         Err(RpcError::XidMismatch {
             expected: xid,
@@ -422,7 +477,59 @@ impl RpcClient {
     }
 }
 
-impl std::fmt::Debug for RpcClient {
+/// The one client-side reply-header parser (stream and datagram clients
+/// both): parse what follows the xid (RFC 5531 §9), leaving `dec`
+/// at the result payload of a successful reply and turning every other
+/// outcome into its typed error. Borrows from the record; never allocates.
+pub(crate) fn reply_status(dec: &mut XdrDecoder<'_>) -> RpcResult<()> {
+    match dec.get_u32()? {
+        t if t == MsgType::Reply as u32 => {}
+        t if t == MsgType::Call as u32 => return Err(RpcError::UnexpectedMessageType),
+        other => return Err(bad_arm("RpcMessage", other)),
+    }
+    match dec.get_u32()? {
+        // MSG_ACCEPTED: verifier, accept_stat, stat-specific words.
+        0 => {
+            dec.get_u32()?;
+            dec.get_opaque_max(MAX_AUTH_BODY)?;
+            match AcceptStat::from_u32(dec.get_u32()?)? {
+                AcceptStat::Success => Ok(()),
+                AcceptStat::Busy => {
+                    let (hi, lo) = (dec.get_u32()?, dec.get_u32()?);
+                    Err(RpcError::Busy {
+                        retry_after_ns: ((hi as u64) << 32) | lo as u64,
+                    })
+                }
+                AcceptStat::ProgMismatch => {
+                    // The supported version range (low, high) must be there.
+                    dec.get_u32()?;
+                    dec.get_u32()?;
+                    Err(RpcError::Accepted(AcceptStat::ProgMismatch))
+                }
+                stat => Err(RpcError::Accepted(stat)),
+            }
+        }
+        // MSG_DENIED.
+        1 => Err(RpcError::Rejected(match dec.get_u32()? {
+            0 => RejectStat::RpcMismatch {
+                low: dec.get_u32()?,
+                high: dec.get_u32()?,
+            },
+            1 => RejectStat::AuthError(dec.get_u32()?),
+            other => return Err(bad_arm("ReplyBody::Denied", other)),
+        })),
+        other => Err(bad_arm("ReplyBody", other)),
+    }
+}
+
+fn bad_arm(type_name: &'static str, discriminant: u32) -> RpcError {
+    RpcError::Xdr(XdrError::InvalidUnionArm {
+        type_name,
+        discriminant: discriminant as i32,
+    })
+}
+
+impl<T, B> std::fmt::Debug for RpcClient<T, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RpcClient")
             .field("prog", &self.prog)
@@ -430,5 +537,219 @@ impl std::fmt::Debug for RpcClient {
             .field("next_xid", &self.next_xid)
             .field("stats", &self.stats)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::{CallBody, RpcMessage};
+    use std::io::{Read, Write};
+
+    const LAST_FRAGMENT: u32 = 0x8000_0000;
+
+    /// Loopback transport over fixed arrays: records the request, then
+    /// serves one accepted-success reply (xid copied from the request),
+    /// split into fragments of `fragment` bytes.
+    struct Loopback {
+        req: [u8; 2048],
+        req_len: usize,
+        /// The request is complete; the next write starts a new one.
+        flushed: bool,
+        result: [u8; 256],
+        result_len: usize,
+        fragment: usize,
+        wire: [u8; 1024],
+        wire_len: usize,
+        read_pos: usize,
+    }
+
+    impl Loopback {
+        /// A loopback answering every call with `result`; no reply at all
+        /// (clean EOF) when `result` is `None`.
+        fn new(result: Option<&[u8]>) -> Self {
+            let mut lo = Self {
+                req: [0; 2048],
+                req_len: 0,
+                flushed: false,
+                result: [0; 256],
+                result_len: usize::MAX,
+                fragment: usize::MAX,
+                wire: [0; 1024],
+                wire_len: 0,
+                read_pos: 0,
+            };
+            if let Some(r) = result {
+                lo.result[..r.len()].copy_from_slice(r);
+                lo.result_len = r.len();
+            }
+            lo
+        }
+
+        fn request(&self) -> &[u8] {
+            &self.req[..self.req_len]
+        }
+    }
+
+    impl Write for Loopback {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.flushed) {
+                self.req_len = 0;
+            }
+            self.req[self.req_len..self.req_len + buf.len()].copy_from_slice(buf);
+            self.req_len += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushed = true;
+            if self.result_len == usize::MAX {
+                return Ok(());
+            }
+            // xid (from the request), REPLY, MSG_ACCEPTED, verf, SUCCESS.
+            let mut body = [0u8; 24 + 256];
+            body[..4].copy_from_slice(&self.req[4..8]);
+            body[4..8].copy_from_slice(&1u32.to_be_bytes());
+            body[24..24 + self.result_len].copy_from_slice(&self.result[..self.result_len]);
+            let body = &body[..24 + self.result_len];
+            self.wire_len = 0;
+            self.read_pos = 0;
+            let mut chunks = body.chunks(self.fragment).peekable();
+            while let Some(chunk) = chunks.next() {
+                let last = if chunks.peek().is_none() {
+                    LAST_FRAGMENT
+                } else {
+                    0
+                };
+                let mark = (chunk.len() as u32 | last).to_be_bytes();
+                for part in [&mark[..], chunk] {
+                    self.wire[self.wire_len..self.wire_len + part.len()].copy_from_slice(part);
+                    self.wire_len += part.len();
+                }
+            }
+            Ok(())
+        }
+    }
+
+    impl Read for Loopback {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let avail = &self.wire[self.read_pos..self.wire_len];
+            let n = avail.len().min(buf.len());
+            buf[..n].copy_from_slice(&avail[..n]);
+            self.read_pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Transport for Loopback {}
+
+    type Fixed<const N: usize> = FixedBuf<[u8; N]>;
+
+    fn roundtrip<B: RecordBuf>() {
+        let lo = Loopback::new(Some(&7i32.to_be_bytes()));
+        let mut client: RpcClient<Loopback, B> = RpcClient::bind(lo, 99, 1);
+        let reply = client.call_raw(4, |enc| enc.put_u64(0xdead_beef)).unwrap();
+        assert_eq!(&*reply, 7i32.to_be_bytes());
+        assert_eq!(client.call::<u64, i32>(4, &1).unwrap(), 7);
+        assert_eq!(client.stats().calls, 2);
+    }
+
+    #[test]
+    fn calls_roundtrip_under_both_buffer_policies() {
+        roundtrip::<Vec<u8>>();
+        roundtrip::<Fixed<256>>();
+    }
+
+    /// The client writes its call header word by word; it must stay what the
+    /// canonical message type encodes, credential included.
+    fn header_is_canonical<B: RecordBuf>() {
+        for token in [None, Some(0xc11e_0001u64)] {
+            let mut client: RpcClient<Loopback, B> =
+                RpcClient::bind(Loopback::new(Some(&[])), 0x10, 0x2);
+            let mut want = CallBody::new(0x10, 0x2, 0x3);
+            if let Some(t) = token {
+                client.set_client_token(t);
+                want.cred = OpaqueAuth::client_token(t);
+            }
+            client.call_raw(0x3, |_| {}).unwrap();
+            let req = client.transport.request();
+            let header = xdr::encode(&RpcMessage::call(1, want));
+            assert_eq!(
+                &req[..4],
+                (header.len() as u32 | LAST_FRAGMENT).to_be_bytes()
+            );
+            assert_eq!(&req[4..], header);
+        }
+    }
+
+    #[test]
+    fn call_header_matches_the_canonical_message_encoding() {
+        header_is_canonical::<Vec<u8>>();
+        header_is_canonical::<Fixed<256>>();
+    }
+
+    #[test]
+    fn set_credential_and_set_client_token_agree() {
+        let mut a = RpcClient::new(Box::new(Loopback::new(Some(&[]))), 9, 1);
+        let mut b = RpcClient::new(Box::new(Loopback::new(Some(&[]))), 9, 1);
+        a.set_credential(OpaqueAuth::client_token(77));
+        b.set_client_token(77);
+        assert_eq!(a.cred.as_slice(), b.cred.as_slice());
+    }
+
+    fn reassembles<B: RecordBuf>() {
+        let payload: Vec<u8> = (0u8..64).collect();
+        let mut lo = Loopback::new(Some(&payload));
+        lo.fragment = 7; // force many tiny fragments
+        let mut client: RpcClient<Loopback, B> = RpcClient::bind(lo, 9, 1);
+        assert_eq!(&*client.call_raw(1, |_| {}).unwrap(), payload.as_slice());
+    }
+
+    #[test]
+    fn multi_fragment_replies_reassemble() {
+        reassembles::<Vec<u8>>();
+        reassembles::<Fixed<256>>();
+    }
+
+    #[test]
+    fn fixed_policy_bounds_the_owned_request_but_not_deferred_bulk() {
+        let mut client: NoAllocRpcClient<Loopback, 64> =
+            RpcClient::bind(Loopback::new(Some(&[])), 9, 1);
+        let err = client
+            .call_raw(1, |enc| enc.put_opaque_fixed(&[0u8; 128]))
+            .unwrap_err();
+        // 40-byte header + 128 bytes of arguments against N = 64.
+        assert!(matches!(
+            err,
+            RpcError::RecordTooLarge { size: 168, max: 64 }
+        ));
+        assert_eq!(client.transport.req_len, 0, "nothing may hit the wire");
+
+        // The same bytes as a deferred opaque ride an iovec segment instead.
+        let bulk = [0x5au8; 1024];
+        client
+            .call_raw_sg(1, |enc| enc.put_opaque_deferred(&bulk))
+            .unwrap();
+        assert_eq!(client.transport.req_len, 4 + 40 + 4 + 1024);
+    }
+
+    #[test]
+    fn fixed_policy_refuses_an_oversized_reply_at_its_fragment_header() {
+        let mut client: NoAllocRpcClient<Loopback, 64> =
+            RpcClient::bind(Loopback::new(Some(&[0u8; 64])), 9, 1);
+        let err = client.call_raw(1, |_| {}).unwrap_err();
+        assert!(matches!(
+            err,
+            RpcError::RecordTooLarge { size: 88, max: 64 }
+        ));
+        assert_eq!(client.transport.read_pos, 4, "only the header was read");
+    }
+
+    #[test]
+    fn eof_maps_to_connection_closed() {
+        let mut client: NoAllocRpcClient<Loopback, 256> =
+            RpcClient::bind(Loopback::new(None), 9, 1);
+        let err = client.call_raw(1, |_| {}).unwrap_err();
+        assert!(matches!(err, RpcError::ConnectionClosed));
     }
 }

@@ -35,7 +35,6 @@ pub mod chaos;
 pub mod client;
 pub mod error;
 pub mod msg;
-pub mod noalloc;
 pub mod portmap;
 pub mod reactor;
 pub mod record;
@@ -52,13 +51,13 @@ pub use batch::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPE
 pub use chaos::{
     ChaosRng, Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan, TraceEvent,
 };
-pub use client::{Reply, RetryPolicy, RpcClient};
+pub use client::{NoAllocRpcClient, Reply, RetryPolicy, RpcClient};
 pub use error::{RpcError, RpcResult};
 pub use msg::{AcceptStat, CallBody, MsgType, RejectStat, ReplyBody, RpcMessage};
-pub use noalloc::NoAllocRpcClient;
+
 pub use portmap::{client::PortmapClient, LoadReport, Mapping, Portmap, ShardEntry};
 pub use reactor::{serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig};
-pub use record::{RecordAssembler, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
+pub use record::{RecordAssembler, RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
 pub use server::{Dispatch, RpcServer, ServerHandle, PIPELINE_DEPTH};
 pub use stripe::{NullTimer, StripePool, StripeTimer, DEFAULT_STRIPE_LEN};

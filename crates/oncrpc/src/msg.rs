@@ -7,7 +7,7 @@
 
 use crate::auth::OpaqueAuth;
 use crate::RPC_VERSION;
-use xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError, XdrResult};
+use xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError, XdrResult, XdrSink};
 
 /// Message direction discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub enum AcceptStat {
 }
 
 impl AcceptStat {
-    fn from_u32(v: u32) -> XdrResult<Self> {
+    pub(crate) fn from_u32(v: u32) -> XdrResult<Self> {
         Ok(match v {
             0 => AcceptStat::Success,
             1 => AcceptStat::ProgUnavail,
@@ -109,7 +109,7 @@ impl CallBody {
 }
 
 impl Xdr for CallBody {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_u32(self.rpcvers);
         enc.put_u32(self.prog);
         enc.put_u32(self.vers);
@@ -142,7 +142,7 @@ pub enum ReplyBody {
         /// Status-dependent payload words. For `ProgMismatch`: the (low,
         /// high) supported versions. For `Busy`: the retry-after hint in
         /// nanoseconds split as (high word, low word) — see
-        /// [`ReplyBody::busy`] / [`ReplyBody::busy_retry_after_ns`].
+        /// [`ReplyBody::busy`].
         mismatch: Option<(u32, u32)>,
     },
     /// The server refused the call.
@@ -184,21 +184,6 @@ impl ReplyBody {
         }
     }
 
-    /// The retry-after hint of a [`ReplyBody::busy`] reply, if this is one.
-    pub fn busy_retry_after_ns(&self) -> Option<u64> {
-        match self {
-            ReplyBody::Accepted {
-                stat: AcceptStat::Busy,
-                mismatch,
-                ..
-            } => {
-                let (hi, lo) = mismatch.unwrap_or((0, 0));
-                Some(((hi as u64) << 32) | lo as u64)
-            }
-            _ => None,
-        }
-    }
-
     /// An accepted reply reporting a program version mismatch.
     pub fn prog_mismatch(low: u32, high: u32) -> Self {
         ReplyBody::Accepted {
@@ -210,7 +195,7 @@ impl ReplyBody {
 }
 
 impl Xdr for ReplyBody {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         match self {
             ReplyBody::Accepted {
                 verf,
@@ -312,7 +297,7 @@ impl RpcMessage {
 }
 
 impl Xdr for RpcMessage {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_u32(self.xid);
         match &self.body {
             MessageBody::Call(c) => {
@@ -413,15 +398,9 @@ mod tests {
         // Hint wider than 32 bits to exercise the (hi, lo) word split.
         let hint = (7u64 << 32) | 123_456;
         let msg = RpcMessage::reply(4, ReplyBody::busy(hint));
-        let back = xdr::decode::<RpcMessage>(&xdr::encode(&msg)).unwrap();
-        assert_eq!(back, msg);
-        match back.body {
-            MessageBody::Reply(body) => {
-                assert_eq!(body.busy_retry_after_ns(), Some(hint));
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
-        assert_eq!(ReplyBody::success().busy_retry_after_ns(), None);
+        let wire = xdr::encode(&msg);
+        assert_eq!(wire[wire.len() - 8..], hint.to_be_bytes());
+        assert_eq!(xdr::decode::<RpcMessage>(&wire).unwrap(), msg);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use crate::error::{RpcError, RpcResult};
 use crate::telemetry;
-use std::io::{IoSlice, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use xdr::{FixedBuf, XdrSink};
 
 /// Default maximum bytes of payload per fragment when writing.
 ///
@@ -135,20 +136,61 @@ pub fn read_record<R: Read + ?Sized>(r: &mut R, max_record: usize) -> RpcResult<
     Ok(read_record_into(r, &mut record, max_record)?.map(|_| record))
 }
 
+/// Storage a record lives in, and the buffer policy of an
+/// [`RpcClient`](crate::RpcClient): requests are encoded into one and
+/// replies reassembled into another. A pooled `Vec<u8>` grows on demand up
+/// to the record cap; a `FixedBuf<[u8; N]>` never allocates and fails with
+/// [`RpcError::RecordTooLarge`] beyond `N`.
+pub trait RecordBuf: XdrSink {
+    /// An empty buffer. Allocation-free for the fixed policy.
+    fn fresh() -> Self;
+
+    /// Append the next `len` bytes of `r` without zero-filling first,
+    /// returning how many arrived (fewer only at end of stream). The caller
+    /// has checked that `len` more bytes fit under [`XdrSink::limit`].
+    fn fill_from<R: Read + ?Sized>(&mut self, r: &mut R, len: usize) -> io::Result<usize>;
+}
+
+impl RecordBuf for Vec<u8> {
+    fn fresh() -> Self {
+        Vec::with_capacity(256)
+    }
+
+    fn fill_from<R: Read + ?Sized>(&mut self, r: &mut R, len: usize) -> io::Result<usize> {
+        self.reserve(len);
+        // `take(len)` bounds the read; `read_to_end` appends only bytes
+        // actually received and stops at the limit without an extra syscall.
+        r.take(len as u64).read_to_end(self)
+    }
+}
+
+impl<const N: usize> RecordBuf for FixedBuf<[u8; N]> {
+    fn fresh() -> Self {
+        FixedBuf::new([0u8; N])
+    }
+
+    fn fill_from<R: Read + ?Sized>(&mut self, r: &mut R, len: usize) -> io::Result<usize> {
+        self.put_with(len, |spare| r.read_exact(spare))
+            .map(|()| len)
+    }
+}
+
 /// Read one complete record into a caller-owned buffer, reusing its
-/// allocation. The buffer is cleared first; on success it holds exactly the
+/// storage. The buffer is cleared first; on success it holds exactly the
 /// record bytes and the record length is returned. `Ok(None)` means the
 /// stream closed cleanly before the first header byte.
 ///
 /// Unlike building a fresh `Vec` per record, a pooled buffer in steady state
-/// costs no allocation and no zero-fill: each fragment is appended with a
-/// bounded `read_to_end`, which only writes bytes actually received.
-pub fn read_record_into<R: Read + ?Sized>(
+/// costs no allocation and no zero-fill. Records beyond `max_record` or the
+/// buffer's own limit are refused at the offending fragment header, before
+/// any of that fragment is read.
+pub fn read_record_into<R: Read + ?Sized, B: RecordBuf>(
     r: &mut R,
-    record: &mut Vec<u8>,
+    record: &mut B,
     max_record: usize,
 ) -> RpcResult<Option<usize>> {
-    record.clear();
+    record.truncate(0);
+    let max_record = max_record.min(record.limit());
     let mut first = true;
     loop {
         let mut header = [0u8; 4];
@@ -171,14 +213,7 @@ pub fn read_record_into<R: Read + ?Sized>(
                 max: max_record,
             });
         }
-        record.reserve(len);
-        // `take(len)` bounds the read; `read_to_end` appends without
-        // zero-filling and stops at the limit without an extra syscall.
-        let got = (&mut *r)
-            .take(len as u64)
-            .read_to_end(record)
-            .map_err(RpcError::from)?;
-        if got < len {
+        if record.fill_from(r, len)? < len {
             return Err(RpcError::ConnectionClosed);
         }
         if last {

@@ -730,7 +730,7 @@ mod tests {
         let MessageBody::Reply(body) = msg.body else {
             panic!("expected reply")
         };
-        assert_eq!(body.busy_retry_after_ns(), Some(123_456));
+        assert_eq!(body, ReplyBody::busy(123_456));
 
         // Retransmission (same token, same xid): must EXECUTE, not replay
         // the rejection — the busy reply was never cached.

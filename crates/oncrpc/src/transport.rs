@@ -28,6 +28,19 @@ pub trait Transport: Read + Write + Send {
     }
 }
 
+/// A boxed transport is a transport: what lets one generic
+/// [`RpcClient`](crate::RpcClient) serve both concrete transport types and
+/// the type-erased default.
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn describe(&self) -> String {
+        (**self).describe()
+    }
+
+    fn set_read_timeout(&mut self, dur: Option<Duration>) -> RpcResult<()> {
+        (**self).set_read_timeout(dur)
+    }
+}
+
 /// TCP transport. `TCP_NODELAY` is enabled because RPC is latency-bound:
 /// Nagle's algorithm would serialize the many small Cricket calls.
 #[derive(Debug)]

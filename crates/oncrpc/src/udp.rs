@@ -51,7 +51,7 @@ impl UdpClient {
 
     /// Issue procedure `proc` with `args`, decoding the reply as `R`.
     pub fn call<A: Xdr, R: Xdr>(&mut self, proc: u32, args: &A) -> RpcResult<R> {
-        use crate::msg::{AcceptStat, CallBody, MessageBody, ReplyBody, RpcMessage};
+        use crate::msg::{CallBody, RpcMessage};
 
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
@@ -95,28 +95,17 @@ impl UdpClient {
                     Err(e) => return Err(e.into()),
                 };
                 let mut dec = XdrDecoder::new(&buf[..n]);
-                let Ok(msg) = RpcMessage::decode(&mut dec) else {
-                    continue; // malformed datagram: ignore
-                };
-                if msg.xid != xid {
-                    continue; // stale reply from an earlier attempt
+                if dec.get_u32().ok() != Some(xid) {
+                    continue; // runt datagram, or a stale reply from an earlier attempt
                 }
-                let body = match msg.body {
-                    MessageBody::Reply(b) => b,
-                    MessageBody::Call(_) => return Err(RpcError::UnexpectedMessageType),
-                };
-                return match body {
-                    ReplyBody::Accepted {
-                        stat: AcceptStat::Success,
-                        ..
-                    } => {
-                        let result = R::decode(&mut dec)?;
-                        dec.finish()?;
-                        Ok(result)
-                    }
-                    ReplyBody::Accepted { stat, .. } => Err(RpcError::Accepted(stat)),
-                    ReplyBody::Denied(stat) => Err(RpcError::Rejected(stat)),
-                };
+                match crate::client::reply_status(&mut dec) {
+                    Ok(()) => {}
+                    Err(RpcError::Xdr(_)) => continue, // malformed datagram: ignore
+                    Err(e) => return Err(e),
+                }
+                let result = R::decode(&mut dec)?;
+                dec.finish()?;
+                return Ok(result);
             }
         }
         Err(RpcError::TimedOut)

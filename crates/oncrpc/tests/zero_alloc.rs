@@ -1,43 +1,60 @@
 //! Regression: a steady-state client call loop performs **zero heap
 //! allocations** — the pooled scratch encoder, reply buffer, and
-//! scatter-gather record writer must not touch the allocator once warm.
+//! scatter-gather record writer must not touch the allocator once warm,
+//! with a client token set (the configuration every replay-cache user
+//! runs). Neither does the reply-header parser on any malformed or
+//! non-success reply, under either buffer policy.
 //!
 //! The transport is an in-process loopback that answers every call with a
-//! canned `MSG_ACCEPTED`/`SUCCESS` reply (patching in the request xid) from
-//! fixed-capacity buffers, so any allocation observed inside the measured
-//! loop is attributable to the client data path.
+//! canned reply (patching in the request xid) from fixed-capacity buffers,
+//! so any allocation observed inside the measured loop is attributable to
+//! the client data path.
 //!
 //! Installs [`oncrpc::telemetry::CountingAllocator`] process-wide, so this
 //! file must stay a dedicated integration-test binary.
 
+use oncrpc::msg::{AcceptStat, RejectStat, ReplyBody, RpcMessage};
 use oncrpc::telemetry::{allocation_count, CountingAllocator};
-use oncrpc::{RpcClient, Transport};
+use oncrpc::{OpaqueAuth, RecordBuf, RpcClient, RpcError, Transport};
 use std::io::{self, Read, Write};
+use xdr::{FixedBuf, XdrError};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
 const REPLY_PAYLOAD: usize = 24; // xid, REPLY, MSG_ACCEPTED, verf(0,0), SUCCESS
+const MAX_REPLY: usize = 64;
 
-/// Loopback RPC "server": buffers one request record, replies with success.
+/// Loopback RPC "server": buffers one request record, answers with a canned
+/// reply record.
 struct Loopback {
     /// Request bytes accumulated from vectored writes (fixed capacity).
     req: Vec<u8>,
-    /// Canned reply record: 4-byte record mark + 24-byte accepted reply.
-    reply: [u8; 4 + REPLY_PAYLOAD],
+    /// Canned reply: 4-byte record mark + reply message (xid patched in).
+    reply: [u8; 4 + MAX_REPLY],
+    reply_len: usize,
     reply_off: usize,
 }
 
 impl Loopback {
-    fn new() -> Self {
-        let mut reply = [0u8; 4 + REPLY_PAYLOAD];
-        reply[..4].copy_from_slice(&(0x8000_0000u32 | REPLY_PAYLOAD as u32).to_be_bytes());
-        reply[8..12].copy_from_slice(&1u32.to_be_bytes()); // msg_type = REPLY
+    /// A loopback answering with `message` (an encoded reply whose xid is
+    /// overwritten per call; may be cut short or otherwise malformed).
+    fn answering(message: &[u8]) -> Self {
+        let mut reply = [0u8; 4 + MAX_REPLY];
+        reply[..4].copy_from_slice(&(0x8000_0000u32 | message.len() as u32).to_be_bytes());
+        reply[4..4 + message.len()].copy_from_slice(message);
         Self {
             req: Vec::with_capacity(1 << 16),
             reply,
-            reply_off: reply.len(),
+            reply_len: 4 + message.len(),
+            reply_off: 4 + message.len(),
         }
+    }
+
+    fn new() -> Self {
+        let mut success = [0u8; REPLY_PAYLOAD];
+        success[4..8].copy_from_slice(&1u32.to_be_bytes()); // msg_type = REPLY
+        Self::answering(&success)
     }
 }
 
@@ -53,9 +70,10 @@ impl Write for Loopback {
 
     fn flush(&mut self) -> io::Result<()> {
         if !self.req.is_empty() {
-            // xid sits right after the 4-byte record mark; echo it back.
-            let xid: [u8; 4] = self.req[4..8].try_into().unwrap();
-            self.reply[4..8].copy_from_slice(&xid);
+            // xid sits right after the 4-byte record mark; echo it back
+            // (as much of it as the canned reply has room for).
+            let n = self.reply_len.min(8) - 4;
+            self.reply[4..4 + n].copy_from_slice(&self.req[4..4 + n]);
             self.reply_off = 0;
             self.req.clear();
         }
@@ -65,7 +83,7 @@ impl Write for Loopback {
 
 impl Read for Loopback {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let avail = &self.reply[self.reply_off..];
+        let avail = &self.reply[self.reply_off..self.reply_len];
         let n = avail.len().min(buf.len());
         buf[..n].copy_from_slice(&avail[..n]);
         self.reply_off += n;
@@ -82,6 +100,7 @@ impl Transport for Loopback {
 #[test]
 fn steady_state_call_loop_is_allocation_free() {
     let mut client = RpcClient::new(Box::new(Loopback::new()), 0x2000_0099, 1);
+    client.set_credential(OpaqueAuth::client_token(0xC11E_0001));
     let bulk = vec![0x5au8; 4096];
 
     // Warm-up: size the pooled scratch/reply buffers and fault in lazy
@@ -125,4 +144,109 @@ fn steady_state_call_loop_is_allocation_free() {
         best, 0,
         "steady-state client loop performed {best} heap allocations per 1000-call round"
     );
+}
+
+/// A reply message and the test its *whole* form must produce.
+type Case<'a> = (Vec<u8>, &'a dyn Fn(&RpcError) -> bool);
+
+fn is_truncated(err: &RpcError) -> bool {
+    matches!(err, RpcError::Xdr(XdrError::Truncated { .. }))
+}
+
+/// Run every 4-byte prefix of every case through a client with buffer
+/// policy `B`, returning the allocations observed.
+fn reply_header_table<B: RecordBuf>(cases: &[Case]) -> u64 {
+    // Constructed outside the window: the pooled policy allocates its
+    // buffers, the loopback its request log.
+    let mut clients: Vec<Vec<RpcClient<Loopback, B>>> = cases
+        .iter()
+        .map(|(message, _)| {
+            (0..=message.len())
+                .step_by(4)
+                .map(|len| RpcClient::bind(Loopback::answering(&message[..len]), 9, 1))
+                .collect()
+        })
+        .collect();
+    let before = allocation_count();
+    for ((message, whole), prefixes) in cases.iter().zip(&mut clients) {
+        for (i, client) in prefixes.iter_mut().enumerate() {
+            let err = client.call_raw(1, |enc| enc.put_u32(7)).unwrap_err();
+            // A strict prefix either still decides the outcome or is a
+            // truncated XDR stream; the whole reply must decide it.
+            let cut = 4 * i < message.len() && is_truncated(&err);
+            assert!(
+                cut || whole(&err),
+                "{}-byte prefix of {message:02x?} gave {err:?}",
+                4 * i
+            );
+        }
+    }
+    allocation_count() - before
+}
+
+/// The one client-side reply-header parser: every 4-byte prefix of each
+/// kind of non-success reply, and a reply with the wrong message type,
+/// comes back as a typed [`RpcError`] — no panic, no allocation — under
+/// both buffer policies.
+#[test]
+fn reply_header_parser_is_total_and_allocation_free() {
+    let encode = |body: ReplyBody| xdr::encode(&RpcMessage::reply(0, body));
+    let mut wrong_type = encode(ReplyBody::success());
+    wrong_type[4..8].copy_from_slice(&0u32.to_be_bytes()); // msg_type = CALL
+    let mut bad_type = encode(ReplyBody::success());
+    bad_type[4..8].copy_from_slice(&9u32.to_be_bytes());
+    // A whole success reply is no error; stop short of its accept_stat.
+    let mut success_cut = encode(ReplyBody::success());
+    success_cut.truncate(REPLY_PAYLOAD - 4);
+
+    let cases: [Case; 8] = [
+        (success_cut, &is_truncated),
+        (encode(ReplyBody::busy(5_000_000_123)), &|e| {
+            matches!(
+                e,
+                RpcError::Busy {
+                    retry_after_ns: 5_000_000_123
+                }
+            )
+        }),
+        (encode(ReplyBody::prog_mismatch(1, 3)), &|e| {
+            matches!(e, RpcError::Accepted(AcceptStat::ProgMismatch))
+        }),
+        (encode(ReplyBody::failure(AcceptStat::GarbageArgs)), &|e| {
+            matches!(e, RpcError::Accepted(AcceptStat::GarbageArgs))
+        }),
+        (
+            encode(ReplyBody::Denied(RejectStat::RpcMismatch {
+                low: 2,
+                high: 2,
+            })),
+            &|e| {
+                matches!(
+                    e,
+                    RpcError::Rejected(RejectStat::RpcMismatch { low: 2, high: 2 })
+                )
+            },
+        ),
+        (encode(ReplyBody::Denied(RejectStat::AuthError(5))), &|e| {
+            matches!(e, RpcError::Rejected(RejectStat::AuthError(5)))
+        }),
+        (wrong_type, &|e| {
+            matches!(e, RpcError::UnexpectedMessageType)
+        }),
+        (bad_type, &|e| {
+            matches!(e, RpcError::Xdr(XdrError::InvalidUnionArm { .. }))
+        }),
+    ];
+
+    // Same noise tolerance as above: a genuine allocation recurs every round.
+    let mut best = u64::MAX;
+    for _ in 0..5 {
+        let round = reply_header_table::<Vec<u8>>(&cases)
+            + reply_header_table::<FixedBuf<[u8; 128]>>(&cases);
+        best = best.min(round);
+        if best == 0 {
+            break;
+        }
+    }
+    assert_eq!(best, 0, "reply-header parsing performed {best} allocations");
 }

@@ -1,15 +1,122 @@
-//! XDR encoder: appends big-endian, 4-byte-aligned items to a byte buffer.
+//! XDR encoder: appends big-endian, 4-byte-aligned items to a byte sink.
 
-use crate::{pad_bytes, Xdr};
+use crate::{pad_bytes, Xdr, XdrError, XdrResult};
 
-/// Streaming XDR encoder.
+/// Where an [`XdrEncoder`] puts its bytes: a growable `Vec<u8>` or a
+/// bounded [`FixedBuf`]. The sink is the encoder's only policy — every
+/// `put_*` is written once against this trait.
+pub trait XdrSink {
+    /// Append `bytes`. A bounded sink drops what does not fit but still
+    /// advances its logical length, so overflow is detected once, at the end.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Logical bytes appended so far (beyond [`limit`](Self::limit) after an
+    /// overflow).
+    fn len(&self) -> usize;
+
+    /// True if nothing has been appended.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Roll back to `len` bytes, keeping the storage.
+    fn truncate(&mut self, len: usize);
+
+    /// The bytes held. Empty after an overflow: the encoding is incomplete.
+    fn as_slice(&self) -> &[u8];
+
+    /// Most bytes the sink can hold.
+    fn limit(&self) -> usize;
+}
+
+impl XdrSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    #[inline]
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        self
+    }
+    fn limit(&self) -> usize {
+        usize::MAX
+    }
+}
+
+/// Fixed-capacity sink over caller-provided storage (`&mut [u8]`, or an owned
+/// `[u8; N]`): never allocates. Writes past the capacity are dropped but
+/// counted, so [`XdrEncoder::finish`] can report the length the encoding
+/// *would* have needed and callers size their buffers from one failed probe.
+#[derive(Debug)]
+pub struct FixedBuf<S> {
+    buf: S,
+    /// Logical length — exceeds the capacity after an overflow.
+    pos: usize,
+}
+
+impl<S: AsRef<[u8]> + AsMut<[u8]>> FixedBuf<S> {
+    /// An empty buffer over `buf`.
+    pub fn new(buf: S) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    /// Append `len` bytes by letting `fill` write straight into the spare
+    /// capacity (e.g. a `read_exact`), with no intermediate copy. Nothing is
+    /// appended if `fill` fails.
+    ///
+    /// # Panics
+    /// If fewer than `len` bytes of capacity remain.
+    pub fn put_with<E>(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        fill(&mut self.buf.as_mut()[self.pos..self.pos + len])?;
+        self.pos += len;
+        Ok(())
+    }
+}
+
+impl<S: AsRef<[u8]> + AsMut<[u8]>> XdrSink for FixedBuf<S> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.pos + bytes.len();
+        if let Some(dst) = self.buf.as_mut().get_mut(self.pos..end) {
+            dst.copy_from_slice(bytes);
+        }
+        self.pos = end;
+    }
+    #[inline]
+    fn len(&self) -> usize {
+        self.pos
+    }
+    fn truncate(&mut self, len: usize) {
+        self.pos = self.pos.min(len);
+    }
+    fn as_slice(&self) -> &[u8] {
+        self.buf.as_ref().get(..self.pos).unwrap_or(&[])
+    }
+    fn limit(&self) -> usize {
+        self.buf.as_ref().len()
+    }
+}
+
+/// Streaming XDR encoder over a sink `B`.
 ///
-/// The encoder owns a `Vec<u8>` that grows as items are written. For hot
-/// paths, construct once with [`XdrEncoder::with_capacity`] and reuse via
-/// [`XdrEncoder::clear`] to amortize allocations.
+/// With the default `Vec<u8>` sink the buffer grows as items are written;
+/// for hot paths, construct once with [`XdrEncoder::with_capacity`] and reuse
+/// via [`XdrEncoder::clear`] to amortize allocations. Over a [`FixedBuf`]
+/// the same calls never allocate and [`XdrEncoder::finish`] reports overflow.
 #[derive(Debug, Default, Clone)]
-pub struct XdrEncoder {
-    buf: Vec<u8>,
+pub struct XdrEncoder<B = Vec<u8>> {
+    buf: B,
 }
 
 impl XdrEncoder {
@@ -24,9 +131,11 @@ impl XdrEncoder {
             buf: Vec::with_capacity(cap),
         }
     }
+}
 
-    /// Wrap an existing buffer; new items are appended after its contents.
-    pub fn from_vec(buf: Vec<u8>) -> Self {
+impl<B: XdrSink> XdrEncoder<B> {
+    /// Wrap an existing sink; new items are appended after its contents.
+    pub fn from_sink(buf: B) -> Self {
         Self { buf }
     }
 
@@ -42,9 +151,9 @@ impl XdrEncoder {
         self.buf.is_empty()
     }
 
-    /// Drop all written bytes but keep the allocation.
+    /// Drop all written bytes but keep the storage.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.buf.truncate(0);
     }
 
     /// Roll the stream back to `len` bytes. Used by the RPC server to drop
@@ -54,15 +163,29 @@ impl XdrEncoder {
         self.buf.truncate(len);
     }
 
-    /// Consume the encoder, returning the encoded bytes.
-    pub fn into_inner(self) -> Vec<u8> {
+    /// Consume the encoder, returning the sink.
+    pub fn into_inner(self) -> B {
         self.buf
     }
 
-    /// View the bytes written so far.
+    /// View the bytes written so far (empty once a bounded sink overflowed).
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf
+        self.buf.as_slice()
+    }
+
+    /// The encoded length, or — when a bounded sink overflowed —
+    /// [`XdrError::Truncated`] whose `needed` is the total length the
+    /// encoding required.
+    pub fn finish(&self) -> XdrResult<usize> {
+        let (needed, limit) = (self.buf.len(), self.buf.limit());
+        if needed > limit {
+            return Err(XdrError::Truncated {
+                needed,
+                remaining: limit,
+            });
+        }
+        Ok(needed)
     }
 
     /// Encode any [`Xdr`] value.
@@ -75,25 +198,25 @@ impl XdrEncoder {
     /// Write a 32-bit unsigned integer.
     #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.put(&v.to_be_bytes());
     }
 
     /// Write a 32-bit signed integer.
     #[inline]
     pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.put(&v.to_be_bytes());
     }
 
     /// Write a 64-bit unsigned integer (XDR "unsigned hyper").
     #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.put(&v.to_be_bytes());
     }
 
     /// Write a 64-bit signed integer (XDR "hyper").
     #[inline]
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.buf.put(&v.to_be_bytes());
     }
 
     /// Write a single-precision float.
@@ -117,8 +240,8 @@ impl XdrEncoder {
     /// Write fixed-length opaque data (no length prefix), zero-padded to a
     /// multiple of four bytes.
     pub fn put_opaque_fixed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-        self.put_padding(data.len());
+        self.buf.put(data);
+        self.put_padding_for(data.len());
     }
 
     /// Write variable-length opaque data: a u32 length followed by the bytes
@@ -140,27 +263,20 @@ impl XdrEncoder {
     #[inline]
     pub fn put_padding_for(&mut self, payload_len: usize) {
         const ZEROS: [u8; 4] = [0; 4];
-        self.buf.extend_from_slice(&ZEROS[..pad_bytes(payload_len)]);
-    }
-
-    #[inline]
-    fn put_padding(&mut self, payload_len: usize) {
-        self.put_padding_for(payload_len);
+        self.buf.put(&ZEROS[..pad_bytes(payload_len)]);
     }
 
     /// Append pre-encoded XDR bytes verbatim. The caller asserts the bytes
     /// are already aligned XDR output (e.g. from another encoder).
     pub fn extend_raw(&mut self, bytes: &[u8]) {
         debug_assert_eq!(bytes.len() % 4, 0, "raw XDR must be aligned");
-        self.buf.extend_from_slice(bytes);
+        self.buf.put(bytes);
     }
 
     /// Write a variable-length array: u32 count then each element.
     pub fn put_array<T: Xdr>(&mut self, items: &[T]) {
         self.put_u32(items.len() as u32);
-        for item in items {
-            item.encode(self);
-        }
+        self.put_array_fixed(items);
     }
 
     /// Write a fixed-length array (no count prefix).
@@ -250,5 +366,47 @@ mod tests {
         e.clear();
         assert!(e.is_empty());
         assert_eq!(e.buf.capacity(), cap);
+    }
+
+    #[test]
+    fn fixed_sink_exact_fit_is_not_overflow() {
+        let mut buf = [0u8; 8];
+        let mut enc = XdrEncoder::from_sink(FixedBuf::new(&mut buf[..]));
+        enc.put_u64(42);
+        assert_eq!(enc.finish().unwrap(), 8);
+        assert_eq!(enc.as_slice(), 42u64.to_be_bytes());
+    }
+
+    #[test]
+    fn fixed_sink_overflow_is_reported_and_recoverable() {
+        let mut enc = XdrEncoder::from_sink(FixedBuf::new([0u8; 8]));
+        enc.put_u32(1);
+        enc.put_opaque(&[0xaa; 5]); // 4 + 12 bytes against a capacity of 8
+        assert!(enc.as_slice().is_empty());
+        assert_eq!(
+            enc.finish(),
+            Err(XdrError::Truncated {
+                needed: 16,
+                remaining: 8
+            })
+        );
+        // Rolling back below the capacity makes the prefix usable again.
+        enc.truncate(4);
+        assert_eq!(enc.as_slice(), [0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn put_with_fills_spare_capacity_in_place() {
+        let mut sink = FixedBuf::new([0u8; 8]);
+        sink.put(&[1, 2]);
+        sink.put_with(3, |dst| {
+            dst.copy_from_slice(&[3, 4, 5]);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(sink.as_slice(), [1, 2, 3, 4, 5]);
+        // A failed fill appends nothing.
+        assert_eq!(sink.put_with(2, |_| Err(7)), Err(7));
+        assert_eq!(sink.len(), 5);
     }
 }

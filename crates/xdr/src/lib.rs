@@ -8,9 +8,11 @@
 //! Design notes:
 //! * No `unsafe`, no allocation in the decode hot path beyond what the decoded
 //!   values themselves require.
-//! * [`XdrEncoder`] appends to a caller-provided growable buffer so a single
-//!   buffer can be reused across calls (see the "Reusing Collections" guidance
-//!   in the Rust Performance Book).
+//! * [`XdrEncoder`] is the one encoder, generic over an [`XdrSink`]: a
+//!   growable `Vec<u8>` that is reused across calls (see the "Reusing
+//!   Collections" guidance in the Rust Performance Book), or a [`FixedBuf`]
+//!   that never allocates. [`XdrSgEncoder`] adds borrowed bulk payloads on
+//!   top of either.
 //! * [`XdrDecoder`] borrows its input; all reads are bounds-checked and return
 //!   [`XdrError::Truncated`] rather than panicking.
 //! * The [`Xdr`] trait ties both directions together and is implemented for
@@ -20,14 +22,12 @@
 mod decode;
 mod encode;
 mod error;
-mod fixed;
 mod sg;
 mod traits;
 
 pub use decode::XdrDecoder;
-pub use encode::XdrEncoder;
+pub use encode::{FixedBuf, XdrEncoder, XdrSink};
 pub use error::{XdrError, XdrResult};
-pub use fixed::FixedEncoder;
 pub use sg::{XdrSgEncoder, MAX_DEFERRED, MAX_SEGMENTS};
 pub use traits::{Xdr, XdrVec};
 

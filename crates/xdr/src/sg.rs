@@ -9,7 +9,7 @@
 //! then exposes the logical byte stream as an ordered slice list suitable
 //! for a vectored write — the payload bytes are never copied by the encoder.
 
-use crate::XdrEncoder;
+use crate::{XdrEncoder, XdrSink};
 use std::ops::{Deref, DerefMut};
 
 /// Maximum number of deferred slices per message. Cricket calls carry at
@@ -22,24 +22,25 @@ pub const MAX_DEFERRED: usize = 4;
 pub const MAX_SEGMENTS: usize = 2 * MAX_DEFERRED + 1;
 
 /// XDR encoder whose output is the owned stream of the wrapped
-/// [`XdrEncoder`] interleaved with borrowed payload slices.
+/// [`XdrEncoder`] (over either sink) interleaved with borrowed payload
+/// slices.
 ///
 /// Derefs to [`XdrEncoder`], so all scalar `put_*` methods write to the
 /// owned stream. Only [`XdrSgEncoder::put_opaque_deferred`] records a
 /// borrowed slice. `'d` is the lifetime of the deferred payload data; the
 /// borrowed slices must stay alive until the message has been written.
-pub struct XdrSgEncoder<'d, 'e> {
-    enc: &'e mut XdrEncoder,
+pub struct XdrSgEncoder<'d, 'e, B = Vec<u8>> {
+    enc: &'e mut XdrEncoder<B>,
     /// `(split, slice)`: the slice logically sits at offset `split` of the
     /// owned stream. Splits are non-decreasing by construction.
     deferred: [(usize, &'d [u8]); MAX_DEFERRED],
     count: usize,
 }
 
-impl<'d, 'e> XdrSgEncoder<'d, 'e> {
+impl<'d, 'e, B: XdrSink> XdrSgEncoder<'d, 'e, B> {
     /// Wrap `enc`, which may already contain header bytes. Anything written
     /// before this call stays ahead of all deferred slices.
-    pub fn new(enc: &'e mut XdrEncoder) -> Self {
+    pub fn new(enc: &'e mut XdrEncoder<B>) -> Self {
         Self {
             enc,
             deferred: [(0, &[]); MAX_DEFERRED],
@@ -85,7 +86,9 @@ impl<'d, 'e> XdrSgEncoder<'d, 'e> {
     /// Run `f` over the logical byte stream as an ordered segment list.
     /// Concatenating the segments yields exactly the bytes a plain encoder
     /// would have produced. At most [`MAX_SEGMENTS`] entries; built on the
-    /// stack, no allocation.
+    /// stack, no allocation. Over a bounded sink, check
+    /// [`finish`](XdrEncoder::finish) first: an overflowed owned stream has
+    /// no bytes to split.
     pub fn with_segments<R>(&self, f: impl FnOnce(&[&[u8]]) -> R) -> R {
         let owned = self.enc.as_slice();
         let mut segs: [&[u8]; MAX_SEGMENTS] = [&[]; MAX_SEGMENTS];
@@ -121,15 +124,15 @@ impl<'d, 'e> XdrSgEncoder<'d, 'e> {
     }
 }
 
-impl Deref for XdrSgEncoder<'_, '_> {
-    type Target = XdrEncoder;
-    fn deref(&self) -> &XdrEncoder {
+impl<B> Deref for XdrSgEncoder<'_, '_, B> {
+    type Target = XdrEncoder<B>;
+    fn deref(&self) -> &XdrEncoder<B> {
         self.enc
     }
 }
 
-impl DerefMut for XdrSgEncoder<'_, '_> {
-    fn deref_mut(&mut self) -> &mut XdrEncoder {
+impl<B> DerefMut for XdrSgEncoder<'_, '_, B> {
+    fn deref_mut(&mut self) -> &mut XdrEncoder<B> {
         self.enc
     }
 }

@@ -1,6 +1,6 @@
 //! The [`Xdr`] trait and impls for primitives and common composites.
 
-use crate::{XdrDecoder, XdrEncoder, XdrResult};
+use crate::{XdrDecoder, XdrEncoder, XdrResult, XdrSink};
 
 /// A type with a canonical XDR wire representation.
 ///
@@ -8,8 +8,8 @@ use crate::{XdrDecoder, XdrEncoder, XdrResult};
 /// struct, enum, union and typedef. Hand-written impls below cover the
 /// primitive building blocks.
 pub trait Xdr: Sized {
-    /// Append the XDR encoding of `self` to `enc`.
-    fn encode(&self, enc: &mut XdrEncoder);
+    /// Append the XDR encoding of `self` to `enc`, whatever its sink.
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>);
 
     /// Decode a value of this type from `dec`.
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self>;
@@ -19,7 +19,7 @@ macro_rules! xdr_primitive {
     ($ty:ty, $put:ident, $get:ident) => {
         impl Xdr for $ty {
             #[inline]
-            fn encode(&self, enc: &mut XdrEncoder) {
+            fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
                 enc.$put(*self);
             }
             #[inline]
@@ -41,7 +41,7 @@ xdr_primitive!(bool, put_bool, get_bool);
 /// `()` encodes as XDR `void`: zero bytes.
 impl Xdr for () {
     #[inline]
-    fn encode(&self, _enc: &mut XdrEncoder) {}
+    fn encode<S: XdrSink>(&self, _enc: &mut XdrEncoder<S>) {}
     #[inline]
     fn decode(_dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
         Ok(())
@@ -52,7 +52,7 @@ impl Xdr for () {
 /// payload type for GPU memory transfers, so it gets the byte-blob encoding,
 /// not the per-element array encoding.
 impl Xdr for Vec<u8> {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_opaque(self);
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
@@ -61,7 +61,7 @@ impl Xdr for Vec<u8> {
 }
 
 impl Xdr for String {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_string(self);
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
@@ -70,7 +70,7 @@ impl Xdr for String {
 }
 
 impl<T: Xdr> Xdr for Option<T> {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_option(self.as_ref());
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
@@ -79,7 +79,7 @@ impl<T: Xdr> Xdr for Option<T> {
 }
 
 impl<T: Xdr> Xdr for Box<T> {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         (**self).encode(enc);
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
@@ -94,7 +94,7 @@ impl<T: Xdr> Xdr for Box<T> {
 pub struct XdrVec<T>(pub Vec<T>);
 
 impl<T: Xdr> Xdr for XdrVec<T> {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_array(&self.0);
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
@@ -123,7 +123,7 @@ impl<T> From<Vec<T>> for XdrVec<T> {
 
 /// Fixed-size byte array: encoded as fixed opaque (no length prefix).
 impl<const N: usize> Xdr for [u8; N] {
-    fn encode(&self, enc: &mut XdrEncoder) {
+    fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_opaque_fixed(self);
     }
     fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {
@@ -137,7 +137,7 @@ impl<const N: usize> Xdr for [u8; N] {
 macro_rules! xdr_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Xdr),+> Xdr for ($($name,)+) {
-            fn encode(&self, enc: &mut XdrEncoder) {
+            fn encode<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
                 $(self.$idx.encode(enc);)+
             }
             fn decode(dec: &mut XdrDecoder<'_>) -> XdrResult<Self> {

@@ -5,17 +5,12 @@
 //! a failure always names the seed so the schedule can be replayed with
 //! `FaultPlan::from_seed(<seed>)`.
 
-// These tests deliberately exercise the deprecated pre-builder entry
-// points: they are contractually one-line shims over `ServerBuilder`
-// and must keep working byte-identically.
-#![allow(deprecated)]
-
 use cricket_repro::oncrpc::{
     Fault, FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
     RpcClient, RpcError, SharedFaultPlan, TcpTransport,
 };
 use cricket_repro::prelude::*;
-use cricket_repro::server::{serve_tcp_sessions, SimTransport};
+use cricket_repro::server::{ServerBuilder, SimTransport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -482,7 +477,10 @@ fn per_call_deadline_fires_on_a_silent_server() {
 #[test]
 fn tcp_session_cleanup_reclaims_vanished_clients_resources() {
     let server = cricket_repro::server::CricketServer::a100();
-    let (handle, _replay) = serve_tcp_sessions(Arc::clone(&server), "127.0.0.1:0").unwrap();
+    let handle = ServerBuilder::new("127.0.0.1:0")
+        .server(Arc::clone(&server))
+        .serve()
+        .unwrap();
     let addr = handle.addr().to_string();
 
     let mut watcher = CricketClient::new(
@@ -526,7 +524,11 @@ fn tcp_session_cleanup_reclaims_vanished_clients_resources() {
 #[test]
 fn tcp_reset_and_retry_with_session_server() {
     let server = cricket_repro::server::CricketServer::a100();
-    let (handle, replay) = serve_tcp_sessions(Arc::clone(&server), "127.0.0.1:0").unwrap();
+    let handle = ServerBuilder::new("127.0.0.1:0")
+        .server(Arc::clone(&server))
+        .serve()
+        .unwrap();
+    let replay = Arc::clone(handle.replay());
     let addr = handle.addr().to_string();
 
     let plan =

@@ -15,7 +15,7 @@ fn spawn_server() -> oncrpc::ServerHandle {
 #[test]
 fn matrix_mul_over_tcp() {
     let handle = spawn_server();
-    let ctx = Context::connect_tcp(&handle.addr().to_string()).unwrap();
+    let ctx = Context::connect(&Endpoint::addr(handle.addr()).unwrap()).unwrap();
     let cfg = matrix_mul::MatrixMulConfig {
         ha: 64,
         wa: 64,
@@ -33,7 +33,7 @@ fn matrix_mul_over_tcp() {
 #[test]
 fn linear_solver_over_tcp() {
     let handle = spawn_server();
-    let ctx = Context::connect_tcp(&handle.addr().to_string()).unwrap();
+    let ctx = Context::connect(&Endpoint::addr(handle.addr()).unwrap()).unwrap();
     let cfg = linear_solver::LinearSolverConfig {
         n: 64,
         iterations: 3,
@@ -53,7 +53,7 @@ fn concurrent_tcp_clients_share_the_gpu() {
     for t in 0..6u32 {
         let addr = addr.clone();
         joins.push(std::thread::spawn(move || {
-            let ctx = Context::connect_tcp(&addr).unwrap();
+            let ctx = Context::connect(&Endpoint::addr(addr.as_str()).unwrap()).unwrap();
             let data: Vec<f32> = (0..2048).map(|i| (i * (t + 1)) as f32).collect();
             let buf = ctx.upload(&data).unwrap();
             for _ in 0..20 {
@@ -74,7 +74,7 @@ fn concurrent_tcp_clients_share_the_gpu() {
 #[test]
 fn large_transfer_over_tcp_exercises_fragmentation() {
     let handle = spawn_server();
-    let ctx = Context::connect_tcp(&handle.addr().to_string()).unwrap();
+    let ctx = Context::connect(&Endpoint::addr(handle.addr()).unwrap()).unwrap();
     // 8 MiB: several 1 MiB record fragments each way.
     let data: Vec<u8> = (0..8 << 20).map(|i| (i % 249) as u8).collect();
     let buf = ctx.upload(&data).unwrap();
@@ -87,7 +87,7 @@ fn large_transfer_over_tcp_exercises_fragmentation() {
 #[test]
 fn cuda_error_codes_cross_the_wire() {
     let handle = spawn_server();
-    let ctx = Context::connect_tcp(&handle.addr().to_string()).unwrap();
+    let ctx = Context::connect(&Endpoint::addr(handle.addr()).unwrap()).unwrap();
     // OOM surfaces as the CUDA allocation error, not a transport failure.
     let err = ctx.alloc::<u8>(1 << 50).unwrap_err();
     assert_eq!(

@@ -4,11 +4,6 @@
 //! mid-batch reset replay — and must survive heavy connection churn without
 //! leaking scheduler sessions, replay-cache entries, or reply buffers.
 
-// These tests deliberately exercise the deprecated pre-builder entry
-// points: they are contractually one-line shims over `ServerBuilder`
-// and must keep working byte-identically.
-#![allow(deprecated)]
-
 use cricket_repro::oncrpc::server::ServerHandle;
 use cricket_repro::oncrpc::{
     serve_tcp_reactor, telemetry, transport::Transport, ConnHandler, ReactorConfig, RpcResult,
@@ -19,7 +14,7 @@ use cricket_repro::oncrpc::{
 };
 use cricket_repro::prelude::*;
 use cricket_repro::server::{
-    cricket_classifier, make_rpc_server, serve_tcp_sessions_mode, CricketServer, ServeMode,
+    cricket_classifier, make_rpc_server, CricketServer, ServeMode, ServerBuilder,
 };
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -338,8 +333,12 @@ fn reactor_churn_soak_releases_all_sessions() {
     const TOTAL: usize = THREADS * CONNS_PER_THREAD;
 
     let server = CricketServer::a100();
-    let (handle, replay) =
-        serve_tcp_sessions_mode(Arc::clone(&server), "127.0.0.1:0", REACTOR).unwrap();
+    let handle = ServerBuilder::new("127.0.0.1:0")
+        .server(Arc::clone(&server))
+        .mode(REACTOR)
+        .serve()
+        .unwrap();
+    let replay = Arc::clone(handle.replay());
     let addr = handle.addr().to_string();
     let bufs0 = telemetry::reactor_snapshot();
 

@@ -4,26 +4,15 @@
 
 use cricket_repro::client::sim::SimSetup;
 use cricket_repro::oncrpc::{
-    telemetry, FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
-    SharedFaultPlan,
+    FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy, SharedFaultPlan,
 };
 use cricket_repro::prelude::*;
 use cricket_repro::server::SimTransport;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The fixed fault matrix exercised by `ci.sh wire2`.
 const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
-
-/// Wire telemetry counters are process-global; tests that assert on their
-/// deltas serialize here so a concurrently running transfer cannot skew a
-/// compression ratio.
-fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// A payload with no zero byte anywhere — the sparse codec must never win
 /// on it, so it isolates the striping path.
@@ -40,6 +29,24 @@ fn sparse_payload(pages: usize, period: usize) -> Vec<u8> {
         }
     }
     v
+}
+
+// Every assertion on traffic below reads instance-scoped state — the
+// client's own `ClientStats`, or its stripe pool's lanes — never the
+// process-global `oncrpc::telemetry` counters, which sibling tests running
+// in parallel would skew.
+
+/// Request bytes `client`'s main connection has put on the wire.
+fn wire_bytes(client: &mut CricketClient) -> u64 {
+    client.rpc().stats().bytes_sent
+}
+
+/// Detach `client`'s stripe pool and count the calls its lanes completed.
+/// Lanes carry nothing but stripes, so this is the number of stripes the
+/// client sent — from state no other test can touch.
+fn stripe_calls(client: &mut CricketClient) -> u64 {
+    let mut pool = client.disable_striping().expect("client has a pool");
+    pool.lanes_mut().iter().map(|lane| lane.stats().calls).sum()
 }
 
 /// Harden one RPC lane the same way `tests/chaos.rs` hardens a client:
@@ -80,20 +87,21 @@ fn harden_lane(
 /// same payload, and actually rode the stripe path.
 #[test]
 fn striped_transfer_matches_unstriped_byte_for_byte() {
-    let _t = telemetry_lock();
     let data = dense(1 << 20);
 
     let setup = SimSetup::new();
     let mut striped = setup.striped_client(EnvConfig::RustyHermit, 4);
     striped.set_stripe_threshold(64 * 1024);
-    let before = telemetry::wire_snapshot();
     let p = striped.malloc(data.len() as u64).unwrap();
     striped.memcpy_htod(p, &data).unwrap();
     let back_striped = striped.memcpy_dtoh(p, data.len() as u64).unwrap();
     striped.free(p).unwrap();
-    let delta = telemetry::wire_snapshot().since(&before);
     // 1 MiB at the default 256 KiB stripe length, both directions.
-    assert_eq!(delta.stripes_sent, 8, "copies did not ride the stripe path");
+    assert_eq!(
+        stripe_calls(&mut striped),
+        8,
+        "copies did not ride the stripe path"
+    );
 
     let setup2 = SimSetup::new();
     let mut plain = setup2.client(EnvConfig::RustyHermit);
@@ -111,18 +119,15 @@ fn striped_transfer_matches_unstriped_byte_for_byte() {
 /// even with a pool attached.
 #[test]
 fn small_ops_bypass_the_stripe_pool() {
-    let _t = telemetry_lock();
     let setup = SimSetup::new();
     let mut client = setup.striped_client(EnvConfig::RustyHermit, 4);
     client.set_stripe_threshold(1 << 20);
     let data = dense(32 * 1024);
-    let before = telemetry::wire_snapshot();
     let p = client.malloc(data.len() as u64).unwrap();
     client.memcpy_htod(p, &data).unwrap();
     assert_eq!(client.memcpy_dtoh(p, data.len() as u64).unwrap(), data);
     client.free(p).unwrap();
-    let delta = telemetry::wire_snapshot().since(&before);
-    assert_eq!(delta.stripes_sent, 0, "sub-threshold op was striped");
+    assert_eq!(stripe_calls(&mut client), 0, "sub-threshold op was striped");
 }
 
 /// Four lanes overlap their wire time in the virtual-time model: a large
@@ -211,20 +216,19 @@ fn striped_transfers_survive_the_chaos_matrix_exactly_once() {
 /// byte-identical in device memory, and is accounted at its raw length.
 #[test]
 fn sparse_payloads_shrink_the_wire_and_land_byte_identical() {
-    let _t = telemetry_lock();
     let setup = SimSetup::new();
     let mut client = setup.client(EnvConfig::RustyHermit);
     let data = sparse_payload(640, 10); // 2.5 MiB, one literal page in ten
 
-    let before = telemetry::wire_snapshot();
     let p = client.malloc(data.len() as u64).unwrap();
     client.server_reset_stats().unwrap();
+    let before = wire_bytes(&mut client);
     client.memcpy_htod(p, &data).unwrap();
-    let delta = telemetry::wire_snapshot().since(&before);
-    assert!(delta.sparse_pages_elided >= 500, "{delta:?}");
+    let wire = wire_bytes(&mut client) - before;
+    // ≥5x means at least 512 of the 640 pages never travelled.
     assert!(
-        delta.wire_bytes * 5 <= delta.raw_bytes,
-        "90%-zero payload must shrink ≥5x: {delta:?}"
+        wire * 5 <= data.len() as u64,
+        "90%-zero payload must shrink ≥5x: {wire} wire bytes"
     );
     let stats = client.server_stats().unwrap();
     assert_eq!(
@@ -236,20 +240,19 @@ fn sparse_payloads_shrink_the_wire_and_land_byte_identical() {
     client.free(p).unwrap();
 }
 
-/// Fully dense payloads keep the plain path: wire bytes equal raw bytes,
-/// nothing elided.
+/// Fully dense payloads keep the plain path: every raw byte travels,
+/// nothing elided, nothing added but the call header.
 #[test]
 fn dense_payloads_keep_the_plain_path() {
-    let _t = telemetry_lock();
     let setup = SimSetup::new();
     let mut client = setup.client(EnvConfig::RustyHermit);
     let data = dense(256 * 1024);
-    let before = telemetry::wire_snapshot();
     let p = client.malloc(data.len() as u64).unwrap();
+    let before = wire_bytes(&mut client);
     client.memcpy_htod(p, &data).unwrap();
-    let delta = telemetry::wire_snapshot().since(&before);
-    assert_eq!(delta.sparse_pages_elided, 0);
-    assert_eq!(delta.wire_bytes, delta.raw_bytes);
+    let wire = wire_bytes(&mut client) - before;
+    let raw = data.len() as u64;
+    assert!((raw..raw + 128).contains(&wire), "{wire} wire bytes");
     assert_eq!(client.memcpy_dtoh(p, data.len() as u64).unwrap(), data);
     client.free(p).unwrap();
 }

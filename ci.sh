@@ -11,6 +11,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -37,10 +40,10 @@ cargo test --test proptest_stack -q record_flush_interleavings
 echo "==> bench smoke: smallop (self-asserts >=4x RPC reduction, <5% single-op regression)"
 cargo run --release -p cricket-bench --bin smallop -- --launches 1024 --single-iters 128
 
-echo "==> chaos: reactor equivalence (byte-identical reply traces vs pipelined, churn soak)"
+echo "==> chaos: reactor equivalence (byte-identical reply traces vs the serial reference, churn soak)"
 cargo test --test reactor -q
 
-echo "==> bench smoke: connscale (reactor >=5x sessions at equal throughput, reduced size)"
+echo "==> bench smoke: connscale (reactor >=5x sessions vs serial, all progress; wall-clock ratio printed, not gated)"
 cargo run --release -p cricket-bench --bin connscale -- --smoke
 
 echo "==> fleet: portmap shard directory + registration lifecycle + seeded failover matrix"
@@ -53,7 +56,7 @@ echo "==> migration: chaos matrix (byte-identical traces), crash-abort, 100-hop 
 cargo test --test migration -q
 cargo test --test proptest_stack -q streaming_deltas
 
-echo "==> bench smoke: migrate (streamed resync <50% of naive bytes at <=25% dirty)"
+echo "==> bench smoke: migrate (streamed resync <50% of naive bytes at <=25% dirty; leaves BENCH_migrate.json untouched)"
 cargo run --release -p cricket-bench --bin migrate -- --smoke
 
 echo "==> bench smoke: multitenant QoS (WFQ favoritism >=2x, weight shares within 10%, quota shedding)"

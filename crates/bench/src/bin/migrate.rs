@@ -222,7 +222,7 @@ fn main() {
         rows.push_str(&format!(
             "    {{\"dirty_pct\": {}, \"rounds\": {}, \"base_bytes\": {}, \"delta_bytes\": {}, \
              \"final_bytes\": {}, \"streamed_bytes\": {}, \"naive_bytes\": {}, \
-             \"resync_ratio\": {:.4}, \"pause_ns\": {}}}{}\n",
+             \"resync_ratio\": {:.4}, \"pause_wall_ns\": {}}}{}\n",
             c.dirty_pct,
             c.rounds,
             c.base_bytes,
@@ -242,9 +242,13 @@ fn main() {
          \"accept\": {{\"max_dirty_pct\": 25, \"max_resync_ratio\": 0.5}}\n}}\n",
         args.blocks, args.rounds,
     );
-    let path = "BENCH_migrate.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  → wrote {path}"),
-        Err(e) => eprintln!("  ! could not write {path}: {e}"),
+    if args.smoke {
+        println!("  (smoke run: BENCH_migrate.json left untouched)");
+    } else {
+        let path = "BENCH_migrate.json";
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("  → wrote {path}"),
+            Err(e) => eprintln!("  ! could not write {path}: {e}"),
+        }
     }
 }

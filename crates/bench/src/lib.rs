@@ -22,7 +22,7 @@ pub struct Point {
 /// A named measurement series (one paper sub-figure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
-    /// Series name, e.g. "fig6a cudaGetDeviceCount x100000 [s]".
+    /// Series name, e.g. "fig6a cudaGetDeviceCount x100000 \[s\]".
     pub name: String,
     /// Points in Table-1 configuration order.
     pub points: Vec<Point>,

@@ -16,7 +16,7 @@
 //!   use-after-free and double-free errors"* (§3.4). [`safe::DeviceBuffer`]
 //!   frees on drop and is lifetime-bound to its [`safe::Context`];
 //!   [`safe::Module`], [`safe::Stream`] and [`safe::Event`] behave likewise.
-//! * [`env`] — the five Table-1 configurations. [`env::EnvConfig`] selects
+//! * [`mod@env`] — the five Table-1 configurations. [`env::EnvConfig`] selects
 //!   the guest environment (network behavior) and the client flavor
 //!   (Rust RPC-Lib vs. C libtirpc, whose extra kernel-launch marshalling
 //!   and slower `rand()` the paper measures).

@@ -3,10 +3,11 @@
 //! Usage: `cricket-server [--listen ADDR:PORT] [--devices N]`
 //!
 //! Clients (the examples in this repository, or any ONC RPC client speaking
-//! `cricket.x`) connect with program 537395001 version 1.
+//! `cricket.x`) connect with program 537395001 version 1. Every connection
+//! is its own session: its device memory, streams and scheduler ledger are
+//! released when it disconnects, and token-tagged retries are at-most-once.
 
-use cricket_server::{make_rpc_server, CricketServer, ServerConfig};
-use simnet::SimClock;
+use cricket_server::{ServerBuilder, ServerConfig};
 
 fn main() {
     let mut listen = "127.0.0.1:20495".to_string();
@@ -33,16 +34,13 @@ fn main() {
         }
     }
 
-    let clock = SimClock::new();
-    let server = CricketServer::new(
-        ServerConfig {
+    let handle = ServerBuilder::new(listen.as_str())
+        .config(ServerConfig {
             device_count: devices,
             ..ServerConfig::default()
-        },
-        clock,
-    );
-    let rpc = make_rpc_server(server);
-    let handle = oncrpc::server::serve_tcp(rpc, listen.as_str()).expect("bind listener");
+        })
+        .serve()
+        .expect("bind listener");
     println!(
         "cricket-server: simulated A100 at {} (program {}, version {})",
         handle.addr(),

@@ -1,16 +1,13 @@
 //! The single server entry point: [`ServerBuilder`].
 //!
-//! Every way of standing up a Cricket server — serial, pipelined, bounded
-//! pool, completion-driven reactor, with or without fleet-directory
-//! registration — goes through one builder:
+//! Every TCP deployment of a Cricket server — the `cricket-server` binary,
+//! a fleet shard registered in a directory, a test — goes through one
+//! builder, and is served by the completion-driven reactor:
 //!
 //! ```no_run
-//! use cricket_server::{ServerBuilder, ServeMode};
+//! use cricket_server::ServerBuilder;
 //!
-//! let handle = ServerBuilder::new("127.0.0.1:0")
-//!     .mode(ServeMode::Reactor { workers: 2 })
-//!     .serve()
-//!     .unwrap();
+//! let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
 //! println!("serving on {}", handle.addr());
 //! handle.shutdown();
 //! ```
@@ -57,7 +54,6 @@ pub struct ServerBuilder {
     server: Option<Arc<CricketServer>>,
     config: ServerConfig,
     mode: ServeMode,
-    reactor: Option<oncrpc::ReactorConfig>,
     policy: Option<SchedulerPolicy>,
     directory: Option<DirectoryRegistration>,
 }
@@ -65,15 +61,14 @@ pub struct ServerBuilder {
 impl ServerBuilder {
     /// Start a builder listening on `addr` (resolved eagerly; resolution
     /// errors surface from [`Self::serve`]). Defaults: a fresh
-    /// [`CricketServer`] from [`ServerConfig::default`], pipelined serving,
-    /// FIFO scheduling, no directory registration.
+    /// [`CricketServer`] from [`ServerConfig::default`], reactor serving
+    /// with two worker shards, FIFO scheduling, no directory registration.
     pub fn new<A: std::net::ToSocketAddrs>(addr: A) -> Self {
         Self {
             addrs: addr.to_socket_addrs().map(|it| it.collect()),
             server: None,
             config: ServerConfig::default(),
-            mode: ServeMode::Pipelined,
-            reactor: None,
+            mode: ServeMode::Reactor { workers: 2 },
             policy: None,
             directory: None,
         }
@@ -92,16 +87,10 @@ impl ServerBuilder {
         self
     }
 
-    /// How connections are multiplexed onto threads.
+    /// How connections are multiplexed onto threads: the reactor's worker
+    /// count, or [`ServeMode::Serial`] for the reference path.
     pub fn mode(mut self, mode: ServeMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Reactor tuning for [`ServeMode::Reactor`] (worker count still comes
-    /// from the mode; a `classify` of `None` gets the Cricket classifier).
-    pub fn reactor_config(mut self, cfg: oncrpc::ReactorConfig) -> Self {
-        self.reactor = Some(cfg);
         self
     }
 
@@ -169,8 +158,7 @@ impl ServerBuilder {
         if let Some(policy) = self.policy {
             server.scheduler.set_policy(policy);
         }
-        let (inner, replay) =
-            serve_sessions(Arc::clone(&server), &addrs[..], self.mode, self.reactor)?;
+        let (inner, replay) = serve_sessions(&server, &addrs, self.mode)?;
         let registration = match self.directory {
             Some(dir) => Some(Registration::start(&server, inner.addr(), dir)?),
             None => None,
@@ -316,101 +304,48 @@ impl ServeHandle {
     }
 }
 
-/// The mode dispatch behind [`ServerBuilder::serve`]. All modes share the same session semantics —
-/// one `SessionId` per accepted connection, one shared replay cache,
-/// [`CricketServer::release_session`] exactly once when the connection ends —
-/// and differ only in how connections map onto threads.
-pub(crate) fn serve_sessions<A: std::net::ToSocketAddrs>(
-    server: Arc<CricketServer>,
-    addr: A,
+/// The mode dispatch behind [`ServerBuilder::serve`]. Both modes share the
+/// same session semantics — one `SessionId` per accepted connection, one
+/// shared replay cache, [`CricketServer::release_session`] exactly once when
+/// the connection ends (replay entries are deliberately kept: a reconnecting
+/// client may still retransmit calls it sent on the dead connection) — and
+/// differ only in how connections map onto threads.
+fn serve_sessions(
+    server: &Arc<CricketServer>,
+    addrs: &[SocketAddr],
     mode: ServeMode,
-    reactor: Option<oncrpc::ReactorConfig>,
 ) -> RpcResult<(oncrpc::ServerHandle, Arc<ReplayCache>)> {
     let replay = Arc::new(ReplayCache::default());
     server.attach_replay(&replay);
     let shared = Arc::clone(&replay);
+    let server = Arc::clone(server);
+    let next_session = AtomicU32::new(1);
     let handle = match mode {
         ServeMode::Reactor { workers } => {
-            let mut cfg = reactor.unwrap_or_default();
-            cfg.workers = workers.max(1);
-            if cfg.classify.is_none() {
-                cfg.classify = Some(cricket_classifier());
-            }
-            let next_session = AtomicU32::new(1);
-            oncrpc::serve_tcp_reactor(addr, cfg, move |_conn| {
+            let cfg = oncrpc::ReactorConfig {
+                workers: workers.max(1),
+                classify: Some(cricket_classifier()),
+                ..oncrpc::ReactorConfig::default()
+            };
+            oncrpc::serve_tcp_reactor(addrs, cfg, move |_conn| {
                 let session = next_session.fetch_add(1, Ordering::Relaxed);
                 let rpc = Arc::new(session_rpc(&server, &shared, session));
                 let server = Arc::clone(&server);
                 oncrpc::ConnHandler {
                     rpc,
                     // Runs after the session's last in-flight call completed
-                    // and its last reply hit the completion ring. Replay
-                    // entries are deliberately kept — a reconnecting client
-                    // may still retransmit calls from the dead connection.
+                    // and its last reply hit the completion ring.
                     on_close: Some(Box::new(move || {
                         server.release_session(session);
                     })),
                 }
             })?
         }
-        ServeMode::PipelinedBounded { max_conns } => {
-            // Fixed serving pool: accepted connections queue; `max_conns`
-            // threads each serve one connection to completion at a time.
-            let (conn_tx, conn_rx) = crossbeam_channel::unbounded::<oncrpc::TcpTransport>();
-            let conn_rx = Arc::new(std::sync::Mutex::new(conn_rx));
-            let next_session = Arc::new(AtomicU32::new(1));
-            for _ in 0..max_conns.max(1) {
-                let conn_rx = Arc::clone(&conn_rx);
-                let server = Arc::clone(&server);
-                let shared = Arc::clone(&shared);
-                let next_session = Arc::clone(&next_session);
-                std::thread::spawn(move || loop {
-                    let queued = {
-                        let rx = conn_rx.lock().unwrap_or_else(|e| e.into_inner());
-                        rx.recv()
-                    };
-                    let Ok(mut conn) = queued else { break };
-                    let session = next_session.fetch_add(1, Ordering::Relaxed);
-                    let rpc = session_rpc(&server, &shared, session);
-                    match conn.try_clone() {
-                        Ok(writer) => {
-                            let _ = rpc.serve_pipelined(&mut conn, writer);
-                        }
-                        Err(_) => {
-                            let _ = rpc.serve_connection(&mut conn);
-                        }
-                    }
-                    server.release_session(session);
-                });
-            }
-            oncrpc::server::serve_tcp_with(addr, move |conn| {
-                let _ = conn_tx.send(conn);
-            })?
-        }
-        ServeMode::Serial | ServeMode::Pipelined => {
-            let next_session = AtomicU32::new(1);
-            oncrpc::server::serve_tcp_with(addr, move |mut conn| {
-                let session = next_session.fetch_add(1, Ordering::Relaxed);
-                let rpc = session_rpc(&server, &shared, session);
-                let writer = match mode {
-                    ServeMode::Pipelined => conn.try_clone().ok(),
-                    _ => None,
-                };
-                match writer {
-                    Some(writer) => {
-                        let _ = rpc.serve_pipelined(&mut conn, writer);
-                    }
-                    None => {
-                        let _ = rpc.serve_connection(&mut conn);
-                    }
-                }
-                // The client is gone (or reset): reclaim everything it
-                // still holds. Replay-cache entries are deliberately kept —
-                // a reconnecting client may still retransmit calls it sent
-                // on the dead connection.
-                server.release_session(session);
-            })?
-        }
+        ServeMode::Serial => oncrpc::server::serve_tcp_with(addrs, move |mut conn| {
+            let session = next_session.fetch_add(1, Ordering::Relaxed);
+            let _ = session_rpc(&server, &shared, session).serve_connection(&mut conn);
+            server.release_session(session);
+        })?,
     };
     Ok((handle, replay))
 }

@@ -17,7 +17,8 @@
 //!   transport that carries real RPC bytes through the functional guest TCP
 //!   stack and charges network time from the environment's cost model.
 //!
-//! The `cricket-server` binary serves the protocol over real TCP.
+//! [`ServerBuilder`] serves the protocol over real TCP; the `cricket-server`
+//! binary is a thin command line over it.
 
 pub mod builder;
 pub mod checkpoint;
@@ -28,7 +29,6 @@ pub mod transport;
 
 pub use builder::{DirectoryRegistration, ServeHandle, ServerBuilder};
 pub use migrate::{MigBlob, MigKind, SessionMeta};
-pub use oncrpc::ReactorConfig;
 pub use scheduler::{QosSpec, SchedulerPolicy, SessionId};
 pub use service::{CricketServer, QosServerConfig, ServerConfig, SessionCleanup};
 pub use transport::SimTransport;
@@ -67,9 +67,10 @@ impl oncrpc::server::Dispatch for QosGate {
     }
 }
 
-/// Register a [`CricketServer`] on an [`oncrpc::RpcServer`] and return both.
+/// Register a [`CricketServer`] on an [`oncrpc::RpcServer`] as session 0
+/// (the in-process simulated environments, which have no connections).
 pub fn make_rpc_server(server: Arc<CricketServer>) -> Arc<oncrpc::RpcServer> {
-    Arc::new(make_session_rpc_inner(server, 0))
+    Arc::new(make_session_rpc(server, 0))
 }
 
 /// Build an `RpcServer` bound to one session of `server`, with the QoS
@@ -77,10 +78,6 @@ pub fn make_rpc_server(server: Arc<CricketServer>) -> Arc<oncrpc::RpcServer> {
 /// examples) serve per-session views through the same admission path as
 /// real connections.
 pub fn make_session_rpc(server: Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
-    make_session_rpc_inner(server, session)
-}
-
-fn make_session_rpc_inner(server: Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
     let rpc = oncrpc::RpcServer::new();
     rpc.register(
         cricket_proto::CRICKET_CUDA,
@@ -97,26 +94,19 @@ fn make_session_rpc_inner(server: Arc<CricketServer>, session: SessionId) -> onc
     rpc
 }
 
-/// How [`serve_tcp_sessions_mode`] maps connections onto OS threads.
+/// How [`ServerBuilder::serve`] maps TCP connections onto OS threads. Both
+/// modes give every accepted connection its own session, share one replay
+/// cache, and release the session exactly once when the connection ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// One thread per connection, classic serial request/reply loop.
+    /// One thread per connection running the blocking request/reply loop
+    /// ([`oncrpc::RpcServer::serve_connection`]). Not a production path:
+    /// it is the reference the reactor's byte-identical equivalence tests
+    /// and the connscale bench compare against.
     Serial,
-    /// One thread per connection plus a per-connection reply-writer thread
-    /// ([`oncrpc::RpcServer::serve_pipelined`]). The historical default.
-    Pipelined,
-    /// A fixed pool of `max_conns` serving threads, each owning one
-    /// connection at a time (libtirpc-style); connections beyond the pool
-    /// wait unserved until a slot frees. This is the honest
-    /// thread-per-connection baseline at a fixed thread budget for the
-    /// connscale bench.
-    PipelinedBounded {
-        /// Serving threads — also the max concurrently served connections.
-        max_conns: usize,
-    },
     /// The completion-driven reactor ([`oncrpc::serve_tcp_reactor`]):
     /// every connection multiplexed over one poller thread, `workers`
-    /// execution shards, and one completion writer.
+    /// execution shards, and one completion writer. The default.
     Reactor {
         /// Worker shards executing `Parked` procedures.
         workers: usize,
@@ -163,15 +153,13 @@ pub fn cricket_classifier() -> oncrpc::Classifier {
     })
 }
 
-/// Build one connection's `RpcServer`: its own session view over the shared
-/// [`CricketServer`], sharing the at-most-once replay cache.
+/// Build one TCP connection's `RpcServer`: [`make_session_rpc`] plus the
+/// shared at-most-once replay cache and the migration token gate.
 pub(crate) fn session_rpc(
     server: &Arc<CricketServer>,
     replay: &Arc<oncrpc::ReplayCache>,
     session: SessionId,
 ) -> oncrpc::RpcServer {
-    let rpc = oncrpc::RpcServer::new();
-    rpc.set_replay_cache(Arc::clone(replay));
     // Migration's eviction/adoption gate: calls carrying a client-token
     // credential are admitted or refused per token before replay lookup,
     // and their completion is reported so eviction can drain in-flight
@@ -188,21 +176,11 @@ pub(crate) fn session_rpc(
             self.server.call_complete(token);
         }
     }
+    let rpc = make_session_rpc(Arc::clone(server), session);
+    rpc.set_replay_cache(Arc::clone(replay));
     rpc.set_token_gate(Arc::new(SessionGate {
         server: Arc::clone(server),
         session,
     }));
-    rpc.register(
-        cricket_proto::CRICKET_CUDA,
-        cricket_proto::CRICKET_V1,
-        Arc::new(QosGate {
-            inner: cricket_proto::CricketV1Dispatch(service::Sessioned::new(
-                Arc::clone(server),
-                session,
-            )),
-            server: Arc::clone(server),
-            session,
-        }),
-    );
     rpc
 }

@@ -2803,22 +2803,86 @@ mod tests {
         assert_eq!(cleanup.total(), 0, "freed ptr must not be freed again");
     }
 
+    /// The reactor executes every `ProcClass::Done` procedure inline on its
+    /// one poll thread, so none of them may wait for a scheduler turn. The
+    /// `Done` set is read off [`crate::proc_class`] itself: a procedure
+    /// added to that table without a row here fails the equality below.
     #[test]
     fn host_only_queries_take_no_scheduler_turn() {
+        use cricket_proto::cricket_v1 as p;
+        type Call = Box<dyn Fn(&Sessioned) + Send>;
+
         let (srv, s) = server();
-        s.cuda_get_device_count().unwrap();
-        s.cuda_get_device_properties(0).unwrap();
-        s.cuda_get_device().unwrap();
-        s.cuda_mem_get_info().unwrap();
-        assert!(
-            srv.scheduler.served_ops().is_empty(),
+        let solver = s.cusolver_dn_create().unwrap().into_result().unwrap();
+        let qos = QosParams {
+            session: 1,
+            weight: 1,
+            priority: 100,
+            rate_ns_per_s: 0,
+            burst_ns: 0,
+            max_resident_bytes: 0,
+        };
+        #[rustfmt::skip]
+        let driven: Vec<(u32, Call)> = vec![
+            (p::RPC_NULL, Box::new(|s| s.rpc_null().unwrap())),
+            (p::CUDA_GET_DEVICE_COUNT, Box::new(|s| { s.cuda_get_device_count().unwrap(); })),
+            (p::CUDA_GET_DEVICE_PROPERTIES, Box::new(|s| { s.cuda_get_device_properties(0).unwrap(); })),
+            (p::CUDA_SET_DEVICE, Box::new(|s| { s.cuda_set_device(0).unwrap(); })),
+            (p::CUDA_GET_DEVICE, Box::new(|s| { s.cuda_get_device().unwrap(); })),
+            (p::CUDA_MEM_GET_INFO, Box::new(|s| { s.cuda_mem_get_info().unwrap(); })),
+            (p::CUDA_GET_LAST_ERROR, Box::new(|s| { s.cuda_get_last_error().unwrap(); })),
+            (p::CUSOLVER_DN_DGETRF_BUFFER_SIZE, Box::new(move |s| {
+                let size = s.cusolver_dn_dgetrf_buffer_size(solver, 8, 8, 0, 8).unwrap();
+                assert!(matches!(size, IntResult::Data(_)), "{size:?}");
+            })),
+            (p::SRV_GET_STATS, Box::new(|s| { s.srv_get_stats().unwrap(); })),
+            (p::SRV_RESET_STATS, Box::new(|s| { s.srv_reset_stats().unwrap(); })),
+            (p::SRV_SET_SCHEDULER, Box::new(|s| { s.srv_set_scheduler(0).unwrap(); })),
+            (p::CRICKET_QOS_SET, Box::new(move |s| { s.cricket_qos_set(qos).unwrap(); })),
+        ];
+        let done: Vec<u32> = (0..4096)
+            .filter(|&proc| crate::proc_class(proc) == oncrpc::ProcClass::Done)
+            .collect();
+        let order: Vec<u32> = driven.iter().map(|(proc, _)| *proc).collect();
+        let mut listed = order.clone();
+        listed.sort_unstable();
+        assert_eq!(
+            done, listed,
+            "proc_class's Done set vs the procs driven here"
+        );
+
+        // Another session holds the issue slot for the whole sweep: a
+        // procedure that needs a turn blocks behind it, and the bounded
+        // wait turns that into a failure instead of a hang.
+        let turn = srv.scheduler.begin(2);
+        let before = srv.scheduler.served_ops();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            for (_, call) in &driven {
+                call(&s);
+                tx.send(()).unwrap();
+            }
+            s
+        });
+        for proc in order {
+            assert!(
+                rx.recv_timeout(std::time::Duration::from_secs(5)).is_ok(),
+                "Done-class proc {proc} blocked behind another session's turn"
+            );
+        }
+        assert_eq!(
+            srv.scheduler.served_ops(),
+            before,
             "host-only queries must not be arbitrated as device work"
         );
+        drop(turn);
+        let s = caller.join().unwrap();
 
         // Device work, by contrast, does take a turn.
         let ptr = s.cuda_malloc(256).unwrap().into_result().unwrap();
         s.cuda_free(ptr).unwrap();
-        assert_eq!(srv.scheduler.served_ops().get(&1), Some(&2));
+        let after = srv.scheduler.served_ops();
+        assert_eq!(after[&1], before.get(&1).copied().unwrap_or(0) + 2);
     }
 
     #[test]

@@ -38,9 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cricket_proto::{CricketV1Client, IntResult};
-use cricket_server::{
-    MigKind, SchedulerPolicy, ServeHandle, ServeMode, ServerBuilder, ServerConfig,
-};
+use cricket_server::{MigKind, SchedulerPolicy, ServeHandle, ServerBuilder, ServerConfig};
 use oncrpc::portmap::client::PortmapClient;
 pub use oncrpc::{LoadReport, ShardEntry};
 use oncrpc::{Portmap, RpcResult, TcpTransport};
@@ -168,19 +166,17 @@ impl ShardDirectory {
 pub struct FleetBuilder {
     shards: usize,
     config: ServerConfig,
-    mode: ServeMode,
     policy: Option<SchedulerPolicy>,
     heartbeat: Duration,
 }
 
 impl FleetBuilder {
     /// A fleet of `shards` servers (each with its own vgpu device set,
-    /// scheduler, and clock), served pipelined, heartbeating every 250 ms.
+    /// scheduler, and clock), reactor-served, heartbeating every 250 ms.
     pub fn new(shards: usize) -> Self {
         Self {
             shards: shards.max(1),
             config: ServerConfig::default(),
-            mode: ServeMode::Pipelined,
             policy: None,
             heartbeat: Duration::from_millis(250),
         }
@@ -189,12 +185,6 @@ impl FleetBuilder {
     /// Device configuration applied to every shard.
     pub fn config(mut self, config: ServerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Serve mode applied to every shard.
-    pub fn mode(mut self, mode: ServeMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -219,7 +209,6 @@ impl FleetBuilder {
         for _ in 0..self.shards {
             let mut b = ServerBuilder::new("127.0.0.1:0")
                 .config(self.config.clone())
-                .mode(self.mode)
                 .directory(
                     dir_addr,
                     cricket_proto::CRICKET_CUDA,

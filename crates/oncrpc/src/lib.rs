@@ -59,7 +59,7 @@ pub use portmap::{client::PortmapClient, LoadReport, Mapping, Portmap, ShardEntr
 pub use reactor::{serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig};
 pub use record::{RecordAssembler, RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
-pub use server::{Dispatch, RpcServer, ServerHandle, PIPELINE_DEPTH};
+pub use server::{Dispatch, RpcServer, ServerHandle};
 pub use stripe::{NullTimer, StripePool, StripeTimer, DEFAULT_STRIPE_LEN};
 pub use transport::{duplex_pair, MemTransport, TcpTransport, Transport};
 

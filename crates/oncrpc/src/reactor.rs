@@ -1,10 +1,10 @@
 //! Completion-driven server reactor: multiplex many connections over a few
 //! threads.
 //!
-//! The threaded paths in [`crate::server`] spend one OS thread per
+//! The threaded path in [`crate::server`] spends one OS thread per
 //! connection; with thousands of tenant sessions the thread stacks and
 //! scheduler churn become the ceiling long before the wire does. This module
-//! replaces them with the classic reactor split, mirroring the
+//! replaces it with the classic reactor split, mirroring the
 //! `RingResult::Done` vs `MoreIo` contract of io_uring-style RPC servers:
 //!
 //! ```text
@@ -27,9 +27,9 @@
 //! the encoded reply onto the completion ring *before* decrementing
 //! `pending`, so when the reactor observes `pending == 0` every earlier
 //! reply already sits ahead of anything it enqueues. Net effect: per-
-//! connection reply order equals request order, exactly like the serial and
-//! pipelined paths, which is what the byte-identical equivalence tests
-//! assert.
+//! connection reply order equals request order, exactly like the serial
+//! reference path ([`RpcServer::serve_connection`]), which is what the
+//! byte-identical equivalence tests assert.
 //!
 //! **Backpressure.** Each connection has a bounded in-flight budget
 //! (`max_session_queue`). When it fills, the reactor stops reading that
@@ -115,39 +115,6 @@ impl Default for ReactorConfig {
             write_stall_deadline: Duration::from_secs(5),
             max_write_backlog: 8 * 1024 * 1024,
         }
-    }
-}
-
-impl ReactorConfig {
-    /// Chainable: worker shards executing `Parked` calls.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Chainable: bounded per-connection in-flight budget.
-    pub fn max_session_queue(mut self, depth: usize) -> Self {
-        self.max_session_queue = depth;
-        self
-    }
-
-    /// Chainable: procedure classifier splitting `Done` from `Parked`.
-    pub fn classify(mut self, classifier: Classifier) -> Self {
-        self.classify = Some(classifier);
-        self
-    }
-
-    /// Chainable: completion-writer stall deadline before a non-reading
-    /// peer is shut down.
-    pub fn write_stall_deadline(mut self, deadline: Duration) -> Self {
-        self.write_stall_deadline = deadline;
-        self
-    }
-
-    /// Chainable: completion-writer backlog byte bound per connection.
-    pub fn max_write_backlog(mut self, bytes: usize) -> Self {
-        self.max_write_backlog = bytes;
-        self
     }
 }
 

@@ -5,7 +5,6 @@
 use crate::error::{RpcError, RpcResult};
 use crate::msg::{AcceptStat, MessageBody, ReplyBody, RpcMessage};
 use crate::record::{read_record_into, write_record, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
-use crate::transport::Transport;
 use crate::RPC_VERSION;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -21,9 +20,10 @@ pub type DispatchResult = Result<(), AcceptStat>;
 thread_local! {
     /// Retry-after hint for the next `AcceptStat::Busy` returned by a
     /// dispatch on this thread. Dispatch and reply encoding happen on the
-    /// same thread in every serve path (blocking loops, pipelined writer,
-    /// reactor workers), so a handoff through a thread-local is safe and
-    /// keeps the `Dispatch` trait's error channel a bare `AcceptStat`.
+    /// same thread in every serve path (the blocking per-connection loop,
+    /// the reactor thread and its workers), so a handoff through a
+    /// thread-local is safe and keeps the `Dispatch` trait's error channel
+    /// a bare `AcceptStat`.
     static BUSY_RETRY_AFTER_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -293,74 +293,7 @@ impl RpcServer {
             write_record(conn, reply_enc.as_slice(), DEFAULT_MAX_FRAGMENT)?;
         }
     }
-
-    /// Serve a boxed transport (helper for threads that own their transport).
-    pub fn serve_transport(&self, mut t: Box<dyn Transport>) -> RpcResult<()> {
-        self.serve_connection(&mut t)
-    }
-
-    /// Serve one connection with a pipelined reply path.
-    ///
-    /// The calling thread reads and dispatches requests strictly in arrival
-    /// order; a scoped writer thread drains the already-encoded replies onto
-    /// `writer`. A client that streams several asynchronous calls
-    /// back-to-back (e.g. kernel launches that only *enqueue* device work)
-    /// no longer serializes on reply N crossing the wire before request N+1
-    /// is dispatched. Reply order is preserved because dispatch stays on one
-    /// thread, and reply buffers are recycled through a bounded free list so
-    /// steady state does not allocate.
-    ///
-    /// `reader` and `writer` must be two handles onto the same duplex
-    /// connection (e.g. [`crate::transport::TcpTransport::try_clone`]).
-    pub fn serve_pipelined<R, W>(&self, reader: &mut R, mut writer: W) -> RpcResult<()>
-    where
-        R: Read,
-        W: Write + Send,
-    {
-        let (full_tx, full_rx) = crossbeam_channel::bounded::<Vec<u8>>(PIPELINE_DEPTH);
-        let (free_tx, free_rx) = crossbeam_channel::bounded::<Vec<u8>>(PIPELINE_DEPTH);
-        std::thread::scope(|scope| {
-            let writer_join = scope.spawn(move || -> RpcResult<()> {
-                while let Ok(reply) = full_rx.recv() {
-                    write_record(&mut writer, &reply, DEFAULT_MAX_FRAGMENT)?;
-                    writer.flush()?;
-                    let mut recycled = reply;
-                    recycled.clear();
-                    let _ = free_tx.try_send(recycled);
-                }
-                Ok(())
-            });
-            let mut record = Vec::with_capacity(4096);
-            let mut reply_enc = XdrEncoder::with_capacity(4096);
-            let read_result: RpcResult<()> = loop {
-                match read_record_into(reader, &mut record, MAX_RECORD) {
-                    Ok(None) => break Ok(()), // clean EOF
-                    Ok(Some(_)) => {}
-                    Err(e) => break Err(e),
-                }
-                if let Err(e) = self.handle_record_into(&record, &mut reply_enc) {
-                    break Err(e);
-                }
-                let mut out = free_rx.try_recv().unwrap_or_default();
-                out.extend_from_slice(reply_enc.as_slice());
-                if full_tx.send(out).is_err() {
-                    // The writer hit an I/O error and hung up; surface it.
-                    break Ok(());
-                }
-            };
-            // Hang up the reply queue so the writer drains and exits, then
-            // prefer the reader's error (it is the root cause on resets).
-            drop(full_tx);
-            let write_result = writer_join.join().expect("reply writer panicked");
-            read_result.and(write_result)
-        })
-    }
 }
-
-/// Depth of the reply pipeline used by [`RpcServer::serve_pipelined`]: how
-/// many encoded replies may be in flight between dispatch and the wire
-/// before the dispatcher blocks.
-pub const PIPELINE_DEPTH: usize = 32;
 
 /// Handle to a running TCP server; dropping it requests shutdown.
 pub struct ServerHandle {
@@ -602,63 +535,6 @@ mod tests {
         }
         for j in joins {
             j.join().unwrap();
-        }
-        handle.shutdown();
-    }
-
-    #[test]
-    fn pipelined_serving_preserves_reply_order() {
-        let server = test_server();
-        // In-memory duplex: the "reader" and "writer" halves are split by
-        // hand, mirroring what TcpTransport::try_clone provides for sockets.
-        let (mut client_end, server_end) = duplex_pair();
-        let (reply_tx, reply_rx) = duplex_pair();
-        std::thread::spawn(move || {
-            let mut reader = server_end;
-            let writer = reply_tx;
-            let _ = server.serve_pipelined(&mut reader, writer);
-        });
-        // Fire a burst of calls without reading any reply, then collect:
-        // replies must come back in request order.
-        for i in 0..40u32 {
-            let mut call_enc = XdrEncoder::new();
-            RpcMessage::call(i, crate::msg::CallBody::new(400, 1, 2)).encode(&mut call_enc);
-            (i, 1u32).encode(&mut call_enc);
-            crate::record::write_record(
-                &mut client_end,
-                call_enc.as_slice(),
-                crate::record::DEFAULT_MAX_FRAGMENT,
-            )
-            .unwrap();
-        }
-        let mut replies = reply_rx;
-        for i in 0..40u32 {
-            let rec = crate::record::read_record(&mut replies, MAX_RECORD)
-                .unwrap()
-                .unwrap();
-            let mut dec = XdrDecoder::new(&rec);
-            let msg = RpcMessage::decode(&mut dec).unwrap();
-            assert_eq!(msg.xid, i, "replies must arrive in request order");
-        }
-        drop(client_end); // EOF ends the serve loop
-    }
-
-    #[test]
-    fn pipelined_tcp_end_to_end() {
-        let server = test_server();
-        let handle = serve_tcp_with("127.0.0.1:0", {
-            let server = Arc::clone(&server);
-            move |mut conn: TcpTransport| {
-                let writer = conn.try_clone().expect("dup socket");
-                let _ = server.serve_pipelined(&mut conn, writer);
-            }
-        })
-        .unwrap();
-        let transport = TcpTransport::connect(handle.addr()).unwrap();
-        let mut client = RpcClient::new(Box::new(transport), 400, 1);
-        for i in 0..100u32 {
-            let sum: u32 = client.call(2, &(i, 2u32)).unwrap();
-            assert_eq!(sum, i + 2);
         }
         handle.shutdown();
     }

@@ -73,15 +73,6 @@ impl TcpTransport {
     pub fn nodelay(&self) -> RpcResult<bool> {
         Ok(self.stream.nodelay()?)
     }
-
-    /// A second handle onto the same socket (`dup(2)` underneath), so one
-    /// thread can keep reading requests while another writes replies —
-    /// the carrier for [`crate::RpcServer::serve_pipelined`].
-    pub fn try_clone(&self) -> RpcResult<Self> {
-        Ok(Self {
-            stream: self.stream.try_clone()?,
-        })
-    }
 }
 
 impl Read for TcpTransport {
@@ -268,8 +259,7 @@ mod tests {
     }
 
     /// Small RPCs are latency-bound: Nagle must be off on the client
-    /// connection, on the accepted server socket, and survive the
-    /// `try_clone` used to split reader/writer halves.
+    /// connection and on the accepted server socket.
     #[test]
     fn tcp_nodelay_on_both_ends() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -287,10 +277,6 @@ mod tests {
         assert!(
             accepted.nodelay().unwrap(),
             "accepted socket must set TCP_NODELAY"
-        );
-        assert!(
-            client.try_clone().unwrap().nodelay().unwrap(),
-            "cloned write half must keep TCP_NODELAY"
         );
     }
 

@@ -39,7 +39,7 @@ impl LinearSolverConfig {
         }
     }
 
-    /// API calls per solve iteration (enumerated in [`solve_once`]).
+    /// API calls per solve iteration (enumerated in `solve_once`).
     pub const CALLS_PER_SOLVE: u64 = 20;
 
     /// Fixed calls outside the solves (init 5 + teardown 2).

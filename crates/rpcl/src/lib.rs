@@ -6,7 +6,7 @@
 //! the *Remote Procedure Call Language* (RFC 5531 §12 / RFC 4506) and emits
 //! Rust source containing
 //!
-//! * data types (`struct`/`enum`/`union`/`typedef`) with [`xdr::Xdr`] impls,
+//! * data types (`struct`/`enum`/`union`/`typedef`) with `xdr::Xdr` impls,
 //! * `const` items for RPCL constants and procedure numbers,
 //! * a typed **client stub** per program version (wrapping
 //!   `oncrpc::RpcClient`), and

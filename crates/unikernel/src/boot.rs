@@ -3,11 +3,11 @@
 //! The paper's motivation rests on deployment density: unikernels are
 //! "customizable, lightweight, and robust" (§1), RustyHermit showed "lower
 //! memory footprint, disk overhead, and system call latencies when compared
-//! to a Linux VM" (§3.1 citing [13]), and the §5 conclusion argues that
+//! to a Linux VM" (§3.1 citing \[13\]), and the §5 conclusion argues that
 //! *"Because the use case of unikernels involves using many unikernels to
 //! run isolated applications, mapping entire GPUs to individual unikernels
 //! is not feasible"* — the A100 offers at most **7** SR-IOV partitions
-//! (§1 citing [17]).
+//! (§1 citing \[17\]).
 //!
 //! This module quantifies that argument with literature-scale footprint
 //! numbers per guest type, so the `motivation` harness can print how many

@@ -631,7 +631,7 @@ impl Device {
 
     /// Enumerate every stream's completion frontier, *including* the default
     /// stream 0 (whose existence is implicit and not listed by
-    /// [`snapshot_streams`]).
+    /// [`Self::snapshot_streams`]).
     pub fn snapshot_stream_frontiers(&self) -> Vec<(u64, u64)> {
         let mut v: Vec<(u64, u64)> = self
             .streams

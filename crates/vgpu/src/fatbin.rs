@@ -3,7 +3,7 @@
 //! NVIDIA compresses the device code inside fatbins/cubins with a
 //! proprietary LZ variant; the paper's authors had to reverse-engineer it so
 //! Cricket could extract kernel metadata from compressed images
-//! (their `cuda-fatbin-decompression` project, reference [2] of the paper).
+//! (their `cuda-fatbin-decompression` project, reference \[2\] of the paper).
 //! This module reproduces the *mechanism* with an LZSS scheme of our own:
 //! the loader must genuinely decompress images before it can read kernel
 //! names and parameter layouts.

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// Anything usable as a length specification for [`vec`].
+/// Anything usable as a length specification for [`vec()`].
 pub trait IntoSizeRange {
     /// Lower bound (inclusive) and upper bound (exclusive).
     fn bounds(&self) -> (usize, usize);
@@ -28,7 +28,7 @@ impl IntoSizeRange for usize {
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     min: usize,

@@ -35,6 +35,6 @@ pub mod prelude {
     pub use cricket_fleet::{
         Fleet, FleetBuilder, MigrateError, MigrationReport, SessionMigration, ShardDirectory,
     };
-    pub use cricket_server::{ReactorConfig, ServeMode, ServerBuilder};
+    pub use cricket_server::{ServeMode, ServerBuilder};
     pub use proxy_apps::{bandwidth, histogram, linear_solver, matrix_mul};
 }

@@ -1,15 +1,14 @@
 //! Integration: the full stack over *real* TCP loopback — generated stubs,
-//! record marking, threaded server, simulated GPU — with concurrent
-//! clients, exactly how an external deployment would use `cricket-server`.
+//! record marking, reactor server, simulated GPU — with concurrent
+//! clients, exactly how an external deployment would use `cricket-server`
+//! (the binary is `ServerBuilder::new(listen).config(..).serve()`).
 
 use cricket_repro::prelude::*;
-use cricket_repro::server::{make_rpc_server, CricketServer, ServerConfig};
-use cricket_repro::simnet::SimClock;
+use cricket_repro::server::ServeHandle;
+use std::time::{Duration, Instant};
 
-fn spawn_server() -> oncrpc::ServerHandle {
-    let server = CricketServer::new(ServerConfig::default(), SimClock::new());
-    let rpc = make_rpc_server(server);
-    oncrpc::server::serve_tcp(rpc, "127.0.0.1:0").expect("bind")
+fn spawn_server() -> ServeHandle {
+    ServerBuilder::new("127.0.0.1:0").serve().expect("bind")
 }
 
 #[test]
@@ -104,5 +103,49 @@ fn cuda_error_codes_cross_the_wire() {
         Some(cricket_repro::vgpu::CudaCode::NotFound as i32)
     );
     drop(ctx);
+    handle.shutdown();
+}
+
+/// A default-built server gives every connection its own session and
+/// releases it on disconnect: a client that vanishes with memory still
+/// allocated leaks neither the memory nor its scheduler ledger, and the
+/// next client is not handed the dead client's session.
+#[test]
+fn sequential_clients_get_distinct_sessions_and_leak_nothing() {
+    let handle = spawn_server();
+    let endpoint = Endpoint::addr(handle.addr()).unwrap();
+    let scheduler = &handle.server().scheduler;
+
+    let mut first = CricketClient::connect(&endpoint).unwrap();
+    let baseline = first.mem_get_info().unwrap().free;
+    first.malloc(1 << 20).unwrap();
+    assert!(first.mem_get_info().unwrap().free < baseline);
+    let first_sessions: Vec<u32> = scheduler.served_ops().into_keys().collect();
+    assert_eq!(first_sessions.len(), 1, "one client, one session");
+    // The client vanishes without freeing anything.
+    drop(first);
+
+    let mut second = CricketClient::connect(&endpoint).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while second.mem_get_info().unwrap().free != baseline {
+        assert!(
+            Instant::now() < deadline,
+            "server never reclaimed the first client's memory"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let ptr = second.malloc(4096).unwrap();
+    let second_sessions: Vec<u32> = scheduler.served_ops().into_keys().collect();
+    assert_eq!(
+        second_sessions.len(),
+        1,
+        "the first session's scheduler ledger was not released"
+    );
+    assert_ne!(
+        first_sessions, second_sessions,
+        "second connection was handed the first connection's session"
+    );
+    second.free(ptr).unwrap();
+    drop(second);
     handle.shutdown();
 }

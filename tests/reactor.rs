@@ -1,8 +1,9 @@
 //! Reactor-mode integration: the completion-driven server must be
-//! observationally identical to the pipelined thread-per-connection path —
-//! byte-identical reply streams under the full chaos seed matrix, including
-//! mid-batch reset replay — and must survive heavy connection churn without
-//! leaking scheduler sessions, replay-cache entries, or reply buffers.
+//! observationally identical to the serial thread-per-connection reference
+//! (`RpcServer::serve_connection`) — byte-identical reply streams under the
+//! full chaos seed matrix, including mid-batch reset replay — and must
+//! survive heavy connection churn without leaking scheduler sessions,
+//! replay-cache entries, or reply buffers.
 
 use cricket_repro::oncrpc::server::ServerHandle;
 use cricket_repro::oncrpc::{
@@ -75,33 +76,22 @@ fn spawn_shared_session_server(mode: ServeMode) -> (ServerHandle, Arc<ReplayCach
     let rpc = make_rpc_server(server);
     let replay = Arc::new(ReplayCache::default());
     rpc.set_replay_cache(Arc::clone(&replay));
-    let handle =
-        match mode {
-            ServeMode::Reactor { workers } => serve_tcp_reactor(
-                "127.0.0.1:0",
-                ReactorConfig {
-                    workers,
-                    classify: Some(cricket_classifier()),
-                    ..ReactorConfig::default()
-                },
-                move |_conn| ConnHandler {
-                    rpc: Arc::clone(&rpc),
-                    on_close: None,
-                },
-            )
-            .unwrap(),
-            _ => cricket_repro::oncrpc::server::serve_tcp_with("127.0.0.1:0", move |mut conn| {
-                match conn.try_clone() {
-                    Ok(writer) => {
-                        let _ = rpc.serve_pipelined(&mut conn, writer);
-                    }
-                    Err(_) => {
-                        let _ = rpc.serve_connection(&mut conn);
-                    }
-                }
-            })
-            .unwrap(),
-        };
+    let handle = match mode {
+        ServeMode::Reactor { workers } => serve_tcp_reactor(
+            "127.0.0.1:0",
+            ReactorConfig {
+                workers,
+                classify: Some(cricket_classifier()),
+                ..ReactorConfig::default()
+            },
+            move |_conn| ConnHandler {
+                rpc: Arc::clone(&rpc),
+                on_close: None,
+            },
+        )
+        .unwrap(),
+        ServeMode::Serial => cricket_repro::oncrpc::server::serve_tcp(rpc, "127.0.0.1:0").unwrap(),
+    };
     (handle, replay)
 }
 
@@ -195,23 +185,23 @@ fn run_traced(mode: ServeMode, seed: u64) -> (String, Vec<u8>) {
 }
 
 /// Acceptance criterion: across the full CI seed matrix, the reactor path
-/// is byte-for-byte indistinguishable from the pipelined path — the same
+/// is byte-for-byte indistinguishable from the serial reference — the same
 /// fault schedule produces the same reply stream (same xids, same framing,
 /// same payloads, same retransmissions served from the replay cache).
 #[test]
-fn reactor_reply_traces_match_pipelined_across_seed_matrix() {
+fn reactor_reply_traces_match_serial_across_seed_matrix() {
     for seed in CI_SEEDS {
         let outcome = std::panic::catch_unwind(|| {
-            let (trace_p, bytes_p) = run_traced(ServeMode::Pipelined, seed);
+            let (trace_s, bytes_s) = run_traced(ServeMode::Serial, seed);
             let (trace_r, bytes_r) = run_traced(REACTOR, seed);
             assert_eq!(
-                trace_p, trace_r,
+                trace_s, trace_r,
                 "seed {seed}: fault schedules diverged — client behaved differently"
             );
-            assert!(!bytes_p.is_empty(), "seed {seed}: nothing recorded");
+            assert!(!bytes_s.is_empty(), "seed {seed}: nothing recorded");
             assert_eq!(
-                bytes_p, bytes_r,
-                "seed {seed}: reply byte streams diverged between pipelined and reactor"
+                bytes_s, bytes_r,
+                "seed {seed}: reply byte streams diverged between serial and reactor"
             );
         });
         if let Err(cause) = outcome {
@@ -306,19 +296,19 @@ fn run_batch_reset(mode: ServeMode) -> (String, Vec<u8>) {
 }
 
 /// The mid-batch fault scenarios hold in reactor mode with reply streams
-/// byte-identical to the pipelined path — batches park on worker shards,
+/// byte-identical to the serial reference — batches park on worker shards,
 /// yet replay, reconnect, and status-vector semantics are unchanged.
 #[test]
-fn reactor_mid_batch_drop_and_reset_match_pipelined() {
-    let (trace_p, bytes_p) = run_batch_drop(ServeMode::Pipelined);
+fn reactor_mid_batch_drop_and_reset_match_serial() {
+    let (trace_s, bytes_s) = run_batch_drop(ServeMode::Serial);
     let (trace_r, bytes_r) = run_batch_drop(REACTOR);
-    assert_eq!(trace_p, trace_r, "batch-drop fault schedules diverged");
-    assert_eq!(bytes_p, bytes_r, "batch-drop reply streams diverged");
+    assert_eq!(trace_s, trace_r, "batch-drop fault schedules diverged");
+    assert_eq!(bytes_s, bytes_r, "batch-drop reply streams diverged");
 
-    let (trace_p, bytes_p) = run_batch_reset(ServeMode::Pipelined);
+    let (trace_s, bytes_s) = run_batch_reset(ServeMode::Serial);
     let (trace_r, bytes_r) = run_batch_reset(REACTOR);
-    assert_eq!(trace_p, trace_r, "batch-reset fault schedules diverged");
-    assert_eq!(bytes_p, bytes_r, "batch-reset reply streams diverged");
+    assert_eq!(trace_s, trace_r, "batch-reset fault schedules diverged");
+    assert_eq!(bytes_s, bytes_r, "batch-reset reply streams diverged");
 }
 
 /// Connection-churn soak: 500 sessions opened and closed through the

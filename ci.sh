@@ -18,6 +18,21 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Every integration suite below runs as part of --workspace (and the
+# root-package ones already ran in tier-1); none is re-run by name. What
+# each covers, so the map is not lost:
+#   chaos                  deterministic fault matrix (failing seeds are named in the panic);
+#                          `batch`: dropped/reset CRICKET_BATCH_EXEC replay, full seed matrix
+#   proptest_stack         lossy_fault / any_fault: fault-plan properties over the full stack;
+#                          record_flush_interleavings: batches retire in program order;
+#                          streaming_deltas: dirty-delta streaming reproduces source memory
+#   checkpoint_restart     incl. connection_reset_mid_checkpoint
+#   reactor                byte-identical reply traces vs the serial reference, churn soak
+#   fleet                  portmap shard directory + registration lifecycle + seeded failover matrix
+#   migration              chaos matrix (byte-identical traces), crash-abort, 100-hop soak, concurrent load
+#   wire2                  striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly)
+#   proptest_sparse        (cricket-oncrpc) sparse codec round-trip properties, corrupt blobs
+#   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -28,48 +43,20 @@ echo "==> benchmark package: harness unit tests + quick self-check (~11 s)"
 cargo test --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -q
 cargo run --release --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --quick
 
-echo "==> chaos: deterministic fault matrix (failing seeds are named in the panic)"
-cargo test --test chaos -q
-cargo test --test proptest_stack -q -- lossy_fault any_fault
-cargo test --test checkpoint_restart -q connection_reset_mid_checkpoint
-
-echo "==> chaos: batch replay (dropped/reset CRICKET_BATCH_EXEC, full seed matrix)"
-cargo test --test chaos -q batch
-cargo test --test proptest_stack -q record_flush_interleavings
-
 echo "==> bench smoke: smallop (self-asserts >=4x RPC reduction, <5% single-op regression)"
 cargo run --release -p cricket-bench --bin smallop -- --launches 1024 --single-iters 128
-
-echo "==> chaos: reactor equivalence (byte-identical reply traces vs the serial reference, churn soak)"
-cargo test --test reactor -q
 
 echo "==> bench smoke: connscale (reactor >=5x sessions vs serial, all progress; wall-clock ratio printed, not gated)"
 cargo run --release -p cricket-bench --bin connscale -- --smoke
 
-echo "==> fleet: portmap shard directory + registration lifecycle + seeded failover matrix"
-cargo test --test fleet -q
-
 echo "==> bench smoke: fleet (sharded aggregate throughput scaling, reduced size)"
 cargo run --release -p cricket-bench --bin fleet -- --smoke
-
-echo "==> migration: chaos matrix (byte-identical traces), crash-abort, 100-hop soak, concurrent load"
-cargo test --test migration -q
-cargo test --test proptest_stack -q streaming_deltas
 
 echo "==> bench smoke: migrate (streamed resync <50% of naive bytes at <=25% dirty; leaves BENCH_migrate.json untouched)"
 cargo run --release -p cricket-bench --bin migrate -- --smoke
 
 echo "==> bench smoke: multitenant QoS (WFQ favoritism >=2x, weight shares within 10%, quota shedding)"
 cargo run --release -p cricket-bench --bin multitenant -- --qos --smoke
-
-echo "==> wire2: striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly)"
-cargo test --test wire2 -q
-
-echo "==> wire2: sparse codec round-trip properties (arbitrary payloads, corrupt blobs)"
-cargo test -p cricket-oncrpc --test proptest_sparse -q
-
-echo "==> wire2: fixed buffer policy, strictly (CricketV1Client over FixedBuf: zero heap allocations, construction included)"
-cargo test -p cricket-proto --test no_alloc_strict -q
 
 echo "==> bench smoke: fig7 (striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"
 cargo run --release -p cricket-bench --bin fig7_bandwidth -- --smoke

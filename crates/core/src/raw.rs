@@ -23,8 +23,8 @@ pub const BATCH_INLINE_HTOD_MAX: usize = 16 * 1024;
 /// the codec can win on).
 pub const SPARSE_MIN: usize = oncrpc::sparse::SPARSE_PAGE;
 
-/// Default minimum copy size that fans out across a stripe pool, when
-/// one is attached. Well above [`BATCH_INLINE_HTOD_MAX`], so striping
+/// Minimum copy size that fans out across a stripe pool, when one is
+/// attached. Well above [`BATCH_INLINE_HTOD_MAX`], so striping
 /// never competes with batching and small ops keep the untouched
 /// single-connection fast path.
 pub const STRIPE_MIN: usize = 1024 * 1024;
@@ -52,11 +52,6 @@ pub struct CricketClient {
     batch: Option<BatchState>,
     /// Multi-connection striping pool, when attached.
     stripes: Option<StripePool>,
-    /// Minimum copy size that stripes (only meaningful with a pool).
-    stripe_min: usize,
-    /// Adaptive zero-page elision of H2D payloads (on by default; the
-    /// dense path is byte-identical either way).
-    sparse: bool,
     /// Scratch buffer for sparse payload encoding, reused across calls.
     sparse_scratch: Vec<u8>,
 }
@@ -75,8 +70,6 @@ impl CricketClient {
             stats: ApiStats::default(),
             batch: None,
             stripes: None,
-            stripe_min: STRIPE_MIN,
-            sparse: true,
             sparse_scratch: Vec::new(),
         }
     }
@@ -123,11 +116,6 @@ impl CricketClient {
         self.flush_batch()?;
         self.batch = None;
         Ok(())
-    }
-
-    /// True if coalescing is on.
-    pub fn batching_enabled(&self) -> bool {
-        self.batch.is_some()
     }
 
     /// Coalescing telemetry, when batching is enabled.
@@ -229,8 +217,7 @@ impl CricketClient {
 
     // ---- wire efficiency: striping and sparse encoding ----------------
 
-    /// Attach a stripe pool: copies of at least the stripe threshold
-    /// (default [`STRIPE_MIN`], see [`Self::set_stripe_threshold`]) shard
+    /// Attach a stripe pool: copies of at least [`STRIPE_MIN`] bytes shard
     /// across the pool's lanes as independent stripe RPCs and reassemble
     /// positionally at the far end. Smaller ops keep the single-connection
     /// fast path untouched.
@@ -241,23 +228,6 @@ impl CricketClient {
     /// Detach the stripe pool, returning it so the lanes can be reused.
     pub fn disable_striping(&mut self) -> Option<StripePool> {
         self.stripes.take()
-    }
-
-    /// True if a stripe pool is attached.
-    pub fn striping_enabled(&self) -> bool {
-        self.stripes.is_some()
-    }
-
-    /// Override the minimum copy size that stripes.
-    pub fn set_stripe_threshold(&mut self, bytes: usize) {
-        self.stripe_min = bytes.max(1);
-    }
-
-    /// Enable or disable adaptive sparse (zero-page-elided) H2D payload
-    /// encoding. On by default; purely a wire-format choice — the bytes
-    /// that land in device memory are identical either way.
-    pub fn set_sparse(&mut self, on: bool) {
-        self.sparse = on;
     }
 
     /// The simulated clock, if any (examples print virtual times from it).
@@ -385,13 +355,13 @@ impl CricketClient {
     /// free immediately); larger copies flush the batch and go eagerly.
     ///
     /// Two wire optimizations apply transparently, in priority order:
-    /// payloads of at least [`SPARSE_MIN`] bytes whose zero-page-elided
-    /// form is strictly smaller travel as `CUDA_MEMCPY_HTOD_SPARSE`;
-    /// otherwise, payloads of at least the stripe threshold fan out
-    /// across an attached stripe pool. Either way the device write is
-    /// byte-identical to the plain path.
+    /// payloads of [`SPARSE_MIN`] to `MAX_RECORD` bytes (the most a sparse
+    /// blob may decode to) whose zero-page-elided form is strictly smaller
+    /// travel as `CUDA_MEMCPY_HTOD_SPARSE`; otherwise, payloads of at
+    /// least [`STRIPE_MIN`] bytes fan out across an attached stripe pool.
+    /// Either way the device write is byte-identical to the plain path.
     pub fn memcpy_htod(&mut self, dst: u64, data: &[u8]) -> ClientResult<()> {
-        if self.sparse && data.len() >= SPARSE_MIN {
+        if (SPARSE_MIN..=oncrpc::record::MAX_RECORD).contains(&data.len()) {
             let mut scratch = std::mem::take(&mut self.sparse_scratch);
             let won =
                 oncrpc::sparse::encode_adaptive(data, oncrpc::sparse::SPARSE_PAGE, &mut scratch);
@@ -403,7 +373,7 @@ impl CricketClient {
                 return r;
             }
         }
-        if self.stripes.is_some() && data.len() >= self.stripe_min {
+        if self.stripes.is_some() && data.len() >= STRIPE_MIN {
             return self.memcpy_htod_striped(dst, data);
         }
         if self.batch.is_some() && data.len() <= BATCH_INLINE_HTOD_MAX {
@@ -496,11 +466,11 @@ impl CricketClient {
         }
     }
 
-    /// cudaMemcpy device→host. Reads of at least the stripe threshold fan
+    /// cudaMemcpy device→host. Reads of at least [`STRIPE_MIN`] bytes fan
     /// out across an attached stripe pool; the result is byte-identical to
     /// the single-connection read.
     pub fn memcpy_dtoh(&mut self, src: u64, len: u64) -> ClientResult<Vec<u8>> {
-        if self.stripes.is_some() && len as usize >= self.stripe_min {
+        if self.stripes.is_some() && len as usize >= STRIPE_MIN {
             return self.memcpy_dtoh_striped(src, len);
         }
         self.pre_call("cudaMemcpy(D2H)")?;

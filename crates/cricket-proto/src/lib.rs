@@ -6,11 +6,13 @@
 //! available for applications"* (§3.5). The items of interest are:
 //!
 //! * [`CRICKET_CUDA`] / [`CRICKET_V1`] — program and version numbers,
-//! * [`cricket_v1`] — procedure-number constants,
+//! * [`cricket_v1`] — procedure-number constants and the per-procedure
+//!   attribute tables (`is_idempotent`, `is_batchable`, `is_inline`),
 //! * data types ([`RpcDim3`], [`DeviceProp`], [`U64Result`], ...),
 //! * [`CricketV1Client`] — the typed client stub (used by `cricket-client`),
 //! * [`CricketV1Service`] / [`CricketV1Dispatch`] — the server skeleton
-//!   (implemented by `cricket-server`).
+//!   (implemented by `cricket-server`), and [`CricketV1BatchOp`], the
+//!   decoder for the sub-ops of a `CRICKET_BATCH_EXEC` body.
 
 include!(concat!(env!("OUT_DIR"), "/cricket_proto.rs"));
 

@@ -113,30 +113,15 @@ pub enum ServeMode {
     },
 }
 
-/// Classify a Cricket procedure for the reactor's inline fast path.
-///
-/// `Done` procedures answer from host-visible server state without taking
-/// a scheduler turn, a device lock for simulated time, or any condvar wait
-/// (the `host_call` paths in [`service`]); they are safe to execute inline
-/// on the reactor thread. Everything else — anything routed through
-/// `enqueue_at` / `sync_enqueue_at` / `wait_*`, i.e. anything that can
-/// block on a scheduler turn — must park on a worker shard.
+/// Classify a Cricket procedure for the reactor's inline fast path: `Done`
+/// (safe to execute on the reactor thread) for exactly the procedures
+/// `cricket.x` declares `inline` — the attribute's contract is stated
+/// there — and `Parked` on a worker shard for everything else.
 pub fn proc_class(proc: u32) -> oncrpc::ProcClass {
-    use cricket_proto::cricket_v1 as p;
-    match proc {
-        p::RPC_NULL
-        | p::CUDA_GET_DEVICE_COUNT
-        | p::CUDA_GET_DEVICE_PROPERTIES
-        | p::CUDA_SET_DEVICE
-        | p::CUDA_GET_DEVICE
-        | p::CUDA_MEM_GET_INFO
-        | p::CUDA_GET_LAST_ERROR
-        | p::CUSOLVER_DN_DGETRF_BUFFER_SIZE
-        | p::SRV_GET_STATS
-        | p::SRV_RESET_STATS
-        | p::SRV_SET_SCHEDULER
-        | p::CRICKET_QOS_SET => oncrpc::ProcClass::Done,
-        _ => oncrpc::ProcClass::Parked,
+    if cricket_proto::cricket_v1::is_inline(proc) {
+        oncrpc::ProcClass::Done
+    } else {
+        oncrpc::ProcClass::Parked
     }
 }
 

@@ -10,10 +10,11 @@ use crate::checkpoint;
 use crate::migrate::{MigBlob, MigKind, SessionMeta};
 use crate::scheduler::{QosSpec, Scheduler, SchedulerPolicy, SessionId};
 use cricket_proto::{
-    cricket_v1, BatchReceipt, BatchResult, DataResult, DeviceProp, FloatResult, IntResult, MemInfo,
-    MemInfoResult, PropResult, QosParams, RpcDim3, ServerStats, U64Result,
+    cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, DataResult, DeviceProp,
+    FloatResult, IntResult, MemInfo, MemInfoResult, PropResult, QosParams, RpcDim3, ServerStats,
+    U64Result,
 };
-use oncrpc::ReplayCache;
+use oncrpc::{AcceptStat, ReplayCache};
 use parking_lot::Mutex;
 use simnet::SimClock;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -55,108 +56,20 @@ const BATCH_PREEMPT_OPS: u32 = 32;
 /// charge more than this much device time between preemption checks.
 const BATCH_PREEMPT_NS: u64 = 250_000;
 
-/// One decoded `CRICKET_BATCH_EXEC` sub-op. Bulk payloads borrow from the
-/// request record — the batch body rides the same zero-copy path as
-/// immediate calls.
-#[derive(Debug, Clone, Copy)]
-enum BatchOp<'a> {
-    MemcpyHtod {
-        dst: u64,
-        data: &'a [u8],
-    },
-    /// Zero-page-elided H2D payload; `enc` is the sparse codec blob,
-    /// expanded at issue time so only literal pages travel the wire.
-    MemcpyHtodSparse {
-        dst: u64,
-        enc: &'a [u8],
-    },
-    MemcpyDtod {
-        dst: u64,
-        src: u64,
-        len: u64,
-    },
-    Memset {
-        ptr: u64,
-        value: i32,
-        len: u64,
-    },
-    LaunchKernel {
-        func: u64,
-        grid: Dim3,
-        block: Dim3,
-        shared: u32,
-        stream: u64,
-        params: &'a [u8],
-    },
-    EventRecord {
-        event: u64,
-        stream: u64,
-    },
-    FftExec {
-        plan: u64,
-        kind: i32,
-        idata: u64,
-        odata: u64,
-        dir: i32,
-    },
-}
-
 /// Decode a batch body: `u32` op count, then per op a `u32` proc number
-/// followed by that procedure's ordinary XDR argument stream. Any decode
-/// error or unknown/non-batchable proc rejects the whole batch as garbage
-/// — nothing has been issued yet, so the reject is side-effect free.
-fn decode_batch(body: &[u8]) -> Result<Vec<BatchOp<'_>>, oncrpc::AcceptStat> {
-    let garbage = |_| oncrpc::AcceptStat::GarbageArgs;
+/// followed by that procedure's ordinary XDR argument stream, read by the
+/// decoder `rpcl` generates from the `batchable` procedures of `cricket.x`.
+/// Any decode error or non-batchable proc rejects the whole batch as
+/// garbage — nothing has been issued yet, so the reject is side-effect free.
+fn decode_batch(body: &[u8]) -> Result<Vec<BatchOp<'_>>, AcceptStat> {
+    let garbage = |_| AcceptStat::GarbageArgs;
     let mut dec = xdr::XdrDecoder::new(body);
     let count = dec.get_u32().map_err(garbage)? as usize;
     let mut ops = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
         let proc = dec.get_u32().map_err(garbage)?;
-        let op = match proc {
-            cricket_v1::CUDA_MEMCPY_HTOD => BatchOp::MemcpyHtod {
-                dst: dec.get_u64().map_err(garbage)?,
-                data: dec.get_opaque_ref().map_err(garbage)?,
-            },
-            cricket_v1::CUDA_MEMCPY_HTOD_SPARSE => BatchOp::MemcpyHtodSparse {
-                dst: dec.get_u64().map_err(garbage)?,
-                enc: dec.get_opaque_ref().map_err(garbage)?,
-            },
-            cricket_v1::CUDA_MEMCPY_DTOD => BatchOp::MemcpyDtod {
-                dst: dec.get_u64().map_err(garbage)?,
-                src: dec.get_u64().map_err(garbage)?,
-                len: dec.get_u64().map_err(garbage)?,
-            },
-            cricket_v1::CUDA_MEMSET => BatchOp::Memset {
-                ptr: dec.get_u64().map_err(garbage)?,
-                value: dec.get_i32().map_err(garbage)?,
-                len: dec.get_u64().map_err(garbage)?,
-            },
-            cricket_v1::CUDA_LAUNCH_KERNEL => BatchOp::LaunchKernel {
-                func: dec.get_u64().map_err(garbage)?,
-                grid: dim(dec.get::<RpcDim3>().map_err(garbage)?),
-                block: dim(dec.get::<RpcDim3>().map_err(garbage)?),
-                shared: dec.get_u32().map_err(garbage)?,
-                stream: dec.get_u64().map_err(garbage)?,
-                params: dec.get_opaque_ref().map_err(garbage)?,
-            },
-            cricket_v1::CUDA_EVENT_RECORD => BatchOp::EventRecord {
-                event: dec.get_u64().map_err(garbage)?,
-                stream: dec.get_u64().map_err(garbage)?,
-            },
-            cricket_v1::CUFFT_EXEC_C2C | cricket_v1::CUFFT_EXEC_Z2Z => BatchOp::FftExec {
-                plan: dec.get_u64().map_err(garbage)?,
-                kind: if proc == cricket_v1::CUFFT_EXEC_C2C {
-                    vgpu::fft::CUFFT_C2C
-                } else {
-                    vgpu::fft::CUFFT_Z2Z
-                },
-                idata: dec.get_u64().map_err(garbage)?,
-                odata: dec.get_u64().map_err(garbage)?,
-                dir: dec.get_i32().map_err(garbage)?,
-            },
-            _ => return Err(oncrpc::AcceptStat::GarbageArgs),
-        };
-        ops.push(op);
+        let op = BatchOp::decode(proc, &mut dec).map_err(garbage)?;
+        ops.push(op.ok_or(AcceptStat::GarbageArgs)?);
     }
     dec.finish().map_err(garbage)?;
     Ok(ops)
@@ -559,8 +472,8 @@ impl CricketServer {
     }
 
     /// Mutate the session's live-resource record.
-    fn track(&self, session: SessionId, f: impl FnOnce(&mut SessionResources)) {
-        f(self.session_resources.lock().entry(session).or_default());
+    fn track<R>(&self, session: SessionId, f: impl FnOnce(&mut SessionResources) -> R) -> R {
+        f(self.session_resources.lock().entry(session).or_default())
     }
 
     /// Reclaim everything `session` still holds: free its device memory,
@@ -667,9 +580,7 @@ impl CricketServer {
         }
         let (h, _t) = self.devices[idx].lock().stream_create();
         self.session_streams.lock().insert((session, idx), h);
-        self.track(session, |r| {
-            r.streams.insert(h);
-        });
+        self.track(session, |r| r.streams.insert(h));
         h
     }
 
@@ -793,70 +704,7 @@ impl CricketServer {
         self.wait_at(session, idx, host_ns, f)
     }
 
-    fn err_code(e: &VgpuError) -> i32 {
-        e.code() as i32
-    }
-
-    // ---- plain-int results helper ----
-    fn int_of(r: Result<(), VgpuError>) -> i32 {
-        match r {
-            Ok(()) => 0,
-            Err(e) => Self::err_code(&e),
-        }
-    }
-
-    // ---- API implementations (called by `Sessioned`) ----
-
-    fn get_device_count(&self, s: SessionId) -> IntResult {
-        // Host-only: the count is immutable server state; no scheduler
-        // turn, no device mutex.
-        let count = self.host_call(s, 1_000, || self.devices.len() as i32);
-        IntResult::Data(count)
-    }
-
-    fn get_device_properties(&self, s: SessionId, ordinal: i32) -> PropResult {
-        // Host-only: properties are immutable; the brief lock below copies
-        // them out without taking a scheduler turn or device time.
-        let r = self.host_call(s, 2_000, || {
-            if ordinal < 0 || ordinal as usize >= self.devices.len() {
-                Err(VgpuError::InvalidDevice(ordinal))
-            } else {
-                Ok(self.devices[ordinal as usize].lock().properties().clone())
-            }
-        });
-        match r {
-            Ok(p) => PropResult::Prop(DeviceProp {
-                name: p.name,
-                total_global_mem: p.total_global_mem,
-                multi_processor_count: p.multi_processor_count,
-                clock_rate_khz: p.clock_rate_khz,
-                major: p.major,
-                minor: p.minor,
-                warp_size: p.warp_size,
-                max_threads_per_block: p.max_threads_per_block,
-                memory_bandwidth_bytes_per_sec: p.memory_bandwidth_bps,
-            }),
-            Err(e) => PropResult::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn set_device(&self, s: SessionId, ordinal: i32) -> i32 {
-        // Host-only: updates per-session routing state, never the device.
-        let r = self.host_call(s, 500, || {
-            if (0..self.devices.len() as i32).contains(&ordinal) {
-                self.session_device.lock().insert(s, ordinal as usize);
-                Ok(())
-            } else {
-                Err(VgpuError::InvalidDevice(ordinal))
-            }
-        });
-        Self::int_of(r)
-    }
-
-    fn get_device(&self, s: SessionId) -> IntResult {
-        let current = self.host_call(s, 500, || self.current_device(s) as i32);
-        IntResult::Data(current)
-    }
+    // ---- helpers shared by several procedures ----
 
     /// Streams belonging to `session` on device `idx` (its lazy default
     /// stream plus any it created explicitly).
@@ -877,347 +725,8 @@ impl CricketServer {
         v
     }
 
-    fn device_synchronize(&self, s: SessionId) -> i32 {
-        // Waits for *this session's* timelines on its current device —
-        // other sessions' streams keep running (each client is its own
-        // context behind the virtualization layer).
-        let idx = self.current_device(s);
-        let streams = self.streams_of(s, idx);
-        Self::int_of(self.wait_at(s, idx, 1_000, |d| {
-            let wait = streams
-                .iter()
-                .map(|&h| d.stream_synchronize(h).unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            Ok(((), wait))
-        }))
-    }
-
-    fn device_reset(&self, s: SessionId) -> i32 {
-        let idx = self.current_device(s);
-        let r = self.wait_at(s, idx, 5_000, |d| {
-            let t = d.device_reset();
-            Ok(((), t))
-        });
-        // The reset destroyed every stream on the device, including other
-        // sessions' default streams; drop the stale mappings so they are
-        // lazily recreated on next use.
-        self.session_streams.lock().retain(|&(_, i), _| i != idx);
-        self.module_images.lock().clear();
-        self.solvers.lock().clear();
-        self.fft_plans.lock().clear();
-        self.blas_handles.lock().clear();
-        Self::int_of(r)
-    }
-
-    fn malloc(&self, s: SessionId, size: u64) -> U64Result {
-        match self.wait_here(s, 4_000, |d| d.malloc(size)) {
-            Ok(ptr) => {
-                self.track(s, |r| {
-                    r.mem.insert(ptr);
-                });
-                U64Result::Data(ptr)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn free(&self, s: SessionId, ptr: u64) -> i32 {
-        let r = self.wait_for(s, ptr, 3_500, |d| d.free(ptr).map(|t| ((), t)));
-        if r.is_ok() {
-            self.track(s, |res| {
-                res.mem.remove(&ptr);
-            });
-        }
-        Self::int_of(r)
-    }
-
-    fn memcpy_htod(&self, s: SessionId, dst: u64, data: &[u8]) -> i32 {
-        self.stats.lock().bytes_in += data.len() as u64;
-        let idx = self.route(s, dst);
-        let st = self.session_stream(s, idx);
-        // `data` is still the borrowed wire record; the write into device
-        // memory below is the transfer endpoint itself (accounted as
-        // `bytes_transferred` by the client), not an RPC-stack memmove.
-        // Sync copy: ordered on the session's stream, blocks to completion.
-        Self::int_of(self.sync_enqueue_at(s, idx, 3_000, |d| {
-            d.memcpy_htod_stream(dst, data, st).map(|sub| ((), sub))
-        }))
-    }
-
-    fn memcpy_dtoh(&self, s: SessionId, src: u64, len: u64) -> DataResult {
-        let idx = self.route(s, src);
-        let st = self.session_stream(s, idx);
-        // Sync D2H memcpy is the canonical wait point: it drains the
-        // session's stream, then pays the PCIe transfer.
-        match self.sync_enqueue_at(s, idx, 3_000, |d| d.memcpy_dtoh_stream(src, len, st)) {
-            Ok(bytes) => {
-                self.stats.lock().bytes_out += bytes.len() as u64;
-                DataResult::Data(bytes)
-            }
-            Err(e) => DataResult::Default(Self::err_code(&e)),
-        }
-    }
-
-    /// One write stripe of a striped H2D copy: apply `data` at
-    /// `dst + offset`. Reassembly is positional, so stripes from different
-    /// lanes need no mutual ordering; exactly-once per stripe comes from
-    /// the replay cache plus the lanes' disjoint xid spaces. The stripe
-    /// seq travels for tracing only.
-    fn memcpy_htod_stripe(
-        &self,
-        s: SessionId,
-        dst: u64,
-        offset: u64,
-        _seq: u32,
-        data: &[u8],
-    ) -> i32 {
-        self.memcpy_htod(s, dst.wrapping_add(offset), data)
-    }
-
-    /// One read stripe of a striped D2H copy: read `len` bytes from
-    /// `src + offset`. Pure read — idempotent by construction.
-    fn memcpy_dtoh_stripe(
-        &self,
-        s: SessionId,
-        src: u64,
-        offset: u64,
-        len: u64,
-        _seq: u32,
-    ) -> DataResult {
-        self.memcpy_dtoh(s, src.wrapping_add(offset), len)
-    }
-
-    /// Sparse H2D: expand the zero-page-elided blob, then take the plain
-    /// H2D path — `bytes_in` thus counts the decoded length, keeping the
-    /// paper's transfer accounting independent of the wire codec.
-    fn memcpy_htod_sparse(&self, s: SessionId, dst: u64, enc: &[u8]) -> i32 {
-        match oncrpc::sparse::decode(enc) {
-            Ok(raw) => self.memcpy_htod(s, dst, &raw),
-            Err(e) => Self::err_code(&VgpuError::InvalidValue(format!("sparse blob: {e}"))),
-        }
-    }
-
-    fn memcpy_dtod(&self, s: SessionId, dst: u64, src: u64, len: u64) -> i32 {
-        let src_dev = self.route(s, src);
-        let dst_dev = self.route(s, dst);
-        if src_dev == dst_dev {
-            // Same-device copy is asynchronous: it rides the session's
-            // stream and the RPC returns at submission.
-            let st = self.session_stream(s, src_dev);
-            return Self::int_of(self.enqueue_at(s, src_dev, 2_500, |d| {
-                d.memcpy_dtod(dst, src, len, st).map(|sub| ((), sub))
-            }));
-        }
-        // Peer copy (cudaMemcpyPeer semantics): staged through the host,
-        // paying PCIe on both devices — synchronous on both legs.
-        let src_st = self.session_stream(s, src_dev);
-        let dst_st = self.session_stream(s, dst_dev);
-        let staged = self.sync_enqueue_at(s, src_dev, 2_500, |d| {
-            d.memcpy_dtoh_stream(src, len, src_st)
-        });
-        Self::int_of(staged.and_then(|bytes| {
-            self.sync_enqueue_at(s, dst_dev, 2_500, |d| {
-                d.memcpy_htod_stream(dst, &bytes, dst_st)
-                    .map(|sub| ((), sub))
-            })
-        }))
-    }
-
-    fn memset(&self, s: SessionId, ptr: u64, value: i32, len: u64) -> i32 {
-        let idx = self.route(s, ptr);
-        let st = self.session_stream(s, idx);
-        Self::int_of(self.enqueue_at(s, idx, 2_000, |d| {
-            d.memset(ptr, value, len, st).map(|sub| ((), sub))
-        }))
-    }
-
-    fn mem_get_info(&self, s: SessionId) -> MemInfoResult {
-        // Host-only: a bookkeeping read; the brief lock copies two counters.
-        let idx = self.current_device(s);
-        let (free, total) = self.host_call(s, 1_500, || self.devices[idx].lock().mem_info());
-        MemInfoResult::Info(MemInfo { free, total })
-    }
-
-    fn module_load(&self, s: SessionId, image: &[u8]) -> U64Result {
-        self.stats.lock().bytes_in += image.len() as u64;
-        match self.wait_here(s, 25_000, |d| d.module_load(image)) {
-            Ok(h) => {
-                // The retained copy is the only one: the image arrives as a
-                // borrowed slice of the request record.
-                self.module_images.lock().insert(h, image.to_vec());
-                self.track(s, |r| {
-                    r.modules.insert(h);
-                });
-                U64Result::Data(h)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn module_get_function(&self, s: SessionId, module: u64, name: &str) -> U64Result {
-        match self.wait_for(s, module, 2_000, |d| d.module_get_function(module, name)) {
-            Ok(h) => U64Result::Data(h),
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn module_unload(&self, s: SessionId, module: u64) -> i32 {
-        let r = self.wait_for(s, module, 3_000, |d| {
-            d.module_unload(module).map(|t| ((), t))
-        });
-        if r.is_ok() {
-            self.module_images.lock().remove(&module);
-            self.track(s, |res| {
-                res.modules.remove(&module);
-            });
-        }
-        Self::int_of(r)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn launch_kernel(
-        &self,
-        s: SessionId,
-        func: u64,
-        grid: Dim3,
-        block: Dim3,
-        shared: u32,
-        stream: u64,
-        params: &[u8],
-    ) -> i32 {
-        let idx = self.route(s, func);
-        let st = self.resolve_stream(s, idx, stream);
-        // The launch is asynchronous: the RPC returns at submission and the
-        // kernel's duration rides the session's stream timeline.
-        let r = self.enqueue_at(s, idx, 3_500, |d| {
-            d.launch_kernel(func, grid, block, shared, st, params)
-                .map(|sub| ((), sub))
-        });
-        if r.is_ok() {
-            self.stats.lock().kernels_launched += 1;
-        }
-        Self::int_of(r)
-    }
-
-    fn stream_create(&self, s: SessionId) -> U64Result {
-        match self.wait_here(s, 1_500, |d| {
-            let (h, t) = d.stream_create();
-            Ok((h, t))
-        }) {
-            Ok(h) => {
-                self.track(s, |r| {
-                    r.streams.insert(h);
-                });
-                U64Result::Data(h)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn stream_destroy(&self, s: SessionId, h: u64) -> i32 {
-        let r = self.wait_for(s, h, 1_000, |d| d.stream_destroy(h).map(|t| ((), t)));
-        if r.is_ok() {
-            self.track(s, |res| {
-                res.streams.remove(&h);
-            });
-            // If this was a cached default stream, drop the mapping so the
-            // lock-free fast path in `session_stream` never returns a
-            // destroyed handle; it is lazily recreated on next use.
-            self.session_streams
-                .lock()
-                .retain(|_, &mut cached| cached != h);
-        }
-        Self::int_of(r)
-    }
-
-    fn stream_synchronize(&self, s: SessionId, h: u64) -> i32 {
-        let idx = self.route(s, h);
-        let st = self.resolve_stream(s, idx, h);
-        Self::int_of(self.wait_at(s, idx, 1_000, |d| d.stream_synchronize(st).map(|t| ((), t))))
-    }
-
-    fn event_create(&self, s: SessionId) -> U64Result {
-        match self.wait_here(s, 800, |d| {
-            let (h, t) = d.event_create();
-            Ok((h, t))
-        }) {
-            Ok(h) => {
-                self.track(s, |r| {
-                    r.events.insert(h);
-                });
-                U64Result::Data(h)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn event_record(&self, s: SessionId, event: u64, stream: u64) -> i32 {
-        // Event record is an enqueue: it stamps the stream's completion
-        // frontier and returns immediately (the small cost below is the
-        // device front-end work, not a wait).
-        let idx = self.route(s, event);
-        let st = self.resolve_stream(s, idx, stream);
-        Self::int_of(self.wait_at(s, idx, 800, |d| d.event_record(event, st).map(|t| ((), t))))
-    }
-
-    fn event_synchronize(&self, s: SessionId, event: u64) -> i32 {
-        Self::int_of(self.wait_for(s, event, 800, |d| {
-            d.event_synchronize(event).map(|t| ((), t))
-        }))
-    }
-
-    fn event_elapsed(&self, s: SessionId, start: u64, stop: u64) -> FloatResult {
-        match self.wait_for(s, start, 800, |d| {
-            d.event_elapsed_ms(start, stop).map(|v| (v, 0))
-        }) {
-            Ok(ms) => FloatResult::Data(ms),
-            Err(e) => FloatResult::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn event_destroy(&self, s: SessionId, event: u64) -> i32 {
-        let r = self.wait_for(s, event, 600, |d| d.event_destroy(event).map(|t| ((), t)));
-        if r.is_ok() {
-            self.track(s, |res| {
-                res.events.remove(&event);
-            });
-        }
-        Self::int_of(r)
-    }
-
     fn new_lib_handle(&self) -> u64 {
         self.next_lib_handle.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn blas_create(&self, s: SessionId) -> U64Result {
-        match self.wait_here(s, 5_000, |_d| Ok(((), 0))) {
-            Ok(()) => {
-                let h = self.new_lib_handle();
-                self.blas_handles.lock().insert(h);
-                self.track(s, |r| {
-                    r.blas.insert(h);
-                });
-                U64Result::Data(h)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn blas_destroy(&self, s: SessionId, h: u64) -> i32 {
-        let r = self.wait_here(s, 2_000, |_d| {
-            if self.blas_handles.lock().remove(&h) {
-                Ok(((), 0))
-            } else {
-                Err(VgpuError::InvalidHandle(h))
-            }
-        });
-        if r.is_ok() {
-            self.track(s, |res| {
-                res.blas.remove(&h);
-            });
-        }
-        Self::int_of(r)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1242,7 +751,7 @@ impl CricketServer {
     ) -> i32 {
         let idx = self.route(s, a);
         let st = self.resolve_stream(s, idx, 0);
-        Self::int_of(self.enqueue_at(s, idx, 4_000, |d| {
+        int_of(self.enqueue_at(s, idx, 4_000, |d| {
             if !self.blas_handles.lock().contains(&h) {
                 return Err(VgpuError::InvalidHandle(h));
             }
@@ -1293,134 +802,10 @@ impl CricketServer {
         }))
     }
 
-    fn solver_create(&self, s: SessionId) -> U64Result {
-        match self.wait_here(s, 10_000, |_d| Ok(((), 0))) {
-            Ok(()) => {
-                let h = self.new_lib_handle();
-                self.solvers.lock().insert(h, vgpu::solver::SolverDn::new());
-                self.track(s, |r| {
-                    r.solvers.insert(h);
-                });
-                U64Result::Data(h)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn solver_destroy(&self, s: SessionId, h: u64) -> i32 {
-        let r = self.wait_here(s, 3_000, |_d| {
-            if self.solvers.lock().remove(&h).is_some() {
-                Ok(((), 0))
-            } else {
-                Err(VgpuError::InvalidHandle(h))
-            }
-        });
-        if r.is_ok() {
-            self.track(s, |res| {
-                res.solvers.remove(&h);
-            });
-        }
-        Self::int_of(r)
-    }
-
-    fn getrf_buffer_size(&self, s: SessionId, h: u64, m: i32, n: i32) -> IntResult {
-        let r = self.host_call(s, 2_000, || {
-            let solvers = self.solvers.lock();
-            let solver = solvers.get(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            solver.dgetrf_buffer_size(m, n)
-        });
-        match r {
-            Ok(v) => IntResult::Data(v),
-            Err(e) => IntResult::Default(Self::err_code(&e)),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn getrf(
-        &self,
-        s: SessionId,
-        h: u64,
-        m: i32,
-        n: i32,
-        a: u64,
-        lda: i32,
-        work: u64,
-        ipiv: u64,
-        info: u64,
-    ) -> i32 {
-        let idx = self.route(s, a);
-        let st = self.resolve_stream(s, idx, 0);
-        Self::int_of(self.enqueue_at(s, idx, 8_000, |d| {
-            let mut solvers = self.solvers.lock();
-            let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            let t = solver.dgetrf(d, m, n, a, lda, work, ipiv, info)?;
-            let sub = d.enqueue_library(st, "getrf", t)?;
-            Ok(((), sub))
-        }))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn getrs(
-        &self,
-        s: SessionId,
-        h: u64,
-        trans: i32,
-        n: i32,
-        nrhs: i32,
-        a: u64,
-        lda: i32,
-        ipiv: u64,
-        b: u64,
-        ldb: i32,
-        info: u64,
-    ) -> i32 {
-        let idx = self.route(s, a);
-        let st = self.resolve_stream(s, idx, 0);
-        Self::int_of(self.enqueue_at(s, idx, 6_000, |d| {
-            let mut solvers = self.solvers.lock();
-            let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            let t = solver.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)?;
-            let sub = d.enqueue_library(st, "getrs", t)?;
-            Ok(((), sub))
-        }))
-    }
-
-    fn fft_plan_1d(&self, s: SessionId, n: i32, kind: i32, batch: i32) -> U64Result {
-        match self.wait_here(s, 6_000, |_d| {
-            Ok((vgpu::fft::FftPlan::plan_1d(n, kind, batch)?, 0))
-        }) {
-            Ok(plan) => {
-                let h = self.new_lib_handle();
-                self.fft_plans.lock().insert(h, plan);
-                self.track(s, |r| {
-                    r.ffts.insert(h);
-                });
-                U64Result::Data(h)
-            }
-            Err(e) => U64Result::Default(Self::err_code(&e)),
-        }
-    }
-
-    fn fft_destroy(&self, s: SessionId, h: u64) -> i32 {
-        let r = self.wait_here(s, 2_000, |_d| {
-            if self.fft_plans.lock().remove(&h).is_some() {
-                Ok(((), 0))
-            } else {
-                Err(VgpuError::InvalidHandle(h))
-            }
-        });
-        if r.is_ok() {
-            self.track(s, |res| {
-                res.ffts.remove(&h);
-            });
-        }
-        Self::int_of(r)
-    }
-
     fn fft_exec(&self, s: SessionId, h: u64, kind: i32, idata: u64, odata: u64, dir: i32) -> i32 {
         let idx = self.route(s, idata);
         let st = self.resolve_stream(s, idx, 0);
-        Self::int_of(self.enqueue_at(s, idx, 5_000, |d| {
+        int_of(self.enqueue_at(s, idx, 5_000, |d| {
             let plans = self.fft_plans.lock();
             let plan = plans.get(&h).ok_or(VgpuError::InvalidHandle(h))?;
             if plan.kind != kind {
@@ -1435,143 +820,17 @@ impl CricketServer {
         }))
     }
 
-    // ---- command batches (CRICKET_BATCH_EXEC) ----
-
-    /// Execute a coalesced command batch: decode every sub-op, then issue
-    /// them in order, taking **one scheduler turn per consecutive
-    /// (device, stream) slice** instead of one per op, and paying the RPC
-    /// dispatch cost once for the whole batch plus a small driver-entry
-    /// cost per sub-op. A failed sub-op records its error code at its
-    /// index and aborts the remainder of its slice (`BATCH_SKIPPED`);
-    /// later slices — other streams' work — still run.
-    fn batch_exec(&self, s: SessionId, body: &[u8]) -> Result<BatchResult, oncrpc::AcceptStat> {
-        let ops = decode_batch(body)?;
-        self.sessions_seen.lock().insert(s);
-        {
-            // Each sub-op is one CUDA API call in the paper's accounting;
-            // coalescing changes the wire shape, not the call count.
-            let mut st = self.stats.lock();
-            st.total_calls += ops.len() as u64;
-            for op in &ops {
-                match op {
-                    BatchOp::MemcpyHtod { data, .. } => st.bytes_in += data.len() as u64,
-                    // Sparse sub-ops account their *decoded* length: the
-                    // codec changes wire bytes, not how many bytes land in
-                    // device memory. A corrupt header counts zero — the op
-                    // itself fails at issue time.
-                    BatchOp::MemcpyHtodSparse { enc, .. } => {
-                        st.bytes_in += oncrpc::sparse::raw_len(enc).unwrap_or(0);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // One RPC dispatch for the whole batch — the coalescing win.
-        self.clock.advance(DISPATCH_NS);
-        let mut statuses = vec![0i32; ops.len()];
-        let mut agg = vgpu::SubmitAggregate::default();
-        let mut executed: u32 = 0;
-        let mut kernels: u64 = 0;
-        let mut i = 0;
-        while i < ops.len() {
-            // Cross-device D2D peer copies stage through the host on two
-            // devices; they cannot share a single-device turn, so they run
-            // through the ordinary synchronous path as their own slice.
-            if let BatchOp::MemcpyDtod { dst, src, len } = ops[i] {
-                if self.route(s, src) != self.route(s, dst) {
-                    let code = self.memcpy_dtod(s, dst, src, len);
-                    statuses[i] = code;
-                    if code == 0 {
-                        executed += 1;
-                    }
-                    i += 1;
-                    continue;
-                }
-            }
-            let idx = self.op_device(s, &ops[i]);
-            let stream = self.op_stream(s, idx, &ops[i]);
-            let mut j = i + 1;
-            while j < ops.len()
-                && self.op_device(s, &ops[j]) == idx
-                && self.op_stream(s, idx, &ops[j]) == stream
-                && !matches!(ops[j], BatchOp::MemcpyDtod { dst, src, .. }
-                    if self.route(s, src) != self.route(s, dst))
-            {
-                j += 1;
-            }
-            // Issue the whole slice under one turn; the device lock and
-            // turn drop together at the end of the slice. Every
-            // BATCH_PREEMPT_OPS sub-ops (or BATCH_PREEMPT_NS of charged
-            // device time) the turn is offered back: if the policy would
-            // rather serve a queued waiter, the rest of the slice requeues
-            // under a fresh turn, so a 1000-op batch cannot monopolize the
-            // device against a higher-deficit tenant.
-            let turn = self.scheduler.begin(s);
-            let mut dev = self.devices[idx].lock();
-            let mut failed = false;
-            let mut resume_at = j;
-            let mut since_ops: u32 = 0;
-            let mut since_ns: u64 = 0;
-            for (k, op) in ops.iter().enumerate().take(j).skip(i) {
-                if failed {
-                    statuses[k] = oncrpc::BATCH_SKIPPED;
-                    continue;
-                }
-                if (since_ops >= BATCH_PREEMPT_OPS || since_ns >= BATCH_PREEMPT_NS)
-                    && turn.should_yield()
-                {
-                    resume_at = k;
-                    break;
-                }
-                self.clock.advance(BATCH_OP_NS);
-                since_ops += 1;
-                match self.issue_batch_op(&mut dev, op, stream) {
-                    Ok(Some(sub)) => {
-                        self.clock.advance(sub.submit_ns);
-                        turn.charge(sub.queued_ns);
-                        since_ns += sub.queued_ns;
-                        agg.absorb(&sub);
-                        executed += 1;
-                        if matches!(op, BatchOp::LaunchKernel { .. }) {
-                            kernels += 1;
-                        }
-                    }
-                    Ok(None) => {
-                        executed += 1;
-                    }
-                    Err(e) => {
-                        statuses[k] = Self::err_code(&e);
-                        failed = true;
-                    }
-                }
-            }
-            drop(dev);
-            drop(turn);
-            i = resume_at;
-        }
-        if kernels > 0 {
-            self.stats.lock().kernels_launched += kernels;
-        }
-        Ok(BatchResult::Receipt(BatchReceipt {
-            statuses: statuses.into(),
-            executed,
-            queued_ns: agg.queued_ns,
-            last_completes_at_ns: agg.last_completes_at_ns,
-        }))
-    }
-
     /// Device a batch sub-op routes to (same rules as the immediate paths).
     fn op_device(&self, s: SessionId, op: &BatchOp<'_>) -> usize {
-        match *op {
-            BatchOp::MemcpyHtod { dst, .. } | BatchOp::MemcpyHtodSparse { dst, .. } => {
-                self.route(s, dst)
-            }
-            BatchOp::MemcpyDtod { src, .. } => self.route(s, src),
-            BatchOp::Memset { ptr, .. } => self.route(s, ptr),
-            BatchOp::LaunchKernel { func, .. } => self.route(s, func),
-            BatchOp::EventRecord { event, .. } => self.route(s, event),
-            BatchOp::FftExec { idata, .. } => self.route(s, idata),
-        }
+        let token = match *op {
+            BatchOp::CudaMemcpyHtod(dst, _) | BatchOp::CudaMemcpyHtodSparse(dst, _) => dst,
+            BatchOp::CudaMemcpyDtod(_, src, _) => src,
+            BatchOp::CudaMemset(ptr, ..) => ptr,
+            BatchOp::CudaLaunchKernel(func, ..) => func,
+            BatchOp::CudaEventRecord(event, _) => event,
+            BatchOp::CufftExecC2c(_, idata, ..) | BatchOp::CufftExecZ2z(_, idata, ..) => idata,
+        };
+        self.route(s, token)
     }
 
     /// Resolved stream of a batch sub-op on device `idx`. Ops without a
@@ -1579,7 +838,7 @@ impl CricketServer {
     /// their immediate counterparts do.
     fn op_stream(&self, s: SessionId, idx: usize, op: &BatchOp<'_>) -> u64 {
         match *op {
-            BatchOp::LaunchKernel { stream, .. } | BatchOp::EventRecord { stream, .. } => {
+            BatchOp::CudaLaunchKernel(.., stream, _) | BatchOp::CudaEventRecord(_, stream) => {
                 self.resolve_stream(s, idx, stream)
             }
             _ => self.session_stream(s, idx),
@@ -1597,36 +856,28 @@ impl CricketServer {
         st: u64,
     ) -> Result<Option<Submit>, VgpuError> {
         match *op {
-            BatchOp::MemcpyHtod { dst, data } => dev.memcpy_htod_stream(dst, data, st).map(Some),
-            BatchOp::MemcpyHtodSparse { dst, enc } => {
+            BatchOp::CudaMemcpyHtod(dst, data) => dev.memcpy_htod_stream(dst, data, st).map(Some),
+            BatchOp::CudaMemcpyHtodSparse(dst, enc) => {
                 let raw = oncrpc::sparse::decode(enc)
                     .map_err(|e| VgpuError::InvalidValue(format!("sparse blob: {e}")))?;
                 dev.memcpy_htod_stream(dst, &raw, st).map(Some)
             }
-            BatchOp::MemcpyDtod { dst, src, len } => dev.memcpy_dtod(dst, src, len, st).map(Some),
-            BatchOp::Memset { ptr, value, len } => dev.memset(ptr, value, len, st).map(Some),
-            BatchOp::LaunchKernel {
-                func,
-                grid,
-                block,
-                shared,
-                params,
-                ..
-            } => dev
-                .launch_kernel(func, grid, block, shared, st, params)
+            BatchOp::CudaMemcpyDtod(dst, src, len) => dev.memcpy_dtod(dst, src, len, st).map(Some),
+            BatchOp::CudaMemset(ptr, value, len) => dev.memset(ptr, value, len, st).map(Some),
+            BatchOp::CudaLaunchKernel(func, grid, block, shared, _, params) => dev
+                .launch_kernel(func, dim(grid), dim(block), shared, st, params)
                 .map(Some),
-            BatchOp::EventRecord { event, .. } => {
+            BatchOp::CudaEventRecord(event, _) => {
                 let host_ns = dev.event_record(event, st)?;
                 self.clock.advance(host_ns);
                 Ok(None)
             }
-            BatchOp::FftExec {
-                plan,
-                kind,
-                idata,
-                odata,
-                dir,
-            } => {
+            BatchOp::CufftExecC2c(plan, idata, odata, dir)
+            | BatchOp::CufftExecZ2z(plan, idata, odata, dir) => {
+                let kind = match op {
+                    BatchOp::CufftExecC2c(..) => vgpu::fft::CUFFT_C2C,
+                    _ => vgpu::fft::CUFFT_Z2Z,
+                };
                 let plans = self.fft_plans.lock();
                 let p = plans.get(&plan).ok_or(VgpuError::InvalidHandle(plan))?;
                 if p.kind != kind {
@@ -1640,71 +891,861 @@ impl CricketServer {
             }
         }
     }
+}
 
-    fn ckpt_capture(&self, s: SessionId) -> DataResult {
+/// What every procedure of the generated service trait returns.
+type Reply<T> = Result<T, AcceptStat>;
+
+fn err_code(e: &VgpuError) -> i32 {
+    e.code() as i32
+}
+
+/// CUDA status word of an operation that returns nothing else.
+fn int_of(r: Result<(), VgpuError>) -> i32 {
+    match r {
+        Ok(()) => 0,
+        Err(e) => err_code(&e),
+    }
+}
+
+/// Wire form of an operation's outcome as one of the `*_result` unions of
+/// `cricket.x`: `ok` is the union's payload arm, `err` its default arm,
+/// which carries the CUDA error code.
+fn reply<T, R>(r: VgpuResult<T>, ok: fn(T) -> R, err: fn(i32) -> R) -> Reply<R> {
+    Ok(match r {
+        Ok(v) => ok(v),
+        Err(e) => err(err_code(&e)),
+    })
+}
+
+fn dim(d: RpcDim3) -> Dim3 {
+    Dim3 {
+        x: d.x,
+        y: d.y,
+        z: d.z,
+    }
+}
+
+/// Per-session view implementing the generated service trait: the one place
+/// each procedure of `cricket.x` is written on the server.
+pub struct Sessioned {
+    srv: Arc<CricketServer>,
+    session: SessionId,
+}
+
+impl Sessioned {
+    /// Bind `srv` as `session`.
+    pub fn new(srv: Arc<CricketServer>, session: SessionId) -> Self {
+        Self { srv, session }
+    }
+
+    /// The session this view is bound to.
+    pub fn session(&self) -> SessionId {
+        self.session
+    }
+}
+
+impl cricket_proto::CricketV1Service for Sessioned {
+    fn rpc_null(&self) -> Reply<()> {
+        Ok(())
+    }
+
+    fn cuda_get_device_count(&self) -> Reply<IntResult> {
+        // Host-only: the count is immutable server state; no scheduler
+        // turn, no device mutex.
+        let srv = &self.srv;
+        let count = srv.host_call(self.session, 1_000, || srv.devices.len() as i32);
+        Ok(IntResult::Data(count))
+    }
+
+    fn cuda_get_device_properties(&self, ordinal: i32) -> Reply<PropResult> {
+        // Host-only: properties are immutable; the brief lock below copies
+        // them out without taking a scheduler turn or device time.
+        let srv = &self.srv;
+        let r = srv.host_call(self.session, 2_000, || {
+            if ordinal < 0 || ordinal as usize >= srv.devices.len() {
+                Err(VgpuError::InvalidDevice(ordinal))
+            } else {
+                Ok(srv.devices[ordinal as usize].lock().properties().clone())
+            }
+        });
+        let prop = r.map(|p| DeviceProp {
+            name: p.name,
+            total_global_mem: p.total_global_mem,
+            multi_processor_count: p.multi_processor_count,
+            clock_rate_khz: p.clock_rate_khz,
+            major: p.major,
+            minor: p.minor,
+            warp_size: p.warp_size,
+            max_threads_per_block: p.max_threads_per_block,
+            memory_bandwidth_bytes_per_sec: p.memory_bandwidth_bps,
+        });
+        reply(prop, PropResult::Prop, PropResult::Default)
+    }
+
+    fn cuda_set_device(&self, ordinal: i32) -> Reply<i32> {
+        // Host-only: updates per-session routing state, never the device.
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.host_call(s, 500, || {
+            if (0..srv.devices.len() as i32).contains(&ordinal) {
+                srv.session_device.lock().insert(s, ordinal as usize);
+                Ok(())
+            } else {
+                Err(VgpuError::InvalidDevice(ordinal))
+            }
+        });
+        Ok(int_of(r))
+    }
+
+    fn cuda_get_device(&self) -> Reply<IntResult> {
+        let (srv, s) = (&self.srv, self.session);
+        let current = srv.host_call(s, 500, || srv.current_device(s) as i32);
+        Ok(IntResult::Data(current))
+    }
+
+    fn cuda_device_synchronize(&self) -> Reply<i32> {
+        // Waits for *this session's* timelines on its current device —
+        // other sessions' streams keep running (each client is its own
+        // context behind the virtualization layer).
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.current_device(s);
+        let streams = srv.streams_of(s, idx);
+        Ok(int_of(srv.wait_at(s, idx, 1_000, |d| {
+            let wait = streams
+                .iter()
+                .map(|&h| d.stream_synchronize(h).unwrap_or(0))
+                .max()
+                .unwrap_or(0);
+            Ok(((), wait))
+        })))
+    }
+
+    fn cuda_device_reset(&self) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.current_device(s);
+        let r = srv.wait_at(s, idx, 5_000, |d| {
+            let t = d.device_reset();
+            Ok(((), t))
+        });
+        // The reset destroyed every stream on the device, including other
+        // sessions' default streams; drop the stale mappings so they are
+        // lazily recreated on next use.
+        srv.session_streams.lock().retain(|&(_, i), _| i != idx);
+        srv.module_images.lock().clear();
+        srv.solvers.lock().clear();
+        srv.fft_plans.lock().clear();
+        srv.blas_handles.lock().clear();
+        Ok(int_of(r))
+    }
+
+    fn cuda_malloc(&self, size: u64) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 4_000, |d| d.malloc(size));
+        if let Ok(ptr) = r {
+            srv.track(s, |res| res.mem.insert(ptr));
+        }
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cuda_free(&self, ptr: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_for(s, ptr, 3_500, |d| d.free(ptr).map(|t| ((), t)));
+        if r.is_ok() {
+            srv.track(s, |res| res.mem.remove(&ptr));
+        }
+        Ok(int_of(r))
+    }
+
+    fn cuda_memcpy_htod(&self, dst: u64, data: &[u8]) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        srv.stats.lock().bytes_in += data.len() as u64;
+        let idx = srv.route(s, dst);
+        let st = srv.session_stream(s, idx);
+        // `data` is still the borrowed wire record; the write into device
+        // memory below is the transfer endpoint itself (accounted as
+        // `bytes_transferred` by the client), not an RPC-stack memmove.
+        // Sync copy: ordered on the session's stream, blocks to completion.
+        Ok(int_of(srv.sync_enqueue_at(s, idx, 3_000, |d| {
+            d.memcpy_htod_stream(dst, data, st).map(|sub| ((), sub))
+        })))
+    }
+
+    fn cuda_memcpy_dtoh(&self, src: u64, len: u64) -> Reply<DataResult> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, src);
+        let st = srv.session_stream(s, idx);
+        // Sync D2H memcpy is the canonical wait point: it drains the
+        // session's stream, then pays the PCIe transfer.
+        let r = srv.sync_enqueue_at(s, idx, 3_000, |d| d.memcpy_dtoh_stream(src, len, st));
+        if let Ok(bytes) = &r {
+            srv.stats.lock().bytes_out += bytes.len() as u64;
+        }
+        reply(r, DataResult::Data, DataResult::Default)
+    }
+
+    /// One write stripe of a striped H2D copy: apply `data` at
+    /// `dst + offset`. Reassembly is positional, so stripes from different
+    /// lanes need no mutual ordering; exactly-once per stripe comes from
+    /// the replay cache plus the lanes' disjoint xid spaces. The stripe
+    /// seq travels for tracing only.
+    fn cuda_memcpy_htod_stripe(&self, dst: u64, offset: u64, _seq: u32, data: &[u8]) -> Reply<i32> {
+        self.cuda_memcpy_htod(dst.wrapping_add(offset), data)
+    }
+
+    /// One read stripe of a striped D2H copy: read `len` bytes from
+    /// `src + offset`. Pure read — idempotent by construction.
+    fn cuda_memcpy_dtoh_stripe(
+        &self,
+        src: u64,
+        offset: u64,
+        len: u64,
+        _seq: u32,
+    ) -> Reply<DataResult> {
+        self.cuda_memcpy_dtoh(src.wrapping_add(offset), len)
+    }
+
+    /// Sparse H2D: expand the zero-page-elided blob, then take the plain
+    /// H2D path — `bytes_in` thus counts the decoded length, keeping the
+    /// paper's transfer accounting independent of the wire codec.
+    fn cuda_memcpy_htod_sparse(&self, dst: u64, enc: &[u8]) -> Reply<i32> {
+        match oncrpc::sparse::decode(enc) {
+            Ok(raw) => self.cuda_memcpy_htod(dst, &raw),
+            Err(e) => Ok(err_code(&VgpuError::InvalidValue(format!(
+                "sparse blob: {e}"
+            )))),
+        }
+    }
+
+    fn cuda_memcpy_dtod(&self, dst: u64, src: u64, len: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let src_dev = srv.route(s, src);
+        let dst_dev = srv.route(s, dst);
+        if src_dev == dst_dev {
+            // Same-device copy is asynchronous: it rides the session's
+            // stream and the RPC returns at submission.
+            let st = srv.session_stream(s, src_dev);
+            return Ok(int_of(srv.enqueue_at(s, src_dev, 2_500, |d| {
+                d.memcpy_dtod(dst, src, len, st).map(|sub| ((), sub))
+            })));
+        }
+        // Peer copy (cudaMemcpyPeer semantics): staged through the host,
+        // paying PCIe on both devices — synchronous on both legs.
+        let src_st = srv.session_stream(s, src_dev);
+        let dst_st = srv.session_stream(s, dst_dev);
+        let staged = srv.sync_enqueue_at(s, src_dev, 2_500, |d| {
+            d.memcpy_dtoh_stream(src, len, src_st)
+        });
+        Ok(int_of(staged.and_then(|bytes| {
+            srv.sync_enqueue_at(s, dst_dev, 2_500, |d| {
+                d.memcpy_htod_stream(dst, &bytes, dst_st)
+                    .map(|sub| ((), sub))
+            })
+        })))
+    }
+
+    fn cuda_memset(&self, ptr: u64, value: i32, len: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, ptr);
+        let st = srv.session_stream(s, idx);
+        Ok(int_of(srv.enqueue_at(s, idx, 2_000, |d| {
+            d.memset(ptr, value, len, st).map(|sub| ((), sub))
+        })))
+    }
+
+    fn cuda_mem_get_info(&self) -> Reply<MemInfoResult> {
+        // Host-only: a bookkeeping read; the brief lock copies two counters.
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.current_device(s);
+        let (free, total) = srv.host_call(s, 1_500, || srv.devices[idx].lock().mem_info());
+        Ok(MemInfoResult::Info(MemInfo { free, total }))
+    }
+
+    fn cuda_get_last_error(&self) -> Reply<IntResult> {
+        Ok(IntResult::Data(0))
+    }
+
+    fn cu_module_load_data(&self, image: &[u8]) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        srv.stats.lock().bytes_in += image.len() as u64;
+        let r = srv.wait_here(s, 25_000, |d| d.module_load(image));
+        if let Ok(h) = r {
+            // The retained copy is the only one: the image arrives as a
+            // borrowed slice of the request record.
+            srv.module_images.lock().insert(h, image.to_vec());
+            srv.track(s, |res| res.modules.insert(h));
+        }
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cu_module_get_function(&self, module: u64, name: &str) -> Reply<U64Result> {
+        let r = self.srv.wait_for(self.session, module, 2_000, |d| {
+            d.module_get_function(module, name)
+        });
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cu_module_unload(&self, module: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_for(s, module, 3_000, |d| {
+            d.module_unload(module).map(|t| ((), t))
+        });
+        if r.is_ok() {
+            srv.module_images.lock().remove(&module);
+            srv.track(s, |res| res.modules.remove(&module));
+        }
+        Ok(int_of(r))
+    }
+
+    fn cuda_launch_kernel(
+        &self,
+        func: u64,
+        grid: RpcDim3,
+        block: RpcDim3,
+        shared: u32,
+        stream: u64,
+        params: &[u8],
+    ) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, func);
+        let st = srv.resolve_stream(s, idx, stream);
+        // The launch is asynchronous: the RPC returns at submission and the
+        // kernel's duration rides the session's stream timeline.
+        let r = srv.enqueue_at(s, idx, 3_500, |d| {
+            d.launch_kernel(func, dim(grid), dim(block), shared, st, params)
+                .map(|sub| ((), sub))
+        });
+        if r.is_ok() {
+            srv.stats.lock().kernels_launched += 1;
+        }
+        Ok(int_of(r))
+    }
+
+    fn cuda_stream_create(&self) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 1_500, |d| {
+            let (h, t) = d.stream_create();
+            Ok((h, t))
+        });
+        if let Ok(h) = r {
+            srv.track(s, |res| res.streams.insert(h));
+        }
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cuda_stream_destroy(&self, h: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_for(s, h, 1_000, |d| d.stream_destroy(h).map(|t| ((), t)));
+        if r.is_ok() {
+            srv.track(s, |res| res.streams.remove(&h));
+            // If this was a cached default stream, drop the mapping so the
+            // lock-free fast path in `session_stream` never returns a
+            // destroyed handle; it is lazily recreated on next use.
+            srv.session_streams
+                .lock()
+                .retain(|_, &mut cached| cached != h);
+        }
+        Ok(int_of(r))
+    }
+
+    fn cuda_stream_synchronize(&self, h: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, h);
+        let st = srv.resolve_stream(s, idx, h);
+        Ok(int_of(srv.wait_at(s, idx, 1_000, |d| {
+            d.stream_synchronize(st).map(|t| ((), t))
+        })))
+    }
+
+    fn cuda_event_create(&self) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 800, |d| {
+            let (h, t) = d.event_create();
+            Ok((h, t))
+        });
+        if let Ok(h) = r {
+            srv.track(s, |res| res.events.insert(h));
+        }
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cuda_event_record(&self, event: u64, stream: u64) -> Reply<i32> {
+        // Event record is an enqueue: it stamps the stream's completion
+        // frontier and returns immediately (the small cost below is the
+        // device front-end work, not a wait).
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, event);
+        let st = srv.resolve_stream(s, idx, stream);
+        Ok(int_of(srv.wait_at(s, idx, 800, |d| {
+            d.event_record(event, st).map(|t| ((), t))
+        })))
+    }
+
+    fn cuda_event_synchronize(&self, event: u64) -> Reply<i32> {
+        Ok(int_of(self.srv.wait_for(self.session, event, 800, |d| {
+            d.event_synchronize(event).map(|t| ((), t))
+        })))
+    }
+
+    fn cuda_event_elapsed_time(&self, start: u64, stop: u64) -> Reply<FloatResult> {
+        let r = self.srv.wait_for(self.session, start, 800, |d| {
+            d.event_elapsed_ms(start, stop).map(|v| (v, 0))
+        });
+        reply(r, FloatResult::Data, FloatResult::Default)
+    }
+
+    fn cuda_event_destroy(&self, event: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_for(s, event, 600, |d| d.event_destroy(event).map(|t| ((), t)));
+        if r.is_ok() {
+            srv.track(s, |res| res.events.remove(&event));
+        }
+        Ok(int_of(r))
+    }
+
+    fn cublas_create(&self) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 5_000, |_d| Ok(((), 0))).map(|()| {
+            let h = srv.new_lib_handle();
+            srv.blas_handles.lock().insert(h);
+            srv.track(s, |res| res.blas.insert(h));
+            h
+        });
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cublas_destroy(&self, h: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 2_000, |_d| {
+            if srv.blas_handles.lock().remove(&h) {
+                Ok(((), 0))
+            } else {
+                Err(VgpuError::InvalidHandle(h))
+            }
+        });
+        if r.is_ok() {
+            srv.track(s, |res| res.blas.remove(&h));
+        }
+        Ok(int_of(r))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn cublas_sgemm(
+        &self,
+        h: u64,
+        transa: i32,
+        transb: i32,
+        m: i32,
+        n: i32,
+        k: i32,
+        alpha: f32,
+        a: u64,
+        lda: i32,
+        b: u64,
+        ldb: i32,
+        beta: f32,
+        c: u64,
+        ldc: i32,
+    ) -> Reply<i32> {
+        Ok(self.srv.gemm(
+            self.session,
+            h,
+            false,
+            transa,
+            transb,
+            m,
+            n,
+            k,
+            alpha as f64,
+            a,
+            lda,
+            b,
+            ldb,
+            beta as f64,
+            c,
+            ldc,
+        ))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn cublas_dgemm(
+        &self,
+        h: u64,
+        transa: i32,
+        transb: i32,
+        m: i32,
+        n: i32,
+        k: i32,
+        alpha: f64,
+        a: u64,
+        lda: i32,
+        b: u64,
+        ldb: i32,
+        beta: f64,
+        c: u64,
+        ldc: i32,
+    ) -> Reply<i32> {
+        Ok(self.srv.gemm(
+            self.session,
+            h,
+            true,
+            transa,
+            transb,
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            lda,
+            b,
+            ldb,
+            beta,
+            c,
+            ldc,
+        ))
+    }
+
+    fn cusolver_dn_create(&self) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 10_000, |_d| Ok(((), 0))).map(|()| {
+            let h = srv.new_lib_handle();
+            srv.solvers.lock().insert(h, vgpu::solver::SolverDn::new());
+            srv.track(s, |res| res.solvers.insert(h));
+            h
+        });
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cusolver_dn_destroy(&self, h: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 3_000, |_d| {
+            if srv.solvers.lock().remove(&h).is_some() {
+                Ok(((), 0))
+            } else {
+                Err(VgpuError::InvalidHandle(h))
+            }
+        });
+        if r.is_ok() {
+            srv.track(s, |res| res.solvers.remove(&h));
+        }
+        Ok(int_of(r))
+    }
+
+    fn cusolver_dn_dgetrf_buffer_size(
+        &self,
+        h: u64,
+        m: i32,
+        n: i32,
+        _a: u64,
+        _lda: i32,
+    ) -> Reply<IntResult> {
+        let r = self.srv.host_call(self.session, 2_000, || {
+            let solvers = self.srv.solvers.lock();
+            let solver = solvers.get(&h).ok_or(VgpuError::InvalidHandle(h))?;
+            solver.dgetrf_buffer_size(m, n)
+        });
+        reply(r, IntResult::Data, IntResult::Default)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn cusolver_dn_dgetrf(
+        &self,
+        h: u64,
+        m: i32,
+        n: i32,
+        a: u64,
+        lda: i32,
+        work: u64,
+        ipiv: u64,
+        info: u64,
+    ) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, a);
+        let st = srv.resolve_stream(s, idx, 0);
+        Ok(int_of(srv.enqueue_at(s, idx, 8_000, |d| {
+            let mut solvers = srv.solvers.lock();
+            let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
+            let t = solver.dgetrf(d, m, n, a, lda, work, ipiv, info)?;
+            let sub = d.enqueue_library(st, "getrf", t)?;
+            Ok(((), sub))
+        })))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn cusolver_dn_dgetrs(
+        &self,
+        h: u64,
+        trans: i32,
+        n: i32,
+        nrhs: i32,
+        a: u64,
+        lda: i32,
+        ipiv: u64,
+        b: u64,
+        ldb: i32,
+        info: u64,
+    ) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let idx = srv.route(s, a);
+        let st = srv.resolve_stream(s, idx, 0);
+        Ok(int_of(srv.enqueue_at(s, idx, 6_000, |d| {
+            let mut solvers = srv.solvers.lock();
+            let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
+            let t = solver.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)?;
+            let sub = d.enqueue_library(st, "getrs", t)?;
+            Ok(((), sub))
+        })))
+    }
+
+    fn cufft_plan_1d(&self, n: i32, kind: i32, batch: i32) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let planned = srv.wait_here(s, 6_000, |_d| {
+            Ok((vgpu::fft::FftPlan::plan_1d(n, kind, batch)?, 0))
+        });
+        let r = planned.map(|plan| {
+            let h = srv.new_lib_handle();
+            srv.fft_plans.lock().insert(h, plan);
+            srv.track(s, |res| res.ffts.insert(h));
+            h
+        });
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    fn cufft_destroy(&self, h: u64) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, 2_000, |_d| {
+            if srv.fft_plans.lock().remove(&h).is_some() {
+                Ok(((), 0))
+            } else {
+                Err(VgpuError::InvalidHandle(h))
+            }
+        });
+        if r.is_ok() {
+            srv.track(s, |res| res.ffts.remove(&h));
+        }
+        Ok(int_of(r))
+    }
+
+    fn cufft_exec_c2c(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        Ok(srv.fft_exec(s, h, vgpu::fft::CUFFT_C2C, idata, odata, dir))
+    }
+
+    fn cufft_exec_z2z(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        Ok(srv.fft_exec(s, h, vgpu::fft::CUFFT_Z2Z, idata, odata, dir))
+    }
+
+    /// Execute a coalesced command batch: decode every sub-op, then issue
+    /// them in order, taking **one scheduler turn per consecutive
+    /// (device, stream) slice** instead of one per op, and paying the RPC
+    /// dispatch cost once for the whole batch plus a small driver-entry
+    /// cost per sub-op. A failed sub-op records its error code at its
+    /// index and aborts the remainder of its slice (`BATCH_SKIPPED`);
+    /// later slices — other streams' work — still run.
+    fn cricket_batch_exec(&self, body: &[u8]) -> Reply<BatchResult> {
+        let (srv, s) = (&self.srv, self.session);
+        let ops = decode_batch(body)?;
+        srv.sessions_seen.lock().insert(s);
+        {
+            // Each sub-op is one CUDA API call in the paper's accounting;
+            // coalescing changes the wire shape, not the call count.
+            let mut st = srv.stats.lock();
+            st.total_calls += ops.len() as u64;
+            for op in &ops {
+                match op {
+                    BatchOp::CudaMemcpyHtod(_, data) => st.bytes_in += data.len() as u64,
+                    // Sparse sub-ops account their *decoded* length: the
+                    // codec changes wire bytes, not how many bytes land in
+                    // device memory. A corrupt header counts zero — the op
+                    // itself fails at issue time.
+                    BatchOp::CudaMemcpyHtodSparse(_, enc) => {
+                        st.bytes_in += oncrpc::sparse::raw_len(enc).unwrap_or(0);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // One RPC dispatch for the whole batch — the coalescing win.
+        srv.clock.advance(DISPATCH_NS);
+        let mut statuses = vec![0i32; ops.len()];
+        let mut agg = vgpu::SubmitAggregate::default();
+        let mut executed: u32 = 0;
+        let mut kernels: u64 = 0;
+        let mut i = 0;
+        while i < ops.len() {
+            // Cross-device D2D peer copies stage through the host on two
+            // devices; they cannot share a single-device turn, so they run
+            // through the ordinary synchronous path as their own slice.
+            if let BatchOp::CudaMemcpyDtod(dst, src, len) = ops[i] {
+                if srv.route(s, src) != srv.route(s, dst) {
+                    let code = self.cuda_memcpy_dtod(dst, src, len)?;
+                    statuses[i] = code;
+                    if code == 0 {
+                        executed += 1;
+                    }
+                    i += 1;
+                    continue;
+                }
+            }
+            let idx = srv.op_device(s, &ops[i]);
+            let stream = srv.op_stream(s, idx, &ops[i]);
+            let mut j = i + 1;
+            while j < ops.len()
+                && srv.op_device(s, &ops[j]) == idx
+                && srv.op_stream(s, idx, &ops[j]) == stream
+                && !matches!(ops[j], BatchOp::CudaMemcpyDtod(dst, src, _)
+                    if srv.route(s, src) != srv.route(s, dst))
+            {
+                j += 1;
+            }
+            // Issue the whole slice under one turn; the device lock and
+            // turn drop together at the end of the slice. Every
+            // BATCH_PREEMPT_OPS sub-ops (or BATCH_PREEMPT_NS of charged
+            // device time) the turn is offered back: if the policy would
+            // rather serve a queued waiter, the rest of the slice requeues
+            // under a fresh turn, so a 1000-op batch cannot monopolize the
+            // device against a higher-deficit tenant.
+            let turn = srv.scheduler.begin(s);
+            let mut dev = srv.devices[idx].lock();
+            let mut failed = false;
+            let mut resume_at = j;
+            let mut since_ops: u32 = 0;
+            let mut since_ns: u64 = 0;
+            for (k, op) in ops.iter().enumerate().take(j).skip(i) {
+                if failed {
+                    statuses[k] = oncrpc::BATCH_SKIPPED;
+                    continue;
+                }
+                if (since_ops >= BATCH_PREEMPT_OPS || since_ns >= BATCH_PREEMPT_NS)
+                    && turn.should_yield()
+                {
+                    resume_at = k;
+                    break;
+                }
+                srv.clock.advance(BATCH_OP_NS);
+                since_ops += 1;
+                match srv.issue_batch_op(&mut dev, op, stream) {
+                    Ok(Some(sub)) => {
+                        srv.clock.advance(sub.submit_ns);
+                        turn.charge(sub.queued_ns);
+                        since_ns += sub.queued_ns;
+                        agg.absorb(&sub);
+                        executed += 1;
+                        if matches!(op, BatchOp::CudaLaunchKernel(..)) {
+                            kernels += 1;
+                        }
+                    }
+                    Ok(None) => {
+                        executed += 1;
+                    }
+                    Err(e) => {
+                        statuses[k] = err_code(&e);
+                        failed = true;
+                    }
+                }
+            }
+            drop(dev);
+            drop(turn);
+            i = resume_at;
+        }
+        if kernels > 0 {
+            srv.stats.lock().kernels_launched += kernels;
+        }
+        Ok(BatchResult::Receipt(BatchReceipt {
+            statuses: statuses.into(),
+            executed,
+            queued_ns: agg.queued_ns,
+            last_completes_at_ns: agg.last_completes_at_ns,
+        }))
+    }
+
+    fn ckpt_capture(&self) -> Reply<DataResult> {
+        let srv = &self.srv;
         // Checkpoints cover device 0 (the A100 the evaluation uses).
-        let r = self.wait_at(s, 0, 50_000, |d| {
+        let r = srv.wait_at(self.session, 0, 50_000, |d| {
             // A checkpoint is a full-device sync point: drain all streams
             // before reading device state.
             let drain = d.device_synchronize();
-            let images = self.module_images.lock();
+            let images = srv.module_images.lock();
             let blob = checkpoint::capture(d, &images)?;
             // Serialization cost scales with snapshot size.
             let t = drain + (blob.len() as u64) / 8;
             Ok((blob, t))
         });
-        match r {
-            Ok(blob) => {
-                self.stats.lock().bytes_out += blob.len() as u64;
-                DataResult::Data(blob)
-            }
-            Err(e) => DataResult::Default(Self::err_code(&e)),
+        if let Ok(blob) = &r {
+            srv.stats.lock().bytes_out += blob.len() as u64;
         }
+        reply(r, DataResult::Data, DataResult::Default)
     }
 
-    fn ckpt_restore(&self, s: SessionId, blob: &[u8]) -> i32 {
-        self.stats.lock().bytes_in += blob.len() as u64;
-        Self::int_of(self.wait_at(s, 0, 50_000, |d| {
-            let images = checkpoint::restore(d, blob, &self.cfg.props, &self.clock)?;
-            *self.module_images.lock() = images;
+    fn ckpt_restore(&self, blob: &[u8]) -> Reply<i32> {
+        let srv = &self.srv;
+        srv.stats.lock().bytes_in += blob.len() as u64;
+        Ok(int_of(srv.wait_at(self.session, 0, 50_000, |d| {
+            let images = checkpoint::restore(d, blob, &srv.cfg.props, &srv.clock)?;
+            *srv.module_images.lock() = images;
             let t = (blob.len() as u64) / 8;
             Ok(((), t))
-        }))
+        })))
     }
 
-    fn srv_stats(&self, _s: SessionId) -> ServerStats {
-        let st = *self.stats.lock();
-        let device_time_ns = self
+    fn srv_get_stats(&self) -> Reply<ServerStats> {
+        let srv = &self.srv;
+        let st = *srv.stats.lock();
+        let device_time_ns = srv
             .devices
             .iter()
             .map(|d| d.lock().stats.device_time_ns)
             .sum();
-        ServerStats {
+        Ok(ServerStats {
             total_calls: st.total_calls,
             bytes_in: st.bytes_in,
             bytes_out: st.bytes_out,
             kernels_launched: st.kernels_launched,
-            active_sessions: self.sessions_seen.lock().len() as u64,
+            active_sessions: srv.sessions_seen.lock().len() as u64,
             device_time_ns,
-        }
+        })
     }
 
-    fn srv_reset_stats(&self, _s: SessionId) -> i32 {
-        *self.stats.lock() = StatsInner::default();
-        self.sessions_seen.lock().clear();
-        0
+    fn srv_reset_stats(&self) -> Reply<i32> {
+        *self.srv.stats.lock() = StatsInner::default();
+        self.srv.sessions_seen.lock().clear();
+        Ok(0)
     }
 
-    fn srv_set_scheduler(&self, _s: SessionId, policy: i32) -> i32 {
-        match SchedulerPolicy::from_i32(policy) {
+    fn srv_set_scheduler(&self, policy: i32) -> Reply<i32> {
+        Ok(match SchedulerPolicy::from_i32(policy) {
             Some(p) => {
-                self.scheduler.set_policy(p);
+                self.srv.scheduler.set_policy(p);
                 0
             }
             None => vgpu::CudaCode::InvalidValue as i32,
-        }
+        })
     }
 
+    // The migration control plane deliberately bypasses `host_call`: no
+    // scheduler turn and no virtual-clock charge, so streaming a session in
+    // never perturbs the timing the migrated client will observe.
+    fn mig_apply_base(&self, blob: &[u8]) -> Reply<i32> {
+        Ok(int_of(self.srv.mig_apply(blob, &[MigKind::Base]).map(drop)))
+    }
+
+    fn mig_apply_delta(&self, blob: &[u8]) -> Reply<IntResult> {
+        let r = self.srv.mig_apply(blob, &[MigKind::Delta, MigKind::Final]);
+        reply(r.map(|n| n as i32), IntResult::Data, IntResult::Default)
+    }
+
+    fn mig_abort(&self, token: u64) -> Reply<i32> {
+        self.srv.discard_adoption(token);
+        Ok(0)
+    }
+
+    fn cricket_qos_set(&self, params: QosParams) -> Reply<i32> {
+        Ok(self.srv.qos_set(self.session, &params))
+    }
+}
+
+impl CricketServer {
     // ---- live migration --------------------------------------------------
 
     /// Attach the transport's shared at-most-once replay cache so
@@ -2247,370 +2288,6 @@ impl CricketServer {
     }
 }
 
-/// Per-session view implementing the generated service trait.
-pub struct Sessioned {
-    srv: Arc<CricketServer>,
-    session: SessionId,
-}
-
-impl Sessioned {
-    /// Bind `srv` as `session`.
-    pub fn new(srv: Arc<CricketServer>, session: SessionId) -> Self {
-        Self { srv, session }
-    }
-
-    /// The session this view is bound to.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-}
-
-fn dim(d: RpcDim3) -> Dim3 {
-    Dim3 {
-        x: d.x,
-        y: d.y,
-        z: d.z,
-    }
-}
-
-impl cricket_proto::CricketV1Service for Sessioned {
-    fn rpc_null(&self) -> Result<(), oncrpc::AcceptStat> {
-        Ok(())
-    }
-    fn cuda_get_device_count(&self) -> Result<IntResult, oncrpc::AcceptStat> {
-        Ok(self.srv.get_device_count(self.session))
-    }
-    fn cuda_get_device_properties(&self, ordinal: i32) -> Result<PropResult, oncrpc::AcceptStat> {
-        Ok(self.srv.get_device_properties(self.session, ordinal))
-    }
-    fn cuda_set_device(&self, ordinal: i32) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.set_device(self.session, ordinal))
-    }
-    fn cuda_get_device(&self) -> Result<IntResult, oncrpc::AcceptStat> {
-        Ok(self.srv.get_device(self.session))
-    }
-    fn cuda_device_synchronize(&self) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.device_synchronize(self.session))
-    }
-    fn cuda_device_reset(&self) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.device_reset(self.session))
-    }
-    fn cuda_malloc(&self, size: u64) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.malloc(self.session, size))
-    }
-    fn cuda_free(&self, ptr: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.free(self.session, ptr))
-    }
-    fn cuda_memcpy_htod(&self, dst: u64, data: &[u8]) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.memcpy_htod(self.session, dst, data))
-    }
-    fn cuda_memcpy_dtoh(&self, src: u64, len: u64) -> Result<DataResult, oncrpc::AcceptStat> {
-        Ok(self.srv.memcpy_dtoh(self.session, src, len))
-    }
-    fn cuda_memcpy_dtod(&self, dst: u64, src: u64, len: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.memcpy_dtod(self.session, dst, src, len))
-    }
-    fn cuda_memcpy_htod_stripe(
-        &self,
-        dst: u64,
-        offset: u64,
-        seq: u32,
-        data: &[u8],
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self
-            .srv
-            .memcpy_htod_stripe(self.session, dst, offset, seq, data))
-    }
-    fn cuda_memcpy_dtoh_stripe(
-        &self,
-        src: u64,
-        offset: u64,
-        len: u64,
-        seq: u32,
-    ) -> Result<DataResult, oncrpc::AcceptStat> {
-        Ok(self
-            .srv
-            .memcpy_dtoh_stripe(self.session, src, offset, len, seq))
-    }
-    fn cuda_memcpy_htod_sparse(&self, dst: u64, enc: &[u8]) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.memcpy_htod_sparse(self.session, dst, enc))
-    }
-    fn cuda_memset(&self, ptr: u64, value: i32, len: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.memset(self.session, ptr, value, len))
-    }
-    fn cuda_mem_get_info(&self) -> Result<MemInfoResult, oncrpc::AcceptStat> {
-        Ok(self.srv.mem_get_info(self.session))
-    }
-    fn cuda_get_last_error(&self) -> Result<IntResult, oncrpc::AcceptStat> {
-        Ok(IntResult::Data(0))
-    }
-    fn cu_module_load_data(&self, image: &[u8]) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.module_load(self.session, image))
-    }
-    fn cu_module_get_function(
-        &self,
-        module: u64,
-        name: &str,
-    ) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.module_get_function(self.session, module, name))
-    }
-    fn cu_module_unload(&self, module: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.module_unload(self.session, module))
-    }
-    fn cuda_launch_kernel(
-        &self,
-        func: u64,
-        grid: RpcDim3,
-        block: RpcDim3,
-        shared: u32,
-        stream: u64,
-        params: &[u8],
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.launch_kernel(
-            self.session,
-            func,
-            dim(grid),
-            dim(block),
-            shared,
-            stream,
-            params,
-        ))
-    }
-    fn cricket_batch_exec(&self, body: &[u8]) -> Result<BatchResult, oncrpc::AcceptStat> {
-        self.srv.batch_exec(self.session, body)
-    }
-    fn cuda_stream_create(&self) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.stream_create(self.session))
-    }
-    fn cuda_stream_destroy(&self, h: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.stream_destroy(self.session, h))
-    }
-    fn cuda_stream_synchronize(&self, h: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.stream_synchronize(self.session, h))
-    }
-    fn cuda_event_create(&self) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.event_create(self.session))
-    }
-    fn cuda_event_record(&self, event: u64, stream: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.event_record(self.session, event, stream))
-    }
-    fn cuda_event_synchronize(&self, event: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.event_synchronize(self.session, event))
-    }
-    fn cuda_event_elapsed_time(
-        &self,
-        start: u64,
-        stop: u64,
-    ) -> Result<FloatResult, oncrpc::AcceptStat> {
-        Ok(self.srv.event_elapsed(self.session, start, stop))
-    }
-    fn cuda_event_destroy(&self, event: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.event_destroy(self.session, event))
-    }
-    fn cublas_create(&self) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.blas_create(self.session))
-    }
-    fn cublas_destroy(&self, h: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.blas_destroy(self.session, h))
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn cublas_sgemm(
-        &self,
-        h: u64,
-        transa: i32,
-        transb: i32,
-        m: i32,
-        n: i32,
-        k: i32,
-        alpha: f32,
-        a: u64,
-        lda: i32,
-        b: u64,
-        ldb: i32,
-        beta: f32,
-        c: u64,
-        ldc: i32,
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.gemm(
-            self.session,
-            h,
-            false,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha as f64,
-            a,
-            lda,
-            b,
-            ldb,
-            beta as f64,
-            c,
-            ldc,
-        ))
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn cublas_dgemm(
-        &self,
-        h: u64,
-        transa: i32,
-        transb: i32,
-        m: i32,
-        n: i32,
-        k: i32,
-        alpha: f64,
-        a: u64,
-        lda: i32,
-        b: u64,
-        ldb: i32,
-        beta: f64,
-        c: u64,
-        ldc: i32,
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.gemm(
-            self.session,
-            h,
-            true,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            beta,
-            c,
-            ldc,
-        ))
-    }
-    fn cusolver_dn_create(&self) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.solver_create(self.session))
-    }
-    fn cusolver_dn_destroy(&self, h: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.solver_destroy(self.session, h))
-    }
-    fn cusolver_dn_dgetrf_buffer_size(
-        &self,
-        h: u64,
-        m: i32,
-        n: i32,
-        _a: u64,
-        _lda: i32,
-    ) -> Result<IntResult, oncrpc::AcceptStat> {
-        Ok(self.srv.getrf_buffer_size(self.session, h, m, n))
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn cusolver_dn_dgetrf(
-        &self,
-        h: u64,
-        m: i32,
-        n: i32,
-        a: u64,
-        lda: i32,
-        work: u64,
-        ipiv: u64,
-        info: u64,
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self
-            .srv
-            .getrf(self.session, h, m, n, a, lda, work, ipiv, info))
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn cusolver_dn_dgetrs(
-        &self,
-        h: u64,
-        trans: i32,
-        n: i32,
-        nrhs: i32,
-        a: u64,
-        lda: i32,
-        ipiv: u64,
-        b: u64,
-        ldb: i32,
-        info: u64,
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self
-            .srv
-            .getrs(self.session, h, trans, n, nrhs, a, lda, ipiv, b, ldb, info))
-    }
-    fn cufft_plan_1d(
-        &self,
-        n: i32,
-        kind: i32,
-        batch: i32,
-    ) -> Result<U64Result, oncrpc::AcceptStat> {
-        Ok(self.srv.fft_plan_1d(self.session, n, kind, batch))
-    }
-    fn cufft_destroy(&self, h: u64) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.fft_destroy(self.session, h))
-    }
-    fn cufft_exec_c2c(
-        &self,
-        h: u64,
-        idata: u64,
-        odata: u64,
-        dir: i32,
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self
-            .srv
-            .fft_exec(self.session, h, vgpu::fft::CUFFT_C2C, idata, odata, dir))
-    }
-    fn cufft_exec_z2z(
-        &self,
-        h: u64,
-        idata: u64,
-        odata: u64,
-        dir: i32,
-    ) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self
-            .srv
-            .fft_exec(self.session, h, vgpu::fft::CUFFT_Z2Z, idata, odata, dir))
-    }
-    fn ckpt_capture(&self) -> Result<DataResult, oncrpc::AcceptStat> {
-        Ok(self.srv.ckpt_capture(self.session))
-    }
-    fn ckpt_restore(&self, blob: &[u8]) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.ckpt_restore(self.session, blob))
-    }
-    fn srv_get_stats(&self) -> Result<ServerStats, oncrpc::AcceptStat> {
-        Ok(self.srv.srv_stats(self.session))
-    }
-    fn srv_reset_stats(&self) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.srv_reset_stats(self.session))
-    }
-    fn srv_set_scheduler(&self, policy: i32) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.srv_set_scheduler(self.session, policy))
-    }
-    // The migration control plane deliberately bypasses `host_call`: no
-    // scheduler turn and no virtual-clock charge, so streaming a session in
-    // never perturbs the timing the migrated client will observe.
-    fn mig_apply_base(&self, blob: &[u8]) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(match self.srv.mig_apply(blob, &[MigKind::Base]) {
-            Ok(_) => 0,
-            Err(e) => CricketServer::err_code(&e),
-        })
-    }
-    fn mig_apply_delta(&self, blob: &[u8]) -> Result<IntResult, oncrpc::AcceptStat> {
-        Ok(
-            match self.srv.mig_apply(blob, &[MigKind::Delta, MigKind::Final]) {
-                Ok(epochs) => IntResult::Data(epochs as i32),
-                Err(e) => IntResult::Default(CricketServer::err_code(&e)),
-            },
-        )
-    }
-    fn mig_abort(&self, token: u64) -> Result<i32, oncrpc::AcceptStat> {
-        self.srv.discard_adoption(token);
-        Ok(0)
-    }
-    fn cricket_qos_set(&self, params: QosParams) -> Result<i32, oncrpc::AcceptStat> {
-        Ok(self.srv.qos_set(self.session, &params))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2803,10 +2480,10 @@ mod tests {
         assert_eq!(cleanup.total(), 0, "freed ptr must not be freed again");
     }
 
-    /// The reactor executes every `ProcClass::Done` procedure inline on its
-    /// one poll thread, so none of them may wait for a scheduler turn. The
-    /// `Done` set is read off [`crate::proc_class`] itself: a procedure
-    /// added to that table without a row here fails the equality below.
+    /// The reactor executes every `inline` procedure on its one poll thread,
+    /// so none of them may wait for a scheduler turn. The set is read off
+    /// the table generated from `cricket.x` itself: a procedure tagged
+    /// `inline` there without a row here fails the equality below.
     #[test]
     fn host_only_queries_take_no_scheduler_turn() {
         use cricket_proto::cricket_v1 as p;
@@ -2840,15 +2517,17 @@ mod tests {
             (p::SRV_SET_SCHEDULER, Box::new(|s| { s.srv_set_scheduler(0).unwrap(); })),
             (p::CRICKET_QOS_SET, Box::new(move |s| { s.cricket_qos_set(qos).unwrap(); })),
         ];
-        let done: Vec<u32> = (0..4096)
-            .filter(|&proc| crate::proc_class(proc) == oncrpc::ProcClass::Done)
-            .collect();
+        let done: Vec<u32> = (0..4096).filter(|&proc| p::is_inline(proc)).collect();
+        for proc in 0..4096 {
+            let class = crate::proc_class(proc);
+            assert_eq!(class == oncrpc::ProcClass::Done, p::is_inline(proc));
+        }
         let order: Vec<u32> = driven.iter().map(|(proc, _)| *proc).collect();
         let mut listed = order.clone();
         listed.sort_unstable();
         assert_eq!(
             done, listed,
-            "proc_class's Done set vs the procs driven here"
+            "cricket.x's inline set vs the procs driven here"
         );
 
         // Another session holds the issue slot for the whole sweep: a
@@ -2883,6 +2562,119 @@ mod tests {
         s.cuda_free(ptr).unwrap();
         let after = srv.scheduler.served_ops();
         assert_eq!(after[&1], before.get(&1).copied().unwrap_or(0) + 2);
+    }
+
+    /// One recorded op per batchable procedure, each with distinct
+    /// arguments, and what they must decode back to.
+    fn one_of_each_batchable() -> (oncrpc::BatchBuilder, Vec<BatchOp<'static>>) {
+        use cricket_proto::CricketV1Client as C;
+        let grid = RpcDim3 { x: 2, y: 3, z: 4 };
+        let block = RpcDim3 { x: 5, y: 6, z: 7 };
+        let mut b = oncrpc::BatchBuilder::new();
+        C::cuda_memcpy_htod_record(&mut b, &0x10, b"abcde");
+        C::cuda_memcpy_dtod_record(&mut b, &0x20, &0x21, &22);
+        C::cuda_memset_record(&mut b, &0x30, &-3, &33);
+        C::cuda_memcpy_htod_sparse_record(&mut b, &0x40, b"sparse!");
+        C::cuda_launch_kernel_record(&mut b, &0x50, &grid, &block, &51, &0x52, b"par");
+        C::cuda_event_record_record(&mut b, &0x60, &0x61);
+        C::cufft_exec_c2c_record(&mut b, &0x70, &0x71, &0x72, &-1);
+        C::cufft_exec_z2z_record(&mut b, &0x80, &0x81, &0x82, &1);
+        let want = vec![
+            BatchOp::CudaMemcpyHtod(0x10, b"abcde"),
+            BatchOp::CudaMemcpyDtod(0x20, 0x21, 22),
+            BatchOp::CudaMemset(0x30, -3, 33),
+            BatchOp::CudaMemcpyHtodSparse(0x40, b"sparse!"),
+            BatchOp::CudaLaunchKernel(0x50, grid, block, 51, 0x52, b"par"),
+            BatchOp::CudaEventRecord(0x60, 0x61),
+            BatchOp::CufftExecC2c(0x70, 0x71, 0x72, -1),
+            BatchOp::CufftExecZ2z(0x80, 0x81, 0x82, 1),
+        ];
+        (b, want)
+    }
+
+    /// The generated `*_record` stubs and the generated batch decoder are
+    /// inverses for every batchable procedure of `cricket.x`.
+    #[test]
+    fn record_stubs_decode_back_through_the_generated_batch_decoder() {
+        let (mut b, want) = one_of_each_batchable();
+        let procs: Vec<u32> = (0..b.len()).map(|i| b.proc_at(i).unwrap()).collect();
+        let batchable: Vec<u32> = (0..4096).filter(|&p| cricket_v1::is_batchable(p)).collect();
+        let mut recorded = procs.clone();
+        recorded.sort_unstable();
+        assert_eq!(recorded, batchable, "a batchable proc has no row here");
+
+        let body = b.finish();
+        assert_eq!(decode_batch(&body).unwrap(), want);
+        // Op by op, straight through the generated decoder.
+        let mut dec = xdr::XdrDecoder::new(&body[4..]);
+        for (proc, op) in procs.iter().zip(&want) {
+            assert_eq!(dec.get_u32().unwrap(), *proc);
+            assert_eq!(BatchOp::decode(*proc, &mut dec).unwrap().as_ref(), Some(op));
+        }
+        dec.finish().unwrap();
+        // What the server still checks by hand: trailing bytes and a
+        // truncated op reject the whole batch.
+        let mut long = body.clone();
+        long.extend_from_slice(&[0; 4]);
+        assert_eq!(decode_batch(&long), Err(AcceptStat::GarbageArgs));
+        assert_eq!(
+            decode_batch(&body[..body.len() - 4]),
+            Err(AcceptStat::GarbageArgs)
+        );
+    }
+
+    /// A batch naming any procedure `cricket.x` does not declare
+    /// `batchable` is garbage as a whole, and nothing ran or was counted.
+    #[test]
+    fn non_batchable_procs_reject_the_whole_batch_without_side_effects() {
+        let (srv, s) = server();
+        let before = (srv.scheduler.served_ops(), s.srv_get_stats().unwrap());
+        for proc in (0..4096).filter(|&p| !cricket_v1::is_batchable(p)) {
+            let mut b = oncrpc::BatchBuilder::new();
+            cricket_proto::CricketV1Client::cuda_memcpy_htod_record(&mut b, &0x10, &[7; 64]);
+            b.record(proc, false, |enc| enc.put_opaque(&[7; 64]));
+            assert_eq!(
+                s.cricket_batch_exec(&b.finish()),
+                Err(AcceptStat::GarbageArgs),
+                "proc {proc}"
+            );
+        }
+        let after = (srv.scheduler.served_ops(), s.srv_get_stats().unwrap());
+        assert_eq!(before, after);
+        assert_eq!(after.1.bytes_in, 0);
+    }
+
+    /// The 4116-byte sparse blob whose header asks for 64 TiB (see
+    /// `oncrpc::sparse`): a CUDA error code on both routes, not an abort.
+    #[test]
+    fn sparse_bomb_is_a_cuda_error_and_the_server_keeps_serving() {
+        let (_srv, s) = server();
+        let mut enc = xdr::XdrEncoder::new();
+        enc.put_u32(0x8000_0000);
+        enc.put_u64(1 << 46);
+        enc.put_opaque(&[0u8; 4096]);
+        enc.put_opaque(&[]);
+        let bomb = enc.into_inner();
+        assert_eq!(bomb.len(), 4116);
+        let ptr = s.cuda_malloc(4096).unwrap().into_result().unwrap();
+        let invalid = vgpu::CudaCode::InvalidValue as i32;
+
+        assert_eq!(s.cuda_memcpy_htod_sparse(ptr, &bomb).unwrap(), invalid);
+
+        let mut b = oncrpc::BatchBuilder::new();
+        cricket_proto::CricketV1Client::cuda_memcpy_htod_sparse_record(&mut b, &ptr, &bomb);
+        let BatchResult::Receipt(receipt) = s.cricket_batch_exec(&b.finish()).unwrap() else {
+            panic!("batch refused");
+        };
+        assert_eq!(receipt.statuses.to_vec(), vec![invalid]);
+        assert_eq!(receipt.executed, 0);
+        assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0, "bomb counted");
+
+        // Still serving, and the legitimate sparse path still works.
+        let mut blob = Vec::new();
+        oncrpc::sparse::encode_into(&[0u8; 4096], 4096, &mut blob);
+        assert_eq!(s.cuda_memcpy_htod_sparse(ptr, &blob).unwrap(), 0);
+        assert_eq!(s.cuda_free(ptr).unwrap(), 0);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod sparse;
 pub mod stripe;
 pub mod telemetry;
 pub mod transport;
-pub mod udp;
 
 pub use auth::{AuthFlavor, OpaqueAuth};
 pub use batch::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};

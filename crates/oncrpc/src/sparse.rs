@@ -24,6 +24,7 @@
 //! payloads keep the plain path and pay zero wire overhead. The scan itself
 //! is one pass over the payload.
 
+use crate::record::MAX_RECORD;
 use xdr::{XdrDecoder, XdrEncoder, XdrError, XdrResult};
 
 /// Default page granularity of the zero map. Matches the guest page size:
@@ -93,25 +94,39 @@ pub fn encode_adaptive(data: &[u8], page: usize, out: &mut Vec<u8>) -> Option<(u
     }
 }
 
-/// Decoded payload length of a sparse blob, read from the header without
-/// decoding the body. Used for transfer accounting: a sparse H2D moves
-/// `raw_len` bytes into device memory no matter how few travel the wire.
-pub fn raw_len(enc: &[u8]) -> XdrResult<u64> {
-    let mut dec = XdrDecoder::new(enc);
-    let _page = dec.get_u32()?;
-    dec.get_u64()
-}
-
-/// Decode a sparse blob into `out` (cleared first), materializing zero
-/// pages as zero bytes — the result is byte-identical to the original
-/// payload.
-pub fn decode_into(enc: &[u8], out: &mut Vec<u8>) -> XdrResult<()> {
-    let mut dec = XdrDecoder::new(enc);
+/// Read the blob header, `(page_size, raw_len)`. Both fields come straight
+/// off the wire, so they are bounded here, before anything is sized from
+/// them: a sparse blob may not decode to more than [`MAX_RECORD`], the most
+/// the plain path could have carried.
+fn header(dec: &mut XdrDecoder<'_>) -> XdrResult<(usize, usize)> {
     let page = dec.get_u32()? as usize;
     if page < 8 {
         return Err(XdrError::Custom(format!("sparse page size {page} invalid")));
     }
-    let raw_len = dec.get_u64()? as usize;
+    let raw_len = usize::try_from(dec.get_u64()?).unwrap_or(usize::MAX);
+    if raw_len > MAX_RECORD {
+        return Err(XdrError::LengthOutOfBounds {
+            len: raw_len,
+            max: MAX_RECORD,
+        });
+    }
+    Ok((page, raw_len))
+}
+
+/// Decoded payload length of a sparse blob, read from the header without
+/// decoding the body. Used for transfer accounting: a sparse H2D moves
+/// `raw_len` bytes into device memory no matter how few travel the wire.
+pub fn raw_len(enc: &[u8]) -> XdrResult<u64> {
+    header(&mut XdrDecoder::new(enc)).map(|(_, raw_len)| raw_len as u64)
+}
+
+/// Decode a sparse blob into `out` (cleared first), materializing zero
+/// pages as zero bytes — the result is byte-identical to the original
+/// payload. `out` grows only as pages are produced, never from the
+/// header's claim alone.
+pub fn decode_into(enc: &[u8], out: &mut Vec<u8>) -> XdrResult<()> {
+    let mut dec = XdrDecoder::new(enc);
+    let (page, raw_len) = header(&mut dec)?;
     let bitmap = dec.get_opaque_ref()?;
     let literals = dec.get_opaque_ref()?;
     dec.finish()?;
@@ -125,7 +140,6 @@ pub fn decode_into(enc: &[u8], out: &mut Vec<u8>) -> XdrResult<()> {
         )));
     }
     out.clear();
-    out.reserve(raw_len);
     let mut lit = literals;
     for i in 0..pages {
         let this = (raw_len - i * page).min(page);
@@ -244,5 +258,41 @@ mod tests {
         let mut bad = enc.clone();
         bad[4..12].copy_from_slice(&(1u64 << 30).to_be_bytes());
         assert!(decode(&bad).is_err());
+    }
+
+    /// The 4116-byte blob that used to abort the process: `page` and
+    /// `raw_len` chosen so a 4096-byte all-zero bitmap passes the length
+    /// check while `raw_len` asks for 64 TiB.
+    #[test]
+    fn oversized_raw_len_is_rejected_before_any_allocation() {
+        let header = |raw_len: u64, bitmap: &[u8]| {
+            let mut enc = XdrEncoder::new();
+            enc.put_u32(0x8000_0000);
+            enc.put_u64(raw_len);
+            enc.put_opaque(bitmap);
+            enc.put_opaque(&[]);
+            enc.into_inner()
+        };
+        let blob = header(1 << 46, &[0u8; 4096]);
+        assert_eq!(blob.len(), 4116);
+        let bound = XdrError::LengthOutOfBounds {
+            len: 1 << 46,
+            max: MAX_RECORD,
+        };
+        let mut out = Vec::new();
+        // Best of a few tries: a descheduled test thread is not a slow decode.
+        let fastest = (0..10)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                assert_eq!(decode_into(&blob, &mut out), Err(bound.clone()));
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < std::time::Duration::from_millis(1), "{fastest:?}");
+        assert_eq!(out.capacity(), 0, "nothing sized from the header");
+        assert_eq!(raw_len(&blob), Err(bound));
+        // One byte past what the plain path could carry is already refused.
+        assert!(decode(&header(MAX_RECORD as u64 + 1, &[0u8])).is_err());
     }
 }

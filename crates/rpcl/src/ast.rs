@@ -120,8 +120,13 @@ pub struct ProcedureDef {
     /// Declared `batchable` in the interface: an async, non-result-bearing
     /// op (plain `int` status result) that clients may record into a
     /// command batch instead of sending immediately. Codegen emits a
-    /// `*_record` stub and an `is_batchable` table for these.
+    /// `*_record` stub, an `is_batchable` table and a variant of the
+    /// version's `BatchOp` decoder for these.
     pub batchable: bool,
+    /// Declared `inline` in the interface: answers from host-visible state
+    /// without ever waiting, so a server may run it on its poll thread.
+    /// Codegen emits an `is_inline` table.
+    pub inline: bool,
 }
 
 /// A variable declaration: a type applied to a name with an optional

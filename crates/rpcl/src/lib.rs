@@ -29,6 +29,11 @@
 //! typedef opaque mem_data<>;
 //! program PROG { version VERS { r PROC(s, int) = 1; } = 1; } = 0x20000099;
 //! ```
+//!
+//! plus three procedure attributes, written before the result type in any
+//! order: `idempotent`, `batchable` and `inline` (see [`ast::ProcedureDef`]).
+//! Each becomes an `is_*` table in the version's procedure-number module;
+//! `batchable` also yields the `*_record` stubs and `{Vers}BatchOp::decode`.
 
 pub mod ast;
 pub mod codegen;

@@ -318,19 +318,20 @@ impl Parser {
     fn procedure_def(&mut self) -> Result<ProcedureDef, Error> {
         // Optional leading qualifiers (RPCL extensions), in any order:
         // `idempotent` marks the procedure safe for automatic client-side
-        // retry; `batchable` marks it recordable into a command batch.
-        let mut idempotent = false;
-        let mut batchable = false;
+        // retry; `batchable` marks it recordable into a command batch;
+        // `inline` marks it answerable without waiting (server poll thread).
+        let (mut idempotent, mut batchable, mut inline) = (false, false, false);
         loop {
             if !idempotent && self.at_keyword("idempotent") {
                 idempotent = true;
-                self.bump();
             } else if !batchable && self.at_keyword("batchable") {
                 batchable = true;
-                self.bump();
+            } else if !inline && self.at_keyword("inline") {
+                inline = true;
             } else {
                 break;
             }
+            self.bump();
         }
         let result = self.type_spec()?;
         let name = self.expect_ident()?;
@@ -371,6 +372,7 @@ impl Parser {
             args,
             idempotent,
             batchable,
+            inline,
         })
     }
 

@@ -91,7 +91,6 @@ fn striped_transfer_matches_unstriped_byte_for_byte() {
 
     let setup = SimSetup::new();
     let mut striped = setup.striped_client(EnvConfig::RustyHermit, 4);
-    striped.set_stripe_threshold(64 * 1024);
     let p = striped.malloc(data.len() as u64).unwrap();
     striped.memcpy_htod(p, &data).unwrap();
     let back_striped = striped.memcpy_dtoh(p, data.len() as u64).unwrap();
@@ -121,7 +120,6 @@ fn striped_transfer_matches_unstriped_byte_for_byte() {
 fn small_ops_bypass_the_stripe_pool() {
     let setup = SimSetup::new();
     let mut client = setup.striped_client(EnvConfig::RustyHermit, 4);
-    client.set_stripe_threshold(1 << 20);
     let data = dense(32 * 1024);
     let p = client.malloc(data.len() as u64).unwrap();
     client.memcpy_htod(p, &data).unwrap();
@@ -189,10 +187,9 @@ fn striped_transfers_survive_the_chaos_matrix_exactly_once() {
         // The control-plane client stays clean; only the stripes face chaos.
         let mut client = setup.client(env);
         client.enable_striping(pool);
-        client.set_stripe_threshold(64 * 1024);
-        client.set_sparse(false); // isolate the striping path
 
-        let data = dense(512 * 1024);
+        // Dense, so the sparse codec never wins: the striping path alone.
+        let data = dense(1 << 20);
         let p = client.malloc(data.len() as u64).unwrap();
         client.server_reset_stats().unwrap();
         client.memcpy_htod(p, &data).unwrap();
@@ -318,10 +315,9 @@ fn sparse_transfers_survive_the_chaos_matrix() {
 fn striping_sparse_and_batching_compose() {
     let setup = SimSetup::new();
     let mut client = setup.striped_client(EnvConfig::RustyHermit, 2);
-    client.set_stripe_threshold(128 * 1024);
     client.enable_batching();
 
-    let big_dense = dense(512 * 1024); // striped
+    let big_dense = dense(1 << 20); // striped
     let big_sparse = sparse_payload(128, 8); // sparse (512 KiB, 1/8 literal)
     let small = dense(2 * 1024); // batch-inlined
 

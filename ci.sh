@@ -26,7 +26,10 @@ cargo test -q
 #   proptest_stack         lossy_fault / any_fault: fault-plan properties over the full stack;
 #                          record_flush_interleavings: batches retire in program order;
 #                          streaming_deltas: dirty-delta streaming reproduces source memory
-#   checkpoint_restart     incl. connection_reset_mid_checkpoint
+#   checkpoint_restart     capture -> restore -> capture fixed point, corrupted snapshots,
+#                          connection_reset_mid_checkpoint converging to the fault-free bytes
+#   session_state          (cricket-server) checkpoint = Base blobs: every handle kind + device 1 survive,
+#                          restored state is owned and reclaimed, a restore colliding with a live block or handle leaves no trace
 #   reactor                byte-identical reply traces vs the serial reference, churn soak
 #   fleet                  portmap shard directory + registration lifecycle + seeded failover matrix
 #   migration              chaos matrix (byte-identical traces), crash-abort, 100-hop soak, concurrent load
@@ -61,8 +64,9 @@ cargo run --release -p cricket-bench --bin multitenant -- --qos --smoke
 echo "==> bench smoke: fig7 (striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"
 cargo run --release -p cricket-bench --bin fig7_bandwidth -- --smoke
 
-echo "==> example smoke tests (async stream engine; nonzero exit fails CI)"
+echo "==> example smoke tests (async stream engine, checkpoint/restart; nonzero exit fails CI)"
 cargo run --release --example multi_tenant
 cargo run --release --example fft_pipeline
+cargo run --release --example checkpoint_restart
 
 echo "CI OK"

@@ -960,7 +960,8 @@ impl CricketClient {
     // These still flush any pending batch first: a checkpoint must see
     // recorded work, and server statistics must not race deferred ops.
 
-    /// Capture a checkpoint of the server-side GPU state.
+    /// Capture a checkpoint of the server-side GPU state: one blob per
+    /// server session that owns anything, on every device.
     pub fn checkpoint(&mut self) -> ClientResult<Vec<u8>> {
         self.flush_batch()?;
         self.stub
@@ -969,7 +970,9 @@ impl CricketClient {
             .map_err(|c| ClientError::cuda("ckptCapture", c))
     }
 
-    /// Restore a checkpoint.
+    /// Restore a checkpoint. This connection's session owns everything in
+    /// it from then on. Nothing that was live on the server is replaced: a
+    /// block or handle in it that somebody there holds fails the restore.
     pub fn restore(&mut self, blob: &[u8]) -> ClientResult<()> {
         self.flush_batch()?;
         Self::int_status("ckptRestore", self.stub.ckpt_restore(blob)?)

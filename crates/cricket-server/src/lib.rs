@@ -10,9 +10,10 @@
 //! * [`scheduler`] — configurable GPU-sharing policies (FIFO, round-robin,
 //!   priority) arbitrating concurrent client sessions, the paper's
 //!   "managing the shared access through configurable schedulers";
-//! * [`checkpoint`] — serialization of the entire GPU-side state (memory,
-//!   modules, functions, streams, events) into an XDR blob and exact-handle
-//!   restore, the paper's Checkpoint/Restart support;
+//! * [`migrate`] — the one session-state wire format: a session's memory,
+//!   modules, functions, streams, events and library handles as XDR blobs
+//!   restored at their exact handle values. At rest they are the paper's
+//!   Checkpoint/Restart support, in flight they are live migration;
 //! * [`transport`] — the simulated client↔server paths: an in-process
 //!   transport that carries real RPC bytes through the functional guest TCP
 //!   stack and charges network time from the environment's cost model.
@@ -21,7 +22,6 @@
 //! binary is a thin command line over it.
 
 pub mod builder;
-pub mod checkpoint;
 pub mod migrate;
 pub mod scheduler;
 pub mod service;

@@ -1,39 +1,51 @@
-//! Live-migration wire format: the streaming-checkpoint blobs a source
-//! server's migration driver pushes to a destination server.
+//! Session-state wire format: the one serializer behind both
+//! checkpoint/restart and live migration.
 //!
-//! A migration is a sequence of [`MigBlob`]s for one client token:
+//! A [`MigBlob`] is one session's state, or one increment of it:
 //!
-//! 1. one [`MigKind::Base`] — the full session snapshot (every block the
-//!    session owns, its modules, streams, events, library handles);
-//! 2. any number of [`MigKind::Delta`]s — only what changed since the
-//!    previous blob (dirty spans, new/freed blocks), taken while the
-//!    source *keeps serving* the client;
-//! 3. one [`MigKind::Final`] — the post-barrier delta: the source fences
-//!    every stream (the CRAC-style snapshot barrier), evicts the client,
-//!    and ships the last dirty window plus the client's at-most-once
-//!    replay entries so in-flight xids complete exactly once at the new
-//!    home.
+//! * [`MigKind::Base`] — the full session snapshot (every block the
+//!   session owns, its modules, streams, events, library handles);
+//! * [`MigKind::Delta`] — only what changed since the previous blob (dirty
+//!   spans, new/freed blocks), taken while the source *keeps serving* the
+//!   client;
+//! * [`MigKind::Final`] — the post-barrier delta: the source fences every
+//!   stream (the CRAC-style snapshot barrier), evicts the client, and
+//!   ships the last dirty window plus the client's at-most-once replay
+//!   entries so in-flight xids complete exactly once at the new home.
+//!
+//! A *migration* is one `Base`, any number of `Delta`s and one `Final` in
+//! flight for one client token. A *checkpoint* is `Base` blobs at rest: one
+//! per session that owns anything, in a counted container
+//! (`encode_checkpoint` / `decode_checkpoint`).
 //!
 //! Every blob carries the full session *metadata* ([`SessionMeta`]) —
 //! metadata is tiny next to memory contents, and re-sending it makes each
 //! apply idempotent against the previous one (the destination reconciles
 //! by diff). Memory rides as a [`MemDelta`] relative to what the previous
 //! blob shipped. Encoding is this repository's own XDR; decode errors are
-//! typed [`VgpuError`]s, never panics.
+//! typed [`VgpuError`]s, never panics, and no length read off the wire
+//! sizes an allocation before the bytes behind it are known to exist.
 
 use vgpu::memory::MemDelta;
 use vgpu::{VgpuError, VgpuResult};
-use xdr::{XdrDecoder, XdrEncoder};
+use xdr::{XdrDecoder, XdrEncoder, XdrResult};
 
-/// Migration blob magic ("MIG1").
+/// Session blob magic ("MIG1").
 const MAGIC: u32 = 0x4d49_4731;
-/// Migration blob format version.
+/// Session blob format version.
 const VERSION: u32 = 1;
+/// Checkpoint container magic ("CKPT").
+const CKPT_MAGIC: u32 = 0x434b_5054;
+/// Checkpoint container version (1 was the retired whole-device layout).
+const CKPT_VERSION: u32 = 2;
+/// Wire size of a blob with every list empty: the least one can occupy.
+const MIN_BLOB_WIRE: usize = 92;
 
-/// Which leg of the migration stream a blob is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which leg of a session-state stream a blob is.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MigKind {
     /// Full snapshot; opens the stream and replaces any prior attempt.
+    #[default]
     Base,
     /// Incremental delta while the source still serves the client.
     Delta,
@@ -65,13 +77,16 @@ impl MigKind {
 /// vectors are sorted by handle so identical states encode identically.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionMeta {
-    /// The migrating client's at-most-once token (`AUTH_SHORT` credential).
+    /// The migrating client's at-most-once token (`AUTH_SHORT` credential);
+    /// 0 in a checkpoint, which belongs to whoever restores it.
     pub token: u64,
     /// The session's current device ordinal (`cudaSetDevice`).
     pub current_device: u32,
-    /// Source virtual clock at export. The destination advances its clock
-    /// here so post-cutover timing (event elapsed, batch receipts) is
-    /// byte-identical to an unmigrated run.
+    /// The least the applying server's virtual clock must read. A
+    /// migration stamps the source clock at export, so post-cutover timing
+    /// (event elapsed, batch receipts) is byte-identical to an unmigrated
+    /// run; a checkpoint stamps the drained completion frontier, so every
+    /// restored stream frontier lies in the past.
     pub src_now_ns: u64,
     /// Per-device handle counters `(device ordinal, next_handle)` — merged
     /// with max() on the destination so restored and future handles never
@@ -99,11 +114,11 @@ pub struct SessionMeta {
     pub ffts: Vec<(u64, i32, i32, i32)>,
 }
 
-/// One blob of the migration stream.
+/// One blob of session state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigBlob {
-    /// Which leg this is (defaults to a fresh [`MigKind::Base`]).
-    pub kind: Option<MigKind>,
+    /// Which leg this is.
+    pub kind: MigKind,
     /// Full session metadata (applied idempotently).
     pub meta: SessionMeta,
     /// Memory changes since the previous blob of this stream.
@@ -113,20 +128,53 @@ pub struct MigBlob {
     pub replay: Vec<(u32, Vec<u8>)>,
 }
 
+fn bad(m: impl std::fmt::Display) -> VgpuError {
+    VgpuError::InvalidValue(format!("session blob: {m}"))
+}
+
+/// Write a counted list: `u32` count, then `item` per element.
+fn put_list<T>(enc: &mut XdrEncoder, items: &[T], item: impl Fn(&mut XdrEncoder, &T)) {
+    enc.put_u32(items.len() as u32);
+    for it in items {
+        item(enc, it);
+    }
+}
+
+/// Read an element count — the only place a count off the wire sizes
+/// anything. `min_wire` is the least one element occupies on the wire; a
+/// count the unread bytes cannot hold is rejected here, *before* the
+/// caller reserves for it, so a hostile count costs nothing.
+fn count(dec: &mut XdrDecoder<'_>, min_wire: usize) -> VgpuResult<usize> {
+    let n = dec.get_u32().map_err(bad)? as usize;
+    let left = dec.remaining();
+    if n > left / min_wire {
+        return Err(bad(format_args!("count {n} cannot fit in {left} bytes")));
+    }
+    Ok(n)
+}
+
+/// Read a counted list: [`count`], then `item` per element.
+fn list<'a, T>(
+    dec: &mut XdrDecoder<'a>,
+    min_wire: usize,
+    mut item: impl FnMut(&mut XdrDecoder<'a>) -> XdrResult<T>,
+) -> VgpuResult<Vec<T>> {
+    let n = count(dec, min_wire)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(dec).map_err(bad)?);
+    }
+    Ok(out)
+}
+
 impl MigBlob {
     /// A blob of `kind` for `meta`.
     pub fn new(kind: MigKind, meta: SessionMeta) -> Self {
         Self {
-            kind: Some(kind),
+            kind,
             meta,
-            mem: MemDelta::default(),
-            replay: Vec::new(),
+            ..Self::default()
         }
-    }
-
-    /// The blob's kind (a default-constructed blob is a `Base`).
-    pub fn kind(&self) -> MigKind {
-        self.kind.unwrap_or(MigKind::Base)
     }
 
     /// Payload bytes this blob moves (memory contents + module images +
@@ -141,222 +189,160 @@ impl MigBlob {
     /// `MIG_APPLY_DELTA`.
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = XdrEncoder::with_capacity(4096);
+        self.encode_into(&mut enc);
+        enc.into_inner()
+    }
+
+    fn encode_into(&self, enc: &mut XdrEncoder) {
         enc.put_u32(MAGIC);
         enc.put_u32(VERSION);
-        enc.put_u32(self.kind().to_u32());
+        enc.put_u32(self.kind.to_u32());
 
         let m = &self.meta;
         enc.put_u64(m.token);
         enc.put_u32(m.current_device);
         enc.put_u64(m.src_now_ns);
-        enc.put_u32(m.next_handles.len() as u32);
-        for &(dev, next) in &m.next_handles {
-            enc.put_u32(dev);
-            enc.put_u64(next);
-        }
+        put_list(enc, &m.next_handles, |e, &(dev, next)| {
+            e.put_u32(dev);
+            e.put_u64(next);
+        });
         enc.put_u64(m.next_lib_handle);
-        enc.put_u32(m.modules.len() as u32);
-        for (h, image) in &m.modules {
-            enc.put_u64(*h);
-            enc.put_opaque(image);
-        }
-        enc.put_u32(m.functions.len() as u32);
-        for (h, module, name) in &m.functions {
-            enc.put_u64(*h);
-            enc.put_u64(*module);
-            enc.put_string(name);
-        }
-        enc.put_u32(m.streams.len() as u32);
-        for &(h, frontier) in &m.streams {
-            enc.put_u64(h);
-            enc.put_u64(frontier);
-        }
-        enc.put_u32(m.events.len() as u32);
-        for &(h, recorded) in &m.events {
-            enc.put_u64(h);
-            match recorded {
-                Some(t) => {
-                    enc.put_u32(1);
-                    enc.put_u64(t);
-                }
-                None => enc.put_u32(0),
-            }
-        }
-        enc.put_u32(m.default_streams.len() as u32);
-        for &(dev, h) in &m.default_streams {
-            enc.put_u32(dev);
-            enc.put_u64(h);
-        }
-        enc.put_u32(m.blas.len() as u32);
-        for &h in &m.blas {
-            enc.put_u64(h);
-        }
-        enc.put_u32(m.solvers.len() as u32);
-        for &h in &m.solvers {
-            enc.put_u64(h);
-        }
-        enc.put_u32(m.ffts.len() as u32);
-        for &(h, n, kind, batch) in &m.ffts {
-            enc.put_u64(h);
-            enc.put_i32(n);
-            enc.put_i32(kind);
-            enc.put_i32(batch);
-        }
+        put_list(enc, &m.modules, |e, (h, image)| {
+            e.put_u64(*h);
+            e.put_opaque(image);
+        });
+        put_list(enc, &m.functions, |e, (h, module, name)| {
+            e.put_u64(*h);
+            e.put_u64(*module);
+            e.put_string(name);
+        });
+        put_list(enc, &m.streams, |e, &(h, frontier)| {
+            e.put_u64(h);
+            e.put_u64(frontier);
+        });
+        put_list(enc, &m.events, |e, (h, recorded)| {
+            e.put_u64(*h);
+            e.put_option(recorded.as_ref());
+        });
+        put_list(enc, &m.default_streams, |e, &(dev, h)| {
+            e.put_u32(dev);
+            e.put_u64(h);
+        });
+        put_list(enc, &m.blas, |e, &h| e.put_u64(h));
+        put_list(enc, &m.solvers, |e, &h| e.put_u64(h));
+        put_list(enc, &m.ffts, |e, &(h, n, kind, batch)| {
+            e.put_u64(h);
+            e.put_i32(n);
+            e.put_i32(kind);
+            e.put_i32(batch);
+        });
 
-        enc.put_u32(self.mem.freed.len() as u32);
-        for &base in &self.mem.freed {
-            enc.put_u64(base);
-        }
-        enc.put_u32(self.mem.new_blocks.len() as u32);
-        for (base, bytes) in &self.mem.new_blocks {
-            enc.put_u64(*base);
-            enc.put_opaque(bytes);
-        }
-        enc.put_u32(self.mem.dirty.len() as u32);
-        for (base, off, bytes) in &self.mem.dirty {
-            enc.put_u64(*base);
-            enc.put_u64(*off);
-            enc.put_opaque(bytes);
-        }
+        put_list(enc, &self.mem.freed, |e, &base| e.put_u64(base));
+        put_list(enc, &self.mem.new_blocks, |e, (base, bytes)| {
+            e.put_u64(*base);
+            e.put_opaque(bytes);
+        });
+        put_list(enc, &self.mem.dirty, |e, (base, off, bytes)| {
+            e.put_u64(*base);
+            e.put_u64(*off);
+            e.put_opaque(bytes);
+        });
 
-        enc.put_u32(self.replay.len() as u32);
-        for (xid, reply) in &self.replay {
-            enc.put_u32(*xid);
-            enc.put_opaque(reply);
-        }
-        enc.into_inner()
+        put_list(enc, &self.replay, |e, (xid, reply)| {
+            e.put_u32(*xid);
+            e.put_opaque(reply);
+        });
     }
 
     /// Parse a wire blob. Garbage and truncation yield typed errors.
     pub fn decode(blob: &[u8]) -> VgpuResult<Self> {
-        let bad = |m: &str| VgpuError::InvalidValue(format!("migration blob: {m}"));
         let mut dec = XdrDecoder::new(blob);
-        macro_rules! get {
-            ($e:expr) => {
-                $e.map_err(|e| bad(&e.to_string()))?
-            };
-        }
-        if get!(dec.get_u32()) != MAGIC {
+        let out = Self::decode_from(&mut dec)?;
+        dec.finish().map_err(bad)?;
+        Ok(out)
+    }
+
+    fn decode_from(dec: &mut XdrDecoder<'_>) -> VgpuResult<Self> {
+        if dec.get_u32().map_err(bad)? != MAGIC {
             return Err(bad("wrong magic"));
         }
-        let version = get!(dec.get_u32());
+        let version = dec.get_u32().map_err(bad)?;
         if version != VERSION {
-            return Err(bad(&format!("unsupported version {version}")));
+            return Err(bad(format_args!("unsupported version {version}")));
         }
-        let kind_raw = get!(dec.get_u32());
-        let kind = MigKind::from_u32(kind_raw).ok_or_else(|| bad(&format!("kind {kind_raw}")))?;
+        let kind = dec.get_u32().map_err(bad)?;
+        let kind = MigKind::from_u32(kind).ok_or_else(|| bad(format_args!("kind {kind}")))?;
 
-        let mut meta = SessionMeta {
-            token: get!(dec.get_u64()),
-            current_device: get!(dec.get_u32()),
-            src_now_ns: get!(dec.get_u64()),
-            ..SessionMeta::default()
+        let meta = SessionMeta {
+            token: dec.get_u64().map_err(bad)?,
+            current_device: dec.get_u32().map_err(bad)?,
+            src_now_ns: dec.get_u64().map_err(bad)?,
+            next_handles: list(dec, 12, |d| Ok((d.get_u32()?, d.get_u64()?)))?,
+            next_lib_handle: dec.get_u64().map_err(bad)?,
+            modules: list(dec, 12, |d| Ok((d.get_u64()?, d.get_opaque()?.to_vec())))?,
+            functions: list(dec, 20, |d| {
+                Ok((d.get_u64()?, d.get_u64()?, d.get_string()?))
+            })?,
+            streams: list(dec, 16, |d| Ok((d.get_u64()?, d.get_u64()?)))?,
+            events: list(dec, 12, |d| Ok((d.get_u64()?, d.get_option()?)))?,
+            default_streams: list(dec, 12, |d| Ok((d.get_u32()?, d.get_u64()?)))?,
+            blas: list(dec, 8, |d| d.get_u64())?,
+            solvers: list(dec, 8, |d| d.get_u64())?,
+            ffts: list(dec, 20, |d| {
+                Ok((d.get_u64()?, d.get_i32()?, d.get_i32()?, d.get_i32()?))
+            })?,
         };
-        // Bound element counts by the remaining bytes so a corrupted count
-        // cannot drive a huge pre-allocation.
-        let cap = |n: u32| (n as usize).min(blob.len());
-        let n = get!(dec.get_u32());
-        meta.next_handles.reserve(cap(n));
-        for _ in 0..n {
-            meta.next_handles
-                .push((get!(dec.get_u32()), get!(dec.get_u64())));
-        }
-        meta.next_lib_handle = get!(dec.get_u64());
-        let n = get!(dec.get_u32());
-        meta.modules.reserve(cap(n));
-        for _ in 0..n {
-            meta.modules
-                .push((get!(dec.get_u64()), get!(dec.get_opaque()).to_vec()));
-        }
-        let n = get!(dec.get_u32());
-        meta.functions.reserve(cap(n));
-        for _ in 0..n {
-            meta.functions.push((
-                get!(dec.get_u64()),
-                get!(dec.get_u64()),
-                get!(dec.get_string()),
-            ));
-        }
-        let n = get!(dec.get_u32());
-        meta.streams.reserve(cap(n));
-        for _ in 0..n {
-            meta.streams
-                .push((get!(dec.get_u64()), get!(dec.get_u64())));
-        }
-        let n = get!(dec.get_u32());
-        meta.events.reserve(cap(n));
-        for _ in 0..n {
-            let h = get!(dec.get_u64());
-            let recorded = match get!(dec.get_u32()) {
-                0 => None,
-                1 => Some(get!(dec.get_u64())),
-                other => return Err(bad(&format!("event discriminant {other}"))),
-            };
-            meta.events.push((h, recorded));
-        }
-        let n = get!(dec.get_u32());
-        meta.default_streams.reserve(cap(n));
-        for _ in 0..n {
-            meta.default_streams
-                .push((get!(dec.get_u32()), get!(dec.get_u64())));
-        }
-        let n = get!(dec.get_u32());
-        meta.blas.reserve(cap(n));
-        for _ in 0..n {
-            meta.blas.push(get!(dec.get_u64()));
-        }
-        let n = get!(dec.get_u32());
-        meta.solvers.reserve(cap(n));
-        for _ in 0..n {
-            meta.solvers.push(get!(dec.get_u64()));
-        }
-        let n = get!(dec.get_u32());
-        meta.ffts.reserve(cap(n));
-        for _ in 0..n {
-            meta.ffts.push((
-                get!(dec.get_u64()),
-                get!(dec.get_i32()),
-                get!(dec.get_i32()),
-                get!(dec.get_i32()),
-            ));
-        }
-
-        let mut mem = MemDelta::default();
-        let n = get!(dec.get_u32());
-        mem.freed.reserve(cap(n));
-        for _ in 0..n {
-            mem.freed.push(get!(dec.get_u64()));
-        }
-        let n = get!(dec.get_u32());
-        mem.new_blocks.reserve(cap(n));
-        for _ in 0..n {
-            mem.new_blocks
-                .push((get!(dec.get_u64()), get!(dec.get_opaque()).to_vec()));
-        }
-        let n = get!(dec.get_u32());
-        mem.dirty.reserve(cap(n));
-        for _ in 0..n {
-            mem.dirty.push((
-                get!(dec.get_u64()),
-                get!(dec.get_u64()),
-                get!(dec.get_opaque()).to_vec(),
-            ));
-        }
-
-        let mut replay = Vec::new();
-        let n = get!(dec.get_u32());
-        replay.reserve(cap(n));
-        for _ in 0..n {
-            replay.push((get!(dec.get_u32()), get!(dec.get_opaque()).to_vec()));
-        }
-        get!(dec.finish());
+        let mem = MemDelta {
+            freed: list(dec, 8, |d| d.get_u64())?,
+            new_blocks: list(dec, 12, |d| Ok((d.get_u64()?, d.get_opaque()?.to_vec())))?,
+            dirty: list(dec, 20, |d| {
+                Ok((d.get_u64()?, d.get_u64()?, d.get_opaque()?.to_vec()))
+            })?,
+        };
+        let replay = list(dec, 8, |d| Ok((d.get_u32()?, d.get_opaque()?.to_vec())))?;
         Ok(Self {
-            kind: Some(kind),
+            kind,
             meta,
             mem,
             replay,
         })
     }
+}
+
+/// Serialize a checkpoint: the counted container around `blobs`.
+pub(crate) fn encode_checkpoint(blobs: &[MigBlob]) -> Vec<u8> {
+    let mut enc = XdrEncoder::with_capacity(4096);
+    enc.put_u32(CKPT_MAGIC);
+    enc.put_u32(CKPT_VERSION);
+    put_list(&mut enc, blobs, |e, b| b.encode_into(e));
+    enc.into_inner()
+}
+
+/// Parse a checkpoint into its blobs, every one of which must be a
+/// [`MigKind::Base`]. The whole container is decoded and checked before
+/// the caller sees any of it, so a rejected checkpoint has touched nothing.
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> VgpuResult<Vec<MigBlob>> {
+    let mut dec = XdrDecoder::new(bytes);
+    if dec.get_u32().map_err(bad)? != CKPT_MAGIC {
+        return Err(bad("not a checkpoint (wrong magic)"));
+    }
+    let version = dec.get_u32().map_err(bad)?;
+    if version != CKPT_VERSION {
+        return Err(bad(format_args!(
+            "unsupported checkpoint version {version}"
+        )));
+    }
+    let n = count(&mut dec, MIN_BLOB_WIRE)?;
+    let mut blobs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let blob = MigBlob::decode_from(&mut dec)?;
+        if blob.kind != MigKind::Base {
+            return Err(bad(format_args!("{:?} blob in a checkpoint", blob.kind)));
+        }
+        blobs.push(blob);
+    }
+    dec.finish().map_err(bad)?;
+    Ok(blobs)
 }
 
 #[cfg(test)]
@@ -394,7 +380,7 @@ mod tests {
         let blob = populated();
         let decoded = MigBlob::decode(&blob.encode()).unwrap();
         assert_eq!(decoded, blob);
-        assert_eq!(decoded.kind(), MigKind::Final);
+        assert_eq!(decoded.kind, MigKind::Final);
     }
 
     #[test]
@@ -440,5 +426,105 @@ mod tests {
         let blob = populated();
         // 64 new + 8 dirty + 11 module image + 3 replay.
         assert_eq!(blob.payload_bytes(), 64 + 8 + 11 + 3);
+    }
+
+    #[test]
+    fn min_blob_wire_is_the_empty_blob() {
+        assert_eq!(MigBlob::default().encode().len(), MIN_BLOB_WIRE);
+    }
+
+    /// The reproducer: a valid header, then a `functions` count of
+    /// `0xFFFF_FFFF`. The old bound was `min(count, blob.len())` *elements*
+    /// — 40 B reserved per byte of blob, 40 GiB for a `MAX_RECORD` apply —
+    /// before one element was read. The count is now refused outright.
+    #[test]
+    fn count_bomb_is_refused_before_anything_is_reserved() {
+        let mut bomb = MigBlob::default().encode();
+        // magic, version, kind, token, device, now, next_handles count,
+        // next_lib_handle, modules count — then the functions count.
+        let functions_at = 4 + 4 + 4 + 8 + 4 + 8 + 4 + 8 + 4;
+        bomb[functions_at..functions_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        bomb.resize(1 << 20, 0);
+        let err = MigBlob::decode(&bomb).unwrap_err();
+        assert!(
+            err.to_string().contains("count 4294967295 cannot fit"),
+            "{err}"
+        );
+
+        // Straight at the helper: the refusal comes before the reservation,
+        // and the largest count that passes reserves no more than the bytes
+        // that are actually there.
+        let wire = [&u32::MAX.to_be_bytes()[..], &[0u8; 40]].concat();
+        let mut dec = XdrDecoder::new(&wire);
+        assert!(count(&mut dec, 20).is_err());
+        let wire = [&2u32.to_be_bytes()[..], &[0u8; 40]].concat();
+        let functions = list(&mut XdrDecoder::new(&wire), 20, |d| {
+            Ok((d.get_u64()?, d.get_u64()?, d.get_string()?))
+        })
+        .unwrap();
+        assert_eq!((functions.len(), functions.capacity()), (2, 2));
+        let wire = [&3u32.to_be_bytes()[..], &[0u8; 40]].concat();
+        assert!(count(&mut XdrDecoder::new(&wire), 20).is_err());
+
+        // The container's blob count goes through the same check.
+        let mut ckpt = encode_checkpoint(&[]);
+        ckpt[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
+        ckpt.resize(1 << 16, 0);
+        let err = decode_checkpoint(&ckpt).unwrap_err();
+        assert!(err.to_string().contains("cannot fit"), "{err}");
+    }
+
+    fn base(token: u64) -> MigBlob {
+        let mut blob = populated();
+        blob.kind = MigKind::Base;
+        blob.meta.token = token;
+        blob.replay.clear();
+        blob
+    }
+
+    #[test]
+    fn checkpoint_roundtrips_and_an_empty_server_is_an_empty_container() {
+        let blobs = vec![base(0), base(7)];
+        assert_eq!(
+            decode_checkpoint(&encode_checkpoint(&blobs)).unwrap(),
+            blobs
+        );
+        let empty = encode_checkpoint(&[]);
+        assert_eq!(empty.len(), 12);
+        assert_eq!(decode_checkpoint(&empty).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn checkpoint_rejects_garbage_and_non_base_blobs() {
+        assert!(decode_checkpoint(b"not a snapshot").is_err());
+        let good = encode_checkpoint(&[base(0)]);
+        let mut bad_magic = good.clone();
+        bad_magic[0] ^= 0xff;
+        assert!(decode_checkpoint(&bad_magic).is_err());
+        let mut bad_version = good.clone();
+        bad_version[7] = 1; // the retired whole-device layout
+        assert!(decode_checkpoint(&bad_version).is_err());
+        // A bare blob is not a checkpoint, and a checkpoint is not a blob.
+        assert!(decode_checkpoint(&base(0).encode()).is_err());
+        assert!(MigBlob::decode(&good).is_err());
+        // Deltas and finals belong to a stream in flight, never at rest —
+        // refused while decoding, before any blob reaches the applier.
+        for kind in [MigKind::Delta, MigKind::Final] {
+            let mut leg = base(0);
+            leg.kind = kind;
+            let err = decode_checkpoint(&encode_checkpoint(&[base(0), leg])).unwrap_err();
+            assert!(err.to_string().contains("in a checkpoint"), "{err}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_truncation_at_every_cut() {
+        let full = encode_checkpoint(&[base(0), base(7)]);
+        for cut in 0..full.len() {
+            assert!(decode_checkpoint(&full[..cut]).is_err(), "cut {cut}");
+        }
+        let mut long = full.clone();
+        long.extend_from_slice(&[0, 0, 0, 0]);
+        assert!(decode_checkpoint(&long).is_err());
     }
 }

@@ -6,8 +6,7 @@
 //! (b) the device time the operation consumes. The network legs around the
 //! call are charged by the transport (see [`crate::transport`]).
 
-use crate::checkpoint;
-use crate::migrate::{MigBlob, MigKind, SessionMeta};
+use crate::migrate::{self, MigBlob, MigKind, SessionMeta};
 use crate::scheduler::{QosSpec, Scheduler, SchedulerPolicy, SessionId};
 use cricket_proto::{
     cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, DataResult, DeviceProp,
@@ -15,7 +14,7 @@ use cricket_proto::{
     U64Result,
 };
 use oncrpc::{AcceptStat, ReplayCache};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use simnet::SimClock;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,7 +130,7 @@ struct StatsInner {
 /// Everything a session has created and not yet destroyed. Tracked so the
 /// server can reclaim it all when the client vanishes mid-session (TCP
 /// reset, unikernel crash) instead of leaking vGPU state forever.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct SessionResources {
     mem: HashSet<u64>,
     streams: HashSet<u64>,
@@ -140,6 +139,42 @@ struct SessionResources {
     blas: HashSet<u64>,
     solvers: HashSet<u64>,
     ffts: HashSet<u64>,
+}
+
+impl SessionResources {
+    fn is_empty(&self) -> bool {
+        *self == Self::default()
+    }
+
+    /// Move out every handle `keep` does not list. Memory is not a handle:
+    /// blocks leave through a delta's `freed` list.
+    fn split_off_handles_not_in(&mut self, keep: &Self) -> Self {
+        let split = |mine: &mut HashSet<u64>, keep: &HashSet<u64>| {
+            let gone = &*mine - keep;
+            mine.retain(|h| keep.contains(h));
+            gone
+        };
+        Self {
+            mem: HashSet::new(),
+            streams: split(&mut self.streams, &keep.streams),
+            events: split(&mut self.events, &keep.events),
+            modules: split(&mut self.modules, &keep.modules),
+            blas: split(&mut self.blas, &keep.blas),
+            solvers: split(&mut self.solvers, &keep.solvers),
+            ffts: split(&mut self.ffts, &keep.ffts),
+        }
+    }
+
+    /// Take ownership of everything `other` holds as well.
+    fn absorb(&mut self, other: Self) {
+        self.mem.extend(other.mem);
+        self.streams.extend(other.streams);
+        self.events.extend(other.events);
+        self.modules.extend(other.modules);
+        self.blas.extend(other.blas);
+        self.solvers.extend(other.solvers);
+        self.ffts.extend(other.ffts);
+    }
 }
 
 /// What [`CricketServer::release_session`] reclaimed.
@@ -164,16 +199,24 @@ impl SessionCleanup {
     }
 }
 
-/// An inbound migration staged by `MIG_APPLY_BASE`/`MIG_APPLY_DELTA`,
-/// keyed by client token. Until `ready`, the token gate refuses the
-/// client (the source is still streaming); the client's first call after
-/// cutover claims it into a live session.
+/// Session state placed on this server by [`CricketServer::apply_blob`]
+/// that no live session owns yet. An inbound migration stages one per
+/// client token (`MIG_APPLY_BASE`/`MIG_APPLY_DELTA`): until `ready`, the
+/// token gate refuses the client (the source is still streaming); the
+/// client's first call after cutover claims it into a live session.
+/// `CKPT_RESTORE` stages one per blob and hands them to its caller.
+#[derive(Default)]
 struct Adoption {
     resources: SessionResources,
     current_device: usize,
-    default_streams: Vec<(usize, u64)>,
+    default_streams: Vec<(u32, u64)>,
     ready: bool,
     applied_epochs: u32,
+}
+
+/// The typed refusal of a restored handle somebody on this server holds.
+fn live_here(handle: u64) -> VgpuError {
+    VgpuError::InvalidValue(format!("handle {handle:#x} is live on this server"))
 }
 
 /// The Cricket server state shared by all sessions.
@@ -515,13 +558,17 @@ impl CricketServer {
         // Drop the session's scheduler state (priority, served ledgers) or
         // session churn grows those maps without bound.
         self.scheduler.forget(session);
+        res.map_or_else(SessionCleanup::default, |res| self.reclaim(res))
+    }
+
+    /// The one teardown walker: free, destroy, unload and drop everything
+    /// in `res` — a released session's resources, or an adoption that will
+    /// never be claimed. Individual errors are ignored; the counts are of
+    /// what was actually still there.
+    fn reclaim(&self, res: SessionResources) -> SessionCleanup {
         let mut out = SessionCleanup::default();
-        let Some(res) = res else { return out };
-        let on_device = |token: u64, f: &mut dyn FnMut(&mut Device, u64) -> bool| -> bool {
-            match self.device_of_token(token) {
-                Some(idx) => f(&mut self.devices[idx].lock(), token),
-                None => false,
-            }
+        let on_device = |token: u64, f: &mut dyn FnMut(&mut Device, u64) -> bool| {
+            (self.device_for(token)).is_ok_and(|d| f(&mut d.lock(), token))
         };
         for ptr in res.mem {
             if on_device(ptr, &mut |d, t| d.free(t).is_ok()) {
@@ -539,8 +586,8 @@ impl CricketServer {
             }
         }
         for h in res.modules {
+            self.module_images.lock().remove(&h);
             if on_device(h, &mut |d, t| d.module_unload(t).is_ok()) {
-                self.module_images.lock().remove(&h);
                 out.modules += 1;
             }
         }
@@ -667,18 +714,24 @@ impl CricketServer {
         host_ns: u64,
         f: impl FnOnce(&mut Device) -> Result<(R, u64), VgpuError>,
     ) -> Result<R, VgpuError> {
+        self.wait_turn(session, host_ns, || f(&mut self.devices[idx].lock()))
+    }
+
+    /// [`Self::wait_at`] without a device: `f` locks what it needs itself
+    /// (`CKPT_*` walk every device in turn).
+    fn wait_turn<R>(
+        &self,
+        session: SessionId,
+        host_ns: u64,
+        f: impl FnOnce() -> Result<(R, u64), VgpuError>,
+    ) -> Result<R, VgpuError> {
         self.sessions_seen.lock().insert(session);
         let _turn = self.scheduler.begin(session);
-        let mut dev = self.devices[idx].lock();
         self.stats.lock().total_calls += 1;
         self.clock.advance(DISPATCH_NS + host_ns);
-        match f(&mut dev) {
-            Ok((r, wait_ns)) => {
-                self.clock.advance(wait_ns);
-                Ok(r)
-            }
-            Err(e) => Err(e),
-        }
+        let (r, wait_ns) = f()?;
+        self.clock.advance(wait_ns);
+        Ok(r)
     }
 
     /// [`Self::wait_at`] on the session's current device.
@@ -1661,15 +1714,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn ckpt_capture(&self) -> Reply<DataResult> {
         let srv = &self.srv;
-        // Checkpoints cover device 0 (the A100 the evaluation uses).
-        let r = srv.wait_at(self.session, 0, 50_000, |d| {
-            // A checkpoint is a full-device sync point: drain all streams
-            // before reading device state.
-            let drain = d.device_synchronize();
-            let images = srv.module_images.lock();
-            let blob = checkpoint::capture(d, &images)?;
+        let r = srv.wait_turn(self.session, 50_000, || {
+            let blob = srv.checkpoint();
             // Serialization cost scales with snapshot size.
-            let t = drain + (blob.len() as u64) / 8;
+            let t = (blob.len() as u64) / 8;
             Ok((blob, t))
         });
         if let Ok(blob) = &r {
@@ -1681,11 +1729,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn ckpt_restore(&self, blob: &[u8]) -> Reply<i32> {
         let srv = &self.srv;
         srv.stats.lock().bytes_in += blob.len() as u64;
-        Ok(int_of(srv.wait_at(self.session, 0, 50_000, |d| {
-            let images = checkpoint::restore(d, blob, &srv.cfg.props, &srv.clock)?;
-            *srv.module_images.lock() = images;
-            let t = (blob.len() as u64) / 8;
-            Ok(((), t))
+        Ok(int_of(srv.wait_turn(self.session, 50_000, || {
+            srv.restore(self.session, blob)?;
+            Ok(((), (blob.len() as u64) / 8))
         })))
     }
 
@@ -1746,7 +1792,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 }
 
 impl CricketServer {
-    // ---- live migration --------------------------------------------------
+    // ---- session state: export, apply, reclaim ---------------------------
 
     /// Attach the transport's shared at-most-once replay cache so
     /// migration can ship a client's entries with the final delta.
@@ -1781,7 +1827,10 @@ impl CricketServer {
             }
         };
         match adoption {
-            Some(a) => self.adopt(token, session, a),
+            Some(a) => {
+                self.adopt(session, a);
+                self.token_sessions.lock().insert(token, session);
+            }
             None => {
                 let mut map = self.token_sessions.lock();
                 if map.get(&token) != Some(&session) {
@@ -1806,18 +1855,23 @@ impl CricketServer {
         self.quiesce.notify_all();
     }
 
-    /// Install a ready adoption as the live state of `session`.
-    fn adopt(&self, token: u64, session: SessionId, a: Adoption) {
-        self.session_device.lock().insert(session, a.current_device);
+    /// Hand a staged adoption to `session`: it owns the resources from now
+    /// on (merged — it may hold some already) and takes the adoption's
+    /// current-device and default-stream bindings for every slot it has not
+    /// bound itself.
+    fn adopt(&self, session: SessionId, a: Adoption) {
+        self.session_device
+            .lock()
+            .entry(session)
+            .or_insert(a.current_device);
         {
             let mut streams = self.session_streams.lock();
             for &(idx, h) in &a.default_streams {
-                streams.insert((session, idx), h);
+                streams.entry((session, idx as usize)).or_insert(h);
             }
         }
-        self.session_resources.lock().insert(session, a.resources);
+        self.track(session, |r| r.absorb(a.resources));
         self.sessions_seen.lock().insert(session);
-        self.token_sessions.lock().insert(token, session);
     }
 
     /// Evict `token`: the gate refuses its calls from now on, closing the
@@ -1869,6 +1923,61 @@ impl CricketServer {
         let session = self.session_of_token(token).ok_or_else(|| {
             VgpuError::InvalidValue(format!("no live session for client token {token:#x}"))
         })?;
+        let mut blob = self.export_session(session, Some(known), kind);
+        blob.meta.token = token;
+        blob.meta.src_now_ns = self.clock.now_ns();
+        if kind == MigKind::Final {
+            if let Some(r) = self.replay.lock().clone() {
+                blob.replay = r.export_client(token);
+                blob.replay.sort_by_key(|&(xid, _)| xid);
+            }
+        }
+        Ok(blob.encode())
+    }
+
+    /// `CKPT_CAPTURE`: one [`MigKind::Base`] blob per session that owns
+    /// anything, oldest session first. A checkpoint is a full sync point —
+    /// every stream on every device is fenced and the clock waits for the
+    /// drained completion frontier, which is also what the blobs are
+    /// stamped with (not the clock: capture → restore → capture is a fixed
+    /// point). The caller holds the issue turn, so no session can enqueue
+    /// between the fence and the walk.
+    fn checkpoint(&self) -> Vec<u8> {
+        let fence = |d: &Mutex<Device>| d.lock().fence_all_streams();
+        let frontier = self.devices.iter().map(fence).max().unwrap_or(0);
+        self.clock.advance_to(frontier);
+        let mut sessions: Vec<SessionId> = {
+            let all = self.session_resources.lock();
+            let owning = all.iter().filter(|(_, r)| !r.is_empty());
+            owning.map(|(&s, _)| s).collect()
+        };
+        sessions.sort_unstable();
+        let blobs: Vec<MigBlob> = sessions
+            .into_iter()
+            .map(|s| {
+                let mut blob = self.export_session(s, None, MigKind::Base);
+                blob.meta.src_now_ns = frontier;
+                blob
+            })
+            .collect();
+        migrate::encode_checkpoint(&blobs)
+    }
+
+    /// The one export walker: `session`'s state as a blob of `kind`, with
+    /// `token` and `src_now_ns` left for the caller to stamp.
+    ///
+    /// `known` is the delta stream this leg belongs to: memory is shipped
+    /// relative to it, it is updated to what the consumer holds afterwards,
+    /// and the per-device dirty window is closed (`mark_epoch`) under the
+    /// same device lock the delta was read under. `None` is a snapshot at
+    /// rest: everything travels whole and no window is touched, so a
+    /// migration streaming from the same device loses nothing.
+    fn export_session(
+        &self,
+        session: SessionId,
+        known: Option<&mut BTreeSet<u64>>,
+        kind: MigKind,
+    ) -> MigBlob {
         let res = self
             .session_resources
             .lock()
@@ -1881,7 +1990,6 @@ impl CricketServer {
             v
         };
         let mut meta = SessionMeta {
-            token,
             current_device: self.current_device(session) as u32,
             next_lib_handle: self.next_lib_handle.load(Ordering::SeqCst),
             blas: sorted(&res.blas),
@@ -1918,7 +2026,7 @@ impl CricketServer {
         for idx in 0..self.devices.len() {
             let known_here: BTreeSet<u64> = known
                 .iter()
-                .copied()
+                .flat_map(|k| k.iter().copied())
                 .filter(|&b| self.device_of_token(b) == Some(idx))
                 .collect();
             let mut dev = self.devices[idx].lock();
@@ -1929,11 +2037,11 @@ impl CricketServer {
                 // never memory.
                 dev.fence_all_streams();
             }
-            let mut d = dev.mem.delta_since(&known_here);
-            // `delta_since` enumerates the whole device; other sessions'
-            // blocks must not ride along.
-            d.new_blocks.retain(|(b, _)| res.mem.contains(b));
-            dev.mem.mark_epoch();
+            // The device is shared: only this session's blocks ride along.
+            let d = dev.mem.delta_since(&known_here, |b| res.mem.contains(&b));
+            if known.is_some() {
+                dev.mem.mark_epoch();
+            }
             meta.next_handles
                 .push((idx as u32, dev.next_handle_value()));
             for (h, frontier) in dev.snapshot_stream_frontiers() {
@@ -1956,24 +2064,19 @@ impl CricketServer {
             delta.dirty.extend(d.dirty);
         }
         meta.functions.sort();
-        meta.src_now_ns = self.clock.now_ns();
 
-        for &b in &delta.freed {
-            known.remove(&b);
-        }
-        for (b, _) in &delta.new_blocks {
-            known.insert(*b);
+        if let Some(known) = known {
+            for &b in &delta.freed {
+                known.remove(&b);
+            }
+            for (b, _) in &delta.new_blocks {
+                known.insert(*b);
+            }
         }
 
         let mut blob = MigBlob::new(kind, meta);
         blob.mem = delta;
-        if kind == MigKind::Final {
-            if let Some(r) = self.replay.lock().clone() {
-                blob.replay = r.export_client(token);
-                blob.replay.sort_by_key(|&(xid, _)| xid);
-            }
-        }
-        Ok(blob.encode())
+        blob
     }
 
     /// Bytes a naive full-snapshot migration of `token`'s session would
@@ -2027,7 +2130,7 @@ impl CricketServer {
     pub fn mig_apply(&self, bytes: &[u8], allow: &[MigKind]) -> VgpuResult<u32> {
         self.stats.lock().bytes_in += bytes.len() as u64;
         let blob = MigBlob::decode(bytes)?;
-        let kind = blob.kind();
+        let kind = blob.kind;
         if !allow.contains(&kind) {
             return Err(VgpuError::InvalidValue(format!(
                 "blob kind {kind:?} not allowed by this procedure"
@@ -2041,13 +2144,7 @@ impl CricketServer {
                 // an earlier outbound migration (moving back home).
                 self.discard_adoption(token);
                 self.evicted_tokens.lock().remove(&token);
-                Adoption {
-                    resources: SessionResources::default(),
-                    current_device: 0,
-                    default_streams: Vec::new(),
-                    ready: false,
-                    applied_epochs: 0,
-                }
+                Adoption::default()
             }
             MigKind::Delta | MigKind::Final => {
                 self.adoptions.lock().remove(&token).ok_or_else(|| {
@@ -2060,8 +2157,7 @@ impl CricketServer {
         if let Err(e) = self.apply_blob(&blob, &mut staged) {
             // Half-applied state is unusable; free whatever was placed so
             // a retried migration can start from a clean base.
-            self.adoptions.lock().insert(token, staged);
-            self.discard_adoption(token);
+            self.reclaim(staged.resources);
             return Err(e);
         }
         staged.applied_epochs += 1;
@@ -2080,211 +2176,172 @@ impl CricketServer {
         Ok(epochs)
     }
 
+    /// `CKPT_RESTORE`: apply every blob of the checkpoint and hand the
+    /// result to `session`. Each blob gets a staged adoption of its own
+    /// (`apply_blob` diffs metadata against what is staged, so two
+    /// sessions' blobs must not share one); nothing is handed over until
+    /// all have applied, and on any failure everything this restore placed
+    /// is reclaimed — state that was live before is never touched.
+    fn restore(&self, session: SessionId, bytes: &[u8]) -> VgpuResult<()> {
+        let blobs = migrate::decode_checkpoint(bytes)?;
+        let mut staged: Vec<Adoption> = Vec::with_capacity(blobs.len());
+        for blob in &blobs {
+            let mut a = Adoption::default();
+            let applied = self.apply_blob(blob, &mut a);
+            staged.push(a);
+            if let Err(e) = applied {
+                for a in staged {
+                    self.reclaim(a.resources);
+                }
+                return Err(e);
+            }
+        }
+        for (blob, a) in blobs.iter().zip(staged) {
+            // Restored stream frontiers must lie in this node's past.
+            self.clock.advance_to(blob.meta.src_now_ns);
+            self.adopt(session, a);
+        }
+        Ok(())
+    }
+
     /// Reconcile one blob into the staged adoption: memory delta first
-    /// (frees → new blocks → dirty spans, routed to the owning device),
-    /// then the full metadata diffed against what previous blobs placed.
+    /// (each device replays its share), then the full metadata diffed
+    /// against what previous blobs placed. `staged` learns of a resource
+    /// the moment it lands, so a failure midway leaves nothing behind that
+    /// `reclaim` does not know of — and it never learns of one that was
+    /// live here before: a block, handle or library handle somebody already
+    /// holds is a typed error, not an alias.
     fn apply_blob(&self, blob: &MigBlob, staged: &mut Adoption) -> VgpuResult<()> {
         let meta = &blob.meta;
-        let bad_dev =
-            |t: u64| VgpuError::InvalidValue(format!("token {t:#x} maps to no local device"));
-
-        for &b in blob
-            .mem
-            .freed
-            .iter()
-            .chain(blob.mem.new_blocks.iter().map(|(b, _)| b))
-            .chain(blob.mem.dirty.iter().map(|(b, _, _)| b))
-        {
-            if self.device_of_token(b).is_none() {
-                return Err(bad_dev(b));
-            }
+        let mem = &blob.mem;
+        let bases = (mem.freed.iter())
+            .chain(mem.new_blocks.iter().map(|(b, _)| b))
+            .chain(mem.dirty.iter().map(|(b, ..)| b));
+        for &b in bases {
+            self.device_for(b)?;
         }
-        for idx in 0..self.devices.len() {
-            let sub = vgpu::memory::MemDelta {
-                freed: blob
-                    .mem
-                    .freed
-                    .iter()
-                    .copied()
-                    .filter(|&b| self.device_of_token(b) == Some(idx))
-                    .collect(),
-                new_blocks: blob
-                    .mem
-                    .new_blocks
-                    .iter()
-                    .filter(|(b, _)| self.device_of_token(*b) == Some(idx))
-                    .cloned()
-                    .collect(),
-                dirty: blob
-                    .mem
-                    .dirty
-                    .iter()
-                    .filter(|(b, _, _)| self.device_of_token(*b) == Some(idx))
-                    .cloned()
-                    .collect(),
-            };
-            if sub.is_empty() {
-                continue;
-            }
-            self.devices[idx].lock().mem.apply_delta(&sub)?;
-        }
-        for &b in &blob.mem.freed {
-            staged.resources.mem.remove(&b);
-        }
-        for (b, _) in &blob.mem.new_blocks {
-            staged.resources.mem.insert(*b);
+        for (idx, dev) in self.devices.iter().enumerate() {
+            let here = |b| self.device_of_token(b) == Some(idx);
+            (dev.lock().mem).apply_delta(mem, here, &mut staged.resources.mem)?;
         }
 
-        // Modules: unload ones that vanished, place new ones.
-        let new_modules: HashSet<u64> = meta.modules.iter().map(|(h, _)| *h).collect();
-        for h in &staged.resources.modules - &new_modules {
-            if let Some(idx) = self.device_of_token(h) {
-                let _ = self.devices[idx].lock().module_unload(h);
+        // Handle counters first, and only ever raised: from here on nothing
+        // this server issues can take a value the blob is about to place.
+        for &(dev, next) in &meta.next_handles {
+            if let Some(d) = self.devices.get(dev as usize) {
+                d.lock().restore_next_handle(next);
             }
-            self.module_images.lock().remove(&h);
         }
+        self.next_lib_handle
+            .fetch_max(meta.next_lib_handle, Ordering::SeqCst);
+
+        // What earlier blobs placed and the source has since destroyed goes
+        // through the one reclaimer (memory travelled as `freed` above).
+        let held = &mut staged.resources;
+        let wanted = SessionResources {
+            mem: HashSet::new(),
+            modules: meta.modules.iter().map(|(h, _)| *h).collect(),
+            streams: meta.streams.iter().map(|&(h, _)| h).collect(),
+            events: meta.events.iter().map(|&(h, _)| h).collect(),
+            blas: meta.blas.iter().copied().collect(),
+            solvers: meta.solvers.iter().copied().collect(),
+            ffts: meta.ffts.iter().map(|&(h, ..)| h).collect(),
+        };
+        self.reclaim(held.split_off_handles_not_in(&wanted));
+
         for (h, image) in &meta.modules {
-            if !staged.resources.modules.contains(h) {
-                let idx = self.device_of_token(*h).ok_or_else(|| bad_dev(*h))?;
-                self.devices[idx].lock().restore_module(*h, image)?;
+            if !held.modules.contains(h) {
+                self.place_at(*h, false)?.restore_module(*h, image)?;
                 self.module_images.lock().insert(*h, image.clone());
+                held.modules.insert(*h);
             }
         }
-        staged.resources.modules = new_modules;
         for (h, module, name) in &meta.functions {
-            let idx = self.device_of_token(*h).ok_or_else(|| bad_dev(*h))?;
-            self.devices[idx]
-                .lock()
-                .restore_function(*h, *module, name)?;
-        }
-
-        // Streams: destroy vanished ones, place the rest at their exact
-        // completion frontier (idempotent per blob).
-        let new_streams: HashSet<u64> = meta.streams.iter().map(|&(h, _)| h).collect();
-        for h in &staged.resources.streams - &new_streams {
-            if let Some(idx) = self.device_of_token(h) {
-                let _ = self.devices[idx].lock().stream_destroy(h);
+            if !held.modules.contains(module) {
+                return Err(VgpuError::InvalidHandle(*module));
             }
+            (self.device_for(*h)?.lock()).restore_function(*h, *module, name)?;
         }
+        // Streams and events are placed anew by every blob, at their exact
+        // completion frontier and record timestamp (idempotent).
         for &(h, frontier) in &meta.streams {
-            let idx = self.device_of_token(h).ok_or_else(|| bad_dev(h))?;
-            self.devices[idx].lock().restore_stream_at(h, frontier);
-        }
-        staged.resources.streams = new_streams;
-
-        let new_events: HashSet<u64> = meta.events.iter().map(|&(h, _)| h).collect();
-        for h in &staged.resources.events - &new_events {
-            if let Some(idx) = self.device_of_token(h) {
-                let _ = self.devices[idx].lock().event_destroy(h);
-            }
+            (self.place_at(h, held.streams.contains(&h))?).restore_stream_at(h, frontier);
+            held.streams.insert(h);
         }
         for &(h, recorded) in &meta.events {
-            let idx = self.device_of_token(h).ok_or_else(|| bad_dev(h))?;
-            self.devices[idx].lock().restore_event_at(h, recorded);
+            (self.place_at(h, held.events.contains(&h))?).restore_event_at(h, recorded);
+            held.events.insert(h);
         }
-        staged.resources.events = new_events;
 
         // Library handles. cuBLAS handles are pure capabilities; a
         // cuSolver context's factorization memo is a timing cache whose
         // hits replay the stored duration, so a fresh context is
         // trace-equivalent; FFT plans are pure values rebuilt through the
         // validating constructor.
-        let new_blas: HashSet<u64> = meta.blas.iter().copied().collect();
-        {
-            let mut blas = self.blas_handles.lock();
-            for h in &staged.resources.blas - &new_blas {
-                blas.remove(&h);
-            }
-            for &h in &new_blas {
-                blas.insert(h);
+        for &h in &meta.blas {
+            if self.lib_place(&mut held.blas, h)? {
+                self.blas_handles.lock().insert(h);
             }
         }
-        staged.resources.blas = new_blas;
-        let new_solvers: HashSet<u64> = meta.solvers.iter().copied().collect();
-        {
-            let mut solvers = self.solvers.lock();
-            for h in &staged.resources.solvers - &new_solvers {
-                solvers.remove(&h);
-            }
-            for &h in &new_solvers {
-                solvers.entry(h).or_default();
+        for &h in &meta.solvers {
+            if self.lib_place(&mut held.solvers, h)? {
+                self.solvers.lock().entry(h).or_default();
             }
         }
-        staged.resources.solvers = new_solvers;
-        let new_ffts: HashSet<u64> = meta.ffts.iter().map(|&(h, ..)| h).collect();
-        {
-            let mut plans = self.fft_plans.lock();
-            for h in &staged.resources.ffts - &new_ffts {
-                plans.remove(&h);
-            }
-            for &(h, n, kind, batch) in &meta.ffts {
-                plans.insert(h, vgpu::fft::FftPlan::plan_1d(n, kind, batch)?);
+        for &(h, n, kind, batch) in &meta.ffts {
+            let plan = vgpu::fft::FftPlan::plan_1d(n, kind, batch)?;
+            if self.lib_place(&mut held.ffts, h)? {
+                self.fft_plans.lock().insert(h, plan);
             }
         }
-        staged.resources.ffts = new_ffts;
-
-        // Handle counters merge with max() so handles this server already
-        // issued to other sessions can never collide with restored ones.
-        for &(dev, next) in &meta.next_handles {
-            if let Some(d) = self.devices.get(dev as usize) {
-                let mut d = d.lock();
-                let merged = d.next_handle_value().max(next);
-                d.restore_next_handle(merged);
-            }
-        }
-        self.next_lib_handle
-            .fetch_max(meta.next_lib_handle, Ordering::SeqCst);
 
         staged.current_device =
             (meta.current_device as usize).min(self.devices.len().saturating_sub(1));
-        staged.default_streams = meta
-            .default_streams
-            .iter()
-            .map(|&(d, h)| (d as usize, h))
-            .collect();
+        staged.default_streams = meta.default_streams.clone();
         Ok(())
     }
 
-    /// Drop a staged (or half-applied) inbound migration and free
-    /// everything it placed on this server — `MIG_ABORT`, and the local
-    /// cleanup path when an apply fails midway. Returns whether a staged
-    /// migration existed.
-    pub fn discard_adoption(&self, token: u64) -> bool {
-        let Some(a) = self.adoptions.lock().remove(&token) else {
-            return false;
-        };
-        let res = a.resources;
-        for b in res.mem {
-            if let Some(idx) = self.device_of_token(b) {
-                let _ = self.devices[idx].lock().free(b);
-            }
+    /// The device a pointer or handle of a blob routes to.
+    fn device_for(&self, token: u64) -> VgpuResult<&Mutex<Device>> {
+        let idx = self.device_of_token(token).ok_or_else(|| {
+            VgpuError::InvalidValue(format!("token {token:#x} maps to no local device"))
+        })?;
+        Ok(&self.devices[idx])
+    }
+
+    /// Lock the device `handle` routes to, to place it there: unless it is
+    /// `ours` (this stream staged it earlier), the handle must be vacant.
+    fn place_at(&self, handle: u64, ours: bool) -> VgpuResult<MutexGuard<'_, Device>> {
+        let dev = self.device_for(handle)?.lock();
+        if !ours && dev.holds(handle) {
+            return Err(live_here(handle));
         }
-        for h in res.streams {
-            if let Some(idx) = self.device_of_token(h) {
-                let _ = self.devices[idx].lock().stream_destroy(h);
-            }
+        Ok(dev)
+    }
+
+    /// Claim library handle `h` for `held` unless it already has it (then
+    /// `false`). One counter issues cuBLAS, cuSolver and cuFFT handles
+    /// alike, so a value live in any of the three tables is refused.
+    fn lib_place(&self, held: &mut HashSet<u64>, h: u64) -> VgpuResult<bool> {
+        if held.contains(&h) {
+            return Ok(false);
         }
-        for h in res.events {
-            if let Some(idx) = self.device_of_token(h) {
-                let _ = self.devices[idx].lock().event_destroy(h);
-            }
+        if self.blas_handles.lock().contains(&h)
+            || self.solvers.lock().contains_key(&h)
+            || self.fft_plans.lock().contains_key(&h)
+        {
+            return Err(live_here(h));
         }
-        for h in res.modules {
-            if let Some(idx) = self.device_of_token(h) {
-                let _ = self.devices[idx].lock().module_unload(h);
-            }
-            self.module_images.lock().remove(&h);
+        Ok(held.insert(h))
+    }
+
+    /// Drop a staged inbound migration and free everything it placed on
+    /// this server (`MIG_ABORT`, or a fresh base superseding it).
+    fn discard_adoption(&self, token: u64) {
+        let staged = self.adoptions.lock().remove(&token);
+        if let Some(a) = staged {
+            self.reclaim(a.resources);
         }
-        for h in res.blas {
-            self.blas_handles.lock().remove(&h);
-        }
-        for h in res.solvers {
-            self.solvers.lock().remove(&h);
-        }
-        for h in res.ffts {
-            self.fft_plans.lock().remove(&h);
-        }
-        true
     }
 }
 
@@ -2675,6 +2732,66 @@ mod tests {
         oncrpc::sparse::encode_into(&[0u8; 4096], 4096, &mut blob);
         assert_eq!(s.cuda_memcpy_htod_sparse(ptr, &blob).unwrap(), 0);
         assert_eq!(s.cuda_free(ptr).unwrap(), 0);
+    }
+
+    /// A restore that fails in its *second* blob, after modules, streams,
+    /// events and plans of both blobs have landed: everything placed is
+    /// reclaimed through the one walker and nobody owns anything.
+    #[test]
+    fn a_restore_failing_midway_reclaims_what_it_placed() {
+        let (srv, s) = server();
+        let image = vgpu::module::CubinBuilder::new()
+            .kernel("saxpy", &[8, 8, 4, 4])
+            .build(true);
+        let mut good = MigBlob::default();
+        good.meta.modules = vec![(0x10, image.clone())];
+        good.meta.streams = vec![(0x11, 500)];
+        good.meta.events = vec![(0x12, Some(400))];
+        good.meta.blas = vec![LIB_HANDLE_BASE];
+        good.meta.ffts = vec![(LIB_HANDLE_BASE + 1, 8, vgpu::fft::CUFFT_C2C, 1)];
+        good.mem.new_blocks = vec![(HEAP_STRIDE, vec![7; 256])];
+        let mut bad = MigBlob::default();
+        bad.meta.modules = vec![(0x20, image), (0x21, b"not a cubin".to_vec())];
+        bad.meta.ffts = vec![(LIB_HANDLE_BASE + 2, 8, vgpu::fft::CUFFT_C2C, 1)];
+        bad.mem.new_blocks = vec![(2 * HEAP_STRIDE, vec![9; 256])];
+
+        let ckpt = migrate::encode_checkpoint(&[good, bad]);
+        assert_ne!(s.ckpt_restore(&ckpt).unwrap(), 0);
+        for d in &srv.devices {
+            let (free, total) = d.lock().mem_info();
+            assert_eq!(free, total);
+        }
+        assert!(srv.module_images.lock().is_empty());
+        assert!(srv.blas_handles.lock().is_empty());
+        assert!(srv.fft_plans.lock().is_empty());
+        assert_eq!(srv.devices[0].lock().snapshot_stream_frontiers().len(), 1);
+        assert!(srv.devices[0].lock().snapshot_event_states().is_empty());
+        assert_eq!(srv.release_session(1).total(), 0);
+    }
+
+    /// A blob may free or patch only blocks its own stream placed: a
+    /// hand-made checkpoint naming another session's block in `freed` or
+    /// `dirty` is refused and that block is untouched.
+    #[test]
+    fn a_blob_cannot_free_or_patch_a_block_it_did_not_place() {
+        let (srv, victim) = server();
+        let p = victim.cuda_malloc(256).unwrap().into_result().unwrap();
+        victim.cuda_memcpy_htod(p, &[5; 256]).unwrap();
+        let thief = Sessioned::new(Arc::clone(&srv), 2);
+        let mut frees = MigBlob::default();
+        frees.mem.freed = vec![p];
+        let mut patches = MigBlob::default();
+        patches.mem.dirty = vec![(p, 0, vec![0; 256])];
+        // Nor reach it through a span that runs off the end of its own.
+        let mut overruns = MigBlob::default();
+        overruns.mem.new_blocks = vec![(p + 256, vec![0; 256])];
+        overruns.mem.dirty = vec![(p + 256, u64::MAX - 255, vec![0; 256])];
+        for blob in [frees, patches, overruns] {
+            let ckpt = migrate::encode_checkpoint(&[blob]);
+            assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
+            let back = victim.cuda_memcpy_dtoh(p, 256).unwrap();
+            assert_eq!(back.into_result().unwrap(), vec![5; 256]);
+        }
     }
 
     #[test]

@@ -210,9 +210,14 @@ impl Device {
         u.total_ns()
     }
 
-    /// Whether `handle` names a live stream.
-    pub fn has_stream(&self, handle: u64) -> bool {
+    /// Whether `handle` names a live module, function, stream or event.
+    /// One counter issues all four, so a restore may place a handle only
+    /// where this is false (or where it placed that handle itself).
+    pub fn holds(&self, handle: u64) -> bool {
         self.streams.contains_key(&handle)
+            || self.events.contains_key(&handle)
+            || self.modules.contains_key(&handle)
+            || self.functions.contains_key(&handle)
     }
 
     fn queue_mut(&mut self, stream: u64) -> VgpuResult<&mut CommandQueue> {
@@ -532,31 +537,14 @@ impl Device {
             .unwrap_or(0)
     }
 
-    // -- checkpoint/restore support --------------------------------------
+    // -- session-state export / restore support ---------------------------
     //
-    // These APIs exist for the Cricket server's checkpoint/restart feature:
-    // a snapshot must restore handles at their original values so clients
-    // holding them keep working after a restore.
-
-    /// Enumerate loaded modules as (handle, reserialized image).
-    pub fn snapshot_modules(&self) -> Vec<(u64, Vec<u8>)> {
-        let mut out: Vec<(u64, Vec<u8>)> = self
-            .modules
-            .iter()
-            .map(|(&h, cubin)| {
-                let mut b = crate::module::CubinBuilder::new().code(&cubin.code);
-                for k in &cubin.kernels {
-                    b = b.kernel(&k.name, &k.param_sizes);
-                }
-                for g in &cubin.globals {
-                    b = b.global(&g.name, g.size);
-                }
-                (h, b.build(false))
-            })
-            .collect();
-        out.sort_by_key(|&(h, _)| h);
-        out
-    }
+    // The Cricket server serializes a session's state per resource (see
+    // `cricket_server::migrate`) — at rest that is a checkpoint, in flight
+    // a live migration. Either way handles are restored at their original
+    // values so clients holding them keep working, and streams and events
+    // at their exact completion frontiers and record timestamps so the
+    // virtual timeline continues byte-identically.
 
     /// Enumerate function handles as (handle, module handle, kernel name).
     pub fn snapshot_functions(&self) -> Vec<(u64, u64, String)> {
@@ -567,20 +555,6 @@ impl Device {
             .collect();
         out.sort_by_key(|&(h, _, _)| h);
         out
-    }
-
-    /// Enumerate stream handles (excluding the default stream).
-    pub fn snapshot_streams(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.streams.keys().copied().filter(|&h| h != 0).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Enumerate event handles.
-    pub fn snapshot_events(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.events.keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     /// Next handle value (to restore the counter).
@@ -595,10 +569,21 @@ impl Device {
         Ok(())
     }
 
-    /// Restore-only: place a function handle.
+    /// Restore-only: place a function handle. Placing it again under the
+    /// same module is idempotent; a handle that names anything else is live
+    /// state of somebody's and is refused.
     pub fn restore_function(&mut self, handle: u64, module: u64, name: &str) -> VgpuResult<()> {
         if !self.modules.contains_key(&module) {
             return Err(VgpuError::InvalidHandle(module));
+        }
+        let replaced = self
+            .functions
+            .get(&handle)
+            .is_some_and(|f| f.module == module);
+        if !replaced && self.holds(handle) {
+            return Err(VgpuError::InvalidValue(format!(
+                "handle {handle:#x} is live on this device"
+            )));
         }
         let builtin = kernels::lookup(name)
             .ok_or_else(|| VgpuError::BadModule(format!("unknown kernel `{name}`")))?;
@@ -607,31 +592,14 @@ impl Device {
         Ok(())
     }
 
-    /// Restore-only: place a stream handle.
-    pub fn restore_stream(&mut self, handle: u64) {
-        self.streams.insert(handle, CommandQueue::default());
-    }
-
-    /// Restore-only: place an event handle.
-    pub fn restore_event(&mut self, handle: u64) {
-        self.events.insert(handle, EventState::default());
-    }
-
-    /// Restore-only: set the handle counter.
+    /// Restore-only: raise the handle counter to at least `next`, so no
+    /// handle issued from here on takes a restored value.
     pub fn restore_next_handle(&mut self, next: u64) {
-        self.next_handle = next.max(HANDLE_BASE);
+        self.next_handle = self.next_handle.max(next);
     }
-
-    // -- live-migration support -------------------------------------------
-    //
-    // Migration streams an incremental checkpoint while the source keeps
-    // serving, then fences all streams (the CRAC-style snapshot barrier) and
-    // ships per-stream completion frontiers + event timestamps so the
-    // destination's virtual timeline continues byte-identically.
 
     /// Enumerate every stream's completion frontier, *including* the default
-    /// stream 0 (whose existence is implicit and not listed by
-    /// [`Self::snapshot_streams`]).
+    /// stream 0.
     pub fn snapshot_stream_frontiers(&self) -> Vec<(u64, u64)> {
         let mut v: Vec<(u64, u64)> = self
             .streams

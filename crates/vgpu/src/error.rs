@@ -60,13 +60,6 @@ pub enum VgpuError {
     InvalidDevice(i32),
     /// Invalid argument (geometry, sizes, enum values...).
     InvalidValue(String),
-    /// A snapshot raced a free: a block enumerated for capture vanished
-    /// before its bytes were read. The checkpoint is abandoned (the caller
-    /// can retry); the server must not crash.
-    CheckpointRace {
-        /// Base address of the block that disappeared mid-capture.
-        base: u64,
-    },
 }
 
 impl VgpuError {
@@ -81,7 +74,6 @@ impl VgpuError {
             VgpuError::LaunchFailure(_) => CudaCode::LaunchFailure,
             VgpuError::InvalidDevice(_) => CudaCode::InvalidDevice,
             VgpuError::InvalidValue(_) => CudaCode::InvalidValue,
-            VgpuError::CheckpointRace { .. } => CudaCode::InvalidValue,
         }
     }
 }
@@ -110,9 +102,6 @@ impl fmt::Display for VgpuError {
             VgpuError::LaunchFailure(m) => write!(f, "kernel launch failure: {m}"),
             VgpuError::InvalidDevice(d) => write!(f, "invalid device ordinal {d}"),
             VgpuError::InvalidValue(m) => write!(f, "invalid value: {m}"),
-            VgpuError::CheckpointRace { base } => {
-                write!(f, "checkpoint raced a free: block {base:#x} vanished")
-            }
         }
     }
 }

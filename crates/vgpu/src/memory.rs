@@ -21,7 +21,7 @@
 //! [`MemoryManager::apply_delta`] replays on a destination manager.
 
 use crate::error::{VgpuError, VgpuResult};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// A raw device pointer (opaque 64-bit address).
 pub type DevicePtr = u64;
@@ -441,8 +441,10 @@ impl MemoryManager {
     /// relative to `known` — the set of block bases the consumer already
     /// holds (typically: what the previous delta or base snapshot shipped).
     /// A block born in the current window is always shipped whole, even if
-    /// its base is in `known` (free + realloc at the same address).
-    pub fn delta_since(&self, known: &BTreeSet<u64>) -> MemDelta {
+    /// its base is in `known` (free + realloc at the same address). Only
+    /// blocks `owned` accepts travel — one tenant's share of a device;
+    /// nobody else's block is even copied.
+    pub fn delta_since(&self, known: &BTreeSet<u64>, owned: impl Fn(u64) -> bool) -> MemDelta {
         let mut delta = MemDelta::default();
         for &base in known {
             let reborn = self
@@ -453,7 +455,7 @@ impl MemoryManager {
                 delta.freed.push(base);
             }
         }
-        for (&base, block) in &self.blocks {
+        for (&base, block) in self.blocks.iter().filter(|(&b, _)| owned(b)) {
             if !known.contains(&base) || block.born_epoch >= self.epoch {
                 delta.new_blocks.push((base, block.data.clone()));
             } else {
@@ -466,21 +468,53 @@ impl MemoryManager {
         delta
     }
 
-    /// Replay a [`MemDelta`] produced by a source manager: free departed
-    /// blocks, materialize new ones at their exact addresses, then apply
-    /// in-place dirty spans. Fails (typed) if the delta does not fit this
-    /// manager's state — e.g. a new block overlapping live memory.
-    pub fn apply_delta(&mut self, delta: &MemDelta) -> VgpuResult<()> {
-        for &base in &delta.freed {
+    /// Replay the entries of a source manager's [`MemDelta`] that `here`
+    /// accepts (a server routes one delta across its devices): free
+    /// departed blocks, materialize new ones at their exact addresses, then
+    /// apply in-place dirty spans. `placed` is what this consumer's stream
+    /// has placed so far: a new block joins it the moment it lands, and the
+    /// delta may free or patch only its members. Fails (typed) if the delta
+    /// does not fit — e.g. a new block overlapping live memory.
+    pub fn apply_delta(
+        &mut self,
+        delta: &MemDelta,
+        here: impl Fn(u64) -> bool,
+        placed: &mut HashSet<u64>,
+    ) -> VgpuResult<()> {
+        let foreign = |b: u64| VgpuError::InvalidValue(format!("block {b:#x} was not staged"));
+        for &base in delta.freed.iter().filter(|&&b| here(b)) {
+            if !placed.remove(&base) {
+                return Err(foreign(base));
+            }
             self.free(base)?;
         }
-        for (base, bytes) in &delta.new_blocks {
+        for (base, bytes) in delta.new_blocks.iter().filter(|(b, _)| here(*b)) {
             self.restore_block(*base, bytes)?;
+            placed.insert(*base);
         }
-        for (base, off, bytes) in &delta.dirty {
-            self.write(base + off, bytes)?;
+        for (base, off, bytes) in delta.dirty.iter().filter(|(b, ..)| here(*b)) {
+            if !placed.contains(base) {
+                return Err(foreign(*base));
+            }
+            self.patch(*base, *off, bytes)?;
         }
         Ok(())
+    }
+
+    /// Overwrite `bytes` at offset `off` of the block at exactly `base` —
+    /// one dirty span of a [`MemDelta`]. Unlike [`Self::write`] on
+    /// `base + off`, a span that does not fit the block is an error rather
+    /// than a write into whichever block the sum happens to land in.
+    pub fn patch(&mut self, base: u64, off: u64, bytes: &[u8]) -> VgpuResult<()> {
+        let size = self.block_bytes(base)?.len() as u64;
+        match off.checked_add(bytes.len() as u64) {
+            Some(end) if end <= size => self.write(base + off, bytes),
+            _ => Err(VgpuError::OutOfBounds {
+                ptr: base,
+                len: bytes.len() as u64,
+                available: size.saturating_sub(off),
+            }),
+        }
     }
 }
 
@@ -758,8 +792,9 @@ mod tests {
         src.write(b, &[2; 256]).unwrap();
 
         // Base snapshot: delta relative to "knows nothing".
-        let base = src.delta_since(&BTreeSet::new());
-        dst.apply_delta(&base).unwrap();
+        let mut placed = HashSet::new();
+        let base = src.delta_since(&BTreeSet::new(), |_| true);
+        dst.apply_delta(&base, |_| true, &mut placed).unwrap();
         let known: BTreeSet<u64> = src.live_allocations().map(|(p, _)| p).collect();
         src.mark_epoch();
 
@@ -773,11 +808,12 @@ mod tests {
         let c = src.alloc(256).unwrap();
         src.write(c, &[9; 16]).unwrap();
 
-        let delta = src.delta_since(&known);
+        let delta = src.delta_since(&known, |_| true);
         assert!(delta.freed.contains(&b), "realloc must free the old block");
         assert_eq!(delta.new_blocks.len(), 2, "reborn b + new c travel whole");
         assert_eq!(delta.dirty.len(), 1, "only a's span is in-place");
-        dst.apply_delta(&delta).unwrap();
+        dst.apply_delta(&delta, |_| true, &mut placed).unwrap();
+        assert_eq!(placed, HashSet::from([a, b, c]));
 
         for (p, size) in src.live_allocations() {
             assert_eq!(
@@ -797,29 +833,71 @@ mod tests {
         let known: BTreeSet<u64> = m.live_allocations().map(|(b, _)| b).collect();
         m.mark_epoch();
         m.write(p + 1000, &[1; 100]).unwrap();
-        let delta = m.delta_since(&known);
+        let delta = m.delta_since(&known, |_| true);
         assert_eq!(delta.payload_bytes(), 100);
         assert!(!delta.is_empty());
         m.mark_epoch();
-        assert!(m.delta_since(&known).is_empty());
+        assert!(m.delta_since(&known, |_| true).is_empty());
+    }
+
+    #[test]
+    fn patch_stays_inside_its_block() {
+        let mut m = MemoryManager::new(1 << 20);
+        let a = m.alloc(256).unwrap();
+        let b = m.alloc(256).unwrap();
+        assert_eq!(b, a + 256, "adjacent, so a + off can land in b");
+        m.patch(a, 200, &[1; 56]).unwrap();
+        assert_eq!(m.read(a + 200, 56).unwrap(), &[1; 56]);
+        // One byte too long, wholly in the neighbour, wrapping, no block.
+        for (base, off, len) in [
+            (a, 201, 56),
+            (a, 256, 8),
+            (b, u64::MAX - 255, 8),
+            (a + 8, 0, 8),
+        ] {
+            assert!(
+                m.patch(base, off, &vec![9; len]).is_err(),
+                "{base:#x}+{off}"
+            );
+        }
+        assert_eq!(m.read(b, 256).unwrap(), &[0; 256]);
     }
 
     #[test]
     fn apply_delta_rejects_misfit() {
         let mut dst = MemoryManager::new(1 << 16);
         let live = dst.alloc(512).unwrap();
-        let delta = MemDelta {
-            freed: vec![],
+        dst.write(live, &[3; 512]).unwrap();
+        let mut placed = HashSet::new();
+        let new_block = MemDelta {
             new_blocks: vec![(live, vec![0u8; 512])],
-            dirty: vec![],
+            ..MemDelta::default()
         };
-        assert!(dst.apply_delta(&delta).is_err(), "overlaps live memory");
-        let delta = MemDelta {
-            freed: vec![live + 8192],
-            new_blocks: vec![],
-            dirty: vec![],
+        let free = |b| MemDelta {
+            freed: vec![b],
+            ..MemDelta::default()
         };
-        assert!(dst.apply_delta(&delta).is_err(), "freeing unknown block");
+        let patch = MemDelta {
+            dirty: vec![(live, 0, vec![9u8; 8])],
+            ..MemDelta::default()
+        };
+        let mut refused = |delta: &MemDelta, why: &str| {
+            assert!(
+                dst.apply_delta(delta, |_| true, &mut placed).is_err(),
+                "{why}"
+            );
+        };
+        refused(&new_block, "overlaps live memory");
+        refused(&free(live + 8192), "freeing unknown block");
+        // A live block this stream did not place is somebody else's.
+        refused(&free(live), "freeing a block the stream did not place");
+        refused(&patch, "patching a block the stream did not place");
+        assert!(placed.is_empty());
+        assert_eq!(dst.read(live, 512).unwrap(), &[3; 512]);
+        // Entries `here` turns away belong to another manager: not an error.
+        dst.apply_delta(&free(live), |_| false, &mut placed)
+            .unwrap();
+        assert_eq!(dst.read(live, 512).unwrap(), &[3; 512]);
     }
 
     #[test]

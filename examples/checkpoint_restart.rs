@@ -47,7 +47,7 @@ fn main() -> ClientResult<()> {
     // ---- checkpoint over RPC ----
     let snapshot = ctx.with_raw(|r| r.checkpoint())?;
     println!(
-        "checkpoint captured: {} KiB (XDR-encoded: memory, modules, handles)",
+        "checkpoint captured: {} KiB (one XDR blob per session: memory, modules, streams, handles)",
         snapshot.len() / 1024
     );
 

@@ -226,15 +226,17 @@ fn mem_op_strategy() -> impl Strategy<Value = MemOp> {
     ]
 }
 
-/// One streaming round, exactly as `mig_export`/`mig_apply` do it: delta
-/// against the driver's known-block set, epoch the source, update the
-/// known set, replay on the replica.
+/// One streaming round through the two routines `mig_export` and
+/// `apply_blob` drive per device: delta against the driver's known-block
+/// set, epoch the source, update the known set, replay on the replica
+/// (`placed` = what the stream has placed there, as an adoption tracks it).
 fn mem_sync(
     src: &mut cricket_repro::vgpu::memory::MemoryManager,
     dst: &mut cricket_repro::vgpu::memory::MemoryManager,
     known: &mut std::collections::BTreeSet<u64>,
+    placed: &mut std::collections::HashSet<u64>,
 ) -> cricket_repro::vgpu::VgpuResult<()> {
-    let delta = src.delta_since(known);
+    let delta = src.delta_since(known, |_| true);
     src.mark_epoch();
     for b in &delta.freed {
         known.remove(b);
@@ -242,7 +244,7 @@ fn mem_sync(
     for (b, _) in &delta.new_blocks {
         known.insert(*b);
     }
-    dst.apply_delta(&delta)
+    dst.apply_delta(&delta, |_| true, placed)
 }
 
 proptest! {
@@ -261,6 +263,7 @@ proptest! {
         let mut src = MemoryManager::new(1 << 22);
         let mut dst = MemoryManager::new(1 << 22);
         let mut known = std::collections::BTreeSet::new();
+        let mut placed = std::collections::HashSet::new();
         let mut live: Vec<(u64, u64)> = Vec::new();
 
         for op in ops {
@@ -294,15 +297,18 @@ proptest! {
                         src.memset(p + off, val, (size - off).min(129)).unwrap();
                     }
                 }
-                MemOp::Sync => prop_assert!(mem_sync(&mut src, &mut dst, &mut known).is_ok()),
+                MemOp::Sync => prop_assert!(mem_sync(&mut src, &mut dst, &mut known, &mut placed).is_ok()),
             }
         }
         // The cutover's final fenced delta.
-        prop_assert!(mem_sync(&mut src, &mut dst, &mut known).is_ok());
+        prop_assert!(mem_sync(&mut src, &mut dst, &mut known, &mut placed).is_ok());
 
         let s: Vec<(u64, u64)> = src.live_allocations().collect();
         let d: Vec<(u64, u64)> = dst.live_allocations().collect();
         prop_assert_eq!(&s, &d, "replica's live-block map diverged");
+        prop_assert!(s.iter().map(|&(b, _)| b).eq(known.iter().copied())
+            && placed.len() == known.len() && placed.iter().all(|b| known.contains(b)),
+            "the stream's record of what it placed diverged");
         for (base, _) in s {
             prop_assert_eq!(
                 src.block_bytes(base).unwrap(),

@@ -36,6 +36,8 @@ cargo test -q
 #   wire2                  striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly)
 #   proptest_sparse        (cricket-oncrpc) sparse codec round-trip properties, corrupt blobs
 #   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included
+#   sim_path_allocs        (cricket-server) steady-state calls over SimTransport allocate nothing on every guest kind
+#                          (software checksum, host TSO split and fixed-receive-buffer branches included)
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

@@ -759,25 +759,6 @@ impl CricketServer {
 
     // ---- helpers shared by several procedures ----
 
-    /// Streams belonging to `session` on device `idx` (its lazy default
-    /// stream plus any it created explicitly).
-    fn streams_of(&self, session: SessionId, idx: usize) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .session_resources
-            .lock()
-            .get(&session)
-            .map(|r| {
-                r.streams
-                    .iter()
-                    .copied()
-                    .filter(|&h| self.device_of_token(h) == Some(idx))
-                    .collect()
-            })
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
     fn new_lib_handle(&self) -> u64 {
         self.next_lib_handle.fetch_add(1, Ordering::Relaxed)
     }
@@ -1062,10 +1043,15 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // context behind the virtualization layer).
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.current_device(s);
-        let streams = srv.streams_of(s, idx);
         Ok(int_of(srv.wait_at(s, idx, 1_000, |d| {
+            // The session's streams on this device (its lazy default stream
+            // plus any it created), walked under the resource lock with no
+            // copy: the first `stream_synchronize` retires for all of them
+            // and each wait is a pure read, so the set's order is immaterial.
+            let resources = srv.session_resources.lock();
+            let streams = resources.get(&s).into_iter().flat_map(|r| &r.streams);
             let wait = streams
-                .iter()
+                .filter(|&&h| srv.device_of_token(h) == Some(idx))
                 .map(|&h| d.stream_synchronize(h).unwrap_or(0))
                 .max()
                 .unwrap_or(0);

@@ -42,6 +42,11 @@ pub struct SimTransport {
     pending_out: Vec<u8>,
     incoming: Vec<u8>,
     incoming_off: usize,
+    /// The one posted receive buffer a guest without `MRG_RXBUF` stages
+    /// every packet in (reused; see [`deliver_fixed`]).
+    rx_posted: Vec<u8>,
+    /// A segment was rejected: every later operation fails the same way.
+    poisoned: bool,
     /// Pooled server-side record reassembly buffer.
     record_buf: Vec<u8>,
     /// Pooled server-side reply encoder.
@@ -82,6 +87,8 @@ impl SimTransport {
             pending_out: Vec::new(),
             incoming: Vec::new(),
             incoming_off: 0,
+            rx_posted: Vec::new(),
+            poisoned: false,
             record_buf: Vec::with_capacity(4096),
             reply_enc: xdr::XdrEncoder::with_capacity(4096),
             reply_wire: Vec::with_capacity(4096),
@@ -116,38 +123,46 @@ impl SimTransport {
     }
 
     /// Carry `bytes` from `from` to `to` through the virtio/TCP machinery,
-    /// returning the reassembled bytes and the number of wire segments.
+    /// leaving them reassembled in `to`. Returns the number of wire
+    /// segments, or `None` as soon as `to` rejects one.
     fn carry(
         from: &mut TcpEndpoint,
         from_features: VirtioFeatures,
         to: &mut TcpEndpoint,
-        to_mrg_rxbuf: bool,
+        mut to_posted: Option<&mut Vec<u8>>,
         wire_mss: usize,
         bytes: &[u8],
-    ) -> io::Result<(Vec<u8>, u64)> {
-        let supers = from.send(bytes);
-        let frames = guest_tx(from_features, supers, wire_mss);
+    ) -> Option<u64> {
         let mut wire_count = 0u64;
-        for frame in frames {
-            for seg in host_segment(frame) {
+        for segment in from.segments(bytes) {
+            for seg in host_segment(guest_tx(from_features, segment, wire_mss)) {
                 wire_count += 1;
                 // RX buffer handling (copies are charged by the cost model;
                 // here we exercise the functional path).
-                let (payload, _bufs, _copies) = if to_mrg_rxbuf {
-                    deliver_mrg(&seg.payload, 4096)
-                } else {
-                    deliver_fixed(&seg.payload)
+                let payload = match to_posted.as_deref_mut() {
+                    None => deliver_mrg(seg.payload, 4096).0,
+                    Some(posted) => deliver_fixed(seg.payload, posted).0,
                 };
-                let seg = Segment { payload, ..seg };
-                if !to.receive(&seg) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "segment rejected (checksum or sequencing)",
-                    ));
+                if !to.receive(&Segment { payload, ..seg }) {
+                    return None;
                 }
             }
         }
-        Ok((to.read(usize::MAX), wire_count))
+        Some(wire_count)
+    }
+
+    /// Fail closed after a rejected segment: the sender's sequence space
+    /// has moved past bytes the receiver never accepted, so no later reply
+    /// could be delivered. Discard all buffered state; refuse from now on.
+    fn poison(&mut self) -> io::Error {
+        self.poisoned = true;
+        self.pending_out.clear();
+        self.incoming.clear();
+        self.incoming_off = 0;
+        self.client_ep.consume(usize::MAX);
+        self.server_ep.consume(usize::MAX);
+        let what = "segment rejected (checksum or sequencing); transport poisoned";
+        io::Error::new(io::ErrorKind::InvalidData, what)
     }
 
     /// Process one buffered request end-to-end.
@@ -155,29 +170,33 @@ impl SimTransport {
         // Client → server through the functional stacks. The request is
         // carried straight out of `pending_out` — no per-call drain copy.
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
-        let (at_server, segs_up) = Self::carry(
+        let Some(segs_up) = Self::carry(
             &mut self.client_ep,
             self.guest.features,
             &mut self.server_ep,
-            true, // GPU node negotiates mrg_rxbuf
+            None, // GPU node negotiates mrg_rxbuf
             wire_mss,
             &self.pending_out[..record_len],
-        )?;
-        debug_assert_eq!(&at_server[..], &self.pending_out[..record_len]);
+        ) else {
+            return Err(self.poison());
+        };
+        debug_assert_eq!(self.server_ep.readable(), &self.pending_out[..record_len]);
         self.pending_out.drain(..record_len);
 
         // Server executes (service methods charge the clock themselves).
-        // The record reassembly buffer and the reply encoder are pooled on
-        // the transport, so steady state costs one reassembly copy and no
-        // allocation.
-        let mut cursor = io::Cursor::new(&at_server);
-        oncrpc::record::read_record_into(
-            &mut cursor,
+        // The record is read straight out of the server endpoint's view; the
+        // record buffer and the reply encoder are pooled on the transport,
+        // so steady state costs one reassembly copy and no allocation.
+        let mut at_server = self.server_ep.readable();
+        let record = oncrpc::record::read_record_into(
+            &mut at_server,
             &mut self.record_buf,
             oncrpc::record::MAX_RECORD,
-        )
-        .map_err(rpc_to_io)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty record"))?;
+        );
+        self.server_ep.consume(record_len);
+        record
+            .map_err(rpc_to_io)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty record"))?;
         self.server
             .handle_record_into(&self.record_buf, &mut self.reply_enc)
             .map_err(rpc_to_io)?;
@@ -190,14 +209,18 @@ impl SimTransport {
         .map_err(rpc_to_io)?;
 
         // Server → client.
-        let (at_client, segs_down) = Self::carry(
+        let posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
+        let Some(segs_down) = Self::carry(
             &mut self.server_ep,
             VirtioFeatures::linux_driver(),
             &mut self.client_ep,
-            self.guest.costs.virtq.mrg_rxbuf,
+            posted,
             wire_mss,
             &self.reply_wire,
-        )?;
+        ) else {
+            return Err(self.poison());
+        };
+        let at_client = self.client_ep.readable();
 
         // Charge the network legs (server exec already charged).
         let timing = self.path.rpc_round(record_len, at_client.len(), 0);
@@ -212,7 +235,8 @@ impl SimTransport {
         self.incoming_off = 0;
         // Reply buffering copy on the receive side (tiny for HtoD calls).
         oncrpc::telemetry::add_memmoved(at_client.len());
-        self.incoming.extend_from_slice(&at_client);
+        self.incoming.extend_from_slice(at_client);
+        self.client_ep.consume(usize::MAX);
         Ok(())
     }
 }
@@ -231,6 +255,9 @@ impl Write for SimTransport {
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        if self.poisoned {
+            return Err(self.poison()); // nothing is carried or executed again
+        }
         while let Some(len) = Self::complete_record_len(&self.pending_out) {
             self.process_one(len)?;
         }
@@ -268,12 +295,172 @@ mod tests {
     use cricket_proto::CricketV1Client;
     use unikernel::GuestKind;
 
-    fn client_for(kind: GuestKind) -> (CricketV1Client, Arc<SimClock>) {
+    fn sim_server() -> (Arc<RpcServer>, Arc<SimClock>) {
         let clock = SimClock::new();
         let server = CricketServer::new(ServerConfig::default(), Arc::clone(&clock));
-        let rpc = make_rpc_server(server);
+        (make_rpc_server(server), clock)
+    }
+
+    fn client_for(kind: GuestKind) -> (CricketV1Client, Arc<SimClock>) {
+        let (rpc, clock) = sim_server();
         let t = SimTransport::new(rpc, Guest::new(kind), Arc::clone(&clock));
         (CricketV1Client::new(Box::new(t)), clock)
+    }
+
+    /// A handle on the transport that the test keeps after the client has
+    /// boxed its twin, to read `stats` and reach the endpoints.
+    #[derive(Clone)]
+    struct Shared(Arc<parking_lot::Mutex<SimTransport>>);
+
+    impl Read for Shared {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.lock().read(buf)
+        }
+    }
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.lock().flush()
+        }
+    }
+
+    impl Transport for Shared {}
+
+    fn shared_client(
+        rpc: &Arc<RpcServer>,
+        kind: GuestKind,
+        clock: &Arc<SimClock>,
+    ) -> (CricketV1Client, Shared) {
+        let t = SimTransport::new(Arc::clone(rpc), Guest::new(kind), Arc::clone(clock));
+        let shared = Shared(Arc::new(parking_lot::Mutex::new(t)));
+        (CricketV1Client::new(Box::new(shared.clone())), shared)
+    }
+
+    /// Mixed small calls with odd-length copies, one 3 MiB copy and one
+    /// odd-length copy each way, from a fixed seed. Returns the final
+    /// virtual time and the transport's counters.
+    fn seeded_script(kind: GuestKind) -> (u64, TransportStats) {
+        let (rpc, clock) = sim_server();
+        let (mut c, shared) = shared_client(&rpc, kind, &clock);
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let image = vgpu::module::CubinBuilder::new()
+            .kernel("empty", &[])
+            .code(b"empty kernel")
+            .build(false);
+        let module = c
+            .cu_module_load_data(&image)
+            .unwrap()
+            .into_result()
+            .unwrap();
+        let func = c
+            .cu_module_get_function(&module, "empty")
+            .unwrap()
+            .into_result()
+            .unwrap();
+        let one = cricket_proto::RpcDim3 { x: 1, y: 1, z: 1 };
+        let buf = c.cuda_malloc(&(4 << 20)).unwrap().into_result().unwrap();
+        let roundtrip = |c: &mut CricketV1Client, data: &[u8]| {
+            assert_eq!(c.cuda_memcpy_htod(&buf, data).unwrap(), 0);
+            let back = c.cuda_memcpy_dtoh(&buf, &(data.len() as u64)).unwrap();
+            assert_eq!(back.into_result().unwrap(), data);
+        };
+        for _ in 0..96 {
+            match next() % 6 {
+                0 => assert_eq!(c.cuda_get_device_count().unwrap().into_result(), Ok(4)),
+                1 => c.rpc_null().unwrap(),
+                2 => {
+                    let p = c.cuda_malloc(&(1 + next() % 70_000)).unwrap();
+                    assert_eq!(c.cuda_free(&p.into_result().unwrap()).unwrap(), 0);
+                }
+                3 => assert_eq!(
+                    c.cuda_launch_kernel(&func, &one, &one, &0, &0, &[])
+                        .unwrap(),
+                    0
+                ),
+                4 => assert_eq!(c.cuda_device_synchronize().unwrap(), 0),
+                _ => {
+                    let data: Vec<u8> = (0..1 + next() % 30_000).map(|i| i as u8).collect();
+                    roundtrip(&mut c, &data);
+                }
+            }
+        }
+        let big: Vec<u8> = (0..3u32 << 20).map(|i| (i % 251) as u8).collect();
+        roundtrip(&mut c, &big);
+        roundtrip(&mut c, &big[..777_777]);
+        assert_eq!(c.cuda_device_synchronize().unwrap(), 0);
+        let stats = shared.0.lock().stats;
+        (clock.now_ns(), stats)
+    }
+
+    /// The functional path may change how bytes move, never what the cost
+    /// model or the wire sees: final virtual time and transport counters
+    /// per guest kind, captured at the commit before the borrowed-segment
+    /// data path.
+    #[test]
+    fn seeded_script_matches_constants_of_the_owning_pipeline() {
+        let expected = [
+            (GuestKind::NativeLinux, 4_915_682, 1294),
+            (GuestKind::LinuxVm, 10_084_496, 1294),
+            (GuestKind::Unikraft, 20_384_975, 1253),
+            (GuestKind::RustyHermit, 16_388_295, 1253),
+            (GuestKind::RustyHermitLegacy, 20_215_380, 1253),
+            (GuestKind::RustyHermitTso, 12_464_295, 1294),
+        ];
+        for (kind, now_ns, wire_segments) in expected {
+            let (now, stats) = seeded_script(kind);
+            assert_eq!(now, now_ns, "{kind:?}: final virtual time");
+            let want = TransportStats {
+                round_trips: 139,
+                wire_segments,
+                bytes_sent: 4_254_084,
+                bytes_received: 4_250_800,
+            };
+            assert_eq!(stats, want, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_segment_poisons_the_transport() {
+        let (rpc, clock) = sim_server();
+        let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
+        let (mut observer, _) = shared_client(&rpc, GuestKind::NativeLinux, &clock);
+        let mut total_calls = || observer.srv_get_stats().unwrap().total_calls;
+        c.rpc_null().unwrap();
+
+        // The reply direction loses sync; the request direction still works.
+        shared.0.lock().client_ep.rcv_nxt ^= 1;
+        let before = total_calls();
+        let first = c.cuda_malloc(&4096).unwrap_err().to_string();
+        assert!(first.contains("segment rejected"), "{first}");
+        let after_first = total_calls();
+        assert_eq!(
+            after_first,
+            before + 1,
+            "the call ran; only its reply was lost"
+        );
+
+        // From here on nothing is carried up, so nothing executes.
+        let second = c.cuda_malloc(&4096).unwrap_err().to_string();
+        assert_eq!(second, first);
+        assert_eq!(c.rpc_null().unwrap_err().to_string(), first);
+        assert_eq!(
+            total_calls(),
+            after_first,
+            "refused before the server saw them"
+        );
+        let t = shared.0.lock();
+        assert_eq!(t.client_ep.available() + t.server_ep.available(), 0);
+        assert!(t.pending_out.is_empty() && t.incoming.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! matters for the reproduction is that the offload feature bits select
 //! genuinely different code paths.
 
-use simnet::checksum::{internet_checksum, ones_complement_sum};
+use simnet::checksum::ones_complement_sum;
 
 /// TCP connection states (subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,47 +41,40 @@ pub struct SegHeader {
     pub csum_offloaded: bool,
 }
 
-/// One TCP segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+/// One TCP segment. The payload is borrowed from the sender's buffer: a
+/// segment is a view of the bytes in flight, never a copy of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment<'a> {
     /// Header.
     pub header: SegHeader,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl Segment {
-    fn checksum_input(seq: u32, ack: u32, payload: &[u8]) -> Vec<u8> {
-        // Pseudo-header: seq, ack, length — enough to catch corruption in
-        // tests; a real stack also covers addresses and ports.
-        let mut buf = Vec::with_capacity(14 + payload.len());
-        buf.extend_from_slice(&seq.to_be_bytes());
-        buf.extend_from_slice(&ack.to_be_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(payload);
-        if buf.len() % 2 != 0 {
-            // RFC 1071: odd-length data is zero-padded to a 16-bit boundary
-            // so the checksum word that follows stays aligned.
-            buf.push(0);
-        }
-        buf
+impl Segment<'_> {
+    /// Ones'-complement sum of the pseudo-header (seq, ack, length — enough
+    /// to catch corruption in tests; a real stack also covers addresses and
+    /// ports) with `trailer`, built on the stack, and the payload summed in
+    /// place: an odd last byte counts high-order, as RFC 1071's zero pad.
+    fn sum(&self, trailer: u16) -> u16 {
+        let mut pseudo = [0u8; 14];
+        pseudo[..4].copy_from_slice(&self.header.seq.to_be_bytes());
+        pseudo[4..8].copy_from_slice(&self.header.ack.to_be_bytes());
+        pseudo[8..12].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        pseudo[12..].copy_from_slice(&trailer.to_be_bytes());
+        let sum = ones_complement_sum(&pseudo) as u32 + ones_complement_sum(self.payload) as u32;
+        ((sum & 0xffff) + (sum >> 16)) as u16
     }
 
     /// Compute the checksum this segment should carry.
     pub fn expected_checksum(&self) -> u16 {
-        internet_checksum(&Self::checksum_input(
-            self.header.seq,
-            self.header.ack,
-            &self.payload,
-        ))
+        !self.sum(0)
     }
 
     /// Verify an on-wire segment's checksum.
     pub fn verify(&self) -> bool {
         // Sum including the transmitted checksum must be 0xffff.
-        let mut input = Self::checksum_input(self.header.seq, self.header.ack, &self.payload);
-        input.extend_from_slice(&self.header.checksum.to_be_bytes());
-        ones_complement_sum(&input) == 0xffff
+        self.sum(self.header.checksum) == 0xffff
     }
 }
 
@@ -100,7 +93,8 @@ pub struct TcpEndpoint {
     pub tx_csum_in_software: bool,
     /// Driver verifies RX checksums in software (no `GUEST_CSUM`).
     pub rx_verify_in_software: bool,
-    /// In-order reassembled receive data.
+    /// In-order reassembled receive data; pooled — consuming it keeps the
+    /// capacity, so a steady stream of calls reassembles without allocating.
     rx_buffer: Vec<u8>,
     /// Segments dropped due to checksum failure (telemetry).
     pub rx_checksum_failures: u64,
@@ -121,14 +115,14 @@ impl TcpEndpoint {
         }
     }
 
-    fn make_segment(
+    fn make_segment<'a>(
         &self,
         seq: u32,
         ack: u32,
         syn: bool,
         ack_flag: bool,
-        payload: Vec<u8>,
-    ) -> Segment {
+        payload: &'a [u8],
+    ) -> Segment<'a> {
         let mut seg = Segment {
             header: SegHeader {
                 seq,
@@ -147,28 +141,28 @@ impl TcpEndpoint {
     }
 
     /// Active open: produce the SYN.
-    pub fn connect(&mut self) -> Segment {
+    pub fn connect(&mut self) -> Segment<'static> {
         assert_eq!(self.state, State::Closed);
         self.state = State::SynSent;
-        let seg = self.make_segment(self.snd_nxt, 0, true, false, Vec::new());
+        let seg = self.make_segment(self.snd_nxt, 0, true, false, &[]);
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
         seg
     }
 
     /// Passive side: process a SYN, produce the SYN-ACK.
-    pub fn accept(&mut self, syn: &Segment) -> Option<Segment> {
+    pub fn accept(&mut self, syn: &Segment) -> Option<Segment<'static>> {
         if self.state != State::Closed || !syn.header.syn {
             return None;
         }
         self.rcv_nxt = syn.header.seq.wrapping_add(1);
         self.state = State::SynReceived;
-        let seg = self.make_segment(self.snd_nxt, self.rcv_nxt, true, true, Vec::new());
+        let seg = self.make_segment(self.snd_nxt, self.rcv_nxt, true, true, &[]);
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
         Some(seg)
     }
 
     /// Active side: process the SYN-ACK, produce the final ACK.
-    pub fn complete_handshake(&mut self, synack: &Segment) -> Option<Segment> {
+    pub fn complete_handshake(&mut self, synack: &Segment) -> Option<Segment<'static>> {
         if self.state != State::SynSent || !synack.header.syn || !synack.header.ack_flag {
             return None;
         }
@@ -177,7 +171,7 @@ impl TcpEndpoint {
         }
         self.rcv_nxt = synack.header.seq.wrapping_add(1);
         self.state = State::Established;
-        Some(self.make_segment(self.snd_nxt, self.rcv_nxt, false, true, Vec::new()))
+        Some(self.make_segment(self.snd_nxt, self.rcv_nxt, false, true, &[]))
     }
 
     /// Passive side: process the final ACK.
@@ -193,19 +187,28 @@ impl TcpEndpoint {
     }
 
     /// Segment `data` into MSS-sized segments with sequence numbers and
-    /// (when not offloaded) software checksums.
-    pub fn send(&mut self, data: &[u8]) -> Vec<Segment> {
+    /// (when not offloaded) software checksums, handing each to its consumer
+    /// as it is produced. The one segmenter: `send` is its collecting form.
+    pub fn segments<'a, 's>(&'s mut self, data: &'a [u8]) -> impl Iterator<Item = Segment<'a>> + 's
+    where
+        'a: 's,
+    {
         assert_eq!(self.state, State::Established, "send before handshake");
-        let mut out = Vec::with_capacity(data.len().div_ceil(self.mss));
-        for chunk in data.chunks(self.mss) {
-            let seg = self.make_segment(self.snd_nxt, self.rcv_nxt, false, true, chunk.to_vec());
+        data.chunks(self.mss).map(move |chunk| {
+            let seg = self.make_segment(self.snd_nxt, self.rcv_nxt, false, true, chunk);
             self.snd_nxt = self.snd_nxt.wrapping_add(chunk.len() as u32);
-            out.push(seg);
-        }
-        out
+            seg
+        })
     }
 
-    /// Receive one in-order segment; verified payload lands in the buffer.
+    /// [`Self::segments`], run to the end: every segment of `data`, checksums
+    /// computed, before this returns.
+    pub fn send<'a>(&mut self, data: &'a [u8]) -> Vec<Segment<'a>> {
+        self.segments(data).collect()
+    }
+
+    /// Receive one in-order segment; verified payload lands in the buffer
+    /// (the reassembly copy — the only one this stack makes of a payload).
     /// Returns false if the segment was dropped (bad checksum / wrong seq).
     pub fn receive(&mut self, seg: &Segment) -> bool {
         assert_eq!(self.state, State::Established, "receive before handshake");
@@ -217,14 +220,18 @@ impl TcpEndpoint {
             return false; // out-of-order: lossless FIFO wire never does this
         }
         self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-        self.rx_buffer.extend_from_slice(&seg.payload);
+        self.rx_buffer.extend_from_slice(seg.payload);
         true
     }
 
-    /// Drain up to `max` bytes of reassembled data.
-    pub fn read(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.rx_buffer.len());
-        self.rx_buffer.drain(..n).collect()
+    /// The reassembled data not yet consumed, in place.
+    pub fn readable(&self) -> &[u8] {
+        &self.rx_buffer
+    }
+
+    /// Drop up to `max` bytes from the head of the reassembled data.
+    pub fn consume(&mut self, max: usize) {
+        self.rx_buffer.drain(..max.min(self.rx_buffer.len()));
     }
 
     /// Bytes available to read.
@@ -275,7 +282,7 @@ mod tests {
                 checksum: 0,
                 csum_offloaded: true,
             },
-            payload: vec![],
+            payload: &[],
         };
         assert!(c.complete_handshake(&bogus).is_none());
         // A second connect attempt from a non-Closed state is also refused.
@@ -296,15 +303,20 @@ mod tests {
             assert!(s.receive(seg));
         }
         assert_eq!(s.available(), data.len());
-        assert_eq!(s.read(usize::MAX), data);
+        assert_eq!(s.readable(), data);
     }
 
     #[test]
     fn software_checksums_catch_corruption() {
         let (mut c, mut s) = pair();
-        let mut segs = c.send(b"important gpu data");
-        segs[0].payload[3] ^= 0x40;
-        assert!(!s.receive(&segs[0]));
+        let segs = c.send(b"important gpu data");
+        let mut corrupted = segs[0].payload.to_vec();
+        corrupted[3] ^= 0x40;
+        let seg = Segment {
+            payload: &corrupted,
+            ..segs[0]
+        };
+        assert!(!s.receive(&seg));
         assert_eq!(s.rx_checksum_failures, 1);
         assert_eq!(s.available(), 0);
     }
@@ -319,13 +331,14 @@ mod tests {
         assert!(segs[0].header.csum_offloaded);
         assert_eq!(segs[0].header.checksum, 0);
         assert!(s.receive(&segs[0]));
-        assert_eq!(s.read(16), b"hello");
+        assert_eq!(s.readable(), b"hello");
     }
 
     #[test]
     fn out_of_order_segment_rejected() {
         let (mut c, mut s) = pair();
-        let segs = c.send(&vec![7u8; 20_000]);
+        let data = vec![7u8; 20_000];
+        let segs = c.send(&data);
         assert!(segs.len() >= 3);
         assert!(!s.receive(&segs[1]), "skipping a segment must fail");
         assert!(s.receive(&segs[0]));
@@ -338,11 +351,13 @@ mod tests {
         for seg in c.send(b"request") {
             s.receive(&seg);
         }
-        assert_eq!(s.read(64), b"request");
+        assert_eq!(s.readable(), b"request");
+        s.consume(64);
+        assert_eq!(s.available(), 0);
         for seg in s.send(b"reply!") {
             c.receive(&seg);
         }
-        assert_eq!(c.read(64), b"reply!");
+        assert_eq!(c.readable(), b"reply!");
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! worst-case buffers and copy once more ([`deliver_fixed`]).
 
 use crate::features::VirtioFeatures;
-use crate::tcp::{SegHeader, Segment};
-use simnet::checksum::internet_checksum;
+use crate::tcp::Segment;
 use simnet::segment::TSO_SEGMENT;
 
 /// The `virtio_net_hdr` prepended to every frame on the virtqueue.
@@ -25,91 +24,81 @@ pub struct VirtioNetHdr {
 }
 
 /// One frame as it crosses the virtqueue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
     /// Virtio header.
     pub hdr: VirtioNetHdr,
     /// The TCP segment (super-segment when GSO).
-    pub segment: Segment,
+    pub segment: Segment<'a>,
 }
 
-/// Guest TX: wrap TCP segments into virtqueue frames according to the
-/// negotiated features. With TSO the caller should have produced
-/// super-segments (MSS up to 64 KiB); this function marks them for GSO.
-pub fn guest_tx(features: VirtioFeatures, segments: Vec<Segment>, wire_mss: usize) -> Vec<Frame> {
+/// Guest TX: wrap a TCP segment into a virtqueue frame according to the
+/// negotiated features. With TSO the caller should have produced a
+/// super-segment (MSS up to 64 KiB); this function marks it for GSO.
+pub fn guest_tx(features: VirtioFeatures, segment: Segment<'_>, wire_mss: usize) -> Frame<'_> {
     let tso = features.contains(VirtioFeatures::HOST_TSO4);
-    let csum = features.contains(VirtioFeatures::CSUM);
-    segments
-        .into_iter()
-        .map(|segment| Frame {
-            hdr: VirtioNetHdr {
-                needs_csum: csum,
-                gso_size: if tso && segment.payload.len() > wire_mss {
-                    wire_mss as u16
-                } else {
-                    0
-                },
-                num_buffers: 1,
-            },
-            segment,
-        })
-        .collect()
+    let gso = tso && segment.payload.len() > wire_mss;
+    Frame {
+        hdr: VirtioNetHdr {
+            needs_csum: features.contains(VirtioFeatures::CSUM),
+            gso_size: if gso { wire_mss as u16 } else { 0 },
+            num_buffers: 1,
+        },
+        segment,
+    }
 }
 
 /// Host side: finalize a frame for the wire — complete deferred checksums
-/// and split GSO super-frames into MSS-sized wire segments. This is the
-/// work TSO/checksum offload moves off the guest's vCPU.
-pub fn host_segment(frame: Frame) -> Vec<Segment> {
+/// and split GSO super-frames into MSS-sized wire segments, each a
+/// sub-slice of the frame's payload. This is the work TSO/checksum offload
+/// moves off the guest's vCPU.
+pub fn host_segment(frame: Frame<'_>) -> impl Iterator<Item = Segment<'_>> {
     let Frame { hdr, segment } = frame;
-    let finalize = |mut seg: Segment| -> Segment {
-        if hdr.needs_csum {
+    let len = segment.payload.len();
+    let split = hdr.gso_size != 0 && len > hdr.gso_size as usize;
+    let mss = if split {
+        hdr.gso_size as usize
+    } else {
+        len.max(1)
+    };
+    // An empty frame (a bare ACK) still crosses the wire as one segment.
+    (0..len.div_ceil(mss).max(1)).map(move |i| {
+        let at = i * mss;
+        let mut seg = Segment {
+            header: segment.header,
+            payload: &segment.payload[at..len.min(at + mss)],
+        };
+        if split {
+            seg.header.seq = seg.header.seq.wrapping_add(at as u32);
+            seg.header.syn = false;
+        }
+        if split || hdr.needs_csum {
             seg.header.checksum = seg.expected_checksum();
             seg.header.csum_offloaded = false; // now valid on the wire
         }
         seg
-    };
-    if hdr.gso_size == 0 || segment.payload.len() <= hdr.gso_size as usize {
-        return vec![finalize(segment)];
-    }
-    let mss = hdr.gso_size as usize;
-    let mut out = Vec::with_capacity(segment.payload.len().div_ceil(mss));
-    let mut seq = segment.header.seq;
-    for chunk in segment.payload.chunks(mss) {
-        let seg = Segment {
-            header: SegHeader {
-                seq,
-                ack: segment.header.ack,
-                syn: false,
-                ack_flag: segment.header.ack_flag,
-                checksum: 0,
-                csum_offloaded: false,
-            },
-            payload: chunk.to_vec(),
-        };
-        seq = seq.wrapping_add(chunk.len() as u32);
-        let mut seg = seg;
-        seg.header.checksum = seg.expected_checksum();
-        out.push(seg);
-    }
-    out
+    })
 }
 
 /// Largest super-segment the guest may hand down with TSO.
 pub const GSO_MAX: usize = TSO_SEGMENT;
 
-/// RX with merged buffers: the packet is written across as many `buf_size`
-/// buffers as needed; returns (reassembled bytes, buffers consumed, copies
-/// performed). One copy per buffer.
-pub fn deliver_mrg(payload: &[u8], buf_size: usize) -> (Vec<u8>, usize, usize) {
+/// RX with merged buffers: the device writes the packet across as many
+/// `buf_size` buffers as needed and the stack reassembles straight out of
+/// them — that reassembly is the one copy per buffer, so nothing is staged
+/// here. Returns (packet bytes, buffers consumed, copies performed).
+pub fn deliver_mrg(payload: &[u8], buf_size: usize) -> (&[u8], usize, usize) {
     let buffers = payload.len().div_ceil(buf_size).max(1);
-    (payload.to_vec(), buffers, buffers)
+    (payload, buffers, buffers)
 }
 
-/// RX without merged buffers: each packet needs one worst-case buffer and an
-/// extra linearizing copy into the stack (2 copies total).
-pub fn deliver_fixed(payload: &[u8]) -> (Vec<u8>, usize, usize) {
-    let staged = payload.to_vec(); // copy 1: into the posted buffer
-    (staged.clone(), 1, 2) // copy 2: linearize into the stack
+/// RX without merged buffers: each packet lands in one worst-case `posted`
+/// buffer (copy 1, done here) and the stack linearizes out of it (copy 2,
+/// the reassembly of the returned bytes) — 2 copies total.
+pub fn deliver_fixed<'b>(payload: &[u8], posted: &'b mut Vec<u8>) -> (&'b [u8], usize, usize) {
+    posted.clear();
+    posted.extend_from_slice(payload);
+    (posted, 1, 2)
 }
 
 /// Device-side checksum validation for RX when the guest negotiated
@@ -123,12 +112,6 @@ pub fn device_validates(seg: &Segment) -> bool {
     } else {
         seg.verify()
     }
-}
-
-/// Convenience: full checksum for raw bytes (used by tests comparing guest
-/// and device checksums).
-pub fn raw_checksum(bytes: &[u8]) -> u16 {
-    internet_checksum(bytes)
 }
 
 #[cfg(test)]
@@ -152,10 +135,13 @@ mod tests {
         let data = vec![0xa5u8; 100_000];
         let supers = guest.send(&data);
         assert_eq!(supers.len(), 2, "two 64 KiB super-segments");
-        let frames = guest_tx(VirtioFeatures::qemu_device(), supers, 9000 - 40);
         let mut wire: Vec<Segment> = Vec::new();
-        for f in frames {
-            wire.extend(host_segment(f));
+        for s in supers {
+            wire.extend(host_segment(guest_tx(
+                VirtioFeatures::qemu_device(),
+                s,
+                9000 - 40,
+            )));
         }
         assert_eq!(wire.len(), 100_000usize.div_ceil(8960));
         // Receiver (software verify) accepts every host-built segment.
@@ -163,7 +149,7 @@ mod tests {
             assert!(seg.verify(), "host-computed checksum must verify");
             assert!(peer.receive(seg));
         }
-        assert_eq!(peer.read(usize::MAX), data);
+        assert_eq!(peer.readable(), data);
     }
 
     #[test]
@@ -171,7 +157,10 @@ mod tests {
         let (mut c, _s) = established_pair(9000, true);
         let data = vec![1u8; 50_000];
         let segs = c.send(&data);
-        let frames = guest_tx(VirtioFeatures::MRG_RXBUF, segs, 8960);
+        let frames: Vec<Frame> = segs
+            .into_iter()
+            .map(|s| guest_tx(VirtioFeatures::MRG_RXBUF, s, 8960))
+            .collect();
         // No GSO marking, no device checksum work.
         assert!(frames
             .iter()
@@ -186,9 +175,9 @@ mod tests {
         let (mut c, _s) = established_pair(9000, false);
         let segs = c.send(b"needs checksum");
         assert!(segs[0].header.csum_offloaded);
-        let frames = guest_tx(VirtioFeatures::CSUM, segs, 8960);
-        assert!(frames[0].hdr.needs_csum);
-        let wire = host_segment(frames[0].clone());
+        let frame = guest_tx(VirtioFeatures::CSUM, segs[0], 8960);
+        assert!(frame.hdr.needs_csum);
+        let wire: Vec<Segment> = host_segment(frame).collect();
         assert!(!wire[0].header.csum_offloaded);
         assert!(wire[0].verify());
     }
@@ -197,7 +186,8 @@ mod tests {
     fn mrg_rxbuf_uses_fewer_copies_for_big_packets() {
         let payload = vec![3u8; 60_000];
         let (out_m, bufs_m, copies_m) = deliver_mrg(&payload, 4096);
-        let (out_f, bufs_f, copies_f) = deliver_fixed(&payload);
+        let mut posted = Vec::new();
+        let (out_f, bufs_f, copies_f) = deliver_fixed(&payload, &mut posted);
         assert_eq!(out_m, payload);
         assert_eq!(out_f, payload);
         assert_eq!(bufs_m, 60_000usize.div_ceil(4096));
@@ -210,9 +200,14 @@ mod tests {
     #[test]
     fn device_validation_detects_corruption() {
         let (mut c, _s) = established_pair(9000, true);
-        let mut segs = c.send(b"payload under test");
+        let segs = c.send(b"payload under test");
         assert!(device_validates(&segs[0]));
-        segs[0].payload[0] ^= 1;
-        assert!(!device_validates(&segs[0]));
+        let mut corrupted = segs[0].payload.to_vec();
+        corrupted[0] ^= 1;
+        let seg = Segment {
+            payload: &corrupted,
+            ..segs[0]
+        };
+        assert!(!device_validates(&seg));
     }
 }

@@ -25,7 +25,7 @@ use crate::queue::{CommandKind, CommandQueue, IntervalUnion, Retired, Submit};
 use crate::stream::EventState;
 use crate::timemodel::{kernel_duration_ns, Workload};
 use simnet::SimClock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// First value handed out for module/function/stream/event handles.
@@ -36,8 +36,10 @@ const HANDLE_BASE: u64 = 0x10;
 const KERNEL_SUBMIT_NS: u64 = 600;
 /// Submission cost of an async copy/memset/library enqueue (ns).
 const ENQUEUE_SUBMIT_NS: u64 = 500;
-/// Retired-command log high-water mark; oldest entries are dropped beyond
-/// this so long-running servers don't grow without bound.
+/// Retired-command log size: at least this many of the newest entries are
+/// kept, and the log is cut back to it on reaching twice it, so
+/// long-running servers don't grow without bound and a full log is not
+/// shifted down by one entry on every retirement.
 const RETIRED_LOG_CAP: usize = 4096;
 
 /// Execution statistics (memoization effectiveness, launch counts).
@@ -77,7 +79,8 @@ pub struct Device {
     clock: Arc<SimClock>,
     modules: HashMap<u64, Cubin>,
     functions: HashMap<u64, FunctionEntry>,
-    streams: HashMap<u64, CommandQueue>,
+    /// Ordered by handle: the deterministic order commands retire in.
+    streams: BTreeMap<u64, CommandQueue>,
     events: HashMap<u64, EventState>,
     next_handle: u64,
     memo: HashMap<MemoKey, MemoEntry>,
@@ -107,7 +110,7 @@ impl Device {
         handle_base: u64,
     ) -> Self {
         let mem = MemoryManager::with_base(props.total_global_mem, heap_base);
-        let mut streams = HashMap::new();
+        let mut streams = BTreeMap::new();
         streams.insert(0, CommandQueue::default()); // default stream
         Self {
             props,
@@ -164,21 +167,19 @@ impl Device {
     /// points so the retired log and busy span track the clock.
     pub fn observe(&mut self) {
         let now = self.clock.now_ns();
-        let mut batch = Vec::new();
-        // Deterministic iteration: stream handle order.
-        let mut handles: Vec<u64> = self.streams.keys().copied().collect();
-        handles.sort_unstable();
-        for h in handles {
-            let q = self.streams.get_mut(&h).expect("handle from keys");
-            q.retire_until(now, h, &mut batch);
+        // Retire straight into the log's tail: no per-call scratch.
+        let first = self.retired.len();
+        for (&h, q) in self.streams.iter_mut() {
+            q.retire_until(now, h, &mut self.retired);
         }
-        // Global retire order: by completion time, ties by issue seq.
-        batch.sort_by_key(|r| (r.completes_at_ns, r.seq));
-        for r in &batch {
+        // Global retire order: by completion time, ties by issue seq (a
+        // unique key, so the allocation-free unstable sort is exact).
+        let batch = &mut self.retired[first..];
+        batch.sort_unstable_by_key(|r| (r.completes_at_ns, r.seq));
+        for r in batch.iter() {
             self.busy.add(r.starts_at_ns, r.completes_at_ns);
         }
-        self.retired.extend(batch);
-        if self.retired.len() > RETIRED_LOG_CAP {
+        if self.retired.len() >= 2 * RETIRED_LOG_CAP {
             let excess = self.retired.len() - RETIRED_LOG_CAP;
             self.retired.drain(..excess);
         }
@@ -646,12 +647,8 @@ impl Device {
     /// it guarantees the final migration delta is taken with zero commands
     /// in flight. Returns the post-fence device completion frontier.
     pub fn fence_all_streams(&mut self) -> u64 {
-        let mut handles: Vec<u64> = self.streams.keys().copied().collect();
-        handles.sort_unstable();
-        for h in handles {
-            if let Some(q) = self.streams.get_mut(&h) {
-                q.retire_until(u64::MAX, h, &mut self.retired);
-            }
+        for (&h, q) in self.streams.iter_mut() {
+            q.retire_until(u64::MAX, h, &mut self.retired);
         }
         self.streams
             .values()
@@ -1060,6 +1057,27 @@ mod tests {
             .map(|r| r.seq)
             .collect();
         assert_eq!(retired, seqs, "retire order == issue order");
+    }
+
+    #[test]
+    fn retired_log_is_bounded_and_keeps_the_newest_entries() {
+        let (mut d, module) = loaded_device();
+        let (f, _) = d.module_get_function(module, "empty").unwrap();
+        let mut last = 0;
+        for _ in 0..3 * RETIRED_LOG_CAP {
+            last = d
+                .launch_kernel(f, Dim3::one(), Dim3::one(), 0, 0, &[])
+                .unwrap()
+                .seq;
+            let wait = d.device_synchronize();
+            d.clock().advance(wait);
+            assert!(d.retired.len() < 2 * RETIRED_LOG_CAP);
+        }
+        let log = d.take_retired();
+        assert!(log.len() >= RETIRED_LOG_CAP);
+        let seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
+        let newest: Vec<u64> = (last + 1 - log.len() as u64..=last).collect();
+        assert_eq!(seqs, newest, "a contiguous run ending at the last retired");
     }
 
     #[test]

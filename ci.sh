@@ -37,7 +37,13 @@ cargo test -q
 #   proptest_sparse        (cricket-oncrpc) sparse codec round-trip properties, corrupt blobs
 #   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included
 #   sim_path_allocs        (cricket-server) steady-state calls over SimTransport allocate nothing on every guest kind
-#                          (software checksum, host TSO split and fixed-receive-buffer branches included)
+#                          (software checksum, host TSO split and fixed-receive-buffer branches included),
+#                          cudaMalloc included; a 1 MiB D2H allocates its result only
+#   proptest_model         (cricket-simnet) cost-model monotonicity; the checksum against a
+#                          fold-every-word reference up to 300 000 bytes
+# Unit suites that pin this data path: cricket-proto (reply sink bytes = owned union encoding),
+# cricket-rpcl codegen (sink-taking server arm), cricket-server transport (records sharing a flush),
+# cricket-client raw (D2H length check, memcpy_dtoh_into), cricket-vgpu (unbacked blocks, bounded launch memo).
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -63,7 +69,7 @@ cargo run --release -p cricket-bench --bin migrate -- --smoke
 echo "==> bench smoke: multitenant QoS (WFQ favoritism >=2x, weight shares within 10%, quota shedding)"
 cargo run --release -p cricket-bench --bin multitenant -- --qos --smoke
 
-echo "==> bench smoke: fig7 (striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"
+echo "==> bench smoke: fig7 (copies/byte H2D <=2 and D2H <=1, striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"
 cargo run --release -p cricket-bench --bin fig7_bandwidth -- --smoke
 
 echo "==> example smoke tests (async stream engine, checkpoint/restart; nonzero exit fails CI)"

@@ -39,6 +39,17 @@ struct BatchState {
     apis: Vec<&'static str>,
 }
 
+/// A D2H reply must carry exactly the bytes asked for: anything else would
+/// hand the caller a short copy, or one that belongs somewhere else.
+fn dtoh_len_check(got: usize, want: usize) -> Result<(), oncrpc::RpcError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(format!(
+        "D2H reply carried {got} bytes, wanted {want}"
+    ))))
+}
+
 /// The Cricket client: one connection to a Cricket server.
 pub struct CricketClient {
     stub: CricketV1Client,
@@ -466,32 +477,66 @@ impl CricketClient {
         }
     }
 
-    /// cudaMemcpy device→host. Reads of at least [`STRIPE_MIN`] bytes fan
-    /// out across an attached stripe pool; the result is byte-identical to
-    /// the single-connection read.
+    /// Whether a copy of `len` bytes fans out across the stripe pool.
+    fn striping(&self, len: usize) -> bool {
+        self.stripes.is_some() && len >= STRIPE_MIN
+    }
+
+    /// cudaMemcpy device→host into a fresh `Vec`: the one allocation and
+    /// the one client-side copy of the call. Reads of at least
+    /// [`STRIPE_MIN`] bytes fan out across an attached stripe pool; the
+    /// result is byte-identical to the single-connection read.
     pub fn memcpy_dtoh(&mut self, src: u64, len: u64) -> ClientResult<Vec<u8>> {
-        if self.stripes.is_some() && len as usize >= STRIPE_MIN {
-            return self.memcpy_dtoh_striped(src, len);
+        if self.striping(len as usize) {
+            let mut out = vec![0u8; len as usize];
+            self.memcpy_dtoh_striped(src, &mut out)?;
+            return Ok(out);
+        }
+        self.memcpy_dtoh_with(src, len, <[u8]>::to_vec)
+    }
+
+    /// [`Self::memcpy_dtoh`] of `dst.len()` bytes into the caller's buffer:
+    /// no allocation at all.
+    pub fn memcpy_dtoh_into(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
+        if self.striping(dst.len()) {
+            return self.memcpy_dtoh_striped(src, dst);
+        }
+        self.memcpy_dtoh_with(src, dst.len() as u64, |data| dst.copy_from_slice(data))
+    }
+
+    /// One D2H read of exactly `len` bytes, lent to `take` where they sit in
+    /// the RPC reply buffer: whatever `take` builds from them is the only
+    /// copy the client makes. A reply of any other length is an error, not
+    /// a short result.
+    pub(crate) fn memcpy_dtoh_with<R>(
+        &mut self,
+        src: u64,
+        len: u64,
+        take: impl FnOnce(&[u8]) -> R,
+    ) -> ClientResult<R> {
+        if self.striping(len as usize) {
+            return Ok(take(&self.memcpy_dtoh(src, len)?));
         }
         self.pre_call("cudaMemcpy(D2H)")?;
-        let out = self
-            .stub
-            .cuda_memcpy_dtoh(&src, &len)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaMemcpy(D2H)", c))?;
-        self.stats.bytes_d2h += out.len() as u64;
-        oncrpc::telemetry::add_transferred(out.len());
+        let (err, data) = self.stub.cuda_memcpy_dtoh_ref(&src, &len)?;
+        if err != 0 {
+            return Err(ClientError::cuda("cudaMemcpy(D2H)", err));
+        }
+        dtoh_len_check(data.len(), len as usize)?;
+        let out = take(data);
+        self.stats.bytes_d2h += len;
+        oncrpc::telemetry::add_transferred(len as usize);
         Ok(out)
     }
 
-    /// Gather one large D2H copy as independent `CUDA_MEMCPY_DTOH_STRIPE`
-    /// reads from `src + offset`, reassembled positionally client-side.
-    fn memcpy_dtoh_striped(&mut self, src: u64, len: u64) -> ClientResult<Vec<u8>> {
+    /// Gather one large D2H copy into `out` as independent
+    /// `CUDA_MEMCPY_DTOH_STRIPE` reads from `src + offset`, placed
+    /// positionally client-side.
+    fn memcpy_dtoh_striped(&mut self, src: u64, out: &mut [u8]) -> ClientResult<()> {
         self.pre_call("cudaMemcpy(D2H)")?;
-        let mut out = vec![0u8; len as usize];
         let pool = self.stripes.as_mut().expect("stripe pool attached");
         let mut bad: Option<i32> = None;
-        let got = pool.gather(&mut out, |lane, offset, seq, chunk| {
+        let got = pool.gather(out, |lane, offset, seq, chunk| {
             let want = chunk.len();
             let reply =
                 lane.call_raw_sg_tagged(cricket_v1::CUDA_MEMCPY_DTOH_STRIPE, true, |enc| {
@@ -508,12 +553,7 @@ impl CricketClient {
             }
             let data = dec.get_opaque_ref().map_err(oncrpc::RpcError::from)?;
             dec.finish().map_err(oncrpc::RpcError::from)?;
-            if data.len() != want {
-                return Err(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(format!(
-                    "stripe returned {} bytes, wanted {want}",
-                    data.len()
-                ))));
-            }
+            dtoh_len_check(data.len(), want)?;
             chunk.copy_from_slice(data);
             Ok(())
         });
@@ -524,7 +564,7 @@ impl CricketClient {
         }
         self.stats.bytes_d2h += out.len() as u64;
         oncrpc::telemetry::add_transferred(out.len());
-        Ok(out)
+        Ok(())
     }
 
     /// cudaMemcpy device→device.
@@ -1124,6 +1164,74 @@ mod tests {
         let stats = c.batch_stats().unwrap();
         assert_eq!(stats.ops_batched, 1, "only the memset was deferred");
         assert_eq!(c.memcpy_dtoh(ptr, 4).unwrap(), vec![7; 4]);
+        c.free(ptr).unwrap();
+    }
+
+    /// A D2H reply is exactly the bytes asked for or an error: a server that
+    /// answers one byte short must not come back as a short `Vec`.
+    #[test]
+    fn short_dtoh_reply_is_a_typed_error() {
+        let server = oncrpc::RpcServer::new();
+        let short = |proc: u32, args: &mut xdr::XdrDecoder<'_>, reply: &mut xdr::XdrEncoder| {
+            assert_eq!(proc, cricket_v1::CUDA_MEMCPY_DTOH);
+            let garbage = |_| oncrpc::AcceptStat::GarbageArgs;
+            let (_src, len) = (
+                args.get_u64().map_err(garbage)?,
+                args.get_u64().map_err(garbage)?,
+            );
+            reply.put_i32(0);
+            reply.put_opaque(&vec![7u8; len as usize - 1]);
+            Ok(())
+        };
+        server.register(
+            cricket_proto::CRICKET_CUDA,
+            cricket_proto::CRICKET_V1,
+            Arc::new(short),
+        );
+        let (client_end, mut server_end) = oncrpc::duplex_pair();
+        std::thread::scope(|scope| {
+            scope.spawn(|| server.serve_connection(&mut server_end));
+            let mut c = CricketClient::over(client_end, ClientFlavor::RustRpcLib, None);
+            let mut dst = [0xEEu8; 50];
+            for err in [
+                c.memcpy_dtoh(0x1000, 50).unwrap_err(),
+                c.memcpy_dtoh_into(0x1000, &mut dst).unwrap_err(),
+            ] {
+                match err {
+                    ClientError::Rpc(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(why))) => {
+                        assert!(why.contains("49 bytes, wanted 50"), "{why}")
+                    }
+                    other => panic!("expected a length error, got {other}"),
+                }
+            }
+            assert_eq!(dst, [0xEE; 50], "nothing of a refused reply is copied");
+            assert_eq!(c.stats.bytes_d2h, 0);
+        });
+    }
+
+    /// `memcpy_dtoh_into` writes the caller's slice and nothing around it,
+    /// and is the same read as the owned form.
+    #[test]
+    fn dtoh_into_fills_exactly_the_callers_slice() {
+        let sim = SimSetup::new();
+        let mut c = sim.client(EnvConfig::RustyHermit);
+        let data: Vec<u8> = (0..=255).collect();
+        let ptr = c.malloc(256).unwrap();
+        c.memcpy_htod(ptr, &data).unwrap();
+        let mut dst = [0xEEu8; 40];
+        c.memcpy_dtoh_into(ptr + 8, &mut dst[4..36]).unwrap();
+        assert_eq!(dst[..4], [0xEE; 4]);
+        assert_eq!(dst[4..36], data[8..40]);
+        assert_eq!(dst[36..], [0xEE; 4]);
+        assert_eq!(c.memcpy_dtoh(ptr + 8, 32).unwrap(), data[8..40]);
+        assert_eq!(c.stats.bytes_d2h, 64);
+        // A device-side refusal is the CUDA error, for both forms.
+        let refused = c.memcpy_dtoh_into(ptr + 250, &mut dst).unwrap_err();
+        assert_eq!(
+            refused.cuda_code(),
+            c.memcpy_dtoh(ptr + 250, 40).unwrap_err().cuda_code()
+        );
+        assert!(refused.cuda_code().is_some());
         c.free(ptr).unwrap();
     }
 }

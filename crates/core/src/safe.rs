@@ -202,14 +202,10 @@ impl<'ctx, T: DeviceCopy> DeviceBuffer<'ctx, T> {
             .memcpy_htod(self.ptr, &T::to_device_bytes(host))
     }
 
-    /// Download the buffer contents.
+    /// Download the buffer contents, decoded straight from the reply bytes.
     pub fn copy_to_vec(&self) -> ClientResult<Vec<T>> {
-        let bytes = self
-            .ctx
-            .client
-            .borrow_mut()
-            .memcpy_dtoh(self.ptr, self.byte_len())?;
-        Ok(T::from_device_bytes(&bytes))
+        let mut client = self.ctx.client.borrow_mut();
+        client.memcpy_dtoh_with(self.ptr, self.byte_len(), T::from_device_bytes)
     }
 
     /// Fill with a byte value (cudaMemset).

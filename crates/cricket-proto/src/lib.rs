@@ -184,6 +184,26 @@ mod tests {
         assert_eq!(xdr::decode::<DataResult>(&buf).unwrap(), d);
     }
 
+    proptest::proptest! {
+        /// What a service writes through the reply sink is, byte for byte,
+        /// what returning the owned union used to encode: every length
+        /// (all four pad residues), and the error arm for any code.
+        #[test]
+        fn reply_sink_bytes_equal_the_owned_encoding(
+            len in 0usize..=70_000,
+            seed: u8,
+            code: i32,
+        ) {
+            let v: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+            let mut enc = xdr::XdrEncoder::new();
+            let DataResultReplied(()) = DataResultReply(&mut enc).data(&v);
+            proptest::prop_assert_eq!(enc.as_slice(), xdr::encode(&DataResult::Data(v)));
+            enc.clear();
+            let DataResultReplied(()) = DataResultReply(&mut enc).default(code);
+            proptest::prop_assert_eq!(enc.as_slice(), xdr::encode(&DataResult::Default(code)));
+        }
+    }
+
     #[test]
     fn device_prop_roundtrip() {
         let p = DeviceProp {
@@ -266,8 +286,9 @@ mod tests {
                 &self,
                 arg0: u64,
                 arg1: u64,
-            ) -> Result<DataResult, oncrpc::AcceptStat> {
-                Ok(DataResult::Data(vec![7u8; arg1 as usize]))
+                reply: DataResultReply<'_>,
+            ) -> Result<DataResultReplied, oncrpc::AcceptStat> {
+                Ok(reply.data(&vec![7u8; arg1 as usize]))
             }
             fn cuda_memcpy_dtod(
                 &self,
@@ -301,9 +322,10 @@ mod tests {
                 arg1: u64,
                 arg2: u64,
                 arg3: u32,
-            ) -> Result<DataResult, oncrpc::AcceptStat> {
+                reply: DataResultReply<'_>,
+            ) -> Result<DataResultReplied, oncrpc::AcceptStat> {
                 let _ = (arg0, arg1, arg3);
-                Ok(DataResult::Data(vec![8u8; arg2 as usize]))
+                Ok(reply.data(&vec![8u8; arg2 as usize]))
             }
             fn cuda_memcpy_htod_sparse(
                 &self,
@@ -503,8 +525,11 @@ mod tests {
                     last_completes_at_ns: 0,
                 }))
             }
-            fn ckpt_capture(&self) -> Result<DataResult, oncrpc::AcceptStat> {
-                Ok(DataResult::Data(vec![9, 9]))
+            fn ckpt_capture(
+                &self,
+                reply: DataResultReply<'_>,
+            ) -> Result<DataResultReplied, oncrpc::AcceptStat> {
+                Ok(reply.default(700))
             }
             fn ckpt_restore(&self, arg0: &[u8]) -> Result<i32, oncrpc::AcceptStat> {
                 Ok(arg0.len() as i32)
@@ -561,6 +586,7 @@ mod tests {
             .into_result()
             .unwrap();
         assert_eq!(back, vec![7u8; 5]);
+        assert_eq!(client.ckpt_capture().unwrap(), DataResult::Default(700));
         let launched = client
             .cuda_launch_kernel(&0xf, &(4, 2, 1).into(), &(32, 1, 1).into(), &0, &0, &[])
             .unwrap();

@@ -9,9 +9,9 @@
 use crate::migrate::{self, MigBlob, MigKind, SessionMeta};
 use crate::scheduler::{QosSpec, Scheduler, SchedulerPolicy, SessionId};
 use cricket_proto::{
-    cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, DataResult, DeviceProp,
-    FloatResult, IntResult, MemInfo, MemInfoResult, PropResult, QosParams, RpcDim3, ServerStats,
-    U64Result,
+    cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, DataResultReplied,
+    DataResultReply, DeviceProp, FloatResult, IntResult, MemInfo, MemInfoResult, PropResult,
+    QosParams, RpcDim3, ServerStats, U64Result,
 };
 use oncrpc::{AcceptStat, ReplayCache};
 use parking_lot::{Mutex, MutexGuard};
@@ -1109,17 +1109,33 @@ impl cricket_proto::CricketV1Service for Sessioned {
         })))
     }
 
-    fn cuda_memcpy_dtoh(&self, src: u64, len: u64) -> Reply<DataResult> {
+    fn cuda_memcpy_dtoh(
+        &self,
+        src: u64,
+        len: u64,
+        out: DataResultReply<'_>,
+    ) -> Reply<DataResultReplied> {
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.route(s, src);
         let st = srv.session_stream(s, idx);
         // Sync D2H memcpy is the canonical wait point: it drains the
-        // session's stream, then pays the PCIe transfer.
-        let r = srv.sync_enqueue_at(s, idx, 3_000, |d| d.memcpy_dtoh_stream(src, len, st));
-        if let Ok(bytes) = &r {
-            srv.stats.lock().bytes_out += bytes.len() as u64;
-        }
-        reply(r, DataResult::Data, DataResult::Default)
+        // session's stream, then pays the PCIe transfer. The device lends
+        // the source range under its lock and `out` writes it into the
+        // reply buffer there: the server's only copy of the payload. `out`
+        // is still here exactly when the device refused before lending.
+        let mut out = Some(out);
+        let r = srv.sync_enqueue_at(s, idx, 3_000, |d| {
+            d.memcpy_dtoh_stream(src, len, st, |bytes| {
+                out.take().expect("lent once").data(bytes)
+            })
+        });
+        Ok(match r {
+            Ok(replied) => {
+                srv.stats.lock().bytes_out += len;
+                replied
+            }
+            Err(e) => out.expect("unused on error").default(err_code(&e)),
+        })
     }
 
     /// One write stripe of a striped H2D copy: apply `data` at
@@ -1139,8 +1155,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
         offset: u64,
         len: u64,
         _seq: u32,
-    ) -> Reply<DataResult> {
-        self.cuda_memcpy_dtoh(src.wrapping_add(offset), len)
+        out: DataResultReply<'_>,
+    ) -> Reply<DataResultReplied> {
+        self.cuda_memcpy_dtoh(src.wrapping_add(offset), len, out)
     }
 
     /// Sparse H2D: expand the zero-page-elided blob, then take the plain
@@ -1172,7 +1189,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let src_st = srv.session_stream(s, src_dev);
         let dst_st = srv.session_stream(s, dst_dev);
         let staged = srv.sync_enqueue_at(s, src_dev, 2_500, |d| {
-            d.memcpy_dtoh_stream(src, len, src_st)
+            d.memcpy_dtoh_stream(src, len, src_st, <[u8]>::to_vec)
         });
         Ok(int_of(staged.and_then(|bytes| {
             srv.sync_enqueue_at(s, dst_dev, 2_500, |d| {
@@ -1698,7 +1715,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         }))
     }
 
-    fn ckpt_capture(&self) -> Reply<DataResult> {
+    fn ckpt_capture(&self, out: DataResultReply<'_>) -> Reply<DataResultReplied> {
         let srv = &self.srv;
         let r = srv.wait_turn(self.session, 50_000, || {
             let blob = srv.checkpoint();
@@ -1706,10 +1723,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
             let t = (blob.len() as u64) / 8;
             Ok((blob, t))
         });
-        if let Ok(blob) = &r {
-            srv.stats.lock().bytes_out += blob.len() as u64;
-        }
-        reply(r, DataResult::Data, DataResult::Default)
+        Ok(match r {
+            Ok(blob) => {
+                srv.stats.lock().bytes_out += blob.len() as u64;
+                out.data(&blob)
+            }
+            Err(e) => out.default(err_code(&e)),
+        })
     }
 
     fn ckpt_restore(&self, blob: &[u8]) -> Reply<i32> {
@@ -2334,12 +2354,20 @@ impl CricketServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cricket_proto::CricketV1Service as _;
+    use cricket_proto::{CricketV1Service as _, DataResult};
 
     fn server() -> (Arc<CricketServer>, Sessioned) {
         let srv = CricketServer::a100();
         let sess = Sessioned::new(Arc::clone(&srv), 1);
         (srv, sess)
+    }
+
+    /// `cudaMemcpy(D2H)` as a caller sees it: the reply the sink wrote.
+    fn read(s: &Sessioned, ptr: u64, len: u64) -> DataResult {
+        let mut enc = xdr::XdrEncoder::new();
+        s.cuda_memcpy_dtoh(ptr, len, DataResultReply(&mut enc))
+            .unwrap();
+        xdr::decode(enc.as_slice()).unwrap()
     }
 
     #[test]
@@ -2381,16 +2409,10 @@ mod tests {
         assert_ne!(p0 / HEAP_STRIDE, p1 / HEAP_STRIDE, "distinct heaps");
         s.cuda_memcpy_htod(p0, &[7u8; 16]).unwrap();
         s.cuda_memcpy_htod(p1, &[9u8; 16]).unwrap();
-        assert_eq!(
-            s.cuda_memcpy_dtoh(p0, 16).unwrap().into_result().unwrap(),
-            vec![7u8; 16]
-        );
+        assert_eq!(read(&s, p0, 16).into_result().unwrap(), vec![7u8; 16]);
         // Peer copy T4 → A100 through the host staging path.
         assert_eq!(s.cuda_memcpy_dtod(p0, p1, 16).unwrap(), 0);
-        assert_eq!(
-            s.cuda_memcpy_dtoh(p0, 16).unwrap().into_result().unwrap(),
-            vec![9u8; 16]
-        );
+        assert_eq!(read(&s, p0, 16).into_result().unwrap(), vec![9u8; 16]);
         assert_eq!(s.cuda_free(p0).unwrap(), 0);
         assert_eq!(s.cuda_free(p1).unwrap(), 0);
     }
@@ -2400,7 +2422,7 @@ mod tests {
         let (_srv, s) = server();
         let ptr = s.cuda_malloc(1024).unwrap().into_result().unwrap();
         assert_eq!(s.cuda_memcpy_htod(ptr, &[7u8; 100]).unwrap(), 0);
-        let back = s.cuda_memcpy_dtoh(ptr, 100).unwrap().into_result().unwrap();
+        let back = read(&s, ptr, 100).into_result().unwrap();
         assert_eq!(back, vec![7u8; 100]);
         assert_eq!(s.cuda_free(ptr).unwrap(), 0);
         // Double free is the error the safe wrapper prevents.
@@ -2434,7 +2456,12 @@ mod tests {
         let (_srv, s) = server();
         let ptr = s.cuda_malloc(4096).unwrap().into_result().unwrap();
         s.cuda_memcpy_htod(ptr, &[0u8; 4096]).unwrap();
-        let _ = s.cuda_memcpy_dtoh(ptr, 1024).unwrap();
+        let _ = read(&s, ptr, 1024);
+        // A refused read answers with the error arm and moves no bytes.
+        assert_eq!(
+            read(&s, ptr, 4097),
+            DataResult::Default(vgpu::CudaCode::InvalidValue as i32)
+        );
         let st = s.srv_get_stats().unwrap();
         assert!(st.total_calls >= 3);
         assert_eq!(st.bytes_in, 4096);
@@ -2459,7 +2486,7 @@ mod tests {
                 .unwrap(),
             0
         );
-        let out = s.cuda_memcpy_dtoh(pc, 8).unwrap().into_result().unwrap();
+        let out = read(&s, pc, 8).into_result().unwrap();
         assert_eq!(f64::from_le_bytes(out.try_into().unwrap()), 4.0);
         assert_eq!(s.cublas_destroy(h).unwrap(), 0);
         assert_ne!(s.cublas_destroy(h).unwrap(), 0, "stale handle rejected");
@@ -2775,7 +2802,7 @@ mod tests {
         for blob in [frees, patches, overruns] {
             let ckpt = migrate::encode_checkpoint(&[blob]);
             assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
-            let back = victim.cuda_memcpy_dtoh(p, 256).unwrap();
+            let back = read(&victim, p, 256);
             assert_eq!(back.into_result().unwrap(), vec![5; 256]);
         }
     }

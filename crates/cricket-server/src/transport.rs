@@ -40,8 +40,9 @@ pub struct SimTransport {
     client_ep: TcpEndpoint,
     server_ep: TcpEndpoint,
     pending_out: Vec<u8>,
-    incoming: Vec<u8>,
-    incoming_off: usize,
+    /// How much of `client_ep.readable()` the client has read already: the
+    /// reply is served from where it was reassembled, never restaged.
+    read_off: usize,
     /// The one posted receive buffer a guest without `MRG_RXBUF` stages
     /// every packet in (reused; see [`deliver_fixed`]).
     rx_posted: Vec<u8>,
@@ -85,8 +86,7 @@ impl SimTransport {
             client_ep,
             server_ep,
             pending_out: Vec::new(),
-            incoming: Vec::new(),
-            incoming_off: 0,
+            read_off: 0,
             rx_posted: Vec::new(),
             poisoned: false,
             record_buf: Vec::with_capacity(4096),
@@ -157,8 +157,7 @@ impl SimTransport {
     fn poison(&mut self) -> io::Error {
         self.poisoned = true;
         self.pending_out.clear();
-        self.incoming.clear();
-        self.incoming_off = 0;
+        self.read_off = 0;
         self.client_ep.consume(usize::MAX);
         self.server_ep.consume(usize::MAX);
         let what = "segment rejected (checksum or sequencing); transport poisoned";
@@ -208,7 +207,8 @@ impl SimTransport {
         )
         .map_err(rpc_to_io)?;
 
-        // Server → client.
+        // Server → client: reassembled behind whatever the client has not
+        // read yet, and served from there by `read`.
         let posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
         let Some(segs_down) = Self::carry(
             &mut self.server_ep,
@@ -220,23 +220,17 @@ impl SimTransport {
         ) else {
             return Err(self.poison());
         };
-        let at_client = self.client_ep.readable();
 
-        // Charge the network legs (server exec already charged).
-        let timing = self.path.rpc_round(record_len, at_client.len(), 0);
+        // Charge the network legs (server exec already charged) with this
+        // reply's own length: one flush may carry several records.
+        let reply_len = self.reply_wire.len();
+        let timing = self.path.rpc_round(record_len, reply_len, 0);
         self.clock.advance(timing.total_ns());
 
         self.stats.round_trips += 1;
         self.stats.wire_segments += segs_up + segs_down;
         self.stats.bytes_sent += record_len as u64;
-        self.stats.bytes_received += at_client.len() as u64;
-
-        self.incoming.drain(..self.incoming_off);
-        self.incoming_off = 0;
-        // Reply buffering copy on the receive side (tiny for HtoD calls).
-        oncrpc::telemetry::add_memmoved(at_client.len());
-        self.incoming.extend_from_slice(at_client);
-        self.client_ep.consume(usize::MAX);
+        self.stats.bytes_received += reply_len as u64;
         Ok(())
     }
 }
@@ -267,17 +261,21 @@ impl Write for SimTransport {
 
 impl Read for SimTransport {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.incoming_off >= self.incoming.len() {
+        if self.read_off >= self.client_ep.available() {
             // The client wrote a request and is now waiting for the reply.
             self.flush()?;
-            if self.incoming_off >= self.incoming.len() {
+            if self.read_off >= self.client_ep.available() {
                 return Ok(0); // clean EOF: nothing outstanding
             }
         }
-        let avail = &self.incoming[self.incoming_off..];
+        let avail = &self.client_ep.readable()[self.read_off..];
         let n = avail.len().min(buf.len());
         buf[..n].copy_from_slice(&avail[..n]);
-        self.incoming_off += n;
+        self.read_off += n;
+        if self.read_off == self.client_ep.available() {
+            self.client_ep.consume(usize::MAX);
+            self.read_off = 0;
+        }
         Ok(n)
     }
 }
@@ -460,7 +458,64 @@ mod tests {
         );
         let t = shared.0.lock();
         assert_eq!(t.client_ep.available() + t.server_ep.available(), 0);
-        assert!(t.pending_out.is_empty() && t.incoming.is_empty());
+        assert!(t.pending_out.is_empty() && t.read_off == 0);
+    }
+
+    /// One `flush` may carry several records. Each round trip is charged
+    /// with its own reply's length although the replies now share the
+    /// client endpoint's buffer until read, and partial reads walk that
+    /// buffer in order: bytes, clock and counters equal one call at a time.
+    #[test]
+    fn records_sharing_a_flush_cost_and_read_as_one_at_a_time() {
+        use cricket_proto::{cricket_v1, CRICKET_CUDA, CRICKET_V1};
+        let request = |xid: u32, proc: u32, args: &[u64]| {
+            let mut enc = xdr::XdrEncoder::new();
+            let call = oncrpc::CallBody::new(CRICKET_CUDA, CRICKET_V1, proc);
+            enc.put(&oncrpc::RpcMessage::call(xid, call));
+            args.iter().for_each(|&a| enc.put_u64(a));
+            let mut wire = Vec::new();
+            oncrpc::record::write_record(&mut wire, enc.as_slice(), 1 << 20).unwrap();
+            wire
+        };
+        let run = |pipelined: bool| {
+            let (rpc, clock) = sim_server();
+            let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
+            let buf = c.cuda_malloc(&70_000).unwrap().into_result().unwrap();
+            let data: Vec<u8> = (0..50_001u32).map(|i| (i % 253) as u8).collect();
+            assert_eq!(c.cuda_memcpy_htod(&buf, &data).unwrap(), 0);
+            let big = request(7, cricket_v1::CUDA_MEMCPY_DTOH, &[buf, 50_001]);
+            let small = request(8, cricket_v1::CUDA_GET_DEVICE_COUNT, &[]);
+
+            let mut t = shared.0.lock();
+            let mut replies = Vec::new();
+            let mut drain = |t: &mut SimTransport| {
+                let mut chunk = [0u8; 4099];
+                loop {
+                    match t.read(&mut chunk).unwrap() {
+                        0 => break,
+                        n => replies.extend_from_slice(&chunk[..n]),
+                    }
+                }
+            };
+            t.write_all(&big).unwrap();
+            if !pipelined {
+                drain(&mut t);
+            }
+            t.write_all(&small).unwrap();
+            drain(&mut t);
+            assert_eq!(t.client_ep.available() + t.read_off, 0, "drained");
+
+            let mut wire = &replies[..];
+            let first = oncrpc::record::read_record(&mut wire, 1 << 20).unwrap();
+            let second = oncrpc::record::read_record(&mut wire, 1 << 20).unwrap();
+            let (first, second) = (first.unwrap(), second.unwrap());
+            assert!(wire.is_empty());
+            assert_eq!(first[..4], 7u32.to_be_bytes(), "replies keep call order");
+            assert_eq!(second[..4], 8u32.to_be_bytes());
+            assert!(first.len() > 50_001 && first.ends_with(&[data[50_000], 0, 0, 0]));
+            (replies, clock.now_ns(), t.stats)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

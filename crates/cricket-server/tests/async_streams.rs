@@ -10,7 +10,7 @@
 //! * the whole engine is deterministic: identical workloads produce
 //!   identical clocks and identical retirement logs.
 
-use cricket_proto::CricketV1Service;
+use cricket_proto::{CricketV1Service, DataResult, DataResultReply};
 use cricket_server::service::Sessioned;
 use cricket_server::{CricketServer, SchedulerPolicy, ServerConfig};
 use simnet::SimClock;
@@ -262,11 +262,11 @@ fn concurrent_sessions_all_get_served_and_stay_isolated() {
             let fill = vec![s as u8; 4096];
             for _ in 0..25 {
                 api.cuda_memcpy_htod(ptr, &fill).unwrap();
-                let back = api
-                    .cuda_memcpy_dtoh(ptr, 4096)
-                    .unwrap()
-                    .into_result()
+                let mut reply = xdr::XdrEncoder::new();
+                api.cuda_memcpy_dtoh(ptr, 4096, DataResultReply(&mut reply))
                     .unwrap();
+                let back: DataResult = xdr::decode(reply.as_slice()).unwrap();
+                let back = back.into_result().unwrap();
                 assert!(back.iter().all(|&v| v == s as u8), "tenant isolation");
             }
         }));

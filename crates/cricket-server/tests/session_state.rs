@@ -12,9 +12,12 @@
 //! * a checkpoint does not disturb a migration streaming from the same
 //!   device.
 
-use cricket_proto::{CricketV1Service, MemInfoResult, RpcDim3};
+use cricket_proto::{
+    CricketV1Service, DataResult, DataResultReplied, DataResultReply, MemInfoResult, RpcDim3,
+};
 use cricket_server::service::Sessioned;
 use cricket_server::{CricketServer, MigKind};
+use oncrpc::AcceptStat;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vgpu::kernels::ParamBuilder;
@@ -28,12 +31,22 @@ fn malloc(s: &Sessioned, size: u64) -> u64 {
     s.cuda_malloc(size).unwrap().into_result().unwrap()
 }
 
+/// The payload a sink-taking procedure replied with.
+fn replied(
+    call: impl FnOnce(DataResultReply<'_>) -> Result<DataResultReplied, AcceptStat>,
+) -> Vec<u8> {
+    let mut enc = xdr::XdrEncoder::new();
+    call(DataResultReply(&mut enc)).unwrap();
+    let reply: DataResult = xdr::decode(enc.as_slice()).unwrap();
+    reply.into_result().unwrap()
+}
+
 fn read(s: &Sessioned, ptr: u64, len: u64) -> Vec<u8> {
-    s.cuda_memcpy_dtoh(ptr, len).unwrap().into_result().unwrap()
+    replied(|out| s.cuda_memcpy_dtoh(ptr, len, out))
 }
 
 fn capture(s: &Sessioned) -> Vec<u8> {
-    s.ckpt_capture().unwrap().into_result().unwrap()
+    replied(|out| s.ckpt_capture(out))
 }
 
 /// Free bytes on device `ordinal`, read through a throwaway session.

@@ -124,13 +124,14 @@ fn check(kind: GuestKind) {
         (malloc, free) = (malloc.min(m), free.min(f));
     }
     zero("cudaFree", free);
-    assert!(
-        malloc <= 2 * CALLS,
-        "{kind:?}: cudaMalloc allocated {malloc}/{CALLS} calls (the block's host backing is the budget)"
-    );
+    // A block nobody touches never gets a host backing.
+    zero("cudaMalloc", malloc);
+    // The server lends device memory to the reply encoder and the transport
+    // serves the reply where it was reassembled: what is left is the `Vec`
+    // the owned stub returns.
     let n = per_round(|| d2h(&mut c));
     assert!(
-        n <= 4 * CALLS,
+        n <= CALLS,
         "{kind:?}: 1 MiB D2H allocated {n}/{CALLS} calls"
     );
 }

@@ -1,7 +1,9 @@
 //! Property tests on the cost model: monotonicity and sanity bounds that
-//! must hold for *any* parameterization the harness might sweep.
+//! must hold for *any* parameterization the harness might sweep. Plus the
+//! checksum engine against a reference that cannot overflow.
 
 use proptest::prelude::*;
+use simnet::checksum::ones_complement_sum;
 use simnet::{segment_plan, GuestCosts, NetPath, Wire};
 
 fn any_bytes() -> impl Strategy<Value = usize> {
@@ -76,5 +78,25 @@ proptest! {
         let joint = w.serialize_ns(a + b);
         // Integer truncation allows 1-2 ns slack.
         prop_assert!(joint.abs_diff(sum) <= 2);
+    }
+
+    /// Against a sum folded after every word, so its accumulator never
+    /// exceeds 17 bits: lengths past 131 072 bytes of `0xff` wrapped the old
+    /// `u32` accumulator.
+    #[test]
+    fn checksum_matches_fold_every_word_reference(
+        len in 0usize..=300_000,
+        fill in prop_oneof![Just(0xffu8), any::<u8>()],
+        stride in 1usize..=7,
+    ) {
+        let data: Vec<u8> = (0..len)
+            .map(|i| if i % stride == 0 { fill } else { 0xff })
+            .collect();
+        let mut want = 0u32;
+        for c in data.chunks(2) {
+            want += (u32::from(c[0]) << 8) | u32::from(*c.get(1).unwrap_or(&0));
+            want = (want & 0xffff) + (want >> 16);
+        }
+        prop_assert_eq!(u32::from(ones_complement_sum(&data)), want, "len {}", len);
     }
 }

@@ -41,6 +41,11 @@ const ENQUEUE_SUBMIT_NS: u64 = 500;
 /// long-running servers don't grow without bound and a full log is not
 /// shifted down by one entry on every retirement.
 const RETIRED_LOG_CAP: usize = 4096;
+/// Launch-memo size, bounded like the retired log: on reaching twice this
+/// many entries the cache is cut back to those recorded by the newest this
+/// many launches, so an app that rewrites its inputs every iteration (a
+/// new key per launch) does not grow a long-running server without bound.
+const MEMO_CAP: usize = 4096;
 
 /// Execution statistics (memoization effectiveness, launch counts).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +73,8 @@ struct MemoKey {
 struct MemoEntry {
     /// (base pointer, version after execution) for every written range.
     out_versions: Vec<(u64, u64)>,
+    /// `stats.launches` when recorded: the age the cache is cut back by.
+    launch: u64,
 }
 
 /// A simulated GPU device.
@@ -301,32 +308,30 @@ impl Device {
     /// Synchronous cudaMemcpy device→host on the default stream.
     /// Returns (bytes, wait ns).
     pub fn memcpy_dtoh(&mut self, src: u64, len: u64) -> VgpuResult<(Vec<u8>, u64)> {
-        let (bytes, sub) = self.memcpy_dtoh_stream(src, len, 0)?;
+        let (bytes, sub) = self.memcpy_dtoh_stream(src, len, 0, <[u8]>::to_vec)?;
         let wait = sub.completes_at_ns.saturating_sub(self.clock.now_ns());
         Ok((bytes, wait))
     }
 
     /// cudaMemcpy device→host ordered on `stream`: waits for prior work on
     /// the stream, then the PCIe transfer (the "sync D2H memcpy waits" rule
-    /// — the only memcpy that must always block).
-    pub fn memcpy_dtoh_stream(
+    /// — the only memcpy that must always block). The device does not stage
+    /// the bytes: once the copy is validated and enqueued it lends the
+    /// source range to `sink`, which makes the one copy to wherever the data
+    /// is going. `sink` does not run when the copy fails.
+    pub fn memcpy_dtoh_stream<R>(
         &mut self,
         src: u64,
         len: u64,
         stream: u64,
-    ) -> VgpuResult<(Vec<u8>, Submit)> {
+        sink: impl FnOnce(&[u8]) -> R,
+    ) -> VgpuResult<(R, Submit)> {
         self.observe();
-        let bytes = self.mem.read(src, len)?.to_vec();
-        let dur = self.pcie_ns(bytes.len());
-        let sub = self.enqueue_on(
-            stream,
-            CommandKind::MemcpyD2H {
-                bytes: bytes.len() as u64,
-            },
-            dur,
-            0,
-        )?;
-        Ok((bytes, sub))
+        self.mem.read(src, len)?;
+        let dur = self.pcie_ns(len as usize);
+        let sub = self.enqueue_on(stream, CommandKind::MemcpyD2H { bytes: len }, dur, 0)?;
+        let lent = self.mem.read(src, len).expect("range validated above");
+        Ok((sink(lent), sub))
     }
 
     /// cudaMemcpy device→device: asynchronous, enqueued on `stream`.
@@ -509,7 +514,17 @@ impl Device {
                 .iter()
                 .map(|&(ptr, _)| Ok((ptr, self.mem.version_of(ptr)?)))
                 .collect::<VgpuResult<Vec<_>>>()?;
-            self.memo.insert(key, MemoEntry { out_versions });
+            let launch = self.stats.launches;
+            if self.memo.len() >= 2 * MEMO_CAP {
+                self.memo.retain(|_, e| e.launch + MEMO_CAP as u64 > launch);
+            }
+            self.memo.insert(
+                key,
+                MemoEntry {
+                    out_versions,
+                    launch,
+                },
+            );
         }
 
         self.enqueue_on(
@@ -936,6 +951,46 @@ mod tests {
         d.clock().advance(wait);
         let (out, _) = d.memcpy_dtoh(c, n * 4).unwrap();
         assert!(bytes_to_f32(&out).iter().all(|&v| v == 7.0));
+    }
+
+    /// An in-place kernel reads what it wrote last time, so every launch is
+    /// a new memo key: the cache must stay bounded, and entries that survive
+    /// a cut-back must still hit.
+    #[test]
+    fn memo_cache_is_bounded_and_survivors_still_hit() {
+        let mut d = Device::a100();
+        let image = CubinBuilder::new()
+            .kernel("vectorAdd", &[8, 8, 8, 4])
+            .kernel("saxpy", &[8, 8, 4, 4])
+            .code(b"sass")
+            .build(false);
+        let (module, _) = d.module_load(&image).unwrap();
+        let (add, _) = d.module_get_function(module, "vectorAdd").unwrap();
+        let (saxpy, _) = d.module_get_function(module, "saxpy").unwrap();
+        let ptrs: Vec<u64> = (0..4).map(|_| d.malloc(16).unwrap().0).collect();
+        let (x, y, a, c) = (ptrs[0], ptrs[1], ptrs[2], ptrs[3]);
+        let in_place = ParamBuilder::new().ptr(y).ptr(x).f32(1.0).u32(4).build();
+        let pure = ParamBuilder::new().ptr(c).ptr(a).ptr(x).u32(4).build();
+        let launch = |d: &mut Device, f: u64, params: &[u8]| {
+            d.launch_kernel(f, Dim3::linear(1), Dim3::linear(4), 0, 0, params)
+                .unwrap();
+        };
+        for _ in 0..2 * MEMO_CAP + 100 {
+            launch(&mut d, saxpy, &in_place);
+            assert!(d.memo.len() <= 2 * MEMO_CAP);
+        }
+        assert_eq!(d.memo.len(), MEMO_CAP + 99, "cut back once, to the cap");
+        assert_eq!(d.stats.memo_hits, 0);
+        launch(&mut d, add, &pure);
+        launch(&mut d, add, &pure);
+        assert_eq!(d.stats.memo_hits, 1);
+        // The next cut-back keeps what the newest MEMO_CAP launches recorded.
+        for _ in 0..MEMO_CAP - 99 {
+            launch(&mut d, saxpy, &in_place);
+        }
+        assert!(d.memo.len() <= MEMO_CAP, "cut back a second time");
+        launch(&mut d, add, &pure);
+        assert_eq!(d.stats.memo_hits, 2);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A first-fit free-list allocator over a virtual device address space, with
 //! CUDA's 256-byte allocation alignment. Each live allocation owns a host
-//! `Vec<u8>` as backing store (the address space is 40 GB; backing is
-//! allocated lazily per block, so a simulated A100 does not require 40 GB of
-//! host RAM). Interior pointers (base + offset) resolve to the containing
+//! `Vec<u8>` as backing store, materialised (zero-filled) on the block's
+//! first touch: a `cudaMalloc` nobody reads or writes costs the host no
+//! memory and no allocation, and a simulated A100 does not require 40 GB of
+//! host RAM. Interior pointers (base + offset) resolve to the containing
 //! block, as CUDA permits.
 //!
 //! Each block carries a monotonically increasing **version**, bumped on every
@@ -22,6 +23,7 @@
 
 use crate::error::{VgpuError, VgpuResult};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::OnceLock;
 
 /// A raw device pointer (opaque 64-bit address).
 pub type DevicePtr = u64;
@@ -88,7 +90,9 @@ impl DirtyRanges {
 #[derive(Debug)]
 struct Block {
     size: u64,
-    data: Vec<u8>,
+    /// Host backing, `size` bytes; unset until the first touch, which
+    /// zero-fills it (fresh device memory reads as zeros).
+    data: OnceLock<Vec<u8>>,
     version: u64,
     /// Epoch (see [`MemoryManager::mark_epoch`]) in which this block was
     /// created. A block born in the current window always travels whole in
@@ -97,6 +101,17 @@ struct Block {
     born_epoch: u64,
     /// Spans written since the last epoch mark.
     dirty: DirtyRanges,
+}
+
+impl Block {
+    fn bytes(&self) -> &[u8] {
+        self.data.get_or_init(|| vec![0u8; self.size as usize])
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.bytes();
+        self.data.get_mut().expect("materialised above")
+    }
 }
 
 /// Device memory state: live allocations + free list.
@@ -224,7 +239,7 @@ impl MemoryManager {
             addr,
             Block {
                 size: rounded,
-                data: vec![0u8; rounded as usize],
+                data: OnceLock::new(),
                 version: self.next_version,
                 born_epoch: self.epoch,
                 dirty: DirtyRanges::default(),
@@ -294,7 +309,7 @@ impl MemoryManager {
     pub fn read(&self, ptr: DevicePtr, len: u64) -> VgpuResult<&[u8]> {
         let (base, off) = self.check_len(ptr, len)?;
         let block = &self.blocks[&base];
-        Ok(&block.data[off as usize..(off + len) as usize])
+        Ok(&block.bytes()[off as usize..(off + len) as usize])
     }
 
     /// Write `bytes` at `ptr`, bumping the block version.
@@ -303,7 +318,7 @@ impl MemoryManager {
         let version = self.next_version;
         self.next_version += 1;
         let block = self.blocks.get_mut(&base).expect("resolved");
-        block.data[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
+        block.bytes_mut()[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
         block.version = version;
         block.dirty.mark(off, bytes.len() as u64, block.size);
         Ok(())
@@ -315,7 +330,7 @@ impl MemoryManager {
         let version = self.next_version;
         self.next_version += 1;
         let block = self.blocks.get_mut(&base).expect("resolved");
-        block.data[off as usize..(off + len) as usize].fill(value);
+        block.bytes_mut()[off as usize..(off + len) as usize].fill(value);
         block.version = version;
         block.dirty.mark(off, len, block.size);
         Ok(())
@@ -346,7 +361,7 @@ impl MemoryManager {
         let version = self.next_version;
         self.next_version += 1;
         let block = self.blocks.get_mut(&base).expect("resolved");
-        let r = f(&mut block.data[off as usize..(off + len) as usize]);
+        let r = f(&mut block.bytes_mut()[off as usize..(off + len) as usize]);
         block.version = version;
         block.dirty.mark(off, len, block.size);
         Ok(r)
@@ -361,7 +376,7 @@ impl MemoryManager {
     pub fn block_bytes(&self, base: u64) -> VgpuResult<&[u8]> {
         self.blocks
             .get(&base)
-            .map(|b| b.data.as_slice())
+            .map(Block::bytes)
             .ok_or(VgpuError::InvalidPointer(base))
     }
 
@@ -397,7 +412,7 @@ impl MemoryManager {
             base,
             Block {
                 size,
-                data: bytes.to_vec(),
+                data: OnceLock::from(bytes.to_vec()),
                 version: self.next_version,
                 born_epoch: self.epoch,
                 dirty: DirtyRanges::default(),
@@ -457,10 +472,10 @@ impl MemoryManager {
         }
         for (&base, block) in self.blocks.iter().filter(|(&b, _)| owned(b)) {
             if !known.contains(&base) || block.born_epoch >= self.epoch {
-                delta.new_blocks.push((base, block.data.clone()));
+                delta.new_blocks.push((base, block.bytes().to_vec()));
             } else {
                 for &(off, len) in block.dirty.spans() {
-                    let bytes = block.data[off as usize..(off + len) as usize].to_vec();
+                    let bytes = block.bytes()[off as usize..(off + len) as usize].to_vec();
                     delta.dirty.push((base, off, bytes));
                 }
             }
@@ -506,7 +521,9 @@ impl MemoryManager {
     /// `base + off`, a span that does not fit the block is an error rather
     /// than a write into whichever block the sum happens to land in.
     pub fn patch(&mut self, base: u64, off: u64, bytes: &[u8]) -> VgpuResult<()> {
-        let size = self.block_bytes(base)?.len() as u64;
+        let size = (self.blocks.get(&base))
+            .ok_or(VgpuError::InvalidPointer(base))?
+            .size;
         match off.checked_add(bytes.len() as u64) {
             Some(end) if end <= size => self.write(base + off, bytes),
             _ => Err(VgpuError::OutOfBounds {
@@ -606,6 +623,41 @@ mod tests {
         assert_eq!(m.read(p, 4).unwrap(), &[1, 2, 3, 4]);
         // Fresh memory is zeroed.
         assert_eq!(m.read(p + 4, 4).unwrap(), &[0, 0, 0, 0]);
+    }
+
+    /// `cudaMalloc` reserves address space only: the backing appears on a
+    /// block's first touch, already zeroed, and a block nobody touched
+    /// still reads, exports and migrates as `size` zero bytes.
+    #[test]
+    fn untouched_block_is_unbacked_and_reads_as_zeros() {
+        let backed = |m: &MemoryManager, b: u64| m.blocks[&b].data.get().is_some();
+        let mut src = mm();
+        let p = src.alloc(1000).unwrap();
+        let q = src.alloc(64).unwrap();
+        // Bookkeeping is not a touch.
+        let v0 = src.version_of(p).unwrap();
+        assert_eq!(src.live_allocations().count(), 2);
+        assert!(src.dirty_spans(p).unwrap().is_empty());
+        assert_eq!(src.stats.bytes_in_use, 1024 + 256);
+        assert!(!backed(&src, p) && !backed(&src, q));
+        src.write(q, &[7]).unwrap();
+        assert!(backed(&src, q) && !backed(&src, p), "only the touched one");
+
+        let mut dst = mm();
+        let mut placed = HashSet::new();
+        let delta = src.delta_since(&BTreeSet::new(), |_| true);
+        assert_eq!(delta.payload_bytes(), 1024 + 256);
+        dst.apply_delta(&delta, |_| true, &mut placed).unwrap();
+        assert_eq!(dst.block_bytes(p).unwrap(), &[0u8; 1024][..]);
+        assert_eq!(src.block_bytes(p).unwrap(), dst.block_bytes(p).unwrap());
+        assert_eq!(src.block_bytes(q).unwrap(), dst.block_bytes(q).unwrap());
+        assert_eq!(src.read(p + 1000, 24).unwrap(), &[0; 24]);
+        assert_eq!(src.version_of(p).unwrap(), v0, "reads do not version");
+
+        // Freeing a block that never got a backing is an ordinary free.
+        let r = src.alloc(512).unwrap();
+        src.free(r).unwrap();
+        assert_eq!(src.stats.bytes_in_use, 1024 + 256);
     }
 
     #[test]

@@ -156,12 +156,12 @@ fn overlap_demo() {
     let pipelined_ns = clock.now_ns() - t1;
 
     // The result is still correct: 1.0 + 2.0 everywhere.
-    let back = ta
-        .api
-        .cuda_memcpy_dtoh(ta.c, 64)
-        .unwrap()
-        .into_result()
+    let mut reply = xdr::XdrEncoder::new();
+    ta.api
+        .cuda_memcpy_dtoh(ta.c, 64, cricket_proto::DataResultReply(&mut reply))
         .unwrap();
+    let back: cricket_proto::DataResult = xdr::decode(reply.as_slice()).unwrap();
+    let back = back.into_result().unwrap();
     assert!(back
         .chunks_exact(4)
         .all(|w| f32::from_le_bytes(w.try_into().unwrap()) == 3.0));

@@ -14,6 +14,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps (warnings are errors: no dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# The size figure CHANGES.md quotes: lines before the first #[cfg(test)] of
+# each source file of the five core crates.
+echo "==> size: non-test lines of xdr + oncrpc + rpcl + cricket-server + core"
+find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
+    -name '*.rs' | sort | xargs awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { total++; if (FILENAME ~ /core\/src\/raw\.rs$/) raw++ }
+        END { printf "five-crate non-test lines: %d (crates/core/src/raw.rs: %d)\n", total, raw }'
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -34,6 +44,7 @@ cargo test -q
 #   fleet                  portmap shard directory + registration lifecycle + seeded failover matrix
 #   migration              chaos matrix (byte-identical traces), crash-abort, 100-hop soak, concurrent load
 #   wire2                  striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly)
+#                          (route by route: cricket-client raw unit suite, below)
 #   proptest_sparse        (cricket-oncrpc) sparse codec round-trip properties, corrupt blobs
 #   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included
 #   sim_path_allocs        (cricket-server) steady-state calls over SimTransport allocate nothing on every guest kind
@@ -41,9 +52,13 @@ cargo test -q
 #                          cudaMalloc included; a 1 MiB D2H allocates its result only
 #   proptest_model         (cricket-simnet) cost-model monotonicity; the checksum against a
 #                          fold-every-word reference up to 300 000 bytes
-# Unit suites that pin this data path: cricket-proto (reply sink bytes = owned union encoding),
-# cricket-rpcl codegen (sink-taking server arm), cricket-server transport (records sharing a flush),
-# cricket-client raw (D2H length check, memcpy_dtoh_into), cricket-vgpu (unbacked blocks, bounded launch memo).
+# Unit suites that pin this data path: cricket-proto (reply sink bytes = owned union encoding; the admin table),
+# cricket-rpcl codegen (sink-taking server arm; every attribute in any order, at most once),
+# cricket-server transport (records sharing a flush), cricket-vgpu (unbacked blocks, bounded launch memo),
+# cricket-server service (each batchable op alone = the same op as a one-op batch, statuses and memory;
+#                          a sparse sub-op with a lying header moves no counter),
+# cricket-client raw (D2H length check, memcpy_dtoh_into; the TransferPlan table at every boundary; every route
+#                          lands the same bytes and counts the same transfer; a failed copy moves no counter).
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

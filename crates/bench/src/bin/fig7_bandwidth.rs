@@ -114,16 +114,16 @@ fn main() {
         "90%-zero payloads must cut wire bytes ≥5x: {p90:?}"
     );
 
-    // Process-wide wire telemetry across everything this run transferred.
-    let wire = oncrpc::telemetry::wire_snapshot();
+    // The striping and sparse sections summed, from the instances that
+    // did the copying (the pool's stripe count, each client's `ApiStats`).
+    let (raw, wire, elided) = sparse.iter().fold((0, 0, 0), |(r, w, e), p| {
+        (r + p.raw_bytes, w + p.wire_bytes, e + p.pages_elided)
+    });
     println!(
-        "  → wire telemetry: {} raw → {} wire bytes ({:.3}x), \
-         {} stripes sent, {} sparse pages elided",
-        wire.raw_bytes,
-        wire.wire_bytes,
-        wire.compression(),
-        wire.stripes_sent,
-        wire.sparse_pages_elided,
+        "  → wire totals: {} stripes sent; sparse sweep {raw} raw → {wire} wire bytes \
+         ({:.3}x), {elided} pages elided",
+        striped.stripes_sent,
+        raw as f64 / wire.max(1) as f64,
     );
 
     if smoke {

@@ -263,19 +263,19 @@ pub struct CopyReport {
 /// Reads the process-global copy counters, so run this single-threaded
 /// with no concurrent RPC traffic.
 pub fn fig7_copies_per_byte(bytes: usize) -> CopyReport {
-    use cricket_client::CopyStats;
+    use oncrpc::telemetry::snapshot;
     let setup = SimSetup::new();
     let ctx = setup.context(EnvConfig::RustNative);
     let data = vec![0xabu8; bytes];
     let buf = ctx.alloc::<u8>(bytes).expect("alloc");
 
-    let before = CopyStats::current();
+    let before = snapshot();
     buf.copy_from_slice(&data).expect("h2d");
-    let h2d = CopyStats::current().since(&before);
+    let h2d = snapshot().since(&before);
 
-    let before = CopyStats::current();
+    let before = snapshot();
     let back = buf.copy_to_vec().expect("d2h");
-    let d2h = CopyStats::current().since(&before);
+    let d2h = snapshot().since(&before);
     debug_assert_eq!(back.len(), bytes);
 
     CopyReport {
@@ -300,6 +300,8 @@ pub struct StripeReport {
     pub d2h_single_mib_s: f64,
     /// N-lane striped D2H bandwidth, MiB/s.
     pub d2h_striped_mib_s: f64,
+    /// Stripe calls the pool issued for the two striped copies.
+    pub stripes_sent: u64,
 }
 
 impl StripeReport {
@@ -320,7 +322,7 @@ impl StripeReport {
 /// Dense payload, so the sparse codec never interferes.
 pub fn fig7_striped(bytes: usize, lanes: usize) -> StripeReport {
     let data = vec![0xabu8; bytes];
-    let run = |striped: bool| -> (f64, f64) {
+    let run = |striped: bool| -> (f64, f64, u64) {
         let setup = SimSetup::new();
         let mut client = if striped {
             setup.striped_client(EnvConfig::RustyHermit, lanes)
@@ -336,10 +338,13 @@ pub fn fig7_striped(bytes: usize, lanes: usize) -> StripeReport {
         let d2h = bytes as f64 / (1 << 20) as f64 / (setup.seconds() - t0);
         assert_eq!(back, data, "striped transfer corrupted the payload");
         client.free(ptr).expect("free");
-        (h2d, d2h)
+        let stripes = client
+            .disable_striping()
+            .map_or(0, |pool| pool.stripes_sent());
+        (h2d, d2h, stripes)
     };
-    let (h2d_single, d2h_single) = run(false);
-    let (h2d_striped, d2h_striped) = run(true);
+    let (h2d_single, d2h_single, _) = run(false);
+    let (h2d_striped, d2h_striped, stripes_sent) = run(true);
     StripeReport {
         lanes,
         bytes,
@@ -347,6 +352,7 @@ pub fn fig7_striped(bytes: usize, lanes: usize) -> StripeReport {
         h2d_striped_mib_s: h2d_striped,
         d2h_single_mib_s: d2h_single,
         d2h_striped_mib_s: d2h_striped,
+        stripes_sent,
     }
 }
 
@@ -365,12 +371,9 @@ pub struct SparsePoint {
 
 /// Measure wire bytes for a `bytes`-sized H2D copy at each zero-page
 /// density in `zero_pcts`, through the full client path (the adaptive
-/// codec decides per payload; fully-dense payloads take the plain path).
-///
-/// Reads the process-global wire telemetry, so run this single-threaded
-/// with no concurrent RPC traffic.
+/// codec decides per payload; fully-dense payloads take the plain path),
+/// read from the copying client's own [`cricket_client::ApiStats`].
 pub fn fig7_sparse_wire(bytes: usize, zero_pcts: &[usize]) -> Vec<SparsePoint> {
-    use oncrpc::telemetry;
     let mut out = Vec::new();
     for &pct in zero_pcts {
         let mut data = vec![0xabu8; bytes];
@@ -382,17 +385,15 @@ pub fn fig7_sparse_wire(bytes: usize, zero_pcts: &[usize]) -> Vec<SparsePoint> {
         let setup = SimSetup::new();
         let mut client = setup.client(EnvConfig::RustyHermit);
         let ptr = client.malloc(bytes as u64).expect("malloc");
-        let before = telemetry::wire_snapshot();
         client.memcpy_htod(ptr, &data).expect("h2d");
-        let delta = telemetry::wire_snapshot().since(&before);
         let back = client.memcpy_dtoh(ptr, bytes as u64).expect("d2h");
         assert_eq!(back, data, "sparse transfer corrupted the payload");
         client.free(ptr).expect("free");
         out.push(SparsePoint {
             zero_pct: pct,
-            raw_bytes: delta.raw_bytes,
-            wire_bytes: delta.wire_bytes,
-            pages_elided: delta.sparse_pages_elided,
+            raw_bytes: client.stats.bytes_h2d,
+            wire_bytes: client.stats.wire_bytes_h2d,
+            pages_elided: client.stats.sparse_pages_elided,
         });
     }
     out

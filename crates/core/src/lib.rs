@@ -39,14 +39,14 @@ pub mod stats;
 pub use endpoint::{Endpoint, Placement};
 pub use env::EnvConfig;
 pub use error::{ClientError, ClientResult};
-pub use raw::{CricketClient, BATCH_INLINE_HTOD_MAX};
+pub use raw::CricketClient;
 
 /// Coalescing policy/telemetry re-exports (configure via
 /// [`CricketClient::enable_batching_with`], read via
 /// [`CricketClient::batch_stats`]).
 pub use oncrpc::{BatchPolicy, BatchStats};
 pub use safe::{Context, DeviceBuffer, Event, Function, Module, Stream};
-pub use stats::{ApiStats, CopyStats};
+pub use stats::ApiStats;
 
 /// Grid/block geometry re-export (wire type from the protocol).
 pub use cricket_proto::RpcDim3 as Dim3;

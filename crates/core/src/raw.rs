@@ -1,33 +1,87 @@
 //! The raw virtualized CUDA API: typed wrappers over the generated stub,
 //! with accounting and client-flavor behavior.
+//!
+//! Two decisions are made here and nowhere else: which route a copy takes
+//! (`TransferPlan::choose`, counted at `CricketClient::account`), and
+//! whether a `batchable` call is recorded or sent (`CricketClient::issue`).
 
 use crate::ccompat::{launch_compat_marshal, LAUNCH_COMPAT_NS, TIRPC_CALL_NS};
 use crate::env::ClientFlavor;
 use crate::error::{ClientError, ClientResult};
 use crate::stats::ApiStats;
 use cricket_proto::{
-    cricket_v1, BatchResult, CricketV1Client, DeviceProp, MemInfo, RpcDim3, ServerStats,
+    cricket_v1, BatchResult, CricketV1BatchOp as BatchOp, CricketV1Client, DeviceProp, MemInfo,
+    RpcDim3, ServerStats,
 };
 use oncrpc::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, StripePool, BATCH_SKIPPED};
 use simnet::SimClock;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-/// H2D copies at or below this size may ride inside a command batch;
-/// larger payloads flush the batch and take the ordinary scatter-gather
-/// path so a bulk transfer never sits behind a deferral watermark.
-pub const BATCH_INLINE_HTOD_MAX: usize = 16 * 1024;
+/// H2D copies whose wire form (the payload, or its sparse blob) is at most
+/// this long may ride inside a command batch; larger ones flush the batch
+/// and go eagerly, so a bulk transfer never sits behind a deferral
+/// watermark.
+const BATCH_INLINE_HTOD_MAX: usize = 16 * 1024;
 
-/// H2D payloads at or above this size are scanned for all-zero pages;
-/// when the zero-elided form is strictly smaller it travels as
-/// `CUDA_MEMCPY_HTOD_SPARSE` instead (one page is the smallest payload
-/// the codec can win on).
-pub const SPARSE_MIN: usize = oncrpc::sparse::SPARSE_PAGE;
+/// H2D payloads from this size up to `MAX_RECORD` (the most a sparse blob
+/// may decode to) are scanned for all-zero pages; one page is the smallest
+/// payload the codec can win on.
+const SPARSE_MIN: usize = oncrpc::sparse::SPARSE_PAGE;
 
 /// Minimum copy size that fans out across a stripe pool, when one is
-/// attached. Well above [`BATCH_INLINE_HTOD_MAX`], so striping
-/// never competes with batching and small ops keep the untouched
-/// single-connection fast path.
-pub const STRIPE_MIN: usize = 1024 * 1024;
+/// attached. Well above [`BATCH_INLINE_HTOD_MAX`], so striping never
+/// competes with batching and small ops keep the single-connection path.
+const STRIPE_MIN: usize = 1024 * 1024;
+
+/// The route one copy takes between the application buffer and the wire,
+/// named by what goes on the wire (DESIGN.md §15 holds the route table).
+/// Every route lands the same bytes. D2H copies have no codec and cannot be
+/// deferred: they are `Plain` or `Striped`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum TransferPlan {
+    /// `CUDA_MEMCPY_HTOD` / `CUDA_MEMCPY_DTOH`.
+    Plain,
+    /// A sub-op of the pending `CRICKET_BATCH_EXEC`.
+    BatchInline,
+    /// `CUDA_MEMCPY_HTOD_SPARSE`: all-zero pages stay off the wire.
+    Sparse,
+    /// The sparse blob as a sub-op of the pending batch.
+    SparseInBatch,
+    /// One `CUDA_MEMCPY_{HTOD,DTOH}_STRIPE` per stripe, across the pool.
+    Striped,
+}
+
+impl TransferPlan {
+    /// Whether an H2D payload of `len` bytes is scanned for zero pages.
+    fn scans_for_zeros(len: usize) -> bool {
+        (SPARSE_MIN..=oncrpc::record::MAX_RECORD).contains(&len)
+    }
+
+    /// Pick the route for a copy of `len` bytes. `sparse_won` is the length
+    /// of the sparse blob when the codec beat the raw payload (H2D only),
+    /// `batching` whether the copy may be deferred (H2D only).
+    fn choose(len: usize, sparse_won: Option<usize>, has_pool: bool, batching: bool) -> Self {
+        match sparse_won {
+            Some(blob) if batching && blob <= BATCH_INLINE_HTOD_MAX => Self::SparseInBatch,
+            Some(_) => Self::Sparse,
+            None if has_pool && len >= STRIPE_MIN => Self::Striped,
+            None if batching && len <= BATCH_INLINE_HTOD_MAX => Self::BatchInline,
+            None => Self::Plain,
+        }
+    }
+
+    /// Routes that record into the pending batch instead of sending.
+    fn deferred(self) -> bool {
+        matches!(self, Self::BatchInline | Self::SparseInBatch)
+    }
+}
+
+/// Which way a counted copy went; for H2D, what the route shipped.
+enum Copied {
+    ToDevice { wire: usize, pages_elided: usize },
+    ToHost,
+}
 
 /// Client-side coalescing state: the pending batch plus the flush policy
 /// and telemetry, and the api name of every recorded op so a failed
@@ -148,64 +202,52 @@ impl CricketClient {
     }
 
     fn flush_batch_as(&mut self, reason: FlushReason) -> ClientResult<()> {
-        let Some(state) = self.batch.as_mut() else {
+        let Some(state) = self.batch.as_mut().filter(|s| !s.builder.is_empty()) else {
             return Ok(());
         };
-        if state.builder.is_empty() {
-            return Ok(());
-        }
         let ops = state.builder.len();
         // The flush RPC is retryable under at-most-once only if every
         // recorded sub-op was declared idempotent.
         let idem = state.builder.all_idempotent();
-        let mut apis = std::mem::take(&mut state.apis);
         let body = state.builder.finish();
         state.policy.on_flush(reason, ops);
         state.stats.record_flush(reason, ops);
-        let sent = self.send_batch(idem, &body, &apis);
-        let state = self.batch.as_mut().expect("batch state present");
+        let sent = Self::send_batch(&mut self.stub, idem, &body, &state.apis);
         state.builder.recycle(body);
-        apis.clear();
-        state.apis = apis;
+        state.apis.clear();
         sent
     }
 
     /// One flush round trip: the whole batch body travels as a single
     /// deferred scatter-gather segment, so recorded payloads are copied
     /// once (at record time) and never again on the client.
-    fn send_batch(&mut self, idem: bool, body: &[u8], apis: &[&'static str]) -> ClientResult<()> {
-        let receipt = {
-            let reply = self
-                .stub
-                .rpc
-                .call_raw_sg_tagged(cricket_v1::CRICKET_BATCH_EXEC, idem, |enc| {
-                    enc.put_opaque_deferred(body);
-                })
-                .map_err(ClientError::Rpc)?;
-            let mut dec = xdr::XdrDecoder::new(&reply);
-            let result: BatchResult = xdr::Xdr::decode(&mut dec).map_err(oncrpc::RpcError::from)?;
-            dec.finish().map_err(oncrpc::RpcError::from)?;
-            result
+    fn send_batch(
+        stub: &mut CricketV1Client,
+        idem: bool,
+        body: &[u8],
+        apis: &[&'static str],
+    ) -> ClientResult<()> {
+        let reply = stub
+            .rpc
+            .call_raw_sg_tagged(cricket_v1::CRICKET_BATCH_EXEC, idem, |enc| {
+                enc.put_opaque_deferred(body);
+            })?;
+        let statuses = match xdr::decode(&reply).map_err(oncrpc::RpcError::from)? {
+            BatchResult::Receipt(receipt) => receipt.statuses,
+            BatchResult::Default(code) => return Err(ClientError::cuda("cricketBatchExec", code)),
         };
-        match receipt {
-            BatchResult::Receipt(r) => {
-                for (index, &code) in r.statuses.iter().enumerate() {
-                    if code != 0 && code != BATCH_SKIPPED {
-                        return Err(ClientError::Batch {
-                            code,
-                            api: apis.get(index).copied().unwrap_or("cricketBatchExec"),
-                            index,
-                        });
-                    }
-                }
-                Ok(())
-            }
-            BatchResult::Default(code) => Err(ClientError::cuda("cricketBatchExec", code)),
+        let failed = |&code: &i32| code != 0 && code != BATCH_SKIPPED;
+        match statuses.iter().position(failed) {
+            None => Ok(()),
+            Some(index) => Err(ClientError::Batch {
+                code: statuses[index],
+                api: apis.get(index).copied().unwrap_or("cricketBatchExec"),
+                index,
+            }),
         }
     }
 
-    /// Accounting for a call that is being *recorded* rather than sent:
-    /// same per-call bookkeeping as [`Self::pre_call`] but no flush.
+    /// Per-call bookkeeping shared by recorded and sent calls.
     fn pre_record(&mut self, api: &'static str) {
         self.stats.count(api);
         if self.flavor == ClientFlavor::CTirpc {
@@ -213,22 +255,45 @@ impl CricketClient {
         }
     }
 
-    /// Record bookkeeping plus the policy check: flush if the op just
-    /// recorded reached the depth watermark or the byte budget.
-    fn after_record(&mut self) -> ClientResult<()> {
-        let state = self.batch.as_mut().expect("batch state present");
-        match state
+    /// The one place a `batchable` call is either recorded or sent. With a
+    /// batch open and `defer` set, `op` is appended to it (and the policy may
+    /// flush: depth watermark or byte budget); otherwise it goes out now,
+    /// behind any pending batch.
+    fn issue(&mut self, api: &'static str, defer: bool, op: BatchOp<'_>) -> ClientResult<()> {
+        let Some(state) = self.batch.as_mut().filter(|_| defer) else {
+            return self.call_status(api, |stub| op.send(stub));
+        };
+        op.record(&mut state.builder);
+        state.apis.push(api);
+        let due = state
             .policy
-            .should_flush(state.builder.len(), state.builder.body_bytes())
-        {
-            Some(reason) => self.flush_batch_as(reason),
-            None => Ok(()),
+            .should_flush(state.builder.len(), state.builder.body_bytes());
+        self.pre_record(api);
+        due.map_or(Ok(()), |reason| self.flush_batch_as(reason))
+    }
+
+    /// The one place transferred bytes are counted, for both directions and
+    /// every route. Rule: a copy counts when its call returns `Ok` — the
+    /// server acknowledged it, or it was recorded into the batch — and a
+    /// copy whose call returns an error (refused by the device, an RPC
+    /// failure, a pending batch that failed to flush ahead of it) leaves
+    /// every transfer counter where it was. `raw` is the application's
+    /// byte count whatever the route put on the wire.
+    fn account(&mut self, raw: usize, copied: Copied) {
+        match copied {
+            Copied::ToDevice { wire, pages_elided } => {
+                self.stats.bytes_h2d += raw as u64;
+                self.stats.wire_bytes_h2d += wire as u64;
+                self.stats.sparse_pages_elided += pages_elided as u64;
+            }
+            Copied::ToHost => self.stats.bytes_d2h += raw as u64,
         }
+        oncrpc::telemetry::add_transferred(raw);
     }
 
     // ---- wire efficiency: striping and sparse encoding ----------------
 
-    /// Attach a stripe pool: copies of at least [`STRIPE_MIN`] bytes shard
+    /// Attach a stripe pool: copies of at least `STRIPE_MIN` (1 MiB) shard
     /// across the pool's lanes as independent stripe RPCs and reassemble
     /// positionally at the far end. Smaller ops keep the single-connection
     /// fast path untouched.
@@ -279,11 +344,42 @@ impl CricketClient {
         Ok(())
     }
 
-    fn int_status(api: &'static str, code: i32) -> ClientResult<()> {
-        if code == 0 {
-            Ok(())
-        } else {
-            Err(ClientError::cuda(api, code))
+    /// Send one CUDA call now, behind any pending batch. `send` turns the
+    /// reply into the payload or the CUDA error code it carried.
+    fn call<T>(
+        &mut self,
+        api: &'static str,
+        send: impl FnOnce(&mut CricketV1Client) -> oncrpc::RpcResult<Result<T, i32>>,
+    ) -> ClientResult<T> {
+        self.pre_call(api)?;
+        send(&mut self.stub)?.map_err(|code| ClientError::cuda(api, code))
+    }
+
+    /// [`Self::call`] for server management: behind any pending batch too (a
+    /// checkpoint must see recorded work, statistics must not race deferred
+    /// ops), but not counted as a CUDA API call.
+    fn manage<T>(
+        &mut self,
+        api: &'static str,
+        send: impl FnOnce(&mut CricketV1Client) -> oncrpc::RpcResult<Result<T, i32>>,
+    ) -> ClientResult<T> {
+        self.flush_batch()?;
+        send(&mut self.stub)?.map_err(|code| ClientError::cuda(api, code))
+    }
+
+    /// [`Self::call`] for a procedure whose whole reply is a status word.
+    fn call_status(
+        &mut self,
+        api: &'static str,
+        send: impl FnOnce(&mut CricketV1Client) -> oncrpc::RpcResult<i32>,
+    ) -> ClientResult<()> {
+        self.call(api, |stub| Ok(Self::int_status(send(stub)?)))
+    }
+
+    fn int_status(code: i32) -> Result<(), i32> {
+        match code {
+            0 => Ok(()),
+            code => Err(code),
         }
     }
 
@@ -291,252 +387,131 @@ impl CricketClient {
 
     /// cudaGetDeviceCount.
     pub fn device_count(&mut self) -> ClientResult<i32> {
-        self.pre_call("cudaGetDeviceCount")?;
-        self.stub
-            .cuda_get_device_count()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaGetDeviceCount", c))
+        self.call("cudaGetDeviceCount", |stub| {
+            Ok(stub.cuda_get_device_count()?.into_result())
+        })
     }
 
     /// cudaGetDeviceProperties.
     pub fn device_properties(&mut self, ordinal: i32) -> ClientResult<DeviceProp> {
-        self.pre_call("cudaGetDeviceProperties")?;
-        match self.stub.cuda_get_device_properties(&ordinal)? {
-            cricket_proto::PropResult::Prop(p) => Ok(p),
-            cricket_proto::PropResult::Default(c) => {
-                Err(ClientError::cuda("cudaGetDeviceProperties", c))
-            }
-        }
+        self.call("cudaGetDeviceProperties", |stub| {
+            Ok(match stub.cuda_get_device_properties(&ordinal)? {
+                cricket_proto::PropResult::Prop(p) => Ok(p),
+                cricket_proto::PropResult::Default(c) => Err(c),
+            })
+        })
     }
 
     /// cudaSetDevice.
     pub fn set_device(&mut self, ordinal: i32) -> ClientResult<()> {
-        self.pre_call("cudaSetDevice")?;
-        Self::int_status("cudaSetDevice", self.stub.cuda_set_device(&ordinal)?)
+        self.call_status("cudaSetDevice", |stub| stub.cuda_set_device(&ordinal))
     }
 
     /// cudaGetDevice.
     pub fn get_device(&mut self) -> ClientResult<i32> {
-        self.pre_call("cudaGetDevice")?;
-        self.stub
-            .cuda_get_device()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaGetDevice", c))
+        self.call("cudaGetDevice", |stub| {
+            Ok(stub.cuda_get_device()?.into_result())
+        })
     }
 
     /// cudaDeviceSynchronize.
     pub fn device_synchronize(&mut self) -> ClientResult<()> {
-        self.pre_call("cudaDeviceSynchronize")?;
-        Self::int_status(
-            "cudaDeviceSynchronize",
-            self.stub.cuda_device_synchronize()?,
-        )
+        self.call_status("cudaDeviceSynchronize", |stub| {
+            stub.cuda_device_synchronize()
+        })
     }
 
     /// cudaDeviceReset.
     pub fn device_reset(&mut self) -> ClientResult<()> {
-        self.pre_call("cudaDeviceReset")?;
-        Self::int_status("cudaDeviceReset", self.stub.cuda_device_reset()?)
+        self.call_status("cudaDeviceReset", |stub| stub.cuda_device_reset())
     }
 
     // ---- memory -------------------------------------------------------
 
     /// cudaMalloc.
     pub fn malloc(&mut self, size: u64) -> ClientResult<u64> {
-        self.pre_call("cudaMalloc")?;
-        self.stub
-            .cuda_malloc(&size)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaMalloc", c))
+        self.call("cudaMalloc", |stub| {
+            Ok(stub.cuda_malloc(&size)?.into_result())
+        })
     }
 
     /// cudaFree.
     pub fn free(&mut self, ptr: u64) -> ClientResult<()> {
-        self.pre_call("cudaFree")?;
-        Self::int_status("cudaFree", self.stub.cuda_free(&ptr)?)
+        self.call_status("cudaFree", |stub| stub.cuda_free(&ptr))
     }
 
     /// cudaMemcpy host→device. The payload travels borrowed end to end:
     /// the stub defers it into a scatter-gather record, so the only copies
     /// left are inside the transport and the server's device write.
     ///
-    /// With coalescing enabled, copies up to [`BATCH_INLINE_HTOD_MAX`]
-    /// bytes are recorded as *async* descriptors inside the batch (the
-    /// payload is staged into the batch body, so the caller's buffer is
-    /// free immediately); larger copies flush the batch and go eagerly.
-    ///
-    /// Two wire optimizations apply transparently, in priority order:
-    /// payloads of [`SPARSE_MIN`] to `MAX_RECORD` bytes (the most a sparse
-    /// blob may decode to) whose zero-page-elided form is strictly smaller
-    /// travel as `CUDA_MEMCPY_HTOD_SPARSE`; otherwise, payloads of at
-    /// least [`STRIPE_MIN`] bytes fan out across an attached stripe pool.
-    /// Either way the device write is byte-identical to the plain path.
+    /// The route is picked once, by `TransferPlan::choose`: zero-heavy
+    /// payloads travel sparse, large ones fan out across an attached stripe
+    /// pool, small ones ride a pending command batch (staged into its body,
+    /// so the caller's buffer is free immediately). Whatever the route, the
+    /// device write is byte-identical to the plain path.
     pub fn memcpy_htod(&mut self, dst: u64, data: &[u8]) -> ClientResult<()> {
-        if (SPARSE_MIN..=oncrpc::record::MAX_RECORD).contains(&data.len()) {
-            let mut scratch = std::mem::take(&mut self.sparse_scratch);
-            let won =
-                oncrpc::sparse::encode_adaptive(data, oncrpc::sparse::SPARSE_PAGE, &mut scratch);
-            let r = won
-                .map(|(wire, zeros)| self.send_htod_sparse(dst, data.len(), &scratch, wire, zeros));
-            scratch.clear();
-            self.sparse_scratch = scratch;
-            if let Some(r) = r {
-                return r;
+        const API: &str = "cudaMemcpy(H2D)";
+        let mut blob = std::mem::take(&mut self.sparse_scratch);
+        let won = TransferPlan::scans_for_zeros(data.len())
+            .then(|| oncrpc::sparse::encode_adaptive(data, oncrpc::sparse::SPARSE_PAGE, &mut blob))
+            .flatten();
+        let plan = TransferPlan::choose(
+            data.len(),
+            won.map(|(wire, _)| wire),
+            self.stripes.is_some(),
+            self.batch.is_some(),
+        );
+        let sent = match plan {
+            TransferPlan::Plain | TransferPlan::BatchInline => {
+                self.issue(API, plan.deferred(), BatchOp::CudaMemcpyHtod(dst, data))
             }
-        }
-        if self.stripes.is_some() && data.len() >= STRIPE_MIN {
-            return self.memcpy_htod_striped(dst, data);
-        }
-        if self.batch.is_some() && data.len() <= BATCH_INLINE_HTOD_MAX {
-            self.pre_record("cudaMemcpy(H2D)");
-            self.stats.bytes_h2d += data.len() as u64;
-            oncrpc::telemetry::add_transferred(data.len());
-            oncrpc::telemetry::add_wire_raw(data.len());
-            oncrpc::telemetry::add_wire_sent(data.len());
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cuda_memcpy_htod_record(&mut state.builder, &dst, data);
-            state.apis.push("cudaMemcpy(H2D)");
-            return self.after_record();
-        }
-        self.pre_call("cudaMemcpy(H2D)")?;
-        self.stats.bytes_h2d += data.len() as u64;
-        oncrpc::telemetry::add_transferred(data.len());
-        oncrpc::telemetry::add_wire_raw(data.len());
-        oncrpc::telemetry::add_wire_sent(data.len());
-        Self::int_status("cudaMemcpy(H2D)", self.stub.cuda_memcpy_htod(&dst, data)?)
+            TransferPlan::Sparse | TransferPlan::SparseInBatch => self.issue(
+                API,
+                plan.deferred(),
+                BatchOp::CudaMemcpyHtodSparse(dst, &blob),
+            ),
+            TransferPlan::Striped => self.scatter_stripes(API, dst, data),
+        };
+        blob.clear();
+        self.sparse_scratch = blob;
+        sent?;
+        let (wire, pages_elided) = won.unwrap_or((data.len(), 0));
+        self.account(data.len(), Copied::ToDevice { wire, pages_elided });
+        Ok(())
     }
 
-    /// Ship an already-encoded sparse H2D payload: recorded into the batch
-    /// when the *encoded* blob fits the inline budget, eager
-    /// `CUDA_MEMCPY_HTOD_SPARSE` otherwise. Transfer accounting counts the
-    /// raw length — the codec changes wire bytes, not the copy.
-    fn send_htod_sparse(
-        &mut self,
-        dst: u64,
-        raw_len: usize,
-        blob: &[u8],
-        wire: usize,
-        zeros: usize,
-    ) -> ClientResult<()> {
-        oncrpc::telemetry::add_wire_raw(raw_len);
-        oncrpc::telemetry::add_wire_sent(wire);
-        oncrpc::telemetry::add_sparse_pages_elided(zeros as u64);
-        if self.batch.is_some() && blob.len() <= BATCH_INLINE_HTOD_MAX {
-            self.pre_record("cudaMemcpy(H2D)");
-            self.stats.bytes_h2d += raw_len as u64;
-            oncrpc::telemetry::add_transferred(raw_len);
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cuda_memcpy_htod_sparse_record(&mut state.builder, &dst, blob);
-            state.apis.push("cudaMemcpy(H2D)");
-            return self.after_record();
-        }
-        self.pre_call("cudaMemcpy(H2D)")?;
-        self.stats.bytes_h2d += raw_len as u64;
-        oncrpc::telemetry::add_transferred(raw_len);
-        Self::int_status(
-            "cudaMemcpy(H2D)",
-            self.stub.cuda_memcpy_htod_sparse(&dst, blob)?,
-        )
+    /// The pool behind a `Striped` plan.
+    fn stripe_pool(&mut self) -> &mut StripePool {
+        self.stripes
+            .as_mut()
+            .expect("TransferPlan::choose picks Striped only with a pool attached")
     }
 
     /// Shard one large H2D copy across the stripe pool as independent
-    /// `CUDA_MEMCPY_HTOD_STRIPE` calls applied at `dst + offset`. The
-    /// replay cache plus the lanes' disjoint xid spaces give exactly-once
-    /// per stripe under retries.
-    fn memcpy_htod_striped(&mut self, dst: u64, data: &[u8]) -> ClientResult<()> {
-        self.pre_call("cudaMemcpy(H2D)")?;
-        self.stats.bytes_h2d += data.len() as u64;
-        oncrpc::telemetry::add_transferred(data.len());
-        oncrpc::telemetry::add_wire_raw(data.len());
-        oncrpc::telemetry::add_wire_sent(data.len());
-        let pool = self.stripes.as_mut().expect("stripe pool attached");
-        let mut bad: Option<i32> = None;
-        let sent = pool.scatter(data, |lane, offset, seq, chunk| {
-            let reply =
-                lane.call_raw_sg_tagged(cricket_v1::CUDA_MEMCPY_HTOD_STRIPE, false, |enc| {
-                    enc.put_u64(dst);
-                    enc.put_u64(offset);
-                    enc.put_u32(seq);
-                    enc.put_opaque_deferred(chunk);
-                })?;
-            let mut dec = xdr::XdrDecoder::new(&reply);
-            let code = dec.get_i32().map_err(oncrpc::RpcError::from)?;
-            dec.finish().map_err(oncrpc::RpcError::from)?;
-            if code != 0 {
-                // Abort the remaining stripes; the CUDA code is what gets
-                // reported — this marker error never escapes the function.
-                bad = Some(code);
-                return Err(oncrpc::RpcError::ConnectionClosed);
-            }
-            Ok(())
-        });
-        match (bad, sent) {
-            (Some(code), _) => Err(ClientError::cuda("cudaMemcpy(H2D)", code)),
-            (None, Err(e)) => Err(ClientError::Rpc(e)),
-            (None, Ok(())) => Ok(()),
-        }
-    }
-
-    /// Whether a copy of `len` bytes fans out across the stripe pool.
-    fn striping(&self, len: usize) -> bool {
-        self.stripes.is_some() && len >= STRIPE_MIN
-    }
-
-    /// cudaMemcpy device→host into a fresh `Vec`: the one allocation and
-    /// the one client-side copy of the call. Reads of at least
-    /// [`STRIPE_MIN`] bytes fan out across an attached stripe pool; the
-    /// result is byte-identical to the single-connection read.
-    pub fn memcpy_dtoh(&mut self, src: u64, len: u64) -> ClientResult<Vec<u8>> {
-        if self.striping(len as usize) {
-            let mut out = vec![0u8; len as usize];
-            self.memcpy_dtoh_striped(src, &mut out)?;
-            return Ok(out);
-        }
-        self.memcpy_dtoh_with(src, len, <[u8]>::to_vec)
-    }
-
-    /// [`Self::memcpy_dtoh`] of `dst.len()` bytes into the caller's buffer:
-    /// no allocation at all.
-    pub fn memcpy_dtoh_into(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
-        if self.striping(dst.len()) {
-            return self.memcpy_dtoh_striped(src, dst);
-        }
-        self.memcpy_dtoh_with(src, dst.len() as u64, |data| dst.copy_from_slice(data))
-    }
-
-    /// One D2H read of exactly `len` bytes, lent to `take` where they sit in
-    /// the RPC reply buffer: whatever `take` builds from them is the only
-    /// copy the client makes. A reply of any other length is an error, not
-    /// a short result.
-    pub(crate) fn memcpy_dtoh_with<R>(
-        &mut self,
-        src: u64,
-        len: u64,
-        take: impl FnOnce(&[u8]) -> R,
-    ) -> ClientResult<R> {
-        if self.striping(len as usize) {
-            return Ok(take(&self.memcpy_dtoh(src, len)?));
-        }
-        self.pre_call("cudaMemcpy(D2H)")?;
-        let (err, data) = self.stub.cuda_memcpy_dtoh_ref(&src, &len)?;
-        if err != 0 {
-            return Err(ClientError::cuda("cudaMemcpy(D2H)", err));
-        }
-        dtoh_len_check(data.len(), len as usize)?;
-        let out = take(data);
-        self.stats.bytes_d2h += len;
-        oncrpc::telemetry::add_transferred(len as usize);
-        Ok(out)
+    /// `CUDA_MEMCPY_HTOD_STRIPE` calls applied at `dst + offset`; the first
+    /// stripe the device refuses stops the rest. The replay cache plus the
+    /// lanes' disjoint xid spaces give exactly-once per stripe under retries.
+    fn scatter_stripes(&mut self, api: &'static str, dst: u64, data: &[u8]) -> ClientResult<()> {
+        self.pre_call(api)?;
+        self.stripe_pool()
+            .scatter(data, |lane, offset, seq, chunk| {
+                let reply =
+                    lane.call_raw_sg_tagged(cricket_v1::CUDA_MEMCPY_HTOD_STRIPE, false, |enc| {
+                        enc.put_u64(dst);
+                        enc.put_u64(offset);
+                        enc.put_u32(seq);
+                        enc.put_opaque_deferred(chunk);
+                    })?;
+                let code = xdr::decode(&reply).map_err(oncrpc::RpcError::from)?;
+                Self::int_status(code).map_err(|code| ClientError::cuda(api, code))
+            })
     }
 
     /// Gather one large D2H copy into `out` as independent
     /// `CUDA_MEMCPY_DTOH_STRIPE` reads from `src + offset`, placed
     /// positionally client-side.
-    fn memcpy_dtoh_striped(&mut self, src: u64, out: &mut [u8]) -> ClientResult<()> {
-        self.pre_call("cudaMemcpy(D2H)")?;
-        let pool = self.stripes.as_mut().expect("stripe pool attached");
-        let mut bad: Option<i32> = None;
-        let got = pool.gather(out, |lane, offset, seq, chunk| {
+    fn gather_stripes(&mut self, api: &'static str, src: u64, out: &mut [u8]) -> ClientResult<()> {
+        self.stripe_pool().gather(out, |lane, offset, seq, chunk| {
             let want = chunk.len();
             let reply =
                 lane.call_raw_sg_tagged(cricket_v1::CUDA_MEMCPY_DTOH_STRIPE, true, |enc| {
@@ -546,72 +521,99 @@ impl CricketClient {
                     enc.put_u32(seq);
                 })?;
             let mut dec = xdr::XdrDecoder::new(&reply);
-            let err = dec.get_i32().map_err(oncrpc::RpcError::from)?;
-            if err != 0 {
-                bad = Some(err);
-                return Err(oncrpc::RpcError::ConnectionClosed);
-            }
+            let code = dec.get_i32().map_err(oncrpc::RpcError::from)?;
+            Self::int_status(code).map_err(|code| ClientError::cuda(api, code))?;
             let data = dec.get_opaque_ref().map_err(oncrpc::RpcError::from)?;
             dec.finish().map_err(oncrpc::RpcError::from)?;
             dtoh_len_check(data.len(), want)?;
             chunk.copy_from_slice(data);
             Ok(())
-        });
-        match (bad, got) {
-            (Some(code), _) => return Err(ClientError::cuda("cudaMemcpy(D2H)", code)),
-            (None, Err(e)) => return Err(ClientError::Rpc(e)),
-            (None, Ok(())) => {}
-        }
-        self.stats.bytes_d2h += out.len() as u64;
-        oncrpc::telemetry::add_transferred(out.len());
-        Ok(())
+        })
+    }
+
+    /// Every D2H copy: one read of exactly `len` bytes, planned once and
+    /// counted once. With `dst` the bytes land there; `take` then sees them
+    /// where the route left them — lent from the RPC reply buffer on the
+    /// plain route (whatever `take` builds from them is then the client's
+    /// only copy), in `dst` or else an owned buffer once stripes are
+    /// gathered. A reply of any other length is an error, not a short result.
+    pub(crate) fn dtoh<R>(
+        &mut self,
+        src: u64,
+        len: usize,
+        dst: Option<&mut [u8]>,
+        take: impl FnOnce(Cow<'_, [u8]>) -> R,
+    ) -> ClientResult<R> {
+        const API: &str = "cudaMemcpy(D2H)";
+        let plan = TransferPlan::choose(len, None, self.stripes.is_some(), false);
+        self.pre_call(API)?;
+        let out = match (plan, dst) {
+            (TransferPlan::Striped, Some(dst)) => {
+                self.gather_stripes(API, src, dst)?;
+                take(Cow::Borrowed(dst))
+            }
+            (TransferPlan::Striped, None) => {
+                let mut out = vec![0u8; len];
+                self.gather_stripes(API, src, &mut out)?;
+                take(Cow::Owned(out))
+            }
+            (_, dst) => {
+                let (err, data) = self.stub.cuda_memcpy_dtoh_ref(&src, &(len as u64))?;
+                if err != 0 {
+                    return Err(ClientError::cuda(API, err));
+                }
+                dtoh_len_check(data.len(), len)?;
+                if let Some(dst) = dst {
+                    dst.copy_from_slice(data);
+                }
+                take(Cow::Borrowed(data))
+            }
+        };
+        self.account(len, Copied::ToHost);
+        Ok(out)
+    }
+
+    /// cudaMemcpy device→host into a fresh `Vec`: the one allocation and
+    /// the one client-side copy of the call.
+    pub fn memcpy_dtoh(&mut self, src: u64, len: u64) -> ClientResult<Vec<u8>> {
+        self.dtoh(src, len as usize, None, |bytes| bytes.into_owned())
+    }
+
+    /// [`Self::memcpy_dtoh`] of `dst.len()` bytes into the caller's buffer:
+    /// no allocation at all.
+    pub fn memcpy_dtoh_into(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
+        self.dtoh(src, dst.len(), Some(dst), |_| ())
     }
 
     /// cudaMemcpy device→device.
     pub fn memcpy_dtod(&mut self, dst: u64, src: u64, len: u64) -> ClientResult<()> {
-        if self.batch.is_some() {
-            self.pre_record("cudaMemcpy(D2D)");
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cuda_memcpy_dtod_record(&mut state.builder, &dst, &src, &len);
-            state.apis.push("cudaMemcpy(D2D)");
-            return self.after_record();
-        }
-        self.pre_call("cudaMemcpy(D2D)")?;
-        Self::int_status(
+        self.issue(
             "cudaMemcpy(D2D)",
-            self.stub.cuda_memcpy_dtod(&dst, &src, &len)?,
+            true,
+            BatchOp::CudaMemcpyDtod(dst, src, len),
         )
     }
 
     /// cudaMemset.
     pub fn memset(&mut self, ptr: u64, value: i32, len: u64) -> ClientResult<()> {
-        if self.batch.is_some() {
-            self.pre_record("cudaMemset");
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cuda_memset_record(&mut state.builder, &ptr, &value, &len);
-            state.apis.push("cudaMemset");
-            return self.after_record();
-        }
-        self.pre_call("cudaMemset")?;
-        Self::int_status("cudaMemset", self.stub.cuda_memset(&ptr, &value, &len)?)
+        self.issue("cudaMemset", true, BatchOp::CudaMemset(ptr, value, len))
     }
 
     /// cudaGetLastError.
     pub fn get_last_error(&mut self) -> ClientResult<i32> {
-        self.pre_call("cudaGetLastError")?;
-        self.stub
-            .cuda_get_last_error()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaGetLastError", c))
+        self.call("cudaGetLastError", |stub| {
+            Ok(stub.cuda_get_last_error()?.into_result())
+        })
     }
 
     /// cudaMemGetInfo.
     pub fn mem_get_info(&mut self) -> ClientResult<MemInfo> {
-        self.pre_call("cudaMemGetInfo")?;
-        match self.stub.cuda_mem_get_info()? {
-            cricket_proto::MemInfoResult::Info(i) => Ok(i),
-            cricket_proto::MemInfoResult::Default(c) => Err(ClientError::cuda("cudaMemGetInfo", c)),
-        }
+        self.call("cudaMemGetInfo", |stub| {
+            Ok(match stub.cuda_mem_get_info()? {
+                cricket_proto::MemInfoResult::Info(i) => Ok(i),
+                cricket_proto::MemInfoResult::Default(c) => Err(c),
+            })
+        })
     }
 
     // ---- modules and launches -----------------------------------------
@@ -619,28 +621,24 @@ impl CricketClient {
     /// cuModuleLoadData: ship a cubin image read on the client side to the
     /// server (the paper's §3.3 loading path).
     pub fn module_load(&mut self, image: &[u8]) -> ClientResult<u64> {
-        self.pre_call("cuModuleLoadData")?;
-        self.stats.bytes_h2d += image.len() as u64;
-        oncrpc::telemetry::add_transferred(image.len());
-        self.stub
-            .cu_module_load_data(image)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cuModuleLoadData", c))
+        let module = self.call("cuModuleLoadData", |stub| {
+            Ok(stub.cu_module_load_data(image)?.into_result())
+        })?;
+        let (wire, pages_elided) = (image.len(), 0);
+        self.account(image.len(), Copied::ToDevice { wire, pages_elided });
+        Ok(module)
     }
 
     /// cuModuleGetFunction.
     pub fn module_get_function(&mut self, module: u64, name: &str) -> ClientResult<u64> {
-        self.pre_call("cuModuleGetFunction")?;
-        self.stub
-            .cu_module_get_function(&module, name)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cuModuleGetFunction", c))
+        self.call("cuModuleGetFunction", |stub| {
+            Ok(stub.cu_module_get_function(&module, name)?.into_result())
+        })
     }
 
     /// cuModuleUnload.
     pub fn module_unload(&mut self, module: u64) -> ClientResult<()> {
-        self.pre_call("cuModuleUnload")?;
-        Self::int_status("cuModuleUnload", self.stub.cu_module_unload(&module)?)
+        self.call_status("cuModuleUnload", |stub| stub.cu_module_unload(&module))
     }
 
     /// cuLaunchKernel. The C flavor pays for the `<<<...>>>`-compatibility
@@ -654,31 +652,6 @@ impl CricketClient {
         stream: u64,
         params: &[u8],
     ) -> ClientResult<()> {
-        if self.batch.is_some() {
-            self.pre_record("cuLaunchKernel");
-            self.stats.launches += 1;
-            let staged;
-            let params = if self.flavor == ClientFlavor::CTirpc {
-                staged = launch_compat_marshal(params);
-                self.charge(LAUNCH_COMPAT_NS);
-                &staged[..]
-            } else {
-                params
-            };
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cuda_launch_kernel_record(
-                &mut state.builder,
-                &func,
-                &grid,
-                &block,
-                &shared_mem,
-                &stream,
-                params,
-            );
-            state.apis.push("cuLaunchKernel");
-            return self.after_record();
-        }
-        self.pre_call("cuLaunchKernel")?;
         self.stats.launches += 1;
         let staged;
         let params = if self.flavor == ClientFlavor::CTirpc {
@@ -688,103 +661,78 @@ impl CricketClient {
         } else {
             params
         };
-        Self::int_status(
-            "cuLaunchKernel",
-            self.stub
-                .cuda_launch_kernel(&func, &grid, &block, &shared_mem, &stream, params)?,
-        )
+        let op = BatchOp::CudaLaunchKernel(func, grid, block, shared_mem, stream, params);
+        self.issue("cuLaunchKernel", true, op)
     }
 
     // ---- streams and events -------------------------------------------
 
     /// cudaStreamCreate.
     pub fn stream_create(&mut self) -> ClientResult<u64> {
-        self.pre_call("cudaStreamCreate")?;
-        self.stub
-            .cuda_stream_create()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaStreamCreate", c))
+        self.call("cudaStreamCreate", |stub| {
+            Ok(stub.cuda_stream_create()?.into_result())
+        })
     }
 
     /// cudaStreamDestroy.
     pub fn stream_destroy(&mut self, h: u64) -> ClientResult<()> {
-        self.pre_call("cudaStreamDestroy")?;
-        Self::int_status("cudaStreamDestroy", self.stub.cuda_stream_destroy(&h)?)
+        self.call_status("cudaStreamDestroy", |stub| stub.cuda_stream_destroy(&h))
     }
 
     /// cudaStreamSynchronize.
     pub fn stream_synchronize(&mut self, h: u64) -> ClientResult<()> {
-        self.pre_call("cudaStreamSynchronize")?;
-        Self::int_status(
-            "cudaStreamSynchronize",
-            self.stub.cuda_stream_synchronize(&h)?,
-        )
+        self.call_status("cudaStreamSynchronize", |stub| {
+            stub.cuda_stream_synchronize(&h)
+        })
     }
 
     /// cudaEventCreate.
     pub fn event_create(&mut self) -> ClientResult<u64> {
-        self.pre_call("cudaEventCreate")?;
-        self.stub
-            .cuda_event_create()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaEventCreate", c))
+        self.call("cudaEventCreate", |stub| {
+            Ok(stub.cuda_event_create()?.into_result())
+        })
     }
 
     /// cudaEventRecord.
     pub fn event_record(&mut self, event: u64, stream: u64) -> ClientResult<()> {
-        if self.batch.is_some() {
-            self.pre_record("cudaEventRecord");
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cuda_event_record_record(&mut state.builder, &event, &stream);
-            state.apis.push("cudaEventRecord");
-            return self.after_record();
-        }
-        self.pre_call("cudaEventRecord")?;
-        Self::int_status(
+        self.issue(
             "cudaEventRecord",
-            self.stub.cuda_event_record(&event, &stream)?,
+            true,
+            BatchOp::CudaEventRecord(event, stream),
         )
     }
 
     /// cudaEventSynchronize.
     pub fn event_synchronize(&mut self, event: u64) -> ClientResult<()> {
-        self.pre_call("cudaEventSynchronize")?;
-        Self::int_status(
-            "cudaEventSynchronize",
-            self.stub.cuda_event_synchronize(&event)?,
-        )
+        self.call_status("cudaEventSynchronize", |stub| {
+            stub.cuda_event_synchronize(&event)
+        })
     }
 
     /// cudaEventElapsedTime (milliseconds).
     pub fn event_elapsed_ms(&mut self, start: u64, stop: u64) -> ClientResult<f32> {
-        self.pre_call("cudaEventElapsedTime")?;
-        self.stub
-            .cuda_event_elapsed_time(&start, &stop)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cudaEventElapsedTime", c))
+        self.call("cudaEventElapsedTime", |stub| {
+            Ok(stub.cuda_event_elapsed_time(&start, &stop)?.into_result())
+        })
     }
 
     /// cudaEventDestroy.
     pub fn event_destroy(&mut self, event: u64) -> ClientResult<()> {
-        self.pre_call("cudaEventDestroy")?;
-        Self::int_status("cudaEventDestroy", self.stub.cuda_event_destroy(&event)?)
+        self.call_status("cudaEventDestroy", |stub| stub.cuda_event_destroy(&event))
     }
 
     // ---- cuBLAS ---------------------------------------------------------
 
     /// cublasCreate.
     pub fn blas_create(&mut self) -> ClientResult<u64> {
-        self.pre_call("cublasCreate")?;
-        self.stub
-            .cublas_create()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cublasCreate", c))
+        self.call("cublasCreate", |stub| {
+            Ok(stub.cublas_create()?.into_result())
+        })
     }
 
     /// cublasDestroy.
     pub fn blas_destroy(&mut self, h: u64) -> ClientResult<()> {
-        self.pre_call("cublasDestroy")?;
-        Self::int_status("cublasDestroy", self.stub.cublas_destroy(&h)?)
+        self.call_status("cublasDestroy", |stub| stub.cublas_destroy(&h))
     }
 
     /// cublasSgemm (column-major).
@@ -806,13 +754,11 @@ impl CricketClient {
         c: u64,
         ldc: i32,
     ) -> ClientResult<()> {
-        self.pre_call("cublasSgemm")?;
-        Self::int_status(
-            "cublasSgemm",
-            self.stub.cublas_sgemm(
+        self.call_status("cublasSgemm", |stub| {
+            stub.cublas_sgemm(
                 &h, &transa, &transb, &m, &n, &k, &alpha, &a, &lda, &b, &ldb, &beta, &c, &ldc,
-            )?,
-        )
+            )
+        })
     }
 
     /// cublasDgemm (column-major).
@@ -834,30 +780,25 @@ impl CricketClient {
         c: u64,
         ldc: i32,
     ) -> ClientResult<()> {
-        self.pre_call("cublasDgemm")?;
-        Self::int_status(
-            "cublasDgemm",
-            self.stub.cublas_dgemm(
+        self.call_status("cublasDgemm", |stub| {
+            stub.cublas_dgemm(
                 &h, &transa, &transb, &m, &n, &k, &alpha, &a, &lda, &b, &ldb, &beta, &c, &ldc,
-            )?,
-        )
+            )
+        })
     }
 
     // ---- cuSolverDn ------------------------------------------------------
 
     /// cusolverDnCreate.
     pub fn solver_create(&mut self) -> ClientResult<u64> {
-        self.pre_call("cusolverDnCreate")?;
-        self.stub
-            .cusolver_dn_create()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cusolverDnCreate", c))
+        self.call("cusolverDnCreate", |stub| {
+            Ok(stub.cusolver_dn_create()?.into_result())
+        })
     }
 
     /// cusolverDnDestroy.
     pub fn solver_destroy(&mut self, h: u64) -> ClientResult<()> {
-        self.pre_call("cusolverDnDestroy")?;
-        Self::int_status("cusolverDnDestroy", self.stub.cusolver_dn_destroy(&h)?)
+        self.call_status("cusolverDnDestroy", |stub| stub.cusolver_dn_destroy(&h))
     }
 
     /// cusolverDnDgetrf_bufferSize.
@@ -869,11 +810,11 @@ impl CricketClient {
         a: u64,
         lda: i32,
     ) -> ClientResult<i32> {
-        self.pre_call("cusolverDnDgetrf_bufferSize")?;
-        self.stub
-            .cusolver_dn_dgetrf_buffer_size(&h, &m, &n, &a, &lda)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cusolverDnDgetrf_bufferSize", c))
+        self.call("cusolverDnDgetrf_bufferSize", |stub| {
+            Ok(stub
+                .cusolver_dn_dgetrf_buffer_size(&h, &m, &n, &a, &lda)?
+                .into_result())
+        })
     }
 
     /// cusolverDnDgetrf.
@@ -889,12 +830,9 @@ impl CricketClient {
         ipiv: u64,
         info: u64,
     ) -> ClientResult<()> {
-        self.pre_call("cusolverDnDgetrf")?;
-        Self::int_status(
-            "cusolverDnDgetrf",
-            self.stub
-                .cusolver_dn_dgetrf(&h, &m, &n, &a, &lda, &work, &ipiv, &info)?,
-        )
+        self.call_status("cusolverDnDgetrf", |stub| {
+            stub.cusolver_dn_dgetrf(&h, &m, &n, &a, &lda, &work, &ipiv, &info)
+        })
     }
 
     /// cusolverDnDgetrs.
@@ -912,29 +850,23 @@ impl CricketClient {
         ldb: i32,
         info: u64,
     ) -> ClientResult<()> {
-        self.pre_call("cusolverDnDgetrs")?;
-        Self::int_status(
-            "cusolverDnDgetrs",
-            self.stub
-                .cusolver_dn_dgetrs(&h, &trans, &n, &nrhs, &a, &lda, &ipiv, &b, &ldb, &info)?,
-        )
+        self.call_status("cusolverDnDgetrs", |stub| {
+            stub.cusolver_dn_dgetrs(&h, &trans, &n, &nrhs, &a, &lda, &ipiv, &b, &ldb, &info)
+        })
     }
 
     // ---- cuFFT -----------------------------------------------------------
 
     /// cufftPlan1d (n must be a power of two; type is CUFFT_C2C/Z2Z).
     pub fn fft_plan_1d(&mut self, n: i32, kind: i32, batch: i32) -> ClientResult<u64> {
-        self.pre_call("cufftPlan1d")?;
-        self.stub
-            .cufft_plan_1d(&n, &kind, &batch)?
-            .into_result()
-            .map_err(|c| ClientError::cuda("cufftPlan1d", c))
+        self.call("cufftPlan1d", |stub| {
+            Ok(stub.cufft_plan_1d(&n, &kind, &batch)?.into_result())
+        })
     }
 
     /// cufftDestroy.
     pub fn fft_destroy(&mut self, plan: u64) -> ClientResult<()> {
-        self.pre_call("cufftDestroy")?;
-        Self::int_status("cufftDestroy", self.stub.cufft_destroy(&plan)?)
+        self.call_status("cufftDestroy", |stub| stub.cufft_destroy(&plan))
     }
 
     /// cufftExecC2C.
@@ -945,25 +877,8 @@ impl CricketClient {
         odata: u64,
         direction: i32,
     ) -> ClientResult<()> {
-        if self.batch.is_some() {
-            self.pre_record("cufftExecC2C");
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cufft_exec_c2c_record(
-                &mut state.builder,
-                &plan,
-                &idata,
-                &odata,
-                &direction,
-            );
-            state.apis.push("cufftExecC2C");
-            return self.after_record();
-        }
-        self.pre_call("cufftExecC2C")?;
-        Self::int_status(
-            "cufftExecC2C",
-            self.stub
-                .cufft_exec_c2c(&plan, &idata, &odata, &direction)?,
-        )
+        let op = BatchOp::CufftExecC2c(plan, idata, odata, direction);
+        self.issue("cufftExecC2C", true, op)
     }
 
     /// cufftExecZ2Z.
@@ -974,80 +889,58 @@ impl CricketClient {
         odata: u64,
         direction: i32,
     ) -> ClientResult<()> {
-        if self.batch.is_some() {
-            self.pre_record("cufftExecZ2Z");
-            let state = self.batch.as_mut().expect("batch state present");
-            CricketV1Client::cufft_exec_z2z_record(
-                &mut state.builder,
-                &plan,
-                &idata,
-                &odata,
-                &direction,
-            );
-            state.apis.push("cufftExecZ2Z");
-            return self.after_record();
-        }
-        self.pre_call("cufftExecZ2Z")?;
-        Self::int_status(
-            "cufftExecZ2Z",
-            self.stub
-                .cufft_exec_z2z(&plan, &idata, &odata, &direction)?,
-        )
+        let op = BatchOp::CufftExecZ2z(plan, idata, odata, direction);
+        self.issue("cufftExecZ2Z", true, op)
     }
 
     // ---- server management (not counted as CUDA API calls) --------------
-    //
-    // These still flush any pending batch first: a checkpoint must see
-    // recorded work, and server statistics must not race deferred ops.
 
     /// Capture a checkpoint of the server-side GPU state: one blob per
     /// server session that owns anything, on every device.
     pub fn checkpoint(&mut self) -> ClientResult<Vec<u8>> {
-        self.flush_batch()?;
-        self.stub
-            .ckpt_capture()?
-            .into_result()
-            .map_err(|c| ClientError::cuda("ckptCapture", c))
+        self.manage("ckptCapture", |stub| Ok(stub.ckpt_capture()?.into_result()))
     }
 
     /// Restore a checkpoint. This connection's session owns everything in
     /// it from then on. Nothing that was live on the server is replaced: a
     /// block or handle in it that somebody there holds fails the restore.
     pub fn restore(&mut self, blob: &[u8]) -> ClientResult<()> {
-        self.flush_batch()?;
-        Self::int_status("ckptRestore", self.stub.ckpt_restore(blob)?)
+        self.manage("ckptRestore", |stub| {
+            stub.ckpt_restore(blob).map(Self::int_status)
+        })
     }
 
     /// Server-side statistics.
     pub fn server_stats(&mut self) -> ClientResult<ServerStats> {
-        self.flush_batch()?;
-        Ok(self.stub.srv_get_stats()?)
+        self.manage("srvGetStats", |stub| stub.srv_get_stats().map(Ok))
     }
 
     /// Reset server-side statistics.
     pub fn server_reset_stats(&mut self) -> ClientResult<()> {
-        self.flush_batch()?;
-        Self::int_status("srvResetStats", self.stub.srv_reset_stats()?)
+        self.manage("srvResetStats", |stub| {
+            stub.srv_reset_stats().map(Self::int_status)
+        })
     }
 
     /// Select the GPU-sharing scheduler (0 FIFO, 1 RR, 2 priority, 3 WFQ).
     pub fn set_scheduler(&mut self, policy: i32) -> ClientResult<()> {
-        self.flush_batch()?;
-        Self::int_status("srvSetScheduler", self.stub.srv_set_scheduler(&policy)?)
+        self.manage("srvSetScheduler", |stub| {
+            stub.srv_set_scheduler(&policy).map(Self::int_status)
+        })
     }
 
     /// Set a session's QoS parameters (WFQ weight, priority, device-time
     /// rate quota, resident-bytes quota). Zeroed quota fields mean
     /// "unlimited"; a zero weight is clamped to 1 server-side.
     pub fn set_qos(&mut self, params: &cricket_proto::QosParams) -> ClientResult<()> {
-        self.flush_batch()?;
-        Self::int_status("cricketQosSet", self.stub.cricket_qos_set(params)?)
+        self.manage("cricketQosSet", |stub| {
+            stub.cricket_qos_set(params).map(Self::int_status)
+        })
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> ClientResult<()> {
-        self.flush_batch()?;
-        Ok(self.stub.rpc_null()?)
+        self.manage("rpcNull", |stub| stub.rpc_null().map(Ok))
     }
 }
 
@@ -1165,6 +1058,223 @@ mod tests {
         assert_eq!(stats.ops_batched, 1, "only the memset was deferred");
         assert_eq!(c.memcpy_dtoh(ptr, 4).unwrap(), vec![7; 4]);
         c.free(ptr).unwrap();
+    }
+
+    /// The whole route table of [`TransferPlan`], at every boundary.
+    #[test]
+    fn transfer_plan_at_every_boundary() {
+        use TransferPlan::*;
+        const MAX: usize = oncrpc::record::MAX_RECORD;
+        const INLINE: usize = BATCH_INLINE_HTOD_MAX;
+        for (len, scanned) in [
+            (SPARSE_MIN - 1, false),
+            (SPARSE_MIN, true),
+            (MAX, true),
+            (MAX + 1, false),
+        ] {
+            assert_eq!(TransferPlan::scans_for_zeros(len), scanned, "{len}");
+        }
+        // (len, sparse blob if the codec won, pool, batching) → route
+        let table = [
+            (0, None, false, false, Plain),
+            (0, None, true, true, BatchInline),
+            (INLINE, None, false, false, Plain),
+            (INLINE, None, true, false, Plain),
+            (INLINE, None, false, true, BatchInline),
+            (INLINE + 1, None, false, true, Plain),
+            (INLINE + 1, None, true, true, Plain),
+            (STRIPE_MIN - 1, None, true, false, Plain),
+            (STRIPE_MIN - 1, None, true, true, Plain),
+            (STRIPE_MIN, None, false, false, Plain),
+            (STRIPE_MIN, None, false, true, Plain),
+            (STRIPE_MIN, None, true, false, Striped),
+            (STRIPE_MIN, None, true, true, Striped),
+            (MAX + 1, None, true, true, Striped),
+            // The codec won: sparse outranks striping, and it is the blob,
+            // not the payload, that has to fit the inline budget.
+            (SPARSE_MIN, Some(SPARSE_MIN - 1), false, false, Sparse),
+            (SPARSE_MIN, Some(SPARSE_MIN - 1), false, true, SparseInBatch),
+            (STRIPE_MIN, Some(INLINE), true, true, SparseInBatch),
+            (STRIPE_MIN, Some(INLINE), true, false, Sparse),
+            (STRIPE_MIN, Some(INLINE + 1), true, true, Sparse),
+            (MAX, Some(MAX - 1), true, true, Sparse),
+        ];
+        for (len, won, pool, batching, want) in table {
+            let got = TransferPlan::choose(len, won, pool, batching);
+            assert_eq!(
+                got, want,
+                "len {len} won {won:?} pool {pool} batching {batching}"
+            );
+            assert_eq!(got.deferred(), matches!(got, BatchInline | SparseInBatch));
+            // A D2H copy asks without codec or deferral.
+            let d2h = TransferPlan::choose(len, None, pool, false);
+            assert_eq!(
+                d2h,
+                if pool && len >= STRIPE_MIN {
+                    Striped
+                } else {
+                    Plain
+                }
+            );
+        }
+    }
+
+    /// `len` bytes whose 4 KiB page `i` is all-zero unless `literal(i)`.
+    fn paged(len: usize, literal: impl Fn(usize) -> bool) -> Vec<u8> {
+        let mut data = vec![0u8; len];
+        for (i, page) in data.chunks_mut(SPARSE_MIN).enumerate() {
+            if literal(i) {
+                page.iter_mut()
+                    .enumerate()
+                    .for_each(|(j, b)| *b = ((i + j) % 251) as u8 | 1);
+            }
+        }
+        data
+    }
+
+    fn transfer_counters(c: &CricketClient) -> [u64; 4] {
+        let s = &c.stats;
+        [
+            s.bytes_h2d,
+            s.bytes_d2h,
+            s.wire_bytes_h2d,
+            s.sparse_pages_elided,
+        ]
+    }
+
+    /// Ops recorded into the batch and not yet flushed.
+    fn pending(c: &CricketClient) -> usize {
+        c.batch.as_ref().map_or(0, |b| b.builder.len())
+    }
+
+    fn stripes_sent(c: &CricketClient) -> u64 {
+        c.stripes.as_ref().map_or(0, StripePool::stripes_sent)
+    }
+
+    /// A client on a fresh node, with a 4-lane pool and/or batching.
+    fn client_with(pool: bool, batching: bool) -> (SimSetup, CricketClient) {
+        let sim = SimSetup::new();
+        let mut c = if pool {
+            sim.striped_client(EnvConfig::RustyHermit, 4)
+        } else {
+            sim.client(EnvConfig::RustyHermit)
+        };
+        if batching {
+            c.enable_batching();
+        }
+        (sim, c)
+    }
+
+    /// The same payload through every route it can reach lands the same
+    /// device bytes and counts the same transfer, on the client and on the
+    /// server — and between them the payloads reach every route there is.
+    #[test]
+    fn every_route_lands_the_same_bytes_and_counts_the_same_transfer() {
+        use TransferPlan::*;
+        let payloads = [
+            paged(8 << 10, |_| true),
+            paged(8 << 10, |i| i == 0),
+            paged(STRIPE_MIN, |_| true),
+            paged(STRIPE_MIN + SPARSE_MIN, |i| i % 32 == 0),
+        ];
+        let mut h2d_routes = std::collections::HashSet::new();
+        let mut d2h_routes = std::collections::HashSet::new();
+        for data in &payloads {
+            let mut outcomes = Vec::new();
+            for (pool, batching) in [(false, false), (false, true), (true, false), (true, true)] {
+                let (_sim, mut c) = client_with(pool, batching);
+                let ptr = c.malloc(data.len() as u64).unwrap();
+                c.memcpy_htod(ptr, data).unwrap();
+                let deferred = pending(&c) == 1;
+                let striped_out = stripes_sent(&c);
+                h2d_routes.insert(
+                    match (c.stats.sparse_pages_elided > 0, deferred, striped_out > 0) {
+                        (false, false, false) => Plain,
+                        (false, true, false) => BatchInline,
+                        (true, false, false) => Sparse,
+                        (true, true, false) => SparseInBatch,
+                        (false, false, true) => Striped,
+                        mixed => panic!("one copy took two routes: {mixed:?}"),
+                    },
+                );
+                let back = c.memcpy_dtoh(ptr, data.len() as u64).unwrap();
+                d2h_routes.insert(if stripes_sent(&c) > striped_out {
+                    Striped
+                } else {
+                    Plain
+                });
+                assert_eq!(c.server_stats().unwrap().bytes_in, data.len() as u64);
+                let [h2d, d2h, wire, elided] = transfer_counters(&c);
+                assert_eq!(wire < h2d, elided > 0, "only zero pages leave the wire");
+                outcomes.push((back, h2d, d2h));
+            }
+            let want = (data.clone(), data.len() as u64, data.len() as u64);
+            assert!(outcomes.iter().all(|o| *o == want), "{} bytes", data.len());
+        }
+        assert_eq!(
+            h2d_routes,
+            [Plain, BatchInline, Sparse, SparseInBatch, Striped].into()
+        );
+        assert_eq!(d2h_routes, [Plain, Striped].into());
+    }
+
+    /// The counting rule of `account`, on every route: a copy whose call
+    /// returns an error — refused by the device, or never sent because the
+    /// batch pending ahead of it failed to flush — moves no transfer counter.
+    #[test]
+    fn a_failed_copy_moves_no_transfer_counter_on_any_route() {
+        let dense_small = paged(8 << 10, |_| true);
+        let sparse_small = paged(8 << 10, |i| i == 0);
+        let dense_large = paged(STRIPE_MIN, |_| true);
+        let sparse_large = paged(STRIPE_MIN + SPARSE_MIN, |i| i % 32 == 0);
+        let cases = [
+            (&dense_small, false, false),  // Plain
+            (&dense_small, false, true),   // BatchInline
+            (&sparse_small, false, false), // Sparse
+            (&sparse_small, false, true),  // SparseInBatch
+            (&sparse_large, true, true),   // Sparse, too big to defer
+            (&dense_large, true, false),   // Striped, both directions
+            (&dense_large, false, true),   // Plain, too big to defer
+        ];
+        for (data, pool, batching) in cases {
+            let what = format!("{} bytes, pool {pool}, batching {batching}", data.len());
+            // Freed memory: the device refuses the copy itself.
+            let (_sim, mut c) = client_with(pool, false);
+            if batching {
+                // Flush at once, so the refusal comes back from this call.
+                c.enable_batching_with(BatchPolicy::new(1, 48 << 10));
+            }
+            let ptr = c.malloc(data.len() as u64).unwrap();
+            c.free(ptr).unwrap();
+            assert!(c.memcpy_htod(ptr, data).is_err(), "{what}");
+            assert!(c.memcpy_dtoh(ptr, data.len() as u64).is_err(), "{what}");
+            let mut into = vec![0u8; data.len()];
+            assert!(c.memcpy_dtoh_into(ptr, &mut into).is_err(), "{what}");
+            assert_eq!(transfer_counters(&c), [0; 4], "{what}");
+
+            // A poisoned batch pending: the copy behind it is never sent.
+            // (A copy that is itself deferred joins the batch instead and
+            // is counted as recorded; its flush is the next call's error.)
+            let (_sim, mut c) = client_with(pool, true);
+            let ptr = c.malloc(data.len() as u64).unwrap();
+            let poison = |c: &mut CricketClient| c.memset(0xdead_beef_0000, 0, 8).unwrap();
+            poison(&mut c);
+            let sent = c.memcpy_htod(ptr, data);
+            if pending(&c) == 2 {
+                sent.unwrap();
+                assert_eq!(transfer_counters(&c)[0], data.len() as u64, "{what}");
+                c.stats.reset();
+            } else {
+                assert!(
+                    matches!(sent, Err(ClientError::Batch { index: 0, .. })),
+                    "{what}"
+                );
+            }
+            poison(&mut c);
+            let read = c.memcpy_dtoh(ptr, data.len() as u64);
+            assert!(matches!(read, Err(ClientError::Batch { .. })), "{what}");
+            assert_eq!(transfer_counters(&c), [0; 4], "{what}");
+        }
     }
 
     /// A D2H reply is exactly the bytes asked for or an error: a server that

@@ -205,7 +205,8 @@ impl<'ctx, T: DeviceCopy> DeviceBuffer<'ctx, T> {
     /// Download the buffer contents, decoded straight from the reply bytes.
     pub fn copy_to_vec(&self) -> ClientResult<Vec<T>> {
         let mut client = self.ctx.client.borrow_mut();
-        client.memcpy_dtoh_with(self.ptr, self.byte_len(), T::from_device_bytes)
+        let decode = |bytes: std::borrow::Cow<'_, [u8]>| T::from_device_bytes(&bytes);
+        client.dtoh(self.ptr, self.byte_len() as usize, None, decode)
     }
 
     /// Fill with a byte value (cudaMemset).

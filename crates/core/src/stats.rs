@@ -4,11 +4,11 @@
 //! calls and the bytes moved ("the matrixMul application requires 100,041
 //! CUDA API calls and 1.95 MiB of memory transfers, ..."). Every call
 //! through [`crate::raw::CricketClient`] updates these counters; the
-//! `table_calls` harness prints the reproduction of that table.
-//!
-//! [`CopyStats`] complements the per-client counters with the process-wide
-//! copy telemetry from the RPC stack (`oncrpc::telemetry`): bytes memmoved
-//! between internal buffers versus application payload bytes transferred.
+//! `table_calls` harness prints the reproduction of that table. The
+//! transfer counters have one writer, `CricketClient::account`, and one
+//! rule: a copy counts when its call returns `Ok`. They are facts only this
+//! client produces, so they live on the instance; what the RPC stack below
+//! does to a payload (memmoves) is `oncrpc::telemetry`'s, process-wide.
 
 use std::collections::BTreeMap;
 
@@ -22,6 +22,11 @@ pub struct ApiStats {
     pub bytes_h2d: u64,
     /// Device→host payload bytes.
     pub bytes_d2h: u64,
+    /// What `bytes_h2d` came to on the wire: equal to it unless a copy
+    /// travelled sparse, then less by the zero pages left out.
+    pub wire_bytes_h2d: u64,
+    /// All-zero pages the sparse route kept off the wire.
+    pub sparse_pages_elided: u64,
     /// Kernel launches.
     pub launches: u64,
     /// Per-API call counts.
@@ -48,48 +53,6 @@ impl ApiStats {
     /// Reset all counters.
     pub fn reset(&mut self) {
         *self = ApiStats::default();
-    }
-}
-
-/// Process-wide copy/allocation accounting for the RPC data path.
-///
-/// Wraps `oncrpc::telemetry`: take one snapshot before a workload and one
-/// after, and [`CopyStats::since`] gives the workload's bytes-memmoved /
-/// bytes-transferred delta. The figure of merit for the Fig. 7 zero-copy
-/// path is [`CopyStats::copies_per_byte`] ≤ 2 on HtoD.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CopyStats {
-    /// Bytes memcpy'd between internal buffers inside the RPC stack.
-    pub bytes_memmoved: u64,
-    /// Application payload bytes handed to the RPC layer.
-    pub bytes_transferred: u64,
-}
-
-impl CopyStats {
-    /// Current process-wide counters.
-    pub fn current() -> Self {
-        let s = oncrpc::telemetry::snapshot();
-        Self {
-            bytes_memmoved: s.bytes_memmoved,
-            bytes_transferred: s.bytes_transferred,
-        }
-    }
-
-    /// Counter deltas since `earlier`.
-    pub fn since(&self, earlier: &CopyStats) -> CopyStats {
-        CopyStats {
-            bytes_memmoved: self.bytes_memmoved - earlier.bytes_memmoved,
-            bytes_transferred: self.bytes_transferred - earlier.bytes_transferred,
-        }
-    }
-
-    /// Bytes memmoved per byte transferred.
-    pub fn copies_per_byte(&self) -> f64 {
-        if self.bytes_transferred == 0 {
-            0.0
-        } else {
-            self.bytes_memmoved as f64 / self.bytes_transferred as f64
-        }
     }
 }
 

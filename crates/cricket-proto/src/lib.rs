@@ -7,7 +7,7 @@
 //!
 //! * [`CRICKET_CUDA`] / [`CRICKET_V1`] — program and version numbers,
 //! * [`cricket_v1`] — procedure-number constants and the per-procedure
-//!   attribute tables (`is_idempotent`, `is_batchable`, `is_inline`),
+//!   attribute tables (`is_idempotent`, `is_batchable`, `is_inline`, `is_admin`),
 //! * data types ([`RpcDim3`], [`DeviceProp`], [`U64Result`], ...),
 //! * [`CricketV1Client`] — the typed client stub (used by `cricket-client`),
 //! * [`CricketV1Service`] / [`CricketV1Dispatch`] — the server skeleton
@@ -142,6 +142,29 @@ mod tests {
         assert!(is_idempotent(CUDA_MEMCPY_DTOH_STRIPE));
         assert!(!is_batchable(CUDA_MEMCPY_DTOH_STRIPE));
         assert!(!is_idempotent(CUDA_MEMCPY_HTOD_SPARSE));
+    }
+
+    /// The admin table is exactly the operator, checkpoint and migration
+    /// control procedures — what admission control must never shed.
+    #[test]
+    fn admin_tagging() {
+        use cricket_v1::*;
+        let admin: Vec<u32> = (0..4096).filter(|&p| is_admin(p)).collect();
+        let mut expected = vec![
+            RPC_NULL,
+            CKPT_CAPTURE,
+            CKPT_RESTORE,
+            SRV_GET_STATS,
+            SRV_RESET_STATS,
+            SRV_SET_SCHEDULER,
+            MIG_APPLY_BASE,
+            MIG_APPLY_DELTA,
+            MIG_ABORT,
+            CRICKET_QOS_SET,
+        ];
+        expected.sort_unstable();
+        assert_eq!(admin, expected);
+        assert!(admin.iter().all(|&p| !is_batchable(p)));
     }
 
     #[test]

@@ -388,23 +388,10 @@ impl CricketServer {
         proc: u32,
         malloc_size: Option<u64>,
     ) -> Result<(), u64> {
-        // Administrative, checkpoint, and migration procedures are always
-        // admitted: an operator must be able to relax a quota or drain a
-        // saturated server, and migration control never competes with
-        // tenant work.
-        if matches!(
-            proc,
-            cricket_v1::RPC_NULL
-                | cricket_v1::CKPT_CAPTURE
-                | cricket_v1::CKPT_RESTORE
-                | cricket_v1::SRV_GET_STATS
-                | cricket_v1::SRV_RESET_STATS
-                | cricket_v1::SRV_SET_SCHEDULER
-                | cricket_v1::MIG_APPLY_BASE
-                | cricket_v1::MIG_APPLY_DELTA
-                | cricket_v1::MIG_ABORT
-                | cricket_v1::CRICKET_QOS_SET
-        ) {
+        // `admin` procedures of `cricket.x` are always admitted: an operator
+        // must be able to relax a quota or drain a saturated server, and
+        // migration control never competes with tenant work.
+        if cricket_v1::is_admin(proc) {
             return Ok(());
         }
         let cfg = self.cfg.qos;
@@ -641,66 +628,57 @@ impl CricketServer {
         }
     }
 
+    /// The one call prologue. Marks the session seen, then takes what the
+    /// call holds while it runs (`acquire`: nothing, an issue turn, or a turn
+    /// and then a device lock), and only then counts the call and charges
+    /// `DISPATCH_NS + host_ns` — so a call that queues for the device is
+    /// charged once it owns it, and contended virtual time depends on the
+    /// scheduler's order alone.
+    fn enter<H>(&self, session: SessionId, host_ns: u64, acquire: impl FnOnce() -> H) -> H {
+        self.sessions_seen.lock().insert(session);
+        let held = acquire();
+        self.stats.lock().total_calls += 1;
+        self.clock.advance(DISPATCH_NS + host_ns);
+        held
+    }
+
     /// Host-only path: charge the RPC dispatch cost but take no scheduler
     /// turn and hold no device for simulated time. For queries over
     /// host-visible state (device count, properties, current device).
     fn host_call<R>(&self, session: SessionId, host_ns: u64, f: impl FnOnce() -> R) -> R {
-        self.sessions_seen.lock().insert(session);
-        self.stats.lock().total_calls += 1;
-        self.clock.advance(DISPATCH_NS + host_ns);
+        self.enter(session, host_ns, || ());
         f()
     }
 
-    /// Asynchronous path: win an issue slot from the scheduler, enqueue
-    /// onto the device, advance the clock only by the submission cost, and
-    /// charge the queued device time to the session's ledger. The RPC
-    /// returns while the work is still in flight on its stream.
-    fn enqueue_at<R>(
+    /// Queue-backed path: win an issue slot from the scheduler, lock device
+    /// `idx`, run `f`. A command the device accepted costs the clock its
+    /// submission and the session's ledger its queued device time; a
+    /// host-side stamp (no `Submit`) costs what `f` charged itself.
+    /// [`Returns::AtSubmission`] is an asynchronous call — the RPC returns
+    /// while the work is still in flight on its stream;
+    /// [`Returns::AtCompletion`] has sync memcpy semantics (ordered behind
+    /// prior stream work, returns when done).
+    fn enqueue_at<R, S: Into<Option<Submit>>>(
         &self,
         session: SessionId,
         idx: usize,
         host_ns: u64,
-        f: impl FnOnce(&mut Device) -> Result<(R, Submit), VgpuError>,
+        returns: Returns,
+        f: impl FnOnce(&mut Device) -> Result<(R, S), VgpuError>,
     ) -> Result<R, VgpuError> {
-        self.sessions_seen.lock().insert(session);
-        let turn = self.scheduler.begin(session);
-        let mut dev = self.devices[idx].lock();
-        self.stats.lock().total_calls += 1;
-        self.clock.advance(DISPATCH_NS + host_ns);
-        match f(&mut dev) {
-            Ok((r, sub)) => {
-                self.clock.advance(sub.submit_ns);
-                turn.charge(sub.queued_ns);
-                Ok(r)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Synchronous-transfer path: enqueue like [`Self::enqueue_at`], then
-    /// block the virtual clock until the command completes (sync memcpy
-    /// semantics: ordered behind prior stream work, returns when done).
-    fn sync_enqueue_at<R>(
-        &self,
-        session: SessionId,
-        idx: usize,
-        host_ns: u64,
-        f: impl FnOnce(&mut Device) -> Result<(R, Submit), VgpuError>,
-    ) -> Result<R, VgpuError> {
-        self.sessions_seen.lock().insert(session);
-        let turn = self.scheduler.begin(session);
-        let mut dev = self.devices[idx].lock();
-        self.stats.lock().total_calls += 1;
-        self.clock.advance(DISPATCH_NS + host_ns);
-        match f(&mut dev) {
-            Ok((r, sub)) => {
-                self.clock.advance(sub.submit_ns);
+        let (turn, mut dev) = self.enter(session, host_ns, || {
+            let turn = self.scheduler.begin(session);
+            (turn, self.devices[idx].lock())
+        });
+        let (r, sub) = f(&mut dev)?;
+        if let Some(sub) = sub.into() {
+            self.clock.advance(sub.submit_ns);
+            if returns == Returns::AtCompletion {
                 self.clock.advance_to(sub.completes_at_ns);
-                turn.charge(sub.queued_ns);
-                Ok(r)
             }
-            Err(e) => Err(e),
+            turn.charge(sub.queued_ns);
         }
+        Ok(r)
     }
 
     /// Synchronization path: win an issue slot, run the op, then advance
@@ -725,10 +703,7 @@ impl CricketServer {
         host_ns: u64,
         f: impl FnOnce() -> Result<(R, u64), VgpuError>,
     ) -> Result<R, VgpuError> {
-        self.sessions_seen.lock().insert(session);
-        let _turn = self.scheduler.begin(session);
-        self.stats.lock().total_calls += 1;
-        self.clock.advance(DISPATCH_NS + host_ns);
+        let _turn = self.enter(session, host_ns, || self.scheduler.begin(session));
         let (r, wait_ns) = f()?;
         self.clock.advance(wait_ns);
         Ok(r)
@@ -785,7 +760,7 @@ impl CricketServer {
     ) -> i32 {
         let idx = self.route(s, a);
         let st = self.resolve_stream(s, idx, 0);
-        int_of(self.enqueue_at(s, idx, 4_000, |d| {
+        int_of(self.enqueue_at(s, idx, 4_000, Returns::AtSubmission, |d| {
             if !self.blas_handles.lock().contains(&h) {
                 return Err(VgpuError::InvalidHandle(h));
             }
@@ -836,25 +811,7 @@ impl CricketServer {
         }))
     }
 
-    fn fft_exec(&self, s: SessionId, h: u64, kind: i32, idata: u64, odata: u64, dir: i32) -> i32 {
-        let idx = self.route(s, idata);
-        let st = self.resolve_stream(s, idx, 0);
-        int_of(self.enqueue_at(s, idx, 5_000, |d| {
-            let plans = self.fft_plans.lock();
-            let plan = plans.get(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            if plan.kind != kind {
-                return Err(VgpuError::InvalidValue(format!(
-                    "plan type {:#x} does not match exec type {kind:#x}",
-                    plan.kind
-                )));
-            }
-            let t = vgpu::fft::exec(d, plan, idata, odata, dir)?;
-            let sub = d.enqueue_library(st, "fft", t)?;
-            Ok(((), sub))
-        }))
-    }
-
-    /// Device a batch sub-op routes to (same rules as the immediate paths).
+    /// Device a `batchable` op routes to.
     fn op_device(&self, s: SessionId, op: &BatchOp<'_>) -> usize {
         let token = match *op {
             BatchOp::CudaMemcpyHtod(dst, _) | BatchOp::CudaMemcpyHtodSparse(dst, _) => dst,
@@ -867,9 +824,8 @@ impl CricketServer {
         self.route(s, token)
     }
 
-    /// Resolved stream of a batch sub-op on device `idx`. Ops without a
-    /// wire stream argument ride the session's default stream, exactly as
-    /// their immediate counterparts do.
+    /// Resolved stream of a `batchable` op on device `idx`. Ops without a
+    /// wire stream argument ride the session's default stream.
     fn op_stream(&self, s: SessionId, idx: usize, op: &BatchOp<'_>) -> u64 {
         match *op {
             BatchOp::CudaLaunchKernel(.., stream, _) | BatchOp::CudaEventRecord(_, stream) => {
@@ -879,28 +835,52 @@ impl CricketServer {
         }
     }
 
-    /// Issue one decoded sub-op on the locked device. `Ok(Some(sub))` for
-    /// queue-backed commands, `Ok(None)` for host-side stamps (event
-    /// record). All batched ops are asynchronous: the clock never advances
-    /// to completion here — the next sync point drains the stream.
-    fn issue_batch_op(
+    /// A `batchable` procedure called on its own: its own prologue, issue
+    /// turn and device lock around the body a batch sub-op runs.
+    fn immediate(&self, s: SessionId, op: &BatchOp<'_>, host_ns: u64, returns: Returns) -> i32 {
+        let idx = self.op_device(s, op);
+        let st = self.op_stream(s, idx, op);
+        int_of(self.enqueue_at(s, idx, host_ns, returns, |dev| {
+            Ok(((), self.issue_op(dev, op, st)?))
+        }))
+    }
+
+    /// The body of the eight `batchable` procedures — the only code that
+    /// touches a device on their behalf, whether the op arrived as its own
+    /// RPC ([`Self::immediate`]) or inside `CRICKET_BATCH_EXEC`. `dev` is the
+    /// locked device [`Self::op_device`] named, `st` the stream
+    /// [`Self::op_stream`] resolved. `Ok(Some(sub))` for queue-backed
+    /// commands, `Ok(None)` for host-side stamps (event record). Per-op
+    /// statistics are taken here, from what the body actually had in hand:
+    /// `bytes_in` counts an H2D payload when it is about to be written (a
+    /// sparse one at its decoded length, so only after it decoded).
+    fn issue_op(
         &self,
         dev: &mut Device,
         op: &BatchOp<'_>,
         st: u64,
     ) -> Result<Option<Submit>, VgpuError> {
+        let mut write = |dst: u64, data: &[u8]| {
+            // `data` is the borrowed wire record (or the decoded blob); the
+            // write into device memory is the transfer endpoint itself
+            // (the client's `bytes_transferred`), not an RPC-stack memmove.
+            self.stats.lock().bytes_in += data.len() as u64;
+            dev.memcpy_htod_stream(dst, data, st).map(Some)
+        };
         match *op {
-            BatchOp::CudaMemcpyHtod(dst, data) => dev.memcpy_htod_stream(dst, data, st).map(Some),
+            BatchOp::CudaMemcpyHtod(dst, data) => write(dst, data),
             BatchOp::CudaMemcpyHtodSparse(dst, enc) => {
                 let raw = oncrpc::sparse::decode(enc)
                     .map_err(|e| VgpuError::InvalidValue(format!("sparse blob: {e}")))?;
-                dev.memcpy_htod_stream(dst, &raw, st).map(Some)
+                write(dst, &raw)
             }
             BatchOp::CudaMemcpyDtod(dst, src, len) => dev.memcpy_dtod(dst, src, len, st).map(Some),
             BatchOp::CudaMemset(ptr, value, len) => dev.memset(ptr, value, len, st).map(Some),
-            BatchOp::CudaLaunchKernel(func, grid, block, shared, _, params) => dev
-                .launch_kernel(func, dim(grid), dim(block), shared, st, params)
-                .map(Some),
+            BatchOp::CudaLaunchKernel(func, grid, block, shared, _, params) => {
+                let sub = dev.launch_kernel(func, dim(grid), dim(block), shared, st, params)?;
+                self.stats.lock().kernels_launched += 1;
+                Ok(Some(sub))
+            }
             BatchOp::CudaEventRecord(event, _) => {
                 let host_ns = dev.event_record(event, st)?;
                 self.clock.advance(host_ns);
@@ -925,6 +905,15 @@ impl CricketServer {
             }
         }
     }
+}
+
+/// When a queue-backed call's RPC returns, in virtual time.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Returns {
+    /// Once the command is submitted; it completes on its stream later.
+    AtSubmission,
+    /// Once the command has completed (sync memcpy semantics).
+    AtCompletion,
 }
 
 /// What every procedure of the generated service trait returns.
@@ -976,6 +965,11 @@ impl Sessioned {
     /// The session this view is bound to.
     pub fn session(&self) -> SessionId {
         self.session
+    }
+
+    /// One of the `batchable` procedures, called on its own.
+    fn immediate(&self, op: BatchOp<'_>, host_ns: u64, returns: Returns) -> Reply<i32> {
+        Ok(self.srv.immediate(self.session, &op, host_ns, returns))
     }
 }
 
@@ -1096,17 +1090,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_memcpy_htod(&self, dst: u64, data: &[u8]) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        srv.stats.lock().bytes_in += data.len() as u64;
-        let idx = srv.route(s, dst);
-        let st = srv.session_stream(s, idx);
-        // `data` is still the borrowed wire record; the write into device
-        // memory below is the transfer endpoint itself (accounted as
-        // `bytes_transferred` by the client), not an RPC-stack memmove.
         // Sync copy: ordered on the session's stream, blocks to completion.
-        Ok(int_of(srv.sync_enqueue_at(s, idx, 3_000, |d| {
-            d.memcpy_htod_stream(dst, data, st).map(|sub| ((), sub))
-        })))
+        let op = BatchOp::CudaMemcpyHtod(dst, data);
+        self.immediate(op, 3_000, Returns::AtCompletion)
     }
 
     fn cuda_memcpy_dtoh(
@@ -1124,7 +1110,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // reply buffer there: the server's only copy of the payload. `out`
         // is still here exactly when the device refused before lending.
         let mut out = Some(out);
-        let r = srv.sync_enqueue_at(s, idx, 3_000, |d| {
+        let r = srv.enqueue_at(s, idx, 3_000, Returns::AtCompletion, |d| {
             d.memcpy_dtoh_stream(src, len, st, |bytes| {
                 out.take().expect("lent once").data(bytes)
             })
@@ -1160,16 +1146,12 @@ impl cricket_proto::CricketV1Service for Sessioned {
         self.cuda_memcpy_dtoh(src.wrapping_add(offset), len, out)
     }
 
-    /// Sparse H2D: expand the zero-page-elided blob, then take the plain
-    /// H2D path — `bytes_in` thus counts the decoded length, keeping the
-    /// paper's transfer accounting independent of the wire codec.
+    /// Sparse H2D: the shared body expands the zero-page-elided blob and
+    /// writes it like a plain H2D — `bytes_in` counts the decoded length,
+    /// keeping the paper's transfer accounting independent of the wire codec.
     fn cuda_memcpy_htod_sparse(&self, dst: u64, enc: &[u8]) -> Reply<i32> {
-        match oncrpc::sparse::decode(enc) {
-            Ok(raw) => self.cuda_memcpy_htod(dst, &raw),
-            Err(e) => Ok(err_code(&VgpuError::InvalidValue(format!(
-                "sparse blob: {e}"
-            )))),
-        }
+        let op = BatchOp::CudaMemcpyHtodSparse(dst, enc);
+        self.immediate(op, 3_000, Returns::AtCompletion)
     }
 
     fn cuda_memcpy_dtod(&self, dst: u64, src: u64, len: u64) -> Reply<i32> {
@@ -1179,20 +1161,20 @@ impl cricket_proto::CricketV1Service for Sessioned {
         if src_dev == dst_dev {
             // Same-device copy is asynchronous: it rides the session's
             // stream and the RPC returns at submission.
-            let st = srv.session_stream(s, src_dev);
-            return Ok(int_of(srv.enqueue_at(s, src_dev, 2_500, |d| {
-                d.memcpy_dtod(dst, src, len, st).map(|sub| ((), sub))
-            })));
+            let op = BatchOp::CudaMemcpyDtod(dst, src, len);
+            return self.immediate(op, 2_500, Returns::AtSubmission);
         }
-        // Peer copy (cudaMemcpyPeer semantics): staged through the host,
-        // paying PCIe on both devices — synchronous on both legs.
+        // Peer copy (cudaMemcpyPeer semantics) is not the batchable op: it
+        // is a read on one device and a write on another, staged through
+        // the host, paying PCIe on both — synchronous on both legs, and no
+        // client payload, so `bytes_in` does not move.
         let src_st = srv.session_stream(s, src_dev);
         let dst_st = srv.session_stream(s, dst_dev);
-        let staged = srv.sync_enqueue_at(s, src_dev, 2_500, |d| {
+        let staged = srv.enqueue_at(s, src_dev, 2_500, Returns::AtCompletion, |d| {
             d.memcpy_dtoh_stream(src, len, src_st, <[u8]>::to_vec)
         });
         Ok(int_of(staged.and_then(|bytes| {
-            srv.sync_enqueue_at(s, dst_dev, 2_500, |d| {
+            srv.enqueue_at(s, dst_dev, 2_500, Returns::AtCompletion, |d| {
                 d.memcpy_htod_stream(dst, &bytes, dst_st)
                     .map(|sub| ((), sub))
             })
@@ -1200,12 +1182,8 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_memset(&self, ptr: u64, value: i32, len: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, ptr);
-        let st = srv.session_stream(s, idx);
-        Ok(int_of(srv.enqueue_at(s, idx, 2_000, |d| {
-            d.memset(ptr, value, len, st).map(|sub| ((), sub))
-        })))
+        let op = BatchOp::CudaMemset(ptr, value, len);
+        self.immediate(op, 2_000, Returns::AtSubmission)
     }
 
     fn cuda_mem_get_info(&self) -> Reply<MemInfoResult> {
@@ -1261,19 +1239,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
         stream: u64,
         params: &[u8],
     ) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, func);
-        let st = srv.resolve_stream(s, idx, stream);
         // The launch is asynchronous: the RPC returns at submission and the
         // kernel's duration rides the session's stream timeline.
-        let r = srv.enqueue_at(s, idx, 3_500, |d| {
-            d.launch_kernel(func, dim(grid), dim(block), shared, st, params)
-                .map(|sub| ((), sub))
-        });
-        if r.is_ok() {
-            srv.stats.lock().kernels_launched += 1;
-        }
-        Ok(int_of(r))
+        let op = BatchOp::CudaLaunchKernel(func, grid, block, shared, stream, params);
+        self.immediate(op, 3_500, Returns::AtSubmission)
     }
 
     fn cuda_stream_create(&self) -> Reply<U64Result> {
@@ -1326,14 +1295,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_event_record(&self, event: u64, stream: u64) -> Reply<i32> {
         // Event record is an enqueue: it stamps the stream's completion
-        // frontier and returns immediately (the small cost below is the
-        // device front-end work, not a wait).
-        let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, event);
-        let st = srv.resolve_stream(s, idx, stream);
-        Ok(int_of(srv.wait_at(s, idx, 800, |d| {
-            d.event_record(event, st).map(|t| ((), t))
-        })))
+        // frontier and returns immediately (the small cost it charges is
+        // the device front-end work, not a wait).
+        let op = BatchOp::CudaEventRecord(event, stream);
+        self.immediate(op, 800, Returns::AtSubmission)
     }
 
     fn cuda_event_synchronize(&self, event: u64) -> Reply<i32> {
@@ -1517,13 +1482,19 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.route(s, a);
         let st = srv.resolve_stream(s, idx, 0);
-        Ok(int_of(srv.enqueue_at(s, idx, 8_000, |d| {
-            let mut solvers = srv.solvers.lock();
-            let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            let t = solver.dgetrf(d, m, n, a, lda, work, ipiv, info)?;
-            let sub = d.enqueue_library(st, "getrf", t)?;
-            Ok(((), sub))
-        })))
+        Ok(int_of(srv.enqueue_at(
+            s,
+            idx,
+            8_000,
+            Returns::AtSubmission,
+            |d| {
+                let mut solvers = srv.solvers.lock();
+                let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
+                let t = solver.dgetrf(d, m, n, a, lda, work, ipiv, info)?;
+                let sub = d.enqueue_library(st, "getrf", t)?;
+                Ok(((), sub))
+            },
+        )))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1543,13 +1514,19 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.route(s, a);
         let st = srv.resolve_stream(s, idx, 0);
-        Ok(int_of(srv.enqueue_at(s, idx, 6_000, |d| {
-            let mut solvers = srv.solvers.lock();
-            let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            let t = solver.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)?;
-            let sub = d.enqueue_library(st, "getrs", t)?;
-            Ok(((), sub))
-        })))
+        Ok(int_of(srv.enqueue_at(
+            s,
+            idx,
+            6_000,
+            Returns::AtSubmission,
+            |d| {
+                let mut solvers = srv.solvers.lock();
+                let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
+                let t = solver.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)?;
+                let sub = d.enqueue_library(st, "getrs", t)?;
+                Ok(((), sub))
+            },
+        )))
     }
 
     fn cufft_plan_1d(&self, n: i32, kind: i32, batch: i32) -> Reply<U64Result> {
@@ -1582,13 +1559,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cufft_exec_c2c(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        Ok(srv.fft_exec(s, h, vgpu::fft::CUFFT_C2C, idata, odata, dir))
+        let op = BatchOp::CufftExecC2c(h, idata, odata, dir);
+        self.immediate(op, 5_000, Returns::AtSubmission)
     }
 
     fn cufft_exec_z2z(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        Ok(srv.fft_exec(s, h, vgpu::fft::CUFFT_Z2Z, idata, odata, dir))
+        let op = BatchOp::CufftExecZ2z(h, idata, odata, dir);
+        self.immediate(op, 5_000, Returns::AtSubmission)
     }
 
     /// Execute a coalesced command batch: decode every sub-op, then issue
@@ -1602,46 +1579,30 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let ops = decode_batch(body)?;
         srv.sessions_seen.lock().insert(s);
-        {
-            // Each sub-op is one CUDA API call in the paper's accounting;
-            // coalescing changes the wire shape, not the call count.
-            let mut st = srv.stats.lock();
-            st.total_calls += ops.len() as u64;
-            for op in &ops {
-                match op {
-                    BatchOp::CudaMemcpyHtod(_, data) => st.bytes_in += data.len() as u64,
-                    // Sparse sub-ops account their *decoded* length: the
-                    // codec changes wire bytes, not how many bytes land in
-                    // device memory. A corrupt header counts zero — the op
-                    // itself fails at issue time.
-                    BatchOp::CudaMemcpyHtodSparse(_, enc) => {
-                        st.bytes_in += oncrpc::sparse::raw_len(enc).unwrap_or(0);
-                    }
-                    _ => {}
-                }
-            }
-        }
+        // Each sub-op is one CUDA API call in the paper's accounting;
+        // coalescing changes the wire shape, not the call count.
+        srv.stats.lock().total_calls += ops.len() as u64;
         // One RPC dispatch for the whole batch — the coalescing win.
         srv.clock.advance(DISPATCH_NS);
         let mut statuses = vec![0i32; ops.len()];
         let mut agg = vgpu::SubmitAggregate::default();
         let mut executed: u32 = 0;
-        let mut kernels: u64 = 0;
+        // Cross-device D2D peer copies stage through the host on two
+        // devices; they cannot share a single-device turn, so they run
+        // through the ordinary synchronous path as their own slice.
+        let peer = |op: &BatchOp<'_>| match *op {
+            BatchOp::CudaMemcpyDtod(dst, src, len) if srv.route(s, src) != srv.route(s, dst) => {
+                Some((dst, src, len))
+            }
+            _ => None,
+        };
         let mut i = 0;
         while i < ops.len() {
-            // Cross-device D2D peer copies stage through the host on two
-            // devices; they cannot share a single-device turn, so they run
-            // through the ordinary synchronous path as their own slice.
-            if let BatchOp::CudaMemcpyDtod(dst, src, len) = ops[i] {
-                if srv.route(s, src) != srv.route(s, dst) {
-                    let code = self.cuda_memcpy_dtod(dst, src, len)?;
-                    statuses[i] = code;
-                    if code == 0 {
-                        executed += 1;
-                    }
-                    i += 1;
-                    continue;
-                }
+            if let Some((dst, src, len)) = peer(&ops[i]) {
+                statuses[i] = self.cuda_memcpy_dtod(dst, src, len)?;
+                executed += u32::from(statuses[i] == 0);
+                i += 1;
+                continue;
             }
             let idx = srv.op_device(s, &ops[i]);
             let stream = srv.op_stream(s, idx, &ops[i]);
@@ -1649,8 +1610,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
             while j < ops.len()
                 && srv.op_device(s, &ops[j]) == idx
                 && srv.op_stream(s, idx, &ops[j]) == stream
-                && !matches!(ops[j], BatchOp::CudaMemcpyDtod(dst, src, _)
-                    if srv.route(s, src) != srv.route(s, dst))
+                && peer(&ops[j]).is_none()
             {
                 j += 1;
             }
@@ -1680,16 +1640,15 @@ impl cricket_proto::CricketV1Service for Sessioned {
                 }
                 srv.clock.advance(BATCH_OP_NS);
                 since_ops += 1;
-                match srv.issue_batch_op(&mut dev, op, stream) {
+                // Every batched op is asynchronous: the clock never runs
+                // to completion here — the next sync point drains the stream.
+                match srv.issue_op(&mut dev, op, stream) {
                     Ok(Some(sub)) => {
                         srv.clock.advance(sub.submit_ns);
                         turn.charge(sub.queued_ns);
                         since_ns += sub.queued_ns;
                         agg.absorb(&sub);
                         executed += 1;
-                        if matches!(op, BatchOp::CudaLaunchKernel(..)) {
-                            kernels += 1;
-                        }
                     }
                     Ok(None) => {
                         executed += 1;
@@ -1703,9 +1662,6 @@ impl cricket_proto::CricketV1Service for Sessioned {
             drop(dev);
             drop(turn);
             i = resume_at;
-        }
-        if kernels > 0 {
-            srv.stats.lock().kernels_launched += kernels;
         }
         Ok(BatchResult::Receipt(BatchReceipt {
             statuses: statuses.into(),
@@ -2634,39 +2590,110 @@ mod tests {
         assert_eq!(after[&1], before.get(&1).copied().unwrap_or(0) + 2);
     }
 
-    /// One recorded op per batchable procedure, each with distinct
-    /// arguments, and what they must decode back to.
-    fn one_of_each_batchable() -> (oncrpc::BatchBuilder, Vec<BatchOp<'static>>) {
-        use cricket_proto::CricketV1Client as C;
+    /// What the ops of [`one_of_each_batchable`] act on: made-up tokens for
+    /// the decoder, live handles (see [`live_targets`]) to execute them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Targets {
+        mem: u64,
+        func: u64,
+        stream: u64,
+        event: u64,
+        c2c: u64,
+        z2z: u64,
+    }
+
+    /// One op per batchable procedure, each with distinct arguments.
+    fn one_of_each_batchable<'a>(
+        t: &Targets,
+        sparse: &'a [u8],
+        params: &'a [u8],
+    ) -> Vec<BatchOp<'a>> {
         let grid = RpcDim3 { x: 2, y: 3, z: 4 };
         let block = RpcDim3 { x: 5, y: 6, z: 7 };
-        let mut b = oncrpc::BatchBuilder::new();
-        C::cuda_memcpy_htod_record(&mut b, &0x10, b"abcde");
-        C::cuda_memcpy_dtod_record(&mut b, &0x20, &0x21, &22);
-        C::cuda_memset_record(&mut b, &0x30, &-3, &33);
-        C::cuda_memcpy_htod_sparse_record(&mut b, &0x40, b"sparse!");
-        C::cuda_launch_kernel_record(&mut b, &0x50, &grid, &block, &51, &0x52, b"par");
-        C::cuda_event_record_record(&mut b, &0x60, &0x61);
-        C::cufft_exec_c2c_record(&mut b, &0x70, &0x71, &0x72, &-1);
-        C::cufft_exec_z2z_record(&mut b, &0x80, &0x81, &0x82, &1);
-        let want = vec![
-            BatchOp::CudaMemcpyHtod(0x10, b"abcde"),
-            BatchOp::CudaMemcpyDtod(0x20, 0x21, 22),
-            BatchOp::CudaMemset(0x30, -3, 33),
-            BatchOp::CudaMemcpyHtodSparse(0x40, b"sparse!"),
-            BatchOp::CudaLaunchKernel(0x50, grid, block, 51, 0x52, b"par"),
-            BatchOp::CudaEventRecord(0x60, 0x61),
-            BatchOp::CufftExecC2c(0x70, 0x71, 0x72, -1),
-            BatchOp::CufftExecZ2z(0x80, 0x81, 0x82, 1),
-        ];
-        (b, want)
+        vec![
+            BatchOp::CudaMemcpyHtod(t.mem + 0x10, b"abcde"),
+            BatchOp::CudaMemcpyDtod(t.mem + 0x20, t.mem + 0x10, 5),
+            BatchOp::CudaMemset(t.mem + 0x30, -3, 33),
+            BatchOp::CudaMemcpyHtodSparse(t.mem + 0x1000, sparse),
+            BatchOp::CudaLaunchKernel(t.func, grid, block, 51, t.stream, params),
+            BatchOp::CudaEventRecord(t.event, t.stream),
+            BatchOp::CufftExecC2c(t.c2c, t.mem + 0x100, t.mem + 0x200, -1),
+            BatchOp::CufftExecZ2z(t.z2z, t.mem + 0x300, t.mem + 0x400, 1),
+        ]
     }
+
+    /// Status of `op` called on its own, through its trait method.
+    fn call_alone(s: &Sessioned, op: &BatchOp<'_>) -> i32 {
+        match *op {
+            BatchOp::CudaMemcpyHtod(dst, data) => s.cuda_memcpy_htod(dst, data),
+            BatchOp::CudaMemcpyDtod(dst, src, len) => s.cuda_memcpy_dtod(dst, src, len),
+            BatchOp::CudaMemset(ptr, value, len) => s.cuda_memset(ptr, value, len),
+            BatchOp::CudaMemcpyHtodSparse(dst, enc) => s.cuda_memcpy_htod_sparse(dst, enc),
+            BatchOp::CudaLaunchKernel(func, grid, block, shared, stream, params) => {
+                s.cuda_launch_kernel(func, grid, block, shared, stream, params)
+            }
+            BatchOp::CudaEventRecord(event, stream) => s.cuda_event_record(event, stream),
+            BatchOp::CufftExecC2c(plan, idata, odata, dir) => {
+                s.cufft_exec_c2c(plan, idata, odata, dir)
+            }
+            BatchOp::CufftExecZ2z(plan, idata, odata, dir) => {
+                s.cufft_exec_z2z(plan, idata, odata, dir)
+            }
+        }
+        .unwrap()
+    }
+
+    /// Status of `op` as the only sub-op of a `CRICKET_BATCH_EXEC`.
+    fn call_batched(s: &Sessioned, op: &BatchOp<'_>) -> i32 {
+        let mut b = oncrpc::BatchBuilder::new();
+        op.record(&mut b);
+        match s.cricket_batch_exec(&b.finish()).unwrap() {
+            BatchResult::Receipt(receipt) => receipt.statuses[0],
+            BatchResult::Default(code) => panic!("batch refused: {code}"),
+        }
+    }
+
+    /// A fresh server holding everything [`one_of_each_batchable`] needs:
+    /// 16 KiB of patterned memory, a loaded kernel, a stream, an event and
+    /// one FFT plan of each kind. Handles are deterministic, so two calls
+    /// give equal [`Targets`].
+    fn live_targets() -> (Sessioned, Targets) {
+        let (_srv, s) = server();
+        let u = |r: U64Result| r.into_result().unwrap();
+        let mem = u(s.cuda_malloc(LIVE_LEN).unwrap());
+        let pattern: Vec<u8> = (0..LIVE_LEN).map(|i| (i % 251) as u8).collect();
+        assert_eq!(s.cuda_memcpy_htod(mem, &pattern).unwrap(), 0);
+        let image = vgpu::module::CubinBuilder::new()
+            .kernel("saxpy", &[8, 8, 4, 4])
+            .build(true);
+        let module = u(s.cu_module_load_data(&image).unwrap());
+        let targets = Targets {
+            mem,
+            func: u(s.cu_module_get_function(module, "saxpy").unwrap()),
+            stream: u(s.cuda_stream_create().unwrap()),
+            event: u(s.cuda_event_create().unwrap()),
+            c2c: u(s.cufft_plan_1d(4, vgpu::fft::CUFFT_C2C, 1).unwrap()),
+            z2z: u(s.cufft_plan_1d(4, vgpu::fft::CUFFT_Z2Z, 1).unwrap()),
+        };
+        (s, targets)
+    }
+    const LIVE_LEN: u64 = 16384;
 
     /// The generated `*_record` stubs and the generated batch decoder are
     /// inverses for every batchable procedure of `cricket.x`.
     #[test]
     fn record_stubs_decode_back_through_the_generated_batch_decoder() {
-        let (mut b, want) = one_of_each_batchable();
+        let made_up = Targets {
+            mem: 0x1_0000,
+            func: 0x50,
+            stream: 0x52,
+            event: 0x60,
+            c2c: 0x70,
+            z2z: 0x80,
+        };
+        let want = one_of_each_batchable(&made_up, b"sparse!", b"par");
+        let mut b = oncrpc::BatchBuilder::new();
+        want.iter().for_each(|op| op.record(&mut b));
         let procs: Vec<u32> = (0..b.len()).map(|i| b.proc_at(i).unwrap()).collect();
         let batchable: Vec<u32> = (0..4096).filter(|&p| cricket_v1::is_batchable(p)).collect();
         let mut recorded = procs.clone();
@@ -2690,6 +2717,70 @@ mod tests {
         assert_eq!(
             decode_batch(&body[..body.len() - 4]),
             Err(AcceptStat::GarbageArgs)
+        );
+    }
+
+    /// Every batchable procedure runs one body whether it arrives as its
+    /// own RPC or inside a batch: the same status, op by op, on the good
+    /// inputs and on each way they can be refused, and the same device
+    /// memory and statistics at the end.
+    #[test]
+    fn an_op_alone_and_as_a_one_op_batch_is_the_same_op() {
+        let (alone, t) = live_targets();
+        let (batched, same) = live_targets();
+        assert_eq!(t, same);
+        let mut sparse = Vec::new();
+        let half_zero = [vec![0x5Au8; 4096], vec![0u8; 4096]].concat();
+        oncrpc::sparse::encode_into(&half_zero[..4097], 4096, &mut sparse);
+        let params = vgpu::kernels::ParamBuilder::new()
+            .ptr(t.mem + 0x800)
+            .ptr(t.mem + 0x800)
+            .f32(1.0)
+            .u32(64)
+            .build();
+        let good = one_of_each_batchable(&t, &sparse, &params);
+        for (i, op) in good.iter().enumerate() {
+            assert_eq!(call_alone(&alone, op), 0, "op {i} alone");
+            assert_eq!(call_batched(&batched, op), 0, "op {i} batched");
+        }
+
+        let nowhere = 0xdead_0000u64;
+        let grid = RpcDim3 { x: 1, y: 1, z: 1 };
+        let mut lying = sparse.clone();
+        lying[4..12].copy_from_slice(&(1u64 << 20).to_be_bytes());
+        let refused = [
+            BatchOp::CudaMemcpyHtod(nowhere, b"abcde"),
+            BatchOp::CudaMemcpyDtod(t.mem, nowhere, 8),
+            BatchOp::CudaMemset(t.mem + LIVE_LEN - 8, 1, 64),
+            BatchOp::CudaMemcpyHtodSparse(t.mem, &lying),
+            BatchOp::CudaMemcpyHtodSparse(t.mem, &sparse[..sparse.len() - 4]),
+            BatchOp::CudaLaunchKernel(nowhere, grid, grid, 0, t.stream, &params),
+            BatchOp::CudaLaunchKernel(t.func, grid, grid, 0, nowhere, &params),
+            BatchOp::CudaEventRecord(nowhere, t.stream),
+            BatchOp::CufftExecC2c(nowhere, t.mem, t.mem, -1),
+            BatchOp::CufftExecC2c(t.z2z, t.mem, t.mem, -1),
+            BatchOp::CufftExecZ2z(t.c2c, t.mem, t.mem, 1),
+            BatchOp::CufftExecZ2z(t.z2z, nowhere, t.mem, 1),
+        ];
+        for (i, op) in refused.iter().enumerate() {
+            let code = call_alone(&alone, op);
+            assert_ne!(code, 0, "refused op {i} alone");
+            assert_eq!(call_batched(&batched, op), code, "refused op {i} batched");
+        }
+
+        let sync = |s: &Sessioned| assert_eq!(s.cuda_device_synchronize().unwrap(), 0);
+        sync(&alone);
+        sync(&batched);
+        let memory = read(&alone, t.mem, LIVE_LEN);
+        assert!(matches!(&memory, DataResult::Data(d) if d.len() == LIVE_LEN as usize));
+        assert_eq!(memory, read(&batched, t.mem, LIVE_LEN));
+        let (a, b) = (
+            alone.srv_get_stats().unwrap(),
+            batched.srv_get_stats().unwrap(),
+        );
+        assert_eq!(
+            (a.bytes_in, a.kernels_launched),
+            (b.bytes_in, b.kernels_launched)
         );
     }
 
@@ -2745,6 +2836,39 @@ mod tests {
         oncrpc::sparse::encode_into(&[0u8; 4096], 4096, &mut blob);
         assert_eq!(s.cuda_memcpy_htod_sparse(ptr, &blob).unwrap(), 0);
         assert_eq!(s.cuda_free(ptr).unwrap(), 0);
+    }
+
+    /// A sparse sub-op whose header claims more than its bitmap covers is
+    /// counted like the immediate call counts it — not at all, because it
+    /// never decoded — fails at its own index, and leaves later slices alone.
+    #[test]
+    fn a_lying_sparse_header_in_a_batch_moves_no_counter_and_stops_only_its_slice() {
+        let (_srv, s) = server();
+        let ptr = s.cuda_malloc(8192).unwrap().into_result().unwrap();
+        let stream = s.cuda_stream_create().unwrap().into_result().unwrap();
+        let event = s.cuda_event_create().unwrap().into_result().unwrap();
+        let mut blob = Vec::new();
+        oncrpc::sparse::encode_into(&[7u8; 4096], 4096, &mut blob);
+        // raw_len 4096 → 1 MiB: the one-byte bitmap no longer covers it.
+        blob[4..12].copy_from_slice(&(1u64 << 20).to_be_bytes());
+        let invalid = vgpu::CudaCode::InvalidValue as i32;
+        assert_eq!(s.cuda_memcpy_htod_sparse(ptr, &blob).unwrap(), invalid);
+        assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0);
+
+        let mut b = oncrpc::BatchBuilder::new();
+        use cricket_proto::CricketV1Client as C;
+        C::cuda_memcpy_htod_sparse_record(&mut b, &ptr, &blob);
+        C::cuda_memset_record(&mut b, &ptr, &1, &64); // same slice: skipped
+        C::cuda_event_record_record(&mut b, &event, &stream); // its own slice
+        let BatchResult::Receipt(receipt) = s.cricket_batch_exec(&b.finish()).unwrap() else {
+            panic!("batch refused");
+        };
+        assert_eq!(
+            receipt.statuses.to_vec(),
+            vec![invalid, oncrpc::BATCH_SKIPPED, 0]
+        );
+        assert_eq!(receipt.executed, 1);
+        assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0, "header believed");
     }
 
     /// A restore that fails in its *second* blob, after modules, streams,

@@ -191,8 +191,6 @@ pub struct BatchStats {
     pub batches: u64,
     /// Ops that traveled inside a batch.
     pub ops_batched: u64,
-    /// Batchable ops that were sent eagerly (watermark at 1).
-    pub ops_eager: u64,
     /// Flushes forced by a sync point or non-batchable call.
     pub flush_sync: u64,
     /// Flushes triggered by the depth watermark.
@@ -229,11 +227,10 @@ impl BatchStats {
 
     /// RPC round trips per batched op: 1.0 means no coalescing at all.
     pub fn rpcs_per_op(&self) -> f64 {
-        let ops = self.ops_batched + self.ops_eager;
-        if ops == 0 {
+        if self.ops_batched == 0 {
             return 1.0;
         }
-        (self.batches + self.ops_eager) as f64 / ops as f64
+        self.batches as f64 / self.ops_batched as f64
     }
 }
 

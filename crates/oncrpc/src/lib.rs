@@ -59,7 +59,7 @@ pub use reactor::{serve_tcp_reactor, Classifier, ConnHandler, ProcClass, Reactor
 pub use record::{RecordAssembler, RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
 pub use server::{Dispatch, RpcServer, ServerHandle};
-pub use stripe::{NullTimer, StripePool, StripeTimer, DEFAULT_STRIPE_LEN};
+pub use stripe::{NullTimer, StripePool, StripeTimer};
 pub use transport::{duplex_pair, MemTransport, TcpTransport, Transport};
 
 /// The RPC protocol version this crate speaks (RFC 5531 mandates 2).

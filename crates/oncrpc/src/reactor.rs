@@ -333,8 +333,7 @@ where
             let stop = Arc::clone(&stop);
             let poller = Arc::clone(&poller);
             move || reactor_main(cfg, stop, poller, newconn_rx)
-        })
-        .expect("spawn reactor thread");
+        })?;
 
     let accept_join = std::thread::Builder::new()
         .name("oncrpc-accept".into())
@@ -361,7 +360,12 @@ where
             poller_accept.notify();
             let _ = reactor_join.join();
         })
-        .expect("spawn accept thread");
+        .inspect_err(|_| {
+            // The closure, and with it the new-connection ring, is gone:
+            // wake the reactor so it sees the hang-up and exits.
+            stop.store(true, Ordering::SeqCst);
+            poller.notify();
+        })?;
 
     Ok(ServerHandle::from_parts(local, stop, accept_join))
 }
@@ -386,6 +390,10 @@ fn reactor_main(
             let max_backlog = cfg.max_write_backlog;
             move || writer_main(writer_rx, reply_pool, stall_deadline, max_backlog)
         })
+        // This is the reactor thread: no caller is left to take an error, and
+        // there is no serving without a writer (or, below, without workers).
+        // Unwinding drops the new-connection ring, which ends the accept
+        // thread at its next connection instead of queueing calls nobody runs.
         .expect("spawn completion writer");
 
     let mut worker_txs = Vec::with_capacity(cfg.workers);
@@ -401,7 +409,7 @@ fn reactor_main(
             std::thread::Builder::new()
                 .name(format!("oncrpc-worker-{shard}"))
                 .spawn(move || worker_main(rx, writer_tx, record_pool, reply_pool, poller))
-                .expect("spawn worker thread"),
+                .expect("spawn worker thread"), // as for the writer above
         );
     }
 

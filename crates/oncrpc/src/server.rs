@@ -376,8 +376,7 @@ where
                         }
                     });
             }
-        })
-        .expect("spawn accept thread");
+        })?;
     Ok(ServerHandle {
         addr: local,
         stop,

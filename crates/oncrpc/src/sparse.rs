@@ -113,13 +113,6 @@ fn header(dec: &mut XdrDecoder<'_>) -> XdrResult<(usize, usize)> {
     Ok((page, raw_len))
 }
 
-/// Decoded payload length of a sparse blob, read from the header without
-/// decoding the body. Used for transfer accounting: a sparse H2D moves
-/// `raw_len` bytes into device memory no matter how few travel the wire.
-pub fn raw_len(enc: &[u8]) -> XdrResult<u64> {
-    header(&mut XdrDecoder::new(enc)).map(|(_, raw_len)| raw_len as u64)
-}
-
 /// Decode a sparse blob into `out` (cleared first), materializing zero
 /// pages as zero bytes — the result is byte-identical to the original
 /// payload. `out` grows only as pages are produced, never from the
@@ -291,7 +284,6 @@ mod tests {
             .unwrap();
         assert!(fastest < std::time::Duration::from_millis(1), "{fastest:?}");
         assert_eq!(out.capacity(), 0, "nothing sized from the header");
-        assert_eq!(raw_len(&blob), Err(bound));
         // One byte past what the plain path could carry is already refused.
         assert!(decode(&header(MAX_RECORD as u64 + 1, &[0u8])).is_err());
     }

@@ -21,12 +21,10 @@
 //! the stripe threshold fan out here.
 
 use crate::client::RpcClient;
-use crate::error::RpcResult;
-use crate::telemetry;
 
-/// Default stripe granularity. Large enough to amortize per-call overhead,
-/// small enough that 4 lanes all stay busy on a multi-MiB copy.
-pub const DEFAULT_STRIPE_LEN: usize = 256 * 1024;
+/// Stripe granularity. Large enough to amortize per-call overhead, small
+/// enough that 4 lanes all stay busy on a multi-MiB copy.
+const DEFAULT_STRIPE_LEN: usize = 256 * 1024;
 
 /// Hook for accounting wall-clock (or virtual-time) overlap of the lanes.
 ///
@@ -56,6 +54,7 @@ pub struct StripePool {
     lanes: Vec<RpcClient>,
     stripe_len: usize,
     timer: Box<dyn StripeTimer>,
+    stripes_sent: u64,
 }
 
 impl StripePool {
@@ -74,23 +73,13 @@ impl StripePool {
             lanes,
             stripe_len: DEFAULT_STRIPE_LEN,
             timer: Box::new(NullTimer),
+            stripes_sent: 0,
         }
     }
 
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Current stripe granularity in bytes.
-    pub fn stripe_len(&self) -> usize {
-        self.stripe_len
-    }
-
-    /// Override the stripe granularity.
-    pub fn set_stripe_len(&mut self, len: usize) {
-        assert!(len > 0);
-        self.stripe_len = len;
+    /// Stripe calls this pool has completed, both directions.
+    pub fn stripes_sent(&self) -> u64 {
+        self.stripes_sent
     }
 
     /// Install a lane-overlap timer (see [`StripeTimer`]).
@@ -115,19 +104,20 @@ impl StripePool {
     /// Shard `data` into stripes and issue each via `call` on a round-robin
     /// lane. `call` receives the lane client, the byte offset of the stripe
     /// within `data`, the stripe sequence number, and the stripe bytes. All
-    /// stripes must succeed; the first error aborts the transfer.
-    pub fn scatter(
+    /// stripes must succeed; the first error — the caller's own type, so a
+    /// refusal carried inside a reply needs no stand-in — aborts the transfer.
+    pub fn scatter<E>(
         &mut self,
         data: &[u8],
-        mut call: impl FnMut(&mut RpcClient, u64, u32, &[u8]) -> RpcResult<()>,
-    ) -> RpcResult<()> {
+        mut call: impl FnMut(&mut RpcClient, u64, u32, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.timer.begin();
         let lanes = self.lanes.len();
         for (seq, chunk) in data.chunks(self.stripe_len).enumerate() {
             let offset = (seq * self.stripe_len) as u64;
             let lane = &mut self.lanes[seq % lanes];
             call(lane, offset, seq as u32, chunk)?;
-            telemetry::add_stripes_sent(1);
+            self.stripes_sent += 1;
         }
         self.timer.commit();
         Ok(())
@@ -136,11 +126,11 @@ impl StripePool {
     /// Fill `out` by fetching stripes via `call` on round-robin lanes.
     /// `call` receives the lane client, the byte offset within `out`, the
     /// stripe sequence number, and the destination sub-slice to fill.
-    pub fn gather(
+    pub fn gather<E>(
         &mut self,
         out: &mut [u8],
-        mut call: impl FnMut(&mut RpcClient, u64, u32, &mut [u8]) -> RpcResult<()>,
-    ) -> RpcResult<()> {
+        mut call: impl FnMut(&mut RpcClient, u64, u32, &mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.timer.begin();
         let lanes = self.lanes.len();
         let stripe_len = self.stripe_len;
@@ -148,7 +138,7 @@ impl StripePool {
             let offset = (seq * stripe_len) as u64;
             let lane = &mut self.lanes[seq % lanes];
             call(lane, offset, seq as u32, chunk)?;
-            telemetry::add_stripes_sent(1);
+            self.stripes_sent += 1;
         }
         self.timer.commit();
         Ok(())
@@ -169,6 +159,9 @@ mod tests {
     use super::*;
     use crate::transport::duplex_pair;
 
+    /// The stripe calls of these tests never fail, and so name no error type.
+    const OK: Result<(), std::convert::Infallible> = Ok(());
+
     fn pool(lanes: usize) -> StripePool {
         let clients = (0..lanes)
             .map(|_| {
@@ -184,7 +177,7 @@ mod tests {
     #[test]
     fn scatter_covers_every_byte_once() {
         let mut p = pool(4);
-        p.set_stripe_len(1000);
+        p.stripe_len = 1000;
         let data: Vec<u8> = (0..10_240u32).map(|i| (i % 251) as u8).collect();
         let mut seen = vec![false; data.len()];
         let mut seqs = Vec::new();
@@ -196,7 +189,7 @@ mod tests {
                 *s = true;
             }
             seqs.push(seq);
-            Ok(())
+            OK
         })
         .unwrap();
         assert!(seen.iter().all(|&s| s));
@@ -207,13 +200,13 @@ mod tests {
     #[test]
     fn gather_reassembles_by_offset() {
         let mut p = pool(3);
-        p.set_stripe_len(4096);
+        p.stripe_len = 4096;
         let src: Vec<u8> = (0..100_003u32).map(|i| (i % 241) as u8).collect();
         let mut out = vec![0u8; src.len()];
         p.gather(&mut out, |_lane, offset, _seq, chunk| {
             let off = offset as usize;
             chunk.copy_from_slice(&src[off..off + chunk.len()]);
-            Ok(())
+            OK
         })
         .unwrap();
         assert_eq!(out, src);
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn lanes_rotate_round_robin() {
         let mut p = pool(2);
-        p.set_stripe_len(8);
+        p.stripe_len = 8;
         let lane_ptrs: Vec<*const RpcClient> = p
             .lanes_mut()
             .iter()
@@ -233,7 +226,7 @@ mod tests {
         p.scatter(&data, |lane, _offset, _seq, chunk| {
             assert_eq!(chunk.len(), 8);
             visits.push(lane as *const RpcClient);
-            Ok(())
+            OK
         })
         .unwrap();
         let expect: Vec<*const RpcClient> = (0..8).map(|i| lane_ptrs[i % 2]).collect();
@@ -241,13 +234,13 @@ mod tests {
     }
 
     #[test]
-    fn stripes_counted_in_telemetry() {
-        let before = telemetry::wire_snapshot();
+    fn stripes_are_counted_by_the_pool_that_sent_them() {
         let mut p = pool(2);
-        p.set_stripe_len(16);
-        p.scatter(&[0u8; 64], |_l, _o, _s, _c| Ok(())).unwrap();
-        let delta = telemetry::wire_snapshot().since(&before);
-        assert!(delta.stripes_sent >= 4);
+        p.stripe_len = 16;
+        p.scatter(&[0u8; 64], |_l, _o, _s, _c| OK).unwrap();
+        p.gather(&mut [0u8; 40], |_l, _o, _s, _c| OK).unwrap();
+        assert_eq!(p.stripes_sent(), 4 + 3);
+        assert_eq!(pool(2).stripes_sent(), 0, "another pool saw none of it");
     }
 
     #[test]
@@ -256,12 +249,12 @@ mod tests {
         let mut calls = 0;
         p.scatter(&[], |_l, _o, _s, _c| {
             calls += 1;
-            Ok(())
+            OK
         })
         .unwrap();
         p.gather(&mut [], |_l, _o, _s, _c| {
             calls += 1;
-            Ok(())
+            OK
         })
         .unwrap();
         assert_eq!(calls, 0);

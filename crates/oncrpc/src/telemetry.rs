@@ -86,12 +86,6 @@ pub fn snapshot() -> CopySnapshot {
     }
 }
 
-/// Zero both counters (single-threaded bench setup only).
-pub fn reset() {
-    BYTES_MEMMOVED.store(0, Ordering::Relaxed);
-    BYTES_TRANSFERRED.store(0, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Reactor counters: how the completion-driven server core spent its calls.
 // Same relaxed-atomic convention as the copy counters above.
@@ -183,85 +177,6 @@ pub fn reactor_snapshot() -> ReactorSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Wire-efficiency counters: what the striping and sparse-encoding layers
-// actually put on (or kept off) the wire. Same relaxed-atomic convention.
-
-static WIRE_RAW_BYTES: AtomicU64 = AtomicU64::new(0);
-static WIRE_SENT_BYTES: AtomicU64 = AtomicU64::new(0);
-static STRIPES_SENT: AtomicU64 = AtomicU64::new(0);
-static SPARSE_PAGES_ELIDED: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` raw payload bytes entering a wire-efficiency codec decision
-/// (before sparse encoding / striping).
-#[inline]
-pub fn add_wire_raw(n: usize) {
-    WIRE_RAW_BYTES.fetch_add(n as u64, Ordering::Relaxed);
-}
-
-/// Record `n` payload bytes actually shipped after the codec decision.
-#[inline]
-pub fn add_wire_sent(n: usize) {
-    WIRE_SENT_BYTES.fetch_add(n as u64, Ordering::Relaxed);
-}
-
-/// Record `n` stripe calls issued by a stripe pool.
-#[inline]
-pub fn add_stripes_sent(n: u64) {
-    STRIPES_SENT.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Record `n` all-zero pages elided by the sparse encoder.
-#[inline]
-pub fn add_sparse_pages_elided(n: u64) {
-    SPARSE_PAGES_ELIDED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Point-in-time view of the wire-efficiency counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireSnapshot {
-    /// Payload bytes offered to the codec layer.
-    pub raw_bytes: u64,
-    /// Payload bytes shipped after sparse/striping decisions.
-    pub wire_bytes: u64,
-    /// Stripe calls issued across all stripe pools.
-    pub stripes_sent: u64,
-    /// All-zero pages the sparse encoder kept off the wire.
-    pub sparse_pages_elided: u64,
-}
-
-impl WireSnapshot {
-    /// Counter deltas since `earlier`.
-    pub fn since(&self, earlier: &WireSnapshot) -> WireSnapshot {
-        WireSnapshot {
-            raw_bytes: self.raw_bytes - earlier.raw_bytes,
-            wire_bytes: self.wire_bytes - earlier.wire_bytes,
-            stripes_sent: self.stripes_sent - earlier.stripes_sent,
-            sparse_pages_elided: self.sparse_pages_elided - earlier.sparse_pages_elided,
-        }
-    }
-
-    /// Raw bytes per wire byte — the sparse-codec figure of merit (>1 means
-    /// the codec kept bytes off the wire).
-    pub fn compression(&self) -> f64 {
-        if self.wire_bytes == 0 {
-            0.0
-        } else {
-            self.raw_bytes as f64 / self.wire_bytes as f64
-        }
-    }
-}
-
-/// Read the wire-efficiency counters.
-pub fn wire_snapshot() -> WireSnapshot {
-    WireSnapshot {
-        raw_bytes: WIRE_RAW_BYTES.load(Ordering::Relaxed),
-        wire_bytes: WIRE_SENT_BYTES.load(Ordering::Relaxed),
-        stripes_sent: STRIPES_SENT.load(Ordering::Relaxed),
-        sparse_pages_elided: SPARSE_PAGES_ELIDED.load(Ordering::Relaxed),
-    }
-}
-
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Allocation-counting wrapper around the system allocator.
@@ -319,21 +234,5 @@ mod tests {
     fn zero_transfer_ratio_is_zero() {
         let s = CopySnapshot::default();
         assert_eq!(s.copies_per_byte(), 0.0);
-    }
-
-    #[test]
-    fn wire_snapshot_deltas_and_compression() {
-        let before = wire_snapshot();
-        add_wire_raw(1000);
-        add_wire_sent(100);
-        add_stripes_sent(4);
-        add_sparse_pages_elided(9);
-        let delta = wire_snapshot().since(&before);
-        assert_eq!(delta.raw_bytes, 1000);
-        assert_eq!(delta.wire_bytes, 100);
-        assert_eq!(delta.stripes_sent, 4);
-        assert_eq!(delta.sparse_pages_elided, 9);
-        assert!((delta.compression() - 10.0).abs() < 1e-9);
-        assert_eq!(WireSnapshot::default().compression(), 0.0);
     }
 }

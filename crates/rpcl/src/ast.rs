@@ -127,6 +127,10 @@ pub struct ProcedureDef {
     /// without ever waiting, so a server may run it on its poll thread.
     /// Codegen emits an `is_inline` table.
     pub inline: bool,
+    /// Declared `admin` in the interface: an operator, checkpoint or
+    /// migration control call that admission control never sheds. Codegen
+    /// emits an `is_admin` table.
+    pub admin: bool,
 }
 
 /// A variable declaration: a type applied to a name with an optional

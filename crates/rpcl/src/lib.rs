@@ -30,10 +30,12 @@
 //! program PROG { version VERS { r PROC(s, int) = 1; } = 1; } = 0x20000099;
 //! ```
 //!
-//! plus three procedure attributes, written before the result type in any
-//! order: `idempotent`, `batchable` and `inline` (see [`ast::ProcedureDef`]).
+//! plus four procedure attributes, written before the result type in any
+//! order: `idempotent`, `batchable`, `inline` and `admin` (see
+//! [`ast::ProcedureDef`]).
 //! Each becomes an `is_*` table in the version's procedure-number module;
-//! `batchable` also yields the `*_record` stubs and `{Vers}BatchOp::decode`.
+//! `batchable` also yields the `*_record` stubs and `{Vers}BatchOp`, the op
+//! as a value: `decode` on the server, `record` / `send` on the client.
 
 pub mod ast;
 pub mod codegen;

@@ -319,8 +319,9 @@ impl Parser {
         // Optional leading qualifiers (RPCL extensions), in any order:
         // `idempotent` marks the procedure safe for automatic client-side
         // retry; `batchable` marks it recordable into a command batch;
-        // `inline` marks it answerable without waiting (server poll thread).
-        let (mut idempotent, mut batchable, mut inline) = (false, false, false);
+        // `inline` marks it answerable without waiting (server poll thread);
+        // `admin` marks it exempt from admission control.
+        let (mut idempotent, mut batchable, mut inline, mut admin) = (false, false, false, false);
         loop {
             if !idempotent && self.at_keyword("idempotent") {
                 idempotent = true;
@@ -328,6 +329,8 @@ impl Parser {
                 batchable = true;
             } else if !inline && self.at_keyword("inline") {
                 inline = true;
+            } else if !admin && self.at_keyword("admin") {
+                admin = true;
             } else {
                 break;
             }
@@ -373,6 +376,7 @@ impl Parser {
             idempotent,
             batchable,
             inline,
+            admin,
         })
     }
 

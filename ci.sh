@@ -5,6 +5,37 @@ set -eu
 
 export CARGO_NET_OFFLINE=true
 
+# The size figures CHANGES.md quotes, over the five core crates, counting
+# only lines before the first #[cfg(test)] of each source file: total lines,
+# `pub` items, and — failing the step — process-global mutable state. An
+# allocator is process-wide by construction, so `telemetry::ALLOCATIONS` is
+# the one `static` allowed; everything else the stack counts or remembers is
+# a field of the instance that does it. `./ci.sh size` runs this step alone
+# (the workflow does).
+size() {
+    echo "==> size: non-test lines, pub items, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
+    find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
+        -name '*.rs' | sort | xargs awk '
+            FNR == 1 { in_tests = 0 }
+            /#\[cfg\(test\)\]/ { in_tests = 1 }
+            in_tests { next }
+            { total++; if (FILENAME ~ /core\/src\/raw\.rs$/) raw++ }
+            /^[[:space:]]*\/\// { next }
+            /^[[:space:]]*pub (unsafe |const |async )*(fn|struct|enum|union|trait|type|const|static|mod|use) / { pubs++ }
+            /thread_local!/ || /^[[:space:]]*(pub(\([a-z]+\))? )?static (mut |.*(Atomic|Mutex|RwLock|Cell|Lock))/ {
+                if (FILENAME ~ /oncrpc\/src\/telemetry\.rs$/ && /^static ALLOCATIONS: AtomicU64/) next
+                printf "process-global state: %s:%d: %s\n", FILENAME, FNR, $0; globals++
+            }
+            END {
+                printf "five-crate non-test lines: %d (crates/core/src/raw.rs: %d), pub items: %d\n", total, raw, pubs
+                exit globals > 0
+            }'
+}
+if [ "${1:-}" = size ]; then
+    size
+    exit
+fi
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -14,15 +45,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps (warnings are errors: no dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# The size figure CHANGES.md quotes: lines before the first #[cfg(test)] of
-# each source file of the five core crates.
-echo "==> size: non-test lines of xdr + oncrpc + rpcl + cricket-server + core"
-find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
-    -name '*.rs' | sort | xargs awk '
-        FNR == 1 { in_tests = 0 }
-        /#\[cfg\(test\)\]/ { in_tests = 1 }
-        !in_tests { total++; if (FILENAME ~ /core\/src\/raw\.rs$/) raw++ }
-        END { printf "five-crate non-test lines: %d (crates/core/src/raw.rs: %d)\n", total, raw }'
+size
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -40,7 +63,9 @@ cargo test -q
 #                          connection_reset_mid_checkpoint converging to the fault-free bytes
 #   session_state          (cricket-server) checkpoint = Base blobs: every handle kind + device 1 survive,
 #                          restored state is owned and reclaimed, a restore colliding with a live block or handle leaves no trace
-#   reactor                byte-identical reply traces vs the serial reference, churn soak
+#   reactor                byte-identical reply traces vs the serial reference, churn soak (pool recycling
+#                          read from its own handle); two_stacks_in_one_process_count_only_their_own_traffic:
+#                          two SimSetups' copies and two reactors' calls, concurrently, exact per instance
 #   fleet                  portmap shard directory + registration lifecycle + seeded failover matrix
 #   migration              chaos matrix (byte-identical traces), crash-abort, 100-hop soak, concurrent load
 #   wire2                  striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly)
@@ -56,7 +81,12 @@ cargo test -q
 # cricket-rpcl codegen (sink-taking server arm; every attribute in any order, at most once),
 # cricket-server transport (records sharing a flush), cricket-vgpu (unbacked blocks, bounded launch memo),
 # cricket-server service (each batchable op alone = the same op as a one-op batch, statuses and memory;
-#                          a sparse sub-op with a lying header moves no counter),
+#                          a sparse sub-op with a lying header moves no counter;
+#                          a_blob_cannot_bind_a_default_stream_it_did_not_place: restore and mig_apply refuse, no trace;
+#                          resetting_stats_does_not_lift_the_session_watermark),
+# cricket-oncrpc server (busy_reply_is_never_stored_in_the_replay_cache: the shed hint is a return value —
+#                          two connections on one worker, one over quota) and reactor (stalls / writer_kills
+#                          asserted on the test's own handle),
 # cricket-client raw (D2H length check, memcpy_dtoh_into; the TransferPlan table at every boundary; every route
 #                          lands the same bytes and counts the same transfer; a failed copy moves no counter).
 echo "==> cargo test --workspace -q"

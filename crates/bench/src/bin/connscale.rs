@@ -66,7 +66,6 @@ fn measure(
         .serve()
         .expect("serve");
     let addr = handle.addr();
-    let t0 = oncrpc::telemetry::reactor_snapshot();
 
     // All connections are opened (and stay open) before measurement: the
     // baseline gets exactly as many sessions as it has serving slots, so
@@ -110,8 +109,10 @@ fn measure(
         .min()
         .unwrap_or(0);
     let elapsed = started.elapsed();
+    // Every op was a completed round trip, and the reactor counts a call
+    // before its reply can leave: the run's own handle has them all.
+    let t1 = handle.reactor_stats();
     handle.shutdown();
-    let t1 = oncrpc::telemetry::reactor_snapshot().since(&t0);
     RunResult {
         sessions,
         server_threads,

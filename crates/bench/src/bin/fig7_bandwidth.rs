@@ -49,7 +49,7 @@ fn main() {
         h2d.get("Linux VM (no offloads)").unwrap()
     );
 
-    // Copy telemetry: measured on a fresh single transfer, small enough to
+    // Copy accounting: measured on a fresh single transfer, small enough to
     // keep the run cheap but large enough to amortize header bytes.
     let copies = fig7_copies_per_byte(bytes.min(32 << 20));
     println!(

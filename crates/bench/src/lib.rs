@@ -260,27 +260,34 @@ pub struct CopyReport {
 /// transfer in each direction (native Rust environment — the copy count is
 /// a property of the RPC stack, not of the modeled guest).
 ///
-/// Reads the process-global copy counters, so run this single-threaded
-/// with no concurrent RPC traffic.
+/// Both numbers are the copying client's own: what its RPC client and its
+/// transport staged, over what its `ApiStats` says it transferred.
 pub fn fig7_copies_per_byte(bytes: usize) -> CopyReport {
-    use oncrpc::telemetry::snapshot;
     let setup = SimSetup::new();
     let ctx = setup.context(EnvConfig::RustNative);
     let data = vec![0xabu8; bytes];
     let buf = ctx.alloc::<u8>(bytes).expect("alloc");
 
-    let before = snapshot();
+    // (bytes staged inside the stack, payload bytes transferred) so far.
+    let totals = || {
+        ctx.with_raw(|c| {
+            let transferred = c.stats.bytes_total();
+            let rpc = c.rpc();
+            let copied = rpc.stats().bytes_copied + rpc.transport().bytes_copied();
+            (copied as f64, transferred as f64)
+        })
+    };
+    let start = totals();
     buf.copy_from_slice(&data).expect("h2d");
-    let h2d = snapshot().since(&before);
-
-    let before = snapshot();
+    let after_h2d = totals();
     let back = buf.copy_to_vec().expect("d2h");
-    let d2h = snapshot().since(&before);
+    let after_d2h = totals();
     debug_assert_eq!(back.len(), bytes);
 
+    let per_byte = |(c0, t0): (f64, f64), (c1, t1): (f64, f64)| (c1 - c0) / (t1 - t0);
     CopyReport {
-        h2d_copies_per_byte: h2d.copies_per_byte(),
-        d2h_copies_per_byte: d2h.copies_per_byte(),
+        h2d_copies_per_byte: per_byte(start, after_h2d),
+        d2h_copies_per_byte: per_byte(after_h2d, after_d2h),
     }
 }
 

@@ -1,11 +1,9 @@
 //! Regression: the zero-copy RPC data path performs exactly two
 //! payload-sized stack-internal copies per transferred HtoD byte (transport
 //! send buffering + record reassembly) and one per DtoH byte (the client's
-//! record reassembly), plus O(100) header bytes per call.
-//!
-//! This is the only test in this binary: the copy counters are
-//! process-global, so concurrent RPC traffic from sibling tests would
-//! pollute the deltas.
+//! record reassembly), plus O(100) header bytes per call. The counts are
+//! the measuring client's and its transport's own, so other traffic in the
+//! process cannot move them.
 
 #[test]
 fn h2d_copies_per_byte_is_at_most_two() {

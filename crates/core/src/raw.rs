@@ -288,7 +288,6 @@ impl CricketClient {
             }
             Copied::ToHost => self.stats.bytes_d2h += raw as u64,
         }
-        oncrpc::telemetry::add_transferred(raw);
     }
 
     // ---- wire efficiency: striping and sparse encoding ----------------

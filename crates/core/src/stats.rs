@@ -7,8 +7,10 @@
 //! `table_calls` harness prints the reproduction of that table. The
 //! transfer counters have one writer, `CricketClient::account`, and one
 //! rule: a copy counts when its call returns `Ok`. They are facts only this
-//! client produces, so they live on the instance; what the RPC stack below
-//! does to a payload (memmoves) is `oncrpc::telemetry`'s, process-wide.
+//! client produces, so they live on the instance — as does what the RPC
+//! stack below does to a payload: the client's own staging is
+//! `rpc().stats().bytes_copied`, its transport's
+//! `rpc().transport().bytes_copied()`.
 
 use std::collections::BTreeMap;
 

@@ -277,6 +277,12 @@ impl ServeHandle {
         &self.replay
     }
 
+    /// What the serving reactor has counted since [`ServerBuilder::serve`]
+    /// (all zero in [`ServeMode::Serial`]).
+    pub fn reactor_stats(&self) -> oncrpc::ReactorSnapshot {
+        self.inner.reactor_stats()
+    }
+
     /// Graceful stop: deregister from the directory (if registered), stop
     /// the heartbeat, close the listener.
     pub fn shutdown(self) {

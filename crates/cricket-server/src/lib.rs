@@ -35,46 +35,17 @@ pub use transport::SimTransport;
 
 use std::sync::Arc;
 
-/// QoS admission gate in front of the generated dispatch: every call for
-/// one session passes [`CricketServer::qos_admit`] before its procedure
-/// body runs. A shed call returns [`oncrpc::AcceptStat::Busy`] with a
-/// retry-after hint and is never executed (and never replay-cached).
-struct QosGate {
-    inner: cricket_proto::CricketV1Dispatch<service::Sessioned>,
-    server: Arc<CricketServer>,
-    session: SessionId,
-}
-
-impl oncrpc::server::Dispatch for QosGate {
-    fn dispatch(
-        &self,
-        proc: u32,
-        args: &mut xdr::XdrDecoder<'_>,
-        reply: &mut xdr::XdrEncoder,
-    ) -> oncrpc::server::DispatchResult {
-        // Peek the CUDA_MALLOC size (without consuming the argument stream)
-        // so the resident-bytes quota can refuse before allocating.
-        let malloc_size = if proc == cricket_proto::cricket_v1::CUDA_MALLOC {
-            args.clone().get_u64().ok()
-        } else {
-            None
-        };
-        if let Err(hint) = self.server.qos_admit(self.session, proc, malloc_size) {
-            oncrpc::server::set_busy_retry_after_ns(hint);
-            return Err(oncrpc::AcceptStat::Busy);
-        }
-        self.inner.dispatch(proc, args, reply)
-    }
-}
-
 /// Register a [`CricketServer`] on an [`oncrpc::RpcServer`] as session 0
 /// (the in-process simulated environments, which have no connections).
 pub fn make_rpc_server(server: Arc<CricketServer>) -> Arc<oncrpc::RpcServer> {
     Arc::new(make_session_rpc(server, 0))
 }
 
-/// Build an `RpcServer` bound to one session of `server`, with the QoS
-/// admission gate installed. Public so in-process harnesses (benches,
+/// Build an `RpcServer` bound to one session of `server`, with QoS
+/// admission installed: every call passes [`CricketServer::qos_admit`]
+/// before its procedure body runs, and a shed call is answered
+/// `CRICKET_BUSY` with the retry-after hint `qos_admit` returned — never
+/// executed, never replay-cached. Public so in-process harnesses (benches,
 /// examples) serve per-session views through the same admission path as
 /// real connections.
 pub fn make_session_rpc(server: Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
@@ -82,15 +53,21 @@ pub fn make_session_rpc(server: Arc<CricketServer>, session: SessionId) -> oncrp
     rpc.register(
         cricket_proto::CRICKET_CUDA,
         cricket_proto::CRICKET_V1,
-        Arc::new(QosGate {
-            inner: cricket_proto::CricketV1Dispatch(service::Sessioned::new(
-                Arc::clone(&server),
-                session,
-            )),
-            server,
+        Arc::new(cricket_proto::CricketV1Dispatch(service::Sessioned::new(
+            Arc::clone(&server),
             session,
-        }),
+        ))),
     );
+    rpc.set_admission(move |proc, args| {
+        // Peek the CUDA_MALLOC size (without consuming the argument stream)
+        // so the resident-bytes quota can refuse before allocating.
+        let malloc_size = if proc == cricket_proto::cricket_v1::CUDA_MALLOC {
+            args.clone().get_u64().ok()
+        } else {
+            None
+        };
+        server.qos_admit(session, proc, malloc_size)
+    });
     rpc
 }
 

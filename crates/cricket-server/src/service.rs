@@ -375,10 +375,10 @@ impl CricketServer {
         }
     }
 
-    /// Admission control, consulted by the QoS gate in front of dispatch
-    /// before any procedure body runs. `Err(retry_after_ns)` sheds the call
-    /// with `CRICKET_BUSY` — never executed, never replay-cached, safe to
-    /// retry after the hint.
+    /// Admission control, consulted by the hook [`crate::make_session_rpc`]
+    /// installs before any procedure body runs. `Err(retry_after_ns)` sheds
+    /// the call with `CRICKET_BUSY` — never executed, never replay-cached,
+    /// safe to retry after the hint.
     ///
     /// `malloc_size` is the peeked `CUDA_MALLOC` argument, used to enforce
     /// the resident-bytes quota before the allocation happens.
@@ -1716,8 +1716,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn srv_reset_stats(&self) -> Reply<i32> {
+        // Statistics only: the live-session set is admission state
+        // (`qos_admit`, `load_report`), and `release_session` empties it.
         *self.srv.stats.lock() = StatsInner::default();
-        self.srv.sessions_seen.lock().clear();
         Ok(0)
     }
 
@@ -2181,6 +2182,17 @@ impl CricketServer {
             .chain(mem.dirty.iter().map(|(b, ..)| b));
         for &b in bases {
             self.device_for(b)?;
+        }
+        // A default-stream binding becomes the adopting session's stream 0:
+        // it may name only a stream this very blob places, on the device
+        // that stream lives on.
+        for &(dev, h) in &meta.default_streams {
+            let placed = meta.streams.iter().any(|&(s, _)| s == h);
+            if !placed || self.device_of_token(h) != Some(dev as usize) {
+                return Err(VgpuError::InvalidValue(format!(
+                    "default stream {h:#x} of device {dev} is not a stream of this blob there"
+                )));
+            }
         }
         for (idx, dev) in self.devices.iter().enumerate() {
             let here = |b| self.device_of_token(b) == Some(idx);
@@ -2929,6 +2941,101 @@ mod tests {
             let back = read(&victim, p, 256);
             assert_eq!(back.into_result().unwrap(), vec![5; 256]);
         }
+    }
+
+    /// The reproducer: a blob whose `default_streams` binds wire handle 0
+    /// to a stream the blob never placed — a resident session's — or to a
+    /// device this server does not have, or to the wrong device. Adopted,
+    /// the thief's default-stream work would have run on (and fenced) the
+    /// victim's stream. Refused before anything is placed, by restore and
+    /// by the migration applier alike.
+    #[test]
+    fn a_blob_cannot_bind_a_default_stream_it_did_not_place() {
+        let (srv, victim) = server();
+        let theirs = victim.cuda_stream_create().unwrap().into_result().unwrap();
+        let thief = Sessioned::new(Arc::clone(&srv), 2);
+        let hostile = |streams: Vec<(u64, u64)>, default_streams: Vec<(u32, u64)>| {
+            let mut blob = MigBlob::default();
+            blob.meta.token = 0x71EF;
+            blob.meta.streams = streams;
+            blob.meta.default_streams = default_streams;
+            blob.meta.events = vec![(0x20, None)];
+            blob.mem.new_blocks = vec![(HEAP_STRIDE + (1 << 20), vec![7; 256])];
+            blob
+        };
+        let own = 0x30; // device 0, placed by the blob itself
+        let free_before = srv.devices[0].lock().mem_info().0;
+        for blob in [
+            hostile(vec![], vec![(0, theirs)]),
+            hostile(vec![(own, 0)], vec![(0, own), (0, theirs)]),
+            hostile(vec![(own, 0)], vec![(srv.devices.len() as u32, own)]),
+            hostile(vec![(own, 0)], vec![(1, own)]),
+        ] {
+            let ckpt = migrate::encode_checkpoint(std::slice::from_ref(&blob));
+            assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
+            let err = srv.mig_apply(&blob.encode(), &[MigKind::Base]).unwrap_err();
+            assert!(matches!(err, VgpuError::InvalidValue(_)), "{err}");
+
+            assert_eq!(srv.devices[0].lock().mem_info().0, free_before, "block");
+            assert!(!srv.devices[0].lock().holds(own), "stream handle");
+            assert!(!srv.devices[0].lock().holds(0x20), "event handle");
+            assert!(srv.adoptions.lock().is_empty(), "staged adoption");
+            assert!(srv.session_streams.lock().keys().all(|&(s, _)| s != 2));
+            assert_eq!(srv.release_session(2).total(), 0);
+        }
+        // The well-formed binding of the same shape is accepted.
+        let good = hostile(vec![(own, 0)], vec![(0, own)]);
+        let ckpt = migrate::encode_checkpoint(&[good]);
+        assert_eq!(thief.ckpt_restore(&ckpt).unwrap(), 0);
+        assert_eq!(srv.session_streams.lock().get(&(2, 0)), Some(&own));
+        assert_eq!(victim.cuda_stream_synchronize(theirs).unwrap(), 0);
+    }
+
+    /// `SRV_RESET_STATS` is `admin` (always admitted) and open to any
+    /// tenant; it used to clear the live-session set along with the
+    /// counters, which let new sessions past `max_sessions` and made the
+    /// shard report itself empty to the fleet directory.
+    #[test]
+    fn resetting_stats_does_not_lift_the_session_watermark() {
+        use cricket_proto::cricket_v1 as p;
+        let qos = QosServerConfig {
+            max_sessions: 2,
+            ..QosServerConfig::default()
+        };
+        let cfg = ServerConfig {
+            qos,
+            ..ServerConfig::default()
+        };
+        let srv = CricketServer::new(cfg, SimClock::new());
+        // One call of `proc` by `session` through the RPC layer: was it shed?
+        let shed = |session: SessionId, proc: u32| {
+            let rpc = crate::make_session_rpc(Arc::clone(&srv), session);
+            let mut enc = xdr::XdrEncoder::new();
+            let call =
+                oncrpc::CallBody::new(cricket_proto::CRICKET_CUDA, cricket_proto::CRICKET_V1, proc);
+            enc.put(&oncrpc::RpcMessage::call(1, call));
+            let reply = rpc.handle_record(enc.as_slice()).unwrap();
+            let busy = oncrpc::ReplyBody::busy(qos.admission_retry_ns);
+            let mut want = xdr::XdrEncoder::new();
+            want.put(&oncrpc::RpcMessage::reply(1, busy));
+            reply == want.as_slice()
+        };
+        assert!(!shed(1, p::CUDA_GET_DEVICE_COUNT));
+        assert!(!shed(2, p::CUDA_GET_DEVICE_COUNT));
+        assert!(shed(3, p::CUDA_GET_DEVICE_COUNT), "third session: over");
+
+        assert!(!shed(3, p::SRV_RESET_STATS), "admin: always admitted");
+        assert_eq!(srv.stats.lock().total_calls, 0, "the statistics did reset");
+        assert!(
+            shed(3, p::CUDA_GET_DEVICE_COUNT),
+            "still over the watermark"
+        );
+        let load = srv.load_report();
+        assert_eq!((load.sessions, load.qos_pressure), (2, 1000));
+
+        // Releasing a session is what makes room.
+        srv.release_session(1);
+        assert!(!shed(3, p::CUDA_GET_DEVICE_COUNT));
     }
 
     #[test]

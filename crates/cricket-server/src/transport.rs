@@ -54,6 +54,9 @@ pub struct SimTransport {
     reply_enc: xdr::XdrEncoder,
     /// Pooled record-marked reply bytes.
     reply_wire: Vec<u8>,
+    /// Payload bytes staged into `pending_out` and `record_buf`
+    /// ([`Transport::bytes_copied`]).
+    copied: u64,
     /// Telemetry.
     pub stats: TransportStats,
 }
@@ -92,6 +95,7 @@ impl SimTransport {
             record_buf: Vec::with_capacity(4096),
             reply_enc: xdr::XdrEncoder::with_capacity(4096),
             reply_wire: Vec::with_capacity(4096),
+            copied: 0,
             stats: TransportStats::default(),
         }
     }
@@ -193,9 +197,10 @@ impl SimTransport {
             oncrpc::record::MAX_RECORD,
         );
         self.server_ep.consume(record_len);
-        record
+        let reassembled = record
             .map_err(rpc_to_io)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty record"))?;
+        self.copied += reassembled as u64;
         self.server
             .handle_record_into(&self.record_buf, &mut self.reply_enc)
             .map_err(rpc_to_io)?;
@@ -242,8 +247,8 @@ fn rpc_to_io(e: RpcError) -> io::Error {
 impl Write for SimTransport {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         // Buffering copy into the transport's send buffer — the analogue of
-        // a real socket's copy into the kernel; charged to copy telemetry.
-        oncrpc::telemetry::add_memmoved(buf.len());
+        // a real socket's copy into the kernel.
+        self.copied += buf.len() as u64;
         self.pending_out.extend_from_slice(buf);
         Ok(buf.len())
     }
@@ -283,6 +288,10 @@ impl Read for SimTransport {
 impl Transport for SimTransport {
     fn describe(&self) -> String {
         format!("sim:{}", self.guest.costs.name)
+    }
+
+    fn bytes_copied(&self) -> u64 {
+        self.copied
     }
 }
 

@@ -600,6 +600,10 @@ impl Transport for FaultyTransport {
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> RpcResult<()> {
         self.inner.set_read_timeout(dur)
     }
+
+    fn bytes_copied(&self) -> u64 {
+        self.inner.bytes_copied()
+    }
 }
 
 impl fmt::Debug for FaultyTransport {

@@ -30,7 +30,7 @@ use crate::record::{
     read_record_into, write_record_sg, RecordBuf, DEFAULT_MAX_FRAGMENT, MAX_RECORD,
 };
 use crate::transport::Transport;
-use crate::{telemetry, RPC_VERSION};
+use crate::RPC_VERSION;
 use std::time::Duration;
 use xdr::{FixedBuf, Xdr, XdrDecoder, XdrEncoder, XdrError, XdrSgEncoder};
 
@@ -55,6 +55,12 @@ pub struct ClientStats {
     /// Reply records discarded because their xid belonged to an abandoned
     /// earlier call (late replies after a timed-out attempt).
     pub stale_replies: u64,
+    /// Bytes memcpy'd into this client's own buffers: the owned argument
+    /// stream encoded into scratch (deferred scatter-gather slices are
+    /// borrowed, not copied) and every reply record reassembled into the
+    /// reply buffer. The transport's staging is
+    /// [`Transport::bytes_copied`]'s.
+    pub bytes_copied: u64,
 }
 
 /// Retry behavior for [`RpcClient::call_raw_sg_tagged`].
@@ -355,7 +361,7 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         let total = sg.total_len();
         // Only the owned stream was memcpy'd into scratch; deferred slices
         // travel as borrowed iovec entries.
-        telemetry::add_memmoved(sg.len());
+        self.stats.bytes_copied += sg.len() as u64;
 
         let may_retry = idempotent || self.policy.retry_non_idempotent;
         let mut attempt = 0u32;
@@ -433,6 +439,7 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
             let received = read_record_into(transport, reply_buf, MAX_RECORD)?
                 .ok_or(RpcError::ConnectionClosed)?;
             stats.bytes_received += received as u64;
+            stats.bytes_copied += received as u64;
 
             let mut dec = XdrDecoder::new(reply_buf.as_slice());
             last_got = dec.get_u32()?;
@@ -471,9 +478,9 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         self.call::<(), ()>(0, &())
     }
 
-    /// Describe the underlying transport.
-    pub fn describe(&self) -> String {
-        self.transport.describe()
+    /// The underlying transport (its description, its copy counter).
+    pub fn transport(&self) -> &T {
+        &self.transport
     }
 }
 

@@ -55,7 +55,9 @@ pub use error::{RpcError, RpcResult};
 pub use msg::{AcceptStat, CallBody, MsgType, RejectStat, ReplyBody, RpcMessage};
 
 pub use portmap::{client::PortmapClient, LoadReport, Mapping, Portmap, ShardEntry};
-pub use reactor::{serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig};
+pub use reactor::{
+    serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig, ReactorSnapshot,
+};
 pub use record::{RecordAssembler, RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
 pub use server::{Dispatch, RpcServer, ServerHandle};

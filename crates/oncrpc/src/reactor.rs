@@ -57,13 +57,12 @@
 use crate::error::{RpcError, RpcResult};
 use crate::record::{write_record_sg, RecordAssembler, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::server::{RpcServer, ServerHandle};
-use crate::telemetry;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdr::XdrEncoder;
@@ -129,6 +128,51 @@ pub struct ConnHandler {
     pub on_close: Option<Box<dyn FnOnce() + Send>>,
 }
 
+/// How one reactor has spent its calls and buffers since it started
+/// serving, read through [`ServerHandle::reactor_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReactorSnapshot {
+    /// Calls classified `Done` and answered from the reactor thread.
+    pub inline_replies: u64,
+    /// Calls classified `Parked` and executed on a worker shard.
+    pub parked_calls: u64,
+    /// Backpressure stalls (bounded per-session queue filled).
+    pub stalls: u64,
+    /// Pooled buffers recycled.
+    pub bufs_reused: u64,
+    /// Buffers allocated because no pooled one was free.
+    pub bufs_allocated: u64,
+    /// Connections the completion writer killed for not reading replies.
+    pub writer_kills: u64,
+}
+
+/// The live counters behind [`ReactorSnapshot`]: one block per
+/// [`serve_tcp_reactor`], shared by its reactor thread, workers, writer and
+/// buffer pools. Relaxed atomics — cheap enough to stay on in release.
+#[derive(Default)]
+pub(crate) struct ReactorStats {
+    inline_replies: AtomicU64,
+    parked_calls: AtomicU64,
+    stalls: AtomicU64,
+    bufs_reused: AtomicU64,
+    bufs_allocated: AtomicU64,
+    writer_kills: AtomicU64,
+}
+
+impl ReactorStats {
+    pub(crate) fn snapshot(&self) -> ReactorSnapshot {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ReactorSnapshot {
+            inline_replies: get(&self.inline_replies),
+            parked_calls: get(&self.parked_calls),
+            stalls: get(&self.stalls),
+            bufs_reused: get(&self.bufs_reused),
+            bufs_allocated: get(&self.bufs_allocated),
+            writer_kills: get(&self.writer_kills),
+        }
+    }
+}
+
 /// State shared between the reactor thread and the worker executing this
 /// connection's parked calls.
 struct ConnShared {
@@ -155,6 +199,29 @@ struct Conn {
     stalled: bool,
     /// EOF / error seen; finalize when `pending` hits zero.
     closing: bool,
+}
+
+impl Conn {
+    /// Stop reading this connection for good: finalized by the sweep once
+    /// `pending` drains, which a worker's `notify` drives — not a hot
+    /// readiness loop over a socket nobody reads.
+    fn close(&mut self, key: usize, poller: &Poller) {
+        self.closing = true;
+        self.shared.attention.store(true, Ordering::Release);
+        poller.suspend(key);
+    }
+}
+
+/// What [`drain_conn`] needs of the reactor besides the connection: fixed
+/// for the life of the event loop.
+struct Rings<'a> {
+    cfg: &'a ReactorConfig,
+    poller: &'a Poller,
+    worker_txs: &'a [crossbeam_channel::Sender<Job>],
+    writer_tx: &'a crossbeam_channel::Sender<WriterMsg>,
+    record_pool: &'a BufPool,
+    reply_pool: &'a BufPool,
+    stats: &'a ReactorStats,
 }
 
 /// One decoded call on the submission ring.
@@ -188,22 +255,24 @@ const MAX_POOLED_BUF_BYTES: usize = 64 * 1024;
 struct BufPool {
     free: Arc<Mutex<Vec<Vec<u8>>>>,
     max_pooled: usize,
+    stats: Arc<ReactorStats>,
 }
 
 impl BufPool {
-    fn new(max_pooled: usize) -> Self {
+    fn new(max_pooled: usize, stats: &Arc<ReactorStats>) -> Self {
         Self {
             free: Arc::new(Mutex::new(Vec::new())),
             max_pooled,
+            stats: Arc::clone(stats),
         }
     }
 
     fn get(&self) -> Vec<u8> {
         if let Some(buf) = self.free.lock().pop() {
-            telemetry::add_reactor_buf_reused(1);
+            self.stats.bufs_reused.fetch_add(1, Ordering::Relaxed);
             buf
         } else {
-            telemetry::add_reactor_buf_allocated(1);
+            self.stats.bufs_allocated.fetch_add(1, Ordering::Relaxed);
             Vec::with_capacity(1024)
         }
     }
@@ -324,6 +393,7 @@ where
     let stop_accept = Arc::clone(&stop);
     let poller = Arc::new(Poller::new());
     let poller_accept = Arc::clone(&poller);
+    let stats = Arc::new(ReactorStats::default());
     let (newconn_tx, newconn_rx) =
         crossbeam_channel::unbounded::<(usize, TcpStream, ConnHandler)>();
 
@@ -332,7 +402,8 @@ where
         .spawn({
             let stop = Arc::clone(&stop);
             let poller = Arc::clone(&poller);
-            move || reactor_main(cfg, stop, poller, newconn_rx)
+            let stats = Arc::clone(&stats);
+            move || reactor_main(cfg, stop, poller, newconn_rx, stats)
         })?;
 
     let accept_join = std::thread::Builder::new()
@@ -367,7 +438,7 @@ where
             poller.notify();
         })?;
 
-    Ok(ServerHandle::from_parts(local, stop, accept_join))
+    Ok(ServerHandle::from_parts(local, stop, accept_join, stats))
 }
 
 /// The reactor event loop. Owns every connection's read half, the worker
@@ -377,9 +448,10 @@ fn reactor_main(
     stop: Arc<AtomicBool>,
     poller: Arc<Poller>,
     newconn_rx: crossbeam_channel::Receiver<(usize, TcpStream, ConnHandler)>,
+    stats: Arc<ReactorStats>,
 ) {
-    let record_pool = BufPool::new(cfg.workers * cfg.max_session_queue);
-    let reply_pool = BufPool::new(cfg.workers * cfg.max_session_queue);
+    let record_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
+    let reply_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
 
     let (writer_tx, writer_rx) = crossbeam_channel::unbounded::<WriterMsg>();
     let writer_join = std::thread::Builder::new()
@@ -388,7 +460,8 @@ fn reactor_main(
             let reply_pool = reply_pool.clone();
             let stall_deadline = cfg.write_stall_deadline;
             let max_backlog = cfg.max_write_backlog;
-            move || writer_main(writer_rx, reply_pool, stall_deadline, max_backlog)
+            let stats = Arc::clone(&stats);
+            move || writer_main(writer_rx, reply_pool, stall_deadline, max_backlog, &stats)
         })
         // This is the reactor thread: no caller is left to take an error, and
         // there is no serving without a writer (or, below, without workers).
@@ -413,6 +486,15 @@ fn reactor_main(
         );
     }
 
+    let rings = Rings {
+        cfg: &cfg,
+        poller: &poller,
+        worker_txs: &worker_txs,
+        writer_tx: &writer_tx,
+        record_pool: &record_pool,
+        reply_pool: &reply_pool,
+        stats: &stats,
+    };
     let low_watermark = (cfg.max_session_queue / 2).max(1);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
@@ -470,19 +552,7 @@ fn reactor_main(
                 if conn.stalled || conn.closing {
                     continue;
                 }
-                drain_conn(
-                    conn,
-                    ev.key,
-                    &cfg,
-                    &poller,
-                    &worker_txs,
-                    &writer_tx,
-                    &record_pool,
-                    &reply_pool,
-                    &mut scratch,
-                    &mut inline_enc,
-                    low_watermark,
-                );
+                drain_conn(conn, ev.key, &rings, &mut scratch, &mut inline_enc);
             }
         }
 
@@ -491,12 +561,7 @@ fn reactor_main(
         let mut to_finalize: Vec<usize> = Vec::new();
         for (&key, conn) in conns.iter_mut() {
             if conn.shared.dead.load(Ordering::Acquire) && !conn.closing {
-                conn.closing = true;
-                conn.shared.attention.store(true, Ordering::Release);
-                // Stop reporting readiness for a connection we will never
-                // read again; the drained-pending finalize is driven by
-                // worker notify(), not a hot readiness loop.
-                poller.suspend(key);
+                conn.close(key, &poller);
             }
             if conn.closing {
                 if conn.shared.pending.load(Ordering::Acquire) == 0 {
@@ -508,19 +573,7 @@ fn reactor_main(
                 conn.stalled = false;
                 conn.shared.attention.store(false, Ordering::Release);
                 poller.resume(key);
-                drain_conn(
-                    conn,
-                    key,
-                    &cfg,
-                    &poller,
-                    &worker_txs,
-                    &writer_tx,
-                    &record_pool,
-                    &reply_pool,
-                    &mut scratch,
-                    &mut inline_enc,
-                    low_watermark,
-                );
+                drain_conn(conn, key, &rings, &mut scratch, &mut inline_enc);
                 if conn.closing && conn.shared.pending.load(Ordering::Acquire) == 0 {
                     to_finalize.push(key);
                 }
@@ -546,34 +599,22 @@ fn reactor_main(
 }
 
 /// Read and dispatch everything currently available on one connection.
-#[allow(clippy::too_many_arguments)]
 fn drain_conn(
     conn: &mut Conn,
     key: usize,
-    cfg: &ReactorConfig,
-    poller: &Poller,
-    worker_txs: &[crossbeam_channel::Sender<Job>],
-    writer_tx: &crossbeam_channel::Sender<WriterMsg>,
-    record_pool: &BufPool,
-    reply_pool: &BufPool,
+    rings: &Rings<'_>,
     scratch: &mut [u8],
     inline_enc: &mut XdrEncoder,
-    _low_watermark: usize,
 ) {
     loop {
         // Dispatch complete records until the in-flight budget is spent.
-        while conn.shared.pending.load(Ordering::Acquire) < cfg.max_session_queue {
+        while conn.shared.pending.load(Ordering::Acquire) < rings.cfg.max_session_queue {
             let rec = match conn.asm.next_record() {
                 Ok(Some(rec)) => rec,
                 Ok(None) => break,
-                Err(_) => {
-                    conn.closing = true;
-                    conn.shared.attention.store(true, Ordering::Release);
-                    poller.suspend(key);
-                    return;
-                }
+                Err(_) => return conn.close(key, rings.poller),
             };
-            let class = match (&cfg.classify, peek_call(rec)) {
+            let class = match (&rings.cfg.classify, peek_call(rec)) {
                 (Some(f), Some((prog, vers, proc))) => f(prog, vers, proc),
                 _ => ProcClass::Parked,
             };
@@ -581,17 +622,16 @@ fn drain_conn(
                 // Inline fast path: nothing in flight for this connection,
                 // so replying from the reactor thread preserves order.
                 if conn.rpc.handle_record_into(rec, inline_enc).is_err() {
-                    conn.closing = true;
-                    conn.shared.attention.store(true, Ordering::Release);
-                    poller.suspend(key);
-                    return;
+                    return conn.close(key, rings.poller);
                 }
-                let mut out = reply_pool.get();
+                let mut out = rings.reply_pool.get();
                 out.extend_from_slice(inline_enc.as_slice());
-                let _ = writer_tx.send(WriterMsg::Reply(key, out));
-                telemetry::add_reactor_inline(1);
+                // Counted before the reply can reach the peer: a client that
+                // has its answer finds the call in the stats.
+                rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
+                let _ = rings.writer_tx.send(WriterMsg::Reply(key, out));
             } else {
-                let mut buf = record_pool.get();
+                let mut buf = rings.record_pool.get();
                 buf.extend_from_slice(rec);
                 conn.shared.pending.fetch_add(1, Ordering::AcqRel);
                 let job = Job {
@@ -600,35 +640,25 @@ fn drain_conn(
                     record: buf,
                     shared: Arc::clone(&conn.shared),
                 };
-                let _ = worker_txs[key % worker_txs.len()].send(job);
-                telemetry::add_reactor_parked(1);
+                rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
+                let _ = rings.worker_txs[key % rings.worker_txs.len()].send(job);
             }
         }
-        if conn.shared.pending.load(Ordering::Acquire) >= cfg.max_session_queue {
+        if conn.shared.pending.load(Ordering::Acquire) >= rings.cfg.max_session_queue {
             // Budget spent: stop reading this socket; the kernel buffer
             // fills and TCP flow control stalls the client.
             conn.stalled = true;
             conn.shared.attention.store(true, Ordering::Release);
-            poller.suspend(key);
-            telemetry::add_reactor_stall(1);
+            rings.poller.suspend(key);
+            rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
             return;
         }
         match conn.stream.read(scratch) {
-            Ok(0) => {
-                conn.closing = true;
-                conn.shared.attention.store(true, Ordering::Release);
-                poller.suspend(key);
-                return;
-            }
+            Ok(0) => return conn.close(key, rings.poller),
             Ok(n) => conn.asm.extend(&scratch[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.closing = true;
-                conn.shared.attention.store(true, Ordering::Release);
-                poller.suspend(key);
-                return;
-            }
+            Err(_) => return conn.close(key, rings.poller),
         }
     }
 }
@@ -743,6 +773,7 @@ fn writer_main(
     reply_pool: BufPool,
     stall_deadline: Duration,
     max_backlog: usize,
+    stats: &ReactorStats,
 ) {
     let mut conns: HashMap<usize, Outbound> = HashMap::new();
     let mut open = true;
@@ -799,7 +830,7 @@ fn writer_main(
                 // reactor's read half sees EOF/reset and finalizes the
                 // connection through the normal closing path.
                 let _ = ob.stream.shutdown(Shutdown::Both);
-                telemetry::add_reactor_writer_kill(1);
+                stats.writer_kills.fetch_add(1, Ordering::Relaxed);
                 done.push(key);
             } else if ob.queue.is_empty() && ob.closing {
                 done.push(key);
@@ -924,7 +955,6 @@ mod tests {
             ..ReactorConfig::default()
         };
         let (handle, _closes) = start(cfg);
-        let stalls_before = telemetry::reactor_snapshot().stalls;
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         // Fire a burst mixing Done (2) and Parked (3) calls without reading
         // replies; with max_session_queue=4 this forces backpressure.
@@ -945,11 +975,12 @@ mod tests {
             let sum = dec.get_u32().unwrap();
             assert_eq!(sum, i + 1);
         }
-        let stalls_after = telemetry::reactor_snapshot().stalls;
+        let stats = handle.reactor_stats();
         assert!(
-            stalls_after > stalls_before,
+            stats.stalls >= 1,
             "a 64-deep burst against a 4-deep budget must stall at least once"
         );
+        assert_eq!(stats.inline_replies + stats.parked_calls, u64::from(N));
         drop(stream);
         handle.shutdown();
     }
@@ -965,7 +996,6 @@ mod tests {
         };
         let (handle, closes) = start(cfg);
         let addr = handle.addr();
-        let kills_before = telemetry::reactor_snapshot().writer_kills;
 
         // A tenant that floods large echo calls and never reads one reply:
         // kernel buffers fill, the writer's backlog cap (or stall deadline)
@@ -995,13 +1025,14 @@ mod tests {
         }
 
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while telemetry::reactor_snapshot().writer_kills == kills_before {
+        while handle.reactor_stats().writer_kills == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "writer never killed the non-reading connection"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
+        assert_eq!(handle.reactor_stats().writer_kills, 1, "only the stuck one");
         let stuck_stream = stuck.join().unwrap();
         drop(stuck_stream);
         drop(client);

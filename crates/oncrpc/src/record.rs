@@ -8,7 +8,6 @@
 //! memory transfers would be capped at one fragment.
 
 use crate::error::{RpcError, RpcResult};
-use crate::telemetry;
 use std::io::{self, IoSlice, Read, Write};
 use xdr::{FixedBuf, XdrSink};
 
@@ -217,7 +216,6 @@ pub fn read_record_into<R: Read + ?Sized, B: RecordBuf>(
             return Err(RpcError::ConnectionClosed);
         }
         if last {
-            telemetry::add_memmoved(record.len());
             return Ok(Some(record.len()));
         }
     }
@@ -351,7 +349,6 @@ impl RecordAssembler {
         }
         debug_assert_eq!(at, pos);
         self.off += pos;
-        telemetry::add_memmoved(self.record.len());
         Ok(Some(&self.record))
     }
 }

@@ -4,6 +4,7 @@
 
 use crate::error::{RpcError, RpcResult};
 use crate::msg::{AcceptStat, MessageBody, ReplyBody, RpcMessage};
+use crate::reactor::{ReactorSnapshot, ReactorStats};
 use crate::record::{read_record_into, write_record, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::RPC_VERSION;
 use parking_lot::RwLock;
@@ -17,40 +18,14 @@ use xdr::{Xdr, XdrDecoder, XdrEncoder};
 /// Outcome of one dispatched procedure.
 pub type DispatchResult = Result<(), AcceptStat>;
 
-thread_local! {
-    /// Retry-after hint for the next `AcceptStat::Busy` returned by a
-    /// dispatch on this thread. Dispatch and reply encoding happen on the
-    /// same thread in every serve path (the blocking per-connection loop,
-    /// the reactor thread and its workers), so a handoff through a
-    /// thread-local is safe and keeps the `Dispatch` trait's error channel
-    /// a bare `AcceptStat`.
-    static BUSY_RETRY_AFTER_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Fallback hint when a service sheds with `AcceptStat::Busy` without
-/// setting one: 1ms.
-pub const DEFAULT_BUSY_RETRY_AFTER_NS: u64 = 1_000_000;
-
-/// Record the retry-after hint (nanoseconds) that should accompany an
-/// `AcceptStat::Busy` about to be returned from the current dispatch.
-pub fn set_busy_retry_after_ns(ns: u64) {
-    BUSY_RETRY_AFTER_NS.with(|c| c.set(ns));
-}
-
-fn take_busy_retry_after_ns() -> u64 {
-    let ns = BUSY_RETRY_AFTER_NS.with(|c| c.replace(0));
-    if ns == 0 {
-        DEFAULT_BUSY_RETRY_AFTER_NS
-    } else {
-        ns
-    }
-}
-
 /// A service implementation for one RPC program version.
 ///
 /// Generated server skeletons implement this by decoding `args`, invoking the
 /// user's service trait, and encoding results into `reply`. Returning
-/// `Err(stat)` produces the corresponding accepted-but-failed reply.
+/// `Err(stat)` produces the corresponding accepted-but-failed reply —
+/// except `Busy`, which is not a body's to return: shedding a call is the
+/// admission hook's decision ([`RpcServer::set_admission`]), made before
+/// the body runs.
 pub trait Dispatch: Send + Sync {
     /// Handle procedure `proc`. Arguments are read from `args`; results are
     /// appended to `reply` only on success.
@@ -97,6 +72,11 @@ impl<F: Fn(u64) -> bool + Send + Sync> TokenGate for F {
     }
 }
 
+/// Admission hook for calls about to execute (see
+/// [`RpcServer::set_admission`]): given the procedure number and its
+/// still-undecoded arguments, `Err(retry_after_ns)` sheds the call.
+type Admission = dyn Fn(u32, &XdrDecoder<'_>) -> Result<(), u64> + Send + Sync;
+
 /// Calls `complete` on every exit path of an admitted call.
 struct GateGuard(Option<(Arc<dyn TokenGate>, u64)>);
 
@@ -119,6 +99,8 @@ pub struct RpcServer {
     /// Optional per-call admission gate on the client token (live
     /// migration's eviction mechanism). `AUTH_NONE` traffic is untouched.
     token_gate: RwLock<Option<Arc<dyn TokenGate>>>,
+    /// Optional overload control in front of every procedure body.
+    admission: RwLock<Option<Box<Admission>>>,
 }
 
 impl RpcServer {
@@ -135,11 +117,6 @@ impl RpcServer {
         *self.replay.write() = Some(cache);
     }
 
-    /// The installed replay cache, if any.
-    pub fn replay_cache(&self) -> Option<Arc<crate::replay::ReplayCache>> {
-        self.replay.read().clone()
-    }
-
     /// Install a per-call admission gate consulted with the client token of
     /// every token-tagged call, *before* the replay-cache lookup. When the
     /// gate returns `false` the call is not answered at all — its connection
@@ -150,14 +127,23 @@ impl RpcServer {
         *self.token_gate.write() = Some(gate);
     }
 
+    /// Install an admission hook consulted for every call to a registered
+    /// program after the replay-cache lookup (a retransmission of a call
+    /// that already ran is replayed, not re-judged) and before the
+    /// procedure body. `Err(retry_after_ns)` sheds the call: it never
+    /// executes, its reply is `Busy` carrying the hint, and that reply is
+    /// NOT stored in the replay cache — the client's retransmission has to
+    /// re-attempt execution, not replay the rejection.
+    pub fn set_admission(
+        &self,
+        admit: impl Fn(u32, &XdrDecoder<'_>) -> Result<(), u64> + Send + Sync + 'static,
+    ) {
+        *self.admission.write() = Some(Box::new(admit));
+    }
+
     /// Register `service` for `prog`/`vers`, replacing any prior entry.
     pub fn register(&self, prog: u32, vers: u32, service: Arc<dyn Dispatch>) {
         self.services.write().insert((prog, vers), service);
-    }
-
-    /// Remove a registration.
-    pub fn unregister(&self, prog: u32, vers: u32) {
-        self.services.write().remove(&(prog, vers));
     }
 
     /// Registered versions of `prog`, for `PROG_MISMATCH` replies.
@@ -254,21 +240,18 @@ impl RpcServer {
             }
         }
 
+        if let Some(admit) = self.admission.read().as_deref() {
+            if let Err(retry_after_ns) = admit(call.proc, &dec) {
+                // Shed: never executed, so never cached either.
+                RpcMessage::reply(msg.xid, ReplyBody::busy(retry_after_ns)).encode(reply_enc);
+                return Ok(());
+            }
+        }
+
         RpcMessage::reply(msg.xid, ReplyBody::success()).encode(reply_enc);
-        let header_len = reply_enc.len();
         if let Err(stat) = service.dispatch(call.proc, &mut dec, reply_enc) {
             // Roll back any partial results plus the optimistic header.
             reply_enc.truncate(0);
-            debug_assert!(header_len > 0);
-            if stat == AcceptStat::Busy {
-                // Shed without executing: the reply carries the retry-after
-                // hint and must NOT enter the replay cache — the client's
-                // retransmission has to re-attempt execution, not replay
-                // the rejection.
-                RpcMessage::reply(msg.xid, ReplyBody::busy(take_busy_retry_after_ns()))
-                    .encode(reply_enc);
-                return Ok(());
-            }
             RpcMessage::reply(msg.xid, ReplyBody::failure(stat)).encode(reply_enc);
         }
         // Cache the outcome — success *or* failure — so a retransmission
@@ -300,6 +283,8 @@ pub struct ServerHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
+    /// The serving reactor's counters; all zero behind the threaded loop.
+    reactor: Arc<ReactorStats>,
 }
 
 impl ServerHandle {
@@ -309,12 +294,20 @@ impl ServerHandle {
         addr: std::net::SocketAddr,
         stop: Arc<AtomicBool>,
         join: std::thread::JoinHandle<()>,
+        reactor: Arc<ReactorStats>,
     ) -> Self {
         Self {
             addr,
             stop,
             join: Some(join),
+            reactor,
         }
+    }
+
+    /// What this server's reactor has counted since it started serving:
+    /// its own calls, stalls, buffers and writer kills, nobody else's.
+    pub fn reactor_stats(&self) -> ReactorSnapshot {
+        self.reactor.snapshot()
     }
 
     /// The bound listen address (useful with port 0).
@@ -377,11 +370,7 @@ where
                     });
             }
         })?;
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        join: Some(join),
-    })
+    Ok(ServerHandle::from_parts(local, stop, join, Arc::default()))
 }
 
 /// Bind a TCP listener and serve `server` on background threads
@@ -568,28 +557,41 @@ mod tests {
         assert!(server.handle_record(enc.as_slice()).is_ok());
     }
 
+    /// A shed call is answered `Busy` with the admission hook's hint, never
+    /// executed and never cached; the hint travels in the hook's return
+    /// value, so it is the shedding connection's alone — also when one
+    /// worker thread serves two connections and only one is over quota.
     #[test]
     fn busy_reply_is_never_stored_in_the_replay_cache() {
         use std::sync::atomic::AtomicU32;
-        let server = Arc::new(RpcServer::new());
         let executions = Arc::new(AtomicU32::new(0));
-        let execs = Arc::clone(&executions);
-        // Sheds the first attempt with a retry hint; executes afterwards.
-        server.register(
-            400,
-            1,
-            Arc::new(
-                move |_proc: u32, _args: &mut XdrDecoder<'_>, reply: &mut XdrEncoder| {
-                    if execs.fetch_add(1, Ordering::SeqCst) == 0 {
-                        set_busy_retry_after_ns(123_456);
-                        return Err(AcceptStat::Busy);
-                    }
-                    reply.put_u32(77);
+        // One connection's server: sheds with `hint` while `over_quota`.
+        let connection = |hint: u64, over_quota: Arc<AtomicBool>| {
+            let server = Arc::new(RpcServer::new());
+            let execs = Arc::clone(&executions);
+            server.register(
+                400,
+                1,
+                Arc::new(
+                    move |_proc: u32, _args: &mut XdrDecoder<'_>, reply: &mut XdrEncoder| {
+                        execs.fetch_add(1, Ordering::SeqCst);
+                        reply.put_u32(77);
+                        Ok(())
+                    },
+                ),
+            );
+            server.set_admission(move |_proc, _args| {
+                if over_quota.load(Ordering::SeqCst) {
+                    Err(hint)
+                } else {
                     Ok(())
-                },
-            ),
-        );
-        server.set_replay_cache(Arc::new(crate::replay::ReplayCache::new(16)));
+                }
+            });
+            server.set_replay_cache(Arc::new(crate::replay::ReplayCache::new(16)));
+            server
+        };
+        let over_quota = Arc::new(AtomicBool::new(true));
+        let server = connection(123_456, Arc::clone(&over_quota));
 
         let call_record = |xid: u32| {
             let mut enc = XdrEncoder::new();
@@ -599,16 +601,19 @@ mod tests {
             enc.into_inner()
         };
 
-        // Attempt 1: shed, with the hint we set on the dispatch thread.
+        // Attempt 1: shed, with the hint the hook returned.
         let reply = server.handle_record(&call_record(9)).unwrap();
         let msg: RpcMessage = xdr::decode(&reply).unwrap();
         let MessageBody::Reply(body) = msg.body else {
             panic!("expected reply")
         };
         assert_eq!(body, ReplyBody::busy(123_456));
+        assert_eq!(executions.load(Ordering::SeqCst), 0, "shed, not executed");
 
-        // Retransmission (same token, same xid): must EXECUTE, not replay
-        // the rejection — the busy reply was never cached.
+        // Retransmission (same token, same xid) once back under quota:
+        // must EXECUTE, not replay the rejection — the busy reply was
+        // never cached.
+        over_quota.store(false, Ordering::SeqCst);
         let reply = server.handle_record(&call_record(9)).unwrap();
         // The success reply carries a result payload after the header, so
         // decode the header only.
@@ -625,13 +630,49 @@ mod tests {
             }
         ));
         assert_eq!(dec.get_u32().unwrap(), 77);
-        assert_eq!(executions.load(Ordering::SeqCst), 2);
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
 
-        // Third retransmission: the *success* was cached, so the procedure
-        // body does not run a third time.
+        // Third retransmission, over quota again: the *success* was cached
+        // and a replay is not re-judged, so the body does not run again.
+        over_quota.store(true, Ordering::SeqCst);
         let reply2 = server.handle_record(&call_record(9)).unwrap();
         assert_eq!(reply2, reply);
-        assert_eq!(executions.load(Ordering::SeqCst), 2);
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
+
+        // Two connections on ONE worker thread, the first over quota, the
+        // second not: every shed reaches its own client with its own hint
+        // and the neighbour's calls run, however the two interleave.
+        let conns = [server, connection(999, Arc::default())];
+        let cfg = crate::ReactorConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let handle = crate::serve_tcp_reactor("127.0.0.1:0", cfg, move |conn| crate::ConnHandler {
+            rpc: Arc::clone(&conns[(conn as usize - 1) % 2]),
+            on_close: None,
+        })
+        .unwrap();
+        let connect = || {
+            let t = TcpTransport::connect(handle.addr()).unwrap();
+            RpcClient::new(Box::new(t), 400, 1)
+        };
+        let (mut shed, mut served) = (connect(), connect());
+        for _ in 0..16 {
+            let err = shed.call::<(), u32>(1, &()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RpcError::Busy {
+                        retry_after_ns: 123_456
+                    }
+                ),
+                "{err:?}"
+            );
+            assert_eq!(served.call::<(), u32>(1, &()).unwrap(), 77);
+        }
+        assert_eq!(executions.load(Ordering::SeqCst), 1 + 16);
+        assert_eq!(handle.reactor_stats().parked_calls, 32);
+        handle.shutdown();
     }
 
     #[test]

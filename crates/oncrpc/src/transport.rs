@@ -26,6 +26,14 @@ pub trait Transport: Read + Write + Send {
     fn set_read_timeout(&mut self, _dur: Option<Duration>) -> RpcResult<()> {
         Ok(())
     }
+
+    /// Bytes this transport has memcpy'd into buffers of its own (send
+    /// staging, in-process reassembly) — its share of the stack's copies
+    /// per transferred byte; [`crate::client::ClientStats::bytes_copied`]
+    /// is the client's. A real socket stages in the kernel and reports 0.
+    fn bytes_copied(&self) -> u64 {
+        0
+    }
 }
 
 /// A boxed transport is a transport: what lets one generic
@@ -38,6 +46,10 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> RpcResult<()> {
         (**self).set_read_timeout(dur)
+    }
+
+    fn bytes_copied(&self) -> u64 {
+        (**self).bytes_copied()
     }
 }
 
@@ -115,6 +127,8 @@ pub struct MemTransport {
     pending_off: usize,
     /// Per-read deadline; `None` blocks indefinitely.
     read_timeout: Option<Duration>,
+    /// Bytes copied into channel chunks by `write`.
+    copied: u64,
     label: &'static str,
 }
 
@@ -129,6 +143,7 @@ pub fn duplex_pair() -> (MemTransport, MemTransport) {
             pending: Vec::new(),
             pending_off: 0,
             read_timeout: None,
+            copied: 0,
             label: "mem:client",
         },
         MemTransport {
@@ -137,6 +152,7 @@ pub fn duplex_pair() -> (MemTransport, MemTransport) {
             pending: Vec::new(),
             pending_off: 0,
             read_timeout: None,
+            copied: 0,
             label: "mem:server",
         },
     )
@@ -179,8 +195,8 @@ impl Write for MemTransport {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         // The chunk copy into the channel stands in for a real socket's
         // copy-into-kernel-buffer; it is the one buffering copy on the send
-        // side and is charged to the copy telemetry.
-        crate::telemetry::add_memmoved(buf.len());
+        // side.
+        self.copied += buf.len() as u64;
         self.tx
             .send(buf.to_vec())
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))?;
@@ -199,6 +215,10 @@ impl Transport for MemTransport {
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> RpcResult<()> {
         self.read_timeout = dur;
         Ok(())
+    }
+
+    fn bytes_copied(&self) -> u64 {
+        self.copied
     }
 }
 

@@ -7,7 +7,7 @@
 
 use cricket_repro::oncrpc::server::ServerHandle;
 use cricket_repro::oncrpc::{
-    serve_tcp_reactor, telemetry, transport::Transport, ConnHandler, ReactorConfig, RpcResult,
+    serve_tcp_reactor, transport::Transport, ConnHandler, ReactorConfig, RpcResult,
 };
 use cricket_repro::oncrpc::{
     Fault, FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
@@ -330,7 +330,6 @@ fn reactor_churn_soak_releases_all_sessions() {
         .unwrap();
     let replay = Arc::clone(handle.replay());
     let addr = handle.addr().to_string();
-    let bufs0 = telemetry::reactor_snapshot();
 
     // The probe is connection 1 (session 1); churned sessions are 2..=TOTAL+1.
     let mut probe = CricketClient::new(
@@ -428,8 +427,12 @@ fn reactor_churn_soak_releases_all_sessions() {
     );
 
     // Pooled buffers are recycled, not allocated per call: across ~3000
-    // RPCs the pool serves far more buffers than it allocates.
-    let bufs = telemetry::reactor_snapshot().since(&bufs0);
+    // RPCs this reactor's pools serve far more buffers than they allocate.
+    let bufs = handle.reactor_stats();
+    assert!(
+        bufs.inline_replies + bufs.parked_calls >= 5 * TOTAL as u64,
+        "the churn's calls are missing from its own reactor: {bufs:?}"
+    );
     assert!(
         bufs.bufs_reused > bufs.bufs_allocated,
         "reply/record pool not recycling: {bufs:?}"
@@ -438,4 +441,85 @@ fn reactor_churn_soak_releases_all_sessions() {
     drop(probe);
     drop(burst);
     handle.shutdown();
+}
+
+/// Counters live on the instance that counts: two simulated stacks copying
+/// at the same time, and two reactors serving at the same time, each report
+/// exactly what they alone did — to the byte and to the call.
+#[test]
+fn two_stacks_in_one_process_count_only_their_own_traffic() {
+    // Copies. (bytes staged by the RPC client + its transport, payload bytes.)
+    let copy_script = |h2d: usize, d2h: usize, rounds: usize| {
+        let setup = SimSetup::new();
+        let mut c = setup.client(EnvConfig::RustNative);
+        let ptr = c.malloc(h2d.max(d2h) as u64).unwrap();
+        let data = vec![0x5a; h2d];
+        for _ in 0..rounds {
+            c.memcpy_htod(ptr, &data).unwrap();
+            assert_eq!(c.memcpy_dtoh(ptr, d2h as u64).unwrap().len(), d2h);
+        }
+        let transferred = c.stats.bytes_total();
+        let rpc = c.rpc();
+        let copied = rpc.stats().bytes_copied + rpc.transport().bytes_copied();
+        (copied, transferred)
+    };
+    let (a, b) = ((1 << 20, 4096, 5), (70_001, 300_000, 9));
+    let alone = (copy_script(a.0, a.1, a.2), copy_script(b.0, b.1, b.2));
+    assert_ne!(alone.0, alone.1, "the scripts must be told apart");
+    // H2D is staged twice (send buffer, server-side reassembly), D2H once
+    // (the client's reply reassembly), plus headers.
+    let floor = |(h2d, d2h, rounds): (usize, usize, usize)| ((2 * h2d + d2h) * rounds) as u64;
+    assert!(alone.0 .0 >= floor(a) && alone.0 .0 < floor(a) + 16_384);
+    assert_eq!(alone.0 .1, ((a.0 + a.1) * a.2) as u64);
+    for _ in 0..3 {
+        let together = std::thread::scope(|s| {
+            let ta = s.spawn(|| copy_script(a.0, a.1, a.2));
+            let tb = s.spawn(|| copy_script(b.0, b.1, b.2));
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        assert_eq!(together, alone, "a stack counted its neighbour's copies");
+    }
+
+    // Calls. Every call is counted once, inline or parked; which of the
+    // two an `inline` procedure gets depends on whether the worker has
+    // published the previous reply's decrement yet, so only their sum and
+    // the parked floor are exact.
+    let serve = || {
+        ServerBuilder::new("127.0.0.1:0")
+            .mode(REACTOR)
+            .serve()
+            .unwrap()
+    };
+    let drive = |addr: std::net::SocketAddr, inline: u64, pairs: u64| {
+        let mut c = CricketClient::new(
+            Box::new(TcpTransport::connect(addr).unwrap()),
+            cricket_repro::client::env::ClientFlavor::RustRpcLib,
+            None,
+        );
+        for i in 0..inline.max(pairs) {
+            if i < inline {
+                assert_eq!(c.device_count().unwrap(), 4);
+            }
+            if i < pairs {
+                let p = c.malloc(1024).unwrap();
+                c.free(p).unwrap();
+            }
+        }
+    };
+    let (one, two) = (serve(), serve());
+    assert_eq!(one.reactor_stats(), Default::default(), "fresh reads zero");
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| drive(one.addr(), 40, 7));
+            s.spawn(|| drive(two.addr(), 11, 23));
+        }
+    });
+    for (stats, inline, pairs) in [(one.reactor_stats(), 40, 7), (two.reactor_stats(), 11, 23)] {
+        let calls = stats.inline_replies + stats.parked_calls;
+        assert_eq!(calls, 3 * (inline + 2 * pairs), "{stats:?}");
+        assert!(stats.parked_calls >= 3 * 2 * pairs, "{stats:?}");
+        assert!(stats.inline_replies > 0, "{stats:?}");
+    }
+    one.shutdown();
+    two.shutdown();
 }

@@ -32,9 +32,8 @@ fn sparse_payload(pages: usize, period: usize) -> Vec<u8> {
 }
 
 // Every assertion on traffic below reads instance-scoped state — the
-// client's own `ClientStats`, or its stripe pool's lanes — never the
-// process-global `oncrpc::telemetry` counters, which sibling tests running
-// in parallel would skew.
+// client's own `ClientStats`, or its stripe pool's lanes — which sibling
+// tests running in parallel cannot move.
 
 /// Request bytes `client`'s main connection has put on the wire.
 fn wire_bytes(client: &mut CricketClient) -> u64 {

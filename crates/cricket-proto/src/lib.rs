@@ -8,7 +8,9 @@
 //! * [`CRICKET_CUDA`] / [`CRICKET_V1`] — program and version numbers,
 //! * [`cricket_v1`] — procedure-number constants and the per-procedure
 //!   attribute tables (`is_idempotent`, `is_batchable`, `is_inline`, `is_admin`),
-//! * data types ([`RpcDim3`], [`DeviceProp`], [`U64Result`], ...),
+//! * data types ([`RpcDim3`], [`DeviceProp`], [`U64Result`], ...), among
+//!   them the session state inside the opaque argument of the checkpoint
+//!   and migration procedures ([`MigBlob`], [`Ckpt`]),
 //! * [`CricketV1Client`] — the typed client stub (used by `cricket-client`),
 //! * [`CricketV1Service`] / [`CricketV1Dispatch`] — the server skeleton
 //!   (implemented by `cricket-server`), and [`CricketV1BatchOp`], the

@@ -24,8 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use oncrpc::portmap::client::PortmapClient;
-use oncrpc::{ReplayCache, RpcError, RpcResult, TcpTransport};
+use oncrpc::{PmapVersClient, ReplayCache, RpcError, RpcResult, TcpTransport};
 use simnet::clock::SimClock;
 
 use crate::scheduler::SchedulerPolicy;
@@ -191,7 +190,7 @@ impl Registration {
     ) -> RpcResult<Self> {
         let port = u32::from(addr.port());
         let mut client = dir_client(dir.dir_addr)?;
-        client.shard_set(dir.prog, dir.vers, port, server.load_report())?;
+        client.shard_set(&dir.prog, &dir.vers, &port, &server.load_report())?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let server = Arc::clone(server);
@@ -208,7 +207,7 @@ impl Registration {
                     let Ok(mut client) = dir_client(dir.dir_addr) else {
                         continue;
                     };
-                    let _ = client.shard_set(dir.prog, dir.vers, port, server.load_report());
+                    let _ = client.shard_set(&dir.prog, &dir.vers, &port, &server.load_report());
                 }
             })
         };
@@ -225,7 +224,7 @@ impl Registration {
         self.stop_heartbeat();
         if deregister {
             if let Ok(mut client) = dir_client(self.dir.dir_addr) {
-                let _ = client.shard_unset(self.dir.prog, self.dir.vers, self.port);
+                let _ = client.shard_unset(&self.dir.prog, &self.dir.vers, &self.port);
             }
         }
     }
@@ -248,9 +247,9 @@ impl Drop for Registration {
     }
 }
 
-fn dir_client(addr: SocketAddr) -> RpcResult<PortmapClient> {
+fn dir_client(addr: SocketAddr) -> RpcResult<PmapVersClient> {
     let t = TcpTransport::connect(addr)?;
-    Ok(PortmapClient::new(Box::new(t)))
+    Ok(PmapVersClient::new(Box::new(t)))
 }
 
 /// A running Cricket server started by [`ServerBuilder::serve`].

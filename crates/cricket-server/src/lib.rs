@@ -10,10 +10,11 @@
 //! * [`scheduler`] — configurable GPU-sharing policies (FIFO, round-robin,
 //!   priority) arbitrating concurrent client sessions, the paper's
 //!   "managing the shared access through configurable schedulers";
-//! * [`migrate`] — the one session-state wire format: a session's memory,
-//!   modules, functions, streams, events and library handles as XDR blobs
-//!   restored at their exact handle values. At rest they are the paper's
-//!   Checkpoint/Restart support, in flight they are live migration;
+//! * [`migrate`] — the one session-state wire format, declared in
+//!   `cricket.x`: a session's memory, modules, functions, streams, events
+//!   and library handles as XDR blobs restored at their exact handle
+//!   values. At rest they are the paper's Checkpoint/Restart support, in
+//!   flight they are live migration;
 //! * [`transport`] — the simulated client↔server paths: an in-process
 //!   transport that carries real RPC bytes through the functional guest TCP
 //!   stack and charges network time from the environment's cost model.
@@ -28,7 +29,7 @@ pub mod service;
 pub mod transport;
 
 pub use builder::{DirectoryRegistration, ServeHandle, ServerBuilder};
-pub use migrate::{MigBlob, MigKind, SessionMeta};
+pub use cricket_proto::MigKind;
 pub use scheduler::{QosSpec, SchedulerPolicy, SessionId};
 pub use service::{CricketServer, QosServerConfig, ServerConfig, SessionCleanup};
 pub use transport::SimTransport;

@@ -6,32 +6,41 @@
 //! (b) the device time the operation consumes. The network legs around the
 //! call are charged by the transport (see [`crate::transport`]).
 
-use crate::migrate::{self, MigBlob, MigKind, SessionMeta};
+use crate::migrate;
 use crate::scheduler::{QosSpec, Scheduler, SchedulerPolicy, SessionId};
 use cricket_proto::{
     cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, DataResultReplied,
-    DataResultReply, DeviceProp, FloatResult, IntResult, MemInfo, MemInfoResult, PropResult,
-    QosParams, RpcDim3, ServerStats, U64Result,
+    DataResultReply, DeviceProp, FloatResult, IntResult, MemInfo, MemInfoResult, MigBlob,
+    MigCursor, MigDefaultStream, MigEvent, MigFft, MigFunction, MigKind, MigModule, MigStream,
+    PropResult, QosParams, ReplayEntry, RpcDim3, ServerStats, SessionMeta, U64Result,
 };
 use oncrpc::{AcceptStat, ReplayCache};
 use parking_lot::{Mutex, MutexGuard};
+use simnet::clock::HORIZON_NS;
 use simnet::SimClock;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use vgpu::memory::MemDelta;
 use vgpu::{Device, DeviceProperties, Dim3, Submit, VgpuError, VgpuResult};
 
-/// Handles for library contexts (cuBLAS/cuSolver) live in a range disjoint
-/// from device handles.
+/// Handles for library contexts (cuBLAS/cuSolver/cuFFT) live in the range
+/// `LIB_HANDLE_BASE..LIB_HANDLE_END`, disjoint from device handles: 2^47
+/// handles, more than any server issues, ending far short of `u64::MAX`.
 const LIB_HANDLE_BASE: u64 = 0x8000_0000_0000;
+const LIB_HANDLE_END: u64 = 2 * LIB_HANDLE_BASE;
 
 /// Device heap spacing: device `i`'s pointers live in
 /// `[(i+1)·HEAP_STRIDE, ...)`, so any pointer identifies its device.
 const HEAP_STRIDE: u64 = vgpu::memory::HEAP_BASE;
 
 /// Device handle spacing: device `i`'s module/function/stream/event handles
-/// start at `0x10 + i·HANDLE_STRIDE`.
+/// are the window `handle_base(i)..handle_base(i + 1)`.
 const HANDLE_STRIDE: u64 = 0x1000_0000;
+
+fn handle_base(device: usize) -> u64 {
+    0x10 + device as u64 * HANDLE_STRIDE
+}
 
 /// At most this many simulated GPUs per server (keeps the address layout
 /// disjoint from the library-handle range).
@@ -209,7 +218,7 @@ impl SessionCleanup {
 struct Adoption {
     resources: SessionResources,
     current_device: usize,
-    default_streams: Vec<(u32, u64)>,
+    default_streams: Vec<MigDefaultStream>,
     ready: bool,
     applied_epochs: u32,
 }
@@ -283,7 +292,7 @@ impl CricketServer {
                     props,
                     Arc::clone(&clock),
                     (i as u64 + 1) * HEAP_STRIDE,
-                    0x10 + i as u64 * HANDLE_STRIDE,
+                    handle_base(i)..handle_base(i + 1),
                 ))
             })
             .collect();
@@ -612,7 +621,12 @@ impl CricketServer {
         if let Some(&h) = self.session_streams.lock().get(&(session, idx)) {
             return h;
         }
-        let (h, _t) = self.devices[idx].lock().stream_create();
+        // A device whose handle window is spent has no stream to give; the
+        // session then shares the device's own stream 0, which is what
+        // CUDA's legacy default stream is anyway.
+        let Ok((h, _t)) = self.devices[idx].lock().stream_create() else {
+            return 0;
+        };
         self.session_streams.lock().insert((session, idx), h);
         self.track(session, |r| r.streams.insert(h));
         h
@@ -734,8 +748,14 @@ impl CricketServer {
 
     // ---- helpers shared by several procedures ----
 
-    fn new_lib_handle(&self) -> u64 {
-        self.next_lib_handle.fetch_add(1, Ordering::Relaxed)
+    /// The next library handle; once the library range is spent (or a
+    /// restored cursor reached its end) nothing more is issued.
+    fn new_lib_handle(&self) -> VgpuResult<u64> {
+        let next = |h| (h < LIB_HANDLE_END).then_some(h + 1);
+        (self
+            .next_lib_handle
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, next))
+        .map_err(|h| VgpuError::InvalidValue(format!("library handles exhausted at {h:#x}")))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1247,10 +1267,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_stream_create(&self) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 1_500, |d| {
-            let (h, t) = d.stream_create();
-            Ok((h, t))
-        });
+        let r = srv.wait_here(s, 1_500, |d| d.stream_create());
         if let Ok(h) = r {
             srv.track(s, |res| res.streams.insert(h));
         }
@@ -1283,10 +1300,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_event_create(&self) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 800, |d| {
-            let (h, t) = d.event_create();
-            Ok((h, t))
-        });
+        let r = srv.wait_here(s, 800, |d| d.event_create());
         if let Ok(h) = r {
             srv.track(s, |res| res.events.insert(h));
         }
@@ -1325,11 +1339,11 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cublas_create(&self) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 5_000, |_d| Ok(((), 0))).map(|()| {
-            let h = srv.new_lib_handle();
+        let r = srv.wait_here(s, 5_000, |_d| Ok(((), 0))).and_then(|()| {
+            let h = srv.new_lib_handle()?;
             srv.blas_handles.lock().insert(h);
             srv.track(s, |res| res.blas.insert(h));
-            h
+            Ok(h)
         });
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1427,11 +1441,11 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cusolver_dn_create(&self) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 10_000, |_d| Ok(((), 0))).map(|()| {
-            let h = srv.new_lib_handle();
+        let r = srv.wait_here(s, 10_000, |_d| Ok(((), 0))).and_then(|()| {
+            let h = srv.new_lib_handle()?;
             srv.solvers.lock().insert(h, vgpu::solver::SolverDn::new());
             srv.track(s, |res| res.solvers.insert(h));
-            h
+            Ok(h)
         });
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1534,11 +1548,11 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let planned = srv.wait_here(s, 6_000, |_d| {
             Ok((vgpu::fft::FftPlan::plan_1d(n, kind, batch)?, 0))
         });
-        let r = planned.map(|plan| {
-            let h = srv.new_lib_handle();
+        let r = planned.and_then(|plan| {
+            let h = srv.new_lib_handle()?;
             srv.fft_plans.lock().insert(h, plan);
             srv.track(s, |res| res.ffts.insert(h));
-            h
+            Ok(h)
         });
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1829,8 +1843,10 @@ impl CricketServer {
             .or_insert(a.current_device);
         {
             let mut streams = self.session_streams.lock();
-            for &(idx, h) in &a.default_streams {
-                streams.entry((session, idx as usize)).or_insert(h);
+            for d in &a.default_streams {
+                streams
+                    .entry((session, d.device as usize))
+                    .or_insert(d.stream);
             }
         }
         self.track(session, |r| r.absorb(a.resources));
@@ -1891,11 +1907,15 @@ impl CricketServer {
         blob.meta.src_now_ns = self.clock.now_ns();
         if kind == MigKind::Final {
             if let Some(r) = self.replay.lock().clone() {
-                blob.replay = r.export_client(token);
-                blob.replay.sort_by_key(|&(xid, _)| xid);
+                let entries = r.export_client(token).into_iter();
+                let mut replay: Vec<_> = entries
+                    .map(|(xid, reply)| ReplayEntry { xid, reply })
+                    .collect();
+                replay.sort_by_key(|e| e.xid);
+                blob.replay = replay.into();
             }
         }
-        Ok(blob.encode())
+        Ok(xdr::encode(&blob))
     }
 
     /// `CKPT_CAPTURE`: one [`MigKind::Base`] blob per session that owns
@@ -1915,7 +1935,7 @@ impl CricketServer {
             owning.map(|(&s, _)| s).collect()
         };
         sessions.sort_unstable();
-        let blobs: Vec<MigBlob> = sessions
+        let blobs = sessions
             .into_iter()
             .map(|s| {
                 let mut blob = self.export_session(s, None, MigKind::Base);
@@ -1923,7 +1943,7 @@ impl CricketServer {
                 blob
             })
             .collect();
-        migrate::encode_checkpoint(&blobs)
+        migrate::encode_checkpoint(blobs)
     }
 
     /// The one export walker: `session`'s state as a blob of `kind`, with
@@ -1955,37 +1975,46 @@ impl CricketServer {
         let mut meta = SessionMeta {
             current_device: self.current_device(session) as u32,
             next_lib_handle: self.next_lib_handle.load(Ordering::SeqCst),
-            blas: sorted(&res.blas),
-            solvers: sorted(&res.solvers),
+            blas: sorted(&res.blas).into(),
+            solvers: sorted(&res.solvers).into(),
             ..SessionMeta::default()
         };
         {
             let images = self.module_images.lock();
-            for h in sorted(&res.modules) {
-                if let Some(img) = images.get(&h) {
-                    meta.modules.push((h, img.clone()));
+            for handle in sorted(&res.modules) {
+                if let Some(image) = images.get(&handle) {
+                    let image = image.clone();
+                    meta.modules.push(MigModule { handle, image });
                 }
             }
         }
         {
             let streams = self.session_streams.lock();
-            meta.default_streams = streams
-                .iter()
-                .filter(|((s, _), _)| *s == session)
-                .map(|(&(_, idx), &h)| (idx as u32, h))
-                .collect();
-            meta.default_streams.sort_unstable();
+            let mine = streams.iter().filter(|((s, _), _)| *s == session);
+            let bind = |(&(_, idx), &stream): (&(_, usize), &u64)| MigDefaultStream {
+                device: idx as u32,
+                stream,
+            };
+            let mut bound: Vec<_> = mine.map(bind).collect();
+            bound.sort_unstable_by_key(|d| (d.device, d.stream));
+            meta.default_streams = bound.into();
         }
         {
             let plans = self.fft_plans.lock();
-            for h in sorted(&res.ffts) {
-                if let Some(p) = plans.get(&h) {
-                    meta.ffts.push((h, p.n as i32, p.kind, p.batch as i32));
+            for handle in sorted(&res.ffts) {
+                if let Some(p) = plans.get(&handle) {
+                    let (n, kind, batch) = (p.n as i32, p.kind, p.batch as i32);
+                    meta.ffts.push(MigFft {
+                        handle,
+                        n,
+                        kind,
+                        batch,
+                    });
                 }
             }
         }
 
-        let mut delta = vgpu::memory::MemDelta::default();
+        let mut delta = MemDelta::default();
         for idx in 0..self.devices.len() {
             let known_here: BTreeSet<u64> = known
                 .iter()
@@ -2005,28 +2034,41 @@ impl CricketServer {
             if known.is_some() {
                 dev.mem.mark_epoch();
             }
-            meta.next_handles
-                .push((idx as u32, dev.next_handle_value()));
-            for (h, frontier) in dev.snapshot_stream_frontiers() {
-                if res.streams.contains(&h) {
-                    meta.streams.push((h, frontier));
+            meta.next_handles.push(MigCursor {
+                device: idx as u32,
+                next: dev.next_handle_value(),
+            });
+            for (handle, frontier_ns) in dev.snapshot_stream_frontiers() {
+                if res.streams.contains(&handle) {
+                    meta.streams.push(MigStream {
+                        handle,
+                        frontier_ns,
+                    });
                 }
             }
-            for (h, recorded) in dev.snapshot_event_states() {
-                if res.events.contains(&h) {
-                    meta.events.push((h, recorded));
+            for (handle, recorded_ns) in dev.snapshot_event_states() {
+                if res.events.contains(&handle) {
+                    meta.events.push(MigEvent {
+                        handle,
+                        recorded_ns,
+                    });
                 }
             }
-            for (h, module, name) in dev.snapshot_functions() {
+            for (handle, module, name) in dev.snapshot_functions() {
                 if res.modules.contains(&module) {
-                    meta.functions.push((h, module, name));
+                    meta.functions.push(MigFunction {
+                        handle,
+                        module,
+                        name,
+                    });
                 }
             }
             delta.freed.extend(d.freed);
             delta.new_blocks.extend(d.new_blocks);
             delta.dirty.extend(d.dirty);
         }
-        meta.functions.sort();
+        // Handles are unique: ordering by handle is ordering by the whole.
+        meta.functions.sort_unstable_by_key(|f| f.handle);
 
         if let Some(known) = known {
             for &b in &delta.freed {
@@ -2037,9 +2079,7 @@ impl CricketServer {
             }
         }
 
-        let mut blob = MigBlob::new(kind, meta);
-        blob.mem = delta;
-        blob
+        migrate::blob(kind, meta, delta)
     }
 
     /// Bytes a naive full-snapshot migration of `token`'s session would
@@ -2092,7 +2132,7 @@ impl CricketServer {
     /// forward alignment to the source's `src_now_ns`.
     pub fn mig_apply(&self, bytes: &[u8], allow: &[MigKind]) -> VgpuResult<u32> {
         self.stats.lock().bytes_in += bytes.len() as u64;
-        let blob = MigBlob::decode(bytes)?;
+        let blob = migrate::decode(bytes)?;
         let kind = blob.kind;
         if !allow.contains(&kind) {
             return Err(VgpuError::InvalidValue(format!(
@@ -2117,7 +2157,8 @@ impl CricketServer {
                 })?
             }
         };
-        if let Err(e) = self.apply_blob(&blob, &mut staged) {
+        let mem = migrate::mem_delta(blob.mem);
+        if let Err(e) = self.apply_blob(&blob.meta, &mem, &mut staged) {
             // Half-applied state is unusable; free whatever was placed so
             // a retried migration can start from a clean base.
             self.reclaim(staged.resources);
@@ -2126,7 +2167,8 @@ impl CricketServer {
         staged.applied_epochs += 1;
         if kind == MigKind::Final {
             if let Some(r) = self.replay.lock().clone() {
-                r.import_client(token, blob.replay.clone());
+                let entries = blob.replay.0.into_iter();
+                r.import_client(token, entries.map(|e| (e.xid, e.reply)).collect());
             }
             staged.ready = true;
         }
@@ -2147,21 +2189,21 @@ impl CricketServer {
     /// is reclaimed — state that was live before is never touched.
     fn restore(&self, session: SessionId, bytes: &[u8]) -> VgpuResult<()> {
         let blobs = migrate::decode_checkpoint(bytes)?;
-        let mut staged: Vec<Adoption> = Vec::with_capacity(blobs.len());
-        for blob in &blobs {
+        let mut staged = Vec::with_capacity(blobs.len());
+        for blob in blobs {
             let mut a = Adoption::default();
-            let applied = self.apply_blob(blob, &mut a);
-            staged.push(a);
+            let applied = self.apply_blob(&blob.meta, &migrate::mem_delta(blob.mem), &mut a);
+            staged.push((blob.meta.src_now_ns, a));
             if let Err(e) = applied {
-                for a in staged {
+                for (_, a) in staged {
                     self.reclaim(a.resources);
                 }
                 return Err(e);
             }
         }
-        for (blob, a) in blobs.iter().zip(staged) {
+        for (src_now_ns, a) in staged {
             // Restored stream frontiers must lie in this node's past.
-            self.clock.advance_to(blob.meta.src_now_ns);
+            self.clock.advance_to(src_now_ns);
             self.adopt(session, a);
         }
         Ok(())
@@ -2174,9 +2216,12 @@ impl CricketServer {
     /// `reclaim` does not know of — and it never learns of one that was
     /// live here before: a block, handle or library handle somebody already
     /// holds is a typed error, not an alias.
-    fn apply_blob(&self, blob: &MigBlob, staged: &mut Adoption) -> VgpuResult<()> {
-        let meta = &blob.meta;
-        let mem = &blob.mem;
+    fn apply_blob(
+        &self,
+        meta: &SessionMeta,
+        mem: &MemDelta,
+        staged: &mut Adoption,
+    ) -> VgpuResult<()> {
         let bases = (mem.freed.iter())
             .chain(mem.new_blocks.iter().map(|(b, _)| b))
             .chain(mem.dirty.iter().map(|(b, ..)| b));
@@ -2186,13 +2231,44 @@ impl CricketServer {
         // A default-stream binding becomes the adopting session's stream 0:
         // it may name only a stream this very blob places, on the device
         // that stream lives on.
-        for &(dev, h) in &meta.default_streams {
-            let placed = meta.streams.iter().any(|&(s, _)| s == h);
+        for d in meta.default_streams.iter() {
+            let (dev, h) = (d.device, d.stream);
+            let placed = meta.streams.iter().any(|s| s.handle == h);
             if !placed || self.device_of_token(h) != Some(dev as usize) {
                 return Err(VgpuError::InvalidValue(format!(
                     "default stream {h:#x} of device {dev} is not a stream of this blob there"
                 )));
             }
+        }
+        // Cursors and the clock only ever move forward, so a blob must not
+        // move them where nothing can follow: a device's cursor stays in
+        // that device's handle window (a device this server lacks issues
+        // nothing; its cursor is ignored), the library cursor in the
+        // library range, and every timestamp short of the horizon.
+        for c in meta.next_handles.iter() {
+            let window = handle_base(c.device as usize)..handle_base(c.device as usize + 1);
+            if (c.device as usize) < self.devices.len() && !window.contains(&c.next) {
+                return Err(VgpuError::InvalidValue(format!(
+                    "handle cursor {:#x} is outside device {}'s window",
+                    c.next, c.device
+                )));
+            }
+        }
+        if !(LIB_HANDLE_BASE..LIB_HANDLE_END).contains(&meta.next_lib_handle) {
+            return Err(VgpuError::InvalidValue(format!(
+                "library handle cursor {:#x} is outside the library range",
+                meta.next_lib_handle
+            )));
+        }
+        let frontiers = meta.streams.iter().map(|s| s.frontier_ns);
+        let recorded = meta.events.iter().filter_map(|e| e.recorded_ns);
+        let mut times = std::iter::once(meta.src_now_ns)
+            .chain(frontiers)
+            .chain(recorded);
+        if let Some(t) = times.find(|&t| t > HORIZON_NS) {
+            return Err(VgpuError::InvalidValue(format!(
+                "timestamp {t} ns is past the virtual-time horizon"
+            )));
         }
         for (idx, dev) in self.devices.iter().enumerate() {
             let here = |b| self.device_of_token(b) == Some(idx);
@@ -2201,9 +2277,9 @@ impl CricketServer {
 
         // Handle counters first, and only ever raised: from here on nothing
         // this server issues can take a value the blob is about to place.
-        for &(dev, next) in &meta.next_handles {
-            if let Some(d) = self.devices.get(dev as usize) {
-                d.lock().restore_next_handle(next);
+        for c in meta.next_handles.iter() {
+            if let Some(d) = self.devices.get(c.device as usize) {
+                d.lock().restore_next_handle(c.next);
             }
         }
         self.next_lib_handle
@@ -2214,36 +2290,39 @@ impl CricketServer {
         let held = &mut staged.resources;
         let wanted = SessionResources {
             mem: HashSet::new(),
-            modules: meta.modules.iter().map(|(h, _)| *h).collect(),
-            streams: meta.streams.iter().map(|&(h, _)| h).collect(),
-            events: meta.events.iter().map(|&(h, _)| h).collect(),
+            modules: meta.modules.iter().map(|m| m.handle).collect(),
+            streams: meta.streams.iter().map(|s| s.handle).collect(),
+            events: meta.events.iter().map(|e| e.handle).collect(),
             blas: meta.blas.iter().copied().collect(),
             solvers: meta.solvers.iter().copied().collect(),
-            ffts: meta.ffts.iter().map(|&(h, ..)| h).collect(),
+            ffts: meta.ffts.iter().map(|f| f.handle).collect(),
         };
         self.reclaim(held.split_off_handles_not_in(&wanted));
 
-        for (h, image) in &meta.modules {
-            if !held.modules.contains(h) {
-                self.place_at(*h, false)?.restore_module(*h, image)?;
-                self.module_images.lock().insert(*h, image.clone());
-                held.modules.insert(*h);
+        for m in meta.modules.iter() {
+            if !held.modules.contains(&m.handle) {
+                self.place_at(m.handle, false)?
+                    .restore_module(m.handle, &m.image)?;
+                self.module_images.lock().insert(m.handle, m.image.clone());
+                held.modules.insert(m.handle);
             }
         }
-        for (h, module, name) in &meta.functions {
-            if !held.modules.contains(module) {
-                return Err(VgpuError::InvalidHandle(*module));
+        for f in meta.functions.iter() {
+            if !held.modules.contains(&f.module) {
+                return Err(VgpuError::InvalidHandle(f.module));
             }
-            (self.device_for(*h)?.lock()).restore_function(*h, *module, name)?;
+            (self.device_for(f.handle)?.lock()).restore_function(f.handle, f.module, &f.name)?;
         }
         // Streams and events are placed anew by every blob, at their exact
         // completion frontier and record timestamp (idempotent).
-        for &(h, frontier) in &meta.streams {
-            (self.place_at(h, held.streams.contains(&h))?).restore_stream_at(h, frontier);
+        for s in meta.streams.iter() {
+            let h = s.handle;
+            (self.place_at(h, held.streams.contains(&h))?).restore_stream_at(h, s.frontier_ns);
             held.streams.insert(h);
         }
-        for &(h, recorded) in &meta.events {
-            (self.place_at(h, held.events.contains(&h))?).restore_event_at(h, recorded);
+        for e in meta.events.iter() {
+            let h = e.handle;
+            (self.place_at(h, held.events.contains(&h))?).restore_event_at(h, e.recorded_ns);
             held.events.insert(h);
         }
 
@@ -2252,26 +2331,26 @@ impl CricketServer {
         // hits replay the stored duration, so a fresh context is
         // trace-equivalent; FFT plans are pure values rebuilt through the
         // validating constructor.
-        for &h in &meta.blas {
+        for &h in meta.blas.iter() {
             if self.lib_place(&mut held.blas, h)? {
                 self.blas_handles.lock().insert(h);
             }
         }
-        for &h in &meta.solvers {
+        for &h in meta.solvers.iter() {
             if self.lib_place(&mut held.solvers, h)? {
                 self.solvers.lock().entry(h).or_default();
             }
         }
-        for &(h, n, kind, batch) in &meta.ffts {
-            let plan = vgpu::fft::FftPlan::plan_1d(n, kind, batch)?;
-            if self.lib_place(&mut held.ffts, h)? {
-                self.fft_plans.lock().insert(h, plan);
+        for f in meta.ffts.iter() {
+            let plan = vgpu::fft::FftPlan::plan_1d(f.n, f.kind, f.batch)?;
+            if self.lib_place(&mut held.ffts, f.handle)? {
+                self.fft_plans.lock().insert(f.handle, plan);
             }
         }
 
         staged.current_device =
             (meta.current_device as usize).min(self.devices.len().saturating_sub(1));
-        staged.default_streams = meta.default_streams.clone();
+        staged.default_streams = meta.default_streams.to_vec();
         Ok(())
     }
 
@@ -2883,6 +2962,34 @@ mod tests {
         assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0, "header believed");
     }
 
+    /// An empty `Base` blob with a well-formed library cursor: what the
+    /// hand-made (mostly hostile) session state below is built from.
+    fn base_blob() -> MigBlob {
+        let meta = SessionMeta {
+            next_lib_handle: LIB_HANDLE_BASE,
+            ..SessionMeta::default()
+        };
+        migrate::blob(MigKind::Base, meta, MemDelta::default())
+    }
+
+    fn block(base: u64, bytes: Vec<u8>) -> cricket_proto::MemBlock {
+        cricket_proto::MemBlock { base, bytes }
+    }
+
+    fn fft(handle: u64) -> MigFft {
+        let (n, kind, batch) = (8, vgpu::fft::CUFFT_C2C, 1);
+        MigFft {
+            handle,
+            n,
+            kind,
+            batch,
+        }
+    }
+
+    fn module(handle: u64, image: Vec<u8>) -> MigModule {
+        MigModule { handle, image }
+    }
+
     /// A restore that fails in its *second* blob, after modules, streams,
     /// events and plans of both blobs have landed: everything placed is
     /// reclaimed through the one walker and nobody owns anything.
@@ -2892,19 +2999,28 @@ mod tests {
         let image = vgpu::module::CubinBuilder::new()
             .kernel("saxpy", &[8, 8, 4, 4])
             .build(true);
-        let mut good = MigBlob::default();
-        good.meta.modules = vec![(0x10, image.clone())];
-        good.meta.streams = vec![(0x11, 500)];
-        good.meta.events = vec![(0x12, Some(400))];
-        good.meta.blas = vec![LIB_HANDLE_BASE];
-        good.meta.ffts = vec![(LIB_HANDLE_BASE + 1, 8, vgpu::fft::CUFFT_C2C, 1)];
-        good.mem.new_blocks = vec![(HEAP_STRIDE, vec![7; 256])];
-        let mut bad = MigBlob::default();
-        bad.meta.modules = vec![(0x20, image), (0x21, b"not a cubin".to_vec())];
-        bad.meta.ffts = vec![(LIB_HANDLE_BASE + 2, 8, vgpu::fft::CUFFT_C2C, 1)];
-        bad.mem.new_blocks = vec![(2 * HEAP_STRIDE, vec![9; 256])];
+        let mut good = base_blob();
+        good.meta.modules = vec![module(0x10, image.clone())].into();
+        good.meta.streams = vec![MigStream {
+            handle: 0x11,
+            frontier_ns: 500,
+        }]
+        .into();
+        good.meta.events = vec![MigEvent {
+            handle: 0x12,
+            recorded_ns: Some(400),
+        }]
+        .into();
+        good.meta.blas = vec![LIB_HANDLE_BASE].into();
+        good.meta.ffts = vec![fft(LIB_HANDLE_BASE + 1)].into();
+        good.mem.new_blocks = vec![block(HEAP_STRIDE, vec![7; 256])].into();
+        let mut bad = base_blob();
+        let not_a_cubin = b"not a cubin".to_vec();
+        bad.meta.modules = vec![module(0x20, image), module(0x21, not_a_cubin)].into();
+        bad.meta.ffts = vec![fft(LIB_HANDLE_BASE + 2)].into();
+        bad.mem.new_blocks = vec![block(2 * HEAP_STRIDE, vec![9; 256])].into();
 
-        let ckpt = migrate::encode_checkpoint(&[good, bad]);
+        let ckpt = migrate::encode_checkpoint(vec![good, bad]);
         assert_ne!(s.ckpt_restore(&ckpt).unwrap(), 0);
         for d in &srv.devices {
             let (free, total) = d.lock().mem_info();
@@ -2927,20 +3043,68 @@ mod tests {
         let p = victim.cuda_malloc(256).unwrap().into_result().unwrap();
         victim.cuda_memcpy_htod(p, &[5; 256]).unwrap();
         let thief = Sessioned::new(Arc::clone(&srv), 2);
-        let mut frees = MigBlob::default();
-        frees.mem.freed = vec![p];
-        let mut patches = MigBlob::default();
-        patches.mem.dirty = vec![(p, 0, vec![0; 256])];
+        let span = |base, offset| cricket_proto::MemSpan {
+            base,
+            offset,
+            bytes: vec![0; 256],
+        };
+        let mut frees = base_blob();
+        frees.mem.freed = vec![p].into();
+        let mut patches = base_blob();
+        patches.mem.dirty = vec![span(p, 0)].into();
         // Nor reach it through a span that runs off the end of its own.
-        let mut overruns = MigBlob::default();
-        overruns.mem.new_blocks = vec![(p + 256, vec![0; 256])];
-        overruns.mem.dirty = vec![(p + 256, u64::MAX - 255, vec![0; 256])];
+        let mut overruns = base_blob();
+        overruns.mem.new_blocks = vec![block(p + 256, vec![0; 256])].into();
+        overruns.mem.dirty = vec![span(p + 256, u64::MAX - 255)].into();
         for blob in [frees, patches, overruns] {
-            let ckpt = migrate::encode_checkpoint(&[blob]);
+            let ckpt = migrate::encode_checkpoint(vec![blob]);
             assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
             let back = read(&victim, p, 256);
             assert_eq!(back.into_result().unwrap(), vec![5; 256]);
         }
+    }
+
+    /// Restore and the migration applier both refuse `blob`, and nothing
+    /// of it stays behind: not its block, its stream `0x30` or event
+    /// `0x20` on device 0, a staged adoption, or anything session 2 owns.
+    fn refused_without_a_trace(srv: &Arc<CricketServer>, blob: &MigBlob) {
+        let thief = Sessioned::new(Arc::clone(srv), 2);
+        let free_before = srv.devices[0].lock().mem_info().0;
+        let ckpt = migrate::encode_checkpoint(vec![blob.clone()]);
+        assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
+        let err = srv
+            .mig_apply(&xdr::encode(blob), &[MigKind::Base])
+            .unwrap_err();
+        assert!(matches!(err, VgpuError::InvalidValue(_)), "{err}");
+
+        assert_eq!(srv.devices[0].lock().mem_info().0, free_before, "block");
+        assert!(!srv.devices[0].lock().holds(0x30), "stream handle");
+        assert!(!srv.devices[0].lock().holds(0x20), "event handle");
+        assert!(srv.adoptions.lock().is_empty(), "staged adoption");
+        assert!(srv.session_streams.lock().keys().all(|&(s, _)| s != 2));
+        assert_eq!(srv.release_session(2).total(), 0);
+    }
+
+    /// A blob placing a block, stream `own` (`0x30`, device 0) and event
+    /// `0x20`, with the given stream list and default-stream bindings.
+    fn placing(streams: &[u64], default_streams: &[(u32, u64)]) -> MigBlob {
+        let mut blob = base_blob();
+        blob.meta.token = 0x71EF;
+        let stream = |&handle: &u64| MigStream {
+            handle,
+            frontier_ns: 0,
+        };
+        blob.meta.streams = streams.iter().map(stream).collect::<Vec<_>>().into();
+        let bind = |&(device, stream): &(u32, u64)| MigDefaultStream { device, stream };
+        let bindings = default_streams.iter().map(bind).collect::<Vec<_>>();
+        blob.meta.default_streams = bindings.into();
+        blob.meta.events = vec![MigEvent {
+            handle: 0x20,
+            recorded_ns: None,
+        }]
+        .into();
+        blob.mem.new_blocks = vec![block(HEAP_STRIDE + (1 << 20), vec![7; 256])].into();
+        blob
     }
 
     /// The reproducer: a blob whose `default_streams` binds wire handle 0
@@ -2954,41 +3118,115 @@ mod tests {
         let (srv, victim) = server();
         let theirs = victim.cuda_stream_create().unwrap().into_result().unwrap();
         let thief = Sessioned::new(Arc::clone(&srv), 2);
-        let hostile = |streams: Vec<(u64, u64)>, default_streams: Vec<(u32, u64)>| {
-            let mut blob = MigBlob::default();
-            blob.meta.token = 0x71EF;
-            blob.meta.streams = streams;
-            blob.meta.default_streams = default_streams;
-            blob.meta.events = vec![(0x20, None)];
-            blob.mem.new_blocks = vec![(HEAP_STRIDE + (1 << 20), vec![7; 256])];
-            blob
-        };
         let own = 0x30; // device 0, placed by the blob itself
-        let free_before = srv.devices[0].lock().mem_info().0;
         for blob in [
-            hostile(vec![], vec![(0, theirs)]),
-            hostile(vec![(own, 0)], vec![(0, own), (0, theirs)]),
-            hostile(vec![(own, 0)], vec![(srv.devices.len() as u32, own)]),
-            hostile(vec![(own, 0)], vec![(1, own)]),
+            placing(&[], &[(0, theirs)]),
+            placing(&[own], &[(0, own), (0, theirs)]),
+            placing(&[own], &[(srv.devices.len() as u32, own)]),
+            placing(&[own], &[(1, own)]),
         ] {
-            let ckpt = migrate::encode_checkpoint(std::slice::from_ref(&blob));
-            assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
-            let err = srv.mig_apply(&blob.encode(), &[MigKind::Base]).unwrap_err();
-            assert!(matches!(err, VgpuError::InvalidValue(_)), "{err}");
-
-            assert_eq!(srv.devices[0].lock().mem_info().0, free_before, "block");
-            assert!(!srv.devices[0].lock().holds(own), "stream handle");
-            assert!(!srv.devices[0].lock().holds(0x20), "event handle");
-            assert!(srv.adoptions.lock().is_empty(), "staged adoption");
-            assert!(srv.session_streams.lock().keys().all(|&(s, _)| s != 2));
-            assert_eq!(srv.release_session(2).total(), 0);
+            refused_without_a_trace(&srv, &blob);
         }
         // The well-formed binding of the same shape is accepted.
-        let good = hostile(vec![(own, 0)], vec![(0, own)]);
-        let ckpt = migrate::encode_checkpoint(&[good]);
+        let good = placing(&[own], &[(0, own)]);
+        let ckpt = migrate::encode_checkpoint(vec![good]);
         assert_eq!(thief.ckpt_restore(&ckpt).unwrap(), 0);
         assert_eq!(srv.session_streams.lock().get(&(2, 0)), Some(&own));
         assert_eq!(victim.cuda_stream_synchronize(theirs).unwrap(), 0);
+    }
+
+    /// The reproducer: `next_handles = [(0, u64::MAX)]`. Applied, device
+    /// 0's next `cudaStreamCreate` overflowed its cursor (a panic in debug
+    /// builds, handle `u64::MAX` in release). A cursor outside its
+    /// device's handle window is refused, and the device keeps issuing
+    /// from its own.
+    #[test]
+    fn a_blob_cannot_wrap_a_device_handle_cursor() {
+        let (srv, s) = server();
+        let mut blob = placing(&[0x30], &[]);
+        for next in [u64::MAX, HEAP_STRIDE, 0x10 + HANDLE_STRIDE] {
+            blob.meta.next_handles = vec![MigCursor { device: 0, next }].into();
+            refused_without_a_trace(&srv, &blob);
+        }
+        let h = s.cuda_stream_create().unwrap().into_result().unwrap();
+        assert_eq!(srv.device_of_token(h), Some(0));
+        assert!(h < 0x30, "{h:#x}");
+    }
+
+    /// A cursor on the last slot of device 0's window is well-formed, but
+    /// one handle later `handle_base(1)` — device 1's first handle, maybe
+    /// another tenant's — would come next. The device issues that last
+    /// slot and then refuses; default-stream work still runs (on the
+    /// device's stream 0). The library range ends the same way.
+    #[test]
+    fn no_handle_is_issued_past_its_window() {
+        let (srv, s) = server();
+        let mut blob = base_blob();
+        let next = handle_base(1) - 1;
+        blob.meta.next_handles = vec![MigCursor { device: 0, next }].into();
+        blob.meta.next_lib_handle = LIB_HANDLE_END - 1;
+        let ckpt = migrate::encode_checkpoint(vec![blob]);
+        assert_eq!(s.ckpt_restore(&ckpt).unwrap(), 0);
+
+        let invalid = Err(vgpu::CudaCode::InvalidValue as i32);
+        let stream = || s.cuda_stream_create().unwrap().into_result();
+        assert_eq!(stream(), Ok(next));
+        assert_eq!(srv.device_of_token(next), Some(0));
+        assert_eq!(stream(), invalid);
+        assert_eq!(s.cuda_event_create().unwrap().into_result(), invalid);
+        let p = s.cuda_malloc(64).unwrap().into_result().unwrap();
+        assert_eq!(s.cuda_memset(p, 3, 64).unwrap(), 0);
+        assert_eq!(read(&s, p, 64).into_result().unwrap(), vec![3; 64]);
+
+        let blas = || s.cublas_create().unwrap().into_result();
+        assert_eq!(blas(), Ok(LIB_HANDLE_END - 1));
+        assert_eq!(blas(), invalid);
+        let freed = srv.release_session(1);
+        assert_eq!(
+            (freed.allocations, freed.streams, freed.lib_handles),
+            (1, 1, 1)
+        );
+    }
+
+    /// The reproducer: `next_lib_handle = u64::MAX`. Applied, the next two
+    /// `cublasCreate` calls returned `u64::MAX`, then `0` — a wrapped
+    /// counter handing out a handle from no range at all. A cursor outside
+    /// the library range, or at its end, is refused.
+    #[test]
+    fn a_blob_cannot_exhaust_the_library_handle_cursor() {
+        let (srv, s) = server();
+        let mut blob = placing(&[0x30], &[]);
+        for next in [u64::MAX, LIB_HANDLE_END, 0] {
+            blob.meta.next_lib_handle = next;
+            refused_without_a_trace(&srv, &blob);
+        }
+        let first = s.cublas_create().unwrap().into_result().unwrap();
+        let second = s.cublas_create().unwrap().into_result().unwrap();
+        assert_eq!((first, second), (LIB_HANDLE_BASE, LIB_HANDLE_BASE + 1));
+    }
+
+    /// The reproducer: `src_now_ns = u64::MAX - 10`. Applied, the clock
+    /// jumped there and the next call's charge overflowed it (a panic in
+    /// debug builds; in release the clock read 6 989 ns afterwards). A
+    /// timestamp past the virtual-time horizon is refused — the blob's own
+    /// clock, a stream frontier or an event's record time alike.
+    #[test]
+    fn a_blob_cannot_move_the_clock_past_the_horizon() {
+        let (srv, s) = server();
+        let poisons: [fn(&mut SessionMeta); 3] = [
+            |m| m.src_now_ns = u64::MAX - 10,
+            |m| m.streams[0].frontier_ns = HORIZON_NS + 1,
+            |m| m.events[0].recorded_ns = Some(u64::MAX),
+        ];
+        for poison in poisons {
+            let mut blob = placing(&[0x30], &[]);
+            poison(&mut blob.meta);
+            refused_without_a_trace(&srv, &blob);
+        }
+        let before = srv.clock().now_ns();
+        assert!(before < 1_000_000_000, "the clock moved to {before} ns");
+        assert_eq!(s.cuda_get_device_count().unwrap(), IntResult::Data(4));
+        assert!(srv.clock().now_ns() > before);
     }
 
     /// `SRV_RESET_STATS` is `admin` (always admitted) and open to any

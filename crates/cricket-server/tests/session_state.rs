@@ -413,11 +413,13 @@ fn a_checkpoint_between_base_and_delta_leaves_the_delta_unchanged() {
     let (with, t) = run(true, None);
     let (without, _) = run(false, Some(t));
     assert_eq!(with, without);
-    let delta = cricket_server::MigBlob::decode(&with).unwrap();
-    assert_eq!(
-        delta.mem.dirty,
-        vec![(delta.mem.dirty[0].0, 512, vec![2; 128])]
-    );
+    let delta = cricket_server::migrate::decode(&with).unwrap();
+    let span = cricket_proto::MemSpan {
+        base: delta.mem.dirty[0].base,
+        offset: 512,
+        bytes: vec![2; 128],
+    };
+    assert_eq!(delta.mem.dirty.to_vec(), vec![span]);
 }
 
 /// (e) Two sessions captured, one restorer: it can read both sessions'

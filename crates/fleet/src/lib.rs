@@ -34,14 +34,12 @@
 
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cricket_proto::{CricketV1Client, IntResult};
 use cricket_server::{MigKind, SchedulerPolicy, ServeHandle, ServerBuilder, ServerConfig};
-use oncrpc::portmap::client::PortmapClient;
 pub use oncrpc::{LoadReport, ShardEntry};
-use oncrpc::{Portmap, RpcResult, TcpTransport};
+use oncrpc::{PmapVersClient, Portmap, RpcResult, TcpTransport};
 
 /// Connect-time placement policy: given the directory's shard load
 /// reports, in what order should a new session try shards?
@@ -119,16 +117,16 @@ impl ShardDirectory {
         }
     }
 
-    fn client(&self) -> RpcResult<PortmapClient> {
+    fn client(&self) -> RpcResult<PmapVersClient> {
         let t = TcpTransport::connect(self.addr)?;
-        Ok(PortmapClient::new(Box::new(t)))
+        Ok(PmapVersClient::new(Box::new(t)))
     }
 
     /// Dump the program's shards and rank them under `placement` (best
     /// first). Empty if no shard is registered.
     pub fn candidates(&self, placement: Placement) -> RpcResult<Vec<ShardEntry>> {
         let mut client = self.client()?;
-        let shards = client.shard_dump(self.prog, self.vers)?;
+        let shards = client.shard_dump(&self.prog, &self.vers)?.0;
         Ok(placement.rank(&shards))
     }
 
@@ -136,7 +134,7 @@ impl ShardDirectory {
     /// `port`, so concurrent connects spread out even before the shard's
     /// next heartbeat. Returns false if the shard is no longer registered.
     pub fn assign(&self, port: u32) -> RpcResult<bool> {
-        self.client()?.shard_assign(self.prog, self.vers, port)
+        self.client()?.shard_assign(&self.prog, &self.vers, &port)
     }
 
     /// The socket address of a shard entry: the directory's IP with the
@@ -151,13 +149,14 @@ impl ShardDirectory {
     /// reconnect resolves straight to the session's new shard.
     pub fn set_home(&self, token: u64, port: u32) -> RpcResult<bool> {
         self.client()?
-            .shard_home_set(self.prog, self.vers, token, port)
+            .shard_home_set(&self.prog, &self.vers, &token, &port)
     }
 
     /// The pinned home port for a client token (0 = none, or home shard
     /// deregistered — fall back to [`candidates`](Self::candidates)).
     pub fn home(&self, token: u64) -> RpcResult<u32> {
-        self.client()?.shard_home_get(self.prog, self.vers, token)
+        self.client()?
+            .shard_home_get(&self.prog, &self.vers, &token)
     }
 }
 
@@ -202,7 +201,7 @@ impl FleetBuilder {
 
     /// Start the directory and all shards on loopback.
     pub fn launch(self) -> RpcResult<Fleet> {
-        let portmap = Arc::new(Portmap::new());
+        let portmap = Portmap::new();
         let dir_handle = portmap.serve("127.0.0.1:0")?;
         let dir_addr = dir_handle.addr();
         let mut shards = Vec::with_capacity(self.shards);
@@ -232,7 +231,7 @@ impl FleetBuilder {
 /// A running fleet: the directory service plus its shard servers.
 pub struct Fleet {
     dir_handle: oncrpc::ServerHandle,
-    portmap: Arc<Portmap>,
+    portmap: Portmap,
     dir_addr: SocketAddr,
     shards: Vec<Option<ServeHandle>>,
 }
@@ -250,7 +249,7 @@ impl Fleet {
 
     /// The directory's in-process state (test hook: inspect registrations
     /// without a TCP round trip).
-    pub fn portmap(&self) -> &Arc<Portmap> {
+    pub fn portmap(&self) -> &Portmap {
         &self.portmap
     }
 

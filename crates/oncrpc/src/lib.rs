@@ -54,7 +54,7 @@ pub use client::{NoAllocRpcClient, Reply, RetryPolicy, RpcClient};
 pub use error::{RpcError, RpcResult};
 pub use msg::{AcceptStat, CallBody, MsgType, RejectStat, ReplyBody, RpcMessage};
 
-pub use portmap::{client::PortmapClient, LoadReport, Mapping, Portmap, ShardEntry};
+pub use portmap::{LoadReport, Mapping, PmapVersClient, Portmap, ShardEntry};
 pub use reactor::{
     serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig, ReactorSnapshot,
 };

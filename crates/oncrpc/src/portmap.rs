@@ -1,116 +1,38 @@
-//! Minimal portmapper / rpcbind (program 100000, version 2, RFC 1833),
-//! extended into a GPU-fleet shard directory.
+//! The portmapper (RFC 1833, program 100000 version 2), extended into a
+//! GPU-fleet shard directory.
+//!
+//! `proto/portmap.x` is the protocol: RFC 1833's procedures 0–4, the
+//! shard procedures 5–10 and their types. `rpcl` compiles it at build time
+//! (`build.rs`) into everything on the wire — [`Mapping`], [`LoadReport`],
+//! [`ShardEntry`] and the two optional-data lists with their XDR codecs,
+//! [`PmapVersClient`], and the [`PmapVersService`] trait with its
+//! dispatcher. This module is the one thing the generator cannot write:
+//! [`Portmap`], the directory, each procedure body once.
 //!
 //! Real ONC RPC deployments locate services by asking the portmapper which
 //! TCP port a (program, version) pair listens on. Cricket points clients at
-//! the server directly, but we implement the portmapper both for protocol
-//! completeness and because tests use it to exercise a second, independently
-//! specified RPC program through the same stack.
+//! the server directly, but tests use the portmapper to exercise a second,
+//! independently specified RPC program through the same stack.
 //!
-//! Beyond RFC 1833, procedures 5–8 turn the portmapper into a **shard
-//! directory**: many servers ("shards") of the *same* (program, version)
-//! register simultaneously, each with a [`LoadReport`] snapshot (free device
-//! memory, served device-time, live sessions) refreshed by periodic
-//! heartbeats. Clients fetch the shard table once at connect time, run a
-//! placement policy over it, and then talk to their chosen shard directly —
-//! the directory is never on the per-call path. [`procs::SHARD_ASSIGN`]
-//! lets a connecting client bump its chosen shard's `assigned` counter so
-//! a burst of concurrent connects spreads even between heartbeats.
+//! The shard procedures make it a **shard directory**: many servers
+//! ("shards") of the *same* (program, version) register at once, each with
+//! a [`LoadReport`] its heartbeats refresh. Clients fetch the shard table
+//! once at connect time, rank it, and then talk to their shard directly —
+//! the directory is never on the per-call path. `SHARD_ASSIGN` bumps a
+//! shard's `assigned` counter so a burst of concurrent connects spreads
+//! even between heartbeats; `SHARD_HOME_SET` / `SHARD_HOME_GET` pin a
+//! migrated session's client token to its new home.
 
+include!(concat!(env!("OUT_DIR"), "/portmap.rs"));
+
+use crate::error::RpcResult;
 use crate::msg::AcceptStat;
-use crate::server::{Dispatch, DispatchResult};
+use crate::server::{serve_tcp, RpcServer, ServerHandle};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map::Entry, BTreeMap, HashMap};
 use std::sync::Arc;
-use xdr::{XdrDecoder, XdrEncoder};
 
-/// The portmapper's own program number.
-pub const PMAP_PROG: u32 = 100_000;
-/// The portmapper protocol version implemented here.
-pub const PMAP_VERS: u32 = 2;
-
-/// Procedure numbers (RFC 1833 §3, plus the shard-directory extension).
-pub mod procs {
-    /// Do nothing (ping).
-    pub const NULL: u32 = 0;
-    /// Register a mapping.
-    pub const SET: u32 = 1;
-    /// Remove a mapping.
-    pub const UNSET: u32 = 2;
-    /// Look up the port for a mapping.
-    pub const GETPORT: u32 = 3;
-    /// Enumerate all mappings.
-    pub const DUMP: u32 = 4;
-    /// Register a fleet shard, or refresh its load report (heartbeat).
-    /// Unlike [`SET`], many shards of one (prog, vers) may coexist.
-    pub const SHARD_SET: u32 = 5;
-    /// Deregister one shard of (prog, vers) by port.
-    pub const SHARD_UNSET: u32 = 6;
-    /// Enumerate the shards of (prog, vers) with their load reports.
-    pub const SHARD_DUMP: u32 = 7;
-    /// Record that a client placed a new session on a shard (bumps the
-    /// shard's `assigned` counter until its next heartbeat).
-    pub const SHARD_ASSIGN: u32 = 8;
-    /// Pin a client token's session to the shard of (prog, vers) at a
-    /// port — written by live migration at cutover so the evicted client's
-    /// reconnect is pointed at the session's new home. Port 0 clears.
-    pub const SHARD_HOME_SET: u32 = 9;
-    /// Look up the pinned home of a client token (0 = none / shard gone).
-    pub const SHARD_HOME_GET: u32 = 10;
-}
-
-/// Transport protocol numbers used in mappings.
-pub const IPPROTO_TCP: u32 = 6;
-/// UDP protocol number (accepted in mappings, unused by this crate).
-pub const IPPROTO_UDP: u32 = 17;
-
-/// One registered mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Mapping {
-    /// RPC program number.
-    pub prog: u32,
-    /// Program version.
-    pub vers: u32,
-    /// Transport protocol ([`IPPROTO_TCP`] or [`IPPROTO_UDP`]).
-    pub prot: u32,
-    /// Listening port.
-    pub port: u32,
-}
-
-/// One shard's load snapshot, as carried by `SHARD_SET` heartbeats.
-///
-/// All fields are cumulative or instantaneous server-side facts; the
-/// directory stores them verbatim and placement policies interpret them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Free device memory across the shard's whole device set, bytes.
-    pub free_mem: u64,
-    /// Total device memory across the shard's device set, bytes.
-    pub total_mem: u64,
-    /// Cumulative device-time nanoseconds the shard has served.
-    pub served_ns: u64,
-    /// Live client sessions on the shard.
-    pub sessions: u32,
-    /// QoS pressure in permille: session-watermark occupancy (0–1000),
-    /// saturating at 1000 when the shard has recently shed calls with
-    /// `CRICKET_BUSY`. Placement steers away from saturated (>=1000)
-    /// shards.
-    pub qos_pressure: u32,
-}
-
-/// One registered shard of a (prog, vers) fleet, as returned by
-/// `SHARD_DUMP`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardEntry {
-    /// The shard's listening TCP port (on the directory's host).
-    pub port: u32,
-    /// Its latest heartbeat load report.
-    pub load: LoadReport,
-    /// Sessions placed on this shard (via `SHARD_ASSIGN`) since its last
-    /// heartbeat — the directory's freshest load signal during a connect
-    /// burst, reset to zero whenever the shard reports in.
-    pub assigned: u32,
-}
+type Reply<T> = Result<T, AcceptStat>;
 
 impl ShardEntry {
     /// Sessions the directory believes the shard is carrying right now:
@@ -120,530 +42,196 @@ impl ShardEntry {
     }
 }
 
-/// In-memory portmapper service.
-#[derive(Default)]
-pub struct Portmap {
-    table: RwLock<HashMap<(u32, u32, u32), u32>>,
-    /// Fleet extension: (prog, vers) → port → shard state. A `BTreeMap`
-    /// keyed by port keeps dumps deterministic.
-    shards: RwLock<HashMap<(u32, u32), BTreeMap<u32, ShardState>>>,
-    /// Migration extension: (prog, vers, client token) → pinned home port.
-    homes: RwLock<HashMap<(u32, u32, u64), u32>>,
-}
+/// The directory: a handle to one set of tables, so the copy a server
+/// dispatches to and every in-process clone see the same state. Call the
+/// procedures through [`PmapVersService`], locally or over the wire.
+#[derive(Clone, Default)]
+pub struct Portmap(Arc<RwLock<Tables>>);
 
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardState {
-    load: LoadReport,
-    assigned: u32,
+#[derive(Default)]
+struct Tables {
+    /// (prog, vers, prot) → port; ordered, so `DUMP` is deterministic.
+    mappings: BTreeMap<(u32, u32, u32), u32>,
+    /// (prog, vers) → port → shard; ordered by port.
+    shards: HashMap<(u32, u32), BTreeMap<u32, ShardEntry>>,
+    /// (prog, vers, client token) → pinned home port.
+    homes: HashMap<(u32, u32, u64), u32>,
 }
 
 impl Portmap {
-    /// Create an empty portmapper.
+    /// An empty directory.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Register a mapping; returns false if one already existed (RFC 1833
-    /// semantics: SET fails if the tuple is taken).
-    pub fn set(&self, m: Mapping) -> bool {
-        let mut t = self.table.write();
-        match t.entry((m.prog, m.vers, m.prot)) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(m.port);
-                true
-            }
-        }
+    /// Serve this directory over real TCP as [`PMAP_PROG`]/[`PMAP_VERS`] —
+    /// the standalone directory process of a GPU fleet. `handle.addr()` is
+    /// the address shards register with and clients resolve through.
+    pub fn serve<A: std::net::ToSocketAddrs>(&self, addr: A) -> RpcResult<ServerHandle> {
+        let rpc = Arc::new(RpcServer::new());
+        rpc.register(
+            PMAP_PROG,
+            PMAP_VERS,
+            Arc::new(PmapVersDispatch(self.clone())),
+        );
+        serve_tcp(rpc, addr)
+    }
+}
+
+impl PmapVersService for Portmap {
+    fn null(&self) -> Reply<()> {
+        Ok(())
     }
 
-    /// Remove all mappings for (prog, vers); returns whether any existed.
-    pub fn unset(&self, prog: u32, vers: u32) -> bool {
-        let mut t = self.table.write();
-        let before = t.len();
-        t.retain(|&(p, v, _), _| !(p == prog && v == vers));
-        t.len() != before
+    /// RFC 1833: `SET` never overwrites — it fails if the tuple is taken.
+    fn set(&self, m: Mapping) -> Reply<bool> {
+        Ok(
+            match self.0.write().mappings.entry((m.prog, m.vers, m.prot)) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(e) => {
+                    e.insert(m.port);
+                    true
+                }
+            },
+        )
     }
 
-    /// Look up the port for (prog, vers, prot); 0 if absent.
-    pub fn getport(&self, prog: u32, vers: u32, prot: u32) -> u32 {
-        self.table
-            .read()
-            .get(&(prog, vers, prot))
+    fn unset(&self, m: Mapping) -> Reply<bool> {
+        let mappings = &mut self.0.write().mappings;
+        let before = mappings.len();
+        mappings.retain(|&(prog, vers, _), _| (prog, vers) != (m.prog, m.vers));
+        Ok(mappings.len() != before)
+    }
+
+    fn getport(&self, m: Mapping) -> Reply<u32> {
+        let mappings = &self.0.read().mappings;
+        Ok(mappings
+            .get(&(m.prog, m.vers, m.prot))
             .copied()
-            .unwrap_or(0)
+            .unwrap_or(0))
     }
 
-    /// All current mappings, unordered.
-    pub fn dump(&self) -> Vec<Mapping> {
-        self.table
-            .read()
-            .iter()
-            .map(|(&(prog, vers, prot), &port)| Mapping {
-                prog,
-                vers,
-                prot,
-                port,
-            })
-            .collect()
+    fn dump(&self) -> Reply<Pmaplist> {
+        let mappings = &self.0.read().mappings;
+        let all = mappings.iter().map(|(&(prog, vers, prot), &port)| Mapping {
+            prog,
+            vers,
+            prot,
+            port,
+        });
+        Ok(MappingNode(all.collect()))
     }
 
-    /// Register a shard of (prog, vers) at `port`, or — if it is already
-    /// registered — refresh its load report (heartbeat). Refreshing resets
-    /// the `assigned` counter: the report's `sessions` now accounts for
-    /// every placement the counter was covering.
-    pub fn shard_set(&self, prog: u32, vers: u32, port: u32, load: LoadReport) {
-        self.shards
-            .write()
+    /// A heartbeat replaces the shard's entry, resetting `assigned`: the
+    /// report's `sessions` now accounts for every placement it covered.
+    fn shard_set(&self, prog: u32, vers: u32, port: u32, load: LoadReport) -> Reply<bool> {
+        let entry = ShardEntry {
+            port,
+            load,
+            assigned: 0,
+        };
+        let mut t = self.0.write();
+        t.shards
             .entry((prog, vers))
             .or_default()
-            .insert(port, ShardState { load, assigned: 0 });
+            .insert(port, entry);
+        Ok(true)
     }
 
-    /// Deregister the shard of (prog, vers) at `port`; returns whether it
-    /// was registered.
-    pub fn shard_unset(&self, prog: u32, vers: u32, port: u32) -> bool {
-        let mut t = self.shards.write();
-        match t.get_mut(&(prog, vers)) {
-            Some(m) => {
-                let existed = m.remove(&port).is_some();
-                if m.is_empty() {
-                    t.remove(&(prog, vers));
-                }
-                existed
-            }
-            None => false,
+    fn shard_unset(&self, prog: u32, vers: u32, port: u32) -> Reply<bool> {
+        let shards = &mut self.0.write().shards;
+        let Some(fleet) = shards.get_mut(&(prog, vers)) else {
+            return Ok(false);
+        };
+        let existed = fleet.remove(&port).is_some();
+        if fleet.is_empty() {
+            shards.remove(&(prog, vers));
         }
+        Ok(existed)
     }
 
-    /// All shards of (prog, vers), ordered by port.
-    pub fn shard_dump(&self, prog: u32, vers: u32) -> Vec<ShardEntry> {
-        self.shards
-            .read()
+    fn shard_dump(&self, prog: u32, vers: u32) -> Reply<ShardList> {
+        let shards = &self.0.read().shards;
+        let fleet = shards
             .get(&(prog, vers))
-            .map(|m| {
-                m.iter()
-                    .map(|(&port, st)| ShardEntry {
-                        port,
-                        load: st.load,
-                        assigned: st.assigned,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|m| m.values());
+        Ok(ShardNode(fleet.copied().collect()))
     }
 
-    /// Record one placement on the shard of (prog, vers) at `port`;
-    /// returns false if no such shard is registered.
-    pub fn shard_assign(&self, prog: u32, vers: u32, port: u32) -> bool {
-        match self
-            .shards
-            .write()
-            .get_mut(&(prog, vers))
-            .and_then(|m| m.get_mut(&port))
-        {
-            Some(st) => {
-                st.assigned = st.assigned.saturating_add(1);
-                true
-            }
-            None => false,
-        }
+    fn shard_assign(&self, prog: u32, vers: u32, port: u32) -> Reply<bool> {
+        let shards = &mut self.0.write().shards;
+        let shard = shards.get_mut(&(prog, vers)).and_then(|m| m.get_mut(&port));
+        Ok(shard
+            .map(|s| s.assigned = s.assigned.saturating_add(1))
+            .is_some())
     }
 
-    /// Pin `token`'s session to the shard of (prog, vers) at `port`
-    /// (port 0 clears the pin). Written by migration at cutover.
-    pub fn home_set(&self, prog: u32, vers: u32, token: u64, port: u32) {
-        let mut homes = self.homes.write();
+    fn shard_home_set(&self, prog: u32, vers: u32, token: u64, port: u32) -> Reply<bool> {
+        let homes = &mut self.0.write().homes;
         if port == 0 {
             homes.remove(&(prog, vers, token));
         } else {
             homes.insert((prog, vers, token), port);
         }
+        Ok(true)
     }
 
-    /// The pinned home port of `token`, or 0 if it has none — or if the
-    /// pinned shard is no longer registered (crashed mid-migration), so a
-    /// reconnecting client falls back to ranked candidates instead of
-    /// hammering a dead address.
-    pub fn home_get(&self, prog: u32, vers: u32, token: u64) -> u32 {
-        let port = match self.homes.read().get(&(prog, vers, token)) {
-            Some(&p) => p,
-            None => return 0,
-        };
-        let alive = self
-            .shards
-            .read()
-            .get(&(prog, vers))
-            .is_some_and(|m| m.contains_key(&port));
-        if alive {
-            port
-        } else {
-            0
-        }
-    }
-
-    /// Wrap in the RPC [`Dispatch`] adapter.
-    pub fn into_dispatch(self: Arc<Self>) -> Arc<dyn Dispatch> {
-        Arc::new(PortmapDispatch(self))
-    }
-
-    /// Serve this portmapper over real TCP as [`PMAP_PROG`]/[`PMAP_VERS`]
-    /// — the standalone directory process of a GPU fleet. Returns the
-    /// serving handle; `handle.addr()` is the directory address shards
-    /// register with and clients resolve through.
-    pub fn serve<A: std::net::ToSocketAddrs>(
-        self: &Arc<Self>,
-        addr: A,
-    ) -> crate::error::RpcResult<crate::server::ServerHandle> {
-        let rpc = Arc::new(crate::server::RpcServer::new());
-        rpc.register(PMAP_PROG, PMAP_VERS, Arc::clone(self).into_dispatch());
-        crate::server::serve_tcp(rpc, addr)
-    }
-}
-
-struct PortmapDispatch(Arc<Portmap>);
-
-fn decode_mapping(args: &mut XdrDecoder<'_>) -> Result<Mapping, AcceptStat> {
-    Ok(Mapping {
-        prog: args.get_u32().map_err(|_| AcceptStat::GarbageArgs)?,
-        vers: args.get_u32().map_err(|_| AcceptStat::GarbageArgs)?,
-        prot: args.get_u32().map_err(|_| AcceptStat::GarbageArgs)?,
-        port: args.get_u32().map_err(|_| AcceptStat::GarbageArgs)?,
-    })
-}
-
-/// Wire layout of the shard procedures' common prefix: prog, vers, port.
-fn decode_shard_key(args: &mut XdrDecoder<'_>) -> Result<(u32, u32, u32), AcceptStat> {
-    let garbage = |_| AcceptStat::GarbageArgs;
-    Ok((
-        args.get_u32().map_err(garbage)?,
-        args.get_u32().map_err(garbage)?,
-        args.get_u32().map_err(garbage)?,
-    ))
-}
-
-fn decode_load(args: &mut XdrDecoder<'_>) -> Result<LoadReport, AcceptStat> {
-    let garbage = |_| AcceptStat::GarbageArgs;
-    Ok(LoadReport {
-        free_mem: args.get_u64().map_err(garbage)?,
-        total_mem: args.get_u64().map_err(garbage)?,
-        served_ns: args.get_u64().map_err(garbage)?,
-        sessions: args.get_u32().map_err(garbage)?,
-        qos_pressure: args.get_u32().map_err(garbage)?,
-    })
-}
-
-fn encode_load(reply: &mut XdrEncoder, load: &LoadReport) {
-    reply.put_u64(load.free_mem);
-    reply.put_u64(load.total_mem);
-    reply.put_u64(load.served_ns);
-    reply.put_u32(load.sessions);
-    reply.put_u32(load.qos_pressure);
-}
-
-impl Dispatch for PortmapDispatch {
-    fn dispatch(
-        &self,
-        proc: u32,
-        args: &mut XdrDecoder<'_>,
-        reply: &mut XdrEncoder,
-    ) -> DispatchResult {
-        match proc {
-            procs::NULL => Ok(()),
-            procs::SET => {
-                let m = decode_mapping(args)?;
-                reply.put_bool(self.0.set(m));
-                Ok(())
-            }
-            procs::UNSET => {
-                let m = decode_mapping(args)?;
-                reply.put_bool(self.0.unset(m.prog, m.vers));
-                Ok(())
-            }
-            procs::GETPORT => {
-                let m = decode_mapping(args)?;
-                reply.put_u32(self.0.getport(m.prog, m.vers, m.prot));
-                Ok(())
-            }
-            procs::DUMP => {
-                // Encoded as an XDR linked list: (bool more, mapping)* false.
-                for m in self.0.dump() {
-                    reply.put_bool(true);
-                    reply.put_u32(m.prog);
-                    reply.put_u32(m.vers);
-                    reply.put_u32(m.prot);
-                    reply.put_u32(m.port);
-                }
-                reply.put_bool(false);
-                Ok(())
-            }
-            procs::SHARD_SET => {
-                let (prog, vers, port) = decode_shard_key(args)?;
-                let load = decode_load(args)?;
-                self.0.shard_set(prog, vers, port, load);
-                reply.put_bool(true);
-                Ok(())
-            }
-            procs::SHARD_UNSET => {
-                let (prog, vers, port) = decode_shard_key(args)?;
-                reply.put_bool(self.0.shard_unset(prog, vers, port));
-                Ok(())
-            }
-            procs::SHARD_DUMP => {
-                let garbage = |_| AcceptStat::GarbageArgs;
-                let prog = args.get_u32().map_err(garbage)?;
-                let vers = args.get_u32().map_err(garbage)?;
-                // XDR linked list, like DUMP: (bool more, entry)* false.
-                for e in self.0.shard_dump(prog, vers) {
-                    reply.put_bool(true);
-                    reply.put_u32(e.port);
-                    encode_load(reply, &e.load);
-                    reply.put_u32(e.assigned);
-                }
-                reply.put_bool(false);
-                Ok(())
-            }
-            procs::SHARD_ASSIGN => {
-                let (prog, vers, port) = decode_shard_key(args)?;
-                reply.put_bool(self.0.shard_assign(prog, vers, port));
-                Ok(())
-            }
-            procs::SHARD_HOME_SET => {
-                let garbage = |_| AcceptStat::GarbageArgs;
-                let prog = args.get_u32().map_err(garbage)?;
-                let vers = args.get_u32().map_err(garbage)?;
-                let token = args.get_u64().map_err(garbage)?;
-                let port = args.get_u32().map_err(garbage)?;
-                self.0.home_set(prog, vers, token, port);
-                reply.put_bool(true);
-                Ok(())
-            }
-            procs::SHARD_HOME_GET => {
-                let garbage = |_| AcceptStat::GarbageArgs;
-                let prog = args.get_u32().map_err(garbage)?;
-                let vers = args.get_u32().map_err(garbage)?;
-                let token = args.get_u64().map_err(garbage)?;
-                reply.put_u32(self.0.home_get(prog, vers, token));
-                Ok(())
-            }
-            _ => Err(AcceptStat::ProcUnavail),
-        }
-    }
-}
-
-/// Client-side helpers for talking to a portmapper.
-pub mod client {
-    use super::*;
-    use crate::client::RpcClient;
-    use crate::error::RpcResult;
-    use crate::transport::Transport;
-
-    /// Typed portmapper client.
-    pub struct PortmapClient {
-        rpc: RpcClient,
-    }
-
-    impl PortmapClient {
-        /// Bind a portmap client over `transport`.
-        pub fn new(transport: Box<dyn Transport>) -> Self {
-            Self {
-                rpc: RpcClient::new(transport, PMAP_PROG, PMAP_VERS),
-            }
-        }
-
-        /// Ping.
-        pub fn null(&mut self) -> RpcResult<()> {
-            self.rpc.call_null()
-        }
-
-        /// Register a mapping.
-        pub fn set(&mut self, m: Mapping) -> RpcResult<bool> {
-            self.rpc.call(procs::SET, &(m.prog, m.vers, m.prot, m.port))
-        }
-
-        /// Remove mappings for (prog, vers).
-        pub fn unset(&mut self, prog: u32, vers: u32) -> RpcResult<bool> {
-            self.rpc.call(procs::UNSET, &(prog, vers, 0u32, 0u32))
-        }
-
-        /// Look up a port (0 = unregistered).
-        pub fn getport(&mut self, prog: u32, vers: u32, prot: u32) -> RpcResult<u32> {
-            self.rpc.call(procs::GETPORT, &(prog, vers, prot, 0u32))
-        }
-
-        /// Enumerate mappings.
-        pub fn dump(&mut self) -> RpcResult<Vec<Mapping>> {
-            let raw = self.rpc.call_raw(procs::DUMP, |_| {})?;
-            let mut dec = XdrDecoder::new(&raw);
-            let mut out = Vec::new();
-            while dec.get_bool()? {
-                out.push(Mapping {
-                    prog: dec.get_u32()?,
-                    vers: dec.get_u32()?,
-                    prot: dec.get_u32()?,
-                    port: dec.get_u32()?,
-                });
-            }
-            dec.finish()?;
-            Ok(out)
-        }
-
-        /// Register a shard of (prog, vers) at `port`, or refresh its load
-        /// report (heartbeat).
-        pub fn shard_set(
-            &mut self,
-            prog: u32,
-            vers: u32,
-            port: u32,
-            load: LoadReport,
-        ) -> RpcResult<bool> {
-            let raw = self.rpc.call_raw(procs::SHARD_SET, |enc| {
-                enc.put_u32(prog);
-                enc.put_u32(vers);
-                enc.put_u32(port);
-                enc.put_u64(load.free_mem);
-                enc.put_u64(load.total_mem);
-                enc.put_u64(load.served_ns);
-                enc.put_u32(load.sessions);
-                enc.put_u32(load.qos_pressure);
-            })?;
-            Self::one_bool(&raw)
-        }
-
-        /// Deregister the shard of (prog, vers) at `port`.
-        pub fn shard_unset(&mut self, prog: u32, vers: u32, port: u32) -> RpcResult<bool> {
-            let raw = self.rpc.call_raw(procs::SHARD_UNSET, |enc| {
-                enc.put_u32(prog);
-                enc.put_u32(vers);
-                enc.put_u32(port);
-            })?;
-            Self::one_bool(&raw)
-        }
-
-        /// Enumerate the shards of (prog, vers) with their load reports,
-        /// ordered by port.
-        pub fn shard_dump(&mut self, prog: u32, vers: u32) -> RpcResult<Vec<ShardEntry>> {
-            let raw = self.rpc.call_raw(procs::SHARD_DUMP, |enc| {
-                enc.put_u32(prog);
-                enc.put_u32(vers);
-            })?;
-            let mut dec = XdrDecoder::new(&raw);
-            let mut out = Vec::new();
-            while dec.get_bool()? {
-                out.push(ShardEntry {
-                    port: dec.get_u32()?,
-                    load: LoadReport {
-                        free_mem: dec.get_u64()?,
-                        total_mem: dec.get_u64()?,
-                        served_ns: dec.get_u64()?,
-                        sessions: dec.get_u32()?,
-                        qos_pressure: dec.get_u32()?,
-                    },
-                    assigned: dec.get_u32()?,
-                });
-            }
-            dec.finish()?;
-            Ok(out)
-        }
-
-        /// Tell the directory a new session was placed on the shard at
-        /// `port` (so concurrent connectors see the load before the
-        /// shard's next heartbeat).
-        pub fn shard_assign(&mut self, prog: u32, vers: u32, port: u32) -> RpcResult<bool> {
-            let raw = self.rpc.call_raw(procs::SHARD_ASSIGN, |enc| {
-                enc.put_u32(prog);
-                enc.put_u32(vers);
-                enc.put_u32(port);
-            })?;
-            Self::one_bool(&raw)
-        }
-
-        /// Pin `token`'s session home to the shard at `port` (0 clears).
-        pub fn shard_home_set(
-            &mut self,
-            prog: u32,
-            vers: u32,
-            token: u64,
-            port: u32,
-        ) -> RpcResult<bool> {
-            let raw = self.rpc.call_raw(procs::SHARD_HOME_SET, |enc| {
-                enc.put_u32(prog);
-                enc.put_u32(vers);
-                enc.put_u64(token);
-                enc.put_u32(port);
-            })?;
-            Self::one_bool(&raw)
-        }
-
-        /// The pinned home port of `token` (0 = none / shard gone).
-        pub fn shard_home_get(&mut self, prog: u32, vers: u32, token: u64) -> RpcResult<u32> {
-            let raw = self.rpc.call_raw(procs::SHARD_HOME_GET, |enc| {
-                enc.put_u32(prog);
-                enc.put_u32(vers);
-                enc.put_u64(token);
-            })?;
-            let mut dec = XdrDecoder::new(&raw);
-            let port = dec.get_u32()?;
-            dec.finish()?;
-            Ok(port)
-        }
-
-        fn one_bool(raw: &[u8]) -> RpcResult<bool> {
-            let mut dec = XdrDecoder::new(raw);
-            let b = dec.get_bool()?;
-            dec.finish()?;
-            Ok(b)
-        }
+    /// A pin to a shard no longer registered (crashed mid-migration) reads
+    /// as 0, so a reconnecting client falls back to the ranked candidates
+    /// instead of hammering a dead address.
+    fn shard_home_get(&self, prog: u32, vers: u32, token: u64) -> Reply<u32> {
+        let t = self.0.read();
+        let port = t.homes.get(&(prog, vers, token)).copied().unwrap_or(0);
+        let alive = (t.shards.get(&(prog, vers))).is_some_and(|m| m.contains_key(&port));
+        Ok(if alive { port } else { 0 })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{serve_tcp, RpcServer};
     use crate::transport::TcpTransport;
+
+    const TCP: u32 = IPPROTO_TCP as u32;
+
+    fn mapping(prog: u32, vers: u32, port: u32) -> Mapping {
+        Mapping {
+            prog,
+            vers,
+            prot: TCP,
+            port,
+        }
+    }
 
     #[test]
     fn local_table_semantics() {
         let pm = Portmap::new();
-        let m = Mapping {
-            prog: 99,
-            vers: 1,
-            prot: IPPROTO_TCP,
-            port: 2048,
-        };
-        assert!(pm.set(m));
-        assert!(!pm.set(m), "duplicate SET must fail");
-        assert_eq!(pm.getport(99, 1, IPPROTO_TCP), 2048);
-        assert_eq!(pm.getport(99, 2, IPPROTO_TCP), 0);
-        assert!(pm.unset(99, 1));
-        assert!(!pm.unset(99, 1));
-        assert_eq!(pm.getport(99, 1, IPPROTO_TCP), 0);
+        let m = mapping(99, 1, 2048);
+        assert!(pm.set(m).unwrap());
+        assert!(!pm.set(m).unwrap(), "duplicate SET must fail");
+        assert_eq!(pm.getport(m).unwrap(), 2048);
+        assert_eq!(pm.getport(mapping(99, 2, 0)).unwrap(), 0);
+        assert!(pm.unset(m).unwrap());
+        assert!(!pm.unset(m).unwrap());
+        assert_eq!(pm.getport(m).unwrap(), 0);
     }
 
     #[test]
     fn portmap_over_tcp() {
-        let pm = Arc::new(Portmap::new());
-        let server = Arc::new(RpcServer::new());
-        server.register(PMAP_PROG, PMAP_VERS, Arc::clone(&pm).into_dispatch());
-        let handle = serve_tcp(server, "127.0.0.1:0").unwrap();
+        let pm = Portmap::new();
+        let handle = pm.serve("127.0.0.1:0").unwrap();
 
         let t = TcpTransport::connect(handle.addr()).unwrap();
-        let mut client = client::PortmapClient::new(Box::new(t));
+        let mut client = PmapVersClient::new(Box::new(t));
         client.null().unwrap();
-        assert!(client
-            .set(Mapping {
-                prog: 99,
-                vers: 1,
-                prot: IPPROTO_TCP,
-                port: 4242
-            })
-            .unwrap());
-        assert_eq!(client.getport(99, 1, IPPROTO_TCP).unwrap(), 4242);
-        let dumped = client.dump().unwrap();
+        assert!(client.set(&mapping(99, 1, 4242)).unwrap());
+        assert_eq!(client.getport(&mapping(99, 1, 0)).unwrap(), 4242);
+        let dumped = client.dump().unwrap().0;
         assert_eq!(dumped.len(), 1);
         assert_eq!(dumped[0].port, 4242);
-        assert!(client.unset(99, 1).unwrap());
-        assert_eq!(client.getport(99, 1, IPPROTO_TCP).unwrap(), 0);
+        assert!(client.unset(&mapping(99, 1, 0)).unwrap());
+        assert_eq!(client.getport(&mapping(99, 1, 0)).unwrap(), 0);
         handle.shutdown();
     }
 
@@ -657,34 +245,31 @@ mod tests {
             sessions: 1,
             qos_pressure: 0,
         };
+        let dump = |prog, vers| pm.shard_dump(prog, vers).unwrap().0;
         // Many shards of one (prog, vers) may coexist — unlike SET.
-        pm.shard_set(7, 1, 5001, load);
-        pm.shard_set(7, 1, 5002, LoadReport::default());
-        assert_eq!(pm.shard_dump(7, 1).len(), 2);
-        assert_eq!(pm.shard_dump(7, 2).len(), 0);
+        pm.shard_set(7, 1, 5001, load).unwrap();
+        pm.shard_set(7, 1, 5002, LoadReport::default()).unwrap();
+        assert_eq!(dump(7, 1).len(), 2);
+        assert_eq!(dump(7, 2).len(), 0);
 
         // Assign bumps the freshness counter; a heartbeat resets it.
-        assert!(pm.shard_assign(7, 1, 5001));
-        assert!(pm.shard_assign(7, 1, 5001));
-        assert!(!pm.shard_assign(7, 1, 9999), "unknown port");
-        let dump = pm.shard_dump(7, 1);
-        assert_eq!(dump[0].assigned, 2);
-        assert_eq!(dump[0].effective_sessions(), 3);
-        pm.shard_set(
-            7,
-            1,
-            5001,
-            LoadReport {
-                sessions: 3,
-                ..load
-            },
-        );
-        assert_eq!(pm.shard_dump(7, 1)[0].assigned, 0);
+        assert!(pm.shard_assign(7, 1, 5001).unwrap());
+        assert!(pm.shard_assign(7, 1, 5001).unwrap());
+        assert!(!pm.shard_assign(7, 1, 9999).unwrap(), "unknown port");
+        let shards = dump(7, 1);
+        assert_eq!(shards[0].assigned, 2);
+        assert_eq!(shards[0].effective_sessions(), 3);
+        let beat = LoadReport {
+            sessions: 3,
+            ..load
+        };
+        pm.shard_set(7, 1, 5001, beat).unwrap();
+        assert_eq!(dump(7, 1)[0].assigned, 0);
 
         // Deregistration removes exactly one shard.
-        assert!(pm.shard_unset(7, 1, 5001));
-        assert!(!pm.shard_unset(7, 1, 5001));
-        let rest = pm.shard_dump(7, 1);
+        assert!(pm.shard_unset(7, 1, 5001).unwrap());
+        assert!(!pm.shard_unset(7, 1, 5001).unwrap());
+        let rest = dump(7, 1);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].port, 5002);
     }
@@ -692,33 +277,34 @@ mod tests {
     #[test]
     fn home_pins_follow_shard_liveness() {
         let pm = Portmap::new();
-        pm.shard_set(7, 1, 5001, LoadReport::default());
-        pm.shard_set(7, 1, 5002, LoadReport::default());
+        pm.shard_set(7, 1, 5001, LoadReport::default()).unwrap();
+        pm.shard_set(7, 1, 5002, LoadReport::default()).unwrap();
+        let home = |vers, token| pm.shard_home_get(7, vers, token).unwrap();
 
-        assert_eq!(pm.home_get(7, 1, 0xAB), 0, "no pin yet");
-        pm.home_set(7, 1, 0xAB, 5002);
-        assert_eq!(pm.home_get(7, 1, 0xAB), 5002);
-        assert_eq!(pm.home_get(7, 2, 0xAB), 0, "pins are per (prog, vers)");
+        assert_eq!(home(1, 0xAB), 0, "no pin yet");
+        pm.shard_home_set(7, 1, 0xAB, 5002).unwrap();
+        assert_eq!(home(1, 0xAB), 5002);
+        assert_eq!(home(2, 0xAB), 0, "pins are per (prog, vers)");
 
         // A pin to a deregistered shard reads as 0 so reconnecting clients
         // fall back to the ranked candidate list.
-        pm.shard_unset(7, 1, 5002);
-        assert_eq!(pm.home_get(7, 1, 0xAB), 0);
+        pm.shard_unset(7, 1, 5002).unwrap();
+        assert_eq!(home(1, 0xAB), 0);
 
         // Re-pin and clear.
-        pm.home_set(7, 1, 0xAB, 5001);
-        assert_eq!(pm.home_get(7, 1, 0xAB), 5001);
-        pm.home_set(7, 1, 0xAB, 0);
-        assert_eq!(pm.home_get(7, 1, 0xAB), 0);
+        pm.shard_home_set(7, 1, 0xAB, 5001).unwrap();
+        assert_eq!(home(1, 0xAB), 5001);
+        pm.shard_home_set(7, 1, 0xAB, 0).unwrap();
+        assert_eq!(home(1, 0xAB), 0);
     }
 
     #[test]
     fn shard_directory_over_tcp() {
-        let pm = Arc::new(Portmap::new());
+        let pm = Portmap::new();
         let handle = pm.serve("127.0.0.1:0").unwrap();
 
         let t = TcpTransport::connect(handle.addr()).unwrap();
-        let mut client = client::PortmapClient::new(Box::new(t));
+        let mut client = PmapVersClient::new(Box::new(t));
         let load = LoadReport {
             free_mem: 1 << 30,
             total_mem: 2 << 30,
@@ -726,21 +312,21 @@ mod tests {
             sessions: 4,
             qos_pressure: 250,
         };
-        assert!(client.shard_set(77, 1, 6001, load).unwrap());
+        assert!(client.shard_set(&77, &1, &6001, &load).unwrap());
         assert!(client
-            .shard_set(77, 1, 6002, LoadReport::default())
+            .shard_set(&77, &1, &6002, &LoadReport::default())
             .unwrap());
-        assert!(client.shard_assign(77, 1, 6002).unwrap());
-        let shards = client.shard_dump(77, 1).unwrap();
+        assert!(client.shard_assign(&77, &1, &6002).unwrap());
+        let shards = client.shard_dump(&77, &1).unwrap().0;
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0].port, 6001);
         assert_eq!(shards[0].load, load);
         assert_eq!(shards[1].assigned, 1);
-        assert!(client.shard_home_set(77, 1, 0xF00D, 6002).unwrap());
-        assert_eq!(client.shard_home_get(77, 1, 0xF00D).unwrap(), 6002);
-        assert_eq!(client.shard_home_get(77, 1, 0xBEEF).unwrap(), 0);
-        assert!(client.shard_unset(77, 1, 6001).unwrap());
-        assert_eq!(client.shard_dump(77, 1).unwrap().len(), 1);
+        assert!(client.shard_home_set(&77, &1, &0xF00D, &6002).unwrap());
+        assert_eq!(client.shard_home_get(&77, &1, &0xF00D).unwrap(), 6002);
+        assert_eq!(client.shard_home_get(&77, &1, &0xBEEF).unwrap(), 0);
+        assert!(client.shard_unset(&77, &1, &6001).unwrap());
+        assert_eq!(client.shard_dump(&77, &1).unwrap().0.len(), 1);
         handle.shutdown();
     }
 }

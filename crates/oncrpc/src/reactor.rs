@@ -63,7 +63,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use xdr::XdrEncoder;
 
@@ -217,8 +217,8 @@ impl Conn {
 struct Rings<'a> {
     cfg: &'a ReactorConfig,
     poller: &'a Poller,
-    worker_txs: &'a [crossbeam_channel::Sender<Job>],
-    writer_tx: &'a crossbeam_channel::Sender<WriterMsg>,
+    worker_txs: &'a [mpsc::Sender<Job>],
+    writer_tx: &'a mpsc::Sender<WriterMsg>,
     record_pool: &'a BufPool,
     reply_pool: &'a BufPool,
     stats: &'a ReactorStats,
@@ -394,8 +394,7 @@ where
     let poller = Arc::new(Poller::new());
     let poller_accept = Arc::clone(&poller);
     let stats = Arc::new(ReactorStats::default());
-    let (newconn_tx, newconn_rx) =
-        crossbeam_channel::unbounded::<(usize, TcpStream, ConnHandler)>();
+    let (newconn_tx, newconn_rx) = mpsc::channel::<(usize, TcpStream, ConnHandler)>();
 
     let reactor_join = std::thread::Builder::new()
         .name("oncrpc-reactor".into())
@@ -447,13 +446,13 @@ fn reactor_main(
     cfg: ReactorConfig,
     stop: Arc<AtomicBool>,
     poller: Arc<Poller>,
-    newconn_rx: crossbeam_channel::Receiver<(usize, TcpStream, ConnHandler)>,
+    newconn_rx: mpsc::Receiver<(usize, TcpStream, ConnHandler)>,
     stats: Arc<ReactorStats>,
 ) {
     let record_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
     let reply_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
 
-    let (writer_tx, writer_rx) = crossbeam_channel::unbounded::<WriterMsg>();
+    let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
     let writer_join = std::thread::Builder::new()
         .name("oncrpc-completion".into())
         .spawn({
@@ -472,7 +471,7 @@ fn reactor_main(
     let mut worker_txs = Vec::with_capacity(cfg.workers);
     let mut worker_joins = Vec::with_capacity(cfg.workers);
     for shard in 0..cfg.workers {
-        let (tx, rx) = crossbeam_channel::unbounded::<Job>();
+        let (tx, rx) = mpsc::channel::<Job>();
         worker_txs.push(tx);
         let writer_tx = writer_tx.clone();
         let record_pool = record_pool.clone();
@@ -535,8 +534,8 @@ fn reactor_main(
                         },
                     );
                 }
-                Err(crossbeam_channel::TryRecvError::Empty) => break,
-                Err(crossbeam_channel::TryRecvError::Disconnected) => {
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => {
                     accepting = false;
                     break;
                 }
@@ -669,7 +668,7 @@ fn finalize(
     key: usize,
     conns: &mut HashMap<usize, Conn>,
     poller: &Poller,
-    writer_tx: &crossbeam_channel::Sender<WriterMsg>,
+    writer_tx: &mpsc::Sender<WriterMsg>,
 ) {
     if let Some(mut conn) = conns.remove(&key) {
         poller.deregister(key);
@@ -683,8 +682,8 @@ fn finalize(
 /// Worker shard: execute parked calls in FIFO order, push replies onto the
 /// completion ring, then publish the decrement.
 fn worker_main(
-    rx: crossbeam_channel::Receiver<Job>,
-    writer_tx: crossbeam_channel::Sender<WriterMsg>,
+    rx: mpsc::Receiver<Job>,
+    writer_tx: mpsc::Sender<WriterMsg>,
     record_pool: BufPool,
     reply_pool: BufPool,
     poller: Arc<Poller>,
@@ -769,7 +768,7 @@ fn writer_admit(msg: WriterMsg, conns: &mut HashMap<usize, Outbound>, reply_pool
 /// else keeps flowing meanwhile; a stalled peer can no longer wedge the
 /// writer thread (or shutdown, which joins it).
 fn writer_main(
-    rx: crossbeam_channel::Receiver<WriterMsg>,
+    rx: mpsc::Receiver<WriterMsg>,
     reply_pool: BufPool,
     stall_deadline: Duration,
     max_backlog: usize,
@@ -793,8 +792,8 @@ fn writer_main(
             // ring has, but come back quickly to re-probe writability.
             match rx.recv_timeout(WRITER_RETRY_SLICE) {
                 Ok(msg) => writer_admit(msg, &mut conns, &reply_pool),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => open = false,
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
             }
         } else {
             // Draining after hangup: pace the flush retries.
@@ -803,8 +802,8 @@ fn writer_main(
         while open {
             match rx.try_recv() {
                 Ok(msg) => writer_admit(msg, &mut conns, &reply_pool),
-                Err(crossbeam_channel::TryRecvError::Empty) => break,
-                Err(crossbeam_channel::TryRecvError::Disconnected) => {
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => {
                     open = false;
                 }
             }

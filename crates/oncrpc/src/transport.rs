@@ -8,6 +8,7 @@
 use crate::error::RpcResult;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// A duplex byte stream usable for RPC.
@@ -120,8 +121,8 @@ impl Transport for TcpTransport {
 /// Used for in-process client↔server tests and as the carrier inside the
 /// simulated network paths. Reads block until data or hang-up.
 pub struct MemTransport {
-    tx: crossbeam_channel::Sender<Vec<u8>>,
-    rx: crossbeam_channel::Receiver<Vec<u8>>,
+    tx: mpsc::Sender<Vec<u8>>,
+    rx: mpsc::Receiver<Vec<u8>>,
     /// Partially consumed incoming chunk.
     pending: Vec<u8>,
     pending_off: usize,
@@ -134,8 +135,8 @@ pub struct MemTransport {
 
 /// Create a connected pair of in-memory transports.
 pub fn duplex_pair() -> (MemTransport, MemTransport) {
-    let (a_tx, a_rx) = crossbeam_channel::unbounded();
-    let (b_tx, b_rx) = crossbeam_channel::unbounded();
+    let (a_tx, a_rx) = mpsc::channel();
+    let (b_tx, b_rx) = mpsc::channel();
     (
         MemTransport {
             tx: a_tx,
@@ -169,10 +170,10 @@ impl Read for MemTransport {
                 None => self.rx.recv().ok(),
                 Some(dur) => match self.rx.recv_timeout(dur) {
                     Ok(chunk) => Some(chunk),
-                    Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
                         return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
                     }
-                    Err(crossbeam_channel::RecvTimeoutError::Disconnected) => None,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
                 },
             };
             match chunk {

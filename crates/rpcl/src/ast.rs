@@ -51,6 +51,27 @@ pub struct StructDef {
     pub fields: Vec<Declaration>,
 }
 
+impl StructDef {
+    /// True if the last member points at the struct itself (`s *next`).
+    pub(crate) fn links_to_itself(&self) -> bool {
+        self.fields.last().is_some_and(|f| {
+            f.kind == DeclKind::Pointer && f.ty == TypeSpec::Named(self.name.clone())
+        })
+    }
+
+    /// The item of an RFC 4506 §4.19 optional-data list node — a struct of
+    /// one item and a last member `s *next` pointing at itself — or `None`
+    /// for any other struct. Codegen emits such a node as the list it
+    /// heads (`s *`): a `Vec` of items with a loop for a codec, never
+    /// nested `Option<Box<_>>`s, so no list length can exhaust the stack.
+    pub fn list_item(&self) -> Option<&Declaration> {
+        match self.fields.as_slice() {
+            [item, _] if self.links_to_itself() => Some(item),
+            _ => None,
+        }
+    }
+}
+
 /// A discriminated union.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnionDef {

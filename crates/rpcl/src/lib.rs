@@ -6,7 +6,11 @@
 //! the *Remote Procedure Call Language* (RFC 5531 §12 / RFC 4506) and emits
 //! Rust source containing
 //!
-//! * data types (`struct`/`enum`/`union`/`typedef`) with `xdr::Xdr` impls,
+//! * data types (`struct`/`enum`/`union`/`typedef`) with `xdr::Xdr` impls —
+//!   an RFC 4506 §4.19 optional-data list (a struct of one item and a
+//!   last `*next` to itself, see [`ast::StructDef::list_item`]) as a `Vec`
+//!   with a loop for a codec, and `Copy` / `Default` derived where every
+//!   member has them,
 //! * `const` items for RPCL constants and procedure numbers,
 //! * a typed **client stub** per program version (wrapping
 //!   `oncrpc::RpcClient`), and
@@ -14,9 +18,9 @@
 //!   `oncrpc::Dispatch`), the analogue of `rpcgen`'s server skeleton.
 //!
 //! `cricket-proto` runs this compiler from its `build.rs` over
-//! `proto/cricket.x`, so the whole Cricket reproduction exercises this path
-//! end to end — "functions listed in the RPCL file are immediately available
-//! for applications" (paper §3.5).
+//! `proto/cricket.x`, and `oncrpc` over `proto/portmap.x`, so every XDR
+//! codec in the reproduction comes from a `.x` file — "functions listed in
+//! the RPCL file are immediately available for applications" (paper §3.5).
 //!
 //! The supported grammar is the `rpcgen -N` (newstyle, multi-argument)
 //! dialect:
@@ -24,7 +28,8 @@
 //! ```text
 //! const C = 42;
 //! enum e { A = 1, B = 2 };
-//! struct s { int a; opaque blob<>; string name<64>; u *next; };
+//! struct s { int a; opaque blob<>; string name<64>; u *opt; };
+//! struct list { string item<>; list *next; };
 //! union r switch (int err) { case 0: unsigned hyper ptr; default: void; };
 //! typedef opaque mem_data<>;
 //! program PROG { version VERS { r PROC(s, int) = 1; } = 1; } = 0x20000099;

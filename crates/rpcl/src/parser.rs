@@ -3,7 +3,7 @@
 use crate::ast::*;
 use crate::lexer::{tokenize, Token, TokenKind};
 use crate::Error;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Parse an RPCL source file into a [`Spec`].
 ///
@@ -17,6 +17,7 @@ pub fn parse(source: &str) -> Result<Spec, Error> {
         pos: 0,
         consts: HashMap::new(),
         enums: HashMap::new(),
+        lists: HashSet::new(),
     };
     p.spec()
 }
@@ -28,6 +29,8 @@ struct Parser {
     consts: HashMap<String, i64>,
     /// enum type name → variants, for union discriminant resolution.
     enums: HashMap<String, Vec<(String, i64)>>,
+    /// Optional-data list nodes ([`StructDef::list_item`]) defined so far.
+    lists: HashSet<String>,
 }
 
 impl Parser {
@@ -193,7 +196,18 @@ impl Parser {
         if fields.is_empty() {
             return self.err(format!("struct `{name}` has no members"));
         }
-        Ok(Definition::Struct(StructDef { name, fields }))
+        let def = StructDef { name, fields };
+        if def.links_to_itself() {
+            if def.list_item().is_none() {
+                return self.err(format!(
+                    "list node `{}` must hold exactly one item before its `*next`; \
+                     declare a struct for the item",
+                    def.name
+                ));
+            }
+            self.lists.insert(def.name.clone());
+        }
+        Ok(Definition::Struct(def))
     }
 
     fn union_def(&mut self) -> Result<Definition, Error> {
@@ -361,6 +375,9 @@ impl Parser {
         if args.iter().any(TypeSpec::is_void) {
             return self.err("`void` cannot be combined with other arguments");
         }
+        for ty in args.iter().chain([&result]) {
+            self.refuse_plain_list(ty)?;
+        }
         // Batch replies carry one status int per sub-op, so only procedures
         // whose whole result is that status can be deferred into a batch.
         if batchable && result != TypeSpec::Int {
@@ -429,6 +446,18 @@ impl Parser {
         })
     }
 
+    /// A list node stands for the list it heads only behind a pointer
+    /// (`node *`, directly or through a typedef): a plain `node` would be
+    /// one non-empty list, which has another wire form.
+    fn refuse_plain_list(&self, ty: &TypeSpec) -> Result<(), Error> {
+        match ty {
+            TypeSpec::Named(n) if self.lists.contains(n) => self.err(format!(
+                "list node `{n}` can only be used as `{n} *` (typedef one for a procedure)"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     fn declaration(&mut self) -> Result<Declaration, Error> {
         let ty = self.type_spec()?;
         if ty.is_void() {
@@ -438,6 +467,7 @@ impl Parser {
             self.bump();
             true
         } else {
+            self.refuse_plain_list(&ty)?;
             false
         };
         let name = self.expect_ident()?;
@@ -510,8 +540,8 @@ mod tests {
                 opaque unbounded<>;
                 string name<64>;
                 int nums[4];
+                s *link;
                 double samples<>;
-                s *next;
             };"#,
         )
         .unwrap();
@@ -522,7 +552,45 @@ mod tests {
         assert_eq!(s.fields[2].kind, DeclKind::FixedArray(16));
         assert_eq!(s.fields[3].kind, DeclKind::VarArray(Some(1024)));
         assert_eq!(s.fields[4].kind, DeclKind::VarArray(None));
-        assert_eq!(s.fields[8].kind, DeclKind::Pointer);
+        assert_eq!(s.fields[7].kind, DeclKind::Pointer);
+        assert_eq!(
+            s.list_item(),
+            None,
+            "a link before the last member is no list"
+        );
+    }
+
+    /// RFC 4506 §4.19: a struct of one item and a last `*next` to itself is
+    /// a list node. It must hold exactly one item, and it names the list
+    /// only behind a pointer — a plain use would be another wire form.
+    #[test]
+    fn list_nodes_hold_one_item_and_are_used_by_pointer() {
+        let spec = parse(
+            "struct node { string item<>; node *next; }; typedef node *list;
+             struct holder { node *head; };
+             program P { version V { list DUMP(void) = 1; } = 1; } = 9;",
+        )
+        .unwrap();
+        let Definition::Struct(node) = &spec.definitions[0] else {
+            panic!()
+        };
+        assert_eq!(node.list_item().unwrap().name, "item");
+        for (src, why) in [
+            ("struct n { int a; int b; n *next; };", "two items"),
+            ("struct n { n *next; };", "no item"),
+            ("struct n { int a; n *next; }; struct h { n plain; };", "plain member"),
+            ("struct n { int a; n *next; }; typedef n plain;", "plain typedef"),
+            (
+                "struct n { int a; n *next; }; program P { version V { n GET(void) = 1; } = 1; } = 9;",
+                "plain result",
+            ),
+            (
+                "struct n { int a; n *next; }; program P { version V { int PUT(n) = 1; } = 1; } = 9;",
+                "plain argument",
+            ),
+        ] {
+            assert!(parse(src).is_err(), "{why} accepted");
+        }
     }
 
     #[test]

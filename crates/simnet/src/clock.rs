@@ -3,6 +3,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The virtual-time horizon: 2^62 ns, about 146 years. No simulated run
+/// comes near it, and a clock short of it has 2^62 ns of charges left
+/// before `u64` overflow — so a timestamp past it, in state a server is
+/// asked to adopt, is refused rather than moved to.
+pub const HORIZON_NS: u64 = 1 << 62;
+
 /// A monotonically advancing virtual clock, shared by every component of a
 /// simulated deployment (guest, wire, Cricket server, GPU).
 ///

@@ -90,6 +90,8 @@ pub struct Device {
     streams: BTreeMap<u64, CommandQueue>,
     events: HashMap<u64, EventState>,
     next_handle: u64,
+    /// End of this device's handle window: nothing at or past it is issued.
+    handle_end: u64,
     memo: HashMap<MemoKey, MemoEntry>,
     /// Device-global issue sequence; total order over all enqueues.
     issue_seq: u64,
@@ -104,17 +106,22 @@ pub struct Device {
 impl Device {
     /// Create a device with the given properties on a shared clock.
     pub fn new(props: DeviceProperties, clock: Arc<SimClock>) -> Self {
-        Self::with_bases(props, clock, crate::memory::HEAP_BASE, HANDLE_BASE)
+        Self::with_bases(
+            props,
+            clock,
+            crate::memory::HEAP_BASE,
+            HANDLE_BASE..u64::MAX,
+        )
     }
 
-    /// Create a device with explicit heap/handle address bases. Multi-GPU
-    /// servers give each device disjoint ranges so that any pointer or
-    /// handle identifies its device.
+    /// Create a device with an explicit heap base and handle window.
+    /// Multi-GPU servers give each device disjoint ranges so that any
+    /// pointer or handle identifies its device.
     pub fn with_bases(
         props: DeviceProperties,
         clock: Arc<SimClock>,
         heap_base: u64,
-        handle_base: u64,
+        handles: std::ops::Range<u64>,
     ) -> Self {
         let mem = MemoryManager::with_base(props.total_global_mem, heap_base);
         let mut streams = BTreeMap::new();
@@ -127,7 +134,8 @@ impl Device {
             functions: HashMap::new(),
             streams,
             events: HashMap::new(),
-            next_handle: handle_base.max(HANDLE_BASE),
+            next_handle: handles.start.max(HANDLE_BASE),
+            handle_end: handles.end,
             memo: HashMap::new(),
             issue_seq: 0,
             retired: Vec::new(),
@@ -151,10 +159,17 @@ impl Device {
         &self.clock
     }
 
-    fn new_handle(&mut self) -> u64 {
+    /// The next handle of this device's window; once the window is spent
+    /// (or a restored cursor reached its end) nothing more is issued.
+    fn new_handle(&mut self) -> VgpuResult<u64> {
         let h = self.next_handle;
+        if h >= self.handle_end {
+            return Err(VgpuError::InvalidValue(format!(
+                "handle window exhausted at {h:#x}"
+            )));
+        }
         self.next_handle += 1;
-        h
+        Ok(h)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -402,7 +417,7 @@ impl Device {
                 )));
             }
         }
-        let h = self.new_handle();
+        let h = self.new_handle()?;
         // JIT/verification cost scales with image size.
         let t = 20_000 + (image.len() as u64) / 64;
         self.modules.insert(h, cubin);
@@ -419,7 +434,7 @@ impl Device {
             .kernel(name)
             .ok_or_else(|| VgpuError::BadModule(format!("no kernel `{name}` in module")))?;
         let builtin = kernels::lookup(&meta.name).expect("validated at load");
-        let h = self.new_handle();
+        let h = self.new_handle()?;
         self.functions.insert(h, FunctionEntry { module, builtin });
         Ok((h, 800))
     }
@@ -680,10 +695,10 @@ impl Device {
     // -- streams & events -------------------------------------------------
 
     /// cudaStreamCreate.
-    pub fn stream_create(&mut self) -> (u64, u64) {
-        let h = self.new_handle();
+    pub fn stream_create(&mut self) -> VgpuResult<(u64, u64)> {
+        let h = self.new_handle()?;
         self.streams.insert(h, CommandQueue::default());
-        (h, 900)
+        Ok((h, 900))
     }
 
     /// cudaStreamDestroy (waits for pending work, like CUDA). Pending
@@ -740,10 +755,10 @@ impl Device {
     }
 
     /// cudaEventCreate.
-    pub fn event_create(&mut self) -> (u64, u64) {
-        let h = self.new_handle();
+    pub fn event_create(&mut self) -> VgpuResult<(u64, u64)> {
+        let h = self.new_handle()?;
         self.events.insert(h, EventState::default());
-        (h, 400)
+        Ok((h, 400))
     }
 
     /// cudaEventDestroy.
@@ -1009,9 +1024,9 @@ mod tests {
     fn streams_and_events_measure_device_time() {
         let (mut d, module) = loaded_device();
         let (f, _) = d.module_get_function(module, "empty").unwrap();
-        let (s, _) = d.stream_create();
-        let (e0, _) = d.event_create();
-        let (e1, _) = d.event_create();
+        let (s, _) = d.stream_create().unwrap();
+        let (e0, _) = d.event_create().unwrap();
+        let (e1, _) = d.event_create().unwrap();
         d.event_record(e0, s).unwrap();
         for _ in 0..3 {
             d.launch_kernel(f, Dim3::one(), Dim3::one(), 0, s, &[])
@@ -1040,8 +1055,8 @@ mod tests {
     #[test]
     fn elapsed_on_unrecorded_event_is_error() {
         let mut d = Device::a100();
-        let (e0, _) = d.event_create();
-        let (e1, _) = d.event_create();
+        let (e0, _) = d.event_create().unwrap();
+        let (e1, _) = d.event_create().unwrap();
         assert!(d.event_elapsed_ms(e0, e1).is_err());
     }
 
@@ -1071,8 +1086,8 @@ mod tests {
     fn cross_stream_overlap_is_max_not_sum() {
         let (mut d, module) = loaded_device();
         let (f, _) = d.module_get_function(module, "empty").unwrap();
-        let (s1, _) = d.stream_create();
-        let (s2, _) = d.stream_create();
+        let (s1, _) = d.stream_create().unwrap();
+        let (s2, _) = d.stream_create().unwrap();
         let t0 = d.clock().now_ns();
         let a = d
             .launch_kernel(f, Dim3::one(), Dim3::one(), 0, s1, &[])
@@ -1095,7 +1110,7 @@ mod tests {
     fn same_stream_commands_retire_in_issue_order() {
         let (mut d, module) = loaded_device();
         let (f, _) = d.module_get_function(module, "empty").unwrap();
-        let (s, _) = d.stream_create();
+        let (s, _) = d.stream_create().unwrap();
         let mut seqs = Vec::new();
         for _ in 0..4 {
             let sub = d
@@ -1157,8 +1172,8 @@ mod tests {
     fn busy_span_counts_overlap_once() {
         let (mut d, module) = loaded_device();
         let (f, _) = d.module_get_function(module, "empty").unwrap();
-        let (s1, _) = d.stream_create();
-        let (s2, _) = d.stream_create();
+        let (s1, _) = d.stream_create().unwrap();
+        let (s2, _) = d.stream_create().unwrap();
         let per = d.properties().launch_overhead_ns;
         d.launch_kernel(f, Dim3::one(), Dim3::one(), 0, s1, &[])
             .unwrap();
@@ -1184,7 +1199,7 @@ mod tests {
     #[test]
     fn enqueue_library_rides_the_stream_timeline() {
         let mut d = Device::a100();
-        let (s, _) = d.stream_create();
+        let (s, _) = d.stream_create().unwrap();
         let sub = d.enqueue_library(s, "gemm", 10_000).unwrap();
         assert_eq!(sub.queued_ns, 10_000);
         let sub2 = d.enqueue_library(s, "gemm", 5_000).unwrap();
@@ -1198,8 +1213,8 @@ mod tests {
         // Source device: enqueue work on two streams, fence, snapshot
         // frontiers + event timestamps.
         let mut src = Device::a100();
-        let (s, _) = src.stream_create();
-        let (ev, _) = src.event_create();
+        let (s, _) = src.stream_create().unwrap();
+        let (ev, _) = src.event_create().unwrap();
         src.enqueue_library(s, "gemm", 10_000).unwrap();
         src.enqueue_library(0, "gemm", 4_000).unwrap();
         src.event_record(ev, s).unwrap();

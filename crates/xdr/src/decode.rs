@@ -198,7 +198,12 @@ impl<'a> XdrDecoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        let mut out = Vec::with_capacity(len);
+        // A `T` can be far larger in memory than its 4 bytes on the wire, so
+        // the count alone may not size the reservation: it never exceeds the
+        // unread input, and the vector grows past that only as elements
+        // actually decode.
+        let fits = self.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             out.push(T::decode(self)?);
         }

@@ -6,7 +6,8 @@
 //! seed in the CI matrix deterministically picks which shard to crash, and
 //! a failure names the seed.
 
-use cricket_repro::oncrpc::{ChaosRng, Portmap, PortmapClient, TcpTransport};
+use cricket_repro::oncrpc::portmap::PmapVersService;
+use cricket_repro::oncrpc::{ChaosRng, PmapVersClient, Portmap, TcpTransport};
 use cricket_repro::prelude::*;
 use cricket_repro::server::ServerConfig;
 use std::time::Duration;
@@ -18,11 +19,11 @@ const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
 /// dump, unset round-trip through the wire, not just the local table.
 #[test]
 fn portmap_core_procs_over_tcp() {
-    let pm = std::sync::Arc::new(Portmap::new());
+    let pm = Portmap::new();
     let handle = pm.serve("127.0.0.1:0").unwrap();
 
     let t = TcpTransport::connect(handle.addr()).unwrap();
-    let mut client = PortmapClient::new(Box::new(t));
+    let mut client = PmapVersClient::new(Box::new(t));
     const TCP: u32 = 6;
     let mapping = |vers: u32, port: u32| cricket_repro::oncrpc::Mapping {
         prog: 300_101,
@@ -30,18 +31,18 @@ fn portmap_core_procs_over_tcp() {
         prot: TCP,
         port,
     };
-    assert!(client.set(mapping(1, 4001)).unwrap());
-    assert!(client.set(mapping(2, 4002)).unwrap());
-    assert_eq!(client.getport(300_101, 1, TCP).unwrap(), 4001);
-    assert_eq!(client.getport(300_101, 9, TCP).unwrap(), 0, "unknown vers");
-    let dump = client.dump().unwrap();
+    assert!(client.set(&mapping(1, 4001)).unwrap());
+    assert!(client.set(&mapping(2, 4002)).unwrap());
+    assert_eq!(client.getport(&mapping(1, 0)).unwrap(), 4001);
+    assert_eq!(client.getport(&mapping(9, 0)).unwrap(), 0, "unknown vers");
+    let dump = client.dump().unwrap().0;
     assert!(dump
         .iter()
         .any(|m| m.prog == 300_101 && m.vers == 2 && m.port == 4002));
-    assert!(client.unset(300_101, 1).unwrap());
-    assert_eq!(client.getport(300_101, 1, TCP).unwrap(), 0);
+    assert!(client.unset(&mapping(1, 0)).unwrap());
+    assert_eq!(client.getport(&mapping(1, 0)).unwrap(), 0);
     assert_eq!(
-        client.getport(300_101, 2, TCP).unwrap(),
+        client.getport(&mapping(2, 0)).unwrap(),
         4002,
         "unset is per-vers"
     );
@@ -53,7 +54,7 @@ fn portmap_core_procs_over_tcp() {
 /// entry behind.
 #[test]
 fn shard_registration_follows_server_lifecycle() {
-    let pm = std::sync::Arc::new(Portmap::new());
+    let pm = Portmap::new();
     let dir_handle = pm.serve("127.0.0.1:0").unwrap();
     let dir_addr = dir_handle.addr();
     let prog = cricket_repro::proto::CRICKET_CUDA;
@@ -73,18 +74,18 @@ fn shard_registration_follows_server_lifecycle() {
         u32::from(graceful.addr().port()),
         u32::from(crashed.addr().port()),
     );
-    let shards = pm.shard_dump(prog, vers);
+    let shards = pm.shard_dump(prog, vers).unwrap().0;
     assert_eq!(shards.len(), 2, "both shards registered on serve");
     let report = shards.iter().find(|s| s.port == gport).unwrap().load;
     assert!(report.total_mem > 0, "registration carries a load report");
 
     graceful.shutdown();
-    let shards = pm.shard_dump(prog, vers);
+    let shards = pm.shard_dump(prog, vers).unwrap().0;
     assert_eq!(shards.len(), 1, "graceful shutdown deregisters");
     assert_eq!(shards[0].port, cport);
 
     crashed.kill();
-    let shards = pm.shard_dump(prog, vers);
+    let shards = pm.shard_dump(prog, vers).unwrap().0;
     assert_eq!(shards.len(), 1, "crash-kill leaves the stale entry");
     assert!(
         TcpTransport::connect(("127.0.0.1", cport as u16)).is_err(),
@@ -97,7 +98,7 @@ fn shard_registration_follows_server_lifecycle() {
 /// candidate unreachable.
 #[test]
 fn directory_endpoint_typed_errors() {
-    let pm = std::sync::Arc::new(Portmap::new());
+    let pm = Portmap::new();
     let dir_handle = pm.serve("127.0.0.1:0").unwrap();
     let endpoint = Endpoint::directory(dir_handle.addr()).unwrap();
 
@@ -112,7 +113,8 @@ fn directory_endpoint_typed_errors() {
         cricket_repro::proto::CRICKET_V1,
         1,
         Default::default(),
-    );
+    )
+    .unwrap();
     match Context::connect(&endpoint).err() {
         Some(ClientError::Directory(msg)) => assert!(msg.contains("unreachable"), "{msg}"),
         other => panic!("expected Directory error, got {other:?}"),

@@ -505,19 +505,13 @@ fn quota_shed(rounds: usize, attempts: u32) -> ShedRun {
     // device time per second leaves room for roughly one more dispatch
     // quantum, ever.
     let target = aggressor.malloc(4096).expect("aggressor malloc");
-    assert_eq!(
-        server.qos_set(
-            7,
-            &cricket_proto::QosParams {
-                session: 7,
-                weight: 1,
-                priority: 100,
-                rate_ns_per_s: 1_000,
-                burst_ns: 6_000,
-                max_resident_bytes: 0,
-            }
-        ),
-        0
+    server.scheduler.set_qos(
+        7,
+        cricket_server::QosSpec {
+            rate_ns_per_s: 1_000,
+            burst_ns: 6_000,
+            ..cricket_server::QosSpec::default()
+        },
     );
     let shed_count = Arc::new(std::sync::atomic::AtomicU32::new(0));
     let aggr_join = {

@@ -21,7 +21,9 @@
 //! (`vclock`) tracks the start tag of the work in service; sessions joining
 //! (or returning from idle) are floored at `vclock`, so idling never banks
 //! credit and a newcomer cannot starve incumbents. `Fifo`, `RoundRobin`,
-//! and `Priority` remain as degenerate configurations of the same queue.
+//! and `Priority` are the same queue under other ranking keys: one key per
+//! policy both picks the next waiter and decides whether a batch slice
+//! yields.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -44,9 +46,10 @@ pub const WEIGHT_SCALE: u64 = 1 << 10;
 const ANTICIPATION_WINDOW: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// Arbitration policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// First come, first served (arrival order).
+    #[default]
     Fifo,
     /// Rotate between sessions: after serving session S, waiters from
     /// sessions other than S are preferred.
@@ -103,7 +106,7 @@ impl Default for QosSpec {
 }
 
 /// QoS config plus token-bucket state for one session.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct SessionQos {
     spec: QosSpec,
     /// Device-ns currently in the bucket.
@@ -115,17 +118,6 @@ struct SessionQos {
     bucket_primed: bool,
 }
 
-impl SessionQos {
-    fn with_spec(spec: QosSpec) -> Self {
-        Self {
-            spec,
-            bucket_ns: 0,
-            bucket_at_ns: 0,
-            bucket_primed: false,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
     session: SessionId,
@@ -133,18 +125,30 @@ struct Waiter {
     priority: u32,
 }
 
+/// Everything the scheduler keeps about one session. The record lives from
+/// the session's first configuration, grant or charge until
+/// [`Scheduler::forget`]; each ledger stays empty until it first moves, so a
+/// session that was only configured shows in none of them.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tenant {
+    /// QoS config and token bucket; `None` runs on [`QosSpec::default`].
+    qos: Option<SessionQos>,
+    /// Issue slots granted (telemetry / fairness tests).
+    served_ops: u64,
+    /// Device-time nanoseconds charged.
+    served_ns: Option<u64>,
+    /// Virtual finish time (WFQ ledger).
+    vft: Option<u64>,
+}
+
 #[derive(Debug, Default)]
 struct State {
+    policy: SchedulerPolicy,
     busy: bool,
     queue: Vec<Waiter>,
     next_ticket: u64,
     last_served: Option<SessionId>,
-    /// Issue slots granted per session (telemetry / fairness tests).
-    served_ops: HashMap<SessionId, u64>,
-    /// Device-time nanoseconds charged per session.
-    served_ns: HashMap<SessionId, u64>,
-    /// Per-session virtual finish times (WFQ ledger).
-    vft: HashMap<SessionId, u64>,
+    tenants: HashMap<SessionId, Tenant>,
     /// Global virtual clock: start tag of the work in service. Floors the
     /// vft of sessions arriving from idle.
     vclock: u64,
@@ -162,22 +166,53 @@ struct State {
     trace: Option<Vec<SessionId>>,
 }
 
-/// The scheduler: orders issue slots by policy and keeps the per-session
-/// device-time ledger.
-pub struct Scheduler {
-    policy: Mutex<SchedulerPolicy>,
-    state: Mutex<State>,
-    cond: Condvar,
-    /// Per-session QoS configuration. Lock order: `qos` before `state`.
-    qos: Mutex<HashMap<SessionId, SessionQos>>,
-    /// Calls shed with `CRICKET_BUSY` since the last `take_recent_sheds`.
-    sheds: AtomicU64,
+impl State {
+    /// The session's QoS spec (defaults if never configured).
+    fn spec(&self, session: SessionId) -> QosSpec {
+        let qos = self.tenants.get(&session).and_then(|t| t.qos);
+        qos.map(|q| q.spec).unwrap_or_default()
+    }
+
+    /// The policy's ranking key for a request of `session` at `priority`.
+    /// The queued waiter with the smallest `(key, ticket)` is served next:
+    ///
+    /// | policy | key |
+    /// |---|---|
+    /// | `Fifo` | 0: arrival order alone |
+    /// | `RoundRobin` | 1 for the session served last, 0 for any other |
+    /// | `Priority` | the request's priority |
+    /// | `Wfq` | the session's vft, floored at `vclock` (idle banks no credit) |
+    fn key(&self, session: SessionId, priority: u32) -> u64 {
+        match self.policy {
+            SchedulerPolicy::Fifo => 0,
+            SchedulerPolicy::RoundRobin => u64::from(self.last_served == Some(session)),
+            SchedulerPolicy::Priority => u64::from(priority),
+            SchedulerPolicy::Wfq => {
+                let vft = self.tenants.get(&session).and_then(|t| t.vft);
+                vft.unwrap_or(0).max(self.vclock)
+            }
+        }
+    }
+
+    /// Index into the queue of the waiter the policy selects next.
+    fn pick(&self) -> Option<usize> {
+        let rank = |(_, w): &(usize, &Waiter)| (self.key(w.session, w.priority), w.ticket);
+        self.queue
+            .iter()
+            .enumerate()
+            .min_by_key(rank)
+            .map(|(i, _)| i)
+    }
 }
 
-impl Default for Scheduler {
-    fn default() -> Self {
-        Self::new(SchedulerPolicy::Fifo)
-    }
+/// The scheduler: orders issue slots by policy and keeps the per-session
+/// device-time ledger. The policy, the queue and every session's record
+/// sit under the one `state` lock.
+pub struct Scheduler {
+    state: Mutex<State>,
+    cond: Condvar,
+    /// Calls shed with `CRICKET_BUSY` since the last `take_recent_sheds`.
+    sheds: AtomicU64,
 }
 
 /// RAII guard for one issue slot; releasing wakes the next waiter. Hold it
@@ -214,14 +249,8 @@ impl Drop for IssueTurn<'_> {
         // network round trip away. Skip it too when a request of this
         // session is already queued (a second connection, or a batch slice
         // that re-queued before yielding).
-        let policy = *self.sched.policy.lock();
-        st.drop_pending = if policy == SchedulerPolicy::Wfq
-            && !st.queue.iter().any(|w| w.session == self.session)
-        {
-            Some(self.session)
-        } else {
-            None
-        };
+        let requeued = st.queue.iter().any(|w| w.session == self.session);
+        st.drop_pending = (st.policy == SchedulerPolicy::Wfq && !requeued).then_some(self.session);
         drop(st);
         self.sched.cond.notify_all();
     }
@@ -231,103 +260,91 @@ impl Scheduler {
     /// Create with a policy.
     pub fn new(policy: SchedulerPolicy) -> Self {
         Self {
-            policy: Mutex::new(policy),
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                policy,
+                ..State::default()
+            }),
             cond: Condvar::new(),
-            qos: Mutex::new(HashMap::new()),
             sheds: AtomicU64::new(0),
         }
     }
 
     /// Change the policy at runtime (`SRV_SET_SCHEDULER`).
     pub fn set_policy(&self, policy: SchedulerPolicy) {
-        *self.policy.lock() = policy;
+        self.state.lock().policy = policy;
         self.cond.notify_all();
     }
 
     /// Current policy.
     pub fn policy(&self) -> SchedulerPolicy {
-        *self.policy.lock()
+        self.state.lock().policy
     }
 
-    /// Set a session's priority (lower = sooner; default 100). Config only:
+    /// Edit a session's QoS spec, starting from the defaults. Config only:
     /// never recreates ledger state for a forgotten session.
-    pub fn set_priority(&self, session: SessionId, priority: u32) {
-        self.qos
-            .lock()
-            .entry(session)
-            .or_insert_with(|| SessionQos::with_spec(QosSpec::default()))
-            .spec
-            .priority = priority;
+    fn configure(&self, session: SessionId, edit: impl FnOnce(&mut QosSpec)) {
+        let mut st = self.state.lock();
+        let qos = &mut st.tenants.entry(session).or_default().qos;
+        edit(&mut qos.get_or_insert_with(SessionQos::default).spec);
     }
 
-    /// Set a session's WFQ weight (>=1; default 1). Config only: never
-    /// recreates ledger state for a forgotten session.
+    /// Set a session's priority (lower = sooner; default 100).
+    pub fn set_priority(&self, session: SessionId, priority: u32) {
+        self.configure(session, |spec| spec.priority = priority);
+    }
+
+    /// Set a session's WFQ weight (>=1; default 1).
     pub fn set_weight(&self, session: SessionId, weight: u32) {
-        self.qos
-            .lock()
-            .entry(session)
-            .or_insert_with(|| SessionQos::with_spec(QosSpec::default()))
-            .spec
-            .weight = weight.max(1);
+        self.configure(session, |spec| spec.weight = weight.max(1));
     }
 
     /// Install a full QoS spec (`CRICKET_QOS_SET`), resetting the token
     /// bucket so a rate change takes effect immediately.
     pub fn set_qos(&self, session: SessionId, mut spec: QosSpec) {
         spec.weight = spec.weight.max(1);
-        self.qos.lock().insert(session, SessionQos::with_spec(spec));
+        let qos = SessionQos {
+            spec,
+            ..SessionQos::default()
+        };
+        self.state.lock().tenants.entry(session).or_default().qos = Some(qos);
     }
 
     /// The session's QoS spec (defaults if never configured).
-    pub fn qos_of(&self, session: SessionId) -> QosSpec {
-        self.qos
-            .lock()
-            .get(&session)
-            .map(|q| q.spec)
-            .unwrap_or_default()
+    pub(crate) fn qos_of(&self, session: SessionId) -> QosSpec {
+        self.state.lock().spec(session)
     }
 
     /// Issue slots granted per session so far.
     pub fn served_ops(&self) -> HashMap<SessionId, u64> {
-        self.state.lock().served_ops.clone()
+        let st = self.state.lock();
+        let granted = st.tenants.iter().filter(|(_, t)| t.served_ops > 0);
+        granted.map(|(&s, t)| (s, t.served_ops)).collect()
     }
 
     /// Device-time nanoseconds charged per session so far.
     pub fn served_ns(&self) -> HashMap<SessionId, u64> {
-        self.state.lock().served_ns.clone()
-    }
-
-    /// The session's virtual finish time, if it has one (regression hook:
-    /// `forget` must drop it, and config setters must not recreate it).
-    pub fn wfq_vft(&self, session: SessionId) -> Option<u64> {
-        self.state.lock().vft.get(&session).copied()
+        let st = self.state.lock();
+        let charged = st.tenants.iter().map(|(&s, t)| Some((s, t.served_ns?)));
+        charged.flatten().collect()
     }
 
     /// Charge `ns` of device time to `session`'s ledger and advance its
     /// virtual finish time by `ns * WEIGHT_SCALE / weight`.
     pub fn charge(&self, session: SessionId, ns: u64) {
-        let weight = u64::from(
-            self.qos
-                .lock()
-                .get(&session)
-                .map(|q| q.spec.weight)
-                .unwrap_or(1)
-                .max(1),
-        );
         let mut st = self.state.lock();
-        *st.served_ns.entry(session).or_insert(0) += ns;
         let floor = st.vclock;
-        let vft = st.vft.entry(session).or_insert(floor);
-        *vft = (*vft).max(floor) + ns * WEIGHT_SCALE / weight;
+        let weight = u64::from(st.spec(session).weight.max(1));
+        let t = st.tenants.entry(session).or_default();
+        *t.served_ns.get_or_insert(0) += ns;
+        t.vft = Some(t.vft.unwrap_or(floor).max(floor) + ns * WEIGHT_SCALE / weight);
     }
 
     /// Check `session`'s device-time token bucket for `want_ns` of work at
     /// clock time `now_ns`. `Ok` deducts the tokens; `Err(retry_after_ns)`
     /// is the time until the bucket holds enough.
     pub fn rate_check(&self, session: SessionId, now_ns: u64, want_ns: u64) -> Result<(), u64> {
-        let mut qos = self.qos.lock();
-        let Some(q) = qos.get_mut(&session) else {
+        let mut st = self.state.lock();
+        let Some(q) = st.tenants.get_mut(&session).and_then(|t| t.qos.as_mut()) else {
             return Ok(());
         };
         let rate = q.spec.rate_ns_per_s;
@@ -368,10 +385,7 @@ impl Scheduler {
     /// Drain the grant trace recorded since [`Self::set_trace`].
     pub fn take_trace(&self) -> Vec<SessionId> {
         let mut st = self.state.lock();
-        match st.trace.as_mut() {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
+        st.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Record one call shed with `CRICKET_BUSY` (overload telemetry).
@@ -384,14 +398,11 @@ impl Scheduler {
         self.sheds.swap(0, Ordering::Relaxed)
     }
 
-    /// Drop all per-session state (QoS config, ledgers) for a released
-    /// session. Without this, session churn grows the maps without bound.
+    /// Drop a released session's record (QoS config, ledgers). Without
+    /// this, session churn grows the table without bound.
     pub fn forget(&self, session: SessionId) {
-        self.qos.lock().remove(&session);
         let mut st = self.state.lock();
-        st.served_ops.remove(&session);
-        st.served_ns.remove(&session);
-        st.vft.remove(&session);
+        st.tenants.remove(&session);
         if st.last_served == Some(session) {
             st.last_served = None;
         }
@@ -403,28 +414,17 @@ impl Scheduler {
         }
     }
 
-    /// Whether the scheduler still tracks any state for `session`
+    /// Whether the scheduler still holds a record for `session`
     /// (regression hook for `forget`).
     pub fn knows(&self, session: SessionId) -> bool {
-        if self.qos.lock().contains_key(&session) {
-            return true;
-        }
-        let st = self.state.lock();
-        st.served_ops.contains_key(&session)
-            || st.served_ns.contains_key(&session)
-            || st.vft.contains_key(&session)
+        self.state.lock().tenants.contains_key(&session)
     }
 
     /// Block until it is `session`'s turn to issue; returns a guard holding
     /// the issue slot.
     pub fn begin(&self, session: SessionId) -> IssueTurn<'_> {
-        let priority = self
-            .qos
-            .lock()
-            .get(&session)
-            .map(|q| q.spec.priority)
-            .unwrap_or(100);
         let mut st = self.state.lock();
+        let priority = st.spec(session).priority;
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.queue.push(Waiter {
@@ -441,8 +441,7 @@ impl Scheduler {
         }
         loop {
             if !st.busy {
-                let policy = *self.policy.lock();
-                if let Some(idx) = Self::pick(&st, policy) {
+                if let Some(idx) = st.pick() {
                     if st.queue[idx].ticket == ticket {
                         // Anticipation: the slot was just dropped by a
                         // session whose next request is still in flight.
@@ -473,17 +472,15 @@ impl Scheduler {
                         if let Some(t) = st.trace.as_mut() {
                             t.push(session);
                         }
-                        *st.served_ops.entry(session).or_insert(0) += 1;
                         // Catch the session's virtual clock up to the global
                         // one (idle banks no credit) and advance the global
                         // clock to this work's start tag.
                         let floor = st.vclock;
-                        let vft = st.vft.entry(session).or_insert(floor);
-                        if *vft < floor {
-                            *vft = floor;
-                        }
-                        let start_tag = *vft;
-                        st.vclock = st.vclock.max(start_tag);
+                        let t = st.tenants.entry(session).or_default();
+                        t.served_ops += 1;
+                        let start_tag = t.vft.unwrap_or(floor).max(floor);
+                        t.vft = Some(start_tag);
+                        st.vclock = start_tag;
                         return IssueTurn {
                             sched: self,
                             session,
@@ -496,104 +493,20 @@ impl Scheduler {
     }
 
     /// Would the policy rather serve a queued waiter than continue
-    /// `session`? Consulted at batch-slice preemption points.
+    /// `session`? Consulted at batch-slice preemption points. The holder
+    /// is ranked by the same key the waiters are picked by, except
+    /// that under `Fifo` and `RoundRobin` it ranks last: a slice boundary
+    /// is a fair handoff point whenever another session waits.
     pub fn should_yield(&self, session: SessionId) -> bool {
-        let (my_priority, _) = {
-            let qos = self.qos.lock();
-            let spec = qos.get(&session).map(|q| q.spec).unwrap_or_default();
-            (spec.priority, spec.weight)
-        };
-        let policy = *self.policy.lock();
         let st = self.state.lock();
-        if !st.queue.iter().any(|w| w.session != session) {
-            return false;
-        }
-        match policy {
-            // A slice boundary is a fair handoff point whenever anyone else
-            // is waiting: FIFO re-admits by arrival order, RR rotates away
-            // from the session just served.
-            SchedulerPolicy::Fifo | SchedulerPolicy::RoundRobin => true,
-            SchedulerPolicy::Priority => st
-                .queue
-                .iter()
-                .any(|w| w.session != session && w.priority < my_priority),
-            SchedulerPolicy::Wfq => {
-                let my_key = st
-                    .vft
-                    .get(&session)
-                    .copied()
-                    .unwrap_or(st.vclock)
-                    .max(st.vclock);
-                st.queue.iter().any(|w| {
-                    w.session != session
-                        && st
-                            .vft
-                            .get(&w.session)
-                            .copied()
-                            .unwrap_or(st.vclock)
-                            .max(st.vclock)
-                            < my_key
-                })
-            }
-        }
-    }
-
-    /// Index into the queue of the waiter the policy selects next.
-    fn pick(st: &State, policy: SchedulerPolicy) -> Option<usize> {
-        if st.queue.is_empty() {
-            return None;
-        }
-        let by_ticket = |a: &Waiter, b: &Waiter| a.ticket.cmp(&b.ticket);
-        let idx = match policy {
-            SchedulerPolicy::Fifo => st
-                .queue
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| by_ticket(a, b))
-                .map(|(i, _)| i),
-            SchedulerPolicy::RoundRobin => {
-                // Prefer the oldest waiter from a different session than the
-                // one just served; fall back to FIFO.
-                let other = st
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| Some(w.session) != st.last_served)
-                    .min_by(|(_, a), (_, b)| by_ticket(a, b))
-                    .map(|(i, _)| i);
-                other.or_else(|| {
-                    st.queue
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| by_ticket(a, b))
-                        .map(|(i, _)| i)
-                })
-            }
-            SchedulerPolicy::Priority => st
-                .queue
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.priority.cmp(&b.priority).then(a.ticket.cmp(&b.ticket)))
-                .map(|(i, _)| i),
-            SchedulerPolicy::Wfq => {
-                // Smallest virtual finish time first, floored at the global
-                // clock so idle sessions hold no banked credit; ties break
-                // by arrival.
-                let key = |w: &Waiter| {
-                    st.vft
-                        .get(&w.session)
-                        .copied()
-                        .unwrap_or(st.vclock)
-                        .max(st.vclock)
-                };
-                st.queue
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| key(a).cmp(&key(b)).then(a.ticket.cmp(&b.ticket)))
-                    .map(|(i, _)| i)
+        let holder = match st.policy {
+            SchedulerPolicy::Fifo | SchedulerPolicy::RoundRobin => u64::MAX,
+            SchedulerPolicy::Priority | SchedulerPolicy::Wfq => {
+                st.key(session, st.spec(session).priority)
             }
         };
-        idx
+        let outranks = |w: &Waiter| w.session != session && st.key(w.session, w.priority) < holder;
+        st.queue.iter().any(outranks)
     }
 }
 
@@ -601,6 +514,15 @@ impl Scheduler {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl Scheduler {
+        /// The session's virtual finish time, if it has one (regression
+        /// hook: `forget` must drop it, and config setters must not
+        /// recreate it).
+        fn wfq_vft(&self, session: SessionId) -> Option<u64> {
+            self.state.lock().tenants.get(&session).and_then(|t| t.vft)
+        }
+    }
 
     #[test]
     fn fifo_serves_in_arrival_order() {

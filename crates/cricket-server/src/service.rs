@@ -136,53 +136,104 @@ struct StatsInner {
     kernels_launched: u64,
 }
 
-/// Everything a session has created and not yet destroyed. Tracked so the
-/// server can reclaim it all when the client vanishes mid-session (TCP
-/// reset, unikernel crash) instead of leaking vGPU state forever.
-#[derive(Debug, Default, Clone, PartialEq)]
-struct SessionResources {
-    mem: HashSet<u64>,
-    streams: HashSet<u64>,
-    events: HashSet<u64>,
-    modules: HashSet<u64>,
-    blas: HashSet<u64>,
-    solvers: HashSet<u64>,
-    ffts: HashSet<u64>,
+/// What a handle a session holds names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Stream,
+    Event,
+    Module,
+    Blas,
+    Solver,
+    Fft,
 }
 
-impl SessionResources {
-    fn is_empty(&self) -> bool {
-        *self == Self::default()
+/// The host side of a handle: what the server keeps beside the devices for
+/// a loaded module or a library context.
+enum HostObject {
+    /// The module's original image (checkpoint support).
+    Module(Vec<u8>),
+    Blas,
+    Solver(vgpu::solver::SolverDn),
+    Fft(vgpu::fft::FftPlan),
+}
+
+impl HostObject {
+    fn kind(&self) -> Kind {
+        match self {
+            HostObject::Module(_) => Kind::Module,
+            HostObject::Blas => Kind::Blas,
+            HostObject::Solver(_) => Kind::Solver,
+            HostObject::Fft(_) => Kind::Fft,
+        }
+    }
+}
+
+/// One session's record: how its calls route, and everything it has
+/// created and not yet destroyed — tracked so the server can reclaim it
+/// all when the client vanishes mid-session (TCP reset, unikernel crash)
+/// instead of leaking vGPU state forever.
+#[derive(Debug, Default, Clone)]
+struct Session {
+    /// Device memory, by block base.
+    mem: HashSet<u64>,
+    /// Every other handle the session holds, and what it names.
+    handles: HashMap<u64, Kind>,
+    /// Current device (`cudaSetDevice`); `None` = device 0, not chosen.
+    device: Option<usize>,
+    /// Lazily created default streams, by device: the stream the client's
+    /// handle `0` is remapped to. Giving each session its own timeline is
+    /// what lets independent sessions overlap on the device instead of
+    /// serializing on stream 0.
+    streams: HashMap<usize, u64>,
+    /// A disconnect-triggered release waits for the migration driver: the
+    /// session's token was evicted mid-migration and the final delta still
+    /// has to read its state (`mig_finalize_source`, or `readmit_token`).
+    deferred: bool,
+}
+
+impl Session {
+    fn holds(&self, handle: u64, kind: Kind) -> bool {
+        self.handles.get(&handle) == Some(&kind)
     }
 
-    /// Move out every handle `keep` does not list. Memory is not a handle:
-    /// blocks leave through a delta's `freed` list.
-    fn split_off_handles_not_in(&mut self, keep: &Self) -> Self {
-        let split = |mine: &mut HashSet<u64>, keep: &HashSet<u64>| {
-            let gone = &*mine - keep;
-            mine.retain(|h| keep.contains(h));
-            gone
-        };
+    /// Its handles of `kind`, in order.
+    fn sorted(&self, kind: Kind) -> Vec<u64> {
+        let mut v: Vec<u64> = (self.handles.iter())
+            .filter_map(|(&h, &k)| (k == kind).then_some(h))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Move out every handle `keep` does not list as the same kind. Memory
+    /// is not a handle: blocks leave through a delta's `freed` list.
+    fn split_off_handles_not_in(&mut self, keep: &HashMap<u64, Kind>) -> Self {
+        let gone = self.handles.extract_if(|h, k| keep.get(h) != Some(k));
         Self {
-            mem: HashSet::new(),
-            streams: split(&mut self.streams, &keep.streams),
-            events: split(&mut self.events, &keep.events),
-            modules: split(&mut self.modules, &keep.modules),
-            blas: split(&mut self.blas, &keep.blas),
-            solvers: split(&mut self.solvers, &keep.solvers),
-            ffts: split(&mut self.ffts, &keep.ffts),
+            handles: gone.collect(),
+            ..Self::default()
         }
     }
 
-    /// Take ownership of everything `other` holds as well.
+    /// Adopt staged state: own everything `other` holds as well (merged —
+    /// this session may hold some already), and take its current-device and
+    /// default-stream bindings for every slot this session has not bound
+    /// itself.
     fn absorb(&mut self, other: Self) {
         self.mem.extend(other.mem);
-        self.streams.extend(other.streams);
-        self.events.extend(other.events);
-        self.modules.extend(other.modules);
-        self.blas.extend(other.blas);
-        self.solvers.extend(other.solvers);
-        self.ffts.extend(other.ffts);
+        self.handles.extend(other.handles);
+        self.device = self.device.or(other.device);
+        for (idx, stream) in other.streams {
+            self.streams.entry(idx).or_insert(stream);
+        }
+    }
+
+    /// Forget what lived on the device `on_device` accepts: a reset
+    /// destroyed it.
+    fn forget_device(&mut self, idx: usize, on_device: impl Fn(u64) -> bool) {
+        self.mem.retain(|&p| !on_device(p));
+        self.handles.retain(|&h, _| !on_device(h));
+        self.streams.remove(&idx);
     }
 }
 
@@ -212,15 +263,35 @@ impl SessionCleanup {
 /// that no live session owns yet. An inbound migration stages one per
 /// client token (`MIG_APPLY_BASE`/`MIG_APPLY_DELTA`): until `ready`, the
 /// token gate refuses the client (the source is still streaming); the
-/// client's first call after cutover claims it into a live session.
+/// client's first call after cutover merges it into a live session.
 /// `CKPT_RESTORE` stages one per blob and hands them to its caller.
 #[derive(Default)]
 struct Adoption {
-    resources: SessionResources,
-    current_device: usize,
-    default_streams: Vec<MigDefaultStream>,
+    session: Session,
     ready: bool,
     applied_epochs: u32,
+}
+
+/// One client token's record at the token gate.
+#[derive(Default)]
+struct Token {
+    /// The live session its calls run in.
+    session: Option<SessionId>,
+    /// Evicted by a migration cutover: the gate refuses the token so the
+    /// client reconnects and resolves its new home.
+    evicted: bool,
+    /// Calls admitted through the gate and not yet completed. Eviction
+    /// drains them before the final snapshot, so no call can mutate memory
+    /// the final delta already captured.
+    inflight: usize,
+    /// An inbound migration staged by `MIG_APPLY_*`.
+    adoption: Option<Adoption>,
+}
+
+impl Token {
+    fn is_idle(&self) -> bool {
+        self.session.is_none() && !self.evicted && self.inflight == 0 && self.adoption.is_none()
+    }
 }
 
 /// The typed refusal of a restored handle somebody on this server holds.
@@ -228,52 +299,32 @@ fn live_here(handle: u64) -> VgpuError {
     VgpuError::InvalidValue(format!("handle {handle:#x} is live on this server"))
 }
 
-/// The Cricket server state shared by all sessions.
+/// The Cricket server state shared by all sessions: the devices and three
+/// tables, one per kind of key. `sessions` owns what a session holds and
+/// how its calls route; `tokens` what the gate knows of a client token —
+/// its session, eviction, calls in flight and staged migration; `objects`
+/// the host side of a module or library handle.
+///
+/// Lock order: one device, then `tokens`, then `sessions`, then `objects`
+/// — never the reverse, and never two devices at once. An issue turn is
+/// won before any of them; `stats`, `replay` and the scheduler's own lock
+/// are leaves.
 pub struct CricketServer {
     devices: Vec<Mutex<Device>>,
-    /// Per-session current device (`cudaSetDevice`); absent = device 0.
-    session_device: Mutex<HashMap<SessionId, usize>>,
-    /// Original module images by handle (checkpoint support).
-    module_images: Mutex<HashMap<u64, Vec<u8>>>,
-    solvers: Mutex<HashMap<u64, vgpu::solver::SolverDn>>,
-    fft_plans: Mutex<HashMap<u64, vgpu::fft::FftPlan>>,
-    blas_handles: Mutex<HashSet<u64>>,
+    sessions: Mutex<HashMap<SessionId, Session>>,
+    tokens: Mutex<HashMap<u64, Token>>,
+    /// Signalled whenever a token's in-flight count drops.
+    quiesce: parking_lot::Condvar,
+    objects: Mutex<HashMap<u64, HostObject>>,
     next_lib_handle: AtomicU64,
-    /// Live resources per session, reclaimed on [`Self::release_session`].
-    session_resources: Mutex<HashMap<SessionId, SessionResources>>,
-    /// Lazily created per-session default streams, one per (session,
-    /// device): the stream the client's handle `0` is remapped to. Giving
-    /// each session its own timeline is what lets independent sessions
-    /// overlap on the device instead of serializing on stream 0.
-    session_streams: Mutex<HashMap<(SessionId, usize), u64>>,
     /// GPU-sharing scheduler.
     pub scheduler: Scheduler,
     clock: Arc<SimClock>,
     stats: Mutex<StatsInner>,
-    sessions_seen: Mutex<HashSet<SessionId>>,
     cfg: ServerConfig,
     /// The transport's shared at-most-once replay cache (attached by the
     /// builder); migration ships a client's entries with the final delta.
     replay: Mutex<Option<Arc<ReplayCache>>>,
-    /// Client token → live session id, maintained by the token gate.
-    token_sessions: Mutex<HashMap<u64, SessionId>>,
-    /// Tokens evicted by a migration cutover: the gate refuses them so
-    /// the client reconnects and resolves its new home.
-    evicted_tokens: Mutex<HashSet<u64>>,
-    /// Sessions whose disconnect-triggered release was deferred because
-    /// their token was evicted mid-migration (the final delta still has
-    /// to read their state); reclaimed by `mig_finalize_source` or on
-    /// `readmit_token`.
-    deferred_release: Mutex<HashSet<SessionId>>,
-    /// Inbound migrations staged by `MIG_APPLY_*`, by client token.
-    adoptions: Mutex<HashMap<u64, Adoption>>,
-    /// Calls admitted through the token gate and not yet completed, by
-    /// token. Eviction drains this before the final snapshot so a call
-    /// that slipped past the gate cannot mutate memory the final delta
-    /// already captured.
-    inflight: Mutex<HashMap<u64, usize>>,
-    /// Signalled whenever an in-flight count drops.
-    quiesce: parking_lot::Condvar,
 }
 
 impl CricketServer {
@@ -298,26 +349,16 @@ impl CricketServer {
             .collect();
         Arc::new(Self {
             devices,
-            session_device: Mutex::new(HashMap::new()),
-            module_images: Mutex::new(HashMap::new()),
-            solvers: Mutex::new(HashMap::new()),
-            fft_plans: Mutex::new(HashMap::new()),
-            blas_handles: Mutex::new(HashSet::new()),
+            sessions: Mutex::new(HashMap::new()),
+            tokens: Mutex::new(HashMap::new()),
+            quiesce: parking_lot::Condvar::new(),
+            objects: Mutex::new(HashMap::new()),
             next_lib_handle: AtomicU64::new(LIB_HANDLE_BASE),
-            session_resources: Mutex::new(HashMap::new()),
-            session_streams: Mutex::new(HashMap::new()),
             scheduler: Scheduler::new(SchedulerPolicy::Fifo),
             clock,
             stats: Mutex::new(StatsInner::default()),
-            sessions_seen: Mutex::new(HashSet::new()),
             cfg,
             replay: Mutex::new(None),
-            token_sessions: Mutex::new(HashMap::new()),
-            evicted_tokens: Mutex::new(HashSet::new()),
-            deferred_release: Mutex::new(HashSet::new()),
-            adoptions: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
-            quiesce: parking_lot::Condvar::new(),
         })
     }
 
@@ -362,7 +403,7 @@ impl CricketServer {
             free += f;
             total += t;
         }
-        let sessions = self.sessions_seen.lock().len() as u32;
+        let sessions = self.sessions.lock().len() as u32;
         // QoS pressure in permille: occupancy against the session watermark,
         // saturating at 1000 whenever calls were shed since the last report
         // (the directory steers placement away from saturated shards).
@@ -407,9 +448,9 @@ impl CricketServer {
         // Overload watermark: shed *new* sessions past the mark;
         // established sessions keep their service.
         if cfg.max_sessions > 0 {
-            let seen = self.sessions_seen.lock();
-            if !seen.contains(&session) && seen.len() >= cfg.max_sessions as usize {
-                drop(seen);
+            let sessions = self.sessions.lock();
+            if !sessions.contains_key(&session) && sessions.len() >= cfg.max_sessions as usize {
+                drop(sessions);
                 return Err(self.shed(cfg.admission_retry_ns));
             }
         }
@@ -448,8 +489,8 @@ impl CricketServer {
 
     /// Bytes of device memory `session` currently holds, summed across all
     /// devices (computed on demand from the live allocation tables).
-    pub fn resident_bytes(&self, session: SessionId) -> u64 {
-        let ptrs = match self.session_resources.lock().get(&session) {
+    fn resident_bytes(&self, session: SessionId) -> u64 {
+        let ptrs = match self.sessions.lock().get(&session) {
             Some(r) if !r.mem.is_empty() => r.mem.clone(),
             _ => return 0,
         };
@@ -465,29 +506,10 @@ impl CricketServer {
         total
     }
 
-    /// Install a per-session QoS spec (`CRICKET_QOS_SET`). Administrative:
-    /// charges no device time, like `srv_set_scheduler`.
-    pub fn qos_set(&self, _s: SessionId, p: &QosParams) -> i32 {
-        self.scheduler.set_qos(
-            p.session,
-            QosSpec {
-                weight: p.weight,
-                priority: p.priority,
-                rate_ns_per_s: p.rate_ns_per_s,
-                burst_ns: p.burst_ns,
-                max_resident_bytes: p.max_resident_bytes,
-            },
-        );
-        0
-    }
-
     /// The session's current device ordinal.
     fn current_device(&self, session: SessionId) -> usize {
-        self.session_device
-            .lock()
-            .get(&session)
-            .copied()
-            .unwrap_or(0)
+        let sessions = self.sessions.lock();
+        sessions.get(&session).and_then(|r| r.device).unwrap_or(0)
     }
 
     /// Which device a pointer or handle belongs to, if any.
@@ -510,9 +532,9 @@ impl CricketServer {
             .unwrap_or_else(|| self.current_device(session))
     }
 
-    /// Mutate the session's live-resource record.
-    fn track<R>(&self, session: SessionId, f: impl FnOnce(&mut SessionResources) -> R) -> R {
-        f(self.session_resources.lock().entry(session).or_default())
+    /// Read or mutate the session's record, created if it has none.
+    fn track<R>(&self, session: SessionId, f: impl FnOnce(&mut Session) -> R) -> R {
+        f(self.sessions.lock().entry(session).or_default())
     }
 
     /// Reclaim everything `session` still holds: free its device memory,
@@ -528,13 +550,12 @@ impl CricketServer {
         // not free state that delta still has to read. If the migration
         // aborts instead, `readmit_token` performs the deferred release.
         {
-            let tokens = self.token_sessions.lock();
-            let evicted = self.evicted_tokens.lock();
+            let tokens = self.tokens.lock();
             if tokens
-                .iter()
-                .any(|(t, &s)| s == session && evicted.contains(t))
+                .values()
+                .any(|t| t.session == Some(session) && t.evicted)
             {
-                self.deferred_release.lock().insert(session);
+                self.track(session, |r| r.deferred = true);
                 return SessionCleanup::default();
             }
         }
@@ -543,64 +564,42 @@ impl CricketServer {
 
     /// [`Self::release_session`] without the mid-migration deferral.
     fn force_release(&self, session: SessionId) -> SessionCleanup {
-        let res = self.session_resources.lock().remove(&session);
-        self.token_sessions.lock().retain(|_, &mut s| s != session);
-        self.deferred_release.lock().remove(&session);
-        self.session_device.lock().remove(&session);
-        self.sessions_seen.lock().remove(&session);
-        self.session_streams
-            .lock()
-            .retain(|&(sess, _), _| sess != session);
-        // Drop the session's scheduler state (priority, served ledgers) or
-        // session churn grows those maps without bound.
+        self.tokens.lock().retain(|_, t| {
+            if t.session == Some(session) {
+                t.session = None;
+            }
+            !t.is_idle()
+        });
+        let record = self.sessions.lock().remove(&session);
+        // Drop the session's scheduler record (priority, served ledgers) or
+        // session churn grows that table without bound.
         self.scheduler.forget(session);
-        res.map_or_else(SessionCleanup::default, |res| self.reclaim(res))
+        record.map_or_else(SessionCleanup::default, |r| self.reclaim(r))
     }
 
     /// The one teardown walker: free, destroy, unload and drop everything
-    /// in `res` — a released session's resources, or an adoption that will
-    /// never be claimed. Individual errors are ignored; the counts are of
-    /// what was actually still there.
-    fn reclaim(&self, res: SessionResources) -> SessionCleanup {
+    /// `r` holds — a released session's, or an adoption's that will never
+    /// be claimed. Individual errors are ignored; the counts are of what
+    /// was actually still there.
+    fn reclaim(&self, r: Session) -> SessionCleanup {
         let mut out = SessionCleanup::default();
-        let on_device = |token: u64, f: &mut dyn FnMut(&mut Device, u64) -> bool| {
-            (self.device_for(token)).is_ok_and(|d| f(&mut d.lock(), token))
+        let on_device = |token: u64, f: fn(&mut Device, u64) -> VgpuResult<u64>| {
+            (self.device_for(token)).is_ok_and(|d| f(&mut d.lock(), token).is_ok())
         };
-        for ptr in res.mem {
-            if on_device(ptr, &mut |d, t| d.free(t).is_ok()) {
-                out.allocations += 1;
-            }
-        }
-        for h in res.streams {
-            if on_device(h, &mut |d, t| d.stream_destroy(t).is_ok()) {
-                out.streams += 1;
-            }
-        }
-        for h in res.events {
-            if on_device(h, &mut |d, t| d.event_destroy(t).is_ok()) {
-                out.events += 1;
-            }
-        }
-        for h in res.modules {
-            self.module_images.lock().remove(&h);
-            if on_device(h, &mut |d, t| d.module_unload(t).is_ok()) {
-                out.modules += 1;
-            }
-        }
-        for h in res.blas {
-            if self.blas_handles.lock().remove(&h) {
-                out.lib_handles += 1;
-            }
-        }
-        for h in res.solvers {
-            if self.solvers.lock().remove(&h).is_some() {
-                out.lib_handles += 1;
-            }
-        }
-        for h in res.ffts {
-            if self.fft_plans.lock().remove(&h).is_some() {
-                out.lib_handles += 1;
-            }
+        let freed = r.mem.into_iter().filter(|&p| on_device(p, Device::free));
+        out.allocations = freed.count();
+        let dropped = |h| self.objects.lock().remove(&h).is_some();
+        for (h, kind) in r.handles {
+            let (count, gone) = match kind {
+                Kind::Stream => (&mut out.streams, on_device(h, Device::stream_destroy)),
+                Kind::Event => (&mut out.events, on_device(h, Device::event_destroy)),
+                Kind::Module => {
+                    self.objects.lock().remove(&h);
+                    (&mut out.modules, on_device(h, Device::module_unload))
+                }
+                Kind::Blas | Kind::Solver | Kind::Fft => (&mut out.lib_handles, dropped(h)),
+            };
+            *count += usize::from(gone);
         }
         out
     }
@@ -615,10 +614,10 @@ impl CricketServer {
         // serialize every arriving call behind the current holder's
         // transfer *before* it reaches the scheduler queue, so the
         // scheduler would pick from a near-empty queue and sharing policy
-        // would degrade to lock wake-up order. The cache is kept valid by
+        // would degrade to lock wake-up order. The binding is kept valid by
         // the two paths that destroy streams out from under it
-        // (`device_reset`, `stream_destroy`), which purge stale entries.
-        if let Some(&h) = self.session_streams.lock().get(&(session, idx)) {
+        // (`device_reset`, `stream_destroy`), which drop stale ones.
+        if let Some(h) = self.track(session, |r| r.streams.get(&idx).copied()) {
             return h;
         }
         // A device whose handle window is spent has no stream to give; the
@@ -627,8 +626,10 @@ impl CricketServer {
         let Ok((h, _t)) = self.devices[idx].lock().stream_create() else {
             return 0;
         };
-        self.session_streams.lock().insert((session, idx), h);
-        self.track(session, |r| r.streams.insert(h));
+        self.track(session, |r| {
+            r.streams.insert(idx, h);
+            r.handles.insert(h, Kind::Stream)
+        });
         h
     }
 
@@ -642,14 +643,14 @@ impl CricketServer {
         }
     }
 
-    /// The one call prologue. Marks the session seen, then takes what the
-    /// call holds while it runs (`acquire`: nothing, an issue turn, or a turn
-    /// and then a device lock), and only then counts the call and charges
-    /// `DISPATCH_NS + host_ns` — so a call that queues for the device is
-    /// charged once it owns it, and contended virtual time depends on the
-    /// scheduler's order alone.
+    /// The one call prologue. Gives the session its record (marks it seen),
+    /// then takes what the call holds while it runs (`acquire`: nothing, an
+    /// issue turn, or a turn and then a device lock), and only then counts
+    /// the call and charges `DISPATCH_NS + host_ns` — so a call that queues
+    /// for the device is charged once it owns it, and contended virtual time
+    /// depends on the scheduler's order alone.
     fn enter<H>(&self, session: SessionId, host_ns: u64, acquire: impl FnOnce() -> H) -> H {
-        self.sessions_seen.lock().insert(session);
+        self.sessions.lock().entry(session).or_default();
         let held = acquire();
         self.stats.lock().total_calls += 1;
         self.clock.advance(DISPATCH_NS + host_ns);
@@ -748,6 +749,18 @@ impl CricketServer {
 
     // ---- helpers shared by several procedures ----
 
+    /// Run `f` on the cuSolver context `h`.
+    fn solver<R>(
+        &self,
+        h: u64,
+        f: impl FnOnce(&mut vgpu::solver::SolverDn) -> VgpuResult<R>,
+    ) -> VgpuResult<R> {
+        match self.objects.lock().get_mut(&h) {
+            Some(HostObject::Solver(solver)) => f(solver),
+            _ => Err(VgpuError::InvalidHandle(h)),
+        }
+    }
+
     /// The next library handle; once the library range is spent (or a
     /// restored cursor reached its end) nothing more is issued.
     fn new_lib_handle(&self) -> VgpuResult<u64> {
@@ -781,7 +794,7 @@ impl CricketServer {
         let idx = self.route(s, a);
         let st = self.resolve_stream(s, idx, 0);
         int_of(self.enqueue_at(s, idx, 4_000, Returns::AtSubmission, |d| {
-            if !self.blas_handles.lock().contains(&h) {
+            if !matches!(self.objects.lock().get(&h), Some(HostObject::Blas)) {
                 return Err(VgpuError::InvalidHandle(h));
             }
             if m < 0 || n < 0 || k < 0 || lda < 1 || ldb < 1 || ldc < 1 {
@@ -789,40 +802,13 @@ impl CricketServer {
             }
             let ta = vgpu::blas::Op::from_i32(transa)?;
             let tb = vgpu::blas::Op::from_i32(transb)?;
+            let (m, n, k) = (m as usize, n as usize, k as usize);
+            let (lda, ldb, ldc) = (lda as usize, ldb as usize, ldc as usize);
             let t = if double {
-                vgpu::blas::dgemm(
-                    d,
-                    ta,
-                    tb,
-                    m as usize,
-                    n as usize,
-                    k as usize,
-                    alpha,
-                    a,
-                    lda as usize,
-                    b,
-                    ldb as usize,
-                    beta,
-                    c,
-                    ldc as usize,
-                )?
+                vgpu::blas::dgemm(d, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)?
             } else {
-                vgpu::blas::sgemm(
-                    d,
-                    ta,
-                    tb,
-                    m as usize,
-                    n as usize,
-                    k as usize,
-                    alpha as f32,
-                    a,
-                    lda as usize,
-                    b,
-                    ldb as usize,
-                    beta as f32,
-                    c,
-                    ldc as usize,
-                )?
+                let (alpha, beta) = (alpha as f32, beta as f32);
+                vgpu::blas::sgemm(d, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)?
             };
             // Results are materialized eagerly (the simulation computes in
             // host code) but the device-time cost rides the stream timeline.
@@ -912,8 +898,10 @@ impl CricketServer {
                     BatchOp::CufftExecC2c(..) => vgpu::fft::CUFFT_C2C,
                     _ => vgpu::fft::CUFFT_Z2Z,
                 };
-                let plans = self.fft_plans.lock();
-                let p = plans.get(&plan).ok_or(VgpuError::InvalidHandle(plan))?;
+                let objects = self.objects.lock();
+                let Some(HostObject::Fft(p)) = objects.get(&plan) else {
+                    return Err(VgpuError::InvalidHandle(plan));
+                };
                 if p.kind != kind {
                     return Err(VgpuError::InvalidValue(format!(
                         "plan type {:#x} does not match exec type {kind:#x}",
@@ -991,6 +979,43 @@ impl Sessioned {
     fn immediate(&self, op: BatchOp<'_>, host_ns: u64, returns: Returns) -> Reply<i32> {
         Ok(self.srv.immediate(self.session, &op, host_ns, returns))
     }
+
+    /// `cublasCreate`, `cusolverDnCreate` and `cufftPlan1d`: win a turn on
+    /// the current device, build the context (`make` may refuse its
+    /// arguments), then issue it a library handle.
+    fn lib_create(
+        &self,
+        host_ns: u64,
+        make: impl FnOnce() -> VgpuResult<HostObject>,
+    ) -> Reply<U64Result> {
+        let (srv, s) = (&self.srv, self.session);
+        let made = srv.wait_here(s, host_ns, |_d| Ok((make()?, 0)));
+        let r = made.and_then(|obj| {
+            let h = srv.new_lib_handle()?;
+            srv.track(s, |r| r.handles.insert(h, obj.kind()));
+            srv.objects.lock().insert(h, obj);
+            Ok(h)
+        });
+        reply(r, U64Result::Data, U64Result::Default)
+    }
+
+    /// `cublasDestroy`, `cusolverDnDestroy` and `cufftDestroy`: `h` must
+    /// name a live context of `kind`.
+    fn lib_destroy(&self, h: u64, host_ns: u64, kind: Kind) -> Reply<i32> {
+        let (srv, s) = (&self.srv, self.session);
+        let r = srv.wait_here(s, host_ns, |_d| {
+            let mut objects = srv.objects.lock();
+            if !objects.get(&h).is_some_and(|obj| obj.kind() == kind) {
+                return Err(VgpuError::InvalidHandle(h));
+            }
+            objects.remove(&h);
+            Ok(((), 0))
+        });
+        if r.is_ok() {
+            srv.track(s, |r| r.handles.remove(&h));
+        }
+        Ok(int_of(r))
+    }
 }
 
 impl cricket_proto::CricketV1Service for Sessioned {
@@ -1036,7 +1061,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.host_call(s, 500, || {
             if (0..srv.devices.len() as i32).contains(&ordinal) {
-                srv.session_device.lock().insert(s, ordinal as usize);
+                srv.track(s, |r| r.device = Some(ordinal as usize));
                 Ok(())
             } else {
                 Err(VgpuError::InvalidDevice(ordinal))
@@ -1059,14 +1084,14 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let idx = srv.current_device(s);
         Ok(int_of(srv.wait_at(s, idx, 1_000, |d| {
             // The session's streams on this device (its lazy default stream
-            // plus any it created), walked under the resource lock with no
+            // plus any it created), walked under the session lock with no
             // copy: the first `stream_synchronize` retires for all of them
-            // and each wait is a pure read, so the set's order is immaterial.
-            let resources = srv.session_resources.lock();
-            let streams = resources.get(&s).into_iter().flat_map(|r| &r.streams);
-            let wait = streams
-                .filter(|&&h| srv.device_of_token(h) == Some(idx))
-                .map(|&h| d.stream_synchronize(h).unwrap_or(0))
+            // and each wait is a pure read, so the walk's order is immaterial.
+            let sessions = srv.sessions.lock();
+            let handles = sessions.get(&s).into_iter().flat_map(|r| &r.handles);
+            let wait = handles
+                .filter(|&(&h, &k)| k == Kind::Stream && srv.device_of_token(h) == Some(idx))
+                .map(|(&h, _)| d.stream_synchronize(h).unwrap_or(0))
                 .max()
                 .unwrap_or(0);
             Ok(((), wait))
@@ -1076,18 +1101,20 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn cuda_device_reset(&self) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.current_device(s);
-        let r = srv.wait_at(s, idx, 5_000, |d| {
-            let t = d.device_reset();
-            Ok(((), t))
-        });
-        // The reset destroyed every stream on the device, including other
-        // sessions' default streams; drop the stale mappings so they are
-        // lazily recreated on next use.
-        srv.session_streams.lock().retain(|&(_, i), _| i != idx);
-        srv.module_images.lock().clear();
-        srv.solvers.lock().clear();
-        srv.fft_plans.lock().clear();
-        srv.blas_handles.lock().clear();
+        let r = srv.wait_at(s, idx, 5_000, |d| Ok(((), d.device_reset())));
+        // The reset destroyed exactly what lived on the device: every
+        // session's (and staged adoption's) memory and handles there, its
+        // default streams there — lazily recreated on next use — and the
+        // images of modules loaded there. Library handles live on no
+        // device and survive.
+        let on_device = |token| srv.device_of_token(token) == Some(idx);
+        let mut tokens = srv.tokens.lock();
+        let staged = tokens.values_mut().filter_map(|t| t.adoption.as_mut());
+        let mut sessions = srv.sessions.lock();
+        for r in staged.map(|a| &mut a.session).chain(sessions.values_mut()) {
+            r.forget_device(idx, on_device);
+        }
+        srv.objects.lock().retain(|&h, _| !on_device(h));
         Ok(int_of(r))
     }
 
@@ -1095,7 +1122,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.wait_here(s, 4_000, |d| d.malloc(size));
         if let Ok(ptr) = r {
-            srv.track(s, |res| res.mem.insert(ptr));
+            srv.track(s, |r| r.mem.insert(ptr));
         }
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1104,7 +1131,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.wait_for(s, ptr, 3_500, |d| d.free(ptr).map(|t| ((), t)));
         if r.is_ok() {
-            srv.track(s, |res| res.mem.remove(&ptr));
+            srv.track(s, |r| r.mem.remove(&ptr));
         }
         Ok(int_of(r))
     }
@@ -1225,8 +1252,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
         if let Ok(h) = r {
             // The retained copy is the only one: the image arrives as a
             // borrowed slice of the request record.
-            srv.module_images.lock().insert(h, image.to_vec());
-            srv.track(s, |res| res.modules.insert(h));
+            srv.objects
+                .lock()
+                .insert(h, HostObject::Module(image.to_vec()));
+            srv.track(s, |r| r.handles.insert(h, Kind::Module));
         }
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1244,8 +1273,8 @@ impl cricket_proto::CricketV1Service for Sessioned {
             d.module_unload(module).map(|t| ((), t))
         });
         if r.is_ok() {
-            srv.module_images.lock().remove(&module);
-            srv.track(s, |res| res.modules.remove(&module));
+            srv.objects.lock().remove(&module);
+            srv.track(s, |r| r.handles.remove(&module));
         }
         Ok(int_of(r))
     }
@@ -1269,7 +1298,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.wait_here(s, 1_500, |d| d.stream_create());
         if let Ok(h) = r {
-            srv.track(s, |res| res.streams.insert(h));
+            srv.track(s, |r| r.handles.insert(h, Kind::Stream));
         }
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1278,13 +1307,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.wait_for(s, h, 1_000, |d| d.stream_destroy(h).map(|t| ((), t)));
         if r.is_ok() {
-            srv.track(s, |res| res.streams.remove(&h));
-            // If this was a cached default stream, drop the mapping so the
-            // lock-free fast path in `session_stream` never returns a
-            // destroyed handle; it is lazily recreated on next use.
-            srv.session_streams
-                .lock()
-                .retain(|_, &mut cached| cached != h);
+            srv.track(s, |r| r.handles.remove(&h));
+            // If this was a default stream, drop the binding too so
+            // `session_stream` never returns a destroyed handle; it is
+            // lazily recreated on next use.
+            for r in srv.sessions.lock().values_mut() {
+                r.streams.retain(|_, &mut bound| bound != h);
+            }
         }
         Ok(int_of(r))
     }
@@ -1302,7 +1331,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.wait_here(s, 800, |d| d.event_create());
         if let Ok(h) = r {
-            srv.track(s, |res| res.events.insert(h));
+            srv.track(s, |r| r.handles.insert(h, Kind::Event));
         }
         reply(r, U64Result::Data, U64Result::Default)
     }
@@ -1332,35 +1361,17 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let r = srv.wait_for(s, event, 600, |d| d.event_destroy(event).map(|t| ((), t)));
         if r.is_ok() {
-            srv.track(s, |res| res.events.remove(&event));
+            srv.track(s, |r| r.handles.remove(&event));
         }
         Ok(int_of(r))
     }
 
     fn cublas_create(&self) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 5_000, |_d| Ok(((), 0))).and_then(|()| {
-            let h = srv.new_lib_handle()?;
-            srv.blas_handles.lock().insert(h);
-            srv.track(s, |res| res.blas.insert(h));
-            Ok(h)
-        });
-        reply(r, U64Result::Data, U64Result::Default)
+        self.lib_create(5_000, || Ok(HostObject::Blas))
     }
 
     fn cublas_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 2_000, |_d| {
-            if srv.blas_handles.lock().remove(&h) {
-                Ok(((), 0))
-            } else {
-                Err(VgpuError::InvalidHandle(h))
-            }
-        });
-        if r.is_ok() {
-            srv.track(s, |res| res.blas.remove(&h));
-        }
-        Ok(int_of(r))
+        self.lib_destroy(h, 2_000, Kind::Blas)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1440,29 +1451,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cusolver_dn_create(&self) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 10_000, |_d| Ok(((), 0))).and_then(|()| {
-            let h = srv.new_lib_handle()?;
-            srv.solvers.lock().insert(h, vgpu::solver::SolverDn::new());
-            srv.track(s, |res| res.solvers.insert(h));
-            Ok(h)
-        });
-        reply(r, U64Result::Data, U64Result::Default)
+        self.lib_create(10_000, || {
+            Ok(HostObject::Solver(vgpu::solver::SolverDn::new()))
+        })
     }
 
     fn cusolver_dn_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 3_000, |_d| {
-            if srv.solvers.lock().remove(&h).is_some() {
-                Ok(((), 0))
-            } else {
-                Err(VgpuError::InvalidHandle(h))
-            }
-        });
-        if r.is_ok() {
-            srv.track(s, |res| res.solvers.remove(&h));
-        }
-        Ok(int_of(r))
+        self.lib_destroy(h, 3_000, Kind::Solver)
     }
 
     fn cusolver_dn_dgetrf_buffer_size(
@@ -1474,9 +1469,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         _lda: i32,
     ) -> Reply<IntResult> {
         let r = self.srv.host_call(self.session, 2_000, || {
-            let solvers = self.srv.solvers.lock();
-            let solver = solvers.get(&h).ok_or(VgpuError::InvalidHandle(h))?;
-            solver.dgetrf_buffer_size(m, n)
+            self.srv.solver(h, |solver| solver.dgetrf_buffer_size(m, n))
         });
         reply(r, IntResult::Data, IntResult::Default)
     }
@@ -1502,9 +1495,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
             8_000,
             Returns::AtSubmission,
             |d| {
-                let mut solvers = srv.solvers.lock();
-                let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
-                let t = solver.dgetrf(d, m, n, a, lda, work, ipiv, info)?;
+                let t = srv.solver(h, |solver| solver.dgetrf(d, m, n, a, lda, work, ipiv, info))?;
                 let sub = d.enqueue_library(st, "getrf", t)?;
                 Ok(((), sub))
             },
@@ -1534,9 +1525,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
             6_000,
             Returns::AtSubmission,
             |d| {
-                let mut solvers = srv.solvers.lock();
-                let solver = solvers.get_mut(&h).ok_or(VgpuError::InvalidHandle(h))?;
-                let t = solver.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)?;
+                let t = srv.solver(h, |s| {
+                    s.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+                })?;
                 let sub = d.enqueue_library(st, "getrs", t)?;
                 Ok(((), sub))
             },
@@ -1544,32 +1535,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cufft_plan_1d(&self, n: i32, kind: i32, batch: i32) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
-        let planned = srv.wait_here(s, 6_000, |_d| {
-            Ok((vgpu::fft::FftPlan::plan_1d(n, kind, batch)?, 0))
-        });
-        let r = planned.and_then(|plan| {
-            let h = srv.new_lib_handle()?;
-            srv.fft_plans.lock().insert(h, plan);
-            srv.track(s, |res| res.ffts.insert(h));
-            Ok(h)
-        });
-        reply(r, U64Result::Data, U64Result::Default)
+        self.lib_create(6_000, || {
+            vgpu::fft::FftPlan::plan_1d(n, kind, batch).map(HostObject::Fft)
+        })
     }
 
     fn cufft_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 2_000, |_d| {
-            if srv.fft_plans.lock().remove(&h).is_some() {
-                Ok(((), 0))
-            } else {
-                Err(VgpuError::InvalidHandle(h))
-            }
-        });
-        if r.is_ok() {
-            srv.track(s, |res| res.ffts.remove(&h));
-        }
-        Ok(int_of(r))
+        self.lib_destroy(h, 2_000, Kind::Fft)
     }
 
     fn cufft_exec_c2c(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
@@ -1592,7 +1564,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn cricket_batch_exec(&self, body: &[u8]) -> Reply<BatchResult> {
         let (srv, s) = (&self.srv, self.session);
         let ops = decode_batch(body)?;
-        srv.sessions_seen.lock().insert(s);
+        srv.sessions.lock().entry(s).or_default();
         // Each sub-op is one CUDA API call in the paper's accounting;
         // coalescing changes the wire shape, not the call count.
         srv.stats.lock().total_calls += ops.len() as u64;
@@ -1724,7 +1696,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
             bytes_in: st.bytes_in,
             bytes_out: st.bytes_out,
             kernels_launched: st.kernels_launched,
-            active_sessions: srv.sessions_seen.lock().len() as u64,
+            active_sessions: srv.sessions.lock().len() as u64,
             device_time_ns,
         })
     }
@@ -1763,8 +1735,18 @@ impl cricket_proto::CricketV1Service for Sessioned {
         Ok(0)
     }
 
-    fn cricket_qos_set(&self, params: QosParams) -> Reply<i32> {
-        Ok(self.srv.qos_set(self.session, &params))
+    /// Install a session's QoS spec. Administrative: charges no device
+    /// time, like `srv_set_scheduler`.
+    fn cricket_qos_set(&self, p: QosParams) -> Reply<i32> {
+        let spec = QosSpec {
+            weight: p.weight,
+            priority: p.priority,
+            rate_ns_per_s: p.rate_ns_per_s,
+            burst_ns: p.burst_ns,
+            max_resident_bytes: p.max_resident_bytes,
+        };
+        self.srv.scheduler.set_qos(p.session, spec);
+        Ok(0)
     }
 }
 
@@ -1779,7 +1761,19 @@ impl CricketServer {
 
     /// The live session currently bound to a client token, if any.
     pub fn session_of_token(&self, token: u64) -> Option<SessionId> {
-        self.token_sessions.lock().get(&token).copied()
+        self.tokens.lock().get(&token).and_then(|t| t.session)
+    }
+
+    /// Run `f` on `token`'s record under the token lock; a record left
+    /// saying nothing is dropped.
+    fn with_token<R>(&self, token: u64, f: impl FnOnce(&mut Token) -> R) -> R {
+        let mut tokens = self.tokens.lock();
+        let t = tokens.entry(token).or_default();
+        let r = f(t);
+        if t.is_idle() {
+            tokens.remove(&token);
+        }
+        r
     }
 
     /// Token-gate hook (see `oncrpc::RpcServer::set_token_gate`): may a
@@ -1789,68 +1783,30 @@ impl CricketServer {
     ///   reconnect resolves the session's new home;
     /// * staged but unfinished inbound migration → `false`: the client
     ///   raced ahead of the final delta, retry until cutover completes;
-    /// * ready inbound migration → claim it into this session, `true`;
+    /// * ready inbound migration → merge it into this session, `true`;
     /// * otherwise record the token ↔ session binding and admit.
+    ///
+    /// An admitted call counts as in flight until [`Self::call_complete`],
+    /// decided under the same lock [`Self::evict_token`] drains under: once
+    /// eviction has returned, no call of the token is admitted.
     pub fn observe_token(&self, token: u64, session: SessionId) -> bool {
-        if self.evicted_tokens.lock().contains(&token) {
-            return false;
-        }
-        let adoption = {
-            let mut staged = self.adoptions.lock();
-            match staged.get(&token) {
-                Some(a) if !a.ready => return false,
-                Some(_) => staged.remove(&token),
-                None => None,
+        self.with_token(token, |t| {
+            if t.evicted || t.adoption.as_ref().is_some_and(|a| !a.ready) {
+                return false;
             }
-        };
-        match adoption {
-            Some(a) => {
-                self.adopt(session, a);
-                self.token_sessions.lock().insert(token, session);
+            if let Some(a) = t.adoption.take() {
+                self.track(session, |r| r.absorb(a.session));
             }
-            None => {
-                let mut map = self.token_sessions.lock();
-                if map.get(&token) != Some(&session) {
-                    map.insert(token, session);
-                }
-            }
-        }
-        *self.inflight.lock().entry(token).or_insert(0) += 1;
-        true
+            t.session = Some(session);
+            t.inflight += 1;
+            true
+        })
     }
 
     /// Gate completion hook: an admitted call from `token` finished.
     pub fn call_complete(&self, token: u64) {
-        let mut inflight = self.inflight.lock();
-        if let Some(n) = inflight.get_mut(&token) {
-            *n -= 1;
-            if *n == 0 {
-                inflight.remove(&token);
-            }
-        }
-        drop(inflight);
+        self.with_token(token, |t| t.inflight = t.inflight.saturating_sub(1));
         self.quiesce.notify_all();
-    }
-
-    /// Hand a staged adoption to `session`: it owns the resources from now
-    /// on (merged — it may hold some already) and takes the adoption's
-    /// current-device and default-stream bindings for every slot it has not
-    /// bound itself.
-    fn adopt(&self, session: SessionId, a: Adoption) {
-        self.session_device
-            .lock()
-            .entry(session)
-            .or_insert(a.current_device);
-        {
-            let mut streams = self.session_streams.lock();
-            for d in &a.default_streams {
-                streams
-                    .entry((session, d.device as usize))
-                    .or_insert(d.stream);
-            }
-        }
-        self.track(session, |r| r.absorb(a.resources));
-        self.sessions_seen.lock().insert(session);
     }
 
     /// Evict `token`: the gate refuses its calls from now on, closing the
@@ -1859,28 +1815,34 @@ impl CricketServer {
     /// the final snapshot must not race a half-executed mutation whose
     /// reply the client will still receive.
     pub fn evict_token(&self, token: u64) {
-        self.evicted_tokens.lock().insert(token);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut inflight = self.inflight.lock();
-        while inflight.get(&token).copied().unwrap_or(0) > 0 {
+        let mut tokens = self.tokens.lock();
+        tokens.entry(token).or_default().evicted = true;
+        while tokens.get(&token).is_some_and(|t| t.inflight > 0) {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
                 // Safety valve: a wedged call must not hang the cutover.
                 break;
             }
-            self.quiesce.wait_for(&mut inflight, left);
+            self.quiesce.wait_for(&mut tokens, left);
         }
     }
 
     /// Roll back an eviction (aborted migration): admit the token again
     /// and perform any release that was deferred while it was evicted.
     pub fn readmit_token(&self, token: u64) {
-        self.evicted_tokens.lock().remove(&token);
-        if let Some(session) = self.session_of_token(token) {
-            let deferred = self.deferred_release.lock().remove(&session);
-            if deferred {
-                self.force_release(session);
-            }
+        let session = self.with_token(token, |t| {
+            t.evicted = false;
+            t.session
+        });
+        let deferred = |s| {
+            let mut sessions = self.sessions.lock();
+            sessions
+                .get_mut(&s)
+                .is_some_and(|r| std::mem::take(&mut r.deferred))
+        };
+        if let Some(s) = session.filter(|&s| deferred(s)) {
+            self.force_release(s);
         }
     }
 
@@ -1930,8 +1892,10 @@ impl CricketServer {
         let frontier = self.devices.iter().map(fence).max().unwrap_or(0);
         self.clock.advance_to(frontier);
         let mut sessions: Vec<SessionId> = {
-            let all = self.session_resources.lock();
-            let owning = all.iter().filter(|(_, r)| !r.is_empty());
+            let all = self.sessions.lock();
+            let owning = all
+                .iter()
+                .filter(|(_, r)| !r.mem.is_empty() || !r.handles.is_empty());
             owning.map(|(&s, _)| s).collect()
         };
         sessions.sort_unstable();
@@ -1961,48 +1925,25 @@ impl CricketServer {
         known: Option<&mut BTreeSet<u64>>,
         kind: MigKind,
     ) -> MigBlob {
-        let res = self
-            .session_resources
-            .lock()
-            .get(&session)
-            .cloned()
-            .unwrap_or_default();
-        let sorted = |set: &HashSet<u64>| {
-            let mut v: Vec<u64> = set.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        let r = self.sessions.lock().get(&session).cloned();
+        let r = r.unwrap_or_default();
         let mut meta = SessionMeta {
-            current_device: self.current_device(session) as u32,
+            current_device: r.device.unwrap_or(0) as u32,
             next_lib_handle: self.next_lib_handle.load(Ordering::SeqCst),
-            blas: sorted(&res.blas).into(),
-            solvers: sorted(&res.solvers).into(),
+            blas: r.sorted(Kind::Blas).into(),
+            solvers: r.sorted(Kind::Solver).into(),
             ..SessionMeta::default()
         };
         {
-            let images = self.module_images.lock();
-            for handle in sorted(&res.modules) {
-                if let Some(image) = images.get(&handle) {
+            let objects = self.objects.lock();
+            for handle in r.sorted(Kind::Module) {
+                if let Some(HostObject::Module(image)) = objects.get(&handle) {
                     let image = image.clone();
                     meta.modules.push(MigModule { handle, image });
                 }
             }
-        }
-        {
-            let streams = self.session_streams.lock();
-            let mine = streams.iter().filter(|((s, _), _)| *s == session);
-            let bind = |(&(_, idx), &stream): (&(_, usize), &u64)| MigDefaultStream {
-                device: idx as u32,
-                stream,
-            };
-            let mut bound: Vec<_> = mine.map(bind).collect();
-            bound.sort_unstable_by_key(|d| (d.device, d.stream));
-            meta.default_streams = bound.into();
-        }
-        {
-            let plans = self.fft_plans.lock();
-            for handle in sorted(&res.ffts) {
-                if let Some(p) = plans.get(&handle) {
+            for handle in r.sorted(Kind::Fft) {
+                if let Some(HostObject::Fft(p)) = objects.get(&handle) {
                     let (n, kind, batch) = (p.n as i32, p.kind, p.batch as i32);
                     meta.ffts.push(MigFft {
                         handle,
@@ -2013,6 +1954,13 @@ impl CricketServer {
                 }
             }
         }
+        let bind = |(&idx, &stream): (&usize, &u64)| MigDefaultStream {
+            device: idx as u32,
+            stream,
+        };
+        let mut bound: Vec<_> = r.streams.iter().map(bind).collect();
+        bound.sort_unstable_by_key(|d| (d.device, d.stream));
+        meta.default_streams = bound.into();
 
         let mut delta = MemDelta::default();
         for idx in 0..self.devices.len() {
@@ -2030,7 +1978,7 @@ impl CricketServer {
                 dev.fence_all_streams();
             }
             // The device is shared: only this session's blocks ride along.
-            let d = dev.mem.delta_since(&known_here, |b| res.mem.contains(&b));
+            let d = dev.mem.delta_since(&known_here, |b| r.mem.contains(&b));
             if known.is_some() {
                 dev.mem.mark_epoch();
             }
@@ -2039,7 +1987,7 @@ impl CricketServer {
                 next: dev.next_handle_value(),
             });
             for (handle, frontier_ns) in dev.snapshot_stream_frontiers() {
-                if res.streams.contains(&handle) {
+                if r.holds(handle, Kind::Stream) {
                     meta.streams.push(MigStream {
                         handle,
                         frontier_ns,
@@ -2047,7 +1995,7 @@ impl CricketServer {
                 }
             }
             for (handle, recorded_ns) in dev.snapshot_event_states() {
-                if res.events.contains(&handle) {
+                if r.holds(handle, Kind::Event) {
                     meta.events.push(MigEvent {
                         handle,
                         recorded_ns,
@@ -2055,7 +2003,7 @@ impl CricketServer {
                 }
             }
             for (handle, module, name) in dev.snapshot_functions() {
-                if res.modules.contains(&module) {
+                if r.holds(module, Kind::Module) {
                     meta.functions.push(MigFunction {
                         handle,
                         module,
@@ -2089,23 +2037,21 @@ impl CricketServer {
         let Some(session) = self.session_of_token(token) else {
             return 0;
         };
-        let res = self
-            .session_resources
-            .lock()
-            .get(&session)
-            .cloned()
-            .unwrap_or_default();
+        let r = self.sessions.lock().get(&session).cloned();
+        let r = r.unwrap_or_default();
         let mut total = 0u64;
-        for &b in &res.mem {
+        for &b in &r.mem {
             if let Some(idx) = self.device_of_token(b) {
                 if let Ok(bytes) = self.devices[idx].lock().mem.block_bytes(b) {
                     total += bytes.len() as u64;
                 }
             }
         }
-        let images = self.module_images.lock();
-        for h in &res.modules {
-            total += images.get(h).map_or(0, |i| i.len() as u64);
+        let objects = self.objects.lock();
+        for h in r.sorted(Kind::Module) {
+            if let Some(HostObject::Module(image)) = objects.get(&h) {
+                total += image.len() as u64;
+            }
         }
         total
     }
@@ -2146,11 +2092,12 @@ impl CricketServer {
                 // and re-legitimizes a token this server itself evicted in
                 // an earlier outbound migration (moving back home).
                 self.discard_adoption(token);
-                self.evicted_tokens.lock().remove(&token);
+                self.with_token(token, |t| t.evicted = false);
                 Adoption::default()
             }
             MigKind::Delta | MigKind::Final => {
-                self.adoptions.lock().remove(&token).ok_or_else(|| {
+                let staged = self.with_token(token, |t| t.adoption.take());
+                staged.ok_or_else(|| {
                     VgpuError::InvalidValue(format!(
                         "delta for token {token:#x} without a staged base"
                     ))
@@ -2158,10 +2105,10 @@ impl CricketServer {
             }
         };
         let mem = migrate::mem_delta(blob.mem);
-        if let Err(e) = self.apply_blob(&blob.meta, &mem, &mut staged) {
+        if let Err(e) = self.apply_blob(&blob.meta, &mem, &mut staged.session) {
             // Half-applied state is unusable; free whatever was placed so
             // a retried migration can start from a clean base.
-            self.reclaim(staged.resources);
+            self.reclaim(staged.session);
             return Err(e);
         }
         staged.applied_epochs += 1;
@@ -2177,12 +2124,12 @@ impl CricketServer {
         // on an otherwise idle destination.
         self.clock.advance_to(blob.meta.src_now_ns);
         let epochs = staged.applied_epochs;
-        self.adoptions.lock().insert(token, staged);
+        self.with_token(token, |t| t.adoption = Some(staged));
         Ok(epochs)
     }
 
     /// `CKPT_RESTORE`: apply every blob of the checkpoint and hand the
-    /// result to `session`. Each blob gets a staged adoption of its own
+    /// result to `session`. Each blob is staged into a record of its own
     /// (`apply_blob` diffs metadata against what is staged, so two
     /// sessions' blobs must not share one); nothing is handed over until
     /// all have applied, and on any failure everything this restore placed
@@ -2191,37 +2138,32 @@ impl CricketServer {
         let blobs = migrate::decode_checkpoint(bytes)?;
         let mut staged = Vec::with_capacity(blobs.len());
         for blob in blobs {
-            let mut a = Adoption::default();
-            let applied = self.apply_blob(&blob.meta, &migrate::mem_delta(blob.mem), &mut a);
-            staged.push((blob.meta.src_now_ns, a));
+            let mut r = Session::default();
+            let applied = self.apply_blob(&blob.meta, &migrate::mem_delta(blob.mem), &mut r);
+            staged.push((blob.meta.src_now_ns, r));
             if let Err(e) = applied {
-                for (_, a) in staged {
-                    self.reclaim(a.resources);
+                for (_, r) in staged {
+                    self.reclaim(r);
                 }
                 return Err(e);
             }
         }
-        for (src_now_ns, a) in staged {
+        for (src_now_ns, r) in staged {
             // Restored stream frontiers must lie in this node's past.
             self.clock.advance_to(src_now_ns);
-            self.adopt(session, a);
+            self.track(session, |live| live.absorb(r));
         }
         Ok(())
     }
 
-    /// Reconcile one blob into the staged adoption: memory delta first
+    /// Reconcile one blob into the staged record `held`: memory delta first
     /// (each device replays its share), then the full metadata diffed
-    /// against what previous blobs placed. `staged` learns of a resource
-    /// the moment it lands, so a failure midway leaves nothing behind that
+    /// against what previous blobs placed. `held` learns of a resource the
+    /// moment it lands, so a failure midway leaves nothing behind that
     /// `reclaim` does not know of — and it never learns of one that was
     /// live here before: a block, handle or library handle somebody already
     /// holds is a typed error, not an alias.
-    fn apply_blob(
-        &self,
-        meta: &SessionMeta,
-        mem: &MemDelta,
-        staged: &mut Adoption,
-    ) -> VgpuResult<()> {
+    fn apply_blob(&self, meta: &SessionMeta, mem: &MemDelta, held: &mut Session) -> VgpuResult<()> {
         let bases = (mem.freed.iter())
             .chain(mem.new_blocks.iter().map(|(b, _)| b))
             .chain(mem.dirty.iter().map(|(b, ..)| b));
@@ -2260,6 +2202,30 @@ impl CricketServer {
                 meta.next_lib_handle
             )));
         }
+        // Every handle the blob places lies below the blob's own cursor for
+        // its device (which ends inside that device's window, see above) or
+        // for the library: the cursors are raised first, so nothing this
+        // server issues later repeats one.
+        let issued_on_device = |h: u64| {
+            let window = |c: &MigCursor| handle_base(c.device as usize)..c.next;
+            let mut cursors = meta.next_handles.iter();
+            cursors.any(|c| (c.device as usize) < self.devices.len() && window(c).contains(&h))
+        };
+        let device_handles = (meta.modules.iter().map(|m| m.handle))
+            .chain(meta.functions.iter().map(|f| f.handle))
+            .chain(meta.streams.iter().map(|s| s.handle))
+            .chain(meta.events.iter().map(|e| e.handle));
+        let lib_handles = (meta.blas.iter().copied())
+            .chain(meta.solvers.iter().copied())
+            .chain(meta.ffts.iter().map(|f| f.handle));
+        let issued_by_lib = |h: &u64| (LIB_HANDLE_BASE..meta.next_lib_handle).contains(h);
+        let mut unissued = (device_handles.filter(|&h| !issued_on_device(h)))
+            .chain(lib_handles.filter(|h| !issued_by_lib(h)));
+        if let Some(h) = unissued.next() {
+            return Err(VgpuError::InvalidValue(format!(
+                "handle {h:#x} is not below the blob's cursor for it"
+            )));
+        }
         let frontiers = meta.streams.iter().map(|s| s.frontier_ns);
         let recorded = meta.events.iter().filter_map(|e| e.recorded_ns);
         let mut times = std::iter::once(meta.src_now_ns)
@@ -2272,7 +2238,7 @@ impl CricketServer {
         }
         for (idx, dev) in self.devices.iter().enumerate() {
             let here = |b| self.device_of_token(b) == Some(idx);
-            (dev.lock().mem).apply_delta(mem, here, &mut staged.resources.mem)?;
+            (dev.lock().mem).apply_delta(mem, here, &mut held.mem)?;
         }
 
         // Handle counters first, and only ever raised: from here on nothing
@@ -2287,28 +2253,26 @@ impl CricketServer {
 
         // What earlier blobs placed and the source has since destroyed goes
         // through the one reclaimer (memory travelled as `freed` above).
-        let held = &mut staged.resources;
-        let wanted = SessionResources {
-            mem: HashSet::new(),
-            modules: meta.modules.iter().map(|m| m.handle).collect(),
-            streams: meta.streams.iter().map(|s| s.handle).collect(),
-            events: meta.events.iter().map(|e| e.handle).collect(),
-            blas: meta.blas.iter().copied().collect(),
-            solvers: meta.solvers.iter().copied().collect(),
-            ffts: meta.ffts.iter().map(|f| f.handle).collect(),
-        };
+        let wanted: HashMap<u64, Kind> = (meta.modules.iter().map(|m| (m.handle, Kind::Module)))
+            .chain(meta.streams.iter().map(|s| (s.handle, Kind::Stream)))
+            .chain(meta.events.iter().map(|e| (e.handle, Kind::Event)))
+            .chain(meta.blas.iter().map(|&h| (h, Kind::Blas)))
+            .chain(meta.solvers.iter().map(|&h| (h, Kind::Solver)))
+            .chain(meta.ffts.iter().map(|f| (f.handle, Kind::Fft)))
+            .collect();
         self.reclaim(held.split_off_handles_not_in(&wanted));
 
         for m in meta.modules.iter() {
-            if !held.modules.contains(&m.handle) {
+            if !held.holds(m.handle, Kind::Module) {
                 self.place_at(m.handle, false)?
                     .restore_module(m.handle, &m.image)?;
-                self.module_images.lock().insert(m.handle, m.image.clone());
-                held.modules.insert(m.handle);
+                let image = HostObject::Module(m.image.clone());
+                self.objects.lock().insert(m.handle, image);
+                held.handles.insert(m.handle, Kind::Module);
             }
         }
         for f in meta.functions.iter() {
-            if !held.modules.contains(&f.module) {
+            if !held.holds(f.module, Kind::Module) {
                 return Err(VgpuError::InvalidHandle(f.module));
             }
             (self.device_for(f.handle)?.lock()).restore_function(f.handle, f.module, &f.name)?;
@@ -2317,13 +2281,13 @@ impl CricketServer {
         // completion frontier and record timestamp (idempotent).
         for s in meta.streams.iter() {
             let h = s.handle;
-            (self.place_at(h, held.streams.contains(&h))?).restore_stream_at(h, s.frontier_ns);
-            held.streams.insert(h);
+            (self.place_at(h, held.holds(h, Kind::Stream))?).restore_stream_at(h, s.frontier_ns);
+            held.handles.insert(h, Kind::Stream);
         }
         for e in meta.events.iter() {
             let h = e.handle;
-            (self.place_at(h, held.events.contains(&h))?).restore_event_at(h, e.recorded_ns);
-            held.events.insert(h);
+            (self.place_at(h, held.holds(h, Kind::Event))?).restore_event_at(h, e.recorded_ns);
+            held.handles.insert(h, Kind::Event);
         }
 
         // Library handles. cuBLAS handles are pure capabilities; a
@@ -2332,25 +2296,22 @@ impl CricketServer {
         // trace-equivalent; FFT plans are pure values rebuilt through the
         // validating constructor.
         for &h in meta.blas.iter() {
-            if self.lib_place(&mut held.blas, h)? {
-                self.blas_handles.lock().insert(h);
-            }
+            self.lib_place(held, h, HostObject::Blas)?;
         }
         for &h in meta.solvers.iter() {
-            if self.lib_place(&mut held.solvers, h)? {
-                self.solvers.lock().entry(h).or_default();
-            }
+            self.lib_place(held, h, HostObject::Solver(vgpu::solver::SolverDn::new()))?;
         }
         for f in meta.ffts.iter() {
             let plan = vgpu::fft::FftPlan::plan_1d(f.n, f.kind, f.batch)?;
-            if self.lib_place(&mut held.ffts, f.handle)? {
-                self.fft_plans.lock().insert(f.handle, plan);
-            }
+            self.lib_place(held, f.handle, HostObject::Fft(plan))?;
         }
 
-        staged.current_device =
-            (meta.current_device as usize).min(self.devices.len().saturating_sub(1));
-        staged.default_streams = meta.default_streams.to_vec();
+        held.device =
+            Some((meta.current_device as usize).min(self.devices.len().saturating_sub(1)));
+        held.streams.clear();
+        for d in meta.default_streams.iter() {
+            held.streams.entry(d.device as usize).or_insert(d.stream);
+        }
         Ok(())
     }
 
@@ -2372,28 +2333,28 @@ impl CricketServer {
         Ok(dev)
     }
 
-    /// Claim library handle `h` for `held` unless it already has it (then
-    /// `false`). One counter issues cuBLAS, cuSolver and cuFFT handles
-    /// alike, so a value live in any of the three tables is refused.
-    fn lib_place(&self, held: &mut HashSet<u64>, h: u64) -> VgpuResult<bool> {
-        if held.contains(&h) {
-            return Ok(false);
+    /// Place library context `obj` at `h` for `held`, unless `held` has it
+    /// there already. One counter issues cuBLAS, cuSolver and cuFFT handles
+    /// alike, so any live host object at `h` is refused.
+    fn lib_place(&self, held: &mut Session, h: u64, obj: HostObject) -> VgpuResult<()> {
+        let kind = obj.kind();
+        if held.holds(h, kind) {
+            return Ok(());
         }
-        if self.blas_handles.lock().contains(&h)
-            || self.solvers.lock().contains_key(&h)
-            || self.fft_plans.lock().contains_key(&h)
-        {
+        let mut objects = self.objects.lock();
+        if objects.contains_key(&h) {
             return Err(live_here(h));
         }
-        Ok(held.insert(h))
+        objects.insert(h, obj);
+        held.handles.insert(h, kind);
+        Ok(())
     }
 
     /// Drop a staged inbound migration and free everything it placed on
     /// this server (`MIG_ABORT`, or a fresh base superseding it).
     fn discard_adoption(&self, token: u64) {
-        let staged = self.adoptions.lock().remove(&token);
-        if let Some(a) = staged {
-            self.reclaim(a.resources);
+        if let Some(a) = self.with_token(token, |t| t.adoption.take()) {
+            self.reclaim(a.session);
         }
     }
 }
@@ -3013,11 +2974,23 @@ mod tests {
         .into();
         good.meta.blas = vec![LIB_HANDLE_BASE].into();
         good.meta.ffts = vec![fft(LIB_HANDLE_BASE + 1)].into();
+        good.meta.next_handles = vec![MigCursor {
+            device: 0,
+            next: 0x13,
+        }]
+        .into();
+        good.meta.next_lib_handle = LIB_HANDLE_BASE + 2;
         good.mem.new_blocks = vec![block(HEAP_STRIDE, vec![7; 256])].into();
         let mut bad = base_blob();
         let not_a_cubin = b"not a cubin".to_vec();
         bad.meta.modules = vec![module(0x20, image), module(0x21, not_a_cubin)].into();
         bad.meta.ffts = vec![fft(LIB_HANDLE_BASE + 2)].into();
+        bad.meta.next_handles = vec![MigCursor {
+            device: 0,
+            next: 0x22,
+        }]
+        .into();
+        bad.meta.next_lib_handle = LIB_HANDLE_BASE + 3;
         bad.mem.new_blocks = vec![block(2 * HEAP_STRIDE, vec![9; 256])].into();
 
         let ckpt = migrate::encode_checkpoint(vec![good, bad]);
@@ -3026,9 +2999,7 @@ mod tests {
             let (free, total) = d.lock().mem_info();
             assert_eq!(free, total);
         }
-        assert!(srv.module_images.lock().is_empty());
-        assert!(srv.blas_handles.lock().is_empty());
-        assert!(srv.fft_plans.lock().is_empty());
+        assert!(srv.objects.lock().is_empty());
         assert_eq!(srv.devices[0].lock().snapshot_stream_frontiers().len(), 1);
         assert!(srv.devices[0].lock().snapshot_event_states().is_empty());
         assert_eq!(srv.release_session(1).total(), 0);
@@ -3066,10 +3037,12 @@ mod tests {
 
     /// Restore and the migration applier both refuse `blob`, and nothing
     /// of it stays behind: not its block, its stream `0x30` or event
-    /// `0x20` on device 0, a staged adoption, or anything session 2 owns.
+    /// `0x20` on device 0, a host object, a staged adoption, or anything
+    /// session 2 owns.
     fn refused_without_a_trace(srv: &Arc<CricketServer>, blob: &MigBlob) {
         let thief = Sessioned::new(Arc::clone(srv), 2);
         let free_before = srv.devices[0].lock().mem_info().0;
+        let objects_before = srv.objects.lock().len();
         let ckpt = migrate::encode_checkpoint(vec![blob.clone()]);
         assert_ne!(thief.ckpt_restore(&ckpt).unwrap(), 0);
         let err = srv
@@ -3080,16 +3053,27 @@ mod tests {
         assert_eq!(srv.devices[0].lock().mem_info().0, free_before, "block");
         assert!(!srv.devices[0].lock().holds(0x30), "stream handle");
         assert!(!srv.devices[0].lock().holds(0x20), "event handle");
-        assert!(srv.adoptions.lock().is_empty(), "staged adoption");
-        assert!(srv.session_streams.lock().keys().all(|&(s, _)| s != 2));
+        assert_eq!(srv.objects.lock().len(), objects_before, "host object");
+        assert!(srv.tokens.lock().is_empty(), "staged adoption");
+        assert!(srv
+            .sessions
+            .lock()
+            .get(&2)
+            .is_none_or(|r| r.streams.is_empty()));
         assert_eq!(srv.release_session(2).total(), 0);
     }
 
     /// A blob placing a block, stream `own` (`0x30`, device 0) and event
-    /// `0x20`, with the given stream list and default-stream bindings.
+    /// `0x20`, with the given stream list and default-stream bindings, and
+    /// device 0's handle cursor just past them.
     fn placing(streams: &[u64], default_streams: &[(u32, u64)]) -> MigBlob {
         let mut blob = base_blob();
         blob.meta.token = 0x71EF;
+        blob.meta.next_handles = vec![MigCursor {
+            device: 0,
+            next: 0x31,
+        }]
+        .into();
         let stream = |&handle: &u64| MigStream {
             handle,
             frontier_ns: 0,
@@ -3131,7 +3115,7 @@ mod tests {
         let good = placing(&[own], &[(0, own)]);
         let ckpt = migrate::encode_checkpoint(vec![good]);
         assert_eq!(thief.ckpt_restore(&ckpt).unwrap(), 0);
-        assert_eq!(srv.session_streams.lock().get(&(2, 0)), Some(&own));
+        assert_eq!(srv.sessions.lock()[&2].streams.get(&0), Some(&own));
         assert_eq!(victim.cuda_stream_synchronize(theirs).unwrap(), 0);
     }
 
@@ -3186,6 +3170,106 @@ mod tests {
             (freed.allocations, freed.streams, freed.lib_handles),
             (1, 1, 1)
         );
+    }
+
+    /// The reproducer: a blob placed stream `0x30` under device-0 cursor
+    /// `0x10`, and library handle `LIB_HANDLE_BASE + 5` under library cursor
+    /// `LIB_HANDLE_BASE`. Applied, the next `cudaStreamCreate` and
+    /// `cublasCreate` handed both values out a second time. A handle at or
+    /// above its cursor, or on a device whose cursor the blob does not
+    /// carry, is refused before anything is placed; below cursors that
+    /// passed them, the same handles are placed and never issued again.
+    #[test]
+    fn a_blob_cannot_place_a_handle_its_cursor_has_not_passed() {
+        let (srv, s) = server();
+        let lib = LIB_HANDLE_BASE + 5;
+        let mut low_device = placing(&[0x30], &[]);
+        low_device.meta.next_handles = vec![MigCursor {
+            device: 0,
+            next: 0x10,
+        }]
+        .into();
+        let mut no_device = placing(&[0x30], &[]);
+        no_device.meta.next_handles = vec![MigCursor {
+            device: 1,
+            next: 0x31,
+        }]
+        .into();
+        let mut low_lib = placing(&[0x30], &[]);
+        low_lib.meta.blas = vec![lib].into();
+        for blob in [low_device, no_device, low_lib] {
+            refused_without_a_trace(&srv, &blob);
+        }
+
+        let mut good = placing(&[0x30], &[]);
+        good.meta.blas = vec![lib].into();
+        good.meta.next_lib_handle = lib + 1;
+        let ckpt = migrate::encode_checkpoint(vec![good]);
+        assert_eq!(s.ckpt_restore(&ckpt).unwrap(), 0);
+        let stream = s.cuda_stream_create().unwrap().into_result();
+        assert_eq!(stream, Ok(0x31));
+        assert_eq!(s.cublas_create().unwrap().into_result(), Ok(lib + 1));
+    }
+
+    /// The reproducer: session 2 on device 1 holds a module, a function, a
+    /// cuBLAS handle and 64 B; session 1 resets device 0. Session 2's gemm
+    /// answered 400 and its checkpoint restored with 400: the reset had
+    /// dropped every module image and library handle on the server. A reset
+    /// of device `d` removes what lives on `d` — the device's state, the
+    /// default streams bound there, the images of modules loaded there —
+    /// and nothing else.
+    #[test]
+    fn a_device_reset_removes_only_what_lives_on_that_device() {
+        let (srv, one) = server();
+        let two = Sessioned::new(Arc::clone(&srv), 2);
+        let u = |r: U64Result| r.into_result().unwrap();
+        let image = vgpu::module::CubinBuilder::new()
+            .kernel("saxpy", &[8, 8, 4, 4])
+            .build(true);
+        let gone = u(one.cu_module_load_data(&image).unwrap());
+        let p0 = u(one.cuda_malloc(64).unwrap());
+        assert_eq!(one.cuda_memset(p0, 1, 64).unwrap(), 0);
+
+        assert_eq!(two.cuda_set_device(1).unwrap(), 0);
+        let module = u(two.cu_module_load_data(&image).unwrap());
+        u(two.cu_module_get_function(module, "saxpy").unwrap());
+        let blas = u(two.cublas_create().unwrap());
+        let p = u(two.cuda_malloc(64).unwrap());
+        assert_eq!(two.cuda_memcpy_htod(p, &3.0f32.to_le_bytes()).unwrap(), 0);
+
+        assert_eq!(one.cuda_device_reset().unwrap(), 0);
+        let gemm = two.cublas_sgemm(blas, 0, 0, 1, 1, 1, 1.0, p, 1, p, 1, 0.0, p + 8, 1);
+        assert_eq!(gemm.unwrap(), 0);
+        assert_eq!(
+            read(&two, p + 8, 4),
+            DataResult::Data(9.0f32.to_le_bytes().to_vec())
+        );
+        let mut enc = xdr::XdrEncoder::new();
+        two.ckpt_capture(DataResultReply(&mut enc)).unwrap();
+        let ckpt: DataResult = xdr::decode(enc.as_slice()).unwrap();
+        let restorer = Sessioned::new(CricketServer::a100(), 3);
+        assert_eq!(
+            restorer.ckpt_restore(&ckpt.into_result().unwrap()).unwrap(),
+            0
+        );
+
+        // Device 0's side is gone, from the device and from every record.
+        assert!(!srv.objects.lock().contains_key(&gone));
+        let stale = one.cu_module_get_function(gone, "saxpy").unwrap();
+        assert_eq!(
+            stale,
+            U64Result::Default(vgpu::CudaCode::InvalidHandle as i32)
+        );
+        assert!(srv.sessions.lock()[&1].mem.is_empty());
+        assert_eq!(srv.release_session(1).total(), 0);
+        let kept = srv.release_session(2);
+        let counts = (
+            kept.allocations,
+            kept.streams,
+            kept.modules,
+            kept.lib_handles,
+        );
+        assert_eq!(counts, (1, 1, 1, 1));
     }
 
     /// The reproducer: `next_lib_handle = u64::MAX`. Applied, the next two

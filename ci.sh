@@ -16,8 +16,11 @@ export CARGO_NET_OFFLINE=true
 # `telemetry::ALLOCATIONS` is the one `static` allowed; everything else the
 # stack counts or remembers is a field of the instance that does it. Then
 # workspace-wide — every crate and shim, their build scripts and the `.x`
-# specs — so code moved out of the five crates still shows. `./ci.sh size`
-# runs this step alone (the workflow does).
+# specs — so code moved out of the five crates still shows. Last, the
+# readiness shim on its own, failing above the 217 lines its epoll poller
+# took: there is one mechanism (CI builds Linux only), and a scan fallback
+# or second poller would show here. `./ci.sh size` runs this step alone
+# (the workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
     find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
@@ -49,6 +52,9 @@ size() {
             /#\[cfg\(test\)\]/ { in_tests = 1 }
             !in_tests { total++ }
             END { printf "workspace non-test lines (crates, shims, build.rs, .x): %d\n", total }'
+    awk '/#\[cfg\(test\)\]/ { exit } { n++ }
+        END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 217)\n", n; exit n > 217 }' \
+        shims/polling/src/lib.rs
 }
 if [ "${1:-}" = size ]; then
     size
@@ -116,7 +122,11 @@ cargo test -q
 #                          resetting_stats_does_not_lift_the_session_watermark),
 # cricket-oncrpc server (busy_reply_is_never_stored_in_the_replay_cache: the shed hint is a return value —
 #                          two connections on one worker, one over quota) and reactor (stalls / writer_kills
-#                          asserted on the test's own handle),
+#                          asserted on the test's own handle; four_thousand_idle_connections_and_one_busy_one:
+#                          1000 calls answered beside 4000 idle connections, every on_close once),
+# polling shim (epoll: unread_data_is_reported_again, deregister_holds_while_a_dup_keeps_the_socket_open,
+#                          one_written_source_among_1024_idle_is_the_only_event, notify_before_wait_is_not_lost,
+#                          suspended_hangup_is_reported_at_most_once),
 # cricket-client raw (D2H length check, memcpy_dtoh_into; the TransferPlan table at every boundary; every route
 #                          lands the same bytes and counts the same transfer; a failed copy moves no counter).
 echo "==> cargo test --workspace -q"
@@ -132,6 +142,12 @@ cargo run --release --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo
 echo "==> bench smoke: smallop (self-asserts >=4x RPC reduction, <5% single-op regression)"
 cargo run --release -p cricket-bench --bin smallop -- --launches 1024 --single-iters 128
 
+# The throughput ratio against Serial stays printed, not gated: the epoll
+# poller took the per-socket scan off each call, but a reactor reply still
+# crosses a channel and a thread wake to the completion writer, which a
+# blocking Serial thread never pays. Until that hop goes the ratio is below
+# 1.0x in most runs on a 2-core box and swings with the Serial baseline, so
+# a gate at 1.0x would fail at random.
 echo "==> bench smoke: connscale (reactor >=5x sessions vs serial, all progress; wall-clock ratio printed, not gated)"
 cargo run --release -p cricket-bench --bin connscale -- --smoke
 

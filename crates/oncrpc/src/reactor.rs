@@ -59,7 +59,7 @@ use crate::record::{write_record_sg, RecordAssembler, DEFAULT_MAX_FRAGMENT, MAX_
 use crate::server::{RpcServer, ServerHandle};
 use parking_lot::Mutex;
 use polling::{Event, Poller};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -175,6 +175,13 @@ impl ReactorStats {
 
 /// State shared between the reactor thread and the worker executing this
 /// connection's parked calls.
+///
+/// The reactor sets `attention` and then reads `pending`; a worker
+/// decrements `pending` and then reads `attention`. Both pairs are
+/// `SeqCst`, so at least one side sees the other's write: the reactor sees
+/// the drained count, or the worker sees the flag and notifies. With
+/// anything weaker both could read the stale value, and the reactor, which
+/// has no periodic tick, would never look at the connection again.
 struct ConnShared {
     /// Parked calls in flight (submitted, reply not yet on the completion
     /// ring). Incremented by the reactor before submit; decremented by the
@@ -183,9 +190,6 @@ struct ConnShared {
     /// Reactor wants a `Poller::notify` when `pending` drops (the
     /// connection is stalled or closing).
     attention: AtomicBool,
-    /// A worker hit a dispatch error; the reactor must close this
-    /// connection.
-    dead: AtomicBool,
 }
 
 /// Reactor-thread-owned connection state.
@@ -207,7 +211,7 @@ impl Conn {
     /// readiness loop over a socket nobody reads.
     fn close(&mut self, key: usize, poller: &Poller) {
         self.closing = true;
-        self.shared.attention.store(true, Ordering::Release);
+        self.shared.attention.store(true, Ordering::SeqCst);
         poller.suspend(key);
     }
 }
@@ -223,6 +227,10 @@ struct Rings<'a> {
     reply_pool: &'a BufPool,
     stats: &'a ReactorStats,
 }
+
+/// Keys of connections whose parked call failed to dispatch: pushed by
+/// workers, closed by the reactor's next sweep.
+type DeadList = Arc<Mutex<Vec<usize>>>;
 
 /// One decoded call on the submission ring.
 struct Job {
@@ -391,7 +399,7 @@ where
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_accept = Arc::clone(&stop);
-    let poller = Arc::new(Poller::new());
+    let poller = Arc::new(Poller::try_new()?);
     let poller_accept = Arc::clone(&poller);
     let stats = Arc::new(ReactorStats::default());
     let (newconn_tx, newconn_rx) = mpsc::channel::<(usize, TcpStream, ConnHandler)>();
@@ -468,6 +476,7 @@ fn reactor_main(
         // thread at its next connection instead of queueing calls nobody runs.
         .expect("spawn completion writer");
 
+    let dead: DeadList = Arc::default();
     let mut worker_txs = Vec::with_capacity(cfg.workers);
     let mut worker_joins = Vec::with_capacity(cfg.workers);
     for shard in 0..cfg.workers {
@@ -477,10 +486,11 @@ fn reactor_main(
         let record_pool = record_pool.clone();
         let reply_pool = reply_pool.clone();
         let poller = Arc::clone(&poller);
+        let dead = Arc::clone(&dead);
         worker_joins.push(
             std::thread::Builder::new()
                 .name(format!("oncrpc-worker-{shard}"))
-                .spawn(move || worker_main(rx, writer_tx, record_pool, reply_pool, poller))
+                .spawn(move || worker_main(rx, writer_tx, record_pool, reply_pool, poller, dead))
                 .expect("spawn worker thread"), // as for the writer above
         );
     }
@@ -496,6 +506,9 @@ fn reactor_main(
     };
     let low_watermark = (cfg.max_session_queue / 2).max(1);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
+    // Exactly the connections marked stalled or closing: all the sweep visits.
+    let mut watch: HashSet<usize> = HashSet::new();
+    let mut to_finalize: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut inline_enc = XdrEncoder::with_capacity(4096);
@@ -527,7 +540,6 @@ fn reactor_main(
                             shared: Arc::new(ConnShared {
                                 pending: AtomicUsize::new(0),
                                 attention: AtomicBool::new(false),
-                                dead: AtomicBool::new(false),
                             }),
                             stalled: false,
                             closing: false,
@@ -545,40 +557,62 @@ fn reactor_main(
             break; // accept loop gone and nothing left to serve
         }
 
-        let _ = poller.wait(&mut events, Duration::from_millis(2));
+        // No periodic tick. Besides socket readiness, the sweep below acts
+        // on four changes, and each is announced through `poller.notify`,
+        // whose eventfd holds the wake-up until this wait consumes it:
+        //   * a new connection: the accept thread, after queueing it;
+        //   * `pending` dropping on a connection with `attention` set
+        //     (stalled or closing): the worker, after decrementing;
+        //   * a failed call: the worker, after pushing its key on `dead`;
+        //   * shutdown: the accept thread, after hanging up the ring.
+        // A test that hangs here is missing one of those notifies.
+        let _ = poller.wait(&mut events, Duration::MAX);
         for ev in events.drain(..) {
             if let Some(conn) = conns.get_mut(&ev.key) {
                 if conn.stalled || conn.closing {
                     continue;
                 }
                 drain_conn(conn, ev.key, &rings, &mut scratch, &mut inline_enc);
+                if conn.stalled || conn.closing {
+                    watch.insert(ev.key);
+                }
+            }
+        }
+        let failed = std::mem::take(&mut *dead.lock());
+        for key in failed {
+            if let Some(conn) = conns.get_mut(&key) {
+                if !conn.closing {
+                    conn.close(key, &poller);
+                    watch.insert(key);
+                }
             }
         }
 
-        // Sweep: finalize drained closing connections, resume drained
-        // stalled ones.
-        let mut to_finalize: Vec<usize> = Vec::new();
-        for (&key, conn) in conns.iter_mut() {
-            if conn.shared.dead.load(Ordering::Acquire) && !conn.closing {
-                conn.close(key, &poller);
-            }
-            if conn.closing {
-                if conn.shared.pending.load(Ordering::Acquire) == 0 {
-                    to_finalize.push(key);
-                }
-                continue;
-            }
-            if conn.stalled && conn.shared.pending.load(Ordering::Acquire) <= low_watermark {
+        // Sweep: resume drained stalled connections, finalize drained
+        // closing ones.
+        watch.retain(|&key| {
+            let Some(conn) = conns.get_mut(&key) else {
+                return false;
+            };
+            // Draining a resumed connection can stall it again, and workers
+            // that finished meanwhile saw `attention` clear and sent no
+            // notify: re-check `pending` before leaving it.
+            while conn.stalled
+                && !conn.closing
+                && conn.shared.pending.load(Ordering::SeqCst) <= low_watermark
+            {
                 conn.stalled = false;
                 conn.shared.attention.store(false, Ordering::Release);
                 poller.resume(key);
                 drain_conn(conn, key, &rings, &mut scratch, &mut inline_enc);
-                if conn.closing && conn.shared.pending.load(Ordering::Acquire) == 0 {
-                    to_finalize.push(key);
-                }
             }
-        }
-        for key in to_finalize {
+            if conn.closing && conn.shared.pending.load(Ordering::SeqCst) == 0 {
+                to_finalize.push(key);
+                return false;
+            }
+            conn.stalled || conn.closing
+        });
+        for key in to_finalize.drain(..) {
             finalize(key, &mut conns, &poller, &writer_tx);
         }
     }
@@ -647,7 +681,7 @@ fn drain_conn(
             // Budget spent: stop reading this socket; the kernel buffer
             // fills and TCP flow control stalls the client.
             conn.stalled = true;
-            conn.shared.attention.store(true, Ordering::Release);
+            conn.shared.attention.store(true, Ordering::SeqCst);
             rings.poller.suspend(key);
             rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
             return;
@@ -671,6 +705,8 @@ fn finalize(
     writer_tx: &mpsc::Sender<WriterMsg>,
 ) {
     if let Some(mut conn) = conns.remove(&key) {
+        // While `conn.stream` is still open: the writer's dup of it would
+        // keep the registration alive past the drop.
         poller.deregister(key);
         let _ = writer_tx.send(WriterMsg::Close(key));
         if let Some(hook) = conn.on_close.take() {
@@ -687,6 +723,7 @@ fn worker_main(
     record_pool: BufPool,
     reply_pool: BufPool,
     poller: Arc<Poller>,
+    dead: DeadList,
 ) {
     let mut enc = XdrEncoder::with_capacity(4096);
     while let Ok(job) = rx.recv() {
@@ -697,12 +734,13 @@ fn worker_main(
             out.extend_from_slice(enc.as_slice());
             let _ = writer_tx.send(WriterMsg::Reply(job.key, out));
         } else {
-            job.shared.dead.store(true, Ordering::Release);
+            dead.lock().push(job.key);
         }
         // Reply is on the completion ring; only now may the reactor treat
-        // this connection as drained (ordering guarantee — see module doc).
-        job.shared.pending.fetch_sub(1, Ordering::AcqRel);
-        if !ok || job.shared.attention.load(Ordering::Acquire) {
+        // this connection as drained (ordering guarantee — see module doc;
+        // SeqCst for the `attention` handshake — see `ConnShared`).
+        job.shared.pending.fetch_sub(1, Ordering::SeqCst);
+        if !ok || job.shared.attention.load(Ordering::SeqCst) {
             poller.notify();
         }
     }
@@ -713,7 +751,13 @@ fn worker_main(
 const WRITER_RETRY_SLICE: Duration = Duration::from_micros(500);
 
 /// Absorb one completion-ring message into the writer's connection map.
-fn writer_admit(msg: WriterMsg, conns: &mut HashMap<usize, Outbound>, reply_pool: &BufPool) {
+/// `busy` holds exactly the keys whose outbound queue is non-empty.
+fn writer_admit(
+    msg: WriterMsg,
+    conns: &mut HashMap<usize, Outbound>,
+    busy: &mut HashSet<usize>,
+    reply_pool: &BufPool,
+) {
     match msg {
         WriterMsg::Open(key, stream) => {
             conns.insert(
@@ -739,6 +783,7 @@ fn writer_admit(msg: WriterMsg, conns: &mut HashMap<usize, Outbound>, reply_pool
                     // Idle queues carry a stale progress stamp; a fresh
                     // reply must get the full stall deadline.
                     ob.last_progress = Instant::now();
+                    busy.insert(key);
                 }
                 ob.queued_bytes += framed.len();
                 ob.queue.push_back(framed);
@@ -775,23 +820,23 @@ fn writer_main(
     stats: &ReactorStats,
 ) {
     let mut conns: HashMap<usize, Outbound> = HashMap::new();
+    let mut busy: HashSet<usize> = HashSet::new();
     let mut open = true;
     loop {
-        let pending = conns.values().any(|ob| !ob.queue.is_empty());
-        if !pending {
+        if busy.is_empty() {
             if !open {
                 return; // ring hung up and every queue drained
             }
             // Nothing to flush: block until the ring produces work.
             match rx.recv() {
-                Ok(msg) => writer_admit(msg, &mut conns, &reply_pool),
+                Ok(msg) => writer_admit(msg, &mut conns, &mut busy, &reply_pool),
                 Err(_) => open = false,
             }
         } else if open {
             // Queued data is waiting on kernel buffers: take whatever the
             // ring has, but come back quickly to re-probe writability.
             match rx.recv_timeout(WRITER_RETRY_SLICE) {
-                Ok(msg) => writer_admit(msg, &mut conns, &reply_pool),
+                Ok(msg) => writer_admit(msg, &mut conns, &mut busy, &reply_pool),
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
             }
@@ -801,7 +846,7 @@ fn writer_main(
         }
         while open {
             match rx.try_recv() {
-                Ok(msg) => writer_admit(msg, &mut conns, &reply_pool),
+                Ok(msg) => writer_admit(msg, &mut conns, &mut busy, &reply_pool),
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => {
                     open = false;
@@ -809,17 +854,13 @@ fn writer_main(
             }
         }
 
-        // Flush pass: every socket gets a chance each round; one blocked
-        // peer only skips its own queue.
+        // Flush pass over the sockets with queued replies: each gets a
+        // chance every round; one blocked peer only skips its own queue.
         let now = Instant::now();
-        let mut done: Vec<usize> = Vec::new();
-        for (&key, ob) in conns.iter_mut() {
-            if ob.queue.is_empty() {
-                if ob.closing {
-                    done.push(key);
-                }
-                continue;
-            }
+        busy.retain(|key| {
+            let Some(ob) = conns.get_mut(key) else {
+                return false;
+            };
             let dead = ob.flush(&reply_pool).is_err()
                 || (!ob.queue.is_empty()
                     && (ob.backlog() > max_backlog
@@ -830,18 +871,19 @@ fn writer_main(
                 // connection through the normal closing path.
                 let _ = ob.stream.shutdown(Shutdown::Both);
                 stats.writer_kills.fetch_add(1, Ordering::Relaxed);
-                done.push(key);
-            } else if ob.queue.is_empty() && ob.closing {
-                done.push(key);
+            } else if !ob.queue.is_empty() {
+                return true;
+            } else if !ob.closing {
+                return false;
             }
-        }
-        for key in done {
-            if let Some(ob) = conns.remove(&key) {
+            // Killed, or closed and drained: drop the write half.
+            if let Some(ob) = conns.remove(key) {
                 for buf in ob.queue {
                     reply_pool.put(buf);
                 }
             }
-        }
+            false
+        });
     }
 }
 
@@ -1037,6 +1079,43 @@ mod tests {
         drop(client);
         handle.shutdown();
         assert_eq!(closes.load(Ordering::SeqCst), 2, "both conns finalized");
+    }
+
+    #[test]
+    fn four_thousand_idle_connections_and_one_busy_one() {
+        const IDLE: usize = 4000;
+        let cfg = ReactorConfig {
+            classify: Some(classifier()),
+            ..ReactorConfig::default()
+        };
+        let (handle, closes) = start(cfg);
+        let addr = handle.addr();
+        // Three descriptors each: this end, the reactor's, the writer's dup.
+        let idle: Vec<TcpStream> = (0..IDLE)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        // Connected last, so the reactor has adopted every idle connection
+        // by the time this one is answered.
+        let transport = TcpTransport::connect(addr).unwrap();
+        let mut client = RpcClient::new(Box::new(transport), PROG, VERS);
+        for i in 0..1000u32 {
+            if i % 2 == 0 {
+                let sum: u32 = client.call(2, &(i, 7u32)).unwrap();
+                assert_eq!(sum, i + 7);
+            } else {
+                let out: Vec<u8> = client.call(1, &i.to_be_bytes().to_vec()).unwrap();
+                assert_eq!(out, i.to_be_bytes());
+            }
+        }
+        let stats = handle.reactor_stats();
+        assert_eq!((stats.inline_replies, stats.parked_calls), (500, 500));
+        handle.shutdown();
+        assert_eq!(
+            closes.load(Ordering::SeqCst),
+            IDLE as u64 + 1,
+            "every connection closed once"
+        );
+        drop((idle, client));
     }
 
     #[test]

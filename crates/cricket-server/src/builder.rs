@@ -339,7 +339,7 @@ fn serve_sessions(
                 oncrpc::ConnHandler {
                     rpc,
                     // Runs after the session's last in-flight call completed
-                    // and its last reply hit the completion ring.
+                    // and its last reply was written or queued.
                     on_close: Some(Box::new(move || {
                         server.release_session(session);
                     })),

@@ -84,7 +84,7 @@ pub enum ServeMode {
     Serial,
     /// The completion-driven reactor ([`oncrpc::serve_tcp_reactor`]):
     /// every connection multiplexed over one poller thread, `workers`
-    /// execution shards, and one completion writer. The default.
+    /// execution shards, and one backlog writer. The default.
     Reactor {
         /// Worker shards executing `Parked` procedures.
         workers: usize,

@@ -12,24 +12,30 @@
 //!                                    │  poll readiness (shims/polling)
 //!                                    │  nonblocking reads → RecordAssembler
 //!                                    │  classify call: Done | Parked
-//!                            Done ───┤ execute inline, reply → completion ring
+//!                            Done ───┤ execute inline, send_reply
 //!                          Parked ───┴─▶ submission ring, sharded by conn key
 //!                                           │ worker pool (key % workers)
-//!                                           ▼ execute, reply → completion ring
-//!                                    writer thread: vectored write_record_sg
+//!                                           ▼ execute, send_reply
+//!
+//!   send_reply (on the producing thread): frame once, lock the connection's
+//!       Outbound, queue; write through if the queue was empty
+//!           │ bytes the socket did not take (one notice per backlog)
+//!           ▼
+//!   backlog writer thread: re-flushes those connections, kills stalled ones
 //! ```
 //!
 //! **Ordering guarantee.** Every `Parked` call for one connection lands on
 //! the same worker shard (`key % workers`), whose queue is FIFO — so parked
 //! replies stay in request order. A `Done` call is executed inline *only
 //! when the connection has zero parked calls in flight* (`pending == 0`);
-//! otherwise it is demoted to the shard like any parked call. Workers push
-//! the encoded reply onto the completion ring *before* decrementing
-//! `pending`, so when the reactor observes `pending == 0` every earlier
-//! reply already sits ahead of anything it enqueues. Net effect: per-
-//! connection reply order equals request order, exactly like the serial
-//! reference path ([`RpcServer::serve_connection`]), which is what the
-//! byte-identical equivalence tests assert.
+//! otherwise it is demoted to the shard like any parked call. Workers send
+//! the encoded reply *before* decrementing `pending`, so when the reactor
+//! observes `pending == 0` every earlier reply is already written or queued
+//! in the connection's `Outbound` — and a reply is written through only
+//! onto an empty queue, under that queue's lock, so it never overtakes one.
+//! Net effect: per-connection reply order equals request order, exactly
+//! like the serial reference path ([`RpcServer::serve_connection`]), which
+//! is what the byte-identical equivalence tests assert.
 //!
 //! **Backpressure.** Each connection has a bounded in-flight budget
 //! (`max_session_queue`). When it fills, the reactor stops reading that
@@ -38,13 +44,13 @@
 //! client. Workers flag the poller when a stalled connection drains to the
 //! low watermark and the reactor resumes it.
 //!
-//! **Slow readers.** The completion writer never blocks on any one socket:
-//! replies are framed and queued per connection, and each flush pass
-//! writes only what the kernel accepts, so a peer that stops reading its
-//! replies delays nobody else. If such a peer accepts no bytes for
+//! **Slow readers.** No thread blocks on any one socket: sockets are
+//! nonblocking and every flush writes only what the kernel accepts, so a
+//! peer that stops reading its replies backs up only its own queue, which
+//! the backlog writer keeps flushing. If such a peer accepts no bytes for
 //! [`ReactorConfig::write_stall_deadline`] (or lets more than
 //! [`ReactorConfig::max_write_backlog`] bytes pile up behind the record in
-//! flight) the writer shuts its socket down; the reactor's read side
+//! flight) the backlog writer shuts its socket down; the reactor's read side
 //! observes EOF and finalizes the connection normally.
 //!
 //! **Replay correctness.** Replies can complete out of *connection* order
@@ -95,11 +101,11 @@ pub struct ReactorConfig {
     /// Procedure classifier; `None` parks everything (always correct,
     /// never inline).
     pub classify: Option<Classifier>,
-    /// Completion writer: a connection whose socket accepts no reply bytes
+    /// Backlog writer: a connection whose socket accepts no reply bytes
     /// for this long while replies are queued is declared dead and shut
-    /// down, so one stalled client cannot head-of-line block the writer.
+    /// down, so one stalled client cannot keep its backlog forever.
     pub write_stall_deadline: Duration,
-    /// Completion writer: replies queued *behind* the record currently
+    /// Backlog writer: replies queued *behind* the record currently
     /// being written, per connection. Past this many bytes the peer is not
     /// reading and the connection is shut down instead of buffering more.
     pub max_write_backlog: usize,
@@ -142,8 +148,11 @@ pub struct ReactorSnapshot {
     pub bufs_reused: u64,
     /// Buffers allocated because no pooled one was free.
     pub bufs_allocated: u64,
-    /// Connections the completion writer killed for not reading replies.
+    /// Connections the backlog writer killed for not reading replies.
     pub writer_kills: u64,
+    /// Replies the producing thread could not write whole and handed to
+    /// the backlog writer.
+    pub queued_replies: u64,
 }
 
 /// The live counters behind [`ReactorSnapshot`]: one block per
@@ -157,6 +166,7 @@ pub(crate) struct ReactorStats {
     bufs_reused: AtomicU64,
     bufs_allocated: AtomicU64,
     writer_kills: AtomicU64,
+    queued_replies: AtomicU64,
 }
 
 impl ReactorStats {
@@ -169,6 +179,7 @@ impl ReactorStats {
             bufs_reused: get(&self.bufs_reused),
             bufs_allocated: get(&self.bufs_allocated),
             writer_kills: get(&self.writer_kills),
+            queued_replies: get(&self.queued_replies),
         }
     }
 }
@@ -183,9 +194,9 @@ impl ReactorStats {
 /// anything weaker both could read the stale value, and the reactor, which
 /// has no periodic tick, would never look at the connection again.
 struct ConnShared {
-    /// Parked calls in flight (submitted, reply not yet on the completion
-    /// ring). Incremented by the reactor before submit; decremented by the
-    /// worker *after* pushing the reply.
+    /// Parked calls in flight (submitted, reply not yet sent). Incremented
+    /// by the reactor before submit; decremented by the worker *after*
+    /// [`send_reply`] returned.
     pending: AtomicUsize,
     /// Reactor wants a `Poller::notify` when `pending` drops (the
     /// connection is stalled or closing).
@@ -195,6 +206,7 @@ struct ConnShared {
 /// Reactor-thread-owned connection state.
 struct Conn {
     stream: TcpStream,
+    out: OutRef,
     asm: RecordAssembler,
     rpc: Arc<RpcServer>,
     on_close: Option<Box<dyn FnOnce() + Send>>,
@@ -222,10 +234,19 @@ struct Rings<'a> {
     cfg: &'a ReactorConfig,
     poller: &'a Poller,
     worker_txs: &'a [mpsc::Sender<Job>],
-    writer_tx: &'a mpsc::Sender<WriterMsg>,
+    replies: &'a ReplyPath,
     record_pool: &'a BufPool,
-    reply_pool: &'a BufPool,
     stats: &'a ReactorStats,
+}
+
+/// What [`send_reply`] needs besides the connection; each thread that
+/// produces replies (the reactor and every worker) holds one.
+#[derive(Clone)]
+struct ReplyPath {
+    pool: BufPool,
+    /// Notices for the backlog writer: connections left with queued bytes.
+    writer_tx: mpsc::Sender<OutRef>,
+    stats: Arc<ReactorStats>,
 }
 
 /// Keys of connections whose parked call failed to dispatch: pushed by
@@ -238,16 +259,7 @@ struct Job {
     rpc: Arc<RpcServer>,
     record: Vec<u8>,
     shared: Arc<ConnShared>,
-}
-
-/// Completion-ring message for the writer thread.
-enum WriterMsg {
-    /// Adopt the write half of connection `key`.
-    Open(usize, TcpStream),
-    /// One encoded reply record, returned to the pool after the write.
-    Reply(usize, Vec<u8>),
-    /// Connection finalized; drop the write half.
-    Close(usize),
+    out: OutRef,
 }
 
 /// Largest buffer capacity [`BufPool::put`] will recycle. Records and
@@ -313,15 +325,16 @@ fn peek_call(record: &[u8]) -> Option<(u32, u32, u32)> {
     Some((word(12), word(16), word(20)))
 }
 
-/// Per-connection outbound state owned by the completion writer.
+/// Per-connection outbound state: one reply queue in front of the
+/// connection's write half, shared under its lock by whichever thread
+/// produces a reply (through [`send_reply`]) and the backlog writer.
 ///
-/// `O_NONBLOCK` lives on the open file description, so the writer's
-/// `try_clone` handle shares nonblocking mode with the reactor's read
-/// handle — and the writer *keeps* it nonblocking: replies are framed into
-/// wire-format buffers and queued here, and each flush pass writes only
-/// what the kernel buffer accepts. A peer that stops reading its replies
-/// therefore blocks only its own queue, never the writer thread; every
-/// other connection keeps draining.
+/// `O_NONBLOCK` lives on the open file description, so the `try_clone`
+/// write half shares nonblocking mode with the reactor's read handle, and
+/// no thread ever blocks on a write: replies are framed into wire-format
+/// buffers and queued here, and each flush writes only what the kernel
+/// buffer accepts. A peer that stops reading its replies therefore backs up
+/// only its own queue; every other connection keeps draining.
 struct Outbound {
     stream: TcpStream,
     /// Framed records waiting for the socket; the front one may be
@@ -333,9 +346,14 @@ struct Outbound {
     /// Last time the socket accepted at least one byte (or the queue went
     /// empty). Reset when a reply lands on an idle queue.
     last_progress: Instant,
-    /// `WriterMsg::Close` received: drop this entry once the queue drains.
-    closing: bool,
+    /// Killed by the backlog writer: later replies are dropped.
+    dead: bool,
 }
+
+/// A connection's [`Outbound`], held by its `Conn`, each of its `Job`s and,
+/// while it has a backlog, the backlog writer. The write half closes when
+/// the last clone drops.
+type OutRef = Arc<Mutex<Outbound>>;
 
 impl Outbound {
     /// Write as much queued data as the socket accepts right now.
@@ -374,6 +392,53 @@ impl Outbound {
             .map(|f| f.len() - self.offset)
             .unwrap_or(0);
         self.queued_bytes - front_left
+    }
+
+    /// Shut the shared file description down both ways — the reactor's read
+    /// half sees EOF/reset and finalizes the connection through the normal
+    /// closing path — and drop everything queued.
+    fn kill(&mut self, pool: &BufPool) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.dead = true;
+        self.offset = 0;
+        self.queued_bytes = 0;
+        for buf in self.queue.drain(..) {
+            pool.put(buf);
+        }
+    }
+}
+
+/// Send one encoded reply on `out` from the thread that produced it.
+///
+/// Frames the record once into a pooled buffer (fragment headers + body,
+/// so a partial write can resume at a byte offset) and appends it to the
+/// connection's queue under its lock. If the queue was empty the record is
+/// written through at once. If it was not, the reply only queues behind the
+/// ones already there, so no reply overtakes an earlier one, whichever
+/// thread produced it. Only when bytes are left over, or the write failed,
+/// does the backlog writer get a notice: one per empty → non-empty turn of
+/// the queue, since only the writer empties a queue it was told about.
+fn send_reply(out: &OutRef, body: &[u8], via: &ReplyPath) {
+    let mut framed = via.pool.get();
+    // A Vec<u8> sink never blocks, so this cannot fail.
+    let _ = write_record_sg(&mut framed, &[body], DEFAULT_MAX_FRAGMENT);
+    let mut ob = out.lock();
+    if ob.dead {
+        return via.pool.put(framed);
+    }
+    let idle = ob.queue.is_empty();
+    ob.queued_bytes += framed.len();
+    ob.queue.push_back(framed);
+    if !idle {
+        return;
+    }
+    // Idle queues carry a stale progress stamp; a fresh reply must get the
+    // full stall deadline.
+    ob.last_progress = Instant::now();
+    if ob.flush(&via.pool).is_err() || !ob.queue.is_empty() {
+        drop(ob);
+        via.stats.queued_replies.fetch_add(1, Ordering::Relaxed);
+        let _ = via.writer_tx.send(Arc::clone(out));
     }
 }
 
@@ -449,7 +514,7 @@ where
 }
 
 /// The reactor event loop. Owns every connection's read half, the worker
-/// pool, and the writer thread; returns only after all of them drained.
+/// pool, and the backlog writer; returns only after all of them drained.
 fn reactor_main(
     cfg: ReactorConfig,
     stop: Arc<AtomicBool>,
@@ -460,9 +525,9 @@ fn reactor_main(
     let record_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
     let reply_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
 
-    let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
+    let (writer_tx, writer_rx) = mpsc::channel::<OutRef>();
     let writer_join = std::thread::Builder::new()
-        .name("oncrpc-completion".into())
+        .name("oncrpc-backlog".into())
         .spawn({
             let reply_pool = reply_pool.clone();
             let stall_deadline = cfg.write_stall_deadline;
@@ -474,7 +539,12 @@ fn reactor_main(
         // there is no serving without a writer (or, below, without workers).
         // Unwinding drops the new-connection ring, which ends the accept
         // thread at its next connection instead of queueing calls nobody runs.
-        .expect("spawn completion writer");
+        .expect("spawn backlog writer");
+    let replies = ReplyPath {
+        pool: reply_pool,
+        writer_tx,
+        stats: Arc::clone(&stats),
+    };
 
     let dead: DeadList = Arc::default();
     let mut worker_txs = Vec::with_capacity(cfg.workers);
@@ -482,15 +552,14 @@ fn reactor_main(
     for shard in 0..cfg.workers {
         let (tx, rx) = mpsc::channel::<Job>();
         worker_txs.push(tx);
-        let writer_tx = writer_tx.clone();
+        let replies = replies.clone();
         let record_pool = record_pool.clone();
-        let reply_pool = reply_pool.clone();
         let poller = Arc::clone(&poller);
         let dead = Arc::clone(&dead);
         worker_joins.push(
             std::thread::Builder::new()
                 .name(format!("oncrpc-worker-{shard}"))
-                .spawn(move || worker_main(rx, writer_tx, record_pool, reply_pool, poller, dead))
+                .spawn(move || worker_main(rx, replies, record_pool, poller, dead))
                 .expect("spawn worker thread"), // as for the writer above
         );
     }
@@ -499,9 +568,8 @@ fn reactor_main(
         cfg: &cfg,
         poller: &poller,
         worker_txs: &worker_txs,
-        writer_tx: &writer_tx,
+        replies: &replies,
         record_pool: &record_pool,
-        reply_pool: &reply_pool,
         stats: &stats,
     };
     let low_watermark = (cfg.max_session_queue / 2).max(1);
@@ -529,11 +597,18 @@ fn reactor_main(
                         poller.deregister(key);
                         continue;
                     };
-                    let _ = writer_tx.send(WriterMsg::Open(key, write_half));
                     conns.insert(
                         key,
                         Conn {
                             stream,
+                            out: Arc::new(Mutex::new(Outbound {
+                                stream: write_half,
+                                queue: VecDeque::new(),
+                                offset: 0,
+                                queued_bytes: 0,
+                                last_progress: Instant::now(),
+                                dead: false,
+                            })),
                             asm: RecordAssembler::new(MAX_RECORD),
                             rpc: handler.rpc,
                             on_close: handler.on_close,
@@ -613,21 +688,22 @@ fn reactor_main(
             conn.stalled || conn.closing
         });
         for key in to_finalize.drain(..) {
-            finalize(key, &mut conns, &poller, &writer_tx);
+            if let Some(conn) = conns.remove(&key) {
+                finalize(key, conn, &poller);
+            }
         }
     }
 
-    // Shutdown: stop submitting, let workers drain the submission rings,
-    // flush the completion ring, then run every close hook.
+    // Shutdown: stop submitting, let workers drain the submission rings, run
+    // every close hook, then let the backlog writer flush what is queued.
     drop(worker_txs);
     for j in worker_joins {
         let _ = j.join();
     }
-    let keys: Vec<usize> = conns.keys().copied().collect();
-    for key in keys {
-        finalize(key, &mut conns, &poller, &writer_tx);
+    for (key, conn) in conns.drain() {
+        finalize(key, conn, &poller);
     }
-    drop(writer_tx);
+    drop(replies);
     let _ = writer_join.join();
 }
 
@@ -657,12 +733,10 @@ fn drain_conn(
                 if conn.rpc.handle_record_into(rec, inline_enc).is_err() {
                     return conn.close(key, rings.poller);
                 }
-                let mut out = rings.reply_pool.get();
-                out.extend_from_slice(inline_enc.as_slice());
                 // Counted before the reply can reach the peer: a client that
                 // has its answer finds the call in the stats.
                 rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
-                let _ = rings.writer_tx.send(WriterMsg::Reply(key, out));
+                send_reply(&conn.out, inline_enc.as_slice(), rings.replies);
             } else {
                 let mut buf = rings.record_pool.get();
                 buf.extend_from_slice(rec);
@@ -672,6 +746,7 @@ fn drain_conn(
                     rpc: Arc::clone(&conn.rpc),
                     record: buf,
                     shared: Arc::clone(&conn.shared),
+                    out: Arc::clone(&conn.out),
                 };
                 rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
                 let _ = rings.worker_txs[key % rings.worker_txs.len()].send(job);
@@ -696,32 +771,25 @@ fn drain_conn(
     }
 }
 
-/// Tear down one connection: stop polling it, drop the write half, run the
-/// close hook. Callers guarantee `pending == 0`.
-fn finalize(
-    key: usize,
-    conns: &mut HashMap<usize, Conn>,
-    poller: &Poller,
-    writer_tx: &mpsc::Sender<WriterMsg>,
-) {
-    if let Some(mut conn) = conns.remove(&key) {
-        // While `conn.stream` is still open: the writer's dup of it would
-        // keep the registration alive past the drop.
-        poller.deregister(key);
-        let _ = writer_tx.send(WriterMsg::Close(key));
-        if let Some(hook) = conn.on_close.take() {
-            hook();
-        }
+/// Tear down one connection: stop polling it, run the close hook. Callers
+/// guarantee `pending == 0`. Dropping `conn` closes its read half and lets
+/// go of its [`Outbound`]; the write half closes with the last clone, the
+/// backlog writer's if it is still flushing.
+fn finalize(key: usize, mut conn: Conn, poller: &Poller) {
+    // While `conn.stream` is still open: the write half's dup of it would
+    // keep the registration alive past the drop.
+    poller.deregister(key);
+    if let Some(hook) = conn.on_close.take() {
+        hook();
     }
 }
 
-/// Worker shard: execute parked calls in FIFO order, push replies onto the
-/// completion ring, then publish the decrement.
+/// Worker shard: execute parked calls in FIFO order, send each reply, then
+/// publish the decrement.
 fn worker_main(
     rx: mpsc::Receiver<Job>,
-    writer_tx: mpsc::Sender<WriterMsg>,
+    replies: ReplyPath,
     record_pool: BufPool,
-    reply_pool: BufPool,
     poller: Arc<Poller>,
     dead: DeadList,
 ) {
@@ -730,13 +798,11 @@ fn worker_main(
         let ok = job.rpc.handle_record_into(&job.record, &mut enc).is_ok();
         record_pool.put(job.record);
         if ok {
-            let mut out = reply_pool.get();
-            out.extend_from_slice(enc.as_slice());
-            let _ = writer_tx.send(WriterMsg::Reply(job.key, out));
+            send_reply(&job.out, enc.as_slice(), &replies);
         } else {
             dead.lock().push(job.key);
         }
-        // Reply is on the completion ring; only now may the reactor treat
+        // The reply is written or queued; only now may the reactor treat
         // this connection as drained (ordering guarantee — see module doc;
         // SeqCst for the `attention` handshake — see `ConnShared`).
         job.shared.pending.fetch_sub(1, Ordering::SeqCst);
@@ -746,143 +812,65 @@ fn worker_main(
     }
 }
 
-/// How long the writer sleeps between flush passes while at least one
-/// socket has queued data the kernel will not yet accept.
+/// How long the backlog writer sleeps between flush passes while at least
+/// one socket has queued data the kernel will not yet accept.
 const WRITER_RETRY_SLICE: Duration = Duration::from_micros(500);
 
-/// Absorb one completion-ring message into the writer's connection map.
-/// `busy` holds exactly the keys whose outbound queue is non-empty.
-fn writer_admit(
-    msg: WriterMsg,
-    conns: &mut HashMap<usize, Outbound>,
-    busy: &mut HashSet<usize>,
-    reply_pool: &BufPool,
-) {
-    match msg {
-        WriterMsg::Open(key, stream) => {
-            conns.insert(
-                key,
-                Outbound {
-                    stream,
-                    queue: VecDeque::new(),
-                    offset: 0,
-                    queued_bytes: 0,
-                    last_progress: Instant::now(),
-                    closing: false,
-                },
-            );
-        }
-        WriterMsg::Reply(key, buf) => {
-            if let Some(ob) = conns.get_mut(&key) {
-                // Frame once into wire format (fragment headers + body) so
-                // a partial write can resume at a byte offset later; a
-                // Vec<u8> sink never blocks so this cannot fail.
-                let mut framed = reply_pool.get();
-                let _ = write_record_sg(&mut framed, &[&buf], DEFAULT_MAX_FRAGMENT);
-                if ob.queue.is_empty() {
-                    // Idle queues carry a stale progress stamp; a fresh
-                    // reply must get the full stall deadline.
-                    ob.last_progress = Instant::now();
-                    busy.insert(key);
-                }
-                ob.queued_bytes += framed.len();
-                ob.queue.push_back(framed);
-            }
-            reply_pool.put(buf);
-        }
-        WriterMsg::Close(key) => {
-            if let Some(ob) = conns.get_mut(&key) {
-                if ob.queue.is_empty() {
-                    conns.remove(&key);
-                } else {
-                    // Replies still queued: keep flushing, drop on drain.
-                    ob.closing = true;
-                }
-            }
-        }
-    }
-}
-
-/// Completion writer: single thread draining the completion ring into
-/// nonblocking sockets, one bounded outbound queue per connection.
+/// Backlog writer: flushes the connections whose socket did not take a
+/// reply whole, as announced by [`send_reply`]'s notices.
 ///
-/// A connection is *killed* — socket shut down both ways so the reactor's
-/// read side observes EOF and finalizes it — when its write fails, when it
-/// accepts no bytes for `stall_deadline` while replies wait, or when more
-/// than `max_backlog` bytes queue behind the record in flight. Everything
-/// else keeps flowing meanwhile; a stalled peer can no longer wedge the
+/// A connection is *killed* ([`Outbound::kill`]) when its write fails, when
+/// it accepts no bytes for `stall_deadline` while replies wait, or when
+/// more than `max_backlog` bytes queue behind the record in flight.
+/// Everything else keeps flowing meanwhile; a stalled peer cannot wedge the
 /// writer thread (or shutdown, which joins it).
 fn writer_main(
-    rx: mpsc::Receiver<WriterMsg>,
+    rx: mpsc::Receiver<OutRef>,
     reply_pool: BufPool,
     stall_deadline: Duration,
     max_backlog: usize,
     stats: &ReactorStats,
 ) {
-    let mut conns: HashMap<usize, Outbound> = HashMap::new();
-    let mut busy: HashSet<usize> = HashSet::new();
+    // One entry per notice, dropped once its queue is seen empty (or
+    // killed) under its lock; after that only a new notice brings it back.
+    let mut flushing: Vec<OutRef> = Vec::new();
     let mut open = true;
     loop {
-        if busy.is_empty() {
-            if !open {
-                return; // ring hung up and every queue drained
+        let next = if !open {
+            if flushing.is_empty() {
+                return; // every producer gone and every backlog drained
             }
-            // Nothing to flush: block until the ring produces work.
-            match rx.recv() {
-                Ok(msg) => writer_admit(msg, &mut conns, &mut busy, &reply_pool),
-                Err(_) => open = false,
-            }
-        } else if open {
-            // Queued data is waiting on kernel buffers: take whatever the
-            // ring has, but come back quickly to re-probe writability.
-            match rx.recv_timeout(WRITER_RETRY_SLICE) {
-                Ok(msg) => writer_admit(msg, &mut conns, &mut busy, &reply_pool),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-            }
-        } else {
-            // Draining after hangup: pace the flush retries.
             std::thread::sleep(WRITER_RETRY_SLICE);
-        }
-        while open {
-            match rx.try_recv() {
-                Ok(msg) => writer_admit(msg, &mut conns, &mut busy, &reply_pool),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    open = false;
-                }
+            Err(mpsc::RecvTimeoutError::Timeout)
+        } else if flushing.is_empty() {
+            rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
+        } else {
+            // Backlogs wait on kernel buffers: come back quickly to re-probe.
+            rx.recv_timeout(WRITER_RETRY_SLICE)
+        };
+        match next {
+            Ok(out) => {
+                flushing.push(out);
+                flushing.extend(rx.try_iter());
             }
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
         }
 
-        // Flush pass over the sockets with queued replies: each gets a
-        // chance every round; one blocked peer only skips its own queue.
+        // Flush pass: each backlog gets a chance every round; one blocked
+        // peer only skips its own queue.
         let now = Instant::now();
-        busy.retain(|key| {
-            let Some(ob) = conns.get_mut(key) else {
-                return false;
-            };
-            let dead = ob.flush(&reply_pool).is_err()
+        flushing.retain(|out| {
+            let mut ob = out.lock();
+            if ob.flush(&reply_pool).is_err()
                 || (!ob.queue.is_empty()
                     && (ob.backlog() > max_backlog
-                        || now.duration_since(ob.last_progress) > stall_deadline));
-            if dead {
-                // Shut the shared file description down both ways: the
-                // reactor's read half sees EOF/reset and finalizes the
-                // connection through the normal closing path.
-                let _ = ob.stream.shutdown(Shutdown::Both);
+                        || now.duration_since(ob.last_progress) > stall_deadline))
+            {
+                ob.kill(&reply_pool);
                 stats.writer_kills.fetch_add(1, Ordering::Relaxed);
-            } else if !ob.queue.is_empty() {
-                return true;
-            } else if !ob.closing {
-                return false;
             }
-            // Killed, or closed and drained: drop the write half.
-            if let Some(ob) = conns.remove(key) {
-                for buf in ob.queue {
-                    reply_pool.put(buf);
-                }
-            }
-            false
+            !ob.queue.is_empty()
         });
     }
 }
@@ -1074,6 +1062,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(handle.reactor_stats().writer_kills, 1, "only the stuck one");
+        assert!(
+            handle.reactor_stats().queued_replies >= 1,
+            "the stuck connection's replies never reached the backlog writer"
+        );
         let stuck_stream = stuck.join().unwrap();
         drop(stuck_stream);
         drop(client);
@@ -1090,7 +1082,7 @@ mod tests {
         };
         let (handle, closes) = start(cfg);
         let addr = handle.addr();
-        // Three descriptors each: this end, the reactor's, the writer's dup.
+        // Three descriptors each: this end, the reactor's, its write half.
         let idle: Vec<TcpStream> = (0..IDLE)
             .map(|_| TcpStream::connect(addr).unwrap())
             .collect();
@@ -1109,6 +1101,10 @@ mod tests {
         }
         let stats = handle.reactor_stats();
         assert_eq!((stats.inline_replies, stats.parked_calls), (500, 500));
+        assert_eq!(
+            stats.queued_replies, 0,
+            "every small reply goes straight through on the thread that produced it"
+        );
         handle.shutdown();
         assert_eq!(
             closes.load(Ordering::SeqCst),
@@ -1116,6 +1112,83 @@ mod tests {
             "every connection closed once"
         );
         drop((idle, client));
+    }
+
+    /// A reply produced while the connection has a backlog — on the worker
+    /// behind the backlog's own call, or inline on the reactor after it —
+    /// queues behind that backlog, even at a moment the socket has room.
+    #[test]
+    fn write_through_never_overtakes_a_backlog() {
+        fn send(stream: &mut TcpStream, xid: u32, proc: u32, args: &impl Xdr) {
+            let mut enc = XdrEncoder::new();
+            RpcMessage::call(xid, CallBody::new(PROG, VERS, proc)).encode(&mut enc);
+            args.encode(&mut enc);
+            write_record(stream, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+        }
+        let cfg = ReactorConfig {
+            classify: Some(classifier()),
+            ..ReactorConfig::default()
+        };
+        let (handle, _closes) = start(cfg);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        // A damaged stream can announce a record longer than what follows:
+        // fail on it instead of waiting forever.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        // A parked echo whose reply is more than the server's send buffer
+        // and this end's receive buffer hold while nobody reads, and an
+        // inline-class call pipelined right behind it.
+        let payload: Vec<u8> = (0..8u32 << 20).map(|i| (i % 251) as u8).collect();
+        send(&mut stream, 0, 1, &payload);
+        send(&mut stream, 1, 2, &(0u32, 0u32));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.reactor_stats().queued_replies == 0 {
+            assert!(Instant::now() < deadline, "the echo reply never backed up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+
+        // Now read a little at a time and call between reads: each of these
+        // inline replies is produced just after the socket took room again
+        // and before the backlog writer's next pass refills it, which is
+        // exactly when writing it through would overtake the backlog.
+        const CALLS: u32 = 16;
+        let mut head = vec![0u8; CALLS as usize * 64 * 1024];
+        for (i, chunk) in (0u32..).zip(head.chunks_mut(64 * 1024)) {
+            stream.read_exact(chunk).unwrap();
+            send(&mut stream, 2 + i, 2, &(i, 1u32));
+        }
+        let mut wire = (&head[..]).chain(&mut stream);
+        let rec = read_record(&mut wire, MAX_RECORD).unwrap().unwrap();
+        let mut dec = XdrDecoder::new(&rec);
+        assert_eq!(RpcMessage::decode(&mut dec).unwrap().xid, 0);
+        assert!(dec.get_opaque().unwrap() == payload, "echo bytes damaged");
+        for xid in 1..2 + CALLS {
+            let rec = read_record(&mut wire, MAX_RECORD).unwrap().unwrap();
+            let mut dec = XdrDecoder::new(&rec);
+            assert_eq!(
+                RpcMessage::decode(&mut dec).unwrap().xid,
+                xid,
+                "reply order"
+            );
+            assert_eq!(dec.get_u32().unwrap(), xid - 1);
+        }
+
+        let stats = handle.reactor_stats();
+        assert!(stats.queued_replies >= 1);
+        assert_eq!(stats.writer_kills, 0);
+        assert_eq!(
+            stats.inline_replies + stats.parked_calls,
+            u64::from(CALLS) + 2
+        );
+        assert!(
+            stats.inline_replies >= u64::from(CALLS),
+            "the calls made after the backlog formed must run inline: {stats:?}"
+        );
+        drop(stream);
+        handle.shutdown();
     }
 
     #[test]

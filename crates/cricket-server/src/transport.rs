@@ -7,16 +7,28 @@
 //! environment's cost model against the shared virtual clock. The Cricket
 //! service runs in-process and charges its own execution time, so one call
 //! through this transport advances the clock by exactly the modeled
-//! client→wire→server→wire→client round trip.
+//! client→wire→server→wire→client round trip. Both legs stream through
+//! send buffers of one MSS, and the server reassembles each request straight
+//! into its record buffer (DESIGN.md §6).
 
+use oncrpc::record::{DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use oncrpc::{RpcError, RpcServer, Transport};
 use simnet::{NetPath, SimClock};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::mem;
 use std::sync::Arc;
 use unikernel::features::VirtioFeatures;
 use unikernel::tcp::{handshake, Segment, TcpEndpoint};
 use unikernel::virtio_net::{deliver_fixed, deliver_mrg, guest_tx, host_segment, GSO_MAX};
 use unikernel::Guest;
+
+/// The top bit of a record mark: this fragment is the record's last.
+const LAST_FRAGMENT: u32 = 1 << 31;
+
+/// Why a receiving endpoint dropped a segment, or the server a record mark.
+const REJECTED: &str = "segment rejected (checksum or sequencing)";
+const OVERSIZED: &str = "record mark announces more than MAX_RECORD";
 
 /// Transport-level telemetry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +43,132 @@ pub struct TransportStats {
     pub bytes_received: u64,
 }
 
+/// Where a record-marked byte stream (RFC 5531 §11) stands: in a fragment
+/// header or in a fragment's payload, and how far into its record. One
+/// state machine serves both ends of the request leg: the guest socket finds
+/// each record's end with it, and the server strips the marks with it. It
+/// only classifies bytes that have arrived, and refuses a mark that would
+/// take the record past [`MAX_RECORD`] before anything is sized from it.
+#[derive(Debug, Default)]
+struct RecordMarks {
+    /// The fragment header; `have` of its bytes are read, all four while in
+    /// the fragment's payload.
+    header: [u8; 4],
+    have: usize,
+    /// Payload bytes still to come in the current fragment.
+    left: usize,
+    /// Payload and wire bytes of the record so far.
+    payload: usize,
+    wire: usize,
+}
+
+impl RecordMarks {
+    /// Consume the longest run at the head of `input` that is all header or
+    /// all payload (`have == 4` beforehand) and does not cross the record's
+    /// end. Returns its length and, if the record ends with it, the record's
+    /// payload and wire lengths.
+    fn next(&mut self, input: &[u8]) -> Result<(usize, Option<(usize, usize)>), RpcError> {
+        let len;
+        if self.have == 4 {
+            len = input.len().min(self.left);
+            (self.left, self.payload) = (self.left - len, self.payload + len);
+        } else {
+            len = input.len().min(4 - self.have);
+            self.header[self.have..self.have + len].copy_from_slice(&input[..len]);
+            self.have += len;
+            if self.have == 4 {
+                self.left = (u32::from_be_bytes(self.header) & !LAST_FRAGMENT) as usize;
+                let (size, max) = (self.payload + self.left, MAX_RECORD);
+                if size > max {
+                    return Err(RpcError::RecordTooLarge { size, max });
+                }
+            }
+        }
+        self.wire += len;
+        let done = self.have == 4 && self.left == 0;
+        let last = done && u32::from_be_bytes(self.header) & LAST_FRAGMENT != 0;
+        if done {
+            self.have = 0;
+        }
+        let end = last.then(|| (mem::take(&mut self.payload), mem::take(&mut self.wire)));
+        Ok((len, end))
+    }
+
+    /// The server's receive step: strip the marks from `bytes` as they
+    /// arrive, append fragment payload to `record_buf` (the one server-side
+    /// copy) and queue each record that completes.
+    fn strip(
+        &mut self,
+        mut bytes: &[u8],
+        record_buf: &mut Vec<u8>,
+        records: &mut VecDeque<(usize, usize)>,
+    ) -> Result<(), &'static str> {
+        while !bytes.is_empty() {
+            let payload = self.have == 4;
+            let (len, end) = self.next(bytes).map_err(|_| OVERSIZED)?;
+            if payload {
+                record_buf.extend_from_slice(&bytes[..len]);
+            }
+            records.extend(end);
+            bytes = &bytes[len..];
+        }
+        Ok(())
+    }
+}
+
+/// The send-side staging step of both legs: copy `bytes` into the socket's
+/// send buffer `tx` of `mss` bytes and `send` it each time it fills and,
+/// at a record's `end`, once more with the record's tail. Segments
+/// therefore fall at `chunks(mss)` from the start of every record.
+fn stage(
+    tx: &mut Vec<u8>,
+    mss: usize,
+    mut bytes: &[u8],
+    end: bool,
+    mut send: impl FnMut(&[u8]) -> Result<(), &'static str>,
+) -> Result<(), &'static str> {
+    loop {
+        let now;
+        (now, bytes) = bytes.split_at(bytes.len().min(mss - tx.len()));
+        tx.extend_from_slice(now);
+        if tx.len() == mss || (end && bytes.is_empty() && !tx.is_empty()) {
+            let sent = send(tx);
+            tx.clear();
+            sent?;
+        }
+        if bytes.is_empty() {
+            return Ok(());
+        }
+    }
+}
+
+/// Carry one send buffer's `bytes` from `from` through the virtio machinery,
+/// handing each wire segment to the receiver (`land`) as its driver delivers
+/// it. Returns the number of wire segments, or why one was refused.
+fn carry(
+    from: &mut TcpEndpoint,
+    from_features: VirtioFeatures,
+    mut to_posted: Option<&mut Vec<u8>>,
+    wire_mss: usize,
+    bytes: &[u8],
+    mut land: impl FnMut(&Segment) -> Result<(), &'static str>,
+) -> Result<u64, &'static str> {
+    let mut wire_count = 0u64;
+    for segment in from.segments(bytes) {
+        for seg in host_segment(guest_tx(from_features, segment, wire_mss)) {
+            wire_count += 1;
+            // RX buffer handling (copies are charged by the cost model;
+            // here we exercise the functional path).
+            let payload = match to_posted.as_deref_mut() {
+                None => deliver_mrg(seg.payload, 4096).0,
+                Some(posted) => deliver_fixed(seg.payload, posted).0,
+            };
+            land(&Segment { payload, ..seg })?;
+        }
+    }
+    Ok(wire_count)
+}
+
 /// The simulated path from a guest to an in-process Cricket server.
 pub struct SimTransport {
     server: Arc<RpcServer>,
@@ -39,22 +177,31 @@ pub struct SimTransport {
     clock: Arc<SimClock>,
     client_ep: TcpEndpoint,
     server_ep: TcpEndpoint,
-    pending_out: Vec<u8>,
+    /// The guest socket's send buffer: at most one MSS ([`stage`]).
+    client_tx: Vec<u8>,
+    /// Where the guest's writes stand in the record-marked request stream.
+    client_marks: RecordMarks,
+    /// Where the server's reassembly stands in the same stream.
+    server_marks: RecordMarks,
+    /// Pooled server-side record buffer: request payloads reassembled
+    /// straight out of the arriving segments, marks stripped.
+    record_buf: Vec<u8>,
+    /// Records complete in `record_buf` and not yet executed, oldest first,
+    /// as (payload length, wire length): one `flush` may carry several.
+    records: VecDeque<(usize, usize)>,
+    /// Pooled server-side reply encoder.
+    reply_enc: xdr::XdrEncoder,
+    /// The server socket's send buffer: at most one MSS of the reply.
+    server_tx: Vec<u8>,
     /// How much of `client_ep.readable()` the client has read already: the
     /// reply is served from where it was reassembled, never restaged.
     read_off: usize,
     /// The one posted receive buffer a guest without `MRG_RXBUF` stages
     /// every packet in (reused; see [`deliver_fixed`]).
     rx_posted: Vec<u8>,
-    /// A segment was rejected: every later operation fails the same way.
-    poisoned: bool,
-    /// Pooled server-side record reassembly buffer.
-    record_buf: Vec<u8>,
-    /// Pooled server-side reply encoder.
-    reply_enc: xdr::XdrEncoder,
-    /// Pooled record-marked reply bytes.
-    reply_wire: Vec<u8>,
-    /// Payload bytes staged into `pending_out` and `record_buf`
+    /// Set by a rejected segment or record mark: every later call fails so.
+    poisoned: Option<String>,
+    /// Payload bytes copied into `client_tx` and `record_buf`
     /// ([`Transport::bytes_copied`]).
     copied: u64,
     /// Telemetry.
@@ -86,15 +233,18 @@ impl SimTransport {
             guest,
             path,
             clock,
+            client_tx: Vec::with_capacity(client_ep.mss),
+            server_tx: Vec::with_capacity(server_ep.mss),
             client_ep,
             server_ep,
-            pending_out: Vec::new(),
+            client_marks: RecordMarks::default(),
+            server_marks: RecordMarks::default(),
+            record_buf: Vec::with_capacity(4096),
+            records: VecDeque::new(),
+            reply_enc: xdr::XdrEncoder::with_capacity(4096),
             read_off: 0,
             rx_posted: Vec::new(),
-            poisoned: false,
-            record_buf: Vec::with_capacity(4096),
-            reply_enc: xdr::XdrEncoder::with_capacity(4096),
-            reply_wire: Vec::with_capacity(4096),
+            poisoned: None,
             copied: 0,
             stats: TransportStats::default(),
         }
@@ -105,138 +255,78 @@ impl SimTransport {
         &self.guest
     }
 
-    /// Extract one complete record-marked message from the head of `buf`,
-    /// returning its total length in bytes (headers included), or `None`.
-    fn complete_record_len(buf: &[u8]) -> Option<usize> {
-        let mut off = 0;
-        loop {
-            if buf.len() < off + 4 {
-                return None;
-            }
-            let word = u32::from_be_bytes(buf[off..off + 4].try_into().unwrap());
-            let len = (word & 0x7fff_ffff) as usize;
-            let last = word & 0x8000_0000 != 0;
-            off += 4 + len;
-            if buf.len() < off {
-                return None;
-            }
-            if last {
-                return Some(off);
-            }
-        }
-    }
-
-    /// Carry `bytes` from `from` to `to` through the virtio/TCP machinery,
-    /// leaving them reassembled in `to`. Returns the number of wire
-    /// segments, or `None` as soon as `to` rejects one.
-    fn carry(
-        from: &mut TcpEndpoint,
-        from_features: VirtioFeatures,
-        to: &mut TcpEndpoint,
-        mut to_posted: Option<&mut Vec<u8>>,
-        wire_mss: usize,
-        bytes: &[u8],
-    ) -> Option<u64> {
-        let mut wire_count = 0u64;
-        for segment in from.segments(bytes) {
-            for seg in host_segment(guest_tx(from_features, segment, wire_mss)) {
-                wire_count += 1;
-                // RX buffer handling (copies are charged by the cost model;
-                // here we exercise the functional path).
-                let payload = match to_posted.as_deref_mut() {
-                    None => deliver_mrg(seg.payload, 4096).0,
-                    Some(posted) => deliver_fixed(seg.payload, posted).0,
-                };
-                if !to.receive(&Segment { payload, ..seg }) {
-                    return None;
-                }
-            }
-        }
-        Some(wire_count)
-    }
-
-    /// Fail closed after a rejected segment: the sender's sequence space
-    /// has moved past bytes the receiver never accepted, so no later reply
-    /// could be delivered. Discard all buffered state; refuse from now on.
-    fn poison(&mut self) -> io::Error {
-        self.poisoned = true;
-        self.pending_out.clear();
+    /// Fail closed after a rejected segment or record mark: the sender's
+    /// sequence space has moved past bytes the receiver never accepted, so
+    /// no later reply could be delivered. Discard all buffered state; refuse
+    /// from now on with the same error.
+    fn poison(&mut self, why: impl std::fmt::Display) -> io::Error {
+        let what = format!("{why}; transport poisoned");
+        self.poisoned = Some(what.clone());
+        self.client_tx.clear();
+        self.record_buf.clear();
+        self.records.clear();
         self.read_off = 0;
         self.client_ep.consume(usize::MAX);
-        self.server_ep.consume(usize::MAX);
-        let what = "segment rejected (checksum or sequencing); transport poisoned";
         io::Error::new(io::ErrorKind::InvalidData, what)
     }
 
-    /// Process one buffered request end-to-end.
-    fn process_one(&mut self, record_len: usize) -> io::Result<()> {
-        // Client → server through the functional stacks. The request is
-        // carried straight out of `pending_out` — no per-call drain copy.
+    fn check(&self) -> io::Result<()> {
+        match &self.poisoned {
+            None => Ok(()),
+            Some(what) => Err(io::Error::new(io::ErrorKind::InvalidData, what.clone())),
+        }
+    }
+
+    /// Stage request bytes in the guest socket's send buffer and carry it up
+    /// each time it fills and at the record's `end`. The server strips the
+    /// marks off each segment's payload as it lands (the GPU node negotiates
+    /// `MRG_RXBUF`: no posted buffer).
+    fn send_up(&mut self, bytes: &[u8], end: bool) -> Result<(), &'static str> {
+        let (mss, features) = (self.client_ep.mss, self.guest.features);
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
-        let Some(segs_up) = Self::carry(
-            &mut self.client_ep,
-            self.guest.features,
-            &mut self.server_ep,
-            None, // GPU node negotiates mrg_rxbuf
-            wire_mss,
-            &self.pending_out[..record_len],
-        ) else {
-            return Err(self.poison());
+        stage(&mut self.client_tx, mss, bytes, end, |tx| {
+            let up = carry(&mut self.client_ep, features, None, wire_mss, tx, |seg| {
+                let (marks, buf) = (&mut self.server_marks, &mut self.record_buf);
+                let records = &mut self.records;
+                let stripped = self
+                    .server_ep
+                    .receive_with(seg, |p| marks.strip(p, buf, records));
+                stripped.ok_or(REJECTED)?
+            });
+            self.stats.wire_segments += up?;
+            Ok(())
+        })
+    }
+
+    /// Record-mark the encoded reply into the server socket's send buffer at
+    /// `DEFAULT_MAX_FRAGMENT` boundaries and carry it down each time it fills
+    /// and at the record's end: it is reassembled behind whatever the client
+    /// has not read yet, and served from there by `read`. Returns the
+    /// reply's wire length.
+    fn send_down(&mut self) -> Result<usize, &'static str> {
+        let (mss, features) = (self.server_ep.mss, VirtioFeatures::linux_driver());
+        let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
+        let mut posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
+        let mut send = |tx: &[u8]| {
+            let (client, rx) = (&mut self.client_ep, posted.as_deref_mut());
+            let land = |seg: &Segment| client.receive(seg).then_some(()).ok_or(REJECTED);
+            self.stats.wire_segments +=
+                carry(&mut self.server_ep, features, rx, wire_mss, tx, land)?;
+            Ok(())
         };
-        debug_assert_eq!(self.server_ep.readable(), &self.pending_out[..record_len]);
-        self.pending_out.drain(..record_len);
-
-        // Server executes (service methods charge the clock themselves).
-        // The record is read straight out of the server endpoint's view; the
-        // record buffer and the reply encoder are pooled on the transport,
-        // so steady state costs one reassembly copy and no allocation.
-        let mut at_server = self.server_ep.readable();
-        let record = oncrpc::record::read_record_into(
-            &mut at_server,
-            &mut self.record_buf,
-            oncrpc::record::MAX_RECORD,
-        );
-        self.server_ep.consume(record_len);
-        let reassembled = record
-            .map_err(rpc_to_io)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty record"))?;
-        self.copied += reassembled as u64;
-        self.server
-            .handle_record_into(&self.record_buf, &mut self.reply_enc)
-            .map_err(rpc_to_io)?;
-        self.reply_wire.clear();
-        oncrpc::record::write_record(
-            &mut self.reply_wire,
-            self.reply_enc.as_slice(),
-            oncrpc::record::DEFAULT_MAX_FRAGMENT,
-        )
-        .map_err(rpc_to_io)?;
-
-        // Server → client: reassembled behind whatever the client has not
-        // read yet, and served from there by `read`.
-        let posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
-        let Some(segs_down) = Self::carry(
-            &mut self.server_ep,
-            VirtioFeatures::linux_driver(),
-            &mut self.client_ep,
-            posted,
-            wire_mss,
-            &self.reply_wire,
-        ) else {
-            return Err(self.poison());
-        };
-
-        // Charge the network legs (server exec already charged) with this
-        // reply's own length: one flush may carry several records.
-        let reply_len = self.reply_wire.len();
-        let timing = self.path.rpc_round(record_len, reply_len, 0);
-        self.clock.advance(timing.total_ns());
-
-        self.stats.round_trips += 1;
-        self.stats.wire_segments += segs_up + segs_down;
-        self.stats.bytes_sent += record_len as u64;
-        self.stats.bytes_received += reply_len as u64;
-        Ok(())
+        let (body, tx) = (self.reply_enc.as_slice(), &mut self.server_tx);
+        let (mut off, mut wire) = (0, 0);
+        loop {
+            let len = (body.len() - off).min(DEFAULT_MAX_FRAGMENT);
+            let last = off + len == body.len();
+            let mark = len as u32 | if last { LAST_FRAGMENT } else { 0 };
+            stage(tx, mss, &mark.to_be_bytes(), false, &mut send)?;
+            stage(tx, mss, &body[off..off + len], last, &mut send)?;
+            (off, wire) = (off + len, wire + 4 + len);
+            if last {
+                return Ok(wire);
+            }
+        }
     }
 }
 
@@ -246,19 +336,40 @@ fn rpc_to_io(e: RpcError) -> io::Error {
 
 impl Write for SimTransport {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // Buffering copy into the transport's send buffer — the analogue of
-        // a real socket's copy into the kernel.
+        self.check()?;
+        // The one send-side copy: into the guest socket's send buffer, the
+        // analogue of a real socket's copy into the kernel.
         self.copied += buf.len() as u64;
-        self.pending_out.extend_from_slice(buf);
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let (len, end) = self.client_marks.next(rest).map_err(|e| self.poison(e))?;
+            let bytes;
+            (bytes, rest) = rest.split_at(len);
+            self.send_up(bytes, end.is_some())
+                .map_err(|why| self.poison(why))?;
+        }
         Ok(buf.len())
     }
 
+    /// Execute every request that arrived complete, oldest first, straight
+    /// out of `record_buf` (service methods charge the clock themselves),
+    /// and carry each reply down.
     fn flush(&mut self) -> io::Result<()> {
-        if self.poisoned {
-            return Err(self.poison()); // nothing is carried or executed again
-        }
-        while let Some(len) = Self::complete_record_len(&self.pending_out) {
-            self.process_one(len)?;
+        self.check()?;
+        while let Some((len, wire_len)) = self.records.pop_front() {
+            self.copied += len as u64;
+            let record = &self.record_buf[..len];
+            let handled = self.server.handle_record_into(record, &mut self.reply_enc);
+            self.record_buf.drain(..len);
+            handled.map_err(rpc_to_io)?;
+            let reply_len = self.send_down().map_err(|why| self.poison(why))?;
+            // Charge the network legs (server exec already charged) with this
+            // record's own lengths: one flush may carry several records.
+            let timing = self.path.rpc_round(wire_len, reply_len, 0);
+            self.clock.advance(timing.total_ns());
+            self.stats.round_trips += 1;
+            self.stats.bytes_sent += wire_len as u64;
+            self.stats.bytes_received += reply_len as u64;
         }
         Ok(())
     }
@@ -347,12 +458,62 @@ mod tests {
         (CricketV1Client::new(Box::new(shared.clone())), shared)
     }
 
+    /// Passes each write on in pieces of 1, 2, … `max` bytes in turn (whole
+    /// when `max` is 0), so record marks split across writes, and keeps a
+    /// copy of every byte read.
+    struct Split {
+        inner: Shared,
+        max: usize,
+        writes: usize,
+        seen: Arc<parking_lot::Mutex<Vec<u8>>>,
+    }
+
+    impl Read for Split {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.seen.lock().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+    }
+
+    impl Write for Split {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = match self.max {
+                0 => buf.len(),
+                max => buf.len().min(1 + self.writes % max),
+            };
+            self.writes += 1;
+            self.inner.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl Transport for Split {}
+
     /// Mixed small calls with odd-length copies, one 3 MiB copy and one
     /// odd-length copy each way, from a fixed seed. Returns the final
     /// virtual time and the transport's counters.
     fn seeded_script(kind: GuestKind) -> (u64, TransportStats) {
+        let (now, stats, _) = scripted(kind, 0);
+        (now, stats)
+    }
+
+    /// [`seeded_script`] through [`Split`] writes of at most `max_write`
+    /// bytes; also returns every reply byte the client read.
+    fn scripted(kind: GuestKind, max_write: usize) -> (u64, TransportStats, Vec<u8>) {
         let (rpc, clock) = sim_server();
-        let (mut c, shared) = shared_client(&rpc, kind, &clock);
+        let t = SimTransport::new(Arc::clone(&rpc), Guest::new(kind), Arc::clone(&clock));
+        let shared = Shared(Arc::new(parking_lot::Mutex::new(t)));
+        let seen = Arc::default();
+        let mut c = CricketV1Client::new(Box::new(Split {
+            inner: shared.clone(),
+            max: max_write,
+            writes: 0,
+            seen: Arc::clone(&seen),
+        }));
         let mut rng = 0x5eed_u64;
         let mut next = move || {
             rng = rng
@@ -406,7 +567,82 @@ mod tests {
         roundtrip(&mut c, &big[..777_777]);
         assert_eq!(c.cuda_device_synchronize().unwrap(), 0);
         let stats = shared.0.lock().stats;
-        (clock.now_ns(), stats)
+        let replies = std::mem::take(&mut *seen.lock());
+        (clock.now_ns(), stats, replies)
+    }
+
+    /// Writes of 1–7 bytes split record marks across writes; the guest
+    /// socket still finds each record's end, so the same segments are
+    /// carried at the same moments: clock, counters and every reply byte
+    /// equal the unsplit run.
+    #[test]
+    fn split_writes_carry_the_same_segments() {
+        for kind in [GuestKind::RustyHermit, GuestKind::RustyHermitTso] {
+            let (now, stats, replies) = scripted(kind, 7);
+            let whole = scripted(kind, 0);
+            assert_eq!((now, stats), (whole.0, whole.1), "{kind:?}");
+            assert!(replies == whole.2, "{kind:?}: reply bytes differ");
+        }
+    }
+
+    /// No stage holds a whole record: the server reassembles a 16 MiB
+    /// request straight into `record_buf`, marks stripped, without its
+    /// endpoint's own buffer; after a 16 MiB copy each way both send buffers
+    /// are still one MSS.
+    #[test]
+    fn staging_is_bounded_by_one_mss_each_way() {
+        use cricket_proto::{cricket_v1, CRICKET_CUDA, CRICKET_V1};
+        for kind in [GuestKind::RustyHermit, GuestKind::RustyHermitTso] {
+            let (rpc, clock) = sim_server();
+            let (mut c, shared) = shared_client(&rpc, kind, &clock);
+            let ptr = c.cuda_malloc(&(16 << 20)).unwrap().into_result().unwrap();
+            let data: Vec<u8> = (0..16u32 << 20).map(|i| (i % 251) as u8).collect();
+
+            let mut enc = xdr::XdrEncoder::new();
+            let call =
+                oncrpc::CallBody::new(CRICKET_CUDA, CRICKET_V1, cricket_v1::CUDA_MEMCPY_HTOD);
+            enc.put(&oncrpc::RpcMessage::call(9, call));
+            enc.put_u64(ptr);
+            enc.put_opaque(&data);
+            let mut wire = Vec::new();
+            oncrpc::record::write_record(&mut wire, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+            let mut t = shared.0.lock();
+            t.write_all(&wire).unwrap();
+            assert_eq!(t.server_ep.available(), 0, "{kind:?}");
+            assert_eq!(t.records, [(enc.as_slice().len(), wire.len())]);
+            assert!(
+                t.record_buf == enc.as_slice(),
+                "{kind:?}: marks not stripped"
+            );
+            let mut reply = [0u8; 64];
+            while t.read(&mut reply).unwrap() != 0 {}
+            drop(t);
+
+            let back = c.cuda_memcpy_dtoh(&ptr, &(16 << 20)).unwrap();
+            assert!(back.into_result().unwrap() == data, "{kind:?}");
+            let t = shared.0.lock();
+            assert!(t.client_tx.capacity() <= t.client_ep.mss, "{kind:?}");
+            assert!(t.server_tx.capacity() <= t.server_ep.mss, "{kind:?}");
+        }
+    }
+
+    /// A record mark announcing more than `MAX_RECORD` is refused as it
+    /// arrives: the write fails, the transport is poisoned, and nothing was
+    /// sized from the mark.
+    #[test]
+    fn an_oversized_record_mark_poisons_the_transport() {
+        let (rpc, clock) = sim_server();
+        let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
+        c.rpc_null().unwrap();
+        let mut t = shared.0.lock();
+        let mark = (LAST_FRAGMENT | (MAX_RECORD as u32 + 1)).to_be_bytes();
+        t.write_all(&mark[..2]).unwrap();
+        let err = t.write(&mark[2..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds maximum"), "{err}");
+        assert_eq!(t.flush().unwrap_err().to_string(), err.to_string());
+        assert_eq!(t.write(&[0; 8]).unwrap_err().to_string(), err.to_string());
+        assert!(t.record_buf.capacity() < 1 << 20);
     }
 
     /// The functional path may change how bytes move, never what the cost
@@ -467,7 +703,7 @@ mod tests {
         );
         let t = shared.0.lock();
         assert_eq!(t.client_ep.available() + t.server_ep.available(), 0);
-        assert!(t.pending_out.is_empty() && t.read_off == 0);
+        assert!(t.client_tx.is_empty() && t.read_off == 0);
     }
 
     /// One `flush` may carry several records. Each round trip is charged

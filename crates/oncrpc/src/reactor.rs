@@ -60,6 +60,7 @@
 //! — per-session ordering above means a retransmission still observes
 //! either the cached reply or nothing, never a half-executed call.
 
+use crate::auth::MAX_AUTH_BODY;
 use crate::error::{RpcError, RpcResult};
 use crate::record::{write_record_sg, RecordAssembler, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::server::{RpcServer, ServerHandle};
@@ -262,15 +263,29 @@ struct Job {
     out: OutRef,
 }
 
+/// The largest bulk payload whose records and replies the pools recycle:
+/// one 64 KiB copy.
+const POOLED_PAYLOAD_BYTES: usize = 64 * 1024;
+
+/// What travels with that payload in one buffer: the record mark, the call
+/// header (six words) with a credential and a verifier of up to
+/// [`MAX_AUTH_BODY`] bytes each behind their flavor and length words, and
+/// eight more XDR words of arguments or result (device pointer, opaque
+/// length, status). A reply's header is smaller than a call's.
+const RECORD_OVERHEAD_BYTES: usize = 4 + 6 * 4 + 2 * (8 + MAX_AUTH_BODY) + 8 * 4;
+
 /// Largest buffer capacity [`BufPool::put`] will recycle. Records and
 /// replies range up to `MAX_RECORD` (1 GiB); pooling those would let one
 /// burst of large transfers pin `max_pooled` huge allocations forever, so
-/// anything over this threshold is freed instead of pooled.
-const MAX_POOLED_BUF_BYTES: usize = 64 * 1024;
+/// anything over one 64 KiB payload with its headers is freed instead of
+/// pooled.
+const MAX_POOLED_BUF_BYTES: usize = POOLED_PAYLOAD_BYTES + RECORD_OVERHEAD_BYTES;
 
 /// Lock-based free list of byte buffers shared across reactor, workers and
 /// writer. Bounded in count (`max_pooled`) *and* per-buffer bytes
-/// ([`MAX_POOLED_BUF_BYTES`]) so a burst does not pin memory forever.
+/// ([`MAX_POOLED_BUF_BYTES`]), so one pool pins at most `max_pooled` ×
+/// [`MAX_POOLED_BUF_BYTES`] bytes: about 8.1 MiB each for the record and
+/// the reply pool under the default [`ReactorConfig`] (2 workers × 64).
 #[derive(Clone)]
 struct BufPool {
     free: Arc<Mutex<Vec<Vec<u8>>>>,
@@ -1188,6 +1203,38 @@ mod tests {
             "the calls made after the backlog formed must run inline: {stats:?}"
         );
         drop(stream);
+        handle.shutdown();
+    }
+
+    /// A 64 KiB payload with its headers fits under the pools' per-buffer
+    /// cap: once warm, parked 64 KiB echo calls recycle their record and
+    /// reply buffers instead of freeing and allocating them every call.
+    #[test]
+    fn pools_recycle_the_buffers_of_64_kib_calls() {
+        let cfg = ReactorConfig {
+            classify: Some(classifier()),
+            ..ReactorConfig::default()
+        };
+        let (handle, _closes) = start(cfg);
+        let transport = TcpTransport::connect(handle.addr()).unwrap();
+        let mut client = RpcClient::new(Box::new(transport), PROG, VERS);
+        let payload: Vec<u8> = (0..64u32 << 10).map(|i| i as u8).collect();
+        let mut round = || {
+            for _ in 0..8 {
+                let out: Vec<u8> = client.call(1, &payload).unwrap();
+                assert!(out == payload, "echo bytes damaged");
+            }
+        };
+        round();
+        let warm = handle.reactor_stats();
+        for _ in 0..5 {
+            round();
+        }
+        let stats = handle.reactor_stats();
+        assert_eq!(stats.parked_calls, 48);
+        assert_eq!(stats.bufs_allocated, warm.bufs_allocated, "{stats:?}");
+        assert!(stats.bufs_reused >= warm.bufs_reused + 80, "{stats:?}");
+        drop(client);
         handle.shutdown();
     }
 

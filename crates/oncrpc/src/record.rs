@@ -156,12 +156,28 @@ impl RecordBuf for Vec<u8> {
     }
 
     fn fill_from<R: Read + ?Sized>(&mut self, r: &mut R, len: usize) -> io::Result<usize> {
-        self.reserve(len);
-        // `take(len)` bounds the read; `read_to_end` appends only bytes
-        // actually received and stops at the limit without an extra syscall.
-        r.take(len as u64).read_to_end(self)
+        let mut left = len;
+        while left > 0 {
+            // `len` is what the peer announced, up to `MAX_RECORD`: grow at
+            // most `FILL_STEP` past the bytes that have arrived, never by
+            // the announcement. Steps stay amortised by `reserve`'s doubling.
+            self.reserve(left.min(FILL_STEP));
+            let room = (self.capacity() - self.len()).min(left);
+            // `take` bounds the read; `read_to_end` appends only bytes
+            // actually received and stops at the limit without an extra
+            // syscall.
+            match r.take(room as u64).read_to_end(self)? {
+                0 => break,
+                got => left -= got,
+            }
+        }
+        Ok(len - left)
     }
 }
+
+/// How far [`RecordBuf::fill_from`] grows a `Vec<u8>` ahead of the bytes
+/// that have arrived.
+const FILL_STEP: usize = 64 * 1024;
 
 impl<const N: usize> RecordBuf for FixedBuf<[u8; N]> {
     fn fresh() -> Self {
@@ -529,6 +545,15 @@ mod tests {
             read_record(&mut cursor, 500),
             Err(RpcError::RecordTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn an_announced_length_does_not_size_the_buffer() {
+        let header = ((512u32 << 20) | LAST_FRAGMENT).to_be_bytes();
+        let mut record = Vec::<u8>::fresh();
+        let got = read_record_into(&mut &header[..], &mut record, MAX_RECORD);
+        assert!(matches!(got, Err(RpcError::ConnectionClosed)), "{got:?}");
+        assert!(record.capacity() < 1 << 20, "{}", record.capacity());
     }
 
     #[test]

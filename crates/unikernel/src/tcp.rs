@@ -207,21 +207,30 @@ impl TcpEndpoint {
         self.segments(data).collect()
     }
 
-    /// Receive one in-order segment; verified payload lands in the buffer
-    /// (the reassembly copy — the only one this stack makes of a payload).
-    /// Returns false if the segment was dropped (bad checksum / wrong seq).
-    pub fn receive(&mut self, seg: &Segment) -> bool {
+    /// Receive one in-order segment and hand its verified payload to `sink`,
+    /// for a reader that reassembles into a buffer of its own. `None` if the
+    /// segment was dropped (bad checksum / wrong seq); `sink` then never runs.
+    pub fn receive_with<R>(&mut self, seg: &Segment, sink: impl FnOnce(&[u8]) -> R) -> Option<R> {
         assert_eq!(self.state, State::Established, "receive before handshake");
         if self.rx_verify_in_software && !seg.header.csum_offloaded && !seg.verify() {
             self.rx_checksum_failures += 1;
-            return false;
+            return None;
         }
         if seg.header.seq != self.rcv_nxt {
-            return false; // out-of-order: lossless FIFO wire never does this
+            return None; // out-of-order: lossless FIFO wire never does this
         }
         self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-        self.rx_buffer.extend_from_slice(seg.payload);
-        true
+        Some(sink(seg.payload))
+    }
+
+    /// [`Self::receive_with`] into the endpoint's own buffer (the reassembly
+    /// copy — the only one this stack makes of a payload). Returns false if
+    /// the segment was dropped.
+    pub fn receive(&mut self, seg: &Segment) -> bool {
+        let mut rx = std::mem::take(&mut self.rx_buffer);
+        let kept = self.receive_with(seg, |payload| rx.extend_from_slice(payload));
+        self.rx_buffer = rx;
+        kept.is_some()
     }
 
     /// The reassembled data not yet consumed, in place.

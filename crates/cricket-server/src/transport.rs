@@ -11,20 +11,16 @@
 //! send buffers of one MSS, and the server reassembles each request straight
 //! into its record buffer (DESIGN.md §6).
 
-use oncrpc::record::{DEFAULT_MAX_FRAGMENT, MAX_RECORD};
+use oncrpc::record::{write_record_sg, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use oncrpc::{RpcError, RpcServer, Transport};
 use simnet::{NetPath, SimClock};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::mem;
 use std::sync::Arc;
 use unikernel::features::VirtioFeatures;
 use unikernel::tcp::{handshake, Segment, TcpEndpoint};
 use unikernel::virtio_net::{deliver_fixed, deliver_mrg, guest_tx, host_segment, GSO_MAX};
 use unikernel::Guest;
-
-/// The top bit of a record mark: this fragment is the record's last.
-const LAST_FRAGMENT: u32 = 1 << 31;
 
 /// Why a receiving endpoint dropped a segment, or the server a record mark.
 const REJECTED: &str = "segment rejected (checksum or sequencing)";
@@ -43,102 +39,33 @@ pub struct TransportStats {
     pub bytes_received: u64,
 }
 
-/// Where a record-marked byte stream (RFC 5531 §11) stands: in a fragment
-/// header or in a fragment's payload, and how far into its record. One
-/// state machine serves both ends of the request leg: the guest socket finds
-/// each record's end with it, and the server strips the marks with it. It
-/// only classifies bytes that have arrived, and refuses a mark that would
-/// take the record past [`MAX_RECORD`] before anything is sized from it.
-#[derive(Debug, Default)]
-struct RecordMarks {
-    /// The fragment header; `have` of its bytes are read, all four while in
-    /// the fragment's payload.
-    header: [u8; 4],
-    have: usize,
-    /// Payload bytes still to come in the current fragment.
-    left: usize,
-    /// Payload and wire bytes of the record so far.
-    payload: usize,
-    wire: usize,
-}
-
-impl RecordMarks {
-    /// Consume the longest run at the head of `input` that is all header or
-    /// all payload (`have == 4` beforehand) and does not cross the record's
-    /// end. Returns its length and, if the record ends with it, the record's
-    /// payload and wire lengths.
-    fn next(&mut self, input: &[u8]) -> Result<(usize, Option<(usize, usize)>), RpcError> {
-        let len;
-        if self.have == 4 {
-            len = input.len().min(self.left);
-            (self.left, self.payload) = (self.left - len, self.payload + len);
-        } else {
-            len = input.len().min(4 - self.have);
-            self.header[self.have..self.have + len].copy_from_slice(&input[..len]);
-            self.have += len;
-            if self.have == 4 {
-                self.left = (u32::from_be_bytes(self.header) & !LAST_FRAGMENT) as usize;
-                let (size, max) = (self.payload + self.left, MAX_RECORD);
-                if size > max {
-                    return Err(RpcError::RecordTooLarge { size, max });
-                }
-            }
-        }
-        self.wire += len;
-        let done = self.have == 4 && self.left == 0;
-        let last = done && u32::from_be_bytes(self.header) & LAST_FRAGMENT != 0;
-        if done {
-            self.have = 0;
-        }
-        let end = last.then(|| (mem::take(&mut self.payload), mem::take(&mut self.wire)));
-        Ok((len, end))
-    }
-
-    /// The server's receive step: strip the marks from `bytes` as they
-    /// arrive, append fragment payload to `record_buf` (the one server-side
-    /// copy) and queue each record that completes.
-    fn strip(
-        &mut self,
-        mut bytes: &[u8],
-        record_buf: &mut Vec<u8>,
-        records: &mut VecDeque<(usize, usize)>,
-    ) -> Result<(), &'static str> {
-        while !bytes.is_empty() {
-            let payload = self.have == 4;
-            let (len, end) = self.next(bytes).map_err(|_| OVERSIZED)?;
-            if payload {
-                record_buf.extend_from_slice(&bytes[..len]);
-            }
-            records.extend(end);
-            bytes = &bytes[len..];
-        }
-        Ok(())
-    }
-}
-
-/// The send-side staging step of both legs: copy `bytes` into the socket's
-/// send buffer `tx` of `mss` bytes and `send` it each time it fills and,
-/// at a record's `end`, once more with the record's tail. Segments
-/// therefore fall at `chunks(mss)` from the start of every record.
-fn stage(
-    tx: &mut Vec<u8>,
+/// A socket's send buffer of one MSS, the staging step of both legs:
+/// `write` copies into `tx` and `send`s it each time it fills, and `flush`
+/// sends what is left, at a record's end. Segments therefore fall at
+/// `chunks(mss)` from the start of every record.
+struct SendBuf<'a, F> {
+    tx: &'a mut Vec<u8>,
     mss: usize,
-    mut bytes: &[u8],
-    end: bool,
-    mut send: impl FnMut(&[u8]) -> Result<(), &'static str>,
-) -> Result<(), &'static str> {
-    loop {
-        let now;
-        (now, bytes) = bytes.split_at(bytes.len().min(mss - tx.len()));
-        tx.extend_from_slice(now);
-        if tx.len() == mss || (end && bytes.is_empty() && !tx.is_empty()) {
-            let sent = send(tx);
-            tx.clear();
-            sent?;
+    send: F,
+}
+
+impl<F: FnMut(&[u8]) -> Result<(), &'static str>> Write for SendBuf<'_, F> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        let n = bytes.len().min(self.mss - self.tx.len());
+        self.tx.extend_from_slice(&bytes[..n]);
+        if self.tx.len() == self.mss {
+            self.flush()?;
         }
-        if bytes.is_empty() {
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.tx.is_empty() {
             return Ok(());
         }
+        let sent = (self.send)(self.tx);
+        self.tx.clear();
+        sent.map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))
     }
 }
 
@@ -177,7 +104,7 @@ pub struct SimTransport {
     clock: Arc<SimClock>,
     client_ep: TcpEndpoint,
     server_ep: TcpEndpoint,
-    /// The guest socket's send buffer: at most one MSS ([`stage`]).
+    /// The guest socket's send buffer: at most one MSS ([`SendBuf`]).
     client_tx: Vec<u8>,
     /// Where the guest's writes stand in the record-marked request stream.
     client_marks: RecordMarks,
@@ -237,8 +164,8 @@ impl SimTransport {
             server_tx: Vec::with_capacity(server_ep.mss),
             client_ep,
             server_ep,
-            client_marks: RecordMarks::default(),
-            server_marks: RecordMarks::default(),
+            client_marks: RecordMarks::new(MAX_RECORD),
+            server_marks: RecordMarks::new(MAX_RECORD),
             record_buf: Vec::with_capacity(4096),
             records: VecDeque::new(),
             reply_enc: xdr::XdrEncoder::with_capacity(4096),
@@ -281,51 +208,56 @@ impl SimTransport {
     /// each time it fills and at the record's `end`. The server strips the
     /// marks off each segment's payload as it lands (the GPU node negotiates
     /// `MRG_RXBUF`: no posted buffer).
-    fn send_up(&mut self, bytes: &[u8], end: bool) -> Result<(), &'static str> {
-        let (mss, features) = (self.client_ep.mss, self.guest.features);
+    fn send_up(&mut self, bytes: &[u8], end: bool) -> io::Result<()> {
+        let (tx, mss, features) = (&mut self.client_tx, self.client_ep.mss, self.guest.features);
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
-        stage(&mut self.client_tx, mss, bytes, end, |tx| {
-            let up = carry(&mut self.client_ep, features, None, wire_mss, tx, |seg| {
-                let (marks, buf) = (&mut self.server_marks, &mut self.record_buf);
-                let records = &mut self.records;
-                let stripped = self
-                    .server_ep
-                    .receive_with(seg, |p| marks.strip(p, buf, records));
-                stripped.ok_or(REJECTED)?
-            });
-            self.stats.wire_segments += up?;
-            Ok(())
-        })
-    }
-
-    /// Record-mark the encoded reply into the server socket's send buffer at
-    /// `DEFAULT_MAX_FRAGMENT` boundaries and carry it down each time it fills
-    /// and at the record's end: it is reassembled behind whatever the client
-    /// has not read yet, and served from there by `read`. Returns the
-    /// reply's wire length.
-    fn send_down(&mut self) -> Result<usize, &'static str> {
-        let (mss, features) = (self.server_ep.mss, VirtioFeatures::linux_driver());
-        let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
-        let mut posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
-        let mut send = |tx: &[u8]| {
-            let (client, rx) = (&mut self.client_ep, posted.as_deref_mut());
-            let land = |seg: &Segment| client.receive(seg).then_some(()).ok_or(REJECTED);
-            self.stats.wire_segments +=
-                carry(&mut self.server_ep, features, rx, wire_mss, tx, land)?;
+        let (client, server, stats) = (&mut self.client_ep, &mut self.server_ep, &mut self.stats);
+        let (marks, records) = (&mut self.server_marks, &mut self.records);
+        let mut strip = |mut p: &[u8]| {
+            while !p.is_empty() {
+                let stripped = marks.strip(p, |b| self.record_buf.extend_from_slice(b));
+                let (used, end) = stripped.map_err(|_| OVERSIZED)?;
+                records.extend(end);
+                p = &p[used..];
+            }
             Ok(())
         };
-        let (body, tx) = (self.reply_enc.as_slice(), &mut self.server_tx);
-        let (mut off, mut wire) = (0, 0);
-        loop {
-            let len = (body.len() - off).min(DEFAULT_MAX_FRAGMENT);
-            let last = off + len == body.len();
-            let mark = len as u32 | if last { LAST_FRAGMENT } else { 0 };
-            stage(tx, mss, &mark.to_be_bytes(), false, &mut send)?;
-            stage(tx, mss, &body[off..off + len], last, &mut send)?;
-            (off, wire) = (off + len, wire + 4 + len);
-            if last {
-                return Ok(wire);
-            }
+        let send = |staged: &[u8]| {
+            let land = |seg: &Segment| server.receive_with(seg, &mut strip).ok_or(REJECTED)?;
+            stats.wire_segments += carry(client, features, None, wire_mss, staged, land)?;
+            Ok(())
+        };
+        let mut up = SendBuf { tx, mss, send };
+        up.write_all(bytes)?;
+        if end {
+            up.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Record-mark the encoded reply into the server socket's send buffer
+    /// (`write_record_sg` at `DEFAULT_MAX_FRAGMENT`) and carry it down each
+    /// time it fills and at the record's end: it is reassembled behind
+    /// whatever the client has not read yet, and served from there by
+    /// `read`. Returns the reply's wire length.
+    fn send_down(&mut self) -> io::Result<usize> {
+        let (tx, mss) = (&mut self.server_tx, self.server_ep.mss);
+        let features = VirtioFeatures::linux_driver();
+        let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
+        let before = self.client_ep.available();
+        let (client, server, stats) = (&mut self.client_ep, &mut self.server_ep, &mut self.stats);
+        let mut posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
+        let send = |staged: &[u8]| {
+            let land = |seg: &Segment| client.receive(seg).then_some(()).ok_or(REJECTED);
+            let rx = posted.as_deref_mut();
+            stats.wire_segments += carry(server, features, rx, wire_mss, staged, land)?;
+            Ok(())
+        };
+        let reply = [self.reply_enc.as_slice()];
+        match write_record_sg(&mut SendBuf { tx, mss, send }, &reply, DEFAULT_MAX_FRAGMENT) {
+            Ok(_) => Ok(self.client_ep.available() - before),
+            Err(RpcError::Io(why)) => Err(why),
+            Err(e) => Err(io::Error::other(e)),
         }
     }
 }
@@ -412,6 +344,9 @@ mod tests {
     use crate::{make_rpc_server, CricketServer, ServerConfig};
     use cricket_proto::CricketV1Client;
     use unikernel::GuestKind;
+
+    /// The top bit of a record mark, for building a hostile mark by hand.
+    const LAST_FRAGMENT: u32 = 1 << 31;
 
     fn sim_server() -> (Arc<RpcServer>, Arc<SimClock>) {
         let clock = SimClock::new();

@@ -6,15 +6,18 @@
 //! depend only on the seed and the operation counter — never on wall-clock
 //! time — so a failing schedule is named by its seed and replays exactly.
 //!
-//! The wrapper is *record-aware* in both directions: outgoing bytes are
-//! buffered until a complete record-marking record is present, and incoming
-//! replies are pulled from the inner transport one record at a time. Faults
+//! The wrapper is *record-aware* in both directions: outgoing writes are
+//! stripped of their record marks as they arrive ([`RecordMarks::strip`])
+//! until a request record is complete, and incoming replies are pulled from
+//! the inner transport one record at a time. Faults
 //! therefore hit whole RPC messages (drop, duplicate, truncate, corrupt,
 //! delay, reset) rather than arbitrary byte positions, which keeps the
 //! schedule independent of the caller's fragment size.
 
 use crate::error::RpcResult;
-use crate::record::{read_record, write_record, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
+use crate::record::{
+    mark, read_record, write_record, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD,
+};
 use crate::transport::Transport;
 use parking_lot::Mutex;
 use std::fmt;
@@ -359,40 +362,6 @@ impl FaultPlan {
     }
 }
 
-/// Reads from a byte slice — used to strip record framing from the
-/// buffered outgoing stream.
-struct SliceReader<'a>(&'a [u8]);
-
-impl Read for SliceReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.0.len().min(buf.len());
-        buf[..n].copy_from_slice(&self.0[..n]);
-        self.0 = &self.0[n..];
-        Ok(n)
-    }
-}
-
-/// Length of the complete record (framing included) at the head of `buf`,
-/// or `None` while fragments are still missing.
-fn complete_record_len(buf: &[u8]) -> Option<usize> {
-    let mut off = 0usize;
-    loop {
-        if buf.len() < off + 4 {
-            return None;
-        }
-        let header = u32::from_be_bytes(buf[off..off + 4].try_into().unwrap());
-        let len = (header & 0x7fff_ffff) as usize;
-        let last = header & 0x8000_0000 != 0;
-        off = off.checked_add(4 + len)?;
-        if buf.len() < off {
-            return None;
-        }
-        if last {
-            return Some(off);
-        }
-    }
-}
-
 fn reset_err() -> io::Error {
     io::Error::new(io::ErrorKind::ConnectionReset, "chaos: connection reset")
 }
@@ -406,8 +375,10 @@ fn reset_err() -> io::Error {
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     plan: Arc<Mutex<FaultPlan>>,
-    /// Outgoing bytes buffered until a full record is present.
-    out_buf: Vec<u8>,
+    /// Where the outgoing stream stands, and the payload of the request
+    /// record it is in.
+    out_marks: RecordMarks,
+    out_record: Vec<u8>,
     /// Faulted, re-framed reply bytes ready for the client to read.
     in_buf: Vec<u8>,
     in_off: usize,
@@ -423,7 +394,8 @@ impl FaultyTransport {
         Self {
             inner,
             plan,
-            out_buf: Vec::new(),
+            out_marks: RecordMarks::new(MAX_RECORD),
+            out_record: Vec::new(),
             in_buf: Vec::new(),
             in_off: 0,
             delayed: None,
@@ -436,11 +408,9 @@ impl FaultyTransport {
         Arc::clone(&self.plan)
     }
 
-    /// Apply the plan to one complete outgoing record (framing included).
-    fn forward_request(&mut self, record: &[u8]) -> io::Result<()> {
-        let mut payload = read_record(&mut SliceReader(record), MAX_RECORD)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "chaos: bad record"))?
-            .unwrap_or_default();
+    /// Apply the plan to the outgoing request record just completed.
+    fn forward_request(&mut self) -> io::Result<()> {
+        let mut payload = std::mem::take(&mut self.out_record);
         let ev = self.plan.lock().decide(Dir::Request, payload.len());
         match ev.fault {
             None => {
@@ -464,8 +434,7 @@ impl FaultyTransport {
                 // Promise the full record, deliver a prefix, then die: the
                 // server is left holding an incomplete record.
                 let keep = ev.detail as usize;
-                let header = (payload.len() as u32 | 0x8000_0000).to_be_bytes();
-                let _ = self.inner.write_all(&header);
+                let _ = self.inner.write_all(&mark(payload.len(), true));
                 let _ = self.inner.write_all(&payload[..keep]);
                 let _ = self.inner.flush();
                 self.broken = true;
@@ -540,13 +509,11 @@ impl FaultyTransport {
         }
         if truncated {
             // Header promising more than will ever arrive.
-            let promised = (payload.len() as u32 + 8) | 0x8000_0000;
-            self.in_buf.extend_from_slice(&promised.to_be_bytes());
+            self.in_buf
+                .extend_from_slice(&mark(payload.len() + 8, true));
             self.in_buf.extend_from_slice(payload);
         } else {
-            let mut framed = Vec::with_capacity(payload.len() + 4);
-            write_record(&mut framed, payload, DEFAULT_MAX_FRAGMENT).expect("vec write");
-            self.in_buf.extend_from_slice(&framed);
+            write_record(&mut self.in_buf, payload, DEFAULT_MAX_FRAGMENT).expect("vec write");
         }
     }
 }
@@ -577,10 +544,15 @@ impl Write for FaultyTransport {
         if self.broken {
             return Err(reset_err());
         }
-        self.out_buf.extend_from_slice(buf);
-        while let Some(len) = complete_record_len(&self.out_buf) {
-            let record: Vec<u8> = self.out_buf.drain(..len).collect();
-            self.forward_request(&record)?;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let record = &mut self.out_record;
+            let stripped = self.out_marks.strip(rest, |p| record.extend_from_slice(p));
+            let (used, end) = stripped.map_err(io::Error::other)?;
+            rest = &rest[used..];
+            if end.is_some() {
+                self.forward_request()?;
+            }
         }
         Ok(buf.len())
     }

@@ -6,7 +6,8 @@
 //!
 //! * **Fragmented record marking** ([`record`]): messages larger than one
 //!   fragment are split/reassembled transparently, which is what lets GPU
-//!   memory transfers of hundreds of MiB travel as RPC arguments.
+//!   memory transfers of hundreds of MiB travel as RPC arguments. Every
+//!   reader parses the marks with one [`record::RecordMarks`].
 //! * **No OS-specific dependencies**: everything is written against
 //!   `std::io::{Read, Write}` so the same code runs on Linux and inside the
 //!   (simulated) unikernels; libtirpc's Linux-isms were the paper's motivation
@@ -58,7 +59,7 @@ pub use portmap::{LoadReport, Mapping, PmapVersClient, Portmap, ShardEntry};
 pub use reactor::{
     serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig, ReactorSnapshot,
 };
-pub use record::{RecordAssembler, RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
+pub use record::{RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
 pub use server::{Dispatch, RpcServer, ServerHandle};
 pub use stripe::{NullTimer, StripePool, StripeTimer};

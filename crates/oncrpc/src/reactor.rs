@@ -10,7 +10,7 @@
 //! ```text
 //!   accept thread ──(new conns)──▶ reactor thread
 //!                                    │  poll readiness (shims/polling)
-//!                                    │  nonblocking reads → RecordAssembler
+//!                                    │  nonblocking reads → RecordMarks::strip
 //!                                    │  classify call: Done | Parked
 //!                            Done ───┤ execute inline, send_reply
 //!                          Parked ───┴─▶ submission ring, sharded by conn key
@@ -62,7 +62,7 @@
 
 use crate::auth::MAX_AUTH_BODY;
 use crate::error::{RpcError, RpcResult};
-use crate::record::{write_record_sg, RecordAssembler, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
+use crate::record::{write_record_sg, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::server::{RpcServer, ServerHandle};
 use parking_lot::Mutex;
 use polling::{Event, Poller};
@@ -208,7 +208,13 @@ struct ConnShared {
 struct Conn {
     stream: TcpStream,
     out: OutRef,
-    asm: RecordAssembler,
+    /// Where the request stream stands, and the record being assembled, its
+    /// marks stripped, in a buffer from the record pool.
+    marks: RecordMarks,
+    record: Vec<u8>,
+    /// Bytes read but not parsed: the rest of the read that spent the
+    /// in-flight budget. While any wait, the socket is not read.
+    unparsed: Vec<u8>,
     rpc: Arc<RpcServer>,
     on_close: Option<Box<dyn FnOnce() + Send>>,
     shared: Arc<ConnShared>,
@@ -219,6 +225,34 @@ struct Conn {
 }
 
 impl Conn {
+    /// A connection reading `stream`, its replies going out through a dup
+    /// of it.
+    fn new(stream: TcpStream, handler: ConnHandler) -> io::Result<Self> {
+        let out = Outbound {
+            stream: stream.try_clone()?,
+            queue: VecDeque::new(),
+            offset: 0,
+            queued_bytes: 0,
+            last_progress: Instant::now(),
+            dead: false,
+        };
+        Ok(Self {
+            stream,
+            out: Arc::new(Mutex::new(out)),
+            marks: RecordMarks::new(MAX_RECORD),
+            record: Vec::new(),
+            unparsed: Vec::new(),
+            rpc: handler.rpc,
+            on_close: handler.on_close,
+            shared: Arc::new(ConnShared {
+                pending: AtomicUsize::new(0),
+                attention: AtomicBool::new(false),
+            }),
+            stalled: false,
+            closing: false,
+        })
+    }
+
     /// Stop reading this connection for good: finalized by the sweep once
     /// `pending` drains, which a worker's `notify` drives — not a hot
     /// readiness loop over a socket nobody reads.
@@ -226,6 +260,63 @@ impl Conn {
         self.closing = true;
         self.shared.attention.store(true, Ordering::SeqCst);
         poller.suspend(key);
+    }
+
+    /// Strip the marks off `bytes` into `record` and dispatch each record as
+    /// it completes, while the in-flight budget lasts. Returns how many of
+    /// `bytes` it parsed: all of them unless the budget ran out first. Every
+    /// byte is parsed once, so reassembly is linear in the bytes received.
+    /// `Err` means close.
+    fn feed(
+        &mut self,
+        key: usize,
+        bytes: &[u8],
+        rings: &Rings<'_>,
+        enc: &mut XdrEncoder,
+    ) -> RpcResult<usize> {
+        let (budget, mut used) = (rings.cfg.max_session_queue, 0);
+        while used < bytes.len() && self.shared.pending.load(Ordering::Acquire) < budget {
+            let (marks, record) = (&mut self.marks, &mut self.record);
+            let (n, end) = marks.strip(&bytes[used..], |p| pooled_extend(record, p))?;
+            used += n;
+            if end.is_some() {
+                self.dispatch(key, rings, enc)?;
+            }
+        }
+        Ok(used)
+    }
+
+    /// Answer the record just assembled inline, from its buffer, or move
+    /// the buffer to the connection's worker shard.
+    fn dispatch(&mut self, key: usize, rings: &Rings<'_>, enc: &mut XdrEncoder) -> RpcResult<()> {
+        let class = match (&rings.cfg.classify, peek_call(&self.record)) {
+            (Some(f), Some((prog, vers, proc))) => f(prog, vers, proc),
+            _ => ProcClass::Parked,
+        };
+        if class == ProcClass::Done && self.shared.pending.load(Ordering::Acquire) == 0 {
+            // Inline fast path: nothing in flight for this connection,
+            // so replying from the reactor thread preserves order.
+            let handled = self.rpc.handle_record_into(&self.record, enc);
+            self.record.clear();
+            handled?;
+            // Counted before the reply can reach the peer: a client that
+            // has its answer finds the call in the stats.
+            rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
+            send_reply(&self.out, enc.as_slice(), rings.replies);
+        } else {
+            let record = std::mem::replace(&mut self.record, rings.record_pool.get());
+            self.shared.pending.fetch_add(1, Ordering::AcqRel);
+            let job = Job {
+                key,
+                rpc: Arc::clone(&self.rpc),
+                record,
+                shared: Arc::clone(&self.shared),
+                out: Arc::clone(&self.out),
+            };
+            rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
+            let _ = rings.worker_txs[key % rings.worker_txs.len()].send(job);
+        }
+        Ok(())
     }
 }
 
@@ -322,6 +413,18 @@ impl BufPool {
             free.push(buf);
         }
     }
+}
+
+/// Append `bytes` to a pooled buffer. Growth doubles, but stops at
+/// [`MAX_POOLED_BUF_BYTES`] while the contents fit under it, so a record
+/// within the pools' cap lands in a buffer they take back.
+fn pooled_extend(buf: &mut Vec<u8>, bytes: &[u8]) {
+    let want = buf.len() + bytes.len();
+    if want > buf.capacity() && want <= MAX_POOLED_BUF_BYTES {
+        let cap = (2 * buf.capacity()).clamp(want, MAX_POOLED_BUF_BYTES);
+        buf.reserve_exact(cap - buf.len());
+    }
+    buf.extend_from_slice(bytes);
 }
 
 /// Peek `(prog, vers, proc)` out of an un-decoded call record.
@@ -605,36 +708,12 @@ fn reactor_main(
         loop {
             match newconn_rx.try_recv() {
                 Ok((key, stream, handler)) => {
-                    if poller.register(&stream, key).is_err() {
-                        continue;
-                    }
-                    let Ok(write_half) = stream.try_clone() else {
-                        poller.deregister(key);
+                    let Ok(conn) = Conn::new(stream, handler) else {
                         continue;
                     };
-                    conns.insert(
-                        key,
-                        Conn {
-                            stream,
-                            out: Arc::new(Mutex::new(Outbound {
-                                stream: write_half,
-                                queue: VecDeque::new(),
-                                offset: 0,
-                                queued_bytes: 0,
-                                last_progress: Instant::now(),
-                                dead: false,
-                            })),
-                            asm: RecordAssembler::new(MAX_RECORD),
-                            rpc: handler.rpc,
-                            on_close: handler.on_close,
-                            shared: Arc::new(ConnShared {
-                                pending: AtomicUsize::new(0),
-                                attention: AtomicBool::new(false),
-                            }),
-                            stalled: false,
-                            closing: false,
-                        },
-                    );
+                    if poller.register(&conn.stream, key).is_ok() {
+                        conns.insert(key, conn);
+                    }
                 }
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => {
@@ -731,43 +810,18 @@ fn drain_conn(
     inline_enc: &mut XdrEncoder,
 ) {
     loop {
-        // Dispatch complete records until the in-flight budget is spent.
-        while conn.shared.pending.load(Ordering::Acquire) < rings.cfg.max_session_queue {
-            let rec = match conn.asm.next_record() {
-                Ok(Some(rec)) => rec,
-                Ok(None) => break,
-                Err(_) => return conn.close(key, rings.poller),
-            };
-            let class = match (&rings.cfg.classify, peek_call(rec)) {
-                (Some(f), Some((prog, vers, proc))) => f(prog, vers, proc),
-                _ => ProcClass::Parked,
-            };
-            if class == ProcClass::Done && conn.shared.pending.load(Ordering::Acquire) == 0 {
-                // Inline fast path: nothing in flight for this connection,
-                // so replying from the reactor thread preserves order.
-                if conn.rpc.handle_record_into(rec, inline_enc).is_err() {
-                    return conn.close(key, rings.poller);
-                }
-                // Counted before the reply can reach the peer: a client that
-                // has its answer finds the call in the stats.
-                rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
-                send_reply(&conn.out, inline_enc.as_slice(), rings.replies);
-            } else {
-                let mut buf = rings.record_pool.get();
-                buf.extend_from_slice(rec);
-                conn.shared.pending.fetch_add(1, Ordering::AcqRel);
-                let job = Job {
-                    key,
-                    rpc: Arc::clone(&conn.rpc),
-                    record: buf,
-                    shared: Arc::clone(&conn.shared),
-                    out: Arc::clone(&conn.out),
-                };
-                rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
-                let _ = rings.worker_txs[key % rings.worker_txs.len()].send(job);
-            }
-        }
-        if conn.shared.pending.load(Ordering::Acquire) >= rings.cfg.max_session_queue {
+        // What the budget left unparsed goes first, and no read follows while
+        // any of it waits, even if a worker has freed budget since: the
+        // sweep's re-check of `pending` resumes the connection.
+        let mut held = std::mem::take(&mut conn.unparsed);
+        let Ok(used) = conn.feed(key, &held, rings, inline_enc) else {
+            return conn.close(key, rings.poller);
+        };
+        held.drain(..used);
+        conn.unparsed = held;
+        if !conn.unparsed.is_empty()
+            || conn.shared.pending.load(Ordering::Acquire) >= rings.cfg.max_session_queue
+        {
             // Budget spent: stop reading this socket; the kernel buffer
             // fills and TCP flow control stalls the client.
             conn.stalled = true;
@@ -776,13 +830,17 @@ fn drain_conn(
             rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        match conn.stream.read(scratch) {
+        let n = match conn.stream.read(scratch) {
             Ok(0) => return conn.close(key, rings.poller),
-            Ok(n) => conn.asm.extend(&scratch[..n]),
+            Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return conn.close(key, rings.poller),
-        }
+        };
+        let Ok(used) = conn.feed(key, &scratch[..n], rings, inline_enc) else {
+            return conn.close(key, rings.poller);
+        };
+        conn.unparsed.extend_from_slice(&scratch[used..n]);
     }
 }
 
@@ -895,7 +953,7 @@ mod tests {
     use super::*;
     use crate::client::RpcClient;
     use crate::msg::{AcceptStat, CallBody, MessageBody, RpcMessage};
-    use crate::record::{read_record, write_record};
+    use crate::record::{mark, read_record, write_record};
     use crate::server::Dispatch;
     use crate::transport::TcpTransport;
     use std::sync::atomic::AtomicU64;
@@ -1238,6 +1296,51 @@ mod tests {
         handle.shutdown();
     }
 
+    /// Pipelined parked calls of mixed sizes against a two-call budget: the
+    /// worker keeps freeing the budget while the reactor holds the rest of
+    /// a read unparsed, and no later read may be parsed ahead of those
+    /// bytes. Every reply comes back, in order, with its own bytes.
+    #[test]
+    fn held_bytes_are_parsed_before_the_next_read() {
+        let cfg = ReactorConfig {
+            workers: 1,
+            max_session_queue: 2,
+            ..ReactorConfig::default()
+        };
+        let (handle, _closes) = start(cfg);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        // A misparsed stream can leave a call unanswered or announce a
+        // record longer than what follows: fail instead of waiting forever.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        const CALLS: u32 = 4000;
+        let body = |xid: u32| vec![xid as u8; (xid as usize * 37) % 301];
+        let mut wire = Vec::new();
+        for xid in 0..CALLS {
+            let mut enc = XdrEncoder::new();
+            RpcMessage::call(xid, CallBody::new(PROG, VERS, 1)).encode(&mut enc);
+            body(xid).encode(&mut enc);
+            write_record(&mut wire, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+        }
+        let mut send = stream.try_clone().unwrap();
+        let writer = std::thread::spawn(move || send.write_all(&wire));
+        for xid in 0..CALLS {
+            let rec = read_record(&mut stream, MAX_RECORD).unwrap().unwrap();
+            let mut dec = XdrDecoder::new(&rec);
+            assert_eq!(
+                RpcMessage::decode(&mut dec).unwrap().xid,
+                xid,
+                "reply order"
+            );
+            assert!(dec.get_opaque().unwrap() == body(xid), "echo bytes damaged");
+        }
+        writer.join().unwrap().unwrap();
+        assert!(handle.reactor_stats().stalls > 0);
+        drop(stream);
+        handle.shutdown();
+    }
+
     #[test]
     fn unknown_proc_still_replies_through_worker() {
         let (handle, _closes) = start(ReactorConfig::default());
@@ -1267,5 +1370,166 @@ mod tests {
             "shutdown must finalize live connections"
         );
         drop(clients);
+    }
+
+    /// The rings one connection's reads are dispatched through, with parked
+    /// calls landing on `jobs` instead of a worker shard: a test drives
+    /// `drain_conn` or `Conn::feed` itself and inspects what they hand on.
+    struct Rig {
+        cfg: ReactorConfig,
+        poller: Poller,
+        worker_tx: mpsc::Sender<Job>,
+        jobs: mpsc::Receiver<Job>,
+        replies: ReplyPath,
+        record_pool: BufPool,
+        stats: Arc<ReactorStats>,
+    }
+
+    const KEY: usize = 1;
+
+    impl Rig {
+        fn new(max_session_queue: usize) -> Self {
+            let stats = Arc::new(ReactorStats::default());
+            let (worker_tx, jobs) = mpsc::channel();
+            let replies = ReplyPath {
+                pool: BufPool::new(8, &stats),
+                writer_tx: mpsc::channel().0,
+                stats: Arc::clone(&stats),
+            };
+            Self {
+                cfg: ReactorConfig {
+                    max_session_queue,
+                    ..ReactorConfig::default()
+                },
+                poller: Poller::try_new().unwrap(),
+                worker_tx,
+                jobs,
+                replies,
+                record_pool: BufPool::new(8, &stats),
+                stats,
+            }
+        }
+
+        fn rings(&self) -> Rings<'_> {
+            Rings {
+                cfg: &self.cfg,
+                poller: &self.poller,
+                worker_txs: std::slice::from_ref(&self.worker_tx),
+                replies: &self.replies,
+                record_pool: &self.record_pool,
+                stats: &self.stats,
+            }
+        }
+
+        /// A registered connection, and the peer end of its socket.
+        fn conn(&self) -> (Conn, TcpStream) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let handler = ConnHandler {
+                rpc: Arc::new(RpcServer::new()),
+                on_close: None,
+            };
+            let conn = Conn::new(listener.accept().unwrap().0, handler).unwrap();
+            self.poller.register(&conn.stream, KEY).unwrap();
+            (conn, peer)
+        }
+    }
+
+    /// Reassembly parses each byte once: a record of 4 Mi one-byte
+    /// fragments fed 64 KiB at a time, as the reactor reads it, takes about
+    /// as long as the same bytes fed whole. A two-pass assembler that
+    /// re-walks every mark of the unfinished record on each read is
+    /// quadratic in the fragments: in a debug build it took 20.1 s fed in
+    /// reads against 0.41 s fed whole, all of it on the one reactor thread
+    /// that serves every connection. The two feeds are timed against each
+    /// other, not a clock, so a busy machine slows both sides.
+    #[test]
+    fn reassembly_is_linear_in_the_bytes_received() {
+        const FRAGMENTS: usize = 4 << 20;
+        let rig = Rig::new(64);
+        let (mut conn, _peer) = rig.conn();
+        let payload: Vec<u8> = (0..FRAGMENTS).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::with_capacity(5 * FRAGMENTS);
+        for (i, &byte) in payload.iter().enumerate() {
+            wire.extend_from_slice(&mark(1, i + 1 == FRAGMENTS));
+            wire.push(byte);
+        }
+        let mut enc = XdrEncoder::new();
+        let mut assemble = |read: usize| {
+            let start = Instant::now();
+            for chunk in wire.chunks(read) {
+                let used = conn.feed(KEY, chunk, &rig.rings(), &mut enc).unwrap();
+                assert_eq!(used, chunk.len());
+            }
+            let took = start.elapsed();
+            let job = rig.jobs.try_recv().expect("the record was parked");
+            assert!(job.record == payload, "record damaged");
+            took
+        };
+        // Best of two each, so one preemption does not decide it.
+        let whole = assemble(wire.len()).min(assemble(wire.len()));
+        let reads = assemble(64 << 10).min(assemble(64 << 10));
+        assert!(reads < 4 * whole, "{reads:?} in reads, {whole:?} whole");
+    }
+
+    /// A parked 16 MiB request is assembled in the connection's buffer and
+    /// that buffer itself moves to its `Job`. While the in-flight budget (one
+    /// call here) holds the calls behind it back, the bytes read but not
+    /// parsed never exceed one socket read, however much the peer sends.
+    #[test]
+    fn a_parked_record_moves_to_its_job_and_unparsed_bytes_stay_within_one_read() {
+        let rig = Rig::new(1);
+        let (mut conn, mut peer) = rig.conn();
+        let (mut scratch, mut enc) = (vec![0u8; 64 << 10], XdrEncoder::new());
+        let mut drain = |conn: &mut Conn| {
+            drain_conn(conn, KEY, &rig.rings(), &mut scratch, &mut enc);
+            assert!(conn.unparsed.len() <= 64 << 10, "{}", conn.unparsed.len());
+        };
+        let payload: Vec<u8> = (0..16u32 << 20).map(|i| (i % 253) as u8).collect();
+        // Every fragment but an empty last one, so the read that completes
+        // the record adds no payload to it.
+        let body = std::thread::spawn(move || {
+            for chunk in payload.chunks(DEFAULT_MAX_FRAGMENT) {
+                peer.write_all(&mark(chunk.len(), false)).unwrap();
+                peer.write_all(chunk).unwrap();
+            }
+            (peer, payload)
+        });
+        while conn.record.len() < 16 << 20 {
+            drain(&mut conn);
+        }
+        let (mut peer, payload) = body.join().unwrap();
+        let assembled = conn.record.as_ptr();
+        // Then 32 small calls and a 1 MiB one, all held back by the budget.
+        let mut rest = mark(0, true).to_vec();
+        for xid in 0..33u32 {
+            let mut enc = XdrEncoder::new();
+            RpcMessage::call(xid, CallBody::new(PROG, VERS, 1)).encode(&mut enc);
+            vec![7u8; if xid == 32 { 1 << 20 } else { 8 }].encode(&mut enc);
+            write_record(&mut rest, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+        }
+        let tail = std::thread::spawn(move || peer.write_all(&rest).map(|()| peer));
+        let job = loop {
+            drain(&mut conn);
+            if let Ok(job) = rig.jobs.try_recv() {
+                break job;
+            }
+        };
+        assert_eq!(job.record.as_ptr(), assembled, "the record was copied");
+        assert!(job.record == payload, "record damaged");
+        for xid in 0..33u32 {
+            assert!(conn.stalled && rig.jobs.try_recv().is_err(), "over budget");
+            // One completion releases the next call.
+            conn.shared.pending.fetch_sub(1, Ordering::SeqCst);
+            conn.stalled = false;
+            let job = loop {
+                drain(&mut conn);
+                if let Ok(job) = rig.jobs.try_recv() {
+                    break job;
+                }
+            };
+            assert_eq!(job.record[..4], xid.to_be_bytes());
+        }
+        tail.join().unwrap().unwrap();
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::error::{RpcError, RpcResult};
 use std::io::{self, IoSlice, Read, Write};
+use std::mem;
 use xdr::{FixedBuf, XdrSink};
 
 /// Default maximum bytes of payload per fragment when writing.
@@ -23,8 +24,104 @@ pub const DEFAULT_MAX_FRAGMENT: usize = 1 << 20;
 /// or corrupt headers.
 pub const MAX_RECORD: usize = 1 << 30;
 
+/// The top bit of a record mark: the fragment is its record's last.
 const LAST_FRAGMENT: u32 = 0x8000_0000;
 const LENGTH_MASK: u32 = 0x7fff_ffff;
+
+/// The mark of a fragment of `len` payload bytes, the last of its record
+/// when `last`: the one place mark bytes are built.
+pub(crate) fn mark(len: usize, last: bool) -> [u8; 4] {
+    ((len as u32 & LENGTH_MASK) | if last { LAST_FRAGMENT } else { 0 }).to_be_bytes()
+}
+
+/// Where a record-marked byte stream stands: in a fragment's mark or in its
+/// payload, and how far into its record. The one parser of the format:
+/// [`read_record_into`] passes each mark through it, and the nonblocking
+/// readers feed it whatever bytes have arrived, however they are split. It
+/// only classifies bytes that have arrived, and refuses a mark that would
+/// take its record past `max_record` as that mark completes, before
+/// anything could be sized from it.
+#[derive(Debug)]
+pub struct RecordMarks {
+    /// The current fragment's mark; `have` of its bytes are in.
+    header: [u8; 4],
+    have: usize,
+    /// Payload bytes still to come in the current fragment.
+    left: usize,
+    /// Payload and wire bytes of the record so far.
+    payload: usize,
+    wire: usize,
+    max_record: usize,
+}
+
+impl RecordMarks {
+    /// A parser at the start of a stream, refusing records past
+    /// `max_record` payload bytes.
+    pub fn new(max_record: usize) -> Self {
+        Self {
+            header: [0; 4],
+            have: 0,
+            left: 0,
+            payload: 0,
+            wire: 0,
+            max_record,
+        }
+    }
+
+    /// Consume the longest run at the head of `input` that is all mark or
+    /// all payload and does not cross the record's end. Returns its length
+    /// and, if the record ends with it, the record's payload and wire
+    /// lengths.
+    pub fn next(&mut self, input: &[u8]) -> RpcResult<(usize, Option<(usize, usize)>)> {
+        let len;
+        if self.left > 0 {
+            len = input.len().min(self.left);
+            (self.left, self.payload) = (self.left - len, self.payload + len);
+        } else {
+            len = input.len().min(4 - self.have);
+            self.header[self.have..self.have + len].copy_from_slice(&input[..len]);
+            self.have += len;
+            if self.have == 4 {
+                self.left = (u32::from_be_bytes(self.header) & LENGTH_MASK) as usize;
+                let (size, max) = (self.payload + self.left, self.max_record);
+                if size > max {
+                    return Err(RpcError::RecordTooLarge { size, max });
+                }
+            }
+        }
+        self.wire += len;
+        if self.have < 4 || self.left > 0 {
+            return Ok((len, None));
+        }
+        self.have = 0;
+        let last = u32::from_be_bytes(self.header) & LAST_FRAGMENT != 0;
+        let end = last.then(|| (mem::take(&mut self.payload), mem::take(&mut self.wire)));
+        Ok((len, end))
+    }
+
+    /// Strip the marks off `input` up to the end of the next record, handing
+    /// each payload run to `sink`. Returns the bytes consumed and, if a
+    /// record ended, its payload and wire lengths: call again with the rest.
+    pub fn strip(
+        &mut self,
+        input: &[u8],
+        mut sink: impl FnMut(&[u8]),
+    ) -> RpcResult<(usize, Option<(usize, usize)>)> {
+        let mut used = 0;
+        while used < input.len() {
+            let payload = self.left > 0;
+            let (len, end) = self.next(&input[used..])?;
+            if payload {
+                sink(&input[used..used + len]);
+            }
+            used += len;
+            if end.is_some() {
+                return Ok((used, end));
+            }
+        }
+        Ok((used, None))
+    }
+}
 
 /// Split `payload` into record-marked fragments and write them to `w`.
 ///
@@ -63,8 +160,7 @@ pub fn write_record_sg<W: Write + ?Sized>(
         let remaining = total - offset;
         let frag_len = remaining.min(max_fragment);
         let last = frag_len == remaining;
-        let header = (frag_len as u32 & LENGTH_MASK) | if last { LAST_FRAGMENT } else { 0 };
-        let header_bytes = header.to_be_bytes();
+        let header_bytes = mark(frag_len, last);
         let mut iov: [IoSlice<'_>; BATCH] = [IoSlice::new(&[]); BATCH];
         iov[0] = IoSlice::new(&header_bytes);
         let mut n = 1;
@@ -111,12 +207,7 @@ fn write_all_vectored<W: Write + ?Sized>(w: &mut W, mut bufs: &mut [IoSlice<'_>]
     IoSlice::advance_slices(&mut bufs, 0);
     while !bufs.is_empty() {
         match w.write_vectored(bufs) {
-            Ok(0) => {
-                return Err(RpcError::Io(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write whole record",
-                )))
-            }
+            Ok(0) => return Err(RpcError::Io(io::ErrorKind::WriteZero.into())),
             Ok(n) => IoSlice::advance_slices(&mut bufs, n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
@@ -196,177 +287,54 @@ impl<const N: usize> RecordBuf for FixedBuf<[u8; N]> {
 /// stream closed cleanly before the first header byte.
 ///
 /// Unlike building a fresh `Vec` per record, a pooled buffer in steady state
-/// costs no allocation and no zero-fill. Records beyond `max_record` or the
-/// buffer's own limit are refused at the offending fragment header, before
-/// any of that fragment is read.
+/// costs no allocation and no zero-fill. Each mark passes through
+/// [`RecordMarks`], so records beyond `max_record` or the buffer's own limit
+/// are refused at the offending mark, before any of that fragment is read;
+/// payload is read straight into `record`.
 pub fn read_record_into<R: Read + ?Sized, B: RecordBuf>(
     r: &mut R,
     record: &mut B,
     max_record: usize,
 ) -> RpcResult<Option<usize>> {
     record.truncate(0);
-    let max_record = max_record.min(record.limit());
-    let mut first = true;
+    let mut marks = RecordMarks::new(max_record.min(record.limit()));
     loop {
         let mut header = [0u8; 4];
-        if first {
-            // Distinguish clean EOF from a mid-record cut.
-            match read_exact_or_eof(r, &mut header)? {
-                ReadOutcome::Eof => return Ok(None),
-                ReadOutcome::Filled => {}
+        if !read_exact_or_eof(r, &mut header)? {
+            // A clean EOF is one before the record's first byte.
+            return match marks.wire {
+                0 => Ok(None),
+                _ => Err(RpcError::ConnectionClosed),
+            };
+        }
+        let (_, mut end) = marks.next(&header)?;
+        let (start, left) = (record.len(), marks.left);
+        if left > 0 {
+            if record.fill_from(r, left)? < left {
+                return Err(RpcError::ConnectionClosed);
             }
-        } else {
-            r.read_exact(&mut header).map_err(RpcError::from)?;
+            end = marks.next(&record.as_slice()[start..])?.1;
         }
-        first = false;
-        let word = u32::from_be_bytes(header);
-        let last = word & LAST_FRAGMENT != 0;
-        let len = (word & LENGTH_MASK) as usize;
-        if record.len() + len > max_record {
-            return Err(RpcError::RecordTooLarge {
-                size: record.len() + len,
-                max: max_record,
-            });
-        }
-        if record.fill_from(r, len)? < len {
-            return Err(RpcError::ConnectionClosed);
-        }
-        if last {
-            return Ok(Some(record.len()));
+        if let Some((len, _)) = end {
+            return Ok(Some(len));
         }
     }
 }
 
-enum ReadOutcome {
-    Filled,
-    Eof,
-}
-
-/// `read_exact`, but a clean EOF before the first byte yields `Eof` instead
-/// of an error.
-fn read_exact_or_eof<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> RpcResult<ReadOutcome> {
+/// `read_exact`, but returns `false` on a clean EOF before the first byte
+/// instead of an error.
+fn read_exact_or_eof<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> RpcResult<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(ReadOutcome::Eof);
-                }
-                return Err(RpcError::ConnectionClosed);
-            }
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => return Err(RpcError::ConnectionClosed),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(ReadOutcome::Filled)
-}
-
-/// Incremental, pull-based record reassembly for nonblocking reads.
-///
-/// The blocking readers above own their stream and can park inside `read`;
-/// an event-driven server cannot — it receives whatever bytes the socket
-/// had and must resume mid-header or mid-fragment on the next readiness
-/// event. `RecordAssembler` decouples byte arrival from record extraction:
-/// feed raw bytes with [`RecordAssembler::extend`], then drain complete
-/// records with [`RecordAssembler::next_record`] — which the caller may
-/// stop calling at any point (backpressure) without losing stream state.
-///
-/// Steady state allocates nothing: the raw buffer and the assembled-record
-/// buffer are both reused, and the raw buffer is compacted only when the
-/// consumed prefix dominates.
-#[derive(Debug)]
-pub struct RecordAssembler {
-    /// Raw unparsed stream bytes; `off` is the consumed prefix.
-    buf: Vec<u8>,
-    off: usize,
-    /// The assembled record handed out by the last `next_record`.
-    record: Vec<u8>,
-    max_record: usize,
-}
-
-impl Default for RecordAssembler {
-    fn default() -> Self {
-        Self::new(MAX_RECORD)
-    }
-}
-
-impl RecordAssembler {
-    /// Create an assembler that rejects records larger than `max_record`.
-    pub fn new(max_record: usize) -> Self {
-        Self {
-            buf: Vec::new(),
-            off: 0,
-            record: Vec::new(),
-            max_record,
-        }
-    }
-
-    /// Append raw bytes received from the stream.
-    pub fn extend(&mut self, data: &[u8]) {
-        // Compact before growing: once more than half the buffer is dead
-        // prefix, slide the live tail down instead of reallocating past it.
-        if self.off > 0 && self.off * 2 >= self.buf.len() {
-            self.buf.drain(..self.off);
-            self.off = 0;
-        }
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Bytes buffered but not yet returned as part of a complete record.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.off
-    }
-
-    /// Extract the next complete record, if the buffer holds one.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed; the partial state is
-    /// kept. The returned slice is valid until the next call.
-    pub fn next_record(&mut self) -> RpcResult<Option<&[u8]>> {
-        let avail = &self.buf[self.off..];
-        let mut pos = 0usize;
-        let mut total = 0usize;
-        // First pass: walk the fragment headers to see whether the whole
-        // record has arrived (records are small on the hot path, and the
-        // walk touches only headers — 4 bytes per fragment).
-        loop {
-            if avail.len() < pos + 4 {
-                return Ok(None);
-            }
-            let word = u32::from_be_bytes(avail[pos..pos + 4].try_into().unwrap());
-            let len = (word & LENGTH_MASK) as usize;
-            total += len;
-            if total > self.max_record {
-                return Err(RpcError::RecordTooLarge {
-                    size: total,
-                    max: self.max_record,
-                });
-            }
-            if avail.len() < pos + 4 + len {
-                return Ok(None);
-            }
-            pos += 4 + len;
-            if word & LAST_FRAGMENT != 0 {
-                break;
-            }
-        }
-        // Second pass: gather the fragment payloads contiguously.
-        self.record.clear();
-        self.record.reserve(total);
-        let mut at = 0usize;
-        loop {
-            let word = u32::from_be_bytes(avail[at..at + 4].try_into().unwrap());
-            let len = (word & LENGTH_MASK) as usize;
-            self.record.extend_from_slice(&avail[at + 4..at + 4 + len]);
-            at += 4 + len;
-            if word & LAST_FRAGMENT != 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(at, pos);
-        self.off += pos;
-        Ok(Some(&self.record))
-    }
+    Ok(true)
 }
 
 /// Buffered record writer bound to a `Write` stream.
@@ -401,59 +369,25 @@ impl<W: Write> RecordWriter<W> {
         self.fragments_written += frags;
         Ok(())
     }
-
-    /// Write one record from a gather list without flattening it first.
-    pub fn write_record_sg(&mut self, segs: &[&[u8]]) -> RpcResult<()> {
-        let frags = write_record_sg(&mut self.inner, segs, self.max_fragment)?;
-        self.fragments_written += frags;
-        Ok(())
-    }
-
-    /// Access the underlying stream.
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.inner
-    }
 }
 
-/// Buffered record reader bound to a `Read` stream, owning a pooled
-/// reassembly buffer reused across records.
+/// Record reader bound to a `Read` stream.
 #[derive(Debug)]
 pub struct RecordReader<R: Read> {
     inner: R,
-    max_record: usize,
-    buf: Vec<u8>,
 }
 
 impl<R: Read> RecordReader<R> {
-    /// Wrap `inner` with the default record size cap.
+    /// Wrap `inner`; records are capped at [`MAX_RECORD`].
     pub fn new(inner: R) -> Self {
-        Self::with_max_record(inner, MAX_RECORD)
-    }
-
-    /// Wrap `inner` with a custom record size cap.
-    pub fn with_max_record(inner: R, max_record: usize) -> Self {
-        Self {
-            inner,
-            max_record,
-            buf: Vec::new(),
-        }
+        Self { inner }
     }
 
     /// Read the next record into a fresh `Vec`; `None` on clean
-    /// end-of-stream. Allocates per record — prefer
-    /// [`RecordReader::read_record_pooled`] on hot paths.
+    /// end-of-stream. Allocates per record — hot paths reuse a buffer
+    /// through [`read_record_into`].
     pub fn read_record(&mut self) -> RpcResult<Option<Vec<u8>>> {
-        read_record(&mut self.inner, self.max_record)
-    }
-
-    /// Read the next record into the pooled buffer and borrow it. In steady
-    /// state (record sizes repeat or shrink) this performs no allocation.
-    /// The returned slice is valid until the next read.
-    pub fn read_record_pooled(&mut self) -> RpcResult<Option<&[u8]>> {
-        match read_record_into(&mut self.inner, &mut self.buf, self.max_record)? {
-            Some(n) => Ok(Some(&self.buf[..n])),
-            None => Ok(None),
-        }
+        read_record(&mut self.inner, MAX_RECORD)
     }
 }
 
@@ -575,78 +509,103 @@ mod tests {
         assert!(read_record(&mut cursor, MAX_RECORD).unwrap().is_none());
     }
 
+    /// Records as `strip_all` returns them: payload, (payload, wire) lengths.
+    type Stripped = Vec<(Vec<u8>, (usize, usize))>;
+
+    /// Strip `wire` through `marks`, assembling payload in `open`; returns
+    /// each record that completes with its (payload, wire) lengths.
+    fn strip_all(
+        marks: &mut RecordMarks,
+        mut wire: &[u8],
+        open: &mut Vec<u8>,
+    ) -> RpcResult<Stripped> {
+        let mut out = Vec::new();
+        while !wire.is_empty() {
+            let (used, end) = marks.strip(wire, |p| open.extend_from_slice(p))?;
+            wire = &wire[used..];
+            if let Some(lens) = end {
+                out.push((open.clone(), lens));
+                open.clear();
+            }
+        }
+        Ok(out)
+    }
+
     #[test]
-    fn assembler_single_and_multi_fragment() {
+    fn marks_single_and_multi_fragment() {
         let mut wire = Vec::new();
         write_record(&mut wire, b"hello", 1024).unwrap();
         write_record(&mut wire, &[9u8; 350], 100).unwrap(); // 4 fragments
-        let mut asm = RecordAssembler::default();
-        asm.extend(&wire);
-        assert_eq!(asm.next_record().unwrap().unwrap(), b"hello");
-        assert_eq!(asm.next_record().unwrap().unwrap(), &[9u8; 350][..]);
-        assert!(asm.next_record().unwrap().is_none());
-        assert_eq!(asm.pending_bytes(), 0);
+        let mut marks = RecordMarks::new(MAX_RECORD);
+        let got = strip_all(&mut marks, &wire, &mut Vec::new()).unwrap();
+        let want = [
+            (b"hello".to_vec(), (5, 9)),
+            (vec![9u8; 350], (350, 350 + 4 * 4)),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn assembler_survives_byte_at_a_time_arrival() {
+    fn marks_survive_byte_at_a_time_arrival() {
         let payload: Vec<u8> = (0..1000u32).map(|i| (i % 253) as u8).collect();
         let mut wire = Vec::new();
         write_record(&mut wire, &payload, 64).unwrap();
-        let mut asm = RecordAssembler::default();
-        let mut out = None;
+        let (mut marks, mut open) = (RecordMarks::new(MAX_RECORD), Vec::new());
         for (i, b) in wire.iter().enumerate() {
-            asm.extend(std::slice::from_ref(b));
-            match asm.next_record().unwrap() {
-                Some(rec) => {
-                    assert_eq!(i, wire.len() - 1, "record completed early");
-                    out = Some(rec.to_vec());
-                }
-                None => assert!(i < wire.len() - 1, "record never completed"),
+            let got = strip_all(&mut marks, std::slice::from_ref(b), &mut open).unwrap();
+            if i < wire.len() - 1 {
+                assert!(got.is_empty(), "record completed early");
+            } else {
+                assert_eq!(got, [(payload.clone(), (1000, wire.len()))]);
             }
         }
-        assert_eq!(out.unwrap(), payload);
     }
 
     #[test]
-    fn assembler_interleaves_partial_records_and_reuses_buffers() {
-        let mut asm = RecordAssembler::default();
+    fn marks_interleave_partial_records_and_reuse_the_buffer() {
+        let (mut marks, mut open) = (RecordMarks::new(MAX_RECORD), Vec::new());
+        let mut capacity = None;
         for round in 0..50u8 {
             let payload = vec![round; 700];
             let mut wire = Vec::new();
             write_record(&mut wire, &payload, 256).unwrap();
             let (a, b) = wire.split_at(wire.len() / 2);
-            asm.extend(a);
-            assert!(asm.next_record().unwrap().is_none());
-            asm.extend(b);
-            assert_eq!(asm.next_record().unwrap().unwrap(), &payload[..]);
+            assert!(strip_all(&mut marks, a, &mut open).unwrap().is_empty());
+            let got = strip_all(&mut marks, b, &mut open).unwrap();
+            assert_eq!(got, [(payload, (700, 700 + 3 * 4))]);
+            // The assembling buffer is reused, not grown with the rounds.
+            assert_eq!(*capacity.get_or_insert(open.capacity()), open.capacity());
         }
-        // Compaction keeps the raw buffer from growing with round count.
+    }
+
+    #[test]
+    fn marks_refuse_oversized_records_at_the_mark() {
+        let mut wire = Vec::new();
+        write_record(&mut wire, &[1u8; 1000], 100).unwrap();
+        let mut marks = RecordMarks::new(500);
+        // Five fragments fit; the sixth mark is refused as it completes.
+        let (fits, rest) = wire.split_at(5 * 104 + 3);
+        assert!(strip_all(&mut marks, fits, &mut Vec::new()).is_ok());
+        let refused = strip_all(&mut marks, rest, &mut Vec::new());
         assert!(
-            asm.buf.capacity() < 16 * 1024,
-            "raw buffer grew unboundedly"
+            matches!(
+                refused,
+                Err(RpcError::RecordTooLarge {
+                    size: 600,
+                    max: 500
+                })
+            ),
+            "{refused:?}"
         );
     }
 
     #[test]
-    fn assembler_rejects_oversized_records() {
-        let mut wire = Vec::new();
-        write_record(&mut wire, &[1u8; 1000], 100).unwrap();
-        let mut asm = RecordAssembler::new(500);
-        asm.extend(&wire);
-        assert!(matches!(
-            asm.next_record(),
-            Err(RpcError::RecordTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn assembler_empty_record() {
+    fn marks_empty_record() {
         let mut wire = Vec::new();
         write_record(&mut wire, &[], 1024).unwrap();
-        let mut asm = RecordAssembler::default();
-        asm.extend(&wire);
-        assert_eq!(asm.next_record().unwrap().unwrap(), b"");
+        let mut marks = RecordMarks::new(MAX_RECORD);
+        let got = strip_all(&mut marks, &wire, &mut Vec::new()).unwrap();
+        assert_eq!(got, [(Vec::new(), (0, 4))]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! contrasts against the `onc_rpc` crate (which "lacks support for
 //! fragmented messages").
 
-use oncrpc::record::{read_record, write_record, write_record_sg, MAX_RECORD};
+use oncrpc::record::{read_record, write_record, write_record_sg, RecordMarks, MAX_RECORD};
+use oncrpc::RpcError;
 use proptest::prelude::*;
 use std::io::{self, Write};
 
@@ -40,6 +41,45 @@ fn split_segments<'a>(payload: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
     }
     segs.push(&payload[prev..]);
     segs
+}
+
+/// Each record of a stream as (payload, (payload length, wire length)), and
+/// the `RecordTooLarge` (size, max) that stopped the stream, if one did.
+type Parsed = (Vec<(Vec<u8>, (usize, usize))>, Option<(usize, usize)>);
+
+/// The stream as `read_record` returns it.
+fn read_all(wire: &[u8], max_record: usize) -> Parsed {
+    let mut cursor = std::io::Cursor::new(wire);
+    let mut records = Vec::new();
+    loop {
+        let at = cursor.position() as usize;
+        match read_record(&mut cursor, max_record) {
+            Ok(Some(p)) => records.push((p.clone(), (p.len(), cursor.position() as usize - at))),
+            Ok(None) => return (records, None),
+            Err(RpcError::RecordTooLarge { size, max }) => return (records, Some((size, max))),
+            Err(e) => panic!("{e}"),
+        }
+    }
+}
+
+/// The stream as `RecordMarks::strip` yields it, fed in the pieces `cuts`
+/// makes of `wire`.
+fn strip_all(wire: &[u8], cuts: &[usize], max_record: usize) -> Parsed {
+    let mut marks = RecordMarks::new(max_record);
+    let (mut records, mut open) = (Vec::new(), Vec::new());
+    for mut piece in split_segments(wire, cuts) {
+        while !piece.is_empty() {
+            match marks.strip(piece, |p| open.extend_from_slice(p)) {
+                Ok((used, end)) => {
+                    piece = &piece[used..];
+                    records.extend(end.map(|lens| (std::mem::take(&mut open), lens)));
+                }
+                Err(RpcError::RecordTooLarge { size, max }) => return (records, Some((size, max))),
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+    (records, None)
 }
 
 /// A writer that accepts at most `max` bytes per `write` call, forcing the
@@ -157,5 +197,28 @@ proptest! {
     fn garbage_headers_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..4_096)) {
         let mut cursor = std::io::Cursor::new(&bytes);
         let _ = read_record(&mut cursor, 1 << 20);
+    }
+
+    /// One parser, any arrival split: however the wire is cut, `strip`
+    /// yields exactly the payloads and (payload, wire) lengths that
+    /// `read_record` returns, and refuses an oversized record at the same
+    /// mark, with the same size.
+    #[test]
+    fn strip_matches_read_record_for_any_cut_of_the_wire(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..3_000), 1..6),
+        max_fragment in 1usize..1_000,
+        cuts in proptest::collection::vec(any::<usize>(), 0..12),
+        max_record in 0usize..4_000,
+    ) {
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_record(&mut wire, p, max_fragment).unwrap();
+        }
+        prop_assert_eq!(strip_all(&wire, &cuts, max_record), read_all(&wire, max_record));
+        let (whole, refused) = strip_all(&wire, &cuts, MAX_RECORD);
+        prop_assert_eq!(refused, None);
+        prop_assert!(whole.iter().map(|(p, _)| p).eq(&payloads));
+        prop_assert_eq!(whole.iter().map(|(_, (_, w))| w).sum::<usize>(), wire.len());
     }
 }

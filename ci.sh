@@ -20,12 +20,15 @@ export CARGO_NET_OFFLINE=true
 # `RecordMarks` is the one parser and `record::mark` the one encoder. Then
 # workspace-wide — every crate and shim, their build scripts and the `.x`
 # specs — so code moved out of the five crates still shows. Last, the
-# readiness shim on its own, failing above the 217 lines its epoll poller
-# took: there is one mechanism (CI builds Linux only), and a scan fallback
-# or second poller would show here. Likewise the simulated guest data path,
-# `cricket-server/src/transport.rs` and `unikernel/src/tcp.rs`, failing
-# above the lines its streaming socket buffers took: a second staging path
-# beside them would show here. `./ci.sh size` runs this step alone (the
+# readiness shim on its own, failing above the 227 lines its epoll poller
+# with a write arm took: there is one mechanism (CI builds Linux only), and
+# a scan fallback or second poller would show here. Likewise the simulated
+# guest data path, `cricket-server/src/transport.rs` and
+# `unikernel/src/tcp.rs`, failing above the lines its streaming socket
+# buffers took: a second staging path beside them would show here. And
+# `oncrpc/src/reactor.rs`, failing above the lines it took once the
+# reactor flushed its own backlogs: a writer thread or a second event loop
+# beside it would show here. `./ci.sh size` runs this step alone (the
 # workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
@@ -63,9 +66,10 @@ size() {
             !in_tests { total++ }
             END { printf "workspace non-test lines (crates, shims, build.rs, .x): %d\n", total }'
     awk '/#\[cfg\(test\)\]/ { exit } { n++ }
-        END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 217)\n", n; exit n > 217 }' \
+        END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 227)\n", n; exit n > 227 }' \
         shims/polling/src/lib.rs
-    for limit in crates/cricket-server/src/transport.rs:340 crates/unikernel/src/tcp.rs:261; do
+    for limit in crates/cricket-server/src/transport.rs:340 crates/unikernel/src/tcp.rs:261 \
+        crates/oncrpc/src/reactor.rs:931; do
         awk -v limit="${limit##*:}" '/#\[cfg\(test\)\]/ { exit } { n++ }
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
             "${limit%:*}"
@@ -152,8 +156,15 @@ cargo test -q
 #                          two connections on one worker, one over quota) and reactor (stalls / writer_kills /
 #                          queued_replies asserted on the test's own handle; pools_recycle_the_buffers_of_64_kib_calls:
 #                          warm 64 KiB echo calls allocate no pool buffer; four_thousand_idle_connections_and_one_busy_one:
-#                          1000 calls answered beside 4000 idle connections, none via the backlog writer,
-#                          every on_close once; write_through_never_overtakes_a_backlog: calls made between
+#                          1000 calls answered beside 4000 idle connections, at least the 500 echoes parked, none
+#                          through a backlog, every on_close once; a_half_closed_peer_still_gets_its_backlog: an
+#                          8 MiB echo backlog flushed whole after the peer's shutdown(Write), then EOF;
+#                          shutdown_flushes_a_pending_backlog: shutdown waits on an unread backlog, the peer then
+#                          reads it whole; the_stall_deadline_alone_kills_a_silent_peer: a 200 ms stall deadline
+#                          kills once, never before it has passed since the call was sent;
+#                          a_flooding_connection_does_not_hold_the_reactor: beside a 20 MiB flood of one-byte
+#                          fragments an inline caller's worst call is < 1/4 of the flood (reads capped per
+#                          event); write_through_never_overtakes_a_backlog: calls made between
 #                          partial reads of an 8 MiB backlog reply after it, xids in order, bytes intact;
 #                          reassembly_is_linear_in_the_bytes_received: 4 Mi one-byte fragments fed 64 KiB at a
 #                          time take < 4x the time fed whole (about 1x; the old two-pass walk took 49x);
@@ -163,7 +174,8 @@ cargo test -q
 #                          against a two-call budget, every reply in xid order with its own bytes),
 # polling shim (epoll: unread_data_is_reported_again, deregister_holds_while_a_dup_keeps_the_socket_open,
 #                          one_written_source_among_1024_idle_is_the_only_event, notify_before_wait_is_not_lost,
-#                          suspended_hangup_is_reported_at_most_once),
+#                          suspended_hangup_is_reported_at_most_once,
+#                          write_interest_reports_a_writable_socket_until_cleared: reported while suspended too),
 # cricket-client raw (D2H length check, memcpy_dtoh_into; the TransferPlan table at every boundary; every route
 #                          lands the same bytes and counts the same transfer; a failed copy moves no counter).
 echo "==> cargo test --workspace -q"
@@ -179,14 +191,13 @@ cargo run --release --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo
 echo "==> bench smoke: smallop (self-asserts >=4x RPC reduction, <5% single-op regression)"
 cargo run --release -p cricket-bench --bin smallop -- --launches 1024 --single-iters 128
 
-# The throughput ratio against Serial stays printed, not gated. Replies are
-# written by the thread that produced them, and six full runs on a 2-core
-# box read 0.91-1.13x (median 0.98x); the Serial baseline alone spans
-# 87-105k ops/s across them. Per call the reactor still pays a readiness
-# wake of its one poller thread (and a worker hand-off for parked calls)
-# that a blocking Serial thread does not, so a gate at 1.0x would fail in
-# about half the runs on baseline noise, not on a defect.
-echo "==> bench smoke: connscale (reactor >=5x sessions vs serial, all progress; wall-clock ratio printed, not gated)"
+# With the backlog thread gone the reactor's thread budget buys one more
+# worker shard, and six full runs on a 2-core box read 0.92-1.17x Serial
+# (median 1.07x). One smoke run still swings 0.59-1.60x, so --smoke
+# alternates three pairs and gates the ratio of their medians at 0.5x
+# (it reads 0.63-0.88x): a tripwire for a reactor that lost half its
+# throughput, not a parity claim.
+echo "==> bench smoke: connscale (reactor >=5x sessions vs serial, all progress, ratio of medians >=0.5x)"
 cargo run --release -p cricket-bench --bin connscale -- --smoke
 
 echo "==> bench smoke: fleet (sharded aggregate throughput scaling, reduced size)"

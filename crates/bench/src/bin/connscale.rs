@@ -11,24 +11,30 @@
 //!
 //! The baseline is [`ServeMode::Serial`]: one blocking thread per
 //! connection (libtirpc-style), so `budget` sessions cost `budget + 1`
-//! server threads. The reactor serves *every* session from `workers + 3`
-//! threads (poller, writer, accept, worker shards), chosen so its whole
-//! thread budget fits inside the baseline's. Self-asserted (structural):
+//! server threads. The reactor serves *every* session from `workers + 2`
+//! threads (poller, accept, worker shards), chosen so its whole thread
+//! budget fits inside the baseline's. Self-asserted (structural):
 //! **≥ 5× more concurrent sessions**, every session makes progress, and
 //! the `Done`/`Parked` classification is engaged. The aggregate-throughput
-//! ratio is printed and recorded, not gated. It is wall clock on a shared
-//! box and sits around 1.0×: per call the reactor still pays a readiness
-//! wake of its one poller thread, which runs every inline call of every
-//! session in turn, and a parked call adds a channel hand-off to a worker,
-//! where a blocking `Serial` thread wakes straight into dispatch. The
-//! ratio swings with the `Serial` baseline from run to run
-//! (EXPERIMENTS.md "Connection scaling").
+//! ratio is wall clock on a shared box and sits around 1.0× in a full run:
+//! per call the reactor still pays a readiness wake of its one poller
+//! thread, which runs every inline call of every session in turn, and a
+//! parked call adds a channel hand-off to a worker, where a blocking
+//! `Serial` thread wakes straight into dispatch. One run's ratio swings
+//! with the `Serial` baseline (EXPERIMENTS.md "Connection scaling"), so
+//! `--smoke` alternates three short pairs and gates the ratio of their
+//! medians at [`SMOKE_FLOOR`]: a tripwire for a reactor that lost half its
+//! throughput, not a claim of parity (its four-thread budget reads lower
+//! than a full run).
 
 use cricket_client::{CricketClient, Endpoint};
 use cricket_server::{CricketServer, ServeMode, ServerBuilder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Least `--smoke` ratio of medians, reactor over `Serial`, that passes.
+const SMOKE_FLOOR: f64 = 0.5;
 
 fn tcp_client(addr: std::net::SocketAddr) -> CricketClient {
     CricketClient::connect(&Endpoint::Addr(addr)).expect("connect")
@@ -167,28 +173,37 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    // Reactor thread budget: poller + writer + accept + worker shards must
-    // fit inside the baseline's `budget` connection threads + accept.
-    let workers = args.budget.saturating_sub(3).max(1);
+    // Reactor thread budget: poller + accept + worker shards must fit
+    // inside the baseline's `budget` connection threads + accept.
+    let workers = args.budget.saturating_sub(2).max(1);
     println!(
         "Connection scaling — thread budget {}, baseline {} sessions vs reactor {} sessions\n",
         args.budget, args.budget, args.sessions
     );
 
-    let base = measure(
-        ServeMode::Serial,
-        args.budget,
-        args.drivers,
-        args.secs,
-        args.budget + 1,
-    );
-    let reac = measure(
-        ServeMode::Reactor { workers },
-        args.sessions,
-        args.drivers,
-        args.secs,
-        workers + 3,
-    );
+    let pairs = if args.smoke { 3 } else { 1 };
+    let (mut bases, mut reacs) = (Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        bases.push(measure(
+            ServeMode::Serial,
+            args.budget,
+            args.drivers,
+            args.secs,
+            args.budget + 1,
+        ));
+        reacs.push(measure(
+            ServeMode::Reactor { workers },
+            args.sessions,
+            args.drivers,
+            args.secs,
+            workers + 2,
+        ));
+    }
+    let median = |mut runs: Vec<RunResult>| {
+        runs.sort_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
+        runs.swap_remove(runs.len() / 2)
+    };
+    let (base, reac) = (median(bases), median(reacs));
 
     let session_ratio = reac.sessions as f64 / base.sessions as f64;
     let throughput_ratio = reac.ops_per_sec() / base.ops_per_sec().max(1e-9);
@@ -228,6 +243,10 @@ fn main() {
     assert!(
         session_ratio >= 5.0,
         "acceptance: need ≥5x sessions, got {session_ratio:.2}x"
+    );
+    assert!(
+        !args.smoke || throughput_ratio >= SMOKE_FLOOR,
+        "reactor throughput fell to {throughput_ratio:.2}x of serial (floor {SMOKE_FLOOR})"
     );
 
     let json = format!(

@@ -83,8 +83,8 @@ pub enum ServeMode {
     /// and the connscale bench compare against.
     Serial,
     /// The completion-driven reactor ([`oncrpc::serve_tcp_reactor`]):
-    /// every connection multiplexed over one poller thread, `workers`
-    /// execution shards, and one backlog writer. The default.
+    /// every connection multiplexed over one poller thread, which also
+    /// flushes reply backlogs, and `workers` execution shards. The default.
     Reactor {
         /// Worker shards executing `Parked` procedures.
         workers: usize,

@@ -19,9 +19,10 @@
 //!
 //!   send_reply (on the producing thread): frame once, lock the connection's
 //!       Outbound, queue; write through if the queue was empty
-//!           │ bytes the socket did not take (one notice per backlog)
+//!           │ bytes the socket did not take: the key on the notice list
 //!           ▼
-//!   backlog writer thread: re-flushes those connections, kills stalled ones
+//!   reactor thread: write interest on that socket, flush it when writable,
+//!       close it when it stalls
 //! ```
 //!
 //! **Ordering guarantee.** Every `Parked` call for one connection lands on
@@ -46,12 +47,13 @@
 //!
 //! **Slow readers.** No thread blocks on any one socket: sockets are
 //! nonblocking and every flush writes only what the kernel accepts, so a
-//! peer that stops reading its replies backs up only its own queue, which
-//! the backlog writer keeps flushing. If such a peer accepts no bytes for
+//! peer that stops reading its replies backs up only its own queue. The
+//! reactor arms write interest on that socket and flushes the queue when
+//! the poller reports room. If such a peer accepts no bytes for
 //! [`ReactorConfig::write_stall_deadline`] (or lets more than
 //! [`ReactorConfig::max_write_backlog`] bytes pile up behind the record in
-//! flight) the backlog writer shuts its socket down; the reactor's read side
-//! observes EOF and finalizes the connection normally.
+//! flight) the reactor drops the queue, shuts the socket down and closes
+//! the connection. Its wait never outlasts the earliest such deadline.
 //!
 //! **Replay correctness.** Replies can complete out of *connection* order
 //! (two connections make progress independently), but the at-most-once
@@ -102,13 +104,13 @@ pub struct ReactorConfig {
     /// Procedure classifier; `None` parks everything (always correct,
     /// never inline).
     pub classify: Option<Classifier>,
-    /// Backlog writer: a connection whose socket accepts no reply bytes
-    /// for this long while replies are queued is declared dead and shut
-    /// down, so one stalled client cannot keep its backlog forever.
+    /// A connection whose socket accepts no reply bytes for this long
+    /// while replies are queued is declared dead and closed, so one
+    /// stalled client cannot keep its backlog forever.
     pub write_stall_deadline: Duration,
-    /// Backlog writer: replies queued *behind* the record currently
-    /// being written, per connection. Past this many bytes the peer is not
-    /// reading and the connection is shut down instead of buffering more.
+    /// Replies queued *behind* the record currently being written, per
+    /// connection. Past this many bytes the peer is not reading and the
+    /// connection is closed instead of buffering more.
     pub max_write_backlog: usize,
 }
 
@@ -130,7 +132,8 @@ pub struct ConnHandler {
     /// wrapping per-session state, sharing a replay cache).
     pub rpc: Arc<RpcServer>,
     /// Invoked exactly once when the connection is finalized — after its
-    /// last in-flight call completed and its last reply was enqueued.
+    /// last in-flight call completed and its reply queue emptied (flushed,
+    /// or dropped by a kill).
     /// Session teardown (scheduler forget, resource release) goes here.
     pub on_close: Option<Box<dyn FnOnce() + Send>>,
 }
@@ -149,16 +152,17 @@ pub struct ReactorSnapshot {
     pub bufs_reused: u64,
     /// Buffers allocated because no pooled one was free.
     pub bufs_allocated: u64,
-    /// Connections the backlog writer killed for not reading replies.
+    /// Connections closed for not reading their replies, or for a failed
+    /// reply write.
     pub writer_kills: u64,
-    /// Replies the producing thread could not write whole and handed to
-    /// the backlog writer.
+    /// Replies the producing thread could not write whole, left queued for
+    /// the reactor to flush when the socket has room.
     pub queued_replies: u64,
 }
 
 /// The live counters behind [`ReactorSnapshot`]: one block per
-/// [`serve_tcp_reactor`], shared by its reactor thread, workers, writer and
-/// buffer pools. Relaxed atomics — cheap enough to stay on in release.
+/// [`serve_tcp_reactor`], shared by its reactor thread, workers and buffer
+/// pools. Relaxed atomics — cheap enough to stay on in release.
 #[derive(Default)]
 pub(crate) struct ReactorStats {
     inline_replies: AtomicU64,
@@ -220,8 +224,11 @@ struct Conn {
     shared: Arc<ConnShared>,
     /// Reading suspended: in-flight budget exhausted.
     stalled: bool,
-    /// EOF / error seen; finalize when `pending` hits zero.
+    /// EOF / error seen; finalize when `pending` hits zero and `out` is
+    /// empty.
     closing: bool,
+    /// Write interest armed: replies wait in `out` for the socket.
+    backlogged: bool,
 }
 
 impl Conn {
@@ -250,12 +257,13 @@ impl Conn {
             }),
             stalled: false,
             closing: false,
+            backlogged: false,
         })
     }
 
     /// Stop reading this connection for good: finalized by the sweep once
     /// `pending` drains, which a worker's `notify` drives — not a hot
-    /// readiness loop over a socket nobody reads.
+    /// readiness loop over a socket nobody reads — and its backlog is gone.
     fn close(&mut self, key: usize, poller: &Poller) {
         self.closing = true;
         self.shared.attention.store(true, Ordering::SeqCst);
@@ -286,6 +294,31 @@ impl Conn {
         Ok(used)
     }
 
+    /// Flush the reply backlog if the socket is `writable`, then apply the
+    /// kill rules: a failed write, more than `max_write_backlog` bytes behind
+    /// the record in flight, or no progress for `write_stall_deadline`. A
+    /// kill closes the connection. Clears write interest once the queue is
+    /// empty; otherwise returns the stall deadline.
+    fn pump(&mut self, key: usize, rings: &Rings<'_>, writable: bool) -> Option<Instant> {
+        let (cfg, pool) = (rings.cfg, &rings.replies.pool);
+        let mut ob = self.out.lock();
+        let failed = writable && ob.flush(pool).is_err();
+        let deadline = ob.last_progress + cfg.write_stall_deadline;
+        if ob.queue.is_empty() {
+            drop(ob);
+        } else if failed || ob.backlog() > cfg.max_write_backlog || Instant::now() >= deadline {
+            ob.kill(pool);
+            drop(ob);
+            rings.stats.writer_kills.fetch_add(1, Ordering::Relaxed);
+            self.close(key, rings.poller);
+        } else {
+            return Some(deadline);
+        }
+        self.backlogged = false;
+        rings.poller.set_write_interest(key, false);
+        None
+    }
+
     /// Answer the record just assembled inline, from its buffer, or move
     /// the buffer to the connection's worker shard.
     fn dispatch(&mut self, key: usize, rings: &Rings<'_>, enc: &mut XdrEncoder) -> RpcResult<()> {
@@ -302,7 +335,7 @@ impl Conn {
             // Counted before the reply can reach the peer: a client that
             // has its answer finds the call in the stats.
             rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
-            send_reply(&self.out, enc.as_slice(), rings.replies);
+            send_reply(key, &self.out, enc.as_slice(), rings.replies);
         } else {
             let record = std::mem::replace(&mut self.record, rings.record_pool.get());
             self.shared.pending.fetch_add(1, Ordering::AcqRel);
@@ -336,14 +369,17 @@ struct Rings<'a> {
 #[derive(Clone)]
 struct ReplyPath {
     pool: BufPool,
-    /// Notices for the backlog writer: connections left with queued bytes.
-    writer_tx: mpsc::Sender<OutRef>,
+    notices: Notices,
+    poller: Arc<Poller>,
     stats: Arc<ReactorStats>,
 }
 
-/// Keys of connections whose parked call failed to dispatch: pushed by
-/// workers, closed by the reactor's next sweep.
-type DeadList = Arc<Mutex<Vec<usize>>>;
+/// Connections the reactor must act on, each pushed with a
+/// [`Poller::notify`] by the thread that found out: `(key, true)` when a
+/// parked call failed to dispatch (close it), `(key, false)` when a reply
+/// left bytes queued or its write failed (flush it when writable). Drained
+/// by the reactor on every pass.
+type Notices = Arc<Mutex<Vec<(usize, bool)>>>;
 
 /// One decoded call on the submission ring.
 struct Job {
@@ -372,8 +408,8 @@ const RECORD_OVERHEAD_BYTES: usize = 4 + 6 * 4 + 2 * (8 + MAX_AUTH_BODY) + 8 * 4
 /// pooled.
 const MAX_POOLED_BUF_BYTES: usize = POOLED_PAYLOAD_BYTES + RECORD_OVERHEAD_BYTES;
 
-/// Lock-based free list of byte buffers shared across reactor, workers and
-/// writer. Bounded in count (`max_pooled`) *and* per-buffer bytes
+/// Lock-based free list of byte buffers shared across the reactor and its
+/// workers. Bounded in count (`max_pooled`) *and* per-buffer bytes
 /// ([`MAX_POOLED_BUF_BYTES`]), so one pool pins at most `max_pooled` ×
 /// [`MAX_POOLED_BUF_BYTES`] bytes: about 8.1 MiB each for the record and
 /// the reply pool under the default [`ReactorConfig`] (2 workers × 64).
@@ -445,7 +481,8 @@ fn peek_call(record: &[u8]) -> Option<(u32, u32, u32)> {
 
 /// Per-connection outbound state: one reply queue in front of the
 /// connection's write half, shared under its lock by whichever thread
-/// produces a reply (through [`send_reply`]) and the backlog writer.
+/// produces a reply (through [`send_reply`]) and the reactor, which flushes
+/// what is left.
 ///
 /// `O_NONBLOCK` lives on the open file description, so the `try_clone`
 /// write half shares nonblocking mode with the reactor's read handle, and
@@ -464,13 +501,12 @@ struct Outbound {
     /// Last time the socket accepted at least one byte (or the queue went
     /// empty). Reset when a reply lands on an idle queue.
     last_progress: Instant,
-    /// Killed by the backlog writer: later replies are dropped.
+    /// Killed by the reactor: later replies are dropped.
     dead: bool,
 }
 
-/// A connection's [`Outbound`], held by its `Conn`, each of its `Job`s and,
-/// while it has a backlog, the backlog writer. The write half closes when
-/// the last clone drops.
+/// A connection's [`Outbound`], held by its `Conn` and each of its `Job`s.
+/// The write half closes when the last clone drops.
 type OutRef = Arc<Mutex<Outbound>>;
 
 impl Outbound {
@@ -512,9 +548,8 @@ impl Outbound {
         self.queued_bytes - front_left
     }
 
-    /// Shut the shared file description down both ways — the reactor's read
-    /// half sees EOF/reset and finalizes the connection through the normal
-    /// closing path — and drop everything queued.
+    /// Shut the shared file description down both ways, so the peer learns
+    /// at once, and drop everything queued.
     fn kill(&mut self, pool: &BufPool) {
         let _ = self.stream.shutdown(Shutdown::Both);
         self.dead = true;
@@ -534,9 +569,9 @@ impl Outbound {
 /// written through at once. If it was not, the reply only queues behind the
 /// ones already there, so no reply overtakes an earlier one, whichever
 /// thread produced it. Only when bytes are left over, or the write failed,
-/// does the backlog writer get a notice: one per empty → non-empty turn of
-/// the queue, since only the writer empties a queue it was told about.
-fn send_reply(out: &OutRef, body: &[u8], via: &ReplyPath) {
+/// does the reactor get a notice: one per empty → non-empty turn of the
+/// queue, since only the reactor empties a queue it was told about.
+fn send_reply(key: usize, out: &OutRef, body: &[u8], via: &ReplyPath) {
     let mut framed = via.pool.get();
     // A Vec<u8> sink never blocks, so this cannot fail.
     let _ = write_record_sg(&mut framed, &[body], DEFAULT_MAX_FRAGMENT);
@@ -556,7 +591,8 @@ fn send_reply(out: &OutRef, body: &[u8], via: &ReplyPath) {
     if ob.flush(&via.pool).is_err() || !ob.queue.is_empty() {
         drop(ob);
         via.stats.queued_replies.fetch_add(1, Ordering::Relaxed);
-        let _ = via.writer_tx.send(Arc::clone(out));
+        via.notices.lock().push((key, false));
+        via.poller.notify();
     }
 }
 
@@ -631,8 +667,8 @@ where
     Ok(ServerHandle::from_parts(local, stop, accept_join, stats))
 }
 
-/// The reactor event loop. Owns every connection's read half, the worker
-/// pool, and the backlog writer; returns only after all of them drained.
+/// The reactor event loop. Owns every connection's read half and the worker
+/// pool, and flushes every backlog; returns only after all of them drained.
 fn reactor_main(
     cfg: ReactorConfig,
     stop: Arc<AtomicBool>,
@@ -641,30 +677,13 @@ fn reactor_main(
     stats: Arc<ReactorStats>,
 ) {
     let record_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
-    let reply_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
-
-    let (writer_tx, writer_rx) = mpsc::channel::<OutRef>();
-    let writer_join = std::thread::Builder::new()
-        .name("oncrpc-backlog".into())
-        .spawn({
-            let reply_pool = reply_pool.clone();
-            let stall_deadline = cfg.write_stall_deadline;
-            let max_backlog = cfg.max_write_backlog;
-            let stats = Arc::clone(&stats);
-            move || writer_main(writer_rx, reply_pool, stall_deadline, max_backlog, &stats)
-        })
-        // This is the reactor thread: no caller is left to take an error, and
-        // there is no serving without a writer (or, below, without workers).
-        // Unwinding drops the new-connection ring, which ends the accept
-        // thread at its next connection instead of queueing calls nobody runs.
-        .expect("spawn backlog writer");
     let replies = ReplyPath {
-        pool: reply_pool,
-        writer_tx,
+        pool: BufPool::new(cfg.workers * cfg.max_session_queue, &stats),
+        notices: Notices::default(),
+        poller: Arc::clone(&poller),
         stats: Arc::clone(&stats),
     };
 
-    let dead: DeadList = Arc::default();
     let mut worker_txs = Vec::with_capacity(cfg.workers);
     let mut worker_joins = Vec::with_capacity(cfg.workers);
     for shard in 0..cfg.workers {
@@ -672,13 +691,15 @@ fn reactor_main(
         worker_txs.push(tx);
         let replies = replies.clone();
         let record_pool = record_pool.clone();
-        let poller = Arc::clone(&poller);
-        let dead = Arc::clone(&dead);
         worker_joins.push(
             std::thread::Builder::new()
                 .name(format!("oncrpc-worker-{shard}"))
-                .spawn(move || worker_main(rx, replies, record_pool, poller, dead))
-                .expect("spawn worker thread"), // as for the writer above
+                .spawn(move || worker_main(rx, replies, record_pool))
+                // This is the reactor thread: no caller is left to take an
+                // error, and there is no serving without workers. Unwinding
+                // drops the new-connection ring, which ends the accept thread
+                // at its next connection instead of queueing calls nobody runs.
+                .expect("spawn worker thread"),
         );
     }
 
@@ -692,20 +713,20 @@ fn reactor_main(
     };
     let low_watermark = (cfg.max_session_queue / 2).max(1);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    // Exactly the connections marked stalled or closing: all the sweep visits.
+    // Exactly the connections marked stalled, closing or backlogged: all the
+    // sweep visits.
     let mut watch: HashSet<usize> = HashSet::new();
     let mut to_finalize: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut inline_enc = XdrEncoder::with_capacity(4096);
-    let mut accepting = true;
+    let (mut accepting, mut stopping) = (true, false);
+    // The earliest stall deadline among backlogged connections, as a wait.
+    let mut timeout = Duration::MAX;
 
     loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
         // Adopt newly accepted connections.
-        loop {
+        while accepting && !stopping {
             match newconn_rx.try_recv() {
                 Ok((key, stream, handler)) => {
                     let Ok(conn) = Conn::new(stream, handler) else {
@@ -716,49 +737,64 @@ fn reactor_main(
                     }
                 }
                 Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    accepting = false;
-                    break;
-                }
+                Err(mpsc::TryRecvError::Disconnected) => accepting = false,
             }
         }
-        if !accepting && conns.is_empty() {
+        if (stopping || !accepting) && conns.is_empty() {
             break; // accept loop gone and nothing left to serve
         }
 
-        // No periodic tick. Besides socket readiness, the sweep below acts
-        // on four changes, and each is announced through `poller.notify`,
-        // whose eventfd holds the wake-up until this wait consumes it:
+        // No periodic tick. Besides socket readiness and the stall deadline
+        // in `timeout`, the sweep below acts on four changes, and each is
+        // announced through `poller.notify`, whose eventfd holds the wake-up
+        // until this wait consumes it:
         //   * a new connection: the accept thread, after queueing it;
         //   * `pending` dropping on a connection with `attention` set
         //     (stalled or closing): the worker, after decrementing;
-        //   * a failed call: the worker, after pushing its key on `dead`;
+        //   * a notice: whoever pushed it, after pushing;
         //   * shutdown: the accept thread, after hanging up the ring.
         // A test that hangs here is missing one of those notifies.
-        let _ = poller.wait(&mut events, Duration::MAX);
+        let _ = poller.wait(&mut events, timeout);
         for ev in events.drain(..) {
-            if let Some(conn) = conns.get_mut(&ev.key) {
-                if conn.stalled || conn.closing {
-                    continue;
-                }
+            let Some(conn) = conns.get_mut(&ev.key) else {
+                continue;
+            };
+            if conn.backlogged {
+                conn.pump(ev.key, &rings, true);
+            }
+            if !(conn.stalled || conn.closing) {
                 drain_conn(conn, ev.key, &rings, &mut scratch, &mut inline_enc);
-                if conn.stalled || conn.closing {
-                    watch.insert(ev.key);
-                }
+            }
+            if conn.stalled || conn.closing || conn.backlogged {
+                watch.insert(ev.key);
             }
         }
-        let failed = std::mem::take(&mut *dead.lock());
-        for key in failed {
-            if let Some(conn) = conns.get_mut(&key) {
-                if !conn.closing {
-                    conn.close(key, &poller);
-                    watch.insert(key);
-                }
+        let noticed = std::mem::take(&mut *replies.notices.lock());
+        for (key, failed) in noticed {
+            let Some(conn) = conns.get_mut(&key) else {
+                continue;
+            };
+            if failed {
+                conn.close(key, &poller);
+            } else if !conn.backlogged {
+                conn.backlogged = true;
+                poller.set_write_interest(key, true);
+            }
+            watch.insert(key);
+        }
+        if !stopping && stop.load(Ordering::SeqCst) {
+            // Shutdown: read nothing more; each connection is finalized once
+            // its calls are answered and its backlog is flushed or killed.
+            stopping = true;
+            for (&key, conn) in &mut conns {
+                conn.close(key, &poller);
+                watch.insert(key);
             }
         }
 
-        // Sweep: resume drained stalled connections, finalize drained
-        // closing ones.
+        // Sweep: resume drained stalled connections, apply the kill rules to
+        // backlogged ones, finalize drained closing ones.
+        timeout = Duration::MAX;
         watch.retain(|&key| {
             let Some(conn) = conns.get_mut(&key) else {
                 return false;
@@ -775,11 +811,21 @@ fn reactor_main(
                 poller.resume(key);
                 drain_conn(conn, key, &rings, &mut scratch, &mut inline_enc);
             }
-            if conn.closing && conn.shared.pending.load(Ordering::SeqCst) == 0 {
+            if conn.backlogged {
+                if let Some(deadline) = conn.pump(key, &rings, false) {
+                    timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
+                }
+            }
+            // A reply queued by the last call may still have its notice on
+            // the list: finalize on an empty queue, not on `backlogged`.
+            if conn.closing
+                && conn.shared.pending.load(Ordering::SeqCst) == 0
+                && conn.out.lock().queue.is_empty()
+            {
                 to_finalize.push(key);
                 return false;
             }
-            conn.stalled || conn.closing
+            conn.stalled || conn.closing || conn.backlogged
         });
         for key in to_finalize.drain(..) {
             if let Some(conn) = conns.remove(&key) {
@@ -788,20 +834,22 @@ fn reactor_main(
         }
     }
 
-    // Shutdown: stop submitting, let workers drain the submission rings, run
-    // every close hook, then let the backlog writer flush what is queued.
+    // Every connection is finalized, so no call is in flight: the workers
+    // find their rings empty and exit.
     drop(worker_txs);
     for j in worker_joins {
         let _ = j.join();
     }
-    for (key, conn) in conns.drain() {
-        finalize(key, conn, &poller);
-    }
-    drop(replies);
-    let _ = writer_join.join();
 }
 
-/// Read and dispatch everything currently available on one connection.
+/// Most socket reads one readiness event gets: a sender that keeps its
+/// socket full yields the reactor to the other connections after this many
+/// 64 KiB reads, and level-triggered epoll reports the rest on the next
+/// wait.
+const READS_PER_EVENT: usize = 8;
+
+/// Read and dispatch what is available on one connection, up to
+/// [`READS_PER_EVENT`] reads.
 fn drain_conn(
     conn: &mut Conn,
     key: usize,
@@ -809,7 +857,7 @@ fn drain_conn(
     scratch: &mut [u8],
     inline_enc: &mut XdrEncoder,
 ) {
-    loop {
+    for reads in 0.. {
         // What the budget left unparsed goes first, and no read follows while
         // any of it waits, even if a worker has freed budget since: the
         // sweep's re-check of `pending` resumes the connection.
@@ -830,6 +878,9 @@ fn drain_conn(
             rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        if reads == READS_PER_EVENT {
+            return;
+        }
         let n = match conn.stream.read(scratch) {
             Ok(0) => return conn.close(key, rings.poller),
             Ok(n) => n,
@@ -845,9 +896,8 @@ fn drain_conn(
 }
 
 /// Tear down one connection: stop polling it, run the close hook. Callers
-/// guarantee `pending == 0`. Dropping `conn` closes its read half and lets
-/// go of its [`Outbound`]; the write half closes with the last clone, the
-/// backlog writer's if it is still flushing.
+/// guarantee `pending == 0` and an empty reply queue. Dropping `conn`
+/// closes both halves of its socket.
 fn finalize(key: usize, mut conn: Conn, poller: &Poller) {
     // While `conn.stream` is still open: the write half's dup of it would
     // keep the registration alive past the drop.
@@ -859,92 +909,23 @@ fn finalize(key: usize, mut conn: Conn, poller: &Poller) {
 
 /// Worker shard: execute parked calls in FIFO order, send each reply, then
 /// publish the decrement.
-fn worker_main(
-    rx: mpsc::Receiver<Job>,
-    replies: ReplyPath,
-    record_pool: BufPool,
-    poller: Arc<Poller>,
-    dead: DeadList,
-) {
+fn worker_main(rx: mpsc::Receiver<Job>, replies: ReplyPath, record_pool: BufPool) {
     let mut enc = XdrEncoder::with_capacity(4096);
     while let Ok(job) = rx.recv() {
         let ok = job.rpc.handle_record_into(&job.record, &mut enc).is_ok();
         record_pool.put(job.record);
         if ok {
-            send_reply(&job.out, enc.as_slice(), &replies);
+            send_reply(job.key, &job.out, enc.as_slice(), &replies);
         } else {
-            dead.lock().push(job.key);
+            replies.notices.lock().push((job.key, true));
         }
         // The reply is written or queued; only now may the reactor treat
         // this connection as drained (ordering guarantee — see module doc;
         // SeqCst for the `attention` handshake — see `ConnShared`).
         job.shared.pending.fetch_sub(1, Ordering::SeqCst);
         if !ok || job.shared.attention.load(Ordering::SeqCst) {
-            poller.notify();
+            replies.poller.notify();
         }
-    }
-}
-
-/// How long the backlog writer sleeps between flush passes while at least
-/// one socket has queued data the kernel will not yet accept.
-const WRITER_RETRY_SLICE: Duration = Duration::from_micros(500);
-
-/// Backlog writer: flushes the connections whose socket did not take a
-/// reply whole, as announced by [`send_reply`]'s notices.
-///
-/// A connection is *killed* ([`Outbound::kill`]) when its write fails, when
-/// it accepts no bytes for `stall_deadline` while replies wait, or when
-/// more than `max_backlog` bytes queue behind the record in flight.
-/// Everything else keeps flowing meanwhile; a stalled peer cannot wedge the
-/// writer thread (or shutdown, which joins it).
-fn writer_main(
-    rx: mpsc::Receiver<OutRef>,
-    reply_pool: BufPool,
-    stall_deadline: Duration,
-    max_backlog: usize,
-    stats: &ReactorStats,
-) {
-    // One entry per notice, dropped once its queue is seen empty (or
-    // killed) under its lock; after that only a new notice brings it back.
-    let mut flushing: Vec<OutRef> = Vec::new();
-    let mut open = true;
-    loop {
-        let next = if !open {
-            if flushing.is_empty() {
-                return; // every producer gone and every backlog drained
-            }
-            std::thread::sleep(WRITER_RETRY_SLICE);
-            Err(mpsc::RecvTimeoutError::Timeout)
-        } else if flushing.is_empty() {
-            rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
-        } else {
-            // Backlogs wait on kernel buffers: come back quickly to re-probe.
-            rx.recv_timeout(WRITER_RETRY_SLICE)
-        };
-        match next {
-            Ok(out) => {
-                flushing.push(out);
-                flushing.extend(rx.try_iter());
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-        }
-
-        // Flush pass: each backlog gets a chance every round; one blocked
-        // peer only skips its own queue.
-        let now = Instant::now();
-        flushing.retain(|out| {
-            let mut ob = out.lock();
-            if ob.flush(&reply_pool).is_err()
-                || (!ob.queue.is_empty()
-                    && (ob.backlog() > max_backlog
-                        || now.duration_since(ob.last_progress) > stall_deadline))
-            {
-                ob.kill(&reply_pool);
-                stats.writer_kills.fetch_add(1, Ordering::Relaxed);
-            }
-            !ob.queue.is_empty()
-        });
     }
 }
 
@@ -1172,8 +1153,12 @@ mod tests {
                 assert_eq!(out, i.to_be_bytes());
             }
         }
+        // Every echo parks, and an add parks too when it arrives before the
+        // worker's decrement for the echo ahead of it, which may trail that
+        // echo's reply: the split is a timing, the total is not.
         let stats = handle.reactor_stats();
-        assert_eq!((stats.inline_replies, stats.parked_calls), (500, 500));
+        assert_eq!(stats.inline_replies + stats.parked_calls, 1000);
+        assert!(stats.parked_calls >= 500, "{stats:?}");
         assert_eq!(
             stats.queued_replies, 0,
             "every small reply goes straight through on the thread that produced it"
@@ -1341,6 +1326,166 @@ mod tests {
         handle.shutdown();
     }
 
+    /// Write one call record onto a raw stream.
+    fn send_call(stream: &mut TcpStream, xid: u32, proc: u32, args: &impl Xdr) {
+        let mut enc = XdrEncoder::new();
+        RpcMessage::call(xid, CallBody::new(PROG, VERS, proc)).encode(&mut enc);
+        args.encode(&mut enc);
+        write_record(stream, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+    }
+
+    /// An echo payload whose reply is more than the server's send buffer and
+    /// the peer's receive buffer hold while nobody reads.
+    fn backlog_payload() -> Vec<u8> {
+        (0..8u32 << 20).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Wait until a reply of `handle`'s server has backed up.
+    fn await_backlog(handle: &ServerHandle) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.reactor_stats().queued_replies == 0 {
+            assert!(Instant::now() < deadline, "the echo reply never backed up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Read one echo reply and check its xid and bytes.
+    fn expect_echo(stream: &mut TcpStream, xid: u32, payload: &[u8]) {
+        let rec = read_record(stream, MAX_RECORD).unwrap().unwrap();
+        let mut dec = XdrDecoder::new(&rec);
+        assert_eq!(RpcMessage::decode(&mut dec).unwrap().xid, xid);
+        assert!(dec.get_opaque().unwrap() == payload, "echo bytes damaged");
+    }
+
+    /// A peer that shuts its write side while the reply to its call is
+    /// backed up still gets every byte of that reply, then EOF: the closing
+    /// connection keeps flushing its backlog before it is finalized.
+    #[test]
+    fn a_half_closed_peer_still_gets_its_backlog() {
+        let (handle, closes) = start(ReactorConfig::default());
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let payload = backlog_payload();
+        send_call(&mut stream, 7, 1, &payload);
+        await_backlog(&handle);
+        stream.shutdown(Shutdown::Write).unwrap();
+        expect_echo(&mut stream, 7, &payload);
+        assert!(read_record(&mut stream, MAX_RECORD).unwrap().is_none());
+        assert_eq!(closes.load(Ordering::SeqCst), 1, "finalized before EOF");
+        handle.shutdown();
+    }
+
+    /// `shutdown` waits for a backlog the peer has not read yet, and the
+    /// peer then reads the whole reply.
+    #[test]
+    fn shutdown_flushes_a_pending_backlog() {
+        let (handle, closes) = start(ReactorConfig::default());
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let payload = backlog_payload();
+        send_call(&mut stream, 3, 1, &payload);
+        await_backlog(&handle);
+        let stopper = std::thread::spawn(move || handle.shutdown());
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!stopper.is_finished(), "shutdown left a reply unsent");
+        expect_echo(&mut stream, 3, &payload);
+        stopper.join().unwrap();
+        assert_eq!(closes.load(Ordering::SeqCst), 1);
+    }
+
+    /// One reply backs up behind a peer that never reads, with nothing
+    /// queued behind it: only `write_stall_deadline` can kill the
+    /// connection, and it does, but never before the deadline has passed
+    /// since the call was sent (which precedes the reply's queueing).
+    #[test]
+    fn the_stall_deadline_alone_kills_a_silent_peer() {
+        const DEADLINE: Duration = Duration::from_millis(200);
+        let cfg = ReactorConfig {
+            classify: Some(classifier()),
+            write_stall_deadline: DEADLINE,
+            max_write_backlog: usize::MAX,
+            ..ReactorConfig::default()
+        };
+        let (handle, closes) = start(cfg);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let sent = Instant::now();
+        send_call(&mut stream, 0, 1, &backlog_payload());
+        loop {
+            let kills = handle.reactor_stats().writer_kills;
+            // Taken after the read: the kill, if seen, happened before it.
+            let seen = Instant::now();
+            if kills > 0 {
+                assert!(seen - sent >= DEADLINE, "killed after {:?}", seen - sent);
+                break;
+            }
+            assert!(seen - sent < Duration::from_secs(10), "never killed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(handle.reactor_stats().writer_kills, 1);
+        drop(stream);
+        handle.shutdown();
+        assert_eq!(closes.load(Ordering::SeqCst), 1);
+    }
+
+    /// One connection streams a record of one-byte fragments as fast as the
+    /// reactor can read it while another makes inline calls. Reads are capped
+    /// per readiness event, so the second connection waits for a few reads
+    /// of the first, not for its whole record. Two timings of the same run
+    /// are compared, so a slow machine slows both.
+    #[test]
+    fn a_flooding_connection_does_not_hold_the_reactor() {
+        let cfg = ReactorConfig {
+            classify: Some(classifier()),
+            ..ReactorConfig::default()
+        };
+        let (handle, _closes) = start(cfg);
+        let payload = vec![5u8; 4 << 20];
+        let mut enc = XdrEncoder::new();
+        RpcMessage::call(0, CallBody::new(PROG, VERS, 1)).encode(&mut enc);
+        payload.encode(&mut enc);
+        let body = enc.as_slice();
+        let mut wire = Vec::with_capacity(5 * body.len());
+        for (i, &byte) in body.iter().enumerate() {
+            wire.extend_from_slice(&mark(1, i + 1 == body.len()));
+            wire.push(byte);
+        }
+        let mut flood = TcpStream::connect(handle.addr()).unwrap();
+        let transport = TcpTransport::connect(handle.addr()).unwrap();
+        let mut client = RpcClient::new(Box::new(transport), PROG, VERS);
+        let _: u32 = client.call(2, &(0u32, 0u32)).unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let flooder = std::thread::spawn({
+            let done = Arc::clone(&done);
+            move || {
+                let start = Instant::now();
+                flood.write_all(&wire).unwrap();
+                expect_echo(&mut flood, 0, &payload);
+                done.store(true, Ordering::SeqCst);
+                start.elapsed()
+            }
+        });
+        let mut worst = Duration::ZERO;
+        for i in 0u32.. {
+            let start = Instant::now();
+            let sum: u32 = client.call(2, &(i, 1u32)).unwrap();
+            worst = worst.max(start.elapsed());
+            assert_eq!(sum, i.wrapping_add(1));
+            if done.load(Ordering::SeqCst) {
+                break;
+            }
+        }
+        let took = flooder.join().unwrap();
+        assert!(
+            worst < took / 4,
+            "{worst:?} worst call during a {took:?} flood"
+        );
+        handle.shutdown();
+    }
+
     #[test]
     fn unknown_proc_still_replies_through_worker() {
         let (handle, _closes) = start(ReactorConfig::default());
@@ -1377,7 +1522,7 @@ mod tests {
     /// `drain_conn` or `Conn::feed` itself and inspects what they hand on.
     struct Rig {
         cfg: ReactorConfig,
-        poller: Poller,
+        poller: Arc<Poller>,
         worker_tx: mpsc::Sender<Job>,
         jobs: mpsc::Receiver<Job>,
         replies: ReplyPath,
@@ -1391,9 +1536,11 @@ mod tests {
         fn new(max_session_queue: usize) -> Self {
             let stats = Arc::new(ReactorStats::default());
             let (worker_tx, jobs) = mpsc::channel();
+            let poller = Arc::new(Poller::try_new().unwrap());
             let replies = ReplyPath {
                 pool: BufPool::new(8, &stats),
-                writer_tx: mpsc::channel().0,
+                notices: Arc::default(),
+                poller: Arc::clone(&poller),
                 stats: Arc::clone(&stats),
             };
             Self {
@@ -1401,7 +1548,7 @@ mod tests {
                     max_session_queue,
                     ..ReactorConfig::default()
                 },
-                poller: Poller::try_new().unwrap(),
+                poller,
                 worker_tx,
                 jobs,
                 replies,

@@ -12,8 +12,8 @@
 //! socket. A registration belongs to the open file description: a
 //! `try_clone` dup keeps it, and its events, alive after the owner's handle
 //! is gone, and only `EPOLL_CTL_DEL` on an open descriptor removes it. The
-//! key table's lock is taken by register, deregister, suspend and resume;
-//! `wait` and `notify` take none.
+//! key table's lock is taken by register, deregister, suspend, resume and
+//! `set_write_interest`; `wait` and `notify` take none.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -25,7 +25,8 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::time::Duration;
 
 /// One readiness observation from [`Poller::wait`]: the source has data, or
-/// hung up, or errored — a read yields the data, the EOF or the error.
+/// hung up, or errored — a read yields the data, the EOF or the error — or,
+/// with write interest set, has room to write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The key the source was registered under.
@@ -55,8 +56,9 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLLIN: u32 = 0x1;
-/// A suspended source's mask. Hang-ups and errors are reported even on an
-/// empty mask; one-shot disarms the source after one such report.
+const EPOLLOUT: u32 = 0x4;
+/// The mask of a source with no interest left. Hang-ups and errors are
+/// reported even on an empty mask; one-shot disarms the source after one.
 const EPOLLONESHOT: u32 = 1 << 30;
 /// The eventfd's epoll data: no source may take `usize::MAX` as its key.
 const NOTIFY: u64 = u64::MAX;
@@ -75,8 +77,9 @@ pub struct Poller {
     epoll: OwnedFd,
     /// Readable while a [`Poller::notify`] is pending; reading resets it.
     wake: File,
-    /// Key → registered descriptor, for the `epoll_ctl` calls by key.
-    sources: Mutex<HashMap<usize, RawFd>>,
+    /// Key → registered descriptor and its interest (`EPOLLIN` unless
+    /// suspended, `EPOLLOUT` while write interest is set).
+    sources: Mutex<HashMap<usize, (RawFd, u32)>>,
 }
 
 impl Poller {
@@ -119,7 +122,7 @@ impl Poller {
         stream.set_nonblocking(true)?;
         let mut sources = self.sources.lock();
         self.ctl(EPOLL_CTL_ADD, stream.as_raw_fd(), EPOLLIN, key as u64)?;
-        sources.insert(key, stream.as_raw_fd());
+        sources.insert(key, (stream.as_raw_fd(), EPOLLIN));
         Ok(())
     }
 
@@ -127,30 +130,37 @@ impl Poller {
     /// closes (see the module doc). Unknown keys are ignored.
     pub fn deregister(&self, key: usize) {
         let mut sources = self.sources.lock();
-        if let Some(fd) = sources.remove(&key) {
+        if let Some((fd, _)) = sources.remove(&key) {
             // Fails only on a descriptor already closed, against the rule.
             let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
         }
     }
 
-    /// Stop reporting events for `key` (the owner is backpressuring this
-    /// source). The socket stays registered; kernel-side the TCP window
-    /// closes as unread data accumulates.
+    /// Stop reporting `key` readable (the owner is backpressuring this
+    /// source); write interest stays. The socket stays registered;
+    /// kernel-side the TCP window closes as unread data accumulates.
     pub fn suspend(&self, key: usize) {
-        self.modify(key, EPOLLONESHOT);
+        self.modify(key, EPOLLIN, false);
     }
 
     /// Resume reporting events for `key` after [`Poller::suspend`]. Data
     /// that arrived meanwhile is reported by the next `wait`.
     pub fn resume(&self, key: usize) {
-        self.modify(key, EPOLLIN);
+        self.modify(key, EPOLLIN, true);
     }
 
-    fn modify(&self, key: usize, events: u32) {
-        let sources = self.sources.lock();
-        if let Some(&fd) = sources.get(&key) {
+    /// Also report `key` while its socket has room to write (`on`), whether
+    /// or not reading is suspended; `false` stops that.
+    pub fn set_write_interest(&self, key: usize, on: bool) {
+        self.modify(key, EPOLLOUT, on);
+    }
+
+    fn modify(&self, key: usize, bit: u32, on: bool) {
+        if let Some((fd, mask)) = self.sources.lock().get_mut(&key) {
+            *mask = if on { *mask | bit } else { *mask & !bit };
+            let events = if *mask == 0 { EPOLLONESHOT } else { *mask };
             // Only ENOMEM can fail a MOD of a registered, open descriptor.
-            let _ = self.ctl(EPOLL_CTL_MOD, fd, events, key as u64);
+            let _ = self.ctl(EPOLL_CTL_MOD, *fd, events, key as u64);
         }
     }
 
@@ -288,6 +298,34 @@ mod tests {
         poller.resume(2);
         poller.wait(&mut events, Duration::from_secs(2)).unwrap();
         assert_eq!(events, vec![Event { key: 2 }]);
+    }
+
+    #[test]
+    fn write_interest_reports_a_writable_socket_until_cleared() {
+        let (_client, server) = pair();
+        let poller = Poller::new();
+        poller.register(&server, 6).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Duration::from_millis(10)).unwrap();
+        assert!(
+            events.is_empty(),
+            "an idle socket reported without write interest"
+        );
+        poller.suspend(6);
+        poller.set_write_interest(6, true);
+        for _ in 0..3 {
+            poller.wait(&mut events, Duration::from_secs(2)).unwrap();
+            assert_eq!(events, vec![Event { key: 6 }], "writable while suspended");
+        }
+        poller.resume(6);
+        poller.wait(&mut events, Duration::from_secs(2)).unwrap();
+        assert_eq!(events, vec![Event { key: 6 }], "writable while reading");
+        poller.set_write_interest(6, false);
+        poller.wait(&mut events, Duration::from_millis(10)).unwrap();
+        assert!(
+            events.is_empty(),
+            "reported after write interest was cleared"
+        );
     }
 
     #[test]

@@ -28,8 +28,11 @@ export CARGO_NET_OFFLINE=true
 # buffers took: a second staging path beside them would show here. And
 # `oncrpc/src/reactor.rs`, failing above the lines it took once the
 # reactor flushed its own backlogs: a writer thread or a second event loop
-# beside it would show here. `./ci.sh size` runs this step alone (the
-# workflow does).
+# beside it would show here. And `core/src/raw.rs` and
+# `cricket-server/src/service.rs`, failing above the lines they took once
+# striping became plain copy calls: a second copy procedure or a hand-written
+# lane encoder beside them would show here. `./ci.sh size` runs this step
+# alone (the workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
     find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
@@ -69,7 +72,8 @@ size() {
         END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 227)\n", n; exit n > 227 }' \
         shims/polling/src/lib.rs
     for limit in crates/cricket-server/src/transport.rs:340 crates/unikernel/src/tcp.rs:261 \
-        crates/oncrpc/src/reactor.rs:931; do
+        crates/oncrpc/src/reactor.rs:931 crates/core/src/raw.rs:910 \
+        crates/cricket-server/src/service.rs:2339; do
         awk -v limit="${limit##*:}" '/#\[cfg\(test\)\]/ { exit } { n++ }
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
             "${limit%:*}"
@@ -116,7 +120,9 @@ cargo test -q
 #   portmap_wire           (cricket-oncrpc) all eleven portmap procedures' call/reply records equal the
 #                          pre-portmap.x bytes; a 1 000 000-entry DUMP list on a 64 KiB stack
 #   migration              chaos matrix (byte-identical traces), crash-abort, 100-hop soak, concurrent load
-#   wire2                  striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly)
+#   wire2                  striping + sparse chaos matrix (exactly-once stripes, byte-identical reassembly);
+#                          retired_stripe_procedures_are_refused_proc_unavail: procs 81/82 answered
+#                          PROC_UNAVAIL on SimTransport and reactor TCP, the session then copies normally
 #                          (route by route: cricket-client raw unit suite, below)
 #   proptest_sparse        (cricket-oncrpc) sparse codec round-trip properties, corrupt blobs
 #   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included
@@ -176,8 +182,10 @@ cargo test -q
 #                          one_written_source_among_1024_idle_is_the_only_event, notify_before_wait_is_not_lost,
 #                          suspended_hangup_is_reported_at_most_once,
 #                          write_interest_reports_a_writable_socket_until_cleared: reported while suspended too),
-# cricket-client raw (D2H length check, memcpy_dtoh_into; the TransferPlan table at every boundary; every route
-#                          lands the same bytes and counts the same transfer; a failed copy moves no counter).
+# cricket-client raw (D2H length check on the plain and the striped route, memcpy_dtoh_into; the TransferPlan
+#                          table at every boundary; every route lands the same bytes and counts the same transfer;
+#                          a failed copy moves no counter) and stripe (every byte covered once, reassembly by
+#                          offset, round-robin lanes, per-pool stripe counts, empty transfers send nothing).
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

@@ -35,6 +35,7 @@ pub mod raw;
 pub mod safe;
 pub mod sim;
 pub mod stats;
+pub mod stripe;
 
 pub use endpoint::{Endpoint, Placement};
 pub use env::EnvConfig;

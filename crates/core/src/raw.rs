@@ -9,11 +9,12 @@ use crate::ccompat::{launch_compat_marshal, LAUNCH_COMPAT_NS, TIRPC_CALL_NS};
 use crate::env::ClientFlavor;
 use crate::error::{ClientError, ClientResult};
 use crate::stats::ApiStats;
+use crate::stripe::StripePool;
 use cricket_proto::{
     cricket_v1, BatchResult, CricketV1BatchOp as BatchOp, CricketV1Client, DeviceProp, MemInfo,
     RpcDim3, ServerStats,
 };
-use oncrpc::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, StripePool, BATCH_SKIPPED};
+use oncrpc::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};
 use simnet::SimClock;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -48,7 +49,8 @@ enum TransferPlan {
     Sparse,
     /// The sparse blob as a sub-op of the pending batch.
     SparseInBatch,
-    /// One `CUDA_MEMCPY_{HTOD,DTOH}_STRIPE` per stripe, across the pool.
+    /// One `CUDA_MEMCPY_HTOD` / `CUDA_MEMCPY_DTOH` per stripe, across the
+    /// pool's lanes.
     Striped,
 }
 
@@ -93,15 +95,24 @@ struct BatchState {
     apis: Vec<&'static str>,
 }
 
-/// A D2H reply must carry exactly the bytes asked for: anything else would
-/// hand the caller a short copy, or one that belongs somewhere else.
-fn dtoh_len_check(got: usize, want: usize) -> Result<(), oncrpc::RpcError> {
-    if got == want {
-        return Ok(());
+/// The API names copies are counted and refused under.
+pub(crate) const HTOD_API: &str = "cudaMemcpy(H2D)";
+const DTOH_API: &str = "cudaMemcpy(D2H)";
+
+/// One D2H read, the whole copy on the plain route or one stripe: `len`
+/// bytes at `src`, lent from the reply buffer. A device refusal is the CUDA
+/// error. A reply of any other length is an error too, not a short result:
+/// it would hand the caller a short copy, or one that belongs elsewhere.
+pub(crate) fn read_dtoh(stub: &mut CricketV1Client, src: u64, len: usize) -> ClientResult<&[u8]> {
+    let (err, data) = stub.cuda_memcpy_dtoh_ref(&src, &(len as u64))?;
+    if err != 0 {
+        return Err(ClientError::cuda(DTOH_API, err));
     }
-    Err(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(format!(
-        "D2H reply carried {got} bytes, wanted {want}"
-    ))))
+    if data.len() != len {
+        let why = format!("D2H reply carried {} bytes, wanted {len}", data.len());
+        return Err(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(why)).into());
+    }
+    Ok(data)
 }
 
 /// The Cricket client: one connection to a Cricket server.
@@ -293,9 +304,9 @@ impl CricketClient {
     // ---- wire efficiency: striping and sparse encoding ----------------
 
     /// Attach a stripe pool: copies of at least `STRIPE_MIN` (1 MiB) shard
-    /// across the pool's lanes as independent stripe RPCs and reassemble
-    /// positionally at the far end. Smaller ops keep the single-connection
-    /// fast path untouched.
+    /// across the pool's lanes as plain copy calls, one per stripe at
+    /// `base + offset`. Smaller ops keep the single-connection fast path
+    /// untouched.
     pub fn enable_striping(&mut self, pool: StripePool) {
         self.stripes = Some(pool);
     }
@@ -449,7 +460,6 @@ impl CricketClient {
     /// so the caller's buffer is free immediately). Whatever the route, the
     /// device write is byte-identical to the plain path.
     pub fn memcpy_htod(&mut self, dst: u64, data: &[u8]) -> ClientResult<()> {
-        const API: &str = "cudaMemcpy(H2D)";
         let mut blob = std::mem::take(&mut self.sparse_scratch);
         let won = TransferPlan::scans_for_zeros(data.len())
             .then(|| oncrpc::sparse::encode_adaptive(data, oncrpc::sparse::SPARSE_PAGE, &mut blob))
@@ -461,15 +471,19 @@ impl CricketClient {
             self.batch.is_some(),
         );
         let sent = match plan {
-            TransferPlan::Plain | TransferPlan::BatchInline => {
-                self.issue(API, plan.deferred(), BatchOp::CudaMemcpyHtod(dst, data))
-            }
+            TransferPlan::Plain | TransferPlan::BatchInline => self.issue(
+                HTOD_API,
+                plan.deferred(),
+                BatchOp::CudaMemcpyHtod(dst, data),
+            ),
             TransferPlan::Sparse | TransferPlan::SparseInBatch => self.issue(
-                API,
+                HTOD_API,
                 plan.deferred(),
                 BatchOp::CudaMemcpyHtodSparse(dst, &blob),
             ),
-            TransferPlan::Striped => self.scatter_stripes(API, dst, data),
+            TransferPlan::Striped => self
+                .pre_call(HTOD_API)
+                .and_then(|()| self.stripe_pool().scatter(dst, data)),
         };
         blob.clear();
         self.sparse_scratch = blob;
@@ -486,50 +500,6 @@ impl CricketClient {
             .expect("TransferPlan::choose picks Striped only with a pool attached")
     }
 
-    /// Shard one large H2D copy across the stripe pool as independent
-    /// `CUDA_MEMCPY_HTOD_STRIPE` calls applied at `dst + offset`; the first
-    /// stripe the device refuses stops the rest. The replay cache plus the
-    /// lanes' disjoint xid spaces give exactly-once per stripe under retries.
-    fn scatter_stripes(&mut self, api: &'static str, dst: u64, data: &[u8]) -> ClientResult<()> {
-        self.pre_call(api)?;
-        self.stripe_pool()
-            .scatter(data, |lane, offset, seq, chunk| {
-                let reply =
-                    lane.call_raw_sg_tagged(cricket_v1::CUDA_MEMCPY_HTOD_STRIPE, false, |enc| {
-                        enc.put_u64(dst);
-                        enc.put_u64(offset);
-                        enc.put_u32(seq);
-                        enc.put_opaque_deferred(chunk);
-                    })?;
-                let code = xdr::decode(&reply).map_err(oncrpc::RpcError::from)?;
-                Self::int_status(code).map_err(|code| ClientError::cuda(api, code))
-            })
-    }
-
-    /// Gather one large D2H copy into `out` as independent
-    /// `CUDA_MEMCPY_DTOH_STRIPE` reads from `src + offset`, placed
-    /// positionally client-side.
-    fn gather_stripes(&mut self, api: &'static str, src: u64, out: &mut [u8]) -> ClientResult<()> {
-        self.stripe_pool().gather(out, |lane, offset, seq, chunk| {
-            let want = chunk.len();
-            let reply =
-                lane.call_raw_sg_tagged(cricket_v1::CUDA_MEMCPY_DTOH_STRIPE, true, |enc| {
-                    enc.put_u64(src);
-                    enc.put_u64(offset);
-                    enc.put_u64(want as u64);
-                    enc.put_u32(seq);
-                })?;
-            let mut dec = xdr::XdrDecoder::new(&reply);
-            let code = dec.get_i32().map_err(oncrpc::RpcError::from)?;
-            Self::int_status(code).map_err(|code| ClientError::cuda(api, code))?;
-            let data = dec.get_opaque_ref().map_err(oncrpc::RpcError::from)?;
-            dec.finish().map_err(oncrpc::RpcError::from)?;
-            dtoh_len_check(data.len(), want)?;
-            chunk.copy_from_slice(data);
-            Ok(())
-        })
-    }
-
     /// Every D2H copy: one read of exactly `len` bytes, planned once and
     /// counted once. With `dst` the bytes land there; `take` then sees them
     /// where the route left them — lent from the RPC reply buffer on the
@@ -543,25 +513,20 @@ impl CricketClient {
         dst: Option<&mut [u8]>,
         take: impl FnOnce(Cow<'_, [u8]>) -> R,
     ) -> ClientResult<R> {
-        const API: &str = "cudaMemcpy(D2H)";
         let plan = TransferPlan::choose(len, None, self.stripes.is_some(), false);
-        self.pre_call(API)?;
+        self.pre_call(DTOH_API)?;
         let out = match (plan, dst) {
             (TransferPlan::Striped, Some(dst)) => {
-                self.gather_stripes(API, src, dst)?;
+                self.stripe_pool().gather(src, dst)?;
                 take(Cow::Borrowed(dst))
             }
             (TransferPlan::Striped, None) => {
                 let mut out = vec![0u8; len];
-                self.gather_stripes(API, src, &mut out)?;
+                self.stripe_pool().gather(src, &mut out)?;
                 take(Cow::Owned(out))
             }
             (_, dst) => {
-                let (err, data) = self.stub.cuda_memcpy_dtoh_ref(&src, &(len as u64))?;
-                if err != 0 {
-                    return Err(ClientError::cuda(API, err));
-                }
-                dtoh_len_check(data.len(), len)?;
+                let data = read_dtoh(&mut self.stub, src, len)?;
                 if let Some(dst) = dst {
                     dst.copy_from_slice(data);
                 }
@@ -1276,8 +1241,9 @@ mod tests {
         }
     }
 
-    /// A D2H reply is exactly the bytes asked for or an error: a server that
-    /// answers one byte short must not come back as a short `Vec`.
+    /// A D2H reply is exactly the bytes asked for or an error, on the plain
+    /// route and on every stripe: a server that answers one byte short must
+    /// not come back as a short `Vec` or a partly filled slice.
     #[test]
     fn short_dtoh_reply_is_a_typed_error() {
         let server = oncrpc::RpcServer::new();
@@ -1297,24 +1263,50 @@ mod tests {
             cricket_proto::CRICKET_V1,
             Arc::new(short),
         );
-        let (client_end, mut server_end) = oncrpc::duplex_pair();
+        let (client_end, server_end) = oncrpc::duplex_pair();
+        let (lane_ends, server_ends): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| oncrpc::duplex_pair()).unzip();
         std::thread::scope(|scope| {
-            scope.spawn(|| server.serve_connection(&mut server_end));
+            for mut end in server_ends.into_iter().chain([server_end]) {
+                let server = &server;
+                scope.spawn(move || server.serve_connection(&mut end));
+            }
             let mut c = CricketClient::over(client_end, ClientFlavor::RustRpcLib, None);
-            let mut dst = [0xEEu8; 50];
-            for err in [
-                c.memcpy_dtoh(0x1000, 50).unwrap_err(),
-                c.memcpy_dtoh_into(0x1000, &mut dst).unwrap_err(),
-            ] {
+            let mut plain = [0xEEu8; 50];
+            let mut errs = vec![
+                (c.memcpy_dtoh(0x1000, 50).unwrap_err(), 50),
+                (c.memcpy_dtoh_into(0x1000, &mut plain).unwrap_err(), 50),
+            ];
+            let lanes = lane_ends
+                .into_iter()
+                .map(|end| CricketV1Client::new(Box::new(end)));
+            c.enable_striping(StripePool::new(lanes.collect(), None));
+            // Each stripe is one 256 KiB read, and the first one is short.
+            let mut striped = vec![0xEEu8; STRIPE_MIN];
+            errs.push((
+                c.memcpy_dtoh(0x1000, STRIPE_MIN as u64).unwrap_err(),
+                256 << 10,
+            ));
+            errs.push((
+                c.memcpy_dtoh_into(0x1000, &mut striped).unwrap_err(),
+                256 << 10,
+            ));
+            for (err, want) in errs {
                 match err {
                     ClientError::Rpc(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(why))) => {
-                        assert!(why.contains("49 bytes, wanted 50"), "{why}")
+                        let expect = format!("{} bytes, wanted {want}", want - 1);
+                        assert!(why.contains(&expect), "{why}")
                     }
                     other => panic!("expected a length error, got {other}"),
                 }
             }
-            assert_eq!(dst, [0xEE; 50], "nothing of a refused reply is copied");
+            assert_eq!(plain, [0xEE; 50], "nothing of a refused reply is copied");
+            assert!(
+                striped.iter().all(|&b| b == 0xEE),
+                "nor of a refused stripe"
+            );
             assert_eq!(c.stats.bytes_d2h, 0);
+            assert_eq!(stripes_sent(&c), 0);
         });
     }
 

@@ -4,6 +4,7 @@
 use crate::env::EnvConfig;
 use crate::raw::CricketClient;
 use crate::safe::Context;
+use crate::stripe::StripePool;
 use cricket_server::{make_rpc_server, CricketServer, ServerConfig, SimTransport};
 use simnet::SimClock;
 use std::sync::Arc;
@@ -60,11 +61,11 @@ impl SimSetup {
         ))
     }
 
-    /// Connect a client with an attached [`oncrpc::StripePool`] of `lanes`
+    /// Connect a client with an attached [`StripePool`] of `lanes`
     /// simulated connections. Each lane charges wire time to a private
-    /// clock; a [`SimStripeTimer`] aligns the lane clocks with the shared
-    /// clock around each striped transfer, so the lanes' wire time
-    /// overlaps — the virtual-time model of N independent connections.
+    /// clock, which the pool aligns with the shared clock around each
+    /// striped transfer, so the lanes' wire time overlaps — the
+    /// virtual-time model of N independent connections.
     pub fn striped_client(&self, env: EnvConfig, lanes: usize) -> CricketClient {
         let mut client = self.client(env);
         client.enable_striping(self.stripe_pool(env, lanes));
@@ -72,8 +73,8 @@ impl SimSetup {
     }
 
     /// Build a stripe pool of `lanes` simulated connections to this GPU
-    /// node, wired to overlap in virtual time (see [`SimStripeTimer`]).
-    pub fn stripe_pool(&self, env: EnvConfig, lanes: usize) -> oncrpc::StripePool {
+    /// node, wired to overlap in virtual time.
+    pub fn stripe_pool(&self, env: EnvConfig, lanes: usize) -> StripePool {
         self.stripe_pool_with(env, lanes, |t, _| t)
     }
 
@@ -86,26 +87,17 @@ impl SimSetup {
         env: EnvConfig,
         lanes: usize,
         mut wrap: impl FnMut(Box<dyn oncrpc::Transport>, usize) -> Box<dyn oncrpc::Transport>,
-    ) -> oncrpc::StripePool {
+    ) -> StripePool {
         let clocks: Vec<Arc<SimClock>> = (0..lanes).map(|_| SimClock::new()).collect();
         let clients = clocks
             .iter()
             .enumerate()
             .map(|(i, clock)| {
                 let t = SimTransport::new(Arc::clone(&self.rpc), env.guest(), Arc::clone(clock));
-                oncrpc::RpcClient::new(
-                    wrap(Box::new(t), i),
-                    cricket_proto::CRICKET_CUDA,
-                    cricket_proto::CRICKET_V1,
-                )
+                cricket_proto::CricketV1Client::new(wrap(Box::new(t), i))
             })
             .collect();
-        let mut pool = oncrpc::StripePool::new(clients);
-        pool.set_timer(SimStripeTimer {
-            shared: Arc::clone(&self.clock),
-            lanes: clocks,
-        });
-        pool
+        StripePool::new(clients, Some((Arc::clone(&self.clock), clocks)))
     }
 
     /// Connect a client whose RPC records pass through a fault-injecting
@@ -129,32 +121,6 @@ impl SimSetup {
 impl Default for SimSetup {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Lane-overlap timer for simulated stripe pools. Simulated transports
-/// charge wire time to a clock; left on the shared clock, N lanes would
-/// serialize. Instead each lane owns a private clock: `begin` fast-forwards
-/// every lane to the shared "now", `commit` folds the slowest lane back into
-/// the shared clock — so a striped transfer costs the *maximum* lane time,
-/// not the sum, exactly like N physically independent connections.
-pub struct SimStripeTimer {
-    shared: Arc<SimClock>,
-    lanes: Vec<Arc<SimClock>>,
-}
-
-impl oncrpc::StripeTimer for SimStripeTimer {
-    fn begin(&mut self) {
-        let now = self.shared.now_ns();
-        for lane in &self.lanes {
-            lane.advance_to(now);
-        }
-    }
-
-    fn commit(&mut self) {
-        if let Some(max) = self.lanes.iter().map(|l| l.now_ns()).max() {
-            self.shared.advance_to(max);
-        }
     }
 }
 

@@ -132,17 +132,7 @@ mod tests {
         ] {
             assert!(!is_batchable(proc), "proc {proc} must not be batchable");
         }
-        // Stripe procs: a write stripe mutates device memory (exactly-once
-        // only via the replay cache, so NOT idempotent, NOT batchable —
-        // striping exists to bypass single-connection serialization); a
-        // read stripe is pure and freely retryable.
-        assert_eq!(CUDA_MEMCPY_HTOD_STRIPE, 81);
-        assert_eq!(CUDA_MEMCPY_DTOH_STRIPE, 82);
         assert_eq!(CUDA_MEMCPY_HTOD_SPARSE, 83);
-        assert!(!is_idempotent(CUDA_MEMCPY_HTOD_STRIPE));
-        assert!(!is_batchable(CUDA_MEMCPY_HTOD_STRIPE));
-        assert!(is_idempotent(CUDA_MEMCPY_DTOH_STRIPE));
-        assert!(!is_batchable(CUDA_MEMCPY_DTOH_STRIPE));
         assert!(!is_idempotent(CUDA_MEMCPY_HTOD_SPARSE));
     }
 
@@ -330,27 +320,6 @@ mod tests {
                 arg2: u64,
             ) -> Result<i32, oncrpc::AcceptStat> {
                 Ok(0)
-            }
-            fn cuda_memcpy_htod_stripe(
-                &self,
-                arg0: u64,
-                arg1: u64,
-                arg2: u32,
-                arg3: &[u8],
-            ) -> Result<i32, oncrpc::AcceptStat> {
-                let _ = arg2;
-                Ok((arg0 + arg1) as i32 + arg3.len() as i32)
-            }
-            fn cuda_memcpy_dtoh_stripe(
-                &self,
-                arg0: u64,
-                arg1: u64,
-                arg2: u64,
-                arg3: u32,
-                reply: DataResultReply<'_>,
-            ) -> Result<DataResultReplied, oncrpc::AcceptStat> {
-                let _ = (arg0, arg1, arg3);
-                Ok(reply.data(&vec![8u8; arg2 as usize]))
             }
             fn cuda_memcpy_htod_sparse(
                 &self,

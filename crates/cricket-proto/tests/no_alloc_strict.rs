@@ -106,9 +106,9 @@ impl Transport for Loopback {
 }
 
 /// One full client lifetime — construction plus a call mix covering every
-/// generated encode shape (void args, scalar args, opaque payload args,
-/// the new stripe and sparse procs, and a bulk payload larger than `BUF`)
-/// — under the allocation counter.
+/// generated encode shape (void args, scalar args, a scalar followed by a
+/// deferred opaque payload — plain and sparse H2D — and a bulk payload
+/// larger than `BUF`) — under the allocation counter.
 fn int_proc_round(payload: &[u8], big: &[u8], sparse_blob: &[u8]) -> u64 {
     let before = allocation_count();
     let mut client = FixedClient::bind(Loopback::new(&0i32.to_be_bytes()));
@@ -120,12 +120,6 @@ fn int_proc_round(payload: &[u8], big: &[u8], sparse_blob: &[u8]) -> u64 {
         // request buffer still goes out — as an iovec segment — instead of
         // failing with `RecordTooLarge`.
         assert_eq!(client.cuda_memcpy_htod(&0x8000, big).unwrap(), 0);
-        assert_eq!(
-            client
-                .cuda_memcpy_htod_stripe(&0x1000, &(i * 4096), &(i as u32), payload)
-                .unwrap(),
-            0
-        );
         assert_eq!(
             client
                 .cuda_memcpy_htod_sparse(&0x2000, sparse_blob)

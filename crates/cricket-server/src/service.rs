@@ -1171,28 +1171,6 @@ impl cricket_proto::CricketV1Service for Sessioned {
         })
     }
 
-    /// One write stripe of a striped H2D copy: apply `data` at
-    /// `dst + offset`. Reassembly is positional, so stripes from different
-    /// lanes need no mutual ordering; exactly-once per stripe comes from
-    /// the replay cache plus the lanes' disjoint xid spaces. The stripe
-    /// seq travels for tracing only.
-    fn cuda_memcpy_htod_stripe(&self, dst: u64, offset: u64, _seq: u32, data: &[u8]) -> Reply<i32> {
-        self.cuda_memcpy_htod(dst.wrapping_add(offset), data)
-    }
-
-    /// One read stripe of a striped D2H copy: read `len` bytes from
-    /// `src + offset`. Pure read — idempotent by construction.
-    fn cuda_memcpy_dtoh_stripe(
-        &self,
-        src: u64,
-        offset: u64,
-        len: u64,
-        _seq: u32,
-        out: DataResultReply<'_>,
-    ) -> Reply<DataResultReplied> {
-        self.cuda_memcpy_dtoh(src.wrapping_add(offset), len, out)
-    }
-
     /// Sparse H2D: the shared body expands the zero-page-elided blob and
     /// writes it like a plain H2D — `bytes_in` counts the decoded length,
     /// keeping the paper's transfer accounting independent of the wire codec.

@@ -27,10 +27,7 @@
 //!   assign);
 //! * [`Fleet`] / [`FleetBuilder`] — a directory plus N
 //!   [`cricket_server::ServeHandle`] shards with graceful-stop vs
-//!   crash-kill lifecycle;
-//! * [`rebalance_plan`] — a pure planner computing session moves that
-//!   would even out shard load (the hook the future live-migration item
-//!   plugs into).
+//!   crash-kill lifecycle, and live session migration between shards.
 
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
@@ -311,7 +308,7 @@ impl Fleet {
     }
 
     /// The slot index of the live shard registered on `port` — the bridge
-    /// from [`rebalance_plan`]'s port-speak to migration's slot-speak.
+    /// from the directory's port-speak to migration's slot-speak.
     pub fn shard_by_port(&self, port: u32) -> Option<usize> {
         self.shards
             .iter()
@@ -401,29 +398,6 @@ impl Fleet {
                 Err(e)
             }
         }
-    }
-
-    /// Execute one [`rebalance_plan`] move as live migrations: the planner
-    /// speaks ports, migration speaks shard slots and client tokens, so
-    /// the caller names which tokens (up to `m.sessions` of them) should
-    /// move. Stops at the first failed migration.
-    pub fn execute_move(
-        &self,
-        m: &Move,
-        tokens: &[u64],
-        copy_rounds: u32,
-    ) -> Result<Vec<MigrationReport>, MigrateError> {
-        let from = self.shard_by_port(m.from_port).ok_or_else(|| {
-            MigrateError::SourceLost(format!("no live shard on port {}", m.from_port))
-        })?;
-        let to = self.shard_by_port(m.to_port).ok_or_else(|| {
-            MigrateError::DestLost(format!("no live shard on port {}", m.to_port))
-        })?;
-        tokens
-            .iter()
-            .take(m.sessions as usize)
-            .map(|&token| self.migrate_session(token, from, to, copy_rounds))
-            .collect()
     }
 }
 
@@ -600,88 +574,6 @@ impl SessionMigration {
     }
 }
 
-/// One planned session migration: move `sessions` sessions from the shard
-/// registered on `from_port` to the one on `to_port`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Move {
-    /// Source shard's registered port.
-    pub from_port: u32,
-    /// Destination shard's registered port.
-    pub to_port: u32,
-    /// How many sessions to move.
-    pub sessions: u32,
-}
-
-/// A rebalancing plan: the session moves that would bring every shard's
-/// session count within the tolerance band around the mean.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RebalancePlan {
-    /// Moves in application order. Empty = already balanced.
-    pub moves: Vec<Move>,
-}
-
-impl RebalancePlan {
-    /// True if no move is needed.
-    pub fn is_balanced(&self) -> bool {
-        self.moves.is_empty()
-    }
-}
-
-/// Compute the moves that even out `sessions` across shards, leaving every
-/// shard within `±tolerance` (fraction of the mean, e.g. `0.25`) of the
-/// mean session count.
-///
-/// This is the fleet's hook for the future live-migration item: the plan
-/// is pure and deterministic (greedy: repeatedly move one session from the
-/// most- to the least-loaded shard until both are inside the band), and a
-/// migration engine can execute its moves with streaming checkpoints.
-pub fn rebalance_plan(shards: &[ShardEntry], tolerance: f64) -> RebalancePlan {
-    let mut plan = RebalancePlan::default();
-    if shards.len() < 2 {
-        return plan;
-    }
-    let mut counts: Vec<(u32, i64)> = shards
-        .iter()
-        .map(|s| (s.port, i64::from(s.effective_sessions())))
-        .collect();
-    counts.sort_by_key(|&(port, _)| port);
-    let total: i64 = counts.iter().map(|&(_, n)| n).sum();
-    let mean = total as f64 / counts.len() as f64;
-    let slack = (mean * tolerance.max(0.0)).floor() as i64;
-    let (lo, hi) = (mean.floor() as i64 - slack, mean.ceil() as i64 + slack);
-    loop {
-        let (mut max_i, mut min_i) = (0, 0);
-        for (i, &(_, n)) in counts.iter().enumerate() {
-            if n > counts[max_i].1 {
-                max_i = i;
-            }
-            if n < counts[min_i].1 {
-                min_i = i;
-            }
-        }
-        if counts[max_i].1 <= hi || counts[min_i].1 >= lo || counts[max_i].1 - counts[min_i].1 <= 1
-        {
-            break;
-        }
-        counts[max_i].1 -= 1;
-        counts[min_i].1 += 1;
-        let (from_port, to_port) = (counts[max_i].0, counts[min_i].0);
-        match plan
-            .moves
-            .iter_mut()
-            .find(|m| m.from_port == from_port && m.to_port == to_port)
-        {
-            Some(m) => m.sessions += 1,
-            None => plan.moves.push(Move {
-                from_port,
-                to_port,
-                sessions: 1,
-            }),
-        }
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,37 +641,6 @@ mod tests {
         let ranked = Placement::Pack.rank(&shards);
         let ports: Vec<u32> = ranked.iter().map(|s| s.port).collect();
         assert_eq!(ports, vec![5003, 5001, 5002]);
-    }
-
-    #[test]
-    fn rebalance_evens_out_skew() {
-        let shards = [entry(1, 10, 0, 0), entry(2, 0, 0, 0), entry(3, 2, 0, 0)];
-        let plan = rebalance_plan(&shards, 0.0);
-        assert!(!plan.is_balanced());
-        // Apply the plan and verify every shard lands on the mean (4).
-        let mut counts = std::collections::HashMap::from([(1u32, 10i64), (2, 0), (3, 2)]);
-        for m in &plan.moves {
-            *counts.get_mut(&m.from_port).unwrap() -= i64::from(m.sessions);
-            *counts.get_mut(&m.to_port).unwrap() += i64::from(m.sessions);
-        }
-        assert_eq!(counts[&1], 4);
-        assert_eq!(counts[&2], 4);
-        assert_eq!(counts[&3], 4);
-    }
-
-    #[test]
-    fn rebalance_tolerates_band() {
-        // Mean 4, tolerance 25% → slack 1 → band [3, 6]: already balanced.
-        let shards = [entry(1, 5, 0, 0), entry(2, 3, 0, 0)];
-        assert!(rebalance_plan(&shards, 0.25).is_balanced());
-        // Zero tolerance wants them within 1 of each other — 5 vs 3 moves.
-        assert!(!rebalance_plan(&shards, 0.0).is_balanced());
-    }
-
-    #[test]
-    fn rebalance_trivial_inputs() {
-        assert!(rebalance_plan(&[], 0.25).is_balanced());
-        assert!(rebalance_plan(&[entry(1, 9, 0, 0)], 0.25).is_balanced());
     }
 
     #[test]

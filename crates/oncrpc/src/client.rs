@@ -255,8 +255,8 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         self.cred.put_opaque(&token.to_be_bytes());
     }
 
-    /// Rebase the xid sequence. Stripe pools give each lane a disjoint xid
-    /// space so replay-cache entries from different lanes can never collide
+    /// Rebase the xid sequence. A stripe pool (`cricket_client::stripe`)
+    /// gives each lane a disjoint xid space so replay-cache entries from different lanes can never collide
     /// even when the lanes share one client token.
     pub fn set_xid_base(&mut self, base: u32) {
         self.next_xid = base;

@@ -42,7 +42,6 @@ pub mod record;
 pub mod replay;
 pub mod server;
 pub mod sparse;
-pub mod stripe;
 pub mod telemetry;
 pub mod transport;
 
@@ -62,7 +61,6 @@ pub use reactor::{
 pub use record::{RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
 pub use server::{Dispatch, RpcServer, ServerHandle};
-pub use stripe::{NullTimer, StripePool, StripeTimer};
 pub use transport::{duplex_pair, MemTransport, TcpTransport, Transport};
 
 /// The RPC protocol version this crate speaks (RFC 5531 mandates 2).

@@ -7,25 +7,12 @@ use crate::{pad_bytes, Xdr, XdrError, XdrResult};
 pub struct XdrDecoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// When true (the default), require padding bytes to be zero, as RFC 4506
-    /// specifies ("residual bytes are zeros").
-    strict_padding: bool,
 }
 
 impl<'a> XdrDecoder<'a> {
     /// Create a decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            strict_padding: true,
-        }
-    }
-
-    /// Disable the padding-must-be-zero check (some legacy peers send junk).
-    pub fn lenient_padding(mut self) -> Self {
-        self.strict_padding = false;
-        self
+        Self { buf, pos: 0 }
     }
 
     /// Current read offset in bytes.
@@ -120,10 +107,12 @@ impl<'a> XdrDecoder<'a> {
         }
     }
 
+    /// Padding bytes must be zero, as RFC 4506 specifies ("residual bytes
+    /// are zeros").
     fn check_padding(&mut self, payload_len: usize) -> XdrResult<()> {
         let pad = pad_bytes(payload_len);
         let b = self.take(pad)?;
-        if self.strict_padding && b.iter().any(|&x| x != 0) {
+        if b.iter().any(|&x| x != 0) {
             return Err(XdrError::NonZeroPadding);
         }
         Ok(())
@@ -291,8 +280,6 @@ mod tests {
         let buf = [0, 0, 0, 1, 0xaa, 1, 0, 0];
         let mut d = XdrDecoder::new(&buf);
         assert_eq!(d.get_opaque(), Err(XdrError::NonZeroPadding));
-        let mut d = XdrDecoder::new(&buf).lenient_padding();
-        assert_eq!(d.get_opaque().unwrap(), [0xaa]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use cricket_repro::client::sim::SimSetup;
 use cricket_repro::oncrpc::{
-    FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy, SharedFaultPlan,
+    AcceptStat, FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
+    RpcError, SharedFaultPlan,
 };
 use cricket_repro::prelude::*;
 use cricket_repro::server::SimTransport;
@@ -45,7 +46,10 @@ fn wire_bytes(client: &mut CricketClient) -> u64 {
 /// client sent — from state no other test can touch.
 fn stripe_calls(client: &mut CricketClient) -> u64 {
     let mut pool = client.disable_striping().expect("client has a pool");
-    pool.lanes_mut().iter().map(|lane| lane.stats().calls).sum()
+    pool.lanes_mut()
+        .iter()
+        .map(|lane| lane.rpc.stats().calls)
+        .sum()
 }
 
 /// Harden one RPC lane the same way `tests/chaos.rs` hardens a client:
@@ -180,7 +184,7 @@ fn striped_transfers_survive_the_chaos_matrix_exactly_once() {
         });
         pool.set_credential(OpaqueAuth::client_token(0xC11E_0002));
         for (i, lane) in pool.lanes_mut().iter_mut().enumerate() {
-            harden_lane(lane, &setup, env, &plans[i]);
+            harden_lane(&mut lane.rpc, &setup, env, &plans[i]);
         }
 
         // The control-plane client stays clean; only the stripes face chaos.
@@ -202,6 +206,38 @@ fn striped_transfers_survive_the_chaos_matrix_exactly_once() {
         assert_eq!(back, data, "seed {seed}: striped reassembly corrupted");
         client.free(p).unwrap();
     }
+}
+
+/// Procedures 81 and 82 carried stripes before a stripe became a plain
+/// copy call. A peer that still sends one is answered `PROC_UNAVAIL` by the
+/// generated dispatcher, and its session carries on — on the simulated
+/// guest path and on a reactor-served TCP connection.
+#[test]
+fn retired_stripe_procedures_are_refused_proc_unavail() {
+    let setup = SimSetup::new();
+    let server = ServerBuilder::new("127.0.0.1:0").serve().expect("bind");
+    let tcp = CricketClient::connect(&Endpoint::addr(server.addr()).unwrap()).unwrap();
+    for mut client in [setup.client(EnvConfig::RustyHermit), tcp] {
+        let data = dense(64 * 1024);
+        let p = client.malloc(data.len() as u64).unwrap();
+        for proc in [81, 82] {
+            // The retired argument shape: base pointer, offset, stripe seq.
+            let refused = client.rpc().call_raw(proc, |enc| {
+                enc.put_u64(p);
+                enc.put_u64(0);
+                enc.put_u32(0);
+            });
+            assert!(
+                matches!(refused, Err(RpcError::Accepted(AcceptStat::ProcUnavail))),
+                "proc {proc}: {:?}",
+                refused.map(|_| ())
+            );
+        }
+        client.memcpy_htod(p, &data).unwrap();
+        assert_eq!(client.memcpy_dtoh(p, data.len() as u64).unwrap(), data);
+        client.free(p).unwrap();
+    }
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------

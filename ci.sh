@@ -31,8 +31,10 @@ export CARGO_NET_OFFLINE=true
 # beside it would show here. And `core/src/raw.rs` and
 # `cricket-server/src/service.rs`, failing above the lines they took once
 # striping became plain copy calls: a second copy procedure or a hand-written
-# lane encoder beside them would show here. `./ci.sh size` runs this step
-# alone (the workflow does).
+# lane encoder beside them would show here. And `vgpu/src/kernels.rs` and
+# `vgpu/src/device.rs`, failing above the lines they took once a launch
+# stopped allocating: a second launch path or kernel body beside them would
+# show here. `./ci.sh size` runs this step alone (the workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
     find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
@@ -73,7 +75,8 @@ size() {
         shims/polling/src/lib.rs
     for limit in crates/cricket-server/src/transport.rs:340 crates/unikernel/src/tcp.rs:261 \
         crates/oncrpc/src/reactor.rs:931 crates/core/src/raw.rs:910 \
-        crates/cricket-server/src/service.rs:2339; do
+        crates/cricket-server/src/service.rs:2339 crates/vgpu/src/kernels.rs:586 \
+        crates/vgpu/src/device.rs:825; do
         awk -v limit="${limit##*:}" '/#\[cfg\(test\)\]/ { exit } { n++ }
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
             "${limit%:*}"
@@ -135,7 +138,14 @@ cargo test -q
 #   blob_count_bound       (cricket-server) a session blob's count reserves no more than the bytes behind it
 #   sim_path_allocs        (cricket-server) steady-state calls over SimTransport allocate nothing on every guest kind
 #                          (software checksum, host TSO split and fixed-receive-buffer branches included),
-#                          cudaMalloc included; a 1 MiB D2H allocates its result only
+#                          cudaMalloc and a vectorAdd launch with arguments (a memo hit) included;
+#                          a 1 MiB D2H allocates its result only
+#   proptest_device        (cricket-vgpu) every builtin kernel's output bytes equal a naive loop's over random
+#                          finite inputs and ragged geometry (hA / wB off the register tile, bytes off the
+#                          block count, one block, more blocks than bytes)
+#   safety                 hostile_launch_geometry_is_refused_and_the_session_carries_on: a 2^96-block histogram
+#                          grid and 2^64-byte matrix sizes get a CUDA error over SimTransport, then the session
+#                          launches and copies normally
 #   proptest_model         (cricket-simnet) cost-model monotonicity; the checksum against a
 #                          fold-every-word reference up to 300 000 bytes
 # Unit suites that pin this data path: cricket-proto (reply sink bytes = owned union encoding; the admin table),
@@ -148,7 +158,8 @@ cargo test -q
 # cricket-oncrpc record (an_announced_length_does_not_size_the_buffer: a 512 MiB header then EOF leaves < 1 MiB;
 #                          marks_*: RecordMarks over multi-fragment, byte-at-a-time, split records into a reused buffer,
 #                          oversized (refused at the mark) and empty records),
-# cricket-vgpu (unbacked blocks, bounded launch memo),
+# cricket-vgpu (unbacked blocks, bounded launch memo; hostile_launch_geometry_is_refused: a typed error,
+#                          no allocation or overflow panic, and the memo still hits afterwards),
 # cricket-server scheduler (grant order per policy, forget, config setters, WFQ, should_yield: one ranking key),
 # cricket-server service (each batchable op alone = the same op as a one-op batch, statuses and memory;
 #                          a sparse sub-op with a lying header moves no counter;

@@ -21,6 +21,7 @@ use oncrpc::telemetry::{allocation_count, CountingAllocator};
 use simnet::SimClock;
 use std::sync::Arc;
 use unikernel::{Guest, GuestKind};
+use vgpu::kernels::ParamBuilder;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -55,6 +56,7 @@ fn check(kind: GuestKind) {
 
     let image = vgpu::module::CubinBuilder::new()
         .kernel("empty", &[])
+        .kernel("vectorAdd", &[8, 8, 8, 4])
         .code(b"empty kernel")
         .build(false);
     let module = c
@@ -67,13 +69,31 @@ fn check(kind: GuestKind) {
         .unwrap()
         .into_result()
         .unwrap();
+    let add = c
+        .cu_module_get_function(&module, "vectorAdd")
+        .unwrap()
+        .into_result()
+        .unwrap();
     let one = RpcDim3 { x: 1, y: 1, z: 1 };
     let buf = c.cuda_malloc(&(1 << 20)).unwrap().into_result().unwrap();
     let h2d = vec![0x5au8; 64 << 10];
+    // vectorAdd(y, x, x, 256) over two 1 KiB buffers: after its first run
+    // every launch is a memo hit.
+    let x = c.cuda_malloc(&1024).unwrap().into_result().unwrap();
+    let y = c.cuda_malloc(&1024).unwrap().into_result().unwrap();
+    let add_params = ParamBuilder::new().ptr(y).ptr(x).ptr(x).u32(256).build();
+    let threads = RpcDim3 { x: 256, y: 1, z: 1 };
 
     let launch = |c: &mut CricketV1Client| {
         assert_eq!(
             c.cuda_launch_kernel(&func, &one, &one, &0, &0, &[])
+                .unwrap(),
+            0
+        );
+    };
+    let launch_add = |c: &mut CricketV1Client| {
+        assert_eq!(
+            c.cuda_launch_kernel(&add, &one, &threads, &0, &0, &add_params)
                 .unwrap(),
             0
         );
@@ -91,6 +111,7 @@ fn check(kind: GuestKind) {
     for _ in 0..5_000 {
         launch(&mut c);
     }
+    launch_add(&mut c);
     assert_eq!(c.cuda_device_synchronize().unwrap(), 0);
 
     let zero =
@@ -100,6 +121,10 @@ fn check(kind: GuestKind) {
         per_round(|| assert_eq!(c.cuda_get_device_count().unwrap().into_result(), Ok(4))),
     );
     zero("empty launch", per_round(|| launch(&mut c)));
+    zero(
+        "launch with arguments (memo hit)",
+        per_round(|| launch_add(&mut c)),
+    );
     zero(
         "cudaDeviceSynchronize",
         per_round(|| assert_eq!(c.cuda_device_synchronize().unwrap(), 0)),

@@ -63,7 +63,10 @@ struct FunctionEntry {
     builtin: &'static kernels::Builtin,
 }
 
-#[derive(Hash, PartialEq, Eq, Clone)]
+/// A launch as the memo sees it. [`Device`] refills one of these in place
+/// per launch and clones it only to insert a miss, so a hit allocates
+/// nothing.
+#[derive(Hash, PartialEq, Eq, Clone, Default)]
 struct MemoKey {
     func: u64,
     params: Vec<u8>,
@@ -93,6 +96,8 @@ pub struct Device {
     /// End of this device's handle window: nothing at or past it is issued.
     handle_end: u64,
     memo: HashMap<MemoKey, MemoEntry>,
+    /// The launch being looked up; see [`MemoKey`].
+    memo_key: MemoKey,
     /// Device-global issue sequence; total order over all enqueues.
     issue_seq: u64,
     /// Completed commands, retired in per-stream issue order.
@@ -137,6 +142,7 @@ impl Device {
             next_handle: handles.start.max(HANDLE_BASE),
             handle_end: handles.end,
             memo: HashMap::new(),
+            memo_key: MemoKey::default(),
             issue_seq: 0,
             retired: Vec::new(),
             busy: IntervalUnion::default(),
@@ -501,18 +507,22 @@ impl Device {
         let duration = kernel_duration_ns(&self.props, &access.workload);
 
         // Memoization: identical launch on identical inputs whose outputs
-        // still hold the previous result → pure time accounting.
-        let input_versions: Vec<u64> = access
-            .reads
-            .iter()
-            .map(|&(ptr, _)| self.mem.version_of(ptr))
-            .collect::<VgpuResult<_>>()?;
-        let key = MemoKey {
-            func,
-            params: params.to_vec(),
-            input_versions,
-        };
-        let cache_ok = self.memo.get(&key).is_some_and(|entry| {
+        // still hold the previous result → pure time accounting. The key is
+        // refilled from scratch, so an error part-way leaves nothing stale.
+        // Every range is checked against its allocation here, before
+        // `execute` sizes or touches anything from the launch's geometry.
+        let key = &mut self.memo_key;
+        key.func = func;
+        key.params.clear();
+        key.params.extend_from_slice(params);
+        key.input_versions.clear();
+        for &(ptr, len) in access.reads.iter() {
+            key.input_versions.push(self.mem.range_version(ptr, len)?);
+        }
+        for &(ptr, len) in access.writes.iter() {
+            self.mem.range_version(ptr, len)?;
+        }
+        let cache_ok = self.memo.get(&self.memo_key).is_some_and(|entry| {
             entry
                 .out_versions
                 .iter()
@@ -534,7 +544,7 @@ impl Device {
                 self.memo.retain(|_, e| e.launch + MEMO_CAP as u64 > launch);
             }
             self.memo.insert(
-                key,
+                self.memo_key.clone(),
                 MemoEntry {
                     out_versions,
                     launch,
@@ -1006,6 +1016,69 @@ mod tests {
         assert!(d.memo.len() <= MEMO_CAP, "cut back a second time");
         launch(&mut d, add, &pure);
         assert_eq!(d.stats.memo_hits, 2);
+    }
+
+    /// A launch's geometry comes off the wire. Geometry that would size a
+    /// buffer past the caller's allocations, or past 64 bits, is a typed
+    /// error (not an allocation abort or an overflow panic), and the
+    /// device launches and memoizes normally afterwards.
+    #[test]
+    fn hostile_launch_geometry_is_refused() {
+        let mut d = Device::a100();
+        let image = CubinBuilder::new()
+            .kernel("histogram64Kernel", &[8, 8, 4])
+            .kernel("matrixMulCUDA", &[8, 8, 8, 4, 4])
+            .kernel("vectorAdd", &[8, 8, 8, 4])
+            .build(false);
+        let (module, _) = d.module_load(&image).unwrap();
+        let func = |d: &mut Device, name| d.module_get_function(module, name).unwrap().0;
+        let (hist, mm, add) = (
+            func(&mut d, "histogram64Kernel"),
+            func(&mut d, "matrixMulCUDA"),
+            func(&mut d, "vectorAdd"),
+        );
+        let (p, _) = d.malloc(1024).unwrap();
+        let (q, _) = d.malloc(1024).unwrap();
+        let huge = Dim3 {
+            x: u32::MAX,
+            y: u32::MAX,
+            z: u32::MAX,
+        };
+        let params = ParamBuilder::new().ptr(p).ptr(q).u32(1024).build();
+        let err = d
+            .launch_kernel(hist, huge, Dim3::linear(64), 0, 0, &params)
+            .unwrap_err();
+        assert!(matches!(err, VgpuError::InvalidValue(_)), "{err:?}");
+        // No overflow, but 2^20 partial histograms do not fit 1 KiB.
+        let err = d
+            .launch_kernel(hist, Dim3::linear(1 << 20), Dim3::linear(64), 0, 0, &params)
+            .unwrap_err();
+        assert!(matches!(err, VgpuError::OutOfBounds { .. }), "{err:?}");
+        // hA * wA * 4 = 2^64.
+        let params = ParamBuilder::new()
+            .ptr(p)
+            .ptr(q)
+            .ptr(p)
+            .u32(1 << 31)
+            .u32(1 << 31)
+            .build();
+        let grid = Dim3 {
+            x: 1,
+            y: 1 << 31,
+            z: 1,
+        };
+        let err = d
+            .launch_kernel(mm, grid, Dim3::one(), 0, 0, &params)
+            .unwrap_err();
+        assert!(matches!(err, VgpuError::InvalidValue(_)), "{err:?}");
+        assert_eq!(d.stats.launches, 0, "a refused launch is not a launch");
+
+        let params = ParamBuilder::new().ptr(p).ptr(q).ptr(q).u32(256).build();
+        for _ in 0..2 {
+            d.launch_kernel(add, Dim3::one(), Dim3::linear(256), 0, 0, &params)
+                .unwrap();
+        }
+        assert_eq!((d.stats.launches, d.stats.memo_hits), (2, 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! client stub marshals `void* args[]`.
 
 use crate::error::{VgpuError, VgpuResult};
-use crate::memory::{bytes_to_f32, bytes_to_u32, f32_to_bytes, u32_to_bytes, MemoryManager};
+use crate::memory::{bytes_to_f32, MemoryManager};
 use crate::timemodel::{Precision, Workload};
 
 /// CUDA dim3.
@@ -37,9 +37,10 @@ impl Dim3 {
         Self { x, y: 1, z: 1 }
     }
 
-    /// Total element count.
+    /// Total element count, saturating at `u64::MAX`: three `u32::MAX`
+    /// extents exceed 64 bits, and nothing sized from the count fits.
     pub fn count(&self) -> u64 {
-        self.x as u64 * self.y as u64 * self.z as u64
+        (self.x as u64 * self.y as u64).saturating_mul(self.z as u64)
     }
 }
 
@@ -163,13 +164,44 @@ impl ParamBuilder {
     }
 }
 
+/// At most two memory ranges `(pointer, bytes)`, stored inline so that
+/// analysing a launch allocates nothing. Derefs to the slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ranges {
+    len: usize,
+    slots: [(u64, u64); Ranges::CAP],
+}
+
+impl Ranges {
+    /// Most ranges one side of a builtin's access set holds (vectorAdd and
+    /// matrixMul read two).
+    const CAP: usize = 2;
+}
+
+impl<const N: usize> From<[(u64, u64); N]> for Ranges {
+    fn from(ranges: [(u64, u64); N]) -> Self {
+        const { assert!(N <= Ranges::CAP) };
+        let mut slots = [(0, 0); Ranges::CAP];
+        slots[..N].copy_from_slice(&ranges);
+        Self { len: N, slots }
+    }
+}
+
+impl std::ops::Deref for Ranges {
+    type Target = [(u64, u64)];
+
+    fn deref(&self) -> &[(u64, u64)] {
+        &self.slots[..self.len]
+    }
+}
+
 /// Memory ranges a launch will read and write, plus its workload estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Access {
     /// Ranges read (pointer, bytes).
-    pub reads: Vec<(u64, u64)>,
+    pub reads: Ranges,
     /// Ranges written (pointer, bytes).
-    pub writes: Vec<(u64, u64)>,
+    pub writes: Ranges,
     /// Timing-model workload.
     pub workload: Workload,
 }
@@ -196,14 +228,28 @@ pub fn registry() -> &'static [Builtin] {
     REGISTRY
 }
 
+/// The product of `factors`, or `InvalidValue` naming `what` when it
+/// overflows: geometry and sizes arrive off the wire, unbounded.
+fn product(what: &str, factors: &[u64]) -> VgpuResult<u64> {
+    factors
+        .iter()
+        .try_fold(1u64, |acc, &f| acc.checked_mul(f))
+        .ok_or_else(|| VgpuError::InvalidValue(format!("{what} overflows 64 bits")))
+}
+
+/// The f32 in the first four bytes of `b` (device layout, little-endian).
+fn f32_le(b: &[u8]) -> f32 {
+    f32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
 // ---------------------------------------------------------------------------
 // empty kernel — the Fig. 6c micro-benchmark target
 // ---------------------------------------------------------------------------
 
 fn empty_analyze(_cfg: &LaunchConfig, _p: Params<'_>) -> VgpuResult<Access> {
     Ok(Access {
-        reads: vec![],
-        writes: vec![],
+        reads: [].into(),
+        writes: [].into(),
         workload: Workload {
             flops: 0.0,
             bytes: 0.0,
@@ -221,10 +267,11 @@ fn empty_execute(_m: &mut MemoryManager, _cfg: &LaunchConfig, _p: Params<'_>) ->
 // ---------------------------------------------------------------------------
 
 fn vector_add_analyze(_cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
+    // `n` is 32-bit, so no size below can overflow.
     let (c, a, b, n) = (p.ptr(0)?, p.ptr(1)?, p.ptr(2)?, p.u32(3)? as u64);
     Ok(Access {
-        reads: vec![(a, n * 4), (b, n * 4)],
-        writes: vec![(c, n * 4)],
+        reads: [(a, n * 4), (b, n * 4)].into(),
+        writes: [(c, n * 4)].into(),
         workload: Workload {
             flops: n as f64,
             bytes: (n * 12) as f64,
@@ -235,16 +282,18 @@ fn vector_add_analyze(_cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> 
 
 fn vector_add_execute(m: &mut MemoryManager, cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
     let (c, a, b, n) = (p.ptr(0)?, p.ptr(1)?, p.ptr(2)?, p.u32(3)? as u64);
-    let threads = cfg.grid.count() * cfg.block.count();
+    let threads = cfg.grid.count().saturating_mul(cfg.block.count());
     if threads < n {
         return Err(VgpuError::LaunchFailure(format!(
             "vectorAdd launched with {threads} threads for {n} elements"
         )));
     }
-    let av = bytes_to_f32(m.read(a, n * 4)?);
-    let bv = bytes_to_f32(m.read(b, n * 4)?);
-    let cv: Vec<f32> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
-    m.write(c, &f32_to_bytes(&cv))
+    let (av, bv) = (m.read(a, n * 4)?, m.read(b, n * 4)?);
+    let mut cv = Vec::with_capacity(av.len());
+    for (x, y) in av.chunks_exact(4).zip(bv.chunks_exact(4)) {
+        cv.extend_from_slice(&(f32_le(x) + f32_le(y)).to_le_bytes());
+    }
+    m.write(c, &cv)
 }
 
 // ---------------------------------------------------------------------------
@@ -254,10 +303,20 @@ fn vector_add_execute(m: &mut MemoryManager, cfg: &LaunchConfig, p: Params<'_>) 
 // so hA = grid.y * 32. C (hA×wB) = A (hA×wA) × B (wA×wB), row-major.
 // ---------------------------------------------------------------------------
 
-fn matrix_mul_dims(
-    cfg: &LaunchConfig,
-    p: Params<'_>,
-) -> VgpuResult<(u64, u64, u64, u64, u64, u64)> {
+/// A matrixMul launch's operands and their byte lengths.
+struct MatrixMul {
+    c: u64,
+    a: u64,
+    b: u64,
+    wa: u64,
+    wb: u64,
+    ha: u64,
+    a_len: u64,
+    b_len: u64,
+    c_len: u64,
+}
+
+fn matrix_mul_dims(cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<MatrixMul> {
     let (c, a, b) = (p.ptr(0)?, p.ptr(1)?, p.ptr(2)?);
     let wa = p.u32(3)? as u64;
     let wb = p.u32(4)? as u64;
@@ -267,39 +326,83 @@ fn matrix_mul_dims(
             "matrixMul with zero dimension".into(),
         ));
     }
-    Ok((c, a, b, wa, wb, ha))
+    Ok(MatrixMul {
+        c,
+        a,
+        b,
+        wa,
+        wb,
+        ha,
+        a_len: product("matrixMul A", &[ha, wa, 4])?,
+        b_len: product("matrixMul B", &[wa, wb, 4])?,
+        c_len: product("matrixMul C", &[ha, wb, 4])?,
+    })
 }
 
 fn matrix_mul_analyze(cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
-    let (c, a, b, wa, wb, ha) = matrix_mul_dims(cfg, p)?;
+    let mm = matrix_mul_dims(cfg, p)?;
     Ok(Access {
-        reads: vec![(a, ha * wa * 4), (b, wa * wb * 4)],
-        writes: vec![(c, ha * wb * 4)],
+        reads: [(mm.a, mm.a_len), (mm.b, mm.b_len)].into(),
+        writes: [(mm.c, mm.c_len)].into(),
         workload: Workload {
-            flops: 2.0 * ha as f64 * wa as f64 * wb as f64,
-            bytes: ((ha * wa + wa * wb + ha * wb) * 4) as f64,
+            flops: 2.0 * mm.ha as f64 * mm.wa as f64 * mm.wb as f64,
+            bytes: mm.a_len as f64 + mm.b_len as f64 + mm.c_len as f64,
             precision: Precision::F32,
         },
     })
 }
 
+/// Rows of C computed together, sharing each row of B they read.
+const TILE_ROWS: usize = 4;
+/// Columns of C held in registers across the whole k loop.
+const TILE_COLS: usize = 8;
+
 fn matrix_mul_execute(m: &mut MemoryManager, cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
-    let (c, a, b, wa, wb, ha) = matrix_mul_dims(cfg, p)?;
-    let av = bytes_to_f32(m.read(a, ha * wa * 4)?);
-    let bv = bytes_to_f32(m.read(b, wa * wb * 4)?);
-    let mut cv = vec![0f32; (ha * wb) as usize];
-    // Straightforward ikj loop; cache-friendly on row-major data.
-    for i in 0..ha as usize {
-        for k in 0..wa as usize {
-            let aik = av[i * wa as usize + k];
-            let brow = &bv[k * wb as usize..(k + 1) * wb as usize];
-            let crow = &mut cv[i * wb as usize..(i + 1) * wb as usize];
-            for (cj, bj) in crow.iter_mut().zip(brow) {
-                *cj += aik * bj;
+    let mm = matrix_mul_dims(cfg, p)?;
+    let (wa, wb, ha) = (mm.wa as usize, mm.wb as usize, mm.ha as usize);
+    let (ab, bb) = (m.read(mm.a, mm.a_len)?, m.read(mm.b, mm.b_len)?);
+    // A by row tiles: entry `t * wA + k` holds A[t * TILE_ROWS + r][k] for
+    // each r, rows past hA zero.
+    let mut a_tiles = vec![[0f32; TILE_ROWS]; ha.div_ceil(TILE_ROWS) * wa];
+    for (i, row) in ab.chunks_exact(4 * wa).enumerate() {
+        let tile = &mut a_tiles[i / TILE_ROWS * wa..][..wa];
+        for (t, v) in tile.iter_mut().zip(row.chunks_exact(4)) {
+            t[i % TILE_ROWS] = f32_le(v);
+        }
+    }
+    let mut b_panel = vec![[0f32; TILE_COLS]; wa];
+    let mut cv = vec![0u8; mm.c_len as usize];
+    for j0 in (0..wb).step_by(TILE_COLS) {
+        let cols = TILE_COLS.min(wb - j0);
+        // Columns j0.. of B as one contiguous panel, columns past wB zero.
+        for (k, panel_row) in b_panel.iter_mut().enumerate() {
+            let src = &bb[4 * (k * wb + j0)..][..4 * cols];
+            *panel_row = [0.0; TILE_COLS];
+            for (d, s) in panel_row.iter_mut().zip(src.chunks_exact(4)) {
+                *d = f32_le(s);
+            }
+        }
+        for (t, a_tile) in a_tiles.chunks_exact(wa).enumerate() {
+            // Every element of C sums its k terms in order, from 0.0, just
+            // as a naive ikj loop does: the output is bit-identical to it.
+            let mut acc = [[0f32; TILE_COLS]; TILE_ROWS];
+            for (a, b) in a_tile.iter().zip(&b_panel) {
+                for (acc_row, &ar) in acc.iter_mut().zip(a) {
+                    for (c, &bc) in acc_row.iter_mut().zip(b) {
+                        *c += ar * bc;
+                    }
+                }
+            }
+            let rows = TILE_ROWS.min(ha - t * TILE_ROWS);
+            for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                let out = &mut cv[4 * ((t * TILE_ROWS + r) * wb + j0)..][..4 * cols];
+                for (o, v) in out.chunks_exact_mut(4).zip(acc_row) {
+                    o.copy_from_slice(&v.to_le_bytes());
+                }
             }
         }
     }
-    m.write(c, &f32_to_bytes(&cv))
+    m.write(mm.c, &cv)
 }
 
 // ---------------------------------------------------------------------------
@@ -312,100 +415,93 @@ fn matrix_mul_execute(m: &mut MemoryManager, cfg: &LaunchConfig, p: Params<'_>) 
 // Partial layout: partial[block * BINS + bin] (u32 counts).
 // ---------------------------------------------------------------------------
 
-fn histogram_analyze(bins: u64) -> impl Fn(&LaunchConfig, Params<'_>) -> VgpuResult<Access> {
-    move |cfg, p| {
-        let (partial, data, byte_count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
-        let blocks = cfg.grid.count();
-        Ok(Access {
-            reads: vec![(data, byte_count)],
-            writes: vec![(partial, blocks * bins * 4)],
-            workload: Workload {
-                flops: byte_count as f64,
-                bytes: (byte_count + blocks * bins * 4) as f64,
-                precision: Precision::F32,
-            },
-        })
-    }
+/// Bytes of `blocks` partial histograms of `bins` u32 counts.
+fn partials_len(blocks: u64, bins: usize) -> VgpuResult<u64> {
+    product("histogram partials", &[blocks, bins as u64, 4])
 }
 
-fn histogram_execute(
-    bins: usize,
-    shift: u32,
-) -> impl Fn(&mut MemoryManager, &LaunchConfig, Params<'_>) -> VgpuResult<()> {
-    move |m, cfg, p| {
-        let (partial, data, byte_count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
-        let blocks = cfg.grid.count() as usize;
-        if blocks == 0 {
-            return Err(VgpuError::InvalidValue("histogram with zero blocks".into()));
+fn histogram_analyze<const BINS: usize>(cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
+    let (partial, data, byte_count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
+    let out_len = partials_len(cfg.grid.count(), BINS)?;
+    Ok(Access {
+        reads: [(data, byte_count)].into(),
+        writes: [(partial, out_len)].into(),
+        workload: Workload {
+            flops: byte_count as f64,
+            bytes: byte_count as f64 + out_len as f64,
+            precision: Precision::F32,
+        },
+    })
+}
+
+fn histogram_execute<const BINS: usize, const SHIFT: u32>(
+    m: &mut MemoryManager,
+    cfg: &LaunchConfig,
+    p: Params<'_>,
+) -> VgpuResult<()> {
+    let (partial, data, byte_count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
+    let blocks = cfg.grid.count();
+    if blocks == 0 {
+        return Err(VgpuError::InvalidValue("histogram with zero blocks".into()));
+    }
+    // The partials are sized from the grid: refuse a grid whose partials
+    // would not fit their allocation before allocating them.
+    let out_len = partials_len(blocks, BINS)?;
+    m.range_version(partial, out_len)?;
+    let input = m.read(data, byte_count)?;
+    let mut partials = vec![[0u32; BINS]; blocks as usize];
+    // Block b handles bytes b, b+blocks, b+2*blocks, ... (strided), like
+    // the sample's grid-stride loop: byte i of each blocks-long chunk.
+    for chunk in input.chunks(blocks as usize) {
+        for (hist, &byte) in partials.iter_mut().zip(chunk) {
+            hist[(byte >> SHIFT) as usize] += 1;
         }
-        let input = m.read(data, byte_count)?.to_vec();
-        let mut partials = vec![0u32; blocks * bins];
-        // Block b handles bytes b, b+blocks, b+2*blocks, ... (strided), like
-        // the sample's grid-stride loop.
-        for (idx, &byte) in input.iter().enumerate() {
-            let block = idx % blocks;
-            let bin = (byte >> shift) as usize;
-            partials[block * bins + bin] += 1;
+    }
+    m.update(partial, out_len, |out| {
+        for (o, n) in out.chunks_exact_mut(4).zip(partials.as_flattened()) {
+            o.copy_from_slice(&n.to_le_bytes());
         }
-        m.write(partial, &u32_to_bytes(&partials))
-    }
+    })
 }
 
-fn merge_histogram_analyze(bins: u64) -> impl Fn(&LaunchConfig, Params<'_>) -> VgpuResult<Access> {
-    move |_cfg, p| {
-        let (out, partial, count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
-        Ok(Access {
-            reads: vec![(partial, count * bins * 4)],
-            writes: vec![(out, bins * 4)],
-            workload: Workload {
-                flops: (count * bins) as f64,
-                bytes: ((count + 1) * bins * 4) as f64,
-                precision: Precision::F32,
-            },
-        })
-    }
+fn merge_histogram_analyze<const BINS: usize>(
+    _cfg: &LaunchConfig,
+    p: Params<'_>,
+) -> VgpuResult<Access> {
+    // `count` is 32-bit and BINS at most 256: no size below can overflow.
+    let (out, partial, count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
+    let bins = BINS as u64;
+    Ok(Access {
+        reads: [(partial, count * bins * 4)].into(),
+        writes: [(out, bins * 4)].into(),
+        workload: Workload {
+            flops: (count * bins) as f64,
+            bytes: ((count + 1) * bins * 4) as f64,
+            precision: Precision::F32,
+        },
+    })
 }
 
-fn merge_histogram_execute(
-    bins: usize,
-) -> impl Fn(&mut MemoryManager, &LaunchConfig, Params<'_>) -> VgpuResult<()> {
-    move |m, _cfg, p| {
-        let (out, partial, count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as usize);
-        let partials = bytes_to_u32(m.read(partial, (count * bins * 4) as u64)?);
-        let mut merged = vec![0u32; bins];
-        for block in 0..count {
-            for bin in 0..bins {
-                merged[bin] += partials[block * bins + bin];
-            }
+fn merge_histogram_execute<const BINS: usize>(
+    m: &mut MemoryManager,
+    _cfg: &LaunchConfig,
+    p: Params<'_>,
+) -> VgpuResult<()> {
+    let (out, partial, count) = (p.ptr(0)?, p.ptr(1)?, p.u32(2)? as u64);
+    let mut merged = [0u32; BINS];
+    for row in m
+        .read(partial, count * BINS as u64 * 4)?
+        .chunks_exact(4 * BINS)
+    {
+        for (sum, n) in merged.iter_mut().zip(row.chunks_exact(4)) {
+            *sum = sum.wrapping_add(u32::from_le_bytes([n[0], n[1], n[2], n[3]]));
         }
-        m.write(out, &u32_to_bytes(&merged))
     }
-}
-
-// Monomorphized wrappers (fn pointers cannot capture).
-fn hist64_analyze(c: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
-    histogram_analyze(64)(c, p)
-}
-fn hist64_execute(m: &mut MemoryManager, c: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
-    histogram_execute(64, 2)(m, c, p)
-}
-fn merge64_analyze(c: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
-    merge_histogram_analyze(64)(c, p)
-}
-fn merge64_execute(m: &mut MemoryManager, c: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
-    merge_histogram_execute(64)(m, c, p)
-}
-fn hist256_analyze(c: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
-    histogram_analyze(256)(c, p)
-}
-fn hist256_execute(m: &mut MemoryManager, c: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
-    histogram_execute(256, 0)(m, c, p)
-}
-fn merge256_analyze(c: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
-    merge_histogram_analyze(256)(c, p)
-}
-fn merge256_execute(m: &mut MemoryManager, c: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
-    merge_histogram_execute(256)(m, c, p)
+    m.update(out, BINS as u64 * 4, |o| {
+        for (o, n) in o.chunks_exact_mut(4).zip(merged) {
+            o.copy_from_slice(&n.to_le_bytes());
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -413,10 +509,11 @@ fn merge256_execute(m: &mut MemoryManager, c: &LaunchConfig, p: Params<'_>) -> V
 // ---------------------------------------------------------------------------
 
 fn saxpy_analyze(_cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
+    // `n` is 32-bit, so no size below can overflow.
     let (y, x, _alpha, n) = (p.ptr(0)?, p.ptr(1)?, p.f32(2)?, p.u32(3)? as u64);
     Ok(Access {
-        reads: vec![(x, n * 4), (y, n * 4)],
-        writes: vec![(y, n * 4)],
+        reads: [(x, n * 4), (y, n * 4)].into(),
+        writes: [(y, n * 4)].into(),
         workload: Workload {
             flops: 2.0 * n as f64,
             bytes: (n * 12) as f64,
@@ -427,12 +524,13 @@ fn saxpy_analyze(_cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {
 
 fn saxpy_execute(m: &mut MemoryManager, _cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<()> {
     let (y, x, alpha, n) = (p.ptr(0)?, p.ptr(1)?, p.f32(2)?, p.u32(3)? as u64);
+    // X is copied out: it may share Y's block, which is updated in place.
     let xv = bytes_to_f32(m.read(x, n * 4)?);
-    let mut yv = bytes_to_f32(m.read(y, n * 4)?);
-    for (yi, xi) in yv.iter_mut().zip(&xv) {
-        *yi += alpha * xi;
-    }
-    m.write(y, &f32_to_bytes(&yv))
+    m.update(y, n * 4, |yb| {
+        for (yi, xi) in yb.chunks_exact_mut(4).zip(&xv) {
+            yi.copy_from_slice(&(f32_le(yi) + alpha * xi).to_le_bytes());
+        }
+    })
 }
 
 static REGISTRY: &[Builtin] = &[
@@ -457,26 +555,26 @@ static REGISTRY: &[Builtin] = &[
     Builtin {
         name: "histogram64Kernel",
         param_count: 3,
-        analyze: hist64_analyze,
-        execute: hist64_execute,
+        analyze: histogram_analyze::<64>,
+        execute: histogram_execute::<64, 2>,
     },
     Builtin {
         name: "mergeHistogram64Kernel",
         param_count: 3,
-        analyze: merge64_analyze,
-        execute: merge64_execute,
+        analyze: merge_histogram_analyze::<64>,
+        execute: merge_histogram_execute::<64>,
     },
     Builtin {
         name: "histogram256Kernel",
         param_count: 3,
-        analyze: hist256_analyze,
-        execute: hist256_execute,
+        analyze: histogram_analyze::<256>,
+        execute: histogram_execute::<256, 0>,
     },
     Builtin {
         name: "mergeHistogram256Kernel",
         param_count: 3,
-        analyze: merge256_analyze,
-        execute: merge256_execute,
+        analyze: merge_histogram_analyze::<256>,
+        execute: merge_histogram_execute::<256>,
     },
     Builtin {
         name: "saxpy",
@@ -489,7 +587,7 @@ static REGISTRY: &[Builtin] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::f64_to_bytes;
+    use crate::memory::{bytes_to_u32, f32_to_bytes, f64_to_bytes};
 
     fn mem() -> MemoryManager {
         MemoryManager::new(64 << 20)

@@ -349,6 +349,14 @@ impl MemoryManager {
         Ok(self.blocks[&base].version)
     }
 
+    /// Version of the block holding all of `[ptr, ptr + len)`, refusing a
+    /// range that runs past its block. Touches no backing store, so a
+    /// launch can check every range it will access before anything runs.
+    pub(crate) fn range_version(&self, ptr: DevicePtr, len: u64) -> VgpuResult<u64> {
+        let (base, _) = self.check_len(ptr, len)?;
+        Ok(self.blocks[&base].version)
+    }
+
     /// Mutable access to a whole region as bytes (kernel execution helper).
     /// Reads then writes back via closure so version accounting stays exact.
     pub fn update<R>(

@@ -118,3 +118,91 @@ fn kernel_geometry_validation() {
         .unwrap_err();
     assert_eq!(err.cuda_code(), Some(CudaCode::InvalidValue as i32));
 }
+
+/// A launch's grid and sizes come off the wire. A grid whose partial
+/// histograms would need 3 TiB, and matrix dimensions whose byte sizes pass
+/// 64 bits, are answered with a CUDA error: the server neither aborts on
+/// the allocation nor panics on the overflow, and the same session then
+/// launches and copies normally.
+#[test]
+fn hostile_launch_geometry_is_refused_and_the_session_carries_on() {
+    use cricket_repro::proto::{CricketV1Client, RpcDim3};
+    use cricket_repro::server::{make_rpc_server, CricketServer, ServerConfig, SimTransport};
+    use cricket_repro::simnet::SimClock;
+    use cricket_repro::unikernel::{Guest, GuestKind};
+    use cricket_repro::vgpu::kernels::ParamBuilder;
+    use std::sync::Arc;
+
+    let clock = SimClock::new();
+    let rpc = make_rpc_server(CricketServer::new(
+        ServerConfig::default(),
+        Arc::clone(&clock),
+    ));
+    let transport = SimTransport::new(rpc, Guest::new(GuestKind::RustyHermit), clock);
+    let mut c = CricketV1Client::new(Box::new(transport));
+    let image = CubinBuilder::new()
+        .kernel("histogram64Kernel", &[8, 8, 4])
+        .kernel("matrixMulCUDA", &[8, 8, 8, 4, 4])
+        .kernel("vectorAdd", &[8, 8, 8, 4])
+        .build(false);
+    let module = c
+        .cu_module_load_data(&image)
+        .unwrap()
+        .into_result()
+        .unwrap();
+    let mut func = |name: &str| {
+        c.cu_module_get_function(&module, name)
+            .unwrap()
+            .into_result()
+            .unwrap()
+    };
+    let (hist, mm, add) = (
+        func("histogram64Kernel"),
+        func("matrixMulCUDA"),
+        func("vectorAdd"),
+    );
+    let p = c.cuda_malloc(&1024).unwrap().into_result().unwrap();
+    let q = c.cuda_malloc(&1024).unwrap().into_result().unwrap();
+    let invalid = CudaCode::InvalidValue as i32;
+
+    let max = RpcDim3 {
+        x: u32::MAX,
+        y: u32::MAX,
+        z: u32::MAX,
+    };
+    let threads = RpcDim3 { x: 64, y: 1, z: 1 };
+    let params = ParamBuilder::new().ptr(p).ptr(q).u32(1024).build();
+    let code = c.cuda_launch_kernel(&hist, &max, &threads, &0, &0, &params);
+    assert_eq!(code.unwrap(), invalid);
+    let rows = RpcDim3 {
+        x: 1,
+        y: 1 << 31,
+        z: 1,
+    };
+    let one = RpcDim3 { x: 1, y: 1, z: 1 };
+    let params = ParamBuilder::new()
+        .ptr(p)
+        .ptr(q)
+        .ptr(p)
+        .u32(1 << 31)
+        .u32(1 << 31)
+        .build();
+    let code = c.cuda_launch_kernel(&mm, &rows, &one, &0, &0, &params);
+    assert_eq!(code.unwrap(), invalid);
+
+    let x: Vec<u8> = (0..256).flat_map(|i| (i as f32).to_le_bytes()).collect();
+    assert_eq!(c.cuda_memcpy_htod(&q, &x).unwrap(), 0);
+    let threads = RpcDim3 { x: 256, y: 1, z: 1 };
+    let params = ParamBuilder::new().ptr(p).ptr(q).ptr(q).u32(256).build();
+    let code = c.cuda_launch_kernel(&add, &one, &threads, &0, &0, &params);
+    assert_eq!(code.unwrap(), 0);
+    let y = c
+        .cuda_memcpy_dtoh(&p, &1024)
+        .unwrap()
+        .into_result()
+        .unwrap();
+    let want: Vec<u8> = (0..256)
+        .flat_map(|i| (2.0 * i as f32).to_le_bytes())
+        .collect();
+    assert_eq!(y, want);
+}

@@ -34,7 +34,11 @@ export CARGO_NET_OFFLINE=true
 # lane encoder beside them would show here. And `vgpu/src/kernels.rs` and
 # `vgpu/src/device.rs`, failing above the lines they took once a launch
 # stopped allocating: a second launch path or kernel body beside them would
-# show here. `./ci.sh size` runs this step alone (the workflow does).
+# show here. And `oncrpc/src/record.rs` and `oncrpc/src/client.rs`, failing
+# above the lines they took once a D2H reply's data landed in the caller's
+# buffer: a second record reader or receive path beside `IncomingRecord` and
+# `receive_reply` would show here. `./ci.sh size` runs this step alone (the
+# workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
     find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
@@ -76,7 +80,8 @@ size() {
     for limit in crates/cricket-server/src/transport.rs:340 crates/unikernel/src/tcp.rs:261 \
         crates/oncrpc/src/reactor.rs:931 crates/core/src/raw.rs:910 \
         crates/cricket-server/src/service.rs:2339 crates/vgpu/src/kernels.rs:586 \
-        crates/vgpu/src/device.rs:825; do
+        crates/vgpu/src/device.rs:825 crates/oncrpc/src/record.rs:568 \
+        crates/oncrpc/src/client.rs:647; do
         awk -v limit="${limit##*:}" '/#\[cfg\(test\)\]/ { exit } { n++ }
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
             "${limit%:*}"
@@ -128,18 +133,22 @@ cargo test -q
 #                          PROC_UNAVAIL on SimTransport and reactor TCP, the session then copies normally
 #                          (route by route: cricket-client raw unit suite, below)
 #   proptest_sparse        (cricket-oncrpc) sparse codec round-trip properties, corrupt blobs
-#   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included
+#   no_alloc_strict        (cricket-proto) CricketV1Client over FixedBuf: zero heap allocations, construction included;
+#                          bulk_returns_land_in_the_callers_array: a D2H larger than the fixed buffer read into a
+#                          caller array with zero allocations (read whole, the same reply is RecordTooLarge)
 #   proptest_record        (cricket-oncrpc) record marking: scatter-gather wire = the copying writer's;
 #                          strip_matches_read_record_for_any_cut_of_the_wire: RecordMarks::strip fed any cut of
 #                          any record stream yields read_record's payloads and lengths, refusing an oversized
-#                          record at the same mark
+#                          record at the same mark; into_read_fills_dst_with_what_the_whole_record_decode_yields:
+#                          for any fragmenting and read split, a bulk arm of dst.len() bytes lands in dst as the
+#                          whole-record decode's bytes, any other length leaves dst untouched
 #   zero_alloc             (cricket-oncrpc) steady-state client calls allocate nothing; so do inline calls over
 #                          loopback TCP into the reactor, client and server counted together
 #   blob_count_bound       (cricket-server) a session blob's count reserves no more than the bytes behind it
 #   sim_path_allocs        (cricket-server) steady-state calls over SimTransport allocate nothing on every guest kind
 #                          (software checksum, host TSO split and fixed-receive-buffer branches included),
-#                          cudaMalloc and a vectorAdd launch with arguments (a memo hit) included;
-#                          a 1 MiB D2H allocates its result only
+#                          cudaMalloc, a vectorAdd launch with arguments (a memo hit) and a 1 MiB D2H into a
+#                          caller buffer included; a 1 MiB D2H into a fresh Vec allocates its result only
 #   proptest_device        (cricket-vgpu) every builtin kernel's output bytes equal a naive loop's over random
 #                          finite inputs and ragged geometry (hA / wB off the register tile, bytes off the
 #                          block count, one block, more blocks than bytes)
@@ -153,11 +162,17 @@ cargo test -q
 #                          optional-data lists as Vecs with loop codecs; derives follow the members),
 # cricket-server transport (records sharing a flush; split_writes_carry_the_same_segments: 1-7 byte writes
 #                          carry the same segments, clock, counters and reply bytes; staging_is_bounded_by_one_mss_each_way:
-#                          after 16 MiB each way both send buffers are one MSS, the server endpoint's own buffer unused;
+#                          after 16 MiB each way both send buffers are one MSS, the server endpoint's own buffer unused,
+#                          and the client endpoint holds at most one server MSS at every read of a 16 MiB D2H;
 #                          an_oversized_record_mark_poisons_the_transport: refused as it arrives, nothing sized from it),
 # cricket-oncrpc record (an_announced_length_does_not_size_the_buffer: a 512 MiB header then EOF leaves < 1 MiB;
 #                          marks_*: RecordMarks over multi-fragment, byte-at-a-time, split records into a reused buffer,
-#                          oversized (refused at the mark) and empty records),
+#                          oversized (refused at the mark) and empty records; fill_from_hands_read_at_most_one_step:
+#                          a warm 16 MiB read hands `read` no slice over 64 KiB; incoming_record_reads_a_record_piece_by_piece;
+#                          outgoing_record_is_write_record_one_send_buffer_at_a_time: any send-buffer size, and wire_len),
+# cricket-oncrpc client (bulk_replies_land_in_the_destination_or_are_read_whole: a data arm one byte short or long,
+#                          the error arm and a stale xid read whole with dst untouched, NonZeroPadding, TrailingBytes
+#                          and a record ending inside the data typed errors; a_landing_reply_may_exceed_the_fixed_reply_buffer),
 # cricket-vgpu (unbacked blocks, bounded launch memo; hostile_launch_geometry_is_refused: a typed error,
 #                          no allocation or overflow panic, and the memo still hits afterwards),
 # cricket-server scheduler (grant order per policy, forget, config setters, WFQ, should_yield: one ranking key),

@@ -16,7 +16,6 @@ use cricket_proto::{
 };
 use oncrpc::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};
 use simnet::SimClock;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// H2D copies whose wire form (the payload, or its sparse blob) is at most
@@ -99,20 +98,16 @@ struct BatchState {
 pub(crate) const HTOD_API: &str = "cudaMemcpy(H2D)";
 const DTOH_API: &str = "cudaMemcpy(D2H)";
 
-/// One D2H read, the whole copy on the plain route or one stripe: `len`
-/// bytes at `src`, lent from the reply buffer. A device refusal is the CUDA
-/// error. A reply of any other length is an error too, not a short result:
-/// it would hand the caller a short copy, or one that belongs elsewhere.
-pub(crate) fn read_dtoh(stub: &mut CricketV1Client, src: u64, len: usize) -> ClientResult<&[u8]> {
-    let (err, data) = stub.cuda_memcpy_dtoh_ref(&src, &(len as u64))?;
-    if err != 0 {
-        return Err(ClientError::cuda(DTOH_API, err));
+/// One D2H read, the whole copy on the plain route or one stripe: exactly
+/// `dst.len()` bytes at `src`, read off the wire into `dst`. A device
+/// refusal is the CUDA error. A reply of any other length is an error too,
+/// not a short result, and leaves `dst` untouched: it would hand the caller
+/// a short copy, or one that belongs elsewhere.
+pub(crate) fn read_dtoh(stub: &mut CricketV1Client, src: u64, dst: &mut [u8]) -> ClientResult<()> {
+    match stub.cuda_memcpy_dtoh_into(&src, &(dst.len() as u64), dst)? {
+        0 => Ok(()),
+        err => Err(ClientError::cuda(DTOH_API, err)),
     }
-    if data.len() != len {
-        let why = format!("D2H reply carried {} bytes, wanted {len}", data.len());
-        return Err(oncrpc::RpcError::Xdr(xdr::XdrError::Custom(why)).into());
-    }
-    Ok(data)
 }
 
 /// The Cricket client: one connection to a Cricket server.
@@ -128,8 +123,9 @@ pub struct CricketClient {
     batch: Option<BatchState>,
     /// Multi-connection striping pool, when attached.
     stripes: Option<StripePool>,
-    /// Scratch buffer for sparse payload encoding, reused across calls.
-    sparse_scratch: Vec<u8>,
+    /// Scratch buffer for sparse payload encoding and for the bytes
+    /// `copy_to_vec` decodes, reused across calls.
+    pub(crate) scratch: Vec<u8>,
 }
 
 impl CricketClient {
@@ -146,7 +142,7 @@ impl CricketClient {
             stats: ApiStats::default(),
             batch: None,
             stripes: None,
-            sparse_scratch: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -460,7 +456,7 @@ impl CricketClient {
     /// so the caller's buffer is free immediately). Whatever the route, the
     /// device write is byte-identical to the plain path.
     pub fn memcpy_htod(&mut self, dst: u64, data: &[u8]) -> ClientResult<()> {
-        let mut blob = std::mem::take(&mut self.sparse_scratch);
+        let mut blob = std::mem::take(&mut self.scratch);
         let won = TransferPlan::scans_for_zeros(data.len())
             .then(|| oncrpc::sparse::encode_adaptive(data, oncrpc::sparse::SPARSE_PAGE, &mut blob))
             .flatten();
@@ -486,7 +482,7 @@ impl CricketClient {
                 .and_then(|()| self.stripe_pool().scatter(dst, data)),
         };
         blob.clear();
-        self.sparse_scratch = blob;
+        self.scratch = blob;
         sent?;
         let (wire, pages_elided) = won.unwrap_or((data.len(), 0));
         self.account(data.len(), Copied::ToDevice { wire, pages_elided });
@@ -500,53 +496,34 @@ impl CricketClient {
             .expect("TransferPlan::choose picks Striped only with a pool attached")
     }
 
-    /// Every D2H copy: one read of exactly `len` bytes, planned once and
-    /// counted once. With `dst` the bytes land there; `take` then sees them
-    /// where the route left them — lent from the RPC reply buffer on the
-    /// plain route (whatever `take` builds from them is then the client's
-    /// only copy), in `dst` or else an owned buffer once stripes are
-    /// gathered. A reply of any other length is an error, not a short result.
-    pub(crate) fn dtoh<R>(
-        &mut self,
-        src: u64,
-        len: usize,
-        dst: Option<&mut [u8]>,
-        take: impl FnOnce(Cow<'_, [u8]>) -> R,
-    ) -> ClientResult<R> {
-        let plan = TransferPlan::choose(len, None, self.stripes.is_some(), false);
+    /// Every D2H copy: one read of exactly `dst.len()` bytes into `dst`,
+    /// planned once and counted once. The plain route reads the reply's
+    /// data straight into `dst`, a striped one each stripe into its
+    /// sub-slice. A reply of any other length is an error, not a short
+    /// result.
+    pub(crate) fn dtoh(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
+        let plan = TransferPlan::choose(dst.len(), None, self.stripes.is_some(), false);
         self.pre_call(DTOH_API)?;
-        let out = match (plan, dst) {
-            (TransferPlan::Striped, Some(dst)) => {
-                self.stripe_pool().gather(src, dst)?;
-                take(Cow::Borrowed(dst))
-            }
-            (TransferPlan::Striped, None) => {
-                let mut out = vec![0u8; len];
-                self.stripe_pool().gather(src, &mut out)?;
-                take(Cow::Owned(out))
-            }
-            (_, dst) => {
-                let data = read_dtoh(&mut self.stub, src, len)?;
-                if let Some(dst) = dst {
-                    dst.copy_from_slice(data);
-                }
-                take(Cow::Borrowed(data))
-            }
-        };
-        self.account(len, Copied::ToHost);
-        Ok(out)
+        match plan {
+            TransferPlan::Striped => self.stripe_pool().gather(src, dst)?,
+            _ => read_dtoh(&mut self.stub, src, dst)?,
+        }
+        self.account(dst.len(), Copied::ToHost);
+        Ok(())
     }
 
-    /// cudaMemcpy device→host into a fresh `Vec`: the one allocation and
-    /// the one client-side copy of the call.
+    /// cudaMemcpy device→host into a fresh `Vec`: the one allocation of the
+    /// call, which the reply's data is read straight into.
     pub fn memcpy_dtoh(&mut self, src: u64, len: u64) -> ClientResult<Vec<u8>> {
-        self.dtoh(src, len as usize, None, |bytes| bytes.into_owned())
+        let mut out = vec![0; len as usize];
+        self.dtoh(src, &mut out)?;
+        Ok(out)
     }
 
     /// [`Self::memcpy_dtoh`] of `dst.len()` bytes into the caller's buffer:
     /// no allocation at all.
     pub fn memcpy_dtoh_into(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
-        self.dtoh(src, dst.len(), Some(dst), |_| ())
+        self.dtoh(src, dst)
     }
 
     /// cudaMemcpy device→device.

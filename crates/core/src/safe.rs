@@ -202,11 +202,18 @@ impl<'ctx, T: DeviceCopy> DeviceBuffer<'ctx, T> {
             .memcpy_htod(self.ptr, &T::to_device_bytes(host))
     }
 
-    /// Download the buffer contents, decoded straight from the reply bytes.
+    /// Download the buffer contents: the bytes are read into the client's
+    /// pooled scratch buffer and decoded from there, so the returned `Vec`
+    /// is the call's one allocation once the scratch is warm.
     pub fn copy_to_vec(&self) -> ClientResult<Vec<T>> {
         let mut client = self.ctx.client.borrow_mut();
-        let decode = |bytes: std::borrow::Cow<'_, [u8]>| T::from_device_bytes(&bytes);
-        client.dtoh(self.ptr, self.byte_len() as usize, None, decode)
+        let mut bytes = std::mem::take(&mut client.scratch);
+        bytes.resize(self.byte_len() as usize, 0);
+        let read = client.dtoh(self.ptr, &mut bytes);
+        let decoded = read.map(|()| T::from_device_bytes(&bytes));
+        bytes.clear();
+        client.scratch = bytes;
+        decoded
     }
 
     /// Fill with a byte value (cudaMemset).

@@ -101,14 +101,14 @@ impl StripePool {
     }
 
     /// Fill `out` from device address `src` with one `CUDA_MEMCPY_DTOH` per
-    /// stripe, round-robin across the lanes, each read checked exactly as
-    /// the plain route's ([`read_dtoh`]) and copied to its place in `out`.
+    /// stripe, round-robin across the lanes, each read exactly as the plain
+    /// route's ([`read_dtoh`]): straight into its place in `out`.
     pub(crate) fn gather(&mut self, src: u64, out: &mut [u8]) -> ClientResult<()> {
         self.begin();
         let lanes = self.lanes.len();
         for (seq, chunk) in out.chunks_mut(STRIPE_LEN).enumerate() {
             let at = src.wrapping_add((seq * STRIPE_LEN) as u64);
-            chunk.copy_from_slice(read_dtoh(&mut self.lanes[seq % lanes], at, chunk.len())?);
+            read_dtoh(&mut self.lanes[seq % lanes], at, chunk)?;
             self.stripes_sent += 1;
         }
         self.commit();

@@ -6,8 +6,9 @@
 //! including client construction and the first call. Everything lives
 //! in fixed-size buffers: the generated stub encodes into the client's
 //! `[u8; BUF]` request array and decodes replies borrowed from its
-//! `[u8; BUF]` reply array. The stubs are the very ones every other
-//! client runs; only the buffer type differs.
+//! `[u8; BUF]` reply array, or reads bulk results into the caller's. The
+//! stubs are the very ones every other client runs; only the buffer type
+//! differs.
 //!
 //! The transport is a loopback built only from arrays: it captures one
 //! request record, patches the request xid into a canned
@@ -33,7 +34,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// header every canned reply starts with.
 const REPLY_HEADER: usize = 24;
 const REQ_CAP: usize = 1 << 15;
-const REPLY_CAP: usize = 4 + REPLY_HEADER + 8 + 4096;
+const REPLY_CAP: usize = 4 + REPLY_HEADER + 8 + BULK;
+/// A D2H reply's data: larger than the client's fixed reply buffer.
+const BULK: usize = 2 * BUF;
 
 /// Allocation-free loopback "server": one request record in, one canned
 /// success reply out. No `Vec` anywhere — a heap-allocating transport
@@ -161,28 +164,33 @@ fn no_alloc_client_never_touches_the_heap() {
     );
 }
 
-/// The borrowed-bulk decode path (`(i32, &[u8])` returns) is also
-/// allocation-free: D2H data is served as a slice into the client's
-/// fixed reply buffer, never copied to the heap.
+/// The into-the-caller's-buffer stubs are allocation-free too, and they
+/// lift the fixed buffer's bound from bulk results as deferred opaques lift
+/// it from bulk arguments: D2H data larger than `BUF` is read off the
+/// transport into the caller's array, and only the reply's head passes
+/// through the client's reply buffer. Read whole, the same reply is refused
+/// as `RecordTooLarge`.
 #[test]
-fn bulk_returns_borrow_from_the_fixed_reply_buffer() {
-    let mut body = [0u8; 4 + 4 + 256];
+fn bulk_returns_land_in_the_callers_array() {
+    let mut body = [0u8; 4 + 4 + BULK];
     body[..4].copy_from_slice(&0i32.to_be_bytes()); // err = 0
-    body[4..8].copy_from_slice(&256u32.to_be_bytes()); // opaque<> length
+    body[4..8].copy_from_slice(&(BULK as u32).to_be_bytes()); // opaque<> length
     for (i, b) in body[8..].iter_mut().enumerate() {
-        *b = i as u8;
+        *b = (i % 251) as u8;
     }
+    let mut dst = [0u8; BULK];
 
     let mut best = u64::MAX;
     for _ in 0..5 {
         let before = allocation_count();
         let mut client = FixedClient::bind(Loopback::new(&body));
         for _ in 0..200 {
-            let (err, data) = client.cuda_memcpy_dtoh_ref(&0x1000, &256).unwrap();
+            dst.fill(0);
+            let err = client
+                .cuda_memcpy_dtoh_into(&0x1000, &(BULK as u64), &mut dst)
+                .unwrap();
             assert_eq!(err, 0);
-            assert_eq!(data.len(), 256);
-            assert_eq!(data[0], 0);
-            assert_eq!(data[255], 255);
+            assert!(dst[..] == body[8..], "D2H bytes differ");
         }
         best = best.min(allocation_count() - before);
         if best == 0 {
@@ -191,6 +199,13 @@ fn bulk_returns_borrow_from_the_fixed_reply_buffer() {
     }
     assert_eq!(
         best, 0,
-        "bulk D2H decode performed {best} heap allocations per lifetime"
+        "bulk D2H into a caller array performed {best} heap allocations per lifetime"
+    );
+
+    let mut client = FixedClient::bind(Loopback::new(&body));
+    let whole = client.cuda_memcpy_dtoh(&0x1000, &(BULK as u64));
+    assert!(
+        matches!(whole, Err(oncrpc::RpcError::RecordTooLarge { .. })),
+        "{whole:?}"
     );
 }

@@ -8,10 +8,11 @@
 //! service runs in-process and charges its own execution time, so one call
 //! through this transport advances the clock by exactly the modeled
 //! client→wire→server→wire→client round trip. Both legs stream through
-//! send buffers of one MSS, and the server reassembles each request straight
-//! into its record buffer (DESIGN.md §6).
+//! send buffers of one MSS: the server reassembles each request straight
+//! into its record buffer, and a reply is carried down one MSS each time
+//! the client reads with nothing left to read (DESIGN.md §6).
 
-use oncrpc::record::{write_record_sg, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
+use oncrpc::record::{wire_len, OutgoingRecord, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use oncrpc::{RpcError, RpcServer, Transport};
 use simnet::{NetPath, SimClock};
 use std::collections::VecDeque;
@@ -37,36 +38,6 @@ pub struct TransportStats {
     pub bytes_sent: u64,
     /// Reply payload bytes.
     pub bytes_received: u64,
-}
-
-/// A socket's send buffer of one MSS, the staging step of both legs:
-/// `write` copies into `tx` and `send`s it each time it fills, and `flush`
-/// sends what is left, at a record's end. Segments therefore fall at
-/// `chunks(mss)` from the start of every record.
-struct SendBuf<'a, F> {
-    tx: &'a mut Vec<u8>,
-    mss: usize,
-    send: F,
-}
-
-impl<F: FnMut(&[u8]) -> Result<(), &'static str>> Write for SendBuf<'_, F> {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        let n = bytes.len().min(self.mss - self.tx.len());
-        self.tx.extend_from_slice(&bytes[..n]);
-        if self.tx.len() == self.mss {
-            self.flush()?;
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.tx.is_empty() {
-            return Ok(());
-        }
-        let sent = (self.send)(self.tx);
-        self.tx.clear();
-        sent.map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))
-    }
 }
 
 /// Carry one send buffer's `bytes` from `from` through the virtio machinery,
@@ -104,7 +75,7 @@ pub struct SimTransport {
     clock: Arc<SimClock>,
     client_ep: TcpEndpoint,
     server_ep: TcpEndpoint,
-    /// The guest socket's send buffer: at most one MSS ([`SendBuf`]).
+    /// The guest socket's send buffer: at most one MSS (`send_up`).
     client_tx: Vec<u8>,
     /// Where the guest's writes stand in the record-marked request stream.
     client_marks: RecordMarks,
@@ -118,6 +89,9 @@ pub struct SimTransport {
     records: VecDeque<(usize, usize)>,
     /// Pooled server-side reply encoder.
     reply_enc: xdr::XdrEncoder,
+    /// How far the reply in `reply_enc` has been carried down, while some
+    /// of it has not.
+    down: Option<OutgoingRecord>,
     /// The server socket's send buffer: at most one MSS of the reply.
     server_tx: Vec<u8>,
     /// How much of `client_ep.readable()` the client has read already: the
@@ -169,6 +143,7 @@ impl SimTransport {
             record_buf: Vec::with_capacity(4096),
             records: VecDeque::new(),
             reply_enc: xdr::XdrEncoder::with_capacity(4096),
+            down: None,
             read_off: 0,
             rx_posted: Vec::new(),
             poisoned: None,
@@ -192,6 +167,7 @@ impl SimTransport {
         self.client_tx.clear();
         self.record_buf.clear();
         self.records.clear();
+        self.down = None;
         self.read_off = 0;
         self.client_ep.consume(usize::MAX);
         io::Error::new(io::ErrorKind::InvalidData, what)
@@ -204,11 +180,12 @@ impl SimTransport {
         }
     }
 
-    /// Stage request bytes in the guest socket's send buffer and carry it up
-    /// each time it fills and at the record's `end`. The server strips the
-    /// marks off each segment's payload as it lands (the GPU node negotiates
-    /// `MRG_RXBUF`: no posted buffer).
-    fn send_up(&mut self, bytes: &[u8], end: bool) -> io::Result<()> {
+    /// Stage request bytes in the guest socket's send buffer of one MSS and
+    /// carry it up each time it fills and at the record's `end`, so segments
+    /// fall at `chunks(mss)` from the start of every record. The server
+    /// strips the marks off each segment's payload as it lands (the GPU node
+    /// negotiates `MRG_RXBUF`: no posted buffer).
+    fn send_up(&mut self, mut bytes: &[u8], end: bool) -> Result<(), &'static str> {
         let (tx, mss, features) = (&mut self.client_tx, self.client_ep.mss, self.guest.features);
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
         let (client, server, stats) = (&mut self.client_ep, &mut self.server_ep, &mut self.stats);
@@ -222,43 +199,55 @@ impl SimTransport {
             }
             Ok(())
         };
-        let send = |staged: &[u8]| {
-            let land = |seg: &Segment| server.receive_with(seg, &mut strip).ok_or(REJECTED)?;
-            stats.wire_segments += carry(client, features, None, wire_mss, staged, land)?;
-            Ok(())
-        };
-        let mut up = SendBuf { tx, mss, send };
-        up.write_all(bytes)?;
-        if end {
-            up.flush()?;
+        loop {
+            let n = bytes.len().min(mss - tx.len());
+            tx.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            if tx.len() == mss || (end && bytes.is_empty() && !tx.is_empty()) {
+                let land = |seg: &Segment| server.receive_with(seg, &mut strip).ok_or(REJECTED)?;
+                let carried = carry(client, features, None, wire_mss, tx, land);
+                tx.clear();
+                stats.wire_segments += carried?;
+            }
+            if bytes.is_empty() {
+                return Ok(());
+            }
         }
-        Ok(())
     }
 
-    /// Record-mark the encoded reply into the server socket's send buffer
-    /// (`write_record_sg` at `DEFAULT_MAX_FRAGMENT`) and carry it down each
-    /// time it fills and at the record's end: it is reassembled behind
-    /// whatever the client has not read yet, and served from there by
-    /// `read`. Returns the reply's wire length.
-    fn send_down(&mut self) -> io::Result<usize> {
-        let (tx, mss) = (&mut self.server_tx, self.server_ep.mss);
+    /// Carry the next MSS of the reply in `reply_enc` down: its wire bytes,
+    /// marked at `DEFAULT_MAX_FRAGMENT` boundaries, into the server socket's
+    /// send buffer, and from there into the client endpoint behind whatever
+    /// the client has not read yet. Returns false when no reply is pending.
+    fn carry_down(&mut self) -> io::Result<bool> {
+        let Some(down) = self.down.as_mut() else {
+            return Ok(false);
+        };
+        self.server_tx.clear();
+        if down.fill(
+            self.reply_enc.as_slice(),
+            &mut self.server_tx,
+            self.server_ep.mss,
+        ) {
+            self.down = None;
+        }
         let features = VirtioFeatures::linux_driver();
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
-        let before = self.client_ep.available();
-        let (client, server, stats) = (&mut self.client_ep, &mut self.server_ep, &mut self.stats);
-        let mut posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
-        let send = |staged: &[u8]| {
-            let land = |seg: &Segment| client.receive(seg).then_some(()).ok_or(REJECTED);
-            let rx = posted.as_deref_mut();
-            stats.wire_segments += carry(server, features, rx, wire_mss, staged, land)?;
-            Ok(())
-        };
-        let reply = [self.reply_enc.as_slice()];
-        match write_record_sg(&mut SendBuf { tx, mss, send }, &reply, DEFAULT_MAX_FRAGMENT) {
-            Ok(_) => Ok(self.client_ep.available() - before),
-            Err(RpcError::Io(why)) => Err(why),
-            Err(e) => Err(io::Error::other(e)),
+        let client = &mut self.client_ep;
+        let posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
+        let land = |seg: &Segment| client.receive(seg).then_some(()).ok_or(REJECTED);
+        match carry(
+            &mut self.server_ep,
+            features,
+            posted,
+            wire_mss,
+            &self.server_tx,
+            land,
+        ) {
+            Ok(segments) => self.stats.wire_segments += segments,
+            Err(why) => return Err(self.poison(why)),
         }
+        Ok(true)
     }
 }
 
@@ -284,24 +273,29 @@ impl Write for SimTransport {
     }
 
     /// Execute every request that arrived complete, oldest first, straight
-    /// out of `record_buf` (service methods charge the clock themselves),
-    /// and carry each reply down.
+    /// out of `record_buf` (service methods charge the clock themselves).
+    /// The reply encoder is reused, so an earlier reply is carried down
+    /// whole before the next request executes; the last one waits for
+    /// `read`.
     fn flush(&mut self) -> io::Result<()> {
         self.check()?;
-        while let Some((len, wire_len)) = self.records.pop_front() {
+        while let Some((len, wire_len_up)) = self.records.pop_front() {
+            while self.carry_down()? {}
             self.copied += len as u64;
             let record = &self.record_buf[..len];
             let handled = self.server.handle_record_into(record, &mut self.reply_enc);
             self.record_buf.drain(..len);
             handled.map_err(rpc_to_io)?;
-            let reply_len = self.send_down().map_err(|why| self.poison(why))?;
+            let reply_len = self.reply_enc.len();
+            self.down = Some(OutgoingRecord::new(reply_len, DEFAULT_MAX_FRAGMENT));
             // Charge the network legs (server exec already charged) with this
             // record's own lengths: one flush may carry several records.
-            let timing = self.path.rpc_round(wire_len, reply_len, 0);
+            let reply_wire = wire_len(reply_len, DEFAULT_MAX_FRAGMENT);
+            let timing = self.path.rpc_round(wire_len_up, reply_wire, 0);
             self.clock.advance(timing.total_ns());
             self.stats.round_trips += 1;
-            self.stats.bytes_sent += wire_len as u64;
-            self.stats.bytes_received += reply_len as u64;
+            self.stats.bytes_sent += wire_len_up as u64;
+            self.stats.bytes_received += reply_wire as u64;
         }
         Ok(())
     }
@@ -310,9 +304,14 @@ impl Write for SimTransport {
 impl Read for SimTransport {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.read_off >= self.client_ep.available() {
-            // The client wrote a request and is now waiting for the reply.
-            self.flush()?;
-            if self.read_off >= self.client_ep.available() {
+            self.client_ep.consume(usize::MAX);
+            self.read_off = 0;
+            // The client waits for a reply: run what has arrived, unless a
+            // reply is still on its way, and carry its next MSS down.
+            if self.down.is_none() {
+                self.flush()?;
+            }
+            if !self.carry_down()? {
                 return Ok(0); // clean EOF: nothing outstanding
             }
         }
@@ -320,10 +319,6 @@ impl Read for SimTransport {
         let n = avail.len().min(buf.len());
         buf[..n].copy_from_slice(&avail[..n]);
         self.read_off += n;
-        if self.read_off == self.client_ep.available() {
-            self.client_ep.consume(usize::MAX);
-            self.read_off = 0;
-        }
         Ok(n)
     }
 }
@@ -522,35 +517,60 @@ mod tests {
 
     /// No stage holds a whole record: the server reassembles a 16 MiB
     /// request straight into `record_buf`, marks stripped, without its
-    /// endpoint's own buffer; after a 16 MiB copy each way both send buffers
+    /// endpoint's own buffer; a 16 MiB reply reaches the client endpoint one
+    /// server MSS at a time; after a 16 MiB copy each way both send buffers
     /// are still one MSS.
     #[test]
     fn staging_is_bounded_by_one_mss_each_way() {
         use cricket_proto::{cricket_v1, CRICKET_CUDA, CRICKET_V1};
+        let request = |xid: u32, proc: u32, put: &dyn Fn(&mut xdr::XdrEncoder)| {
+            let mut enc = xdr::XdrEncoder::new();
+            let call = oncrpc::CallBody::new(CRICKET_CUDA, CRICKET_V1, proc);
+            enc.put(&oncrpc::RpcMessage::call(xid, call));
+            put(&mut enc);
+            let mut wire = Vec::new();
+            oncrpc::record::write_record(&mut wire, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+            (enc.as_slice().to_vec(), wire)
+        };
         for kind in [GuestKind::RustyHermit, GuestKind::RustyHermitTso] {
             let (rpc, clock) = sim_server();
             let (mut c, shared) = shared_client(&rpc, kind, &clock);
             let ptr = c.cuda_malloc(&(16 << 20)).unwrap().into_result().unwrap();
             let data: Vec<u8> = (0..16u32 << 20).map(|i| (i % 251) as u8).collect();
 
-            let mut enc = xdr::XdrEncoder::new();
-            let call =
-                oncrpc::CallBody::new(CRICKET_CUDA, CRICKET_V1, cricket_v1::CUDA_MEMCPY_HTOD);
-            enc.put(&oncrpc::RpcMessage::call(9, call));
-            enc.put_u64(ptr);
-            enc.put_opaque(&data);
-            let mut wire = Vec::new();
-            oncrpc::record::write_record(&mut wire, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+            let (payload, wire) = request(9, cricket_v1::CUDA_MEMCPY_HTOD, &|enc| {
+                enc.put_u64(ptr);
+                enc.put_opaque(&data);
+            });
             let mut t = shared.0.lock();
             t.write_all(&wire).unwrap();
             assert_eq!(t.server_ep.available(), 0, "{kind:?}");
-            assert_eq!(t.records, [(enc.as_slice().len(), wire.len())]);
-            assert!(
-                t.record_buf == enc.as_slice(),
-                "{kind:?}: marks not stripped"
-            );
+            assert_eq!(t.records, [(payload.len(), wire.len())]);
+            assert!(t.record_buf == payload, "{kind:?}: marks not stripped");
             let mut reply = [0u8; 64];
             while t.read(&mut reply).unwrap() != 0 {}
+
+            // The reply leg: read in 64 KiB pieces, the client endpoint never
+            // holds more than one server MSS of a 16 MiB D2H reply.
+            let (_, wire) = request(10, cricket_v1::CUDA_MEMCPY_DTOH, &|enc| {
+                enc.put_u64(ptr);
+                enc.put_u64(16 << 20);
+            });
+            t.write_all(&wire).unwrap();
+            let (mut back, mut chunk, mut held) = (Vec::new(), vec![0u8; 64 << 10], 0);
+            loop {
+                match t.read(&mut chunk).unwrap() {
+                    0 => break,
+                    n => back.extend_from_slice(&chunk[..n]),
+                }
+                held = held.max(t.client_ep.available());
+            }
+            assert!(
+                held <= t.server_ep.mss,
+                "{kind:?}: the client held {held} B"
+            );
+            let back = oncrpc::record::read_record(&mut &back[..], MAX_RECORD).unwrap();
+            assert!(back.unwrap()[32..] == data, "{kind:?}: reply bytes differ");
             drop(t);
 
             let back = c.cuda_memcpy_dtoh(&ptr, &(16 << 20)).unwrap();

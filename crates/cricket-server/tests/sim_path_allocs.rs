@@ -133,6 +133,18 @@ fn check(kind: GuestKind) {
         "64 KiB H2D",
         per_round(|| assert_eq!(c.cuda_memcpy_htod(&buf, &h2d).unwrap(), 0)),
     );
+    // The reply's data is read off the transport into the caller's buffer.
+    let mut dst = vec![0u8; 1 << 20];
+    zero(
+        "1 MiB D2H into a caller buffer",
+        per_round(|| {
+            assert_eq!(
+                c.cuda_memcpy_dtoh_into(&buf, &(1 << 20), &mut dst).unwrap(),
+                0
+            )
+        }),
+    );
+    assert!(dst[..64 << 10] == h2d[..], "{kind:?}: D2H bytes differ");
 
     // cudaMalloc and cudaFree alternate, so each side is counted by hand.
     let (mut malloc, mut free) = (u64::MAX, u64::MAX);
@@ -151,9 +163,9 @@ fn check(kind: GuestKind) {
     zero("cudaFree", free);
     // A block nobody touches never gets a host backing.
     zero("cudaMalloc", malloc);
-    // The server lends device memory to the reply encoder and the transport
-    // serves the reply where it was reassembled: what is left is the `Vec`
-    // the owned stub returns.
+    // The server lends device memory to the reply encoder and the reply is
+    // carried down one MSS at a time: what is left is the `Vec` the owned
+    // stub returns.
     let n = per_round(|| d2h(&mut c));
     assert!(
         n <= CALLS,

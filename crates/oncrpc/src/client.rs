@@ -16,9 +16,14 @@
 //! * `FixedBuf<[u8; N]>` ([`NoAllocRpcClient`]): two in-struct arrays, no
 //!   heap allocation ever, construction included — what a unikernel guest
 //!   with a static heap budget wants. `N` bounds the encoded request *minus*
-//!   deferred bulk arguments, and the reassembled reply; beyond it a call
+//!   deferred bulk arguments, and the reply read into it; beyond it a call
 //!   fails with [`RpcError::RecordTooLarge`] before any byte is written, or
 //!   at the offending reply fragment header.
+//!
+//! A call may name a bulk destination ([`RpcClient::call_raw_into`]): a
+//! reply whose result is a status-or-opaque union carrying exactly as many
+//! bytes as the destination holds is read off the transport into it, and
+//! only its head enters the reply buffer, under either policy.
 //!
 //! Everything else — call header, record marking, stale-reply drain, reply
 //! header parse, retry and reconnect — is the same code for both.
@@ -26,9 +31,7 @@
 use crate::auth::{AuthFlavor, OpaqueAuth, MAX_AUTH_BODY};
 use crate::error::{RpcError, RpcResult};
 use crate::msg::{AcceptStat, MsgType, RejectStat};
-use crate::record::{
-    read_record_into, write_record_sg, RecordBuf, DEFAULT_MAX_FRAGMENT, MAX_RECORD,
-};
+use crate::record::{write_record_sg, IncomingRecord, RecordBuf, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::transport::Transport;
 use crate::RPC_VERSION;
 use std::time::Duration;
@@ -57,8 +60,8 @@ pub struct ClientStats {
     pub stale_replies: u64,
     /// Bytes memcpy'd into this client's own buffers: the owned argument
     /// stream encoded into scratch (deferred scatter-gather slices are
-    /// borrowed, not copied) and every reply record reassembled into the
-    /// reply buffer. The transport's staging is
+    /// borrowed, not copied) and every reply record read into the reply
+    /// buffer or a bulk destination. The transport's staging is
     /// [`Transport::bytes_copied`]'s.
     pub bytes_copied: u64,
 }
@@ -105,6 +108,11 @@ const MAX_CRED: usize = 8 + MAX_AUTH_BODY;
 /// retransmission a longer backlog means a desynchronized peer.
 const MAX_STALE_REPLIES: u32 = 8;
 
+/// The head of a reply whose bulk data may land in a caller's buffer: xid,
+/// the accepted-reply header with an empty verifier (20 bytes), the result
+/// arm and the opaque's length.
+const BULK_HEAD: usize = 4 + 20 + 4 + 4;
+
 /// Result payload of a successful call, borrowing the client's pooled reply
 /// buffer (offset past the RPC reply header — no tail copy).
 ///
@@ -114,6 +122,7 @@ const MAX_STALE_REPLIES: u32 = 8;
 #[derive(Debug)]
 pub struct Reply<'a> {
     payload: &'a [u8],
+    landed: bool,
 }
 
 impl std::ops::Deref for Reply<'_> {
@@ -129,16 +138,16 @@ impl AsRef<[u8]> for Reply<'_> {
     }
 }
 
-impl<'a> Reply<'a> {
+impl Reply<'_> {
     /// Copy the payload out, detaching it from the reply buffer.
     pub fn to_vec(&self) -> Vec<u8> {
         self.payload.to_vec()
     }
 
-    /// The payload for as long as the client stays borrowed, so results
-    /// decoded by reference can outlive this handle.
-    pub fn into_slice(self) -> &'a [u8] {
-        self.payload
+    /// Whether the call's bulk destination ([`RpcClient::call_raw_into`])
+    /// holds the result's opaque: the payload then ends at its length word.
+    pub fn landed(&self) -> bool {
+        self.landed
     }
 }
 
@@ -330,6 +339,33 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         idempotent: bool,
         encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_, B>),
     ) -> RpcResult<Reply<'_>> {
+        self.call_with(proc, idempotent, encode_args, None)
+    }
+
+    /// [`RpcClient::call_raw_sg_tagged`] for a result that is a union of a
+    /// status and one bulk opaque (`bulk.0` is the opaque's arm): when the
+    /// reply is that arm carrying exactly `bulk.1.len()` bytes, they are
+    /// read off the transport straight into `bulk.1`, the pad must be zero
+    /// and the record must end there, and the [`Reply`] is
+    /// [`landed`](Reply::landed). Any other reply is read whole into the
+    /// reply buffer, as for every other call, and `bulk.1` is untouched.
+    pub fn call_raw_into<'d>(
+        &mut self,
+        proc: u32,
+        idempotent: bool,
+        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_, B>),
+        bulk: (i32, &mut [u8]),
+    ) -> RpcResult<Reply<'_>> {
+        self.call_with(proc, idempotent, encode_args, Some(bulk))
+    }
+
+    fn call_with<'d>(
+        &mut self,
+        proc: u32,
+        idempotent: bool,
+        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_, B>),
+        mut bulk: Option<(i32, &mut [u8])>,
+    ) -> RpcResult<Reply<'_>> {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
 
@@ -365,7 +401,7 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
 
         let may_retry = idempotent || self.policy.retry_non_idempotent;
         let mut attempt = 0u32;
-        let payload_start = loop {
+        let (payload_start, landed) = loop {
             attempt += 1;
             let outcome = sg
                 .with_segments(|segs| write_record_sg(&mut self.transport, segs, self.max_fragment))
@@ -376,6 +412,7 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
                         &mut self.reply_buf,
                         &mut self.stats,
                         xid,
+                        bulk.as_mut().map(|(arm, dst)| (*arm, &mut **dst)),
                     )
                 });
             match outcome {
@@ -422,29 +459,62 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         self.stats.calls += 1;
         Ok(Reply {
             payload: &self.reply_buf.as_slice()[payload_start..],
+            landed,
         })
     }
 
     /// Read reply records until `xid` answers, draining stale replies from
-    /// abandoned attempts. On success returns the offset where the result
-    /// payload begins in `reply_buf`.
+    /// abandoned attempts: the one receive path. On success returns the
+    /// offset where the result payload begins in `reply_buf`, and whether
+    /// the bulk opaque landed in `bulk`'s buffer instead (see
+    /// [`RpcClient::call_raw_into`]): then `reply_buf` holds the head only.
     fn receive_reply(
         transport: &mut T,
         reply_buf: &mut B,
         stats: &mut ClientStats,
         xid: u32,
-    ) -> RpcResult<usize> {
+        mut bulk: Option<(i32, &mut [u8])>,
+    ) -> RpcResult<(usize, bool)> {
         let mut last_got = 0u32;
         for _ in 0..MAX_STALE_REPLIES {
-            let received = read_record_into(transport, reply_buf, MAX_RECORD)?
+            reply_buf.truncate(0);
+            let mut record = IncomingRecord::new(MAX_RECORD);
+            let head = if bulk.is_some() {
+                BULK_HEAD
+            } else {
+                usize::MAX
+            };
+            record
+                .append(transport, reply_buf, head)?
                 .ok_or(RpcError::ConnectionClosed)?;
+            let landed = match bulk.as_mut() {
+                Some((arm, dst)) if lands(reply_buf.as_slice(), xid, *arm, dst.len()) => {
+                    Some(land(transport, &mut record, dst)?)
+                }
+                _ => None,
+            };
+            // The rest of the record, whole: all of any other reply, and
+            // whatever follows a landed opaque's pad.
+            let rest = record
+                .append(transport, reply_buf, usize::MAX)?
+                .unwrap_or(0);
+            let received = record.ended().unwrap_or(0);
             stats.bytes_received += received as u64;
             stats.bytes_copied += received as u64;
+            match landed {
+                Some(false) => return Err(XdrError::NonZeroPadding.into()),
+                Some(true) if rest > 0 => {
+                    return Err(XdrError::TrailingBytes { remaining: rest }.into())
+                }
+                // The result payload is the arm and the length word.
+                Some(true) => return Ok((BULK_HEAD - 8, true)),
+                None => {}
+            }
 
             let mut dec = XdrDecoder::new(reply_buf.as_slice());
             last_got = dec.get_u32()?;
             if last_got == xid {
-                return reply_status(&mut dec).map(|()| dec.position());
+                return reply_status(&mut dec).map(|()| (dec.position(), false));
             }
             // A late or duplicated reply to an earlier call: with same-xid
             // retransmission the answer we want is still ahead.
@@ -482,6 +552,34 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
     pub fn transport(&self) -> &T {
         &self.transport
     }
+}
+
+/// Whether `head`, the first [`BULK_HEAD`] bytes of a reply record, is the
+/// accepted success of call `xid` whose result is the bulk arm `arm`
+/// carrying exactly `len` bytes: the only reply whose opaque may land in a
+/// caller's buffer.
+fn lands(head: &[u8], xid: u32, arm: i32, len: usize) -> bool {
+    let mut dec = XdrDecoder::new(head);
+    len <= u32::MAX as usize
+        && dec.get_u32() == Ok(xid)
+        && reply_status(&mut dec).is_ok()
+        && dec.get_i32() == Ok(arm)
+        && dec.get_u32() == Ok(len as u32)
+        && dec.position() == BULK_HEAD
+}
+
+/// Read a landing opaque of `dst.len()` bytes and its pad off `record`
+/// into `dst`. Returns whether the pad is zero.
+fn land<R: std::io::Read + ?Sized>(
+    r: &mut R,
+    record: &mut IncomingRecord,
+    dst: &mut [u8],
+) -> RpcResult<bool> {
+    record.read_exact(r, dst)?;
+    let mut pad = [0u8; 3];
+    let pad = &mut pad[..(4 - dst.len() % 4) % 4];
+    record.read_exact(r, pad)?;
+    Ok(pad.iter().all(|&b| b == 0))
 }
 
 /// The one client-side reply-header parser (stream and datagram clients
@@ -566,6 +664,8 @@ mod tests {
         result: [u8; 256],
         result_len: usize,
         fragment: usize,
+        /// Serve a reply to another xid ahead of each answer.
+        stale: bool,
         wire: [u8; 1024],
         wire_len: usize,
         read_pos: usize,
@@ -582,6 +682,7 @@ mod tests {
                 result: [0; 256],
                 result_len: usize::MAX,
                 fragment: usize::MAX,
+                stale: false,
                 wire: [0; 1024],
                 wire_len: 0,
                 read_pos: 0,
@@ -618,21 +719,28 @@ mod tests {
             body[..4].copy_from_slice(&self.req[4..8]);
             body[4..8].copy_from_slice(&1u32.to_be_bytes());
             body[24..24 + self.result_len].copy_from_slice(&self.result[..self.result_len]);
-            let body = &body[..24 + self.result_len];
+            let body = &mut body[..24 + self.result_len];
             self.wire_len = 0;
             self.read_pos = 0;
-            let mut chunks = body.chunks(self.fragment).peekable();
-            while let Some(chunk) = chunks.next() {
-                let last = if chunks.peek().is_none() {
-                    LAST_FRAGMENT
-                } else {
-                    0
-                };
-                let mark = (chunk.len() as u32 | last).to_be_bytes();
-                for part in [&mark[..], chunk] {
-                    self.wire[self.wire_len..self.wire_len + part.len()].copy_from_slice(part);
-                    self.wire_len += part.len();
+            for stale in [true, false] {
+                if stale && !self.stale {
+                    continue;
                 }
+                body[3] ^= u8::from(stale);
+                let mut chunks = body.chunks(self.fragment).peekable();
+                while let Some(chunk) = chunks.next() {
+                    let last = if chunks.peek().is_none() {
+                        LAST_FRAGMENT
+                    } else {
+                        0
+                    };
+                    let mark = (chunk.len() as u32 | last).to_be_bytes();
+                    for part in [&mark[..], chunk] {
+                        self.wire[self.wire_len..self.wire_len + part.len()].copy_from_slice(part);
+                        self.wire_len += part.len();
+                    }
+                }
+                body[3] ^= u8::from(stale);
             }
             Ok(())
         }
@@ -750,6 +858,113 @@ mod tests {
             RpcError::RecordTooLarge { size: 88, max: 64 }
         ));
         assert_eq!(client.transport.read_pos, 4, "only the header was read");
+    }
+
+    /// A `data_result`-shaped result: arm, then `data` as an opaque of
+    /// `len` bytes (its length word says `len`), then `extra` bytes.
+    fn bulk_result(arm: i32, len: u32, data: &[u8], extra: &[u8]) -> Vec<u8> {
+        let mut out = arm.to_be_bytes().to_vec();
+        out.extend_from_slice(&len.to_be_bytes());
+        out.extend_from_slice(data);
+        out.extend_from_slice(extra);
+        out
+    }
+
+    /// What [`into_50`] saw: the outcome as (landed, payload), the
+    /// destination afterwards and the client's counters.
+    type Into50 = (RpcResult<(bool, Vec<u8>)>, [u8; 50], ClientStats);
+
+    /// Call through `call_raw_into` with a 50-byte destination against a
+    /// loopback serving `result` in fragments of `fragment` bytes, behind a
+    /// stale reply when `stale`.
+    fn into_50<B: RecordBuf>(result: &[u8], fragment: usize, stale: bool) -> Into50 {
+        let mut lo = Loopback::new(Some(result));
+        (lo.fragment, lo.stale) = (fragment, stale);
+        let mut client: RpcClient<Loopback, B> = RpcClient::bind(lo, 9, 1);
+        let mut dst = [0xEEu8; 50];
+        let got = client
+            .call_raw_into(1, false, |_| {}, (0, &mut dst))
+            .map(|reply| (reply.landed(), reply.to_vec()));
+        (got, dst, client.stats())
+    }
+
+    fn bulk_replies_land_or_read_whole<B: RecordBuf>() {
+        let data: Vec<u8> = (1..=51).collect();
+        let exact = bulk_result(0, 50, &data[..50], &[0, 0]);
+        for fragment in [1, 3, 7, 100] {
+            // The bulk arm carrying exactly `dst.len()` bytes lands there;
+            // the payload ends at the opaque's length word.
+            let (got, dst, stats) = into_50::<B>(&exact, fragment, false);
+            assert_eq!(got.unwrap(), (true, exact[..8].to_vec()));
+            assert_eq!(dst[..], data[..50]);
+            assert_eq!(stats.bytes_received, 24 + exact.len() as u64);
+            assert_eq!(stats.bytes_copied, stats.bytes_received + 40);
+            // Behind a stale reply, too.
+            let (got, dst, stats) = into_50::<B>(&exact, fragment, true);
+            assert_eq!(got.unwrap(), (true, exact[..8].to_vec()));
+            assert_eq!((dst[..] == data[..50], stats.stale_replies), (true, 1));
+
+            // One byte short or long, or the other arm: read whole, as a
+            // call without a destination reads it, and `dst` is untouched.
+            for other in [
+                bulk_result(0, 49, &data[..49], &[0, 0, 0]),
+                bulk_result(0, 51, &data, &[0]),
+                7i32.to_be_bytes().to_vec(),
+            ] {
+                let (got, dst, _) = into_50::<B>(&other, fragment, false);
+                assert_eq!(got.unwrap(), (false, other));
+                assert_eq!(dst, [0xEE; 50]);
+            }
+
+            // A non-zero pad, bytes past the pad and a record ending inside
+            // the data are the errors the whole decode gives, never a panic.
+            let (got, _, _) = into_50::<B>(&bulk_result(0, 50, &data[..50], &[0, 1]), 7, false);
+            assert!(matches!(got, Err(RpcError::Xdr(XdrError::NonZeroPadding))));
+            let long = bulk_result(0, 50, &data[..50], &[0, 0, 9, 9, 9]);
+            let (got, _, _) = into_50::<B>(&long, fragment, false);
+            assert!(
+                matches!(
+                    got,
+                    Err(RpcError::Xdr(XdrError::TrailingBytes { remaining: 3 }))
+                ),
+                "{got:?}"
+            );
+            let cut = bulk_result(0, 50, &data[..20], &[]);
+            let (got, _, _) = into_50::<B>(&cut, fragment, false);
+            assert!(
+                matches!(
+                    got,
+                    Err(RpcError::Xdr(XdrError::Truncated {
+                        needed: 50,
+                        remaining: 20
+                    }))
+                ),
+                "{got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_replies_land_in_the_destination_or_are_read_whole() {
+        bulk_replies_land_or_read_whole::<Vec<u8>>();
+        bulk_replies_land_or_read_whole::<Fixed<128>>();
+    }
+
+    /// A fixed reply buffer bounds what is read into it, not what lands: a
+    /// reply read whole is refused at the fragment that would overflow it.
+    #[test]
+    fn a_landing_reply_may_exceed_the_fixed_reply_buffer() {
+        let data = [0x5au8; 50];
+        let exact = bulk_result(0, 50, &data, &[0, 0]);
+        let (got, dst, _) = into_50::<Fixed<40>>(&exact, 16, false);
+        assert!(got.unwrap().0);
+        assert_eq!(dst, data);
+        let (got, _, _) =
+            into_50::<Fixed<40>>(&bulk_result(0, 49, &data[..49], &[0; 3]), 16, false);
+        assert!(
+            matches!(got, Err(RpcError::RecordTooLarge { size: 48, max: 40 })),
+            "{got:?}"
+        );
     }
 
     #[test]

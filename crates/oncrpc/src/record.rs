@@ -235,9 +235,9 @@ pub trait RecordBuf: XdrSink {
     /// An empty buffer. Allocation-free for the fixed policy.
     fn fresh() -> Self;
 
-    /// Append the next `len` bytes of `r` without zero-filling first,
-    /// returning how many arrived (fewer only at end of stream). The caller
-    /// has checked that `len` more bytes fit under [`XdrSink::limit`].
+    /// Append the next `len` bytes of `r`, returning how many arrived
+    /// (fewer only at end of stream). The caller has checked that `len`
+    /// more bytes fit under [`XdrSink::limit`].
     fn fill_from<R: Read + ?Sized>(&mut self, r: &mut R, len: usize) -> io::Result<usize>;
 }
 
@@ -246,18 +246,20 @@ impl RecordBuf for Vec<u8> {
         Vec::with_capacity(256)
     }
 
+    /// Reads in steps of at most `FILL_STEP` (64 KiB). `len` is what the peer
+    /// announced, up to `MAX_RECORD`: the buffer grows at most one step past
+    /// the bytes that have arrived, never by the announcement, and `read` is
+    /// never handed more than one step. std zero-fills the spare capacity it
+    /// hands `read`, so the step also bounds that memset to one
+    /// cache-resident slice instead of the whole record.
     fn fill_from<R: Read + ?Sized>(&mut self, r: &mut R, len: usize) -> io::Result<usize> {
         let mut left = len;
         while left > 0 {
-            // `len` is what the peer announced, up to `MAX_RECORD`: grow at
-            // most `FILL_STEP` past the bytes that have arrived, never by
-            // the announcement. Steps stay amortised by `reserve`'s doubling.
-            self.reserve(left.min(FILL_STEP));
-            let room = (self.capacity() - self.len()).min(left);
-            // `take` bounds the read; `read_to_end` appends only bytes
-            // actually received and stops at the limit without an extra
-            // syscall.
-            match r.take(room as u64).read_to_end(self)? {
+            // `reserve` doubles, so the steps stay amortised; `take` bounds
+            // the read and `read_to_end` stops at it without an extra call.
+            let step = left.min(FILL_STEP);
+            self.reserve(step);
+            match r.take(step as u64).read_to_end(self)? {
                 0 => break,
                 got => left -= got,
             }
@@ -267,7 +269,7 @@ impl RecordBuf for Vec<u8> {
 }
 
 /// How far [`RecordBuf::fill_from`] grows a `Vec<u8>` ahead of the bytes
-/// that have arrived.
+/// that have arrived, and the most it hands one `read`.
 const FILL_STEP: usize = 64 * 1024;
 
 impl<const N: usize> RecordBuf for FixedBuf<[u8; N]> {
@@ -282,41 +284,214 @@ impl<const N: usize> RecordBuf for FixedBuf<[u8; N]> {
 }
 
 /// Read one complete record into a caller-owned buffer, reusing its
-/// storage. The buffer is cleared first; on success it holds exactly the
-/// record bytes and the record length is returned. `Ok(None)` means the
-/// stream closed cleanly before the first header byte.
+/// storage: the whole-record form of `IncomingRecord`. The buffer is
+/// cleared first; on success it holds exactly the record bytes and the
+/// record length is returned. `Ok(None)` means the stream closed cleanly
+/// before the first header byte.
 ///
 /// Unlike building a fresh `Vec` per record, a pooled buffer in steady state
-/// costs no allocation and no zero-fill. Each mark passes through
-/// [`RecordMarks`], so records beyond `max_record` or the buffer's own limit
-/// are refused at the offending mark, before any of that fragment is read;
-/// payload is read straight into `record`.
+/// costs no allocation. Records beyond `max_record` or the buffer's own
+/// limit are refused at the offending mark, before any of that fragment is
+/// read; payload is read straight into `record`.
 pub fn read_record_into<R: Read + ?Sized, B: RecordBuf>(
     r: &mut R,
     record: &mut B,
     max_record: usize,
 ) -> RpcResult<Option<usize>> {
     record.truncate(0);
-    let mut marks = RecordMarks::new(max_record.min(record.limit()));
-    loop {
-        let mut header = [0u8; 4];
-        if !read_exact_or_eof(r, &mut header)? {
-            // A clean EOF is one before the record's first byte.
-            return match marks.wire {
-                0 => Ok(None),
-                _ => Err(RpcError::ConnectionClosed),
-            };
+    let mut incoming = IncomingRecord::new(max_record.min(record.limit()));
+    Ok(incoming
+        .append(r, record, usize::MAX)?
+        .map(|_| record.len()))
+}
+
+/// One record read off a blocking stream a piece at a time: each call reads
+/// the next payload bytes into whichever buffer the caller names, crossing
+/// fragment marks as they come, so the parts of one record can land in
+/// different buffers. Every mark passes through [`RecordMarks`], which
+/// refuses a record past `max_record` at its mark; a [`RecordBuf`] is also
+/// held to its own limit before any byte of a step is read into it.
+#[derive(Debug)]
+pub(crate) struct IncomingRecord {
+    marks: RecordMarks,
+    /// The record's payload length, once its last fragment is in.
+    len: Option<usize>,
+}
+
+impl IncomingRecord {
+    /// A reader at the start of the stream's next record.
+    pub(crate) fn new(max_record: usize) -> Self {
+        Self {
+            marks: RecordMarks::new(max_record),
+            len: None,
         }
-        let (_, mut end) = marks.next(&header)?;
-        let (start, left) = (record.len(), marks.left);
-        if left > 0 {
-            if record.fill_from(r, left)? < left {
+    }
+
+    /// The record's payload length once it has been read to its end.
+    pub(crate) fn ended(&self) -> Option<usize> {
+        self.len
+    }
+
+    /// Payload bytes ready in the current fragment, reading marks until one
+    /// announces payload; 0 once the record has ended. `None` on a clean
+    /// end of stream before the record's first byte.
+    fn ready<R: Read + ?Sized>(&mut self, r: &mut R) -> RpcResult<Option<usize>> {
+        while self.len.is_none() && self.marks.left == 0 {
+            let mut header = [0u8; 4];
+            if !read_exact_or_eof(r, &mut header)? {
+                return match self.marks.wire {
+                    0 => Ok(None),
+                    _ => Err(RpcError::ConnectionClosed),
+                };
+            }
+            self.passed(&header)?;
+        }
+        Ok(Some(self.marks.left))
+    }
+
+    /// Account for `bytes` just read off the stream.
+    fn passed(&mut self, bytes: &[u8]) -> RpcResult<()> {
+        self.len = self.marks.next(bytes)?.1.map(|(len, _)| len);
+        Ok(())
+    }
+
+    /// Read exactly `dst.len()` payload bytes into `dst`. A record that
+    /// ends first is [`XdrError::Truncated`](xdr::XdrError::Truncated),
+    /// as decoding it whole would be; a stream that ends first is
+    /// [`RpcError::ConnectionClosed`].
+    pub(crate) fn read_exact<R: Read + ?Sized>(
+        &mut self,
+        r: &mut R,
+        dst: &mut [u8],
+    ) -> RpcResult<()> {
+        let mut got = 0;
+        while got < dst.len() {
+            let ready = self.ready(r)?.ok_or(RpcError::ConnectionClosed)?;
+            if ready == 0 {
+                let (needed, remaining) = (dst.len(), got);
+                return Err(xdr::XdrError::Truncated { needed, remaining }.into());
+            }
+            let n = ready.min(dst.len() - got);
+            let part = &mut dst[got..got + n];
+            r.read_exact(part).map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => RpcError::ConnectionClosed,
+                _ => e.into(),
+            })?;
+            self.passed(part)?;
+            got += part.len();
+        }
+        Ok(())
+    }
+
+    /// Append up to `max` more payload bytes to `buf`, stopping at the
+    /// record's end; returns how many. `None` on a clean end of stream
+    /// before the record's first byte.
+    pub(crate) fn append<R: Read + ?Sized, B: RecordBuf>(
+        &mut self,
+        r: &mut R,
+        buf: &mut B,
+        max: usize,
+    ) -> RpcResult<Option<usize>> {
+        let mut got = 0;
+        while got < max {
+            let ready = match self.ready(r)? {
+                None => return Ok(None),
+                Some(0) => break,
+                Some(ready) => ready.min(max - got),
+            };
+            let (start, limit) = (buf.len(), buf.limit());
+            if start + ready > limit {
+                let size = start + ready;
+                return Err(RpcError::RecordTooLarge { size, max: limit });
+            }
+            if buf.fill_from(r, ready)? < ready {
                 return Err(RpcError::ConnectionClosed);
             }
-            end = marks.next(&record.as_slice()[start..])?.1;
+            self.passed(&buf.as_slice()[start..])?;
+            got += ready;
         }
-        if let Some((len, _)) = end {
-            return Ok(Some(len));
+        Ok(Some(got))
+    }
+}
+
+/// The wire length of a record of `len` payload bytes written in fragments
+/// of at most `max_fragment`: the payload and one mark per fragment, an
+/// empty record being one empty last fragment.
+pub fn wire_len(len: usize, max_fragment: usize) -> usize {
+    len + 4 * len.div_ceil(max_fragment).max(1)
+}
+
+/// Where the writing of one record stands: the dual of [`RecordMarks`].
+/// It holds no payload. Each [`OutgoingRecord::fill`] is handed the
+/// record's payload and appends the next wire bytes, marks from `mark`
+/// and payload sliced from it, to a send buffer until the buffer is full or
+/// the record is out, so a record goes out one send buffer at a time and
+/// each call resumes where the last stopped. The bytes are
+/// [`write_record`]'s, fragment for fragment.
+#[derive(Debug, Clone)]
+pub struct OutgoingRecord {
+    len: usize,
+    max_fragment: usize,
+    /// Payload bytes written.
+    sent: usize,
+    /// The current fragment's mark; `marked` of its bytes are written.
+    mark: [u8; 4],
+    marked: usize,
+    /// Payload bytes of the current fragment still to write.
+    left: usize,
+}
+
+impl OutgoingRecord {
+    /// A record of `len` payload bytes in fragments of at most
+    /// `max_fragment`, none of it written.
+    pub fn new(len: usize, max_fragment: usize) -> Self {
+        assert!(max_fragment > 0, "max_fragment must be positive");
+        let mut record = Self {
+            len,
+            max_fragment,
+            sent: 0,
+            mark: [0; 4],
+            marked: 0,
+            left: 0,
+        };
+        record.start_fragment();
+        record
+    }
+
+    /// Begin the fragment holding the next payload byte (or the one empty
+    /// fragment of an empty record).
+    fn start_fragment(&mut self) {
+        let rest = self.len - self.sent;
+        self.left = rest.min(self.max_fragment);
+        self.mark = mark(self.left, self.left == rest);
+        self.marked = 0;
+    }
+
+    /// Append the record's next wire bytes to `out` until it holds `cap`
+    /// bytes or the record is written; `payload` is the record's payload,
+    /// the same on every call. Returns whether the record is written.
+    pub fn fill(&mut self, payload: &[u8], out: &mut Vec<u8>, cap: usize) -> bool {
+        debug_assert_eq!(payload.len(), self.len, "a record's payload is fixed");
+        loop {
+            if self.marked == 4 && self.left == 0 {
+                if self.sent == self.len {
+                    return true;
+                }
+                self.start_fragment();
+            }
+            let room = cap.saturating_sub(out.len());
+            if room == 0 {
+                return false;
+            }
+            if self.marked < 4 {
+                let n = room.min(4 - self.marked);
+                out.extend_from_slice(&self.mark[self.marked..self.marked + n]);
+                self.marked += n;
+            } else {
+                let n = room.min(self.left);
+                out.extend_from_slice(&payload[self.sent..self.sent + n]);
+                (self.sent, self.left) = (self.sent + n, self.left - n);
+            }
         }
     }
 }
@@ -606,6 +781,123 @@ mod tests {
         let mut marks = RecordMarks::new(MAX_RECORD);
         let got = strip_all(&mut marks, &wire, &mut Vec::new()).unwrap();
         assert_eq!(got, [(Vec::new(), (0, 4))]);
+    }
+
+    /// A reader that serves `len` bytes and remembers the largest slice
+    /// `read` was handed.
+    struct Widest {
+        left: usize,
+        widest: usize,
+    }
+
+    impl Read for Widest {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            let n = buf.len().min(self.left);
+            buf[..n].fill(0x5a);
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    /// std zero-fills the spare capacity it hands `read`: a warm buffer
+    /// once let it hand out (and memset) slices of up to 8 MiB.
+    #[test]
+    fn fill_from_hands_read_at_most_one_step() {
+        const LEN: usize = 16 << 20;
+        let mut record = Vec::<u8>::with_capacity(LEN);
+        for _ in 0..2 {
+            record.clear();
+            let mut r = Widest {
+                left: LEN,
+                widest: 0,
+            };
+            assert_eq!(record.fill_from(&mut r, LEN).unwrap(), LEN);
+            assert!(r.widest <= FILL_STEP, "read was handed {} bytes", r.widest);
+            assert_eq!(record.len(), LEN);
+        }
+        assert_eq!(record.capacity(), LEN, "a warm buffer does not grow");
+    }
+
+    /// The resumable writer yields `write_record`'s bytes whatever the send
+    /// buffer's size, and `wire_len` their count.
+    #[test]
+    fn outgoing_record_is_write_record_one_send_buffer_at_a_time() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        for len in [0, 1, 99, 100, 101, 400, 1000] {
+            for max_fragment in [1, 7, 100, 4096] {
+                let mut want = Vec::new();
+                write_record(&mut want, &payload[..len], max_fragment).unwrap();
+                assert_eq!(wire_len(len, max_fragment), want.len());
+                for cap in [1, 3, 4, 5, 64, 104, 1 << 20] {
+                    let mut out = OutgoingRecord::new(len, max_fragment);
+                    let (mut wire, mut tx) = (Vec::new(), Vec::new());
+                    loop {
+                        tx.clear();
+                        let done = out.fill(&payload[..len], &mut tx, cap);
+                        assert!(tx.len() <= cap);
+                        assert!(done || tx.len() == cap, "a short buffer before the end");
+                        wire.extend_from_slice(&tx);
+                        if done {
+                            break;
+                        }
+                    }
+                    assert_eq!(wire, want, "len {len}, fragment {max_fragment}, cap {cap}");
+                    tx.clear();
+                    assert!(out.fill(&payload[..len], &mut tx, cap) && tx.is_empty());
+                }
+            }
+        }
+    }
+
+    /// One record's payload read in pieces into different buffers, across
+    /// fragment marks, then the next record whole.
+    #[test]
+    fn incoming_record_reads_a_record_piece_by_piece() {
+        let payload: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_record(&mut wire, &payload, 64).unwrap();
+        write_record(&mut wire, b"next", 64).unwrap();
+        let mut r = &wire[..];
+        let mut rec = IncomingRecord::new(MAX_RECORD);
+        let (mut head, mut body, mut tail) = (Vec::new(), [0u8; 200], Vec::new());
+        assert_eq!(rec.append(&mut r, &mut head, 10).unwrap(), Some(10));
+        rec.read_exact(&mut r, &mut body).unwrap();
+        assert_eq!(rec.ended(), None);
+        assert_eq!(rec.append(&mut r, &mut tail, usize::MAX).unwrap(), Some(90));
+        assert_eq!(rec.ended(), Some(300));
+        assert_eq!([&head[..], &body, &tail].concat(), payload);
+        // Past its end the record yields nothing more.
+        assert_eq!(rec.append(&mut r, &mut tail, 1).unwrap(), Some(0));
+        let over = rec.read_exact(&mut r, &mut [0u8; 1]).unwrap_err();
+        assert!(matches!(
+            over,
+            RpcError::Xdr(xdr::XdrError::Truncated {
+                needed: 1,
+                remaining: 0
+            })
+        ));
+        let mut next = Vec::new();
+        assert_eq!(
+            read_record_into(&mut r, &mut next, MAX_RECORD).unwrap(),
+            Some(4)
+        );
+        assert_eq!(next, b"next");
+        // A fixed buffer is held to its limit before a byte is read into it.
+        let mut r = &wire[..];
+        let mut small = FixedBuf::new([0u8; 16]);
+        let mut rec = IncomingRecord::new(MAX_RECORD);
+        assert_eq!(rec.append(&mut r, &mut small, 16).unwrap(), Some(16));
+        let refused = rec.append(&mut r, &mut small, 1);
+        assert!(matches!(
+            refused,
+            Err(RpcError::RecordTooLarge { size: 17, max: 16 })
+        ));
+        assert_eq!(
+            wire.len() - r.len(),
+            4 + 16,
+            "nothing past the limit was read"
+        );
     }
 
     #[test]

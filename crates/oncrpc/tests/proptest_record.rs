@@ -3,9 +3,9 @@
 //! fragmented messages").
 
 use oncrpc::record::{read_record, write_record, write_record_sg, RecordMarks, MAX_RECORD};
-use oncrpc::RpcError;
+use oncrpc::{RpcClient, RpcError, Transport};
 use proptest::prelude::*;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 /// Reference implementation: the seed's copying record writer — build each
 /// fragment as header-then-payload with plain `extend_from_slice`. The
@@ -99,6 +99,50 @@ impl Write for ShortWriter {
         Ok(())
     }
 }
+
+/// A transport answering every call with the accepted success `result`
+/// under the call's xid, record-marked in fragments of `max_fragment`, and
+/// served at most `max_read` bytes per `read`.
+struct Canned {
+    result: Vec<u8>,
+    max_fragment: usize,
+    max_read: usize,
+    request: Vec<u8>,
+    wire: Vec<u8>,
+    served: usize,
+}
+
+impl Write for Canned {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.request.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        // xid, REPLY, MSG_ACCEPTED, an empty AUTH_NONE verifier, SUCCESS.
+        let mut body = self.request[4..8].to_vec();
+        body.extend_from_slice(&[0, 0, 0, 1]);
+        body.extend_from_slice(&[0; 16]);
+        body.extend_from_slice(&self.result);
+        self.wire.clear();
+        write_record(&mut self.wire, &body, self.max_fragment).unwrap();
+        self.request.clear();
+        self.served = 0;
+        Ok(())
+    }
+}
+
+impl Read for Canned {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let rest = &self.wire[self.served..];
+        let n = rest.len().min(buf.len()).min(self.max_read);
+        buf[..n].copy_from_slice(&rest[..n]);
+        self.served += n;
+        Ok(n)
+    }
+}
+
+impl Transport for Canned {}
 
 proptest! {
     /// The scatter-gather writer must emit byte-identical wire output to
@@ -220,5 +264,48 @@ proptest! {
         prop_assert_eq!(refused, None);
         prop_assert!(whole.iter().map(|(p, _)| p).eq(&payloads));
         prop_assert_eq!(whole.iter().map(|(_, (_, w))| w).sum::<usize>(), wire.len());
+    }
+
+    /// One receive path, two destinations: however the reply is
+    /// fragmented and however the transport splits its reads, a bulk arm of
+    /// exactly `dst.len()` bytes lands in `dst` as the bytes the whole-record
+    /// decode yields, and any other length leaves `dst` untouched and
+    /// returns the reply the whole-record read returns.
+    #[test]
+    fn into_read_fills_dst_with_what_the_whole_record_decode_yields(
+        data in proptest::collection::vec(any::<u8>(), 0..3_000),
+        max_fragment in 1usize..600,
+        max_read in 1usize..5_000,
+        skew in 0usize..3,
+    ) {
+        let mut result = xdr::XdrEncoder::new();
+        result.put_i32(0);
+        result.put_opaque(&data);
+        let transport = Canned {
+            result: result.as_slice().to_vec(),
+            max_fragment,
+            max_read,
+            request: Vec::new(),
+            wire: Vec::new(),
+            served: 0,
+        };
+        let mut client: RpcClient<Canned> = RpcClient::bind(transport, 9, 1);
+        let whole = client.call_raw(1, |_| {}).unwrap().to_vec();
+        let mut dec = xdr::XdrDecoder::new(&whole);
+        prop_assert_eq!(dec.get_i32().unwrap(), 0);
+        prop_assert_eq!(dec.get_opaque_ref().unwrap(), &data[..]);
+
+        let mut dst = vec![0xEE; (data.len() + skew).saturating_sub(1)];
+        let reply = client.call_raw_into(1, false, |_| {}, (0, &mut dst)).unwrap();
+        let (landed, payload) = (reply.landed(), reply.to_vec());
+        if dst.len() == data.len() {
+            prop_assert!(landed);
+            prop_assert_eq!(&payload[..], &whole[..8]);
+            prop_assert_eq!(&dst, &data);
+        } else {
+            prop_assert!(!landed);
+            prop_assert_eq!(payload, whole);
+            prop_assert!(dst.iter().all(|&b| b == 0xEE));
+        }
     }
 }

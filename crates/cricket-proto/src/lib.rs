@@ -95,6 +95,50 @@ mod tests {
         assert_eq!(cricket_v1::SRV_SET_SCHEDULER, 64);
     }
 
+    /// The tagged session-state types lead with the words their `MAGIC_` /
+    /// `VERSION_` constants declare, round-trip, and refuse another word
+    /// with an error naming the type and the word.
+    #[test]
+    fn tagged_types_round_trip_and_refuse_a_wrong_word() {
+        let blob = MigBlob {
+            kind: MigKind::Delta,
+            meta: SessionMeta::default(),
+            mem: MigMem::default(),
+            replay: vec![ReplayEntry {
+                xid: 7,
+                reply: vec![1, 2],
+            }]
+            .into(),
+        };
+        let ckpt = Ckpt {
+            blobs: vec![blob].into(),
+        };
+        let wire = xdr::encode(&ckpt);
+        let word = |at: usize| u32::from_be_bytes(wire[at..at + 4].try_into().unwrap());
+        let tags = [MAGIC_CKPT, VERSION_CKPT, MAGIC_MIG_BLOB, VERSION_MIG_BLOB];
+        assert_eq!(
+            [word(0), word(4), word(12), word(16)],
+            tags.map(|t| t as u32)
+        );
+        assert_eq!(xdr::decode::<Ckpt>(&wire), Ok(ckpt));
+        for (at, type_name, word) in [
+            (0, "ckpt", "magic"),
+            (4, "ckpt", "version"),
+            (12, "mig_blob", "magic"),
+            (16, "mig_blob", "version"),
+        ] {
+            let mut bad = wire.clone();
+            bad[at + 3] ^= 1;
+            let found = u32::from_be_bytes(bad[at..at + 4].try_into().unwrap());
+            let err = xdr::XdrError::WrongTag {
+                type_name,
+                word,
+                found,
+            };
+            assert_eq!(xdr::decode::<Ckpt>(&bad), Err(err));
+        }
+    }
+
     /// The batch-exec procedure must stay out of the idempotent table: a
     /// batch may contain non-idempotent sub-ops, so only the *client* may
     /// tag a flush retryable (and only when every recorded op is

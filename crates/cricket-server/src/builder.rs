@@ -28,8 +28,8 @@ use oncrpc::{PmapVersClient, ReplayCache, RpcError, RpcResult, TcpTransport};
 use simnet::clock::SimClock;
 
 use crate::scheduler::SchedulerPolicy;
-use crate::service::{CricketServer, ServerConfig};
 use crate::{cricket_classifier, session_rpc, ServeMode};
+use crate::{CricketServer, ServerConfig};
 
 /// Where (and as what) a server registers itself in a fleet directory.
 #[derive(Debug, Clone)]
@@ -102,7 +102,7 @@ impl ServerBuilder {
     /// QoS / overload-control configuration (session watermark, admission
     /// retry hint). Applies to the server this builder creates; ignored
     /// when [`Self::server`] supplies an existing one.
-    pub fn qos(mut self, qos: crate::service::QosServerConfig) -> Self {
+    pub fn qos(mut self, qos: crate::QosServerConfig) -> Self {
         self.config.qos = qos;
         self
     }

@@ -5,11 +5,17 @@
 //! the simulated GPU:
 //!
 //! * [`service`] — the generated [`cricket_proto::CricketV1Service`] trait
-//!   implemented over [`vgpu::Device`], with per-API host-side cost
-//!   accounting charged to the shared virtual clock;
+//!   implemented over [`vgpu::Device`], one body per procedure, each
+//!   charged the host cost `cricket.x` declares for it on the shared
+//!   virtual clock. Its siblings hold the [`CricketServer`] code by
+//!   concern: `server` (state, tables, configuration), `prologue` (the
+//!   call prologue, routing, QoS admission and the migration token gate),
+//!   `batch` (the batchable ops' one body and `CRICKET_BATCH_EXEC`) and
+//!   `state` (session-state export, apply and reclaim);
 //! * [`scheduler`] — configurable GPU-sharing policies (FIFO, round-robin,
-//!   priority) arbitrating concurrent client sessions, the paper's
-//!   "managing the shared access through configurable schedulers";
+//!   priority, weighted fair queuing) arbitrating concurrent client
+//!   sessions, the paper's "managing the shared access through
+//!   configurable schedulers";
 //! * [`migrate`] — the one session-state wire format, declared in
 //!   `cricket.x`: a session's memory, modules, functions, streams, events
 //!   and library handles as XDR blobs restored at their exact handle
@@ -22,16 +28,20 @@
 //! [`ServerBuilder`] serves the protocol over real TCP; the `cricket-server`
 //! binary is a thin command line over it.
 
+mod batch;
 pub mod builder;
 pub mod migrate;
+mod prologue;
 pub mod scheduler;
+mod server;
 pub mod service;
+mod state;
 pub mod transport;
 
 pub use builder::{DirectoryRegistration, ServeHandle, ServerBuilder};
 pub use cricket_proto::MigKind;
 pub use scheduler::{QosSpec, SchedulerPolicy, SessionId};
-pub use service::{CricketServer, QosServerConfig, ServerConfig, SessionCleanup};
+pub use server::{CricketServer, QosServerConfig, ServerConfig, SessionCleanup};
 pub use transport::SimTransport;
 
 use std::sync::Arc;

@@ -1,938 +1,36 @@
-//! The Cricket service: generated-trait implementation over the simulated
-//! GPU, with per-API host-side cost accounting.
+//! The Cricket service: the generated [`cricket_proto::CricketV1Service`]
+//! trait implemented over the simulated GPU — the one place each procedure
+//! of `cricket.x` is written on the server.
 //!
 //! Every call charges the shared virtual clock with (a) a base dispatch
 //! cost — the Cricket server's RPC handling plus the CUDA driver entry — and
-//! (b) the device time the operation consumes. The network legs around the
-//! call are charged by the transport (see [`crate::transport`]).
+//! the host-side cost `cricket.x` declares for the procedure, and (b) the
+//! device time the operation consumes. Each body names its procedure to the
+//! call prologue, which reads both costs from the generated tables. The
+//! network legs around the call are charged by the transport (see
+//! [`crate::transport`]).
 
-use crate::migrate;
-use crate::scheduler::{QosSpec, Scheduler, SchedulerPolicy, SessionId};
+use crate::prologue::Returns;
+use crate::scheduler::{QosSpec, SchedulerPolicy, SessionId};
+use crate::server::{CricketServer, Gemm, HostObject, Kind, StatsInner};
 use cricket_proto::{
-    cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, DataResultReplied,
-    DataResultReply, DeviceProp, FloatResult, IntResult, MemInfo, MemInfoResult, MigBlob,
-    MigCursor, MigDefaultStream, MigEvent, MigFft, MigFunction, MigKind, MigModule, MigStream,
-    PropResult, QosParams, ReplayEntry, RpcDim3, ServerStats, SessionMeta, U64Result,
+    cricket_v1 as proc, BatchResult, CricketV1BatchOp as BatchOp, DataResultReplied,
+    DataResultReply, DeviceProp, FloatResult, IntResult, MemInfo, MemInfoResult, MigKind,
+    PropResult, QosParams, RpcDim3, ServerStats, U64Result,
 };
-use oncrpc::{AcceptStat, ReplayCache};
-use parking_lot::{Mutex, MutexGuard};
-use simnet::clock::HORIZON_NS;
-use simnet::SimClock;
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use oncrpc::AcceptStat;
 use std::sync::Arc;
-use vgpu::memory::MemDelta;
-use vgpu::{Device, DeviceProperties, Dim3, Submit, VgpuError, VgpuResult};
-
-/// Handles for library contexts (cuBLAS/cuSolver/cuFFT) live in the range
-/// `LIB_HANDLE_BASE..LIB_HANDLE_END`, disjoint from device handles: 2^47
-/// handles, more than any server issues, ending far short of `u64::MAX`.
-const LIB_HANDLE_BASE: u64 = 0x8000_0000_0000;
-const LIB_HANDLE_END: u64 = 2 * LIB_HANDLE_BASE;
-
-/// Device heap spacing: device `i`'s pointers live in
-/// `[(i+1)·HEAP_STRIDE, ...)`, so any pointer identifies its device.
-const HEAP_STRIDE: u64 = vgpu::memory::HEAP_BASE;
-
-/// Device handle spacing: device `i`'s module/function/stream/event handles
-/// are the window `handle_base(i)..handle_base(i + 1)`.
-const HANDLE_STRIDE: u64 = 0x1000_0000;
-
-fn handle_base(device: usize) -> u64 {
-    0x10 + device as u64 * HANDLE_STRIDE
-}
-
-/// At most this many simulated GPUs per server (keeps the address layout
-/// disjoint from the library-handle range).
-pub const MAX_DEVICES: usize = 8;
-
-/// Host-side cost of one API call: Cricket's RPC dispatch + CUDA driver
-/// entry. Dominates simple calls like `cudaGetDeviceCount` (Fig. 6a).
-const DISPATCH_NS: u64 = 6_000;
-
-/// Host-side cost of one sub-op inside a command batch: the CUDA driver
-/// entry alone. The RPC dispatch share of [`DISPATCH_NS`] is paid once per
-/// batch, which is exactly the per-call overhead coalescing amortizes.
-const BATCH_OP_NS: u64 = 800;
-
-/// Preemption point cadence inside a `CRICKET_BATCH_EXEC` slice: after this
-/// many sub-ops under one issue turn, ask the scheduler whether a more
-/// deserving waiter is queued and, if so, requeue the rest of the slice.
-const BATCH_PREEMPT_OPS: u32 = 32;
-
-/// Device-ns variant of [`BATCH_PREEMPT_OPS`]: a single slice may also not
-/// charge more than this much device time between preemption checks.
-const BATCH_PREEMPT_NS: u64 = 250_000;
-
-/// Decode a batch body: `u32` op count, then per op a `u32` proc number
-/// followed by that procedure's ordinary XDR argument stream, read by the
-/// decoder `rpcl` generates from the `batchable` procedures of `cricket.x`.
-/// Any decode error or non-batchable proc rejects the whole batch as
-/// garbage — nothing has been issued yet, so the reject is side-effect free.
-fn decode_batch(body: &[u8]) -> Result<Vec<BatchOp<'_>>, AcceptStat> {
-    let garbage = |_| AcceptStat::GarbageArgs;
-    let mut dec = xdr::XdrDecoder::new(body);
-    let count = dec.get_u32().map_err(garbage)? as usize;
-    let mut ops = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let proc = dec.get_u32().map_err(garbage)?;
-        let op = BatchOp::decode(proc, &mut dec).map_err(garbage)?;
-        ops.push(op.ok_or(AcceptStat::GarbageArgs)?);
-    }
-    dec.finish().map_err(garbage)?;
-    Ok(ops)
-}
-
-/// Server configuration.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Properties of device 0 (the paper's A100).
-    pub props: DeviceProperties,
-    /// Number of simulated devices. The paper's GPU node has four — one
-    /// A100, two T4, one P40 — and that is the layout used here: device 0
-    /// gets `props`, devices 1–2 are T4s, device 3 is a P40 (further
-    /// devices cycle T4). Sessions select with `cudaSetDevice`.
-    pub device_count: i32,
-    /// QoS / overload-control configuration.
-    pub qos: QosServerConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            props: DeviceProperties::a100(),
-            device_count: 4,
-            qos: QosServerConfig::default(),
-        }
-    }
-}
-
-/// Server-wide QoS and overload-control configuration
-/// ([`crate::ServerBuilder::qos`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QosServerConfig {
-    /// Overload watermark: once this many sessions are live, *new* sessions
-    /// are shed with `CRICKET_BUSY` (established sessions keep running).
-    /// 0 = unlimited.
-    pub max_sessions: u32,
-    /// Retry-after hint carried by admission sheds, nanoseconds.
-    pub admission_retry_ns: u64,
-}
-
-impl Default for QosServerConfig {
-    fn default() -> Self {
-        Self {
-            max_sessions: 0,
-            admission_retry_ns: 2_000_000,
-        }
-    }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct StatsInner {
-    total_calls: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    kernels_launched: u64,
-}
-
-/// What a handle a session holds names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Stream,
-    Event,
-    Module,
-    Blas,
-    Solver,
-    Fft,
-}
-
-/// The host side of a handle: what the server keeps beside the devices for
-/// a loaded module or a library context.
-enum HostObject {
-    /// The module's original image (checkpoint support).
-    Module(Vec<u8>),
-    Blas,
-    Solver(vgpu::solver::SolverDn),
-    Fft(vgpu::fft::FftPlan),
-}
-
-impl HostObject {
-    fn kind(&self) -> Kind {
-        match self {
-            HostObject::Module(_) => Kind::Module,
-            HostObject::Blas => Kind::Blas,
-            HostObject::Solver(_) => Kind::Solver,
-            HostObject::Fft(_) => Kind::Fft,
-        }
-    }
-}
-
-/// One session's record: how its calls route, and everything it has
-/// created and not yet destroyed — tracked so the server can reclaim it
-/// all when the client vanishes mid-session (TCP reset, unikernel crash)
-/// instead of leaking vGPU state forever.
-#[derive(Debug, Default, Clone)]
-struct Session {
-    /// Device memory, by block base.
-    mem: HashSet<u64>,
-    /// Every other handle the session holds, and what it names.
-    handles: HashMap<u64, Kind>,
-    /// Current device (`cudaSetDevice`); `None` = device 0, not chosen.
-    device: Option<usize>,
-    /// Lazily created default streams, by device: the stream the client's
-    /// handle `0` is remapped to. Giving each session its own timeline is
-    /// what lets independent sessions overlap on the device instead of
-    /// serializing on stream 0.
-    streams: HashMap<usize, u64>,
-    /// A disconnect-triggered release waits for the migration driver: the
-    /// session's token was evicted mid-migration and the final delta still
-    /// has to read its state (`mig_finalize_source`, or `readmit_token`).
-    deferred: bool,
-}
-
-impl Session {
-    fn holds(&self, handle: u64, kind: Kind) -> bool {
-        self.handles.get(&handle) == Some(&kind)
-    }
-
-    /// Its handles of `kind`, in order.
-    fn sorted(&self, kind: Kind) -> Vec<u64> {
-        let mut v: Vec<u64> = (self.handles.iter())
-            .filter_map(|(&h, &k)| (k == kind).then_some(h))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Move out every handle `keep` does not list as the same kind. Memory
-    /// is not a handle: blocks leave through a delta's `freed` list.
-    fn split_off_handles_not_in(&mut self, keep: &HashMap<u64, Kind>) -> Self {
-        let gone = self.handles.extract_if(|h, k| keep.get(h) != Some(k));
-        Self {
-            handles: gone.collect(),
-            ..Self::default()
-        }
-    }
-
-    /// Adopt staged state: own everything `other` holds as well (merged —
-    /// this session may hold some already), and take its current-device and
-    /// default-stream bindings for every slot this session has not bound
-    /// itself.
-    fn absorb(&mut self, other: Self) {
-        self.mem.extend(other.mem);
-        self.handles.extend(other.handles);
-        self.device = self.device.or(other.device);
-        for (idx, stream) in other.streams {
-            self.streams.entry(idx).or_insert(stream);
-        }
-    }
-
-    /// Forget what lived on the device `on_device` accepts: a reset
-    /// destroyed it.
-    fn forget_device(&mut self, idx: usize, on_device: impl Fn(u64) -> bool) {
-        self.mem.retain(|&p| !on_device(p));
-        self.handles.retain(|&h, _| !on_device(h));
-        self.streams.remove(&idx);
-    }
-}
-
-/// What [`CricketServer::release_session`] reclaimed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SessionCleanup {
-    /// Device memory allocations freed.
-    pub allocations: usize,
-    /// Streams destroyed.
-    pub streams: usize,
-    /// Events destroyed.
-    pub events: usize,
-    /// Modules unloaded.
-    pub modules: usize,
-    /// cuBLAS/cuSolver/cuFFT handles dropped.
-    pub lib_handles: usize,
-}
-
-impl SessionCleanup {
-    /// Total number of reclaimed resources.
-    pub fn total(&self) -> usize {
-        self.allocations + self.streams + self.events + self.modules + self.lib_handles
-    }
-}
-
-/// Session state placed on this server by [`CricketServer::apply_blob`]
-/// that no live session owns yet. An inbound migration stages one per
-/// client token (`MIG_APPLY_BASE`/`MIG_APPLY_DELTA`): until `ready`, the
-/// token gate refuses the client (the source is still streaming); the
-/// client's first call after cutover merges it into a live session.
-/// `CKPT_RESTORE` stages one per blob and hands them to its caller.
-#[derive(Default)]
-struct Adoption {
-    session: Session,
-    ready: bool,
-    applied_epochs: u32,
-}
-
-/// One client token's record at the token gate.
-#[derive(Default)]
-struct Token {
-    /// The live session its calls run in.
-    session: Option<SessionId>,
-    /// Evicted by a migration cutover: the gate refuses the token so the
-    /// client reconnects and resolves its new home.
-    evicted: bool,
-    /// Calls admitted through the gate and not yet completed. Eviction
-    /// drains them before the final snapshot, so no call can mutate memory
-    /// the final delta already captured.
-    inflight: usize,
-    /// An inbound migration staged by `MIG_APPLY_*`.
-    adoption: Option<Adoption>,
-}
-
-impl Token {
-    fn is_idle(&self) -> bool {
-        self.session.is_none() && !self.evicted && self.inflight == 0 && self.adoption.is_none()
-    }
-}
-
-/// The typed refusal of a restored handle somebody on this server holds.
-fn live_here(handle: u64) -> VgpuError {
-    VgpuError::InvalidValue(format!("handle {handle:#x} is live on this server"))
-}
-
-/// The Cricket server state shared by all sessions: the devices and three
-/// tables, one per kind of key. `sessions` owns what a session holds and
-/// how its calls route; `tokens` what the gate knows of a client token —
-/// its session, eviction, calls in flight and staged migration; `objects`
-/// the host side of a module or library handle.
-///
-/// Lock order: one device, then `tokens`, then `sessions`, then `objects`
-/// — never the reverse, and never two devices at once. An issue turn is
-/// won before any of them; `stats`, `replay` and the scheduler's own lock
-/// are leaves.
-pub struct CricketServer {
-    devices: Vec<Mutex<Device>>,
-    sessions: Mutex<HashMap<SessionId, Session>>,
-    tokens: Mutex<HashMap<u64, Token>>,
-    /// Signalled whenever a token's in-flight count drops.
-    quiesce: parking_lot::Condvar,
-    objects: Mutex<HashMap<u64, HostObject>>,
-    next_lib_handle: AtomicU64,
-    /// GPU-sharing scheduler.
-    pub scheduler: Scheduler,
-    clock: Arc<SimClock>,
-    stats: Mutex<StatsInner>,
-    cfg: ServerConfig,
-    /// The transport's shared at-most-once replay cache (attached by the
-    /// builder); migration ships a client's entries with the final delta.
-    replay: Mutex<Option<Arc<ReplayCache>>>,
-}
-
-impl CricketServer {
-    /// Create a server on `clock` with the given configuration.
-    pub fn new(cfg: ServerConfig, clock: Arc<SimClock>) -> Arc<Self> {
-        let count = (cfg.device_count.max(1) as usize).min(MAX_DEVICES);
-        let devices = (0..count)
-            .map(|i| {
-                // The paper's GPU-node layout: A100, T4, T4, P40.
-                let props = match i {
-                    0 => cfg.props.clone(),
-                    3 => DeviceProperties::p40(),
-                    _ => DeviceProperties::t4(),
-                };
-                Mutex::new(Device::with_bases(
-                    props,
-                    Arc::clone(&clock),
-                    (i as u64 + 1) * HEAP_STRIDE,
-                    handle_base(i)..handle_base(i + 1),
-                ))
-            })
-            .collect();
-        Arc::new(Self {
-            devices,
-            sessions: Mutex::new(HashMap::new()),
-            tokens: Mutex::new(HashMap::new()),
-            quiesce: parking_lot::Condvar::new(),
-            objects: Mutex::new(HashMap::new()),
-            next_lib_handle: AtomicU64::new(LIB_HANDLE_BASE),
-            scheduler: Scheduler::new(SchedulerPolicy::Fifo),
-            clock,
-            stats: Mutex::new(StatsInner::default()),
-            cfg,
-            replay: Mutex::new(None),
-        })
-    }
-
-    /// A default A100 server on a fresh clock.
-    pub fn a100() -> Arc<Self> {
-        Self::new(ServerConfig::default(), SimClock::new())
-    }
-
-    /// Device-utilization telemetry for device `idx`: `(busy_span_ns,
-    /// device_time_ns)` — the merged span during which at least one stream
-    /// had work running vs. the sum of all enqueued command durations.
-    /// `device_time / busy_span > 1` means streams genuinely overlapped.
-    pub fn device_utilization(&self, idx: usize) -> Option<(u64, u64)> {
-        let mut d = self.devices.get(idx)?.lock();
-        let span = d.busy_span_ns();
-        Some((span, d.stats.device_time_ns))
-    }
-
-    /// Retired-command log of device `idx` (drains the log). Test hook for
-    /// asserting retirement order.
-    pub fn drain_retired(&self, idx: usize) -> Vec<vgpu::Retired> {
-        self.devices
-            .get(idx)
-            .map(|d| d.lock().take_retired())
-            .unwrap_or_default()
-    }
-
-    /// The clock this server charges.
-    pub fn clock(&self) -> &Arc<SimClock> {
-        &self.clock
-    }
-
-    /// Load snapshot for the fleet directory ([`oncrpc::portmap`] shard
-    /// heartbeats): free/total device memory summed across all vgpus, the
-    /// shard's cumulative virtual service time (the clock only moves when
-    /// this server dispatches work, so `now_ns` *is* served time), and the
-    /// number of live sessions.
-    pub fn load_report(&self) -> oncrpc::LoadReport {
-        let (mut free, mut total) = (0u64, 0u64);
-        for d in &self.devices {
-            let (f, t) = d.lock().mem_info();
-            free += f;
-            total += t;
-        }
-        let sessions = self.sessions.lock().len() as u32;
-        // QoS pressure in permille: occupancy against the session watermark,
-        // saturating at 1000 whenever calls were shed since the last report
-        // (the directory steers placement away from saturated shards).
-        let max = self.cfg.qos.max_sessions;
-        let mut qos_pressure = if max > 0 {
-            (u64::from(sessions) * 1000 / u64::from(max)).min(1000) as u32
-        } else {
-            0
-        };
-        if self.scheduler.take_recent_sheds() > 0 {
-            qos_pressure = 1000;
-        }
-        oncrpc::LoadReport {
-            free_mem: free,
-            total_mem: total,
-            served_ns: self.clock.now_ns(),
-            sessions,
-            qos_pressure,
-        }
-    }
-
-    /// Admission control, consulted by the hook [`crate::make_session_rpc`]
-    /// installs before any procedure body runs. `Err(retry_after_ns)` sheds
-    /// the call with `CRICKET_BUSY` — never executed, never replay-cached,
-    /// safe to retry after the hint.
-    ///
-    /// `malloc_size` is the peeked `CUDA_MALLOC` argument, used to enforce
-    /// the resident-bytes quota before the allocation happens.
-    pub fn qos_admit(
-        &self,
-        session: SessionId,
-        proc: u32,
-        malloc_size: Option<u64>,
-    ) -> Result<(), u64> {
-        // `admin` procedures of `cricket.x` are always admitted: an operator
-        // must be able to relax a quota or drain a saturated server, and
-        // migration control never competes with tenant work.
-        if cricket_v1::is_admin(proc) {
-            return Ok(());
-        }
-        let cfg = self.cfg.qos;
-        // Overload watermark: shed *new* sessions past the mark;
-        // established sessions keep their service.
-        if cfg.max_sessions > 0 {
-            let sessions = self.sessions.lock();
-            if !sessions.contains_key(&session) && sessions.len() >= cfg.max_sessions as usize {
-                drop(sessions);
-                return Err(self.shed(cfg.admission_retry_ns));
-            }
-        }
-        // Resident-bytes quota: refuse a malloc that would cross the
-        // session's ceiling (frees bring it back under).
-        if let Some(size) = malloc_size {
-            let quota = self.scheduler.qos_of(session).max_resident_bytes;
-            if quota > 0 && self.resident_bytes(session).saturating_add(size) > quota {
-                return Err(self.shed(cfg.admission_retry_ns));
-            }
-        }
-        // Device-time rate quota: each admitted work call spends one
-        // dispatch quantum from the session's token bucket; the bucket
-        // refills on the virtual clock. Host-answered (`Done`-class) calls
-        // are free — they consume no device time.
-        if matches!(crate::proc_class(proc), oncrpc::ProcClass::Parked) {
-            if let Err(hint) = self
-                .scheduler
-                .rate_check(session, self.clock.now_ns(), DISPATCH_NS)
-            {
-                return Err(self.shed(hint));
-            }
-        }
-        Ok(())
-    }
-
-    /// Record a shed and advance the virtual clock by one dispatch quantum.
-    /// The advance matters: token buckets refill on this clock, so even a
-    /// lone over-quota client makes progress by retrying — each rejection
-    /// moves time forward toward its refill.
-    fn shed(&self, retry_after_ns: u64) -> u64 {
-        self.scheduler.note_shed();
-        self.clock.advance(DISPATCH_NS);
-        retry_after_ns
-    }
-
-    /// Bytes of device memory `session` currently holds, summed across all
-    /// devices (computed on demand from the live allocation tables).
-    fn resident_bytes(&self, session: SessionId) -> u64 {
-        let ptrs = match self.sessions.lock().get(&session) {
-            Some(r) if !r.mem.is_empty() => r.mem.clone(),
-            _ => return 0,
-        };
-        let mut total = 0u64;
-        for d in &self.devices {
-            let dev = d.lock();
-            for (base, size) in dev.mem.live_allocations() {
-                if ptrs.contains(&base) {
-                    total += size;
-                }
-            }
-        }
-        total
-    }
-
-    /// The session's current device ordinal.
-    fn current_device(&self, session: SessionId) -> usize {
-        let sessions = self.sessions.lock();
-        sessions.get(&session).and_then(|r| r.device).unwrap_or(0)
-    }
-
-    /// Which device a pointer or handle belongs to, if any.
-    fn device_of_token(&self, token: u64) -> Option<usize> {
-        if (HEAP_STRIDE..LIB_HANDLE_BASE).contains(&token) {
-            let idx = (token / HEAP_STRIDE - 1) as usize;
-            (idx < self.devices.len()).then_some(idx)
-        } else if (0x10..HEAP_STRIDE).contains(&token) {
-            let idx = ((token - 0x10) / HANDLE_STRIDE) as usize;
-            (idx < self.devices.len()).then_some(idx)
-        } else {
-            None
-        }
-    }
-
-    /// Route by token (pointer/handle); fall back to the session's current
-    /// device for tokens that carry no device identity (0, lib handles).
-    fn route(&self, session: SessionId, token: u64) -> usize {
-        self.device_of_token(token)
-            .unwrap_or_else(|| self.current_device(session))
-    }
-
-    /// Read or mutate the session's record, created if it has none.
-    fn track<R>(&self, session: SessionId, f: impl FnOnce(&mut Session) -> R) -> R {
-        f(self.sessions.lock().entry(session).or_default())
-    }
-
-    /// Reclaim everything `session` still holds: free its device memory,
-    /// destroy its streams/events, unload its modules, and drop its library
-    /// handles. Called when a client connection vanishes so a crashed or
-    /// partitioned unikernel cannot leak vGPU state. Individual teardown
-    /// errors are ignored — the resource may already be gone (explicit
-    /// destroy raced with the disconnect, or a `device_reset` cleared it).
-    pub fn release_session(&self, session: SessionId) -> SessionCleanup {
-        // A session whose client token was evicted mid-migration is torn
-        // down by the migration driver (`mig_finalize_source`) after the
-        // final delta is exported — the disconnect-triggered release must
-        // not free state that delta still has to read. If the migration
-        // aborts instead, `readmit_token` performs the deferred release.
-        {
-            let tokens = self.tokens.lock();
-            if tokens
-                .values()
-                .any(|t| t.session == Some(session) && t.evicted)
-            {
-                self.track(session, |r| r.deferred = true);
-                return SessionCleanup::default();
-            }
-        }
-        self.force_release(session)
-    }
-
-    /// [`Self::release_session`] without the mid-migration deferral.
-    fn force_release(&self, session: SessionId) -> SessionCleanup {
-        self.tokens.lock().retain(|_, t| {
-            if t.session == Some(session) {
-                t.session = None;
-            }
-            !t.is_idle()
-        });
-        let record = self.sessions.lock().remove(&session);
-        // Drop the session's scheduler record (priority, served ledgers) or
-        // session churn grows that table without bound.
-        self.scheduler.forget(session);
-        record.map_or_else(SessionCleanup::default, |r| self.reclaim(r))
-    }
-
-    /// The one teardown walker: free, destroy, unload and drop everything
-    /// `r` holds — a released session's, or an adoption's that will never
-    /// be claimed. Individual errors are ignored; the counts are of what
-    /// was actually still there.
-    fn reclaim(&self, r: Session) -> SessionCleanup {
-        let mut out = SessionCleanup::default();
-        let on_device = |token: u64, f: fn(&mut Device, u64) -> VgpuResult<u64>| {
-            (self.device_for(token)).is_ok_and(|d| f(&mut d.lock(), token).is_ok())
-        };
-        let freed = r.mem.into_iter().filter(|&p| on_device(p, Device::free));
-        out.allocations = freed.count();
-        let dropped = |h| self.objects.lock().remove(&h).is_some();
-        for (h, kind) in r.handles {
-            let (count, gone) = match kind {
-                Kind::Stream => (&mut out.streams, on_device(h, Device::stream_destroy)),
-                Kind::Event => (&mut out.events, on_device(h, Device::event_destroy)),
-                Kind::Module => {
-                    self.objects.lock().remove(&h);
-                    (&mut out.modules, on_device(h, Device::module_unload))
-                }
-                Kind::Blas | Kind::Solver | Kind::Fft => (&mut out.lib_handles, dropped(h)),
-            };
-            *count += usize::from(gone);
-        }
-        out
-    }
-
-    /// The session's default stream on device `idx`, lazily created. The
-    /// client's stream handle `0` is remapped here so every session gets
-    /// its own device timeline (streams from different sessions overlap;
-    /// work within one session's stream retires in issue order). Guards
-    /// against `cudaDeviceReset` having destroyed the stream under us.
-    fn session_stream(&self, session: SessionId, idx: usize) -> u64 {
-        // Hot path: map lookup only. Taking the device lock here would
-        // serialize every arriving call behind the current holder's
-        // transfer *before* it reaches the scheduler queue, so the
-        // scheduler would pick from a near-empty queue and sharing policy
-        // would degrade to lock wake-up order. The binding is kept valid by
-        // the two paths that destroy streams out from under it
-        // (`device_reset`, `stream_destroy`), which drop stale ones.
-        if let Some(h) = self.track(session, |r| r.streams.get(&idx).copied()) {
-            return h;
-        }
-        // A device whose handle window is spent has no stream to give; the
-        // session then shares the device's own stream 0, which is what
-        // CUDA's legacy default stream is anyway.
-        let Ok((h, _t)) = self.devices[idx].lock().stream_create() else {
-            return 0;
-        };
-        self.track(session, |r| {
-            r.streams.insert(idx, h);
-            r.handles.insert(h, Kind::Stream)
-        });
-        h
-    }
-
-    /// Remap the wire stream handle: `0` means "the session's default
-    /// stream on this device"; explicit handles pass through.
-    fn resolve_stream(&self, session: SessionId, idx: usize, stream: u64) -> u64 {
-        if stream == 0 {
-            self.session_stream(session, idx)
-        } else {
-            stream
-        }
-    }
-
-    /// The one call prologue. Gives the session its record (marks it seen),
-    /// then takes what the call holds while it runs (`acquire`: nothing, an
-    /// issue turn, or a turn and then a device lock), and only then counts
-    /// the call and charges `DISPATCH_NS + host_ns` — so a call that queues
-    /// for the device is charged once it owns it, and contended virtual time
-    /// depends on the scheduler's order alone.
-    fn enter<H>(&self, session: SessionId, host_ns: u64, acquire: impl FnOnce() -> H) -> H {
-        self.sessions.lock().entry(session).or_default();
-        let held = acquire();
-        self.stats.lock().total_calls += 1;
-        self.clock.advance(DISPATCH_NS + host_ns);
-        held
-    }
-
-    /// Host-only path: charge the RPC dispatch cost but take no scheduler
-    /// turn and hold no device for simulated time. For queries over
-    /// host-visible state (device count, properties, current device).
-    fn host_call<R>(&self, session: SessionId, host_ns: u64, f: impl FnOnce() -> R) -> R {
-        self.enter(session, host_ns, || ());
-        f()
-    }
-
-    /// Queue-backed path: win an issue slot from the scheduler, lock device
-    /// `idx`, run `f`. A command the device accepted costs the clock its
-    /// submission and the session's ledger its queued device time; a
-    /// host-side stamp (no `Submit`) costs what `f` charged itself.
-    /// [`Returns::AtSubmission`] is an asynchronous call — the RPC returns
-    /// while the work is still in flight on its stream;
-    /// [`Returns::AtCompletion`] has sync memcpy semantics (ordered behind
-    /// prior stream work, returns when done).
-    fn enqueue_at<R, S: Into<Option<Submit>>>(
-        &self,
-        session: SessionId,
-        idx: usize,
-        host_ns: u64,
-        returns: Returns,
-        f: impl FnOnce(&mut Device) -> Result<(R, S), VgpuError>,
-    ) -> Result<R, VgpuError> {
-        let (turn, mut dev) = self.enter(session, host_ns, || {
-            let turn = self.scheduler.begin(session);
-            (turn, self.devices[idx].lock())
-        });
-        let (r, sub) = f(&mut dev)?;
-        if let Some(sub) = sub.into() {
-            self.clock.advance(sub.submit_ns);
-            if returns == Returns::AtCompletion {
-                self.clock.advance_to(sub.completes_at_ns);
-            }
-            turn.charge(sub.queued_ns);
-        }
-        Ok(r)
-    }
-
-    /// Synchronization path: win an issue slot, run the op, then advance
-    /// the clock by the wait `f` reports (time until the relevant timeline
-    /// drains). Nothing new is charged to the ledger — the waited-on work
-    /// was charged when it was enqueued.
-    fn wait_at<R>(
-        &self,
-        session: SessionId,
-        idx: usize,
-        host_ns: u64,
-        f: impl FnOnce(&mut Device) -> Result<(R, u64), VgpuError>,
-    ) -> Result<R, VgpuError> {
-        self.wait_turn(session, host_ns, || f(&mut self.devices[idx].lock()))
-    }
-
-    /// [`Self::wait_at`] without a device: `f` locks what it needs itself
-    /// (`CKPT_*` walk every device in turn).
-    fn wait_turn<R>(
-        &self,
-        session: SessionId,
-        host_ns: u64,
-        f: impl FnOnce() -> Result<(R, u64), VgpuError>,
-    ) -> Result<R, VgpuError> {
-        let _turn = self.enter(session, host_ns, || self.scheduler.begin(session));
-        let (r, wait_ns) = f()?;
-        self.clock.advance(wait_ns);
-        Ok(r)
-    }
-
-    /// [`Self::wait_at`] on the session's current device.
-    fn wait_here<R>(
-        &self,
-        session: SessionId,
-        host_ns: u64,
-        f: impl FnOnce(&mut Device) -> Result<(R, u64), VgpuError>,
-    ) -> Result<R, VgpuError> {
-        let idx = self.current_device(session);
-        self.wait_at(session, idx, host_ns, f)
-    }
-
-    /// [`Self::wait_at`] on the device owning `token`.
-    fn wait_for<R>(
-        &self,
-        session: SessionId,
-        token: u64,
-        host_ns: u64,
-        f: impl FnOnce(&mut Device) -> Result<(R, u64), VgpuError>,
-    ) -> Result<R, VgpuError> {
-        let idx = self.route(session, token);
-        self.wait_at(session, idx, host_ns, f)
-    }
-
-    // ---- helpers shared by several procedures ----
-
-    /// Run `f` on the cuSolver context `h`.
-    fn solver<R>(
-        &self,
-        h: u64,
-        f: impl FnOnce(&mut vgpu::solver::SolverDn) -> VgpuResult<R>,
-    ) -> VgpuResult<R> {
-        match self.objects.lock().get_mut(&h) {
-            Some(HostObject::Solver(solver)) => f(solver),
-            _ => Err(VgpuError::InvalidHandle(h)),
-        }
-    }
-
-    /// The next library handle; once the library range is spent (or a
-    /// restored cursor reached its end) nothing more is issued.
-    fn new_lib_handle(&self) -> VgpuResult<u64> {
-        let next = |h| (h < LIB_HANDLE_END).then_some(h + 1);
-        (self
-            .next_lib_handle
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, next))
-        .map_err(|h| VgpuError::InvalidValue(format!("library handles exhausted at {h:#x}")))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        s: SessionId,
-        h: u64,
-        double: bool,
-        transa: i32,
-        transb: i32,
-        m: i32,
-        n: i32,
-        k: i32,
-        alpha: f64,
-        a: u64,
-        lda: i32,
-        b: u64,
-        ldb: i32,
-        beta: f64,
-        c: u64,
-        ldc: i32,
-    ) -> i32 {
-        let idx = self.route(s, a);
-        let st = self.resolve_stream(s, idx, 0);
-        int_of(self.enqueue_at(s, idx, 4_000, Returns::AtSubmission, |d| {
-            if !matches!(self.objects.lock().get(&h), Some(HostObject::Blas)) {
-                return Err(VgpuError::InvalidHandle(h));
-            }
-            if m < 0 || n < 0 || k < 0 || lda < 1 || ldb < 1 || ldc < 1 {
-                return Err(VgpuError::InvalidValue("negative gemm dimension".into()));
-            }
-            let ta = vgpu::blas::Op::from_i32(transa)?;
-            let tb = vgpu::blas::Op::from_i32(transb)?;
-            let (m, n, k) = (m as usize, n as usize, k as usize);
-            let (lda, ldb, ldc) = (lda as usize, ldb as usize, ldc as usize);
-            let t = if double {
-                vgpu::blas::dgemm(d, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)?
-            } else {
-                let (alpha, beta) = (alpha as f32, beta as f32);
-                vgpu::blas::sgemm(d, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)?
-            };
-            // Results are materialized eagerly (the simulation computes in
-            // host code) but the device-time cost rides the stream timeline.
-            let sub = d.enqueue_library(st, "gemm", t)?;
-            Ok(((), sub))
-        }))
-    }
-
-    /// Device a `batchable` op routes to.
-    fn op_device(&self, s: SessionId, op: &BatchOp<'_>) -> usize {
-        let token = match *op {
-            BatchOp::CudaMemcpyHtod(dst, _) | BatchOp::CudaMemcpyHtodSparse(dst, _) => dst,
-            BatchOp::CudaMemcpyDtod(_, src, _) => src,
-            BatchOp::CudaMemset(ptr, ..) => ptr,
-            BatchOp::CudaLaunchKernel(func, ..) => func,
-            BatchOp::CudaEventRecord(event, _) => event,
-            BatchOp::CufftExecC2c(_, idata, ..) | BatchOp::CufftExecZ2z(_, idata, ..) => idata,
-        };
-        self.route(s, token)
-    }
-
-    /// Resolved stream of a `batchable` op on device `idx`. Ops without a
-    /// wire stream argument ride the session's default stream.
-    fn op_stream(&self, s: SessionId, idx: usize, op: &BatchOp<'_>) -> u64 {
-        match *op {
-            BatchOp::CudaLaunchKernel(.., stream, _) | BatchOp::CudaEventRecord(_, stream) => {
-                self.resolve_stream(s, idx, stream)
-            }
-            _ => self.session_stream(s, idx),
-        }
-    }
-
-    /// A `batchable` procedure called on its own: its own prologue, issue
-    /// turn and device lock around the body a batch sub-op runs.
-    fn immediate(&self, s: SessionId, op: &BatchOp<'_>, host_ns: u64, returns: Returns) -> i32 {
-        let idx = self.op_device(s, op);
-        let st = self.op_stream(s, idx, op);
-        int_of(self.enqueue_at(s, idx, host_ns, returns, |dev| {
-            Ok(((), self.issue_op(dev, op, st)?))
-        }))
-    }
-
-    /// The body of the eight `batchable` procedures — the only code that
-    /// touches a device on their behalf, whether the op arrived as its own
-    /// RPC ([`Self::immediate`]) or inside `CRICKET_BATCH_EXEC`. `dev` is the
-    /// locked device [`Self::op_device`] named, `st` the stream
-    /// [`Self::op_stream`] resolved. `Ok(Some(sub))` for queue-backed
-    /// commands, `Ok(None)` for host-side stamps (event record). Per-op
-    /// statistics are taken here, from what the body actually had in hand:
-    /// `bytes_in` counts an H2D payload when it is about to be written (a
-    /// sparse one at its decoded length, so only after it decoded).
-    fn issue_op(
-        &self,
-        dev: &mut Device,
-        op: &BatchOp<'_>,
-        st: u64,
-    ) -> Result<Option<Submit>, VgpuError> {
-        let mut write = |dst: u64, data: &[u8]| {
-            // `data` is the borrowed wire record (or the decoded blob); the
-            // write into device memory is the transfer endpoint itself
-            // (the client's `bytes_transferred`), not an RPC-stack memmove.
-            self.stats.lock().bytes_in += data.len() as u64;
-            dev.memcpy_htod_stream(dst, data, st).map(Some)
-        };
-        match *op {
-            BatchOp::CudaMemcpyHtod(dst, data) => write(dst, data),
-            BatchOp::CudaMemcpyHtodSparse(dst, enc) => {
-                let raw = oncrpc::sparse::decode(enc)
-                    .map_err(|e| VgpuError::InvalidValue(format!("sparse blob: {e}")))?;
-                write(dst, &raw)
-            }
-            BatchOp::CudaMemcpyDtod(dst, src, len) => dev.memcpy_dtod(dst, src, len, st).map(Some),
-            BatchOp::CudaMemset(ptr, value, len) => dev.memset(ptr, value, len, st).map(Some),
-            BatchOp::CudaLaunchKernel(func, grid, block, shared, _, params) => {
-                let sub = dev.launch_kernel(func, dim(grid), dim(block), shared, st, params)?;
-                self.stats.lock().kernels_launched += 1;
-                Ok(Some(sub))
-            }
-            BatchOp::CudaEventRecord(event, _) => {
-                let host_ns = dev.event_record(event, st)?;
-                self.clock.advance(host_ns);
-                Ok(None)
-            }
-            BatchOp::CufftExecC2c(plan, idata, odata, dir)
-            | BatchOp::CufftExecZ2z(plan, idata, odata, dir) => {
-                let kind = match op {
-                    BatchOp::CufftExecC2c(..) => vgpu::fft::CUFFT_C2C,
-                    _ => vgpu::fft::CUFFT_Z2Z,
-                };
-                let objects = self.objects.lock();
-                let Some(HostObject::Fft(p)) = objects.get(&plan) else {
-                    return Err(VgpuError::InvalidHandle(plan));
-                };
-                if p.kind != kind {
-                    return Err(VgpuError::InvalidValue(format!(
-                        "plan type {:#x} does not match exec type {kind:#x}",
-                        p.kind
-                    )));
-                }
-                let t = vgpu::fft::exec(dev, p, idata, odata, dir)?;
-                dev.enqueue_library(st, "fft", t).map(Some)
-            }
-        }
-    }
-}
-
-/// When a queue-backed call's RPC returns, in virtual time.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Returns {
-    /// Once the command is submitted; it completes on its stream later.
-    AtSubmission,
-    /// Once the command has completed (sync memcpy semantics).
-    AtCompletion,
-}
+use vgpu::{Device, VgpuError, VgpuResult};
 
 /// What every procedure of the generated service trait returns.
 type Reply<T> = Result<T, AcceptStat>;
 
-fn err_code(e: &VgpuError) -> i32 {
+pub(crate) fn err_code(e: &VgpuError) -> i32 {
     e.code() as i32
 }
 
 /// CUDA status word of an operation that returns nothing else.
-fn int_of(r: Result<(), VgpuError>) -> i32 {
+pub(crate) fn int_of(r: Result<(), VgpuError>) -> i32 {
     match r {
         Ok(()) => 0,
         Err(e) => err_code(&e),
@@ -949,16 +47,7 @@ fn reply<T, R>(r: VgpuResult<T>, ok: fn(T) -> R, err: fn(i32) -> R) -> Reply<R> 
     })
 }
 
-fn dim(d: RpcDim3) -> Dim3 {
-    Dim3 {
-        x: d.x,
-        y: d.y,
-        z: d.z,
-    }
-}
-
-/// Per-session view implementing the generated service trait: the one place
-/// each procedure of `cricket.x` is written on the server.
+/// Per-session view implementing the generated service trait.
 pub struct Sessioned {
     srv: Arc<CricketServer>,
     session: SessionId,
@@ -976,45 +65,8 @@ impl Sessioned {
     }
 
     /// One of the `batchable` procedures, called on its own.
-    fn immediate(&self, op: BatchOp<'_>, host_ns: u64, returns: Returns) -> Reply<i32> {
-        Ok(self.srv.immediate(self.session, &op, host_ns, returns))
-    }
-
-    /// `cublasCreate`, `cusolverDnCreate` and `cufftPlan1d`: win a turn on
-    /// the current device, build the context (`make` may refuse its
-    /// arguments), then issue it a library handle.
-    fn lib_create(
-        &self,
-        host_ns: u64,
-        make: impl FnOnce() -> VgpuResult<HostObject>,
-    ) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
-        let made = srv.wait_here(s, host_ns, |_d| Ok((make()?, 0)));
-        let r = made.and_then(|obj| {
-            let h = srv.new_lib_handle()?;
-            srv.track(s, |r| r.handles.insert(h, obj.kind()));
-            srv.objects.lock().insert(h, obj);
-            Ok(h)
-        });
-        reply(r, U64Result::Data, U64Result::Default)
-    }
-
-    /// `cublasDestroy`, `cusolverDnDestroy` and `cufftDestroy`: `h` must
-    /// name a live context of `kind`.
-    fn lib_destroy(&self, h: u64, host_ns: u64, kind: Kind) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, host_ns, |_d| {
-            let mut objects = srv.objects.lock();
-            if !objects.get(&h).is_some_and(|obj| obj.kind() == kind) {
-                return Err(VgpuError::InvalidHandle(h));
-            }
-            objects.remove(&h);
-            Ok(((), 0))
-        });
-        if r.is_ok() {
-            srv.track(s, |r| r.handles.remove(&h));
-        }
-        Ok(int_of(r))
+    fn immediate(&self, op: BatchOp<'_>, returns: Returns) -> Reply<i32> {
+        Ok(int_of(self.srv.immediate(self.session, &op, returns)))
     }
 }
 
@@ -1027,7 +79,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // Host-only: the count is immutable server state; no scheduler
         // turn, no device mutex.
         let srv = &self.srv;
-        let count = srv.host_call(self.session, 1_000, || srv.devices.len() as i32);
+        let count = srv.host_call(self.session, proc::CUDA_GET_DEVICE_COUNT, || {
+            srv.devices.len() as i32
+        });
         Ok(IntResult::Data(count))
     }
 
@@ -1035,7 +89,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // Host-only: properties are immutable; the brief lock below copies
         // them out without taking a scheduler turn or device time.
         let srv = &self.srv;
-        let r = srv.host_call(self.session, 2_000, || {
+        let r = srv.host_call(self.session, proc::CUDA_GET_DEVICE_PROPERTIES, || {
             if ordinal < 0 || ordinal as usize >= srv.devices.len() {
                 Err(VgpuError::InvalidDevice(ordinal))
             } else {
@@ -1059,7 +113,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn cuda_set_device(&self, ordinal: i32) -> Reply<i32> {
         // Host-only: updates per-session routing state, never the device.
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.host_call(s, 500, || {
+        let r = srv.host_call(s, proc::CUDA_SET_DEVICE, || {
             if (0..srv.devices.len() as i32).contains(&ordinal) {
                 srv.track(s, |r| r.device = Some(ordinal as usize));
                 Ok(())
@@ -1072,7 +126,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_get_device(&self) -> Reply<IntResult> {
         let (srv, s) = (&self.srv, self.session);
-        let current = srv.host_call(s, 500, || srv.current_device(s) as i32);
+        let current = srv.host_call(s, proc::CUDA_GET_DEVICE, || srv.current_device(s) as i32);
         Ok(IntResult::Data(current))
     }
 
@@ -1082,45 +136,40 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // context behind the virtualization layer).
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.current_device(s);
-        Ok(int_of(srv.wait_at(s, idx, 1_000, |d| {
-            // The session's streams on this device (its lazy default stream
-            // plus any it created), walked under the session lock with no
-            // copy: the first `stream_synchronize` retires for all of them
-            // and each wait is a pure read, so the walk's order is immaterial.
-            let sessions = srv.sessions.lock();
-            let handles = sessions.get(&s).into_iter().flat_map(|r| &r.handles);
-            let wait = handles
-                .filter(|&(&h, &k)| k == Kind::Stream && srv.device_of_token(h) == Some(idx))
-                .map(|(&h, _)| d.stream_synchronize(h).unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            Ok(((), wait))
-        })))
+        Ok(int_of(srv.wait_at(
+            s,
+            idx,
+            proc::CUDA_DEVICE_SYNCHRONIZE,
+            |d| {
+                // The session's streams on this device (its lazy default stream
+                // plus any it created), walked under the session lock with no
+                // copy: the first `stream_synchronize` retires for all of them
+                // and each wait is a pure read, so the walk's order is immaterial.
+                let sessions = srv.sessions.lock();
+                let handles = sessions.get(&s).into_iter().flat_map(|r| &r.handles);
+                let wait = handles
+                    .filter(|&(&h, &k)| k == Kind::Stream && srv.device_of_token(h) == Some(idx))
+                    .map(|(&h, _)| d.stream_synchronize(h).unwrap_or(0))
+                    .max()
+                    .unwrap_or(0);
+                Ok(((), wait))
+            },
+        )))
     }
 
     fn cuda_device_reset(&self) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.current_device(s);
-        let r = srv.wait_at(s, idx, 5_000, |d| Ok(((), d.device_reset())));
-        // The reset destroyed exactly what lived on the device: every
-        // session's (and staged adoption's) memory and handles there, its
-        // default streams there — lazily recreated on next use — and the
-        // images of modules loaded there. Library handles live on no
-        // device and survive.
-        let on_device = |token| srv.device_of_token(token) == Some(idx);
-        let mut tokens = srv.tokens.lock();
-        let staged = tokens.values_mut().filter_map(|t| t.adoption.as_mut());
-        let mut sessions = srv.sessions.lock();
-        for r in staged.map(|a| &mut a.session).chain(sessions.values_mut()) {
-            r.forget_device(idx, on_device);
-        }
-        srv.objects.lock().retain(|&h, _| !on_device(h));
+        let r = srv.wait_at(s, idx, proc::CUDA_DEVICE_RESET, |d| {
+            Ok(((), d.device_reset()))
+        });
+        srv.forget_device(idx);
         Ok(int_of(r))
     }
 
     fn cuda_malloc(&self, size: u64) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 4_000, |d| d.malloc(size));
+        let r = srv.wait_here(s, proc::CUDA_MALLOC, |d| d.malloc(size));
         if let Ok(ptr) = r {
             srv.track(s, |r| r.mem.insert(ptr));
         }
@@ -1129,7 +178,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_free(&self, ptr: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_for(s, ptr, 3_500, |d| d.free(ptr).map(|t| ((), t)));
+        let r = srv.wait_for(s, ptr, proc::CUDA_FREE, |d| d.free(ptr).map(|t| ((), t)));
         if r.is_ok() {
             srv.track(s, |r| r.mem.remove(&ptr));
         }
@@ -1139,7 +188,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn cuda_memcpy_htod(&self, dst: u64, data: &[u8]) -> Reply<i32> {
         // Sync copy: ordered on the session's stream, blocks to completion.
         let op = BatchOp::CudaMemcpyHtod(dst, data);
-        self.immediate(op, 3_000, Returns::AtCompletion)
+        self.immediate(op, Returns::AtCompletion)
     }
 
     fn cuda_memcpy_dtoh(
@@ -1157,7 +206,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // reply buffer there: the server's only copy of the payload. `out`
         // is still here exactly when the device refused before lending.
         let mut out = Some(out);
-        let r = srv.enqueue_at(s, idx, 3_000, Returns::AtCompletion, |d| {
+        let r = srv.enqueue_at(s, idx, proc::CUDA_MEMCPY_DTOH, Returns::AtCompletion, |d| {
             d.memcpy_dtoh_stream(src, len, st, |bytes| {
                 out.take().expect("lent once").data(bytes)
             })
@@ -1176,46 +225,35 @@ impl cricket_proto::CricketV1Service for Sessioned {
     /// keeping the paper's transfer accounting independent of the wire codec.
     fn cuda_memcpy_htod_sparse(&self, dst: u64, enc: &[u8]) -> Reply<i32> {
         let op = BatchOp::CudaMemcpyHtodSparse(dst, enc);
-        self.immediate(op, 3_000, Returns::AtCompletion)
+        self.immediate(op, Returns::AtCompletion)
     }
 
     fn cuda_memcpy_dtod(&self, dst: u64, src: u64, len: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let src_dev = srv.route(s, src);
-        let dst_dev = srv.route(s, dst);
-        if src_dev == dst_dev {
+        if srv.route(s, src) == srv.route(s, dst) {
             // Same-device copy is asynchronous: it rides the session's
             // stream and the RPC returns at submission.
             let op = BatchOp::CudaMemcpyDtod(dst, src, len);
-            return self.immediate(op, 2_500, Returns::AtSubmission);
+            return self.immediate(op, Returns::AtSubmission);
         }
-        // Peer copy (cudaMemcpyPeer semantics) is not the batchable op: it
-        // is a read on one device and a write on another, staged through
-        // the host, paying PCIe on both — synchronous on both legs, and no
-        // client payload, so `bytes_in` does not move.
-        let src_st = srv.session_stream(s, src_dev);
-        let dst_st = srv.session_stream(s, dst_dev);
-        let staged = srv.enqueue_at(s, src_dev, 2_500, Returns::AtCompletion, |d| {
-            d.memcpy_dtoh_stream(src, len, src_st, <[u8]>::to_vec)
-        });
-        Ok(int_of(staged.and_then(|bytes| {
-            srv.enqueue_at(s, dst_dev, 2_500, Returns::AtCompletion, |d| {
-                d.memcpy_htod_stream(dst, &bytes, dst_st)
-                    .map(|sub| ((), sub))
-            })
-        })))
+        // A peer copy's two legs each pay the prologue; the call counts once.
+        let r = srv.peer_copy(s, dst, src, len);
+        srv.stats.lock().total_calls += 1;
+        Ok(int_of(r))
     }
 
     fn cuda_memset(&self, ptr: u64, value: i32, len: u64) -> Reply<i32> {
         let op = BatchOp::CudaMemset(ptr, value, len);
-        self.immediate(op, 2_000, Returns::AtSubmission)
+        self.immediate(op, Returns::AtSubmission)
     }
 
     fn cuda_mem_get_info(&self) -> Reply<MemInfoResult> {
         // Host-only: a bookkeeping read; the brief lock copies two counters.
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.current_device(s);
-        let (free, total) = srv.host_call(s, 1_500, || srv.devices[idx].lock().mem_info());
+        let (free, total) = srv.host_call(s, proc::CUDA_MEM_GET_INFO, || {
+            srv.devices[idx].lock().mem_info()
+        });
         Ok(MemInfoResult::Info(MemInfo { free, total }))
     }
 
@@ -1226,7 +264,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn cu_module_load_data(&self, image: &[u8]) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
         srv.stats.lock().bytes_in += image.len() as u64;
-        let r = srv.wait_here(s, 25_000, |d| d.module_load(image));
+        let r = srv.wait_here(s, proc::CU_MODULE_LOAD_DATA, |d| d.module_load(image));
         if let Ok(h) = r {
             // The retained copy is the only one: the image arrives as a
             // borrowed slice of the request record.
@@ -1239,15 +277,17 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cu_module_get_function(&self, module: u64, name: &str) -> Reply<U64Result> {
-        let r = self.srv.wait_for(self.session, module, 2_000, |d| {
-            d.module_get_function(module, name)
-        });
+        let r = self
+            .srv
+            .wait_for(self.session, module, proc::CU_MODULE_GET_FUNCTION, |d| {
+                d.module_get_function(module, name)
+            });
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cu_module_unload(&self, module: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_for(s, module, 3_000, |d| {
+        let r = srv.wait_for(s, module, proc::CU_MODULE_UNLOAD, |d| {
             d.module_unload(module).map(|t| ((), t))
         });
         if r.is_ok() {
@@ -1269,12 +309,12 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // The launch is asynchronous: the RPC returns at submission and the
         // kernel's duration rides the session's stream timeline.
         let op = BatchOp::CudaLaunchKernel(func, grid, block, shared, stream, params);
-        self.immediate(op, 3_500, Returns::AtSubmission)
+        self.immediate(op, Returns::AtSubmission)
     }
 
     fn cuda_stream_create(&self) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 1_500, |d| d.stream_create());
+        let r = srv.wait_here(s, proc::CUDA_STREAM_CREATE, |d| d.stream_create());
         if let Ok(h) = r {
             srv.track(s, |r| r.handles.insert(h, Kind::Stream));
         }
@@ -1283,7 +323,9 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_stream_destroy(&self, h: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_for(s, h, 1_000, |d| d.stream_destroy(h).map(|t| ((), t)));
+        let r = srv.wait_for(s, h, proc::CUDA_STREAM_DESTROY, |d| {
+            d.stream_destroy(h).map(|t| ((), t))
+        });
         if r.is_ok() {
             srv.track(s, |r| r.handles.remove(&h));
             // If this was a default stream, drop the binding too so
@@ -1300,14 +342,17 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let (srv, s) = (&self.srv, self.session);
         let idx = srv.route(s, h);
         let st = srv.resolve_stream(s, idx, h);
-        Ok(int_of(srv.wait_at(s, idx, 1_000, |d| {
-            d.stream_synchronize(st).map(|t| ((), t))
-        })))
+        Ok(int_of(srv.wait_at(
+            s,
+            idx,
+            proc::CUDA_STREAM_SYNCHRONIZE,
+            |d| d.stream_synchronize(st).map(|t| ((), t)),
+        )))
     }
 
     fn cuda_event_create(&self) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, 800, |d| d.event_create());
+        let r = srv.wait_here(s, proc::CUDA_EVENT_CREATE, |d| d.event_create());
         if let Ok(h) = r {
             srv.track(s, |r| r.handles.insert(h, Kind::Event));
         }
@@ -1319,25 +364,32 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // frontier and returns immediately (the small cost it charges is
         // the device front-end work, not a wait).
         let op = BatchOp::CudaEventRecord(event, stream);
-        self.immediate(op, 800, Returns::AtSubmission)
+        self.immediate(op, Returns::AtSubmission)
     }
 
     fn cuda_event_synchronize(&self, event: u64) -> Reply<i32> {
-        Ok(int_of(self.srv.wait_for(self.session, event, 800, |d| {
-            d.event_synchronize(event).map(|t| ((), t))
-        })))
+        Ok(int_of(self.srv.wait_for(
+            self.session,
+            event,
+            proc::CUDA_EVENT_SYNCHRONIZE,
+            |d| d.event_synchronize(event).map(|t| ((), t)),
+        )))
     }
 
     fn cuda_event_elapsed_time(&self, start: u64, stop: u64) -> Reply<FloatResult> {
-        let r = self.srv.wait_for(self.session, start, 800, |d| {
-            d.event_elapsed_ms(start, stop).map(|v| (v, 0))
-        });
+        let r = self
+            .srv
+            .wait_for(self.session, start, proc::CUDA_EVENT_ELAPSED_TIME, |d| {
+                d.event_elapsed_ms(start, stop).map(|v| (v, 0))
+            });
         reply(r, FloatResult::Data, FloatResult::Default)
     }
 
     fn cuda_event_destroy(&self, event: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_for(s, event, 600, |d| d.event_destroy(event).map(|t| ((), t)));
+        let r = srv.wait_for(s, event, proc::CUDA_EVENT_DESTROY, |d| {
+            d.event_destroy(event).map(|t| ((), t))
+        });
         if r.is_ok() {
             srv.track(s, |r| r.handles.remove(&event));
         }
@@ -1345,11 +397,19 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cublas_create(&self) -> Reply<U64Result> {
-        self.lib_create(5_000, || Ok(HostObject::Blas))
+        let blas = || Ok(HostObject::Blas);
+        let r = self.srv.lib_create(self.session, proc::CUBLAS_CREATE, blas);
+        reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cublas_destroy(&self, h: u64) -> Reply<i32> {
-        self.lib_destroy(h, 2_000, Kind::Blas)
+        let (srv, s) = (&self.srv, self.session);
+        Ok(int_of(srv.lib_destroy(
+            s,
+            proc::CUBLAS_DESTROY,
+            h,
+            Kind::Blas,
+        )))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1370,24 +430,16 @@ impl cricket_proto::CricketV1Service for Sessioned {
         c: u64,
         ldc: i32,
     ) -> Reply<i32> {
-        Ok(self.srv.gemm(
-            self.session,
-            h,
-            false,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha as f64,
-            a,
-            lda,
-            b,
-            ldb,
-            beta as f64,
-            c,
-            ldc,
-        ))
+        let g = Gemm {
+            trans: (transa, transb),
+            mnk: (m, n, k),
+            alpha: alpha.into(),
+            beta: beta.into(),
+            a: (a, lda),
+            b: (b, ldb),
+            c: (c, ldc),
+        };
+        Ok(int_of(self.srv.gemm(self.session, h, false, g)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1408,34 +460,34 @@ impl cricket_proto::CricketV1Service for Sessioned {
         c: u64,
         ldc: i32,
     ) -> Reply<i32> {
-        Ok(self.srv.gemm(
-            self.session,
-            h,
-            true,
-            transa,
-            transb,
-            m,
-            n,
-            k,
+        let g = Gemm {
+            trans: (transa, transb),
+            mnk: (m, n, k),
             alpha,
-            a,
-            lda,
-            b,
-            ldb,
             beta,
-            c,
-            ldc,
-        ))
+            a: (a, lda),
+            b: (b, ldb),
+            c: (c, ldc),
+        };
+        Ok(int_of(self.srv.gemm(self.session, h, true, g)))
     }
 
     fn cusolver_dn_create(&self) -> Reply<U64Result> {
-        self.lib_create(10_000, || {
-            Ok(HostObject::Solver(vgpu::solver::SolverDn::new()))
-        })
+        let solver = || Ok(HostObject::Solver(vgpu::solver::SolverDn::new()));
+        let r = self
+            .srv
+            .lib_create(self.session, proc::CUSOLVER_DN_CREATE, solver);
+        reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cusolver_dn_destroy(&self, h: u64) -> Reply<i32> {
-        self.lib_destroy(h, 3_000, Kind::Solver)
+        let (srv, s) = (&self.srv, self.session);
+        Ok(int_of(srv.lib_destroy(
+            s,
+            proc::CUSOLVER_DN_DESTROY,
+            h,
+            Kind::Solver,
+        )))
     }
 
     fn cusolver_dn_dgetrf_buffer_size(
@@ -1446,9 +498,11 @@ impl cricket_proto::CricketV1Service for Sessioned {
         _a: u64,
         _lda: i32,
     ) -> Reply<IntResult> {
-        let r = self.srv.host_call(self.session, 2_000, || {
-            self.srv.solver(h, |solver| solver.dgetrf_buffer_size(m, n))
-        });
+        let r = self
+            .srv
+            .host_call(self.session, proc::CUSOLVER_DN_DGETRF_BUFFER_SIZE, || {
+                self.srv.solver(h, |solver| solver.dgetrf_buffer_size(m, n))
+            });
         reply(r, IntResult::Data, IntResult::Default)
     }
 
@@ -1465,19 +519,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
         info: u64,
     ) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, a);
-        let st = srv.resolve_stream(s, idx, 0);
-        Ok(int_of(srv.enqueue_at(
-            s,
-            idx,
-            8_000,
-            Returns::AtSubmission,
-            |d| {
-                let t = srv.solver(h, |solver| solver.dgetrf(d, m, n, a, lda, work, ipiv, info))?;
-                let sub = d.enqueue_library(st, "getrf", t)?;
-                Ok(((), sub))
-            },
-        )))
+        let getrf =
+            |d: &mut Device| srv.solver(h, |lu| lu.dgetrf(d, m, n, a, lda, work, ipiv, info));
+        let r = srv.library_op(s, proc::CUSOLVER_DN_DGETRF, a, "getrf", getrf);
+        Ok(int_of(r))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1495,149 +540,48 @@ impl cricket_proto::CricketV1Service for Sessioned {
         info: u64,
     ) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, a);
-        let st = srv.resolve_stream(s, idx, 0);
-        Ok(int_of(srv.enqueue_at(
-            s,
-            idx,
-            6_000,
-            Returns::AtSubmission,
-            |d| {
-                let t = srv.solver(h, |s| {
-                    s.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)
-                })?;
-                let sub = d.enqueue_library(st, "getrs", t)?;
-                Ok(((), sub))
-            },
-        )))
+        let getrs = |d: &mut Device| {
+            srv.solver(h, |lu| {
+                lu.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+            })
+        };
+        let r = srv.library_op(s, proc::CUSOLVER_DN_DGETRS, a, "getrs", getrs);
+        Ok(int_of(r))
     }
 
     fn cufft_plan_1d(&self, n: i32, kind: i32, batch: i32) -> Reply<U64Result> {
-        self.lib_create(6_000, || {
-            vgpu::fft::FftPlan::plan_1d(n, kind, batch).map(HostObject::Fft)
-        })
+        let plan = || vgpu::fft::FftPlan::plan_1d(n, kind, batch).map(HostObject::Fft);
+        let r = self.srv.lib_create(self.session, proc::CUFFT_PLAN_1D, plan);
+        reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cufft_destroy(&self, h: u64) -> Reply<i32> {
-        self.lib_destroy(h, 2_000, Kind::Fft)
+        let (srv, s) = (&self.srv, self.session);
+        Ok(int_of(srv.lib_destroy(
+            s,
+            proc::CUFFT_DESTROY,
+            h,
+            Kind::Fft,
+        )))
     }
 
     fn cufft_exec_c2c(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
         let op = BatchOp::CufftExecC2c(h, idata, odata, dir);
-        self.immediate(op, 5_000, Returns::AtSubmission)
+        self.immediate(op, Returns::AtSubmission)
     }
 
     fn cufft_exec_z2z(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
         let op = BatchOp::CufftExecZ2z(h, idata, odata, dir);
-        self.immediate(op, 5_000, Returns::AtSubmission)
+        self.immediate(op, Returns::AtSubmission)
     }
 
-    /// Execute a coalesced command batch: decode every sub-op, then issue
-    /// them in order, taking **one scheduler turn per consecutive
-    /// (device, stream) slice** instead of one per op, and paying the RPC
-    /// dispatch cost once for the whole batch plus a small driver-entry
-    /// cost per sub-op. A failed sub-op records its error code at its
-    /// index and aborts the remainder of its slice (`BATCH_SKIPPED`);
-    /// later slices — other streams' work — still run.
     fn cricket_batch_exec(&self, body: &[u8]) -> Reply<BatchResult> {
-        let (srv, s) = (&self.srv, self.session);
-        let ops = decode_batch(body)?;
-        srv.sessions.lock().entry(s).or_default();
-        // Each sub-op is one CUDA API call in the paper's accounting;
-        // coalescing changes the wire shape, not the call count.
-        srv.stats.lock().total_calls += ops.len() as u64;
-        // One RPC dispatch for the whole batch — the coalescing win.
-        srv.clock.advance(DISPATCH_NS);
-        let mut statuses = vec![0i32; ops.len()];
-        let mut agg = vgpu::SubmitAggregate::default();
-        let mut executed: u32 = 0;
-        // Cross-device D2D peer copies stage through the host on two
-        // devices; they cannot share a single-device turn, so they run
-        // through the ordinary synchronous path as their own slice.
-        let peer = |op: &BatchOp<'_>| match *op {
-            BatchOp::CudaMemcpyDtod(dst, src, len) if srv.route(s, src) != srv.route(s, dst) => {
-                Some((dst, src, len))
-            }
-            _ => None,
-        };
-        let mut i = 0;
-        while i < ops.len() {
-            if let Some((dst, src, len)) = peer(&ops[i]) {
-                statuses[i] = self.cuda_memcpy_dtod(dst, src, len)?;
-                executed += u32::from(statuses[i] == 0);
-                i += 1;
-                continue;
-            }
-            let idx = srv.op_device(s, &ops[i]);
-            let stream = srv.op_stream(s, idx, &ops[i]);
-            let mut j = i + 1;
-            while j < ops.len()
-                && srv.op_device(s, &ops[j]) == idx
-                && srv.op_stream(s, idx, &ops[j]) == stream
-                && peer(&ops[j]).is_none()
-            {
-                j += 1;
-            }
-            // Issue the whole slice under one turn; the device lock and
-            // turn drop together at the end of the slice. Every
-            // BATCH_PREEMPT_OPS sub-ops (or BATCH_PREEMPT_NS of charged
-            // device time) the turn is offered back: if the policy would
-            // rather serve a queued waiter, the rest of the slice requeues
-            // under a fresh turn, so a 1000-op batch cannot monopolize the
-            // device against a higher-deficit tenant.
-            let turn = srv.scheduler.begin(s);
-            let mut dev = srv.devices[idx].lock();
-            let mut failed = false;
-            let mut resume_at = j;
-            let mut since_ops: u32 = 0;
-            let mut since_ns: u64 = 0;
-            for (k, op) in ops.iter().enumerate().take(j).skip(i) {
-                if failed {
-                    statuses[k] = oncrpc::BATCH_SKIPPED;
-                    continue;
-                }
-                if (since_ops >= BATCH_PREEMPT_OPS || since_ns >= BATCH_PREEMPT_NS)
-                    && turn.should_yield()
-                {
-                    resume_at = k;
-                    break;
-                }
-                srv.clock.advance(BATCH_OP_NS);
-                since_ops += 1;
-                // Every batched op is asynchronous: the clock never runs
-                // to completion here — the next sync point drains the stream.
-                match srv.issue_op(&mut dev, op, stream) {
-                    Ok(Some(sub)) => {
-                        srv.clock.advance(sub.submit_ns);
-                        turn.charge(sub.queued_ns);
-                        since_ns += sub.queued_ns;
-                        agg.absorb(&sub);
-                        executed += 1;
-                    }
-                    Ok(None) => {
-                        executed += 1;
-                    }
-                    Err(e) => {
-                        statuses[k] = err_code(&e);
-                        failed = true;
-                    }
-                }
-            }
-            drop(dev);
-            drop(turn);
-            i = resume_at;
-        }
-        Ok(BatchResult::Receipt(BatchReceipt {
-            statuses: statuses.into(),
-            executed,
-            queued_ns: agg.queued_ns,
-            last_completes_at_ns: agg.last_completes_at_ns,
-        }))
+        self.srv.batch_exec(self.session, body)
     }
 
     fn ckpt_capture(&self, out: DataResultReply<'_>) -> Reply<DataResultReplied> {
         let srv = &self.srv;
-        let r = srv.wait_turn(self.session, 50_000, || {
+        let r = srv.wait_turn(self.session, proc::CKPT_CAPTURE, || {
             let blob = srv.checkpoint();
             // Serialization cost scales with snapshot size.
             let t = (blob.len() as u64) / 8;
@@ -1655,10 +599,14 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn ckpt_restore(&self, blob: &[u8]) -> Reply<i32> {
         let srv = &self.srv;
         srv.stats.lock().bytes_in += blob.len() as u64;
-        Ok(int_of(srv.wait_turn(self.session, 50_000, || {
-            srv.restore(self.session, blob)?;
-            Ok(((), (blob.len() as u64) / 8))
-        })))
+        Ok(int_of(srv.wait_turn(
+            self.session,
+            proc::CKPT_RESTORE,
+            || {
+                srv.restore(self.session, blob)?;
+                Ok(((), (blob.len() as u64) / 8))
+            },
+        )))
     }
 
     fn srv_get_stats(&self) -> Reply<ServerStats> {
@@ -1728,619 +676,21 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 }
 
-impl CricketServer {
-    // ---- session state: export, apply, reclaim ---------------------------
-
-    /// Attach the transport's shared at-most-once replay cache so
-    /// migration can ship a client's entries with the final delta.
-    pub fn attach_replay(&self, replay: &Arc<ReplayCache>) {
-        *self.replay.lock() = Some(Arc::clone(replay));
-    }
-
-    /// The live session currently bound to a client token, if any.
-    pub fn session_of_token(&self, token: u64) -> Option<SessionId> {
-        self.tokens.lock().get(&token).and_then(|t| t.session)
-    }
-
-    /// Run `f` on `token`'s record under the token lock; a record left
-    /// saying nothing is dropped.
-    fn with_token<R>(&self, token: u64, f: impl FnOnce(&mut Token) -> R) -> R {
-        let mut tokens = self.tokens.lock();
-        let t = tokens.entry(token).or_default();
-        let r = f(t);
-        if t.is_idle() {
-            tokens.remove(&token);
-        }
-        r
-    }
-
-    /// Token-gate hook (see `oncrpc::RpcServer::set_token_gate`): may a
-    /// call from `token` arriving on `session` proceed?
-    ///
-    /// * evicted token → `false`: the connection closes and the client's
-    ///   reconnect resolves the session's new home;
-    /// * staged but unfinished inbound migration → `false`: the client
-    ///   raced ahead of the final delta, retry until cutover completes;
-    /// * ready inbound migration → merge it into this session, `true`;
-    /// * otherwise record the token ↔ session binding and admit.
-    ///
-    /// An admitted call counts as in flight until [`Self::call_complete`],
-    /// decided under the same lock [`Self::evict_token`] drains under: once
-    /// eviction has returned, no call of the token is admitted.
-    pub fn observe_token(&self, token: u64, session: SessionId) -> bool {
-        self.with_token(token, |t| {
-            if t.evicted || t.adoption.as_ref().is_some_and(|a| !a.ready) {
-                return false;
-            }
-            if let Some(a) = t.adoption.take() {
-                self.track(session, |r| r.absorb(a.session));
-            }
-            t.session = Some(session);
-            t.inflight += 1;
-            true
-        })
-    }
-
-    /// Gate completion hook: an admitted call from `token` finished.
-    pub fn call_complete(&self, token: u64) {
-        self.with_token(token, |t| t.inflight = t.inflight.saturating_sub(1));
-        self.quiesce.notify_all();
-    }
-
-    /// Evict `token`: the gate refuses its calls from now on, closing the
-    /// client's connection so its retransmission lands at the new home.
-    /// Blocks (bounded) until calls already past the gate have completed —
-    /// the final snapshot must not race a half-executed mutation whose
-    /// reply the client will still receive.
-    pub fn evict_token(&self, token: u64) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut tokens = self.tokens.lock();
-        tokens.entry(token).or_default().evicted = true;
-        while tokens.get(&token).is_some_and(|t| t.inflight > 0) {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                // Safety valve: a wedged call must not hang the cutover.
-                break;
-            }
-            self.quiesce.wait_for(&mut tokens, left);
-        }
-    }
-
-    /// Roll back an eviction (aborted migration): admit the token again
-    /// and perform any release that was deferred while it was evicted.
-    pub fn readmit_token(&self, token: u64) {
-        let session = self.with_token(token, |t| {
-            t.evicted = false;
-            t.session
-        });
-        let deferred = |s| {
-            let mut sessions = self.sessions.lock();
-            sessions
-                .get_mut(&s)
-                .is_some_and(|r| std::mem::take(&mut r.deferred))
-        };
-        if let Some(s) = session.filter(|&s| deferred(s)) {
-            self.force_release(s);
-        }
-    }
-
-    /// Export one leg of the migration stream for `token`'s session.
-    ///
-    /// `known` is the set of block bases previous legs already shipped
-    /// (empty for the base snapshot); it is updated to what the
-    /// destination holds after applying this blob. Every export closes
-    /// the per-device dirty-tracking window (`mark_epoch`), so at most
-    /// one migration may stream per device at a time. A
-    /// [`MigKind::Final`] export additionally fences all streams (the
-    /// snapshot barrier) and attaches the client's replay entries.
-    pub fn mig_export(
-        &self,
-        token: u64,
-        known: &mut BTreeSet<u64>,
-        kind: MigKind,
-    ) -> VgpuResult<Vec<u8>> {
-        let session = self.session_of_token(token).ok_or_else(|| {
-            VgpuError::InvalidValue(format!("no live session for client token {token:#x}"))
-        })?;
-        let mut blob = self.export_session(session, Some(known), kind);
-        blob.meta.token = token;
-        blob.meta.src_now_ns = self.clock.now_ns();
-        if kind == MigKind::Final {
-            if let Some(r) = self.replay.lock().clone() {
-                let entries = r.export_client(token).into_iter();
-                let mut replay: Vec<_> = entries
-                    .map(|(xid, reply)| ReplayEntry { xid, reply })
-                    .collect();
-                replay.sort_by_key(|e| e.xid);
-                blob.replay = replay.into();
-            }
-        }
-        Ok(xdr::encode(&blob))
-    }
-
-    /// `CKPT_CAPTURE`: one [`MigKind::Base`] blob per session that owns
-    /// anything, oldest session first. A checkpoint is a full sync point —
-    /// every stream on every device is fenced and the clock waits for the
-    /// drained completion frontier, which is also what the blobs are
-    /// stamped with (not the clock: capture → restore → capture is a fixed
-    /// point). The caller holds the issue turn, so no session can enqueue
-    /// between the fence and the walk.
-    fn checkpoint(&self) -> Vec<u8> {
-        let fence = |d: &Mutex<Device>| d.lock().fence_all_streams();
-        let frontier = self.devices.iter().map(fence).max().unwrap_or(0);
-        self.clock.advance_to(frontier);
-        let mut sessions: Vec<SessionId> = {
-            let all = self.sessions.lock();
-            let owning = all
-                .iter()
-                .filter(|(_, r)| !r.mem.is_empty() || !r.handles.is_empty());
-            owning.map(|(&s, _)| s).collect()
-        };
-        sessions.sort_unstable();
-        let blobs = sessions
-            .into_iter()
-            .map(|s| {
-                let mut blob = self.export_session(s, None, MigKind::Base);
-                blob.meta.src_now_ns = frontier;
-                blob
-            })
-            .collect();
-        migrate::encode_checkpoint(blobs)
-    }
-
-    /// The one export walker: `session`'s state as a blob of `kind`, with
-    /// `token` and `src_now_ns` left for the caller to stamp.
-    ///
-    /// `known` is the delta stream this leg belongs to: memory is shipped
-    /// relative to it, it is updated to what the consumer holds afterwards,
-    /// and the per-device dirty window is closed (`mark_epoch`) under the
-    /// same device lock the delta was read under. `None` is a snapshot at
-    /// rest: everything travels whole and no window is touched, so a
-    /// migration streaming from the same device loses nothing.
-    fn export_session(
-        &self,
-        session: SessionId,
-        known: Option<&mut BTreeSet<u64>>,
-        kind: MigKind,
-    ) -> MigBlob {
-        let r = self.sessions.lock().get(&session).cloned();
-        let r = r.unwrap_or_default();
-        let mut meta = SessionMeta {
-            current_device: r.device.unwrap_or(0) as u32,
-            next_lib_handle: self.next_lib_handle.load(Ordering::SeqCst),
-            blas: r.sorted(Kind::Blas).into(),
-            solvers: r.sorted(Kind::Solver).into(),
-            ..SessionMeta::default()
-        };
-        {
-            let objects = self.objects.lock();
-            for handle in r.sorted(Kind::Module) {
-                if let Some(HostObject::Module(image)) = objects.get(&handle) {
-                    let image = image.clone();
-                    meta.modules.push(MigModule { handle, image });
-                }
-            }
-            for handle in r.sorted(Kind::Fft) {
-                if let Some(HostObject::Fft(p)) = objects.get(&handle) {
-                    let (n, kind, batch) = (p.n as i32, p.kind, p.batch as i32);
-                    meta.ffts.push(MigFft {
-                        handle,
-                        n,
-                        kind,
-                        batch,
-                    });
-                }
-            }
-        }
-        let bind = |(&idx, &stream): (&usize, &u64)| MigDefaultStream {
-            device: idx as u32,
-            stream,
-        };
-        let mut bound: Vec<_> = r.streams.iter().map(bind).collect();
-        bound.sort_unstable_by_key(|d| (d.device, d.stream));
-        meta.default_streams = bound.into();
-
-        let mut delta = MemDelta::default();
-        for idx in 0..self.devices.len() {
-            let known_here: BTreeSet<u64> = known
-                .iter()
-                .flat_map(|k| k.iter().copied())
-                .filter(|&b| self.device_of_token(b) == Some(idx))
-                .collect();
-            let mut dev = self.devices[idx].lock();
-            if kind == MigKind::Final {
-                // The CRAC-style snapshot barrier: retire every pending
-                // command so the final delta is taken with nothing in
-                // flight. Execution is eager, so this changes bookkeeping,
-                // never memory.
-                dev.fence_all_streams();
-            }
-            // The device is shared: only this session's blocks ride along.
-            let d = dev.mem.delta_since(&known_here, |b| r.mem.contains(&b));
-            if known.is_some() {
-                dev.mem.mark_epoch();
-            }
-            meta.next_handles.push(MigCursor {
-                device: idx as u32,
-                next: dev.next_handle_value(),
-            });
-            for (handle, frontier_ns) in dev.snapshot_stream_frontiers() {
-                if r.holds(handle, Kind::Stream) {
-                    meta.streams.push(MigStream {
-                        handle,
-                        frontier_ns,
-                    });
-                }
-            }
-            for (handle, recorded_ns) in dev.snapshot_event_states() {
-                if r.holds(handle, Kind::Event) {
-                    meta.events.push(MigEvent {
-                        handle,
-                        recorded_ns,
-                    });
-                }
-            }
-            for (handle, module, name) in dev.snapshot_functions() {
-                if r.holds(module, Kind::Module) {
-                    meta.functions.push(MigFunction {
-                        handle,
-                        module,
-                        name,
-                    });
-                }
-            }
-            delta.freed.extend(d.freed);
-            delta.new_blocks.extend(d.new_blocks);
-            delta.dirty.extend(d.dirty);
-        }
-        // Handles are unique: ordering by handle is ordering by the whole.
-        meta.functions.sort_unstable_by_key(|f| f.handle);
-
-        if let Some(known) = known {
-            for &b in &delta.freed {
-                known.remove(&b);
-            }
-            for (b, _) in &delta.new_blocks {
-                known.insert(*b);
-            }
-        }
-
-        migrate::blob(kind, meta, delta)
-    }
-
-    /// Bytes a naive full-snapshot migration of `token`'s session would
-    /// move right now: every owned block plus every module image. The
-    /// streamed-migration bench compares its cumulative payload to this.
-    pub fn session_footprint(&self, token: u64) -> u64 {
-        let Some(session) = self.session_of_token(token) else {
-            return 0;
-        };
-        let r = self.sessions.lock().get(&session).cloned();
-        let r = r.unwrap_or_default();
-        let mut total = 0u64;
-        for &b in &r.mem {
-            if let Some(idx) = self.device_of_token(b) {
-                if let Ok(bytes) = self.devices[idx].lock().mem.block_bytes(b) {
-                    total += bytes.len() as u64;
-                }
-            }
-        }
-        let objects = self.objects.lock();
-        for h in r.sorted(Kind::Module) {
-            if let Some(HostObject::Module(image)) = objects.get(&h) {
-                total += image.len() as u64;
-            }
-        }
-        total
-    }
-
-    /// Tear down the source side after a completed cutover: drop the
-    /// client's replay entries (they now live at the destination) and
-    /// force-release its session. The eviction marker stays, so late
-    /// retransmissions on a half-dead connection remain refused.
-    pub fn mig_finalize_source(&self, token: u64) -> SessionCleanup {
-        if let Some(r) = self.replay.lock().clone() {
-            r.forget_client(token);
-        }
-        match self.session_of_token(token) {
-            Some(session) => self.force_release(session),
-            None => SessionCleanup::default(),
-        }
-    }
-
-    /// Apply one migration blob pushed by a source server's driver; the
-    /// blob kind must be in `allow` (wire procs pin the direction).
-    /// Returns the count of applied epochs for this token's stream. No
-    /// scheduler turn and no clock charge: the stream must not perturb
-    /// the destination's virtual timeline — the only clock effect is the
-    /// forward alignment to the source's `src_now_ns`.
-    pub fn mig_apply(&self, bytes: &[u8], allow: &[MigKind]) -> VgpuResult<u32> {
-        self.stats.lock().bytes_in += bytes.len() as u64;
-        let blob = migrate::decode(bytes)?;
-        let kind = blob.kind;
-        if !allow.contains(&kind) {
-            return Err(VgpuError::InvalidValue(format!(
-                "blob kind {kind:?} not allowed by this procedure"
-            )));
-        }
-        let token = blob.meta.token;
-        let mut staged = match kind {
-            MigKind::Base => {
-                // A fresh base replaces any half-applied previous attempt
-                // and re-legitimizes a token this server itself evicted in
-                // an earlier outbound migration (moving back home).
-                self.discard_adoption(token);
-                self.with_token(token, |t| t.evicted = false);
-                Adoption::default()
-            }
-            MigKind::Delta | MigKind::Final => {
-                let staged = self.with_token(token, |t| t.adoption.take());
-                staged.ok_or_else(|| {
-                    VgpuError::InvalidValue(format!(
-                        "delta for token {token:#x} without a staged base"
-                    ))
-                })?
-            }
-        };
-        let mem = migrate::mem_delta(blob.mem);
-        if let Err(e) = self.apply_blob(&blob.meta, &mem, &mut staged.session) {
-            // Half-applied state is unusable; free whatever was placed so
-            // a retried migration can start from a clean base.
-            self.reclaim(staged.session);
-            return Err(e);
-        }
-        staged.applied_epochs += 1;
-        if kind == MigKind::Final {
-            if let Some(r) = self.replay.lock().clone() {
-                let entries = blob.replay.0.into_iter();
-                r.import_client(token, entries.map(|e| (e.xid, e.reply)).collect());
-            }
-            staged.ready = true;
-        }
-        // Align this shard's virtual clock with the source so post-cutover
-        // timing (event elapsed, batch receipts) continues byte-identically
-        // on an otherwise idle destination.
-        self.clock.advance_to(blob.meta.src_now_ns);
-        let epochs = staged.applied_epochs;
-        self.with_token(token, |t| t.adoption = Some(staged));
-        Ok(epochs)
-    }
-
-    /// `CKPT_RESTORE`: apply every blob of the checkpoint and hand the
-    /// result to `session`. Each blob is staged into a record of its own
-    /// (`apply_blob` diffs metadata against what is staged, so two
-    /// sessions' blobs must not share one); nothing is handed over until
-    /// all have applied, and on any failure everything this restore placed
-    /// is reclaimed — state that was live before is never touched.
-    fn restore(&self, session: SessionId, bytes: &[u8]) -> VgpuResult<()> {
-        let blobs = migrate::decode_checkpoint(bytes)?;
-        let mut staged = Vec::with_capacity(blobs.len());
-        for blob in blobs {
-            let mut r = Session::default();
-            let applied = self.apply_blob(&blob.meta, &migrate::mem_delta(blob.mem), &mut r);
-            staged.push((blob.meta.src_now_ns, r));
-            if let Err(e) = applied {
-                for (_, r) in staged {
-                    self.reclaim(r);
-                }
-                return Err(e);
-            }
-        }
-        for (src_now_ns, r) in staged {
-            // Restored stream frontiers must lie in this node's past.
-            self.clock.advance_to(src_now_ns);
-            self.track(session, |live| live.absorb(r));
-        }
-        Ok(())
-    }
-
-    /// Reconcile one blob into the staged record `held`: memory delta first
-    /// (each device replays its share), then the full metadata diffed
-    /// against what previous blobs placed. `held` learns of a resource the
-    /// moment it lands, so a failure midway leaves nothing behind that
-    /// `reclaim` does not know of — and it never learns of one that was
-    /// live here before: a block, handle or library handle somebody already
-    /// holds is a typed error, not an alias.
-    fn apply_blob(&self, meta: &SessionMeta, mem: &MemDelta, held: &mut Session) -> VgpuResult<()> {
-        let bases = (mem.freed.iter())
-            .chain(mem.new_blocks.iter().map(|(b, _)| b))
-            .chain(mem.dirty.iter().map(|(b, ..)| b));
-        for &b in bases {
-            self.device_for(b)?;
-        }
-        // A default-stream binding becomes the adopting session's stream 0:
-        // it may name only a stream this very blob places, on the device
-        // that stream lives on.
-        for d in meta.default_streams.iter() {
-            let (dev, h) = (d.device, d.stream);
-            let placed = meta.streams.iter().any(|s| s.handle == h);
-            if !placed || self.device_of_token(h) != Some(dev as usize) {
-                return Err(VgpuError::InvalidValue(format!(
-                    "default stream {h:#x} of device {dev} is not a stream of this blob there"
-                )));
-            }
-        }
-        // Cursors and the clock only ever move forward, so a blob must not
-        // move them where nothing can follow: a device's cursor stays in
-        // that device's handle window (a device this server lacks issues
-        // nothing; its cursor is ignored), the library cursor in the
-        // library range, and every timestamp short of the horizon.
-        for c in meta.next_handles.iter() {
-            let window = handle_base(c.device as usize)..handle_base(c.device as usize + 1);
-            if (c.device as usize) < self.devices.len() && !window.contains(&c.next) {
-                return Err(VgpuError::InvalidValue(format!(
-                    "handle cursor {:#x} is outside device {}'s window",
-                    c.next, c.device
-                )));
-            }
-        }
-        if !(LIB_HANDLE_BASE..LIB_HANDLE_END).contains(&meta.next_lib_handle) {
-            return Err(VgpuError::InvalidValue(format!(
-                "library handle cursor {:#x} is outside the library range",
-                meta.next_lib_handle
-            )));
-        }
-        // Every handle the blob places lies below the blob's own cursor for
-        // its device (which ends inside that device's window, see above) or
-        // for the library: the cursors are raised first, so nothing this
-        // server issues later repeats one.
-        let issued_on_device = |h: u64| {
-            let window = |c: &MigCursor| handle_base(c.device as usize)..c.next;
-            let mut cursors = meta.next_handles.iter();
-            cursors.any(|c| (c.device as usize) < self.devices.len() && window(c).contains(&h))
-        };
-        let device_handles = (meta.modules.iter().map(|m| m.handle))
-            .chain(meta.functions.iter().map(|f| f.handle))
-            .chain(meta.streams.iter().map(|s| s.handle))
-            .chain(meta.events.iter().map(|e| e.handle));
-        let lib_handles = (meta.blas.iter().copied())
-            .chain(meta.solvers.iter().copied())
-            .chain(meta.ffts.iter().map(|f| f.handle));
-        let issued_by_lib = |h: &u64| (LIB_HANDLE_BASE..meta.next_lib_handle).contains(h);
-        let mut unissued = (device_handles.filter(|&h| !issued_on_device(h)))
-            .chain(lib_handles.filter(|h| !issued_by_lib(h)));
-        if let Some(h) = unissued.next() {
-            return Err(VgpuError::InvalidValue(format!(
-                "handle {h:#x} is not below the blob's cursor for it"
-            )));
-        }
-        let frontiers = meta.streams.iter().map(|s| s.frontier_ns);
-        let recorded = meta.events.iter().filter_map(|e| e.recorded_ns);
-        let mut times = std::iter::once(meta.src_now_ns)
-            .chain(frontiers)
-            .chain(recorded);
-        if let Some(t) = times.find(|&t| t > HORIZON_NS) {
-            return Err(VgpuError::InvalidValue(format!(
-                "timestamp {t} ns is past the virtual-time horizon"
-            )));
-        }
-        for (idx, dev) in self.devices.iter().enumerate() {
-            let here = |b| self.device_of_token(b) == Some(idx);
-            (dev.lock().mem).apply_delta(mem, here, &mut held.mem)?;
-        }
-
-        // Handle counters first, and only ever raised: from here on nothing
-        // this server issues can take a value the blob is about to place.
-        for c in meta.next_handles.iter() {
-            if let Some(d) = self.devices.get(c.device as usize) {
-                d.lock().restore_next_handle(c.next);
-            }
-        }
-        self.next_lib_handle
-            .fetch_max(meta.next_lib_handle, Ordering::SeqCst);
-
-        // What earlier blobs placed and the source has since destroyed goes
-        // through the one reclaimer (memory travelled as `freed` above).
-        let wanted: HashMap<u64, Kind> = (meta.modules.iter().map(|m| (m.handle, Kind::Module)))
-            .chain(meta.streams.iter().map(|s| (s.handle, Kind::Stream)))
-            .chain(meta.events.iter().map(|e| (e.handle, Kind::Event)))
-            .chain(meta.blas.iter().map(|&h| (h, Kind::Blas)))
-            .chain(meta.solvers.iter().map(|&h| (h, Kind::Solver)))
-            .chain(meta.ffts.iter().map(|f| (f.handle, Kind::Fft)))
-            .collect();
-        self.reclaim(held.split_off_handles_not_in(&wanted));
-
-        for m in meta.modules.iter() {
-            if !held.holds(m.handle, Kind::Module) {
-                self.place_at(m.handle, false)?
-                    .restore_module(m.handle, &m.image)?;
-                let image = HostObject::Module(m.image.clone());
-                self.objects.lock().insert(m.handle, image);
-                held.handles.insert(m.handle, Kind::Module);
-            }
-        }
-        for f in meta.functions.iter() {
-            if !held.holds(f.module, Kind::Module) {
-                return Err(VgpuError::InvalidHandle(f.module));
-            }
-            (self.device_for(f.handle)?.lock()).restore_function(f.handle, f.module, &f.name)?;
-        }
-        // Streams and events are placed anew by every blob, at their exact
-        // completion frontier and record timestamp (idempotent).
-        for s in meta.streams.iter() {
-            let h = s.handle;
-            (self.place_at(h, held.holds(h, Kind::Stream))?).restore_stream_at(h, s.frontier_ns);
-            held.handles.insert(h, Kind::Stream);
-        }
-        for e in meta.events.iter() {
-            let h = e.handle;
-            (self.place_at(h, held.holds(h, Kind::Event))?).restore_event_at(h, e.recorded_ns);
-            held.handles.insert(h, Kind::Event);
-        }
-
-        // Library handles. cuBLAS handles are pure capabilities; a
-        // cuSolver context's factorization memo is a timing cache whose
-        // hits replay the stored duration, so a fresh context is
-        // trace-equivalent; FFT plans are pure values rebuilt through the
-        // validating constructor.
-        for &h in meta.blas.iter() {
-            self.lib_place(held, h, HostObject::Blas)?;
-        }
-        for &h in meta.solvers.iter() {
-            self.lib_place(held, h, HostObject::Solver(vgpu::solver::SolverDn::new()))?;
-        }
-        for f in meta.ffts.iter() {
-            let plan = vgpu::fft::FftPlan::plan_1d(f.n, f.kind, f.batch)?;
-            self.lib_place(held, f.handle, HostObject::Fft(plan))?;
-        }
-
-        held.device =
-            Some((meta.current_device as usize).min(self.devices.len().saturating_sub(1)));
-        held.streams.clear();
-        for d in meta.default_streams.iter() {
-            held.streams.entry(d.device as usize).or_insert(d.stream);
-        }
-        Ok(())
-    }
-
-    /// The device a pointer or handle of a blob routes to.
-    fn device_for(&self, token: u64) -> VgpuResult<&Mutex<Device>> {
-        let idx = self.device_of_token(token).ok_or_else(|| {
-            VgpuError::InvalidValue(format!("token {token:#x} maps to no local device"))
-        })?;
-        Ok(&self.devices[idx])
-    }
-
-    /// Lock the device `handle` routes to, to place it there: unless it is
-    /// `ours` (this stream staged it earlier), the handle must be vacant.
-    fn place_at(&self, handle: u64, ours: bool) -> VgpuResult<MutexGuard<'_, Device>> {
-        let dev = self.device_for(handle)?.lock();
-        if !ours && dev.holds(handle) {
-            return Err(live_here(handle));
-        }
-        Ok(dev)
-    }
-
-    /// Place library context `obj` at `h` for `held`, unless `held` has it
-    /// there already. One counter issues cuBLAS, cuSolver and cuFFT handles
-    /// alike, so any live host object at `h` is refused.
-    fn lib_place(&self, held: &mut Session, h: u64, obj: HostObject) -> VgpuResult<()> {
-        let kind = obj.kind();
-        if held.holds(h, kind) {
-            return Ok(());
-        }
-        let mut objects = self.objects.lock();
-        if objects.contains_key(&h) {
-            return Err(live_here(h));
-        }
-        objects.insert(h, obj);
-        held.handles.insert(h, kind);
-        Ok(())
-    }
-
-    /// Drop a staged inbound migration and free everything it placed on
-    /// this server (`MIG_ABORT`, or a fresh base superseding it).
-    fn discard_adoption(&self, token: u64) {
-        if let Some(a) = self.with_token(token, |t| t.adoption.take()) {
-            self.reclaim(a.session);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cricket_proto::{CricketV1Service as _, DataResult};
+    use crate::batch::decode_batch;
+    use crate::migrate;
+    use crate::server::{handle_base, HANDLE_STRIDE, HEAP_STRIDE, LIB_HANDLE_BASE, LIB_HANDLE_END};
+    use crate::{QosServerConfig, ServerConfig};
+    use cricket_proto::cricket_v1;
+    use cricket_proto::{
+        CricketV1Service as _, DataResult, MigBlob, MigCursor, MigDefaultStream, MigEvent, MigFft,
+        MigModule, MigStream, SessionMeta,
+    };
+    use simnet::clock::HORIZON_NS;
+    use simnet::SimClock;
+    use vgpu::memory::MemDelta;
 
     fn server() -> (Arc<CricketServer>, Sessioned) {
         let srv = CricketServer::a100();
@@ -2434,7 +784,125 @@ mod tests {
         let t0 = srv.clock().now_ns();
         s.cuda_get_device_count().unwrap();
         let t1 = srv.clock().now_ns();
-        assert!(t1 >= t0 + DISPATCH_NS);
+        assert!(t1 >= t0 + cricket_proto::DISPATCH_NS as u64);
+    }
+
+    /// The host cost of every procedure that enters the call prologue, as
+    /// `cricket.x` declares it — the figures the server's bodies carried as
+    /// literals before — and none for the procedures that bypass it, which
+    /// charge the clock nothing (a batch charges its one dispatch and its
+    /// sub-ops, never a cost of its own).
+    #[test]
+    fn the_cost_table_is_the_servers_call_costs() {
+        use cricket_proto::cricket_v1 as p;
+        #[rustfmt::skip]
+        let costed: &[(u32, u64)] = &[
+            (p::CUDA_GET_DEVICE_COUNT, 1_000), (p::CUDA_GET_DEVICE_PROPERTIES, 2_000),
+            (p::CUDA_SET_DEVICE, 500), (p::CUDA_GET_DEVICE, 500),
+            (p::CUDA_DEVICE_SYNCHRONIZE, 1_000), (p::CUDA_DEVICE_RESET, 5_000),
+            (p::CUDA_MALLOC, 4_000), (p::CUDA_FREE, 3_500),
+            (p::CUDA_MEMCPY_HTOD, 3_000), (p::CUDA_MEMCPY_DTOH, 3_000),
+            (p::CUDA_MEMCPY_DTOD, 2_500), (p::CUDA_MEMSET, 2_000),
+            (p::CUDA_MEM_GET_INFO, 1_500), (p::CUDA_MEMCPY_HTOD_SPARSE, 3_000),
+            (p::CU_MODULE_LOAD_DATA, 25_000), (p::CU_MODULE_GET_FUNCTION, 2_000),
+            (p::CU_MODULE_UNLOAD, 3_000), (p::CUDA_LAUNCH_KERNEL, 3_500),
+            (p::CUDA_STREAM_CREATE, 1_500), (p::CUDA_STREAM_DESTROY, 1_000),
+            (p::CUDA_STREAM_SYNCHRONIZE, 1_000), (p::CUDA_EVENT_CREATE, 800),
+            (p::CUDA_EVENT_RECORD, 800), (p::CUDA_EVENT_SYNCHRONIZE, 800),
+            (p::CUDA_EVENT_ELAPSED_TIME, 800), (p::CUDA_EVENT_DESTROY, 600),
+            (p::CUBLAS_CREATE, 5_000), (p::CUBLAS_DESTROY, 2_000),
+            (p::CUBLAS_SGEMM, 4_000), (p::CUBLAS_DGEMM, 4_000),
+            (p::CUSOLVER_DN_CREATE, 10_000), (p::CUSOLVER_DN_DESTROY, 3_000),
+            (p::CUSOLVER_DN_DGETRF_BUFFER_SIZE, 2_000), (p::CUSOLVER_DN_DGETRF, 8_000),
+            (p::CUSOLVER_DN_DGETRS, 6_000), (p::CUFFT_PLAN_1D, 6_000),
+            (p::CUFFT_DESTROY, 2_000), (p::CUFFT_EXEC_C2C, 5_000),
+            (p::CUFFT_EXEC_Z2Z, 5_000), (p::CKPT_CAPTURE, 50_000),
+            (p::CKPT_RESTORE, 50_000),
+        ];
+        let table: Vec<(u32, u64)> = (0..4096)
+            .map(|proc| (proc, p::host_cost_ns(proc)))
+            .filter(|&(_, ns)| ns > 0)
+            .collect();
+        let mut pinned = costed.to_vec();
+        pinned.sort_unstable();
+        assert_eq!(table, pinned, "cricket.x's costs vs the pinned table");
+        assert_eq!(
+            (cricket_proto::DISPATCH_NS, cricket_proto::BATCH_OP_NS),
+            (6_000, 800)
+        );
+
+        let (srv, s) = server();
+        let qos = QosParams {
+            session: 1,
+            weight: 1,
+            priority: 100,
+            rate_ns_per_s: 0,
+            burst_ns: 0,
+            max_resident_bytes: 0,
+        };
+        type Call = Box<dyn Fn(&Sessioned)>;
+        #[rustfmt::skip]
+        let bypass: Vec<(u32, Call)> = vec![
+            (p::RPC_NULL, Box::new(|s| s.rpc_null().unwrap())),
+            (p::CUDA_GET_LAST_ERROR, Box::new(|s| { s.cuda_get_last_error().unwrap(); })),
+            (p::SRV_GET_STATS, Box::new(|s| { s.srv_get_stats().unwrap(); })),
+            (p::SRV_RESET_STATS, Box::new(|s| { s.srv_reset_stats().unwrap(); })),
+            (p::SRV_SET_SCHEDULER, Box::new(|s| { s.srv_set_scheduler(0).unwrap(); })),
+            (p::MIG_APPLY_BASE, Box::new(|s| { s.mig_apply_base(b"not a blob").unwrap(); })),
+            (p::MIG_APPLY_DELTA, Box::new(|s| { s.mig_apply_delta(b"not a blob").unwrap(); })),
+            (p::MIG_ABORT, Box::new(|s| { s.mig_abort(7).unwrap(); })),
+            (p::CRICKET_QOS_SET, Box::new(move |s| { s.cricket_qos_set(qos).unwrap(); })),
+        ];
+        for (proc, call) in &bypass {
+            assert_eq!(p::host_cost_ns(*proc), 0, "proc {proc}");
+            let t0 = srv.clock().now_ns();
+            call(&s);
+            assert_eq!(srv.clock().now_ns(), t0, "proc {proc} charged the clock");
+        }
+        assert_eq!(p::host_cost_ns(p::CRICKET_BATCH_EXEC), 0);
+        let t0 = srv.clock().now_ns();
+        s.cricket_batch_exec(&oncrpc::BatchBuilder::new().finish())
+            .unwrap();
+        let dispatch = cricket_proto::DISPATCH_NS as u64;
+        assert_eq!(srv.clock().now_ns(), t0 + dispatch, "an empty batch");
+
+        // A host-only call is charged its dispatch and its cost, exactly.
+        let t0 = srv.clock().now_ns();
+        s.cuda_get_device_properties(0).unwrap();
+        let cost = p::host_cost_ns(p::CUDA_GET_DEVICE_PROPERTIES);
+        assert_eq!(srv.clock().now_ns(), t0 + dispatch + cost);
+    }
+
+    /// A cross-device D2D is one CUDA call, alone or in a batch, like a
+    /// same-device one; both of its legs still pay the prologue's charge.
+    #[test]
+    fn a_peer_copy_is_one_call_alone_and_in_a_batch() {
+        let (srv, s) = server();
+        let p0 = s.cuda_malloc(4096).unwrap().into_result().unwrap();
+        let q0 = s.cuda_malloc(4096).unwrap().into_result().unwrap();
+        s.cuda_set_device(1).unwrap();
+        let p1 = s.cuda_malloc(4096).unwrap().into_result().unwrap();
+        let calls = || s.srv_get_stats().unwrap().total_calls;
+
+        let (before, t0) = (calls(), srv.clock().now_ns());
+        assert_eq!(s.cuda_memcpy_dtod(p1, p0, 4096).unwrap(), 0);
+        assert_eq!(calls(), before + 1, "peer D2D alone");
+        let leg = cricket_proto::DISPATCH_NS as u64
+            + cricket_v1::host_cost_ns(cricket_v1::CUDA_MEMCPY_DTOD);
+        assert!(srv.clock().now_ns() >= t0 + 2 * leg, "both legs pay");
+
+        let before = calls();
+        let mut b = oncrpc::BatchBuilder::new();
+        BatchOp::CudaMemcpyDtod(p1, p0, 4096).record(&mut b);
+        let BatchResult::Receipt(receipt) = s.cricket_batch_exec(&b.finish()).unwrap() else {
+            panic!("batch refused");
+        };
+        assert_eq!((receipt.statuses.to_vec(), receipt.executed), (vec![0], 1));
+        assert_eq!(calls(), before + 1, "peer D2D as a one-op batch");
+
+        let before = calls();
+        assert_eq!(s.cuda_memcpy_dtod(q0, p0, 4096).unwrap(), 0);
+        assert_eq!(calls(), before + 1, "same-device D2D");
     }
 
     #[test]

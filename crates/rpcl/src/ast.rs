@@ -49,9 +49,21 @@ pub struct StructDef {
     pub name: String,
     /// Member declarations in source order.
     pub fields: Vec<Declaration>,
+    /// The leading magic word `const MAGIC_<name> = …;` declares, if any.
+    pub magic: Option<u32>,
+    /// The version word `const VERSION_<name> = …;` declares, if any.
+    pub version: Option<u32>,
 }
 
 impl StructDef {
+    /// The words written before the members and checked on decode, in wire
+    /// order (magic, then version), each with its name.
+    pub(crate) fn tags(&self) -> impl Iterator<Item = (&'static str, u32)> {
+        [("magic", self.magic), ("version", self.version)]
+            .into_iter()
+            .filter_map(|(word, value)| Some((word, value?)))
+    }
+
     /// True if the last member points at the struct itself (`s *next`).
     pub(crate) fn links_to_itself(&self) -> bool {
         self.fields.last().is_some_and(|f| {
@@ -152,6 +164,10 @@ pub struct ProcedureDef {
     /// migration control call that admission control never sheds. Codegen
     /// emits an `is_admin` table.
     pub admin: bool,
+    /// Declared `cost(ns)` in the interface: the host-side nanoseconds a
+    /// server charges for the call beside its dispatch. Codegen emits a
+    /// `host_cost_ns` table (0 for a procedure without one).
+    pub cost_ns: Option<u64>,
 }
 
 /// A variable declaration: a type applied to a name with an optional

@@ -84,6 +84,11 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
 
     while i < n {
         let c = bytes[i];
+        if let Some(kind) = punctuation(c) {
+            tokens.push(Token { kind, line });
+            i += 1;
+            continue;
+        }
         match c {
             b'\n' => {
                 line += 1;
@@ -121,97 +126,6 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
                     i += 1;
                 }
             }
-            b'{' => {
-                tokens.push(Token {
-                    kind: TokenKind::LBrace,
-                    line,
-                });
-                i += 1;
-            }
-            b'}' => {
-                tokens.push(Token {
-                    kind: TokenKind::RBrace,
-                    line,
-                });
-                i += 1;
-            }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    line,
-                });
-                i += 1;
-            }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    line,
-                });
-                i += 1;
-            }
-            b'[' => {
-                tokens.push(Token {
-                    kind: TokenKind::LBracket,
-                    line,
-                });
-                i += 1;
-            }
-            b']' => {
-                tokens.push(Token {
-                    kind: TokenKind::RBracket,
-                    line,
-                });
-                i += 1;
-            }
-            b'<' => {
-                tokens.push(Token {
-                    kind: TokenKind::Lt,
-                    line,
-                });
-                i += 1;
-            }
-            b'>' => {
-                tokens.push(Token {
-                    kind: TokenKind::Gt,
-                    line,
-                });
-                i += 1;
-            }
-            b';' => {
-                tokens.push(Token {
-                    kind: TokenKind::Semi,
-                    line,
-                });
-                i += 1;
-            }
-            b',' => {
-                tokens.push(Token {
-                    kind: TokenKind::Comma,
-                    line,
-                });
-                i += 1;
-            }
-            b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Eq,
-                    line,
-                });
-                i += 1;
-            }
-            b'*' => {
-                tokens.push(Token {
-                    kind: TokenKind::Star,
-                    line,
-                });
-                i += 1;
-            }
-            b':' => {
-                tokens.push(Token {
-                    kind: TokenKind::Colon,
-                    line,
-                });
-                i += 1;
-            }
             b'-' | b'0'..=b'9' => {
                 let start = i;
                 if c == b'-' {
@@ -223,7 +137,6 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
                         });
                     }
                 }
-                let digits_start = i;
                 let (radix, text_start) =
                     if bytes[i] == b'0' && i + 1 < n && (bytes[i + 1] | 0x20) == b'x' {
                         i += 2;
@@ -237,7 +150,6 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
                 while i < n && bytes[i].is_ascii_alphanumeric() {
                     i += 1;
                 }
-                let _ = digits_start;
                 let text = &source[text_start..i];
                 let value = i64::from_str_radix(text, radix).map_err(|_| Error {
                     line,
@@ -272,6 +184,26 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
         line,
     });
     Ok(tokens)
+}
+
+/// The one-character token `c` stands for, if it is one.
+fn punctuation(c: u8) -> Option<TokenKind> {
+    Some(match c {
+        b'{' => TokenKind::LBrace,
+        b'}' => TokenKind::RBrace,
+        b'(' => TokenKind::LParen,
+        b')' => TokenKind::RParen,
+        b'[' => TokenKind::LBracket,
+        b']' => TokenKind::RBracket,
+        b'<' => TokenKind::Lt,
+        b'>' => TokenKind::Gt,
+        b';' => TokenKind::Semi,
+        b',' => TokenKind::Comma,
+        b'=' => TokenKind::Eq,
+        b'*' => TokenKind::Star,
+        b':' => TokenKind::Colon,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

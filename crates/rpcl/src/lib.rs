@@ -35,12 +35,16 @@
 //! program PROG { version VERS { r PROC(s, int) = 1; } = 1; } = 0x20000099;
 //! ```
 //!
-//! plus four procedure attributes, written before the result type in any
-//! order: `idempotent`, `batchable`, `inline` and `admin` (see
+//! plus five procedure attributes, written before the result type in any
+//! order: `idempotent`, `batchable`, `inline`, `admin` and `cost(ns)` (see
 //! [`ast::ProcedureDef`]).
-//! Each becomes an `is_*` table in the version's procedure-number module;
-//! `batchable` also yields the `*_record` stubs and `{Vers}BatchOp`, the op
-//! as a value: `decode` on the server, `record` / `send` on the client.
+//! The first four each become an `is_*` table in the version's
+//! procedure-number module, `cost` the `host_cost_ns` table; `batchable`
+//! also yields the `*_record` stubs and `{Vers}BatchOp`, the op as a value:
+//! `decode` on the server, `record` / `send` on the client. And type tags:
+//! `const MAGIC_s = w;` / `const VERSION_s = w;` make struct `s` lead with
+//! those words, written by its encoder and checked by its decoder
+//! (`xdr::XdrError::WrongTag`).
 
 pub mod ast;
 pub mod codegen;

@@ -110,9 +110,18 @@ impl Parser {
     }
 
     fn spec(&mut self) -> Result<Spec, Error> {
-        let mut definitions = Vec::new();
+        let (mut definitions, mut consts) = (Vec::new(), Vec::new());
         while self.peek() != &TokenKind::Eof {
+            let line = self.line();
             definitions.push(self.definition()?);
+            if let Some(Definition::Const(c)) = definitions.last() {
+                consts.push((line, c.clone()));
+            }
+        }
+        // Tags are applied once every struct is known: a tag may precede
+        // the struct it names.
+        for (line, c) in consts {
+            tag_struct(&mut definitions, &c).map_err(|message| Error { line, message })?;
         }
         Ok(Spec { definitions })
     }
@@ -196,7 +205,12 @@ impl Parser {
         if fields.is_empty() {
             return self.err(format!("struct `{name}` has no members"));
         }
-        let def = StructDef { name, fields };
+        let def = StructDef {
+            name,
+            fields,
+            magic: None,
+            version: None,
+        };
         if def.links_to_itself() {
             if def.list_item().is_none() {
                 return self.err(format!(
@@ -334,10 +348,18 @@ impl Parser {
         // `idempotent` marks the procedure safe for automatic client-side
         // retry; `batchable` marks it recordable into a command batch;
         // `inline` marks it answerable without waiting (server poll thread);
-        // `admin` marks it exempt from admission control.
+        // `admin` marks it exempt from admission control; `cost(ns)` declares
+        // its host-side cost.
         let (mut idempotent, mut batchable, mut inline, mut admin) = (false, false, false, false);
+        let mut cost_ns = None;
         loop {
-            if !idempotent && self.at_keyword("idempotent") {
+            if self.at_keyword("cost") {
+                self.bump();
+                if cost_ns.replace(self.cost()?).is_some() {
+                    return self.err("duplicate `cost` attribute");
+                }
+                continue;
+            } else if !idempotent && self.at_keyword("idempotent") {
                 idempotent = true;
             } else if !batchable && self.at_keyword("batchable") {
                 batchable = true;
@@ -394,7 +416,18 @@ impl Parser {
             batchable,
             inline,
             admin,
+            cost_ns,
         })
+    }
+
+    /// The `(ns)` of a `cost` attribute: a non-negative number literal.
+    fn cost(&mut self) -> Result<u64, Error> {
+        self.expect(&TokenKind::LParen)?;
+        let TokenKind::Number(ns @ 0..) = self.bump() else {
+            return self.err("`cost` takes a non-negative number of nanoseconds");
+        };
+        self.expect(&TokenKind::RParen)?;
+        Ok(ns as u64)
     }
 
     /// `void` (as a bare union-arm body) or a full declaration.
@@ -513,6 +546,28 @@ impl Parser {
         }
         Ok(Declaration { name, ty, kind })
     }
+}
+
+/// Apply `c` if it is a tag: `MAGIC_<type>` or `VERSION_<type>` names a
+/// struct of the file, whose encoding then leads with the word.
+fn tag_struct(definitions: &mut [Definition], c: &ConstDef) -> Result<(), String> {
+    let (ty, magic) = match (
+        c.name.strip_prefix("MAGIC_"),
+        c.name.strip_prefix("VERSION_"),
+    ) {
+        (Some(ty), _) => (ty, true),
+        (_, Some(ty)) => (ty, false),
+        _ => return Ok(()),
+    };
+    let tagged = definitions.iter_mut().find_map(|d| match d {
+        Definition::Struct(s) if s.name == ty && s.list_item().is_none() => Some(s),
+        _ => None,
+    });
+    let s = tagged.ok_or_else(|| format!("`{}` tags `{ty}`, not a struct of this file", c.name))?;
+    let word = u32::try_from(c.value).map_err(|_| format!("`{}` is not a 32-bit word", c.name))?;
+    let slot = if magic { &mut s.magic } else { &mut s.version };
+    *slot = Some(word);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -690,6 +745,86 @@ mod tests {
     fn error_reports_line() {
         let err = parse("const A = 1;\nstruct s {\n  int 5bad;\n};").unwrap_err();
         assert_eq!(err.line, 3);
+    }
+
+    /// `cost(ns)` sits among the other attributes in any order, once, with
+    /// a non-negative number literal for its value.
+    #[test]
+    fn cost_parses_in_any_attribute_order_and_refuses_a_bad_value() {
+        let spec = parse(
+            "program P { version V {
+                cost(5) idempotent int A(void) = 1;
+                idempotent inline cost(0x10) admin int B(void) = 2;
+                batchable cost(7) int C(int) = 3;
+                int D(void) = 4;
+            } = 1; } = 9;",
+        )
+        .unwrap();
+        let Definition::Program(p) = &spec.definitions[0] else {
+            panic!()
+        };
+        let procs = &p.versions[0].procedures;
+        let costs: Vec<_> = procs.iter().map(|p| p.cost_ns).collect();
+        assert_eq!(costs, [Some(5), Some(16), Some(7), None]);
+        assert!(procs[0].idempotent && procs[1].inline && procs[1].admin && procs[2].batchable);
+        for (attr, why) in [
+            ("cost", "missing value"),
+            ("cost()", "empty value"),
+            ("cost(fast)", "non-numeric value"),
+            ("cost(N)", "a constant, not a number"),
+            ("cost(-1)", "negative value"),
+            ("cost(1) cost(2)", "duplicate"),
+            ("cost(1) idempotent cost(1)", "duplicate"),
+        ] {
+            let src = format!(
+                "const N = 4; program P {{ version V {{ {attr} int A(void) = 1; }} = 1; }} = 9;"
+            );
+            assert!(parse(&src).is_err(), "{why} accepted: {attr}");
+        }
+    }
+
+    /// `MAGIC_<type>` / `VERSION_<type>` tag a struct of the file, before or
+    /// after it; any other target, or a value past 32 bits, is refused.
+    #[test]
+    fn tags_name_a_struct() {
+        let spec = parse(
+            "const MAGIC_s = 0x53; struct s { int a; }; const VERSION_s = 2;
+             struct t { int a; }; const MAGICAL = 1; const VERSIONS = 2;",
+        )
+        .unwrap();
+        let structs: Vec<_> = (spec.definitions.iter())
+            .filter_map(|d| match d {
+                Definition::Struct(s) => Some((s.magic, s.version)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(structs, [(Some(0x53), Some(2)), (None, None)]);
+        for (src, why) in [
+            ("const MAGIC_nope = 1;", "no such type"),
+            (
+                "struct s { int a; }; const VERSION_S = 1;",
+                "another spelling",
+            ),
+            ("enum e { A = 0 }; const MAGIC_e = 1;", "an enum"),
+            ("typedef int t; const VERSION_t = 1;", "a typedef"),
+            (
+                "union u switch (int d) { case 0: int a; }; const MAGIC_u = 1;",
+                "a union",
+            ),
+            (
+                "struct n { int a; n *next; }; const MAGIC_n = 1;",
+                "a list node",
+            ),
+            (
+                "struct s { int a; }; const MAGIC_s = 4294967296;",
+                "past 32 bits",
+            ),
+            ("struct s { int a; }; const VERSION_s = -1;", "negative"),
+        ] {
+            let err = parse(src).err();
+            assert!(err.is_some(), "{why} accepted");
+            assert_eq!(err.unwrap().line, 1, "{why}");
+        }
     }
 
     #[test]

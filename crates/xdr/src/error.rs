@@ -50,6 +50,16 @@ pub enum XdrError {
     },
     /// An `Option` (XDR "pointer") tag held a value other than 0 or 1.
     InvalidOptionTag(u32),
+    /// A leading word of a struct the `.x` file tags (`MAGIC_<type>`,
+    /// `VERSION_<type>`) held another value: a foreign or unsupported format.
+    WrongTag {
+        /// RPCL name of the tagged struct.
+        type_name: &'static str,
+        /// The word that failed: `"magic"` or `"version"`.
+        word: &'static str,
+        /// The value found on the wire.
+        found: u32,
+    },
     /// Catch-all for schema-level violations detected by generated code.
     Custom(String),
 }
@@ -78,6 +88,11 @@ impl fmt::Display for XdrError {
                 write!(f, "{remaining} trailing bytes after decode")
             }
             XdrError::InvalidOptionTag(v) => write!(f, "invalid optional tag {v}"),
+            XdrError::WrongTag {
+                type_name,
+                word,
+                found,
+            } => write!(f, "not a {type_name}: wrong {word} word {found:#x}"),
             XdrError::Custom(msg) => write!(f, "{msg}"),
         }
     }

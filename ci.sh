@@ -45,8 +45,15 @@ export CARGO_NET_OFFLINE=true
 # show here. And `oncrpc/src/record.rs` and `oncrpc/src/client.rs`, failing
 # above the lines they took once a D2H reply's data landed in the caller's
 # buffer: a second record reader or receive path beside `IncomingRecord` and
-# `receive_reply` would show here. `./ci.sh size` runs this step alone (the
-# workflow does).
+# `receive_reply` would show here. And the connection engine,
+# `oncrpc/src/conn.rs`, with `reactor.rs`, `cricket-server/src/transport.rs`
+# and `record.rs` at the lines they took once both drove it through one
+# vectored `OutgoingRecord::write_to`: a second record parser, reply queue or
+# framer beside it would show here. The engine is sans-IO: a clock
+# (`Instant`, `SystemTime`), a socket (`std::net`, `TcpStream`), a thread
+# (`std::thread`) or the poller (`Poller`) in its non-test code fails the
+# step, since time and I/O enter it only as arguments its drivers pass.
+# `./ci.sh size` runs this step alone (the workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core"
     find crates/xdr/src crates/oncrpc/src crates/rpcl/src crates/cricket-server/src crates/core/src \
@@ -74,6 +81,9 @@ size() {
                  /(enter|host_call|enqueue_at|enqueue_leg|wait_at|wait_turn|wait_here|wait_for|immediate|lib_create|lib_destroy)\(([a-z_.]+, )?([a-z_.]+, )?[0-9]/) {
                 printf "numeric host cost outside cricket.x: %s:%d: %s\n", FILENAME, FNR, $0; refused++
             }
+            FILENAME ~ /oncrpc\/src\/conn\.rs$/ && /Instant|SystemTime|std::net|TcpStream|std::thread|Poller/ {
+                printf "clock, socket, thread or poller in the sans-IO engine: %s:%d: %s\n", FILENAME, FNR, $0; refused++
+            }
             FILENAME ~ /crates\/cricket-server\/src\// && /const [A-Z_]*(MAGIC|VERSION|DISPATCH_NS|BATCH_OP_NS)[A-Z_]*:/ {
                 printf "hand-written format tag or dispatch cost (declare it in cricket.x): %s:%d: %s\n", FILENAME, FNR, $0; refused++
             }
@@ -93,12 +103,12 @@ size() {
     awk '/#\[cfg\(test\)\]/ { exit } { n++ }
         END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 227)\n", n; exit n > 227 }' \
         shims/polling/src/lib.rs
-    for limit in crates/cricket-server/src/transport.rs:340 crates/unikernel/src/tcp.rs:261 \
-        crates/oncrpc/src/reactor.rs:931 crates/core/src/raw.rs:910 \
+    for limit in crates/cricket-server/src/transport.rs:368 crates/unikernel/src/tcp.rs:261 \
+        crates/oncrpc/src/reactor.rs:744 crates/oncrpc/src/conn.rs:415 crates/core/src/raw.rs:910 \
         crates/cricket-server/src/service.rs:678 crates/cricket-server/src/server.rs:550 \
         crates/cricket-server/src/state.rs:636 crates/cricket-server/src/prologue.rs:342 \
         crates/cricket-server/src/batch.rs:276 crates/vgpu/src/kernels.rs:586 \
-        crates/vgpu/src/device.rs:825 crates/oncrpc/src/record.rs:568 \
+        crates/vgpu/src/device.rs:825 crates/oncrpc/src/record.rs:577 \
         crates/oncrpc/src/client.rs:647; do
         awk -v limit="${limit##*:}" '/#\[cfg\(test\)\]/ { exit } { n++ }
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
@@ -252,6 +262,15 @@ cargo run --release --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo
 
 echo "==> bench smoke: smallop (self-asserts >=4x RPC reduction, <5% single-op regression)"
 cargo run --release -p cricket-bench --bin smallop -- --launches 1024 --single-iters 128
+
+# The virtual-time BENCH files are deterministic. The smallop run above, a
+# full fleet run and the 512 MiB fig7 run (about 63 s on a 2-vCPU host)
+# regenerate them at their committed arguments, and any byte that differs
+# fails the step: "byte-identical" is checked, not claimed by hand.
+echo "==> virtual-time BENCH files regenerate byte-identical (smallop above, full fleet, fig7 at 512 MiB)"
+cargo run --release -p cricket-bench --bin fleet
+cargo run --release -p cricket-bench --bin fig7_bandwidth
+git diff --exit-code BENCH_smallop.json BENCH_fleet.json BENCH_fig7.json
 
 # With the backlog thread gone the reactor's thread budget buys one more
 # worker shard, and six full runs on a 2-core box read 0.92-1.17x Serial

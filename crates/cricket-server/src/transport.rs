@@ -8,28 +8,30 @@
 //! service runs in-process and charges its own execution time, so one call
 //! through this transport advances the clock by exactly the modeled
 //! client→wire→server→wire→client round trip. Both legs stream through
-//! send buffers of one MSS: the server reassembles each request straight
-//! into its record buffer, and a reply is carried down one MSS each time
-//! the client reads with nothing left to read (DESIGN.md §6).
+//! send buffers of one MSS. The server half is the reactor's connection
+//! engine ([`oncrpc::Conn`], [`oncrpc::Replies`]) on the virtual clock:
+//! each landed segment's payload is pushed into it, an inline call is
+//! answered as it completes, a parked one waits in the engine's buffer
+//! until the guest waits for its reply, and a reply is carried down one MSS
+//! each time the client reads with nothing left to read (DESIGN.md §6).
 
-use oncrpc::record::{wire_len, OutgoingRecord, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
-use oncrpc::{RpcError, RpcServer, Transport};
+use crate::cricket_classifier;
+use oncrpc::record::{RecordMarks, MAX_RECORD};
+use oncrpc::Transport;
+use oncrpc::{Calls, Conn, ProcClass, ReactorConfig, Replies, RpcError, RpcResult, RpcServer};
 use simnet::{NetPath, SimClock};
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
+use std::time::Duration;
 use unikernel::features::VirtioFeatures;
 use unikernel::tcp::{handshake, Segment, TcpEndpoint};
 use unikernel::virtio_net::{deliver_fixed, deliver_mrg, guest_tx, host_segment, GSO_MAX};
 use unikernel::Guest;
-
-/// Why a receiving endpoint dropped a segment, or the server a record mark.
-const REJECTED: &str = "segment rejected (checksum or sequencing)";
-const OVERSIZED: &str = "record mark announces more than MAX_RECORD";
+use xdr::XdrEncoder;
 
 /// Transport-level telemetry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportStats {
+pub(crate) struct TransportStats {
     /// RPC round trips completed.
     pub round_trips: u64,
     /// Wire segments carried, both directions.
@@ -38,6 +40,18 @@ pub struct TransportStats {
     pub bytes_sent: u64,
     /// Reply payload bytes.
     pub bytes_received: u64,
+}
+
+/// A receiving endpoint dropped a segment.
+fn rejected() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "segment rejected (checksum or sequencing)",
+    )
+}
+
+fn rpc_to_io(e: RpcError) -> io::Error {
+    io::Error::other(format!("in-process server error: {e}"))
 }
 
 /// Carry one send buffer's `bytes` from `from` through the virtio machinery,
@@ -49,8 +63,8 @@ fn carry(
     mut to_posted: Option<&mut Vec<u8>>,
     wire_mss: usize,
     bytes: &[u8],
-    mut land: impl FnMut(&Segment) -> Result<(), &'static str>,
-) -> Result<u64, &'static str> {
+    mut land: impl FnMut(&Segment) -> io::Result<()>,
+) -> io::Result<u64> {
     let mut wire_count = 0u64;
     for segment in from.segments(bytes) {
         for seg in host_segment(guest_tx(from_features, segment, wire_mss)) {
@@ -67,32 +81,76 @@ fn carry(
     Ok(wire_count)
 }
 
-/// The simulated path from a guest to an in-process Cricket server.
-pub struct SimTransport {
-    server: Arc<RpcServer>,
-    guest: Guest,
+/// The server half's calls: the in-process server, the clock they are
+/// charged to, and the queue their replies wait in.
+struct Server {
+    rpc: Arc<RpcServer>,
     path: NetPath,
     clock: Arc<SimClock>,
+    /// Pooled reply encoder, and the buffer it holds while its own waits in
+    /// `replies`.
+    enc: XdrEncoder,
+    spare: Vec<u8>,
+    replies: Replies,
+    /// Payload bytes copied into the guest socket's send buffer and the
+    /// engine's record buffer ([`Transport::bytes_copied`]).
+    copied: u64,
+    stats: TransportStats,
+}
+
+impl Calls for Server {
+    /// A call is in flight until its reply is carried down whole, so the
+    /// next one runs only after that: into the encoder's own buffer again,
+    /// and no send buffer carries parts of two replies.
+    fn in_flight(&self) -> usize {
+        usize::from(!self.replies.is_empty())
+    }
+
+    /// Execute a call straight out of the engine's buffer (service methods
+    /// charge the clock themselves), move its reply into the queue by
+    /// buffer swap, and charge the network legs with this call's own
+    /// lengths. A parked call stays where it is until the guest waits.
+    fn call(&mut self, class: ProcClass, conn: &mut Conn) -> RpcResult<()> {
+        let (ProcClass::Done, Some((record, wire_up))) = (class, conn.held()) else {
+            return Ok(());
+        };
+        self.copied += record.len() as u64;
+        self.rpc.handle_record_into(record, &mut self.enc)?;
+        let spare = XdrEncoder::from_sink(std::mem::take(&mut self.spare));
+        let reply = std::mem::replace(&mut self.enc, spare).into_inner();
+        let now = Duration::from_nanos(self.clock.now_ns());
+        let reply_wire = self.replies.push(reply, now);
+        let timing = self.path.rpc_round(wire_up, reply_wire, 0);
+        self.clock.advance(timing.total_ns());
+        self.stats.round_trips += 1;
+        self.stats.bytes_sent += wire_up as u64;
+        self.stats.bytes_received += reply_wire as u64;
+        Ok(())
+    }
+}
+
+/// The server's connection engine: the reactor's classifier and in-flight
+/// budget.
+fn engine() -> Conn {
+    Conn::new(&ReactorConfig {
+        classify: Some(cricket_classifier()),
+        ..ReactorConfig::default()
+    })
+}
+
+/// The simulated path from a guest to an in-process Cricket server.
+pub struct SimTransport {
+    /// The server's connection engine and what its calls run against.
+    conn: Conn,
+    server: Server,
+    guest: Guest,
     client_ep: TcpEndpoint,
     server_ep: TcpEndpoint,
     /// The guest socket's send buffer: at most one MSS (`send_up`).
     client_tx: Vec<u8>,
     /// Where the guest's writes stand in the record-marked request stream.
     client_marks: RecordMarks,
-    /// Where the server's reassembly stands in the same stream.
-    server_marks: RecordMarks,
-    /// Pooled server-side record buffer: request payloads reassembled
-    /// straight out of the arriving segments, marks stripped.
-    record_buf: Vec<u8>,
-    /// Records complete in `record_buf` and not yet executed, oldest first,
-    /// as (payload length, wire length): one `flush` may carry several.
-    records: VecDeque<(usize, usize)>,
-    /// Pooled server-side reply encoder.
-    reply_enc: xdr::XdrEncoder,
-    /// How far the reply in `reply_enc` has been carried down, while some
-    /// of it has not.
-    down: Option<OutgoingRecord>,
-    /// The server socket's send buffer: at most one MSS of the reply.
+    /// The server socket's send buffer: one MSS of the replies.
     server_tx: Vec<u8>,
     /// How much of `client_ep.readable()` the client has read already: the
     /// reply is served from where it was reassembled, never restaged.
@@ -100,13 +158,9 @@ pub struct SimTransport {
     /// The one posted receive buffer a guest without `MRG_RXBUF` stages
     /// every packet in (reused; see [`deliver_fixed`]).
     rx_posted: Vec<u8>,
-    /// Set by a rejected segment or record mark: every later call fails so.
+    /// Set by a rejected segment or a failed call: every later call fails
+    /// so.
     poisoned: Option<String>,
-    /// Payload bytes copied into `client_tx` and `record_buf`
-    /// ([`Transport::bytes_copied`]).
-    copied: u64,
-    /// Telemetry.
-    pub stats: TransportStats,
 }
 
 impl SimTransport {
@@ -130,44 +184,40 @@ impl SimTransport {
         let mut server_ep = TcpEndpoint::new(GSO_MAX + 40, false, false);
         handshake(&mut client_ep, &mut server_ep);
         Self {
-            server,
+            conn: engine(),
+            server: Server {
+                rpc: server,
+                path,
+                clock,
+                enc: XdrEncoder::with_capacity(4096),
+                spare: Vec::new(),
+                replies: Replies::default(),
+                copied: 0,
+                stats: TransportStats::default(),
+            },
             guest,
-            path,
-            clock,
             client_tx: Vec::with_capacity(client_ep.mss),
-            server_tx: Vec::with_capacity(server_ep.mss),
+            server_tx: vec![0; server_ep.mss],
             client_ep,
             server_ep,
             client_marks: RecordMarks::new(MAX_RECORD),
-            server_marks: RecordMarks::new(MAX_RECORD),
-            record_buf: Vec::with_capacity(4096),
-            records: VecDeque::new(),
-            reply_enc: xdr::XdrEncoder::with_capacity(4096),
-            down: None,
             read_off: 0,
             rx_posted: Vec::new(),
             poisoned: None,
-            copied: 0,
-            stats: TransportStats::default(),
         }
     }
 
-    /// The environment this transport models.
-    pub fn guest(&self) -> &Guest {
-        &self.guest
-    }
-
-    /// Fail closed after a rejected segment or record mark: the sender's
-    /// sequence space has moved past bytes the receiver never accepted, so
-    /// no later reply could be delivered. Discard all buffered state; refuse
-    /// from now on with the same error.
+    /// Fail closed after a rejected segment or a failed call: the sender's
+    /// sequence space has moved past bytes the receiver never accepted, or
+    /// the server closed the connection, so no later reply could be
+    /// delivered. Discard all buffered state; refuse from now on with the
+    /// same error.
     fn poison(&mut self, why: impl std::fmt::Display) -> io::Error {
         let what = format!("{why}; transport poisoned");
         self.poisoned = Some(what.clone());
         self.client_tx.clear();
-        self.record_buf.clear();
-        self.records.clear();
-        self.down = None;
+        self.conn = engine();
+        self.server.replies = Replies::default();
         self.read_off = 0;
         self.client_ep.consume(usize::MAX);
         io::Error::new(io::ErrorKind::InvalidData, what)
@@ -182,32 +232,27 @@ impl SimTransport {
 
     /// Stage request bytes in the guest socket's send buffer of one MSS and
     /// carry it up each time it fills and at the record's `end`, so segments
-    /// fall at `chunks(mss)` from the start of every record. The server
-    /// strips the marks off each segment's payload as it lands (the GPU node
+    /// fall at `chunks(mss)` from the start of every record. Each segment's
+    /// payload is pushed into the engine as it lands (the GPU node
     /// negotiates `MRG_RXBUF`: no posted buffer).
-    fn send_up(&mut self, mut bytes: &[u8], end: bool) -> Result<(), &'static str> {
+    fn send_up(&mut self, mut bytes: &[u8], end: bool) -> io::Result<()> {
         let (tx, mss, features) = (&mut self.client_tx, self.client_ep.mss, self.guest.features);
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
-        let (client, server, stats) = (&mut self.client_ep, &mut self.server_ep, &mut self.stats);
-        let (marks, records) = (&mut self.server_marks, &mut self.records);
-        let mut strip = |mut p: &[u8]| {
-            while !p.is_empty() {
-                let stripped = marks.strip(p, |b| self.record_buf.extend_from_slice(b));
-                let (used, end) = stripped.map_err(|_| OVERSIZED)?;
-                records.extend(end);
-                p = &p[used..];
-            }
-            Ok(())
-        };
+        let (client, server_ep) = (&mut self.client_ep, &mut self.server_ep);
+        let (conn, server) = (&mut self.conn, &mut self.server);
         loop {
             let n = bytes.len().min(mss - tx.len());
             tx.extend_from_slice(&bytes[..n]);
             bytes = &bytes[n..];
             if tx.len() == mss || (end && bytes.is_empty() && !tx.is_empty()) {
-                let land = |seg: &Segment| server.receive_with(seg, &mut strip).ok_or(REJECTED)?;
+                let land =
+                    |seg: &Segment| match server_ep.receive_with(seg, |p| conn.push(p, server)) {
+                        None => Err(rejected()),
+                        Some(pushed) => pushed.map_err(rpc_to_io),
+                    };
                 let carried = carry(client, features, None, wire_mss, tx, land);
                 tx.clear();
-                stats.wire_segments += carried?;
+                server.stats.wire_segments += carried?;
             }
             if bytes.is_empty() {
                 return Ok(());
@@ -215,44 +260,47 @@ impl SimTransport {
         }
     }
 
-    /// Carry the next MSS of the reply in `reply_enc` down: its wire bytes,
-    /// marked at `DEFAULT_MAX_FRAGMENT` boundaries, into the server socket's
-    /// send buffer, and from there into the client endpoint behind whatever
-    /// the client has not read yet. Returns false when no reply is pending.
+    /// Carry the next MSS of the replies queued down: their wire bytes into
+    /// the server socket's send buffer, and from there into the client
+    /// endpoint behind whatever the client has not read yet. A written
+    /// reply's buffer goes back into the encoder. Returns false when no
+    /// reply is queued.
     fn carry_down(&mut self) -> io::Result<bool> {
-        let Some(down) = self.down.as_mut() else {
+        let server = &mut self.server;
+        if server.replies.is_empty() {
             return Ok(false);
-        };
-        self.server_tx.clear();
-        if down.fill(
-            self.reply_enc.as_slice(),
-            &mut self.server_tx,
-            self.server_ep.mss,
-        ) {
-            self.down = None;
         }
+        let now = Duration::from_nanos(server.clock.now_ns());
+        let (enc, spare) = (&mut server.enc, &mut server.spare);
+        let mut window = &mut self.server_tx[..];
+        server.replies.flush(&mut window, now, |reply| {
+            *spare = std::mem::replace(enc, XdrEncoder::from_sink(reply)).into_inner();
+        })?;
+        let filled = self.server_ep.mss - window.len();
         let features = VirtioFeatures::linux_driver();
         let wire_mss = self.guest.costs.mtu.saturating_sub(40).max(1);
         let client = &mut self.client_ep;
         let posted = (!self.guest.costs.virtq.mrg_rxbuf).then_some(&mut self.rx_posted);
-        let land = |seg: &Segment| client.receive(seg).then_some(()).ok_or(REJECTED);
+        let land = |seg: &Segment| {
+            if client.receive(seg) {
+                Ok(())
+            } else {
+                Err(rejected())
+            }
+        };
         match carry(
             &mut self.server_ep,
             features,
             posted,
             wire_mss,
-            &self.server_tx,
+            &self.server_tx[..filled],
             land,
         ) {
-            Ok(segments) => self.stats.wire_segments += segments,
+            Ok(segments) => self.server.stats.wire_segments += segments,
             Err(why) => return Err(self.poison(why)),
         }
         Ok(true)
     }
-}
-
-fn rpc_to_io(e: RpcError) -> io::Error {
-    io::Error::other(format!("in-process server error: {e}"))
 }
 
 impl Write for SimTransport {
@@ -260,7 +308,7 @@ impl Write for SimTransport {
         self.check()?;
         // The one send-side copy: into the guest socket's send buffer, the
         // analogue of a real socket's copy into the kernel.
-        self.copied += buf.len() as u64;
+        self.server.copied += buf.len() as u64;
         let mut rest = buf;
         while !rest.is_empty() {
             let (len, end) = self.client_marks.next(rest).map_err(|e| self.poison(e))?;
@@ -272,30 +320,15 @@ impl Write for SimTransport {
         Ok(buf.len())
     }
 
-    /// Execute every request that arrived complete, oldest first, straight
-    /// out of `record_buf` (service methods charge the clock themselves).
-    /// The reply encoder is reused, so an earlier reply is carried down
-    /// whole before the next request executes; the last one waits for
-    /// `read`.
+    /// Answer every call parked in the engine, oldest first: the reply
+    /// before it is carried down whole, then it runs. The last reply waits
+    /// for `read`.
     fn flush(&mut self) -> io::Result<()> {
         self.check()?;
-        while let Some((len, wire_len_up)) = self.records.pop_front() {
+        while self.conn.held().is_some() {
             while self.carry_down()? {}
-            self.copied += len as u64;
-            let record = &self.record_buf[..len];
-            let handled = self.server.handle_record_into(record, &mut self.reply_enc);
-            self.record_buf.drain(..len);
-            handled.map_err(rpc_to_io)?;
-            let reply_len = self.reply_enc.len();
-            self.down = Some(OutgoingRecord::new(reply_len, DEFAULT_MAX_FRAGMENT));
-            // Charge the network legs (server exec already charged) with this
-            // record's own lengths: one flush may carry several records.
-            let reply_wire = wire_len(reply_len, DEFAULT_MAX_FRAGMENT);
-            let timing = self.path.rpc_round(wire_len_up, reply_wire, 0);
-            self.clock.advance(timing.total_ns());
-            self.stats.round_trips += 1;
-            self.stats.bytes_sent += wire_len_up as u64;
-            self.stats.bytes_received += reply_wire as u64;
+            let released = self.conn.release(&mut self.server);
+            released.map_err(|e| self.poison(rpc_to_io(e)))?;
         }
         Ok(())
     }
@@ -308,7 +341,7 @@ impl Read for SimTransport {
             self.read_off = 0;
             // The client waits for a reply: run what has arrived, unless a
             // reply is still on its way, and carry its next MSS down.
-            if self.down.is_none() {
+            if self.server.replies.is_empty() {
                 self.flush()?;
             }
             if !self.carry_down()? {
@@ -329,7 +362,7 @@ impl Transport for SimTransport {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.copied
+        self.server.copied
     }
 }
 
@@ -496,7 +529,7 @@ mod tests {
         roundtrip(&mut c, &big);
         roundtrip(&mut c, &big[..777_777]);
         assert_eq!(c.cuda_device_synchronize().unwrap(), 0);
-        let stats = shared.0.lock().stats;
+        let stats = shared.0.lock().server.stats;
         let replies = std::mem::take(&mut *seen.lock());
         (clock.now_ns(), stats, replies)
     }
@@ -516,7 +549,7 @@ mod tests {
     }
 
     /// No stage holds a whole record: the server reassembles a 16 MiB
-    /// request straight into `record_buf`, marks stripped, without its
+    /// request straight into the engine's buffer, marks stripped, without its
     /// endpoint's own buffer; a 16 MiB reply reaches the client endpoint one
     /// server MSS at a time; after a 16 MiB copy each way both send buffers
     /// are still one MSS.
@@ -529,7 +562,8 @@ mod tests {
             enc.put(&oncrpc::RpcMessage::call(xid, call));
             put(&mut enc);
             let mut wire = Vec::new();
-            oncrpc::record::write_record(&mut wire, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+            oncrpc::record::write_record(&mut wire, enc.as_slice(), oncrpc::DEFAULT_MAX_FRAGMENT)
+                .unwrap();
             (enc.as_slice().to_vec(), wire)
         };
         for kind in [GuestKind::RustyHermit, GuestKind::RustyHermitTso] {
@@ -545,8 +579,9 @@ mod tests {
             let mut t = shared.0.lock();
             t.write_all(&wire).unwrap();
             assert_eq!(t.server_ep.available(), 0, "{kind:?}");
-            assert_eq!(t.records, [(payload.len(), wire.len())]);
-            assert!(t.record_buf == payload, "{kind:?}: marks not stripped");
+            let (held, held_wire) = t.conn.held().expect("the parked copy waits in place");
+            assert_eq!((held.len(), held_wire), (payload.len(), wire.len()));
+            assert!(held == payload, "{kind:?}: marks not stripped");
             let mut reply = [0u8; 64];
             while t.read(&mut reply).unwrap() != 0 {}
 
@@ -582,8 +617,8 @@ mod tests {
     }
 
     /// A record mark announcing more than `MAX_RECORD` is refused as it
-    /// arrives: the write fails, the transport is poisoned, and nothing was
-    /// sized from the mark.
+    /// arrives: the write fails, the transport is poisoned, and nothing
+    /// reached the server's engine.
     #[test]
     fn an_oversized_record_mark_poisons_the_transport() {
         let (rpc, clock) = sim_server();
@@ -597,7 +632,7 @@ mod tests {
         assert!(err.to_string().contains("exceeds maximum"), "{err}");
         assert_eq!(t.flush().unwrap_err().to_string(), err.to_string());
         assert_eq!(t.write(&[0; 8]).unwrap_err().to_string(), err.to_string());
-        assert!(t.record_buf.capacity() < 1 << 20);
+        assert!(t.conn.held().is_none() && t.client_tx.capacity() <= t.client_ep.mss);
     }
 
     /// The functional path may change how bytes move, never what the cost
@@ -665,6 +700,9 @@ mod tests {
     /// with its own reply's length although the replies now share the
     /// client endpoint's buffer until read, and partial reads walk that
     /// buffer in order: bytes, clock and counters equal one call at a time.
+    /// An inline-class call between two parked ones runs inline when sent
+    /// alone and behind the reply before it when pipelined, to the same
+    /// effect.
     #[test]
     fn records_sharing_a_flush_cost_and_read_as_one_at_a_time() {
         use cricket_proto::{cricket_v1, CRICKET_CUDA, CRICKET_V1};
@@ -677,14 +715,19 @@ mod tests {
             oncrpc::record::write_record(&mut wire, enc.as_slice(), 1 << 20).unwrap();
             wire
         };
+        assert!(cricket_v1::is_inline(cricket_v1::CUDA_GET_DEVICE_COUNT));
+        assert!(!cricket_v1::is_inline(cricket_v1::CUDA_MEMCPY_DTOH));
         let run = |pipelined: bool| {
             let (rpc, clock) = sim_server();
             let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
             let buf = c.cuda_malloc(&70_000).unwrap().into_result().unwrap();
             let data: Vec<u8> = (0..50_001u32).map(|i| (i % 253) as u8).collect();
             assert_eq!(c.cuda_memcpy_htod(&buf, &data).unwrap(), 0);
-            let big = request(7, cricket_v1::CUDA_MEMCPY_DTOH, &[buf, 50_001]);
-            let small = request(8, cricket_v1::CUDA_GET_DEVICE_COUNT, &[]);
+            let calls = [
+                request(7, cricket_v1::CUDA_MEMCPY_DTOH, &[buf, 50_001]),
+                request(8, cricket_v1::CUDA_GET_DEVICE_COUNT, &[]),
+                request(9, cricket_v1::CUDA_MEMCPY_DTOH, &[buf, 3]),
+            ];
 
             let mut t = shared.0.lock();
             let mut replies = Vec::new();
@@ -697,23 +740,29 @@ mod tests {
                     }
                 }
             };
-            t.write_all(&big).unwrap();
-            if !pipelined {
-                drain(&mut t);
+            for call in &calls {
+                t.write_all(call).unwrap();
+                if !pipelined {
+                    drain(&mut t);
+                }
             }
-            t.write_all(&small).unwrap();
             drain(&mut t);
             assert_eq!(t.client_ep.available() + t.read_off, 0, "drained");
 
             let mut wire = &replies[..];
-            let first = oncrpc::record::read_record(&mut wire, 1 << 20).unwrap();
-            let second = oncrpc::record::read_record(&mut wire, 1 << 20).unwrap();
-            let (first, second) = (first.unwrap(), second.unwrap());
+            let mut next = || {
+                oncrpc::record::read_record(&mut wire, 1 << 20)
+                    .unwrap()
+                    .unwrap()
+            };
+            let (first, second, third) = (next(), next(), next());
             assert!(wire.is_empty());
             assert_eq!(first[..4], 7u32.to_be_bytes(), "replies keep call order");
             assert_eq!(second[..4], 8u32.to_be_bytes());
+            assert_eq!(third[..4], 9u32.to_be_bytes());
             assert!(first.len() > 50_001 && first.ends_with(&[data[50_000], 0, 0, 0]));
-            (replies, clock.now_ns(), t.stats)
+            assert!(third.ends_with(&[data[0], data[1], data[2], 0]));
+            (replies, clock.now_ns(), t.server.stats)
         };
         assert_eq!(run(true), run(false));
     }

@@ -30,14 +30,14 @@ impl AuthFlavor {
 }
 
 /// Maximum opaque auth body size permitted by RFC 5531.
-pub const MAX_AUTH_BODY: usize = 400;
+pub(crate) const MAX_AUTH_BODY: usize = 400;
 
 /// An authentication item: flavor + opaque body.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OpaqueAuth {
     /// Flavor number (may be a value we do not recognize; passed through).
     pub flavor: u32,
-    /// Flavor-specific payload, at most [`MAX_AUTH_BODY`] bytes.
+    /// Flavor-specific payload, at most 400 bytes (RFC 5531's limit).
     pub body: Vec<u8>,
 }
 

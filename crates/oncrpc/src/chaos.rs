@@ -210,7 +210,7 @@ impl ChaosRng {
     }
 
     /// Bernoulli trial with probability `permille`/1000.
-    pub fn roll(&mut self, permille: u32) -> bool {
+    pub(crate) fn roll(&mut self, permille: u32) -> bool {
         self.below(1000) < permille as u64
     }
 }
@@ -267,12 +267,6 @@ impl FaultPlan {
             faults_injected: 0,
             trace: Vec::new(),
         }
-    }
-
-    /// Add scripted events on top of a seeded plan.
-    pub fn with_script(mut self, events: Vec<(u64, Fault)>) -> Self {
-        self.script = events;
-        self
     }
 
     /// Move the plan behind its shared handle. One handle can drive any

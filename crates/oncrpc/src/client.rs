@@ -247,7 +247,7 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
     /// Use a non-default credential for subsequent calls.
     ///
     /// # Panics
-    /// If the body exceeds [`MAX_AUTH_BODY`], which no server accepts.
+    /// If the body exceeds 400 bytes (`MAX_AUTH_BODY`), which no server accepts.
     pub fn set_credential(&mut self, cred: OpaqueAuth) {
         self.cred.clear();
         cred.encode(&mut self.cred);

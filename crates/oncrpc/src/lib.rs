@@ -34,6 +34,7 @@ pub mod auth;
 pub mod batch;
 pub mod chaos;
 pub mod client;
+mod conn;
 pub mod error;
 pub mod msg;
 pub mod portmap;
@@ -51,13 +52,12 @@ pub use chaos::{
     ChaosRng, Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan, TraceEvent,
 };
 pub use client::{NoAllocRpcClient, Reply, RetryPolicy, RpcClient};
+pub use conn::{Calls, Classifier, Conn, ProcClass, ReactorConfig, Replies};
 pub use error::{RpcError, RpcResult};
 pub use msg::{AcceptStat, CallBody, MsgType, RejectStat, ReplyBody, RpcMessage};
 
 pub use portmap::{LoadReport, Mapping, PmapVersClient, Portmap, ShardEntry};
-pub use reactor::{
-    serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig, ReactorSnapshot,
-};
+pub use reactor::{serve_tcp_reactor, ConnHandler, ReactorSnapshot};
 pub use record::{RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
 pub use server::{Dispatch, RpcServer, ServerHandle};

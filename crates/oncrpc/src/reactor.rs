@@ -5,45 +5,50 @@
 //! connection; with thousands of tenant sessions the thread stacks and
 //! scheduler churn become the ceiling long before the wire does. This module
 //! replaces it with the classic reactor split, mirroring the
-//! `RingResult::Done` vs `MoreIo` contract of io_uring-style RPC servers:
+//! `RingResult::Done` vs `MoreIo` contract of io_uring-style RPC servers.
+//! What happens to a connection's bytes is the sans-IO engine's
+//! ([`Conn`], [`Replies`]); this driver owns the sockets, the poller, the
+//! worker shards and the clock:
 //!
 //! ```text
 //!   accept thread ──(new conns)──▶ reactor thread
 //!                                    │  poll readiness (shims/polling)
-//!                                    │  nonblocking reads → RecordMarks::strip
-//!                                    │  classify call: Done | Parked
+//!                                    │  Conn::drain(socket): ≤ 8 reads,
+//!                                    │    marks stripped, each call classified
 //!                            Done ───┤ execute inline, send_reply
 //!                          Parked ───┴─▶ submission ring, sharded by conn key
 //!                                           │ worker pool (key % workers)
 //!                                           ▼ execute, send_reply
 //!
-//!   send_reply (on the producing thread): frame once, lock the connection's
-//!       Outbound, queue; write through if the queue was empty
+//!   send_reply (on the producing thread): swap the reply out of the
+//!       encoder, lock the connection's Outbound, queue it on its Replies;
+//!       write through if the queue was empty
 //!           │ bytes the socket did not take: the key on the notice list
 //!           ▼
 //!   reactor thread: write interest on that socket, flush it when writable,
-//!       close it when it stalls
+//!       close it when Replies::backlog says Kill at Instant-derived `now`
 //! ```
 //!
 //! **Ordering guarantee.** Every `Parked` call for one connection lands on
 //! the same worker shard (`key % workers`), whose queue is FIFO — so parked
 //! replies stay in request order. A `Done` call is executed inline *only
 //! when the connection has zero parked calls in flight* (`pending == 0`);
-//! otherwise it is demoted to the shard like any parked call. Workers send
-//! the encoded reply *before* decrementing `pending`, so when the reactor
-//! observes `pending == 0` every earlier reply is already written or queued
-//! in the connection's `Outbound` — and a reply is written through only
-//! onto an empty queue, under that queue's lock, so it never overtakes one.
-//! Net effect: per-connection reply order equals request order, exactly
-//! like the serial reference path ([`RpcServer::serve_connection`]), which
-//! is what the byte-identical equivalence tests assert.
+//! otherwise the engine demotes it to the shard like any parked call.
+//! Workers send the encoded reply *before* decrementing `pending`, so when
+//! the reactor observes `pending == 0` every earlier reply is already
+//! written or queued in the connection's [`Replies`] — and a reply is
+//! written through only onto an empty queue, under that queue's lock, so it
+//! never overtakes one. Net effect: per-connection reply order equals
+//! request order, exactly like the serial reference path
+//! ([`RpcServer::serve_connection`]), which is what the byte-identical
+//! equivalence tests assert.
 //!
 //! **Backpressure.** Each connection has a bounded in-flight budget
-//! (`max_session_queue`). When it fills, the reactor stops reading that
-//! socket ([`polling::Poller::suspend`]) — unread bytes accumulate in the
-//! kernel buffer and the TCP window closes, pushing the stall back to the
-//! client. Workers flag the poller when a stalled connection drains to the
-//! low watermark and the reactor resumes it.
+//! (`max_session_queue`). When it fills, the engine stops parsing and the
+//! reactor stops reading that socket ([`polling::Poller::suspend`]) — unread
+//! bytes accumulate in the kernel buffer and the TCP window closes, pushing
+//! the stall back to the client. Workers flag the poller when a stalled
+//! connection drains to the low watermark and the reactor resumes it.
 //!
 //! **Slow readers.** No thread blocks on any one socket: sockets are
 //! nonblocking and every flush writes only what the kernel accepts, so a
@@ -62,69 +67,20 @@
 //! — per-session ordering above means a retransmission still observes
 //! either the cached reply or nothing, never a half-executed call.
 
-use crate::auth::MAX_AUTH_BODY;
+use crate::conn::{
+    Backlog, Calls, Conn, Drained, ProcClass, ReactorConfig, Replies, MAX_POOLED_BUF_BYTES,
+};
 use crate::error::{RpcError, RpcResult};
-use crate::record::{write_record_sg, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::server::{RpcServer, ServerHandle};
 use parking_lot::Mutex;
 use polling::{Event, Poller};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, HashSet};
+use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use xdr::XdrEncoder;
-
-/// How one procedure completes, mirroring the io_uring server contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcClass {
-    /// Replies synchronously from server state (host_call paths): safe to
-    /// execute inline on the reactor thread.
-    Done,
-    /// May wait — on a scheduler turn, a stream retire, a condvar
-    /// (enqueue_at / wait_* paths): must run on a worker shard so the
-    /// reactor never blocks.
-    Parked,
-}
-
-/// Classifier from `(prog, vers, proc)` to [`ProcClass`]. `None` from the
-/// header peek (not a call, short record) is always treated as `Parked`.
-pub type Classifier = Arc<dyn Fn(u32, u32, u32) -> ProcClass + Send + Sync>;
-
-/// Tuning knobs for [`serve_tcp_reactor`].
-#[derive(Clone)]
-pub struct ReactorConfig {
-    /// Worker shards executing `Parked` calls. Connection `key` is pinned
-    /// to shard `key % workers`.
-    pub workers: usize,
-    /// Bounded per-connection in-flight budget before the reactor stops
-    /// reading that socket (backpressure).
-    pub max_session_queue: usize,
-    /// Procedure classifier; `None` parks everything (always correct,
-    /// never inline).
-    pub classify: Option<Classifier>,
-    /// A connection whose socket accepts no reply bytes for this long
-    /// while replies are queued is declared dead and closed, so one
-    /// stalled client cannot keep its backlog forever.
-    pub write_stall_deadline: Duration,
-    /// Replies queued *behind* the record currently being written, per
-    /// connection. Past this many bytes the peer is not reading and the
-    /// connection is closed instead of buffering more.
-    pub max_write_backlog: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        Self {
-            workers: 2,
-            max_session_queue: 64,
-            classify: None,
-            write_stall_deadline: Duration::from_secs(5),
-            max_write_backlog: 8 * 1024 * 1024,
-        }
-    }
-}
 
 /// Per-connection service state handed back by the connection factory.
 pub struct ConnHandler {
@@ -208,17 +164,12 @@ struct ConnShared {
     attention: AtomicBool,
 }
 
-/// Reactor-thread-owned connection state.
-struct Conn {
+/// Reactor-thread-owned connection state: the socket and the engine
+/// parsing what it reads.
+struct Socket {
     stream: TcpStream,
+    engine: Conn,
     out: OutRef,
-    /// Where the request stream stands, and the record being assembled, its
-    /// marks stripped, in a buffer from the record pool.
-    marks: RecordMarks,
-    record: Vec<u8>,
-    /// Bytes read but not parsed: the rest of the read that spent the
-    /// in-flight budget. While any wait, the socket is not read.
-    unparsed: Vec<u8>,
     rpc: Arc<RpcServer>,
     on_close: Option<Box<dyn FnOnce() + Send>>,
     shared: Arc<ConnShared>,
@@ -231,24 +182,19 @@ struct Conn {
     backlogged: bool,
 }
 
-impl Conn {
+impl Socket {
     /// A connection reading `stream`, its replies going out through a dup
     /// of it.
-    fn new(stream: TcpStream, handler: ConnHandler) -> io::Result<Self> {
+    fn new(stream: TcpStream, handler: ConnHandler, cfg: &ReactorConfig) -> io::Result<Self> {
         let out = Outbound {
             stream: stream.try_clone()?,
-            queue: VecDeque::new(),
-            offset: 0,
-            queued_bytes: 0,
-            last_progress: Instant::now(),
+            replies: Replies::default(),
             dead: false,
         };
         Ok(Self {
             stream,
+            engine: Conn::new(cfg),
             out: Arc::new(Mutex::new(out)),
-            marks: RecordMarks::new(MAX_RECORD),
-            record: Vec::new(),
-            unparsed: Vec::new(),
             rpc: handler.rpc,
             on_close: handler.on_close,
             shared: Arc::new(ConnShared {
@@ -270,91 +216,99 @@ impl Conn {
         poller.suspend(key);
     }
 
-    /// Strip the marks off `bytes` into `record` and dispatch each record as
-    /// it completes, while the in-flight budget lasts. Returns how many of
-    /// `bytes` it parsed: all of them unless the budget ran out first. Every
-    /// byte is parsed once, so reassembly is linear in the bytes received.
-    /// `Err` means close.
-    fn feed(
-        &mut self,
-        key: usize,
-        bytes: &[u8],
-        rings: &Rings<'_>,
-        enc: &mut XdrEncoder,
-    ) -> RpcResult<usize> {
-        let (budget, mut used) = (rings.cfg.max_session_queue, 0);
-        while used < bytes.len() && self.shared.pending.load(Ordering::Acquire) < budget {
-            let (marks, record) = (&mut self.marks, &mut self.record);
-            let (n, end) = marks.strip(&bytes[used..], |p| pooled_extend(record, p))?;
-            used += n;
-            if end.is_some() {
-                self.dispatch(key, rings, enc)?;
+    /// Read and dispatch what is available, as far as the engine's read
+    /// share and in-flight budget allow.
+    fn drain(&mut self, key: usize, rings: &Rings<'_>, scratch: &mut [u8], enc: &mut XdrEncoder) {
+        let mut calls = Route {
+            key,
+            rpc: &self.rpc,
+            shared: &self.shared,
+            out: &self.out,
+            rings,
+            enc,
+        };
+        match self.engine.drain(&mut &self.stream, scratch, &mut calls) {
+            Drained::Open => {}
+            Drained::Closed => self.close(key, rings.poller),
+            Drained::Stalled => {
+                // Budget spent: stop reading this socket; the kernel buffer
+                // fills and TCP flow control stalls the client.
+                self.stalled = true;
+                self.shared.attention.store(true, Ordering::SeqCst);
+                rings.poller.suspend(key);
+                rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(used)
     }
 
     /// Flush the reply backlog if the socket is `writable`, then apply the
-    /// kill rules: a failed write, more than `max_write_backlog` bytes behind
-    /// the record in flight, or no progress for `write_stall_deadline`. A
-    /// kill closes the connection. Clears write interest once the queue is
-    /// empty; otherwise returns the stall deadline.
-    fn pump(&mut self, key: usize, rings: &Rings<'_>, writable: bool) -> Option<Instant> {
-        let (cfg, pool) = (rings.cfg, &rings.replies.pool);
+    /// kill rules: a failed write, or [`Backlog::Kill`]. A kill closes the
+    /// connection. Clears write interest once the queue is empty; otherwise
+    /// returns the time left to the stall deadline.
+    fn pump(&mut self, key: usize, rings: &Rings<'_>, writable: bool) -> Option<Duration> {
+        let (now, pool) = (rings.replies.now(), &rings.replies.pool);
         let mut ob = self.out.lock();
-        let failed = writable && ob.flush(pool).is_err();
-        let deadline = ob.last_progress + cfg.write_stall_deadline;
-        if ob.queue.is_empty() {
-            drop(ob);
-        } else if failed || ob.backlog() > cfg.max_write_backlog || Instant::now() >= deadline {
-            ob.kill(pool);
-            drop(ob);
-            rings.stats.writer_kills.fetch_add(1, Ordering::Relaxed);
-            self.close(key, rings.poller);
-        } else {
-            return Some(deadline);
+        let failed = writable && ob.flush(now, pool).is_err();
+        match ob.replies.backlog(rings.cfg, now) {
+            Backlog::Empty => drop(ob),
+            Backlog::Wait(left) if !failed => return Some(left),
+            _ => {
+                ob.kill(pool);
+                drop(ob);
+                rings.stats.writer_kills.fetch_add(1, Ordering::Relaxed);
+                self.close(key, rings.poller);
+            }
         }
         self.backlogged = false;
         rings.poller.set_write_interest(key, false);
         None
     }
+}
 
-    /// Answer the record just assembled inline, from its buffer, or move
-    /// the buffer to the connection's worker shard.
-    fn dispatch(&mut self, key: usize, rings: &Rings<'_>, enc: &mut XdrEncoder) -> RpcResult<()> {
-        let class = match (&rings.cfg.classify, peek_call(&self.record)) {
-            (Some(f), Some((prog, vers, proc))) => f(prog, vers, proc),
-            _ => ProcClass::Parked,
-        };
-        if class == ProcClass::Done && self.shared.pending.load(Ordering::Acquire) == 0 {
-            // Inline fast path: nothing in flight for this connection,
-            // so replying from the reactor thread preserves order.
-            let handled = self.rpc.handle_record_into(&self.record, enc);
-            self.record.clear();
-            handled?;
+/// What the reactor thread does with one connection's calls: answer a
+/// `Done` call inline, from the engine's buffer, or move the buffer to the
+/// connection's worker shard.
+struct Route<'a> {
+    key: usize,
+    rpc: &'a Arc<RpcServer>,
+    shared: &'a Arc<ConnShared>,
+    out: &'a OutRef,
+    rings: &'a Rings<'a>,
+    enc: &'a mut XdrEncoder,
+}
+
+impl Calls for Route<'_> {
+    fn in_flight(&self) -> usize {
+        self.shared.pending.load(Ordering::Acquire)
+    }
+
+    fn call(&mut self, class: ProcClass, conn: &mut Conn) -> RpcResult<()> {
+        let rings = self.rings;
+        if let (ProcClass::Done, Some((record, _))) = (class, conn.held()) {
+            self.rpc.handle_record_into(record, self.enc)?;
             // Counted before the reply can reach the peer: a client that
             // has its answer finds the call in the stats.
             rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
-            send_reply(key, &self.out, enc.as_slice(), rings.replies);
-        } else {
-            let record = std::mem::replace(&mut self.record, rings.record_pool.get());
-            self.shared.pending.fetch_add(1, Ordering::AcqRel);
-            let job = Job {
-                key,
-                rpc: Arc::clone(&self.rpc),
-                record,
-                shared: Arc::clone(&self.shared),
-                out: Arc::clone(&self.out),
-            };
-            rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
-            let _ = rings.worker_txs[key % rings.worker_txs.len()].send(job);
+            send_reply(self.key, self.out, self.enc, rings.replies);
+            return Ok(());
         }
+        let record = conn.take(rings.record_pool.get());
+        self.shared.pending.fetch_add(1, Ordering::AcqRel);
+        let job = Job {
+            key: self.key,
+            rpc: Arc::clone(self.rpc),
+            record,
+            shared: Arc::clone(self.shared),
+            out: Arc::clone(self.out),
+        };
+        rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
+        let _ = rings.worker_txs[self.key % rings.worker_txs.len()].send(job);
         Ok(())
     }
 }
 
-/// What [`drain_conn`] needs of the reactor besides the connection: fixed
-/// for the life of the event loop.
+/// What [`Socket::drain`] and [`Socket::pump`] need of the reactor besides
+/// the connection: fixed for the life of the event loop.
 struct Rings<'a> {
     cfg: &'a ReactorConfig,
     poller: &'a Poller,
@@ -372,6 +326,14 @@ struct ReplyPath {
     notices: Notices,
     poller: Arc<Poller>,
     stats: Arc<ReactorStats>,
+    /// Where the engine's clock starts: its `now` is the time since.
+    epoch: Instant,
+}
+
+impl ReplyPath {
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
+    }
 }
 
 /// Connections the reactor must act on, each pushed with a
@@ -389,24 +351,6 @@ struct Job {
     shared: Arc<ConnShared>,
     out: OutRef,
 }
-
-/// The largest bulk payload whose records and replies the pools recycle:
-/// one 64 KiB copy.
-const POOLED_PAYLOAD_BYTES: usize = 64 * 1024;
-
-/// What travels with that payload in one buffer: the record mark, the call
-/// header (six words) with a credential and a verifier of up to
-/// [`MAX_AUTH_BODY`] bytes each behind their flavor and length words, and
-/// eight more XDR words of arguments or result (device pointer, opaque
-/// length, status). A reply's header is smaller than a call's.
-const RECORD_OVERHEAD_BYTES: usize = 4 + 6 * 4 + 2 * (8 + MAX_AUTH_BODY) + 8 * 4;
-
-/// Largest buffer capacity [`BufPool::put`] will recycle. Records and
-/// replies range up to `MAX_RECORD` (1 GiB); pooling those would let one
-/// burst of large transfers pin `max_pooled` huge allocations forever, so
-/// anything over one 64 KiB payload with its headers is freed instead of
-/// pooled.
-const MAX_POOLED_BUF_BYTES: usize = POOLED_PAYLOAD_BYTES + RECORD_OVERHEAD_BYTES;
 
 /// Lock-based free list of byte buffers shared across the reactor and its
 /// workers. Bounded in count (`max_pooled`) *and* per-buffer bytes
@@ -451,61 +395,24 @@ impl BufPool {
     }
 }
 
-/// Append `bytes` to a pooled buffer. Growth doubles, but stops at
-/// [`MAX_POOLED_BUF_BYTES`] while the contents fit under it, so a record
-/// within the pools' cap lands in a buffer they take back.
-fn pooled_extend(buf: &mut Vec<u8>, bytes: &[u8]) {
-    let want = buf.len() + bytes.len();
-    if want > buf.capacity() && want <= MAX_POOLED_BUF_BYTES {
-        let cap = (2 * buf.capacity()).clamp(want, MAX_POOLED_BUF_BYTES);
-        buf.reserve_exact(cap - buf.len());
-    }
-    buf.extend_from_slice(bytes);
-}
-
-/// Peek `(prog, vers, proc)` out of an un-decoded call record.
-/// Returns `None` for anything that is not a plausible call header; the
-/// caller parks such records so the full decoder produces the proper error
-/// reply off the reactor thread.
-fn peek_call(record: &[u8]) -> Option<(u32, u32, u32)> {
-    if record.len() < 24 {
-        return None;
-    }
-    let word =
-        |i: usize| u32::from_be_bytes([record[i], record[i + 1], record[i + 2], record[i + 3]]);
-    if word(4) != 0 {
-        return None; // msg_type != CALL
-    }
-    Some((word(12), word(16), word(20)))
-}
-
-/// Per-connection outbound state: one reply queue in front of the
+/// Per-connection outbound state: the engine's reply queue in front of the
 /// connection's write half, shared under its lock by whichever thread
 /// produces a reply (through [`send_reply`]) and the reactor, which flushes
 /// what is left.
 ///
 /// `O_NONBLOCK` lives on the open file description, so the `try_clone`
 /// write half shares nonblocking mode with the reactor's read handle, and
-/// no thread ever blocks on a write: replies are framed into wire-format
-/// buffers and queued here, and each flush writes only what the kernel
+/// no thread ever blocks on a write: each flush writes only what the kernel
 /// buffer accepts. A peer that stops reading its replies therefore backs up
 /// only its own queue; every other connection keeps draining.
 struct Outbound {
     stream: TcpStream,
-    /// Framed records waiting for the socket; the front one may be
-    /// partially written (`offset` bytes already gone).
-    queue: VecDeque<Vec<u8>>,
-    offset: usize,
-    /// Total unwritten bytes across `queue`.
-    queued_bytes: usize,
-    /// Last time the socket accepted at least one byte (or the queue went
-    /// empty). Reset when a reply lands on an idle queue.
-    last_progress: Instant,
+    replies: Replies,
     /// Killed by the reactor: later replies are dropped.
     dead: bool,
 }
 
-/// A connection's [`Outbound`], held by its `Conn` and each of its `Job`s.
+/// A connection's [`Outbound`], held by its `Socket` and each of its `Job`s.
 /// The write half closes when the last clone drops.
 type OutRef = Arc<Mutex<Outbound>>;
 
@@ -513,39 +420,8 @@ impl Outbound {
     /// Write as much queued data as the socket accepts right now.
     /// `Ok(())` may leave data queued (kernel buffer full); `Err` means
     /// the connection is gone.
-    fn flush(&mut self, reply_pool: &BufPool) -> io::Result<()> {
-        while let Some(front) = self.queue.front() {
-            match (&mut &self.stream).write(&front[self.offset..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.offset += n;
-                    self.queued_bytes -= n;
-                    self.last_progress = Instant::now();
-                    if self.offset == front.len() {
-                        self.offset = 0;
-                        if let Some(done) = self.queue.pop_front() {
-                            reply_pool.put(done);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Bytes queued *behind* the record currently being written. A single
-    /// huge reply in flight is legitimate; an ever-growing line behind it
-    /// means the peer is not reading.
-    fn backlog(&self) -> usize {
-        let front_left = self
-            .queue
-            .front()
-            .map(|f| f.len() - self.offset)
-            .unwrap_or(0);
-        self.queued_bytes - front_left
+    fn flush(&mut self, now: Duration, pool: &BufPool) -> io::Result<()> {
+        self.replies.flush(&mut &self.stream, now, |b| pool.put(b))
     }
 
     /// Shut the shared file description down both ways, so the peer learns
@@ -553,42 +429,31 @@ impl Outbound {
     fn kill(&mut self, pool: &BufPool) {
         let _ = self.stream.shutdown(Shutdown::Both);
         self.dead = true;
-        self.offset = 0;
-        self.queued_bytes = 0;
-        for buf in self.queue.drain(..) {
-            pool.put(buf);
-        }
+        self.replies.kill(|b| pool.put(b));
     }
 }
 
-/// Send one encoded reply on `out` from the thread that produced it.
+/// Send the reply encoded in `enc` on `out` from the thread that produced
+/// it.
 ///
-/// Frames the record once into a pooled buffer (fragment headers + body,
-/// so a partial write can resume at a byte offset) and appends it to the
-/// connection's queue under its lock. If the queue was empty the record is
-/// written through at once. If it was not, the reply only queues behind the
-/// ones already there, so no reply overtakes an earlier one, whichever
-/// thread produced it. Only when bytes are left over, or the write failed,
-/// does the reactor get a notice: one per empty → non-empty turn of the
-/// queue, since only the reactor empties a queue it was told about.
-fn send_reply(key: usize, out: &OutRef, body: &[u8], via: &ReplyPath) {
-    let mut framed = via.pool.get();
-    // A Vec<u8> sink never blocks, so this cannot fail.
-    let _ = write_record_sg(&mut framed, &[body], DEFAULT_MAX_FRAGMENT);
+/// The reply's buffer moves out of the encoder, which gets a pooled one in
+/// its place, and joins the connection's queue under its lock. If the queue
+/// was empty the reply is written through at once. If it was not, the
+/// reply only queues behind the ones already there, so no reply overtakes
+/// an earlier one, whichever thread produced it. Only when bytes are left
+/// over, or the write failed, does the reactor get a notice: one per empty
+/// → non-empty turn of the queue, since only the reactor empties a queue it
+/// was told about.
+fn send_reply(key: usize, out: &OutRef, enc: &mut XdrEncoder, via: &ReplyPath) {
+    let reply = std::mem::replace(enc, XdrEncoder::from_sink(via.pool.get())).into_inner();
+    let now = via.now();
     let mut ob = out.lock();
     if ob.dead {
-        return via.pool.put(framed);
+        return via.pool.put(reply);
     }
-    let idle = ob.queue.is_empty();
-    ob.queued_bytes += framed.len();
-    ob.queue.push_back(framed);
-    if !idle {
-        return;
-    }
-    // Idle queues carry a stale progress stamp; a fresh reply must get the
-    // full stall deadline.
-    ob.last_progress = Instant::now();
-    if ob.flush(&via.pool).is_err() || !ob.queue.is_empty() {
+    let idle = ob.replies.is_empty();
+    ob.replies.push(reply, now);
+    if idle && (ob.flush(now, &via.pool).is_err() || !ob.replies.is_empty()) {
         drop(ob);
         via.stats.queued_replies.fetch_add(1, Ordering::Relaxed);
         via.notices.lock().push((key, false));
@@ -682,6 +547,7 @@ fn reactor_main(
         notices: Notices::default(),
         poller: Arc::clone(&poller),
         stats: Arc::clone(&stats),
+        epoch: Instant::now(),
     };
 
     let mut worker_txs = Vec::with_capacity(cfg.workers);
@@ -712,7 +578,7 @@ fn reactor_main(
         stats: &stats,
     };
     let low_watermark = (cfg.max_session_queue / 2).max(1);
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
+    let mut conns: HashMap<usize, Socket> = HashMap::new();
     // Exactly the connections marked stalled, closing or backlogged: all the
     // sweep visits.
     let mut watch: HashSet<usize> = HashSet::new();
@@ -729,7 +595,7 @@ fn reactor_main(
         while accepting && !stopping {
             match newconn_rx.try_recv() {
                 Ok((key, stream, handler)) => {
-                    let Ok(conn) = Conn::new(stream, handler) else {
+                    let Ok(conn) = Socket::new(stream, handler, &cfg) else {
                         continue;
                     };
                     if poller.register(&conn.stream, key).is_ok() {
@@ -763,7 +629,7 @@ fn reactor_main(
                 conn.pump(ev.key, &rings, true);
             }
             if !(conn.stalled || conn.closing) {
-                drain_conn(conn, ev.key, &rings, &mut scratch, &mut inline_enc);
+                conn.drain(ev.key, &rings, &mut scratch, &mut inline_enc);
             }
             if conn.stalled || conn.closing || conn.backlogged {
                 watch.insert(ev.key);
@@ -809,18 +675,18 @@ fn reactor_main(
                 conn.stalled = false;
                 conn.shared.attention.store(false, Ordering::Release);
                 poller.resume(key);
-                drain_conn(conn, key, &rings, &mut scratch, &mut inline_enc);
+                conn.drain(key, &rings, &mut scratch, &mut inline_enc);
             }
             if conn.backlogged {
-                if let Some(deadline) = conn.pump(key, &rings, false) {
-                    timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
+                if let Some(left) = conn.pump(key, &rings, false) {
+                    timeout = timeout.min(left);
                 }
             }
             // A reply queued by the last call may still have its notice on
             // the list: finalize on an empty queue, not on `backlogged`.
             if conn.closing
                 && conn.shared.pending.load(Ordering::SeqCst) == 0
-                && conn.out.lock().queue.is_empty()
+                && conn.out.lock().replies.is_empty()
             {
                 to_finalize.push(key);
                 return false;
@@ -842,63 +708,10 @@ fn reactor_main(
     }
 }
 
-/// Most socket reads one readiness event gets: a sender that keeps its
-/// socket full yields the reactor to the other connections after this many
-/// 64 KiB reads, and level-triggered epoll reports the rest on the next
-/// wait.
-const READS_PER_EVENT: usize = 8;
-
-/// Read and dispatch what is available on one connection, up to
-/// [`READS_PER_EVENT`] reads.
-fn drain_conn(
-    conn: &mut Conn,
-    key: usize,
-    rings: &Rings<'_>,
-    scratch: &mut [u8],
-    inline_enc: &mut XdrEncoder,
-) {
-    for reads in 0.. {
-        // What the budget left unparsed goes first, and no read follows while
-        // any of it waits, even if a worker has freed budget since: the
-        // sweep's re-check of `pending` resumes the connection.
-        let mut held = std::mem::take(&mut conn.unparsed);
-        let Ok(used) = conn.feed(key, &held, rings, inline_enc) else {
-            return conn.close(key, rings.poller);
-        };
-        held.drain(..used);
-        conn.unparsed = held;
-        if !conn.unparsed.is_empty()
-            || conn.shared.pending.load(Ordering::Acquire) >= rings.cfg.max_session_queue
-        {
-            // Budget spent: stop reading this socket; the kernel buffer
-            // fills and TCP flow control stalls the client.
-            conn.stalled = true;
-            conn.shared.attention.store(true, Ordering::SeqCst);
-            rings.poller.suspend(key);
-            rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if reads == READS_PER_EVENT {
-            return;
-        }
-        let n = match conn.stream.read(scratch) {
-            Ok(0) => return conn.close(key, rings.poller),
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return conn.close(key, rings.poller),
-        };
-        let Ok(used) = conn.feed(key, &scratch[..n], rings, inline_enc) else {
-            return conn.close(key, rings.poller);
-        };
-        conn.unparsed.extend_from_slice(&scratch[used..n]);
-    }
-}
-
 /// Tear down one connection: stop polling it, run the close hook. Callers
 /// guarantee `pending == 0` and an empty reply queue. Dropping `conn`
 /// closes both halves of its socket.
-fn finalize(key: usize, mut conn: Conn, poller: &Poller) {
+fn finalize(key: usize, mut conn: Socket, poller: &Poller) {
     // While `conn.stream` is still open: the write half's dup of it would
     // keep the registration alive past the drop.
     poller.deregister(key);
@@ -915,7 +728,7 @@ fn worker_main(rx: mpsc::Receiver<Job>, replies: ReplyPath, record_pool: BufPool
         let ok = job.rpc.handle_record_into(&job.record, &mut enc).is_ok();
         record_pool.put(job.record);
         if ok {
-            send_reply(job.key, &job.out, enc.as_slice(), &replies);
+            send_reply(job.key, &job.out, &mut enc, &replies);
         } else {
             replies.notices.lock().push((job.key, true));
         }
@@ -933,10 +746,12 @@ fn worker_main(rx: mpsc::Receiver<Job>, replies: ReplyPath, record_pool: BufPool
 mod tests {
     use super::*;
     use crate::client::RpcClient;
+    use crate::conn::Classifier;
     use crate::msg::{AcceptStat, CallBody, MessageBody, RpcMessage};
-    use crate::record::{mark, read_record, write_record};
+    use crate::record::{mark, read_record, write_record, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
     use crate::server::Dispatch;
     use crate::transport::TcpTransport;
+    use std::io::{Read, Write};
     use std::sync::atomic::AtomicU64;
     use xdr::{Xdr, XdrDecoder};
 
@@ -1431,6 +1246,40 @@ mod tests {
         assert_eq!(closes.load(Ordering::SeqCst), 1);
     }
 
+    /// `Duration::MAX` switches the stall rule off, as `usize::MAX` does the
+    /// backlog rule: an 8 MiB echo behind a peer that does not read is
+    /// never killed, and is read whole once the peer reads.
+    #[test]
+    fn a_stall_deadline_of_duration_max_never_kills() {
+        let cfg = ReactorConfig {
+            classify: Some(classifier()),
+            write_stall_deadline: Duration::MAX,
+            max_write_backlog: usize::MAX,
+            ..ReactorConfig::default()
+        };
+        let (handle, closes) = start(cfg);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let payload = backlog_payload();
+        send_call(&mut stream, 5, 1, &payload);
+        await_backlog(&handle);
+        // The reactor computes the deadline as soon as the reply backs up,
+        // and again on every pass; give it a few while the peer is silent.
+        std::thread::sleep(Duration::from_millis(100));
+        let _: u32 = {
+            let transport = TcpTransport::connect(handle.addr()).unwrap();
+            let mut other = RpcClient::new(Box::new(transport), PROG, VERS);
+            other.call(2, &(1u32, 2u32)).unwrap()
+        };
+        assert_eq!(handle.reactor_stats().writer_kills, 0);
+        expect_echo(&mut stream, 5, &payload);
+        drop(stream);
+        handle.shutdown();
+        assert_eq!(closes.load(Ordering::SeqCst), 2);
+    }
+
     /// One connection streams a record of one-byte fragments as fast as the
     /// reactor can read it while another makes inline calls. Reads are capped
     /// per readiness event, so the second connection waits for a few reads
@@ -1515,168 +1364,5 @@ mod tests {
             "shutdown must finalize live connections"
         );
         drop(clients);
-    }
-
-    /// The rings one connection's reads are dispatched through, with parked
-    /// calls landing on `jobs` instead of a worker shard: a test drives
-    /// `drain_conn` or `Conn::feed` itself and inspects what they hand on.
-    struct Rig {
-        cfg: ReactorConfig,
-        poller: Arc<Poller>,
-        worker_tx: mpsc::Sender<Job>,
-        jobs: mpsc::Receiver<Job>,
-        replies: ReplyPath,
-        record_pool: BufPool,
-        stats: Arc<ReactorStats>,
-    }
-
-    const KEY: usize = 1;
-
-    impl Rig {
-        fn new(max_session_queue: usize) -> Self {
-            let stats = Arc::new(ReactorStats::default());
-            let (worker_tx, jobs) = mpsc::channel();
-            let poller = Arc::new(Poller::try_new().unwrap());
-            let replies = ReplyPath {
-                pool: BufPool::new(8, &stats),
-                notices: Arc::default(),
-                poller: Arc::clone(&poller),
-                stats: Arc::clone(&stats),
-            };
-            Self {
-                cfg: ReactorConfig {
-                    max_session_queue,
-                    ..ReactorConfig::default()
-                },
-                poller,
-                worker_tx,
-                jobs,
-                replies,
-                record_pool: BufPool::new(8, &stats),
-                stats,
-            }
-        }
-
-        fn rings(&self) -> Rings<'_> {
-            Rings {
-                cfg: &self.cfg,
-                poller: &self.poller,
-                worker_txs: std::slice::from_ref(&self.worker_tx),
-                replies: &self.replies,
-                record_pool: &self.record_pool,
-                stats: &self.stats,
-            }
-        }
-
-        /// A registered connection, and the peer end of its socket.
-        fn conn(&self) -> (Conn, TcpStream) {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let handler = ConnHandler {
-                rpc: Arc::new(RpcServer::new()),
-                on_close: None,
-            };
-            let conn = Conn::new(listener.accept().unwrap().0, handler).unwrap();
-            self.poller.register(&conn.stream, KEY).unwrap();
-            (conn, peer)
-        }
-    }
-
-    /// Reassembly parses each byte once: a record of 4 Mi one-byte
-    /// fragments fed 64 KiB at a time, as the reactor reads it, takes about
-    /// as long as the same bytes fed whole. A two-pass assembler that
-    /// re-walks every mark of the unfinished record on each read is
-    /// quadratic in the fragments: in a debug build it took 20.1 s fed in
-    /// reads against 0.41 s fed whole, all of it on the one reactor thread
-    /// that serves every connection. The two feeds are timed against each
-    /// other, not a clock, so a busy machine slows both sides.
-    #[test]
-    fn reassembly_is_linear_in_the_bytes_received() {
-        const FRAGMENTS: usize = 4 << 20;
-        let rig = Rig::new(64);
-        let (mut conn, _peer) = rig.conn();
-        let payload: Vec<u8> = (0..FRAGMENTS).map(|i| (i % 251) as u8).collect();
-        let mut wire = Vec::with_capacity(5 * FRAGMENTS);
-        for (i, &byte) in payload.iter().enumerate() {
-            wire.extend_from_slice(&mark(1, i + 1 == FRAGMENTS));
-            wire.push(byte);
-        }
-        let mut enc = XdrEncoder::new();
-        let mut assemble = |read: usize| {
-            let start = Instant::now();
-            for chunk in wire.chunks(read) {
-                let used = conn.feed(KEY, chunk, &rig.rings(), &mut enc).unwrap();
-                assert_eq!(used, chunk.len());
-            }
-            let took = start.elapsed();
-            let job = rig.jobs.try_recv().expect("the record was parked");
-            assert!(job.record == payload, "record damaged");
-            took
-        };
-        // Best of two each, so one preemption does not decide it.
-        let whole = assemble(wire.len()).min(assemble(wire.len()));
-        let reads = assemble(64 << 10).min(assemble(64 << 10));
-        assert!(reads < 4 * whole, "{reads:?} in reads, {whole:?} whole");
-    }
-
-    /// A parked 16 MiB request is assembled in the connection's buffer and
-    /// that buffer itself moves to its `Job`. While the in-flight budget (one
-    /// call here) holds the calls behind it back, the bytes read but not
-    /// parsed never exceed one socket read, however much the peer sends.
-    #[test]
-    fn a_parked_record_moves_to_its_job_and_unparsed_bytes_stay_within_one_read() {
-        let rig = Rig::new(1);
-        let (mut conn, mut peer) = rig.conn();
-        let (mut scratch, mut enc) = (vec![0u8; 64 << 10], XdrEncoder::new());
-        let mut drain = |conn: &mut Conn| {
-            drain_conn(conn, KEY, &rig.rings(), &mut scratch, &mut enc);
-            assert!(conn.unparsed.len() <= 64 << 10, "{}", conn.unparsed.len());
-        };
-        let payload: Vec<u8> = (0..16u32 << 20).map(|i| (i % 253) as u8).collect();
-        // Every fragment but an empty last one, so the read that completes
-        // the record adds no payload to it.
-        let body = std::thread::spawn(move || {
-            for chunk in payload.chunks(DEFAULT_MAX_FRAGMENT) {
-                peer.write_all(&mark(chunk.len(), false)).unwrap();
-                peer.write_all(chunk).unwrap();
-            }
-            (peer, payload)
-        });
-        while conn.record.len() < 16 << 20 {
-            drain(&mut conn);
-        }
-        let (mut peer, payload) = body.join().unwrap();
-        let assembled = conn.record.as_ptr();
-        // Then 32 small calls and a 1 MiB one, all held back by the budget.
-        let mut rest = mark(0, true).to_vec();
-        for xid in 0..33u32 {
-            let mut enc = XdrEncoder::new();
-            RpcMessage::call(xid, CallBody::new(PROG, VERS, 1)).encode(&mut enc);
-            vec![7u8; if xid == 32 { 1 << 20 } else { 8 }].encode(&mut enc);
-            write_record(&mut rest, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
-        }
-        let tail = std::thread::spawn(move || peer.write_all(&rest).map(|()| peer));
-        let job = loop {
-            drain(&mut conn);
-            if let Ok(job) = rig.jobs.try_recv() {
-                break job;
-            }
-        };
-        assert_eq!(job.record.as_ptr(), assembled, "the record was copied");
-        assert!(job.record == payload, "record damaged");
-        for xid in 0..33u32 {
-            assert!(conn.stalled && rig.jobs.try_recv().is_err(), "over budget");
-            // One completion releases the next call.
-            conn.shared.pending.fetch_sub(1, Ordering::SeqCst);
-            conn.stalled = false;
-            let job = loop {
-                drain(&mut conn);
-                if let Ok(job) = rig.jobs.try_recv() {
-                    break job;
-                }
-            };
-            assert_eq!(job.record[..4], xid.to_be_bytes());
-        }
-        tail.join().unwrap().unwrap();
     }
 }

@@ -417,19 +417,19 @@ impl IncomingRecord {
 /// The wire length of a record of `len` payload bytes written in fragments
 /// of at most `max_fragment`: the payload and one mark per fragment, an
 /// empty record being one empty last fragment.
-pub fn wire_len(len: usize, max_fragment: usize) -> usize {
+pub(crate) fn wire_len(len: usize, max_fragment: usize) -> usize {
     len + 4 * len.div_ceil(max_fragment).max(1)
 }
 
 /// Where the writing of one record stands: the dual of [`RecordMarks`].
-/// It holds no payload. Each [`OutgoingRecord::fill`] is handed the
-/// record's payload and appends the next wire bytes, marks from `mark`
-/// and payload sliced from it, to a send buffer until the buffer is full or
-/// the record is out, so a record goes out one send buffer at a time and
-/// each call resumes where the last stopped. The bytes are
-/// [`write_record`]'s, fragment for fragment.
+/// It holds no payload. Each [`OutgoingRecord::write_to`] is handed the
+/// record's payload and writes the next wire bytes, marks from `mark` and
+/// payload sliced from it, until the writer would block or the record is
+/// out, so a record goes out as the writer takes it and each call resumes
+/// where the last stopped. The bytes are [`write_record`]'s, fragment for
+/// fragment.
 #[derive(Debug, Clone)]
-pub struct OutgoingRecord {
+pub(crate) struct OutgoingRecord {
     len: usize,
     max_fragment: usize,
     /// Payload bytes written.
@@ -444,7 +444,7 @@ pub struct OutgoingRecord {
 impl OutgoingRecord {
     /// A record of `len` payload bytes in fragments of at most
     /// `max_fragment`, none of it written.
-    pub fn new(len: usize, max_fragment: usize) -> Self {
+    pub(crate) fn new(len: usize, max_fragment: usize) -> Self {
         assert!(max_fragment > 0, "max_fragment must be positive");
         let mut record = Self {
             len,
@@ -467,31 +467,40 @@ impl OutgoingRecord {
         self.marked = 0;
     }
 
-    /// Append the record's next wire bytes to `out` until it holds `cap`
-    /// bytes or the record is written; `payload` is the record's payload,
-    /// the same on every call. Returns whether the record is written.
-    pub fn fill(&mut self, payload: &[u8], out: &mut Vec<u8>, cap: usize) -> bool {
+    /// Write the record's next wire bytes to `w`, one vectored write of the
+    /// current fragment's mark and payload at a time, until `w` takes no
+    /// more (`WouldBlock`, or `Ok(0)` from a full buffer) or the record is
+    /// written; `payload` is the record's payload, the same on every call.
+    /// Returns the bytes written and whether the record is.
+    pub(crate) fn write_to(
+        &mut self,
+        payload: &[u8],
+        w: &mut impl Write,
+    ) -> io::Result<(usize, bool)> {
         debug_assert_eq!(payload.len(), self.len, "a record's payload is fixed");
+        let mut wrote = 0;
         loop {
             if self.marked == 4 && self.left == 0 {
                 if self.sent == self.len {
-                    return true;
+                    return Ok((wrote, true));
                 }
                 self.start_fragment();
             }
-            let room = cap.saturating_sub(out.len());
-            if room == 0 {
-                return false;
-            }
-            if self.marked < 4 {
-                let n = room.min(4 - self.marked);
-                out.extend_from_slice(&self.mark[self.marked..self.marked + n]);
-                self.marked += n;
-            } else {
-                let n = room.min(self.left);
-                out.extend_from_slice(&payload[self.sent..self.sent + n]);
-                (self.sent, self.left) = (self.sent + n, self.left - n);
-            }
+            let parts = [
+                IoSlice::new(&self.mark[self.marked..]),
+                IoSlice::new(&payload[self.sent..self.sent + self.left]),
+            ];
+            let n = match w.write_vectored(&parts) {
+                Ok(0) => return Ok((wrote, false)),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok((wrote, false)),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let marked = n.min(4 - self.marked);
+            self.marked += marked;
+            (self.sent, self.left) = (self.sent + n - marked, self.left - (n - marked));
+            wrote += n;
         }
     }
 }
@@ -528,7 +537,7 @@ impl<W: Write> RecordWriter<W> {
     }
 
     /// Wrap `inner` with a custom maximum fragment payload size.
-    pub fn with_max_fragment(inner: W, max_fragment: usize) -> Self {
+    fn with_max_fragment(inner: W, max_fragment: usize) -> Self {
         assert!(max_fragment > 0);
         Self {
             inner,
@@ -831,20 +840,22 @@ mod tests {
                 assert_eq!(wire_len(len, max_fragment), want.len());
                 for cap in [1, 3, 4, 5, 64, 104, 1 << 20] {
                     let mut out = OutgoingRecord::new(len, max_fragment);
-                    let (mut wire, mut tx) = (Vec::new(), Vec::new());
+                    let (mut wire, mut tx) = (Vec::new(), vec![0u8; cap]);
                     loop {
-                        tx.clear();
-                        let done = out.fill(&payload[..len], &mut tx, cap);
-                        assert!(tx.len() <= cap);
-                        assert!(done || tx.len() == cap, "a short buffer before the end");
-                        wire.extend_from_slice(&tx);
+                        let mut room = &mut tx[..];
+                        let (n, done) = out.write_to(&payload[..len], &mut room).unwrap();
+                        assert_eq!(n, cap - room.len());
+                        assert!(done || n == cap, "a short buffer before the end");
+                        wire.extend_from_slice(&tx[..n]);
                         if done {
                             break;
                         }
                     }
                     assert_eq!(wire, want, "len {len}, fragment {max_fragment}, cap {cap}");
-                    tx.clear();
-                    assert!(out.fill(&payload[..len], &mut tx, cap) && tx.is_empty());
+                    assert_eq!(
+                        out.write_to(&payload[..len], &mut &mut tx[..]).unwrap(),
+                        (0, true)
+                    );
                 }
             }
         }

@@ -70,7 +70,7 @@ impl TcpTransport {
     }
 
     /// Wrap an accepted stream (server side).
-    pub fn from_stream(stream: TcpStream) -> RpcResult<Self> {
+    pub(crate) fn from_stream(stream: TcpStream) -> RpcResult<Self> {
         stream.set_nodelay(true)?;
         Ok(Self { stream })
     }
@@ -307,7 +307,7 @@ mod tests {
     fn reactor_accept_path_sets_nodelay() {
         let handle = crate::reactor::serve_tcp_reactor(
             "127.0.0.1:0",
-            crate::reactor::ReactorConfig::default(),
+            crate::ReactorConfig::default(),
             |_conn| crate::reactor::ConnHandler {
                 rpc: std::sync::Arc::new(crate::server::RpcServer::new()),
                 on_close: None,

@@ -46,10 +46,13 @@ export CARGO_NET_OFFLINE=true
 # above the lines they took once a D2H reply's data landed in the caller's
 # buffer: a second record reader or receive path beside `IncomingRecord` and
 # `receive_reply` would show here. And the connection engine,
-# `oncrpc/src/conn.rs`, with `reactor.rs`, `cricket-server/src/transport.rs`
-# and `record.rs` at the lines they took once both drove it through one
-# vectored `OutgoingRecord::write_to`: a second record parser, reply queue or
-# framer beside it would show here. The engine is sans-IO: a clock
+# `oncrpc/src/conn.rs`, with `reactor.rs` and `cricket-server/src/transport.rs`
+# at the lines they took once the engine handed each call on as the record
+# buffer it was assembled in (no call parked in place, one shared `Link` per
+# reactor connection), and `record.rs` at those it took once both drivers
+# wrote replies through one vectored `OutgoingRecord::write_to`: a second
+# record parser, reply queue, framer or parking path beside them would show
+# here. The engine is sans-IO: a clock
 # (`Instant`, `SystemTime`), a socket (`std::net`, `TcpStream`), a thread
 # (`std::thread`) or the poller (`Poller`) in its non-test code fails the
 # step, since time and I/O enter it only as arguments its drivers pass.
@@ -103,8 +106,8 @@ size() {
     awk '/#\[cfg\(test\)\]/ { exit } { n++ }
         END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 227)\n", n; exit n > 227 }' \
         shims/polling/src/lib.rs
-    for limit in crates/cricket-server/src/transport.rs:368 crates/unikernel/src/tcp.rs:261 \
-        crates/oncrpc/src/reactor.rs:744 crates/oncrpc/src/conn.rs:415 crates/core/src/raw.rs:910 \
+    for limit in crates/cricket-server/src/transport.rs:359 crates/unikernel/src/tcp.rs:261 \
+        crates/oncrpc/src/reactor.rs:703 crates/oncrpc/src/conn.rs:377 crates/core/src/raw.rs:910 \
         crates/cricket-server/src/service.rs:678 crates/cricket-server/src/server.rs:550 \
         crates/cricket-server/src/state.rs:636 crates/cricket-server/src/prologue.rs:342 \
         crates/cricket-server/src/batch.rs:276 crates/vgpu/src/kernels.rs:586 \
@@ -198,7 +201,9 @@ cargo test -q
 #                          carry the same segments, clock, counters and reply bytes; staging_is_bounded_by_one_mss_each_way:
 #                          after 16 MiB each way both send buffers are one MSS, the server endpoint's own buffer unused,
 #                          and the client endpoint holds at most one server MSS at every read of a 16 MiB D2H;
-#                          an_oversized_record_mark_poisons_the_transport: refused as it arrives, nothing sized from it),
+#                          an_oversized_record_mark_poisons_the_transport: refused as it arrives, nothing sized from it;
+#                          a_call_the_server_refuses_poisons_the_transport_where_it_lands: a REPLY record fails the
+#                          write that completes it, then flush, read and write alike, no round trip charged),
 # cricket-oncrpc record (an_announced_length_does_not_size_the_buffer: a 512 MiB header then EOF leaves < 1 MiB;
 #                          marks_*: RecordMarks over multi-fragment, byte-at-a-time, split records into a reused buffer,
 #                          oversized (refused at the mark) and empty records; fill_from_hands_read_at_most_one_step:
@@ -241,7 +246,9 @@ cargo test -q
 #                          a_parked_record_moves_to_its_job_and_unparsed_bytes_stay_within_one_read: a 16 MiB
 #                          parked record's buffer is the Job's, and read-but-unparsed bytes stay <= one 64 KiB read;
 #                          held_bytes_are_parsed_before_the_next_read: 4000 pipelined parked calls of mixed sizes
-#                          against a two-call budget, every reply in xid order with its own bytes),
+#                          against a two-call budget, every reply in xid order with its own bytes;
+#                          a_budget_of_one_resumes_once_its_call_is_answered: 200 pipelined calls against a one-call
+#                          budget stall at most once each, the sweep never resuming a full budget),
 # polling shim (epoll: unread_data_is_reported_again, deregister_holds_while_a_dup_keeps_the_socket_open,
 #                          one_written_source_among_1024_idle_is_the_only_event, notify_before_wait_is_not_lost,
 #                          suspended_hangup_is_reported_at_most_once,

@@ -113,9 +113,9 @@ pub fn proc_class(proc: u32) -> oncrpc::ProcClass {
     }
 }
 
-/// The [`proc_class`] table as a reactor [`oncrpc::Classifier`]: calls to
-/// foreign programs/versions are parked so the full dispatcher produces
-/// the proper error reply off the reactor thread.
+/// The [`proc_class`] table as the TCP reactor's [`oncrpc::Classifier`]
+/// (only the reactor classifies): foreign programs/versions are parked so
+/// the full dispatcher produces the proper error reply off its thread.
 pub fn cricket_classifier() -> oncrpc::Classifier {
     Arc::new(|prog, vers, proc| {
         if prog == cricket_proto::CRICKET_CUDA && vers == cricket_proto::CRICKET_V1 {

@@ -9,13 +9,13 @@
 //! through this transport advances the clock by exactly the modeled
 //! client→wire→server→wire→client round trip. Both legs stream through
 //! send buffers of one MSS. The server half is the reactor's connection
-//! engine ([`oncrpc::Conn`], [`oncrpc::Replies`]) on the virtual clock:
-//! each landed segment's payload is pushed into it, an inline call is
-//! answered as it completes, a parked one waits in the engine's buffer
-//! until the guest waits for its reply, and a reply is carried down one MSS
-//! each time the client reads with nothing left to read (DESIGN.md §6).
+//! engine ([`oncrpc::Conn`], [`oncrpc::Replies`]) on the virtual clock,
+//! under an in-flight budget of one: each landed segment's payload is
+//! pushed into it, every call is answered from the engine's record buffer
+//! as its last segment lands, a call behind a queued reply waits as
+//! unparsed bytes, and a reply is carried down one MSS each time the client
+//! reads with nothing left to read (DESIGN.md §6).
 
-use crate::cricket_classifier;
 use oncrpc::record::{RecordMarks, MAX_RECORD};
 use oncrpc::Transport;
 use oncrpc::{Calls, Conn, ProcClass, ReactorConfig, Replies, RpcError, RpcResult, RpcServer};
@@ -106,14 +106,11 @@ impl Calls for Server {
         usize::from(!self.replies.is_empty())
     }
 
-    /// Execute a call straight out of the engine's buffer (service methods
-    /// charge the clock themselves), move its reply into the queue by
-    /// buffer swap, and charge the network legs with this call's own
-    /// lengths. A parked call stays where it is until the guest waits.
-    fn call(&mut self, class: ProcClass, conn: &mut Conn) -> RpcResult<()> {
-        let (ProcClass::Done, Some((record, wire_up))) = (class, conn.held()) else {
-            return Ok(());
-        };
+    /// Execute a call as it lands, straight out of the engine's buffer
+    /// (service methods charge the clock themselves), move its reply into
+    /// the queue by buffer swap, and charge the network legs with this
+    /// call's own lengths.
+    fn call(&mut self, _: ProcClass, record: &mut Vec<u8>, wire_up: usize) -> RpcResult<()> {
         self.copied += record.len() as u64;
         self.rpc.handle_record_into(record, &mut self.enc)?;
         let spare = XdrEncoder::from_sink(std::mem::take(&mut self.spare));
@@ -129,11 +126,10 @@ impl Calls for Server {
     }
 }
 
-/// The server's connection engine: the reactor's classifier and in-flight
-/// budget.
+/// The server's connection engine: one call in flight, no classifier.
 fn engine() -> Conn {
     Conn::new(&ReactorConfig {
-        classify: Some(cricket_classifier()),
+        max_session_queue: 1,
         ..ReactorConfig::default()
     })
 }
@@ -320,17 +316,9 @@ impl Write for SimTransport {
         Ok(buf.len())
     }
 
-    /// Answer every call parked in the engine, oldest first: the reply
-    /// before it is carried down whole, then it runs. The last reply waits
-    /// for `read`.
+    /// Every call was answered as it landed; a reply waits for `read`.
     fn flush(&mut self) -> io::Result<()> {
-        self.check()?;
-        while self.conn.held().is_some() {
-            while self.carry_down()? {}
-            let released = self.conn.release(&mut self.server);
-            released.map_err(|e| self.poison(rpc_to_io(e)))?;
-        }
-        Ok(())
+        self.check()
     }
 }
 
@@ -339,10 +327,13 @@ impl Read for SimTransport {
         if self.read_off >= self.client_ep.available() {
             self.client_ep.consume(usize::MAX);
             self.read_off = 0;
-            // The client waits for a reply: run what has arrived, unless a
-            // reply is still on its way, and carry its next MSS down.
+            // The client waits for a reply: once the last one is carried
+            // down whole, run what arrived behind it, then carry the next
+            // MSS down.
             if self.server.replies.is_empty() {
-                self.flush()?;
+                self.check()?;
+                let resumed = self.conn.resume(&mut self.server);
+                resumed.map_err(|e| self.poison(rpc_to_io(e)))?;
             }
             if !self.carry_down()? {
                 return Ok(0); // clean EOF: nothing outstanding
@@ -548,11 +539,11 @@ mod tests {
         }
     }
 
-    /// No stage holds a whole record: the server reassembles a 16 MiB
-    /// request straight into the engine's buffer, marks stripped, without its
-    /// endpoint's own buffer; a 16 MiB reply reaches the client endpoint one
-    /// server MSS at a time; after a 16 MiB copy each way both send buffers
-    /// are still one MSS.
+    /// No stage holds a whole record: a 16 MiB request is copied once into
+    /// the guest send buffer and once, marks stripped, into the engine's
+    /// buffer, and never into the server endpoint's own; a 16 MiB reply
+    /// reaches the client endpoint one server MSS at a time; after a 16 MiB
+    /// copy each way both send buffers are still one MSS.
     #[test]
     fn staging_is_bounded_by_one_mss_each_way() {
         use cricket_proto::{cricket_v1, CRICKET_CUDA, CRICKET_V1};
@@ -577,11 +568,11 @@ mod tests {
                 enc.put_opaque(&data);
             });
             let mut t = shared.0.lock();
+            let copied = t.bytes_copied();
             t.write_all(&wire).unwrap();
             assert_eq!(t.server_ep.available(), 0, "{kind:?}");
-            let (held, held_wire) = t.conn.held().expect("the parked copy waits in place");
-            assert_eq!((held.len(), held_wire), (payload.len(), wire.len()));
-            assert!(held == payload, "{kind:?}: marks not stripped");
+            let staged = (wire.len() + payload.len()) as u64;
+            assert_eq!(t.bytes_copied() - copied, staged, "{kind:?}");
             let mut reply = [0u8; 64];
             while t.read(&mut reply).unwrap() != 0 {}
 
@@ -618,13 +609,14 @@ mod tests {
 
     /// A record mark announcing more than `MAX_RECORD` is refused as it
     /// arrives: the write fails, the transport is poisoned, and nothing
-    /// reached the server's engine.
+    /// reached the server: no round trip, no virtual time.
     #[test]
     fn an_oversized_record_mark_poisons_the_transport() {
         let (rpc, clock) = sim_server();
         let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
         c.rpc_null().unwrap();
         let mut t = shared.0.lock();
+        let before = (t.server.stats.round_trips, clock.now_ns());
         let mark = (LAST_FRAGMENT | (MAX_RECORD as u32 + 1)).to_be_bytes();
         t.write_all(&mark[..2]).unwrap();
         let err = t.write(&mark[2..]).unwrap_err();
@@ -632,7 +624,37 @@ mod tests {
         assert!(err.to_string().contains("exceeds maximum"), "{err}");
         assert_eq!(t.flush().unwrap_err().to_string(), err.to_string());
         assert_eq!(t.write(&[0; 8]).unwrap_err().to_string(), err.to_string());
-        assert!(t.conn.held().is_none() && t.client_tx.capacity() <= t.client_ep.mss);
+        assert_eq!((t.server.stats.round_trips, clock.now_ns()), before);
+        assert!(t.client_tx.capacity() <= t.client_ep.mss);
+    }
+
+    /// A well-framed record the server refuses (a REPLY where a call
+    /// belongs) fails the write that completes it, since the call runs as
+    /// it lands; `flush`, `read` and any later write fail the same way, and
+    /// no round trip or virtual time is charged.
+    #[test]
+    fn a_call_the_server_refuses_poisons_the_transport_where_it_lands() {
+        let (rpc, clock) = sim_server();
+        let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
+        c.rpc_null().unwrap();
+        let mut t = shared.0.lock();
+        let before = (t.server.stats.round_trips, clock.now_ns());
+        let mut enc = xdr::XdrEncoder::new();
+        enc.put(&oncrpc::RpcMessage::reply(5, oncrpc::ReplyBody::success()));
+        let mut wire = Vec::new();
+        oncrpc::record::write_record(&mut wire, enc.as_slice(), 1 << 20).unwrap();
+        let (head, last) = wire.split_at(wire.len() - 1);
+        t.write_all(head).unwrap();
+        let err = t.write(last).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("in-process server error"), "{err}");
+        assert_eq!(t.flush().unwrap_err().to_string(), err.to_string());
+        assert_eq!(
+            t.read(&mut [0; 8]).unwrap_err().to_string(),
+            err.to_string()
+        );
+        assert_eq!(t.write(&[0; 8]).unwrap_err().to_string(), err.to_string());
+        assert_eq!((t.server.stats.round_trips, clock.now_ns()), before);
     }
 
     /// The functional path may change how bytes move, never what the cost

@@ -1,26 +1,27 @@
 //! One connection's RPC engine, with no socket, thread or clock of its own.
 //!
 //! Bytes go in — pushed as they arrive ([`Conn::push`]) or read from an
-//! injected reader — and whole calls come out to the driver's [`Calls`]:
-//! answer this one now, or park it and answer it later in order. The reply
-//! half ([`Replies`]) frames each reply lazily as it writes it to an
-//! injected writer and applies the kill rules against an injected `now`.
+//! injected reader — and each whole call goes out to the driver's [`Calls`]
+//! as the record buffer it was assembled in. The reply half ([`Replies`])
+//! frames each reply lazily as it writes it to an injected writer and
+//! applies the kill rules against an injected `now`.
 //!
 //! ```text
-//!   bytes ──▶ Conn: RecordMarks strip ─▶ classify ─▶ Calls::call(Done | Parked)
-//!               │ budget spent / call parked in place: hold the rest unparsed
+//!   bytes ──▶ Conn: RecordMarks strip ─▶ classify ─▶ Calls::call(&mut record)
+//!               │ budget spent: hold the rest unparsed until Conn::resume
 //!               ▼
 //!   reply ──▶ Replies: queue ─▶ OutgoingRecord ─▶ writer (vectored)
 //!               │ backlog / stall deadline at `now` ─▶ Backlog::Kill
 //! ```
 //!
 //! Two drivers run it. The epoll reactor ([`crate::reactor`]) reads sockets
-//! into it, parks calls on worker shards and takes `now` from a monotonic
-//! clock. The simulated transport of `cricket-server` pushes each landed
-//! segment's payload into it, keeps a parked call in place until the guest
-//! waits for its reply, and takes `now` from the virtual clock. Time and I/O
-//! enter only through those arguments, so the engine's rules run unchanged
-//! on either clock.
+//! into it, swaps a parked call's record for a pooled buffer and hands it
+//! to a worker shard, and takes `now` from a monotonic clock. The simulated
+//! transport of `cricket-server` pushes each landed segment's payload into
+//! it, answers every call from its record as it lands under a budget of
+//! one, and takes `now` from the virtual clock. Time and I/O enter only
+//! through those arguments, so the engine's rules run unchanged on either
+//! clock.
 
 use crate::auth::MAX_AUTH_BODY;
 use crate::error::RpcResult;
@@ -107,16 +108,16 @@ const READS_PER_EVENT: usize = 8;
 /// What a driver does with the calls its [`Conn`] assembles.
 pub trait Calls {
     /// Calls handed on and not answered yet. The in-flight budget counts
-    /// these, and a `Done` call is answered at once only when there are
+    /// these, and a `Done` call is handed on as such only when there are
     /// none, so no reply overtakes an earlier one.
     fn in_flight(&self) -> usize;
 
-    /// `conn` holds a whole call ([`Conn::held`]). `Done`: answer it now,
-    /// from the engine's buffer, which is cleared afterwards. `Parked`:
-    /// answer it later, in order. The reactor moves the buffer to a worker
-    /// shard; a driver that leaves it in place gets no further call until
-    /// [`Conn::release`]. An error closes the connection.
-    fn call(&mut self, class: ProcClass, conn: &mut Conn) -> RpcResult<()>;
+    /// `record` holds a whole call, marks stripped, `wire` bytes long on
+    /// the wire. `Done`: answer it now. `Parked`: answer it later, in
+    /// order; a driver that does so elsewhere takes the buffer, leaving
+    /// another in its place. The engine clears whatever is left. An error
+    /// closes the connection.
+    fn call(&mut self, class: ProcClass, record: &mut Vec<u8>, wire: usize) -> RpcResult<()>;
 }
 
 /// What one [`Conn::drain`] came to.
@@ -132,16 +133,12 @@ pub(crate) enum Drained {
 
 /// The request half of one connection: strips record marks as bytes
 /// arrive, classifies each whole call, and holds back what arrives while
-/// the in-flight budget is spent or a call is parked in place.
+/// the in-flight budget is spent.
 pub struct Conn {
     /// Where the request stream stands, and the record being assembled,
     /// its marks stripped.
     marks: RecordMarks,
     record: Vec<u8>,
-    /// The wire length of the whole call in `record`, while the engine
-    /// holds one: during [`Calls::call`], and after it while parked in
-    /// place.
-    held: Option<usize>,
     /// Bytes arrived but not parsed. While any wait, nothing newer is.
     unparsed: Vec<u8>,
     classify: Option<Classifier>,
@@ -155,23 +152,10 @@ impl Conn {
         Self {
             marks: RecordMarks::new(MAX_RECORD),
             record: Vec::new(),
-            held: None,
             unparsed: Vec::new(),
             classify: cfg.classify.clone(),
             budget: cfg.max_session_queue,
         }
-    }
-
-    /// The whole call the engine holds, marks stripped, and its length on
-    /// the wire.
-    pub fn held(&self) -> Option<(&[u8], usize)> {
-        self.held.map(|wire| (&self.record[..], wire))
-    }
-
-    /// Take the held call's buffer, leaving `with` to assemble the next.
-    pub(crate) fn take(&mut self, with: Vec<u8>) -> Vec<u8> {
-        self.held = None;
-        std::mem::replace(&mut self.record, with)
     }
 
     /// Take `bytes` that arrived on the connection: parse them unless older
@@ -186,13 +170,14 @@ impl Conn {
         Ok(())
     }
 
-    /// Answer the call parked in place (as `Done`), then parse what was
-    /// held behind it.
-    pub fn release(&mut self, calls: &mut impl Calls) -> RpcResult<()> {
-        if self.held.is_some() {
-            self.answer(ProcClass::Done, calls)?;
-        }
-        self.resume(calls)
+    /// Parse the held bytes as far as the budget allows: how a driver
+    /// restarts a connection once calls have completed.
+    pub fn resume(&mut self, calls: &mut impl Calls) -> RpcResult<()> {
+        let mut held = std::mem::take(&mut self.unparsed);
+        let used = self.parse(&held, calls)?;
+        held.drain(..used);
+        self.unparsed = held;
+        Ok(())
     }
 
     /// Parse the held bytes and then up to [`READS_PER_EVENT`] reads of
@@ -209,7 +194,7 @@ impl Conn {
             if self.resume(calls).is_err() {
                 return Drained::Closed;
             }
-            if !self.unparsed.is_empty() || !self.open(calls) {
+            if !self.unparsed.is_empty() || calls.in_flight() >= self.budget {
                 return Drained::Stalled;
             }
             if reads == READS_PER_EVENT {
@@ -229,54 +214,31 @@ impl Conn {
         }
     }
 
-    /// Whether another call may be parsed: none is parked in place and the
-    /// budget has room.
-    fn open(&self, calls: &impl Calls) -> bool {
-        self.held.is_none() && calls.in_flight() < self.budget
-    }
-
-    /// Parse the held bytes as far as the budget allows.
-    fn resume(&mut self, calls: &mut impl Calls) -> RpcResult<()> {
-        let mut held = std::mem::take(&mut self.unparsed);
-        let used = self.parse(&held, calls)?;
-        held.drain(..used);
-        self.unparsed = held;
-        Ok(())
-    }
-
     /// Strip the marks off `bytes` into `record` and hand each call on as it
-    /// completes, while [`Conn::open`]. Returns how many of `bytes` it
+    /// completes, while the budget has room. Returns how many of `bytes` it
     /// parsed. Every byte is parsed once, so reassembly is linear in the
     /// bytes received.
     fn parse(&mut self, bytes: &[u8], calls: &mut impl Calls) -> RpcResult<usize> {
         let mut used = 0;
-        while used < bytes.len() && self.open(calls) {
+        while used < bytes.len() && calls.in_flight() < self.budget {
             let record = &mut self.record;
             let (n, end) = self
                 .marks
                 .strip(&bytes[used..], |p| pooled_extend(record, p))?;
             used += n;
             if let Some((_, wire)) = end {
-                self.held = Some(wire);
                 let class = match (&self.classify, peek_call(&self.record)) {
-                    (Some(f), Some((prog, vers, proc))) => f(prog, vers, proc),
+                    (Some(f), Some((prog, vers, proc))) if calls.in_flight() == 0 => {
+                        f(prog, vers, proc)
+                    }
                     _ => ProcClass::Parked,
                 };
-                match class {
-                    ProcClass::Done if calls.in_flight() == 0 => self.answer(class, calls)?,
-                    _ => calls.call(ProcClass::Parked, self)?,
-                }
+                let called = calls.call(class, &mut self.record, wire);
+                self.record.clear();
+                called?;
             }
         }
         Ok(used)
-    }
-
-    /// Hand the held call on to be answered now, then clear it.
-    fn answer(&mut self, class: ProcClass, calls: &mut impl Calls) -> RpcResult<()> {
-        let answered = calls.call(class, self);
-        self.held = None;
-        self.record.clear();
-        answered
     }
 }
 
@@ -507,9 +469,9 @@ mod tests {
             self.pending
         }
 
-        fn call(&mut self, _: ProcClass, conn: &mut Conn) -> RpcResult<()> {
+        fn call(&mut self, _: ProcClass, record: &mut Vec<u8>, _: usize) -> RpcResult<()> {
             self.pending += 1;
-            self.taken.push(conn.take(Vec::new()));
+            self.taken.push(std::mem::take(record));
             Ok(())
         }
     }
@@ -630,7 +592,7 @@ mod tests {
     }
 
     /// Bytes pushed while older ones wait unparsed queue behind them, even
-    /// once the budget has room again: the next `release` (or read loop)
+    /// once the budget has room again: the next `resume` (or read loop)
     /// parses the older ones first, so calls are handed on in order.
     #[test]
     fn pushed_bytes_queue_behind_held_ones() {
@@ -647,7 +609,7 @@ mod tests {
             "a newer call was parsed ahead of a held one"
         );
         for _ in 0..2 {
-            conn.release(&mut jobs).unwrap();
+            conn.resume(&mut jobs).unwrap();
             jobs.pending = 0;
         }
         let xids: Vec<&[u8]> = jobs.taken.iter().map(|r| &r[..4]).collect();
@@ -770,13 +732,13 @@ mod tests {
             self.peer.pending
         }
 
-        fn call(&mut self, class: ProcClass, conn: &mut Conn) -> RpcResult<()> {
-            if let (ProcClass::Done, Some((record, _))) = (class, conn.held()) {
+        fn call(&mut self, class: ProcClass, record: &mut Vec<u8>, _: usize) -> RpcResult<()> {
+            if class == ProcClass::Done {
                 self.rpc.handle_record_into(record, self.enc)?;
                 send_reply(self.peer, self.enc, self.now);
             } else {
                 self.peer.pending += 1;
-                self.jobs.push_back((self.key, conn.take(Vec::new())));
+                self.jobs.push_back((self.key, std::mem::take(record)));
             }
             Ok(())
         }
@@ -883,7 +845,7 @@ mod tests {
                 send_reply(p, &self.enc, self.now);
             }
             p.pending -= 1;
-            let low = (self.cfg.max_session_queue / 2).max(1);
+            let low = self.cfg.max_session_queue / 2;
             while self.peers[i].stalled && self.peers[i].pending <= low {
                 self.peers[i].stalled = false;
                 self.drain(i);
@@ -935,7 +897,8 @@ mod tests {
 
     /// Pipelined echoes of mixed sizes (past one read, one fragment and
     /// the pools' cap) and inline adds on three connections against a
-    /// two-call budget: under every seed the engine stalls, holds the rest
+    /// budget of one call (the simulated transport's only way of holding a
+    /// call) and of two: under every seed the engine stalls, holds the rest
     /// of a read unparsed, and still sends each peer exactly the bytes the
     /// serial reference sends.
     #[test]
@@ -955,11 +918,14 @@ mod tests {
             })
             .collect();
         let rpc = rpc();
-        for seed in CI_SEEDS {
-            let run = Virtual::new(seed, config(2), wires.clone()).run();
-            assert!(run.stalls > 0, "seed {seed}: the budget never filled");
+        for (budget, seed) in [1, 2].into_iter().flat_map(|b| CI_SEEDS.map(|s| (b, s))) {
+            let run = Virtual::new(seed, config(budget), wires.clone()).run();
+            assert!(run.stalls > 0, "{budget}/{seed}: the budget never filled");
             for (p, wire) in run.peers.iter().zip(&wires) {
-                assert!(p.got == serial(&rpc, wire), "seed {seed}: replies differ");
+                assert!(
+                    p.got == serial(&rpc, wire),
+                    "{budget}/{seed}: replies differ"
+                );
             }
         }
     }

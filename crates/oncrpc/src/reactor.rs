@@ -15,13 +15,13 @@
 //!                                    │  poll readiness (shims/polling)
 //!                                    │  Conn::drain(socket): ≤ 8 reads,
 //!                                    │    marks stripped, each call classified
-//!                            Done ───┤ execute inline, send_reply
-//!                          Parked ───┴─▶ submission ring, sharded by conn key
-//!                                           │ worker pool (key % workers)
-//!                                           ▼ execute, send_reply
+//!                            Done ───┤ execute inline from the record, send_reply
+//!                          Parked ───┴─▶ (Arc<Link>, record) onto a ring, sharded
+//!                                           │ by conn key (record swapped for a pooled one)
+//!                                           ▼ worker (key % workers): execute, send_reply
 //!
 //!   send_reply (on the producing thread): swap the reply out of the
-//!       encoder, lock the connection's Outbound, queue it on its Replies;
+//!       encoder, lock the link's Outbound, queue it on its Replies;
 //!       write through if the queue was empty
 //!           │ bytes the socket did not take: the key on the notice list
 //!           ▼
@@ -145,8 +145,9 @@ impl ReactorStats {
     }
 }
 
-/// State shared between the reactor thread and the worker executing this
-/// connection's parked calls.
+/// One connection as every thread serving it sees it: its [`Socket`] on the
+/// reactor thread holds it, and so does each of its calls parked on a
+/// worker shard.
 ///
 /// The reactor sets `attention` and then reads `pending`; a worker
 /// decrements `pending` and then reads `attention`. Both pairs are
@@ -154,7 +155,9 @@ impl ReactorStats {
 /// the drained count, or the worker sees the flag and notifies. With
 /// anything weaker both could read the stale value, and the reactor, which
 /// has no periodic tick, would never look at the connection again.
-struct ConnShared {
+struct Link {
+    key: usize,
+    rpc: Arc<RpcServer>,
     /// Parked calls in flight (submitted, reply not yet sent). Incremented
     /// by the reactor before submit; decremented by the worker *after*
     /// [`send_reply`] returned.
@@ -162,30 +165,41 @@ struct ConnShared {
     /// Reactor wants a `Poller::notify` when `pending` drops (the
     /// connection is stalled or closing).
     attention: AtomicBool,
+    /// The reply half. Its write half closes when the last clone of the
+    /// link drops.
+    out: Mutex<Outbound>,
 }
+
+/// One parked call on the submission ring: its connection, and the record
+/// buffer the engine assembled it in.
+type Job = (Arc<Link>, Vec<u8>);
 
 /// Reactor-thread-owned connection state: the socket and the engine
 /// parsing what it reads.
 struct Socket {
     stream: TcpStream,
     engine: Conn,
-    out: OutRef,
-    rpc: Arc<RpcServer>,
+    link: Arc<Link>,
     on_close: Option<Box<dyn FnOnce() + Send>>,
-    shared: Arc<ConnShared>,
     /// Reading suspended: in-flight budget exhausted.
     stalled: bool,
-    /// EOF / error seen; finalize when `pending` hits zero and `out` is
-    /// empty.
+    /// EOF / error seen; torn down when `pending` hits zero and the reply
+    /// queue is empty.
     closing: bool,
-    /// Write interest armed: replies wait in `out` for the socket.
+    /// Write interest armed: replies wait in the link's queue for the
+    /// socket.
     backlogged: bool,
 }
 
 impl Socket {
-    /// A connection reading `stream`, its replies going out through a dup
-    /// of it.
-    fn new(stream: TcpStream, handler: ConnHandler, cfg: &ReactorConfig) -> io::Result<Self> {
+    /// Connection `key` reading `stream`, its replies going out through a
+    /// dup of it.
+    fn new(
+        key: usize,
+        stream: TcpStream,
+        handler: ConnHandler,
+        cfg: &ReactorConfig,
+    ) -> io::Result<Self> {
         let out = Outbound {
             stream: stream.try_clone()?,
             replies: Replies::default(),
@@ -194,13 +208,14 @@ impl Socket {
         Ok(Self {
             stream,
             engine: Conn::new(cfg),
-            out: Arc::new(Mutex::new(out)),
-            rpc: handler.rpc,
-            on_close: handler.on_close,
-            shared: Arc::new(ConnShared {
+            link: Arc::new(Link {
+                key,
+                rpc: handler.rpc,
                 pending: AtomicUsize::new(0),
                 attention: AtomicBool::new(false),
+                out: Mutex::new(out),
             }),
+            on_close: handler.on_close,
             stalled: false,
             closing: false,
             backlogged: false,
@@ -210,33 +225,37 @@ impl Socket {
     /// Stop reading this connection for good: finalized by the sweep once
     /// `pending` drains, which a worker's `notify` drives — not a hot
     /// readiness loop over a socket nobody reads — and its backlog is gone.
-    fn close(&mut self, key: usize, poller: &Poller) {
+    fn close(&mut self, poller: &Poller) {
         self.closing = true;
-        self.shared.attention.store(true, Ordering::SeqCst);
-        poller.suspend(key);
+        self.link.attention.store(true, Ordering::SeqCst);
+        poller.suspend(self.link.key);
     }
 
     /// Read and dispatch what is available, as far as the engine's read
     /// share and in-flight budget allow.
-    fn drain(&mut self, key: usize, rings: &Rings<'_>, scratch: &mut [u8], enc: &mut XdrEncoder) {
+    fn drain(
+        &mut self,
+        ctx: &Reactor,
+        workers: &[mpsc::Sender<Job>],
+        scratch: &mut [u8],
+        enc: &mut XdrEncoder,
+    ) {
         let mut calls = Route {
-            key,
-            rpc: &self.rpc,
-            shared: &self.shared,
-            out: &self.out,
-            rings,
+            link: &self.link,
+            ctx,
+            workers,
             enc,
         };
         match self.engine.drain(&mut &self.stream, scratch, &mut calls) {
             Drained::Open => {}
-            Drained::Closed => self.close(key, rings.poller),
+            Drained::Closed => self.close(&ctx.poller),
             Drained::Stalled => {
                 // Budget spent: stop reading this socket; the kernel buffer
                 // fills and TCP flow control stalls the client.
                 self.stalled = true;
-                self.shared.attention.store(true, Ordering::SeqCst);
-                rings.poller.suspend(key);
-                rings.stats.stalls.fetch_add(1, Ordering::Relaxed);
+                self.link.attention.store(true, Ordering::SeqCst);
+                ctx.poller.suspend(self.link.key);
+                ctx.stats.stalls.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -245,111 +264,80 @@ impl Socket {
     /// kill rules: a failed write, or [`Backlog::Kill`]. A kill closes the
     /// connection. Clears write interest once the queue is empty; otherwise
     /// returns the time left to the stall deadline.
-    fn pump(&mut self, key: usize, rings: &Rings<'_>, writable: bool) -> Option<Duration> {
-        let (now, pool) = (rings.replies.now(), &rings.replies.pool);
-        let mut ob = self.out.lock();
-        let failed = writable && ob.flush(now, pool).is_err();
-        match ob.replies.backlog(rings.cfg, now) {
+    fn pump(&mut self, ctx: &Reactor, writable: bool) -> Option<Duration> {
+        let now = ctx.epoch.elapsed();
+        let mut ob = self.link.out.lock();
+        let failed = writable && ob.flush(now, &ctx.replies).is_err();
+        match ob.replies.backlog(&ctx.cfg, now) {
             Backlog::Empty => drop(ob),
             Backlog::Wait(left) if !failed => return Some(left),
             _ => {
-                ob.kill(pool);
+                ob.kill(&ctx.replies);
                 drop(ob);
-                rings.stats.writer_kills.fetch_add(1, Ordering::Relaxed);
-                self.close(key, rings.poller);
+                ctx.stats.writer_kills.fetch_add(1, Ordering::Relaxed);
+                self.close(&ctx.poller);
             }
         }
         self.backlogged = false;
-        rings.poller.set_write_interest(key, false);
+        ctx.poller.set_write_interest(self.link.key, false);
         None
     }
 }
 
 /// What the reactor thread does with one connection's calls: answer a
-/// `Done` call inline, from the engine's buffer, or move the buffer to the
-/// connection's worker shard.
+/// `Done` call inline, from the engine's record buffer, or swap that buffer
+/// for a pooled one and hand it to the connection's worker shard.
 struct Route<'a> {
-    key: usize,
-    rpc: &'a Arc<RpcServer>,
-    shared: &'a Arc<ConnShared>,
-    out: &'a OutRef,
-    rings: &'a Rings<'a>,
+    link: &'a Arc<Link>,
+    ctx: &'a Reactor,
+    workers: &'a [mpsc::Sender<Job>],
     enc: &'a mut XdrEncoder,
 }
 
 impl Calls for Route<'_> {
     fn in_flight(&self) -> usize {
-        self.shared.pending.load(Ordering::Acquire)
+        self.link.pending.load(Ordering::Acquire)
     }
 
-    fn call(&mut self, class: ProcClass, conn: &mut Conn) -> RpcResult<()> {
-        let rings = self.rings;
-        if let (ProcClass::Done, Some((record, _))) = (class, conn.held()) {
-            self.rpc.handle_record_into(record, self.enc)?;
+    fn call(&mut self, class: ProcClass, record: &mut Vec<u8>, _: usize) -> RpcResult<()> {
+        let (ctx, link) = (self.ctx, self.link);
+        if class == ProcClass::Done {
+            link.rpc.handle_record_into(record, self.enc)?;
             // Counted before the reply can reach the peer: a client that
             // has its answer finds the call in the stats.
-            rings.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
-            send_reply(self.key, self.out, self.enc, rings.replies);
+            ctx.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
+            send_reply(link, self.enc, ctx);
             return Ok(());
         }
-        let record = conn.take(rings.record_pool.get());
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        let job = Job {
-            key: self.key,
-            rpc: Arc::clone(self.rpc),
-            record,
-            shared: Arc::clone(self.shared),
-            out: Arc::clone(self.out),
-        };
-        rings.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
-        let _ = rings.worker_txs[self.key % rings.worker_txs.len()].send(job);
+        let record = std::mem::replace(record, ctx.records.get(&ctx.stats));
+        link.pending.fetch_add(1, Ordering::AcqRel);
+        ctx.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
+        let shard = &self.workers[link.key % self.workers.len()];
+        let _ = shard.send((Arc::clone(link), record));
         Ok(())
     }
 }
 
-/// What [`Socket::drain`] and [`Socket::pump`] need of the reactor besides
-/// the connection: fixed for the life of the event loop.
-struct Rings<'a> {
-    cfg: &'a ReactorConfig,
-    poller: &'a Poller,
-    worker_txs: &'a [mpsc::Sender<Job>],
-    replies: &'a ReplyPath,
-    record_pool: &'a BufPool,
-    stats: &'a ReactorStats,
-}
-
-/// What [`send_reply`] needs besides the connection; each thread that
-/// produces replies (the reactor and every worker) holds one.
-#[derive(Clone)]
-struct ReplyPath {
-    pool: BufPool,
-    notices: Notices,
+/// What every thread serving connections needs besides the connection,
+/// fixed for the life of the event loop: the reactor thread and each
+/// worker hold it.
+struct Reactor {
+    cfg: ReactorConfig,
     poller: Arc<Poller>,
+    /// Free record buffers, each swapped into an engine for a parked call's
+    /// record, and reply buffers, each swapped into an encoder for a
+    /// reply's.
+    records: BufPool,
+    replies: BufPool,
+    /// Connections the reactor must act on, each pushed with a
+    /// [`Poller::notify`] by the thread that found out: `(key, true)` when
+    /// a parked call failed to dispatch (close it), `(key, false)` when a
+    /// reply left bytes queued or its write failed (flush it when
+    /// writable). Drained by the reactor on every pass.
+    notices: Mutex<Vec<(usize, bool)>>,
     stats: Arc<ReactorStats>,
     /// Where the engine's clock starts: its `now` is the time since.
     epoch: Instant,
-}
-
-impl ReplyPath {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-}
-
-/// Connections the reactor must act on, each pushed with a
-/// [`Poller::notify`] by the thread that found out: `(key, true)` when a
-/// parked call failed to dispatch (close it), `(key, false)` when a reply
-/// left bytes queued or its write failed (flush it when writable). Drained
-/// by the reactor on every pass.
-type Notices = Arc<Mutex<Vec<(usize, bool)>>>;
-
-/// One decoded call on the submission ring.
-struct Job {
-    key: usize,
-    rpc: Arc<RpcServer>,
-    record: Vec<u8>,
-    shared: Arc<ConnShared>,
-    out: OutRef,
 }
 
 /// Lock-based free list of byte buffers shared across the reactor and its
@@ -357,28 +345,18 @@ struct Job {
 /// ([`MAX_POOLED_BUF_BYTES`]), so one pool pins at most `max_pooled` ×
 /// [`MAX_POOLED_BUF_BYTES`] bytes: about 8.1 MiB each for the record and
 /// the reply pool under the default [`ReactorConfig`] (2 workers × 64).
-#[derive(Clone)]
 struct BufPool {
-    free: Arc<Mutex<Vec<Vec<u8>>>>,
+    free: Mutex<Vec<Vec<u8>>>,
     max_pooled: usize,
-    stats: Arc<ReactorStats>,
 }
 
 impl BufPool {
-    fn new(max_pooled: usize, stats: &Arc<ReactorStats>) -> Self {
-        Self {
-            free: Arc::new(Mutex::new(Vec::new())),
-            max_pooled,
-            stats: Arc::clone(stats),
-        }
-    }
-
-    fn get(&self) -> Vec<u8> {
+    fn get(&self, stats: &ReactorStats) -> Vec<u8> {
         if let Some(buf) = self.free.lock().pop() {
-            self.stats.bufs_reused.fetch_add(1, Ordering::Relaxed);
+            stats.bufs_reused.fetch_add(1, Ordering::Relaxed);
             buf
         } else {
-            self.stats.bufs_allocated.fetch_add(1, Ordering::Relaxed);
+            stats.bufs_allocated.fetch_add(1, Ordering::Relaxed);
             Vec::with_capacity(1024)
         }
     }
@@ -396,9 +374,9 @@ impl BufPool {
 }
 
 /// Per-connection outbound state: the engine's reply queue in front of the
-/// connection's write half, shared under its lock by whichever thread
-/// produces a reply (through [`send_reply`]) and the reactor, which flushes
-/// what is left.
+/// connection's write half, shared under its [`Link`]'s lock by whichever
+/// thread produces a reply (through [`send_reply`]) and the reactor, which
+/// flushes what is left.
 ///
 /// `O_NONBLOCK` lives on the open file description, so the `try_clone`
 /// write half shares nonblocking mode with the reactor's read handle, and
@@ -411,10 +389,6 @@ struct Outbound {
     /// Killed by the reactor: later replies are dropped.
     dead: bool,
 }
-
-/// A connection's [`Outbound`], held by its `Socket` and each of its `Job`s.
-/// The write half closes when the last clone drops.
-type OutRef = Arc<Mutex<Outbound>>;
 
 impl Outbound {
     /// Write as much queued data as the socket accepts right now.
@@ -433,7 +407,7 @@ impl Outbound {
     }
 }
 
-/// Send the reply encoded in `enc` on `out` from the thread that produced
+/// Send the reply encoded in `enc` on `link` from the thread that produced
 /// it.
 ///
 /// The reply's buffer moves out of the encoder, which gets a pooled one in
@@ -444,20 +418,21 @@ impl Outbound {
 /// over, or the write failed, does the reactor get a notice: one per empty
 /// → non-empty turn of the queue, since only the reactor empties a queue it
 /// was told about.
-fn send_reply(key: usize, out: &OutRef, enc: &mut XdrEncoder, via: &ReplyPath) {
-    let reply = std::mem::replace(enc, XdrEncoder::from_sink(via.pool.get())).into_inner();
-    let now = via.now();
-    let mut ob = out.lock();
+fn send_reply(link: &Link, enc: &mut XdrEncoder, ctx: &Reactor) {
+    let pooled = XdrEncoder::from_sink(ctx.replies.get(&ctx.stats));
+    let reply = std::mem::replace(enc, pooled).into_inner();
+    let now = ctx.epoch.elapsed();
+    let mut ob = link.out.lock();
     if ob.dead {
-        return via.pool.put(reply);
+        return ctx.replies.put(reply);
     }
     let idle = ob.replies.is_empty();
     ob.replies.push(reply, now);
-    if idle && (ob.flush(now, &via.pool).is_err() || !ob.replies.is_empty()) {
+    if idle && (ob.flush(now, &ctx.replies).is_err() || !ob.replies.is_empty()) {
         drop(ob);
-        via.stats.queued_replies.fetch_add(1, Ordering::Relaxed);
-        via.notices.lock().push((key, false));
-        via.poller.notify();
+        ctx.stats.queued_replies.fetch_add(1, Ordering::Relaxed);
+        ctx.notices.lock().push((link.key, false));
+        ctx.poller.notify();
     }
 }
 
@@ -483,18 +458,28 @@ where
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_accept = Arc::clone(&stop);
-    let poller = Arc::new(Poller::try_new()?);
-    let poller_accept = Arc::clone(&poller);
-    let stats = Arc::new(ReactorStats::default());
+    let max_pooled = cfg.workers * cfg.max_session_queue;
+    let pool = || BufPool {
+        free: Mutex::default(),
+        max_pooled,
+    };
+    let ctx = Arc::new(Reactor {
+        cfg,
+        poller: Arc::new(Poller::try_new()?),
+        records: pool(),
+        replies: pool(),
+        notices: Mutex::default(),
+        stats: Arc::default(),
+        epoch: Instant::now(),
+    });
+    let poller_accept = Arc::clone(&ctx.poller);
     let (newconn_tx, newconn_rx) = mpsc::channel::<(usize, TcpStream, ConnHandler)>();
 
     let reactor_join = std::thread::Builder::new()
         .name("oncrpc-reactor".into())
         .spawn({
-            let stop = Arc::clone(&stop);
-            let poller = Arc::clone(&poller);
-            let stats = Arc::clone(&stats);
-            move || reactor_main(cfg, stop, poller, newconn_rx, stats)
+            let (stop, ctx) = (Arc::clone(&stop), Arc::clone(&ctx));
+            move || reactor_main(ctx, &stop, newconn_rx)
         })?;
 
     let accept_join = std::thread::Builder::new()
@@ -526,41 +511,32 @@ where
             // The closure, and with it the new-connection ring, is gone:
             // wake the reactor so it sees the hang-up and exits.
             stop.store(true, Ordering::SeqCst);
-            poller.notify();
+            ctx.poller.notify();
         })?;
 
+    let stats = Arc::clone(&ctx.stats);
     Ok(ServerHandle::from_parts(local, stop, accept_join, stats))
 }
 
 /// The reactor event loop. Owns every connection's read half and the worker
 /// pool, and flushes every backlog; returns only after all of them drained.
 fn reactor_main(
-    cfg: ReactorConfig,
-    stop: Arc<AtomicBool>,
-    poller: Arc<Poller>,
+    ctx: Arc<Reactor>,
+    stop: &AtomicBool,
     newconn_rx: mpsc::Receiver<(usize, TcpStream, ConnHandler)>,
-    stats: Arc<ReactorStats>,
 ) {
-    let record_pool = BufPool::new(cfg.workers * cfg.max_session_queue, &stats);
-    let replies = ReplyPath {
-        pool: BufPool::new(cfg.workers * cfg.max_session_queue, &stats),
-        notices: Notices::default(),
-        poller: Arc::clone(&poller),
-        stats: Arc::clone(&stats),
-        epoch: Instant::now(),
-    };
+    let (cfg, poller) = (&ctx.cfg, &ctx.poller);
 
     let mut worker_txs = Vec::with_capacity(cfg.workers);
     let mut worker_joins = Vec::with_capacity(cfg.workers);
     for shard in 0..cfg.workers {
         let (tx, rx) = mpsc::channel::<Job>();
         worker_txs.push(tx);
-        let replies = replies.clone();
-        let record_pool = record_pool.clone();
+        let ctx = Arc::clone(&ctx);
         worker_joins.push(
             std::thread::Builder::new()
                 .name(format!("oncrpc-worker-{shard}"))
-                .spawn(move || worker_main(rx, replies, record_pool))
+                .spawn(move || worker_main(rx, &ctx))
                 // This is the reactor thread: no caller is left to take an
                 // error, and there is no serving without workers. Unwinding
                 // drops the new-connection ring, which ends the accept thread
@@ -569,20 +545,13 @@ fn reactor_main(
         );
     }
 
-    let rings = Rings {
-        cfg: &cfg,
-        poller: &poller,
-        worker_txs: &worker_txs,
-        replies: &replies,
-        record_pool: &record_pool,
-        stats: &stats,
-    };
-    let low_watermark = (cfg.max_session_queue / 2).max(1);
+    // Below the budget: a connection resumed with its budget full stalls
+    // again at once, and the sweep below would spin on it.
+    let low_watermark = cfg.max_session_queue / 2;
     let mut conns: HashMap<usize, Socket> = HashMap::new();
     // Exactly the connections marked stalled, closing or backlogged: all the
     // sweep visits.
     let mut watch: HashSet<usize> = HashSet::new();
-    let mut to_finalize: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut inline_enc = XdrEncoder::with_capacity(4096);
@@ -595,7 +564,7 @@ fn reactor_main(
         while accepting && !stopping {
             match newconn_rx.try_recv() {
                 Ok((key, stream, handler)) => {
-                    let Ok(conn) = Socket::new(stream, handler, &cfg) else {
+                    let Ok(conn) = Socket::new(key, stream, handler, cfg) else {
                         continue;
                     };
                     if poller.register(&conn.stream, key).is_ok() {
@@ -626,22 +595,22 @@ fn reactor_main(
                 continue;
             };
             if conn.backlogged {
-                conn.pump(ev.key, &rings, true);
+                conn.pump(&ctx, true);
             }
             if !(conn.stalled || conn.closing) {
-                conn.drain(ev.key, &rings, &mut scratch, &mut inline_enc);
+                conn.drain(&ctx, &worker_txs, &mut scratch, &mut inline_enc);
             }
             if conn.stalled || conn.closing || conn.backlogged {
                 watch.insert(ev.key);
             }
         }
-        let noticed = std::mem::take(&mut *replies.notices.lock());
+        let noticed = std::mem::take(&mut *ctx.notices.lock());
         for (key, failed) in noticed {
             let Some(conn) = conns.get_mut(&key) else {
                 continue;
             };
             if failed {
-                conn.close(key, &poller);
+                conn.close(poller);
             } else if !conn.backlogged {
                 conn.backlogged = true;
                 poller.set_write_interest(key, true);
@@ -653,13 +622,13 @@ fn reactor_main(
             // its calls are answered and its backlog is flushed or killed.
             stopping = true;
             for (&key, conn) in &mut conns {
-                conn.close(key, &poller);
+                conn.close(poller);
                 watch.insert(key);
             }
         }
 
         // Sweep: resume drained stalled connections, apply the kill rules to
-        // backlogged ones, finalize drained closing ones.
+        // backlogged ones, tear down drained closing ones.
         timeout = Duration::MAX;
         watch.retain(|&key| {
             let Some(conn) = conns.get_mut(&key) else {
@@ -670,34 +639,36 @@ fn reactor_main(
             // notify: re-check `pending` before leaving it.
             while conn.stalled
                 && !conn.closing
-                && conn.shared.pending.load(Ordering::SeqCst) <= low_watermark
+                && conn.link.pending.load(Ordering::SeqCst) <= low_watermark
             {
                 conn.stalled = false;
-                conn.shared.attention.store(false, Ordering::Release);
+                conn.link.attention.store(false, Ordering::Release);
                 poller.resume(key);
-                conn.drain(key, &rings, &mut scratch, &mut inline_enc);
+                conn.drain(&ctx, &worker_txs, &mut scratch, &mut inline_enc);
             }
             if conn.backlogged {
-                if let Some(left) = conn.pump(key, &rings, false) {
+                if let Some(left) = conn.pump(&ctx, false) {
                     timeout = timeout.min(left);
                 }
             }
             // A reply queued by the last call may still have its notice on
-            // the list: finalize on an empty queue, not on `backlogged`.
+            // the list: tear down on an empty queue, not on `backlogged`.
             if conn.closing
-                && conn.shared.pending.load(Ordering::SeqCst) == 0
-                && conn.out.lock().replies.is_empty()
+                && conn.link.pending.load(Ordering::SeqCst) == 0
+                && conn.link.out.lock().replies.is_empty()
             {
-                to_finalize.push(key);
+                // Deregister while `conn.stream` is still open: the write
+                // half's dup of it would keep the registration alive past
+                // the drop, which closes both halves.
+                poller.deregister(key);
+                if let Some(hook) = conn.on_close.take() {
+                    hook();
+                }
+                conns.remove(&key);
                 return false;
             }
             conn.stalled || conn.closing || conn.backlogged
         });
-        for key in to_finalize.drain(..) {
-            if let Some(conn) = conns.remove(&key) {
-                finalize(key, conn, &poller);
-            }
-        }
     }
 
     // Every connection is finalized, so no call is in flight: the workers
@@ -708,36 +679,24 @@ fn reactor_main(
     }
 }
 
-/// Tear down one connection: stop polling it, run the close hook. Callers
-/// guarantee `pending == 0` and an empty reply queue. Dropping `conn`
-/// closes both halves of its socket.
-fn finalize(key: usize, mut conn: Socket, poller: &Poller) {
-    // While `conn.stream` is still open: the write half's dup of it would
-    // keep the registration alive past the drop.
-    poller.deregister(key);
-    if let Some(hook) = conn.on_close.take() {
-        hook();
-    }
-}
-
 /// Worker shard: execute parked calls in FIFO order, send each reply, then
 /// publish the decrement.
-fn worker_main(rx: mpsc::Receiver<Job>, replies: ReplyPath, record_pool: BufPool) {
+fn worker_main(rx: mpsc::Receiver<Job>, ctx: &Reactor) {
     let mut enc = XdrEncoder::with_capacity(4096);
-    while let Ok(job) = rx.recv() {
-        let ok = job.rpc.handle_record_into(&job.record, &mut enc).is_ok();
-        record_pool.put(job.record);
+    while let Ok((link, record)) = rx.recv() {
+        let ok = link.rpc.handle_record_into(&record, &mut enc).is_ok();
+        ctx.records.put(record);
         if ok {
-            send_reply(job.key, &job.out, &mut enc, &replies);
+            send_reply(&link, &mut enc, ctx);
         } else {
-            replies.notices.lock().push((job.key, true));
+            ctx.notices.lock().push((link.key, true));
         }
         // The reply is written or queued; only now may the reactor treat
         // this connection as drained (ordering guarantee — see module doc;
-        // SeqCst for the `attention` handshake — see `ConnShared`).
-        job.shared.pending.fetch_sub(1, Ordering::SeqCst);
-        if !ok || job.shared.attention.load(Ordering::SeqCst) {
-            replies.poller.notify();
+        // SeqCst for the `attention` handshake — see `Link`).
+        link.pending.fetch_sub(1, Ordering::SeqCst);
+        if !ok || link.attention.load(Ordering::SeqCst) {
+            ctx.poller.notify();
         }
     }
 }
@@ -1147,6 +1106,39 @@ mod tests {
         RpcMessage::call(xid, CallBody::new(PROG, VERS, proc)).encode(&mut enc);
         args.encode(&mut enc);
         write_record(stream, enc.as_slice(), DEFAULT_MAX_FRAGMENT).unwrap();
+    }
+
+    /// At a budget of one call, a stalled connection resumes only once its
+    /// call is answered, so pipelined calls stall at most once each.
+    /// Resumed with the call still in flight, it would stall again at once,
+    /// and the sweep would spin, counting a stall each turn, until the
+    /// worker finished.
+    #[test]
+    fn a_budget_of_one_resumes_once_its_call_is_answered() {
+        let cfg = ReactorConfig {
+            workers: 1,
+            max_session_queue: 1,
+            ..ReactorConfig::default()
+        };
+        let (handle, _closes) = start(cfg);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        const CALLS: u32 = 200;
+        for xid in 0..CALLS {
+            send_call(&mut stream, xid, 3, &(xid, 1u32));
+        }
+        for xid in 0..CALLS {
+            let rec = read_record(&mut stream, MAX_RECORD).unwrap().unwrap();
+            let mut dec = XdrDecoder::new(&rec);
+            assert_eq!(RpcMessage::decode(&mut dec).unwrap().xid, xid);
+            assert_eq!(dec.get_u32().unwrap(), xid + 1);
+        }
+        let stalls = handle.reactor_stats().stalls;
+        assert!(stalls > 0 && stalls <= u64::from(CALLS), "{stalls} stalls");
+        drop(stream);
+        handle.shutdown();
     }
 
     /// An echo payload whose reply is more than the server's send buffer and

@@ -52,7 +52,11 @@ export CARGO_NET_OFFLINE=true
 # reactor connection), and `record.rs` at those it took once both drivers
 # wrote replies through one vectored `OutgoingRecord::write_to`: a second
 # record parser, reply queue, framer or parking path beside them would show
-# here. The engine is sans-IO: a clock
+# here. `reactor.rs`'s limit rose from 703 to 722 when each worker shard's
+# `mpsc` channel became a queue that keeps its capacity (the worker takes it
+# whole), so a parked call reaches its worker without allocating: std's
+# channel cost no lines, the queue and its close protocol about 20. A ring,
+# a second queue or a second stall cause beside it would show here. The engine is sans-IO: a clock
 # (`Instant`, `SystemTime`), a socket (`std::net`, `TcpStream`), a thread
 # (`std::thread`) or the poller (`Poller`) in its non-test code fails the
 # step, since time and I/O enter it only as arguments its drivers pass.
@@ -107,7 +111,7 @@ size() {
         END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 227)\n", n; exit n > 227 }' \
         shims/polling/src/lib.rs
     for limit in crates/cricket-server/src/transport.rs:359 crates/unikernel/src/tcp.rs:261 \
-        crates/oncrpc/src/reactor.rs:703 crates/oncrpc/src/conn.rs:377 crates/core/src/raw.rs:910 \
+        crates/oncrpc/src/reactor.rs:722 crates/oncrpc/src/conn.rs:377 crates/core/src/raw.rs:910 \
         crates/cricket-server/src/service.rs:678 crates/cricket-server/src/server.rs:550 \
         crates/cricket-server/src/state.rs:636 crates/cricket-server/src/prologue.rs:342 \
         crates/cricket-server/src/batch.rs:276 crates/vgpu/src/kernels.rs:586 \
@@ -175,6 +179,8 @@ cargo test -q
 #                          whole-record decode's bytes, any other length leaves dst untouched
 #   zero_alloc             (cricket-oncrpc) steady-state client calls allocate nothing; so do inline calls over
 #                          loopback TCP into the reactor, client and server counted together
+#                          (inline_reactor_calls_are_allocation_free), and parked ones, handed to a worker
+#                          shard's queue (parked_reactor_calls_are_allocation_free)
 #   blob_count_bound       (cricket-server) a session blob's count reserves no more than the bytes behind it
 #   sim_path_allocs        (cricket-server) steady-state calls over SimTransport allocate nothing on every guest kind
 #                          (software checksum, host TSO split and fixed-receive-buffer branches included),
@@ -235,7 +241,9 @@ cargo test -q
 #                          through a backlog, every on_close once; a_half_closed_peer_still_gets_its_backlog: an
 #                          8 MiB echo backlog flushed whole after the peer's shutdown(Write), then EOF;
 #                          shutdown_flushes_a_pending_backlog: shutdown waits on an unread backlog, the peer then
-#                          reads it whole; the_stall_deadline_alone_kills_a_silent_peer: a 200 ms stall deadline
+#                          reads it whole; shutdown_answers_every_parked_call_queued_on_a_shard: one worker, four
+#                          connections of 16 slow parked calls, shutdown while 48 wait on the shard's queue: every
+#                          reply read in xid order, four on_close, shutdown returns; the_stall_deadline_alone_kills_a_silent_peer: a 200 ms stall deadline
 #                          kills once, never before it has passed since the call was sent;
 #                          a_flooding_connection_does_not_hold_the_reactor: beside a 20 MiB flood of one-byte
 #                          fragments an inline caller's worst call is < 1/4 of the flood (reads capped per

@@ -19,7 +19,7 @@
 //! ratio is wall clock on a shared box and sits around 1.0× in a full run:
 //! per call the reactor still pays a readiness wake of its one poller
 //! thread, which runs every inline call of every session in turn, and a
-//! parked call adds a channel hand-off to a worker, where a blocking
+//! parked call adds a hand-off to a worker's queue, where a blocking
 //! `Serial` thread wakes straight into dispatch. One run's ratio swings
 //! with the `Serial` baseline (EXPERIMENTS.md "Connection scaling"), so
 //! `--smoke` alternates three short pairs and gates the ratio of their

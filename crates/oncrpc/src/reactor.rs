@@ -16,9 +16,9 @@
 //!                                    │  Conn::drain(socket): ≤ 8 reads,
 //!                                    │    marks stripped, each call classified
 //!                            Done ───┤ execute inline from the record, send_reply
-//!                          Parked ───┴─▶ (Arc<Link>, record) onto a ring, sharded
-//!                                           │ by conn key (record swapped for a pooled one)
-//!                                           ▼ worker (key % workers): execute, send_reply
+//!                          Parked ───┴─▶ (Arc<Link>, record) onto the queue of shard
+//!                                           │ key % workers (record swapped for a pooled one)
+//!                                           ▼ worker: take the whole queue, execute, send_reply
 //!
 //!   send_reply (on the producing thread): swap the reply out of the
 //!       encoder, lock the link's Outbound, queue it on its Replies;
@@ -60,6 +60,11 @@
 //! flight) the reactor drops the queue, shuts the socket down and closes
 //! the connection. Its wait never outlasts the earliest such deadline.
 //!
+//! **Hand-off.** A worker swaps its shard's whole queue for its own drained
+//! one, so both keep their capacity: a warm server allocates nothing per
+//! call. Unbounded: each connection's budget bounds what it parks. Shutdown
+//! closes it (`None`) once every connection is finalized: no call is lost.
+//!
 //! **Replay correctness.** Replies can complete out of *connection* order
 //! (two connections make progress independently), but the at-most-once
 //! cache is keyed by `(client token, xid)` and written inside
@@ -72,9 +77,9 @@ use crate::conn::{
 };
 use crate::error::{RpcError, RpcResult};
 use crate::server::{RpcServer, ServerHandle};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use polling::{Event, Poller};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -170,9 +175,12 @@ struct Link {
     out: Mutex<Outbound>,
 }
 
-/// One parked call on the submission ring: its connection, and the record
+/// One parked call on a shard's queue: its connection, and the record
 /// buffer the engine assembled it in.
 type Job = (Arc<Link>, Vec<u8>);
+
+/// A worker shard: its queue of parked calls (`None` once closed) and wake-up.
+type Shard = (Mutex<Option<VecDeque<Job>>>, Condvar);
 
 /// Reactor-thread-owned connection state: the socket and the engine
 /// parsing what it reads.
@@ -192,20 +200,21 @@ struct Socket {
 }
 
 impl Socket {
-    /// Connection `key` reading `stream`, its replies going out through a
-    /// dup of it.
+    /// Connection `key` reading `stream`, its replies going out through
+    /// `out`, a dup of it.
     fn new(
         key: usize,
         stream: TcpStream,
+        out: TcpStream,
         handler: ConnHandler,
         cfg: &ReactorConfig,
-    ) -> io::Result<Self> {
+    ) -> Self {
         let out = Outbound {
-            stream: stream.try_clone()?,
+            stream: out,
             replies: Replies::default(),
             dead: false,
         };
-        Ok(Self {
+        Self {
             stream,
             engine: Conn::new(cfg),
             link: Arc::new(Link {
@@ -219,7 +228,7 @@ impl Socket {
             stalled: false,
             closing: false,
             backlogged: false,
-        })
+        }
     }
 
     /// Stop reading this connection for good: finalized by the sweep once
@@ -233,17 +242,10 @@ impl Socket {
 
     /// Read and dispatch what is available, as far as the engine's read
     /// share and in-flight budget allow.
-    fn drain(
-        &mut self,
-        ctx: &Reactor,
-        workers: &[mpsc::Sender<Job>],
-        scratch: &mut [u8],
-        enc: &mut XdrEncoder,
-    ) {
+    fn drain(&mut self, ctx: &Reactor, scratch: &mut [u8], enc: &mut XdrEncoder) {
         let mut calls = Route {
             link: &self.link,
             ctx,
-            workers,
             enc,
         };
         match self.engine.drain(&mut &self.stream, scratch, &mut calls) {
@@ -290,7 +292,6 @@ impl Socket {
 struct Route<'a> {
     link: &'a Arc<Link>,
     ctx: &'a Reactor,
-    workers: &'a [mpsc::Sender<Job>],
     enc: &'a mut XdrEncoder,
 }
 
@@ -312,8 +313,12 @@ impl Calls for Route<'_> {
         let record = std::mem::replace(record, ctx.records.get(&ctx.stats));
         link.pending.fetch_add(1, Ordering::AcqRel);
         ctx.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.workers[link.key % self.workers.len()];
-        let _ = shard.send((Arc::clone(link), record));
+        let (queue, ready) = &ctx.shards[link.key % ctx.shards.len()];
+        // Closed only once every connection is finalized, so never here.
+        if let Some(queue) = queue.lock().as_mut() {
+            queue.push_back((Arc::clone(link), record));
+        }
+        ready.notify_one();
         Ok(())
     }
 }
@@ -329,6 +334,7 @@ struct Reactor {
     /// reply's.
     records: BufPool,
     replies: BufPool,
+    shards: Vec<Shard>,
     /// Connections the reactor must act on, each pushed with a
     /// [`Poller::notify`] by the thread that found out: `(key, true)` when
     /// a parked call failed to dispatch (close it), `(key, false)` when a
@@ -463,7 +469,9 @@ where
         free: Mutex::default(),
         max_pooled,
     };
+    let shard = |_| (Mutex::new(Some(VecDeque::new())), Condvar::new());
     let ctx = Arc::new(Reactor {
+        shards: (0..cfg.workers).map(shard).collect(),
         cfg,
         poller: Arc::new(Poller::try_new()?),
         records: pool(),
@@ -527,23 +535,18 @@ fn reactor_main(
 ) {
     let (cfg, poller) = (&ctx.cfg, &ctx.poller);
 
-    let mut worker_txs = Vec::with_capacity(cfg.workers);
-    let mut worker_joins = Vec::with_capacity(cfg.workers);
-    for shard in 0..cfg.workers {
-        let (tx, rx) = mpsc::channel::<Job>();
-        worker_txs.push(tx);
-        let ctx = Arc::clone(&ctx);
-        worker_joins.push(
+    // No serving without every worker: after a failed spawn accept nothing,
+    // so the loop below ends at once and the accept thread at its next one.
+    let workers: Vec<_> = (0..cfg.workers)
+        .map_while(|shard| {
+            let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
                 .name(format!("oncrpc-worker-{shard}"))
-                .spawn(move || worker_main(rx, &ctx))
-                // This is the reactor thread: no caller is left to take an
-                // error, and there is no serving without workers. Unwinding
-                // drops the new-connection ring, which ends the accept thread
-                // at its next connection instead of queueing calls nobody runs.
-                .expect("spawn worker thread"),
-        );
-    }
+                .spawn(move || worker_main(&ctx.shards[shard], &ctx))
+                .ok()
+        })
+        .collect();
+    let (mut accepting, mut stopping) = (workers.len() == cfg.workers, false);
 
     // Below the budget: a connection resumed with its budget full stalls
     // again at once, and the sweep below would spin on it.
@@ -555,7 +558,8 @@ fn reactor_main(
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut inline_enc = XdrEncoder::with_capacity(4096);
-    let (mut accepting, mut stopping) = (true, false);
+    // Swapped with `ctx.notices` on every pass: both keep their capacity.
+    let mut noticed = Vec::new();
     // The earliest stall deadline among backlogged connections, as a wait.
     let mut timeout = Duration::MAX;
 
@@ -563,14 +567,13 @@ fn reactor_main(
         // Adopt newly accepted connections.
         while accepting && !stopping {
             match newconn_rx.try_recv() {
-                Ok((key, stream, handler)) => {
-                    let Ok(conn) = Socket::new(key, stream, handler, cfg) else {
-                        continue;
-                    };
-                    if poller.register(&conn.stream, key).is_ok() {
-                        conns.insert(key, conn);
+                Ok((key, stream, handler)) => match stream.try_clone() {
+                    Ok(out) if poller.register(&stream, key).is_ok() => {
+                        conns.insert(key, Socket::new(key, stream, out, handler, cfg));
                     }
-                }
+                    // Not adopted: finalized at once, its hook run exactly once.
+                    _ => handler.on_close.into_iter().for_each(|hook| hook()),
+                },
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => accepting = false,
             }
@@ -598,14 +601,14 @@ fn reactor_main(
                 conn.pump(&ctx, true);
             }
             if !(conn.stalled || conn.closing) {
-                conn.drain(&ctx, &worker_txs, &mut scratch, &mut inline_enc);
+                conn.drain(&ctx, &mut scratch, &mut inline_enc);
             }
             if conn.stalled || conn.closing || conn.backlogged {
                 watch.insert(ev.key);
             }
         }
-        let noticed = std::mem::take(&mut *ctx.notices.lock());
-        for (key, failed) in noticed {
+        std::mem::swap(&mut noticed, &mut *ctx.notices.lock());
+        for (key, failed) in noticed.drain(..) {
             let Some(conn) = conns.get_mut(&key) else {
                 continue;
             };
@@ -644,7 +647,7 @@ fn reactor_main(
                 conn.stalled = false;
                 conn.link.attention.store(false, Ordering::Release);
                 poller.resume(key);
-                conn.drain(&ctx, &worker_txs, &mut scratch, &mut inline_enc);
+                conn.drain(&ctx, &mut scratch, &mut inline_enc);
             }
             if conn.backlogged {
                 if let Some(left) = conn.pump(&ctx, false) {
@@ -671,32 +674,48 @@ fn reactor_main(
         });
     }
 
-    // Every connection is finalized, so no call is in flight: the workers
-    // find their rings empty and exit.
-    drop(worker_txs);
-    for j in worker_joins {
+    // Every connection is finalized, so no call is in flight: close each
+    // shard's queue, now empty, and its worker exits.
+    for (queue, ready) in &ctx.shards {
+        *queue.lock() = None;
+        ready.notify_one();
+    }
+    for j in workers {
         let _ = j.join();
     }
 }
 
-/// Worker shard: execute parked calls in FIFO order, send each reply, then
-/// publish the decrement.
-fn worker_main(rx: mpsc::Receiver<Job>, ctx: &Reactor) {
+/// Worker shard: take the whole queue, leaving this worker's drained one in
+/// its place, and execute its calls in FIFO order, each reply sent before
+/// the decrement is published.
+fn worker_main((queue, ready): &Shard, ctx: &Reactor) {
     let mut enc = XdrEncoder::with_capacity(4096);
-    while let Ok((link, record)) = rx.recv() {
-        let ok = link.rpc.handle_record_into(&record, &mut enc).is_ok();
-        ctx.records.put(record);
-        if ok {
-            send_reply(&link, &mut enc, ctx);
-        } else {
-            ctx.notices.lock().push((link.key, true));
+    let mut batch = VecDeque::with_capacity(ctx.cfg.max_session_queue);
+    loop {
+        let mut jobs = queue.lock();
+        while jobs.as_ref().is_some_and(VecDeque::is_empty) {
+            ready.wait(&mut jobs);
         }
-        // The reply is written or queued; only now may the reactor treat
-        // this connection as drained (ordering guarantee — see module doc;
-        // SeqCst for the `attention` handshake — see `Link`).
-        link.pending.fetch_sub(1, Ordering::SeqCst);
-        if !ok || link.attention.load(Ordering::SeqCst) {
-            ctx.poller.notify();
+        let Some(waiting) = jobs.as_mut() else {
+            return;
+        };
+        std::mem::swap(waiting, &mut batch);
+        drop(jobs);
+        for (link, record) in batch.drain(..) {
+            let ok = link.rpc.handle_record_into(&record, &mut enc).is_ok();
+            ctx.records.put(record);
+            if ok {
+                send_reply(&link, &mut enc, ctx);
+            } else {
+                ctx.notices.lock().push((link.key, true));
+            }
+            // The reply is written or queued; only now may the reactor treat
+            // this connection as drained (ordering guarantee — see module
+            // doc; SeqCst for the `attention` handshake — see `Link`).
+            link.pending.fetch_sub(1, Ordering::SeqCst);
+            if !ok || link.attention.load(Ordering::SeqCst) {
+                ctx.poller.notify();
+            }
         }
     }
 }
@@ -1202,6 +1221,57 @@ mod tests {
         expect_echo(&mut stream, 3, &payload);
         stopper.join().unwrap();
         assert_eq!(closes.load(Ordering::SeqCst), 1);
+    }
+
+    /// `shutdown` while parked calls still wait on a shard's queue: the
+    /// queue closes only once every connection is finalized, so each call
+    /// is answered, in order, before its connection closes and `shutdown`
+    /// returns.
+    #[test]
+    fn shutdown_answers_every_parked_call_queued_on_a_shard() {
+        const CONNS: usize = 4;
+        const CALLS: u32 = 16;
+        fn expect_sum(stream: &mut TcpStream, xid: u32) {
+            let rec = read_record(stream, MAX_RECORD).unwrap().unwrap();
+            let mut dec = XdrDecoder::new(&rec);
+            assert_eq!(RpcMessage::decode(&mut dec).unwrap().xid, xid);
+            assert_eq!(dec.get_u32().unwrap(), xid + 1);
+        }
+        let cfg = ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        };
+        let (handle, closes) = start(cfg);
+        let mut streams: Vec<TcpStream> = (0..CONNS)
+            .map(|_| TcpStream::connect(handle.addr()).unwrap())
+            .collect();
+        for (i, stream) in streams.iter_mut().enumerate() {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            for xid in 0..CALLS {
+                send_call(stream, xid, 3, &(xid, 1u32));
+            }
+            // The worker has taken the first connection's calls, so the
+            // others' calls wait on the shard's queue behind them (300 µs
+            // each).
+            if i == 0 {
+                expect_sum(stream, 0);
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.reactor_stats().parked_calls < (CONNS as u64) * u64::from(CALLS) {
+            assert!(Instant::now() < deadline, "calls never parked");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let stopper = std::thread::spawn(move || handle.shutdown());
+        for (i, stream) in streams.iter_mut().enumerate() {
+            for xid in u32::from(i == 0)..CALLS {
+                expect_sum(stream, xid);
+            }
+        }
+        stopper.join().unwrap();
+        assert_eq!(closes.load(Ordering::SeqCst), CONNS as u64);
     }
 
     /// One reply backs up behind a peer that never reads, with nothing

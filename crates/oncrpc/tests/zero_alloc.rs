@@ -10,8 +10,9 @@
 //! so any allocation observed inside the measured loop is attributable to
 //! the client data path.
 //!
-//! The same holds across real loopback TCP into the reactor for a call it
-//! answers inline: client and server together allocate nothing per call.
+//! The same holds across real loopback TCP into the reactor, for a call it
+//! answers inline and for one it parks on a worker shard: client and server
+//! together allocate nothing per call.
 //!
 //! Installs [`oncrpc::telemetry::CountingAllocator`] process-wide, so this
 //! file must stay a dedicated integration-test binary.
@@ -19,8 +20,8 @@
 use oncrpc::msg::{AcceptStat, RejectStat, ReplyBody, RpcMessage};
 use oncrpc::telemetry::{allocation_count, CountingAllocator};
 use oncrpc::{
-    serve_tcp_reactor, ConnHandler, Dispatch, OpaqueAuth, ProcClass, ReactorConfig, RecordBuf,
-    RpcClient, RpcError, RpcServer, TcpTransport, Transport,
+    serve_tcp_reactor, ConnHandler, Dispatch, OpaqueAuth, ProcClass, ReactorConfig,
+    ReactorSnapshot, RecordBuf, RpcClient, RpcError, RpcServer, TcpTransport, Transport,
 };
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -153,19 +154,14 @@ fn steady_state_call_loop_is_allocation_free() {
     );
 }
 
-/// A `Done` call over loopback TCP into [`serve_tcp_reactor`]: the reactor
-/// executes it inline, frames the reply into a pooled buffer and writes it
-/// through on its own thread, so once warm neither end allocates — the
-/// counter sees this process's client and server alike.
-///
-/// `Parked` calls are not held to this: the hand-off to a worker shard is a
-/// `std::sync::mpsc::channel::<Job>`, which allocates a new block every 31
-/// messages, about 32 allocations per 1000 calls.
-#[test]
-fn inline_reactor_calls_are_allocation_free() {
+/// Calls of `class` over loopback TCP into [`serve_tcp_reactor`], once
+/// warm: the fewest heap allocations of five 1000-call rounds, and the
+/// server's counters. The counter sees this process's client and server
+/// alike.
+fn warm_reactor_allocs(class: ProcClass) -> (u64, ReactorSnapshot) {
     const PROG: u32 = 0x2000_0077;
     let cfg = ReactorConfig {
-        classify: Some(Arc::new(|_, _, _| ProcClass::Done)),
+        classify: Some(Arc::new(move |_, _, _| class)),
         ..ReactorConfig::default()
     };
     let handle = serve_tcp_reactor("127.0.0.1:0", cfg, |_conn| {
@@ -190,7 +186,8 @@ fn inline_reactor_calls_are_allocation_free() {
         let r = client.call_raw(1, |enc| enc.put_u64(i)).unwrap();
         assert_eq!(*r, (i + 1).to_be_bytes());
     };
-    // Warm-up: size the connection's reply queue, the pools and encoders.
+    // Warm-up: size the connection's reply queue, the pools, encoders and
+    // shard queues.
     for i in 0..64 {
         call(i);
     }
@@ -209,11 +206,34 @@ fn inline_reactor_calls_are_allocation_free() {
         }
     }
     let stats = handle.reactor_stats();
-    assert_eq!((stats.parked_calls, stats.queued_replies), (0, 0));
     handle.shutdown();
+    (best, stats)
+}
+
+/// A `Done` call: the reactor executes it inline, frames the reply into a
+/// pooled buffer and writes it through on its own thread, so once warm
+/// neither end allocates.
+#[test]
+fn inline_reactor_calls_are_allocation_free() {
+    let (best, stats) = warm_reactor_allocs(ProcClass::Done);
+    assert_eq!((stats.parked_calls, stats.queued_replies), (0, 0));
     assert_eq!(
         best, 0,
         "inline reactor calls performed {best} heap allocations per 1000-call round"
+    );
+}
+
+/// A `Parked` call: the reactor swaps its record for a pooled buffer and
+/// pushes it on its worker shard's queue; the worker takes the whole queue,
+/// leaving its own drained one behind, and writes the reply through. Both
+/// queues keep their capacity, so once warm neither end allocates.
+#[test]
+fn parked_reactor_calls_are_allocation_free() {
+    let (best, stats) = warm_reactor_allocs(ProcClass::Parked);
+    assert_eq!(stats.inline_replies, 0);
+    assert_eq!(
+        best, 0,
+        "parked reactor calls performed {best} heap allocations per 1000-call round"
     );
 }
 

@@ -16,21 +16,32 @@
 //! budget fits inside the baseline's. Self-asserted (structural):
 //! **≥ 5× more concurrent sessions**, every session makes progress, and
 //! the `Done`/`Parked` classification is engaged. The aggregate-throughput
-//! ratio is wall clock on a shared box and sits around 1.0× in a full run:
+//! ratio is wall clock on a shared box and sits around 0.8× in a full run:
 //! per call the reactor still pays a readiness wake of its one poller
 //! thread, which runs every inline call of every session in turn, and a
 //! parked call adds a hand-off to a worker's queue, where a blocking
-//! `Serial` thread wakes straight into dispatch. One run's ratio swings
+//! `Serial` thread wakes straight into dispatch. It sat around 1.0× while
+//! a `TcpTransport` wrote each record's mark apart from its body: that
+//! cost both servers a second wake-up per request, and `Serial` also one
+//! per reply, so one write per record sped `Serial` up more than the
+//! reactor (EXPERIMENTS.md "One write per call"). One run's ratio swings
 //! with the `Serial` baseline (EXPERIMENTS.md "Connection scaling"), so
 //! `--smoke` alternates three short pairs and gates the ratio of their
 //! medians at [`SMOKE_FLOOR`]: a tripwire for a reactor that lost half its
 //! throughput, not a claim of parity (its four-thread budget reads lower
 //! than a full run).
+//!
+//! Each run also reports its work per call, clock `count`: the context
+//! switches of the whole process, clients included (summed over
+//! `/proc/self/task/*/status` while every thread of the run is alive), and
+//! the reactor's reads, `WouldBlock` reads, wake-ups, notifies and worker
+//! wake-ups (`ReactorSnapshot`).
 
 use cricket_client::{CricketClient, Endpoint};
 use cricket_server::{CricketServer, ServeMode, ServerBuilder};
+use oncrpc::ReactorSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Least `--smoke` ratio of medians, reactor over `Serial`, that passes.
@@ -46,14 +57,44 @@ struct RunResult {
     total_ops: u64,
     elapsed: Duration,
     min_session_ops: u64,
-    inline_replies: u64,
-    parked_calls: u64,
+    /// The server's counters at the start and the end of the run (all zero
+    /// for `Serial`).
+    before: ReactorSnapshot,
+    stats: ReactorSnapshot,
+    /// Context switches of the whole process, clients included, over the
+    /// run.
+    switches: u64,
 }
 
 impl RunResult {
     fn ops_per_sec(&self) -> f64 {
         self.total_ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
+
+    /// `count` per call: every op is one RPC.
+    fn per_call(&self, count: u64) -> f64 {
+        count as f64 / self.total_ops.max(1) as f64
+    }
+}
+
+/// Context switches, voluntary and involuntary, of every live thread of
+/// this process: the sum over `/proc/self/task/*/status` (0 where that is
+/// unreadable).
+fn context_switches() -> u64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    let status = tasks
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("status")).ok());
+    let count = |line: &str| {
+        let field = line.strip_prefix("voluntary_ctxt_switches:");
+        let field = field.or_else(|| line.strip_prefix("nonvoluntary_ctxt_switches:"));
+        field.and_then(|v| v.trim().parse::<u64>().ok())
+    };
+    status
+        .map(|s| s.lines().filter_map(count).sum::<u64>())
+        .sum()
 }
 
 /// Serve in `mode`, open `sessions` concurrent connections, and drive them
@@ -86,11 +127,15 @@ fn measure(
 
     let deadline = Instant::now() + Duration::from_secs_f64(secs);
     let total = Arc::new(AtomicU64::new(0));
+    // Drivers wait twice at the end, so the closing sample of context
+    // switches sees every thread of the run still alive.
+    let gate = Arc::new(Barrier::new(drivers + 1));
+    let (switches, before) = (context_switches(), handle.reactor_stats());
     let started = Instant::now();
     let joins: Vec<_> = pool
         .into_iter()
         .map(|mut chunk| {
-            let total = Arc::clone(&total);
+            let (total, gate) = (Arc::clone(&total), Arc::clone(&gate));
             std::thread::spawn(move || {
                 let mut per: Vec<u64> = vec![0; chunk.len()];
                 let mut round = 0u64;
@@ -108,19 +153,24 @@ fn measure(
                 }
                 let sum: u64 = per.iter().sum();
                 total.fetch_add(sum, Ordering::Relaxed);
+                gate.wait();
+                gate.wait();
                 per.into_iter().min().unwrap_or(0)
             })
         })
         .collect();
+    gate.wait();
+    let elapsed = started.elapsed();
+    let switches = context_switches() - switches;
+    // Every op was a completed round trip, and the reactor counts a call
+    // before its reply can leave: the run's own handle has them all.
+    let stats = handle.reactor_stats();
+    gate.wait();
     let min_session_ops = joins
         .into_iter()
         .map(|j| j.join().expect("driver panicked"))
         .min()
         .unwrap_or(0);
-    let elapsed = started.elapsed();
-    // Every op was a completed round trip, and the reactor counts a call
-    // before its reply can leave: the run's own handle has them all.
-    let t1 = handle.reactor_stats();
     handle.shutdown();
     RunResult {
         sessions,
@@ -128,8 +178,9 @@ fn measure(
         total_ops: total.load(Ordering::Relaxed),
         elapsed,
         min_session_ops,
-        inline_replies: t1.inline_replies,
-        parked_calls: t1.parked_calls,
+        before,
+        stats,
+        switches,
     }
 }
 
@@ -204,6 +255,7 @@ fn main() {
         runs.swap_remove(runs.len() / 2)
     };
     let (base, reac) = (median(bases), median(reacs));
+    let (inline, parked) = (reac.stats.inline_replies, reac.stats.parked_calls);
 
     let session_ratio = reac.sessions as f64 / base.sessions as f64;
     let throughput_ratio = reac.ops_per_sec() / base.ops_per_sec().max(1e-9);
@@ -218,9 +270,28 @@ fn main() {
         reac.sessions,
         reac.ops_per_sec(),
         reac.server_threads,
-        reac.inline_replies,
-        reac.parked_calls,
+        inline,
+        parked,
     );
+    // Per-call counts (clock `count`): what each call cost the process in
+    // context switches and the reactor in reads, wake-ups and notifies.
+    let run = |count: fn(&ReactorSnapshot) -> u64| count(&reac.stats) - count(&reac.before);
+    let counts = [
+        ("reads", run(|s| s.reads)),
+        ("reads_would_block", run(|s| s.reads_would_block)),
+        ("wakeups", run(|s| s.wakeups)),
+        ("notifies", run(|s| s.notifies)),
+        ("worker_wakeups", run(|s| s.worker_wakeups)),
+    ];
+    println!("\n  per call (count)        serial  reactor");
+    println!(
+        "    context switches    {:>8.2} {:>8.2}",
+        base.per_call(base.switches),
+        reac.per_call(reac.switches)
+    );
+    for (name, n) in counts {
+        println!("    {name:<19} {:>8} {:>8.2}", "-", reac.per_call(n));
+    }
     println!(
         "\n  → {session_ratio:.1}x the concurrent sessions at {:.2}x the aggregate throughput",
         throughput_ratio
@@ -235,10 +306,8 @@ fn main() {
     );
     assert!(base.min_session_ops > 0, "baseline session starved");
     assert!(
-        reac.inline_replies > 0 && reac.parked_calls > 0,
-        "classification did not split Done/Parked: {} inline, {} parked",
-        reac.inline_replies,
-        reac.parked_calls
+        inline > 0 && parked > 0,
+        "classification did not split Done/Parked: {inline} inline, {parked} parked"
     );
     assert!(
         session_ratio >= 5.0,
@@ -249,13 +318,19 @@ fn main() {
         "reactor throughput fell to {throughput_ratio:.2}x of serial (floor {SMOKE_FLOOR})"
     );
 
+    let reactor_counts: String = counts
+        .iter()
+        .map(|(name, n)| format!(", \"{name}\": {:.4}", reac.per_call(*n)))
+        .collect();
     let json = format!(
         "{{\n  \"clock\": \"wall\",\n  \"thread_budget\": {},\n  \"drivers\": {},\n  \"secs\": {},\n  \
          \"baseline\": {{\"mode\": \"serial\", \"sessions\": {}, \"server_threads\": {}, \
-         \"total_ops\": {}, \"ops_per_sec\": {:.0}, \"min_session_ops\": {}}},\n  \
+         \"total_ops\": {}, \"ops_per_sec\": {:.0}, \"min_session_ops\": {}, \
+         \"per_call\": {{\"clock\": \"count\", \"context_switches\": {:.4}}}}},\n  \
          \"reactor\": {{\"mode\": \"reactor\", \"workers\": {workers}, \"sessions\": {}, \
          \"server_threads\": {}, \"total_ops\": {}, \"ops_per_sec\": {:.0}, \
-         \"min_session_ops\": {}, \"inline_replies\": {}, \"parked_calls\": {}}},\n  \
+         \"min_session_ops\": {}, \"inline_replies\": {inline}, \"parked_calls\": {parked}, \
+         \"per_call\": {{\"clock\": \"count\", \"context_switches\": {:.4}{reactor_counts}}}}},\n  \
          \"session_ratio\": {session_ratio:.4},\n  \"throughput_ratio\": {throughput_ratio:.4}\n}}\n",
         args.budget,
         args.drivers,
@@ -265,13 +340,13 @@ fn main() {
         base.total_ops,
         base.ops_per_sec(),
         base.min_session_ops,
+        base.per_call(base.switches),
         reac.sessions,
         reac.server_threads,
         reac.total_ops,
         reac.ops_per_sec(),
         reac.min_session_ops,
-        reac.inline_replies,
-        reac.parked_calls,
+        reac.per_call(reac.switches),
     );
     if args.smoke {
         println!("\n  (smoke run: BENCH_connscale.json left untouched)");

@@ -190,7 +190,10 @@ impl Registration {
     ) -> RpcResult<Self> {
         let port = u32::from(addr.port());
         let mut client = dir_client(dir.dir_addr)?;
-        client.shard_set(&dir.prog, &dir.vers, &port, &server.load_report())?;
+        if !client.shard_set(&dir.prog, &dir.vers, &port, &server.load_report())? {
+            let full = std::io::Error::other("shard directory full: registration refused");
+            return Err(RpcError::Io(full));
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let server = Arc::clone(server);

@@ -531,8 +531,12 @@ impl SessionMigration {
         })?;
         self.report.naive_bytes = src.server().session_footprint(self.token);
         let dir = fleet.directory();
-        dir.set_home(self.token, u32::from(dst.addr().port()))
+        let pinned = dir
+            .set_home(self.token, u32::from(dst.addr().port()))
             .map_err(|e| MigrateError::DestLost(format!("directory home update failed: {e}")))?;
+        if !pinned {
+            return Err(MigrateError::Plan("directory home table full".into()));
+        }
         self.home_set = true;
         src.server().evict_token(self.token);
         self.evicted = true;

@@ -34,6 +34,16 @@ use std::sync::Arc;
 
 type Reply<T> = Result<T, AcceptStat>;
 
+/// Most shards the directory holds, over every (prog, vers): `SHARD_SET`
+/// for a shard past it is refused (`false`); one already held still
+/// heartbeats. A fleet is tens of servers.
+const MAX_SHARDS: usize = 1 << 10;
+
+/// Most pinned homes the directory holds: `SHARD_HOME_SET` for a token
+/// past it is refused (`false`); a pinned one still moves or clears. Each
+/// migrated session pins one.
+const MAX_HOMES: usize = 1 << 14;
+
 impl ShardEntry {
     /// Sessions the directory believes the shard is carrying right now:
     /// what the shard last reported plus placements since that heartbeat.
@@ -130,11 +140,14 @@ impl PmapVersService for Portmap {
             load,
             assigned: 0,
         };
-        let mut t = self.0.write();
-        t.shards
-            .entry((prog, vers))
-            .or_default()
-            .insert(port, entry);
+        let shards = &mut self.0.write().shards;
+        let held = shards
+            .get(&(prog, vers))
+            .is_some_and(|m| m.contains_key(&port));
+        if !held && shards.values().map(BTreeMap::len).sum::<usize>() >= MAX_SHARDS {
+            return Ok(false);
+        }
+        shards.entry((prog, vers)).or_default().insert(port, entry);
         Ok(true)
     }
 
@@ -169,10 +182,13 @@ impl PmapVersService for Portmap {
 
     fn shard_home_set(&self, prog: u32, vers: u32, token: u64, port: u32) -> Reply<bool> {
         let homes = &mut self.0.write().homes;
+        let key = (prog, vers, token);
         if port == 0 {
-            homes.remove(&(prog, vers, token));
+            homes.remove(&key);
+        } else if homes.len() < MAX_HOMES || homes.contains_key(&key) {
+            homes.insert(key, port);
         } else {
-            homes.insert((prog, vers, token), port);
+            return Ok(false);
         }
         Ok(true)
     }
@@ -296,6 +312,49 @@ mod tests {
         assert_eq!(home(1, 0xAB), 5001);
         pm.shard_home_set(7, 1, 0xAB, 0).unwrap();
         assert_eq!(home(1, 0xAB), 0);
+    }
+
+    /// A peer fills both tables to their bounds over the wire: a new shard
+    /// or token past a bound is refused, held ones still update, a cleared
+    /// pin frees its slot, and the directory keeps answering.
+    #[test]
+    fn a_peer_fills_the_directory_only_to_its_bounds() {
+        let pm = Portmap::new();
+        let handle = pm.serve("127.0.0.1:0").unwrap();
+        let t = TcpTransport::connect(handle.addr()).unwrap();
+        let mut client = PmapVersClient::new(Box::new(t));
+        let load = LoadReport::default();
+        // Shards spread over many (prog, vers): the bound is the total.
+        for i in 0..MAX_SHARDS as u32 {
+            assert!(client.shard_set(&(i % 7), &1, &(5000 + i), &load).unwrap());
+        }
+        assert!(!client.shard_set(&99, &1, &1, &load).unwrap(), "new fleet");
+        assert!(!client.shard_set(&0, &1, &1, &load).unwrap(), "new port");
+        let beat = LoadReport {
+            sessions: 9,
+            ..load
+        };
+        assert!(client.shard_set(&0, &1, &5000, &beat).unwrap(), "heartbeat");
+        assert_eq!(client.shard_dump(&0, &1).unwrap().0[0].load, beat);
+        assert!(client.shard_dump(&99, &1).unwrap().0.is_empty());
+
+        for token in 0..MAX_HOMES as u64 {
+            assert!(client.shard_home_set(&0, &1, &token, &5000).unwrap());
+        }
+        let past = MAX_HOMES as u64;
+        assert!(!client.shard_home_set(&0, &1, &past, &5000).unwrap());
+        assert_eq!(client.shard_home_get(&0, &1, &past).unwrap(), 0);
+        assert!(client.shard_home_set(&0, &1, &7, &5007).unwrap(), "re-pin");
+        assert_eq!(client.shard_home_get(&0, &1, &7).unwrap(), 5007);
+        assert!(client.shard_home_set(&0, &1, &7, &0).unwrap(), "clear");
+        assert!(client.shard_home_set(&0, &1, &past, &5000).unwrap());
+        assert_eq!(client.shard_home_get(&0, &1, &past).unwrap(), 5000);
+
+        // Room again once a shard leaves.
+        assert!(client.shard_unset(&1, &1, &5001).unwrap());
+        assert!(client.shard_set(&99, &1, &1, &load).unwrap());
+        client.null().unwrap();
+        handle.shutdown();
     }
 
     #[test]

@@ -12,6 +12,13 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// A duplex byte stream usable for RPC.
+///
+/// A socket-backed transport hands a gather list to the kernel as one
+/// write: it forwards [`Write::write_vectored`] to its socket. The record
+/// layer writes a record as `[mark, body…]` in one `write_vectored`, and
+/// std's default writes only the first slice, so without the forward every
+/// record would leave as a lone 4-byte write and then its body: under
+/// `TCP_NODELAY` two segments, and two wake-ups of the peer, per record.
 pub trait Transport: Read + Write + Send {
     /// Human-readable description for diagnostics.
     fn describe(&self) -> String {
@@ -97,6 +104,9 @@ impl Read for TcpTransport {
 impl Write for TcpTransport {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.stream.write(buf)
+    }
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        self.stream.write_vectored(bufs)
     }
     fn flush(&mut self) -> io::Result<()> {
         self.stream.flush()
@@ -318,6 +328,21 @@ mod tests {
         assert!(client.nodelay().unwrap());
         drop(client);
         handle.shutdown();
+    }
+
+    /// A gather list leaves as one write: a record's mark and body are one
+    /// segment under `TCP_NODELAY`, not two.
+    #[test]
+    fn tcp_transport_writes_a_gather_list_at_once() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let (mark, body) = ([0u8; 4], [7u8; 100]);
+        let parts = [io::IoSlice::new(&mark), io::IoSlice::new(&body)];
+        assert_eq!(client.write_vectored(&parts).unwrap(), 104);
+        let mut got = [0u8; 104];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got[4..], body);
     }
 
     #[test]

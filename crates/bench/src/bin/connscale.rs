@@ -35,11 +35,11 @@
 //! switches of the whole process, clients included (summed over
 //! `/proc/self/task/*/status` while every thread of the run is alive), and
 //! the reactor's reads, `WouldBlock` reads, wake-ups, notifies and worker
-//! wake-ups (`ReactorSnapshot`).
+//! wake-ups (`reactor.*` in the server's statistics).
 
 use cricket_client::{CricketClient, Endpoint};
+use cricket_proto::ServerStats;
 use cricket_server::{CricketServer, ServeMode, ServerBuilder};
-use oncrpc::ReactorSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -57,10 +57,10 @@ struct RunResult {
     total_ops: u64,
     elapsed: Duration,
     min_session_ops: u64,
-    /// The server's counters at the start and the end of the run (all zero
-    /// for `Serial`).
-    before: ReactorSnapshot,
-    stats: ReactorSnapshot,
+    /// The server's statistics at the start and the end of the run
+    /// (`reactor.*` all zero for `Serial`).
+    before: ServerStats,
+    stats: ServerStats,
     /// Context switches of the whole process, clients included, over the
     /// run.
     switches: u64,
@@ -69,6 +69,12 @@ struct RunResult {
 impl RunResult {
     fn ops_per_sec(&self) -> f64 {
         self.total_ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+
+    /// How much statistic `name` grew over the run.
+    fn grew(&self, name: &str) -> u64 {
+        let get = |s: &ServerStats| s.get(name).expect("a reported statistic");
+        get(&self.stats) - get(&self.before)
     }
 
     /// `count` per call: every op is one RPC.
@@ -130,7 +136,7 @@ fn measure(
     // Drivers wait twice at the end, so the closing sample of context
     // switches sees every thread of the run still alive.
     let gate = Arc::new(Barrier::new(drivers + 1));
-    let (switches, before) = (context_switches(), handle.reactor_stats());
+    let (switches, before) = (context_switches(), server.stats());
     let started = Instant::now();
     let joins: Vec<_> = pool
         .into_iter()
@@ -163,8 +169,8 @@ fn measure(
     let elapsed = started.elapsed();
     let switches = context_switches() - switches;
     // Every op was a completed round trip, and the reactor counts a call
-    // before its reply can leave: the run's own handle has them all.
-    let stats = handle.reactor_stats();
+    // before its reply can leave: the run's own server has them all.
+    let stats = server.stats();
     gate.wait();
     let min_session_ops = joins
         .into_iter()
@@ -255,7 +261,11 @@ fn main() {
         runs.swap_remove(runs.len() / 2)
     };
     let (base, reac) = (median(bases), median(reacs));
-    let (inline, parked) = (reac.stats.inline_replies, reac.stats.parked_calls);
+    let total = |name| reac.stats.get(name).expect("a reported statistic");
+    let (inline, parked) = (
+        total("reactor.inline_replies"),
+        total("reactor.parked_calls"),
+    );
 
     let session_ratio = reac.sessions as f64 / base.sessions as f64;
     let throughput_ratio = reac.ops_per_sec() / base.ops_per_sec().max(1e-9);
@@ -275,14 +285,14 @@ fn main() {
     );
     // Per-call counts (clock `count`): what each call cost the process in
     // context switches and the reactor in reads, wake-ups and notifies.
-    let run = |count: fn(&ReactorSnapshot) -> u64| count(&reac.stats) - count(&reac.before);
     let counts = [
-        ("reads", run(|s| s.reads)),
-        ("reads_would_block", run(|s| s.reads_would_block)),
-        ("wakeups", run(|s| s.wakeups)),
-        ("notifies", run(|s| s.notifies)),
-        ("worker_wakeups", run(|s| s.worker_wakeups)),
-    ];
+        "reads",
+        "reads_would_block",
+        "wakeups",
+        "notifies",
+        "worker_wakeups",
+    ]
+    .map(|name| (name, reac.grew(&format!("reactor.{name}"))));
     println!("\n  per call (count)        serial  reactor");
     println!(
         "    context switches    {:>8.2} {:>8.2}",

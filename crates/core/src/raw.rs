@@ -1144,7 +1144,8 @@ mod tests {
                 } else {
                     Plain
                 });
-                assert_eq!(c.server_stats().unwrap().bytes_in, data.len() as u64);
+                let bytes_in = c.server_stats().unwrap().get("server.bytes_in");
+                assert_eq!(bytes_in, Some(data.len() as u64));
                 let [h2d, d2h, wire, elided] = transfer_counters(&c);
                 assert_eq!(wire < h2d, elided > 0, "only zero pages leave the wire");
                 outcomes.push((back, h2d, d2h));

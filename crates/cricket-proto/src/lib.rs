@@ -74,6 +74,20 @@ impl RpcDim3 {
     }
 }
 
+impl ServerStats {
+    /// The value of the statistic called `name` (DESIGN.md lists them).
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.stats.iter().find(|s| s.name == name).map(|s| s.value)
+    }
+}
+
+impl From<(&str, u64)> for Stat {
+    fn from((name, value): (&str, u64)) -> Self {
+        let name = name.into();
+        Self { name, value }
+    }
+}
+
 impl From<(u32, u32, u32)> for RpcDim3 {
     fn from((x, y, z): (u32, u32, u32)) -> Self {
         Self { x, y, z }
@@ -137,6 +151,34 @@ mod tests {
             };
             assert_eq!(xdr::decode::<Ckpt>(&bad), Err(err));
         }
+    }
+
+    /// `server_stats` leads with its tag words, reads by name, and a list
+    /// past `CRICKET_MAX_STATS` is refused where it is decoded.
+    #[test]
+    fn server_stats_is_a_tagged_bounded_list() {
+        let stat = |i: u64| Stat {
+            name: format!("s.{i}"),
+            value: i,
+        };
+        let list = |n: u64| ServerStats {
+            stats: (0..n).map(stat).collect::<Vec<_>>().into(),
+        };
+        let max = CRICKET_MAX_STATS as u64;
+        let wire = xdr::encode(&list(max));
+        let word = |at: usize| i64::from(u32::from_be_bytes(wire[at..at + 4].try_into().unwrap()));
+        assert_eq!(
+            [word(0), word(4)],
+            [MAGIC_SERVER_STATS, VERSION_SERVER_STATS]
+        );
+        let back = xdr::decode::<ServerStats>(&wire).unwrap();
+        assert_eq!((back.get("s.7"), back.get("s.64")), (Some(7), None));
+        let over = xdr::decode::<ServerStats>(&xdr::encode(&list(max + 1)));
+        let bound = xdr::XdrError::LengthOutOfBounds {
+            len: CRICKET_MAX_STATS as usize + 1,
+            max: CRICKET_MAX_STATS as usize,
+        };
+        assert_eq!(over, Err(bound));
     }
 
     /// The batch-exec procedure must stay out of the idempotent table: a
@@ -573,13 +615,9 @@ mod tests {
                 Ok(arg0.len() as i32)
             }
             fn srv_get_stats(&self) -> Result<ServerStats, oncrpc::AcceptStat> {
+                let stats = [("server.calls", 1), ("server.sessions", 5)].map(Stat::from);
                 Ok(ServerStats {
-                    total_calls: 1,
-                    bytes_in: 2,
-                    bytes_out: 3,
-                    kernels_launched: 4,
-                    active_sessions: 5,
-                    device_time_ns: 6,
+                    stats: stats.to_vec().into(),
                 })
             }
             fn srv_reset_stats(&self) -> Result<i32, oncrpc::AcceptStat> {
@@ -630,7 +668,8 @@ mod tests {
             .unwrap();
         assert_eq!(launched, 8 * 32);
         let stats = client.srv_get_stats().unwrap();
-        assert_eq!(stats.active_sessions, 5);
+        assert_eq!(stats.get("server.sessions"), Some(5));
+        assert_eq!(stats.get("server.sessions_"), None);
         assert_eq!(
             client.cuda_event_elapsed_time(&1, &2).unwrap(),
             FloatResult::Data(1.25)

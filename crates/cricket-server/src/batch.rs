@@ -113,7 +113,7 @@ impl CricketServer {
         self.sessions.lock().entry(s).or_default();
         // Each sub-op is one CUDA API call in the paper's accounting;
         // coalescing changes the wire shape, not the call count.
-        self.stats.lock().total_calls += ops.len() as u64;
+        self.metrics.add(crate::stats::CALLS, ops.len() as u64);
         // One RPC dispatch for the whole batch — the coalescing win.
         self.clock.advance(DISPATCH_NS as u64);
         let mut statuses = vec![0i32; ops.len()];
@@ -222,7 +222,7 @@ impl CricketServer {
             // `data` is the borrowed wire record (or the decoded blob); the
             // write into device memory is the transfer endpoint itself
             // (the client's `bytes_transferred`), not an RPC-stack memmove.
-            self.stats.lock().bytes_in += data.len() as u64;
+            self.metrics.add(crate::stats::BYTES_IN, data.len() as u64);
             dev.memcpy_htod_stream(dst, data, st).map(Some)
         };
         match *op {
@@ -236,7 +236,7 @@ impl CricketServer {
             BatchOp::CudaMemset(ptr, value, len) => dev.memset(ptr, value, len, st).map(Some),
             BatchOp::CudaLaunchKernel(func, grid, block, shared, _, params) => {
                 let sub = dev.launch_kernel(func, dim(grid), dim(block), shared, st, params)?;
-                self.stats.lock().kernels_launched += 1;
+                self.metrics.add(crate::stats::KERNELS_LAUNCHED, 1);
                 Ok(Some(sub))
             }
             BatchOp::CudaEventRecord(event, _) => {

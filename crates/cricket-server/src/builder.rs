@@ -157,14 +157,14 @@ impl ServerBuilder {
         if let Some(policy) = self.policy {
             server.scheduler.set_policy(policy);
         }
-        let (inner, replay) = serve_sessions(&server, &addrs, self.mode)?;
+        let inner = serve_sessions(&server, &addrs, self.mode)?;
+        *server.reactor.lock() = Arc::clone(inner.metrics());
         let registration = match self.directory {
             Some(dir) => Some(Registration::start(&server, inner.addr(), dir)?),
             None => None,
         };
         Ok(ServeHandle {
             inner,
-            replay,
             server,
             registration: std::sync::Mutex::new(registration),
         })
@@ -258,7 +258,6 @@ fn dir_client(addr: SocketAddr) -> RpcResult<PmapVersClient> {
 /// A running Cricket server started by [`ServerBuilder::serve`].
 pub struct ServeHandle {
     inner: oncrpc::ServerHandle,
-    replay: Arc<ReplayCache>,
     server: Arc<CricketServer>,
     registration: std::sync::Mutex<Option<Registration>>,
 }
@@ -274,15 +273,9 @@ impl ServeHandle {
         &self.server
     }
 
-    /// The shared at-most-once replay cache.
+    /// The server's at-most-once replay cache, shared by every connection.
     pub fn replay(&self) -> &Arc<ReplayCache> {
-        &self.replay
-    }
-
-    /// What the serving reactor has counted since [`ServerBuilder::serve`]
-    /// (all zero in [`ServeMode::Serial`]).
-    pub fn reactor_stats(&self) -> oncrpc::ReactorSnapshot {
-        self.inner.reactor_stats()
+        &self.server.replay
     }
 
     /// Graceful stop: deregister from the directory (if registered), stop
@@ -313,8 +306,8 @@ impl ServeHandle {
 }
 
 /// The mode dispatch behind [`ServerBuilder::serve`]. Both modes share the
-/// same session semantics — one `SessionId` per accepted connection, one
-/// shared replay cache, [`CricketServer::release_session`] exactly once when
+/// same session semantics — one `SessionId` per accepted connection, the
+/// server's one replay cache, [`CricketServer::release_session`] exactly once when
 /// the connection ends (replay entries are deliberately kept: a reconnecting
 /// client may still retransmit calls it sent on the dead connection) — and
 /// differ only in how connections map onto threads.
@@ -322,10 +315,7 @@ fn serve_sessions(
     server: &Arc<CricketServer>,
     addrs: &[SocketAddr],
     mode: ServeMode,
-) -> RpcResult<(oncrpc::ServerHandle, Arc<ReplayCache>)> {
-    let replay = Arc::new(ReplayCache::default());
-    server.attach_replay(&replay);
-    let shared = Arc::clone(&replay);
+) -> RpcResult<oncrpc::ServerHandle> {
     let server = Arc::clone(server);
     let next_session = AtomicU32::new(1);
     let handle = match mode {
@@ -337,7 +327,7 @@ fn serve_sessions(
             };
             oncrpc::serve_tcp_reactor(addrs, cfg, move |_conn| {
                 let session = next_session.fetch_add(1, Ordering::Relaxed);
-                let rpc = Arc::new(session_rpc(&server, &shared, session));
+                let rpc = Arc::new(session_rpc(&server, session));
                 let server = Arc::clone(&server);
                 oncrpc::ConnHandler {
                     rpc,
@@ -351,9 +341,9 @@ fn serve_sessions(
         }
         ServeMode::Serial => oncrpc::server::serve_tcp_with(addrs, move |mut conn| {
             let session = next_session.fetch_add(1, Ordering::Relaxed);
-            let _ = session_rpc(&server, &shared, session).serve_connection(&mut conn);
+            let _ = session_rpc(&server, session).serve_connection(&mut conn);
             server.release_session(session);
         })?,
     };
-    Ok((handle, replay))
+    Ok(handle)
 }

@@ -36,6 +36,7 @@ pub mod scheduler;
 mod server;
 pub mod service;
 mod state;
+mod stats;
 pub mod transport;
 
 pub use builder::{DirectoryRegistration, ServeHandle, ServerBuilder};
@@ -127,12 +128,8 @@ pub fn cricket_classifier() -> oncrpc::Classifier {
 }
 
 /// Build one TCP connection's `RpcServer`: [`make_session_rpc`] plus the
-/// shared at-most-once replay cache and the migration token gate.
-pub(crate) fn session_rpc(
-    server: &Arc<CricketServer>,
-    replay: &Arc<oncrpc::ReplayCache>,
-    session: SessionId,
-) -> oncrpc::RpcServer {
+/// server's at-most-once replay cache and the migration token gate.
+pub(crate) fn session_rpc(server: &Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
     // Migration's eviction/adoption gate: calls carrying a client-token
     // credential are admitted or refused per token before replay lookup,
     // and their completion is reported so eviction can drain in-flight
@@ -150,7 +147,7 @@ pub(crate) fn session_rpc(
         }
     }
     let rpc = make_session_rpc(Arc::clone(server), session);
-    rpc.set_replay_cache(Arc::clone(replay));
+    rpc.set_replay_cache(Arc::clone(&server.replay));
     rpc.set_token_gate(Arc::new(SessionGate {
         server: Arc::clone(server),
         session,

@@ -212,7 +212,7 @@ impl CricketServer {
     /// scheduler's order alone.
     pub(crate) fn enter<H>(&self, session: SessionId, proc: u32, acquire: impl FnOnce() -> H) -> H {
         let held = self.charge(session, proc, acquire);
-        self.stats.lock().total_calls += 1;
+        self.metrics.add(crate::stats::CALLS, 1);
         held
     }
 
@@ -244,7 +244,7 @@ impl CricketServer {
         f: impl FnOnce(&mut Device) -> Result<(R, S), VgpuError>,
     ) -> Result<R, VgpuError> {
         let r = self.enqueue_leg(session, idx, proc, returns, f);
-        self.stats.lock().total_calls += 1;
+        self.metrics.add(crate::stats::CALLS, 1);
         r
     }
 

@@ -7,7 +7,7 @@
 use crate::prologue::Returns;
 use crate::scheduler::{Scheduler, SchedulerPolicy, SessionId};
 use cricket_proto::cricket_v1;
-use oncrpc::ReplayCache;
+use oncrpc::{telemetry::Metrics, ReplayCache};
 use parking_lot::Mutex;
 use simnet::SimClock;
 use std::collections::{HashMap, HashSet};
@@ -80,14 +80,6 @@ impl Default for QosServerConfig {
             admission_retry_ns: 2_000_000,
         }
     }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StatsInner {
-    pub(crate) total_calls: u64,
-    pub(crate) bytes_in: u64,
-    pub(crate) bytes_out: u64,
-    pub(crate) kernels_launched: u64,
 }
 
 /// What a handle a session holds names.
@@ -269,11 +261,15 @@ pub struct CricketServer {
     /// GPU-sharing scheduler.
     pub scheduler: Scheduler,
     pub(crate) clock: Arc<SimClock>,
-    pub(crate) stats: Mutex<StatsInner>,
+    /// The server's own counters (`server.*`, [`Self::stats`]).
+    pub(crate) metrics: Metrics,
+    /// The counters of the reactor serving this server (attached by the
+    /// builder; all zero until then).
+    pub(crate) reactor: Mutex<Arc<Metrics>>,
     pub(crate) cfg: ServerConfig,
-    /// The transport's shared at-most-once replay cache (attached by the
-    /// builder); migration ships a client's entries with the final delta.
-    pub(crate) replay: Mutex<Option<Arc<ReplayCache>>>,
+    /// The at-most-once replay cache every connection the builder serves
+    /// shares; migration ships a client's entries with the final delta.
+    pub(crate) replay: Arc<ReplayCache>,
 }
 
 /// The operands of one `cublasSgemm` / `cublasDgemm` call, `C = alpha ·
@@ -318,9 +314,10 @@ impl CricketServer {
             next_lib_handle: AtomicU64::new(LIB_HANDLE_BASE),
             scheduler: Scheduler::new(SchedulerPolicy::Fifo),
             clock,
-            stats: Mutex::new(StatsInner::default()),
+            metrics: Metrics::new(crate::stats::METRICS),
+            reactor: Mutex::new(Arc::new(Metrics::new(oncrpc::reactor::METRICS))),
             cfg,
-            replay: Mutex::new(None),
+            replay: Arc::default(),
         })
     }
 
@@ -365,7 +362,7 @@ impl CricketServer {
             free += f;
             total += t;
         }
-        let sessions = self.sessions.lock().len() as u32;
+        let sessions = self.stats().get("server.sessions").unwrap_or(0) as u32;
         // QoS pressure in permille: occupancy against the session watermark,
         // saturating at 1000 whenever calls were shed since the last report
         // (the directory steers placement away from saturated shards).

@@ -12,7 +12,8 @@
 
 use crate::prologue::Returns;
 use crate::scheduler::{QosSpec, SchedulerPolicy, SessionId};
-use crate::server::{CricketServer, Gemm, HostObject, Kind, StatsInner};
+use crate::server::{CricketServer, Gemm, HostObject, Kind};
+use crate::stats::{BYTES_IN, BYTES_OUT, CALLS};
 use cricket_proto::{
     cricket_v1 as proc, BatchResult, CricketV1BatchOp as BatchOp, DataResultReplied,
     DataResultReply, DeviceProp, FloatResult, IntResult, MemInfo, MemInfoResult, MigKind,
@@ -213,7 +214,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         });
         Ok(match r {
             Ok(replied) => {
-                srv.stats.lock().bytes_out += len;
+                srv.metrics.add(BYTES_OUT, len);
                 replied
             }
             Err(e) => out.expect("unused on error").default(err_code(&e)),
@@ -238,7 +239,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         }
         // A peer copy's two legs each pay the prologue; the call counts once.
         let r = srv.peer_copy(s, dst, src, len);
-        srv.stats.lock().total_calls += 1;
+        srv.metrics.add(CALLS, 1);
         Ok(int_of(r))
     }
 
@@ -263,7 +264,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cu_module_load_data(&self, image: &[u8]) -> Reply<U64Result> {
         let (srv, s) = (&self.srv, self.session);
-        srv.stats.lock().bytes_in += image.len() as u64;
+        srv.metrics.add(BYTES_IN, image.len() as u64);
         let r = srv.wait_here(s, proc::CU_MODULE_LOAD_DATA, |d| d.module_load(image));
         if let Ok(h) = r {
             // The retained copy is the only one: the image arrives as a
@@ -589,7 +590,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         });
         Ok(match r {
             Ok(blob) => {
-                srv.stats.lock().bytes_out += blob.len() as u64;
+                srv.metrics.add(BYTES_OUT, blob.len() as u64);
                 out.data(&blob)
             }
             Err(e) => out.default(err_code(&e)),
@@ -598,7 +599,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn ckpt_restore(&self, blob: &[u8]) -> Reply<i32> {
         let srv = &self.srv;
-        srv.stats.lock().bytes_in += blob.len() as u64;
+        srv.metrics.add(BYTES_IN, blob.len() as u64);
         Ok(int_of(srv.wait_turn(
             self.session,
             proc::CKPT_RESTORE,
@@ -610,27 +611,14 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn srv_get_stats(&self) -> Reply<ServerStats> {
-        let srv = &self.srv;
-        let st = *srv.stats.lock();
-        let device_time_ns = srv
-            .devices
-            .iter()
-            .map(|d| d.lock().stats.device_time_ns)
-            .sum();
-        Ok(ServerStats {
-            total_calls: st.total_calls,
-            bytes_in: st.bytes_in,
-            bytes_out: st.bytes_out,
-            kernels_launched: st.kernels_launched,
-            active_sessions: srv.sessions.lock().len() as u64,
-            device_time_ns,
-        })
+        Ok(self.srv.stats())
     }
 
     fn srv_reset_stats(&self) -> Reply<i32> {
-        // Statistics only: the live-session set is admission state
-        // (`qos_admit`, `load_report`), and `release_session` empties it.
-        *self.srv.stats.lock() = StatsInner::default();
+        // The server's own counters only: the live-session set is admission
+        // state (`qos_admit`, `load_report`), and `release_session` empties
+        // it; the reactor's and the replay cache's belong to them.
+        self.srv.metrics.reset();
         Ok(0)
     }
 
@@ -882,7 +870,7 @@ mod tests {
         let q0 = s.cuda_malloc(4096).unwrap().into_result().unwrap();
         s.cuda_set_device(1).unwrap();
         let p1 = s.cuda_malloc(4096).unwrap().into_result().unwrap();
-        let calls = || s.srv_get_stats().unwrap().total_calls;
+        let calls = || s.srv_get_stats().unwrap().get("server.calls").unwrap();
 
         let (before, t0) = (calls(), srv.clock().now_ns());
         assert_eq!(s.cuda_memcpy_dtod(p1, p0, 4096).unwrap(), 0);
@@ -917,13 +905,18 @@ mod tests {
             DataResult::Default(vgpu::CudaCode::InvalidValue as i32)
         );
         let st = s.srv_get_stats().unwrap();
-        assert!(st.total_calls >= 3);
-        assert_eq!(st.bytes_in, 4096);
-        assert_eq!(st.bytes_out, 1024);
-        assert_eq!(st.active_sessions, 1);
+        assert!(st.get("server.calls").unwrap() >= 3);
+        assert_eq!(st.get("server.bytes_in").unwrap(), 4096);
+        assert_eq!(st.get("server.bytes_out").unwrap(), 1024);
+        assert_eq!(st.get("server.sessions").unwrap(), 1);
         s.srv_reset_stats().unwrap();
         let st = s.srv_get_stats().unwrap();
-        assert_eq!(st.bytes_in, 0);
+        assert_eq!(st.get("server.bytes_in").unwrap(), 0);
+        assert_eq!(
+            st.get("server.sessions").unwrap(),
+            1,
+            "a reset leaves the live sessions alone"
+        );
     }
 
     #[test]
@@ -1277,8 +1270,14 @@ mod tests {
             batched.srv_get_stats().unwrap(),
         );
         assert_eq!(
-            (a.bytes_in, a.kernels_launched),
-            (b.bytes_in, b.kernels_launched)
+            (
+                a.get("server.bytes_in").unwrap(),
+                a.get("server.kernels_launched").unwrap()
+            ),
+            (
+                b.get("server.bytes_in").unwrap(),
+                b.get("server.kernels_launched").unwrap()
+            )
         );
     }
 
@@ -1300,7 +1299,7 @@ mod tests {
         }
         let after = (srv.scheduler.served_ops(), s.srv_get_stats().unwrap());
         assert_eq!(before, after);
-        assert_eq!(after.1.bytes_in, 0);
+        assert_eq!(after.1.get("server.bytes_in").unwrap(), 0);
     }
 
     /// The 4116-byte sparse blob whose header asks for 64 TiB (see
@@ -1327,7 +1326,11 @@ mod tests {
         };
         assert_eq!(receipt.statuses.to_vec(), vec![invalid]);
         assert_eq!(receipt.executed, 0);
-        assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0, "bomb counted");
+        assert_eq!(
+            s.srv_get_stats().unwrap().get("server.bytes_in").unwrap(),
+            0,
+            "bomb counted"
+        );
 
         // Still serving, and the legitimate sparse path still works.
         let mut blob = Vec::new();
@@ -1351,7 +1354,10 @@ mod tests {
         blob[4..12].copy_from_slice(&(1u64 << 20).to_be_bytes());
         let invalid = vgpu::CudaCode::InvalidValue as i32;
         assert_eq!(s.cuda_memcpy_htod_sparse(ptr, &blob).unwrap(), invalid);
-        assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0);
+        assert_eq!(
+            s.srv_get_stats().unwrap().get("server.bytes_in").unwrap(),
+            0
+        );
 
         let mut b = oncrpc::BatchBuilder::new();
         use cricket_proto::CricketV1Client as C;
@@ -1366,7 +1372,11 @@ mod tests {
             vec![invalid, oncrpc::BATCH_SKIPPED, 0]
         );
         assert_eq!(receipt.executed, 1);
-        assert_eq!(s.srv_get_stats().unwrap().bytes_in, 0, "header believed");
+        assert_eq!(
+            s.srv_get_stats().unwrap().get("server.bytes_in").unwrap(),
+            0,
+            "header believed"
+        );
     }
 
     /// An empty `Base` blob with a well-formed library cursor: what the
@@ -1793,7 +1803,11 @@ mod tests {
         assert!(shed(3, p::CUDA_GET_DEVICE_COUNT), "third session: over");
 
         assert!(!shed(3, p::SRV_RESET_STATS), "admin: always admitted");
-        assert_eq!(srv.stats.lock().total_calls, 0, "the statistics did reset");
+        assert_eq!(
+            srv.stats().get("server.calls"),
+            Some(0),
+            "the statistics did reset"
+        );
         assert!(
             shed(3, p::CUDA_GET_DEVICE_COUNT),
             "still over the watermark"

@@ -13,12 +13,10 @@ use cricket_proto::{
     MigBlob, MigCursor, MigDefaultStream, MigEvent, MigFft, MigFunction, MigKind, MigModule,
     MigStream, ReplayEntry, SessionMeta,
 };
-use oncrpc::ReplayCache;
 use parking_lot::{Mutex, MutexGuard};
 use simnet::clock::HORIZON_NS;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use vgpu::memory::MemDelta;
 use vgpu::{Device, VgpuError, VgpuResult};
 
@@ -111,12 +109,6 @@ impl CricketServer {
         self.objects.lock().retain(|&h, _| !on_device(h));
     }
 
-    /// Attach the transport's shared at-most-once replay cache so
-    /// migration can ship a client's entries with the final delta.
-    pub(crate) fn attach_replay(&self, replay: &Arc<ReplayCache>) {
-        *self.replay.lock() = Some(Arc::clone(replay));
-    }
-
     /// Export one leg of the migration stream for `token`'s session.
     ///
     /// `known` is the set of block bases previous legs already shipped
@@ -139,14 +131,12 @@ impl CricketServer {
         blob.meta.token = token;
         blob.meta.src_now_ns = self.clock.now_ns();
         if kind == MigKind::Final {
-            if let Some(r) = self.replay.lock().clone() {
-                let entries = r.export_client(token).into_iter();
-                let mut replay: Vec<_> = entries
-                    .map(|(xid, reply)| ReplayEntry { xid, reply })
-                    .collect();
-                replay.sort_by_key(|e| e.xid);
-                blob.replay = replay.into();
-            }
+            let entries = self.replay.export_client(token).into_iter();
+            let mut replay: Vec<_> = entries
+                .map(|(xid, reply)| ReplayEntry { xid, reply })
+                .collect();
+            replay.sort_by_key(|e| e.xid);
+            blob.replay = replay.into();
         }
         Ok(xdr::encode(&blob))
     }
@@ -332,9 +322,7 @@ impl CricketServer {
     /// force-release its session. The eviction marker stays, so late
     /// retransmissions on a half-dead connection remain refused.
     pub fn mig_finalize_source(&self, token: u64) -> SessionCleanup {
-        if let Some(r) = self.replay.lock().clone() {
-            r.forget_client(token);
-        }
+        self.replay.forget_client(token);
         match self.session_of_token(token) {
             Some(session) => self.force_release(session),
             None => SessionCleanup::default(),
@@ -348,7 +336,7 @@ impl CricketServer {
     /// the destination's virtual timeline — the only clock effect is the
     /// forward alignment to the source's `src_now_ns`.
     pub(crate) fn mig_apply(&self, bytes: &[u8], allow: &[MigKind]) -> VgpuResult<u32> {
-        self.stats.lock().bytes_in += bytes.len() as u64;
+        self.metrics.add(crate::stats::BYTES_IN, bytes.len() as u64);
         let blob = migrate::decode(bytes)?;
         let kind = blob.kind;
         if !allow.contains(&kind) {
@@ -384,10 +372,9 @@ impl CricketServer {
         }
         staged.applied_epochs += 1;
         if kind == MigKind::Final {
-            if let Some(r) = self.replay.lock().clone() {
-                let entries = blob.replay.0.into_iter();
-                r.import_client(token, entries.map(|e| (e.xid, e.reply)).collect());
-            }
+            let entries = blob.replay.0.into_iter();
+            let entries = entries.map(|e| (e.xid, e.reply)).collect();
+            self.replay.import_client(token, entries);
             staged.ready = true;
         }
         // Align this shard's virtual clock with the source so post-cutover

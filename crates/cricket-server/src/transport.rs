@@ -689,7 +689,13 @@ mod tests {
         let (rpc, clock) = sim_server();
         let (mut c, shared) = shared_client(&rpc, GuestKind::RustyHermit, &clock);
         let (mut observer, _) = shared_client(&rpc, GuestKind::NativeLinux, &clock);
-        let mut total_calls = || observer.srv_get_stats().unwrap().total_calls;
+        let mut total_calls = || {
+            observer
+                .srv_get_stats()
+                .unwrap()
+                .get("server.calls")
+                .unwrap()
+        };
         c.rpc_null().unwrap();
 
         // The reply direction loses sync; the request direction still works.

@@ -57,9 +57,9 @@ pub use error::{RpcError, RpcResult};
 pub use msg::{AcceptStat, CallBody, MsgType, RejectStat, ReplyBody, RpcMessage};
 
 pub use portmap::{LoadReport, Mapping, PmapVersClient, Portmap, ShardEntry};
-pub use reactor::{serve_tcp_reactor, ConnHandler, ReactorSnapshot};
+pub use reactor::{serve_tcp_reactor, ConnHandler};
 pub use record::{RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
-pub use replay::{ReplayCache, ReplayStats};
+pub use replay::ReplayCache;
 pub use server::{Dispatch, RpcServer, ServerHandle};
 pub use transport::{duplex_pair, MemTransport, TcpTransport, Transport};
 

@@ -34,6 +34,10 @@ use std::sync::Arc;
 
 type Reply<T> = Result<T, AcceptStat>;
 
+/// Most RFC 1833 mappings the directory holds: `SET` of a new tuple past
+/// it is refused (`false`), so a `DUMP` reply stays bounded.
+const MAX_MAPPINGS: usize = 1 << 12;
+
 /// Most shards the directory holds, over every (prog, vers): `SHARD_SET`
 /// for a shard past it is refused (`false`); one already held still
 /// heartbeats. A fleet is tens of servers.
@@ -93,17 +97,18 @@ impl PmapVersService for Portmap {
         Ok(())
     }
 
-    /// RFC 1833: `SET` never overwrites — it fails if the tuple is taken.
+    /// RFC 1833: `SET` never overwrites — it fails if the tuple is taken,
+    /// or if it is new and the table is full.
     fn set(&self, m: Mapping) -> Reply<bool> {
-        Ok(
-            match self.0.write().mappings.entry((m.prog, m.vers, m.prot)) {
-                Entry::Occupied(_) => false,
-                Entry::Vacant(e) => {
-                    e.insert(m.port);
-                    true
-                }
-            },
-        )
+        let mappings = &mut self.0.write().mappings;
+        let room = mappings.len() < MAX_MAPPINGS;
+        Ok(match mappings.entry((m.prog, m.vers, m.prot)) {
+            Entry::Vacant(e) if room => {
+                e.insert(m.port);
+                true
+            }
+            _ => false,
+        })
     }
 
     fn unset(&self, m: Mapping) -> Reply<bool> {
@@ -353,6 +358,24 @@ mod tests {
         // Room again once a shard leaves.
         assert!(client.shard_unset(&1, &1, &5001).unwrap());
         assert!(client.shard_set(&99, &1, &1, &load).unwrap());
+
+        // RFC 1833 mappings, spread over many programs: the bound is the total.
+        let mapping = |prog: u32, port| Mapping {
+            prog,
+            vers: 1,
+            prot: 6,
+            port,
+        };
+        for prog in 0..MAX_MAPPINGS as u32 {
+            assert!(client.set(&mapping(prog, 7000)).unwrap());
+        }
+        let past = MAX_MAPPINGS as u32;
+        assert!(!client.set(&mapping(past, 7000)).unwrap(), "new tuple");
+        assert_eq!(client.getport(&mapping(past, 0)).unwrap(), 0);
+        assert_eq!(client.getport(&mapping(3, 0)).unwrap(), 7000);
+        assert_eq!(client.dump().unwrap().0.len(), MAX_MAPPINGS);
+        assert!(client.unset(&mapping(3, 0)).unwrap());
+        assert!(client.set(&mapping(past, 7000)).unwrap(), "room again");
         client.null().unwrap();
         handle.shutdown();
     }

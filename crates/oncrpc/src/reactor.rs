@@ -77,12 +77,13 @@ use crate::conn::{
 };
 use crate::error::{RpcError, RpcResult};
 use crate::server::{RpcServer, ServerHandle};
+use crate::telemetry::Metrics;
 use parking_lot::{Condvar, Mutex};
 use polling::{Event, Poller};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use xdr::XdrEncoder;
@@ -99,90 +100,37 @@ pub struct ConnHandler {
     pub on_close: Option<Box<dyn FnOnce() + Send>>,
 }
 
-/// How one reactor has spent its calls and buffers since it started
-/// serving, read through [`ServerHandle::reactor_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReactorSnapshot {
-    /// Calls classified `Done` and answered from the reactor thread.
-    pub inline_replies: u64,
-    /// Calls classified `Parked` and executed on a worker shard.
-    pub parked_calls: u64,
-    /// Backpressure stalls (bounded per-session queue filled).
-    pub stalls: u64,
-    /// Pooled buffers recycled.
-    pub bufs_reused: u64,
-    /// Buffers allocated because no pooled one was free.
-    pub bufs_allocated: u64,
-    /// Connections closed for not reading their replies, or for a failed
-    /// reply write.
-    pub writer_kills: u64,
-    /// Replies the producing thread could not write whole, left queued for
-    /// the reactor to flush when the socket has room.
-    pub queued_replies: u64,
-    /// Returns of the reactor thread from its readiness wait.
-    pub wakeups: u64,
-    /// Socket reads on the reactor thread that returned data.
-    pub reads: u64,
-    /// Socket reads on the reactor thread that found nothing to read.
-    pub reads_would_block: u64,
-    /// Wake-ups sent: a `Poller::notify` to the reactor thread, or a
-    /// `notify_one` on a worker shard's condvar.
-    pub notifies: u64,
-    /// Returns of a worker from waiting on its shard's condvar.
-    pub worker_wakeups: u64,
-}
-
-/// The live counters behind [`ReactorSnapshot`]: one block per
-/// [`serve_tcp_reactor`], shared by its reactor thread, workers and buffer
-/// pools. Relaxed atomics — cheap enough to stay on in release.
-#[derive(Default)]
-pub(crate) struct ReactorStats {
-    inline_replies: AtomicU64,
-    parked_calls: AtomicU64,
-    stalls: AtomicU64,
-    bufs_reused: AtomicU64,
-    bufs_allocated: AtomicU64,
-    writer_kills: AtomicU64,
-    queued_replies: AtomicU64,
-    wakeups: AtomicU64,
-    reads: AtomicU64,
-    reads_would_block: AtomicU64,
-    notifies: AtomicU64,
-    worker_wakeups: AtomicU64,
-}
-
-impl ReactorStats {
-    pub(crate) fn snapshot(&self) -> ReactorSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ReactorSnapshot {
-            inline_replies: get(&self.inline_replies),
-            parked_calls: get(&self.parked_calls),
-            stalls: get(&self.stalls),
-            bufs_reused: get(&self.bufs_reused),
-            bufs_allocated: get(&self.bufs_allocated),
-            writer_kills: get(&self.writer_kills),
-            queued_replies: get(&self.queued_replies),
-            wakeups: get(&self.wakeups),
-            reads: get(&self.reads),
-            reads_would_block: get(&self.reads_would_block),
-            notifies: get(&self.notifies),
-            worker_wakeups: get(&self.worker_wakeups),
-        }
+crate::counters! {
+    /// The reactor's counters (`reactor.*`, read through
+    /// [`ServerHandle::metrics`]): one set per [`serve_tcp_reactor`], shared
+    /// by its reactor thread, workers and buffer pools.
+    pub const METRICS = {
+        INLINE_REPLIES = "reactor.inline_replies", // `Done`, answered on the reactor thread
+        PARKED_CALLS = "reactor.parked_calls", // `Parked`, executed on a worker shard
+        STALLS = "reactor.stalls", // reads suspended: the session's call budget was spent
+        BUFS_REUSED = "reactor.bufs_reused", // pooled buffers recycled
+        BUFS_ALLOCATED = "reactor.bufs_allocated", // buffers allocated: none pooled was free
+        WRITER_KILLS = "reactor.writer_kills", // closed for unread replies or a failed write
+        QUEUED_REPLIES = "reactor.queued_replies", // not written whole, left to the reactor
+        WAKEUPS = "reactor.wakeups", // returns of the reactor thread from its wait
+        READS = "reactor.reads", // socket reads that returned data
+        READS_WOULD_BLOCK = "reactor.reads_would_block", // socket reads that found nothing
+        NOTIFIES = "reactor.notifies", // a `Poller::notify` or a shard's `notify_one`
+        WORKER_WAKEUPS = "reactor.worker_wakeups", // returns of a worker from its condvar
     }
 }
 
 /// A connection's read half as the engine reads it, each read counted.
-struct Counted<'a>(&'a TcpStream, &'a ReactorStats);
+struct Counted<'a>(&'a TcpStream, &'a Metrics);
 
 impl Read for Counted<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let read = self.0.read(buf);
-        let counter = match &read {
-            Ok(1..) => &self.1.reads,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => &self.1.reads_would_block,
-            _ => return read,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        match &read {
+            Ok(1..) => self.1.add(READS, 1),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.1.add(READS_WOULD_BLOCK, 1),
+            _ => {}
+        }
         read
     }
 }
@@ -285,7 +233,7 @@ impl Socket {
             ctx,
             enc,
         };
-        let mut stream = Counted(&self.stream, &ctx.stats);
+        let mut stream = Counted(&self.stream, &ctx.metrics);
         match self.engine.drain(&mut stream, scratch, &mut calls) {
             Drained::Open => {}
             Drained::Closed => self.close(&ctx.poller),
@@ -295,7 +243,7 @@ impl Socket {
                 self.stalled = true;
                 self.link.attention.store(true, Ordering::SeqCst);
                 ctx.poller.suspend(self.link.key);
-                ctx.stats.stalls.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.add(STALLS, 1);
             }
         }
     }
@@ -314,7 +262,7 @@ impl Socket {
             _ => {
                 ob.kill(&ctx.replies);
                 drop(ob);
-                ctx.stats.writer_kills.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.add(WRITER_KILLS, 1);
                 self.close(&ctx.poller);
             }
         }
@@ -343,20 +291,20 @@ impl Calls for Route<'_> {
         if class == ProcClass::Done {
             link.rpc.handle_record_into(record, self.enc)?;
             // Counted before the reply can reach the peer: a client that
-            // has its answer finds the call in the stats.
-            ctx.stats.inline_replies.fetch_add(1, Ordering::Relaxed);
+            // has its answer finds the call counted.
+            ctx.metrics.add(INLINE_REPLIES, 1);
             send_reply(link, self.enc, ctx);
             return Ok(());
         }
-        let record = std::mem::replace(record, ctx.records.get(&ctx.stats));
+        let record = std::mem::replace(record, ctx.records.get(&ctx.metrics));
         link.pending.fetch_add(1, Ordering::AcqRel);
-        ctx.stats.parked_calls.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.add(PARKED_CALLS, 1);
         let (queue, ready) = &ctx.shards[link.key % ctx.shards.len()];
         // Closed only once every connection is finalized, so never here.
         if let Some(queue) = queue.lock().as_mut() {
             queue.push_back((Arc::clone(link), record));
         }
-        ctx.stats.notifies.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.add(NOTIFIES, 1);
         ready.notify_one();
         Ok(())
     }
@@ -380,7 +328,7 @@ struct Reactor {
     /// reply left bytes queued or its write failed (flush it when
     /// writable). Drained by the reactor on every pass.
     notices: Mutex<Vec<(usize, bool)>>,
-    stats: Arc<ReactorStats>,
+    metrics: Arc<Metrics>,
     /// Where the engine's clock starts: its `now` is the time since.
     epoch: Instant,
 }
@@ -388,7 +336,7 @@ struct Reactor {
 impl Reactor {
     /// Wake the reactor thread, counted.
     fn notify(&self) {
-        self.stats.notifies.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(NOTIFIES, 1);
         self.poller.notify();
     }
 }
@@ -404,12 +352,12 @@ struct BufPool {
 }
 
 impl BufPool {
-    fn get(&self, stats: &ReactorStats) -> Vec<u8> {
+    fn get(&self, metrics: &Metrics) -> Vec<u8> {
         if let Some(buf) = self.free.lock().pop() {
-            stats.bufs_reused.fetch_add(1, Ordering::Relaxed);
+            metrics.add(BUFS_REUSED, 1);
             buf
         } else {
-            stats.bufs_allocated.fetch_add(1, Ordering::Relaxed);
+            metrics.add(BUFS_ALLOCATED, 1);
             Vec::with_capacity(1024)
         }
     }
@@ -472,7 +420,7 @@ impl Outbound {
 /// → non-empty turn of the queue, since only the reactor empties a queue it
 /// was told about.
 fn send_reply(link: &Link, enc: &mut XdrEncoder, ctx: &Reactor) {
-    let pooled = XdrEncoder::from_sink(ctx.replies.get(&ctx.stats));
+    let pooled = XdrEncoder::from_sink(ctx.replies.get(&ctx.metrics));
     let reply = std::mem::replace(enc, pooled).into_inner();
     let now = ctx.epoch.elapsed();
     let mut ob = link.out.lock();
@@ -483,7 +431,7 @@ fn send_reply(link: &Link, enc: &mut XdrEncoder, ctx: &Reactor) {
     ob.replies.push(reply, now);
     if idle && (ob.flush(now, &ctx.replies).is_err() || !ob.replies.is_empty()) {
         drop(ob);
-        ctx.stats.queued_replies.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.add(QUEUED_REPLIES, 1);
         ctx.notices.lock().push((link.key, false));
         ctx.notify();
     }
@@ -524,7 +472,7 @@ where
         records: pool(),
         replies: pool(),
         notices: Mutex::default(),
-        stats: Arc::default(),
+        metrics: Arc::new(Metrics::new(METRICS)),
         epoch: Instant::now(),
     });
     let ctx_accept = Arc::clone(&ctx);
@@ -569,8 +517,8 @@ where
             ctx.notify();
         })?;
 
-    let stats = Arc::clone(&ctx.stats);
-    Ok(ServerHandle::from_parts(local, stop, accept_join, stats))
+    let metrics = Arc::clone(&ctx.metrics);
+    Ok(ServerHandle::from_parts(local, stop, accept_join, metrics))
 }
 
 /// The reactor event loop. Owns every connection's read half and the worker
@@ -640,7 +588,7 @@ fn reactor_main(
         //   * shutdown: the accept thread, after hanging up the ring.
         // A test that hangs here is missing one of those notifies.
         let _ = poller.wait(&mut events, timeout);
-        ctx.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.add(WAKEUPS, 1);
         for ev in events.drain(..) {
             let Some(conn) = conns.get_mut(&ev.key) else {
                 continue;
@@ -726,7 +674,7 @@ fn reactor_main(
     // shard's queue, now empty, and its worker exits.
     for (queue, ready) in &ctx.shards {
         *queue.lock() = None;
-        ctx.stats.notifies.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.add(NOTIFIES, 1);
         ready.notify_one();
     }
     for j in workers {
@@ -744,7 +692,7 @@ fn worker_main((queue, ready): &Shard, ctx: &Reactor) {
         let mut jobs = queue.lock();
         while jobs.as_ref().is_some_and(VecDeque::is_empty) {
             ready.wait(&mut jobs);
-            ctx.stats.worker_wakeups.fetch_add(1, Ordering::Relaxed);
+            ctx.metrics.add(WORKER_WAKEUPS, 1);
         }
         let Some(waiting) = jobs.as_mut() else {
             return;
@@ -785,6 +733,13 @@ mod tests {
 
     const PROG: u32 = 400;
     const VERS: u32 = 1;
+
+    type Counts = std::collections::BTreeMap<&'static str, u64>;
+
+    /// `handle`'s reactor counters by name.
+    fn counts(handle: &ServerHandle) -> Counts {
+        handle.metrics().iter().collect()
+    }
 
     /// proc 1 = echo (parked), proc 2 = add (done), proc 3 = slow add
     /// (parked, sleeps to build queue depth).
@@ -901,12 +856,15 @@ mod tests {
             let sum = dec.get_u32().unwrap();
             assert_eq!(sum, i + 1);
         }
-        let stats = handle.reactor_stats();
+        let stats = counts(&handle);
         assert!(
-            stats.stalls >= 1,
+            stats["reactor.stalls"] >= 1,
             "a 64-deep burst against a 4-deep budget must stall at least once"
         );
-        assert_eq!(stats.inline_replies + stats.parked_calls, u64::from(N));
+        assert_eq!(
+            stats["reactor.inline_replies"] + stats["reactor.parked_calls"],
+            u64::from(N)
+        );
         drop(stream);
         handle.shutdown();
     }
@@ -951,16 +909,20 @@ mod tests {
         }
 
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while handle.reactor_stats().writer_kills == 0 {
+        while counts(&handle)["reactor.writer_kills"] == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "writer never killed the non-reading connection"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(handle.reactor_stats().writer_kills, 1, "only the stuck one");
+        assert_eq!(
+            counts(&handle)["reactor.writer_kills"],
+            1,
+            "only the stuck one"
+        );
         assert!(
-            handle.reactor_stats().queued_replies >= 1,
+            counts(&handle)["reactor.queued_replies"] >= 1,
             "the stuck connection's replies never reached the backlog writer"
         );
         let stuck_stream = stuck.join().unwrap();
@@ -999,11 +961,14 @@ mod tests {
         // Every echo parks, and an add parks too when it arrives before the
         // worker's decrement for the echo ahead of it, which may trail that
         // echo's reply: the split is a timing, the total is not.
-        let stats = handle.reactor_stats();
-        assert_eq!(stats.inline_replies + stats.parked_calls, 1000);
-        assert!(stats.parked_calls >= 500, "{stats:?}");
+        let stats = counts(&handle);
         assert_eq!(
-            stats.queued_replies, 0,
+            stats["reactor.inline_replies"] + stats["reactor.parked_calls"],
+            1000
+        );
+        assert!(stats["reactor.parked_calls"] >= 500, "{stats:?}");
+        assert_eq!(
+            stats["reactor.queued_replies"], 0,
             "every small reply goes straight through on the thread that produced it"
         );
         handle.shutdown();
@@ -1045,7 +1010,7 @@ mod tests {
         send(&mut stream, 0, 1, &payload);
         send(&mut stream, 1, 2, &(0u32, 0u32));
         let deadline = Instant::now() + Duration::from_secs(10);
-        while handle.reactor_stats().queued_replies == 0 {
+        while counts(&handle)["reactor.queued_replies"] == 0 {
             assert!(Instant::now() < deadline, "the echo reply never backed up");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1077,15 +1042,15 @@ mod tests {
             assert_eq!(dec.get_u32().unwrap(), xid - 1);
         }
 
-        let stats = handle.reactor_stats();
-        assert!(stats.queued_replies >= 1);
-        assert_eq!(stats.writer_kills, 0);
+        let stats = counts(&handle);
+        assert!(stats["reactor.queued_replies"] >= 1);
+        assert_eq!(stats["reactor.writer_kills"], 0);
         assert_eq!(
-            stats.inline_replies + stats.parked_calls,
+            stats["reactor.inline_replies"] + stats["reactor.parked_calls"],
             u64::from(CALLS) + 2
         );
         assert!(
-            stats.inline_replies >= u64::from(CALLS),
+            stats["reactor.inline_replies"] >= u64::from(CALLS),
             "the calls made after the backlog formed must run inline: {stats:?}"
         );
         drop(stream);
@@ -1112,14 +1077,20 @@ mod tests {
             }
         };
         round();
-        let warm = handle.reactor_stats();
+        let warm = counts(&handle);
         for _ in 0..5 {
             round();
         }
-        let stats = handle.reactor_stats();
-        assert_eq!(stats.parked_calls, 48);
-        assert_eq!(stats.bufs_allocated, warm.bufs_allocated, "{stats:?}");
-        assert!(stats.bufs_reused >= warm.bufs_reused + 80, "{stats:?}");
+        let stats = counts(&handle);
+        assert_eq!(stats["reactor.parked_calls"], 48);
+        assert_eq!(
+            stats["reactor.bufs_allocated"], warm["reactor.bufs_allocated"],
+            "{stats:?}"
+        );
+        assert!(
+            stats["reactor.bufs_reused"] >= warm["reactor.bufs_reused"] + 80,
+            "{stats:?}"
+        );
         drop(client);
         handle.shutdown();
     }
@@ -1164,7 +1135,7 @@ mod tests {
             assert!(dec.get_opaque().unwrap() == body(xid), "echo bytes damaged");
         }
         writer.join().unwrap().unwrap();
-        assert!(handle.reactor_stats().stalls > 0);
+        assert!(counts(&handle)["reactor.stalls"] > 0);
         drop(stream);
         handle.shutdown();
     }
@@ -1204,7 +1175,7 @@ mod tests {
             assert_eq!(RpcMessage::decode(&mut dec).unwrap().xid, xid);
             assert_eq!(dec.get_u32().unwrap(), xid + 1);
         }
-        let stalls = handle.reactor_stats().stalls;
+        let stalls = counts(&handle)["reactor.stalls"];
         assert!(stalls > 0 && stalls <= u64::from(CALLS), "{stalls} stalls");
         drop(stream);
         handle.shutdown();
@@ -1219,7 +1190,7 @@ mod tests {
     /// Wait until a reply of `handle`'s server has backed up.
     fn await_backlog(handle: &ServerHandle) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while handle.reactor_stats().queued_replies == 0 {
+        while counts(handle)["reactor.queued_replies"] == 0 {
             assert!(Instant::now() < deadline, "the echo reply never backed up");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1310,7 +1281,7 @@ mod tests {
             }
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        while handle.reactor_stats().parked_calls < (CONNS as u64) * u64::from(CALLS) {
+        while counts(&handle)["reactor.parked_calls"] < (CONNS as u64) * u64::from(CALLS) {
             assert!(Instant::now() < deadline, "calls never parked");
             std::thread::sleep(Duration::from_micros(100));
         }
@@ -1342,7 +1313,7 @@ mod tests {
         let sent = Instant::now();
         send_call(&mut stream, 0, 1, &backlog_payload());
         loop {
-            let kills = handle.reactor_stats().writer_kills;
+            let kills = counts(&handle)["reactor.writer_kills"];
             // Taken after the read: the kill, if seen, happened before it.
             let seen = Instant::now();
             if kills > 0 {
@@ -1352,7 +1323,7 @@ mod tests {
             assert!(seen - sent < Duration::from_secs(10), "never killed");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(handle.reactor_stats().writer_kills, 1);
+        assert_eq!(counts(&handle)["reactor.writer_kills"], 1);
         drop(stream);
         handle.shutdown();
         assert_eq!(closes.load(Ordering::SeqCst), 1);
@@ -1385,7 +1356,7 @@ mod tests {
             let mut other = RpcClient::new(Box::new(transport), PROG, VERS);
             other.call(2, &(1u32, 2u32)).unwrap()
         };
-        assert_eq!(handle.reactor_stats().writer_kills, 0);
+        assert_eq!(counts(&handle)["reactor.writer_kills"], 0);
         expect_echo(&mut stream, 5, &payload);
         drop(stream);
         handle.shutdown();
@@ -1474,16 +1445,20 @@ mod tests {
                 _ => client.call_null().unwrap(),
             };
             (0..64).for_each(&mut call);
-            let before = handle.reactor_stats();
+            let before = counts(&handle);
             (0..CALLS as u32).for_each(&mut call);
-            let after = handle.reactor_stats();
-            let class = |s: ReactorSnapshot| match proc {
-                2 => s.inline_replies,
-                _ => s.parked_calls,
+            let after = counts(&handle);
+            let class = |s: &Counts| match proc {
+                2 => s["reactor.inline_replies"],
+                _ => s["reactor.parked_calls"],
             };
-            assert_eq!(class(after) - class(before), CALLS, "proc {proc}");
-            assert_eq!(after.reads - before.reads, CALLS, "proc {proc}: {after:?}");
-            let wakeups = after.wakeups - before.wakeups;
+            assert_eq!(class(&after) - class(&before), CALLS, "proc {proc}");
+            assert_eq!(
+                after["reactor.reads"] - before["reactor.reads"],
+                CALLS,
+                "proc {proc}: {after:?}"
+            );
+            let wakeups = after["reactor.wakeups"] - before["reactor.wakeups"];
             assert!(
                 wakeups <= CALLS + SLACK,
                 "proc {proc}: {wakeups} wake-ups for {CALLS} calls"

@@ -10,20 +10,18 @@
 //! the side effect happens exactly once, while the wire sees the answer as
 //! many times as it asks.
 
+use crate::telemetry::Metrics;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Observability counters; `hits` is the acceptance-criteria telemetry for
-/// "non-idempotent call executed exactly once".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplayStats {
-    /// Retransmissions answered from the cache (procedure not re-executed).
-    pub hits: u64,
-    /// Replies stored.
-    pub stores: u64,
-    /// Entries evicted to respect the per-client capacity.
-    pub evictions: u64,
+crate::counters! {
+    /// The cache's counters (`replay.*`); `hits` is the telemetry for
+    /// "non-idempotent call executed exactly once".
+    const METRICS = {
+        HITS = "replay.hits", // retransmissions answered from the cache, not re-executed
+        STORES = "replay.stores", // replies stored
+        EVICTIONS = "replay.evictions", // entries evicted to respect the per-client capacity
+    }
 }
 
 /// Per-client FIFO of (xid, encoded reply record).
@@ -34,9 +32,7 @@ type ClientWindow = VecDeque<(u32, Vec<u8>)>;
 pub struct ReplayCache {
     per_client: Mutex<HashMap<u64, ClientWindow>>,
     capacity_per_client: usize,
-    hits: AtomicU64,
-    stores: AtomicU64,
-    evictions: AtomicU64,
+    metrics: Metrics,
 }
 
 /// Replies a client can have in flight is tiny (the client here is
@@ -52,31 +48,29 @@ impl Default for ReplayCache {
 impl ReplayCache {
     /// Create a cache retaining at most `capacity_per_client` replies per
     /// client token.
-    pub fn new(capacity_per_client: usize) -> Self {
+    pub(crate) fn new(capacity_per_client: usize) -> Self {
         assert!(capacity_per_client > 0);
         Self {
             per_client: Mutex::new(HashMap::new()),
             capacity_per_client,
-            hits: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            metrics: Metrics::new(METRICS),
         }
     }
 
     /// The cached reply for `(client, xid)`, if the call was already served.
-    pub fn lookup(&self, client: u64, xid: u32) -> Option<Vec<u8>> {
+    pub(crate) fn lookup(&self, client: u64, xid: u32) -> Option<Vec<u8>> {
         let map = self.per_client.lock();
         let reply = map
             .get(&client)?
             .iter()
             .find(|(x, _)| *x == xid)
             .map(|(_, r)| r.clone())?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(HITS, 1);
         Some(reply)
     }
 
     /// Remember the reply produced for `(client, xid)`.
-    pub fn store(&self, client: u64, xid: u32, reply: &[u8]) {
+    pub(crate) fn store(&self, client: u64, xid: u32, reply: &[u8]) {
         let mut map = self.per_client.lock();
         let window = map.entry(client).or_default();
         // A retransmission that raced past the lookup must not duplicate
@@ -86,10 +80,10 @@ impl ReplayCache {
         }
         if window.len() >= self.capacity_per_client {
             window.pop_front();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(EVICTIONS, 1);
         }
         window.push_back((xid, reply.to_vec()));
-        self.stores.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(STORES, 1);
     }
 
     /// Drop all state for a client (connection teardown / session release).
@@ -124,13 +118,9 @@ impl ReplayCache {
         self.per_client.lock().len()
     }
 
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> ReplayStats {
-        ReplayStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+    /// The cache's counters (`replay.*`).
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 }
 
@@ -138,14 +128,20 @@ impl ReplayCache {
 mod tests {
     use super::*;
 
+    /// Counter `replay.{name}` of `c`.
+    fn count(c: &ReplayCache, name: &str) -> u64 {
+        let name = format!("replay.{name}");
+        c.metrics().iter().find(|&(n, _)| n == name).unwrap().1
+    }
+
     #[test]
     fn store_then_lookup_hits() {
         let c = ReplayCache::new(4);
         assert!(c.lookup(1, 10).is_none());
         c.store(1, 10, b"abcd");
         assert_eq!(c.lookup(1, 10).unwrap(), b"abcd");
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().stores, 1);
+        assert_eq!(count(&c, "hits"), 1);
+        assert_eq!(count(&c, "stores"), 1);
     }
 
     #[test]
@@ -163,7 +159,7 @@ mod tests {
         c.store(1, 3, b"c...");
         assert!(c.lookup(1, 1).is_none());
         assert!(c.lookup(1, 3).is_some());
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(count(&c, "evictions"), 1);
     }
 
     #[test]
@@ -172,7 +168,7 @@ mod tests {
         c.store(1, 7, b"orig");
         c.store(1, 7, b"dupe");
         assert_eq!(c.lookup(1, 7).unwrap(), b"orig");
-        assert_eq!(c.stats().stores, 1);
+        assert_eq!(count(&c, "stores"), 1);
     }
 
     #[test]
@@ -193,7 +189,7 @@ mod tests {
         src.forget_client(5);
         assert_eq!(dst.lookup(5, 1).unwrap(), b"aaaa");
         assert_eq!(dst.lookup(5, 2).unwrap(), b"bbbb");
-        assert_eq!(dst.stats().stores, 0, "imports are not stores");
+        assert_eq!(count(&dst, "stores"), 0, "imports are not stores");
         assert_eq!(src.client_count(), 0);
         assert_eq!(dst.client_count(), 1);
     }

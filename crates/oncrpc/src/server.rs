@@ -4,8 +4,8 @@
 
 use crate::error::{RpcError, RpcResult};
 use crate::msg::{AcceptStat, MessageBody, ReplyBody, RpcMessage};
-use crate::reactor::{ReactorSnapshot, ReactorStats};
 use crate::record::{read_record_into, write_record, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
+use crate::telemetry::Metrics;
 use crate::RPC_VERSION;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -14,9 +14,6 @@ use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xdr::{Xdr, XdrDecoder, XdrEncoder};
-
-/// Outcome of one dispatched procedure.
-pub type DispatchResult = Result<(), AcceptStat>;
 
 /// A service implementation for one RPC program version.
 ///
@@ -34,19 +31,19 @@ pub trait Dispatch: Send + Sync {
         proc: u32,
         args: &mut XdrDecoder<'_>,
         reply: &mut XdrEncoder,
-    ) -> DispatchResult;
+    ) -> Result<(), AcceptStat>;
 }
 
 impl<F> Dispatch for F
 where
-    F: Fn(u32, &mut XdrDecoder<'_>, &mut XdrEncoder) -> DispatchResult + Send + Sync,
+    F: Fn(u32, &mut XdrDecoder<'_>, &mut XdrEncoder) -> Result<(), AcceptStat> + Send + Sync,
 {
     fn dispatch(
         &self,
         proc: u32,
         args: &mut XdrDecoder<'_>,
         reply: &mut XdrEncoder,
-    ) -> DispatchResult {
+    ) -> Result<(), AcceptStat> {
         self(proc, args, reply)
     }
 }
@@ -284,7 +281,7 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
     /// The serving reactor's counters; all zero behind the threaded loop.
-    reactor: Arc<ReactorStats>,
+    reactor: Arc<Metrics>,
 }
 
 impl ServerHandle {
@@ -294,7 +291,7 @@ impl ServerHandle {
         addr: std::net::SocketAddr,
         stop: Arc<AtomicBool>,
         join: std::thread::JoinHandle<()>,
-        reactor: Arc<ReactorStats>,
+        reactor: Arc<Metrics>,
     ) -> Self {
         Self {
             addr,
@@ -304,10 +301,11 @@ impl ServerHandle {
         }
     }
 
-    /// What this server's reactor has counted since it started serving:
-    /// its own calls, stalls, buffers and writer kills, nobody else's.
-    pub fn reactor_stats(&self) -> ReactorSnapshot {
-        self.reactor.snapshot()
+    /// What this server's reactor has counted since it started serving
+    /// (`reactor.*`): its own calls, stalls, buffers and writer kills,
+    /// nobody else's.
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.reactor
     }
 
     /// The bound listen address (useful with port 0).
@@ -370,7 +368,8 @@ where
                     });
             }
         })?;
-    Ok(ServerHandle::from_parts(local, stop, join, Arc::default()))
+    let reactor = Arc::new(Metrics::new(crate::reactor::METRICS));
+    Ok(ServerHandle::from_parts(local, stop, join, reactor))
 }
 
 /// Bind a TCP listener and serve `server` on background threads
@@ -671,7 +670,11 @@ mod tests {
             assert_eq!(served.call::<(), u32>(1, &()).unwrap(), 77);
         }
         assert_eq!(executions.load(Ordering::SeqCst), 1 + 16);
-        assert_eq!(handle.reactor_stats().parked_calls, 32);
+        let parked = handle
+            .metrics()
+            .iter()
+            .find(|&(n, _)| n == "reactor.parked_calls");
+        assert_eq!(parked, Some(("reactor.parked_calls", 32)));
         handle.shutdown();
     }
 

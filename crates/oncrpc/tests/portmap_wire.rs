@@ -166,22 +166,26 @@ fn every_procedure_keeps_its_call_and_reply_bytes() {
 }
 
 /// A million-entry DUMP reply encodes, decodes and drops on a 64 KiB
-/// stack: the list codec loops, so no length a peer can `SET` up to turns
-/// into recursion depth.
+/// stack: the list codec loops, so no length a peer's directory replies
+/// with turns into recursion depth. This directory stops `SET` at its
+/// bound, so the million-entry reply is built as another peer's would be.
 #[test]
 fn a_million_entry_dump_fits_a_small_stack() {
     let run = std::thread::Builder::new().stack_size(64 * 1024).spawn(|| {
         let pm = Portmap::new();
-        for port in 0..1_000_000u32 {
-            let m = Mapping {
-                prog: 300_000 + port,
-                vers: 1,
-                prot: 6,
-                port,
-            };
-            assert!(pm.set(m).unwrap());
+        let mapping = |port: u32| Mapping {
+            prog: 300_000 + port,
+            vers: 1,
+            prot: 6,
+            port,
+        };
+        let mut port = 0;
+        while pm.set(mapping(port)).unwrap() {
+            port += 1;
         }
-        let dump = pm.dump().unwrap();
+        let full = pm.dump().unwrap();
+        assert_eq!(full.0, (0..port).map(mapping).collect::<Vec<_>>());
+        let dump = MappingNode((0..1_000_000).map(mapping).collect());
         let wire = xdr::encode(&dump);
         assert_eq!(wire.len(), 1_000_000 * 20 + 4);
         let back: MappingNode = xdr::decode(&wire).unwrap();

@@ -20,9 +20,10 @@
 use oncrpc::msg::{AcceptStat, RejectStat, ReplyBody, RpcMessage};
 use oncrpc::telemetry::{allocation_count, CountingAllocator};
 use oncrpc::{
-    serve_tcp_reactor, ConnHandler, Dispatch, OpaqueAuth, ProcClass, ReactorConfig,
-    ReactorSnapshot, RecordBuf, RpcClient, RpcError, RpcServer, TcpTransport, Transport,
+    serve_tcp_reactor, ConnHandler, Dispatch, OpaqueAuth, ProcClass, ReactorConfig, RecordBuf,
+    RpcClient, RpcError, RpcServer, TcpTransport, Transport,
 };
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use xdr::{FixedBuf, XdrDecoder, XdrEncoder, XdrError};
@@ -158,7 +159,7 @@ fn steady_state_call_loop_is_allocation_free() {
 /// warm: the fewest heap allocations of five 1000-call rounds, and the
 /// server's counters. The counter sees this process's client and server
 /// alike.
-fn warm_reactor_allocs(class: ProcClass) -> (u64, ReactorSnapshot) {
+fn warm_reactor_allocs(class: ProcClass) -> (u64, BTreeMap<&'static str, u64>) {
     const PROG: u32 = 0x2000_0077;
     let cfg = ReactorConfig {
         classify: Some(Arc::new(move |_, _, _| class)),
@@ -205,7 +206,7 @@ fn warm_reactor_allocs(class: ProcClass) -> (u64, ReactorSnapshot) {
             break;
         }
     }
-    let stats = handle.reactor_stats();
+    let stats = handle.metrics().iter().collect();
     handle.shutdown();
     (best, stats)
 }
@@ -216,7 +217,11 @@ fn warm_reactor_allocs(class: ProcClass) -> (u64, ReactorSnapshot) {
 #[test]
 fn inline_reactor_calls_are_allocation_free() {
     let (best, stats) = warm_reactor_allocs(ProcClass::Done);
-    assert_eq!((stats.parked_calls, stats.queued_replies), (0, 0));
+    let parked = (
+        stats["reactor.parked_calls"],
+        stats["reactor.queued_replies"],
+    );
+    assert_eq!(parked, (0, 0));
     assert_eq!(
         best, 0,
         "inline reactor calls performed {best} heap allocations per 1000-call round"
@@ -230,7 +235,7 @@ fn inline_reactor_calls_are_allocation_free() {
 #[test]
 fn parked_reactor_calls_are_allocation_free() {
     let (best, stats) = warm_reactor_allocs(ProcClass::Parked);
-    assert_eq!(stats.inline_replies, 0);
+    assert_eq!(stats["reactor.inline_replies"], 0);
     assert_eq!(
         best, 0,
         "parked reactor calls performed {best} heap allocations per 1000-call round"

@@ -6,6 +6,7 @@
 //! replay-cache entries, or reply buffers.
 
 use cricket_repro::oncrpc::server::ServerHandle;
+use cricket_repro::oncrpc::telemetry::Metrics;
 use cricket_repro::oncrpc::{
     serve_tcp_reactor, transport::Transport, ConnHandler, ReactorConfig, RpcResult,
 };
@@ -14,6 +15,7 @@ use cricket_repro::oncrpc::{
     SharedFaultPlan, TcpTransport,
 };
 use cricket_repro::prelude::*;
+use cricket_repro::proto::ServerStats;
 use cricket_repro::server::{
     cricket_classifier, make_rpc_server, CricketServer, ServeMode, ServerBuilder,
 };
@@ -93,6 +95,11 @@ fn spawn_shared_session_server(mode: ServeMode) -> (ServerHandle, Arc<ReplayCach
         ServeMode::Serial => cricket_repro::oncrpc::server::serve_tcp(rpc, "127.0.0.1:0").unwrap(),
     };
     (handle, replay)
+}
+
+/// Counter `name` of one owner's metrics.
+fn count(metrics: &Metrics, name: &str) -> u64 {
+    metrics.iter().find(|&(n, _)| n == name).unwrap().1
 }
 
 /// Dial `addr` through recorder + fault injector.
@@ -248,9 +255,9 @@ fn run_batch_drop(mode: ServeMode) -> (String, Vec<u8>) {
     }
     assert!(client.rpc().stats().retries >= 1);
     assert!(
-        replay.stats().hits >= 1,
+        count(replay.metrics(), "replay.hits") >= 1,
         "batch retransmission bypassed the replay cache: {:?}",
-        replay.stats()
+        replay.metrics()
     );
     // Exactly-once, observable in device memory.
     let back = client.memcpy_dtoh(ptr, 128).unwrap();
@@ -411,14 +418,15 @@ fn reactor_churn_soak_releases_all_sessions() {
     burst
         .rpc()
         .set_credential(OpaqueAuth::client_token(0xB125_7000));
-    let before = replay.stats();
+    let cache = || ["replay.stores", "replay.evictions"].map(|n| count(replay.metrics(), n));
+    let before = cache();
     for _ in 0..100 {
         let p = burst.malloc(1024).unwrap();
         burst.free(p).unwrap();
     }
-    let after = replay.stats();
-    let stored = after.stores - before.stores;
-    let evicted = after.evictions - before.evictions;
+    let after = cache();
+    let stored = after[0] - before[0];
+    let evicted = after[1] - before[1];
     assert!(stored >= 200, "burst calls not cached: {stored}");
     assert!(
         evicted
@@ -428,13 +436,14 @@ fn reactor_churn_soak_releases_all_sessions() {
 
     // Pooled buffers are recycled, not allocated per call: across ~3000
     // RPCs this reactor's pools serve far more buffers than they allocate.
-    let bufs = handle.reactor_stats();
+    let bufs = handle.server().stats();
+    let get = |name| bufs.get(name).unwrap();
     assert!(
-        bufs.inline_replies + bufs.parked_calls >= 5 * TOTAL as u64,
+        get("reactor.inline_replies") + get("reactor.parked_calls") >= 5 * TOTAL as u64,
         "the churn's calls are missing from its own reactor: {bufs:?}"
     );
     assert!(
-        bufs.bufs_reused > bufs.bufs_allocated,
+        get("reactor.bufs_reused") > get("reactor.bufs_allocated"),
         "reply/record pool not recycling: {bufs:?}"
     );
 
@@ -507,19 +516,95 @@ fn two_stacks_in_one_process_count_only_their_own_traffic() {
         }
     };
     let (one, two) = (serve(), serve());
-    assert_eq!(one.reactor_stats(), Default::default(), "fresh reads zero");
+    let fresh = one.server().stats();
+    let reactor = fresh
+        .stats
+        .iter()
+        .filter(|s| s.name.starts_with("reactor."));
+    assert!(
+        reactor.map(|s| s.value).all(|v| v == 0),
+        "fresh reads zero: {fresh:?}"
+    );
     std::thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| drive(one.addr(), 40, 7));
             s.spawn(|| drive(two.addr(), 11, 23));
         }
     });
-    for (stats, inline, pairs) in [(one.reactor_stats(), 40, 7), (two.reactor_stats(), 11, 23)] {
-        let calls = stats.inline_replies + stats.parked_calls;
+    for (stats, inline, pairs) in [
+        (one.server().stats(), 40, 7),
+        (two.server().stats(), 11, 23),
+    ] {
+        let get = |name| stats.get(name).unwrap();
+        let calls = get("reactor.inline_replies") + get("reactor.parked_calls");
         assert_eq!(calls, 3 * (inline + 2 * pairs), "{stats:?}");
-        assert!(stats.parked_calls >= 3 * 2 * pairs, "{stats:?}");
-        assert!(stats.inline_replies > 0, "{stats:?}");
+        assert!(get("reactor.parked_calls") >= 3 * 2 * pairs, "{stats:?}");
+        assert!(get("reactor.inline_replies") > 0, "{stats:?}");
     }
     one.shutdown();
     two.shutdown();
+}
+
+/// `SRV_GET_STATS` returns the whole list, over `SimTransport` and over
+/// reactor TCP: the same names in the same order as the server's own
+/// read, each value between the owners' reads taken before and after the
+/// call (over TCP the read is itself an inline reactor call, so the
+/// reactor's counters move while it is answered).
+#[test]
+fn the_whole_statistics_list_crosses_the_wire() {
+    let within = |before: &ServerStats, wire: &ServerStats, after: &ServerStats| {
+        let names = |s: &ServerStats| s.stats.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(wire), names(before));
+        assert_eq!(names(wire), names(after));
+        let rows = before
+            .stats
+            .iter()
+            .zip(wire.stats.iter())
+            .zip(after.stats.iter());
+        for ((b, w), a) in rows {
+            assert!(
+                b.value <= w.value && w.value <= a.value,
+                "{}: {b:?} {w:?} {a:?}",
+                w.name
+            );
+        }
+        assert!(wire.get("server.calls").unwrap() >= 3, "{wire:?}");
+        assert_eq!(wire.get("server.sessions"), Some(1), "{wire:?}");
+    };
+    let traffic = |c: &mut CricketClient| {
+        let p = c.malloc(1024).unwrap();
+        c.memcpy_htod(p, &[7; 64]).unwrap();
+        c.free(p).unwrap();
+    };
+
+    let setup = SimSetup::new();
+    let mut c = setup.client(EnvConfig::RustyHermit);
+    traffic(&mut c);
+    let before = setup.server.stats();
+    let wire = c.server_stats().unwrap();
+    within(&before, &wire, &setup.server.stats());
+    assert_eq!(wire.get("reactor.reads"), Some(0), "no reactor serves it");
+
+    let handle = ServerBuilder::new("127.0.0.1:0")
+        .mode(REACTOR)
+        .serve()
+        .unwrap();
+    let mut c = CricketClient::new(
+        Box::new(TcpTransport::connect(handle.addr()).unwrap()),
+        cricket_repro::client::env::ClientFlavor::RustRpcLib,
+        None,
+    );
+    traffic(&mut c);
+    let before = handle.server().stats();
+    let wire = c.server_stats().unwrap();
+    let after = handle.server().stats();
+    within(&before, &wire, &after);
+    let inline = |s: &ServerStats| s.get("reactor.inline_replies").unwrap();
+    assert!(
+        inline(&before) < inline(&after),
+        "the read was an inline call"
+    );
+    assert!(wire.get("reactor.reads").unwrap() >= 4, "{wire:?}");
+    drop(c);
+    handle.shutdown();
 }

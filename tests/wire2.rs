@@ -198,7 +198,7 @@ fn striped_transfers_survive_the_chaos_matrix_exactly_once() {
         client.memcpy_htod(p, &data).unwrap();
         let stats = client.server_stats().unwrap();
         assert_eq!(
-            stats.bytes_in,
+            stats.get("server.bytes_in").unwrap(),
             data.len() as u64,
             "seed {seed}: write stripes were not exactly-once"
         );
@@ -264,7 +264,7 @@ fn sparse_payloads_shrink_the_wire_and_land_byte_identical() {
     );
     let stats = client.server_stats().unwrap();
     assert_eq!(
-        stats.bytes_in,
+        stats.get("server.bytes_in").unwrap(),
         data.len() as u64,
         "accounting counts raw bytes"
     );
@@ -330,7 +330,7 @@ fn sparse_transfers_survive_the_chaos_matrix() {
         client.memcpy_htod(p, &data).unwrap();
         let stats = client.server_stats().unwrap();
         assert_eq!(
-            stats.bytes_in,
+            stats.get("server.bytes_in").unwrap(),
             data.len() as u64,
             "seed {seed}: sparse write not exactly-once"
         );

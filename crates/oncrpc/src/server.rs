@@ -227,8 +227,8 @@ impl RpcServer {
 
         // At-most-once: a retransmission (same client token, same xid)
         // replays the reply that was already produced — the procedure body
-        // never runs twice.
-        let replay = self.replay.read().clone();
+        // never runs twice. A call without a token never touches the cache.
+        let replay = token.and_then(|_| self.replay.read().clone());
         let token = replay.as_ref().and(token);
         if let (Some(cache), Some(token)) = (&replay, token) {
             if let Some(cached) = cache.lookup(token, msg.xid) {

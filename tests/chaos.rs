@@ -191,6 +191,30 @@ fn dropped_batch_reply_is_replayed_with_identical_status_vector() {
     client.free(ptr).unwrap();
 }
 
+/// An in-process server reports the replay cache its calls use: the
+/// server's own cache, with no cache attached by hand. A token-tagged
+/// malloc whose reply is dropped is retransmitted over `SimTransport`
+/// under the same xid, answered from that cache, and `SRV_GET_STATS`
+/// counts exactly that one hit.
+#[test]
+fn an_in_process_server_reports_the_replays_its_own_cache_answers() {
+    let setup = SimSetup::new();
+    // Events alternate request/reply: drop the malloc's reply.
+    let plan = FaultPlan::scripted(vec![(1, Fault::DropReply)]).into_shared();
+    let env = EnvConfig::RustyHermit;
+    let mut client = setup.chaos_client(env, &plan);
+    harden(&mut client, &setup, env, &plan);
+
+    let ptr = client.malloc(4096).unwrap();
+    assert_eq!(client.rpc().stats().retries, 1);
+    let stats = client.server_stats().unwrap();
+    assert_eq!(stats.get("replay.hits"), Some(1), "{stats:?}");
+    assert_eq!(setup.server.stats().get("replay.hits"), Some(1));
+    // Executed once: nothing is left once the one allocation is freed.
+    client.free(ptr).unwrap();
+    assert_eq!(setup.server.release_session(0).total(), 0);
+}
+
 /// A connection reset while the batch request itself is in flight: the
 /// server never saw it, so the reconnect-and-retransmit path must execute
 /// the batch exactly once (no replay hit, no double execution).

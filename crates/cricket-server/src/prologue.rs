@@ -116,6 +116,8 @@ impl CricketServer {
     /// * staged but unfinished inbound migration → `false`: the client
     ///   raced ahead of the final delta, retry until cutover completes;
     /// * ready inbound migration → merge it into this session, `true`;
+    ///   `false` if its modules do not fit beside the session's: it stays
+    ///   staged for the client's next connection (DESIGN §16);
     /// * otherwise record the token ↔ session binding and admit.
     ///
     /// An admitted call counts as in flight until [`Self::call_complete`],
@@ -123,11 +125,8 @@ impl CricketServer {
     /// eviction has returned, no call of the token is admitted.
     pub fn observe_token(&self, token: u64, session: SessionId) -> bool {
         self.with_token(token, |t| {
-            if t.evicted || t.adoption.as_ref().is_some_and(|a| !a.ready) {
+            if t.evicted || !self.claim(session, &mut t.adoption) {
                 return false;
-            }
-            if let Some(a) = t.adoption.take() {
-                self.track(session, |r| r.absorb(a.session));
             }
             t.session = Some(session);
             t.inflight += 1;

@@ -48,6 +48,21 @@ fn main() {
         "  → Linux VM without offloads: {:.1} MiB/s H2D (paper ≈923.9 MiB/s)",
         h2d.get("Linux VM (no offloads)").unwrap()
     );
+    if smoke {
+        // The figure's shape: what the paper's Fig. 7b shows at any size.
+        let vm = h2d.get("Linux VM").unwrap();
+        let hermit = h2d.get("Hermit").unwrap();
+        let unikraft = h2d.get("Unikraft").unwrap();
+        let vm_noofl = h2d.get("Linux VM (no offloads)").unwrap();
+        assert!(vm / native > 0.7, "vm retains ≥~80%: {}", vm / native);
+        assert!(
+            (0.05..0.25).contains(&(hermit / native)),
+            "hermit/native = {}",
+            hermit / native
+        );
+        assert!(unikraft < hermit);
+        assert!(vm_noofl < vm / 3.0, "offloads matter: {vm_noofl} vs {vm}");
+    }
 
     // Copy accounting: measured on a fresh single transfer, small enough to
     // keep the run cheap but large enough to amortize header bytes.
@@ -128,7 +143,8 @@ fn main() {
 
     if smoke {
         println!(
-            "  → smoke OK (copies/byte H2D ≤2, D2H ≤1; striping ≥1.5x; sparse ≥5x at 90% zeros, dense ≤1.05x)"
+            "  → smoke OK (Fig. 7b shape; copies/byte H2D ≤2, D2H ≤1; striping ≥1.5x; \
+             sparse ≥5x at 90% zeros, dense ≤1.05x)"
         );
         return;
     }

@@ -520,24 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn fig7_shape_matches_paper() {
-        let h2d = fig7_bandwidth(true, 32 << 20, true);
-        let native = h2d.get("Rust").unwrap();
-        let vm = h2d.get("Linux VM").unwrap();
-        let hermit = h2d.get("Hermit").unwrap();
-        let unikraft = h2d.get("Unikraft").unwrap();
-        let vm_noofl = h2d.get("Linux VM (no offloads)").unwrap();
-        assert!(vm / native > 0.7, "vm retains ≥~80%: {}", vm / native);
-        assert!(
-            (0.05..0.25).contains(&(hermit / native)),
-            "hermit/native = {}",
-            hermit / native
-        );
-        assert!(unikraft < hermit);
-        assert!(vm_noofl < vm / 3.0, "offloads matter: {vm_noofl} vs {vm}");
-    }
-
-    #[test]
     fn fig5a_unikernels_more_than_double_native() {
         let s = fig5a_matrix_mul(Scale(500)); // 200 iterations
         let native = s.get("Rust").unwrap();

@@ -5,11 +5,11 @@
 //! against a local API and forwarded via ONC RPC to a Cricket server that
 //! owns the GPU. Three layers are offered:
 //!
-//! * [`raw`] — one function per CUDA API (`cuda_malloc`, `cuda_memcpy_*`,
-//!   `cu_module_load`, `cuda_launch_kernel`, cuBLAS/cuSolver entry points),
-//!   thin typed wrappers over the generated RPC stub, with **API-call and
-//!   byte accounting** ([`stats::ApiStats`]) reproducing the paper's §4.1
-//!   call-count table.
+//! * [`raw`] — one method per CUDA API (`malloc`, `memcpy_*`,
+//!   `module_load`, `launch_kernel`, cuBLAS/cuSolver/cuFFT entry points),
+//!   generated from the `api` attributes of `cricket.x` wherever it only
+//!   forwards the call, with **API-call and byte accounting**
+//!   ([`stats::ApiStats`]) reproducing the paper's §4.1 call-count table.
 //! * [`safe`] — the Rust-idiomatic layer the paper highlights: *"we wrap
 //!   the cudaMalloc and cudaFree APIs, making GPU allocations work like
 //!   local heap allocations. This way, we can guarantee the absence of

@@ -1,9 +1,13 @@
-//! The raw virtualized CUDA API: typed wrappers over the generated stub,
+//! The raw virtualized CUDA API: typed methods over the generated stub,
 //! with accounting and client-flavor behavior.
 //!
-//! Two decisions are made here and nowhere else: which route a copy takes
-//! (`TransferPlan::choose`, counted at `CricketClient::account`), and
-//! whether a `batchable` call is recorded or sent (`CricketClient::issue`).
+//! Every method that only forwards a call is generated from the `api`
+//! attributes of `cricket.x` (`cricket_v1_api!`, expanded once below) and
+//! goes through one of three hooks: `call`, `manage` or `issue`. What is
+//! written here decides something: which route a copy takes
+//! (`TransferPlan::choose`, counted at `CricketClient::account`), whether a
+//! `batchable` call is recorded or sent (`CricketClient::issue`), what a
+//! module load counts and how a C-flavor launch marshals its parameters.
 
 use crate::ccompat::{launch_compat_marshal, LAUNCH_COMPAT_NS, TIRPC_CALL_NS};
 use crate::env::ClientFlavor;
@@ -11,8 +15,7 @@ use crate::error::{ClientError, ClientResult};
 use crate::stats::ApiStats;
 use crate::stripe::StripePool;
 use cricket_proto::{
-    cricket_v1, BatchResult, CricketV1BatchOp as BatchOp, CricketV1Client, DeviceProp, MemInfo,
-    RpcDim3, ServerStats,
+    cricket_v1, BatchResult, CricketV1BatchOp as BatchOp, CricketV1Client, RpcDim3, U64Result,
 };
 use oncrpc::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};
 use simnet::SimClock;
@@ -239,10 +242,10 @@ impl CricketClient {
             .call_raw_sg_tagged(cricket_v1::CRICKET_BATCH_EXEC, idem, |enc| {
                 enc.put_opaque_deferred(body);
             })?;
-        let statuses = match xdr::decode(&reply).map_err(oncrpc::RpcError::from)? {
-            BatchResult::Receipt(receipt) => receipt.statuses,
-            BatchResult::Default(code) => return Err(ClientError::cuda("cricketBatchExec", code)),
-        };
+        let statuses = (xdr::decode::<BatchResult>(&reply).map_err(oncrpc::RpcError::from)?)
+            .into_result()
+            .map_err(|code| ClientError::cuda("cricketBatchExec", code))?
+            .statuses;
         let failed = |&code: &i32| code != 0 && code != BATCH_SKIPPED;
         match statuses.iter().position(failed) {
             None => Ok(()),
@@ -268,7 +271,7 @@ impl CricketClient {
     /// behind any pending batch.
     fn issue(&mut self, api: &'static str, defer: bool, op: BatchOp<'_>) -> ClientResult<()> {
         let Some(state) = self.batch.as_mut().filter(|_| defer) else {
-            return self.call_status(api, |stub| op.send(stub));
+            return self.call(api, |stub| op.send(stub).map(cricket_v1::status));
         };
         op.record(&mut state.builder);
         state.apis.push(api);
@@ -373,78 +376,8 @@ impl CricketClient {
         send(&mut self.stub)?.map_err(|code| ClientError::cuda(api, code))
     }
 
-    /// [`Self::call`] for a procedure whose whole reply is a status word.
-    fn call_status(
-        &mut self,
-        api: &'static str,
-        send: impl FnOnce(&mut CricketV1Client) -> oncrpc::RpcResult<i32>,
-    ) -> ClientResult<()> {
-        self.call(api, |stub| Ok(Self::int_status(send(stub)?)))
-    }
-
-    fn int_status(code: i32) -> Result<(), i32> {
-        match code {
-            0 => Ok(()),
-            code => Err(code),
-        }
-    }
-
-    // ---- device management ------------------------------------------
-
-    /// cudaGetDeviceCount.
-    pub fn device_count(&mut self) -> ClientResult<i32> {
-        self.call("cudaGetDeviceCount", |stub| {
-            Ok(stub.cuda_get_device_count()?.into_result())
-        })
-    }
-
-    /// cudaGetDeviceProperties.
-    pub fn device_properties(&mut self, ordinal: i32) -> ClientResult<DeviceProp> {
-        self.call("cudaGetDeviceProperties", |stub| {
-            Ok(match stub.cuda_get_device_properties(&ordinal)? {
-                cricket_proto::PropResult::Prop(p) => Ok(p),
-                cricket_proto::PropResult::Default(c) => Err(c),
-            })
-        })
-    }
-
-    /// cudaSetDevice.
-    pub fn set_device(&mut self, ordinal: i32) -> ClientResult<()> {
-        self.call_status("cudaSetDevice", |stub| stub.cuda_set_device(&ordinal))
-    }
-
-    /// cudaGetDevice.
-    pub fn get_device(&mut self) -> ClientResult<i32> {
-        self.call("cudaGetDevice", |stub| {
-            Ok(stub.cuda_get_device()?.into_result())
-        })
-    }
-
-    /// cudaDeviceSynchronize.
-    pub fn device_synchronize(&mut self) -> ClientResult<()> {
-        self.call_status("cudaDeviceSynchronize", |stub| {
-            stub.cuda_device_synchronize()
-        })
-    }
-
-    /// cudaDeviceReset.
-    pub fn device_reset(&mut self) -> ClientResult<()> {
-        self.call_status("cudaDeviceReset", |stub| stub.cuda_device_reset())
-    }
-
-    // ---- memory -------------------------------------------------------
-
-    /// cudaMalloc.
-    pub fn malloc(&mut self, size: u64) -> ClientResult<u64> {
-        self.call("cudaMalloc", |stub| {
-            Ok(stub.cuda_malloc(&size)?.into_result())
-        })
-    }
-
-    /// cudaFree.
-    pub fn free(&mut self, ptr: u64) -> ClientResult<()> {
-        self.call_status("cudaFree", |stub| stub.cuda_free(&ptr))
-    }
+    // `device_count` ... `ping`: one method per `api` procedure of cricket.x.
+    cricket_proto::cricket_v1_api!(ClientResult);
 
     /// cudaMemcpy host→device. The payload travels borrowed end to end:
     /// the stub defers it into a scatter-gather record, so the only copies
@@ -526,60 +459,17 @@ impl CricketClient {
         self.dtoh(src, dst)
     }
 
-    /// cudaMemcpy device→device.
-    pub fn memcpy_dtod(&mut self, dst: u64, src: u64, len: u64) -> ClientResult<()> {
-        self.issue(
-            "cudaMemcpy(D2D)",
-            true,
-            BatchOp::CudaMemcpyDtod(dst, src, len),
-        )
-    }
-
-    /// cudaMemset.
-    pub fn memset(&mut self, ptr: u64, value: i32, len: u64) -> ClientResult<()> {
-        self.issue("cudaMemset", true, BatchOp::CudaMemset(ptr, value, len))
-    }
-
-    /// cudaGetLastError.
-    pub fn get_last_error(&mut self) -> ClientResult<i32> {
-        self.call("cudaGetLastError", |stub| {
-            Ok(stub.cuda_get_last_error()?.into_result())
-        })
-    }
-
-    /// cudaMemGetInfo.
-    pub fn mem_get_info(&mut self) -> ClientResult<MemInfo> {
-        self.call("cudaMemGetInfo", |stub| {
-            Ok(match stub.cuda_mem_get_info()? {
-                cricket_proto::MemInfoResult::Info(i) => Ok(i),
-                cricket_proto::MemInfoResult::Default(c) => Err(c),
-            })
-        })
-    }
-
     // ---- modules and launches -----------------------------------------
 
     /// cuModuleLoadData: ship a cubin image read on the client side to the
     /// server (the paper's §3.3 loading path).
     pub fn module_load(&mut self, image: &[u8]) -> ClientResult<u64> {
         let module = self.call("cuModuleLoadData", |stub| {
-            Ok(stub.cu_module_load_data(image)?.into_result())
+            (stub.cu_module_load_data(image)).map(U64Result::into_result)
         })?;
         let (wire, pages_elided) = (image.len(), 0);
         self.account(image.len(), Copied::ToDevice { wire, pages_elided });
         Ok(module)
-    }
-
-    /// cuModuleGetFunction.
-    pub fn module_get_function(&mut self, module: u64, name: &str) -> ClientResult<u64> {
-        self.call("cuModuleGetFunction", |stub| {
-            Ok(stub.cu_module_get_function(&module, name)?.into_result())
-        })
-    }
-
-    /// cuModuleUnload.
-    pub fn module_unload(&mut self, module: u64) -> ClientResult<()> {
-        self.call_status("cuModuleUnload", |stub| stub.cu_module_unload(&module))
     }
 
     /// cuLaunchKernel. The C flavor pays for the `<<<...>>>`-compatibility
@@ -604,284 +494,6 @@ impl CricketClient {
         };
         let op = BatchOp::CudaLaunchKernel(func, grid, block, shared_mem, stream, params);
         self.issue("cuLaunchKernel", true, op)
-    }
-
-    // ---- streams and events -------------------------------------------
-
-    /// cudaStreamCreate.
-    pub fn stream_create(&mut self) -> ClientResult<u64> {
-        self.call("cudaStreamCreate", |stub| {
-            Ok(stub.cuda_stream_create()?.into_result())
-        })
-    }
-
-    /// cudaStreamDestroy.
-    pub fn stream_destroy(&mut self, h: u64) -> ClientResult<()> {
-        self.call_status("cudaStreamDestroy", |stub| stub.cuda_stream_destroy(&h))
-    }
-
-    /// cudaStreamSynchronize.
-    pub fn stream_synchronize(&mut self, h: u64) -> ClientResult<()> {
-        self.call_status("cudaStreamSynchronize", |stub| {
-            stub.cuda_stream_synchronize(&h)
-        })
-    }
-
-    /// cudaEventCreate.
-    pub fn event_create(&mut self) -> ClientResult<u64> {
-        self.call("cudaEventCreate", |stub| {
-            Ok(stub.cuda_event_create()?.into_result())
-        })
-    }
-
-    /// cudaEventRecord.
-    pub fn event_record(&mut self, event: u64, stream: u64) -> ClientResult<()> {
-        self.issue(
-            "cudaEventRecord",
-            true,
-            BatchOp::CudaEventRecord(event, stream),
-        )
-    }
-
-    /// cudaEventSynchronize.
-    pub fn event_synchronize(&mut self, event: u64) -> ClientResult<()> {
-        self.call_status("cudaEventSynchronize", |stub| {
-            stub.cuda_event_synchronize(&event)
-        })
-    }
-
-    /// cudaEventElapsedTime (milliseconds).
-    pub fn event_elapsed_ms(&mut self, start: u64, stop: u64) -> ClientResult<f32> {
-        self.call("cudaEventElapsedTime", |stub| {
-            Ok(stub.cuda_event_elapsed_time(&start, &stop)?.into_result())
-        })
-    }
-
-    /// cudaEventDestroy.
-    pub fn event_destroy(&mut self, event: u64) -> ClientResult<()> {
-        self.call_status("cudaEventDestroy", |stub| stub.cuda_event_destroy(&event))
-    }
-
-    // ---- cuBLAS ---------------------------------------------------------
-
-    /// cublasCreate.
-    pub fn blas_create(&mut self) -> ClientResult<u64> {
-        self.call("cublasCreate", |stub| {
-            Ok(stub.cublas_create()?.into_result())
-        })
-    }
-
-    /// cublasDestroy.
-    pub fn blas_destroy(&mut self, h: u64) -> ClientResult<()> {
-        self.call_status("cublasDestroy", |stub| stub.cublas_destroy(&h))
-    }
-
-    /// cublasSgemm (column-major).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sgemm(
-        &mut self,
-        h: u64,
-        transa: i32,
-        transb: i32,
-        m: i32,
-        n: i32,
-        k: i32,
-        alpha: f32,
-        a: u64,
-        lda: i32,
-        b: u64,
-        ldb: i32,
-        beta: f32,
-        c: u64,
-        ldc: i32,
-    ) -> ClientResult<()> {
-        self.call_status("cublasSgemm", |stub| {
-            stub.cublas_sgemm(
-                &h, &transa, &transb, &m, &n, &k, &alpha, &a, &lda, &b, &ldb, &beta, &c, &ldc,
-            )
-        })
-    }
-
-    /// cublasDgemm (column-major).
-    #[allow(clippy::too_many_arguments)]
-    pub fn dgemm(
-        &mut self,
-        h: u64,
-        transa: i32,
-        transb: i32,
-        m: i32,
-        n: i32,
-        k: i32,
-        alpha: f64,
-        a: u64,
-        lda: i32,
-        b: u64,
-        ldb: i32,
-        beta: f64,
-        c: u64,
-        ldc: i32,
-    ) -> ClientResult<()> {
-        self.call_status("cublasDgemm", |stub| {
-            stub.cublas_dgemm(
-                &h, &transa, &transb, &m, &n, &k, &alpha, &a, &lda, &b, &ldb, &beta, &c, &ldc,
-            )
-        })
-    }
-
-    // ---- cuSolverDn ------------------------------------------------------
-
-    /// cusolverDnCreate.
-    pub fn solver_create(&mut self) -> ClientResult<u64> {
-        self.call("cusolverDnCreate", |stub| {
-            Ok(stub.cusolver_dn_create()?.into_result())
-        })
-    }
-
-    /// cusolverDnDestroy.
-    pub fn solver_destroy(&mut self, h: u64) -> ClientResult<()> {
-        self.call_status("cusolverDnDestroy", |stub| stub.cusolver_dn_destroy(&h))
-    }
-
-    /// cusolverDnDgetrf_bufferSize.
-    pub fn dgetrf_buffer_size(
-        &mut self,
-        h: u64,
-        m: i32,
-        n: i32,
-        a: u64,
-        lda: i32,
-    ) -> ClientResult<i32> {
-        self.call("cusolverDnDgetrf_bufferSize", |stub| {
-            Ok(stub
-                .cusolver_dn_dgetrf_buffer_size(&h, &m, &n, &a, &lda)?
-                .into_result())
-        })
-    }
-
-    /// cusolverDnDgetrf.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dgetrf(
-        &mut self,
-        h: u64,
-        m: i32,
-        n: i32,
-        a: u64,
-        lda: i32,
-        work: u64,
-        ipiv: u64,
-        info: u64,
-    ) -> ClientResult<()> {
-        self.call_status("cusolverDnDgetrf", |stub| {
-            stub.cusolver_dn_dgetrf(&h, &m, &n, &a, &lda, &work, &ipiv, &info)
-        })
-    }
-
-    /// cusolverDnDgetrs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dgetrs(
-        &mut self,
-        h: u64,
-        trans: i32,
-        n: i32,
-        nrhs: i32,
-        a: u64,
-        lda: i32,
-        ipiv: u64,
-        b: u64,
-        ldb: i32,
-        info: u64,
-    ) -> ClientResult<()> {
-        self.call_status("cusolverDnDgetrs", |stub| {
-            stub.cusolver_dn_dgetrs(&h, &trans, &n, &nrhs, &a, &lda, &ipiv, &b, &ldb, &info)
-        })
-    }
-
-    // ---- cuFFT -----------------------------------------------------------
-
-    /// cufftPlan1d (n must be a power of two; type is CUFFT_C2C/Z2Z).
-    pub fn fft_plan_1d(&mut self, n: i32, kind: i32, batch: i32) -> ClientResult<u64> {
-        self.call("cufftPlan1d", |stub| {
-            Ok(stub.cufft_plan_1d(&n, &kind, &batch)?.into_result())
-        })
-    }
-
-    /// cufftDestroy.
-    pub fn fft_destroy(&mut self, plan: u64) -> ClientResult<()> {
-        self.call_status("cufftDestroy", |stub| stub.cufft_destroy(&plan))
-    }
-
-    /// cufftExecC2C.
-    pub fn fft_exec_c2c(
-        &mut self,
-        plan: u64,
-        idata: u64,
-        odata: u64,
-        direction: i32,
-    ) -> ClientResult<()> {
-        let op = BatchOp::CufftExecC2c(plan, idata, odata, direction);
-        self.issue("cufftExecC2C", true, op)
-    }
-
-    /// cufftExecZ2Z.
-    pub fn fft_exec_z2z(
-        &mut self,
-        plan: u64,
-        idata: u64,
-        odata: u64,
-        direction: i32,
-    ) -> ClientResult<()> {
-        let op = BatchOp::CufftExecZ2z(plan, idata, odata, direction);
-        self.issue("cufftExecZ2Z", true, op)
-    }
-
-    // ---- server management (not counted as CUDA API calls) --------------
-
-    /// Capture a checkpoint of the server-side GPU state: one blob per
-    /// server session that owns anything, on every device.
-    pub fn checkpoint(&mut self) -> ClientResult<Vec<u8>> {
-        self.manage("ckptCapture", |stub| Ok(stub.ckpt_capture()?.into_result()))
-    }
-
-    /// Restore a checkpoint. This connection's session owns everything in
-    /// it from then on. Nothing that was live on the server is replaced: a
-    /// block or handle in it that somebody there holds fails the restore.
-    pub fn restore(&mut self, blob: &[u8]) -> ClientResult<()> {
-        self.manage("ckptRestore", |stub| {
-            stub.ckpt_restore(blob).map(Self::int_status)
-        })
-    }
-
-    /// Server-side statistics.
-    pub fn server_stats(&mut self) -> ClientResult<ServerStats> {
-        self.manage("srvGetStats", |stub| stub.srv_get_stats().map(Ok))
-    }
-
-    /// Reset server-side statistics.
-    pub fn server_reset_stats(&mut self) -> ClientResult<()> {
-        self.manage("srvResetStats", |stub| {
-            stub.srv_reset_stats().map(Self::int_status)
-        })
-    }
-
-    /// Select the GPU-sharing scheduler (0 FIFO, 1 RR, 2 priority, 3 WFQ).
-    pub fn set_scheduler(&mut self, policy: i32) -> ClientResult<()> {
-        self.manage("srvSetScheduler", |stub| {
-            stub.srv_set_scheduler(&policy).map(Self::int_status)
-        })
-    }
-
-    /// Set a session's QoS parameters (WFQ weight, priority, device-time
-    /// rate quota, resident-bytes quota). Zeroed quota fields mean
-    /// "unlimited"; a zero weight is clamped to 1 server-side.
-    pub fn set_qos(&mut self, params: &cricket_proto::QosParams) -> ClientResult<()> {
-        self.manage("cricketQosSet", |stub| {
-            stub.cricket_qos_set(params).map(Self::int_status)
-        })
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> ClientResult<()> {
-        self.manage("rpcNull", |stub| stub.rpc_null().map(Ok))
     }
 }
 
@@ -1286,6 +898,76 @@ mod tests {
             assert_eq!(c.stats.bytes_d2h, 0);
             assert_eq!(stripes_sent(&c), 0);
         });
+    }
+
+    /// Every generated method but the `admin` ones, called once, counts one
+    /// call under the name its `api` attribute declares, and nothing else:
+    /// the key set of `per_api` is exactly the declared names.
+    #[test]
+    fn every_generated_call_counts_once_under_its_declared_name() {
+        let spec = rpcl::parse(include_str!("../../cricket-proto/proto/cricket.x")).unwrap();
+        let Some(rpcl::ast::Definition::Program(program)) = spec.definitions.last() else {
+            panic!("cricket.x ends with its program")
+        };
+        let declared: Vec<&str> = (program.versions[0].procedures.iter())
+            .filter(|proc| !proc.admin)
+            .filter_map(|proc| Some(proc.api.as_ref()?.name.as_str()))
+            .collect();
+        use vgpu::fft::{CUFFT_C2C, CUFFT_FORWARD};
+        let sim = SimSetup::new();
+        let mut c = sim.client(EnvConfig::RustyHermit);
+        let image = crate::CubinBuilder::new().kernel("empty", &[]).build(false);
+        let module = c.module_load(&image).unwrap();
+        c.stats.reset();
+
+        assert_eq!(c.device_count().unwrap(), 4);
+        assert_eq!(c.device_properties(0).unwrap().warp_size, 32);
+        c.set_device(0).unwrap();
+        assert_eq!(c.get_device().unwrap(), 0);
+        let p = c.malloc(4096).unwrap();
+        c.memset(p, 0x3f, 4096).unwrap();
+        c.memcpy_dtod(p + 1024, p, 1024).unwrap();
+        assert!(c.mem_get_info().unwrap().free > 0);
+        assert_eq!(c.get_last_error().unwrap(), 0);
+        c.module_get_function(module, "empty").unwrap();
+        c.module_unload(module).unwrap();
+        let stream = c.stream_create().unwrap();
+        let event = c.event_create().unwrap();
+        c.event_record(event, stream).unwrap();
+        c.stream_synchronize(stream).unwrap();
+        c.event_synchronize(event).unwrap();
+        assert_eq!(c.event_elapsed_ms(event, event).unwrap(), 0.0);
+        c.event_destroy(event).unwrap();
+        c.stream_destroy(stream).unwrap();
+        let blas = c.blas_create().unwrap();
+        c.sgemm(blas, 0, 0, 1, 1, 1, 1.0, p, 1, p + 4, 1, 0.0, p + 8, 1)
+            .unwrap();
+        c.dgemm(blas, 0, 0, 1, 1, 1, 1.0, p, 1, p + 8, 1, 0.0, p + 16, 1)
+            .unwrap();
+        c.blas_destroy(blas).unwrap();
+        let solver = c.solver_create().unwrap();
+        let (a, work, ipiv, info) = (p + 2048, p + 2560, p + 3072, p + 3584);
+        assert!(c.dgetrf_buffer_size(solver, 1, 1, a, 1).unwrap() >= 0);
+        c.dgetrf(solver, 1, 1, a, 1, work, ipiv, info).unwrap();
+        c.dgetrs(solver, 0, 1, 1, a, 1, ipiv, p, 1, info).unwrap();
+        c.solver_destroy(solver).unwrap();
+        let plan = c.fft_plan_1d(4, CUFFT_C2C, 1).unwrap();
+        c.fft_exec_c2c(plan, p, p + 64, CUFFT_FORWARD).unwrap();
+        // A refused call counts too: this plan is not a Z2Z one.
+        assert!(c.fft_exec_z2z(plan, p, p + 128, CUFFT_FORWARD).is_err());
+        c.fft_destroy(plan).unwrap();
+        c.free(p).unwrap();
+        c.device_synchronize().unwrap();
+        c.device_reset().unwrap();
+        // The management calls are not API calls.
+        c.ping().unwrap();
+        c.server_stats().unwrap();
+
+        let counted: Vec<(&str, u64)> = c.stats.per_api.clone().into_iter().collect();
+        let mut want: Vec<(&str, u64)> = declared.iter().map(|&name| (name, 1)).collect();
+        want.sort_unstable();
+        assert_eq!(counted, want);
+        assert_eq!(c.stats.api_calls, declared.len() as u64);
     }
 
     /// `memcpy_dtoh_into` writes the caller's slice and nothing around it,

@@ -47,11 +47,6 @@ impl ApiStats {
         self.bytes_h2d + self.bytes_d2h
     }
 
-    /// Mebibytes transferred, both directions.
-    pub fn mib_total(&self) -> f64 {
-        self.bytes_total() as f64 / (1024.0 * 1024.0)
-    }
-
     /// Reset all counters.
     pub fn reset(&mut self) {
         *self = ApiStats::default();
@@ -81,7 +76,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.bytes_total(), 2 * 1024 * 1024);
-        assert!((s.mib_total() - 2.0).abs() < 1e-12);
         s.reset();
         assert_eq!(s.api_calls, 0);
         assert_eq!(s.bytes_total(), 0);

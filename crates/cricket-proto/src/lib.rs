@@ -14,53 +14,16 @@
 //! * [`CricketV1Client`] — the typed client stub (used by `cricket-client`),
 //! * [`CricketV1Service`] / [`CricketV1Dispatch`] — the server skeleton
 //!   (implemented by `cricket-server`), and [`CricketV1BatchOp`], the
-//!   decoder for the sub-ops of a `CRICKET_BATCH_EXEC` body.
+//!   decoder for the sub-ops of a `CRICKET_BATCH_EXEC` body,
+//! * `into_result` on every result union (`switch (int err) { case 0: T x;
+//!   default: void; }`: [`U64Result::into_result`], ...), its value or
+//!   the error code, and [`cricket_v1::status`] for a plain `int` result,
+//! * [`cricket_v1_api!`] — the typed client API: one method per procedure
+//!   declaring `api(method, "name")`, which `cricket-client` expands once
+//!   inside `CricketClient`, each body handing its call to that client's
+//!   `call`, `manage` or `issue` hook.
 
 include!(concat!(env!("OUT_DIR"), "/cricket_proto.rs"));
-
-/// Convenience: convert a `u64_result` into `Result<u64, i32>`.
-impl U64Result {
-    /// Unwrap into `Result`, mapping the error arm to its raw code.
-    pub fn into_result(self) -> Result<u64, i32> {
-        match self {
-            U64Result::Data(v) => Ok(v),
-            U64Result::Default(err) => Err(err),
-        }
-    }
-}
-
-/// Convenience: convert an `int_result` into `Result<i32, i32>`.
-impl IntResult {
-    /// Unwrap into `Result`, mapping the error arm to its raw code.
-    pub fn into_result(self) -> Result<i32, i32> {
-        match self {
-            IntResult::Data(v) => Ok(v),
-            IntResult::Default(err) => Err(err),
-        }
-    }
-}
-
-/// Convenience: convert a `data_result` into `Result<Vec<u8>, i32>`.
-impl DataResult {
-    /// Unwrap into `Result`, mapping the error arm to its raw code.
-    pub fn into_result(self) -> Result<Vec<u8>, i32> {
-        match self {
-            DataResult::Data(v) => Ok(v),
-            DataResult::Default(err) => Err(err),
-        }
-    }
-}
-
-/// Convenience: convert a `float_result` into `Result<f32, i32>`.
-impl FloatResult {
-    /// Unwrap into `Result`, mapping the error arm to its raw code.
-    pub fn into_result(self) -> Result<f32, i32> {
-        match self {
-            FloatResult::Data(v) => Ok(v),
-            FloatResult::Default(err) => Err(err),
-        }
-    }
-}
 
 impl RpcDim3 {
     /// A 1×1×1 geometry.

@@ -24,6 +24,10 @@ use vgpu::{Device, VgpuError, VgpuResult};
 /// (DESIGN §16). A real cubin is a few MiB.
 pub const MAX_MODULE_BYTES: u64 = 64 << 20;
 
+/// Most inbound migrations staged at once, one per client token (DESIGN
+/// §16); a base beyond it is refused and what it placed reclaimed.
+pub(crate) const MAX_STAGED_MIGRATIONS: usize = 64;
+
 /// Refuse `requested` more bytes of module image beside `held`.
 pub(crate) fn module_room(held: u64, requested: u64) -> VgpuResult<()> {
     let free = MAX_MODULE_BYTES.saturating_sub(held);
@@ -405,7 +409,15 @@ impl CricketServer {
         // on an otherwise idle destination.
         self.clock.advance_to(blob.meta.src_now_ns);
         let epochs = staged.applied_epochs;
-        self.with_token(token, |t| t.adoption = Some(staged));
+        // Counted and staged under one hold, so two bases cannot both pass.
+        let mut tokens = self.tokens.lock();
+        let others = (tokens.iter()).filter(|&(&t, s)| t != token && s.adoption.is_some());
+        if kind == MigKind::Base && others.count() >= MAX_STAGED_MIGRATIONS {
+            drop(tokens);
+            self.reclaim(staged.session);
+            return Err(VgpuError::InvalidValue("too many staged migrations".into()));
+        }
+        tokens.entry(token).or_default().adoption = Some(staged);
         Ok(epochs)
     }
 
@@ -671,5 +683,76 @@ impl CricketServer {
         if let Some(a) = self.with_token(token, |t| t.adoption.take()) {
             self.reclaim(a.session);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::SimTransport;
+    use crate::{make_rpc_server, ServerConfig};
+    use cricket_proto::{CricketV1Client, CudaError, MemBlock, MigBlob, MigMem};
+    use simnet::SimClock;
+    use unikernel::{Guest, GuestKind};
+
+    /// Staged inbound migrations are bounded over the wire: the base past
+    /// `MAX_STAGED_MIGRATIONS` is refused with the base's error and leaves
+    /// no device memory behind, a base replacing its own token's attempt
+    /// takes no second slot, and aborting one staged token frees a slot.
+    #[test]
+    fn staged_migrations_are_bounded_and_an_abort_frees_a_slot() {
+        let clock = SimClock::new();
+        let server = make_rpc_server(CricketServer::new(ServerConfig::default(), clock.clone()));
+        let guest = Guest::new(GuestKind::RustyHermit);
+        let mut c = CricketV1Client::new(Box::new(SimTransport::new(server, guest, clock)));
+        let at = c.cuda_malloc(&(1 << 20)).unwrap().into_result().unwrap();
+        assert_eq!(c.cuda_free(&at).unwrap(), 0);
+        let free = |c: &mut CricketV1Client| {
+            let info = c.cuda_mem_get_info().unwrap().into_result();
+            info.unwrap().free
+        };
+        let before = free(&mut c);
+        // A base for `token`, placing `bytes` of device memory at `at`.
+        let base = |token: u64, bytes: usize| {
+            let meta = SessionMeta {
+                token,
+                next_lib_handle: LIB_HANDLE_BASE,
+                ..Default::default()
+            };
+            let mut mem = MigMem::default();
+            if bytes > 0 {
+                let bytes = vec![7; bytes];
+                mem.new_blocks = vec![MemBlock { base: at, bytes }].into();
+            }
+            let replay = Default::default();
+            let kind = MigKind::Base;
+            xdr::encode(&MigBlob {
+                kind,
+                meta,
+                mem,
+                replay,
+            })
+        };
+        let tokens = 1000..1000 + MAX_STAGED_MIGRATIONS as u64;
+        for token in tokens.clone() {
+            assert_eq!(c.mig_apply_base(&base(token, 0)).unwrap(), 0, "{token}");
+        }
+        assert_eq!(c.mig_apply_base(&base(tokens.start, 0)).unwrap(), 0);
+        let refused = c.mig_apply_base(&base(tokens.end, 64 << 10)).unwrap();
+        assert_eq!(refused, CudaError::CudaErrorInvalidValue as i32);
+        assert_eq!(
+            free(&mut c),
+            before,
+            "the refused blob's memory is reclaimed"
+        );
+        assert_eq!(c.mig_abort(&tokens.start).unwrap(), 0);
+        assert_eq!(c.mig_apply_base(&base(tokens.end, 64 << 10)).unwrap(), 0);
+        assert_eq!(
+            free(&mut c),
+            before - (64 << 10),
+            "an accepted one holds it"
+        );
+        assert_eq!(c.mig_abort(&tokens.end).unwrap(), 0);
+        assert_eq!(free(&mut c), before);
     }
 }

@@ -168,6 +168,18 @@ pub struct ProcedureDef {
     /// server charges for the call beside its dispatch. Codegen emits a
     /// `host_cost_ns` table (0 for a procedure without one).
     pub cost_ns: Option<u64>,
+    /// Declared `api(method, "name")` in the interface: the procedure is a
+    /// typed client method. Codegen emits the version's API macro.
+    pub api: Option<Api>,
+}
+
+/// The client method an `api(method, "name")` attribute declares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Api {
+    /// Rust name of the method.
+    pub method: String,
+    /// The API name its calls are counted and refused under (`cudaMalloc`).
+    pub name: String,
 }
 
 /// A variable declaration: a type applied to a name with an optional

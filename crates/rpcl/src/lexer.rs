@@ -18,6 +18,8 @@ pub enum TokenKind {
     Ident(String),
     /// Integer literal (decimal, 0x hex, or 0 octal), possibly negative.
     Number(i64),
+    /// String literal: the text between two `"` on one line, no escapes.
+    Str(String),
     /// `{`
     LBrace,
     /// `}`
@@ -53,6 +55,7 @@ impl std::fmt::Display for TokenKind {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
             TokenKind::Number(n) => write!(f, "number `{n}`"),
+            TokenKind::Str(s) => write!(f, "string `\"{s}\"`"),
             TokenKind::LBrace => write!(f, "`{{`"),
             TokenKind::RBrace => write!(f, "`}}`"),
             TokenKind::LParen => write!(f, "`(`"),
@@ -160,6 +163,21 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
                     kind: TokenKind::Number(value),
                     line,
                 });
+            }
+            b'"' => {
+                let len = source[i + 1..].find(['"', '\n']);
+                let Some(len) = len.filter(|&len| bytes[i + 1 + len] == b'"') else {
+                    return Err(Error {
+                        line,
+                        message: "unterminated string literal".into(),
+                    });
+                };
+                let text = source[i + 1..i + 1 + len].to_string();
+                tokens.push(Token {
+                    kind: TokenKind::Str(text),
+                    line,
+                });
+                i += len + 2;
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
@@ -277,6 +295,25 @@ mod tests {
     fn bad_number_is_error() {
         assert!(tokenize("0xZZ").is_err());
         assert!(tokenize("- x").is_err());
+    }
+
+    #[test]
+    fn string_literals_end_on_their_line() {
+        assert_eq!(
+            kinds(r#"api(m, "cudaMemcpy(D2D)") """#),
+            vec![
+                TokenKind::Ident("api".into()),
+                TokenKind::LParen,
+                TokenKind::Ident("m".into()),
+                TokenKind::Comma,
+                TokenKind::Str("cudaMemcpy(D2D)".into()),
+                TokenKind::RParen,
+                TokenKind::Str(String::new()),
+                TokenKind::Eof,
+            ]
+        );
+        assert!(tokenize("\"never ends").is_err());
+        assert!(tokenize("\"two\nlines\"").is_err());
     }
 
     #[test]

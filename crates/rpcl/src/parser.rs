@@ -349,14 +349,20 @@ impl Parser {
         // retry; `batchable` marks it recordable into a command batch;
         // `inline` marks it answerable without waiting (server poll thread);
         // `admin` marks it exempt from admission control; `cost(ns)` declares
-        // its host-side cost.
+        // its host-side cost; `api(method, "name")` its typed client method.
         let (mut idempotent, mut batchable, mut inline, mut admin) = (false, false, false, false);
-        let mut cost_ns = None;
+        let (mut cost_ns, mut api) = (None, None);
         loop {
             if self.at_keyword("cost") {
                 self.bump();
                 if cost_ns.replace(self.cost()?).is_some() {
                     return self.err("duplicate `cost` attribute");
+                }
+                continue;
+            } else if self.at_keyword("api") {
+                self.bump();
+                if api.replace(self.api()?).is_some() {
+                    return self.err("duplicate `api` attribute");
                 }
                 continue;
             } else if !idempotent && self.at_keyword("idempotent") {
@@ -417,7 +423,20 @@ impl Parser {
             inline,
             admin,
             cost_ns,
+            api,
         })
+    }
+
+    /// The `(method, "name")` of an `api` attribute.
+    fn api(&mut self) -> Result<Api, Error> {
+        self.expect(&TokenKind::LParen)?;
+        let method = self.expect_ident()?;
+        self.expect(&TokenKind::Comma)?;
+        let TokenKind::Str(name) = self.bump() else {
+            return self.err("`api` takes a method and its API name as a string");
+        };
+        self.expect(&TokenKind::RParen)?;
+        Ok(Api { method, name })
     }
 
     /// The `(ns)` of a `cost` attribute: a non-negative number literal.
@@ -779,6 +798,53 @@ mod tests {
             let src = format!(
                 "const N = 4; program P {{ version V {{ {attr} int A(void) = 1; }} = 1; }} = 9;"
             );
+            assert!(parse(&src).is_err(), "{why} accepted: {attr}");
+        }
+    }
+
+    /// `api(method, "name")` sits among the other attributes in any order,
+    /// once, with a method identifier and a string for the name.
+    #[test]
+    fn api_parses_in_any_attribute_order_and_refuses_a_bad_value() {
+        let spec = parse(
+            r#"program P { version V {
+                api(a, "cudaA") cost(5) idempotent int A(void) = 1;
+                idempotent inline api(b, "cudaMemcpy(D2D)") admin int B(void) = 2;
+                batchable cost(7) api(c, "") int C(int) = 3;
+                int D(void) = 4;
+            } = 1; } = 9;"#,
+        )
+        .unwrap();
+        let Definition::Program(p) = &spec.definitions[0] else {
+            panic!()
+        };
+        let procs = &p.versions[0].procedures;
+        let apis: Vec<_> = (procs.iter())
+            .map(|p| p.api.as_ref().map(|a| (a.method.as_str(), a.name.as_str())))
+            .collect();
+        assert_eq!(
+            apis,
+            [
+                Some(("a", "cudaA")),
+                Some(("b", "cudaMemcpy(D2D)")),
+                Some(("c", "")),
+                None
+            ]
+        );
+        assert_eq!(procs[0].cost_ns, Some(5));
+        assert!(procs[0].idempotent && procs[1].inline && procs[1].admin && procs[2].batchable);
+        for (attr, why) in [
+            (r#"api(a, "x") api(b, "y")"#, "duplicate"),
+            (r#"api(a, "x") idempotent api(a, "x")"#, "duplicate"),
+            (r#"api("x")"#, "missing method"),
+            ("api(a)", "missing name"),
+            ("api(a, )", "empty name"),
+            ("api(a, x)", "a name that is not a string"),
+            ("api(a, 5)", "a number for the name"),
+            (r#"api(a, "x""#, "unclosed"),
+            ("api", "no arguments"),
+        ] {
+            let src = format!("program P {{ version V {{ {attr} int A(void) = 1; }} = 1; }} = 9;");
             assert!(parse(&src).is_err(), "{why} accepted: {attr}");
         }
     }

@@ -61,13 +61,6 @@ pub fn decode<T: Xdr>(buf: &[u8]) -> XdrResult<T> {
     Ok(v)
 }
 
-/// Decode a value from a buffer, permitting trailing bytes.
-pub fn decode_prefix<T: Xdr>(buf: &[u8]) -> XdrResult<(T, usize)> {
-    let mut dec = XdrDecoder::new(buf);
-    let v = T::decode(&mut dec)?;
-    Ok((v, dec.position()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,8 +95,5 @@ mod tests {
             decode::<u32>(&buf),
             Err(XdrError::TrailingBytes { .. })
         ));
-        let (v, used) = decode_prefix::<u32>(&buf).unwrap();
-        assert_eq!(v, 7);
-        assert_eq!(used, 4);
     }
 }

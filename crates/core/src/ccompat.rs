@@ -8,7 +8,7 @@
 //!    omit some logic required in the C implementation to ensure
 //!    compatibility with launching CUDA kernels using the `<<<...>>>`
 //!    operator." The C launch path stages the argument array through the
-//!    generic `void* args[]` ABI; [`launch_compat_marshal`] reproduces that
+//!    generic `void* args[]` ABI; `launch_compat_marshal` reproduces that
 //!    work and its cost.
 //! 2. **Initialization**: "the C applications use a slower random number
 //!    generator" — glibc `rand()` called per byte vs. a Rust PRNG filling
@@ -19,26 +19,26 @@ use simnet::SimClock;
 
 /// Extra host time of one C-style launch (the `<<<...>>>` compatibility
 /// marshalling), charged on top of the regular path.
-pub const LAUNCH_COMPAT_NS: u64 = 1_800;
+pub(crate) const LAUNCH_COMPAT_NS: u64 = 1_800;
 
 /// Per-call overhead of libtirpc's argument handling relative to RPC-Lib
 /// (XDR through function-pointer dispatch, extra malloc per call).
-pub const TIRPC_CALL_NS: u64 = 300;
+pub(crate) const TIRPC_CALL_NS: u64 = 300;
 
 /// glibc `rand()` cost per call (one output byte per call, as the CUDA
 /// sample's init loop uses it). ~21 ns per `rand()` call matches glibc's
 /// TYPE_3 generator through the PLT on EPYC-class cores, and makes the
 /// full-scale histogram app reproduce the paper's 37.6 % overall C-vs-Rust
 /// gap (§4.1).
-pub const C_RAND_NS_PER_BYTE: f64 = 21.0;
+pub(crate) const C_RAND_NS_PER_BYTE: f64 = 21.0;
 
 /// Rust PRNG fill cost per byte (xorshift filling 8 bytes per step).
-pub const RUST_RAND_NS_PER_BYTE: f64 = 0.6;
+pub(crate) const RUST_RAND_NS_PER_BYTE: f64 = 0.6;
 
 /// Reproduce the C launch path's staging work: copy every parameter slot
 /// through a `void* args[]`-style indirection table. Returns the staged
 /// blob (identical content — the work is the point).
-pub fn launch_compat_marshal(params: &[u8]) -> Vec<u8> {
+pub(crate) fn launch_compat_marshal(params: &[u8]) -> Vec<u8> {
     let slots: Vec<&[u8]> = params.chunks(8).collect(); // build void* args[]
     let mut staged = Vec::with_capacity(params.len());
     for slot in slots {

@@ -1,22 +1,4 @@
-//! Where a client connects: one [`Endpoint`] type for every deployment
-//! shape.
-//!
-//! * [`Endpoint::Addr`] — a single Cricket server, connect directly.
-//! * [`Endpoint::Directory`] — a fleet: resolve a shard through the portmap
-//!   shard directory exactly once, at connect time, then talk to it over
-//!   the normal zero-copy path. The directory ranks shards under a
-//!   [`Placement`] policy; if the best shard's listener is down (crashed
-//!   shard behind a stale directory entry) the connect transparently fails
-//!   over to the next-ranked candidate.
-//!
-//! ```no_run
-//! use cricket_client::{Context, Endpoint};
-//!
-//! // Direct:
-//! let ctx = Context::connect(&Endpoint::addr("127.0.0.1:4000").unwrap()).unwrap();
-//! // Through a fleet directory:
-//! let ctx = Context::connect(&Endpoint::directory("127.0.0.1:111").unwrap()).unwrap();
-//! ```
+//! Where a client connects: [`Endpoint`].
 
 use std::net::{SocketAddr, ToSocketAddrs};
 
@@ -24,7 +6,24 @@ use crate::error::{ClientError, ClientResult};
 pub use cricket_fleet::Placement;
 use cricket_fleet::ShardDirectory;
 
-/// Where to connect. See the [module docs](self).
+/// Where a client connects: one type for every deployment shape.
+///
+/// * [`Endpoint::Addr`] — a single Cricket server, connect directly.
+/// * [`Endpoint::Directory`] — a fleet: resolve a shard through the portmap
+///   shard directory exactly once, at connect time, then talk to it over
+///   the normal zero-copy path. The directory ranks shards under a
+///   [`Placement`] policy; if the best shard's listener is down (crashed
+///   shard behind a stale directory entry) the connect transparently fails
+///   over to the next-ranked candidate.
+///
+/// ```no_run
+/// use cricket_client::{Context, Endpoint};
+///
+/// // Direct:
+/// let ctx = Context::connect(&Endpoint::addr("127.0.0.1:4000").unwrap()).unwrap();
+/// // Through a fleet directory:
+/// let ctx = Context::connect(&Endpoint::directory("127.0.0.1:111").unwrap()).unwrap();
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// One specific server.

@@ -5,12 +5,12 @@
 //! against a local API and forwarded via ONC RPC to a Cricket server that
 //! owns the GPU. Three layers are offered:
 //!
-//! * [`raw`] — one method per CUDA API (`malloc`, `memcpy_*`,
+//! * `raw` — one method per CUDA API (`malloc`, `memcpy_*`,
 //!   `module_load`, `launch_kernel`, cuBLAS/cuSolver/cuFFT entry points),
 //!   generated from the `api` attributes of `cricket.x` wherever it only
 //!   forwards the call, with **API-call and byte accounting**
 //!   ([`stats::ApiStats`]) reproducing the paper's §4.1 call-count table.
-//! * [`safe`] — the Rust-idiomatic layer the paper highlights: *"we wrap
+//! * `safe` — the Rust-idiomatic layer the paper highlights: *"we wrap
 //!   the cudaMalloc and cudaFree APIs, making GPU allocations work like
 //!   local heap allocations. This way, we can guarantee the absence of
 //!   use-after-free and double-free errors"* (§3.4). [`safe::DeviceBuffer`]
@@ -28,13 +28,13 @@
 //! application … directly on Linux".
 
 pub mod ccompat;
-pub mod endpoint;
+mod endpoint;
 pub mod env;
-pub mod error;
-pub mod raw;
-pub mod safe;
+mod error;
+mod raw;
+mod safe;
 pub mod sim;
-pub mod stats;
+mod stats;
 pub mod stripe;
 
 pub use endpoint::{Endpoint, Placement};

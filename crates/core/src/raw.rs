@@ -337,7 +337,7 @@ impl CricketClient {
     }
 
     /// Charge client-side host nanoseconds (simulated mode only).
-    pub fn charge(&self, ns: u64) {
+    pub(crate) fn charge(&self, ns: u64) {
         if let Some(c) = &self.clock {
             c.advance(ns);
         }
@@ -453,12 +453,6 @@ impl CricketClient {
         Ok(out)
     }
 
-    /// [`Self::memcpy_dtoh`] of `dst.len()` bytes into the caller's buffer:
-    /// no allocation at all.
-    pub fn memcpy_dtoh_into(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
-        self.dtoh(src, dst)
-    }
-
     // ---- modules and launches -----------------------------------------
 
     /// cuModuleLoadData: ship a cubin image read on the client side to the
@@ -502,6 +496,14 @@ mod tests {
     use super::*;
     use crate::env::EnvConfig;
     use crate::sim::SimSetup;
+
+    impl CricketClient {
+        /// [`CricketClient::memcpy_dtoh`] of `dst.len()` bytes into the
+        /// caller's buffer.
+        fn memcpy_dtoh_into(&mut self, src: u64, dst: &mut [u8]) -> ClientResult<()> {
+            self.dtoh(src, dst)
+        }
+    }
 
     fn batched_and_eager_clients() -> (SimSetup, CricketClient, SimSetup, CricketClient) {
         let sim_b = SimSetup::new();

@@ -189,7 +189,7 @@ impl<'ctx, T: DeviceCopy> DeviceBuffer<'ctx, T> {
     }
 
     /// Byte size on the device.
-    pub fn byte_len(&self) -> u64 {
+    pub(crate) fn byte_len(&self) -> u64 {
         (self.len * T::SIZE) as u64
     }
 
@@ -307,11 +307,6 @@ impl Stream<'_> {
     /// Wait for all work enqueued on this stream.
     pub fn synchronize(&self) -> ClientResult<()> {
         self.ctx.client.borrow_mut().stream_synchronize(self.handle)
-    }
-
-    /// Raw stream handle.
-    pub fn handle(&self) -> u64 {
-        self.handle
     }
 }
 

@@ -74,11 +74,11 @@ impl SimSetup {
 
     /// Build a stripe pool of `lanes` simulated connections to this GPU
     /// node, wired to overlap in virtual time.
-    pub fn stripe_pool(&self, env: EnvConfig, lanes: usize) -> StripePool {
+    pub(crate) fn stripe_pool(&self, env: EnvConfig, lanes: usize) -> StripePool {
         self.stripe_pool_with(env, lanes, |t, _| t)
     }
 
-    /// [`Self::stripe_pool`] with a per-lane transport wrapper: `wrap`
+    /// `Self::stripe_pool` with a per-lane transport wrapper: `wrap`
     /// receives each lane's simulated transport and its lane index, and
     /// may interpose (e.g. an [`oncrpc::FaultyTransport`] with a per-lane
     /// fault schedule for chaos tests).

@@ -37,7 +37,7 @@ pub struct ApiStats {
 
 impl ApiStats {
     /// Record one call of `api`.
-    pub fn count(&mut self, api: &'static str) {
+    pub(crate) fn count(&mut self, api: &'static str) {
         self.api_calls += 1;
         *self.per_api.entry(api).or_insert(0) += 1;
     }

@@ -16,7 +16,7 @@
 //! retransmitted write stripe without cross-lane collisions.
 //!
 //! Which copies stripe is decided by the caller (`TransferPlan::choose` in
-//! [`crate::raw`]): only copies of at least its stripe threshold fan out.
+//! `crate::raw`): only copies of at least its stripe threshold fan out.
 
 use crate::error::{ClientError, ClientResult};
 use crate::raw::{read_dtoh, HTOD_API};

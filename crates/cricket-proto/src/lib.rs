@@ -30,11 +30,6 @@ impl RpcDim3 {
     pub fn one() -> Self {
         Self { x: 1, y: 1, z: 1 }
     }
-
-    /// Total element count (x·y·z).
-    pub fn count(&self) -> u64 {
-        self.x as u64 * self.y as u64 * self.z as u64
-    }
 }
 
 impl ServerStats {
@@ -60,6 +55,13 @@ impl From<(u32, u32, u32)> for RpcDim3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RpcDim3 {
+        /// Total element count (x·y·z).
+        fn count(&self) -> u64 {
+            self.x as u64 * self.y as u64 * self.z as u64
+        }
+    }
 
     #[test]
     fn program_constants_match_spec() {

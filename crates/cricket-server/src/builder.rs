@@ -1,23 +1,4 @@
 //! The single server entry point: [`ServerBuilder`].
-//!
-//! Every TCP deployment of a Cricket server — the `cricket-server` binary,
-//! a fleet shard registered in a directory, a test — goes through one
-//! builder, and is served by the completion-driven reactor:
-//!
-//! ```no_run
-//! use cricket_server::ServerBuilder;
-//!
-//! let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
-//! println!("serving on {}", handle.addr());
-//! handle.shutdown();
-//! ```
-//!
-//! With `.directory(dir_addr, prog, vers)` the server registers itself as a
-//! *shard* in an [`oncrpc::Portmap`] directory on start, heartbeats a fresh
-//! [`oncrpc::LoadReport`] on an interval, and deregisters on
-//! [`ServeHandle::shutdown`]. [`ServeHandle::kill`] skips deregistration —
-//! that simulates a crashed shard whose stale directory entry clients must
-//! fail over around.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -33,7 +14,7 @@ use crate::{CricketServer, ServerConfig};
 
 /// Where (and as what) a server registers itself in a fleet directory.
 #[derive(Debug, Clone)]
-pub struct DirectoryRegistration {
+pub(crate) struct DirectoryRegistration {
     /// The directory service's TCP address (an [`oncrpc::Portmap`] serving
     /// the shard procedures).
     pub dir_addr: SocketAddr,
@@ -46,8 +27,27 @@ pub struct DirectoryRegistration {
     pub heartbeat: Duration,
 }
 
-/// Builder for every Cricket server deployment shape. See the [module
-/// docs](self) for an example.
+/// Builder for every Cricket server deployment shape: the single server
+/// entry point.
+///
+/// Every TCP deployment of a Cricket server — the `cricket-server` binary,
+/// a fleet shard registered in a directory, a test — goes through one
+/// builder, and is served by the completion-driven reactor:
+///
+/// ```no_run
+/// use cricket_server::ServerBuilder;
+///
+/// let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
+/// println!("serving on {}", handle.addr());
+/// handle.shutdown();
+/// ```
+///
+/// With `.directory(dir_addr, prog, vers)` the server registers itself as a
+/// *shard* in an [`oncrpc::Portmap`] directory on start, heartbeats a fresh
+/// [`oncrpc::LoadReport`] on an interval, and deregisters on
+/// [`ServeHandle::shutdown`]. [`ServeHandle::kill`] skips deregistration —
+/// that simulates a crashed shard whose stale directory entry clients must
+/// fail over around.
 pub struct ServerBuilder {
     addrs: std::io::Result<Vec<SocketAddr>>,
     server: Option<Arc<CricketServer>>,
@@ -96,14 +96,6 @@ impl ServerBuilder {
     /// GPU-sharing scheduler policy.
     pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// QoS / overload-control configuration (session watermark, admission
-    /// retry hint). Applies to the server this builder creates; ignored
-    /// when [`Self::server`] supplies an existing one.
-    pub fn qos(mut self, qos: crate::QosServerConfig) -> Self {
-        self.config.qos = qos;
         self
     }
 

@@ -12,7 +12,7 @@
 //!   call prologue, routing, QoS admission and the migration token gate),
 //!   `batch` (the batchable ops' one body and `CRICKET_BATCH_EXEC`) and
 //!   `state` (session-state export, apply and reclaim);
-//! * [`scheduler`] — configurable GPU-sharing policies (FIFO, round-robin,
+//! * `scheduler` — configurable GPU-sharing policies (FIFO, round-robin,
 //!   priority, weighted fair queuing) arbitrating concurrent client
 //!   sessions, the paper's "managing the shared access through
 //!   configurable schedulers";
@@ -21,7 +21,7 @@
 //!   and library handles as XDR blobs restored at their exact handle
 //!   values. At rest they are the paper's Checkpoint/Restart support, in
 //!   flight they are live migration;
-//! * [`transport`] — the simulated client↔server paths: an in-process
+//! * `transport` — the simulated client↔server paths: an in-process
 //!   transport that carries real RPC bytes through the functional guest TCP
 //!   stack and charges network time from the environment's cost model.
 //!
@@ -29,19 +29,20 @@
 //! binary is a thin command line over it.
 
 mod batch;
-pub mod builder;
+mod builder;
 pub mod migrate;
 mod prologue;
-pub mod scheduler;
+mod scheduler;
 mod server;
 pub mod service;
 mod state;
 mod stats;
-pub mod transport;
+mod transport;
 
-pub use builder::{DirectoryRegistration, ServeHandle, ServerBuilder};
+pub use builder::{ServeHandle, ServerBuilder};
 pub use cricket_proto::MigKind;
-pub use scheduler::{QosSpec, SchedulerPolicy, SessionId};
+use scheduler::SessionId;
+pub use scheduler::{QosSpec, SchedulerPolicy};
 pub use server::{CricketServer, QosServerConfig, ServerConfig, SessionCleanup};
 pub use state::MAX_MODULE_BYTES;
 pub use transport::SimTransport;
@@ -56,7 +57,7 @@ pub fn make_rpc_server(server: Arc<CricketServer>) -> Arc<oncrpc::RpcServer> {
 
 /// Build an `RpcServer` bound to one session of `server`, with the
 /// server's at-most-once replay cache (the one its statistics report) and
-/// QoS admission installed: every call passes [`CricketServer::qos_admit`]
+/// QoS admission installed: every call passes `CricketServer::qos_admit`
 /// before its procedure body runs, and a shed call is answered
 /// `CRICKET_BUSY` with the retry-after hint `qos_admit` returned — never
 /// executed, never replay-cached. Public so in-process harnesses (benches,
@@ -109,7 +110,7 @@ pub enum ServeMode {
 /// (safe to execute on the reactor thread) for exactly the procedures
 /// `cricket.x` declares `inline` — the attribute's contract is stated
 /// there — and `Parked` on a worker shard for everything else.
-pub fn proc_class(proc: u32) -> oncrpc::ProcClass {
+pub(crate) fn proc_class(proc: u32) -> oncrpc::ProcClass {
     if cricket_proto::cricket_v1::is_inline(proc) {
         oncrpc::ProcClass::Done
     } else {
@@ -117,7 +118,7 @@ pub fn proc_class(proc: u32) -> oncrpc::ProcClass {
     }
 }
 
-/// The [`proc_class`] table as the TCP reactor's [`oncrpc::Classifier`]
+/// The `proc_class` table as the TCP reactor's [`oncrpc::Classifier`]
 /// (only the reactor classifies): foreign programs/versions are parked so
 /// the full dispatcher produces the proper error reply off its thread.
 pub fn cricket_classifier() -> oncrpc::Classifier {

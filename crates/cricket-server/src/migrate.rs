@@ -29,8 +29,8 @@
 //! what the generator cannot: the rule that a checkpoint holds only
 //! `Base` blobs, and the moves between [`MigMem`] and the device's
 //! [`MemDelta`]. Decode errors are typed [`VgpuError`]s, and no count off
-//! the wire reserves more than the bytes behind it
-//! (`xdr::XdrDecoder::get_array`).
+//! the wire reserves more than the bytes behind it (`xdr::XdrDecoder`'s
+//! array reader).
 
 use cricket_proto::{Ckpt, MemBlock, MemSpan, MigBlob, MigKind, MigMem, SessionMeta};
 use vgpu::memory::MemDelta;

@@ -17,7 +17,7 @@ impl CricketServer {
     ///
     /// `malloc_size` is the peeked `CUDA_MALLOC` argument, used to enforce
     /// the resident-bytes quota before the allocation happens.
-    pub fn qos_admit(
+    pub(crate) fn qos_admit(
         &self,
         session: SessionId,
         proc: u32,

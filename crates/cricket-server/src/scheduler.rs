@@ -30,11 +30,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies one client session (one unikernel instance).
-pub type SessionId = u32;
+pub(crate) type SessionId = u32;
 
 /// Fixed-point scale for the virtual-finish-time ledger: charging `ns` at
 /// weight `w` advances the session's clock by `ns * WEIGHT_SCALE / w`.
-pub const WEIGHT_SCALE: u64 = 1 << 10;
+pub(crate) const WEIGHT_SCALE: u64 = 1 << 10;
 
 /// Real-time bound on the anticipation window: how long the pick winner
 /// holds its claim open for the just-served session's next request. Long
@@ -63,7 +63,7 @@ pub enum SchedulerPolicy {
 
 impl SchedulerPolicy {
     /// Wire encoding used by `SRV_SET_SCHEDULER`.
-    pub fn from_i32(v: i32) -> Option<Self> {
+    pub(crate) fn from_i32(v: i32) -> Option<Self> {
         match v {
             0 => Some(SchedulerPolicy::Fifo),
             1 => Some(SchedulerPolicy::RoundRobin),
@@ -217,21 +217,21 @@ pub struct Scheduler {
 
 /// RAII guard for one issue slot; releasing wakes the next waiter. Hold it
 /// only for the enqueue/wait bookkeeping, never for simulated device time.
-pub struct IssueTurn<'a> {
+pub(crate) struct IssueTurn<'a> {
     sched: &'a Scheduler,
     session: SessionId,
 }
 
 impl IssueTurn<'_> {
     /// Charge `ns` of device time to this turn's session.
-    pub fn charge(&self, ns: u64) {
+    pub(crate) fn charge(&self, ns: u64) {
         self.sched.charge(self.session, ns);
     }
 
     /// Should the holder release the slot and requeue? True when a waiter
     /// the current policy would serve first is queued (preemption point
     /// between batch sub-op slices).
-    pub fn should_yield(&self) -> bool {
+    pub(crate) fn should_yield(&self) -> bool {
         self.sched.should_yield(self.session)
     }
 }
@@ -273,11 +273,6 @@ impl Scheduler {
     pub fn set_policy(&self, policy: SchedulerPolicy) {
         self.state.lock().policy = policy;
         self.cond.notify_all();
-    }
-
-    /// Current policy.
-    pub fn policy(&self) -> SchedulerPolicy {
-        self.state.lock().policy
     }
 
     /// Edit a session's QoS spec, starting from the defaults. Config only:
@@ -330,7 +325,7 @@ impl Scheduler {
 
     /// Charge `ns` of device time to `session`'s ledger and advance its
     /// virtual finish time by `ns * WEIGHT_SCALE / weight`.
-    pub fn charge(&self, session: SessionId, ns: u64) {
+    pub(crate) fn charge(&self, session: SessionId, ns: u64) {
         let mut st = self.state.lock();
         let floor = st.vclock;
         let weight = u64::from(st.spec(session).weight.max(1));
@@ -342,7 +337,12 @@ impl Scheduler {
     /// Check `session`'s device-time token bucket for `want_ns` of work at
     /// clock time `now_ns`. `Ok` deducts the tokens; `Err(retry_after_ns)`
     /// is the time until the bucket holds enough.
-    pub fn rate_check(&self, session: SessionId, now_ns: u64, want_ns: u64) -> Result<(), u64> {
+    pub(crate) fn rate_check(
+        &self,
+        session: SessionId,
+        now_ns: u64,
+        want_ns: u64,
+    ) -> Result<(), u64> {
         let mut st = self.state.lock();
         let Some(q) = st.tenants.get_mut(&session).and_then(|t| t.qos.as_mut()) else {
             return Ok(());
@@ -389,18 +389,18 @@ impl Scheduler {
     }
 
     /// Record one call shed with `CRICKET_BUSY` (overload telemetry).
-    pub fn note_shed(&self) {
+    pub(crate) fn note_shed(&self) {
         self.sheds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sheds since the last call (drained by `load_report`).
-    pub fn take_recent_sheds(&self) -> u64 {
+    pub(crate) fn take_recent_sheds(&self) -> u64 {
         self.sheds.swap(0, Ordering::Relaxed)
     }
 
     /// Drop a released session's record (QoS config, ledgers). Without
     /// this, session churn grows the table without bound.
-    pub fn forget(&self, session: SessionId) {
+    pub(crate) fn forget(&self, session: SessionId) {
         let mut st = self.state.lock();
         st.tenants.remove(&session);
         if st.last_served == Some(session) {
@@ -422,7 +422,7 @@ impl Scheduler {
 
     /// Block until it is `session`'s turn to issue; returns a guard holding
     /// the issue slot.
-    pub fn begin(&self, session: SessionId) -> IssueTurn<'_> {
+    pub(crate) fn begin(&self, session: SessionId) -> IssueTurn<'_> {
         let mut st = self.state.lock();
         let priority = st.spec(session).priority;
         let ticket = st.next_ticket;
@@ -497,7 +497,7 @@ impl Scheduler {
     /// is ranked by the same key the waiters are picked by, except
     /// that under `Fifo` and `RoundRobin` it ranks last: a slice boundary
     /// is a fair handoff point whenever another session waits.
-    pub fn should_yield(&self, session: SessionId) -> bool {
+    pub(crate) fn should_yield(&self, session: SessionId) -> bool {
         let st = self.state.lock();
         let holder = match st.policy {
             SchedulerPolicy::Fifo | SchedulerPolicy::RoundRobin => u64::MAX,
@@ -514,6 +514,13 @@ impl Scheduler {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl Scheduler {
+        /// Current policy.
+        pub(crate) fn policy(&self) -> SchedulerPolicy {
+            self.state.lock().policy
+        }
+    }
 
     impl Scheduler {
         /// The session's virtual finish time, if it has one (regression

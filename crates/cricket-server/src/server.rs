@@ -62,7 +62,7 @@ impl Default for ServerConfig {
 }
 
 /// Server-wide QoS and overload-control configuration
-/// ([`crate::ServerBuilder::qos`]).
+/// ([`ServerConfig::qos`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosServerConfig {
     /// Overload watermark: once this many sessions are live, *new* sessions

@@ -8,7 +8,7 @@
 //! device time the operation consumes. Each body names its procedure to the
 //! call prologue, which reads both costs from the generated tables. The
 //! network legs around the call are charged by the transport (see
-//! [`crate::transport`]).
+//! `crate::transport`).
 
 use crate::prologue::Returns;
 use crate::scheduler::{QosSpec, SchedulerPolicy, SessionId};

@@ -64,16 +64,13 @@ impl CricketServer {
         // final delta is exported — the disconnect-triggered release must
         // not free state that delta still has to read. If the migration
         // aborts instead, `readmit_token` performs the deferred release.
-        {
-            let tokens = self.tokens.lock();
-            if tokens
-                .values()
-                .any(|t| t.session == Some(session) && t.evicted)
-            {
-                self.track(session, |r| r.deferred = true);
-                return SessionCleanup::default();
-            }
+        let tokens = self.tokens.lock();
+        let mut evicted = tokens.values().filter(|t| t.evicted);
+        if evicted.any(|t| t.session == Some(session)) {
+            self.track(session, |r| r.deferred = true);
+            return SessionCleanup::default();
         }
+        drop(tokens);
         self.force_release(session)
     }
 
@@ -381,8 +378,10 @@ impl CricketServer {
                 self.with_token(token, |t| t.evicted = false);
                 Adoption::default()
             }
+            // Applied out of the table, but its emptied record stays there:
+            // the token keeps its slot under the bound meanwhile.
             MigKind::Delta | MigKind::Final => {
-                let staged = self.with_token(token, |t| t.adoption.take());
+                let staged = self.with_token(token, |t| t.adoption.as_mut().map(std::mem::take));
                 staged.ok_or_else(|| {
                     VgpuError::InvalidValue(format!(
                         "delta for token {token:#x} without a staged base"
@@ -395,6 +394,7 @@ impl CricketServer {
             // Half-applied state is unusable; free whatever was placed so
             // a retried migration can start from a clean base.
             self.reclaim(staged.session);
+            self.discard_adoption(token);
             return Err(e);
         }
         staged.applied_epochs += 1;
@@ -754,5 +754,53 @@ mod tests {
         );
         assert_eq!(c.mig_abort(&tokens.end).unwrap(), 0);
         assert_eq!(free(&mut c), before);
+    }
+
+    /// A token whose delta is applying keeps its slot. Token 1's delta
+    /// waits on the host-object table (held here) to place its cuBLAS
+    /// handle, past the point where it raised the library cursor; while it
+    /// waits, 64 bases of other tokens arrive, and the last is refused.
+    #[test]
+    fn a_token_with_a_delta_in_flight_keeps_its_slot() {
+        let server = CricketServer::new(ServerConfig::default(), SimClock::new());
+        let blob = |token: u64, kind: MigKind, blas: Vec<u64>| {
+            let meta = SessionMeta {
+                token,
+                next_lib_handle: LIB_HANDLE_BASE + blas.len() as u64,
+                blas: blas.into(),
+                ..Default::default()
+            };
+            let (mem, replay) = Default::default();
+            xdr::encode(&MigBlob {
+                kind,
+                meta,
+                mem,
+                replay,
+            })
+        };
+        let all = [MigKind::Base, MigKind::Delta, MigKind::Final];
+        server
+            .mig_apply(&blob(1, MigKind::Base, vec![]), &all)
+            .unwrap();
+        let delta = blob(1, MigKind::Delta, vec![LIB_HANDLE_BASE]);
+        let objects = server.objects.lock();
+        std::thread::scope(|s| {
+            let delta = s.spawn(|| server.mig_apply(&delta, &all));
+            while server.next_lib_handle.load(Ordering::SeqCst) == LIB_HANDLE_BASE {
+                std::thread::yield_now();
+            }
+            let others = 2..2 + MAX_STAGED_MIGRATIONS as u64 - 1;
+            for token in others.clone() {
+                let staged = server.mig_apply(&blob(token, MigKind::Base, vec![]), &all);
+                assert!(staged.is_ok(), "{token}: {staged:?}");
+            }
+            let refused = server.mig_apply(&blob(others.end, MigKind::Base, vec![]), &all);
+            assert!(
+                refused.is_err(),
+                "the 64th other base is staged beside the delta"
+            );
+            drop(objects);
+            assert_eq!(delta.join().unwrap().unwrap(), 2);
+        });
     }
 }

@@ -34,7 +34,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use cricket_proto::{CricketV1Client, IntResult};
-use cricket_server::{MigKind, SchedulerPolicy, ServeHandle, ServerBuilder, ServerConfig};
+use cricket_server::{MigKind, ServeHandle, ServerBuilder, ServerConfig};
 pub use oncrpc::{LoadReport, ShardEntry};
 use oncrpc::{PmapVersClient, Portmap, RpcResult, TcpTransport};
 
@@ -59,7 +59,7 @@ impl Placement {
     /// Rank `shards` into candidate order, best first. The full ranked
     /// list (not just the winner) is the failover order: if candidate 0's
     /// listener is down, try candidate 1, and so on.
-    pub fn rank(self, shards: &[ShardEntry]) -> Vec<ShardEntry> {
+    pub(crate) fn rank(self, shards: &[ShardEntry]) -> Vec<ShardEntry> {
         let mut ranked = shards.to_vec();
         // A saturated shard (QoS pressure at or past 1000 permille: session
         // watermark hit, or it shed calls since its last heartbeat) is only
@@ -85,11 +85,6 @@ impl Placement {
         }
         ranked
     }
-
-    /// The single best shard, if any.
-    pub fn pick(self, shards: &[ShardEntry]) -> Option<ShardEntry> {
-        self.rank(shards).into_iter().next()
-    }
 }
 
 /// Client-side view of a shard directory: where it is and which program's
@@ -106,7 +101,7 @@ pub struct ShardDirectory {
 
 impl ShardDirectory {
     /// A directory view for the Cricket program.
-    pub fn cricket(addr: SocketAddr) -> Self {
+    pub(crate) fn cricket(addr: SocketAddr) -> Self {
         Self {
             addr,
             prog: cricket_proto::CRICKET_CUDA,
@@ -144,7 +139,7 @@ impl ShardDirectory {
     /// Pin a client token's session home to the shard on `port` (0 clears).
     /// Written by live migration at cutover so the evicted client's
     /// reconnect resolves straight to the session's new shard.
-    pub fn set_home(&self, token: u64, port: u32) -> RpcResult<bool> {
+    pub(crate) fn set_home(&self, token: u64, port: u32) -> RpcResult<bool> {
         self.client()?
             .shard_home_set(&self.prog, &self.vers, &token, &port)
     }
@@ -162,7 +157,6 @@ impl ShardDirectory {
 pub struct FleetBuilder {
     shards: usize,
     config: ServerConfig,
-    policy: Option<SchedulerPolicy>,
     heartbeat: Duration,
 }
 
@@ -173,7 +167,6 @@ impl FleetBuilder {
         Self {
             shards: shards.max(1),
             config: ServerConfig::default(),
-            policy: None,
             heartbeat: Duration::from_millis(250),
         }
     }
@@ -181,12 +174,6 @@ impl FleetBuilder {
     /// Device configuration applied to every shard.
     pub fn config(mut self, config: ServerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Scheduler policy applied to every shard.
-    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -203,7 +190,7 @@ impl FleetBuilder {
         let dir_addr = dir_handle.addr();
         let mut shards = Vec::with_capacity(self.shards);
         for _ in 0..self.shards {
-            let mut b = ServerBuilder::new("127.0.0.1:0")
+            let b = ServerBuilder::new("127.0.0.1:0")
                 .config(self.config.clone())
                 .directory(
                     dir_addr,
@@ -211,14 +198,10 @@ impl FleetBuilder {
                     cricket_proto::CRICKET_V1,
                 )
                 .heartbeat(self.heartbeat);
-            if let Some(policy) = self.policy {
-                b = b.scheduler(policy);
-            }
             shards.push(Some(b.serve()?));
         }
         Ok(Fleet {
             dir_handle,
-            portmap,
             dir_addr,
             shards,
         })
@@ -228,7 +211,6 @@ impl FleetBuilder {
 /// A running fleet: the directory service plus its shard servers.
 pub struct Fleet {
     dir_handle: oncrpc::ServerHandle,
-    portmap: Portmap,
     dir_addr: SocketAddr,
     shards: Vec<Option<ServeHandle>>,
 }
@@ -242,12 +224,6 @@ impl Fleet {
     /// A client-side directory view for this fleet's Cricket shards.
     pub fn directory(&self) -> ShardDirectory {
         ShardDirectory::cricket(self.dir_addr)
-    }
-
-    /// The directory's in-process state (test hook: inspect registrations
-    /// without a TCP round trip).
-    pub fn portmap(&self) -> &Portmap {
-        &self.portmap
     }
 
     /// Live shard handles (killed/stopped shards are absent).
@@ -268,19 +244,6 @@ impl Fleet {
     /// Addresses of live shards, slot order.
     pub fn shard_addrs(&self) -> Vec<SocketAddr> {
         self.shards.iter().flatten().map(|s| s.addr()).collect()
-    }
-
-    /// Gracefully stop shard `i`: deregisters from the directory first, so
-    /// new sessions immediately stop landing on it. Returns false if the
-    /// slot is already empty.
-    pub fn stop_shard(&mut self, i: usize) -> bool {
-        match self.shards.get_mut(i).and_then(|s| s.take()) {
-            Some(s) => {
-                s.shutdown();
-                true
-            }
-            None => false,
-        }
     }
 
     /// Crash shard `i`: the listener dies but the directory keeps the stale
@@ -427,12 +390,6 @@ impl MigrationReport {
     pub fn streamed_bytes(&self) -> u64 {
         self.base_bytes + self.delta_bytes + self.final_bytes
     }
-
-    /// Bytes moved after the base snapshot — the incremental resync a
-    /// naive migration would instead pay as a second full copy.
-    pub fn resync_bytes(&self) -> u64 {
-        self.delta_bytes + self.final_bytes
-    }
 }
 
 /// Why a live migration failed. Every failure path leaves the source
@@ -478,11 +435,6 @@ pub struct SessionMigration {
 }
 
 impl SessionMigration {
-    /// Progress so far.
-    pub fn report(&self) -> &MigrationReport {
-        &self.report
-    }
-
     /// Stream one incremental delta (everything the session dirtied,
     /// allocated, or freed since the previous blob) while the source keeps
     /// serving the client. Returns the delta's wire size.
@@ -581,6 +533,28 @@ impl SessionMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Placement {
+        /// The single best shard, if any.
+        fn pick(self, shards: &[ShardEntry]) -> Option<ShardEntry> {
+            self.rank(shards).into_iter().next()
+        }
+    }
+
+    impl Fleet {
+        /// Gracefully stop shard `i`: deregisters from the directory first,
+        /// so new sessions immediately stop landing on it. Returns false if
+        /// the slot is already empty.
+        fn stop_shard(&mut self, i: usize) -> bool {
+            match self.shards.get_mut(i).and_then(|s| s.take()) {
+                Some(s) => {
+                    s.shutdown();
+                    true
+                }
+                None => false,
+            }
+        }
+    }
 
     fn entry(port: u32, sessions: u32, free_mem: u64, served_ns: u64) -> ShardEntry {
         ShardEntry {

@@ -7,12 +7,11 @@ use std::path::PathBuf;
 fn main() {
     println!("cargo:rerun-if-changed=proto/portmap.x");
     let source = std::fs::read_to_string("proto/portmap.x").expect("read proto/portmap.x");
-    let spec = rpcl::parse(&source).unwrap_or_else(|e| panic!("portmap.x: {e}"));
     let opts = rpcl::Options {
         oncrpc_path: "crate".into(),
         ..Default::default()
     };
+    let code = rpcl::compile(&source, &opts).unwrap_or_else(|e| panic!("portmap.x: {e}"));
     let out: PathBuf = std::env::var_os("OUT_DIR").expect("OUT_DIR").into();
-    std::fs::write(out.join("portmap.rs"), rpcl::generate(&spec, &opts))
-        .expect("write generated code");
+    std::fs::write(out.join("portmap.rs"), code).expect("write generated code");
 }

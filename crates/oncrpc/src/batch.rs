@@ -153,11 +153,6 @@ impl BatchPolicy {
         }
     }
 
-    /// Current adaptive depth watermark.
-    pub fn watermark(&self) -> usize {
-        self.watermark
-    }
-
     /// Should the builder be flushed after the op just recorded?
     pub fn should_flush(&self, pending_ops: usize, pending_bytes: usize) -> Option<FlushReason> {
         if pending_ops >= self.watermark || pending_ops >= self.max_ops {
@@ -237,6 +232,13 @@ impl BatchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BatchPolicy {
+        /// Current adaptive depth watermark.
+        fn watermark(&self) -> usize {
+            self.watermark
+        }
+    }
 
     #[test]
     fn body_carries_count_then_ops() {

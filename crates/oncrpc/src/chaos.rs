@@ -69,7 +69,7 @@ impl Fault {
 
 /// Direction of the record a decision applied to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
+pub(crate) enum Dir {
     /// Client → server record.
     Request,
     /// Server → client record.
@@ -78,7 +78,7 @@ pub enum Dir {
 
 /// One entry in the replayable event trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Operation counter at decision time (records seen, both directions).
     pub op: u64,
     /// Which direction the record was traveling.
@@ -165,7 +165,7 @@ impl FaultConfig {
     }
 
     /// A configuration that never injects anything (useful as a baseline).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             reset_on_send: 0,
             drop_request: 0,
@@ -205,7 +205,7 @@ impl ChaosRng {
     }
 
     /// Uniform value in `[0, n)`; `n` must be non-zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
 
@@ -224,7 +224,7 @@ pub type SharedFaultPlan = Arc<Mutex<FaultPlan>>;
 ///
 /// Scripted events take precedence: if one is registered for the current
 /// operation index it fires regardless of the dice. Every decision —
-/// including clean deliveries — lands in [`FaultPlan::trace`], so two runs
+/// including clean deliveries — lands in `FaultPlan::trace`, so two runs
 /// of the same workload under the same seed can be compared byte for byte
 /// via [`FaultPlan::trace_string`].
 #[derive(Debug)]
@@ -274,16 +274,6 @@ impl FaultPlan {
     /// the same schedule — and is inspected afterwards for its trace.
     pub fn into_shared(self) -> SharedFaultPlan {
         Arc::new(Mutex::new(self))
-    }
-
-    /// Number of faults injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// The decision trace so far.
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
     }
 
     /// The trace rendered one event per line — the byte-identical artifact
@@ -395,11 +385,6 @@ impl FaultyTransport {
             delayed: None,
             broken: false,
         }
-    }
-
-    /// The shared plan (for trace inspection or handing to a successor).
-    pub fn plan(&self) -> Arc<Mutex<FaultPlan>> {
-        Arc::clone(&self.plan)
     }
 
     /// Apply the plan to the outgoing request record just completed.
@@ -584,6 +569,18 @@ impl fmt::Debug for FaultyTransport {
 mod tests {
     use super::*;
     use crate::transport::duplex_pair;
+
+    impl FaultPlan {
+        /// Number of faults injected so far.
+        fn faults_injected(&self) -> u64 {
+            self.faults_injected
+        }
+
+        /// The decision trace so far.
+        fn trace(&self) -> &[TraceEvent] {
+            &self.trace
+        }
+    }
 
     #[test]
     fn rng_stream_is_fixed() {

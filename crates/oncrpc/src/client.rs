@@ -13,7 +13,7 @@
 //!   state: requests are encoded into a reused scratch buffer (bulk arguments
 //!   bypass even that as scatter-gather segments), and replies are
 //!   reassembled into a pooled buffer borrowed out through [`Reply`].
-//! * `FixedBuf<[u8; N]>` ([`NoAllocRpcClient`]): two in-struct arrays, no
+//! * `FixedBuf<[u8; N]>`: two in-struct arrays, no
 //!   heap allocation ever, construction included — what a unikernel guest
 //!   with a static heap budget wants. `N` bounds the encoded request *minus*
 //!   deferred bulk arguments, and the reply read into it; beyond it a call
@@ -99,7 +99,7 @@ impl Default for RetryPolicy {
 }
 
 /// Builder for a transport replacing one that died mid-call.
-pub type Reconnector<T = Box<dyn Transport>> = Box<dyn FnMut() -> RpcResult<T> + Send>;
+pub(crate) type Reconnector<T = Box<dyn Transport>> = Box<dyn FnMut() -> RpcResult<T> + Send>;
 
 /// Largest encoded credential: flavor, length, body.
 const MAX_CRED: usize = 8 + MAX_AUTH_BODY;
@@ -139,11 +139,6 @@ impl AsRef<[u8]> for Reply<'_> {
 }
 
 impl Reply<'_> {
-    /// Copy the payload out, detaching it from the reply buffer.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.payload.to_vec()
-    }
-
     /// Whether the call's bulk destination ([`RpcClient::call_raw_into`])
     /// holds the result's opaque: the payload then ends at its length word.
     pub fn landed(&self) -> bool {
@@ -178,9 +173,6 @@ pub struct RpcClient<T = Box<dyn Transport>, B = Vec<u8>> {
     /// [`Reply`].
     reply_buf: B,
 }
-
-/// The fixed-buffer policy by name: an [`RpcClient`] that never allocates.
-pub type NoAllocRpcClient<T, const N: usize> = RpcClient<T, FixedBuf<[u8; N]>>;
 
 impl RpcClient {
     /// Create a pooled-buffer client for `prog`/`vers` over a boxed
@@ -542,12 +534,6 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         Duration::from_micros(us * permille / 1000)
     }
 
-    /// The conventional "null" procedure (proc 0): no args, no results.
-    /// Useful as a ping / latency probe.
-    pub fn call_null(&mut self) -> RpcResult<()> {
-        self.call::<(), ()>(0, &())
-    }
-
     /// The underlying transport (its description, its copy counter).
     pub fn transport(&self) -> &T {
         &self.transport
@@ -650,6 +636,23 @@ mod tests {
     use super::*;
     use crate::msg::{CallBody, RpcMessage};
     use std::io::{Read, Write};
+
+    /// The fixed-buffer policy by name: an [`RpcClient`] that never allocates.
+    type NoAllocRpcClient<T, const N: usize> = RpcClient<T, FixedBuf<[u8; N]>>;
+
+    impl Reply<'_> {
+        /// Copy the payload out, detaching it from the reply buffer.
+        fn to_vec(&self) -> Vec<u8> {
+            self.payload.to_vec()
+        }
+    }
+
+    impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
+        /// The conventional "null" procedure (proc 0): no args, no results.
+        pub(crate) fn call_null(&mut self) -> RpcResult<()> {
+            self.call::<(), ()>(0, &())
+        }
+    }
 
     const LAST_FRAGMENT: u32 = 0x8000_0000;
 

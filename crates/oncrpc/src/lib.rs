@@ -30,12 +30,12 @@
 //!   transport: TCP, in-memory duplex, simulated
 //! ```
 
-pub mod auth;
-pub mod batch;
-pub mod chaos;
-pub mod client;
+mod auth;
+mod batch;
+mod chaos;
+mod client;
 mod conn;
-pub mod error;
+mod error;
 pub mod msg;
 pub mod portmap;
 pub mod reactor;
@@ -46,22 +46,20 @@ pub mod sparse;
 pub mod telemetry;
 pub mod transport;
 
-pub use auth::{AuthFlavor, OpaqueAuth};
+pub use auth::OpaqueAuth;
 pub use batch::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};
-pub use chaos::{
-    ChaosRng, Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan, TraceEvent,
-};
-pub use client::{NoAllocRpcClient, Reply, RetryPolicy, RpcClient};
+pub use chaos::{ChaosRng, Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan};
+pub use client::{Reply, RetryPolicy, RpcClient};
 pub use conn::{Calls, Classifier, Conn, ProcClass, ReactorConfig, Replies};
 pub use error::{RpcError, RpcResult};
-pub use msg::{AcceptStat, CallBody, MsgType, RejectStat, ReplyBody, RpcMessage};
+pub use msg::{AcceptStat, CallBody, RejectStat, ReplyBody, RpcMessage};
 
 pub use portmap::{LoadReport, Mapping, PmapVersClient, Portmap, ShardEntry};
 pub use reactor::{serve_tcp_reactor, ConnHandler};
 pub use record::{RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::ReplayCache;
 pub use server::{Dispatch, RpcServer, ServerHandle};
-pub use transport::{duplex_pair, MemTransport, TcpTransport, Transport};
+pub use transport::{duplex_pair, TcpTransport, Transport};
 
 /// The RPC protocol version this crate speaks (RFC 5531 mandates 2).
-pub const RPC_VERSION: u32 = 2;
+pub(crate) const RPC_VERSION: u32 = 2;

@@ -12,7 +12,7 @@ use xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError, XdrResult, XdrSink};
 /// Message direction discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
-pub enum MsgType {
+pub(crate) enum MsgType {
     /// A request from client to server.
     Call = 0,
     /// A response from server to client.

@@ -36,7 +36,7 @@ pub(crate) fn mark(len: usize, last: bool) -> [u8; 4] {
 
 /// Where a record-marked byte stream stands: in a fragment's mark or in its
 /// payload, and how far into its record. The one parser of the format:
-/// [`read_record_into`] passes each mark through it, and the nonblocking
+/// `read_record_into` passes each mark through it, and the nonblocking
 /// readers feed it whatever bytes have arrived, however they are split. It
 /// only classifies bytes that have arrived, and refuses a mark that would
 /// take its record past `max_record` as that mark completes, before
@@ -293,7 +293,7 @@ impl<const N: usize> RecordBuf for FixedBuf<[u8; N]> {
 /// costs no allocation. Records beyond `max_record` or the buffer's own
 /// limit are refused at the offending mark, before any of that fragment is
 /// read; payload is read straight into `record`.
-pub fn read_record_into<R: Read + ?Sized, B: RecordBuf>(
+pub(crate) fn read_record_into<R: Read + ?Sized, B: RecordBuf>(
     r: &mut R,
     record: &mut B,
     max_record: usize,
@@ -569,7 +569,7 @@ impl<R: Read> RecordReader<R> {
 
     /// Read the next record into a fresh `Vec`; `None` on clean
     /// end-of-stream. Allocates per record — hot paths reuse a buffer
-    /// through [`read_record_into`].
+    /// through `read_record_into`.
     pub fn read_record(&mut self) -> RpcResult<Option<Vec<u8>>> {
         read_record(&mut self.inner, MAX_RECORD)
     }

@@ -216,9 +216,11 @@ impl RpcServer {
         // closes so the client's retransmission lands on a fresh connection
         // (for migration: at the session's new home). Admitted calls hold
         // the guard until the reply is encoded, so `complete` pairs with
-        // every successful `admit` on all exit paths.
+        // every successful `admit` on all exit paths. A call without a
+        // token never touches the gate, not even its lock.
         let mut gate_guard = GateGuard(None);
-        if let (Some(gate), Some(t)) = (self.token_gate.read().clone(), token) {
+        let gate = token.and_then(|_| self.token_gate.read().clone());
+        if let (Some(gate), Some(t)) = (gate, token) {
             if !gate.admit(t) {
                 return Err(RpcError::ConnectionClosed);
             }

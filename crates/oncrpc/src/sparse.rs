@@ -117,7 +117,7 @@ fn header(dec: &mut XdrDecoder<'_>) -> XdrResult<(usize, usize)> {
 /// pages as zero bytes — the result is byte-identical to the original
 /// payload. `out` grows only as pages are produced, never from the
 /// header's claim alone.
-pub fn decode_into(enc: &[u8], out: &mut Vec<u8>) -> XdrResult<()> {
+pub(crate) fn decode_into(enc: &[u8], out: &mut Vec<u8>) -> XdrResult<()> {
     let mut dec = XdrDecoder::new(enc);
     let (page, raw_len) = header(&mut dec)?;
     let bitmap = dec.get_opaque_ref()?;

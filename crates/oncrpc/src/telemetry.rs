@@ -10,7 +10,7 @@
 //!
 //! Everything else the stack counts lives on the instance that does the
 //! counting: copies on the client and transport that own the destination
-//! buffer ([`crate::client::ClientStats::bytes_copied`],
+//! buffer (`crate::client::ClientStats::bytes_copied`,
 //! [`crate::Transport::bytes_copied`]), and the server side's in one
 //! [`Metrics`] per owner: the reactor's `reactor.*` on its
 //! [`crate::ServerHandle`], the [`crate::ReplayCache`]'s `replay.*`, a

@@ -37,7 +37,7 @@ pub trait Transport: Read + Write + Send {
 
     /// Bytes this transport has memcpy'd into buffers of its own (send
     /// staging, in-process reassembly) — its share of the stack's copies
-    /// per transferred byte; [`crate::client::ClientStats::bytes_copied`]
+    /// per transferred byte; `crate::client::ClientStats::bytes_copied`
     /// is the client's. A real socket stages in the kernel and reports 0.
     fn bytes_copied(&self) -> u64 {
         0
@@ -86,12 +86,6 @@ impl TcpTransport {
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> RpcResult<()> {
         self.stream.set_read_timeout(dur)?;
         Ok(())
-    }
-
-    /// Whether `TCP_NODELAY` is set on the socket. Exposed so tests can
-    /// assert the small-RPC latency contract on both ends.
-    pub fn nodelay(&self) -> RpcResult<bool> {
-        Ok(self.stream.nodelay()?)
     }
 }
 
@@ -245,6 +239,13 @@ impl std::fmt::Debug for MemTransport {
 mod tests {
     use super::*;
     use crate::record::{read_record, write_record, MAX_RECORD};
+
+    impl TcpTransport {
+        /// Whether `TCP_NODELAY` is set on the socket.
+        fn nodelay(&self) -> RpcResult<bool> {
+            Ok(self.stream.nodelay()?)
+        }
+    }
 
     #[test]
     fn duplex_roundtrip() {

@@ -25,14 +25,6 @@ impl BandwidthConfig {
             iterations: 1,
         }
     }
-
-    /// Small configuration for tests.
-    pub fn small() -> Self {
-        Self {
-            bytes: 1 << 20,
-            iterations: 2,
-        }
-    }
 }
 
 /// Result of one run.
@@ -80,6 +72,16 @@ mod tests {
     use super::*;
     use cricket_client::sim::simulated;
     use cricket_client::EnvConfig;
+
+    impl BandwidthConfig {
+        /// A small configuration for tests.
+        pub(crate) fn small() -> Self {
+            Self {
+                bytes: 1 << 20,
+                iterations: 2,
+            }
+        }
+    }
 
     #[test]
     fn native_beats_hermit_substantially() {

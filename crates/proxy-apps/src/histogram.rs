@@ -16,7 +16,7 @@ use crate::fill_random;
 use cricket_client::{ApiStats, ClientResult, Context, CubinBuilder, Dim3, ParamBuilder};
 
 /// Number of partial-histogram blocks (the sample's 240).
-pub const PARTIAL_COUNT: u32 = 240;
+pub(crate) const PARTIAL_COUNT: u32 = 240;
 
 /// Workload configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,16 +36,8 @@ impl HistogramConfig {
         }
     }
 
-    /// Small configuration for tests.
-    pub fn small() -> Self {
-        Self {
-            byte_count: 64 << 10,
-            iterations: 4,
-        }
-    }
-
     /// Fixed (non-launch) API calls of [`run`], enumerated inline.
-    pub const FIXED_CALLS: u64 = 33;
+    pub(crate) const FIXED_CALLS: u64 = 33;
 
     /// Expected total API calls: two launches (histogram + merge) per
     /// iteration per phase.
@@ -186,6 +178,16 @@ mod tests {
     use super::*;
     use cricket_client::sim::simulated;
     use cricket_client::EnvConfig;
+
+    impl HistogramConfig {
+        /// A small configuration for tests.
+        pub(crate) fn small() -> Self {
+            Self {
+                byte_count: 64 << 10,
+                iterations: 4,
+            }
+        }
+    }
 
     #[test]
     fn small_run_validates_and_counts() {

@@ -33,7 +33,7 @@ use cricket_client::{ccompat, Context};
 /// flavor-appropriate generator, charging its host cost to the simulated
 /// clock (if any). This is the initialization-path difference the paper
 /// measures on `histogram` (§4.1).
-pub fn fill_random(ctx: &Context, seed: u64, buf: &mut [u8]) {
+pub(crate) fn fill_random(ctx: &Context, seed: u64, buf: &mut [u8]) {
     ctx.with_raw(|raw| {
         let clock = raw.clock().cloned();
         match raw.flavor() {
@@ -49,7 +49,7 @@ pub fn fill_random(ctx: &Context, seed: u64, buf: &mut [u8]) {
 
 /// Virtual seconds elapsed on the context's clock while running `f`
 /// (0.0 when not simulated — e.g. over real TCP).
-pub fn timed_virtual<R>(ctx: &Context, f: impl FnOnce() -> R) -> (R, f64) {
+pub(crate) fn timed_virtual<R>(ctx: &Context, f: impl FnOnce() -> R) -> (R, f64) {
     let clock = ctx.with_raw(|raw| raw.clock().cloned());
     let t0 = clock.as_ref().map(|c| c.now_ns()).unwrap_or(0);
     let r = f();

@@ -30,20 +30,11 @@ impl LinearSolverConfig {
         }
     }
 
-    /// Small configuration for tests.
-    pub fn small() -> Self {
-        Self {
-            n: 48,
-            iterations: 3,
-            warmups: 2,
-        }
-    }
-
     /// API calls per solve iteration (enumerated in `solve_once`).
-    pub const CALLS_PER_SOLVE: u64 = 20;
+    pub(crate) const CALLS_PER_SOLVE: u64 = 20;
 
     /// Fixed calls outside the solves (init 5 + teardown 2).
-    pub const FIXED_CALLS: u64 = 7;
+    pub(crate) const FIXED_CALLS: u64 = 7;
 
     /// Expected total API calls.
     pub fn expected_api_calls(&self) -> u64 {
@@ -175,6 +166,17 @@ mod tests {
     use super::*;
     use cricket_client::sim::simulated;
     use cricket_client::EnvConfig;
+
+    impl LinearSolverConfig {
+        /// A small configuration for tests.
+        pub(crate) fn small() -> Self {
+            Self {
+                n: 48,
+                iterations: 3,
+                warmups: 2,
+            }
+        }
+    }
 
     #[test]
     fn small_run_validates_and_counts() {

@@ -10,16 +10,16 @@
 use cricket_client::{ApiStats, ClientResult, Context, CubinBuilder, ParamBuilder};
 
 /// Tile edge of the kernel (the sample's `block_size`).
-pub const BLOCK: u32 = 32;
+pub(crate) const BLOCK: u32 = 32;
 
 /// Workload configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixMulConfig {
-    /// Rows of A (and C); must be a multiple of [`BLOCK`].
+    /// Rows of A (and C); must be a multiple of `BLOCK`.
     pub ha: usize,
-    /// Columns of A = rows of B; must be a multiple of [`BLOCK`].
+    /// Columns of A = rows of B; must be a multiple of `BLOCK`.
     pub wa: usize,
-    /// Columns of B (and C); must be a multiple of [`BLOCK`].
+    /// Columns of B (and C); must be a multiple of `BLOCK`.
     pub wb: usize,
     /// Timed kernel launches.
     pub iterations: usize,
@@ -42,17 +42,6 @@ impl MatrixMulConfig {
         }
     }
 
-    /// A small configuration for tests.
-    pub fn small() -> Self {
-        Self {
-            ha: 64,
-            wa: 32,
-            wb: 64,
-            iterations: 10,
-            warmups: 7,
-        }
-    }
-
     /// Expected total API calls for this configuration.
     pub fn expected_api_calls(&self) -> u64 {
         FIXED_CALLS + (self.warmups + self.iterations) as u64
@@ -67,7 +56,7 @@ impl MatrixMulConfig {
 }
 
 /// Non-launch API calls issued by [`run`] (enumerated in the code below).
-pub const FIXED_CALLS: u64 = 34;
+pub(crate) const FIXED_CALLS: u64 = 34;
 
 /// Result of one run.
 #[derive(Debug, Clone)]
@@ -202,6 +191,19 @@ mod tests {
     use super::*;
     use cricket_client::sim::simulated;
     use cricket_client::EnvConfig;
+
+    impl MatrixMulConfig {
+        /// A small configuration for tests.
+        pub(crate) fn small() -> Self {
+            Self {
+                ha: 64,
+                wa: 32,
+                wb: 64,
+                iterations: 10,
+                warmups: 7,
+            }
+        }
+    }
 
     #[test]
     fn small_run_validates_and_counts() {

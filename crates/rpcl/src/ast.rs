@@ -76,7 +76,7 @@ impl StructDef {
     /// for any other struct. Codegen emits such a node as the list it
     /// heads (`s *`): a `Vec` of items with a loop for a codec, never
     /// nested `Option<Box<_>>`s, so no list length can exhaust the stack.
-    pub fn list_item(&self) -> Option<&Declaration> {
+    pub(crate) fn list_item(&self) -> Option<&Declaration> {
         match self.fields.as_slice() {
             [item, _] if self.links_to_itself() => Some(item),
             _ => None,
@@ -236,7 +236,7 @@ pub enum TypeSpec {
 
 impl TypeSpec {
     /// True for `void`.
-    pub fn is_void(&self) -> bool {
+    pub(crate) fn is_void(&self) -> bool {
         matches!(self, TypeSpec::Void)
     }
 }
@@ -244,7 +244,7 @@ impl TypeSpec {
 /// Convert an RPCL identifier to a Rust type name (`CamelCase`).
 ///
 /// `ptr_result` → `PtrResult`, `CUDA_ERROR` → `CudaError`, `dint` → `Dint`.
-pub fn rust_type_name(name: &str) -> String {
+pub(crate) fn rust_type_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     let mut upper_next = true;
     for ch in name.chars() {
@@ -261,7 +261,7 @@ pub fn rust_type_name(name: &str) -> String {
 }
 
 /// Convert an RPCL identifier to a Rust value/method name (`snake_case`).
-pub fn rust_value_name(name: &str) -> String {
+pub(crate) fn rust_value_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
     let mut prev_lower = false;
     for ch in name.chars() {
@@ -290,7 +290,7 @@ pub fn rust_value_name(name: &str) -> String {
 }
 
 /// Convert an RPCL identifier to a Rust constant name (`SCREAMING_SNAKE`).
-pub fn rust_const_name(name: &str) -> String {
+pub(crate) fn rust_const_name(name: &str) -> String {
     let snake = rust_value_name(name);
     snake.trim_start_matches("r#").to_uppercase()
 }

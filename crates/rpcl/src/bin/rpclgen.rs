@@ -6,7 +6,7 @@
 //!         [-o OUTPUT.rs] INPUT.x
 //! ```
 
-use rpcl::{generate, parse, Options};
+use rpcl::{compile, Options};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -51,14 +51,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let spec = match parse(&source) {
-        Ok(s) => s,
+    let code = match compile(&source, &opts) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("rpclgen: {input}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let code = generate(&spec, &opts);
     match output {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, code) {

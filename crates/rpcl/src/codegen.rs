@@ -37,7 +37,7 @@ impl Default for Options {
 }
 
 /// Generate Rust source for `spec`.
-pub fn generate(spec: &Spec, opts: &Options) -> String {
+pub(crate) fn generate(spec: &Spec, opts: &Options) -> String {
     let mut g = Generator {
         out: String::with_capacity(16 * 1024),
         opts: opts.clone(),

@@ -4,7 +4,7 @@ use crate::Error;
 
 /// A lexical token with its source line (for diagnostics).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
     pub kind: TokenKind,
     /// 1-based source line.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// Token kinds of the RPC language.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (keywords are resolved by the parser).
     Ident(String),
     /// Integer literal (decimal, 0x hex, or 0 octal), possibly negative.
@@ -78,7 +78,7 @@ impl std::fmt::Display for TokenKind {
 ///
 /// Handles `/* ... */` and `// ...` comments and `%`-passthrough lines
 /// (which rpcgen copies into the output verbatim; we discard them).
-pub fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, Error> {
     let mut tokens = Vec::new();
     let bytes = source.as_bytes();
     let mut i = 0;

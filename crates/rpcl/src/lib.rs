@@ -8,7 +8,7 @@
 //!
 //! * data types (`struct`/`enum`/`union`/`typedef`) with `xdr::Xdr` impls —
 //!   an RFC 4506 §4.19 optional-data list (a struct of one item and a
-//!   last `*next` to itself, see [`ast::StructDef::list_item`]) as a `Vec`
+//!   last `*next` to itself, see [`ast::StructDef`]) as a `Vec`
 //!   with a loop for a codec, and `Copy` / `Default` derived where every
 //!   member has them,
 //! * `const` items for RPCL constants and procedure numbers,
@@ -50,12 +50,12 @@
 //! (`xdr::XdrError::WrongTag`).
 
 pub mod ast;
-pub mod codegen;
-pub mod lexer;
-pub mod parser;
+mod codegen;
+mod lexer;
+mod parser;
 
-pub use ast::Spec;
-pub use codegen::{generate, Options};
+use codegen::generate;
+pub use codegen::Options;
 pub use parser::parse;
 
 /// Errors produced while compiling an RPCL specification.
@@ -75,10 +75,10 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Convenience: parse `source` and generate Rust code with default options.
-pub fn compile(source: &str) -> Result<String, Error> {
-    let spec = parse(source)?;
-    Ok(generate(&spec, &Options::default()))
+/// Compile the RPCL `source` to Rust source under `opts`: the one entry
+/// point of the build scripts and `rpclgen`.
+pub fn compile(source: &str, opts: &Options) -> Result<String, Error> {
+    Ok(generate(&parse(source)?, opts))
 }
 
 #[cfg(test)]
@@ -97,7 +97,7 @@ mod tests {
             } = 0x2000_0001;
         "#;
         // The grammar does not allow underscores in numbers; expect an error.
-        assert!(compile(src).is_err());
+        assert!(compile(src, &Options::default()).is_err());
     }
 
     #[test]
@@ -111,7 +111,7 @@ mod tests {
                 } = 1;
             } = 536870913;
         "#;
-        let out = compile(src).unwrap();
+        let out = compile(src, &Options::default()).unwrap();
         assert!(out.contains("pub const ANSWER: i64 = 42;"));
         assert!(out.contains("pub struct Point"));
         assert!(out.contains("pub struct DemoV1Client"));

@@ -3,7 +3,7 @@
 //! properties of generated code for random specifications.
 
 use proptest::prelude::*;
-use rpcl::{compile, generate, parse, Options};
+use rpcl::{compile, parse, Options};
 
 const CRICKET_X: &str = include_str!("../../cricket-proto/proto/cricket.x");
 
@@ -16,7 +16,7 @@ fn cricket_spec_parses() {
 
 #[test]
 fn cricket_codegen_contains_every_expected_item() {
-    let code = compile(CRICKET_X).unwrap();
+    let code = compile(CRICKET_X, &Options::default()).unwrap();
     for item in [
         "pub const CRICKET_CUDA: u32 = 537395001;",
         "pub const CRICKET_V1: u32 = 1;",
@@ -38,19 +38,20 @@ fn cricket_codegen_contains_every_expected_item() {
 
 #[test]
 fn cricket_codegen_is_deterministic() {
-    assert_eq!(compile(CRICKET_X).unwrap(), compile(CRICKET_X).unwrap());
+    let compile = || compile(CRICKET_X, &Options::default()).unwrap();
+    assert_eq!(compile(), compile());
 }
 
 #[test]
 fn client_only_output_has_no_server_items() {
-    let spec = parse(CRICKET_X).unwrap();
-    let code = generate(
-        &spec,
+    let code = compile(
+        CRICKET_X,
         &Options {
             server: false,
             ..Options::default()
         },
-    );
+    )
+    .unwrap();
     assert!(code.contains("CricketV1Client"));
     assert!(!code.contains("CricketV1Service"));
     assert!(!code.contains("Dispatch"));
@@ -76,7 +77,7 @@ proptest! {
         }
         src.push_str(&format!("  }} = 1;\n}} = {prog_num};\n"));
 
-        let code = compile(&src).unwrap();
+        let code = compile(&src, &Options::default()).unwrap();
         let opens = code.matches('{').count();
         let closes = code.matches('}').count();
         prop_assert_eq!(opens, closes, "unbalanced braces");
@@ -98,6 +99,6 @@ proptest! {
     /// no panic.
     #[test]
     fn compile_never_panics(src in proptest::string::string_regex("[a-z{}();=<>,*0-9 \\n]{0,300}").unwrap()) {
-        let _ = compile(&src);
+        let _ = compile(&src, &Options::default());
     }
 }

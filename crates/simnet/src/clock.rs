@@ -62,35 +62,6 @@ impl SimClock {
     }
 }
 
-/// A span measured on a [`SimClock`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimSpan {
-    /// Start timestamp (ns).
-    pub start_ns: u64,
-    /// End timestamp (ns).
-    pub end_ns: u64,
-}
-
-impl SimSpan {
-    /// Duration in nanoseconds.
-    pub fn ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-
-    /// Duration in seconds.
-    pub fn secs(&self) -> f64 {
-        self.ns() as f64 / crate::NS_PER_SEC
-    }
-}
-
-/// Measure `f` on `clock`.
-pub fn measure<R>(clock: &SimClock, f: impl FnOnce() -> R) -> (R, SimSpan) {
-    let start_ns = clock.now_ns();
-    let r = f();
-    let end_ns = clock.now_ns();
-    (r, SimSpan { start_ns, end_ns })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,18 +81,6 @@ mod tests {
         c.advance(1000);
         assert_eq!(c.advance_to(500), 1000, "never goes backwards");
         assert_eq!(c.advance_to(2000), 2000);
-    }
-
-    #[test]
-    fn measure_spans() {
-        let c = SimClock::new();
-        let (v, span) = measure(&c, || {
-            c.advance(42);
-            "done"
-        });
-        assert_eq!(v, "done");
-        assert_eq!(span.ns(), 42);
-        assert!((span.secs() - 42e-9).abs() < 1e-15);
     }
 
     #[test]

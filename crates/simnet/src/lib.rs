@@ -18,25 +18,22 @@
 //!   dominant for the Fig. 7 bandwidth tests, where the pipeline bottleneck
 //!   stage sets the rate.
 //!
-//! Calibration anchors (constants in [`profile`]) come from the paper's text;
+//! Calibration anchors (constants in `profile`) come from the paper's text;
 //! see DESIGN.md §4 for the target shapes.
 
 pub mod checksum;
 pub mod clock;
-pub mod path;
-pub mod profile;
+mod path;
+mod profile;
 pub mod segment;
 pub mod virtio;
-pub mod wire;
+mod wire;
 
 pub use clock::SimClock;
 pub use path::{NetPath, RpcTiming};
 pub use profile::{GuestCosts, OffloadFeatures};
-pub use segment::{segment_plan, SegmentPlan};
+pub use segment::segment_plan;
 pub use wire::Wire;
 
 /// Nanoseconds per second, as f64 (for rate math).
-pub const NS_PER_SEC: f64 = 1e9;
-
-/// One mebibyte.
-pub const MIB: usize = 1 << 20;
+pub(crate) const NS_PER_SEC: f64 = 1e9;

@@ -33,24 +33,13 @@ pub struct OffloadFeatures {
 
 impl OffloadFeatures {
     /// Everything on (modern native Linux / virtio with full negotiation).
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         Self {
             tso: true,
             tx_csum: true,
             rx_csum: true,
             mrg_rxbuf: true,
             scatter_gather: true,
-        }
-    }
-
-    /// Everything off (the paper's §4.2 ablation).
-    pub fn none() -> Self {
-        Self {
-            tso: false,
-            tx_csum: false,
-            rx_csum: false,
-            mrg_rxbuf: false,
-            scatter_gather: false,
         }
     }
 }
@@ -147,15 +136,6 @@ impl GuestCosts {
             rx_gro: true,
             offloads: OffloadFeatures::all(),
             mtu: 9000,
-        }
-    }
-
-    /// Effective software segment size on TX (TSO super-segments or MTU).
-    pub fn tx_unit(&self) -> usize {
-        if self.offloads.tso {
-            TSO_SEGMENT
-        } else {
-            self.mtu.saturating_sub(40).max(1)
         }
     }
 

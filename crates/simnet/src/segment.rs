@@ -46,17 +46,16 @@ pub fn segment_plan(bytes: usize, mtu: usize, tso: bool, csum_offload: bool) -> 
     }
 }
 
-/// Functionally slice `data` into per-MTU payload segments (used by the
-/// unikernel guest data path for correctness tests; timing uses
-/// [`segment_plan`]).
-pub fn slice_segments(data: &[u8], mtu: usize) -> impl Iterator<Item = &[u8]> {
-    let payload_per_mtu = mtu.saturating_sub(40).max(1);
-    data.chunks(payload_per_mtu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Functionally slice `data` into per-MTU payload segments: the
+    /// reference [`segment_plan`]'s wire segment count is checked against.
+    fn slice_segments(data: &[u8], mtu: usize) -> impl Iterator<Item = &[u8]> {
+        let payload_per_mtu = mtu.saturating_sub(40).max(1);
+        data.chunks(payload_per_mtu)
+    }
 
     #[test]
     fn tso_reduces_software_segments() {

@@ -22,7 +22,7 @@ pub struct VirtqueueConfig {
 
 impl VirtqueueConfig {
     /// Typical Linux virtio-net defaults.
-    pub fn linux_default() -> Self {
+    pub(crate) fn linux_default() -> Self {
         Self {
             ring_size: 256,
             kick_batch: 8,
@@ -33,7 +33,7 @@ impl VirtqueueConfig {
 
 /// Accounting for moving `segments` buffers through the TX queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxAccounting {
+pub(crate) struct TxAccounting {
     /// Number of kicks (vm-exits when virtualized).
     pub kicks: usize,
     /// Descriptors consumed.
@@ -42,7 +42,7 @@ pub struct TxAccounting {
 
 /// Accounting for receiving `segments` buffers from the RX queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RxAccounting {
+pub(crate) struct RxAccounting {
     /// Interrupt deliveries into the guest.
     pub interrupts: usize,
     /// Copies out of the ring into stack/socket buffers. Without merged RX
@@ -52,7 +52,7 @@ pub struct RxAccounting {
 }
 
 /// TX-side accounting for a burst of `segments`.
-pub fn tx_accounting(cfg: &VirtqueueConfig, segments: usize) -> TxAccounting {
+pub(crate) fn tx_accounting(cfg: &VirtqueueConfig, segments: usize) -> TxAccounting {
     let kicks = segments.div_ceil(cfg.kick_batch.max(1)).max(1);
     TxAccounting {
         kicks,
@@ -62,7 +62,11 @@ pub fn tx_accounting(cfg: &VirtqueueConfig, segments: usize) -> TxAccounting {
 
 /// RX-side accounting for a burst of `segments`, with interrupt coalescing
 /// factor `coalesce` (NAPI-style polling batches).
-pub fn rx_accounting(cfg: &VirtqueueConfig, segments: usize, coalesce: usize) -> RxAccounting {
+pub(crate) fn rx_accounting(
+    cfg: &VirtqueueConfig,
+    segments: usize,
+    coalesce: usize,
+) -> RxAccounting {
     RxAccounting {
         interrupts: segments.div_ceil(coalesce.max(1)).max(1),
         copies_per_segment: if cfg.mrg_rxbuf { 1 } else { 2 },

@@ -28,16 +28,6 @@ impl Wire {
     pub fn serialize_ns(&self, bytes: usize) -> u64 {
         (bytes as f64 / self.bandwidth_bps * crate::NS_PER_SEC) as u64
     }
-
-    /// One-way time for a message of `bytes`: latency + serialization.
-    pub fn one_way_ns(&self, bytes: usize) -> u64 {
-        self.latency_ns + self.serialize_ns(bytes)
-    }
-
-    /// Bytes per second as a pipeline stage rate (for bulk transfers).
-    pub fn rate_ns_per_byte(&self) -> f64 {
-        crate::NS_PER_SEC / self.bandwidth_bps
-    }
 }
 
 #[cfg(test)]
@@ -58,12 +48,5 @@ mod tests {
         // 1 MiB at ~90 Gbit/s ≈ 93 µs.
         let t = w.serialize_ns(1 << 20);
         assert!((80_000..110_000).contains(&t), "unexpected {t} ns");
-    }
-
-    #[test]
-    fn one_way_includes_latency() {
-        let w = Wire::ethernet_100g();
-        assert_eq!(w.one_way_ns(0), w.latency_ns);
-        assert!(w.one_way_ns(9000) > w.latency_ns);
     }
 }

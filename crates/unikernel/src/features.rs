@@ -22,23 +22,23 @@ impl VirtioFeatures {
     /// Device can receive merged RX buffers (`VIRTIO_NET_F_MRG_RXBUF`).
     pub const MRG_RXBUF: VirtioFeatures = VirtioFeatures(1 << 15);
     /// Device handles TSOv4 (`VIRTIO_NET_F_HOST_TSO4`).
-    pub const HOST_TSO4: VirtioFeatures = VirtioFeatures(1 << 11);
+    pub(crate) const HOST_TSO4: VirtioFeatures = VirtioFeatures(1 << 11);
     /// Device handles TSOv6 (`VIRTIO_NET_F_HOST_TSO6`).
-    pub const HOST_TSO6: VirtioFeatures = VirtioFeatures(1 << 12);
+    pub(crate) const HOST_TSO6: VirtioFeatures = VirtioFeatures(1 << 12);
     /// Driver can merge receive buffers — guest side of GSO
     /// (`VIRTIO_NET_F_GUEST_TSO4`).
-    pub const GUEST_TSO4: VirtioFeatures = VirtioFeatures(1 << 7);
+    pub(crate) const GUEST_TSO4: VirtioFeatures = VirtioFeatures(1 << 7);
     /// Scatter-gather on TX (part of `VIRTIO_NET_F_*` / `NETIF_F_SG` in
     /// practice; modeled as its own bit).
-    pub const SG: VirtioFeatures = VirtioFeatures(1 << 33);
+    pub(crate) const SG: VirtioFeatures = VirtioFeatures(1 << 33);
 
     /// Empty set.
-    pub const fn empty() -> Self {
+    pub(crate) const fn empty() -> Self {
         VirtioFeatures(0)
     }
 
     /// True if every bit of `other` is present.
-    pub fn contains(&self, other: VirtioFeatures) -> bool {
+    pub(crate) fn contains(&self, other: VirtioFeatures) -> bool {
         self.0 & other.0 == other.0
     }
 
@@ -60,24 +60,24 @@ impl VirtioFeatures {
 
     /// RustyHermit driver *after the paper's improvements*: checksum
     /// offloads and merged RX buffers, but no TSO and no scatter-gather.
-    pub fn hermit_driver() -> Self {
+    pub(crate) fn hermit_driver() -> Self {
         Self::CSUM | Self::GUEST_CSUM | Self::MRG_RXBUF
     }
 
     /// RustyHermit driver *before* the paper (ablation A2): none of the
     /// three contributed features.
-    pub fn hermit_legacy_driver() -> Self {
+    pub(crate) fn hermit_legacy_driver() -> Self {
         Self::empty()
     }
 
     /// Unikraft (lwIP) driver: merged RX buffers only; "Unikraft does not
     /// support checksum offloading, yet" (§4.2).
-    pub fn unikraft_driver() -> Self {
+    pub(crate) fn unikraft_driver() -> Self {
         Self::MRG_RXBUF
     }
 
     /// Decode into the offload flags the cost model consumes.
-    pub fn offloads(&self) -> OffloadFeatures {
+    pub(crate) fn offloads(&self) -> OffloadFeatures {
         OffloadFeatures {
             tso: self.contains(Self::HOST_TSO4),
             tx_csum: self.contains(Self::CSUM),
@@ -132,7 +132,7 @@ impl fmt::Display for VirtioFeatures {
 
 /// Negotiate: the intersection of what the device offers and the driver
 /// acknowledges.
-pub fn negotiate(device: VirtioFeatures, driver: VirtioFeatures) -> VirtioFeatures {
+pub(crate) fn negotiate(device: VirtioFeatures, driver: VirtioFeatures) -> VirtioFeatures {
     device & driver
 }
 

@@ -74,7 +74,7 @@ impl Guest {
     }
 
     /// Build a guest with an explicit MTU.
-    pub fn with_mtu(kind: GuestKind, mtu: usize) -> Self {
+    pub(crate) fn with_mtu(kind: GuestKind, mtu: usize) -> Self {
         let device = VirtioFeatures::qemu_device();
         match kind {
             GuestKind::NativeLinux => {

@@ -14,16 +14,16 @@
 //!   simulated transports route real RPC bytes through this code.
 //! * [`virtio_net`] — the virtio-net frame layer: `virtio_net_hdr` with
 //!   GSO/checksum flags, host-side TSO splitting, merged RX buffers.
-//! * [`guest`] — ties a negotiated feature set to a [`simnet::GuestCosts`]
+//! * `guest` — ties a negotiated feature set to a [`simnet::GuestCosts`]
 //!   table per environment, with the calibration notes.
 //! * [`boot`] — deployment footprints (image size, boot time, memory floor)
 //!   quantifying the paper's density argument for GPU sharing.
 
 pub mod boot;
 pub mod features;
-pub mod guest;
+mod guest;
 pub mod tcp;
 pub mod virtio_net;
 
-pub use features::{negotiate, VirtioFeatures};
+pub use features::VirtioFeatures;
 pub use guest::{Guest, GuestKind};

@@ -141,7 +141,7 @@ impl TcpEndpoint {
     }
 
     /// Active open: produce the SYN.
-    pub fn connect(&mut self) -> Segment<'static> {
+    pub(crate) fn connect(&mut self) -> Segment<'static> {
         assert_eq!(self.state, State::Closed);
         self.state = State::SynSent;
         let seg = self.make_segment(self.snd_nxt, 0, true, false, &[]);
@@ -150,7 +150,7 @@ impl TcpEndpoint {
     }
 
     /// Passive side: process a SYN, produce the SYN-ACK.
-    pub fn accept(&mut self, syn: &Segment) -> Option<Segment<'static>> {
+    pub(crate) fn accept(&mut self, syn: &Segment) -> Option<Segment<'static>> {
         if self.state != State::Closed || !syn.header.syn {
             return None;
         }
@@ -162,7 +162,7 @@ impl TcpEndpoint {
     }
 
     /// Active side: process the SYN-ACK, produce the final ACK.
-    pub fn complete_handshake(&mut self, synack: &Segment) -> Option<Segment<'static>> {
+    pub(crate) fn complete_handshake(&mut self, synack: &Segment) -> Option<Segment<'static>> {
         if self.state != State::SynSent || !synack.header.syn || !synack.header.ack_flag {
             return None;
         }
@@ -175,7 +175,7 @@ impl TcpEndpoint {
     }
 
     /// Passive side: process the final ACK.
-    pub fn finish_accept(&mut self, ack: &Segment) -> bool {
+    pub(crate) fn finish_accept(&mut self, ack: &Segment) -> bool {
         if self.state != State::SynReceived || !ack.header.ack_flag {
             return false;
         }

@@ -101,19 +101,6 @@ pub fn deliver_fixed<'b>(payload: &[u8], posted: &'b mut Vec<u8>) -> (&'b [u8], 
     (posted, 1, 2)
 }
 
-/// Device-side checksum validation for RX when the guest negotiated
-/// `GUEST_CSUM` (the device marks the packet valid; guest skips verify).
-pub fn device_validates(seg: &Segment) -> bool {
-    if seg.header.csum_offloaded {
-        // Sender deferred; device computed it before the wire in
-        // host_segment, so a still-offloaded segment only appears on
-        // loopback paths — accept it.
-        true
-    } else {
-        seg.verify()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +182,5 @@ mod tests {
         // Mrg: one copy per buffer but no linearization; fixed: 2 full copies.
         assert_eq!(copies_m, bufs_m);
         assert_eq!(copies_f, 2);
-    }
-
-    #[test]
-    fn device_validation_detects_corruption() {
-        let (mut c, _s) = established_pair(9000, true);
-        let segs = c.send(b"payload under test");
-        assert!(device_validates(&segs[0]));
-        let mut corrupted = segs[0].payload.to_vec();
-        corrupted[0] ^= 1;
-        let seg = Segment {
-            payload: &corrupted,
-            ..segs[0]
-        };
-        assert!(!device_validates(&seg));
     }
 }

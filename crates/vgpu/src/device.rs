@@ -193,7 +193,7 @@ impl Device {
     /// Retire every command whose completion time has passed on the shared
     /// clock, in issue order per stream. Called at the top of device entry
     /// points so the retired log and busy span track the clock.
-    pub fn observe(&mut self) {
+    pub(crate) fn observe(&mut self) {
         let now = self.clock.now_ns();
         // Retire straight into the log's tail: no per-call scratch.
         let first = self.retired.len();
@@ -217,11 +217,6 @@ impl Device {
     pub fn take_retired(&mut self) -> Vec<Retired> {
         self.observe();
         std::mem::take(&mut self.retired)
-    }
-
-    /// Commands enqueued but not yet retired across all streams.
-    pub fn pending_ops(&self) -> usize {
-        self.streams.values().map(|q| q.pending_len()).sum()
     }
 
     /// Total virtual time during which at least one stream had work running,
@@ -652,7 +647,7 @@ impl Device {
     }
 
     /// Restore-only: place a stream at an exact completion frontier. The
-    /// stream is (re)created idle; see [`CommandQueue::restore_frontier`].
+    /// stream is (re)created idle; see `CommandQueue::restore_frontier`.
     pub fn restore_stream_at(&mut self, handle: u64, frontier_ns: u64) {
         let q = self.streams.entry(handle).or_default();
         if !q.restore_frontier(frontier_ns) {
@@ -695,11 +690,6 @@ impl Device {
             .map(|q| q.frontier_ns())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total pending commands across all streams (migration barrier check).
-    pub fn pending_commands(&self) -> usize {
-        self.streams.values().map(|q| q.pending_len()).sum()
     }
 
     // -- streams & events -------------------------------------------------
@@ -829,6 +819,13 @@ mod tests {
     use crate::kernels::ParamBuilder;
     use crate::memory::{bytes_to_f32, f32_to_bytes};
     use crate::module::CubinBuilder;
+
+    impl Device {
+        /// Commands enqueued but not yet retired across all streams.
+        fn pending_ops(&self) -> usize {
+            self.streams.values().map(|q| q.pending_len()).sum()
+        }
+    }
 
     fn loaded_device() -> (Device, u64) {
         let mut d = Device::a100();
@@ -1291,9 +1288,9 @@ mod tests {
         src.enqueue_library(s, "gemm", 10_000).unwrap();
         src.enqueue_library(0, "gemm", 4_000).unwrap();
         src.event_record(ev, s).unwrap();
-        assert!(src.pending_commands() > 0);
+        assert!(src.pending_ops() > 0);
         let device_frontier = src.fence_all_streams();
-        assert_eq!(src.pending_commands(), 0);
+        assert_eq!(src.pending_ops(), 0);
         assert_eq!(device_frontier, 10_000);
         let frontiers = src.snapshot_stream_frontiers();
         assert!(frontiers.contains(&(0, 4_000)));

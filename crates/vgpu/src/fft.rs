@@ -63,7 +63,7 @@ impl FftPlan {
     }
 
     /// Bytes per batch element (interleaved complex).
-    pub fn elem_bytes(&self) -> usize {
+    pub(crate) fn elem_bytes(&self) -> usize {
         match self.kind {
             CUFFT_C2C => 8,
             _ => 16,
@@ -71,7 +71,7 @@ impl FftPlan {
     }
 
     /// Total buffer size in bytes.
-    pub fn buffer_bytes(&self) -> u64 {
+    pub(crate) fn buffer_bytes(&self) -> u64 {
         (self.n * self.batch * self.elem_bytes()) as u64
     }
 }

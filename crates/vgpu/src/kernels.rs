@@ -39,7 +39,7 @@ impl Dim3 {
 
     /// Total element count, saturating at `u64::MAX`: three `u32::MAX`
     /// extents exceed 64 bits, and nothing sized from the count fits.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         (self.x as u64 * self.y as u64).saturating_mul(self.z as u64)
     }
 }
@@ -101,19 +101,9 @@ impl<'a> Params<'a> {
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    /// Parameter `i` as i32.
-    pub fn i32(&self, i: usize) -> VgpuResult<i32> {
-        Ok(self.u32(i)? as i32)
-    }
-
     /// Parameter `i` as f32 (low half of the slot).
     pub fn f32(&self, i: usize) -> VgpuResult<f32> {
         Ok(f32::from_bits(self.u32(i)?))
-    }
-
-    /// Parameter `i` as f64.
-    pub fn f64(&self, i: usize) -> VgpuResult<f64> {
-        Ok(f64::from_bits(u64::from_le_bytes(self.slot(i)?)))
     }
 }
 
@@ -142,20 +132,9 @@ impl ParamBuilder {
         self
     }
 
-    /// Append an i32 scalar.
-    pub fn i32(self, v: i32) -> Self {
-        self.u32(v as u32)
-    }
-
     /// Append an f32 scalar.
     pub fn f32(self, v: f32) -> Self {
         self.u32(v.to_bits())
-    }
-
-    /// Append an f64 scalar.
-    pub fn f64(mut self, v: f64) -> Self {
-        self.blob.extend_from_slice(&v.to_bits().to_le_bytes());
-        self
     }
 
     /// Finish, returning the blob.
@@ -167,7 +146,7 @@ impl ParamBuilder {
 /// At most two memory ranges `(pointer, bytes)`, stored inline so that
 /// analysing a launch allocates nothing. Derefs to the slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ranges {
+pub(crate) struct Ranges {
     len: usize,
     slots: [(u64, u64); Ranges::CAP],
 }
@@ -197,7 +176,7 @@ impl std::ops::Deref for Ranges {
 
 /// Memory ranges a launch will read and write, plus its workload estimate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Access {
+pub(crate) struct Access {
     /// Ranges read (pointer, bytes).
     pub reads: Ranges,
     /// Ranges written (pointer, bytes).
@@ -213,7 +192,7 @@ pub struct Builtin {
     /// Parameter slot count the kernel expects.
     pub param_count: usize,
     /// Compute the access set and workload for a launch (no side effects).
-    pub analyze: fn(&LaunchConfig, Params<'_>) -> VgpuResult<Access>,
+    pub(crate) analyze: fn(&LaunchConfig, Params<'_>) -> VgpuResult<Access>,
     /// Execute the kernel against device memory.
     pub execute: fn(&mut MemoryManager, &LaunchConfig, Params<'_>) -> VgpuResult<()>,
 }
@@ -588,6 +567,31 @@ static REGISTRY: &[Builtin] = &[
 mod tests {
     use super::*;
     use crate::memory::{bytes_to_u32, f32_to_bytes, f64_to_bytes};
+
+    impl Params<'_> {
+        /// Parameter `i` as i32.
+        fn i32(&self, i: usize) -> VgpuResult<i32> {
+            Ok(self.u32(i)? as i32)
+        }
+
+        /// Parameter `i` as f64.
+        fn f64(&self, i: usize) -> VgpuResult<f64> {
+            Ok(f64::from_bits(u64::from_le_bytes(self.slot(i)?)))
+        }
+    }
+
+    impl ParamBuilder {
+        /// Append an i32 scalar.
+        fn i32(self, v: i32) -> Self {
+            self.u32(v as u32)
+        }
+
+        /// Append an f64 scalar.
+        fn f64(mut self, v: f64) -> Self {
+            self.blob.extend_from_slice(&v.to_bits().to_le_bytes());
+            self
+        }
+    }
 
     fn mem() -> MemoryManager {
         MemoryManager::new(64 << 20)

@@ -13,8 +13,8 @@
 //! * a **kernel registry** ([`kernels`]) — the kernels the proxy apps launch
 //!   (vector add, tiled matrix multiply, 64/256-bin histograms, ...) as Rust
 //!   functions that *really execute* against device memory, plus an analytic
-//!   A100 timing model ([`timemodel`]) charging virtual nanoseconds;
-//! * **per-stream command queues and events** ([`queue`], [`stream`]) with
+//!   A100 timing model (`timemodel`) charging virtual nanoseconds;
+//! * **per-stream command queues and events** (`queue`, `stream`) with
 //!   CUDA ordering semantics on the shared [`simnet::SimClock`]: async work
 //!   enqueues and retires in issue order per stream, overlapping across
 //!   streams; only synchronization points wait;
@@ -32,22 +32,21 @@
 //! harnesses bounded without changing any observable memory state.
 
 pub mod blas;
-pub mod device;
-pub mod error;
+mod device;
+mod error;
 pub mod fatbin;
 pub mod fft;
 pub mod kernels;
 pub mod memory;
 pub mod module;
-pub mod properties;
-pub mod queue;
+mod properties;
+mod queue;
 pub mod solver;
-pub mod stream;
-pub mod timemodel;
+mod stream;
+mod timemodel;
 
 pub use device::{Device, ExecStats};
 pub use error::{CudaCode, VgpuError, VgpuResult};
 pub use kernels::{Dim3, LaunchConfig};
-pub use memory::DevicePtr;
 pub use properties::DeviceProperties;
-pub use queue::{Command, CommandKind, CommandQueue, Retired, Submit, SubmitAggregate};
+pub use queue::{Command, CommandKind, Retired, Submit, SubmitAggregate};

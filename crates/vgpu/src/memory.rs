@@ -14,7 +14,7 @@
 //!
 //! For live migration the manager also tracks **dirty ranges**: every write
 //! records the touched `(offset, len)` span on its block, merged and capped
-//! at [`MAX_DIRTY_RANGES`] (overflow collapses to the whole block). Epochs
+//! at `MAX_DIRTY_RANGES` (overflow collapses to the whole block). Epochs
 //! cut the tracking into windows: [`MemoryManager::mark_epoch`] clears all
 //! dirty spans, and [`MemoryManager::delta_since`] packages everything that
 //! changed since the last mark — freed blocks, new blocks (full bytes), and
@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::OnceLock;
 
 /// A raw device pointer (opaque 64-bit address).
-pub type DevicePtr = u64;
+pub(crate) type DevicePtr = u64;
 
 /// Base of the device heap. Non-zero so that null is never a valid pointer.
 pub const HEAP_BASE: u64 = 0x0100_0000_0000;
@@ -37,7 +37,7 @@ pub const ALLOC_ALIGN: u64 = 256;
 /// Dirty spans tracked per block before collapsing to whole-block. Small on
 /// purpose: past this many distinct spans the block is effectively rewritten
 /// and a single full-range entry is cheaper than precise bookkeeping.
-pub const MAX_DIRTY_RANGES: usize = 32;
+pub(crate) const MAX_DIRTY_RANGES: usize = 32;
 
 /// Sorted, merged `(offset, len)` spans within one block, capped at
 /// [`MAX_DIRTY_RANGES`] entries (overflow collapses to one whole-block span).
@@ -144,21 +144,6 @@ pub struct MemDelta {
     pub dirty: Vec<(u64, u64, Vec<u8>)>,
 }
 
-impl MemDelta {
-    /// Payload bytes this delta moves (block contents + dirty spans; the
-    /// metadata framing is negligible next to these).
-    pub fn payload_bytes(&self) -> u64 {
-        let new: u64 = self.new_blocks.iter().map(|(_, b)| b.len() as u64).sum();
-        let dirty: u64 = self.dirty.iter().map(|(_, _, b)| b.len() as u64).sum();
-        new + dirty
-    }
-
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.freed.is_empty() && self.new_blocks.is_empty() && self.dirty.is_empty()
-    }
-}
-
 /// Allocation statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemStats {
@@ -181,7 +166,7 @@ impl MemoryManager {
     /// Create a manager whose address space starts at `base` (multi-GPU
     /// servers give each device a disjoint range so pointers identify their
     /// device).
-    pub fn with_base(total: u64, base: u64) -> Self {
+    pub(crate) fn with_base(total: u64, base: u64) -> Self {
         assert!(base > 0, "null must never be a valid pointer");
         let mut free_list = BTreeMap::new();
         free_list.insert(base, total);
@@ -193,17 +178,6 @@ impl MemoryManager {
             epoch: 0,
             stats: MemStats::default(),
         }
-    }
-
-    /// Lowest address of this device's heap.
-    pub fn base(&self) -> u64 {
-        // The heap never moves: it is either in the free list or in blocks.
-        self.free_list
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.blocks.keys().next().copied().unwrap_or(HEAP_BASE))
-            .min(self.blocks.keys().next().copied().unwrap_or(u64::MAX))
     }
 
     /// Total device memory in bytes.
@@ -338,13 +312,13 @@ impl MemoryManager {
 
     /// Device-to-device copy (handles distinct blocks; overlapping ranges in
     /// the same block copy through a temporary, like cudaMemcpy semantics).
-    pub fn copy_dtod(&mut self, dst: DevicePtr, src: DevicePtr, len: u64) -> VgpuResult<()> {
+    pub(crate) fn copy_dtod(&mut self, dst: DevicePtr, src: DevicePtr, len: u64) -> VgpuResult<()> {
         let tmp = self.read(src, len)?.to_vec();
         self.write(dst, &tmp)
     }
 
     /// Current version of the block containing `ptr` (for memoization keys).
-    pub fn version_of(&self, ptr: DevicePtr) -> VgpuResult<u64> {
+    pub(crate) fn version_of(&self, ptr: DevicePtr) -> VgpuResult<u64> {
         let (base, _) = self.resolve(ptr)?;
         Ok(self.blocks[&base].version)
     }
@@ -359,7 +333,7 @@ impl MemoryManager {
 
     /// Mutable access to a whole region as bytes (kernel execution helper).
     /// Reads then writes back via closure so version accounting stays exact.
-    pub fn update<R>(
+    pub(crate) fn update<R>(
         &mut self,
         ptr: DevicePtr,
         len: u64,
@@ -390,7 +364,7 @@ impl MemoryManager {
 
     /// Restore an allocation at an exact base address (checkpoint restore).
     /// Fails if the range is not entirely free.
-    pub fn restore_block(&mut self, base: u64, bytes: &[u8]) -> VgpuResult<()> {
+    pub(crate) fn restore_block(&mut self, base: u64, bytes: &[u8]) -> VgpuResult<()> {
         let size = bytes.len() as u64;
         // Find the free span containing [base, base+size).
         let span = self
@@ -445,19 +419,6 @@ impl MemoryManager {
             block.dirty.clear();
         }
         self.epoch
-    }
-
-    /// Current dirty-tracking epoch (0 until the first mark).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Dirty spans of the block at `base` as `(offset, len)` pairs, merged.
-    pub fn dirty_spans(&self, base: u64) -> VgpuResult<Vec<(u64, u64)>> {
-        self.blocks
-            .get(&base)
-            .map(|b| b.dirty.spans().to_vec())
-            .ok_or(VgpuError::InvalidPointer(base))
     }
 
     /// Package everything that changed since the last [`Self::mark_epoch`],
@@ -528,7 +489,7 @@ impl MemoryManager {
     /// one dirty span of a [`MemDelta`]. Unlike [`Self::write`] on
     /// `base + off`, a span that does not fit the block is an error rather
     /// than a write into whichever block the sum happens to land in.
-    pub fn patch(&mut self, base: u64, off: u64, bytes: &[u8]) -> VgpuResult<()> {
+    pub(crate) fn patch(&mut self, base: u64, off: u64, bytes: &[u8]) -> VgpuResult<()> {
         let size = (self.blocks.get(&base))
             .ok_or(VgpuError::InvalidPointer(base))?
             .size;
@@ -544,7 +505,7 @@ impl MemoryManager {
 }
 
 /// Reinterpret a byte slice as f32 values (little-endian device layout).
-pub fn bytes_to_f32(bytes: &[u8]) -> Vec<f32> {
+pub(crate) fn bytes_to_f32(bytes: &[u8]) -> Vec<f32> {
     bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -561,7 +522,7 @@ pub fn f32_to_bytes(vals: &[f32]) -> Vec<u8> {
 }
 
 /// Reinterpret a byte slice as f64 values.
-pub fn bytes_to_f64(bytes: &[u8]) -> Vec<f64> {
+pub(crate) fn bytes_to_f64(bytes: &[u8]) -> Vec<f64> {
     bytes
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
@@ -569,7 +530,7 @@ pub fn bytes_to_f64(bytes: &[u8]) -> Vec<f64> {
 }
 
 /// Serialize f64 values into device byte layout.
-pub fn f64_to_bytes(vals: &[f64]) -> Vec<u8> {
+pub(crate) fn f64_to_bytes(vals: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 8);
     for v in vals {
         out.extend_from_slice(&v.to_le_bytes());
@@ -597,6 +558,30 @@ pub fn u32_to_bytes(vals: &[u32]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemDelta {
+        /// Payload bytes this delta moves (block contents + dirty spans).
+        fn payload_bytes(&self) -> u64 {
+            let new: u64 = self.new_blocks.iter().map(|(_, b)| b.len() as u64).sum();
+            let dirty: u64 = self.dirty.iter().map(|(_, _, b)| b.len() as u64).sum();
+            new + dirty
+        }
+
+        /// True when nothing changed.
+        fn is_empty(&self) -> bool {
+            self.freed.is_empty() && self.new_blocks.is_empty() && self.dirty.is_empty()
+        }
+    }
+
+    impl MemoryManager {
+        /// Dirty spans of the block at `base` as `(offset, len)` pairs, merged.
+        fn dirty_spans(&self, base: u64) -> VgpuResult<Vec<(u64, u64)>> {
+            self.blocks
+                .get(&base)
+                .map(|b| b.dirty.spans().to_vec())
+                .ok_or(VgpuError::InvalidPointer(base))
+        }
+    }
 
     fn mm() -> MemoryManager {
         MemoryManager::new(1 << 20)

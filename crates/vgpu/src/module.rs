@@ -23,11 +23,11 @@ use crate::error::{VgpuError, VgpuResult};
 use crate::fatbin;
 
 /// Magic prefix of a module image.
-pub const MAGIC: &[u8; 4] = b"VCUB";
+pub(crate) const MAGIC: &[u8; 4] = b"VCUB";
 /// Container version this code writes and accepts.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 /// Flag bit: body is LZSS-compressed.
-pub const FLAG_COMPRESSED: u32 = 1;
+pub(crate) const FLAG_COMPRESSED: u32 = 1;
 
 /// Metadata of one kernel exported by a module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,14 +36,6 @@ pub struct KernelMeta {
     pub name: String,
     /// Size in bytes of each parameter, in order. Pointers are 8 bytes.
     pub param_sizes: Vec<u32>,
-}
-
-impl KernelMeta {
-    /// Total parameter-buffer size, each parameter 8-byte aligned (the ABI
-    /// the launch marshalling uses).
-    pub fn param_bytes(&self) -> usize {
-        self.param_sizes.len() * 8
-    }
 }
 
 /// Metadata of one module-scope global variable.
@@ -195,15 +187,6 @@ impl CubinBuilder {
         self
     }
 
-    /// Declare a module global.
-    pub fn global(mut self, name: &str, size: u64) -> Self {
-        self.globals.push(GlobalMeta {
-            name: name.into(),
-            size,
-        });
-        self
-    }
-
     /// Attach a device code blob.
     pub fn code(mut self, code: &[u8]) -> Self {
         self.code = code.to_vec();
@@ -249,6 +232,17 @@ impl CubinBuilder {
 mod tests {
     use super::*;
 
+    impl CubinBuilder {
+        /// Declare a module global.
+        fn global(mut self, name: &str, size: u64) -> Self {
+            self.globals.push(GlobalMeta {
+                name: name.into(),
+                size,
+            });
+            self
+        }
+    }
+
     fn sample() -> CubinBuilder {
         CubinBuilder::new()
             .kernel("matrixMul", &[8, 8, 8, 4, 4])
@@ -266,7 +260,6 @@ mod tests {
             cubin.kernel("matrixMul").unwrap().param_sizes,
             [8, 8, 8, 4, 4]
         );
-        assert_eq!(cubin.kernel("matrixMul").unwrap().param_bytes(), 40);
         assert_eq!(cubin.globals[0].name, "g_seed");
         assert_eq!(cubin.code, b"fake SASS fake SASS fake SASS");
         assert!(cubin.kernel("nope").is_none());

@@ -48,13 +48,6 @@ pub struct Command {
     pub completes_at_ns: u64,
 }
 
-impl Command {
-    /// Device time this command occupies.
-    pub fn duration_ns(&self) -> u64 {
-        self.completes_at_ns - self.starts_at_ns
-    }
-}
-
 /// Receipt for an asynchronous submission: what the host paid now
 /// (`submit_ns`) versus what the device will spend later (`queued_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +105,7 @@ pub struct Retired {
 
 /// One stream's FIFO of pending commands plus its completion frontier.
 #[derive(Debug, Default)]
-pub struct CommandQueue {
+pub(crate) struct CommandQueue {
     pending: VecDeque<Command>,
     /// Completion frontier: virtual time at which all enqueued work is done.
     frontier_ns: u64,
@@ -125,7 +118,7 @@ pub struct CommandQueue {
 impl CommandQueue {
     /// Enqueue `duration_ns` of device work at virtual time `now_ns`.
     /// The command starts when all prior work on this stream is done.
-    pub fn enqueue(
+    pub(crate) fn enqueue(
         &mut self,
         now_ns: u64,
         seq: u64,
@@ -147,7 +140,7 @@ impl CommandQueue {
     }
 
     /// Completion frontier (ns): when everything enqueued so far is done.
-    pub fn frontier_ns(&self) -> u64 {
+    pub(crate) fn frontier_ns(&self) -> u64 {
         self.frontier_ns
     }
 
@@ -159,7 +152,7 @@ impl CommandQueue {
     /// subsequent enqueues produce the same absolute virtual timestamps the
     /// source would have produced. Restoring a non-empty queue would reorder
     /// in-flight commands, so that is rejected.
-    pub fn restore_frontier(&mut self, ns: u64) -> bool {
+    pub(crate) fn restore_frontier(&mut self, ns: u64) -> bool {
         if !self.pending.is_empty() {
             return false;
         }
@@ -169,17 +162,12 @@ impl CommandQueue {
 
     /// Nanoseconds a host thread at `now_ns` must wait for this stream to
     /// drain.
-    pub fn wait_ns(&self, now_ns: u64) -> u64 {
+    pub(crate) fn wait_ns(&self, now_ns: u64) -> u64 {
         self.frontier_ns.saturating_sub(now_ns)
     }
 
-    /// Commands still pending (not yet retired at the last observation).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Iterate pending commands front (oldest) to back.
-    pub fn iter_pending(&self) -> impl Iterator<Item = &Command> {
+    pub(crate) fn iter_pending(&self) -> impl Iterator<Item = &Command> {
         self.pending.iter()
     }
 
@@ -187,7 +175,7 @@ impl CommandQueue {
     /// `sink` tagged with `stream`. Front-to-back pop is what enforces the
     /// issue-order retire invariant: a command can never leave the queue
     /// before one issued ahead of it on the same stream.
-    pub fn retire_until(&mut self, now_ns: u64, stream: u64, sink: &mut Vec<Retired>) {
+    pub(crate) fn retire_until(&mut self, now_ns: u64, stream: u64, sink: &mut Vec<Retired>) {
         while let Some(front) = self.pending.front() {
             if front.completes_at_ns > now_ns {
                 break;
@@ -213,7 +201,7 @@ impl CommandQueue {
 /// the busy span to the sum of per-command durations measures cross-stream
 /// overlap: `sum / span > 1` means streams genuinely ran concurrently.
 #[derive(Debug, Default, Clone)]
-pub struct IntervalUnion {
+pub(crate) struct IntervalUnion {
     /// Disjoint, sorted, non-adjacent intervals.
     spans: Vec<(u64, u64)>,
 }
@@ -239,21 +227,25 @@ impl IntervalUnion {
     pub fn total_ns(&self) -> u64 {
         self.spans.iter().map(|&(s, e)| e - s).sum()
     }
-
-    /// Number of disjoint spans (telemetry/tests).
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.spans.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CommandQueue {
+        /// Commands still pending (not yet retired at the last observation).
+        pub(crate) fn pending_len(&self) -> usize {
+            self.pending.len()
+        }
+    }
+
+    impl IntervalUnion {
+        /// Number of disjoint spans.
+        fn span_count(&self) -> usize {
+            self.spans.len()
+        }
+    }
 
     fn k(func: u64) -> CommandKind {
         CommandKind::Kernel { func }

@@ -38,7 +38,7 @@ struct GetrfMemo {
 
 /// Device↔host round trip per pivot column inside `dgetrf` (PCIe latency +
 /// stream synchronization), the latency term that dominates mid-sized LU.
-pub const PIVOT_SYNC_NS: u64 = 25_000;
+pub(crate) const PIVOT_SYNC_NS: u64 = 25_000;
 
 /// 8-byte-stride multiply-xor hash (fast enough for multi-MiB inputs).
 fn hash_bytes(seed: u64, data: &[u8]) -> u64 {

@@ -9,7 +9,7 @@
 
 /// State of one event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventState {
+pub(crate) struct EventState {
     /// Device timestamp captured by the last `cudaEventRecord`, if any.
     pub recorded_at_ns: Option<u64>,
 }

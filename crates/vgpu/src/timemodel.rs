@@ -11,13 +11,13 @@
 use crate::properties::DeviceProperties;
 
 /// Achievable fraction of peak FLOP/s for a tuned kernel.
-pub const FLOPS_EFFICIENCY: f64 = 0.60;
+pub(crate) const FLOPS_EFFICIENCY: f64 = 0.60;
 /// Achievable fraction of peak memory bandwidth.
-pub const BW_EFFICIENCY: f64 = 0.80;
+pub(crate) const BW_EFFICIENCY: f64 = 0.80;
 
 /// Floating-point precision of a kernel's arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
+pub(crate) enum Precision {
     /// fp32 arithmetic.
     F32,
     /// fp64 arithmetic.
@@ -26,7 +26,7 @@ pub enum Precision {
 
 /// Workload descriptor of one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Workload {
+pub(crate) struct Workload {
     /// Floating-point operations performed.
     pub flops: f64,
     /// Bytes moved to/from device memory.
@@ -37,7 +37,7 @@ pub struct Workload {
 
 impl Workload {
     /// A pure memory-bound workload.
-    pub fn memory(bytes: f64) -> Self {
+    pub(crate) fn memory(bytes: f64) -> Self {
         Self {
             flops: 0.0,
             bytes,
@@ -47,7 +47,7 @@ impl Workload {
 }
 
 /// Estimated duration of `work` on `props`, in nanoseconds.
-pub fn kernel_duration_ns(props: &DeviceProperties, work: &Workload) -> u64 {
+pub(crate) fn kernel_duration_ns(props: &DeviceProperties, work: &Workload) -> u64 {
     let peak_flops = match work.precision {
         Precision::F32 => props.fp32_flops as f64,
         Precision::F64 => props.fp64_flops as f64,

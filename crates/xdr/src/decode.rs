@@ -23,7 +23,7 @@ impl<'a> XdrDecoder<'a> {
 
     /// Bytes left to read.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -81,19 +81,19 @@ impl<'a> XdrDecoder<'a> {
 
     /// Read a 64-bit signed integer.
     #[inline]
-    pub fn get_i64(&mut self) -> XdrResult<i64> {
+    pub(crate) fn get_i64(&mut self) -> XdrResult<i64> {
         Ok(self.get_u64()? as i64)
     }
 
     /// Read a single-precision float.
     #[inline]
-    pub fn get_f32(&mut self) -> XdrResult<f32> {
+    pub(crate) fn get_f32(&mut self) -> XdrResult<f32> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 
     /// Read a double-precision float.
     #[inline]
-    pub fn get_f64(&mut self) -> XdrResult<f64> {
+    pub(crate) fn get_f64(&mut self) -> XdrResult<f64> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
@@ -120,7 +120,7 @@ impl<'a> XdrDecoder<'a> {
 
     /// Read `n` bytes of fixed-length opaque data (plus padding), borrowing
     /// from the input.
-    pub fn get_opaque_fixed(&mut self, n: usize) -> XdrResult<&'a [u8]> {
+    pub(crate) fn get_opaque_fixed(&mut self, n: usize) -> XdrResult<&'a [u8]> {
         let data = self.take(n)?;
         self.check_padding(n)?;
         Ok(data)
@@ -177,7 +177,7 @@ impl<'a> XdrDecoder<'a> {
     }
 
     /// Read a variable-length array of `T`.
-    pub fn get_array<T: Xdr>(&mut self) -> XdrResult<Vec<T>> {
+    pub(crate) fn get_array<T: Xdr>(&mut self) -> XdrResult<Vec<T>> {
         let len = self.get_u32()? as usize;
         // Each element takes at least 4 bytes on the wire; reject lengths the
         // remaining input cannot possibly satisfy before allocating.
@@ -209,7 +209,7 @@ impl<'a> XdrDecoder<'a> {
     }
 
     /// Read an XDR optional ("pointer").
-    pub fn get_option<T: Xdr>(&mut self) -> XdrResult<Option<T>> {
+    pub(crate) fn get_option<T: Xdr>(&mut self) -> XdrResult<Option<T>> {
         match self.get_u32()? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(self)?)),

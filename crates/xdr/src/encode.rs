@@ -261,7 +261,7 @@ impl<B: XdrSink> XdrEncoder<B> {
     /// Public so scatter-gather encoding can emit the padding for a payload
     /// that lives outside the owned stream.
     #[inline]
-    pub fn put_padding_for(&mut self, payload_len: usize) {
+    pub(crate) fn put_padding_for(&mut self, payload_len: usize) {
         const ZEROS: [u8; 4] = [0; 4];
         self.buf.put(&ZEROS[..pad_bytes(payload_len)]);
     }
@@ -274,7 +274,7 @@ impl<B: XdrSink> XdrEncoder<B> {
     }
 
     /// Write a variable-length array: u32 count then each element.
-    pub fn put_array<T: Xdr>(&mut self, items: &[T]) {
+    pub(crate) fn put_array<T: Xdr>(&mut self, items: &[T]) {
         self.put_u32(items.len() as u32);
         self.put_array_fixed(items);
     }
@@ -287,7 +287,7 @@ impl<B: XdrSink> XdrEncoder<B> {
     }
 
     /// Write an XDR optional ("pointer"): 1 + value, or 0.
-    pub fn put_option<T: Xdr>(&mut self, value: Option<&T>) {
+    pub(crate) fn put_option<T: Xdr>(&mut self, value: Option<&T>) {
         match value {
             Some(v) => {
                 self.put_u32(1);

@@ -28,15 +28,15 @@ mod traits;
 pub use decode::XdrDecoder;
 pub use encode::{FixedBuf, XdrEncoder, XdrSink};
 pub use error::{XdrError, XdrResult};
-pub use sg::{XdrSgEncoder, MAX_DEFERRED, MAX_SEGMENTS};
+pub use sg::XdrSgEncoder;
 pub use traits::{Xdr, XdrVec};
 
 /// XDR unit of alignment: every item occupies a multiple of four bytes.
-pub const ALIGN: usize = 4;
+pub(crate) const ALIGN: usize = 4;
 
 /// Round `n` up to the next multiple of the XDR alignment.
 #[inline]
-pub const fn pad_len(n: usize) -> usize {
+pub(crate) const fn pad_len(n: usize) -> usize {
     (n + (ALIGN - 1)) & !(ALIGN - 1)
 }
 

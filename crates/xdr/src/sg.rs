@@ -15,11 +15,11 @@ use std::ops::{Deref, DerefMut};
 /// Maximum number of deferred slices per message. Cricket calls carry at
 /// most one bulk argument, so four leaves headroom; further deferrals fall
 /// back to copying (correct, just not zero-copy).
-pub const MAX_DEFERRED: usize = 4;
+pub(crate) const MAX_DEFERRED: usize = 4;
 
 /// Upper bound on the segment count [`XdrSgEncoder::with_segments`] yields:
 /// each deferred slice splits the owned stream once.
-pub const MAX_SEGMENTS: usize = 2 * MAX_DEFERRED + 1;
+pub(crate) const MAX_SEGMENTS: usize = 2 * MAX_DEFERRED + 1;
 
 /// XDR encoder whose output is the owned stream of the wrapped
 /// [`XdrEncoder`] (over either sink) interleaved with borrowed payload
@@ -51,7 +51,7 @@ impl<'d, 'e, B: XdrSink> XdrSgEncoder<'d, 'e, B> {
     /// Write variable-length opaque data without copying the payload: the
     /// u32 length prefix and the zero padding go into the owned stream, the
     /// payload is recorded as a borrowed slice. Falls back to a copying
-    /// [`XdrEncoder::put_opaque`] once [`MAX_DEFERRED`] slices are recorded
+    /// [`XdrEncoder::put_opaque`] once `MAX_DEFERRED` slices are recorded
     /// or for payloads too small to be worth an iovec entry.
     pub fn put_opaque_deferred(&mut self, data: &'d [u8]) {
         // Tiny payloads cost more as a vectored segment than as a copy.
@@ -69,11 +69,6 @@ impl<'d, 'e, B: XdrSink> XdrSgEncoder<'d, 'e, B> {
         self.enc.put_padding_for(data.len());
     }
 
-    /// Number of deferred (zero-copy) slices recorded so far.
-    pub fn deferred_count(&self) -> usize {
-        self.count
-    }
-
     /// Total length of the logical stream: owned bytes plus deferred bytes.
     pub fn total_len(&self) -> usize {
         self.enc.len()
@@ -85,7 +80,7 @@ impl<'d, 'e, B: XdrSink> XdrSgEncoder<'d, 'e, B> {
 
     /// Run `f` over the logical byte stream as an ordered segment list.
     /// Concatenating the segments yields exactly the bytes a plain encoder
-    /// would have produced. At most [`MAX_SEGMENTS`] entries; built on the
+    /// would have produced. At most `MAX_SEGMENTS` entries; built on the
     /// stack, no allocation. Over a bounded sink, check
     /// [`finish`](XdrEncoder::finish) first: an overflowed owned stream has
     /// no bytes to split.
@@ -140,6 +135,13 @@ impl<B> DerefMut for XdrSgEncoder<'_, '_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<B: XdrSink> XdrSgEncoder<'_, '_, B> {
+        /// Number of deferred (zero-copy) slices recorded so far.
+        fn deferred_count(&self) -> usize {
+            self.count
+        }
+    }
 
     /// Reference: what a plain encoder produces for the same logical writes.
     fn plain(header: u32, payload: &[u8], trailer: u64) -> Vec<u8> {

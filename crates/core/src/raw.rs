@@ -838,7 +838,7 @@ mod tests {
     /// not come back as a short `Vec` or a partly filled slice.
     #[test]
     fn short_dtoh_reply_is_a_typed_error() {
-        let server = oncrpc::RpcServer::new();
+        let mut server = oncrpc::RpcServer::new();
         let short = |proc: u32, args: &mut xdr::XdrDecoder<'_>, reply: &mut xdr::XdrEncoder| {
             assert_eq!(proc, cricket_v1::CUDA_MEMCPY_DTOH);
             let garbage = |_| oncrpc::AcceptStat::GarbageArgs;

@@ -11,9 +11,10 @@
 //!
 //! Exactly-once: every stripe is its own call under its lane's retry
 //! machinery. The lanes share one client token and each owns a disjoint
-//! xid space (lane `i` starts at `(i << 24) | 1`), so the server's
-//! at-most-once replay cache (keyed by client token + xid) dedupes a
-//! retransmitted write stripe without cross-lane collisions.
+//! xid space (lane `i` starts at `((i + 1) << 24) | 1`, clear of the
+//! control connection's, which starts at 1), so the server's at-most-once
+//! replay cache (keyed by client token + xid) dedupes a retransmitted
+//! write stripe without collisions between the lanes or with the client.
 //!
 //! Which copies stripe is decided by the caller (`TransferPlan::choose` in
 //! `crate::raw`): only copies of at least its stripe threshold fan out.
@@ -55,7 +56,7 @@ impl StripePool {
             "stripe pool xid partitioning supports at most 128 lanes"
         );
         for (i, lane) in lanes.iter_mut().enumerate() {
-            lane.rpc.set_xid_base(((i as u32) << 24) | 1);
+            lane.rpc.set_xid_base(((i as u32 + 1) << 24) | 1);
         }
         Self {
             lanes,
@@ -157,7 +158,7 @@ mod tests {
             let clients = (0..lanes)
                 .map(|lane| {
                     let (client_end, mut server_end) = oncrpc::duplex_pair();
-                    let server = oncrpc::RpcServer::new();
+                    let mut server = oncrpc::RpcServer::new();
                     let log = Arc::clone(&log);
                     let serve = move |proc: u32,
                                       args: &mut xdr::XdrDecoder<'_>,

@@ -605,8 +605,9 @@ mod tests {
             }
         }
 
-        let server = Arc::new(RpcServer::new());
+        let mut server = RpcServer::new();
         server.register(CRICKET_CUDA, CRICKET_V1, Arc::new(CricketV1Dispatch(Fake)));
+        let server = Arc::new(server);
         let (client_end, server_end) = duplex_pair();
         std::thread::spawn(move || {
             let mut conn = server_end;

@@ -64,7 +64,7 @@ pub fn make_rpc_server(server: Arc<CricketServer>) -> Arc<oncrpc::RpcServer> {
 /// examples) serve per-session views through the same admission path as
 /// real connections.
 pub fn make_session_rpc(server: Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
-    let rpc = oncrpc::RpcServer::new();
+    let mut rpc = oncrpc::RpcServer::new();
     rpc.set_replay_cache(Arc::clone(&server.replay));
     rpc.register(
         cricket_proto::CRICKET_CUDA,
@@ -150,10 +150,10 @@ pub(crate) fn session_rpc(server: &Arc<CricketServer>, session: SessionId) -> on
             self.server.call_complete(token);
         }
     }
-    let rpc = make_session_rpc(Arc::clone(server), session);
-    rpc.set_token_gate(Arc::new(SessionGate {
+    let mut rpc = make_session_rpc(Arc::clone(server), session);
+    rpc.set_token_gate(SessionGate {
         server: Arc::clone(server),
         session,
-    }));
+    });
     rpc
 }

@@ -378,15 +378,16 @@ impl CricketServer {
                 self.with_token(token, |t| t.evicted = false);
                 Adoption::default()
             }
-            // Applied out of the table, but its emptied record stays there:
-            // the token keeps its slot under the bound meanwhile.
+            // Applied out of the table, but its emptied record (no epoch
+            // applied) stays there: the token keeps its slot meanwhile, and
+            // a second delta finds no staged base in it.
             MigKind::Delta | MigKind::Final => {
-                let staged = self.with_token(token, |t| t.adoption.as_mut().map(std::mem::take));
-                staged.ok_or_else(|| {
-                    VgpuError::InvalidValue(format!(
-                        "delta for token {token:#x} without a staged base"
-                    ))
-                })?
+                let staged = self.with_token(token, |t| {
+                    let base = t.adoption.as_mut().filter(|a| a.applied_epochs > 0);
+                    base.map(std::mem::take)
+                });
+                let why = format!("delta for token {token:#x} without a staged base");
+                staged.ok_or(VgpuError::InvalidValue(why))?
             }
         };
         let mem = migrate::mem_delta(blob.mem);
@@ -410,15 +411,27 @@ impl CricketServer {
         self.clock.advance_to(blob.meta.src_now_ns);
         let epochs = staged.applied_epochs;
         // Counted and staged under one hold, so two bases cannot both pass.
+        // A base supersedes whatever is staged; a delta stages only over
+        // the emptied record its take left, not after an abort or a fresh
+        // base took it meanwhile. What loses is reclaimed.
         let mut tokens = self.tokens.lock();
         let others = (tokens.iter()).filter(|&(&t, s)| t != token && s.adoption.is_some());
-        if kind == MigKind::Base && others.count() >= MAX_STAGED_MIGRATIONS {
-            drop(tokens);
-            self.reclaim(staged.session);
-            return Err(VgpuError::InvalidValue("too many staged migrations".into()));
+        let refused = if kind == MigKind::Base {
+            (others.count() >= MAX_STAGED_MIGRATIONS).then_some("too many staged migrations")
+        } else {
+            let slot = tokens.get(&token).and_then(|t| t.adoption.as_ref());
+            slot.is_none_or(|a| a.applied_epochs > 0)
+                .then_some("superseded while applying")
+        };
+        let lost = match refused {
+            None => tokens.entry(token).or_default().adoption.replace(staged),
+            Some(_) => Some(staged),
+        };
+        drop(tokens);
+        if let Some(a) = lost {
+            self.reclaim(a.session);
         }
-        tokens.entry(token).or_default().adoption = Some(staged);
-        Ok(epochs)
+        refused.map_or(Ok(epochs), |why| Err(VgpuError::InvalidValue(why.into())))
     }
 
     /// `CKPT_RESTORE`: apply every blob of the checkpoint and hand the
@@ -754,6 +767,111 @@ mod tests {
         );
         assert_eq!(c.mig_abort(&tokens.end).unwrap(), 0);
         assert_eq!(free(&mut c), before);
+    }
+
+    /// A base or an abort that lands while a delta of the same token is
+    /// applying supersedes the delta, whichever of the two stages first:
+    /// the staging that loses is reclaimed, and an aborted token stays
+    /// aborted. A blob stalls mid-apply on a lock the test holds: every
+    /// blob on device 0's, one placing a cuBLAS handle also on the
+    /// host-object table's.
+    #[test]
+    fn a_base_or_abort_during_a_delta_supersedes_it_and_leaks_nothing() {
+        const T: u64 = 77;
+        let all = [MigKind::Base, MigKind::Delta, MigKind::Final];
+        // A blob for T placing 64 KiB at `at` (nothing at 0) and, if
+        // `blas`, a cuBLAS handle.
+        let blob = |kind: MigKind, at: u64, blas: bool| {
+            let meta = SessionMeta {
+                token: T,
+                next_lib_handle: LIB_HANDLE_BASE + 1,
+                blas: Vec::from_iter(blas.then_some(LIB_HANDLE_BASE)).into(),
+                ..Default::default()
+            };
+            let mut mem = MigMem::default();
+            if at != 0 {
+                let bytes = vec![7; 64 << 10];
+                mem.new_blocks = vec![MemBlock { base: at, bytes }].into();
+            }
+            let replay = Default::default();
+            xdr::encode(&MigBlob {
+                kind,
+                meta,
+                mem,
+                replay,
+            })
+        };
+        // The applied epochs of T's staged adoption, if it has one.
+        let staged = |srv: &CricketServer| {
+            let tokens = srv.tokens.lock();
+            tokens
+                .get(&T)
+                .and_then(|t| t.adoption.as_ref().map(|a| a.applied_epochs))
+        };
+        let until = |srv: &CricketServer, want| {
+            while staged(srv) != want {
+                std::thread::yield_now();
+            }
+        };
+        // 0: the base stages while the delta waits on the objects; 1: the
+        // delta stages while the base waits on them; 2: an abort lands
+        // while the delta waits on them.
+        for case in 0..3 {
+            let srv = CricketServer::new(ServerConfig::default(), SimClock::new());
+            let free = || srv.load_report().free_mem;
+            let (a, b) = {
+                let mut dev = srv.devices[0].lock();
+                let (a, b) = (
+                    dev.malloc(64 << 10).unwrap().0,
+                    dev.malloc(64 << 10).unwrap().0,
+                );
+                dev.free(a).unwrap();
+                dev.free(b).unwrap();
+                (a, b)
+            };
+            let before = free();
+            let apply = |kind, at, blas| srv.mig_apply(&blob(kind, at, blas), &all);
+            assert_eq!(apply(MigKind::Base, a, false).unwrap(), 1);
+            std::thread::scope(|s| {
+                let device = srv.devices[0].lock();
+                let objects = srv.objects.lock();
+                let delta = s.spawn(|| apply(MigKind::Delta, 0, case != 1));
+                until(&srv, Some(0)); // taken: its emptied record is left
+                match case {
+                    0 => {
+                        drop(device);
+                        assert_eq!(apply(MigKind::Base, b, false).unwrap(), 1);
+                        drop(objects);
+                        assert!(delta.join().unwrap().is_err(), "the delta stages second");
+                    }
+                    1 => {
+                        let base = s.spawn(|| apply(MigKind::Base, b, true));
+                        until(&srv, None); // the base discarded the record
+                        drop(device);
+                        assert!(delta.join().unwrap().is_err(), "the delta stages first");
+                        drop(objects);
+                        assert_eq!(base.join().unwrap().unwrap(), 1);
+                    }
+                    _ => {
+                        srv.discard_adoption(T);
+                        drop((device, objects));
+                        assert!(
+                            delta.join().unwrap().is_err(),
+                            "an aborted token stays aborted"
+                        );
+                        assert_eq!(staged(&srv), None);
+                    }
+                }
+            });
+            let held = if case == 2 { 0 } else { 64 << 10 };
+            assert_eq!(
+                free(),
+                before - held,
+                "case {case}: only the base holds memory"
+            );
+            srv.discard_adoption(T);
+            assert_eq!(free(), before, "case {case}: nothing leaks");
+        }
     }
 
     /// A token whose delta is applying keeps its slot. Token 1's delta

@@ -393,7 +393,7 @@ mod tests {
     /// proc 1 echoes its opaque argument (parked), proc 2 adds two words
     /// (done).
     fn rpc() -> Arc<RpcServer> {
-        let rpc = Arc::new(RpcServer::new());
+        let mut rpc = RpcServer::new();
         let service = |proc: u32, args: &mut XdrDecoder<'_>, reply: &mut XdrEncoder| match proc {
             1 => {
                 let data = args.get_opaque().map_err(|_| AcceptStat::GarbageArgs)?;
@@ -409,7 +409,7 @@ mod tests {
             _ => Err(AcceptStat::ProcUnavail),
         };
         rpc.register(PROG, VERS, Arc::new(service));
-        rpc
+        Arc::new(rpc)
     }
 
     fn config(max_session_queue: usize) -> ReactorConfig {

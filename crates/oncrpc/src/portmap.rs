@@ -82,13 +82,13 @@ impl Portmap {
     /// the standalone directory process of a GPU fleet. `handle.addr()` is
     /// the address shards register with and clients resolve through.
     pub fn serve<A: std::net::ToSocketAddrs>(&self, addr: A) -> RpcResult<ServerHandle> {
-        let rpc = Arc::new(RpcServer::new());
+        let mut rpc = RpcServer::new();
         rpc.register(
             PMAP_PROG,
             PMAP_VERS,
             Arc::new(PmapVersDispatch(self.clone())),
         );
-        serve_tcp(rpc, addr)
+        serve_tcp(Arc::new(rpc), addr)
     }
 }
 

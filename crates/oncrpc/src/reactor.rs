@@ -780,8 +780,9 @@ mod tests {
         let closes = Arc::new(AtomicU64::new(0));
         let closes2 = Arc::clone(&closes);
         let handle = serve_tcp_reactor("127.0.0.1:0", cfg, move |_conn| {
-            let rpc = Arc::new(RpcServer::new());
+            let mut rpc = RpcServer::new();
             rpc.register(PROG, VERS, service());
+            let rpc = Arc::new(rpc);
             let closes = Arc::clone(&closes2);
             ConnHandler {
                 rpc,

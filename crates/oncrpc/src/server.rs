@@ -7,7 +7,6 @@ use crate::msg::{AcceptStat, MessageBody, ReplyBody, RpcMessage};
 use crate::record::{read_record_into, write_record, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
 use crate::telemetry::Metrics;
 use crate::RPC_VERSION;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, ToSocketAddrs};
@@ -54,19 +53,12 @@ where
 /// `complete` fires when an admitted call leaves the server — replied,
 /// replayed, or failed — so implementations can track in-flight calls per
 /// token: live migration drains a token's in-flight work between evicting
-/// it and taking the final snapshot. Plain `Fn(u64) -> bool` closures
-/// implement the trait with a no-op `complete`.
+/// it and taking the final snapshot.
 pub trait TokenGate: Send + Sync {
     /// May a call from `token` proceed?
     fn admit(&self, token: u64) -> bool;
     /// An admitted call from `token` has finished.
-    fn complete(&self, _token: u64) {}
-}
-
-impl<F: Fn(u64) -> bool + Send + Sync> TokenGate for F {
-    fn admit(&self, token: u64) -> bool {
-        self(token)
-    }
+    fn complete(&self, token: u64);
 }
 
 /// Admission hook for calls about to execute (see
@@ -75,9 +67,9 @@ impl<F: Fn(u64) -> bool + Send + Sync> TokenGate for F {
 type Admission = dyn Fn(u32, &XdrDecoder<'_>) -> Result<(), u64> + Send + Sync;
 
 /// Calls `complete` on every exit path of an admitted call.
-struct GateGuard(Option<(Arc<dyn TokenGate>, u64)>);
+struct GateGuard<'a>(Option<(&'a dyn TokenGate, u64)>);
 
-impl Drop for GateGuard {
+impl Drop for GateGuard<'_> {
     fn drop(&mut self) {
         if let Some((gate, token)) = self.0.take() {
             gate.complete(token);
@@ -85,19 +77,20 @@ impl Drop for GateGuard {
     }
 }
 
-/// Registry of (program, version) → service.
+/// Registry of (program, version) → service and the hooks every call
+/// passes, all set up (`&mut self`) before the server is shared.
 #[derive(Default)]
 pub struct RpcServer {
-    services: RwLock<HashMap<(u32, u32), Arc<dyn Dispatch>>>,
+    services: HashMap<(u32, u32), Arc<dyn Dispatch>>,
     /// Optional at-most-once duplicate-request cache. Only calls carrying a
     /// client token in their credential participate; `AUTH_NONE` traffic is
     /// untouched.
-    replay: RwLock<Option<Arc<crate::replay::ReplayCache>>>,
+    replay: Option<Arc<crate::replay::ReplayCache>>,
     /// Optional per-call admission gate on the client token (live
     /// migration's eviction mechanism). `AUTH_NONE` traffic is untouched.
-    token_gate: RwLock<Option<Arc<dyn TokenGate>>>,
+    token_gate: Option<Box<dyn TokenGate>>,
     /// Optional overload control in front of every procedure body.
-    admission: RwLock<Option<Box<Admission>>>,
+    admission: Option<Box<Admission>>,
 }
 
 impl RpcServer {
@@ -110,8 +103,8 @@ impl RpcServer {
     /// shared (`Arc`) so several `RpcServer` instances — e.g. one per
     /// connection — can dedupe retransmissions that arrive on a *new*
     /// connection after a reset.
-    pub fn set_replay_cache(&self, cache: Arc<crate::replay::ReplayCache>) {
-        *self.replay.write() = Some(cache);
+    pub fn set_replay_cache(&mut self, cache: Arc<crate::replay::ReplayCache>) {
+        self.replay = Some(cache);
     }
 
     /// Install a per-call admission gate consulted with the client token of
@@ -120,8 +113,8 @@ impl RpcServer {
     /// is torn down — so the client's retry logic reconnects and its
     /// retransmission (same xid) lands wherever it is pointed next. This is
     /// how live migration evicts a session from its source server.
-    pub fn set_token_gate(&self, gate: Arc<dyn TokenGate>) {
-        *self.token_gate.write() = Some(gate);
+    pub fn set_token_gate(&mut self, gate: impl TokenGate + 'static) {
+        self.token_gate = Some(Box::new(gate));
     }
 
     /// Install an admission hook consulted for every call to a registered
@@ -132,30 +125,22 @@ impl RpcServer {
     /// NOT stored in the replay cache — the client's retransmission has to
     /// re-attempt execution, not replay the rejection.
     pub fn set_admission(
-        &self,
+        &mut self,
         admit: impl Fn(u32, &XdrDecoder<'_>) -> Result<(), u64> + Send + Sync + 'static,
     ) {
-        *self.admission.write() = Some(Box::new(admit));
+        self.admission = Some(Box::new(admit));
     }
 
     /// Register `service` for `prog`/`vers`, replacing any prior entry.
-    pub fn register(&self, prog: u32, vers: u32, service: Arc<dyn Dispatch>) {
-        self.services.write().insert((prog, vers), service);
+    pub fn register(&mut self, prog: u32, vers: u32, service: Arc<dyn Dispatch>) {
+        self.services.insert((prog, vers), service);
     }
 
     /// Registered versions of `prog`, for `PROG_MISMATCH` replies.
     fn version_range(&self, prog: u32) -> Option<(u32, u32)> {
-        let services = self.services.read();
-        let mut range: Option<(u32, u32)> = None;
-        for &(p, v) in services.keys() {
-            if p == prog {
-                range = Some(match range {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
-            }
-        }
-        range
+        let versions = self.services.keys().filter(|&&(p, _)| p == prog);
+        let versions = versions.map(|&(_, v)| v);
+        versions.clone().min().zip(versions.max())
     }
 
     /// Process one already-read request record, producing the bytes of the
@@ -200,8 +185,7 @@ impl RpcServer {
             return Ok(());
         }
 
-        let service = self.services.read().get(&(call.prog, call.vers)).cloned();
-        let Some(service) = service else {
+        let Some(service) = self.services.get(&(call.prog, call.vers)) else {
             let body = match self.version_range(call.prog) {
                 Some((lo, hi)) => ReplyBody::prog_mismatch(lo, hi),
                 None => ReplyBody::failure(AcceptStat::ProgUnavail),
@@ -217,10 +201,9 @@ impl RpcServer {
         // (for migration: at the session's new home). Admitted calls hold
         // the guard until the reply is encoded, so `complete` pairs with
         // every successful `admit` on all exit paths. A call without a
-        // token never touches the gate, not even its lock.
+        // token never touches the gate.
         let mut gate_guard = GateGuard(None);
-        let gate = token.and_then(|_| self.token_gate.read().clone());
-        if let (Some(gate), Some(t)) = (gate, token) {
+        if let (Some(gate), Some(t)) = (self.token_gate.as_deref(), token) {
             if !gate.admit(t) {
                 return Err(RpcError::ConnectionClosed);
             }
@@ -230,16 +213,15 @@ impl RpcServer {
         // At-most-once: a retransmission (same client token, same xid)
         // replays the reply that was already produced — the procedure body
         // never runs twice. A call without a token never touches the cache.
-        let replay = token.and_then(|_| self.replay.read().clone());
-        let token = replay.as_ref().and(token);
-        if let (Some(cache), Some(token)) = (&replay, token) {
+        let replay = self.replay.as_deref().zip(token);
+        if let Some((cache, token)) = replay {
             if let Some(cached) = cache.lookup(token, msg.xid) {
                 reply_enc.extend_raw(&cached);
                 return Ok(());
             }
         }
 
-        if let Some(admit) = self.admission.read().as_deref() {
+        if let Some(admit) = self.admission.as_deref() {
             if let Err(retry_after_ns) = admit(call.proc, &dec) {
                 // Shed: never executed, so never cached either.
                 RpcMessage::reply(msg.xid, ReplyBody::busy(retry_after_ns)).encode(reply_enc);
@@ -255,7 +237,7 @@ impl RpcServer {
         }
         // Cache the outcome — success *or* failure — so a retransmission
         // observes the identical reply.
-        if let (Some(cache), Some(token)) = (&replay, token) {
+        if let Some((cache, token)) = replay {
             cache.store(token, msg.xid, reply_enc.as_slice());
         }
         Ok(())
@@ -420,9 +402,9 @@ mod tests {
     }
 
     fn test_server() -> Arc<RpcServer> {
-        let s = Arc::new(RpcServer::new());
+        let mut s = RpcServer::new();
         s.register(400, 1, echo_service());
-        s
+        Arc::new(s)
     }
 
     #[test]
@@ -530,8 +512,16 @@ mod tests {
 
     #[test]
     fn token_gate_refuses_by_closing_the_connection() {
-        let server = test_server();
-        server.set_token_gate(Arc::new(|token| token != 0xBAD));
+        struct Refuse(u64);
+        impl TokenGate for Refuse {
+            fn admit(&self, token: u64) -> bool {
+                token != self.0
+            }
+            fn complete(&self, _token: u64) {}
+        }
+        let mut server = RpcServer::new();
+        server.register(400, 1, echo_service());
+        server.set_token_gate(Refuse(0xBAD));
 
         // An admitted token is served normally.
         let mut enc = XdrEncoder::new();
@@ -568,7 +558,7 @@ mod tests {
         let executions = Arc::new(AtomicU32::new(0));
         // One connection's server: sheds with `hint` while `over_quota`.
         let connection = |hint: u64, over_quota: Arc<AtomicBool>| {
-            let server = Arc::new(RpcServer::new());
+            let mut server = RpcServer::new();
             let execs = Arc::clone(&executions);
             server.register(
                 400,
@@ -589,7 +579,7 @@ mod tests {
                 }
             });
             server.set_replay_cache(Arc::new(crate::replay::ReplayCache::new(16)));
-            server
+            Arc::new(server)
         };
         let over_quota = Arc::new(AtomicBool::new(true));
         let server = connection(123_456, Arc::clone(&over_quota));

@@ -95,7 +95,7 @@ fn hex(bytes: &[u8]) -> String {
 /// the call sequence the constants were captured from.
 #[test]
 fn every_procedure_keeps_its_call_and_reply_bytes() {
-    let server = RpcServer::new();
+    let mut server = RpcServer::new();
     let pm = Portmap::new();
     let dispatch = oncrpc::portmap::PmapVersDispatch(pm);
     server.register(

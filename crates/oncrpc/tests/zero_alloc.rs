@@ -173,10 +173,10 @@ fn warm_reactor_allocs(class: ProcClass) -> (u64, BTreeMap<&'static str, u64>) {
                 Ok(())
             },
         );
-        let rpc = Arc::new(RpcServer::new());
+        let mut rpc = RpcServer::new();
         rpc.register(PROG, 1, add_one);
         ConnHandler {
-            rpc,
+            rpc: Arc::new(rpc),
             on_close: None,
         }
     })

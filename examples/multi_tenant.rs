@@ -204,7 +204,7 @@ fn run_policy(policy: SchedulerPolicy) {
         let server2 = Arc::clone(&server);
         handles.push(std::thread::spawn(move || {
             // Each tenant is its own unikernel with its own session id.
-            let inner = Arc::new(oncrpc::RpcServer::new());
+            let mut inner = oncrpc::RpcServer::new();
             inner.register(
                 cricket_proto::CRICKET_CUDA,
                 cricket_proto::CRICKET_V1,
@@ -212,7 +212,7 @@ fn run_policy(policy: SchedulerPolicy) {
                     cricket_server::service::Sessioned::new(server2, session),
                 )),
             );
-            let t = SimTransport::new(inner, Guest::new(GuestKind::RustyHermit), clock);
+            let t = SimTransport::new(Arc::new(inner), Guest::new(GuestKind::RustyHermit), clock);
             let ctx = Context::from_client(CricketClient::over(
                 t,
                 cricket_client::env::ClientFlavor::RustRpcLib,

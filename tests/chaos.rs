@@ -1,215 +1,67 @@
-//! Deterministic chaos harness: full client↔server stacks under exact,
-//! replayable fault schedules (ISSUE: every schedule is named by its seed).
-//!
-//! The CI `chaos` step runs this file across the fixed seed matrix below;
-//! a failure always names the seed so the schedule can be replayed with
-//! `FaultPlan::from_seed(<seed>)`.
+//! Deterministic chaos: full client↔server stacks under exact, replayable
+//! fault schedules, in process. The seeded rows are scenarios of
+//! `tests/harness`, whose failures name the seed to replay.
 
-use cricket_repro::oncrpc::{
-    Fault, FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
-    RpcClient, RpcError, SharedFaultPlan, TcpTransport,
-};
-use cricket_repro::prelude::*;
-use cricket_repro::server::{ServerBuilder, SimTransport};
+mod harness;
+
+use cricket_repro::oncrpc::{transport::Transport, Fault, FaultPlan, FaultyTransport};
+use cricket_repro::oncrpc::{RpcClient, RpcError, RpcResult, TcpTransport};
+use cricket_repro::server::ServerBuilder;
+use cricket_repro::{client::BatchPolicy, prelude::*, proto};
+use harness::{replay_hits, sim_client, Driver, Feature, Run, Scenario, SIX_MALLOCS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The fixed fault matrix exercised by `ci.sh chaos`.
-const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
-
-/// Retransmissions `replay` answered without executing them again.
-fn hits(replay: &ReplayCache) -> u64 {
-    replay
-        .metrics()
-        .iter()
-        .find(|&(n, _)| n == "replay.hits")
-        .unwrap()
-        .1
-}
-
-/// Wire a chaos client for survival: client token for at-most-once
-/// dedupe, capped-backoff retries (including non-idempotent calls — the
-/// server's replay cache makes them safe), a short per-call deadline, and
-/// a reconnector that continues the same fault schedule.
-fn harden(client: &mut CricketClient, setup: &SimSetup, env: EnvConfig, plan: &SharedFaultPlan) {
-    let rpc_srv = Arc::clone(&setup.rpc);
-    let clock = Arc::clone(&setup.clock);
-    let plan2 = Arc::clone(plan);
-    let rpc = client.rpc();
-    rpc.set_credential(OpaqueAuth::client_token(0xC11E_0001));
-    rpc.set_retry_policy(RetryPolicy {
-        max_attempts: 20,
-        base_delay: Duration::from_micros(50),
-        max_delay: Duration::from_millis(1),
-        retry_non_idempotent: true,
-    });
-    rpc.set_call_timeout(Some(Duration::from_millis(40)))
-        .unwrap();
-    rpc.set_reconnect(move || {
-        let fresh = SimTransport::new(Arc::clone(&rpc_srv), env.guest(), Arc::clone(&clock));
-        Ok(Box::new(FaultyTransport::new(
-            Box::new(fresh),
-            Arc::clone(&plan2),
-        )))
-    });
-}
-
-/// Run a fixed GPU workload against a fresh simulated server while `plan`
-/// mangles the wire. Every call must return the correct result; no server
-/// allocation may leak. Returns the plan's rendered decision trace.
-///
-/// Uses [`FaultConfig::lossy`]: resets, drops, delays, duplicates and
-/// truncations are all detected or masked by the stack, so full success is
-/// the contract. Payload corruption is undetectable without an end-to-end
-/// checksum and is exercised separately (see
-/// `corrupted_payloads_surface_as_typed_errors_not_panics`).
-fn run_seeded_workload(seed: u64) -> String {
-    let setup = SimSetup::new();
-    let replay = Arc::new(ReplayCache::default());
-    setup.rpc.set_replay_cache(Arc::clone(&replay));
-    let plan = FaultPlan::from_seed_with(seed, FaultConfig::lossy()).into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
-
-    let baseline = client.mem_get_info().unwrap().free;
-    let mut ptrs: Vec<(u64, Vec<u8>)> = Vec::new();
-    for i in 0..6u8 {
-        let ptr = client.malloc(4096).unwrap();
-        assert!(
-            ptrs.iter().all(|(p, _)| *p != ptr),
-            "seed {seed}: duplicate pointer {ptr:#x} — a malloc executed twice"
-        );
-        let pattern: Vec<u8> = (0..128u32).map(|b| (b as u8).wrapping_mul(i + 1)).collect();
-        client.memcpy_htod(ptr, &pattern).unwrap();
-        ptrs.push((ptr, pattern));
-    }
-    assert_eq!(client.device_count().unwrap(), 4, "seed {seed}");
-    for (ptr, pattern) in &ptrs {
-        assert_eq!(
-            &client.memcpy_dtoh(*ptr, 128).unwrap(),
-            pattern,
-            "seed {seed}: readback corrupted"
-        );
-    }
-    for (ptr, _) in &ptrs {
-        client.free(*ptr).unwrap();
-    }
-    assert_eq!(
-        client.mem_get_info().unwrap().free,
-        baseline,
-        "seed {seed}: leaked server allocation"
-    );
-    let trace = plan.lock().trace_string();
-    trace
-}
+const SIM: Driver = Driver::Sim(EnvConfig::RustyHermit);
 
 /// Acceptance criterion: `FaultPlan::from_seed(s)` produces byte-identical
 /// event traces across two same-seed runs of the same workload.
 #[test]
 fn same_seed_produces_byte_identical_traces() {
     let seed = 0xC41C_4E71;
-    let first = run_seeded_workload(seed);
-    let second = run_seeded_workload(seed);
+    let first = SIX_MALLOCS.run(seed).plan;
+    let second = SIX_MALLOCS.run(seed).plan;
     assert!(!first.is_empty());
-    assert_eq!(first, second, "same seed must replay the same schedule");
+    harness::same_trace("the same seed's schedule", &second, &first);
     // The chosen seed actually injects faults — a trace of clean deliveries
     // would pin nothing.
-    assert!(
-        first.lines().any(|l| !l.ends_with(":ok")),
-        "seed {seed} injected no faults:\n{first}"
-    );
+    let faulty = first.lines().any(|l| !l.ends_with(":ok"));
+    assert!(faulty, "seed {seed} injected no faults:\n{first}");
 }
 
 #[test]
 fn different_seeds_produce_different_schedules() {
-    assert_ne!(run_seeded_workload(1), run_seeded_workload(2));
+    assert_ne!(SIX_MALLOCS.run(1).plan, SIX_MALLOCS.run(2).plan);
 }
 
-/// The CI fault matrix. Runs each fixed seed and names the failing seed in
-/// the panic message so the schedule can be replayed locally.
 #[test]
 fn fault_matrix_fixed_seeds() {
-    for seed in CI_SEEDS {
-        let outcome = std::panic::catch_unwind(|| run_seeded_workload(seed));
-        if let Err(cause) = outcome {
-            let msg = cause
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| cause.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!("chaos matrix failed at seed {seed} (replay with FaultPlan::from_seed({seed})): {msg}");
-        }
-    }
+    SIX_MALLOCS.matrix("six mallocs, lossy, in process");
 }
 
 /// Acceptance criterion: a coalesced batch whose reply is dropped
 /// mid-flight is retransmitted under the same xid and served from the
-/// replay cache with a **byte-identical status vector** — its sub-ops
-/// execute exactly once, and the typed error decoded from the cached
-/// reply names the same failing sub-op the original execution recorded.
+/// replay cache with a **byte-identical status vector**.
 #[test]
 fn dropped_batch_reply_is_replayed_with_identical_status_vector() {
-    let setup = SimSetup::new();
-    let replay = Arc::new(ReplayCache::default());
-    setup.rpc.set_replay_cache(Arc::clone(&replay));
-    // Events alternate request/reply: malloc is 0/1, the
-    // CRICKET_BATCH_EXEC flush is 2/3 — drop the batch *reply*.
-    let plan = FaultPlan::scripted(vec![(3, Fault::DropReply)]).into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
-    client.enable_batching();
-
-    let ptr = client.malloc(4096).unwrap();
-    client.memset(ptr, 1, 64).unwrap(); // sub-op 0: executes
-    client.memset(0xdead_beef_0000, 2, 8).unwrap(); // sub-op 1: fails
-    client.memset(ptr + 64, 3, 64).unwrap(); // sub-op 2: skipped (same slice)
-    let err = client.flush_batch().unwrap_err();
-    match err {
-        ClientError::Batch { api, index, code } => {
-            assert_eq!(api, "cudaMemset");
-            assert_eq!(index, 1, "cached status vector named a different sub-op");
-            assert_ne!(code, 0);
-        }
-        other => panic!("expected a typed batch error, got {other}"),
-    }
-    // The error above was decoded from the *retransmitted* reply: the
-    // first one died on the wire, so the client retried and the server
-    // answered from the replay cache instead of executing again.
-    assert!(client.rpc().stats().retries >= 1);
-    assert!(
-        hits(&replay) >= 1,
-        "batch retransmission bypassed the replay cache: {:?}",
-        replay.metrics()
-    );
-    // Exactly-once, observable in device memory: sub-op 0 applied once,
-    // sub-op 2 never ran.
-    let back = client.memcpy_dtoh(ptr, 128).unwrap();
-    assert_eq!(&back[..64], &[1u8; 64][..]);
-    assert_eq!(&back[64..], &[0u8; 64][..], "skipped sub-op executed");
-    client.free(ptr).unwrap();
+    harness::BATCH_DROP.run(0);
 }
 
-/// An in-process server reports the replay cache its calls use: the
-/// server's own cache, with no cache attached by hand. A token-tagged
-/// malloc whose reply is dropped is retransmitted over `SimTransport`
-/// under the same xid, answered from that cache, and `SRV_GET_STATS`
-/// counts exactly that one hit.
+/// An in-process server reports the replays its own cache answers: a
+/// malloc whose reply is dropped is retransmitted under the same xid,
+/// answered from that cache, and `SRV_GET_STATS` counts that one hit.
 #[test]
 fn an_in_process_server_reports_the_replays_its_own_cache_answers() {
     let setup = SimSetup::new();
     // Events alternate request/reply: drop the malloc's reply.
     let plan = FaultPlan::scripted(vec![(1, Fault::DropReply)]).into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
+    let mut client = sim_client(&setup, EnvConfig::RustyHermit, &plan);
 
     let ptr = client.malloc(4096).unwrap();
     assert_eq!(client.rpc().stats().retries, 1);
     let stats = client.server_stats().unwrap();
     assert_eq!(stats.get("replay.hits"), Some(1), "{stats:?}");
-    assert_eq!(setup.server.stats().get("replay.hits"), Some(1));
+    assert_eq!(replay_hits(&setup.server), 1);
     // Executed once: nothing is left once the one allocation is freed.
     client.free(ptr).unwrap();
     assert_eq!(setup.server.release_session(0).total(), 0);
@@ -220,173 +72,93 @@ fn an_in_process_server_reports_the_replays_its_own_cache_answers() {
 /// the batch exactly once (no replay hit, no double execution).
 #[test]
 fn reset_batch_request_executes_exactly_once_after_reconnect() {
-    let setup = SimSetup::new();
-    let replay = Arc::new(ReplayCache::default());
-    setup.rpc.set_replay_cache(Arc::clone(&replay));
-    // Event 2 is the batch *request* record (malloc is events 0/1).
-    let plan = FaultPlan::scripted(vec![(2, Fault::ResetOnSend)]).into_shared();
-    let env = EnvConfig::Unikraft;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
-    client.enable_batching();
-
-    let ptr = client.malloc(4096).unwrap();
-    for i in 0..8u64 {
-        client.memset(ptr + i * 8, i as i32, 8).unwrap();
-    }
-    client.flush_batch().unwrap();
-    assert_eq!(client.rpc().stats().reconnects, 1);
-    let back = client.memcpy_dtoh(ptr, 64).unwrap();
-    for i in 0..8usize {
-        assert_eq!(&back[i * 8..(i + 1) * 8], &[i as u8; 8][..]);
-    }
-    client.free(ptr).unwrap();
+    harness::BATCH_RESET.run(0);
 }
 
-/// Seeded batch workload for the CI matrix: a hardened *batching* client
-/// runs a memset/H2D-heavy loop under the seed's fault schedule; every
-/// readback must match unbatched semantics and nothing may leak.
-fn run_seeded_batch_workload(seed: u64) {
-    let setup = SimSetup::new();
-    let replay = Arc::new(ReplayCache::default());
-    setup.rpc.set_replay_cache(Arc::clone(&replay));
-    let plan = FaultPlan::from_seed_with(seed, FaultConfig::lossy()).into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
-    client.enable_batching();
-
-    let baseline = client.mem_get_info().unwrap().free;
-    let ptr = client.malloc(4096).unwrap();
+/// A batching client runs a memset/H2D-heavy loop; every readback must
+/// match unbatched semantics.
+fn batch_rounds(r: &mut Run) {
+    let baseline = r.c.mem_get_info().unwrap().free;
+    let ptr = r.malloc(4096);
     for round in 0..4u8 {
         for i in 0..8u64 {
-            client
-                .memset(ptr + i * 64, (round + 1) as i32 * 10 + i as i32, 64)
-                .unwrap();
+            let value = (round + 1) as i32 * 10 + i as i32;
+            r.c.memset(ptr + i * 64, value, 64).unwrap();
         }
         let pattern: Vec<u8> = (0..64u32).map(|b| (b as u8) ^ round).collect();
-        client.memcpy_htod(ptr + 512, &pattern).unwrap();
+        r.c.memcpy_htod(ptr + 512, &pattern).unwrap();
         // The D2H readback is the sync point: it flushes the batch and
         // must observe every recorded op, exactly once, in order.
-        let back = client.memcpy_dtoh(ptr, 576).unwrap();
+        let back = r.c.memcpy_dtoh(ptr, 576).unwrap();
         for i in 0..8usize {
             assert_eq!(
                 &back[i * 64..i * 64 + 64],
                 &[(round + 1) * 10 + i as u8; 64][..],
-                "seed {seed}: batched memset {i} of round {round} lost or reordered"
+                "batched memset {i} of round {round} lost or reordered"
             );
         }
-        assert_eq!(&back[512..], &pattern[..], "seed {seed}: batched H2D lost");
+        assert_eq!(&back[512..], &pattern[..], "batched H2D lost");
+        r.at(u64::from(round));
     }
-    client.free(ptr).unwrap();
-    assert_eq!(
-        client.mem_get_info().unwrap().free,
-        baseline,
-        "seed {seed}: leaked server allocation"
-    );
+    r.free(ptr);
+    let free = r.c.mem_get_info().unwrap().free;
+    assert_eq!(free, baseline, "exactly-once: a call ran twice or leaked");
 }
 
-/// The CI batch fault matrix: the coalescing path holds its contract on
-/// every fixed seed; failures name the seed for local replay.
+/// The coalescing path holds its contract on every fixed seed.
 #[test]
 fn batch_fault_matrix_fixed_seeds() {
-    for seed in CI_SEEDS {
-        let outcome = std::panic::catch_unwind(|| run_seeded_batch_workload(seed));
-        if let Err(cause) = outcome {
-            let msg = cause
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| cause.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!("batch chaos matrix failed at seed {seed} (replay with FaultPlan::from_seed({seed})): {msg}");
-        }
+    Scenario {
+        workload: batch_rounds,
+        faults: harness::lossy,
+        features: &[Feature::Batching],
+        driver: SIM,
     }
+    .matrix("batch rounds, lossy, in process");
 }
 
-/// Seeded overload workload for the CI matrix: the session runs under a
-/// tight device-time rate quota, so the admission gate sheds calls with
-/// `CRICKET_BUSY` *while the seed's fault schedule mangles the wire*. The
-/// hardened client backs off by the server's retry-after hint and
-/// retransmits; the contract is that every call still completes exactly
-/// once. This doubles as the end-to-end proof that busy rejections are
-/// never replay-cached: a cached rejection would be replayed to the
-/// same-xid retransmission forever and the workload could never finish.
-fn run_seeded_shed_workload(seed: u64) {
-    let setup = SimSetup::new();
-    let replay = Arc::new(ReplayCache::default());
-    setup.rpc.set_replay_cache(Arc::clone(&replay));
-    let plan = FaultPlan::from_seed_with(seed, FaultConfig::lossy()).into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
-
-    // ~60µs of virtual time elapses per RPC round trip. At a 1/20 refill
-    // rate (50ms of device time per wall second) one round trip banks
-    // ~3µs of the 6µs dispatch quantum, so work calls are shed roughly
-    // every other attempt and every shed recovers within a retry or two —
-    // each rejection itself advances the virtual clock toward the refill.
-    client
-        .set_qos(&cricket_repro::proto::QosParams {
-            session: 0,
-            weight: 1,
-            priority: 100,
-            rate_ns_per_s: 50_000_000,
-            burst_ns: 6_000,
-            max_resident_bytes: 0,
-        })
-        .unwrap();
-
-    let baseline = client.mem_get_info().unwrap().free;
+/// Under a tight device-time quota the admission gate sheds calls with
+/// `CRICKET_BUSY` *while the seed's schedule mangles the wire*; the client
+/// backs off by the hint and retransmits, and every call still completes
+/// exactly once. It doubles as the proof that a busy reply is never
+/// replay-cached: a cached one would answer every retransmission.
+fn shed_mallocs(r: &mut Run) {
+    let baseline = r.c.mem_get_info().unwrap().free;
     let mut ptrs: Vec<(u64, Vec<u8>)> = Vec::new();
     for i in 0..4u8 {
-        let ptr = client.malloc(4096).unwrap();
-        assert!(
-            ptrs.iter().all(|(p, _)| *p != ptr),
-            "seed {seed}: duplicate pointer {ptr:#x} — a shed malloc executed twice"
-        );
+        let ptr = r.malloc(4096);
         let pattern: Vec<u8> = (0..64u32).map(|b| (b as u8).wrapping_add(i)).collect();
-        client.memcpy_htod(ptr, &pattern).unwrap();
+        r.c.memcpy_htod(ptr, &pattern).unwrap();
         ptrs.push((ptr, pattern));
     }
     for (ptr, pattern) in &ptrs {
-        assert_eq!(
-            &client.memcpy_dtoh(*ptr, 64).unwrap(),
-            pattern,
-            "seed {seed}: readback corrupted under shedding"
-        );
+        let back = r.c.memcpy_dtoh(*ptr, 64).unwrap();
+        assert_eq!(&back, pattern, "readback corrupted under shedding");
     }
     for (ptr, _) in &ptrs {
-        client.free(*ptr).unwrap();
+        r.free(*ptr);
     }
-    assert_eq!(
-        client.mem_get_info().unwrap().free,
-        baseline,
-        "seed {seed}: a shed-then-retried call executed twice or leaked"
-    );
-    // The quota actually bit: sheds since the last report saturate the
-    // shard's advertised QoS pressure.
-    assert_eq!(
-        setup.server.load_report().qos_pressure,
-        1000,
-        "seed {seed}: the rate quota never shed a call — nothing was exercised"
-    );
+    let free = r.c.mem_get_info().unwrap().free;
+    assert_eq!(free, baseline, "exactly-once: a shed call ran twice");
+    quota_bit(r);
 }
 
-/// The CI overload matrix: `CRICKET_BUSY` shedding composes with every
-/// fixed fault seed; failures name the seed for local replay.
+/// The quota bit: sheds since the last report saturate the pressure.
+fn quota_bit(r: &Run) {
+    let pressure = r.server.load_report().qos_pressure;
+    assert_eq!(pressure, 1000, "the rate quota never shed a call");
+}
+
+/// `CRICKET_BUSY` shedding composes with every fixed fault seed.
 #[test]
 fn shed_and_retry_matrix_fixed_seeds() {
-    for seed in CI_SEEDS {
-        let outcome = std::panic::catch_unwind(|| run_seeded_shed_workload(seed));
-        if let Err(cause) = outcome {
-            let msg = cause
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| cause.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!("shed chaos matrix failed at seed {seed} (replay with FaultPlan::from_seed({seed})): {msg}");
-        }
+    Scenario {
+        workload: shed_mallocs,
+        faults: harness::lossy,
+        features: &[Feature::QuotaShed],
+        driver: SIM,
     }
+    .matrix("shed mallocs, lossy, WFQ quota shed, in process");
 }
 
 /// Payload corruption is *undetectable* by RPC/XDR (there is no checksum —
@@ -400,9 +172,7 @@ fn corrupted_payloads_surface_as_typed_errors_not_panics() {
     let setup = SimSetup::new();
     let plan = FaultPlan::scripted(vec![(0, Fault::CorruptRequest), (3, Fault::CorruptReply)])
         .into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
+    let mut client = sim_client(&setup, EnvConfig::RustyHermit, &plan);
 
     // No unwraps: any typed outcome is within contract.
     let mut outcomes = Vec::new();
@@ -424,8 +194,6 @@ fn corrupted_payloads_surface_as_typed_errors_not_panics() {
 #[test]
 fn reset_and_retry_runs_non_idempotent_calls_exactly_once() {
     let setup = SimSetup::new();
-    let replay = Arc::new(ReplayCache::default());
-    setup.rpc.set_replay_cache(Arc::clone(&replay));
     // op 0: malloc #1 request arrives and executes; op 1: its reply is
     // dropped → same-xid retransmission must hit the replay cache.
     // op 4: malloc #2 request dies with a connection reset → reconnect and
@@ -437,9 +205,7 @@ fn reset_and_retry_runs_non_idempotent_calls_exactly_once() {
         (8, Fault::DuplicateReply),
     ])
     .into_shared();
-    let env = EnvConfig::Unikraft;
-    let mut client = setup.chaos_client(env, &plan);
-    harden(&mut client, &setup, env, &plan);
+    let mut client = sim_client(&setup, EnvConfig::Unikraft, &plan);
 
     let baseline = client.mem_get_info().unwrap().free;
     let p1 = client.malloc(8192).unwrap();
@@ -459,8 +225,7 @@ fn reset_and_retry_runs_non_idempotent_calls_exactly_once() {
 
     // Telemetry: the dropped reply was answered from the replay cache, the
     // reset forced one reconnect, and the duplicated reply was drained.
-    let cache = replay.metrics();
-    assert!(hits(&replay) >= 1, "no replay-cache hit: {cache:?}");
+    assert!(replay_hits(&setup.server) >= 1, "no replay-cache hit");
     let stats = client.rpc().stats();
     assert!(stats.retries >= 2, "stats: {stats:?}");
     assert_eq!(stats.reconnects, 1, "stats: {stats:?}");
@@ -485,23 +250,19 @@ fn per_call_deadline_fires_on_a_silent_server() {
         std::thread::sleep(Duration::from_millis(500));
         drop(conn);
     });
-    let t = TcpTransport::connect(addr).unwrap();
-    let mut rpc = RpcClient::new(
-        Box::new(t),
-        cricket_repro::proto::CRICKET_CUDA,
-        cricket_repro::proto::CRICKET_V1,
-    );
+    let t = Box::new(TcpTransport::connect(addr).unwrap());
+    let mut rpc = RpcClient::new(t, proto::CRICKET_CUDA, proto::CRICKET_V1);
     rpc.set_call_timeout(Some(Duration::from_millis(60)))
         .unwrap();
     let start = Instant::now();
     let err = rpc
-        .call_raw(cricket_repro::proto::cricket_v1::RPC_NULL, |_enc| {})
+        .call_raw(proto::cricket_v1::RPC_NULL, |_| {})
         .unwrap_err();
     assert!(matches!(err, RpcError::TimedOut), "got {err:?}");
+    let took = start.elapsed();
     assert!(
-        start.elapsed() < Duration::from_millis(400),
-        "deadline overshot: {:?}",
-        start.elapsed()
+        took < Duration::from_millis(400),
+        "deadline overshot: {took:?}"
     );
     hold.join().unwrap();
 }
@@ -510,26 +271,12 @@ fn per_call_deadline_fires_on_a_silent_server() {
 /// allocations and streams are reclaimed by the per-connection cleanup.
 #[test]
 fn tcp_session_cleanup_reclaims_vanished_clients_resources() {
-    let server = cricket_repro::server::CricketServer::a100();
-    let handle = ServerBuilder::new("127.0.0.1:0")
-        .server(Arc::clone(&server))
-        .serve()
-        .unwrap();
-    let addr = handle.addr().to_string();
-
-    let mut watcher = CricketClient::new(
-        Box::new(TcpTransport::connect(&addr).unwrap()),
-        cricket_repro::client::env::ClientFlavor::RustRpcLib,
-        None,
-    );
+    let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
+    let mut watcher = harness::tcp_client(handle.addr());
     let baseline = watcher.mem_get_info().unwrap().free;
 
     {
-        let mut doomed = CricketClient::new(
-            Box::new(TcpTransport::connect(&addr).unwrap()),
-            cricket_repro::client::env::ClientFlavor::RustRpcLib,
-            None,
-        );
+        let mut doomed = harness::tcp_client(handle.addr());
         let ptr = doomed.malloc(1 << 20).unwrap();
         doomed.memcpy_htod(ptr, &[1; 256]).unwrap();
         let _stream = doomed.stream_create().unwrap();
@@ -539,14 +286,9 @@ fn tcp_session_cleanup_reclaims_vanished_clients_resources() {
     }
 
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if watcher.mem_get_info().unwrap().free == baseline {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "server never reclaimed the vanished session's memory"
-        );
+    while watcher.mem_get_info().unwrap().free != baseline {
+        let late = Instant::now() > deadline;
+        assert!(!late, "the vanished session's memory was never reclaimed");
         std::thread::sleep(Duration::from_millis(20));
     }
     handle.shutdown();
@@ -557,51 +299,107 @@ fn tcp_session_cleanup_reclaims_vanished_clients_resources() {
 /// retransmitted non-idempotent calls exactly-once across connections.
 #[test]
 fn tcp_reset_and_retry_with_session_server() {
-    let server = cricket_repro::server::CricketServer::a100();
-    let handle = ServerBuilder::new("127.0.0.1:0")
-        .server(Arc::clone(&server))
-        .serve()
-        .unwrap();
-    let replay = Arc::clone(handle.replay());
-    let addr = handle.addr().to_string();
-
+    let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
+    let (addr, server) = (handle.addr(), handle.server());
     let plan =
         FaultPlan::scripted(vec![(1, Fault::DropReply), (4, Fault::ResetOnSend)]).into_shared();
-    let mut client = CricketClient::new(
-        Box::new(FaultyTransport::new(
-            Box::new(TcpTransport::connect(&addr).unwrap()),
-            Arc::clone(&plan),
-        )),
-        cricket_repro::client::env::ClientFlavor::RustRpcLib,
-        None,
-    );
-    {
-        let dial = addr.clone();
-        let plan2 = Arc::clone(&plan);
-        let rpc = client.rpc();
-        rpc.set_credential(OpaqueAuth::client_token(0x7C9_0002));
-        rpc.set_retry_policy(RetryPolicy {
-            max_attempts: 8,
-            base_delay: Duration::from_micros(200),
-            max_delay: Duration::from_millis(5),
-            retry_non_idempotent: true,
-        });
-        rpc.set_call_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        rpc.set_reconnect(move || {
-            Ok(Box::new(FaultyTransport::new(
-                Box::new(TcpTransport::connect(&dial)?),
-                Arc::clone(&plan2),
-            )))
-        });
-    }
+    let plan2 = Arc::clone(&plan);
+    let redial = move || -> RpcResult<Box<dyn Transport>> {
+        let t = Box::new(TcpTransport::connect(addr)?);
+        Ok(Box::new(FaultyTransport::new(t, Arc::clone(&plan2))))
+    };
+    let flavor = cricket_repro::client::env::ClientFlavor::RustRpcLib;
+    let mut client = CricketClient::new(redial().unwrap(), flavor, None);
+    harness::harden(client.rpc(), 0x7C9_0002, 100, Box::new(redial));
 
     let _p1 = client.malloc(4096).unwrap(); // reply dropped → replay hit
     let p2 = client.malloc(4096).unwrap(); // reset → reconnect, fresh session
     client.memcpy_htod(p2, &[7; 32]).unwrap();
     assert_eq!(client.memcpy_dtoh(p2, 32).unwrap(), vec![7; 32]);
 
-    assert!(hits(&replay) >= 1, "{:?}", replay.metrics());
+    assert!(replay_hits(server) >= 1);
     assert_eq!(client.rpc().stats().reconnects, 1);
     handle.shutdown();
+}
+
+/// Sub-ops of the contended batch; the one at `FAILS` fails.
+const OPS: u64 = 200;
+const FAILS: u64 = 150;
+
+/// One batch of `OPS` memsets and small H2D copies on one stream: one
+/// slice that offers its turn back every 32 sub-ops. With `QuotaShed`, a
+/// second session hammers the device meanwhile, outranks the batch under
+/// WFQ so it yields, and the quota sheds the batch's calls. The trace
+/// keeps the batch's status, `server.bytes_in`, memory and turns.
+fn contended_batch(r: &mut Run) {
+    use cricket_repro::server::{make_session_rpc, SimTransport};
+    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+    let contended = r.features.contains(&Feature::QuotaShed);
+    let stop = Arc::new(AtomicBool::new(false));
+    let (server, stop2) = (Arc::clone(&r.server), Arc::clone(&stop));
+    let rival = std::thread::spawn(move || {
+        let clock = Arc::clone(server.clock());
+        let rpc = Arc::new(make_session_rpc(server, 1));
+        let (env, clock2) = (EnvConfig::RustyHermit, Some(Arc::clone(&clock)));
+        let t = Box::new(SimTransport::new(rpc, env.guest(), clock));
+        let mut b = CricketClient::new(t, env.flavor(), clock2);
+        let p = b.malloc(4096).unwrap();
+        while contended && !stop2.load(Relaxed) {
+            b.memset(p, 7, 4096).unwrap();
+        }
+        b.free(p).unwrap();
+    });
+    r.c.enable_batching_with(BatchPolicy::new(256, 64 << 10));
+    r.server.scheduler.set_trace(true);
+    let buf = r.malloc(OPS * 64);
+    r.c.server_reset_stats().unwrap();
+    for i in 0..OPS {
+        match i {
+            FAILS => r.c.memset(0xdead_beef_0000, 2, 8).unwrap(),
+            _ if i % 8 == 0 => r.c.memcpy_htod(buf + i * 64, &[i as u8; 64]).unwrap(),
+            _ => r.c.memset(buf + i * 64, i as i32, 64).unwrap(),
+        }
+    }
+    r.trace.push(r.c.flush_batch().unwrap_err().to_string());
+    r.trace.push(format!(
+        "{:?}",
+        r.c.server_stats().unwrap().get("server.bytes_in")
+    ));
+    r.trace
+        .push(format!("{:?}", r.c.memcpy_dtoh(buf, OPS * 64).unwrap()));
+    stop.store(true, Relaxed);
+    rival.join().unwrap();
+    r.server.release_session(1);
+    let grants = r.server.scheduler.take_trace();
+    r.trace
+        .push(grants.iter().filter(|&&s| s == 0).count().to_string());
+    if contended {
+        quota_bit(r);
+    }
+    r.free(buf);
+}
+
+/// A batch whose slices yield under WFQ while quota sheds its calls and
+/// the wire is lossy executes every sub-op once: status vector, payload
+/// and memory equal the fault-free, uncontended run's, in more turns.
+#[test]
+fn batch_slices_yield_under_quota_shed_exactly_once() {
+    let row = Scenario {
+        workload: contended_batch,
+        faults: harness::lossy,
+        features: &[Feature::Batching, Feature::QuotaShed],
+        driver: SIM,
+    };
+    let fault_free = Scenario {
+        faults: harness::clean,
+        features: &[],
+        ..row
+    };
+    let want = fault_free.run(0).client;
+    harness::for_each_seed("contended batch, lossy, WFQ quota shed", |seed| {
+        let got = row.run(seed).client;
+        harness::same_trace("status, payload and memory", &got[..3], &want[..3]);
+        let turns = |t: &[String]| t[3].parse::<u32>().unwrap();
+        assert!(turns(&got) > turns(&want), "no slice yielded");
+    });
 }

@@ -4,13 +4,10 @@
 //! a connection reset mid-checkpoint still converges to the fault-free
 //! snapshot once the client reconnects and retries.
 
-use cricket_repro::oncrpc::{
-    Fault, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
-};
+mod harness;
+
+use cricket_repro::oncrpc::{Fault, FaultPlan};
 use cricket_repro::prelude::*;
-use cricket_repro::server::SimTransport;
-use std::sync::Arc;
-use std::time::Duration;
 
 fn populated() -> (Context, SimSetup, u64, u64) {
     let setup = SimSetup::new();
@@ -117,36 +114,11 @@ fn connection_reset_mid_checkpoint_converges_to_fault_free_state() {
     let (ctx_a, setup_a, yp, _fh) = populated();
     let reference = ctx_a.with_raw(|r| r.checkpoint()).unwrap();
 
-    let replay = Arc::new(ReplayCache::default());
-    setup_a.rpc.set_replay_cache(Arc::clone(&replay));
     // op 0: the capture request dies mid-send → reconnect + retransmit;
     // op 2: the retried capture's reply is dropped → same-xid retransmit.
     let plan =
         FaultPlan::scripted(vec![(0, Fault::ResetOnSend), (2, Fault::DropReply)]).into_shared();
-    let env = EnvConfig::RustyHermit;
-    let mut client = setup_a.chaos_client(env, &plan);
-    {
-        let rpc_srv = Arc::clone(&setup_a.rpc);
-        let clock = Arc::clone(&setup_a.clock);
-        let plan2 = Arc::clone(&plan);
-        let rpc = client.rpc();
-        rpc.set_credential(OpaqueAuth::client_token(0xCAFE_0003));
-        rpc.set_retry_policy(RetryPolicy {
-            max_attempts: 8,
-            base_delay: Duration::from_micros(50),
-            max_delay: Duration::from_millis(1),
-            retry_non_idempotent: false, // capture is idempotent — enough
-        });
-        rpc.set_call_timeout(Some(Duration::from_millis(40)))
-            .unwrap();
-        rpc.set_reconnect(move || {
-            let fresh = SimTransport::new(Arc::clone(&rpc_srv), env.guest(), Arc::clone(&clock));
-            Ok(Box::new(FaultyTransport::new(
-                Box::new(fresh),
-                Arc::clone(&plan2),
-            )))
-        });
-    }
+    let mut client = harness::sim_client(&setup_a, EnvConfig::RustyHermit, &plan);
 
     let snapshot = client.checkpoint().unwrap();
     assert_eq!(

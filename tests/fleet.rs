@@ -2,18 +2,17 @@
 //! registration tied to the server lifecycle, and connect-time failover to
 //! the next-best shard when the chosen shard's listener is down.
 //!
-//! The failover matrix reuses the chaos harness's seed discipline: each
-//! seed in the CI matrix deterministically picks which shard to crash, and
-//! a failure names the seed.
+//! The failover matrix runs over the scenario harness's seeds
+//! (`tests/harness`): each seed deterministically picks which shard to
+//! crash, and a failure names the seed.
+
+mod harness;
 
 use cricket_repro::oncrpc::portmap::PmapVersService;
 use cricket_repro::oncrpc::{ChaosRng, PmapVersClient, Portmap, TcpTransport};
 use cricket_repro::prelude::*;
 use cricket_repro::server::ServerConfig;
 use std::time::Duration;
-
-/// The same fixed seed matrix `ci.sh chaos` runs (see `tests/chaos.rs`).
-const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
 
 /// RFC 1833 portmap procedures over a real TCP listener: set, getport,
 /// dump, unset round-trip through the wire, not just the local table.
@@ -128,7 +127,7 @@ fn directory_endpoint_typed_errors() {
 /// One deterministic crash schedule per CI seed.
 #[test]
 fn client_failover_routes_around_killed_shard() {
-    for seed in CI_SEEDS {
+    harness::for_each_seed("shard failover", |seed| {
         let mut fleet = FleetBuilder::new(3)
             .config(ServerConfig::default())
             .heartbeat(Duration::from_secs(3600))
@@ -188,5 +187,5 @@ fn client_failover_routes_around_killed_shard() {
         }
         assert_eq!(survivors, 4, "seed {seed:#x}: 2-2-2 spread expected");
         fleet.shutdown();
-    }
+    });
 }

@@ -3,12 +3,14 @@
 //! The contract under test: migrating a session between fleet shards via
 //! the streaming checkpoint (base snapshot → dirty deltas → fenced final
 //! delta → cutover through the directory home + reconnect) is *invisible*
-//! to the client. Every test phrases that as a byte-identity claim: the
-//! full trace of client-visible replies (pointers, checksums, timings,
-//! memory counters) from a run migrated mid-workload must equal the trace
-//! of an unmigrated run, for every seed in the CI matrix — each seed picks
-//! a different migration point (mid-copy, mid-kernel-pipeline, mid-batch,
-//! mid-FFT, ...) and a different pre-copy round count.
+//! to the client. The matrix rows (scenarios of `tests/harness`) phrase
+//! that as a byte-identity claim: the full trace of client-visible replies
+//! (pointers, checksums, timings, memory counters) from a run migrated
+//! mid-workload must equal the trace of an unmigrated run, for every seed
+//! in the CI matrix — each seed picks a different migration point
+//! (mid-copy, mid-kernel-pipeline, mid-batch, mid-FFT, ...) and a
+//! different pre-copy round count — and the source must be left with
+//! nothing of the session.
 //!
 //! Also covered: a source shard crash mid-migration aborts cleanly (typed
 //! `SourceLost`, staged destination state discarded, client fails over via
@@ -16,143 +18,93 @@
 //! 100-migration soak ping-ponging one hot session between two shards
 //! leaks no scheduler sessions, device memory, or replay entries.
 
-use cricket_repro::fleet::MigrateError;
-use cricket_repro::oncrpc::{OpaqueAuth, RetryPolicy};
-use cricket_repro::prelude::*;
-use std::net::SocketAddr;
-use std::time::Duration;
+mod harness;
 
-/// The same fixed seed matrix `ci.sh chaos` runs (see `tests/chaos.rs`).
-const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
+use cricket_repro::fleet::MigrateError;
+use cricket_repro::prelude::*;
+use harness::{fleet_client, two_shards, Driver, Feature, Run, Scenario};
+use std::time::Duration;
 
 const CUFFT_C2C: i32 = 0x29;
 const CUFFT_FORWARD: i32 = -1;
 const CUFFT_INVERSE: i32 = 1;
 
-/// Points in the workload where a migration may be injected.
-const PHASES: usize = 8;
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// A hardened fleet client: token credential (replay dedupe + the
-/// migration gate's identity), aggressive retries including non-idempotent
-/// calls, a per-call deadline, and a reconnector that resolves the
-/// session's *home* first — the path a migrated client takes to its new
-/// shard.
-fn hardened_client(endpoint: &Endpoint, token: u64) -> (CricketClient, SocketAddr) {
-    let (t, addr) = endpoint.connect_transport_for(Some(token)).unwrap();
-    let mut client = CricketClient::over(
-        t,
-        cricket_repro::client::env::ClientFlavor::RustRpcLib,
-        None,
-    );
-    let ep = *endpoint;
-    let rpc = client.rpc();
-    rpc.set_credential(OpaqueAuth::client_token(token));
-    rpc.set_retry_policy(RetryPolicy {
-        max_attempts: 40,
-        base_delay: Duration::from_micros(50),
-        max_delay: Duration::from_millis(1),
-        retry_non_idempotent: true,
-    });
-    rpc.set_call_timeout(Some(Duration::from_millis(250)))
-        .unwrap();
-    rpc.set_reconnect(move || {
-        let (t, _addr) = ep.connect_transport_for(Some(token)).map_err(|e| {
-            cricket_repro::oncrpc::RpcError::Io(std::io::Error::other(e.to_string()))
-        })?;
-        Ok(Box::new(t))
-    });
-    (client, addr)
+/// FNV-1a of `len` bytes read back from `p`.
+fn readback(r: &mut Run, p: u64, len: u64) -> u64 {
+    let bytes = r.c.memcpy_dtoh(p, len).unwrap();
+    let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
 /// The scripted GPU workload. Every client-visible reply lands in the
-/// returned trace; `at(phase)` fires between steps so a caller can inject
-/// a migration at a chosen point. Also doubles as teardown: by the end the
-/// session has freed everything it created.
-fn workload(c: &mut CricketClient, mut at: impl FnMut(usize)) -> Vec<String> {
-    let mut tr = Vec::new();
-    let mi = c.mem_get_info().unwrap();
-    tr.push(format!("mem-start {} {}", mi.free, mi.total));
+/// run's trace; `r.at(phase)` between steps is where a migration row
+/// migrates. Also doubles as teardown: by the end the session has freed
+/// everything it created.
+fn workload(r: &mut Run) {
+    let mi = r.c.mem_get_info().unwrap();
+    r.trace.push(format!("mem-start {} {}", mi.free, mi.total));
 
     // Two data buffers; `a` is uploaded now and read back much later, so
     // its bytes must survive whatever happens in between.
-    let a = c.malloc(64 * 1024).unwrap();
-    let b = c.malloc(64 * 1024).unwrap();
-    tr.push(format!("malloc {a:#x} {b:#x}"));
+    let a = r.malloc(64 * 1024);
+    let b = r.malloc(64 * 1024);
+    r.trace.push(format!("malloc {a:#x} {b:#x}"));
     let pat_a: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-    c.memcpy_htod(a, &pat_a).unwrap();
-    at(0); // mid-copy: upload shipped, readback pending
+    r.c.memcpy_htod(a, &pat_a).unwrap();
+    r.at(0); // mid-copy: upload shipped, readback pending
 
     let image = CubinBuilder::new()
         .kernel("saxpy", &[8, 8, 4, 4])
         .code(b"saxpy")
         .build(true);
-    let module = c.module_load(&image).unwrap();
-    let func = c.module_get_function(module, "saxpy").unwrap();
-    tr.push(format!("module {module:#x} {func:#x}"));
-    let x = c.malloc(512 * 4).unwrap();
-    let y = c.malloc(512 * 4).unwrap();
+    let module = r.c.module_load(&image).unwrap();
+    let func = r.c.module_get_function(module, "saxpy").unwrap();
+    r.trace.push(format!("module {module:#x} {func:#x}"));
+    let x = r.malloc(512 * 4);
+    let y = r.malloc(512 * 4);
     let xs: Vec<u8> = (0..512).flat_map(|_| 3.0f32.to_le_bytes()).collect();
     let ys: Vec<u8> = (0..512).flat_map(|_| 1.0f32.to_le_bytes()).collect();
-    c.memcpy_htod(x, &xs).unwrap();
-    c.memcpy_htod(y, &ys).unwrap();
-    at(1); // module + operands staged
+    r.c.memcpy_htod(x, &xs).unwrap();
+    r.c.memcpy_htod(y, &ys).unwrap();
+    r.at(1); // module + operands staged
 
-    let stream = c.stream_create().unwrap();
-    let e1 = c.event_create().unwrap();
-    let e2 = c.event_create().unwrap();
-    c.event_record(e1, stream).unwrap();
+    let stream = r.c.stream_create().unwrap();
+    let e1 = r.c.event_create().unwrap();
+    let e2 = r.c.event_create().unwrap();
+    r.c.event_record(e1, stream).unwrap();
     let params = ParamBuilder::new().ptr(y).ptr(x).f32(2.0).u32(512).build();
-    c.launch_kernel(
-        func,
-        (2, 1, 1).into(),
-        (256, 1, 1).into(),
-        0,
-        stream,
-        &params,
-    )
-    .unwrap();
-    at(2); // mid-pipeline: kernel launched, one event recorded
+    let (grid, block) = ((2, 1, 1).into(), (256, 1, 1).into());
+    r.c.launch_kernel(func, grid, block, 0, stream, &params)
+        .unwrap();
+    r.at(2); // mid-pipeline: kernel launched, one event recorded
 
-    c.event_record(e2, stream).unwrap();
-    c.stream_synchronize(stream).unwrap();
-    let ms = c.event_elapsed_ms(e1, e2).unwrap();
-    tr.push(format!("elapsed {:08x}", ms.to_bits()));
-    tr.push(format!(
-        "saxpy {:016x}",
-        fnv(&c.memcpy_dtoh(y, 512 * 4).unwrap())
-    ));
-    at(3); // timing read across the boundary
+    r.c.event_record(e2, stream).unwrap();
+    r.c.stream_synchronize(stream).unwrap();
+    let ms = r.c.event_elapsed_ms(e1, e2).unwrap();
+    r.trace.push(format!("elapsed {:08x}", ms.to_bits()));
+    let saxpy = readback(r, y, 512 * 4);
+    r.trace.push(format!("saxpy {saxpy:016x}"));
+    r.at(3); // timing read across the boundary
 
     // Coalesced batch: sub-ops recorded client-side must survive a
     // migration happening underneath and execute on the new shard.
-    c.enable_batching();
+    r.c.enable_batching();
     for i in 0..8u64 {
-        c.memset(a + i * 256, i as i32 + 1, 256).unwrap();
+        r.c.memset(a + i * 256, i as i32 + 1, 256).unwrap();
     }
     let pat_b: Vec<u8> = (0..128u32).map(|i| (i as u8) ^ 0x5A).collect();
-    c.memcpy_htod(b, &pat_b).unwrap();
-    at(4); // mid-batch: nothing flushed yet
+    r.c.memcpy_htod(b, &pat_b).unwrap();
+    r.at(4); // mid-batch: nothing flushed yet
 
-    tr.push(format!(
-        "batch {:016x}",
-        fnv(&c.memcpy_dtoh(a, 4096).unwrap())
-    ));
-    c.disable_batching().unwrap();
+    let batch = readback(r, a, 4096);
+    r.trace.push(format!("batch {batch:016x}"));
+    r.c.disable_batching().unwrap();
 
     // FFT: forward transform before the phase point, inverse after — the
     // plan handle and intermediate spectrum must both move.
-    let plan = c.fft_plan_1d(256, CUFFT_C2C, 2).unwrap();
-    let fin = c.malloc(2 * 256 * 8).unwrap();
-    let fout = c.malloc(2 * 256 * 8).unwrap();
+    let plan = r.c.fft_plan_1d(256, CUFFT_C2C, 2).unwrap();
+    let fin = r.malloc(2 * 256 * 8);
+    let fout = r.malloc(2 * 256 * 8);
     let signal: Vec<u8> = (0..2 * 256u32)
         .flat_map(|i| {
             let re = ((i % 64) as f32) - 32.0;
@@ -162,114 +114,62 @@ fn workload(c: &mut CricketClient, mut at: impl FnMut(usize)) -> Vec<String> {
             bytes
         })
         .collect();
-    c.memcpy_htod(fin, &signal).unwrap();
-    c.fft_exec_c2c(plan, fin, fout, CUFFT_FORWARD).unwrap();
-    at(5); // mid-FFT
+    r.c.memcpy_htod(fin, &signal).unwrap();
+    r.c.fft_exec_c2c(plan, fin, fout, CUFFT_FORWARD).unwrap();
+    r.at(5); // mid-FFT
 
-    c.fft_exec_c2c(plan, fout, fin, CUFFT_INVERSE).unwrap();
-    c.device_synchronize().unwrap();
-    tr.push(format!(
-        "fft {:016x}",
-        fnv(&c.memcpy_dtoh(fin, 2 * 256 * 8).unwrap())
-    ));
-    c.fft_destroy(plan).unwrap();
-    at(6);
+    r.c.fft_exec_c2c(plan, fout, fin, CUFFT_INVERSE).unwrap();
+    r.c.device_synchronize().unwrap();
+    let fft = readback(r, fin, 2 * 256 * 8);
+    r.trace.push(format!("fft {fft:016x}"));
+    r.c.fft_destroy(plan).unwrap();
+    r.at(6);
 
-    tr.push(format!(
-        "final {:016x} {:016x}",
-        fnv(&c.memcpy_dtoh(a, 4096).unwrap()),
-        fnv(&c.memcpy_dtoh(b, 128).unwrap())
-    ));
-    c.event_destroy(e1).unwrap();
-    c.event_destroy(e2).unwrap();
-    c.stream_destroy(stream).unwrap();
-    c.module_unload(module).unwrap();
+    let (fa, fb) = (readback(r, a, 4096), readback(r, b, 128));
+    r.trace.push(format!("final {fa:016x} {fb:016x}"));
+    r.c.event_destroy(e1).unwrap();
+    r.c.event_destroy(e2).unwrap();
+    r.c.stream_destroy(stream).unwrap();
+    r.c.module_unload(module).unwrap();
     for p in [a, b, x, y, fin, fout] {
-        c.free(p).unwrap();
+        r.free(p);
     }
-    at(7); // empty session: migration of nothing must also be invisible
+    r.at(7); // empty session: migration of nothing must also be invisible
 
-    let mi = c.mem_get_info().unwrap();
-    tr.push(format!("mem-end {} {}", mi.free, mi.total));
-    tr
+    let mi = r.c.mem_get_info().unwrap();
+    r.trace.push(format!("mem-end {} {}", mi.free, mi.total));
 }
 
-/// The workload on a two-shard fleet with no migration: the reference
-/// trace every migrated run must reproduce byte for byte.
-fn baseline_run() -> Vec<String> {
-    let fleet = FleetBuilder::new(2)
-        .heartbeat(Duration::from_secs(3600))
-        .launch()
-        .unwrap();
-    let endpoint = Endpoint::directory(fleet.dir_addr()).unwrap();
-    let (mut client, _addr) = hardened_client(&endpoint, 0xBA5E_11AE);
-    let trace = workload(&mut client, |_| {});
-    drop(client);
-    fleet.shutdown();
-    trace
-}
+/// The workload on a two-shard fleet, migrated at the seed's phase.
+const MIGRATED: Scenario = Scenario {
+    workload,
+    faults: harness::clean,
+    features: &[Feature::Migration],
+    driver: Driver::Fleet,
+};
 
-/// The workload with one live migration injected at the seed-chosen phase,
-/// with a seed-chosen number of pre-copy rounds. Returns the trace and the
-/// migration's report.
-fn migrated_run(seed: u64) -> (Vec<String>, cricket_repro::fleet::MigrationReport, usize) {
-    let fleet = FleetBuilder::new(2)
-        .heartbeat(Duration::from_secs(3600))
-        .launch()
-        .unwrap();
-    let endpoint = Endpoint::directory(fleet.dir_addr()).unwrap();
-    let token = 0xA110_0000 ^ seed;
-    let (mut client, addr) = hardened_client(&endpoint, token);
-    let from = fleet.shard_by_port(u32::from(addr.port())).unwrap();
-    let to = (from + 1) % fleet.len();
-    let phase = (seed % PHASES as u64) as usize;
-    let rounds = (seed % 3) as u32 + 1;
-
-    let mut report = None;
-    let trace = workload(&mut client, |p| {
-        if p == phase && report.is_none() {
-            let r = fleet
-                .migrate_session(token, from, to, rounds)
-                .unwrap_or_else(|e| panic!("seed {seed}: migration at phase {p} failed: {e}"));
-            // Zero post-cutover source state: no session, no memory, no
-            // replay entries, no token binding.
-            let src = fleet.shard(from).unwrap();
-            let lr = src.server().load_report();
-            assert_eq!(lr.sessions, 0, "seed {seed}: source kept a session");
-            assert_eq!(
-                lr.free_mem, lr.total_mem,
-                "seed {seed}: source leaked device memory"
-            );
-            assert_eq!(
-                src.replay().client_count(),
-                0,
-                "seed {seed}: source kept replay entries"
-            );
-            assert!(src.server().session_of_token(token).is_none());
-            report = Some(r);
-        }
-    });
-    let report = report.expect("workload never reached the migration phase");
-    assert_eq!(report.rounds, rounds, "seed {seed}");
-    assert!(report.base_bytes > 0, "seed {seed}: empty base snapshot");
-    drop(client);
-    fleet.shutdown();
-    (trace, report, phase)
-}
-
-/// The tentpole acceptance test: for every CI seed, a run migrated at that
-/// seed's phase produces a byte-identical client-visible trace to the
-/// unmigrated baseline, and the source shard retains zero session state.
+/// For every CI seed, a run migrated at the seed's phase produces a
+/// byte-identical client-visible trace to the unmigrated baseline, and the
+/// source shard keeps nothing of the session.
 #[test]
 fn migration_matrix_traces_are_byte_identical() {
-    let baseline = baseline_run();
+    let baseline = Scenario {
+        features: &[],
+        ..MIGRATED
+    }
+    .run(0)
+    .client;
     assert!(baseline.len() >= 8, "workload produced a trivial trace");
-    for seed in CI_SEEDS {
-        let (trace, report, phase) = migrated_run(seed);
-        assert_eq!(
-            trace, baseline,
-            "seed {seed}: client-visible trace diverged (migration at phase {phase}, report {report:?})"
-        );
+    harness::for_each_seed("the workload migrated at the seed's phase", |seed| {
+        harness::same_trace("the client trace", &MIGRATED.run(seed).client, &baseline);
+    });
+}
+
+/// Every shard of `fleet` has all its device memory free.
+fn no_memory_left(fleet: &Fleet, what: &str) {
+    for idx in 0..fleet.len() {
+        let lr = fleet.shard(idx).unwrap().server().load_report();
+        assert_eq!(lr.free_mem, lr.total_mem, "shard {idx} {what}");
     }
 }
 
@@ -280,14 +180,11 @@ fn migration_matrix_traces_are_byte_identical() {
 /// side effects.
 #[test]
 fn killed_source_mid_migration_aborts_cleanly_and_client_fails_over() {
-    for seed in CI_SEEDS {
-        let mut fleet = FleetBuilder::new(2)
-            .heartbeat(Duration::from_secs(3600))
-            .launch()
-            .unwrap();
+    harness::for_each_seed("crash-abort", |seed| {
+        let mut fleet = two_shards();
         let endpoint = Endpoint::directory(fleet.dir_addr()).unwrap();
         let token = 0xFA11_0000 ^ seed;
-        let (mut client, addr) = hardened_client(&endpoint, token);
+        let (mut client, addr) = fleet_client(&endpoint, token);
         let from = fleet.shard_by_port(u32::from(addr.port())).unwrap();
         let to = (from + 1) % fleet.len();
 
@@ -296,24 +193,21 @@ fn killed_source_mid_migration_aborts_cleanly_and_client_fails_over() {
 
         let mut mig = fleet.begin_migration(token, from, to).unwrap();
         mig.round(&fleet).unwrap();
-        assert!(fleet.kill_shard(from), "seed {seed:#x}");
+        assert!(fleet.kill_shard(from));
         let err = match mig.round(&fleet) {
             Err(e) => e,
-            Ok(_) => panic!("seed {seed:#x}: delta round succeeded on a dead source"),
+            Ok(_) => panic!("delta round succeeded on a dead source"),
         };
         assert!(
             matches!(err, MigrateError::SourceLost(_)),
-            "seed {seed:#x}: wrong error: {err}"
+            "wrong error: {err}"
         );
         mig.abort(&fleet);
 
         // The abort freed everything the base + first delta staged.
         let dst = fleet.shard(to).unwrap();
         let lr = dst.server().load_report();
-        assert_eq!(
-            lr.free_mem, lr.total_mem,
-            "seed {seed:#x}: aborted migration leaked staged memory on the destination"
-        );
+        assert_eq!(lr.free_mem, lr.total_mem, "the abort leaked staged memory");
 
         // The crash severed the client's connection, so it re-resolves
         // through the directory: the crashed shard's stale entry is still
@@ -323,45 +217,34 @@ fn killed_source_mid_migration_aborts_cleanly_and_client_fails_over() {
         // so this is loss, not duplication — the survivor must see
         // exactly the retried calls, once each.
         drop(client);
-        let (mut client, addr2) = hardened_client(&endpoint, token);
+        let (mut client, addr2) = fleet_client(&endpoint, token);
+        let landed = fleet.shard_by_port(u32::from(addr2.port()));
         assert_eq!(
-            fleet.shard_by_port(u32::from(addr2.port())),
+            landed,
             Some(to),
-            "seed {seed:#x}: failover landed somewhere other than the survivor"
+            "failover landed elsewhere than the survivor"
         );
         let p2 = client.malloc(8192).unwrap();
         client.memcpy_htod(p2, &[0xCD; 256]).unwrap();
-        assert_eq!(
-            client.memcpy_dtoh(p2, 256).unwrap(),
-            vec![0xCD; 256],
-            "seed {seed:#x}"
-        );
-        let lr = dst.server().load_report();
-        assert_eq!(lr.sessions, 1, "seed {seed:#x}");
+        assert_eq!(client.memcpy_dtoh(p2, 256).unwrap(), vec![0xCD; 256]);
+        assert_eq!(dst.server().load_report().sessions, 1);
         client.free(p2).unwrap();
         let lr = dst.server().load_report();
-        assert_eq!(
-            lr.free_mem, lr.total_mem,
-            "seed {seed:#x}: a retried call executed twice (leaked duplicate block)"
-        );
+        assert_eq!(lr.free_mem, lr.total_mem, "a retried call executed twice");
         drop(client);
         fleet.shutdown();
-    }
+    });
 }
 
 /// Soak: 100 sequential migrations ping-ponging one hot session between
-/// two shards. After every hop the old home must hold zero sessions, zero
-/// allocated memory, and zero replay entries; the session's data must
-/// survive all 100 hops intact.
+/// two shards. After every hop the old home must be quiescent; the
+/// session's data must survive all 100 hops intact.
 #[test]
 fn soak_hundred_migrations_leak_nothing() {
-    let fleet = FleetBuilder::new(2)
-        .heartbeat(Duration::from_secs(3600))
-        .launch()
-        .unwrap();
+    let fleet = two_shards();
     let endpoint = Endpoint::directory(fleet.dir_addr()).unwrap();
-    let token = 0x50AC_0001;
-    let (mut client, addr) = hardened_client(&endpoint, token);
+    let token = harness::TOKEN;
+    let (mut client, addr) = fleet_client(&endpoint, token);
     let mut cur = fleet.shard_by_port(u32::from(addr.port())).unwrap();
 
     let p = client.malloc(32 * 1024).unwrap();
@@ -374,40 +257,19 @@ fn soak_hundred_migrations_leak_nothing() {
             .migrate_session(token, cur, next, 1)
             .unwrap_or_else(|e| panic!("migration {i} ({cur}→{next}) failed: {e}"));
         assert!(report.streamed_bytes() > 0, "migration {i}");
-
         let src = fleet.shard(cur).unwrap();
-        let lr = src.server().load_report();
-        assert_eq!(lr.sessions, 0, "migration {i}: leaked scheduler session");
-        assert_eq!(
-            lr.free_mem, lr.total_mem,
-            "migration {i}: leaked device memory"
-        );
-        assert_eq!(
-            src.replay().client_count(),
-            0,
-            "migration {i}: leaked replay entries"
-        );
+        harness::quiescent(src.server(), None, Some(src.replay()));
 
         // Keep the session hot: dirty part of the block (so the next
         // migration ships a real delta) and verify the rest survived.
         client.memset(p, (i & 0x7f) as i32, 512).unwrap();
         let back = client.memcpy_dtoh(p, 1024).unwrap();
-        assert_eq!(
-            &back[512..],
-            &pat[512..1024],
-            "migration {i}: session data lost in flight"
-        );
+        assert_eq!(&back[512..], &pat[512..1024], "migration {i}: data lost");
         cur = next;
     }
 
     client.free(p).unwrap();
-    for idx in 0..fleet.len() {
-        let lr = fleet.shard(idx).unwrap().server().load_report();
-        assert_eq!(
-            lr.free_mem, lr.total_mem,
-            "shard {idx} holds memory after the soak"
-        );
-    }
+    no_memory_left(&fleet, "holds memory after the soak");
     drop(client);
     fleet.shutdown();
 }
@@ -419,13 +281,10 @@ fn soak_hundred_migrations_leak_nothing() {
 /// iteration verifies its own writes — and nothing may leak at the end.
 #[test]
 fn migration_under_concurrent_client_load_loses_nothing() {
-    let fleet = FleetBuilder::new(2)
-        .heartbeat(Duration::from_secs(3600))
-        .launch()
-        .unwrap();
+    let fleet = two_shards();
     let endpoint = Endpoint::directory(fleet.dir_addr()).unwrap();
     let token = 0xC0C0_0007;
-    let (mut client, addr) = hardened_client(&endpoint, token);
+    let (mut client, addr) = fleet_client(&endpoint, token);
     let start = fleet.shard_by_port(u32::from(addr.port())).unwrap();
 
     std::thread::scope(|s| {
@@ -435,11 +294,8 @@ fn migration_under_concurrent_client_load_loses_nothing() {
                 let p = client.malloc(4096).unwrap();
                 let fill = vec![(i % 251) as u8; 512];
                 client.memcpy_htod(p, &fill).unwrap();
-                assert_eq!(
-                    client.memcpy_dtoh(p, 512).unwrap(),
-                    fill,
-                    "iteration {i}: write lost across a concurrent migration"
-                );
+                let back = client.memcpy_dtoh(p, 512).unwrap();
+                assert_eq!(back, fill, "iteration {i}: write lost across a migration");
                 client.free(p).unwrap();
             }
             drop(client);
@@ -459,13 +315,6 @@ fn migration_under_concurrent_client_load_loses_nothing() {
             cur = (cur + 1) % fleet.len();
         }
     });
-
-    for idx in 0..fleet.len() {
-        let lr = fleet.shard(idx).unwrap().server().load_report();
-        assert_eq!(
-            lr.free_mem, lr.total_mem,
-            "shard {idx} leaked under concurrent migration"
-        );
-    }
+    no_memory_left(&fleet, "leaked under concurrent migration");
     fleet.shutdown();
 }

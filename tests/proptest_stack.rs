@@ -5,45 +5,12 @@
 //! fault schedules, every call must return the correct result or a typed
 //! error, never a wrong result, a panic, or a leaked server allocation.
 
-use cricket_repro::oncrpc::{
-    FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy, SharedFaultPlan,
-};
-use cricket_repro::prelude::*;
-use cricket_repro::server::SimTransport;
-use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
+mod harness;
 
-/// Same resilience wiring as `tests/chaos.rs`: client token for
-/// at-most-once dedupe, capped-backoff retries, a short per-call deadline,
-/// and a reconnector continuing the same fault schedule.
-fn harden_chaos(
-    client: &mut CricketClient,
-    setup: &SimSetup,
-    env: EnvConfig,
-    plan: &SharedFaultPlan,
-) {
-    let rpc_srv = Arc::clone(&setup.rpc);
-    let clock = Arc::clone(&setup.clock);
-    let plan2 = Arc::clone(plan);
-    let rpc = client.rpc();
-    rpc.set_credential(OpaqueAuth::client_token(0x9999_0042));
-    rpc.set_retry_policy(RetryPolicy {
-        max_attempts: 20,
-        base_delay: Duration::from_micros(50),
-        max_delay: Duration::from_millis(1),
-        retry_non_idempotent: true,
-    });
-    rpc.set_call_timeout(Some(Duration::from_millis(40)))
-        .unwrap();
-    rpc.set_reconnect(move || {
-        let fresh = SimTransport::new(Arc::clone(&rpc_srv), env.guest(), Arc::clone(&clock));
-        Ok(Box::new(FaultyTransport::new(
-            Box::new(fresh),
-            Arc::clone(&plan2),
-        )))
-    });
-}
+use cricket_repro::oncrpc::{FaultConfig, FaultPlan};
+use cricket_repro::prelude::*;
+use harness::sim_client;
+use proptest::prelude::*;
 
 fn env_strategy() -> impl Strategy<Value = EnvConfig> {
     prop_oneof![
@@ -146,11 +113,8 @@ proptest! {
         sizes in proptest::collection::vec(64u64..65_536, 1..5),
     ) {
         let setup = SimSetup::new();
-        let replay = Arc::new(ReplayCache::default());
-        setup.rpc.set_replay_cache(Arc::clone(&replay));
         let plan = FaultPlan::from_seed_with(seed, FaultConfig::lossy()).into_shared();
-        let mut client = setup.chaos_client(env, &plan);
-        harden_chaos(&mut client, &setup, env, &plan);
+        let mut client = sim_client(&setup, env, &plan);
 
         let baseline = client.mem_get_info().unwrap().free;
         for (i, &size) in sizes.iter().enumerate() {
@@ -179,11 +143,8 @@ proptest! {
         env in env_strategy(),
     ) {
         let setup = SimSetup::new();
-        let replay = Arc::new(ReplayCache::default());
-        setup.rpc.set_replay_cache(Arc::clone(&replay));
         let plan = FaultPlan::from_seed(seed).into_shared();
-        let mut client = setup.chaos_client(env, &plan);
-        harden_chaos(&mut client, &setup, env, &plan);
+        let mut client = sim_client(&setup, env, &plan);
 
         let mut live = Vec::new();
         for _ in 0..6 {

@@ -1,19 +1,12 @@
 //! Wire efficiency round 2: multi-connection striping and sparse payload
-//! encoding, end-to-end through the full client↔server stack and under
-//! the chaos seed matrix (same fixed seeds as `tests/chaos.rs`).
+//! encoding, end-to-end through the full client↔server stack and, as rows
+//! of the scenario harness (`tests/harness`), under the seed matrix.
 
-use cricket_repro::client::sim::SimSetup;
-use cricket_repro::oncrpc::{
-    AcceptStat, FaultConfig, FaultPlan, FaultyTransport, OpaqueAuth, ReplayCache, RetryPolicy,
-    RpcError, SharedFaultPlan,
-};
+mod harness;
+
+use cricket_repro::oncrpc::{AcceptStat, RpcError};
 use cricket_repro::prelude::*;
-use cricket_repro::server::SimTransport;
-use std::sync::Arc;
-use std::time::Duration;
-
-/// The fixed fault matrix exercised by `ci.sh wire2`.
-const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
+use harness::{bytes_in_is, Driver, Feature, Run, Scenario};
 
 /// A payload with no zero byte anywhere — the sparse codec must never win
 /// on it, so it isolates the striping path.
@@ -46,45 +39,18 @@ fn wire_bytes(client: &mut CricketClient) -> u64 {
 /// client sent — from state no other test can touch.
 fn stripe_calls(client: &mut CricketClient) -> u64 {
     let mut pool = client.disable_striping().expect("client has a pool");
-    pool.lanes_mut()
-        .iter()
-        .map(|lane| lane.rpc.stats().calls)
-        .sum()
+    let calls = pool.lanes_mut().iter().map(|lane| lane.rpc.stats().calls);
+    calls.sum()
 }
 
-/// Harden one RPC lane the same way `tests/chaos.rs` hardens a client:
-/// retries with capped backoff (non-idempotent included — the replay cache
-/// makes them safe), a short deadline, and a reconnector that continues
-/// the same per-lane fault schedule.
-fn harden_lane(
-    lane: &mut cricket_repro::oncrpc::RpcClient,
-    setup: &SimSetup,
-    env: EnvConfig,
-    plan: &SharedFaultPlan,
-) {
-    lane.set_retry_policy(RetryPolicy {
-        max_attempts: 20,
-        base_delay: Duration::from_micros(50),
-        max_delay: Duration::from_millis(1),
-        retry_non_idempotent: true,
-    });
-    lane.set_call_timeout(Some(Duration::from_millis(40)))
-        .unwrap();
-    let rpc_srv = Arc::clone(&setup.rpc);
-    let clock = Arc::clone(&setup.clock);
-    let plan = Arc::clone(plan);
-    lane.set_reconnect(move || {
-        let fresh = SimTransport::new(Arc::clone(&rpc_srv), env.guest(), Arc::clone(&clock));
-        Ok(Box::new(FaultyTransport::new(
-            Box::new(fresh),
-            Arc::clone(&plan),
-        )))
-    });
+/// Write `data` to a fresh allocation and read it back; freed after.
+fn round_trip(c: &mut CricketClient, data: &[u8]) -> Vec<u8> {
+    let p = c.malloc(data.len() as u64).unwrap();
+    c.memcpy_htod(p, data).unwrap();
+    let back = c.memcpy_dtoh(p, data.len() as u64).unwrap();
+    c.free(p).unwrap();
+    back
 }
-
-// ---------------------------------------------------------------------
-// Striping
-// ---------------------------------------------------------------------
 
 /// A striped round trip is byte-identical to the unstriped transfer of the
 /// same payload, and actually rode the stripe path.
@@ -94,23 +60,13 @@ fn striped_transfer_matches_unstriped_byte_for_byte() {
 
     let setup = SimSetup::new();
     let mut striped = setup.striped_client(EnvConfig::RustyHermit, 4);
-    let p = striped.malloc(data.len() as u64).unwrap();
-    striped.memcpy_htod(p, &data).unwrap();
-    let back_striped = striped.memcpy_dtoh(p, data.len() as u64).unwrap();
-    striped.free(p).unwrap();
+    let back_striped = round_trip(&mut striped, &data);
     // 1 MiB at the default 256 KiB stripe length, both directions.
-    assert_eq!(
-        stripe_calls(&mut striped),
-        8,
-        "copies did not ride the stripe path"
-    );
+    let stripes = stripe_calls(&mut striped);
+    assert_eq!(stripes, 8, "copies did not ride the stripe path");
 
     let setup2 = SimSetup::new();
-    let mut plain = setup2.client(EnvConfig::RustyHermit);
-    let p = plain.malloc(data.len() as u64).unwrap();
-    plain.memcpy_htod(p, &data).unwrap();
-    let back_plain = plain.memcpy_dtoh(p, data.len() as u64).unwrap();
-    plain.free(p).unwrap();
+    let back_plain = round_trip(&mut setup2.client(EnvConfig::RustyHermit), &data);
 
     assert_eq!(back_striped, data);
     assert_eq!(back_plain, data);
@@ -124,10 +80,7 @@ fn small_ops_bypass_the_stripe_pool() {
     let setup = SimSetup::new();
     let mut client = setup.striped_client(EnvConfig::RustyHermit, 4);
     let data = dense(32 * 1024);
-    let p = client.malloc(data.len() as u64).unwrap();
-    client.memcpy_htod(p, &data).unwrap();
-    assert_eq!(client.memcpy_dtoh(p, data.len() as u64).unwrap(), data);
-    client.free(p).unwrap();
+    assert_eq!(round_trip(&mut client, &data), data);
     assert_eq!(stripe_calls(&mut client), 0, "sub-threshold op was striped");
 }
 
@@ -161,51 +114,31 @@ fn striping_beats_single_connection_on_large_copies() {
     );
 }
 
-/// The chaos matrix: striped transfers with per-lane fault schedules
-/// (drops, duplicates, resets, truncations) must reassemble byte-identically
-/// and apply every write stripe exactly once — asserted against the
-/// server's `bytes_in`, which a duplicated stripe would double-count.
+/// Write `data` once and read it back: the write executes once (a
+/// retried or duplicated call would double-count `server.bytes_in`), and
+/// the readback is byte-identical.
+fn copy_once(r: &mut Run, data: &[u8]) {
+    let p = r.malloc(data.len() as u64);
+    r.c.server_reset_stats().unwrap();
+    r.c.memcpy_htod(p, data).unwrap();
+    bytes_in_is(&mut r.c, data.len() as u64);
+    let back = r.c.memcpy_dtoh(p, data.len() as u64).unwrap();
+    harness::same_trace("the readback", &back[..], data);
+    r.free(p);
+}
+
+/// Striped transfers whose four lanes each run a lossy schedule of their
+/// own (drops, duplicates, resets, truncations), the control connection
+/// clean. Dense, so the sparse codec never wins: the striping path alone.
 #[test]
 fn striped_transfers_survive_the_chaos_matrix_exactly_once() {
-    for seed in CI_SEEDS {
-        let setup = SimSetup::new();
-        let replay = Arc::new(ReplayCache::default());
-        setup.rpc.set_replay_cache(Arc::clone(&replay));
-        let env = EnvConfig::RustyHermit;
-
-        let plans: Vec<SharedFaultPlan> = (0..4)
-            .map(|lane| {
-                let lane_seed = seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                FaultPlan::from_seed_with(lane_seed, FaultConfig::lossy()).into_shared()
-            })
-            .collect();
-        let mut pool = setup.stripe_pool_with(env, 4, |t, i| {
-            Box::new(FaultyTransport::new(t, Arc::clone(&plans[i])))
-        });
-        pool.set_credential(OpaqueAuth::client_token(0xC11E_0002));
-        for (i, lane) in pool.lanes_mut().iter_mut().enumerate() {
-            harden_lane(&mut lane.rpc, &setup, env, &plans[i]);
-        }
-
-        // The control-plane client stays clean; only the stripes face chaos.
-        let mut client = setup.client(env);
-        client.enable_striping(pool);
-
-        // Dense, so the sparse codec never wins: the striping path alone.
-        let data = dense(1 << 20);
-        let p = client.malloc(data.len() as u64).unwrap();
-        client.server_reset_stats().unwrap();
-        client.memcpy_htod(p, &data).unwrap();
-        let stats = client.server_stats().unwrap();
-        assert_eq!(
-            stats.get("server.bytes_in").unwrap(),
-            data.len() as u64,
-            "seed {seed}: write stripes were not exactly-once"
-        );
-        let back = client.memcpy_dtoh(p, data.len() as u64).unwrap();
-        assert_eq!(back, data, "seed {seed}: striped reassembly corrupted");
-        client.free(p).unwrap();
+    Scenario {
+        workload: |r| copy_once(r, &dense(1 << 20)),
+        faults: harness::lossy,
+        features: &[Feature::Striping(4)],
+        driver: Driver::Sim(EnvConfig::RustyHermit),
     }
+    .matrix("dense megabyte, lossy lanes, striped, in process");
 }
 
 /// Procedures 81 and 82 carried stripes before a stripe became a plain
@@ -239,10 +172,6 @@ fn retired_stripe_procedures_are_refused_proc_unavail() {
     }
     server.shutdown();
 }
-
-// ---------------------------------------------------------------------
-// Sparse encoding
-// ---------------------------------------------------------------------
 
 /// A 90%-zero payload travels sparse (≥5x fewer wire bytes), lands
 /// byte-identical in device memory, and is accounted at its raw length.
@@ -307,40 +236,18 @@ fn sparse_payloads_ride_command_batches() {
     client.free(p).unwrap();
 }
 
-/// Sparse transfers under the chaos matrix: the eager sparse call is
-/// non-idempotent, so the replay cache must make retries exactly-once, and
-/// the decoded payload must stay byte-identical.
+/// A 96 KiB payload, three quarters zero, written eagerly as a sparse
+/// call: non-idempotent, so only the replay cache makes a retry
+/// exactly-once.
 #[test]
 fn sparse_transfers_survive_the_chaos_matrix() {
-    for seed in CI_SEEDS {
-        let setup = SimSetup::new();
-        let replay = Arc::new(ReplayCache::default());
-        setup.rpc.set_replay_cache(Arc::clone(&replay));
-        let env = EnvConfig::RustyHermit;
-        let plan = FaultPlan::from_seed_with(seed, FaultConfig::lossy()).into_shared();
-        let mut client = setup.chaos_client(env, &plan);
-        client
-            .rpc()
-            .set_credential(OpaqueAuth::client_token(0xC11E_0003));
-        harden_lane(client.rpc(), &setup, env, &plan);
-
-        let data = sparse_payload(24, 4); // 96 KiB, 3/4 zero
-        let p = client.malloc(data.len() as u64).unwrap();
-        client.server_reset_stats().unwrap();
-        client.memcpy_htod(p, &data).unwrap();
-        let stats = client.server_stats().unwrap();
-        assert_eq!(
-            stats.get("server.bytes_in").unwrap(),
-            data.len() as u64,
-            "seed {seed}: sparse write not exactly-once"
-        );
-        assert_eq!(
-            client.memcpy_dtoh(p, data.len() as u64).unwrap(),
-            data,
-            "seed {seed}: sparse payload corrupted"
-        );
-        client.free(p).unwrap();
+    Scenario {
+        workload: |r| copy_once(r, &sparse_payload(24, 4)),
+        faults: harness::lossy,
+        features: &[Feature::Sparse],
+        driver: Driver::Sim(EnvConfig::RustyHermit),
     }
+    .matrix("sparse copy, lossy, in process");
 }
 
 /// Striping and sparse compose with the rest of the stack: a striped

@@ -43,28 +43,26 @@ pub(crate) fn decode_batch(body: &[u8]) -> Result<Vec<BatchOp<'_>>, AcceptStat> 
 }
 
 impl CricketServer {
-    /// Device a `batchable` op routes to.
-    pub(crate) fn op_device(&self, s: SessionId, op: &BatchOp<'_>) -> usize {
-        let token = match *op {
-            BatchOp::CudaMemcpyHtod(dst, _) | BatchOp::CudaMemcpyHtodSparse(dst, _) => dst,
-            BatchOp::CudaMemcpyDtod(_, src, _) => src,
-            BatchOp::CudaMemset(ptr, ..) => ptr,
-            BatchOp::CudaLaunchKernel(func, ..) => func,
-            BatchOp::CudaEventRecord(event, _) => event,
-            BatchOp::CufftExecC2c(_, idata, ..) | BatchOp::CufftExecZ2z(_, idata, ..) => idata,
-        };
-        self.route(s, token)
-    }
-
-    /// Resolved stream of a `batchable` op on device `idx`. Ops without a
-    /// wire stream argument ride the session's default stream.
-    pub(crate) fn op_stream(&self, s: SessionId, idx: usize, op: &BatchOp<'_>) -> u64 {
-        match *op {
-            BatchOp::CudaLaunchKernel(.., stream, _) | BatchOp::CudaEventRecord(_, stream) => {
-                self.resolve_stream(s, idx, stream)
+    /// Device a `batchable` op routes to, once the session owns what it
+    /// names (the device checks a launch's function and ranges), and the
+    /// stream it names on the wire (0: the session's default stream).
+    pub(crate) fn op_device(&self, s: SessionId, op: &BatchOp<'_>) -> VgpuResult<(usize, u64)> {
+        let (names, stream) = match *op {
+            BatchOp::CudaMemcpyHtod(dst, data) => ([(dst, data.len() as u64), (0, 0), (0, 0)], 0),
+            BatchOp::CudaMemcpyHtodSparse(dst, _) => ([(dst, 0), (0, 0), (0, 0)], 0),
+            BatchOp::CudaMemcpyDtod(dst, src, len) => ([(src, len), (dst, len), (0, 0)], 0),
+            BatchOp::CudaMemset(ptr, _, len) => ([(ptr, len), (0, 0), (0, 0)], 0),
+            BatchOp::CudaLaunchKernel(.., stream, _) => ([(stream, 0), (0, 0), (0, 0)], stream),
+            BatchOp::CudaEventRecord(event, stream) => ([(event, 0), (stream, 0), (0, 0)], stream),
+            BatchOp::CufftExecC2c(plan, i, o, _) | BatchOp::CufftExecZ2z(plan, i, o, _) => {
+                ([(i, 0), (o, 0), (plan, 0)], 0)
             }
-            _ => self.session_stream(s, idx),
+        };
+        for &(token, len) in names[1..].iter().filter(|(token, _)| *token != 0) {
+            self.owned(s, token, len)?;
         }
+        // The first routes: 0 to the session's current device.
+        Ok((self.owned(s, names[0].0, names[0].1)?, stream))
     }
 
     /// A `batchable` procedure called on its own: its own prologue, issue
@@ -75,10 +73,10 @@ impl CricketServer {
         op: &BatchOp<'_>,
         returns: Returns,
     ) -> VgpuResult<()> {
-        let idx = self.op_device(s, op);
-        let st = self.op_stream(s, idx, op);
+        let (idx, stream) = self.op_device(s, op)?;
+        let st = self.resolve_stream(s, idx, stream);
         self.enqueue_at(s, idx, op.proc(), returns, |dev| {
-            Ok(((), self.issue_op(dev, op, st)?))
+            Ok(((), self.issue_op(s, dev, op, st)?))
         })
     }
 
@@ -89,7 +87,7 @@ impl CricketServer {
     /// not move. Each leg pays the prologue's charge; neither counts the
     /// call, which its caller counts once.
     pub(crate) fn peer_copy(&self, s: SessionId, dst: u64, src: u64, len: u64) -> VgpuResult<()> {
-        let (src_dev, dst_dev) = (self.route(s, src), self.route(s, dst));
+        let (src_dev, dst_dev) = (self.owned(s, src, len)?, self.owned(s, dst, len)?);
         let src_st = self.session_stream(s, src_dev);
         let dst_st = self.session_stream(s, dst_dev);
         let proc = cricket_v1::CUDA_MEMCPY_DTOD;
@@ -122,12 +120,15 @@ impl CricketServer {
         // Cross-device D2D peer copies stage through the host on two
         // devices; they cannot share a single-device turn, so they run
         // through the ordinary synchronous path as their own slice.
+        let dev = |token, len| self.owned(s, token, len);
         let peer = |op: &BatchOp<'_>| match *op {
-            BatchOp::CudaMemcpyDtod(dst, src, len) if self.route(s, src) != self.route(s, dst) => {
+            BatchOp::CudaMemcpyDtod(dst, src, len) if dev(src, len) != dev(dst, len) => {
                 Some((dst, src, len))
             }
             _ => None,
         };
+        // A sub-op the session does not own is refused where it is issued.
+        let device = |op| (self.op_device(s, op)).unwrap_or_else(|_| (self.current_device(s), 0));
         let mut i = 0;
         while i < ops.len() {
             if let Some((dst, src, len)) = peer(&ops[i]) {
@@ -136,14 +137,10 @@ impl CricketServer {
                 i += 1;
                 continue;
             }
-            let idx = self.op_device(s, &ops[i]);
-            let stream = self.op_stream(s, idx, &ops[i]);
+            let (idx, wire) = device(&ops[i]);
+            let stream = self.resolve_stream(s, idx, wire);
             let mut j = i + 1;
-            while j < ops.len()
-                && self.op_device(s, &ops[j]) == idx
-                && self.op_stream(s, idx, &ops[j]) == stream
-                && peer(&ops[j]).is_none()
-            {
+            while j < ops.len() && device(&ops[j]) == (idx, wire) && peer(&ops[j]).is_none() {
                 j += 1;
             }
             // Issue the whole slice under one turn; the device lock and
@@ -174,7 +171,7 @@ impl CricketServer {
                 since_ops += 1;
                 // Every batched op is asynchronous: the clock never runs
                 // to completion here — the next sync point drains the stream.
-                match self.issue_op(&mut dev, op, stream) {
+                match (self.op_device(s, op)).and_then(|_| self.issue_op(s, &mut dev, op, stream)) {
                     Ok(Some(sub)) => {
                         self.clock.advance(sub.submit_ns);
                         turn.charge(sub.queued_ns);
@@ -206,14 +203,15 @@ impl CricketServer {
     /// The body of the eight `batchable` procedures — the only code that
     /// touches a device on their behalf, whether the op arrived as its own
     /// RPC ([`Self::immediate`]) or inside `CRICKET_BATCH_EXEC`. `dev` is the
-    /// locked device [`Self::op_device`] named, `st` the stream
-    /// [`Self::op_stream`] resolved. `Ok(Some(sub))` for queue-backed
+    /// locked device [`Self::op_device`] named for session `s`, `st` the
+    /// stream it named, resolved. `Ok(Some(sub))` for queue-backed
     /// commands, `Ok(None)` for host-side stamps (event record). Per-op
     /// statistics are taken here, from what the body actually had in hand:
     /// `bytes_in` counts an H2D payload when it is about to be written (a
     /// sparse one at its decoded length, so only after it decoded).
     pub(crate) fn issue_op(
         &self,
+        s: SessionId,
         dev: &mut Device,
         op: &BatchOp<'_>,
         st: u64,
@@ -235,7 +233,8 @@ impl CricketServer {
             BatchOp::CudaMemcpyDtod(dst, src, len) => dev.memcpy_dtod(dst, src, len, st).map(Some),
             BatchOp::CudaMemset(ptr, value, len) => dev.memset(ptr, value, len, st).map(Some),
             BatchOp::CudaLaunchKernel(func, grid, block, shared, _, params) => {
-                let sub = dev.launch_kernel(func, dim(grid), dim(block), shared, st, params)?;
+                let owned = |t, len| self.owned(s, t, len).is_ok();
+                let sub = dev.launch(func, dim(grid), dim(block), shared, st, params, owned)?;
                 self.metrics.add(crate::stats::KERNELS_LAUNCHED, 1);
                 Ok(Some(sub))
             }

@@ -298,11 +298,13 @@ impl ServeHandle {
 }
 
 /// The mode dispatch behind [`ServerBuilder::serve`]. Both modes share the
-/// same session semantics — one `SessionId` per accepted connection, the
-/// server's one replay cache, [`CricketServer::release_session`] exactly once when
-/// the connection ends (replay entries are deliberately kept: a reconnecting
-/// client may still retransmit calls it sent on the dead connection) — and
-/// differ only in how connections map onto threads.
+/// same session semantics — one `SessionId` per accepted connection until
+/// its first token-tagged call binds it to the token's session, the
+/// server's one replay cache, [`CricketServer::release_session`] once when
+/// the last connection acting in a session ends (replay entries are
+/// deliberately kept: a reconnecting client may still retransmit calls it
+/// sent on the dead connection) — and differ only in how connections map
+/// onto threads.
 fn serve_sessions(
     server: &Arc<CricketServer>,
     addrs: &[SocketAddr],
@@ -317,24 +319,16 @@ fn serve_sessions(
                 classify: Some(cricket_classifier()),
                 ..oncrpc::ReactorConfig::default()
             };
+            // A connection's `on_close` runs after its last in-flight call
+            // completed and its last reply was written or queued.
             oncrpc::serve_tcp_reactor(addrs, cfg, move |_conn| {
-                let session = next_session.fetch_add(1, Ordering::Relaxed);
-                let rpc = Arc::new(session_rpc(&server, session));
-                let server = Arc::clone(&server);
-                oncrpc::ConnHandler {
-                    rpc,
-                    // Runs after the session's last in-flight call completed
-                    // and its last reply was written or queued.
-                    on_close: Some(Box::new(move || {
-                        server.release_session(session);
-                    })),
-                }
+                session_rpc(&server, next_session.fetch_add(1, Ordering::Relaxed))
             })?
         }
         ServeMode::Serial => oncrpc::server::serve_tcp_with(addrs, move |mut conn| {
-            let session = next_session.fetch_add(1, Ordering::Relaxed);
-            let _ = session_rpc(&server, session).serve_connection(&mut conn);
-            server.release_session(session);
+            let conn_handler = session_rpc(&server, next_session.fetch_add(1, Ordering::Relaxed));
+            let _ = conn_handler.rpc.serve_connection(&mut conn);
+            conn_handler.on_close.into_iter().for_each(|close| close());
         })?,
     };
     Ok(handle)

@@ -47,6 +47,7 @@ pub use server::{CricketServer, QosServerConfig, ServerConfig, SessionCleanup};
 pub use state::MAX_MODULE_BYTES;
 pub use transport::SimTransport;
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Register a [`CricketServer`] on an [`oncrpc::RpcServer`] as session 0
@@ -64,16 +65,23 @@ pub fn make_rpc_server(server: Arc<CricketServer>) -> Arc<oncrpc::RpcServer> {
 /// examples) serve per-session views through the same admission path as
 /// real connections.
 pub fn make_session_rpc(server: Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
+    view_rpc(server, session).0
+}
+
+/// One connection's view of a server, as its RPC dispatcher sees it.
+type View = cricket_proto::CricketV1Dispatch<service::Sessioned>;
+
+/// [`make_session_rpc`], and the view it serves.
+fn view_rpc(server: Arc<CricketServer>, session: SessionId) -> (oncrpc::RpcServer, Arc<View>) {
     let mut rpc = oncrpc::RpcServer::new();
     rpc.set_replay_cache(Arc::clone(&server.replay));
-    rpc.register(
-        cricket_proto::CRICKET_CUDA,
-        cricket_proto::CRICKET_V1,
-        Arc::new(cricket_proto::CricketV1Dispatch(service::Sessioned::new(
-            Arc::clone(&server),
-            session,
-        ))),
-    );
+    let view = Arc::new(cricket_proto::CricketV1Dispatch(service::Sessioned::new(
+        Arc::clone(&server),
+        session,
+    )));
+    let (prog, vers) = (cricket_proto::CRICKET_CUDA, cricket_proto::CRICKET_V1);
+    rpc.register(prog, vers, Arc::clone(&view) as Arc<dyn oncrpc::Dispatch>);
+    let admitted = Arc::clone(&view);
     rpc.set_admission(move |proc, args| {
         // Peek the CUDA_MALLOC size (without consuming the argument stream)
         // so the resident-bytes quota can refuse before allocating.
@@ -82,14 +90,15 @@ pub fn make_session_rpc(server: Arc<CricketServer>, session: SessionId) -> oncrp
         } else {
             None
         };
-        server.qos_admit(session, proc, malloc_size)
+        server.qos_admit(admitted.0.session(), proc, malloc_size)
     });
-    rpc
+    (rpc, view)
 }
 
 /// How [`ServerBuilder::serve`] maps TCP connections onto OS threads. Both
-/// modes give every accepted connection its own session, share one replay
-/// cache, and release the session exactly once when the connection ends.
+/// modes give every accepted connection its own session until a
+/// token-tagged call binds it to the token's, share one replay cache, and
+/// release a session once when the last connection acting in it ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
     /// One thread per connection running the blocking request/reply loop
@@ -131,29 +140,37 @@ pub fn cricket_classifier() -> oncrpc::Classifier {
     })
 }
 
-/// Build one TCP connection's `RpcServer`: [`make_session_rpc`] plus the
-/// migration token gate.
-pub(crate) fn session_rpc(server: &Arc<CricketServer>, session: SessionId) -> oncrpc::RpcServer {
-    // Migration's eviction/adoption gate: calls carrying a client-token
-    // credential are admitted or refused per token before replay lookup,
-    // and their completion is reported so eviction can drain in-flight
-    // work before the final snapshot.
-    struct SessionGate {
-        server: Arc<CricketServer>,
-        session: SessionId,
-    }
+/// Serve one TCP connection: [`make_session_rpc`] plus the token gate, and
+/// on close the release of its own session and of the one a token bound it
+/// to (which waits for that session's last connection).
+pub(crate) fn session_rpc(server: &Arc<CricketServer>, session: SessionId) -> oncrpc::ConnHandler {
+    // The gate binds the connection to its token's session and admits or
+    // refuses each token-tagged call before replay lookup (migration's
+    // eviction and adoption); completions are reported so eviction can
+    // drain in-flight work before the final snapshot.
+    struct SessionGate(Arc<View>);
     impl oncrpc::server::TokenGate for SessionGate {
         fn admit(&self, token: u64) -> bool {
-            self.server.observe_token(token, self.session)
+            let view = &self.0 .0;
+            let admitted = view.srv.observe_token(token, view.session());
+            if let Some(bound) = view.srv.session_of_token(token).filter(|_| admitted) {
+                view.session.store(bound, Relaxed);
+            }
+            admitted
         }
         fn complete(&self, token: u64) {
-            self.server.call_complete(token);
+            self.0 .0.srv.call_complete(token);
         }
     }
-    let mut rpc = make_session_rpc(Arc::clone(server), session);
-    rpc.set_token_gate(SessionGate {
-        server: Arc::clone(server),
-        session,
-    });
-    rpc
+    let (mut rpc, view) = view_rpc(Arc::clone(server), session);
+    rpc.set_token_gate(SessionGate(Arc::clone(&view)));
+    let close = move || {
+        let (srv, bound) = (&view.0.srv, view.0.session());
+        if bound != session {
+            srv.release_session(session);
+        }
+        srv.release_session(bound);
+    };
+    let (rpc, on_close) = (Arc::new(rpc), Some(Box::new(close) as Box<_>));
+    oncrpc::ConnHandler { rpc, on_close }
 }

@@ -7,7 +7,7 @@
 use crate::scheduler::SessionId;
 use crate::server::{CricketServer, Token, HANDLE_STRIDE, HEAP_STRIDE, LIB_HANDLE_BASE};
 use cricket_proto::{cricket_v1, DISPATCH_NS};
-use vgpu::{Device, Submit, VgpuError};
+use vgpu::{Device, Submit, VgpuError, VgpuResult};
 
 impl CricketServer {
     /// Admission control, consulted by the hook [`crate::make_session_rpc`]
@@ -72,23 +72,11 @@ impl CricketServer {
         retry_after_ns
     }
 
-    /// Bytes of device memory `session` currently holds, summed across all
-    /// devices (computed on demand from the live allocation tables).
+    /// Bytes `session` holds on every device and in module images.
     fn resident_bytes(&self, session: SessionId) -> u64 {
-        let ptrs = match self.sessions.lock().get(&session) {
-            Some(r) if !r.mem.is_empty() => r.mem.clone(),
-            _ => return 0,
-        };
-        let mut total = 0u64;
-        for d in &self.devices {
-            let dev = d.lock();
-            for (base, size) in dev.mem.live_allocations() {
-                if ptrs.contains(&base) {
-                    total += size;
-                }
-            }
-        }
-        total
+        let (sessions, objects) = (self.sessions.lock(), self.objects.lock());
+        let held = |r| crate::state::images(r, &objects) + r.mem.values().sum::<u64>();
+        sessions.get(&session).map_or(0, held)
     }
 
     /// The live session currently bound to a client token, if any.
@@ -108,28 +96,32 @@ impl CricketServer {
         r
     }
 
-    /// Token-gate hook (see `oncrpc::RpcServer::set_token_gate`): may a
-    /// call from `token` arriving on `session` proceed?
+    /// Token-gate hook (see `oncrpc::RpcServer::set_token_gate`): may a call
+    /// from `token` proceed on a connection acting in `session`? The token's
+    /// first admitted call makes that session its own, never another token's.
     ///
     /// * evicted token → `false`: the connection closes and the client's
     ///   reconnect resolves the session's new home;
     /// * staged but unfinished inbound migration → `false`: the client
     ///   raced ahead of the final delta, retry until cutover completes;
-    /// * ready inbound migration → merge it into this session, `true`;
-    ///   `false` if its modules do not fit beside the session's: it stays
-    ///   staged for the client's next connection (DESIGN §16);
-    /// * otherwise record the token ↔ session binding and admit.
+    /// * ready inbound migration → merge it into the token's session,
+    ///   `true`; `false` if its modules do not fit beside the session's: it
+    ///   stays staged for the client's next connection (DESIGN §16).
     ///
     /// An admitted call counts as in flight until [`Self::call_complete`],
     /// decided under the same lock [`Self::evict_token`] drains under: once
     /// eviction has returned, no call of the token is admitted.
     pub fn observe_token(&self, token: u64, session: SessionId) -> bool {
         self.with_token(token, |t| {
-            if t.evicted || !self.claim(session, &mut t.adoption) {
+            let held = self.sessions.lock().get(&session).and_then(|r| r.token);
+            let s = t.session.unwrap_or(session);
+            let foreign = held.is_some_and(|h| h != token || s != session);
+            if t.evicted || foreign || !self.claim(s, &mut t.adoption) {
                 return false;
             }
-            t.session = Some(session);
-            t.inflight += 1;
+            let bound = usize::from(held.is_none());
+            self.track(s, |r| (r.token, r.conns) = (Some(token), r.conns + bound));
+            (t.session, t.inflight) = (Some(s), t.inflight + 1);
             true
         })
     }
@@ -196,11 +188,20 @@ impl CricketServer {
         }
     }
 
-    /// Route by token (pointer/handle); fall back to the session's current
-    /// device for tokens that carry no device identity (0, lib handles).
-    pub(crate) fn route(&self, session: SessionId, token: u64) -> usize {
-        self.device_of_token(token)
-            .unwrap_or_else(|| self.current_device(session))
+    /// The device of `token` (`len` bytes of memory, or a handle) if `session` owns it,
+    /// refusing another's as an unknown one; 0 and library handles route to its current one.
+    pub(crate) fn owned(&self, session: SessionId, token: u64, len: u64) -> VgpuResult<usize> {
+        let sessions = self.sessions.lock();
+        let r = sessions.get(&session);
+        let block = r.and_then(|r| r.mem.range(..=token).next_back());
+        let inside = block.is_some_and(|(&b, &size)| token - b < size && len <= size - (token - b));
+        if token != 0 && !inside && !r.is_some_and(|r| r.handles.contains_key(&token)) {
+            return Err(match (HEAP_STRIDE..LIB_HANDLE_BASE).contains(&token) {
+                true => VgpuError::InvalidPointer(token),
+                false => VgpuError::InvalidHandle(token),
+            });
+        }
+        Ok((self.device_of_token(token)).unwrap_or(r.and_then(|r| r.device).unwrap_or(0)))
     }
 
     /// The one call prologue. Gives the session its record (marks it seen),
@@ -318,7 +319,7 @@ impl CricketServer {
         self.wait_at(session, idx, proc, f)
     }
 
-    /// [`Self::wait_at`] on the device owning `token`.
+    /// [`Self::wait_at`] on the device of `token`, which `session` owns.
     pub(crate) fn wait_for<R>(
         &self,
         session: SessionId,
@@ -326,7 +327,7 @@ impl CricketServer {
         proc: u32,
         f: impl FnOnce(&mut Device) -> Result<(R, u64), VgpuError>,
     ) -> Result<R, VgpuError> {
-        let idx = self.route(session, token);
+        let idx = self.owned(session, token, 0)?;
         self.wait_at(session, idx, proc, f)
     }
 }

@@ -10,7 +10,7 @@ use cricket_proto::cricket_v1;
 use oncrpc::{telemetry::Metrics, ReplayCache};
 use parking_lot::Mutex;
 use simnet::SimClock;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vgpu::{Device, DeviceProperties, VgpuError, VgpuResult};
@@ -120,8 +120,9 @@ impl HostObject {
 /// instead of leaking vGPU state forever.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Session {
-    /// Device memory, by block base.
-    pub(crate) mem: HashSet<u64>,
+    /// Device memory: block base to size, so an interior pointer resolves
+    /// in one range lookup.
+    pub(crate) mem: BTreeMap<u64, u64>,
     /// Every other handle the session holds, and what it names.
     pub(crate) handles: HashMap<u64, Kind>,
     /// Current device (`cudaSetDevice`); `None` = device 0, not chosen.
@@ -135,6 +136,10 @@ pub(crate) struct Session {
     /// session's token was evicted mid-migration and the final delta still
     /// has to read its state (`mig_finalize_source`, or `readmit_token`).
     pub(crate) deferred: bool,
+    /// The client token whose session this is, if one bound it.
+    pub(crate) token: Option<u64>,
+    /// Connections the token bound to it: it is released with the last.
+    pub(crate) conns: usize,
 }
 
 impl Session {
@@ -151,12 +156,13 @@ impl Session {
         v
     }
 
-    /// Move out every handle `keep` does not list as the same kind. Memory
-    /// is not a handle: blocks leave through a delta's `freed` list.
-    pub(crate) fn split_off_handles_not_in(&mut self, keep: &HashMap<u64, Kind>) -> Self {
-        let gone = self.handles.extract_if(|h, k| keep.get(h) != Some(k));
+    /// Move out the blocks and handles `gone` picks (a block has no kind).
+    pub(crate) fn split_off(&mut self, gone: impl Fn(u64, Option<Kind>) -> bool) -> Self {
+        let mem = self.mem.extract_if(.., |&b, _| gone(b, None)).collect();
+        let handles = self.handles.extract_if(|&h, &mut k| gone(h, Some(k)));
         Self {
-            handles: gone.collect(),
+            mem,
+            handles: handles.collect(),
             ..Self::default()
         }
     }
@@ -172,14 +178,6 @@ impl Session {
         for (idx, stream) in other.streams {
             self.streams.entry(idx).or_insert(stream);
         }
-    }
-
-    /// Forget what lived on the device `on_device` accepts: a reset
-    /// destroyed it.
-    pub(crate) fn forget_device(&mut self, idx: usize, on_device: impl Fn(u64) -> bool) {
-        self.mem.retain(|&p| !on_device(p));
-        self.handles.retain(|&h, _| !on_device(h));
-        self.streams.remove(&idx);
     }
 }
 
@@ -221,7 +219,7 @@ pub(crate) struct Adoption {
 /// One client token's record at the token gate.
 #[derive(Default)]
 pub(crate) struct Token {
-    /// The live session its calls run in.
+    /// The live session its calls run in, from its first admitted call on.
     pub(crate) session: Option<SessionId>,
     /// Evicted by a migration cutover: the gate refuses the token so the
     /// client reconnects and resolves its new home.
@@ -400,8 +398,8 @@ impl CricketServer {
         // transfer *before* it reaches the scheduler queue, so the
         // scheduler would pick from a near-empty queue and sharing policy
         // would degrade to lock wake-up order. The binding is kept valid by
-        // the two paths that destroy streams out from under it
-        // (`device_reset`, `stream_destroy`), which drop stale ones.
+        // the two paths that destroy the session's streams (`cudaDeviceReset`,
+        // `cudaStreamDestroy`), which drop it.
         if let Some(h) = self.track(session, |r| r.streams.get(&idx).copied()) {
             return h;
         }
@@ -430,12 +428,14 @@ impl CricketServer {
 
     // ---- helpers shared by several procedures ----
 
-    /// Run `f` on the cuSolver context `h`.
+    /// Run `f` on the cuSolver context `h` of session `s`.
     pub(crate) fn solver<R>(
         &self,
+        s: SessionId,
         h: u64,
         f: impl FnOnce(&mut vgpu::solver::SolverDn) -> VgpuResult<R>,
     ) -> VgpuResult<R> {
+        self.owned(s, h, 0)?;
         match self.objects.lock().get_mut(&h) {
             Some(HostObject::Solver(solver)) => f(solver),
             _ => Err(VgpuError::InvalidHandle(h)),
@@ -478,11 +478,10 @@ impl CricketServer {
         kind: Kind,
     ) -> VgpuResult<()> {
         self.wait_here(s, proc, |_d| {
-            let mut objects = self.objects.lock();
-            if !objects.get(&h).is_some_and(|obj| obj.kind() == kind) {
+            if !self.track(s, |r| r.holds(h, kind)) {
                 return Err(VgpuError::InvalidHandle(h));
             }
-            objects.remove(&h);
+            self.objects.lock().remove(&h);
             Ok(((), 0))
         })?;
         self.track(s, |r| r.handles.remove(&h));
@@ -504,7 +503,7 @@ impl CricketServer {
             true => cricket_v1::CUBLAS_DGEMM,
             false => cricket_v1::CUBLAS_SGEMM,
         };
-        self.library_op(s, proc, a, "gemm", |d| {
+        self.library_op(s, proc, &[a, b, c, h], "gemm", |d| {
             if !matches!(self.objects.lock().get(&h), Some(HostObject::Blas)) {
                 return Err(VgpuError::InvalidHandle(h));
             }
@@ -524,8 +523,9 @@ impl CricketServer {
         })
     }
 
-    /// A cuBLAS / cuSolver call (`proc`) on the device owning `a`: `f`
-    /// computes there and reports the device time, which rides the
+    /// A cuBLAS / cuSolver call (`proc`) on the device owning the first of
+    /// `operands` (pointers and its handle), all of which the session must
+    /// own: `f` computes there and reports the device time, which rides the
     /// session's default stream as library op `name` — results are
     /// materialized eagerly (the simulation computes in host code) but the
     /// device-time cost rides the stream timeline.
@@ -533,11 +533,12 @@ impl CricketServer {
         &self,
         s: SessionId,
         proc: u32,
-        a: u64,
+        operands: &[u64],
         name: &'static str,
         f: impl FnOnce(&mut Device) -> VgpuResult<u64>,
     ) -> VgpuResult<()> {
-        let idx = self.route(s, a);
+        // Each operand is checked, the first last: it routes.
+        let idx = (operands.iter().rev()).try_fold(0, |_, &t| self.owned(s, t, 0))?;
         let st = self.resolve_stream(s, idx, 0);
         self.enqueue_at(s, idx, proc, Returns::AtSubmission, |d| {
             let t = f(d)?;

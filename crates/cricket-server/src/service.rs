@@ -49,26 +49,28 @@ fn reply<T, R>(r: VgpuResult<T>, ok: fn(T) -> R, err: fn(i32) -> R) -> Reply<R> 
     })
 }
 
-/// Per-session view implementing the generated service trait.
+/// One connection's view implementing the generated service trait.
 pub struct Sessioned {
-    srv: Arc<CricketServer>,
-    session: SessionId,
+    pub(crate) srv: Arc<CricketServer>,
+    /// The session its calls act in ([`CricketServer::admit_token`]).
+    pub(crate) session: std::sync::atomic::AtomicU32,
 }
 
 impl Sessioned {
     /// Bind `srv` as `session`.
     pub fn new(srv: Arc<CricketServer>, session: SessionId) -> Self {
+        let session = session.into();
         Self { srv, session }
     }
 
-    /// The session this view is bound to.
+    /// The session this view's calls act in.
     pub fn session(&self) -> SessionId {
-        self.session
+        self.session.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// One of the `batchable` procedures, called on its own.
     fn immediate(&self, op: BatchOp<'_>, returns: Returns) -> Reply<i32> {
-        Ok(int_of(self.srv.immediate(self.session, &op, returns)))
+        Ok(int_of(self.srv.immediate(self.session(), &op, returns)))
     }
 }
 
@@ -81,7 +83,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // Host-only: the count is immutable server state; no scheduler
         // turn, no device mutex.
         let srv = &self.srv;
-        let count = srv.host_call(self.session, proc::CUDA_GET_DEVICE_COUNT, || {
+        let count = srv.host_call(self.session(), proc::CUDA_GET_DEVICE_COUNT, || {
             srv.devices.len() as i32
         });
         Ok(IntResult::Data(count))
@@ -91,7 +93,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // Host-only: properties are immutable; the brief lock below copies
         // them out without taking a scheduler turn or device time.
         let srv = &self.srv;
-        let r = srv.host_call(self.session, proc::CUDA_GET_DEVICE_PROPERTIES, || {
+        let r = srv.host_call(self.session(), proc::CUDA_GET_DEVICE_PROPERTIES, || {
             if ordinal < 0 || ordinal as usize >= srv.devices.len() {
                 Err(VgpuError::InvalidDevice(ordinal))
             } else {
@@ -114,7 +116,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_set_device(&self, ordinal: i32) -> Reply<i32> {
         // Host-only: updates per-session routing state, never the device.
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.host_call(s, proc::CUDA_SET_DEVICE, || {
             if (0..srv.devices.len() as i32).contains(&ordinal) {
                 srv.track(s, |r| r.device = Some(ordinal as usize));
@@ -127,7 +129,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_get_device(&self) -> Reply<IntResult> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let current = srv.host_call(s, proc::CUDA_GET_DEVICE, || srv.current_device(s) as i32);
         Ok(IntResult::Data(current))
     }
@@ -136,7 +138,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // Waits for *this session's* timelines on its current device —
         // other sessions' streams keep running (each client is its own
         // context behind the virtualization layer).
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let idx = srv.current_device(s);
         Ok(int_of(srv.wait_at(
             s,
@@ -160,26 +162,28 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_device_reset(&self) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let idx = srv.current_device(s);
         let r = srv.wait_at(s, idx, proc::CUDA_DEVICE_RESET, |d| {
-            Ok(((), d.device_reset()))
+            Ok(((), d.device_synchronize() + Device::RESET_NS))
         });
-        srv.forget_device(idx);
+        srv.reset_share(s, idx);
         Ok(int_of(r))
     }
 
     fn cuda_malloc(&self, size: u64) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
-        let r = srv.wait_here(s, proc::CUDA_MALLOC, |d| d.malloc(size));
-        if let Ok(ptr) = r {
-            srv.track(s, |r| r.mem.insert(ptr));
-        }
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.wait_here(s, proc::CUDA_MALLOC, |d| {
+            let (ptr, t) = d.malloc(size)?;
+            let size = d.mem.block_size(ptr).unwrap_or(size);
+            srv.track(s, |r| r.mem.insert(ptr, size));
+            Ok((ptr, t))
+        });
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cuda_free(&self, ptr: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.wait_for(s, ptr, proc::CUDA_FREE, |d| d.free(ptr).map(|t| ((), t)));
         if r.is_ok() {
             srv.track(s, |r| r.mem.remove(&ptr));
@@ -199,18 +203,19 @@ impl cricket_proto::CricketV1Service for Sessioned {
         len: u64,
         out: DataResultReply<'_>,
     ) -> Reply<DataResultReplied> {
-        let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, src);
-        let st = srv.session_stream(s, idx);
+        let (srv, s) = (&self.srv, self.session());
         // Sync D2H memcpy is the canonical wait point: it drains the
         // session's stream, then pays the PCIe transfer. The device lends
         // the source range under its lock and `out` writes it into the
         // reply buffer there: the server's only copy of the payload. `out`
-        // is still here exactly when the device refused before lending.
+        // is still here exactly when the call was refused before lending.
         let mut out = Some(out);
-        let r = srv.enqueue_at(s, idx, proc::CUDA_MEMCPY_DTOH, Returns::AtCompletion, |d| {
-            d.memcpy_dtoh_stream(src, len, st, |bytes| {
-                out.take().expect("lent once").data(bytes)
+        let r = srv.owned(s, src, len).and_then(|idx| {
+            let st = srv.session_stream(s, idx);
+            srv.enqueue_at(s, idx, proc::CUDA_MEMCPY_DTOH, Returns::AtCompletion, |d| {
+                d.memcpy_dtoh_stream(src, len, st, |bytes| {
+                    out.take().expect("lent once").data(bytes)
+                })
             })
         });
         Ok(match r {
@@ -231,8 +236,8 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_memcpy_dtod(&self, dst: u64, src: u64, len: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        if srv.route(s, src) == srv.route(s, dst) {
+        let (srv, s) = (&self.srv, self.session());
+        if srv.owned(s, src, len) == srv.owned(s, dst, len) {
             // Same-device copy is asynchronous: it rides the session's
             // stream and the RPC returns at submission.
             let op = BatchOp::CudaMemcpyDtod(dst, src, len);
@@ -251,7 +256,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_mem_get_info(&self) -> Reply<MemInfoResult> {
         // Host-only: a bookkeeping read; the brief lock copies two counters.
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let idx = srv.current_device(s);
         let (free, total) = srv.host_call(s, proc::CUDA_MEM_GET_INFO, || {
             srv.devices[idx].lock().mem_info()
@@ -264,7 +269,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cu_module_load_data(&self, image: &[u8]) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         srv.metrics.add(BYTES_IN, image.len() as u64);
         let r = srv.wait_here(s, proc::CU_MODULE_LOAD_DATA, |d| {
             // The bound is checked and the image kept under one hold of the
@@ -285,14 +290,14 @@ impl cricket_proto::CricketV1Service for Sessioned {
     fn cu_module_get_function(&self, module: u64, name: &str) -> Reply<U64Result> {
         let r = self
             .srv
-            .wait_for(self.session, module, proc::CU_MODULE_GET_FUNCTION, |d| {
+            .wait_for(self.session(), module, proc::CU_MODULE_GET_FUNCTION, |d| {
                 d.module_get_function(module, name)
             });
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cu_module_unload(&self, module: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.wait_for(s, module, proc::CU_MODULE_UNLOAD, |d| {
             d.module_unload(module).map(|t| ((), t))
         });
@@ -319,7 +324,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_stream_create(&self) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.wait_here(s, proc::CUDA_STREAM_CREATE, |d| d.stream_create());
         if let Ok(h) = r {
             srv.track(s, |r| r.handles.insert(h, Kind::Stream));
@@ -328,36 +333,34 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_stream_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.wait_for(s, h, proc::CUDA_STREAM_DESTROY, |d| {
             d.stream_destroy(h).map(|t| ((), t))
         });
         if r.is_ok() {
-            srv.track(s, |r| r.handles.remove(&h));
-            // If this was a default stream, drop the binding too so
+            // If this was its default stream, drop the binding too so
             // `session_stream` never returns a destroyed handle; it is
             // lazily recreated on next use.
-            for r in srv.sessions.lock().values_mut() {
-                r.streams.retain(|_, &mut bound| bound != h);
-            }
+            srv.track(s, |r| {
+                (r.handles.remove(&h), r.streams.retain(|_, b| *b != h))
+            });
         }
         Ok(int_of(r))
     }
 
     fn cuda_stream_synchronize(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
-        let idx = srv.route(s, h);
-        let st = srv.resolve_stream(s, idx, h);
-        Ok(int_of(srv.wait_at(
-            s,
-            idx,
-            proc::CUDA_STREAM_SYNCHRONIZE,
-            |d| d.stream_synchronize(st).map(|t| ((), t)),
-        )))
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.owned(s, h, 0).and_then(|idx| {
+            let st = srv.resolve_stream(s, idx, h);
+            srv.wait_at(s, idx, proc::CUDA_STREAM_SYNCHRONIZE, |d| {
+                d.stream_synchronize(st).map(|t| ((), t))
+            })
+        });
+        Ok(int_of(r))
     }
 
     fn cuda_event_create(&self) -> Reply<U64Result> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.wait_here(s, proc::CUDA_EVENT_CREATE, |d| d.event_create());
         if let Ok(h) = r {
             srv.track(s, |r| r.handles.insert(h, Kind::Event));
@@ -375,7 +378,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_event_synchronize(&self, event: u64) -> Reply<i32> {
         Ok(int_of(self.srv.wait_for(
-            self.session,
+            self.session(),
             event,
             proc::CUDA_EVENT_SYNCHRONIZE,
             |d| d.event_synchronize(event).map(|t| ((), t)),
@@ -383,16 +386,17 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_event_elapsed_time(&self, start: u64, stop: u64) -> Reply<FloatResult> {
-        let r = self
-            .srv
-            .wait_for(self.session, start, proc::CUDA_EVENT_ELAPSED_TIME, |d| {
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.owned(s, stop, 0).and_then(|_| {
+            srv.wait_for(s, start, proc::CUDA_EVENT_ELAPSED_TIME, |d| {
                 d.event_elapsed_ms(start, stop).map(|v| (v, 0))
-            });
+            })
+        });
         reply(r, FloatResult::Data, FloatResult::Default)
     }
 
     fn cuda_event_destroy(&self, event: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let r = srv.wait_for(s, event, proc::CUDA_EVENT_DESTROY, |d| {
             d.event_destroy(event).map(|t| ((), t))
         });
@@ -404,12 +408,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cublas_create(&self) -> Reply<U64Result> {
         let blas = || Ok(HostObject::Blas);
-        let r = self.srv.lib_create(self.session, proc::CUBLAS_CREATE, blas);
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.lib_create(s, proc::CUBLAS_CREATE, blas);
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cublas_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         Ok(int_of(srv.lib_destroy(
             s,
             proc::CUBLAS_DESTROY,
@@ -445,7 +450,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
             b: (b, ldb),
             c: (c, ldc),
         };
-        Ok(int_of(self.srv.gemm(self.session, h, false, g)))
+        Ok(int_of(self.srv.gemm(self.session(), h, false, g)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -475,19 +480,19 @@ impl cricket_proto::CricketV1Service for Sessioned {
             b: (b, ldb),
             c: (c, ldc),
         };
-        Ok(int_of(self.srv.gemm(self.session, h, true, g)))
+        Ok(int_of(self.srv.gemm(self.session(), h, true, g)))
     }
 
     fn cusolver_dn_create(&self) -> Reply<U64Result> {
         let solver = || Ok(HostObject::Solver(vgpu::solver::SolverDn::new()));
         let r = self
             .srv
-            .lib_create(self.session, proc::CUSOLVER_DN_CREATE, solver);
+            .lib_create(self.session(), proc::CUSOLVER_DN_CREATE, solver);
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cusolver_dn_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         Ok(int_of(srv.lib_destroy(
             s,
             proc::CUSOLVER_DN_DESTROY,
@@ -504,11 +509,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
         _a: u64,
         _lda: i32,
     ) -> Reply<IntResult> {
-        let r = self
-            .srv
-            .host_call(self.session, proc::CUSOLVER_DN_DGETRF_BUFFER_SIZE, || {
-                self.srv.solver(h, |solver| solver.dgetrf_buffer_size(m, n))
-            });
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.host_call(s, proc::CUSOLVER_DN_DGETRF_BUFFER_SIZE, || {
+            srv.solver(s, h, |solver| solver.dgetrf_buffer_size(m, n))
+        });
         reply(r, IntResult::Data, IntResult::Default)
     }
 
@@ -524,10 +528,11 @@ impl cricket_proto::CricketV1Service for Sessioned {
         ipiv: u64,
         info: u64,
     ) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let getrf =
-            |d: &mut Device| srv.solver(h, |lu| lu.dgetrf(d, m, n, a, lda, work, ipiv, info));
-        let r = srv.library_op(s, proc::CUSOLVER_DN_DGETRF, a, "getrf", getrf);
+            |d: &mut Device| srv.solver(s, h, |lu| lu.dgetrf(d, m, n, a, lda, work, ipiv, info));
+        let operands = [a, work, ipiv, info];
+        let r = srv.library_op(s, proc::CUSOLVER_DN_DGETRF, &operands, "getrf", getrf);
         Ok(int_of(r))
     }
 
@@ -545,24 +550,26 @@ impl cricket_proto::CricketV1Service for Sessioned {
         ldb: i32,
         info: u64,
     ) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         let getrs = |d: &mut Device| {
-            srv.solver(h, |lu| {
+            srv.solver(s, h, |lu| {
                 lu.dgetrs(d, trans, n, nrhs, a, lda, ipiv, b, ldb, info)
             })
         };
-        let r = srv.library_op(s, proc::CUSOLVER_DN_DGETRS, a, "getrs", getrs);
+        let operands = [a, ipiv, b, info];
+        let r = srv.library_op(s, proc::CUSOLVER_DN_DGETRS, &operands, "getrs", getrs);
         Ok(int_of(r))
     }
 
     fn cufft_plan_1d(&self, n: i32, kind: i32, batch: i32) -> Reply<U64Result> {
         let plan = || vgpu::fft::FftPlan::plan_1d(n, kind, batch).map(HostObject::Fft);
-        let r = self.srv.lib_create(self.session, proc::CUFFT_PLAN_1D, plan);
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.lib_create(s, proc::CUFFT_PLAN_1D, plan);
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cufft_destroy(&self, h: u64) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session);
+        let (srv, s) = (&self.srv, self.session());
         Ok(int_of(srv.lib_destroy(
             s,
             proc::CUFFT_DESTROY,
@@ -582,12 +589,12 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cricket_batch_exec(&self, body: &[u8]) -> Reply<BatchResult> {
-        self.srv.batch_exec(self.session, body)
+        self.srv.batch_exec(self.session(), body)
     }
 
     fn ckpt_capture(&self, out: DataResultReply<'_>) -> Reply<DataResultReplied> {
         let srv = &self.srv;
-        let r = srv.wait_turn(self.session, proc::CKPT_CAPTURE, || {
+        let r = srv.wait_turn(self.session(), proc::CKPT_CAPTURE, || {
             let blob = srv.checkpoint();
             // Serialization cost scales with snapshot size.
             let t = (blob.len() as u64) / 8;
@@ -606,10 +613,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
         let srv = &self.srv;
         srv.metrics.add(BYTES_IN, blob.len() as u64);
         Ok(int_of(srv.wait_turn(
-            self.session,
+            self.session(),
             proc::CKPT_RESTORE,
             || {
-                srv.restore(self.session, blob)?;
+                srv.restore(self.session(), blob)?;
                 Ok(((), (blob.len() as u64) / 8))
             },
         )))
@@ -1716,9 +1723,10 @@ mod tests {
     /// cuBLAS handle and 64 B; session 1 resets device 0. Session 2's gemm
     /// answered 400 and its checkpoint restored with 400: the reset had
     /// dropped every module image and library handle on the server. A reset
-    /// of device `d` removes what lives on `d` — the device's state, the
-    /// default streams bound there, the images of modules loaded there —
-    /// and nothing else.
+    /// of device `d` removes what the caller holds on `d` — its memory and
+    /// handles there, the default stream it bound there, the images of
+    /// modules it loaded there — and nothing else: session 2's buffer and
+    /// stream on device 0 survive it.
     #[test]
     fn a_device_reset_removes_only_what_lives_on_that_device() {
         let (srv, one) = server();
@@ -1730,6 +1738,9 @@ mod tests {
         let gone = u(one.cu_module_load_data(&image).unwrap());
         let p0 = u(one.cuda_malloc(64).unwrap());
         assert_eq!(one.cuda_memset(p0, 1, 64).unwrap(), 0);
+        let kept = u(two.cuda_malloc(64).unwrap());
+        srv.devices[0].lock().mem.write(kept, &[7; 64]).unwrap();
+        let stream = u(two.cuda_stream_create().unwrap());
 
         assert_eq!(two.cuda_set_device(1).unwrap(), 0);
         let module = u(two.cu_module_load_data(&image).unwrap());
@@ -1763,6 +1774,11 @@ mod tests {
         );
         assert!(srv.sessions.lock()[&1].mem.is_empty());
         assert_eq!(srv.release_session(1).total(), 0);
+        // Session 2's share of device 0 was not session 1's to reset.
+        assert_eq!(srv.devices[0].lock().mem.read(kept, 64).unwrap(), [7; 64]);
+        assert_eq!(two.cuda_stream_synchronize(stream).unwrap(), 0);
+        assert_eq!(two.cuda_stream_destroy(stream).unwrap(), 0);
+        assert_eq!(two.cuda_free(kept).unwrap(), 0);
         let kept = srv.release_session(2);
         let counts = (
             kept.allocations,

@@ -57,32 +57,33 @@ impl CricketServer {
     /// handles. Called when a client connection vanishes so a crashed or
     /// partitioned unikernel cannot leak vGPU state. Individual teardown
     /// errors are ignored — the resource may already be gone (explicit
-    /// destroy raced with the disconnect, or a `device_reset` cleared it).
+    /// destroy raced with the disconnect, or a `cudaDeviceReset` took it).
     pub fn release_session(&self, session: SessionId) -> SessionCleanup {
-        // A session whose client token was evicted mid-migration is torn
-        // down by the migration driver (`mig_finalize_source`) after the
+        // A session several connections act in (a token bound them) waits
+        // for the last. One whose client token was evicted mid-migration is
+        // torn down by the migration driver (`mig_finalize_source`) after the
         // final delta is exported — the disconnect-triggered release must
         // not free state that delta still has to read. If the migration
         // aborts instead, `readmit_token` performs the deferred release.
-        let tokens = self.tokens.lock();
-        let mut evicted = tokens.values().filter(|t| t.evicted);
-        if evicted.any(|t| t.session == Some(session)) {
-            self.track(session, |r| r.deferred = true);
-            return SessionCleanup::default();
+        let (tokens, mut sessions) = (self.tokens.lock(), self.sessions.lock());
+        let evicted = |t| tokens.get(&t).is_some_and(|t| t.evicted);
+        if let Some(r) = sessions.get_mut(&session) {
+            r.conns = r.conns.saturating_sub(1);
+            if r.conns > 0 || r.token.is_some_and(evicted) {
+                r.deferred |= r.conns == 0;
+                return SessionCleanup::default();
+            }
         }
-        drop(tokens);
+        drop((tokens, sessions));
         self.force_release(session)
     }
 
     /// [`Self::release_session`] without the mid-migration deferral.
     pub(crate) fn force_release(&self, session: SessionId) -> SessionCleanup {
-        self.tokens.lock().retain(|_, t| {
-            if t.session == Some(session) {
-                t.session = None;
-            }
-            !t.is_idle()
-        });
         let record = self.sessions.lock().remove(&session);
+        if let Some(token) = record.as_ref().and_then(|r| r.token) {
+            self.with_token(token, |t| t.session.take_if(|s| *s == session));
+        }
         // Drop the session's scheduler record (priority, served ledgers) or
         // session churn grows that table without bound.
         self.scheduler.forget(session);
@@ -105,7 +106,7 @@ impl CricketServer {
         let on_device = |token: u64, f: fn(&mut Device, u64) -> VgpuResult<u64>| {
             (self.device_for(token)).is_ok_and(|d| f(&mut d.lock(), token).is_ok())
         };
-        let freed = r.mem.into_iter().filter(|&p| on_device(p, Device::free));
+        let freed = r.mem.into_keys().filter(|&p| on_device(p, Device::free));
         out.allocations = freed.count();
         let dropped = |h| self.objects.lock().remove(&h).is_some();
         for (h, kind) in r.handles {
@@ -123,20 +124,16 @@ impl CricketServer {
         out
     }
 
-    /// Forget what `cudaDeviceReset` destroyed on device `idx`: exactly
-    /// what lived there — every session's (and staged adoption's) memory
-    /// and handles, its default streams there (lazily recreated on next
-    /// use) and the images of modules loaded there. Library handles live on
-    /// no device and survive.
-    pub(crate) fn forget_device(&self, idx: usize) {
-        let on_device = |token| self.device_of_token(token) == Some(idx);
-        let mut tokens = self.tokens.lock();
-        let staged = tokens.values_mut().filter_map(|t| t.adoption.as_mut());
-        let mut sessions = self.sessions.lock();
-        for r in staged.map(|a| &mut a.session).chain(sessions.values_mut()) {
-            r.forget_device(idx, on_device);
-        }
-        self.objects.lock().retain(|&h, _| !on_device(h));
+    /// `cudaDeviceReset` of device `idx` for `session`: reclaim what it
+    /// holds there (memory, streams, events, modules and their images) and
+    /// drop its default stream there, recreated on next use. Nobody else's
+    /// state is touched; library handles live on no device.
+    pub(crate) fn reset_share(&self, session: SessionId, idx: usize) {
+        let on_device = |token, _| self.device_of_token(token) == Some(idx);
+        let share = self.track(session, |r| {
+            (r.streams.remove(&idx), r.split_off(on_device))
+        });
+        self.reclaim(share.1);
     }
 
     /// Export one leg of the migration stream for `token`'s session.
@@ -269,7 +266,7 @@ impl CricketServer {
                 dev.fence_all_streams();
             }
             // The device is shared: only this session's blocks ride along.
-            let d = dev.mem.delta_since(&known_here, |b| r.mem.contains(&b));
+            let d = dev.mem.delta_since(&known_here, |b| r.mem.contains_key(&b));
             if known.is_some() {
                 dev.mem.mark_epoch();
             }
@@ -328,17 +325,9 @@ impl CricketServer {
         let Some(session) = self.session_of_token(token) else {
             return 0;
         };
-        let r = self.sessions.lock().get(&session).cloned();
-        let r = r.unwrap_or_default();
-        let mut total = 0u64;
-        for &b in &r.mem {
-            if let Some(idx) = self.device_of_token(b) {
-                if let Ok(bytes) = self.devices[idx].lock().mem.block_bytes(b) {
-                    total += bytes.len() as u64;
-                }
-            }
-        }
-        total + images(&r, &self.objects.lock())
+        let (sessions, objects) = (self.sessions.lock(), self.objects.lock());
+        let held = |r| images(r, &objects) + r.mem.values().sum::<u64>();
+        sessions.get(&session).map_or(0, held)
     }
 
     /// Tear down the source side after a completed cutover: drop the
@@ -600,7 +589,7 @@ impl CricketServer {
             .chain(meta.solvers.iter().map(|&h| (h, Kind::Solver)))
             .chain(meta.ffts.iter().map(|f| (f.handle, Kind::Fft)))
             .collect();
-        self.reclaim(held.split_off_handles_not_in(&wanted));
+        self.reclaim(held.split_off(|h, k| k.is_some_and(|k| wanted.get(&h) != Some(&k))));
 
         for m in meta.modules.iter() {
             if !held.holds(m.handle, Kind::Module) {

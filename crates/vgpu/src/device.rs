@@ -463,10 +463,25 @@ impl Device {
         stream: u64,
         params: &[u8],
     ) -> VgpuResult<Submit> {
+        self.launch(func, grid, block, shared_mem, stream, params, |_, _| true)
+    }
+
+    /// [`Self::launch_kernel`] for a caller owning part of the device: `owned(token,
+    /// len)` answers for the function's module (`len` 0) and each range it touches.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch(
+        &mut self,
+        func: u64,
+        grid: Dim3,
+        block: Dim3,
+        shared_mem: u32,
+        stream: u64,
+        params: &[u8],
+        owned: impl Fn(u64, u64) -> bool,
+    ) -> VgpuResult<Submit> {
         self.observe();
-        let entry = self
-            .functions
-            .get(&func)
+        let entry = (self.functions.get(&func))
+            .filter(|f| owned(f.module, 0))
             .ok_or(VgpuError::InvalidHandle(func))?;
         let builtin = entry.builtin;
         if !self.streams.contains_key(&stream) {
@@ -504,18 +519,19 @@ impl Device {
         // Memoization: identical launch on identical inputs whose outputs
         // still hold the previous result → pure time accounting. The key is
         // refilled from scratch, so an error part-way leaves nothing stale.
-        // Every range is checked against its allocation here, before
-        // `execute` sizes or touches anything from the launch's geometry.
+        // Every range is checked, the caller's and inside its allocation,
+        // before `execute` sizes or touches anything from the geometry.
         let key = &mut self.memo_key;
         key.func = func;
         key.params.clear();
         key.params.extend_from_slice(params);
         key.input_versions.clear();
         for &(ptr, len) in access.reads.iter() {
-            key.input_versions.push(self.mem.range_version(ptr, len)?);
+            key.input_versions
+                .push(self.mem.range_version(ptr, len, &owned)?);
         }
         for &(ptr, len) in access.writes.iter() {
-            self.mem.range_version(ptr, len)?;
+            self.mem.range_version(ptr, len, &owned)?;
         }
         let cache_ok = self.memo.get(&self.memo_key).is_some_and(|entry| {
             entry
@@ -729,29 +745,13 @@ impl Device {
         Ok(self.stream_wait(stream))
     }
 
+    /// Device time a `cudaDeviceReset` costs once the device has drained.
+    pub const RESET_NS: u64 = 50_000;
+
     /// cudaDeviceSynchronize: wait for all streams.
     pub fn device_synchronize(&mut self) -> u64 {
         self.observe();
         self.wait_all_ns()
-    }
-
-    /// cudaDeviceReset: drop all state.
-    pub fn device_reset(&mut self) -> u64 {
-        let wait = self.device_synchronize();
-        // Pending work is deemed complete after the wait; keep the log
-        // coherent before dropping the queues.
-        for (&h, q) in self.streams.iter_mut() {
-            q.retire_until(u64::MAX, h, &mut self.retired);
-        }
-        let total = self.props.total_global_mem;
-        self.mem = MemoryManager::new(total);
-        self.modules.clear();
-        self.functions.clear();
-        self.streams.clear();
-        self.streams.insert(0, CommandQueue::default());
-        self.events.clear();
-        self.memo.clear();
-        wait + 50_000
     }
 
     /// cudaEventCreate.
@@ -1128,16 +1128,6 @@ mod tests {
         let (e0, _) = d.event_create().unwrap();
         let (e1, _) = d.event_create().unwrap();
         assert!(d.event_elapsed_ms(e0, e1).is_err());
-    }
-
-    #[test]
-    fn device_reset_clears_everything() {
-        let (mut d, module) = loaded_device();
-        let (p, _) = d.malloc(1024).unwrap();
-        d.device_reset();
-        assert!(d.mem.read(p, 1).is_err());
-        assert!(d.module_get_function(module, "empty").is_err());
-        assert_eq!(d.mem_info().0, d.mem_info().1);
     }
 
     #[test]

@@ -426,7 +426,7 @@ fn histogram_execute<const BINS: usize, const SHIFT: u32>(
     // The partials are sized from the grid: refuse a grid whose partials
     // would not fit their allocation before allocating them.
     let out_len = partials_len(blocks, BINS)?;
-    m.range_version(partial, out_len)?;
+    m.range_version(partial, out_len, |_, _| true)?;
     let input = m.read(data, byte_count)?;
     let mut partials = vec![[0u32; BINS]; blocks as usize];
     // Block b handles bytes b, b+blocks, b+2*blocks, ... (strided), like

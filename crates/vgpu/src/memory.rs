@@ -22,7 +22,7 @@
 //! [`MemoryManager::apply_delta`] replays on a destination manager.
 
 use crate::error::{VgpuError, VgpuResult};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// A raw device pointer (opaque 64-bit address).
@@ -324,9 +324,18 @@ impl MemoryManager {
     }
 
     /// Version of the block holding all of `[ptr, ptr + len)`, refusing a
-    /// range that runs past its block. Touches no backing store, so a
-    /// launch can check every range it will access before anything runs.
-    pub(crate) fn range_version(&self, ptr: DevicePtr, len: u64) -> VgpuResult<u64> {
+    /// range that runs past its block or that is not the caller's (`owned`
+    /// says). Touches no backing store, so a launch can check every range
+    /// it will access before anything runs.
+    pub(crate) fn range_version(
+        &self,
+        ptr: DevicePtr,
+        len: u64,
+        owned: impl Fn(u64, u64) -> bool,
+    ) -> VgpuResult<u64> {
+        if !owned(ptr, len) {
+            return Err(VgpuError::InvalidPointer(ptr));
+        }
         let (base, _) = self.check_len(ptr, len)?;
         Ok(self.blocks[&base].version)
     }
@@ -352,6 +361,11 @@ impl MemoryManager {
     /// Enumerate live allocations as (base, size) — checkpoint support.
     pub fn live_allocations(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.blocks.iter().map(|(&b, blk)| (b, blk.size))
+    }
+
+    /// Size of the allocation at `base`, as rounded when it was made.
+    pub fn block_size(&self, base: u64) -> Option<u64> {
+        self.blocks.get(&base).map(|b| b.size)
     }
 
     /// Raw contents of the allocation at `base` (checkpoint support).
@@ -456,28 +470,28 @@ impl MemoryManager {
     /// accepts (a server routes one delta across its devices): free
     /// departed blocks, materialize new ones at their exact addresses, then
     /// apply in-place dirty spans. `placed` is what this consumer's stream
-    /// has placed so far: a new block joins it the moment it lands, and the
-    /// delta may free or patch only its members. Fails (typed) if the delta
+    /// has placed so far, base to size: a new block joins it the moment it
+    /// lands, and the delta may free or patch only its members. Fails (typed) if the delta
     /// does not fit — e.g. a new block overlapping live memory.
     pub fn apply_delta(
         &mut self,
         delta: &MemDelta,
         here: impl Fn(u64) -> bool,
-        placed: &mut HashSet<u64>,
+        placed: &mut BTreeMap<u64, u64>,
     ) -> VgpuResult<()> {
         let foreign = |b: u64| VgpuError::InvalidValue(format!("block {b:#x} was not staged"));
         for &base in delta.freed.iter().filter(|&&b| here(b)) {
-            if !placed.remove(&base) {
+            if placed.remove(&base).is_none() {
                 return Err(foreign(base));
             }
             self.free(base)?;
         }
         for (base, bytes) in delta.new_blocks.iter().filter(|(b, _)| here(*b)) {
             self.restore_block(*base, bytes)?;
-            placed.insert(*base);
+            placed.insert(*base, bytes.len() as u64);
         }
         for (base, off, bytes) in delta.dirty.iter().filter(|(b, ..)| here(*b)) {
-            if !placed.contains(base) {
+            if !placed.contains_key(base) {
                 return Err(foreign(*base));
             }
             self.patch(*base, *off, bytes)?;
@@ -637,7 +651,7 @@ mod tests {
         assert!(backed(&src, q) && !backed(&src, p), "only the touched one");
 
         let mut dst = mm();
-        let mut placed = HashSet::new();
+        let mut placed = BTreeMap::new();
         let delta = src.delta_since(&BTreeSet::new(), |_| true);
         assert_eq!(delta.payload_bytes(), 1024 + 256);
         dst.apply_delta(&delta, |_| true, &mut placed).unwrap();
@@ -837,7 +851,7 @@ mod tests {
         src.write(b, &[2; 256]).unwrap();
 
         // Base snapshot: delta relative to "knows nothing".
-        let mut placed = HashSet::new();
+        let mut placed = BTreeMap::new();
         let base = src.delta_since(&BTreeSet::new(), |_| true);
         dst.apply_delta(&base, |_| true, &mut placed).unwrap();
         let known: BTreeSet<u64> = src.live_allocations().map(|(p, _)| p).collect();
@@ -858,7 +872,7 @@ mod tests {
         assert_eq!(delta.new_blocks.len(), 2, "reborn b + new c travel whole");
         assert_eq!(delta.dirty.len(), 1, "only a's span is in-place");
         dst.apply_delta(&delta, |_| true, &mut placed).unwrap();
-        assert_eq!(placed, HashSet::from([a, b, c]));
+        assert_eq!(placed, BTreeMap::from([(a, 512), (b, 256), (c, 256)]));
 
         for (p, size) in src.live_allocations() {
             assert_eq!(
@@ -913,7 +927,7 @@ mod tests {
         let mut dst = MemoryManager::new(1 << 16);
         let live = dst.alloc(512).unwrap();
         dst.write(live, &[3; 512]).unwrap();
-        let mut placed = HashSet::new();
+        let mut placed = BTreeMap::new();
         let new_block = MemDelta {
             new_blocks: vec![(live, vec![0u8; 512])],
             ..MemDelta::default()

@@ -13,12 +13,14 @@
 #![allow(dead_code)] // every suite uses its own rows' share
 
 use cricket_repro::client::env::ClientFlavor;
+use cricket_repro::client::stripe::StripePool;
 use cricket_repro::oncrpc::{self, transport::Transport, ConnHandler, ReactorConfig, ServerHandle};
 use cricket_repro::oncrpc::{Fault, FaultConfig, FaultPlan, FaultyTransport, ReplayCache};
 use cricket_repro::oncrpc::{RetryPolicy, RpcClient, RpcError, RpcResult, SharedFaultPlan};
+use cricket_repro::proto::{CricketV1Client, QosParams};
 use cricket_repro::server::SchedulerPolicy;
 use cricket_repro::server::{cricket_classifier, make_rpc_server, CricketServer, SimTransport};
-use cricket_repro::{oncrpc::TcpTransport, prelude::*, proto::QosParams, simnet::SimClock};
+use cricket_repro::{oncrpc::TcpTransport, prelude::*, simnet::SimClock};
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -157,7 +159,8 @@ pub fn clean(_seed: u64) -> FaultPlan {
 
 /// What the client turns on. `Sparse` needs no switch; `Striping(n)` is
 /// `n` lanes in process that take the row's faults, a schedule each, the
-/// control connection clean; `Migration` happens at the seed's phase.
+/// control connection clean (on a fleet, `n` clean TCP lanes to the
+/// session's shard); `Migration` happens at the seed's phase.
 #[derive(Clone, Copy, PartialEq)]
 pub enum Feature {
     Batching,
@@ -388,6 +391,22 @@ impl Scenario {
                 harden(&mut lane.rpc, TOKEN, 40, sim_redial(setup, env, plan));
             }
             c.enable_striping(pool);
+        }
+        if let (Some(n), Node::Fleet(fleet, from)) = (lanes, &node) {
+            // TCP lanes to the session's shard, each following the token's
+            // home when it redials (across a cutover).
+            let (ep, at) = (
+                Endpoint::directory(fleet.dir_addr()).unwrap(),
+                fleet.shard(*from),
+            );
+            let lanes = (0..n).map(|_| {
+                let mut lane = CricketV1Client::new(Box::new(
+                    TcpTransport::connect(at.unwrap().addr()).unwrap(),
+                ));
+                harden(&mut lane.rpc, TOKEN, deadline, home(ep, TOKEN));
+                lane
+            });
+            c.enable_striping(StripePool::new(lanes.collect(), None));
         }
         if on(Feature::QuotaShed) {
             server.scheduler.set_policy(SchedulerPolicy::Wfq);

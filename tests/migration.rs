@@ -165,6 +165,37 @@ fn migration_matrix_traces_are_byte_identical() {
     });
 }
 
+/// Eight striped rounds over one megabyte: a write, the seed's phase, then a
+/// read of it back. The cutover follows a striped write, so the lanes and the
+/// control connection must act in one session for the source to be left
+/// with nothing and the readback to hold.
+fn striped_rounds(r: &mut Run) {
+    let len = 1 << 20;
+    let p = r.malloc(len);
+    for phase in 0..8u64 {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + phase * 7) as u8).collect();
+        r.c.memcpy_htod(p, &data).unwrap();
+        r.at(phase);
+        let back = r.c.memcpy_dtoh(p, len).unwrap();
+        harness::same_trace("the striped readback", &back[..], &data[..]);
+    }
+    r.free(p);
+}
+
+/// Striped H2D and D2H across a cutover, two TCP lanes beside the control
+/// connection, for every CI seed: the readback holds and the source keeps
+/// nothing of the session.
+#[test]
+fn striped_transfers_cross_a_cutover() {
+    Scenario {
+        workload: striped_rounds,
+        faults: harness::clean,
+        features: &[Feature::Striping(2), Feature::Migration],
+        driver: Driver::Fleet,
+    }
+    .matrix("striped H2D + D2H across a cutover");
+}
+
 /// Every shard of `fleet` has all its device memory free.
 fn no_memory_left(fleet: &Fleet, what: &str) {
     for idx in 0..fleet.len() {

@@ -195,7 +195,7 @@ fn mem_sync(
     src: &mut cricket_repro::vgpu::memory::MemoryManager,
     dst: &mut cricket_repro::vgpu::memory::MemoryManager,
     known: &mut std::collections::BTreeSet<u64>,
-    placed: &mut std::collections::HashSet<u64>,
+    placed: &mut std::collections::BTreeMap<u64, u64>,
 ) -> cricket_repro::vgpu::VgpuResult<()> {
     let delta = src.delta_since(known, |_| true);
     src.mark_epoch();
@@ -224,7 +224,7 @@ proptest! {
         let mut src = MemoryManager::new(1 << 22);
         let mut dst = MemoryManager::new(1 << 22);
         let mut known = std::collections::BTreeSet::new();
-        let mut placed = std::collections::HashSet::new();
+        let mut placed = std::collections::BTreeMap::new();
         let mut live: Vec<(u64, u64)> = Vec::new();
 
         for op in ops {
@@ -268,7 +268,7 @@ proptest! {
         let d: Vec<(u64, u64)> = dst.live_allocations().collect();
         prop_assert_eq!(&s, &d, "replica's live-block map diverged");
         prop_assert!(s.iter().map(|&(b, _)| b).eq(known.iter().copied())
-            && placed.len() == known.len() && placed.iter().all(|b| known.contains(b)),
+            && placed.len() == known.len() && placed.keys().all(|b| known.contains(b)),
             "the stream's record of what it placed diverged");
         for (base, _) in s {
             prop_assert_eq!(

@@ -3,6 +3,8 @@
 //! CUDA allocation API" — and the server's defensive behavior when a
 //! (hypothetical C) client misbehaves anyway.
 
+mod harness;
+
 use cricket_repro::prelude::*;
 use cricket_repro::vgpu::CudaCode;
 
@@ -289,4 +291,310 @@ fn module_images_are_bounded_per_session_and_the_session_carries_on() {
     let cleanup = server.release_session(SESSION);
     assert_eq!(cleanup.modules, modules.len() + 1);
     assert_eq!(server.module_bytes(SESSION), 0);
+}
+
+/// A raw client of one session, with no retries.
+type Raw = cricket_repro::proto::CricketV1Client;
+
+/// A raw client of session `session` of `server`, over `SimTransport`.
+fn sim_session(server: &std::sync::Arc<cricket_repro::server::CricketServer>, session: u32) -> Raw {
+    use cricket_repro::server::{make_session_rpc, SimTransport};
+    use cricket_repro::unikernel::{Guest, GuestKind};
+    use std::sync::Arc;
+    let rpc = Arc::new(make_session_rpc(Arc::clone(server), session));
+    let guest = Guest::new(GuestKind::RustyHermit);
+    Raw::new(Box::new(SimTransport::new(
+        rpc,
+        guest,
+        Arc::clone(server.clock()),
+    )))
+}
+
+/// A raw client of its own connection to the server at `addr`.
+fn tcp_session(addr: std::net::SocketAddr) -> Raw {
+    Raw::new(Box::new(
+        cricket_repro::oncrpc::TcpTransport::connect(addr).unwrap(),
+    ))
+}
+
+/// Every session owns what it made and nothing else. Session 2 is refused,
+/// with the code an unknown pointer (`cudaErrorInvalidValue`) or handle
+/// (`cudaErrorInvalidResourceHandle`) gets, on every use of session 1's
+/// buffer — at its base or inside it — and of its stream, event, module,
+/// function and cuBLAS, cuSolver and cuFFT handles; none of it changes
+/// anything of session 1's. Session 2's allocations never land on session
+/// 1's live memory, and releasing session 1 (`release`, handed its
+/// client) leaves session 2's buffers and handles working.
+fn sessions_touch_only_what_they_own(mut one: Raw, mut two: Raw, release: impl FnOnce(Raw)) {
+    use cricket_repro::proto::{DataResult, FloatResult, IntResult, RpcDim3, U64Result};
+    use cricket_repro::vgpu::fft::{CUFFT_C2C, CUFFT_FORWARD};
+    let (value, handle) = (
+        CudaCode::InvalidValue as i32,
+        CudaCode::InvalidHandle as i32,
+    );
+    let u = |r: U64Result| r.into_result().unwrap();
+    let image = CubinBuilder::new()
+        .kernel("saxpy", &[8, 8, 4, 4])
+        .build(false);
+    let (grid, block) = (RpcDim3 { x: 1, y: 1, z: 1 }, RpcDim3 { x: 64, y: 1, z: 1 });
+    let saxpy = |y: u64, x: u64| ParamBuilder::new().ptr(y).ptr(x).f32(2.0).u32(64).build();
+
+    let buf = u(one.cuda_malloc(&4096).unwrap());
+    let pattern: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+    assert_eq!(one.cuda_memcpy_htod(&buf, &pattern).unwrap(), 0);
+    let stream = u(one.cuda_stream_create().unwrap());
+    let event = u(one.cuda_event_create().unwrap());
+    assert_eq!(one.cuda_event_record(&event, &stream).unwrap(), 0);
+    let module = u(one.cu_module_load_data(&image).unwrap());
+    let func = u(one.cu_module_get_function(&module, "saxpy").unwrap());
+    let blas = u(one.cublas_create().unwrap());
+    let solver = u(one.cusolver_dn_create().unwrap());
+    let fft = u(one.cufft_plan_1d(&8, &CUFFT_C2C, &1).unwrap());
+
+    let mine = u(two.cuda_malloc(&4096).unwrap());
+    let own = u(two.cu_module_load_data(&image).unwrap());
+    let own_func = u(two.cu_module_get_function(&own, "saxpy").unwrap());
+    let own_event = u(two.cuda_event_create().unwrap());
+    let inside = buf + 256;
+    let memory = [
+        two.cuda_memcpy_htod(&buf, &[9; 64]).unwrap(),
+        two.cuda_memcpy_htod(&inside, &[9; 64]).unwrap(),
+        two.cuda_memset(&inside, &7, &64).unwrap(),
+        two.cuda_memcpy_dtod(&mine, &buf, &64).unwrap(),
+        two.cuda_memcpy_dtod(&inside, &mine, &64).unwrap(),
+        two.cuda_free(&buf).unwrap(),
+        two.cuda_free(&inside).unwrap(),
+        (two.cuda_launch_kernel(&own_func, &grid, &block, &0, &0, &saxpy(buf, mine))).unwrap(),
+        (two.cuda_launch_kernel(&own_func, &grid, &block, &0, &0, &saxpy(mine, inside))).unwrap(),
+    ];
+    assert_eq!(memory, [value; 9], "session 1's buffer");
+    let read = two.cuda_memcpy_dtoh(&inside, &64).unwrap();
+    assert_eq!(read, DataResult::Default(value), "session 1's buffer read");
+
+    let handles = [
+        two.cuda_stream_synchronize(&stream).unwrap(),
+        (two.cuda_launch_kernel(&own_func, &grid, &block, &0, &stream, &saxpy(mine, mine)))
+            .unwrap(),
+        two.cuda_event_record(&own_event, &stream).unwrap(),
+        two.cuda_event_record(&event, &0).unwrap(),
+        two.cuda_event_synchronize(&event).unwrap(),
+        (two.cuda_launch_kernel(&func, &grid, &block, &0, &0, &saxpy(mine, mine))).unwrap(),
+        (two.cublas_sgemm(
+            &blas, &0, &0, &1, &1, &1, &1.0, &mine, &1, &mine, &1, &0.0, &mine, &1,
+        ))
+        .unwrap(),
+        (two.cusolver_dn_dgetrf(&solver, &1, &1, &mine, &1, &mine, &mine, &mine)).unwrap(),
+        two.cufft_exec_c2c(&fft, &mine, &mine, &CUFFT_FORWARD)
+            .unwrap(),
+        two.cu_module_unload(&module).unwrap(),
+        two.cuda_event_destroy(&event).unwrap(),
+        two.cuda_stream_destroy(&stream).unwrap(),
+        two.cublas_destroy(&blas).unwrap(),
+        two.cusolver_dn_destroy(&solver).unwrap(),
+        two.cufft_destroy(&fft).unwrap(),
+    ];
+    assert_eq!(handles, [handle; 15], "session 1's handles");
+    let get = two.cu_module_get_function(&module, "saxpy").unwrap();
+    assert_eq!(get, U64Result::Default(handle), "session 1's module");
+    for (start, stop) in [(event, own_event), (own_event, event)] {
+        let elapsed = two.cuda_event_elapsed_time(&start, &stop).unwrap();
+        assert_eq!(elapsed, FloatResult::Default(handle), "session 1's event");
+    }
+    let size = two.cusolver_dn_dgetrf_buffer_size(&solver, &4, &4, &mine, &4);
+    assert_eq!(
+        size.unwrap(),
+        IntResult::Default(handle),
+        "session 1's cuSolver"
+    );
+
+    // Nothing of session 1's changed, and all of it is still live.
+    let back = one.cuda_memcpy_dtoh(&buf, &4096).unwrap().into_result();
+    assert_eq!(back.unwrap(), pattern);
+    let mut theirs: Vec<u64> = (0..8).map(|_| u(two.cuda_malloc(&4096).unwrap())).collect();
+    let live = buf..buf + 4096;
+    assert!(
+        theirs.iter().all(|p| !live.contains(p)),
+        "{theirs:x?} in {live:x?}"
+    );
+    assert_eq!(one.cuda_stream_synchronize(&stream).unwrap(), 0);
+    assert_eq!(one.cuda_event_synchronize(&event).unwrap(), 0);
+    assert!(one
+        .cu_module_get_function(&module, "saxpy")
+        .unwrap()
+        .into_result()
+        .is_ok());
+    let launch = one.cuda_launch_kernel(&func, &grid, &block, &0, &stream, &saxpy(buf, buf));
+    assert_eq!(launch.unwrap(), 0);
+    let sgemm = one.cublas_sgemm(
+        &blas, &0, &0, &1, &1, &1, &1.0, &buf, &1, &buf, &1, &0.0, &buf, &1,
+    );
+    assert_eq!(sgemm.unwrap(), 0);
+    assert_eq!(
+        one.cufft_exec_c2c(&fft, &buf, &buf, &CUFFT_FORWARD)
+            .unwrap(),
+        0
+    );
+    let size = one
+        .cusolver_dn_dgetrf_buffer_size(&solver, &4, &4, &buf, &4)
+        .unwrap();
+    assert!(size.into_result().is_ok());
+
+    // Session 2's own state survives session 1's release.
+    release(one);
+    theirs.push(mine);
+    for p in theirs {
+        assert_eq!(two.cuda_memcpy_htod(&p, &[3; 4096]).unwrap(), 0);
+        let launch = two.cuda_launch_kernel(&own_func, &grid, &block, &0, &0, &saxpy(p, p));
+        assert_eq!(launch.unwrap(), 0);
+        let back = two.cuda_memcpy_dtoh(&p, &4).unwrap().into_result();
+        assert_ne!(back.unwrap(), [3; 4], "the launch wrote it");
+        assert_eq!(two.cuda_free(&p).unwrap(), 0);
+    }
+    assert_eq!(two.cuda_event_record(&own_event, &0).unwrap(), 0);
+    assert_eq!(two.cuda_event_synchronize(&own_event).unwrap(), 0);
+    assert_eq!(two.cu_module_unload(&own).unwrap(), 0);
+}
+
+/// [`sessions_touch_only_what_they_own`] over two `make_session_rpc`
+/// sessions on `SimTransport`, session 1 released in process.
+#[test]
+fn sessions_touch_only_what_they_own_in_process() {
+    use cricket_repro::server::CricketServer;
+    let server = CricketServer::a100();
+    let (one, two) = (sim_session(&server, 1), sim_session(&server, 2));
+    sessions_touch_only_what_they_own(one, two, |_| {
+        assert!(server.release_session(1).total() > 0);
+    });
+    server.release_session(2);
+    let report = server.load_report();
+    assert_eq!((report.sessions, report.free_mem), (0, report.total_mem));
+}
+
+/// [`sessions_touch_only_what_they_own`] over two connections to one
+/// `ServerBuilder` server, a session each; session 1 goes with its
+/// connection.
+#[test]
+fn sessions_touch_only_what_they_own_over_tcp() {
+    let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
+    let (one, two) = (tcp_session(handle.addr()), tcp_session(handle.addr()));
+    let server = std::sync::Arc::clone(handle.server());
+    sessions_touch_only_what_they_own(one, two, |one| {
+        drop(one);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.load_report().sessions > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(server.load_report().sessions, 1, "session 1 released");
+    });
+    handle.shutdown();
+}
+
+/// Two connections carrying one client token act in one session, whichever
+/// of them made it: a buffer allocated on one is written, read and freed on
+/// the other, the token's session never changes, and the session outlives
+/// the first connection to close and goes with the last. A connection
+/// bound to the token is closed by a call carrying another. Each connection
+/// numbers its calls apart, as a stripe lane does, so that the replay cache
+/// keyed by token and xid does not take one's call for the other's.
+#[test]
+fn connections_with_one_token_share_its_session_until_the_last_closes() {
+    use harness::TOKEN;
+    use std::time::{Duration, Instant};
+    let handle = ServerBuilder::new("127.0.0.1:0").serve().unwrap();
+    let server = std::sync::Arc::clone(handle.server());
+    let connect = |lane: u32| {
+        let mut c = tcp_session(handle.addr());
+        c.rpc.set_client_token(TOKEN);
+        c.rpc.set_xid_base((lane << 24) | 1);
+        c
+    };
+    let (mut a, mut b) = (connect(0), connect(1));
+    let p = a.cuda_malloc(&4096).unwrap().into_result().unwrap();
+    let session = server.session_of_token(TOKEN);
+    assert!(session.is_some());
+    assert_eq!(b.cuda_memcpy_htod(&p, &[5; 4096]).unwrap(), 0);
+    let back = a.cuda_memcpy_dtoh(&p, &4096).unwrap().into_result();
+    assert_eq!(back.unwrap(), vec![5; 4096]);
+    let q = b.cuda_malloc(&256).unwrap().into_result().unwrap();
+    assert_eq!(a.cuda_free(&q).unwrap(), 0, "freed on the other connection");
+    assert_eq!(server.session_of_token(TOKEN), session);
+    assert_eq!(server.load_report().sessions, 1);
+
+    let mut c = connect(2);
+    assert_eq!(c.cuda_get_device_count().unwrap().into_result(), Ok(4));
+    c.rpc.set_client_token(TOKEN + 1);
+    assert!(
+        c.cuda_get_device_count().is_err(),
+        "another token on a bound connection"
+    );
+    drop((a, c));
+    // Long enough for both closes to be seen; the session must not go.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(server.session_of_token(TOKEN), session);
+    let back = b.cuda_memcpy_dtoh(&p, &4096).unwrap().into_result();
+    assert_eq!(
+        back.unwrap(),
+        vec![5; 4096],
+        "the session outlives a connection"
+    );
+    assert_eq!(b.cuda_free(&p).unwrap(), 0);
+    drop(b);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.load_report().sessions > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    harness::quiescent(&server, session, None);
+    handle.shutdown();
+}
+
+/// DESIGN §16, device memory per session: with `max_resident_bytes` set, a
+/// `cudaMalloc` past the quota is shed `CRICKET_BUSY`, a `cudaFree` makes
+/// room again, another session's bytes never count, and the session's
+/// module images count.
+#[test]
+fn the_resident_bytes_quota_counts_what_the_session_holds() {
+    use cricket_repro::oncrpc::{RpcError, RpcResult};
+    use cricket_repro::proto::{QosParams, U64Result};
+    use cricket_repro::server::CricketServer;
+    const QUOTA: u64 = 1 << 20;
+    let server = CricketServer::a100();
+    let (mut one, mut two) = (sim_session(&server, 1), sim_session(&server, 2));
+    let qos = QosParams {
+        session: 1,
+        weight: 1,
+        priority: 100,
+        rate_ns_per_s: 0,
+        burst_ns: 0,
+        max_resident_bytes: QUOTA,
+    };
+    assert_eq!(one.cricket_qos_set(&qos).unwrap(), 0);
+    let shed = |r: RpcResult<U64Result>| matches!(r, Err(RpcError::Busy { .. }));
+    let malloc = |c: &mut Raw, size: u64| c.cuda_malloc(&size).unwrap().into_result().unwrap();
+
+    let half = malloc(&mut one, QUOTA / 2);
+    let quarter = malloc(&mut one, QUOTA / 4);
+    malloc(&mut one, QUOTA / 4);
+    assert!(shed(one.cuda_malloc(&256)), "a malloc past the quota");
+    malloc(&mut two, 4 * QUOTA);
+    assert!(shed(one.cuda_malloc(&256)), "still past it");
+    assert_eq!(one.cuda_free(&half).unwrap(), 0);
+    malloc(&mut one, QUOTA / 2);
+    assert!(shed(one.cuda_malloc(&256)), "full again");
+    assert_eq!(one.cuda_free(&quarter).unwrap(), 0);
+
+    // A quarter is free; a module image of that size takes it.
+    let image = CubinBuilder::new()
+        .kernel("saxpy", &[8, 8, 4, 4])
+        .code(&vec![0x5a; (QUOTA / 4) as usize - 512])
+        .build(false);
+    let module = one
+        .cu_module_load_data(&image)
+        .unwrap()
+        .into_result()
+        .unwrap();
+    assert!(shed(one.cuda_malloc(&(QUOTA / 4))), "the image counts");
+    malloc(&mut one, 256);
+    assert_eq!(one.cu_module_unload(&module).unwrap(), 0);
+    malloc(&mut one, QUOTA / 4 - 256);
+    assert!(shed(one.cuda_malloc(&256)));
 }

@@ -52,7 +52,7 @@ impl SimSetup {
     }
 
     /// Build one simulated transport to this GPU node (the raw material for
-    /// chaos wrappers and reconnect hooks).
+    /// fault-injecting wrappers and reconnect hooks).
     pub fn transport(&self, env: EnvConfig) -> Box<dyn oncrpc::Transport> {
         Box::new(SimTransport::new(
             Arc::clone(&self.rpc),
@@ -80,8 +80,8 @@ impl SimSetup {
 
     /// `Self::stripe_pool` with a per-lane transport wrapper: `wrap`
     /// receives each lane's simulated transport and its lane index, and
-    /// may interpose (e.g. an [`oncrpc::FaultyTransport`] with a per-lane
-    /// fault schedule for chaos tests).
+    /// may interpose (e.g. the test harness's fault injector, with a
+    /// per-lane fault schedule).
     pub fn stripe_pool_with(
         &self,
         env: EnvConfig,
@@ -98,18 +98,6 @@ impl SimSetup {
             })
             .collect();
         StripePool::new(clients, Some((Arc::clone(&self.clock), clocks)))
-    }
-
-    /// Connect a client whose RPC records pass through a fault-injecting
-    /// [`oncrpc::FaultyTransport`] driven by the shared `plan`.
-    pub fn chaos_client(&self, env: EnvConfig, plan: &oncrpc::SharedFaultPlan) -> CricketClient {
-        let inner = self.transport(env);
-        let faulty = oncrpc::FaultyTransport::new(inner, Arc::clone(plan));
-        CricketClient::new(
-            Box::new(faulty),
-            env.flavor(),
-            Some(Arc::clone(&self.clock)),
-        )
     }
 
     /// Current virtual time in seconds.

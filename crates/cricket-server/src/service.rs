@@ -1853,11 +1853,12 @@ mod tests {
             let call =
                 oncrpc::CallBody::new(cricket_proto::CRICKET_CUDA, cricket_proto::CRICKET_V1, proc);
             enc.put(&oncrpc::RpcMessage::call(1, call));
-            let reply = rpc.handle_record(enc.as_slice()).unwrap();
+            let mut reply = xdr::XdrEncoder::new();
+            rpc.handle_record_into(enc.as_slice(), &mut reply).unwrap();
             let busy = oncrpc::ReplyBody::busy(qos.admission_retry_ns);
             let mut want = xdr::XdrEncoder::new();
             want.put(&oncrpc::RpcMessage::reply(1, busy));
-            reply == want.as_slice()
+            reply.as_slice() == want.as_slice()
         };
         assert!(!shed(1, p::CUDA_GET_DEVICE_COUNT));
         assert!(!shed(2, p::CUDA_GET_DEVICE_COUNT));

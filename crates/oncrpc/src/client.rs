@@ -305,26 +305,16 @@ impl<T: Transport, B: RecordBuf> RpcClient<T, B> {
         self.call_raw_sg_tagged(proc, idempotent, |enc| encode_args(enc))
     }
 
-    /// Like [`RpcClient::call_raw`], but the encoder supports deferred
-    /// (scatter-gather) opaques: bulk argument bytes are recorded as
-    /// borrowed slices with lifetime `'d` and written to the transport as an
-    /// iovec chain, never copied into the scratch buffer.
-    pub fn call_raw_sg<'d>(
-        &mut self,
-        proc: u32,
-        encode_args: impl FnOnce(&mut XdrSgEncoder<'d, '_, B>),
-    ) -> RpcResult<Reply<'_>> {
-        self.call_raw_sg_tagged(proc, false, encode_args)
-    }
-
     /// The full-featured call primitive: scatter-gather argument encoding
-    /// plus the resilience machinery. The request is encoded *once*; each
-    /// attempt re-sends the same bytes under the same xid, so a server-side
-    /// replay cache can recognize retransmissions. Retries happen only for
-    /// transport-level failures (timeout, reset, EOF, corrupt reply) and only
-    /// when the call is `idempotent` or the policy opts non-idempotent calls
-    /// in; RPC-level failures (accepted-but-failed, rejection) are returned
-    /// immediately.
+    /// (deferred opaques are recorded as borrowed slices with lifetime `'d`
+    /// and written to the transport as an iovec chain, never copied into
+    /// the scratch buffer) plus the resilience machinery. The request is
+    /// encoded *once*; each attempt re-sends the same bytes under the same
+    /// xid, so a server-side replay cache can recognize retransmissions.
+    /// Retries happen only for transport-level failures (timeout, reset,
+    /// EOF, corrupt reply) and only when the call is `idempotent` or the
+    /// policy opts non-idempotent calls in; RPC-level failures
+    /// (accepted-but-failed, rejection) are returned immediately.
     pub fn call_raw_sg_tagged<'d>(
         &mut self,
         proc: u32,
@@ -846,7 +836,7 @@ mod tests {
         // The same bytes as a deferred opaque ride an iovec segment instead.
         let bulk = [0x5au8; 1024];
         client
-            .call_raw_sg(1, |enc| enc.put_opaque_deferred(&bulk))
+            .call_raw_sg_tagged(1, false, |enc| enc.put_opaque_deferred(&bulk))
             .unwrap();
         assert_eq!(client.transport.req_len, 4 + 40 + 4 + 1024);
     }

@@ -32,7 +32,6 @@
 
 mod auth;
 mod batch;
-mod chaos;
 mod client;
 mod conn;
 mod error;
@@ -48,7 +47,6 @@ pub mod transport;
 
 pub use auth::OpaqueAuth;
 pub use batch::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};
-pub use chaos::{ChaosRng, Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan};
 pub use client::{Reply, RetryPolicy, RpcClient};
 pub use conn::{Calls, Classifier, Conn, ProcClass, ReactorConfig, Replies};
 pub use error::{RpcError, RpcResult};

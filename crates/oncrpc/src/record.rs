@@ -30,7 +30,7 @@ const LENGTH_MASK: u32 = 0x7fff_ffff;
 
 /// The mark of a fragment of `len` payload bytes, the last of its record
 /// when `last`: the one place mark bytes are built.
-pub(crate) fn mark(len: usize, last: bool) -> [u8; 4] {
+pub fn mark(len: usize, last: bool) -> [u8; 4] {
     ((len as u32 & LENGTH_MASK) | if last { LAST_FRAGMENT } else { 0 }).to_be_bytes()
 }
 

@@ -143,18 +143,6 @@ impl RpcServer {
         versions.clone().min().zip(versions.max())
     }
 
-    /// Process one already-read request record, producing the bytes of the
-    /// complete reply record.
-    ///
-    /// Allocating convenience wrapper over [`RpcServer::handle_record_into`];
-    /// callers with a call loop should pass a reused encoder to that method
-    /// instead.
-    pub fn handle_record(&self, record: &[u8]) -> RpcResult<Vec<u8>> {
-        let mut reply_enc = XdrEncoder::with_capacity(64);
-        self.handle_record_into(record, &mut reply_enc)?;
-        Ok(reply_enc.into_inner())
-    }
-
     /// Process one already-read request record, encoding the complete reply
     /// record into `reply_enc` (cleared first). This is the core of the
     /// server and also the entry point for the in-process
@@ -370,6 +358,16 @@ mod tests {
     use crate::client::RpcClient;
     use crate::msg::RejectStat;
     use crate::transport::{duplex_pair, TcpTransport};
+
+    impl RpcServer {
+        /// [`RpcServer::handle_record_into`] with a fresh encoder: the
+        /// bytes of the complete reply record.
+        fn handle_record(&self, record: &[u8]) -> RpcResult<Vec<u8>> {
+            let mut reply_enc = XdrEncoder::with_capacity(64);
+            self.handle_record_into(record, &mut reply_enc)?;
+            Ok(reply_enc.into_inner())
+        }
+    }
 
     /// Echo service: proc 0 = null, proc 1 = echo opaque, proc 2 = add two u32.
     fn echo_service() -> Arc<dyn Dispatch> {

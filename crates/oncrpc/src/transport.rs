@@ -120,10 +120,10 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One end of an in-memory duplex pipe built on unbounded channels.
-///
-/// Used for in-process client↔server tests and as the carrier inside the
-/// simulated network paths. Reads block until data or hang-up.
+/// One end of an in-memory duplex pipe built on unbounded channels, for
+/// in-process client↔server tests across crates (the simulated network
+/// paths carry their bytes through virtio, not through this). Reads block
+/// until data or hang-up.
 pub struct MemTransport {
     tx: mpsc::Sender<Vec<u8>>,
     rx: mpsc::Receiver<Vec<u8>>,

@@ -60,7 +60,11 @@ impl Write for Tap {
             self.record.extend_from_slice(fragment);
             self.inbound.drain(..4 + len);
             if header >> 31 == 1 {
-                let reply = self.server.handle_record(&self.record).unwrap();
+                let mut reply = xdr::XdrEncoder::new();
+                self.server
+                    .handle_record_into(&self.record, &mut reply)
+                    .unwrap();
+                let reply = reply.into_inner();
                 let framed = 0x8000_0000 | reply.len() as u32;
                 self.outbound.extend_from_slice(&framed.to_be_bytes());
                 self.outbound.extend_from_slice(&reply);

@@ -117,7 +117,7 @@ fn steady_state_call_loop_is_allocation_free() {
     for _ in 0..16 {
         client.call_raw(3, |enc| enc.put_u64(0xdead_beef)).unwrap();
         client
-            .call_raw_sg(9, |enc| {
+            .call_raw_sg_tagged(9, false, |enc| {
                 enc.put_u64(0x1000);
                 enc.put_opaque_deferred(&bulk);
             })
@@ -137,7 +137,7 @@ fn steady_state_call_loop_is_allocation_free() {
             assert!(r.is_empty());
             // …and a bulk scatter-gather call (covers the deferred iovec path).
             let r = client
-                .call_raw_sg(9, |enc| {
+                .call_raw_sg_tagged(9, false, |enc| {
                     enc.put_u64(0x1000 + i);
                     enc.put_opaque_deferred(&bulk);
                 })

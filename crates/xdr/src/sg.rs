@@ -106,17 +106,6 @@ impl<'d, 'e, B: XdrSink> XdrSgEncoder<'d, 'e, B> {
         }
         f(&segs[..n])
     }
-
-    /// Flatten into a single owned buffer (test/diagnostic path).
-    pub fn to_contiguous(&self) -> Vec<u8> {
-        self.with_segments(|segs| {
-            let mut out = Vec::with_capacity(self.total_len());
-            for s in segs {
-                out.extend_from_slice(s);
-            }
-            out
-        })
-    }
 }
 
 impl<B> Deref for XdrSgEncoder<'_, '_, B> {
@@ -140,6 +129,11 @@ mod tests {
         /// Number of deferred (zero-copy) slices recorded so far.
         fn deferred_count(&self) -> usize {
             self.count
+        }
+
+        /// Flatten into a single owned buffer.
+        fn to_contiguous(&self) -> Vec<u8> {
+            self.with_segments(|segs| segs.concat())
         }
     }
 

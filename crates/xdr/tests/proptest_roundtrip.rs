@@ -77,13 +77,13 @@ proptest! {
         let mut sg = XdrSgEncoder::new(&mut vec_enc);
         drive(&mut sg, &ops);
         prop_assert_eq!(sg.total_len(), want.len());
-        prop_assert_eq!(&sg.to_contiguous(), &want);
+        prop_assert_eq!(&sg.with_segments(|segs| segs.concat()), &want);
 
         let mut store = vec![0u8; want.len()];
         let mut fixed_enc = XdrEncoder::from_sink(FixedBuf::new(&mut store[..]));
         let mut sg = XdrSgEncoder::new(&mut fixed_enc);
         drive(&mut sg, &ops);
-        prop_assert_eq!(&sg.to_contiguous(), &want);
+        prop_assert_eq!(&sg.with_segments(|segs| segs.concat()), &want);
         let owned = fixed_enc.finish().unwrap();
         prop_assert!(owned <= want.len());
 

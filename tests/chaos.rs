@@ -4,10 +4,11 @@
 
 mod harness;
 
-use cricket_repro::oncrpc::{transport::Transport, Fault, FaultPlan, FaultyTransport};
+use cricket_repro::oncrpc::transport::Transport;
 use cricket_repro::oncrpc::{RpcClient, RpcError, RpcResult, TcpTransport};
 use cricket_repro::server::ServerBuilder;
 use cricket_repro::{client::BatchPolicy, prelude::*, proto};
+use harness::chaos::{Fault, FaultPlan, FaultyTransport};
 use harness::{replay_hits, sim_client, Driver, Feature, Run, Scenario, SIX_MALLOCS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -402,4 +403,131 @@ fn batch_slices_yield_under_quota_shed_exactly_once() {
         let turns = |t: &[String]| t[3].parse::<u32>().unwrap();
         assert!(turns(&got) > turns(&want), "no slice yielded");
     });
+}
+
+/// The fault injector's own contract: a fixed PRNG stream, decisions that
+/// depend only on the seed and the operation counter, and each fault doing
+/// what its name says to the records that pass through.
+mod fault_injector {
+    use crate::harness::chaos::{ChaosRng, Dir, Fault, FaultConfig, FaultPlan, FaultyTransport};
+    use cricket_repro::oncrpc::record::{read_record, write_record, MAX_RECORD};
+    use cricket_repro::oncrpc::{duplex_pair, RpcError};
+    use parking_lot::Mutex;
+    use std::io::Read;
+    use std::sync::Arc;
+
+    #[test]
+    fn rng_stream_is_fixed() {
+        // Pin the first outputs forever: CI prints seeds that must replay.
+        let mut r = ChaosRng::new(42);
+        let first: Vec<u64> = (0..3).map(|_| r.next_u64()).collect();
+        let mut r2 = ChaosRng::new(42);
+        let again: Vec<u64> = (0..3).map(|_| r2.next_u64()).collect();
+        assert_eq!(first, again);
+        let mut r3 = ChaosRng::new(43);
+        assert_ne!(first[0], r3.next_u64());
+    }
+
+    #[test]
+    fn same_seed_same_decisions() {
+        let mut a = FaultPlan::from_seed(7);
+        let mut b = FaultPlan::from_seed(7);
+        for i in 0..200 {
+            let dir = if i % 2 == 0 { Dir::Request } else { Dir::Reply };
+            assert_eq!(a.decide(dir, 100), b.decide(dir, 100));
+        }
+        assert_eq!(a.trace_string(), b.trace_string());
+        assert!(!a.trace_string().is_empty());
+    }
+
+    #[test]
+    fn scripted_events_fire_at_their_index() {
+        let mut p = FaultPlan::scripted(vec![(2, Fault::DropReply), (0, Fault::ResetOnSend)]);
+        assert_eq!(p.decide(Dir::Request, 10).fault, Some(Fault::ResetOnSend));
+        assert_eq!(p.decide(Dir::Reply, 10).fault, None);
+        assert_eq!(p.decide(Dir::Reply, 10).fault, Some(Fault::DropReply));
+        assert_eq!(p.faults_injected(), 2);
+    }
+
+    #[test]
+    fn max_faults_caps_injection() {
+        let cfg = FaultConfig {
+            drop_reply: 1000,
+            max_faults: 3,
+            ..FaultConfig::none()
+        };
+        let mut p = FaultPlan::from_seed_with(1, cfg);
+        let injected = (0..10)
+            .filter(|_| p.decide(Dir::Reply, 10).fault.is_some())
+            .count();
+        assert_eq!(injected, 3);
+    }
+
+    #[test]
+    fn clean_plan_passes_records_through() {
+        let (client_end, mut server_end) = duplex_pair();
+        let plan = Arc::new(Mutex::new(FaultPlan::from_seed_with(
+            0,
+            FaultConfig::none(),
+        )));
+        let mut faulty = FaultyTransport::new(Box::new(client_end), Arc::clone(&plan));
+        let payload: Vec<u8> = (0..3000u32).map(|i| i as u8).collect();
+        write_record(&mut faulty, &payload, 256).unwrap();
+        let got = read_record(&mut server_end, MAX_RECORD).unwrap().unwrap();
+        assert_eq!(got, payload);
+        // Echo back; the reply path re-frames but must preserve bytes.
+        write_record(&mut server_end, &payload, 512).unwrap();
+        let back = read_record(&mut faulty, MAX_RECORD).unwrap().unwrap();
+        assert_eq!(back, payload);
+        assert_eq!(plan.lock().trace().len(), 2);
+        assert!(plan.lock().trace().iter().all(|e| e.fault.is_none()));
+    }
+
+    #[test]
+    fn reset_on_send_breaks_the_transport() {
+        let (client_end, _server_end) = duplex_pair();
+        let plan = Arc::new(Mutex::new(FaultPlan::scripted(vec![(
+            0,
+            Fault::ResetOnSend,
+        )])));
+        let mut faulty = FaultyTransport::new(Box::new(client_end), plan);
+        let err = write_record(&mut faulty, b"ping", 64).unwrap_err();
+        assert!(matches!(err, RpcError::Io(_)));
+        // Still broken afterwards.
+        assert!(write_record(&mut faulty, b"ping", 64).is_err());
+        let mut buf = [0u8; 4];
+        assert_eq!(faulty.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn duplicate_reply_is_delivered_twice() {
+        let (client_end, mut server_end) = duplex_pair();
+        let plan = Arc::new(Mutex::new(FaultPlan::scripted(vec![(
+            1,
+            Fault::DuplicateReply,
+        )])));
+        let mut faulty = FaultyTransport::new(Box::new(client_end), plan);
+        write_record(&mut faulty, b"call", 64).unwrap();
+        let _ = read_record(&mut server_end, MAX_RECORD).unwrap().unwrap();
+        write_record(&mut server_end, b"answer", 64).unwrap();
+        let a = read_record(&mut faulty, MAX_RECORD).unwrap().unwrap();
+        let b = read_record(&mut faulty, MAX_RECORD).unwrap().unwrap();
+        assert_eq!(a, b"answer");
+        assert_eq!(b, b"answer");
+    }
+
+    #[test]
+    fn truncated_reply_surfaces_as_connection_loss() {
+        let (client_end, mut server_end) = duplex_pair();
+        let plan = Arc::new(Mutex::new(FaultPlan::scripted(vec![(
+            1,
+            Fault::TruncateReply,
+        )])));
+        let mut faulty = FaultyTransport::new(Box::new(client_end), plan);
+        write_record(&mut faulty, b"call", 64).unwrap();
+        let _ = read_record(&mut server_end, MAX_RECORD).unwrap().unwrap();
+        write_record(&mut server_end, b"long answer bytes", 64).unwrap();
+        let err = read_record(&mut faulty, MAX_RECORD).unwrap_err();
+        assert!(matches!(err, RpcError::ConnectionClosed));
+    }
 }

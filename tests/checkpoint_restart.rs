@@ -6,8 +6,8 @@
 
 mod harness;
 
-use cricket_repro::oncrpc::{Fault, FaultPlan};
 use cricket_repro::prelude::*;
+use harness::chaos::{Fault, FaultPlan};
 
 fn populated() -> (Context, SimSetup, u64, u64) {
     let setup = SimSetup::new();

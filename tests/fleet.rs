@@ -9,9 +9,10 @@
 mod harness;
 
 use cricket_repro::oncrpc::portmap::PmapVersService;
-use cricket_repro::oncrpc::{ChaosRng, PmapVersClient, Portmap, TcpTransport};
+use cricket_repro::oncrpc::{PmapVersClient, Portmap, TcpTransport};
 use cricket_repro::prelude::*;
 use cricket_repro::server::ServerConfig;
+use harness::chaos::ChaosRng;
 use std::time::Duration;
 
 /// RFC 1833 portmap procedures over a real TCP listener: set, getport,

@@ -12,11 +12,13 @@
 //! A failure names the row, the seed and the oracle (DESIGN §7).
 #![allow(dead_code)] // every suite uses its own rows' share
 
+pub mod chaos;
+
+use chaos::{Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan};
 use cricket_repro::client::env::ClientFlavor;
 use cricket_repro::client::stripe::StripePool;
 use cricket_repro::oncrpc::{self, transport::Transport, ConnHandler, ReactorConfig, ServerHandle};
-use cricket_repro::oncrpc::{Fault, FaultConfig, FaultPlan, FaultyTransport, ReplayCache};
-use cricket_repro::oncrpc::{RetryPolicy, RpcClient, RpcError, RpcResult, SharedFaultPlan};
+use cricket_repro::oncrpc::{ReplayCache, RetryPolicy, RpcClient, RpcError, RpcResult};
 use cricket_repro::proto::{CricketV1Client, QosParams};
 use cricket_repro::server::SchedulerPolicy;
 use cricket_repro::server::{cricket_classifier, make_rpc_server, CricketServer, SimTransport};
@@ -32,14 +34,18 @@ pub const CI_SEEDS: [u64; 6] = [1, 7, 42, 0xC41C_4E71, 0xDEAD_BEEF, 20_230_915];
 pub const TOKEN: u64 = 0xC11E_0001;
 
 /// Run `body` once per seed; a failure is raised again naming `row`, the
-/// seed and how to replay its schedule.
+/// seed and how to replay its schedule: the row itself at that seed, since
+/// only the row knows its plan (a seeded row's is [`lossy`], not the
+/// default mix of `FaultPlan::from_seed`).
 pub fn for_each_seed(row: &str, mut body: impl FnMut(u64)) {
     for seed in CI_SEEDS {
         if let Err(cause) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(seed))) {
             let msg = (cause.downcast_ref::<String>().map(String::as_str))
                 .or_else(|| cause.downcast_ref::<&str>().copied())
                 .unwrap_or("<non-string panic>");
-            panic!("{row} failed at seed {seed} (replay with FaultPlan::from_seed({seed})): {msg}");
+            let replay =
+                format!("run the row at seed {seed}: Scenario::run({seed}) for a scenario");
+            panic!("{row} failed at seed {seed} (replay: {replay}): {msg}");
         }
     }
 }
@@ -66,7 +72,9 @@ pub fn harden(rpc: &mut RpcClient, token: u64, deadline_ms: u64, redial: Redial)
 
 /// A hardened client of `setup` in `env` whose records pass through `plan`.
 pub fn sim_client(setup: &SimSetup, env: EnvConfig, plan: &SharedFaultPlan) -> CricketClient {
-    let mut client = setup.chaos_client(env, plan);
+    let faulty = FaultyTransport::new(setup.transport(env), Arc::clone(plan));
+    let clock = Some(Arc::clone(&setup.clock));
+    let mut client = CricketClient::new(Box::new(faulty), env.flavor(), clock);
     harden(client.rpc(), TOKEN, 40, sim_redial(setup, env, plan));
     client
 }

@@ -7,8 +7,8 @@
 
 mod harness;
 
-use cricket_repro::oncrpc::{FaultConfig, FaultPlan};
 use cricket_repro::prelude::*;
+use harness::chaos::{FaultConfig, FaultPlan};
 use harness::sim_client;
 use proptest::prelude::*;
 

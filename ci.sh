@@ -123,7 +123,13 @@ export CARGO_NET_OFFLINE=true
 # by the same grep approximation: a `pub` item with no outside user would
 # show here, so the step fails above the landed count. The names counted
 # are types that appear in a public signature (a report a public `run`
-# returns, rpcl's AST that `parse` returns); CHANGES.md lists them.
+# returns, two of the AST types rpcl's `parse` returns); CHANGES.md lists
+# them.
+# rpcl's limit fell from 14 to 2 when the hostile peer
+# (`tests/harness/adversary.rs`) walked its AST: the names left are `Api`
+# and `ConstDef`, which the walker has no use for. `kernels.rs` fell from
+# 565 to 556 when its checked product moved to `vgpu/src/error.rs` as
+# `span`, the one helper every peer-sized byte span goes through.
 # `./ci.sh size` runs this step alone (the workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core; pub names with no outside user per library crate"
@@ -198,7 +204,7 @@ size() {
         crates/oncrpc/src/conn.rs:377 crates/core/src/raw.rs:493 crates/rpcl/src/codegen.rs:1514 \
         crates/cricket-server/src/service.rs:678 crates/cricket-server/src/server.rs:550 \
         crates/cricket-server/src/state.rs:690 crates/cricket-server/src/prologue.rs:342 \
-        crates/cricket-server/src/batch.rs:275 crates/vgpu/src/kernels.rs:565 \
+        crates/cricket-server/src/batch.rs:275 crates/vgpu/src/kernels.rs:556 \
         crates/vgpu/src/device.rs:815 crates/oncrpc/src/record.rs:577 \
         crates/oncrpc/src/client.rs:623 crates/simnet/src/checksum.rs:52 \
         crates/oncrpc/src/server.rs:354; do
@@ -206,7 +212,7 @@ size() {
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
             "${limit%:*}"
     done
-    for limit in xdr:0 oncrpc:3 rpcl:14 cricket-server:2 core:2 cricket-proto:0 vgpu:5 simnet:3 \
+    for limit in xdr:0 oncrpc:3 rpcl:2 cricket-server:2 core:2 cricket-proto:0 vgpu:5 simnet:3 \
         unikernel:2 fleet:0 proxy-apps:4; do
         find . -name '*.rs' -not -path '*/target/*' -not -path './.bench_build/*' | sort |
             xargs awk -v crate="${limit%:*}" -v limit="${limit##*:}" '
@@ -250,6 +256,12 @@ size
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# The hostile peer (`tests/adversary.rs`, DESIGN §7) over every seed of
+# CI_SEEDS on every driver, in release: there an overflowing size wraps
+# instead of panicking, so a wrapped span shows as what it then breaks.
+echo "==> adversary: the hostile peer, every seed and driver, in release"
+cargo test --release --test adversary
 
 # Every integration suite below runs as part of --workspace (and the
 # root-package ones already ran in tier-1); none is re-run by name. What
@@ -320,9 +332,11 @@ cargo test -q
 #   proptest_device        (cricket-vgpu) every builtin kernel's output bytes equal a naive loop's over random
 #                          finite inputs and ragged geometry (hA / wB off the register tile, bytes off the
 #                          block count, one block, more blocks than bytes)
-#   safety                 hostile_launch_geometry_is_refused_and_the_session_carries_on: a 2^96-block histogram
-#                          grid and 2^64-byte matrix sizes get a CUDA error over SimTransport, then the session
-#                          launches and copies normally; sessions_touch_only_what_they_own_in_process / _over_tcp:
+#   adversary              the hostile peer (DESIGN §7) over CI_SEEDS on SimTransport, Conn and reactor TCP, and
+#                          its reproducers; hostile_launch_geometry_is_refused_and_the_session_carries_on: a
+#                          2^96-block histogram grid and 2^64-byte matrix sizes get a CUDA error over SimTransport,
+#                          within the allocation budget, then the session launches and copies normally
+#   safety                 a_session_sets_only_its_own_qos; sessions_touch_only_what_they_own_in_process / _over_tcp:
 #                          session 2 is refused on every use of session 1's buffer (base or interior, launch
 #                          parameters included) and handles, with the unknown code, changing nothing; its
 #                          mallocs never land on session 1's memory, and session 1's release leaves its own state;

@@ -11,7 +11,7 @@ use cricket_proto::{
     cricket_v1, BatchReceipt, BatchResult, CricketV1BatchOp as BatchOp, RpcDim3, BATCH_OP_NS,
     DISPATCH_NS,
 };
-use oncrpc::AcceptStat;
+use oncrpc::{sparse::raw_len, AcceptStat};
 use vgpu::{Device, Dim3, Submit, VgpuError, VgpuResult};
 
 /// Preemption point cadence inside a `CRICKET_BATCH_EXEC` slice: after this
@@ -49,7 +49,7 @@ impl CricketServer {
     pub(crate) fn op_device(&self, s: SessionId, op: &BatchOp<'_>) -> VgpuResult<(usize, u64)> {
         let (names, stream) = match *op {
             BatchOp::CudaMemcpyHtod(dst, data) => ([(dst, data.len() as u64), (0, 0), (0, 0)], 0),
-            BatchOp::CudaMemcpyHtodSparse(dst, _) => ([(dst, 0), (0, 0), (0, 0)], 0),
+            BatchOp::CudaMemcpyHtodSparse(dst, e) => ([(dst, raw_len(e)), (0, 0), (0, 0)], 0),
             BatchOp::CudaMemcpyDtod(dst, src, len) => ([(src, len), (dst, len), (0, 0)], 0),
             BatchOp::CudaMemset(ptr, _, len) => ([(ptr, len), (0, 0), (0, 0)], 0),
             BatchOp::CudaLaunchKernel(.., stream, _) => ([(stream, 0), (0, 0), (0, 0)], stream),

@@ -661,9 +661,12 @@ impl cricket_proto::CricketV1Service for Sessioned {
         Ok(0)
     }
 
-    /// Install a session's QoS spec. Administrative: charges no device
-    /// time, like `srv_set_scheduler`.
+    /// Install the caller's own QoS spec; another session's is refused.
+    /// Administrative: charges no device time, like `srv_set_scheduler`.
     fn cricket_qos_set(&self, p: QosParams) -> Reply<i32> {
+        if p.session != self.session() {
+            return Ok(vgpu::CudaCode::InvalidValue as i32);
+        }
         let spec = QosSpec {
             weight: p.weight,
             priority: p.priority,

@@ -113,6 +113,13 @@ fn header(dec: &mut XdrDecoder<'_>) -> XdrResult<(usize, usize)> {
     Ok((page, raw_len))
 }
 
+/// The length `enc` decodes to, from its header alone, so a caller can
+/// bound it before anything expands; 0 for a header that does not parse
+/// (decoding refuses it).
+pub fn raw_len(enc: &[u8]) -> u64 {
+    header(&mut XdrDecoder::new(enc)).map_or(0, |(_, len)| len as u64)
+}
+
 /// Decode a sparse blob into `out` (cleared first), materializing zero
 /// pages as zero bytes — the result is byte-identical to the original
 /// payload. `out` grows only as pages are produced, never from the

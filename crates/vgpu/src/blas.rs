@@ -6,7 +6,7 @@
 //! cuBLAS: **column-major** with explicit leading dimensions.
 
 use crate::device::Device;
-use crate::error::{VgpuError, VgpuResult};
+use crate::error::{span, VgpuError, VgpuResult};
 use crate::memory::{bytes_to_f32, bytes_to_f64, f32_to_bytes, f64_to_bytes};
 use crate::timemodel::{kernel_duration_ns, Precision, Workload};
 
@@ -85,9 +85,11 @@ macro_rules! gemm_impl {
                 ));
             }
             let elem = std::mem::size_of::<$ty>() as u64;
-            let a = $reader(dev.mem.read(a_ptr, (lda * a_cols) as u64 * elem)?);
-            let b = $reader(dev.mem.read(b_ptr, (ldb * b_cols) as u64 * elem)?);
-            let mut c = $reader(dev.mem.read(c_ptr, (ldc * n) as u64 * elem)?);
+            let bytes =
+                |ld: usize, cols: usize| span("gemm operand", &[ld as u64, cols as u64, elem]);
+            let a = $reader(dev.mem.read(a_ptr, bytes(lda, a_cols)?)?);
+            let b = $reader(dev.mem.read(b_ptr, bytes(ldb, b_cols)?)?);
+            let mut c = $reader(dev.mem.read(c_ptr, bytes(ldc, n)?)?);
 
             for j in 0..n {
                 for i in 0..m {

@@ -111,6 +111,16 @@ impl std::error::Error for VgpuError {}
 /// Result alias for device operations.
 pub type VgpuResult<T> = Result<T, VgpuError>;
 
+/// The product of `factors` — a byte span sized from a peer's dimensions,
+/// counts and leading dimensions — or `InvalidValue` naming `what` when it
+/// overflows: they arrive off the wire, unbounded.
+pub(crate) fn span(what: &str, factors: &[u64]) -> VgpuResult<u64> {
+    factors
+        .iter()
+        .try_fold(1u64, |acc, &f| acc.checked_mul(f))
+        .ok_or_else(|| VgpuError::InvalidValue(format!("{what} overflows 64 bits")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //! workflow the paper describes in §3.5.
 
 use crate::device::Device;
-use crate::error::{VgpuError, VgpuResult};
+use crate::error::{span, VgpuError, VgpuResult};
 use crate::memory::{bytes_to_f32, bytes_to_f64, f32_to_bytes, f64_to_bytes};
 use crate::timemodel::{kernel_duration_ns, Precision, Workload};
 
@@ -55,11 +55,16 @@ impl FftPlan {
         if kind != CUFFT_C2C && kind != CUFFT_Z2Z {
             return Err(VgpuError::InvalidValue(format!("cufftType {kind:#x}")));
         }
-        Ok(Self {
+        let plan = Self {
             n,
             batch: batch as usize,
             kind,
-        })
+        };
+        span(
+            "cufftPlan1d buffer",
+            &[n as u64, batch as u64, plan.elem_bytes() as u64],
+        )?;
+        Ok(plan)
     }
 
     /// Bytes per batch element (interleaved complex).
@@ -70,7 +75,8 @@ impl FftPlan {
         }
     }
 
-    /// Total buffer size in bytes.
+    /// Total buffer size in bytes ([`Self::plan_1d`] refuses a plan whose
+    /// size overflows).
     pub(crate) fn buffer_bytes(&self) -> u64 {
         (self.n * self.batch * self.elem_bytes()) as u64
     }

@@ -11,7 +11,7 @@
 //! 8-byte slot per parameter (pointers and scalars alike), matching how the
 //! client stub marshals `void* args[]`.
 
-use crate::error::{VgpuError, VgpuResult};
+use crate::error::{span, VgpuError, VgpuResult};
 use crate::memory::{bytes_to_f32, MemoryManager};
 use crate::timemodel::{Precision, Workload};
 
@@ -207,15 +207,6 @@ pub fn registry() -> &'static [Builtin] {
     REGISTRY
 }
 
-/// The product of `factors`, or `InvalidValue` naming `what` when it
-/// overflows: geometry and sizes arrive off the wire, unbounded.
-fn product(what: &str, factors: &[u64]) -> VgpuResult<u64> {
-    factors
-        .iter()
-        .try_fold(1u64, |acc, &f| acc.checked_mul(f))
-        .ok_or_else(|| VgpuError::InvalidValue(format!("{what} overflows 64 bits")))
-}
-
 /// The f32 in the first four bytes of `b` (device layout, little-endian).
 fn f32_le(b: &[u8]) -> f32 {
     f32::from_le_bytes([b[0], b[1], b[2], b[3]])
@@ -312,9 +303,9 @@ fn matrix_mul_dims(cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<MatrixMul> {
         wa,
         wb,
         ha,
-        a_len: product("matrixMul A", &[ha, wa, 4])?,
-        b_len: product("matrixMul B", &[wa, wb, 4])?,
-        c_len: product("matrixMul C", &[ha, wb, 4])?,
+        a_len: span("matrixMul A", &[ha, wa, 4])?,
+        b_len: span("matrixMul B", &[wa, wb, 4])?,
+        c_len: span("matrixMul C", &[ha, wb, 4])?,
     })
 }
 
@@ -396,7 +387,7 @@ fn matrix_mul_execute(m: &mut MemoryManager, cfg: &LaunchConfig, p: Params<'_>) 
 
 /// Bytes of `blocks` partial histograms of `bins` u32 counts.
 fn partials_len(blocks: u64, bins: usize) -> VgpuResult<u64> {
-    product("histogram partials", &[blocks, bins as u64, 4])
+    span("histogram partials", &[blocks, bins as u64, 4])
 }
 
 fn histogram_analyze<const BINS: usize>(cfg: &LaunchConfig, p: Params<'_>) -> VgpuResult<Access> {

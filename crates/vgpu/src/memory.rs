@@ -193,13 +193,12 @@ impl MemoryManager {
     /// Allocate `size` bytes (first fit, 256-byte aligned). Zero-size
     /// allocations succeed with a unique non-null pointer, like CUDA.
     pub fn alloc(&mut self, size: u64) -> VgpuResult<DevicePtr> {
-        let rounded = size.max(1).div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
-        let slot = self
-            .free_list
-            .iter()
-            .find(|(_, &len)| len >= rounded)
-            .map(|(&addr, &len)| (addr, len));
-        let Some((addr, len)) = slot else {
+        let rounded = size.max(1).checked_next_multiple_of(ALLOC_ALIGN);
+        let slot = rounded.and_then(|rounded| {
+            let mut free = self.free_list.iter();
+            free.find(|(_, &len)| len >= rounded)
+        });
+        let (Some(rounded), Some((&addr, &len))) = (rounded, slot) else {
             return Err(VgpuError::OutOfMemory {
                 requested: size,
                 free: self.free_bytes(),

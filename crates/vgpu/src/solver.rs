@@ -13,7 +13,7 @@
 //! device time.
 
 use crate::device::Device;
-use crate::error::{VgpuError, VgpuResult};
+use crate::error::{span, VgpuError, VgpuResult};
 use crate::memory::{bytes_to_f64, f64_to_bytes};
 use crate::timemodel::{kernel_duration_ns, Precision, Workload};
 use std::collections::HashMap;
@@ -93,9 +93,10 @@ impl SolverDn {
                 "dgetrf(m={m}, n={n}, lda={lda})"
             )));
         }
+        let a_in = dev
+            .mem
+            .read(a_ptr, span("dgetrf A", &[lda as u64, n as u64, 8])?)?;
         let (m, n, lda) = (m as usize, n as usize, lda as usize);
-        let bytes = (lda * n * 8) as u64;
-        let a_in = dev.mem.read(a_ptr, bytes)?;
 
         let mut key = hash_bytes(0x9e37_79b9, a_in);
         key = hash_bytes(key, &(m as u64).to_le_bytes());
@@ -172,8 +173,10 @@ impl SolverDn {
         if trans != 0 && trans != 1 {
             return Err(VgpuError::InvalidValue(format!("dgetrs trans={trans}")));
         }
+        let a_len = span("dgetrs A", &[lda as u64, n as u64, 8])?;
+        let b_len = span("dgetrs B", &[ldb as u64, nrhs as u64, 8])?;
         let (n, nrhs, lda, ldb) = (n as usize, nrhs as usize, lda as usize, ldb as usize);
-        let lu = bytes_to_f64(dev.mem.read(a_ptr, (lda * n * 8) as u64)?);
+        let lu = bytes_to_f64(dev.mem.read(a_ptr, a_len)?);
         let ipiv_raw = dev.mem.read(ipiv_ptr, (n * 4) as u64)?;
         let ipiv: Vec<i32> = ipiv_raw
             .chunks_exact(4)
@@ -186,7 +189,7 @@ impl SolverDn {
                 )));
             }
         }
-        let mut b = bytes_to_f64(dev.mem.read(b_ptr, (ldb * nrhs * 8) as u64)?);
+        let mut b = bytes_to_f64(dev.mem.read(b_ptr, b_len)?);
 
         if trans == 0 {
             lu_solve_notrans(&lu, &ipiv, &mut b, n, nrhs, lda, ldb);

@@ -323,37 +323,93 @@ fn tcp_reset_and_retry_with_session_server() {
     handle.shutdown();
 }
 
-/// Sub-ops of the contended batch; the one at `FAILS` fails.
-const OPS: u64 = 200;
-const FAILS: u64 = 150;
+/// Sub-ops of the contended batch; the one at `FAILS` fails. Every sub-op
+/// from the 32nd to it offers the turn back, so the count is how long a
+/// rival has to queue: long enough that a host busy with other work still
+/// runs one of them meanwhile.
+const OPS: u64 = 8000;
+const FAILS: u64 = 7950;
+
+/// Rival connections of the second session: enough that one of them waits
+/// for the device at some offer of the batch's turn, however the host
+/// schedules their threads.
+const RIVALS: usize = 3;
+
+/// Session 0's quota while its batch is sent: `QUOTA` with a bucket that
+/// never holds one dispatch quantum, so every work call is shed until the
+/// watcher restores `QUOTA`. Under `QUOTA` alone the rivals' device time
+/// on the shared clock refills the bucket, and whether a call is shed
+/// would hang on how the host schedules their threads.
+const SHUT: proto::QosParams = proto::QosParams {
+    burst_ns: 1,
+    ..harness::QUOTA
+};
 
 /// One batch of `OPS` memsets and small H2D copies on one stream: one
-/// slice that offers its turn back every 32 sub-ops. With `QuotaShed`, a
-/// second session hammers the device meanwhile, outranks the batch under
-/// WFQ so it yields, and the quota sheds the batch's calls. The trace
-/// keeps the batch's status, `server.bytes_in`, memory and turns.
+/// slice that offers its turn back from its 32nd sub-op on. With
+/// `QuotaShed`, a second session hammers the device over `RIVALS`
+/// connections meanwhile (each in its loop before the batch is sent) and
+/// outranks the batch under WFQ so it yields; the batch is sent under
+/// `SHUT`, so the quota sheds it, and a watcher that reads the shed off
+/// the load report (the quota bit) restores `QUOTA` so its retry runs.
+/// The trace keeps the batch's status, `server.bytes_in`, memory and turns.
 fn contended_batch(r: &mut Run) {
-    use cricket_repro::server::{make_session_rpc, SimTransport};
-    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+    use cricket_repro::server::{make_session_rpc, QosSpec, SimTransport};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
     let contended = r.features.contains(&Feature::QuotaShed);
-    let stop = Arc::new(AtomicBool::new(false));
-    let (server, stop2) = (Arc::clone(&r.server), Arc::clone(&stop));
-    let rival = std::thread::spawn(move || {
-        let clock = Arc::clone(server.clock());
-        let rpc = Arc::new(make_session_rpc(server, 1));
-        let (env, clock2) = (EnvConfig::RustyHermit, Some(Arc::clone(&clock)));
-        let t = Box::new(SimTransport::new(rpc, env.guest(), clock));
-        let mut b = CricketClient::new(t, env.flavor(), clock2);
-        let p = b.malloc(4096).unwrap();
-        while contended && !stop2.load(Relaxed) {
-            b.memset(p, 7, 4096).unwrap();
-        }
-        b.free(p).unwrap();
-    });
-    r.c.enable_batching_with(BatchPolicy::new(256, 64 << 10));
+    let (stop, looping) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicUsize::new(0)),
+    );
+    let rpc = Arc::new(make_session_rpc(Arc::clone(&r.server), 1));
+    let rivals: Vec<_> = (0..RIVALS)
+        .map(|_| {
+            let (clock, rpc) = (Arc::clone(r.server.clock()), Arc::clone(&rpc));
+            let (stop, looping) = (Arc::clone(&stop), Arc::clone(&looping));
+            std::thread::spawn(move || {
+                let (env, clock2) = (EnvConfig::RustyHermit, Some(Arc::clone(&clock)));
+                let t = Box::new(SimTransport::new(rpc, env.guest(), clock));
+                let mut b = CricketClient::new(t, env.flavor(), clock2);
+                let p = b.malloc(4096).unwrap();
+                if contended {
+                    b.memset(p, 7, 4096).unwrap();
+                    looping.fetch_add(1, Relaxed);
+                }
+                while contended && !stop.load(Relaxed) {
+                    b.memset(p, 7, 4096).unwrap();
+                }
+                b.free(p).unwrap();
+            })
+        })
+        .collect();
+    r.c.enable_batching_with(BatchPolicy::new(4096, 1 << 20));
     r.server.scheduler.set_trace(true);
     let buf = r.malloc(OPS * 64);
     r.c.server_reset_stats().unwrap();
+    let watcher = contended.then(|| {
+        // Sheds until now were the set-up's, not the batch's.
+        r.server.load_report();
+        r.c.set_qos(&SHUT).unwrap();
+        let (server, q, sent) = (Arc::clone(&r.server), harness::QUOTA, Arc::clone(&stop));
+        std::thread::spawn(move || {
+            // The quota bit, read while the batch is pending.
+            while server.load_report().qos_pressure != 1000 {
+                if sent.load(Relaxed) {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            let quota = QosSpec {
+                weight: q.weight,
+                priority: q.priority,
+                rate_ns_per_s: q.rate_ns_per_s,
+                burst_ns: q.burst_ns,
+                max_resident_bytes: q.max_resident_bytes,
+            };
+            server.scheduler.set_qos(q.session, quota);
+            true
+        })
+    });
     for i in 0..OPS {
         match i {
             FAILS => r.c.memset(0xdead_beef_0000, 2, 8).unwrap(),
@@ -361,22 +417,25 @@ fn contended_batch(r: &mut Run) {
             _ => r.c.memset(buf + i * 64, i as i32, 64).unwrap(),
         }
     }
+    while contended && looping.load(Relaxed) < RIVALS {
+        std::thread::yield_now();
+    }
     r.trace.push(r.c.flush_batch().unwrap_err().to_string());
+    stop.store(true, Relaxed);
+    if let Some(watcher) = watcher {
+        assert!(watcher.join().unwrap(), "the rate quota never shed a call");
+    }
     r.trace.push(format!(
         "{:?}",
         r.c.server_stats().unwrap().get("server.bytes_in")
     ));
     r.trace
         .push(format!("{:?}", r.c.memcpy_dtoh(buf, OPS * 64).unwrap()));
-    stop.store(true, Relaxed);
-    rival.join().unwrap();
+    rivals.into_iter().for_each(|rival| rival.join().unwrap());
     r.server.release_session(1);
     let grants = r.server.scheduler.take_trace();
     r.trace
         .push(grants.iter().filter(|&&s| s == 0).count().to_string());
-    if contended {
-        quota_bit(r);
-    }
     r.free(buf);
 }
 

@@ -12,6 +12,7 @@
 //! A failure names the row, the seed and the oracle (DESIGN §7).
 #![allow(dead_code)] // every suite uses its own rows' share
 
+pub mod adversary;
 pub mod chaos;
 
 use chaos::{Fault, FaultConfig, FaultPlan, FaultyTransport, SharedFaultPlan};
@@ -40,14 +41,19 @@ pub const TOKEN: u64 = 0xC11E_0001;
 pub fn for_each_seed(row: &str, mut body: impl FnMut(u64)) {
     for seed in CI_SEEDS {
         if let Err(cause) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(seed))) {
-            let msg = (cause.downcast_ref::<String>().map(String::as_str))
-                .or_else(|| cause.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
+            let msg = panic_message(&*cause);
             let replay =
                 format!("run the row at seed {seed}: Scenario::run({seed}) for a scenario");
             panic!("{row} failed at seed {seed} (replay: {replay}): {msg}");
         }
     }
+}
+
+/// What a caught panic said.
+pub fn panic_message(cause: &(dyn std::any::Any + Send)) -> &str {
+    (cause.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| cause.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
 }
 
 /// Makes the transport that replaces a dead connection.

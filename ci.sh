@@ -130,6 +130,17 @@ export CARGO_NET_OFFLINE=true
 # and `ConstDef`, which the walker has no use for. `kernels.rs` fell from
 # 565 to 556 when its checked product moved to `vgpu/src/error.rs` as
 # `span`, the one helper every peer-sized byte span goes through.
+# `oncrpc/src/conn.rs`'s limit rose from 377 to 463, `oncrpc/src/server.rs`'s
+# from 354 to 526, `reactor.rs`'s from 720 to 743,
+# `cricket-server/src/transport.rs`'s from 359 to 375 and `batch.rs`'s from 275
+# to 307 when a `CUDA_MEMCPY_HTOD` payload came to land in device memory as
+# it arrives (DESIGN §6): the engine's head parse, hold and window
+# (`conn.rs`); the prologue split between a window's opening and its call's
+# end, the `Lander` interface and the `Window` (`server.rs`); each driver
+# handing a landed call on with its window (`reactor.rs`, which also fails
+# a call whose body panics, and `transport.rs`); the one plain H2D body and
+# its per-piece landing under the device lock (`batch.rs`). A second
+# buffered H2D path beside the window would show here.
 # `./ci.sh size` runs this step alone (the workflow does).
 size() {
     echo "==> size: non-test lines, pub items, generated dispatch, no process-global state in xdr + oncrpc + rpcl + cricket-server + core; pub names with no outside user per library crate"
@@ -199,15 +210,15 @@ size() {
     awk '/#\[cfg\(test\)\]/ { exit } { n++ }
         END { printf "shims/polling/src/lib.rs non-test lines: %d (limit 227)\n", n; exit n > 227 }' \
         shims/polling/src/lib.rs
-    for limit in crates/cricket-server/src/transport.rs:359 crates/unikernel/src/tcp.rs:261 \
-        crates/oncrpc/src/reactor.rs:720 crates/oncrpc/src/replay.rs:126 \
-        crates/oncrpc/src/conn.rs:377 crates/core/src/raw.rs:493 crates/rpcl/src/codegen.rs:1514 \
+    for limit in crates/cricket-server/src/transport.rs:375 crates/unikernel/src/tcp.rs:261 \
+        crates/oncrpc/src/reactor.rs:743 crates/oncrpc/src/replay.rs:126 \
+        crates/oncrpc/src/conn.rs:463 crates/core/src/raw.rs:493 crates/rpcl/src/codegen.rs:1514 \
         crates/cricket-server/src/service.rs:678 crates/cricket-server/src/server.rs:550 \
         crates/cricket-server/src/state.rs:690 crates/cricket-server/src/prologue.rs:342 \
-        crates/cricket-server/src/batch.rs:275 crates/vgpu/src/kernels.rs:556 \
+        crates/cricket-server/src/batch.rs:307 crates/vgpu/src/kernels.rs:556 \
         crates/vgpu/src/device.rs:815 crates/oncrpc/src/record.rs:577 \
         crates/oncrpc/src/client.rs:623 crates/simnet/src/checksum.rs:52 \
-        crates/oncrpc/src/server.rs:354; do
+        crates/oncrpc/src/server.rs:526; do
         awk -v limit="${limit##*:}" '/#\[cfg\(test\)\]/ { exit } { n++ }
             END { printf "%s non-test lines: %d (limit %d)\n", FILENAME, n, limit; exit n > limit }' \
             "${limit%:*}"
@@ -305,6 +316,12 @@ cargo test --release --test adversary
 #                          cutover (striped_transfers_cross_a_cutover: two TCP lanes and the control connection
 #                          act in the token's one session, the readback holds, the source keeps nothing);
 #                          crash-abort, 100-hop soak, concurrent load
+#   landing                rows on reactor TCP over CI_SEEDS, the orders a plain H2D that lands in device
+#                          memory as it arrives keeps: the replay lookup first (a stale duplicate lands
+#                          nothing), calls ahead first (a parked D2D reads the old bytes), a lost connection
+#                          runs nothing and releases its admission at once, a refused window (not owned, past
+#                          the block, shed) takes nothing and replies as ServeMode::Serial does; and a block
+#                          freed mid-payload takes no more bytes (ownership re-checked under the device lock)
 #   wire2                  rows in process: dense megabyte, lossy lanes, striped; sparse copy, lossy
 #                          (exactly-once by bytes_in, byte-identical readback);
 #                          retired_stripe_procedures_are_refused_proc_unavail: procs 81/82 answered
@@ -475,7 +492,7 @@ cargo run --release -p cricket-bench --bin migrate -- --smoke
 echo "==> bench smoke: multitenant QoS (WFQ favoritism >=2x, weight shares within 10%, quota shedding)"
 cargo run --release -p cricket-bench --bin multitenant -- --qos --smoke
 
-echo "==> bench smoke: fig7 (Fig. 7b shape, copies/byte H2D <=2 and D2H <=1, striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"
+echo "==> bench smoke: fig7 (Fig. 7b shape, copies/byte H2D <=1 and D2H <=1, striping >=1.5x, sparse >=5x at 90% zeros, dense <=1.05x overhead)"
 cargo run --release -p cricket-bench --bin fig7_bandwidth -- --smoke
 
 echo "==> example smoke tests (async stream engine, checkpoint/restart; nonzero exit fails CI)"

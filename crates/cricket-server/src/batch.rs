@@ -80,6 +80,38 @@ impl CricketServer {
         })
     }
 
+    /// The one body of a plain `CUDA_MEMCPY_HTOD`, at its record's end: the
+    /// transfer of the `len` bytes that landed at `dst` ([`Self::land`]),
+    /// or `landed`'s status. The charges, the turn and the enqueue stay
+    /// where the whole record's copy was, so virtual time does not move.
+    pub(crate) fn htod(&self, s: SessionId, dst: u64, len: u64, landed: Result<(), i32>) -> i32 {
+        let r = self.owned(s, dst, len).and_then(|idx| {
+            let (st, proc) = (self.resolve_stream(s, idx, 0), cricket_v1::CUDA_MEMCPY_HTOD);
+            self.enqueue_at(s, idx, proc, Returns::AtCompletion, |dev| {
+                // Counted where `issue_op` counts a batched H2D's: once due.
+                self.metrics.add(crate::stats::BYTES_IN, len);
+                match landed {
+                    Ok(()) => Ok((0, Some(dev.memcpy_htod_landed(dst, len, st)?))),
+                    Err(code) => Ok((code, None)),
+                }
+            })
+        });
+        r.unwrap_or_else(|e| err_code(&e))
+    }
+
+    /// Write `piece` of a plain H2D's payload at `at` under its device's
+    /// lock, once the session still owns it there: a block freed
+    /// mid-payload, perhaps another session's by now, takes nothing more
+    /// (`cudaFree` untracks a block under the lock it frees it under). A
+    /// whole record's payload lands in one piece.
+    pub(crate) fn land(&self, s: SessionId, at: u64, piece: &[u8]) -> Result<(), i32> {
+        let mut dev = self.devices[self.device_of_token(at).unwrap_or(0)].lock();
+        let owned = self.owned(s, at, piece.len() as u64);
+        owned
+            .and_then(|_| dev.mem.write(at, piece))
+            .map_err(|e| err_code(&e))
+    }
+
     /// A `cudaMemcpy(D2D)` between two devices (`cudaMemcpyPeer`
     /// semantics): not the batchable op but a read on one device and a
     /// write on another, staged through the host, paying PCIe on both —

@@ -184,17 +184,17 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cuda_free(&self, ptr: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session());
-        let r = srv.wait_for(s, ptr, proc::CUDA_FREE, |d| d.free(ptr).map(|t| ((), t)));
-        if r.is_ok() {
+        let r = srv.wait_for(s, ptr, proc::CUDA_FREE, |d| {
+            let t = d.free(ptr)?;
             srv.track(s, |r| r.mem.remove(&ptr));
-        }
+            Ok(((), t))
+        });
         Ok(int_of(r))
     }
 
     fn cuda_memcpy_htod(&self, dst: u64, data: &[u8]) -> Reply<i32> {
-        // Sync copy: ordered on the session's stream, blocks to completion.
-        let op = BatchOp::CudaMemcpyHtod(dst, data);
-        self.immediate(op, Returns::AtCompletion)
+        let (srv, s) = (&self.srv, self.session());
+        Ok(srv.htod(s, dst, data.len() as u64, srv.land(s, dst, data)))
     }
 
     fn cuda_memcpy_dtoh(
@@ -204,11 +204,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
         out: DataResultReply<'_>,
     ) -> Reply<DataResultReplied> {
         let (srv, s) = (&self.srv, self.session());
-        // Sync D2H memcpy is the canonical wait point: it drains the
-        // session's stream, then pays the PCIe transfer. The device lends
-        // the source range under its lock and `out` writes it into the
-        // reply buffer there: the server's only copy of the payload. `out`
-        // is still here exactly when the call was refused before lending.
+        // Sync D2H memcpy is the canonical wait point: it drains the session's
+        // stream, then pays the PCIe transfer. The device lends the source
+        // range under its lock, and `out` writes it into the reply there (the
+        // server's only copy); `out` is left exactly when the call was refused.
         let mut out = Some(out);
         let r = srv.owned(s, src, len).and_then(|idx| {
             let st = srv.session_stream(s, idx);
@@ -227,9 +226,7 @@ impl cricket_proto::CricketV1Service for Sessioned {
         })
     }
 
-    /// Sparse H2D: the shared body expands the zero-page-elided blob and
-    /// writes it like a plain H2D — `bytes_in` counts the decoded length,
-    /// keeping the paper's transfer accounting independent of the wire codec.
+    /// Sparse H2D: expanded, then written by the batchable ops' body.
     fn cuda_memcpy_htod_sparse(&self, dst: u64, enc: &[u8]) -> Reply<i32> {
         let op = BatchOp::CudaMemcpyHtodSparse(dst, enc);
         self.immediate(op, Returns::AtCompletion)

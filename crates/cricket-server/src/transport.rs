@@ -11,14 +11,16 @@
 //! send buffers of one MSS. The server half is the reactor's connection
 //! engine ([`oncrpc::Conn`], [`oncrpc::Replies`]) on the virtual clock,
 //! under an in-flight budget of one: each landed segment's payload is
-//! pushed into it, every call is answered from the engine's record buffer
-//! as its last segment lands, a call behind a queued reply waits as
-//! unparsed bytes, and a reply is carried down one MSS each time the client
-//! reads with nothing left to read (DESIGN.md §6).
+//! pushed into it (a plain H2D's payload on into the device block), every
+//! call is answered from the engine's record buffer as its last segment
+//! lands, a call behind a queued reply waits as unparsed bytes, and a
+//! reply is carried down one MSS each time the client reads with nothing
+//! left to read (DESIGN.md §6).
 
 use oncrpc::record::{RecordMarks, MAX_RECORD};
 use oncrpc::Transport;
-use oncrpc::{Calls, Conn, ProcClass, ReactorConfig, Replies, RpcError, RpcResult, RpcServer};
+use oncrpc::{Calls, Conn, ProcClass, ReactorConfig, Replies, Window};
+use oncrpc::{RpcError, RpcResult, RpcServer};
 use simnet::{NetPath, SimClock};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -106,13 +108,27 @@ impl Calls for Server {
         usize::from(!self.replies.is_empty())
     }
 
+    fn call(&mut self, _: ProcClass, record: &mut Vec<u8>, wire_up: usize) -> RpcResult<()> {
+        self.answer(record, None, wire_up)
+    }
+
+    fn server(&self) -> Option<&Arc<RpcServer>> {
+        Some(&self.rpc)
+    }
+
+    fn landed(&mut self, _: ProcClass, r: &mut Vec<u8>, w: Window, up: usize) -> RpcResult<()> {
+        self.answer(r, Some(w), up)
+    }
+}
+
+impl Server {
     /// Execute a call as it lands, straight out of the engine's buffer
     /// (service methods charge the clock themselves), move its reply into
     /// the queue by buffer swap, and charge the network legs with this
     /// call's own lengths.
-    fn call(&mut self, _: ProcClass, record: &mut Vec<u8>, wire_up: usize) -> RpcResult<()> {
+    fn answer(&mut self, record: &[u8], w: Option<Window>, wire_up: usize) -> RpcResult<()> {
         self.copied += record.len() as u64;
-        self.rpc.handle_record_into(record, &mut self.enc)?;
+        self.rpc.serve_into(record, w, &mut self.enc)?;
         let spare = XdrEncoder::from_sink(std::mem::take(&mut self.spare));
         let reply = std::mem::replace(&mut self.enc, spare).into_inner();
         let now = Duration::from_nanos(self.clock.now_ns());
@@ -540,8 +556,9 @@ mod tests {
     }
 
     /// No stage holds a whole record: a 16 MiB request is copied once into
-    /// the guest send buffer and once, marks stripped, into the engine's
-    /// buffer, and never into the server endpoint's own; a 16 MiB reply
+    /// the guest send buffer, its head (call header, `dst` and the length
+    /// word) into the engine's buffer while its payload lands in the device
+    /// block, and never into the server endpoint's own; a 16 MiB reply
     /// reaches the client endpoint one server MSS at a time; after a 16 MiB
     /// copy each way both send buffers are still one MSS.
     #[test]
@@ -571,7 +588,7 @@ mod tests {
             let copied = t.bytes_copied();
             t.write_all(&wire).unwrap();
             assert_eq!(t.server_ep.available(), 0, "{kind:?}");
-            let staged = (wire.len() + payload.len()) as u64;
+            let staged = (wire.len() + payload.len() - data.len()) as u64;
             assert_eq!(t.bytes_copied() - copied, staged, "{kind:?}");
             let mut reply = [0u8; 64];
             while t.read(&mut reply).unwrap() != 0 {}

@@ -24,8 +24,9 @@
 //! clock.
 
 use crate::auth::MAX_AUTH_BODY;
-use crate::error::RpcResult;
+use crate::error::{RpcError, RpcResult};
 use crate::record::{wire_len, OutgoingRecord, RecordMarks, DEFAULT_MAX_FRAGMENT, MAX_RECORD};
+use crate::server::{RpcServer, Window};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -118,6 +119,18 @@ pub trait Calls {
     /// another in its place. The engine clears whatever is left. An error
     /// closes the connection.
     fn call(&mut self, class: ProcClass, record: &mut Vec<u8>, wire: usize) -> RpcResult<()>;
+
+    /// The server whose [`crate::Lander`]s take a call's last argument as
+    /// it arrives; none (the default) assembles every record whole.
+    fn server(&self) -> Option<&Arc<RpcServer>> {
+        None
+    }
+
+    /// [`Self::call`] for a call whose last argument went through a window
+    /// (`RpcServer::open`), `record` keeping the rest.
+    fn landed(&mut self, _: ProcClass, _: &mut Vec<u8>, _: Window, _: usize) -> RpcResult<()> {
+        Err(RpcError::UnexpectedMessageType) // opened by no server of this driver
+    }
 }
 
 /// What one [`Conn::drain`] came to.
@@ -139,6 +152,10 @@ pub struct Conn {
     /// its marks stripped.
     marks: RecordMarks,
     record: Vec<u8>,
+    /// The record bytes to strip before deciding whether its last argument
+    /// lands elsewhere (`None`: decided), and where it lands if so.
+    need: Option<usize>,
+    window: Option<Window>,
     /// Bytes arrived but not parsed. While any wait, nothing newer is.
     unparsed: Vec<u8>,
     classify: Option<Classifier>,
@@ -152,6 +169,8 @@ impl Conn {
         Self {
             marks: RecordMarks::new(MAX_RECORD),
             record: Vec::new(),
+            need: Some(HEAD),
+            window: None,
             unparsed: Vec::new(),
             classify: cfg.classify.clone(),
             budget: cfg.max_session_queue,
@@ -181,15 +200,16 @@ impl Conn {
     }
 
     /// Parse the held bytes and then up to [`READS_PER_EVENT`] reads of
-    /// `r` into `scratch`. No read happens while any held byte waits, even
-    /// if calls completed since: the driver resumes the connection.
+    /// `r` into `scratch`, the last one that does not fill it. No read
+    /// happens while any held byte waits, even if calls completed since:
+    /// the driver resumes the connection.
     pub(crate) fn drain(
         &mut self,
         r: &mut impl Read,
         scratch: &mut [u8],
         calls: &mut impl Calls,
     ) -> Drained {
-        let mut reads = 0;
+        let (mut reads, mut short) = (0, false);
         loop {
             if self.resume(calls).is_err() {
                 return Drained::Closed;
@@ -197,7 +217,7 @@ impl Conn {
             if !self.unparsed.is_empty() || calls.in_flight() >= self.budget {
                 return Drained::Stalled;
             }
-            if reads == READS_PER_EVENT {
+            if reads == READS_PER_EVENT || short {
                 return Drained::Open;
             }
             reads += 1;
@@ -208,23 +228,56 @@ impl Conn {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return Drained::Closed,
             };
+            // A short read emptied the socket: level-triggered readiness
+            // reports what arrives later, so no read finds nothing.
+            short = n < scratch.len();
             if self.push(&scratch[..n], calls).is_err() {
                 return Drained::Closed;
             }
         }
     }
 
-    /// Strip the marks off `bytes` into `record` and hand each call on as it
-    /// completes, while the budget has room. Returns how many of `bytes` it
-    /// parsed. Every byte is parsed once, so reassembly is linear in the
-    /// bytes received.
+    /// Strip the marks off `bytes` into `record` (its last argument into a
+    /// window, if one opened) and hand each call on as it completes, while
+    /// the budget has room. Returns how many of `bytes` it parsed. Every
+    /// byte is parsed once, so reassembly is linear in the bytes received.
     fn parse(&mut self, bytes: &[u8], calls: &mut impl Calls) -> RpcResult<usize> {
         let mut used = 0;
-        while used < bytes.len() && calls.in_flight() < self.budget {
-            let record = &mut self.record;
-            let (n, end) = self
-                .marks
-                .strip(&bytes[used..], |p| pooled_extend(record, p))?;
+        loop {
+            // As far as the head tells, its last argument lands or not. A
+            // window opens only when no earlier call is unanswered: none of
+            // them may see the bytes it writes.
+            while self.need == Some(self.record.len()) {
+                let rpc = calls.server();
+                let head = head_len(&self.record, |key| rpc?.lands(key));
+                self.need = head.filter(|&n| n > self.record.len());
+                let key = peek_call(&self.record);
+                if let (Some(rpc), Some(key), Some(_), None) = (rpc, key, head, self.need) {
+                    if calls.in_flight() > 0 {
+                        self.need = head;
+                        return Ok(used);
+                    }
+                    let len = word(&self.record, self.record.len() - 4).unwrap_or(0);
+                    self.window = Some(rpc.open(key, &self.record, len as usize)?);
+                }
+            }
+            if used == bytes.len() || calls.in_flight() >= self.budget {
+                return Ok(used);
+            }
+            // Up to the head's end, the window's, or on: no payload run
+            // straddles either.
+            let (record, window) = (&mut self.record, &mut self.window);
+            let open = window.as_ref().map_or(0, |w| w.left);
+            let cap = match (self.need, open) {
+                (Some(need), _) => need - record.len(),
+                (None, 0) => usize::MAX,
+                (None, open) => open,
+            };
+            let input = &bytes[used..][..cap.min(bytes.len() - used)];
+            let (n, end) = self.marks.strip(input, |p| match window {
+                Some(w) if open > 0 => w.land(p),
+                _ => pooled_extend(record, p),
+            })?;
             used += n;
             if let Some((_, wire)) = end {
                 let class = match (&self.classify, peek_call(&self.record)) {
@@ -233,12 +286,49 @@ impl Conn {
                     }
                     _ => ProcClass::Parked,
                 };
-                let called = calls.call(class, &mut self.record, wire);
+                let called = match self.window.take() {
+                    Some(w) => calls.landed(class, &mut self.record, w, wire),
+                    None => calls.call(class, &mut self.record, wire),
+                };
                 self.record.clear();
+                self.need = Some(HEAD);
                 called?;
             }
         }
-        Ok(used)
+    }
+
+    /// May a stalled connection read again with `in_flight` calls
+    /// unanswered: at half its budget, or at none while a window waits.
+    pub(crate) fn may_resume(&self, in_flight: usize) -> bool {
+        let waits = self.need == Some(self.record.len());
+        in_flight <= if waits { 0 } else { self.budget / 2 }
+    }
+}
+
+/// What a call record's head shows of its procedure and credential: xid,
+/// message type, RPC and program versions, program, procedure, credential
+/// flavor and length.
+const HEAD: usize = 32;
+
+/// The word at byte `i` of `record`, if it holds one.
+fn word(record: &[u8], i: usize) -> Option<u32> {
+    let w = record.get(i..i + 4)?;
+    Some(u32::from_be_bytes([w[0], w[1], w[2], w[3]]))
+}
+
+/// The length of the call in `record` through the length word of a last
+/// argument that `lands`, or of what `record` must hold to tell (its
+/// [`HEAD`], then its verifier's length word); `None`: no such call.
+fn head_len(record: &[u8], lands: impl Fn((u32, u32, u32)) -> Option<usize>) -> Option<usize> {
+    let body = |i| word(record, i).map(|n| (n as usize).div_ceil(4) * 4);
+    let Some(cred) = body(HEAD - 4) else {
+        return Some(HEAD);
+    };
+    let args = lands(peek_call(record)?).filter(|_| cred <= MAX_AUTH_BODY)?;
+    let verf = HEAD + cred + 8;
+    match body(verf - 4) {
+        None => Some(verf),
+        Some(v) => (v <= MAX_AUTH_BODY).then_some(verf + v + args + 4),
     }
 }
 
@@ -259,15 +349,11 @@ fn pooled_extend(buf: &mut Vec<u8>, bytes: &[u8]) {
 /// records are parked so the full decoder produces the proper error reply
 /// off the thread that reads every connection.
 fn peek_call(record: &[u8]) -> Option<(u32, u32, u32)> {
-    if record.len() < 24 {
-        return None;
+    let w = |i| word(record, i);
+    match (w(4)?, w(12)?, w(16)?, w(20)?) {
+        (0, prog, vers, proc) => Some((prog, vers, proc)), // msg_type CALL
+        _ => None,
     }
-    let word =
-        |i: usize| u32::from_be_bytes([record[i], record[i + 1], record[i + 2], record[i + 3]]);
-    if word(4) != 0 {
-        return None; // msg_type != CALL
-    }
-    Some((word(12), word(16), word(20)))
 }
 
 /// What the kill rules make of a reply queue.
@@ -1025,5 +1111,179 @@ mod tests {
                 "seed {seed}: echo damaged"
             );
         }
+    }
+
+    /// A device of bytes behind proc 3's opaque, which follows a `u64`
+    /// offset: an opaque past its end is refused with status 7. It counts
+    /// the windows it opened.
+    struct Mem(parking_lot::Mutex<Vec<u8>>, std::sync::atomic::AtomicUsize);
+
+    impl crate::Lander for Mem {
+        fn open(&self, args: &mut XdrDecoder<'_>, len: usize) -> Result<u64, i32> {
+            let dst = args.get_u64().unwrap();
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let fits = dst as usize + len <= self.0.lock().len();
+            fits.then_some(dst).ok_or(7)
+        }
+        fn land(&self, at: u64, piece: &[u8]) -> Result<(), i32> {
+            self.0.lock()[at as usize..][..piece.len()].copy_from_slice(piece);
+            Ok(())
+        }
+        fn finish(&self, args: &mut XdrDecoder<'_>, _: usize, landed: Result<(), i32>) -> i32 {
+            args.get_u64().unwrap();
+            landed.err().unwrap_or(0)
+        }
+    }
+
+    /// A server whose proc 3 lands in a [`Mem`] of `bytes` bytes, and whose
+    /// whole records of it run the lander's body on their own bytes.
+    fn landing(bytes: usize) -> (Arc<RpcServer>, Arc<Mem>) {
+        use crate::Lander;
+        let mem = Arc::new(Mem(parking_lot::Mutex::new(vec![0; bytes]), 0.into()));
+        let whole = Arc::clone(&mem);
+        let service = move |_, args: &mut XdrDecoder<'_>, reply: &mut XdrEncoder| {
+            let dst = args.get_u64().map_err(|_| AcceptStat::GarbageArgs)?;
+            let data = args.get_opaque().map_err(|_| AcceptStat::GarbageArgs)?;
+            let at = whole.open(&mut XdrDecoder::new(&dst.to_be_bytes()), data.len());
+            reply.put_i32(at.and_then(|at| whole.land(at, data)).err().unwrap_or(0));
+            Ok(())
+        };
+        let mut rpc = RpcServer::new();
+        rpc.register(PROG, VERS, Arc::new(service));
+        rpc.set_lander((PROG, VERS, 3), 8, Arc::clone(&mem) as Arc<dyn Lander>);
+        (Arc::new(rpc), mem)
+    }
+
+    /// A driver answering every call as it is handed on, its windows too,
+    /// with `pending` earlier calls unanswered.
+    struct Answer(Arc<RpcServer>, Vec<Vec<u8>>, usize);
+
+    impl Answer {
+        fn answer(&mut self, record: &[u8], w: Option<crate::Window>) -> RpcResult<()> {
+            let mut enc = XdrEncoder::new();
+            self.0.serve_into(record, w, &mut enc)?;
+            self.1.push(enc.into_inner());
+            Ok(())
+        }
+    }
+
+    impl Calls for Answer {
+        fn in_flight(&self) -> usize {
+            self.2
+        }
+        fn call(&mut self, _: ProcClass, record: &mut Vec<u8>, _: usize) -> RpcResult<()> {
+            self.answer(record, None)
+        }
+        fn server(&self) -> Option<&Arc<RpcServer>> {
+            Some(&self.0)
+        }
+        fn landed(
+            &mut self,
+            _: ProcClass,
+            r: &mut Vec<u8>,
+            w: crate::Window,
+            _: usize,
+        ) -> RpcResult<()> {
+            self.answer(r, Some(w))
+        }
+    }
+
+    /// A 16 MiB opaque of a landing procedure goes from the bytes pushed
+    /// (as the simulated transport does) or read (as the reactor does)
+    /// straight into the device: the engine's record buffer holds only the
+    /// call's head, so it stays within what a pool takes back. The reply
+    /// is the one the serial server gives the whole record.
+    #[test]
+    fn a_landing_opaque_never_enters_the_record_on_either_path() {
+        let payload: Vec<u8> = (0..16u32 << 20).map(|i| (i % 241) as u8).collect();
+        let wire = call(9, 3, &(8u64, payload.clone()));
+        for pushed in [true, false] {
+            let (rpc, mem) = landing((16 << 20) + 8);
+            let (mut conn, mut calls) =
+                (Conn::new(&config(64)), Answer(Arc::clone(&rpc), vec![], 0));
+            if pushed {
+                wire.chunks(8960)
+                    .for_each(|p| conn.push(p, &mut calls).unwrap());
+            } else {
+                let (mut reads, mut scratch) = (0, vec![0u8; 64 << 10]);
+                let mut socket = Arrived {
+                    bytes: &wire,
+                    reads: &mut reads,
+                };
+                while calls.1.is_empty() {
+                    assert_eq!(
+                        conn.drain(&mut socket, &mut scratch, &mut calls),
+                        Drained::Open
+                    );
+                }
+            }
+            assert!(
+                mem.0.lock()[8..] == payload[..],
+                "pushed {pushed}: bytes landed wrong"
+            );
+            let cap = conn.record.capacity();
+            assert!(
+                cap <= MAX_POOLED_BUF_BYTES,
+                "pushed {pushed}: a record of {cap} B"
+            );
+            assert_eq!(calls.1, [&serial(&rpc, &wire)[4..]], "pushed {pushed}");
+        }
+    }
+
+    /// A window opens only once the calls ahead of it are answered, so a
+    /// parked call never sees the bytes of one behind it: until then the
+    /// engine holds the bytes after the head, and a stalled connection
+    /// resumes only at no call in flight. A window the lander refuses takes
+    /// no byte, and the call gets the status the serial server gives.
+    #[test]
+    fn a_window_opens_only_once_earlier_calls_are_answered() {
+        let (rpc, mem) = landing(64);
+        let (mut conn, mut calls) = (Conn::new(&config(64)), Answer(Arc::clone(&rpc), vec![], 1));
+        let wire = call(1, 3, &(0u64, vec![5u8; 64]));
+        conn.push(&wire, &mut calls).unwrap();
+        assert_eq!(
+            mem.1.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "opened early"
+        );
+        assert!(!conn.unparsed.is_empty() && !conn.may_resume(1) && conn.may_resume(0));
+        calls.2 = 0;
+        conn.resume(&mut calls).unwrap();
+        assert_eq!(mem.0.lock()[..], [5u8; 64]);
+        let refused = call(2, 3, &(8u64, vec![6u8; 64]));
+        conn.push(&refused, &mut calls).unwrap();
+        assert_eq!(mem.0.lock()[..], [5u8; 64], "a refused window wrote");
+        assert_eq!(mem.1.load(std::sync::atomic::Ordering::Relaxed), 2);
+        let serial = [serial(&rpc, &wire), serial(&rpc, &refused)];
+        assert_eq!(calls.1, serial.map(|reply| reply[4..].to_vec()));
+        assert_eq!(calls.1[1][24..], 7i32.to_be_bytes());
+    }
+
+    /// A read that returns less than the scratch holds emptied the socket:
+    /// the drain ends there, spending no read on finding nothing, and the
+    /// next readiness event finds the rest.
+    #[test]
+    fn a_short_read_ends_the_drain() {
+        struct Counting<'a>(&'a [u8], usize);
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                match self.0.read(buf)? {
+                    0 => Err(io::ErrorKind::WouldBlock.into()),
+                    n => Ok(n),
+                }
+            }
+        }
+        let (mut conn, mut jobs, mut scratch) =
+            (Conn::new(&config(64)), Jobs::default(), [0u8; 256]);
+        let wire = [call(1, 2, &(1u32, 2u32)), call(2, 1, &vec![1u8; 400])].concat();
+        let mut socket = Counting(&wire, 0);
+        assert_eq!(
+            conn.drain(&mut socket, &mut scratch, &mut jobs),
+            Drained::Open
+        );
+        assert!(wire.len() % 256 != 0);
+        assert_eq!(socket.1, wire.len().div_ceil(256), "a read found nothing");
+        assert_eq!(jobs.taken.len(), 2);
     }
 }

@@ -13,10 +13,10 @@
 //! ```text
 //!   accept thread ──(new conns)──▶ reactor thread
 //!                                    │  poll readiness (shims/polling)
-//!                                    │  Conn::drain(socket): ≤ 8 reads,
+//!                                    │  Conn::drain(socket): ≤ 8 reads, to a short one,
 //!                                    │    marks stripped, each call classified
 //!                            Done ───┤ execute inline from the record, send_reply
-//!                          Parked ───┴─▶ (Arc<Link>, record) onto the queue of shard
+//!                          Parked ───┴─▶ (Arc<Link>, record, window) onto the queue of shard
 //!                                           │ key % workers (record swapped for a pooled one)
 //!                                           ▼ worker: take the whole queue, execute, send_reply
 //!
@@ -76,13 +76,14 @@ use crate::conn::{
     Backlog, Calls, Conn, Drained, ProcClass, ReactorConfig, Replies, MAX_POOLED_BUF_BYTES,
 };
 use crate::error::{RpcError, RpcResult};
-use crate::server::{RpcServer, ServerHandle};
+use crate::server::{RpcServer, ServerHandle, Window};
 use crate::telemetry::Metrics;
 use parking_lot::{Condvar, Mutex};
 use polling::{Event, Poller};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -160,9 +161,10 @@ struct Link {
     out: Mutex<Outbound>,
 }
 
-/// One parked call on a shard's queue: its connection, and the record
-/// buffer the engine assembled it in.
-type Job = (Arc<Link>, Vec<u8>);
+/// One parked call on a shard's queue: its connection, the record buffer
+/// the engine assembled it in, and the window its last argument landed
+/// through, if one did.
+type Job = (Arc<Link>, Vec<u8>, Option<Window>);
 
 /// A worker shard: its queue of parked calls (`None` once closed) and wake-up.
 type Shard = (Mutex<Option<VecDeque<Job>>>, Condvar);
@@ -287,9 +289,25 @@ impl Calls for Route<'_> {
     }
 
     fn call(&mut self, class: ProcClass, record: &mut Vec<u8>, _: usize) -> RpcResult<()> {
-        let (ctx, link) = (self.ctx, self.link);
+        self.route(class, record, None)
+    }
+
+    fn server(&self) -> Option<&Arc<RpcServer>> {
+        Some(&self.link.rpc)
+    }
+
+    fn landed(&mut self, c: ProcClass, r: &mut Vec<u8>, w: Window, _: usize) -> RpcResult<()> {
+        self.route(c, r, Some(w))
+    }
+}
+
+impl Route<'_> {
+    /// Answer a call inline or park it, with the window its last argument
+    /// went through, if one did.
+    fn route(&mut self, class: ProcClass, rec: &mut Vec<u8>, w: Option<Window>) -> RpcResult<()> {
+        let (ctx, link, record) = (self.ctx, self.link, rec);
         if class == ProcClass::Done {
-            link.rpc.handle_record_into(record, self.enc)?;
+            serve(link, record, w, self.enc)?;
             // Counted before the reply can reach the peer: a client that
             // has its answer finds the call counted.
             ctx.metrics.add(INLINE_REPLIES, 1);
@@ -302,12 +320,20 @@ impl Calls for Route<'_> {
         let (queue, ready) = &ctx.shards[link.key % ctx.shards.len()];
         // Closed only once every connection is finalized, so never here.
         if let Some(queue) = queue.lock().as_mut() {
-            queue.push_back((Arc::clone(link), record));
+            queue.push_back((Arc::clone(link), record, w));
         }
         ctx.metrics.add(NOTIFIES, 1);
         ready.notify_one();
         Ok(())
     }
+}
+
+/// Execute a call on `link`'s server into `enc`. A body that panics fails
+/// the call, which closes only its connection; unwinding released what the
+/// call held (its token-gate admission, its scheduler turn).
+fn serve(link: &Link, record: &[u8], w: Option<Window>, enc: &mut XdrEncoder) -> RpcResult<()> {
+    let served = catch_unwind(AssertUnwindSafe(|| link.rpc.serve_into(record, w, enc)));
+    served.unwrap_or(Err(RpcError::ConnectionClosed))
 }
 
 /// What every thread serving connections needs besides the connection,
@@ -543,9 +569,6 @@ fn reactor_main(
         .collect();
     let (mut accepting, mut stopping) = (workers.len() == cfg.workers, false);
 
-    // Below the budget: a connection resumed with its budget full stalls
-    // again at once, and the sweep below would spin on it.
-    let low_watermark = cfg.max_session_queue / 2;
     let mut conns: HashMap<usize, Socket> = HashMap::new();
     // Exactly the connections marked stalled, closing or backlogged: all the
     // sweep visits.
@@ -638,7 +661,7 @@ fn reactor_main(
             // notify: re-check `pending` before leaving it.
             while conn.stalled
                 && !conn.closing
-                && conn.link.pending.load(Ordering::SeqCst) <= low_watermark
+                && (conn.engine).may_resume(conn.link.pending.load(Ordering::SeqCst))
             {
                 conn.stalled = false;
                 conn.link.attention.store(false, Ordering::Release);
@@ -699,8 +722,8 @@ fn worker_main((queue, ready): &Shard, ctx: &Reactor) {
         };
         std::mem::swap(waiting, &mut batch);
         drop(jobs);
-        for (link, record) in batch.drain(..) {
-            let ok = link.rpc.handle_record_into(&record, &mut enc).is_ok();
+        for (link, record, w) in batch.drain(..) {
+            let ok = serve(&link, &record, w, &mut enc).is_ok();
             ctx.records.put(record);
             if ok {
                 send_reply(&link, &mut enc, ctx);
@@ -1497,5 +1520,56 @@ mod tests {
             "shutdown must finalize live connections"
         );
         drop(clients);
+    }
+
+    /// A procedure body that panics fails its call, which closes only its
+    /// connection: after one panic inline on the reactor thread and one
+    /// parked on the one worker shard, a fresh connection's `RPC_NULL` and
+    /// a parked call on that shard are answered.
+    #[test]
+    fn a_panicking_body_closes_only_its_connection() {
+        let classify: Classifier = Arc::new(|_, _, proc| match proc {
+            5 => ProcClass::Done,
+            _ => ProcClass::Parked,
+        });
+        let cfg = ReactorConfig {
+            workers: 1,
+            classify: Some(classify),
+            ..ReactorConfig::default()
+        };
+        let handle = serve_tcp_reactor("127.0.0.1:0", cfg, |_| {
+            let service = |proc: u32, args: &mut XdrDecoder<'_>, reply: &mut XdrEncoder| match proc
+            {
+                4 | 5 => panic!("procedure {proc} panics"),
+                _ => service().dispatch(proc, args, reply),
+            };
+            let mut rpc = RpcServer::new();
+            rpc.register(PROG, VERS, Arc::new(service));
+            let (rpc, on_close) = (Arc::new(rpc), None);
+            ConnHandler { rpc, on_close }
+        })
+        .unwrap();
+        // A dead reactor thread or worker shows as a call that times out.
+        let client = || {
+            let transport = TcpTransport::connect(handle.addr()).unwrap();
+            let mut client = RpcClient::new(Box::new(transport), PROG, VERS);
+            client
+                .set_call_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            client
+        };
+        for proc in [5, 4] {
+            let answered = client().call::<_, u32>(proc, &(1u32, 2u32));
+            assert!(
+                answered.is_err(),
+                "procedure {proc} was answered: {answered:?}"
+            );
+        }
+        let mut fresh = client();
+        fresh.call_null().unwrap();
+        let echoed: Vec<u8> = fresh.call(1, &vec![3u8; 16]).unwrap();
+        assert_eq!(echoed, [3u8; 16]);
+        assert_eq!(counts(&handle)["reactor.parked_calls"], 3);
+        handle.shutdown();
     }
 }

@@ -77,6 +77,94 @@ impl Drop for GateGuard<'_> {
     }
 }
 
+/// A call the prologue admitted: its xid, procedure, service, client token
+/// and token-gate admission.
+type Admitted<'s> = (u32, u32, &'s Arc<dyn Dispatch>, Option<u64>, GateGuard<'s>);
+
+/// A procedure whose last argument, an opaque, is written where it lands as
+/// it arrives instead of into its record ([`RpcServer::set_lander`]), and
+/// whose result is an XDR `int` status. Once the prologue admitted the
+/// call, `open` says where its `len` bytes go, `land` takes them in order,
+/// and `finish` runs the call at its record's end. A status refuses what is
+/// left of the opaque, which is discarded, and is what the call answers.
+pub trait Lander: Send + Sync {
+    /// Where the `len` bytes behind the arguments `args` land, or a status.
+    fn open(&self, args: &mut XdrDecoder<'_>, len: usize) -> Result<u64, i32>;
+    /// Write `piece` at `at`, or refuse it and every later piece.
+    fn land(&self, at: u64, piece: &[u8]) -> Result<(), i32>;
+    /// The call's status: `args` as `open` saw them, and what became of its
+    /// `len` bytes.
+    fn finish(&self, args: &mut XdrDecoder<'_>, len: usize, landed: Result<(), i32>) -> i32;
+}
+
+/// A procedure: its program, version and number.
+type ProcKey = (u32, u32, u32);
+
+/// Where a window's next byte goes: nowhere, as the prologue answered the
+/// call with this reply, or the lander refused it with this status; or here.
+enum Landing {
+    Answered(Vec<u8>),
+    Refused(i32),
+    To(u64),
+}
+
+/// The last argument of one call on its way through its procedure's
+/// [`Lander`] (`RpcServer::open`). It holds the call's token-gate
+/// admission (`token`) until it is dropped, so a connection lost
+/// mid-payload releases it, having run nothing.
+pub struct Window {
+    rpc: Arc<RpcServer>,
+    token: Option<u64>,
+    lander: usize,
+    /// The opaque's length, and how much of it is still to come.
+    len: usize,
+    pub(crate) left: usize,
+    to: Landing,
+}
+
+impl Window {
+    /// Take the next `piece` of the opaque: land it, or discard it.
+    pub(crate) fn land(&mut self, piece: &[u8]) {
+        self.left -= piece.len();
+        if let Landing::To(at) = self.to {
+            self.to = match self.rpc.landers[self.lander].2.land(at, piece) {
+                Ok(()) => Landing::To(at + piece.len() as u64),
+                Err(status) => Landing::Refused(status),
+            };
+        }
+    }
+
+    /// The body of the call, its record ended: the lander's, once its whole
+    /// opaque arrived and what follows it is a zero pad, as the whole-record
+    /// decode requires.
+    fn finish(
+        &self,
+        record: &[u8],
+        args: &mut XdrDecoder<'_>,
+        reply: &mut XdrEncoder,
+    ) -> Result<(), AcceptStat> {
+        let (_, head, lander) = &self.rpc.landers[self.lander];
+        let pad = record.get(args.position() + head + 4..).unwrap_or_default();
+        if self.left > 0 || pad.len() != (4 - self.len % 4) % 4 || pad.iter().any(|&b| b != 0) {
+            return Err(AcceptStat::GarbageArgs);
+        }
+        let landed = match self.to {
+            Landing::Refused(status) => Err(status),
+            _ => Ok(()),
+        };
+        reply.put_i32(lander.finish(args, self.len, landed));
+        Ok(())
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        if let (Some(gate), Some(t)) = (self.rpc.token_gate.as_deref(), self.token) {
+            gate.complete(t);
+        }
+    }
+}
+
 /// Registry of (program, version) → service and the hooks every call
 /// passes, all set up (`&mut self`) before the server is shared.
 #[derive(Default)]
@@ -91,6 +179,8 @@ pub struct RpcServer {
     token_gate: Option<Box<dyn TokenGate>>,
     /// Optional overload control in front of every procedure body.
     admission: Option<Box<Admission>>,
+    /// Procedures whose last argument lands, with the argument bytes ahead.
+    landers: Vec<(ProcKey, usize, Arc<dyn Lander>)>,
 }
 
 impl RpcServer {
@@ -131,6 +221,17 @@ impl RpcServer {
         self.admission = Some(Box::new(admit));
     }
 
+    /// Land the last argument of procedure `key`, an opaque behind `head`
+    /// bytes of arguments, through `lander`.
+    pub fn set_lander(&mut self, key: ProcKey, head: usize, lander: Arc<dyn Lander>) {
+        self.landers.push((key, head, lander));
+    }
+
+    /// The argument bytes ahead of the landing opaque of procedure `key`.
+    pub(crate) fn lands(&self, key: ProcKey) -> Option<usize> {
+        self.landers.iter().find(|l| l.0 == key).map(|l| l.1)
+    }
+
     /// Register `service` for `prog`/`vers`, replacing any prior entry.
     pub fn register(&mut self, prog: u32, vers: u32, service: Arc<dyn Dispatch>) {
         self.services.insert((prog, vers), service);
@@ -153,9 +254,90 @@ impl RpcServer {
     /// buffer, no post-dispatch copy. If the service fails, the encoder is
     /// rolled back and the error header is encoded instead.
     pub fn handle_record_into(&self, record: &[u8], reply_enc: &mut XdrEncoder) -> RpcResult<()> {
+        self.serve_into(record, None, reply_enc)
+    }
+
+    /// The window the last argument of the call in `head` lands through:
+    /// `head` ends in that opaque's length word, `len`, and its procedure
+    /// `key` [`Self::lands`]. The call passes the prologue first; one it
+    /// answers (a mismatch, a replay, a shed) or the lander refuses discards
+    /// its opaque. `Err` closes the connection.
+    pub(crate) fn open(
+        self: &Arc<Self>,
+        key: ProcKey,
+        head: &[u8],
+        len: usize,
+    ) -> RpcResult<Window> {
+        let (mut reply, mut dec) = (XdrEncoder::new(), XdrDecoder::new(&head[..head.len() - 4]));
+        let (token, lander, to) = match self.admit(&mut dec, &mut reply, false)? {
+            None => (None, 0, Landing::Answered(reply.into_inner())),
+            Some((.., mut gate)) => {
+                let found = self.landers.iter().position(|l| l.0 == key);
+                let lander = found.ok_or(RpcError::UnexpectedMessageType)?;
+                let to = self.landers[lander].2.open(&mut dec, len);
+                let to = to.map_or_else(Landing::Refused, Landing::To);
+                (gate.0.take().map(|g| g.1), lander, to)
+            }
+        };
+        let (rpc, left) = (Arc::clone(self), len);
+        Ok(Window {
+            rpc,
+            token,
+            lander,
+            len,
+            left,
+            to,
+        })
+    }
+
+    /// [`Self::handle_record_into`]; or, with the `window` its last argument
+    /// went through (`Self::open`), the call it opened for, whose
+    /// prologue ran then, `record` holding the rest.
+    pub fn serve_into(
+        &self,
+        record: &[u8],
+        window: Option<Window>,
+        reply_enc: &mut XdrEncoder,
+    ) -> RpcResult<()> {
         reply_enc.clear();
+        if let Some(Landing::Answered(reply)) = window.as_ref().map(|w| &w.to) {
+            reply_enc.extend_raw(reply);
+            return Ok(());
+        }
         let mut dec = XdrDecoder::new(record);
-        let msg = RpcMessage::decode(&mut dec)?;
+        let Some((xid, proc, service, token, _gate)) =
+            self.admit(&mut dec, reply_enc, window.is_some())?
+        else {
+            return Ok(());
+        };
+        RpcMessage::reply(xid, ReplyBody::success()).encode(reply_enc);
+        let body = match &window {
+            None => service.dispatch(proc, &mut dec, reply_enc),
+            Some(w) => w.finish(record, &mut dec, reply_enc),
+        };
+        if let Err(stat) = body {
+            // Roll back any partial results plus the optimistic header.
+            reply_enc.truncate(0);
+            RpcMessage::reply(xid, ReplyBody::failure(stat)).encode(reply_enc);
+        }
+        // Cache the outcome — success *or* failure — so a retransmission
+        // observes the identical reply.
+        if let Some((cache, token)) = self.replay.as_deref().zip(token) {
+            cache.store(token, xid, reply_enc.as_slice());
+        }
+        Ok(())
+    }
+
+    /// The prologue of a call, up to its body (the part a window's call
+    /// passed when it opened skipped): `None` when it answered the call
+    /// itself, into `reply_enc`.
+    fn admit<'s>(
+        &'s self,
+        dec: &mut XdrDecoder<'_>,
+        reply_enc: &mut XdrEncoder,
+        opened: bool,
+    ) -> RpcResult<Option<Admitted<'s>>> {
+        let msg = RpcMessage::decode(dec)?;
         let call = match msg.body {
             MessageBody::Call(c) => c,
             MessageBody::Reply(_) => return Err(RpcError::UnexpectedMessageType),
@@ -170,7 +352,7 @@ impl RpcServer {
                 }),
             )
             .encode(reply_enc);
-            return Ok(());
+            return Ok(None);
         }
 
         let Some(service) = self.services.get(&(call.prog, call.vers)) else {
@@ -179,10 +361,13 @@ impl RpcServer {
                 None => ReplyBody::failure(AcceptStat::ProgUnavail),
             };
             RpcMessage::reply(msg.xid, body).encode(reply_enc);
-            return Ok(());
+            return Ok(None);
         };
 
         let token = call.cred.as_client_token();
+        if opened {
+            return Ok(Some((msg.xid, call.proc, service, token, GateGuard(None))));
+        }
 
         // Admission gate: a refused token gets no reply — the connection
         // closes so the client's retransmission lands on a fresh connection
@@ -201,34 +386,21 @@ impl RpcServer {
         // At-most-once: a retransmission (same client token, same xid)
         // replays the reply that was already produced — the procedure body
         // never runs twice. A call without a token never touches the cache.
-        let replay = self.replay.as_deref().zip(token);
-        if let Some((cache, token)) = replay {
+        if let Some((cache, token)) = self.replay.as_deref().zip(token) {
             if let Some(cached) = cache.lookup(token, msg.xid) {
                 reply_enc.extend_raw(&cached);
-                return Ok(());
+                return Ok(None);
             }
         }
 
         if let Some(admit) = self.admission.as_deref() {
-            if let Err(retry_after_ns) = admit(call.proc, &dec) {
+            if let Err(retry_after_ns) = admit(call.proc, dec) {
                 // Shed: never executed, so never cached either.
                 RpcMessage::reply(msg.xid, ReplyBody::busy(retry_after_ns)).encode(reply_enc);
-                return Ok(());
+                return Ok(None);
             }
         }
-
-        RpcMessage::reply(msg.xid, ReplyBody::success()).encode(reply_enc);
-        if let Err(stat) = service.dispatch(call.proc, &mut dec, reply_enc) {
-            // Roll back any partial results plus the optimistic header.
-            reply_enc.truncate(0);
-            RpcMessage::reply(msg.xid, ReplyBody::failure(stat)).encode(reply_enc);
-        }
-        // Cache the outcome — success *or* failure — so a retransmission
-        // observes the identical reply.
-        if let Some((cache, token)) = replay {
-            cache.store(token, msg.xid, reply_enc.as_slice());
-        }
-        Ok(())
+        Ok(Some((msg.xid, call.proc, service, token, gate_guard)))
     }
 
     /// Serve one connection until the peer disconnects. The request record

@@ -308,17 +308,17 @@ impl Device {
     /// completion time; a synchronous caller blocks until then (CUDA's
     /// sync-memcpy contract).
     pub fn memcpy_htod_stream(&mut self, dst: u64, data: &[u8], stream: u64) -> VgpuResult<Submit> {
-        self.observe();
         self.mem.write(dst, data)?;
-        let dur = self.pcie_ns(data.len());
-        self.enqueue_on(
-            stream,
-            CommandKind::MemcpyH2D {
-                bytes: data.len() as u64,
-            },
-            dur,
-            0,
-        )
+        self.memcpy_htod_landed(dst, data.len() as u64, stream)
+    }
+
+    /// [`Self::memcpy_htod_stream`] of `len` bytes already written at `dst`
+    /// (through [`MemoryManager::write`] as they arrived): the transfer only.
+    pub fn memcpy_htod_landed(&mut self, dst: u64, len: u64, stream: u64) -> VgpuResult<Submit> {
+        self.observe();
+        self.mem.read(dst, len)?;
+        let dur = self.pcie_ns(len as usize);
+        self.enqueue_on(stream, CommandKind::MemcpyH2D { bytes: len }, dur, 0)
     }
 
     /// Synchronous cudaMemcpy device→host on the default stream.

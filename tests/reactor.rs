@@ -183,9 +183,10 @@ fn two_stacks_in_one_process_count_only_their_own_traffic() {
     let (a, b) = ((1 << 20, 4096, 5), (70_001, 300_000, 9));
     let alone = (copy_script(a.0, a.1, a.2), copy_script(b.0, b.1, b.2));
     assert_ne!(alone.0, alone.1, "the scripts must be told apart");
-    // H2D is staged twice (send buffer, server-side reassembly), D2H once
-    // (the client's reply reassembly), plus headers.
-    let floor = |(h2d, d2h, rounds): (usize, usize, usize)| ((2 * h2d + d2h) * rounds) as u64;
+    // H2D is staged once (the send buffer: server-side, its payload lands
+    // in device memory), D2H once (the client's reply reassembly), plus
+    // headers.
+    let floor = |(h2d, d2h, rounds): (usize, usize, usize)| ((h2d + d2h) * rounds) as u64;
     assert!(alone.0 .0 >= floor(a) && alone.0 .0 < floor(a) + 16_384);
     assert_eq!(alone.0 .1, ((a.0 + a.1) * a.2) as u64);
     for _ in 0..3 {

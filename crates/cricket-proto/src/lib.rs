@@ -345,8 +345,19 @@ mod tests {
             fn cuda_free(&self, arg0: u64) -> Result<i32, oncrpc::AcceptStat> {
                 Ok(0)
             }
-            fn cuda_memcpy_htod(&self, arg0: u64, arg1: &[u8]) -> Result<i32, oncrpc::AcceptStat> {
-                Ok(arg1.len() as i32)
+            fn cuda_memcpy_htod_open(&self, arg0: u64, len: u64) -> Result<u64, i32> {
+                Ok(arg0)
+            }
+            fn cuda_memcpy_htod_land(&self, at: u64, piece: &[u8]) -> Result<(), i32> {
+                Ok(())
+            }
+            fn cuda_memcpy_htod_landed(
+                &self,
+                arg0: u64,
+                len: u64,
+                landed: Result<(), i32>,
+            ) -> Result<i32, oncrpc::AcceptStat> {
+                Ok(len as i32)
             }
             fn cuda_memcpy_dtoh(
                 &self,

@@ -75,14 +75,10 @@ type View = cricket_proto::CricketV1Dispatch<service::Sessioned>;
 fn view_rpc(server: Arc<CricketServer>, session: SessionId) -> (oncrpc::RpcServer, Arc<View>) {
     let mut rpc = oncrpc::RpcServer::new();
     rpc.set_replay_cache(Arc::clone(&server.replay));
-    let view = Arc::new(cricket_proto::CricketV1Dispatch(service::Sessioned::new(
-        Arc::clone(&server),
-        session,
-    )));
+    let sessioned = service::Sessioned::new(Arc::clone(&server), session);
+    let view = Arc::new(cricket_proto::CricketV1Dispatch(sessioned));
     let (prog, vers) = (cricket_proto::CRICKET_CUDA, cricket_proto::CRICKET_V1);
     rpc.register(prog, vers, Arc::clone(&view) as Arc<dyn oncrpc::Dispatch>);
-    let htod = (prog, vers, cricket_proto::cricket_v1::CUDA_MEMCPY_HTOD);
-    rpc.set_lander(htod, 8, Arc::new(Htod(Arc::clone(&view))));
     let admitted = Arc::clone(&view);
     rpc.set_admission(move |proc, args| {
         // Peek the CUDA_MALLOC size (without consuming the argument stream)
@@ -95,30 +91,6 @@ fn view_rpc(server: Arc<CricketServer>, session: SessionId) -> (oncrpc::RpcServe
         server.qos_admit(admitted.0.session(), proc, malloc_size)
     });
     (rpc, view)
-}
-
-/// A `CUDA_MEMCPY_HTOD` payload landing in device memory as it arrives
-/// (DESIGN §6), behind its 8-byte `dst`: once the session owns all of
-/// `[dst, dst + len)`, each piece is written where it belongs, and the call
-/// runs at its record's end.
-struct Htod(Arc<View>);
-
-impl oncrpc::Lander for Htod {
-    fn open(&self, args: &mut xdr::XdrDecoder<'_>, len: usize) -> Result<u64, i32> {
-        let (view, dst) = (&self.0 .0, args.get_u64().unwrap_or_default());
-        let owned = view.srv.owned(view.session(), dst, len as u64);
-        owned.map(|_| dst).map_err(|e| service::err_code(&e))
-    }
-
-    fn land(&self, at: u64, piece: &[u8]) -> Result<(), i32> {
-        let view = &self.0 .0;
-        view.srv.land(view.session(), at, piece)
-    }
-
-    fn finish(&self, args: &mut xdr::XdrDecoder<'_>, len: usize, landed: Result<(), i32>) -> i32 {
-        let (view, dst) = (&self.0 .0, args.get_u64().unwrap_or_default());
-        view.srv.htod(view.session(), dst, len as u64, landed)
-    }
 }
 
 /// How [`ServerBuilder::serve`] maps TCP connections onto OS threads. Both

@@ -140,25 +140,21 @@ impl cricket_proto::CricketV1Service for Sessioned {
         // context behind the virtualization layer).
         let (srv, s) = (&self.srv, self.session());
         let idx = srv.current_device(s);
-        Ok(int_of(srv.wait_at(
-            s,
-            idx,
-            proc::CUDA_DEVICE_SYNCHRONIZE,
-            |d| {
-                // The session's streams on this device (its lazy default stream
-                // plus any it created), walked under the session lock with no
-                // copy: the first `stream_synchronize` retires for all of them
-                // and each wait is a pure read, so the walk's order is immaterial.
-                let sessions = srv.sessions.lock();
-                let handles = sessions.get(&s).into_iter().flat_map(|r| &r.handles);
-                let wait = handles
-                    .filter(|&(&h, &k)| k == Kind::Stream && srv.device_of_token(h) == Some(idx))
-                    .map(|(&h, _)| d.stream_synchronize(h).unwrap_or(0))
-                    .max()
-                    .unwrap_or(0);
-                Ok(((), wait))
-            },
-        )))
+        let r = srv.wait_at(s, idx, proc::CUDA_DEVICE_SYNCHRONIZE, |d| {
+            // The session's streams on this device (its lazy default stream
+            // plus any it created), walked under the session lock with no
+            // copy: the first `stream_synchronize` retires for all of them
+            // and each wait is a pure read, so the walk's order is immaterial.
+            let sessions = srv.sessions.lock();
+            let handles = sessions.get(&s).into_iter().flat_map(|r| &r.handles);
+            let wait = handles
+                .filter(|&(&h, &k)| k == Kind::Stream && srv.device_of_token(h) == Some(idx))
+                .map(|(&h, _)| d.stream_synchronize(h).unwrap_or(0))
+                .max()
+                .unwrap_or(0);
+            Ok(((), wait))
+        });
+        Ok(int_of(r))
     }
 
     fn cuda_device_reset(&self) -> Reply<i32> {
@@ -192,9 +188,18 @@ impl cricket_proto::CricketV1Service for Sessioned {
         Ok(int_of(r))
     }
 
-    fn cuda_memcpy_htod(&self, dst: u64, data: &[u8]) -> Reply<i32> {
-        let (srv, s) = (&self.srv, self.session());
-        Ok(srv.htod(s, dst, data.len() as u64, srv.land(s, dst, data)))
+    /// A plain H2D lands once the session owns `[dst, dst + len)` (DESIGN §6).
+    fn cuda_memcpy_htod_open(&self, dst: u64, len: u64) -> Result<u64, i32> {
+        let owned = self.srv.owned(self.session(), dst, len);
+        owned.map(|_| dst).map_err(|e| err_code(&e))
+    }
+
+    fn cuda_memcpy_htod_land(&self, at: u64, piece: &[u8]) -> Result<(), i32> {
+        self.srv.land(self.session(), at, piece)
+    }
+
+    fn cuda_memcpy_htod_landed(&self, dst: u64, len: u64, landed: Result<(), i32>) -> Reply<i32> {
+        Ok(self.srv.htod(self.session(), dst, len, landed))
     }
 
     fn cuda_memcpy_dtoh(
@@ -285,11 +290,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cu_module_get_function(&self, module: u64, name: &str) -> Reply<U64Result> {
-        let r = self
-            .srv
-            .wait_for(self.session(), module, proc::CU_MODULE_GET_FUNCTION, |d| {
-                d.module_get_function(module, name)
-            });
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.wait_for(s, module, proc::CU_MODULE_GET_FUNCTION, |d| {
+            d.module_get_function(module, name)
+        });
         reply(r, U64Result::Data, U64Result::Default)
     }
 
@@ -374,12 +378,10 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn cuda_event_synchronize(&self, event: u64) -> Reply<i32> {
-        Ok(int_of(self.srv.wait_for(
-            self.session(),
-            event,
-            proc::CUDA_EVENT_SYNCHRONIZE,
-            |d| d.event_synchronize(event).map(|t| ((), t)),
-        )))
+        let (srv, s) = (&self.srv, self.session());
+        let sync = |d: &mut Device| d.event_synchronize(event).map(|t| ((), t));
+        let r = srv.wait_for(s, event, proc::CUDA_EVENT_SYNCHRONIZE, sync);
+        Ok(int_of(r))
     }
 
     fn cuda_event_elapsed_time(&self, start: u64, stop: u64) -> Reply<FloatResult> {
@@ -412,12 +414,8 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cublas_destroy(&self, h: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session());
-        Ok(int_of(srv.lib_destroy(
-            s,
-            proc::CUBLAS_DESTROY,
-            h,
-            Kind::Blas,
-        )))
+        let r = srv.lib_destroy(s, proc::CUBLAS_DESTROY, h, Kind::Blas);
+        Ok(int_of(r))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -482,20 +480,15 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cusolver_dn_create(&self) -> Reply<U64Result> {
         let solver = || Ok(HostObject::Solver(vgpu::solver::SolverDn::new()));
-        let r = self
-            .srv
-            .lib_create(self.session(), proc::CUSOLVER_DN_CREATE, solver);
+        let (srv, s) = (&self.srv, self.session());
+        let r = srv.lib_create(s, proc::CUSOLVER_DN_CREATE, solver);
         reply(r, U64Result::Data, U64Result::Default)
     }
 
     fn cusolver_dn_destroy(&self, h: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session());
-        Ok(int_of(srv.lib_destroy(
-            s,
-            proc::CUSOLVER_DN_DESTROY,
-            h,
-            Kind::Solver,
-        )))
+        let r = srv.lib_destroy(s, proc::CUSOLVER_DN_DESTROY, h, Kind::Solver);
+        Ok(int_of(r))
     }
 
     fn cusolver_dn_dgetrf_buffer_size(
@@ -567,12 +560,8 @@ impl cricket_proto::CricketV1Service for Sessioned {
 
     fn cufft_destroy(&self, h: u64) -> Reply<i32> {
         let (srv, s) = (&self.srv, self.session());
-        Ok(int_of(srv.lib_destroy(
-            s,
-            proc::CUFFT_DESTROY,
-            h,
-            Kind::Fft,
-        )))
+        let r = srv.lib_destroy(s, proc::CUFFT_DESTROY, h, Kind::Fft);
+        Ok(int_of(r))
     }
 
     fn cufft_exec_c2c(&self, h: u64, idata: u64, odata: u64, dir: i32) -> Reply<i32> {
@@ -607,16 +596,13 @@ impl cricket_proto::CricketV1Service for Sessioned {
     }
 
     fn ckpt_restore(&self, blob: &[u8]) -> Reply<i32> {
-        let srv = &self.srv;
+        let (srv, s) = (&self.srv, self.session());
         srv.metrics.add(BYTES_IN, blob.len() as u64);
-        Ok(int_of(srv.wait_turn(
-            self.session(),
-            proc::CKPT_RESTORE,
-            || {
-                srv.restore(self.session(), blob)?;
-                Ok(((), (blob.len() as u64) / 8))
-            },
-        )))
+        let r = srv.wait_turn(s, proc::CKPT_RESTORE, || {
+            srv.restore(s, blob)?;
+            Ok(((), (blob.len() as u64) / 8))
+        });
+        Ok(int_of(r))
     }
 
     fn srv_get_stats(&self) -> Reply<ServerStats> {

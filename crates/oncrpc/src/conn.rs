@@ -120,8 +120,8 @@ pub trait Calls {
     /// closes the connection.
     fn call(&mut self, class: ProcClass, record: &mut Vec<u8>, wire: usize) -> RpcResult<()>;
 
-    /// The server whose [`crate::Lander`]s take a call's last argument as
-    /// it arrives; none (the default) assembles every record whole.
+    /// The server whose services land a call's last argument as it arrives
+    /// ([`crate::Dispatch::lands`]); none (the default): every record whole.
     fn server(&self) -> Option<&Arc<RpcServer>> {
         None
     }
@@ -251,14 +251,13 @@ impl Conn {
                 let rpc = calls.server();
                 let head = head_len(&self.record, |key| rpc?.lands(key));
                 self.need = head.filter(|&n| n > self.record.len());
-                let key = peek_call(&self.record);
-                if let (Some(rpc), Some(key), Some(_), None) = (rpc, key, head, self.need) {
+                if let (Some(rpc), Some(_), None) = (rpc, head, self.need) {
                     if calls.in_flight() > 0 {
                         self.need = head;
                         return Ok(used);
                     }
                     let len = word(&self.record, self.record.len() - 4).unwrap_or(0);
-                    self.window = Some(rpc.open(key, &self.record, len as usize)?);
+                    self.window = Some(rpc.open(&self.record, len as usize)?);
                 }
             }
             if used == bytes.len() || calls.in_flight() >= self.budget {
@@ -1114,43 +1113,55 @@ mod tests {
     }
 
     /// A device of bytes behind proc 3's opaque, which follows a `u64`
-    /// offset: an opaque past its end is refused with status 7. It counts
-    /// the windows it opened.
+    /// offset and lands: an opaque past its end is refused with status 7. It
+    /// counts the windows it opened. A whole record of it runs the same
+    /// three steps on its own bytes.
     struct Mem(parking_lot::Mutex<Vec<u8>>, std::sync::atomic::AtomicUsize);
 
-    impl crate::Lander for Mem {
-        fn open(&self, args: &mut XdrDecoder<'_>, len: usize) -> Result<u64, i32> {
-            let dst = args.get_u64().unwrap();
+    impl crate::Dispatch for Mem {
+        fn dispatch(
+            &self,
+            _: u32,
+            args: &mut XdrDecoder<'_>,
+            reply: &mut XdrEncoder,
+        ) -> Result<(), AcceptStat> {
+            let dst = args.get_u64().map_err(|_| AcceptStat::GarbageArgs)?;
+            let data = args.get_opaque().map_err(|_| AcceptStat::GarbageArgs)?;
+            let mut head = XdrEncoder::new();
+            (dst, data.len() as u32).encode(&mut head);
+            let at = self.open(3, &mut XdrDecoder::new(head.as_slice()));
+            reply.put_i32(at.and_then(|at| self.land(3, at, data)).err().unwrap_or(0));
+            Ok(())
+        }
+        fn lands(&self, proc: u32) -> Option<usize> {
+            (proc == 3).then_some(8)
+        }
+        fn open(&self, _: u32, args: &mut XdrDecoder<'_>) -> Result<u64, i32> {
+            let (dst, len) = (args.get_u64().unwrap(), args.get_u32().unwrap());
             self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let fits = dst as usize + len <= self.0.lock().len();
+            let fits = dst as usize + len as usize <= self.0.lock().len();
             fits.then_some(dst).ok_or(7)
         }
-        fn land(&self, at: u64, piece: &[u8]) -> Result<(), i32> {
+        fn land(&self, _: u32, at: u64, piece: &[u8]) -> Result<(), i32> {
             self.0.lock()[at as usize..][..piece.len()].copy_from_slice(piece);
             Ok(())
         }
-        fn finish(&self, args: &mut XdrDecoder<'_>, _: usize, landed: Result<(), i32>) -> i32 {
+        fn finish(
+            &self,
+            _: u32,
+            args: &mut XdrDecoder<'_>,
+            landed: Result<(), i32>,
+        ) -> Result<i32, AcceptStat> {
             args.get_u64().unwrap();
-            landed.err().unwrap_or(0)
+            Ok(landed.err().unwrap_or(0))
         }
     }
 
-    /// A server whose proc 3 lands in a [`Mem`] of `bytes` bytes, and whose
-    /// whole records of it run the lander's body on their own bytes.
+    /// A server whose proc 3 lands in a [`Mem`] of `bytes` bytes.
     fn landing(bytes: usize) -> (Arc<RpcServer>, Arc<Mem>) {
-        use crate::Lander;
         let mem = Arc::new(Mem(parking_lot::Mutex::new(vec![0; bytes]), 0.into()));
-        let whole = Arc::clone(&mem);
-        let service = move |_, args: &mut XdrDecoder<'_>, reply: &mut XdrEncoder| {
-            let dst = args.get_u64().map_err(|_| AcceptStat::GarbageArgs)?;
-            let data = args.get_opaque().map_err(|_| AcceptStat::GarbageArgs)?;
-            let at = whole.open(&mut XdrDecoder::new(&dst.to_be_bytes()), data.len());
-            reply.put_i32(at.and_then(|at| whole.land(at, data)).err().unwrap_or(0));
-            Ok(())
-        };
         let mut rpc = RpcServer::new();
-        rpc.register(PROG, VERS, Arc::new(service));
-        rpc.set_lander((PROG, VERS, 3), 8, Arc::clone(&mem) as Arc<dyn Lander>);
+        rpc.register(PROG, VERS, Arc::clone(&mem) as Arc<dyn crate::Dispatch>);
         (Arc::new(rpc), mem)
     }
 

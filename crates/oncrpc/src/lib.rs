@@ -56,7 +56,7 @@ pub use portmap::{LoadReport, Mapping, PmapVersClient, Portmap, ShardEntry};
 pub use reactor::{serve_tcp_reactor, ConnHandler};
 pub use record::{RecordBuf, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::ReplayCache;
-pub use server::{Dispatch, Lander, RpcServer, ServerHandle, Window};
+pub use server::{Dispatch, RpcServer, ServerHandle, Window};
 pub use transport::{duplex_pair, TcpTransport, Transport};
 
 /// The RPC protocol version this crate speaks (RFC 5531 mandates 2).

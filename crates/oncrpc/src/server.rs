@@ -22,6 +22,12 @@ use xdr::{Xdr, XdrDecoder, XdrEncoder};
 /// except `Busy`, which is not a body's to return: shedding a call is the
 /// admission hook's decision ([`RpcServer::set_admission`]), made before
 /// the body runs.
+///
+/// A procedure declared `lands` in its `.x` file (its result an XDR `int`
+/// status) takes its last argument, an opaque, where it lands as it arrives:
+/// once the prologue admitted the call, `open` says where, `land` takes the
+/// bytes in order and `finish` runs the call at its record's end. A status
+/// refuses the rest of the opaque, which is discarded, and is the answer.
 pub trait Dispatch: Send + Sync {
     /// Handle procedure `proc`. Arguments are read from `args`; results are
     /// appended to `reply` only on success.
@@ -31,6 +37,33 @@ pub trait Dispatch: Send + Sync {
         args: &mut XdrDecoder<'_>,
         reply: &mut XdrEncoder,
     ) -> Result<(), AcceptStat>;
+
+    /// The argument bytes ahead of the opaque of `proc` if it `lands`.
+    fn lands(&self, _proc: u32) -> Option<usize> {
+        None
+    }
+
+    /// Where the opaque behind `args` (through its length word) lands, or a
+    /// status; arguments that do not decode are answered at `finish`.
+    fn open(&self, _proc: u32, _args: &mut XdrDecoder<'_>) -> Result<u64, i32> {
+        Err(-1)
+    }
+
+    /// Write `piece` at `at`, or refuse it and every later piece.
+    fn land(&self, _proc: u32, _at: u64, _piece: &[u8]) -> Result<(), i32> {
+        Err(-1)
+    }
+
+    /// The call's status, its record ended: `args` as `open` saw them, then
+    /// the opaque's length word and pad; `landed`, what became of it.
+    fn finish(
+        &self,
+        _proc: u32,
+        _args: &mut XdrDecoder<'_>,
+        _landed: Result<(), i32>,
+    ) -> Result<i32, AcceptStat> {
+        Err(AcceptStat::ProcUnavail)
+    }
 }
 
 impl<F> Dispatch for F
@@ -81,86 +114,49 @@ impl Drop for GateGuard<'_> {
 /// and token-gate admission.
 type Admitted<'s> = (u32, u32, &'s Arc<dyn Dispatch>, Option<u64>, GateGuard<'s>);
 
-/// A procedure whose last argument, an opaque, is written where it lands as
-/// it arrives instead of into its record ([`RpcServer::set_lander`]), and
-/// whose result is an XDR `int` status. Once the prologue admitted the
-/// call, `open` says where its `len` bytes go, `land` takes them in order,
-/// and `finish` runs the call at its record's end. A status refuses what is
-/// left of the opaque, which is discarded, and is what the call answers.
-pub trait Lander: Send + Sync {
-    /// Where the `len` bytes behind the arguments `args` land, or a status.
-    fn open(&self, args: &mut XdrDecoder<'_>, len: usize) -> Result<u64, i32>;
-    /// Write `piece` at `at`, or refuse it and every later piece.
-    fn land(&self, at: u64, piece: &[u8]) -> Result<(), i32>;
-    /// The call's status: `args` as `open` saw them, and what became of its
-    /// `len` bytes.
-    fn finish(&self, args: &mut XdrDecoder<'_>, len: usize, landed: Result<(), i32>) -> i32;
-}
-
-/// A procedure: its program, version and number.
-type ProcKey = (u32, u32, u32);
-
-/// Where a window's next byte goes: nowhere, as the prologue answered the
-/// call with this reply, or the lander refused it with this status; or here.
-enum Landing {
-    Answered(Vec<u8>),
-    Refused(i32),
-    To(u64),
-}
-
-/// The last argument of one call on its way through its procedure's
-/// [`Lander`] (`RpcServer::open`). It holds the call's token-gate
-/// admission (`token`) until it is dropped, so a connection lost
-/// mid-payload releases it, having run nothing.
+/// The last argument of one call on its way through its service
+/// ([`Dispatch::lands`], `RpcServer::open`): the reply the prologue answered
+/// the call with, or the call it admitted. It holds the call's token-gate
+/// admission until it is dropped, so a connection lost mid-payload releases
+/// it, having run nothing.
 pub struct Window {
     rpc: Arc<RpcServer>,
-    token: Option<u64>,
-    lander: usize,
-    /// The opaque's length, and how much of it is still to come.
-    len: usize,
+    call: Result<Opened, Vec<u8>>,
+    /// How much of the opaque is still to come.
     pub(crate) left: usize,
-    to: Landing,
+}
+
+/// A call whose window opened: its xid, procedure, service and client
+/// token, where its arguments start in its record, and where the opaque's
+/// next byte lands or the status refusing it.
+struct Opened {
+    xid: u32,
+    proc: u32,
+    service: Arc<dyn Dispatch>,
+    token: Option<u64>,
+    args: usize,
+    to: Result<u64, i32>,
 }
 
 impl Window {
     /// Take the next `piece` of the opaque: land it, or discard it.
     pub(crate) fn land(&mut self, piece: &[u8]) {
         self.left -= piece.len();
-        if let Landing::To(at) = self.to {
-            self.to = match self.rpc.landers[self.lander].2.land(at, piece) {
-                Ok(()) => Landing::To(at + piece.len() as u64),
-                Err(status) => Landing::Refused(status),
-            };
+        if let Ok(c) = &mut self.call {
+            if let Ok(at) = c.to {
+                let next = at + piece.len() as u64;
+                c.to = c.service.land(c.proc, at, piece).map(|()| next);
+            }
         }
-    }
-
-    /// The body of the call, its record ended: the lander's, once its whole
-    /// opaque arrived and what follows it is a zero pad, as the whole-record
-    /// decode requires.
-    fn finish(
-        &self,
-        record: &[u8],
-        args: &mut XdrDecoder<'_>,
-        reply: &mut XdrEncoder,
-    ) -> Result<(), AcceptStat> {
-        let (_, head, lander) = &self.rpc.landers[self.lander];
-        let pad = record.get(args.position() + head + 4..).unwrap_or_default();
-        if self.left > 0 || pad.len() != (4 - self.len % 4) % 4 || pad.iter().any(|&b| b != 0) {
-            return Err(AcceptStat::GarbageArgs);
-        }
-        let landed = match self.to {
-            Landing::Refused(status) => Err(status),
-            _ => Ok(()),
-        };
-        reply.put_i32(lander.finish(args, self.len, landed));
-        Ok(())
     }
 }
 
 impl Drop for Window {
     fn drop(&mut self) {
-        if let (Some(gate), Some(t)) = (self.rpc.token_gate.as_deref(), self.token) {
-            gate.complete(t);
+        if let (Some(gate), Ok(Opened { token: Some(t), .. })) =
+            (self.rpc.token_gate.as_deref(), &self.call)
+        {
+            gate.complete(*t);
         }
     }
 }
@@ -179,8 +175,6 @@ pub struct RpcServer {
     token_gate: Option<Box<dyn TokenGate>>,
     /// Optional overload control in front of every procedure body.
     admission: Option<Box<Admission>>,
-    /// Procedures whose last argument lands, with the argument bytes ahead.
-    landers: Vec<(ProcKey, usize, Arc<dyn Lander>)>,
 }
 
 impl RpcServer {
@@ -221,15 +215,10 @@ impl RpcServer {
         self.admission = Some(Box::new(admit));
     }
 
-    /// Land the last argument of procedure `key`, an opaque behind `head`
-    /// bytes of arguments, through `lander`.
-    pub fn set_lander(&mut self, key: ProcKey, head: usize, lander: Arc<dyn Lander>) {
-        self.landers.push((key, head, lander));
-    }
-
-    /// The argument bytes ahead of the landing opaque of procedure `key`.
-    pub(crate) fn lands(&self, key: ProcKey) -> Option<usize> {
-        self.landers.iter().find(|l| l.0 == key).map(|l| l.1)
+    /// The argument bytes ahead of the opaque of procedure `proc` of
+    /// `prog`/`vers` if it lands ([`Dispatch::lands`]).
+    pub(crate) fn lands(&self, (prog, vers, proc): (u32, u32, u32)) -> Option<usize> {
+        self.services.get(&(prog, vers))?.lands(proc)
     }
 
     /// Register `service` for `prog`/`vers`, replacing any prior entry.
@@ -259,34 +248,31 @@ impl RpcServer {
 
     /// The window the last argument of the call in `head` lands through:
     /// `head` ends in that opaque's length word, `len`, and its procedure
-    /// `key` [`Self::lands`]. The call passes the prologue first; one it
-    /// answers (a mismatch, a replay, a shed) or the lander refuses discards
-    /// its opaque. `Err` closes the connection.
-    pub(crate) fn open(
-        self: &Arc<Self>,
-        key: ProcKey,
-        head: &[u8],
-        len: usize,
-    ) -> RpcResult<Window> {
-        let (mut reply, mut dec) = (XdrEncoder::new(), XdrDecoder::new(&head[..head.len() - 4]));
-        let (token, lander, to) = match self.admit(&mut dec, &mut reply, false)? {
-            None => (None, 0, Landing::Answered(reply.into_inner())),
-            Some((.., mut gate)) => {
-                let found = self.landers.iter().position(|l| l.0 == key);
-                let lander = found.ok_or(RpcError::UnexpectedMessageType)?;
-                let to = self.landers[lander].2.open(&mut dec, len);
-                let to = to.map_or_else(Landing::Refused, Landing::To);
-                (gate.0.take().map(|g| g.1), lander, to)
+    /// [`Self::lands`]. The call passes the prologue first; one it answers
+    /// (a mismatch, a replay, a shed) or its service refuses discards its
+    /// opaque. `Err` closes the connection.
+    pub(crate) fn open(self: &Arc<Self>, head: &[u8], len: usize) -> RpcResult<Window> {
+        let (mut reply, mut dec) = (XdrEncoder::new(), XdrDecoder::new(head));
+        let call = match self.admit(&mut dec, &mut reply)? {
+            None => Err(reply.into_inner()),
+            Some((xid, proc, service, token, mut gate)) => {
+                gate.0 = None; // the window holds the admission
+                let (args, to) = (dec.position(), service.open(proc, &mut dec));
+                Ok(Opened {
+                    xid,
+                    proc,
+                    service: Arc::clone(service),
+                    token,
+                    args,
+                    to,
+                })
             }
         };
-        let (rpc, left) = (Arc::clone(self), len);
+        let rpc = Arc::clone(self);
         Ok(Window {
             rpc,
-            token,
-            lander,
-            len,
-            left,
-            to,
+            call,
+            left: len,
         })
     }
 
@@ -300,20 +286,29 @@ impl RpcServer {
         reply_enc: &mut XdrEncoder,
     ) -> RpcResult<()> {
         reply_enc.clear();
-        if let Some(Landing::Answered(reply)) = window.as_ref().map(|w| &w.to) {
-            reply_enc.extend_raw(reply);
-            return Ok(());
-        }
         let mut dec = XdrDecoder::new(record);
-        let Some((xid, proc, service, token, _gate)) =
-            self.admit(&mut dec, reply_enc, window.is_some())?
-        else {
+        let admitted = match window.as_ref().map(|w| (&w.call, w.left)) {
+            None => self.admit(&mut dec, reply_enc)?,
+            Some((Err(reply), _)) => {
+                reply_enc.extend_raw(reply);
+                None
+            }
+            Some((Ok(c), left)) => {
+                // Its whole opaque arrived, or the record is garbage.
+                let tail = record.get(c.args..).filter(|_| left == 0);
+                dec = XdrDecoder::new(tail.unwrap_or_default());
+                Some((c.xid, c.proc, &c.service, c.token, GateGuard(None)))
+            }
+        };
+        let Some((xid, proc, service, token, _gate)) = admitted else {
             return Ok(());
         };
         RpcMessage::reply(xid, ReplyBody::success()).encode(reply_enc);
-        let body = match &window {
-            None => service.dispatch(proc, &mut dec, reply_enc),
-            Some(w) => w.finish(record, &mut dec, reply_enc),
+        let body = match window.as_ref().map(|w| &w.call) {
+            Some(Ok(c)) => (service.finish(proc, &mut dec, c.to.map(drop))).map(|status| {
+                reply_enc.put_i32(status);
+            }),
+            _ => service.dispatch(proc, &mut dec, reply_enc),
         };
         if let Err(stat) = body {
             // Roll back any partial results plus the optimistic header.
@@ -328,14 +323,12 @@ impl RpcServer {
         Ok(())
     }
 
-    /// The prologue of a call, up to its body (the part a window's call
-    /// passed when it opened skipped): `None` when it answered the call
-    /// itself, into `reply_enc`.
+    /// The prologue of a call, up to its body: `None` when it answered the
+    /// call itself, into `reply_enc`.
     fn admit<'s>(
         &'s self,
         dec: &mut XdrDecoder<'_>,
         reply_enc: &mut XdrEncoder,
-        opened: bool,
     ) -> RpcResult<Option<Admitted<'s>>> {
         let msg = RpcMessage::decode(dec)?;
         let call = match msg.body {
@@ -365,9 +358,6 @@ impl RpcServer {
         };
 
         let token = call.cred.as_client_token();
-        if opened {
-            return Ok(Some((msg.xid, call.proc, service, token, GateGuard(None))));
-        }
 
         // Admission gate: a refused token gets no reply — the connection
         // closes so the client's retransmission lands on a fresh connection

@@ -171,6 +171,10 @@ pub struct ProcedureDef {
     /// Declared `api(method, "name")` in the interface: the procedure is a
     /// typed client method. Codegen emits the version's API macro.
     pub api: Option<Api>,
+    /// Declared `lands` in the interface: its last argument, a variable-length
+    /// opaque, lands where the server says as it arrives, behind this many
+    /// bytes of fixed-size arguments. Codegen emits the landing methods.
+    pub lands: Option<u64>,
 }
 
 /// The client method an `api(method, "name")` attribute declares.

@@ -35,13 +35,14 @@
 //! program PROG { version VERS { r PROC(s, int) = 1; } = 1; } = 0x20000099;
 //! ```
 //!
-//! plus six procedure attributes, written before the result type in any
-//! order: `idempotent`, `batchable`, `inline`, `admin`, `cost(ns)` and
-//! `api(method, "name")` (see [`ast::ProcedureDef`]).
+//! plus seven procedure attributes, written before the result type in any
+//! order: `idempotent`, `batchable`, `inline`, `admin`, `lands`, `cost(ns)`
+//! and `api(method, "name")` (see [`ast::ProcedureDef`]).
 //! The first four each become an `is_*` table in the version's
 //! procedure-number module, `cost` the `host_cost_ns` table; `batchable`
 //! also yields the `*_record` stubs and `{Vers}BatchOp`, the op as a value:
-//! `decode` on the server, `record` / `send` on the client; `api` makes the
+//! `decode` on the server, `record` / `send` on the client; `lands` the
+//! landing of the last argument beside `dispatch`; `api` makes the
 //! procedure a method of `{vers}_api!`, the typed client API macro. Every
 //! result union of the shape `switch (int err) { case 0: T x; default:
 //! void; }` gets `into_result`. And type tags:

@@ -18,6 +18,7 @@ pub fn parse(source: &str) -> Result<Spec, Error> {
         consts: HashMap::new(),
         enums: HashMap::new(),
         lists: HashSet::new(),
+        typedefs: HashMap::new(),
     };
     p.spec()
 }
@@ -31,6 +32,8 @@ struct Parser {
     enums: HashMap<String, Vec<(String, i64)>>,
     /// Optional-data list nodes ([`StructDef::list_item`]) defined so far.
     lists: HashSet<String>,
+    /// typedef name → its declaration, for the sizes of landing heads.
+    typedefs: HashMap<String, Declaration>,
 }
 
 impl Parser {
@@ -286,6 +289,7 @@ impl Parser {
         self.expect_keyword("typedef")?;
         let decl = self.declaration()?;
         self.expect(&TokenKind::Semi)?;
+        self.typedefs.insert(decl.name.clone(), decl.clone());
         Ok(Definition::Typedef(TypedefDef { decl }))
     }
 
@@ -348,9 +352,11 @@ impl Parser {
         // `idempotent` marks the procedure safe for automatic client-side
         // retry; `batchable` marks it recordable into a command batch;
         // `inline` marks it answerable without waiting (server poll thread);
-        // `admin` marks it exempt from admission control; `cost(ns)` declares
-        // its host-side cost; `api(method, "name")` its typed client method.
-        let (mut idempotent, mut batchable, mut inline, mut admin) = (false, false, false, false);
+        // `admin` marks it exempt from admission control; `lands` lands its
+        // last argument as it arrives; `cost(ns)` declares its host-side
+        // cost; `api(method, "name")` its typed client method.
+        const FLAGS: [&str; 5] = ["idempotent", "batchable", "inline", "admin", "lands"];
+        let mut flags = [false; FLAGS.len()];
         let (mut cost_ns, mut api) = (None, None);
         loop {
             if self.at_keyword("cost") {
@@ -358,26 +364,23 @@ impl Parser {
                 if cost_ns.replace(self.cost()?).is_some() {
                     return self.err("duplicate `cost` attribute");
                 }
-                continue;
             } else if self.at_keyword("api") {
                 self.bump();
                 if api.replace(self.api()?).is_some() {
                     return self.err("duplicate `api` attribute");
                 }
-                continue;
-            } else if !idempotent && self.at_keyword("idempotent") {
-                idempotent = true;
-            } else if !batchable && self.at_keyword("batchable") {
-                batchable = true;
-            } else if !inline && self.at_keyword("inline") {
-                inline = true;
-            } else if !admin && self.at_keyword("admin") {
-                admin = true;
+            } else if let Some(i) = FLAGS.iter().position(|&flag| self.at_keyword(flag)) {
+                // A flag given twice is not taken twice: it ends the
+                // attributes, and the result type it is read as fails.
+                if std::mem::replace(&mut flags[i], true) {
+                    break;
+                }
+                self.bump();
             } else {
                 break;
             }
-            self.bump();
         }
+        let [idempotent, batchable, inline, admin, lands] = flags;
         let result = self.type_spec()?;
         let name = self.expect_ident()?;
         self.expect(&TokenKind::LParen)?;
@@ -406,13 +409,16 @@ impl Parser {
         for ty in args.iter().chain([&result]) {
             self.refuse_plain_list(ty)?;
         }
-        // Batch replies carry one status int per sub-op, so only procedures
-        // whose whole result is that status can be deferred into a batch.
-        if batchable && result != TypeSpec::Int {
+        // Batch replies carry one status int per sub-op, and a landed call
+        // answers what became of its landing, so only procedures whose whole
+        // result is that status can be deferred into a batch or land.
+        if (batchable || lands) && result != TypeSpec::Int {
+            let attr = if batchable { "batchable" } else { "lands" };
             return self.err(format!(
-                "`batchable` procedure `{name}` must return plain `int`"
+                "`{attr}` procedure `{name}` must return plain `int`"
             ));
         }
+        let lands = lands.then(|| self.landing_head(&name, &args)).transpose()?;
         Ok(ProcedureDef {
             name,
             number,
@@ -424,7 +430,40 @@ impl Parser {
             admin,
             cost_ns,
             api,
+            lands,
         })
+    }
+
+    /// The bytes ahead of the landing opaque of `name(args)`, its last
+    /// argument, of variable length: the arguments ahead are each a scalar,
+    /// an enum or a typedef of one, so their wire size is fixed.
+    fn landing_head(&self, name: &str, args: &[TypeSpec]) -> Result<u64, Error> {
+        let var_opaque = |ty: &TypeSpec| match ty {
+            TypeSpec::Named(n) => self.typedefs.get(n).is_some_and(|d| {
+                d.ty == TypeSpec::Opaque && matches!(d.kind, DeclKind::VarArray(_))
+            }),
+            ty => *ty == TypeSpec::Opaque,
+        };
+        let refuse = |why: &str| self.err(format!("`lands` procedure `{name}` {why}"));
+        let Some((_, ahead)) = args.split_last().filter(|(last, _)| var_opaque(last)) else {
+            return refuse("must end in an opaque<>");
+        };
+        let head: Option<u64> = ahead.iter().map(|ty| self.fixed_size(ty)).sum();
+        head.map_or_else(|| refuse("has a variable size ahead"), Ok)
+    }
+
+    /// The wire size of a scalar, an enum or a typedef of one; `None` for
+    /// any other type.
+    fn fixed_size(&self, ty: &TypeSpec) -> Option<u64> {
+        match ty {
+            TypeSpec::Int | TypeSpec::UInt | TypeSpec::Float | TypeSpec::Bool => Some(4),
+            TypeSpec::Hyper | TypeSpec::UHyper | TypeSpec::Double => Some(8),
+            TypeSpec::Named(n) if self.enums.contains_key(n) => Some(4),
+            TypeSpec::Named(n) => (self.typedefs.get(n))
+                .filter(|d| d.kind == DeclKind::Plain)
+                .and_then(|d| self.fixed_size(&d.ty)),
+            _ => None,
+        }
     }
 
     /// The `(method, "name")` of an `api` attribute.
@@ -776,6 +815,7 @@ mod tests {
                 idempotent inline cost(0x10) admin int B(void) = 2;
                 batchable cost(7) int C(int) = 3;
                 int D(void) = 4;
+                cost(3) lands batchable int E(unsigned hyper, opaque) = 5;
             } = 1; } = 9;",
         )
         .unwrap();
@@ -784,8 +824,9 @@ mod tests {
         };
         let procs = &p.versions[0].procedures;
         let costs: Vec<_> = procs.iter().map(|p| p.cost_ns).collect();
-        assert_eq!(costs, [Some(5), Some(16), Some(7), None]);
+        assert_eq!(costs, [Some(5), Some(16), Some(7), None, Some(3)]);
         assert!(procs[0].idempotent && procs[1].inline && procs[1].admin && procs[2].batchable);
+        assert!(procs[4].batchable && procs[4].lands == Some(8) && procs[3].lands.is_none());
         for (attr, why) in [
             ("cost", "missing value"),
             ("cost()", "empty value"),
@@ -807,15 +848,16 @@ mod tests {
     #[test]
     fn api_parses_in_any_attribute_order_and_refuses_a_bad_value() {
         let spec = parse(
-            r#"program P { version V {
+            r#"typedef int status; program P { version V {
                 api(a, "cudaA") cost(5) idempotent int A(void) = 1;
                 idempotent inline api(b, "cudaMemcpy(D2D)") admin int B(void) = 2;
                 batchable cost(7) api(c, "") int C(int) = 3;
                 int D(void) = 4;
+                api(e, "cuE") lands int E(unsigned hyper, status, opaque) = 5;
             } = 1; } = 9;"#,
         )
         .unwrap();
-        let Definition::Program(p) = &spec.definitions[0] else {
+        let Definition::Program(p) = &spec.definitions[1] else {
             panic!()
         };
         let procs = &p.versions[0].procedures;
@@ -828,9 +870,11 @@ mod tests {
                 Some(("a", "cudaA")),
                 Some(("b", "cudaMemcpy(D2D)")),
                 Some(("c", "")),
-                None
+                None,
+                Some(("e", "cuE")),
             ]
         );
+        assert_eq!(procs[4].lands, Some(12), "a typedef of int ahead counts 4");
         assert_eq!(procs[0].cost_ns, Some(5));
         assert!(procs[0].idempotent && procs[1].inline && procs[1].admin && procs[2].batchable);
         for (attr, why) in [

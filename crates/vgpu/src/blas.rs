@@ -6,7 +6,7 @@
 //! cuBLAS: **column-major** with explicit leading dimensions.
 
 use crate::device::Device;
-use crate::error::{span, VgpuError, VgpuResult};
+use crate::error::{host_work, span, VgpuError, VgpuResult};
 use crate::memory::{bytes_to_f32, bytes_to_f64, f32_to_bytes, f64_to_bytes};
 use crate::timemodel::{kernel_duration_ns, Precision, Workload};
 
@@ -84,6 +84,7 @@ macro_rules! gemm_impl {
                     "leading dimension smaller than rows".into(),
                 ));
             }
+            host_work("gemm", &[m as u64, n as u64, k as u64])?;
             let elem = std::mem::size_of::<$ty>() as u64;
             let bytes =
                 |ld: usize, cols: usize| span("gemm operand", &[ld as u64, cols as u64, elem]);

@@ -121,6 +121,25 @@ pub(crate) fn span(what: &str, factors: &[u64]) -> VgpuResult<u64> {
         .ok_or_else(|| VgpuError::InvalidValue(format!("{what} overflows 64 bits")))
 }
 
+/// The most multiply-adds one library call may make a host core do: m·n·k
+/// for a GEMM, m·n·min(m, n) for an LU, n²·nrhs for its solve. The library
+/// runs on the server's host, on a worker shard other connections wait on,
+/// so a call past it is refused before any operand is read. The paper's LU
+/// (n = 900, 7.3·10⁸) fits under it; a square GEMM or LU past n = 1024 does
+/// not.
+pub const MAX_HOST_WORK: u64 = 1 << 30;
+
+/// `InvalidValue` if `what`'s host work, the product of `dims`, passes
+/// [`MAX_HOST_WORK`].
+pub(crate) fn host_work(what: &str, dims: &[u64]) -> VgpuResult<()> {
+    match span(what, dims)? {
+        work if work > MAX_HOST_WORK => Err(VgpuError::InvalidValue(format!(
+            "{what} takes {work} host multiply-adds, past {MAX_HOST_WORK}"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

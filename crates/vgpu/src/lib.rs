@@ -46,7 +46,7 @@ mod stream;
 mod timemodel;
 
 pub use device::{Device, ExecStats};
-pub use error::{CudaCode, VgpuError, VgpuResult};
+pub use error::{CudaCode, VgpuError, VgpuResult, MAX_HOST_WORK};
 pub use kernels::{Dim3, LaunchConfig};
 pub use properties::DeviceProperties;
 pub use queue::{Command, CommandKind, Retired, Submit, SubmitAggregate};

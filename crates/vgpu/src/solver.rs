@@ -13,7 +13,7 @@
 //! device time.
 
 use crate::device::Device;
-use crate::error::{span, VgpuError, VgpuResult};
+use crate::error::{host_work, span, VgpuError, VgpuResult};
 use crate::memory::{bytes_to_f64, f64_to_bytes};
 use crate::timemodel::{kernel_duration_ns, Precision, Workload};
 use std::collections::HashMap;
@@ -93,6 +93,7 @@ impl SolverDn {
                 "dgetrf(m={m}, n={n}, lda={lda})"
             )));
         }
+        host_work("dgetrf", &[m as u64, n as u64, m.min(n) as u64])?;
         let a_in = dev
             .mem
             .read(a_ptr, span("dgetrf A", &[lda as u64, n as u64, 8])?)?;
@@ -173,6 +174,7 @@ impl SolverDn {
         if trans != 0 && trans != 1 {
             return Err(VgpuError::InvalidValue(format!("dgetrs trans={trans}")));
         }
+        host_work("dgetrs", &[n as u64, n as u64, nrhs as u64])?;
         let a_len = span("dgetrs A", &[lda as u64, n as u64, 8])?;
         let b_len = span("dgetrs B", &[ldb as u64, nrhs as u64, 8])?;
         let (n, nrhs, lda, ldb) = (n as usize, nrhs as usize, lda as usize, ldb as usize);

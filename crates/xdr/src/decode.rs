@@ -107,9 +107,10 @@ impl<'a> XdrDecoder<'a> {
         }
     }
 
-    /// Padding bytes must be zero, as RFC 4506 specifies ("residual bytes
-    /// are zeros").
-    fn check_padding(&mut self, payload_len: usize) -> XdrResult<()> {
+    /// Read the padding after `payload_len` bytes of opaque data, which must
+    /// be zero, as RFC 4506 specifies ("residual bytes are zeros"). On its
+    /// own: the pad of an opaque whose bytes were taken elsewhere.
+    pub fn check_padding(&mut self, payload_len: usize) -> XdrResult<()> {
         let pad = pad_bytes(payload_len);
         let b = self.take(pad)?;
         if b.iter().any(|&x| x != 0) {

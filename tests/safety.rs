@@ -205,6 +205,57 @@ fn module_images_are_bounded_per_session_and_the_session_carries_on() {
     assert_eq!(server.module_bytes(SESSION), 0);
 }
 
+/// A GEMM, LU or LU solve past the host work one library call may cost
+/// (`MAX_HOST_WORK`: a square one past n = 1024) is refused with
+/// `cudaErrorInvalidValue` before any operand is read, though its operands
+/// are the session's and large enough, so it runs no host loop; the session
+/// carries on with calls under the bound.
+#[test]
+fn library_calls_past_the_host_work_bound_are_refused_and_the_session_carries_on() {
+    use cricket_repro::proto::U64Result;
+    use cricket_repro::server::CricketServer;
+    use cricket_repro::vgpu::MAX_HOST_WORK;
+    let server = CricketServer::a100();
+    let mut c = sim_session(&server, 7);
+    let (n, k) = (1025i32, 1024i32);
+    assert!((n as u64).pow(2) * k as u64 > MAX_HOST_WORK && 900u64.pow(3) <= MAX_HOST_WORK);
+    let u = |r: U64Result| r.into_result().unwrap();
+    let square = n as u64 * n as u64 * 8;
+    let [a, b, out, lu] = [(); 4].map(|_| u(c.cuda_malloc(&square).unwrap()));
+    let ipiv = u(c.cuda_malloc(&(n as u64 * 4)).unwrap());
+    let blas = u(c.cublas_create().unwrap());
+    let solver = u(c.cusolver_dn_create().unwrap());
+    let refused = CudaCode::InvalidValue as i32;
+    let dgemm = c.cublas_dgemm(
+        &blas, &0, &0, &n, &n, &n, &1.0, &a, &n, &b, &n, &0.0, &out, &n,
+    );
+    assert_eq!(dgemm.unwrap(), refused, "a 1025³ DGEMM");
+    let sgemm = c.cublas_sgemm(
+        &blas, &0, &0, &n, &n, &k, &1.0, &a, &n, &b, &k, &0.0, &out, &n,
+    );
+    assert_eq!(sgemm.unwrap(), refused, "a 1025²·1024 SGEMM");
+    let getrf = c.cusolver_dn_dgetrf(&solver, &n, &n, &lu, &n, &lu, &ipiv, &ipiv);
+    assert_eq!(getrf.unwrap(), refused, "a 1025² LU");
+    let getrs = c.cusolver_dn_dgetrs(&solver, &0, &n, &n, &lu, &n, &ipiv, &b, &n, &ipiv);
+    assert_eq!(
+        getrs.unwrap(),
+        refused,
+        "a 1025² LU solve, 1025 right-hand sides"
+    );
+
+    // Under the bound the same session's calls run.
+    assert_eq!(c.cuda_memcpy_htod(&a, &2.0f64.to_le_bytes()).unwrap(), 0);
+    let dgemm = c.cublas_dgemm(
+        &blas, &0, &0, &1, &1, &1, &1.0, &a, &1, &a, &1, &0.0, &out, &1,
+    );
+    assert_eq!(dgemm.unwrap(), 0);
+    let squared = c.cuda_memcpy_dtoh(&out, &8).unwrap().into_result().unwrap();
+    assert_eq!(f64::from_le_bytes(squared.try_into().unwrap()), 4.0);
+    let getrf = c.cusolver_dn_dgetrf(&solver, &1, &1, &a, &1, &lu, &ipiv, &ipiv);
+    assert_eq!(getrf.unwrap(), 0);
+    assert_eq!(c.cuda_device_synchronize().unwrap(), 0);
+}
+
 /// A raw client of one session, with no retries.
 type Raw = cricket_repro::proto::CricketV1Client;
 
